@@ -10,7 +10,8 @@ Usage::
                                      [--out BENCH_cluster.json] [--smoke]
 
 For each xsltmark case the harness soaks a
-:class:`repro.serve.ClusterService` (sustained closed-loop load, mixed
+:class:`repro.serve.TransformService` over **process workers**
+(``backend="process"``; sustained closed-loop load, mixed
 hit/miss workload — the hot stylesheet plus ``--cold-variants`` distinct
 variants that each force a cold compile) at **1 worker** and at
 **--workers workers**, and reports the throughput scaling ratio.  That
@@ -65,7 +66,7 @@ sys.path.insert(0, os.path.join(_ROOT, "src"))
 from repro.api import TransformOptions
 from repro.core.transform import xml_transform
 from repro.obs import MetricsRegistry, Tracer
-from repro.serve import ClusterService, WorkItem, run_soak
+from repro.serve import TransformService, WorkItem, run_soak
 from repro.xsltmark.cases import get_case
 from repro.xsltmark.runner import prepare_case
 
@@ -112,15 +113,21 @@ def workload_for(stylesheet, cold_variants):
     return items
 
 
+def process_service(db, storage, workers, artifact_dir, **kwargs):
+    """A quiet (untraced, unrecorded) service over ``workers`` worker
+    processes serving ``storage`` as ``"doc"``."""
+    return TransformService(
+        db, backend="process", sources={"doc": storage}, workers=workers,
+        artifact_dir=artifact_dir, metrics=MetricsRegistry(),
+        trace_requests=False, recorder=False, **kwargs
+    )
+
+
 def soak_cluster(db, storage, workload, workers, args, artifact_dir):
     """One sustained soak at ``workers`` processes; returns the report
     and the cluster's merged stats."""
-    cluster = ClusterService(
-        db=db, sources={"doc": storage}, workers=workers,
-        queue_size=max(64, args.clients * 4),
-        artifact_dir=artifact_dir, metrics=MetricsRegistry(),
-        trace_requests=False, recorder=False,
-    )
+    cluster = process_service(db, storage, workers, artifact_dir,
+                              queue_size=max(64, args.clients * 4))
     try:
         report = run_soak(cluster, workload, clients=args.clients,
                           duration_seconds=args.duration)
@@ -132,11 +139,8 @@ def soak_cluster(db, storage, workload, workers, args, artifact_dir):
 
 def check_two_tier(db, storage, stylesheet, tmp_dir):
     """worker 0 compiles; worker 1 must hit the shared disk tier."""
-    cluster = ClusterService(
-        db=db, sources={"doc": storage}, workers=2,
-        artifact_dir=os.path.join(tmp_dir, "two-tier"),
-        metrics=MetricsRegistry(), trace_requests=False, recorder=False,
-    )
+    cluster = process_service(db, storage, 2,
+                              os.path.join(tmp_dir, "two-tier"))
     try:
         first = cluster.transform_on(0, "doc", stylesheet)
         second = cluster.transform_on(1, "doc", stylesheet)
@@ -155,11 +159,7 @@ def check_warm_restart(db, storage, stylesheet, tmp_dir):
     warm_dir = os.path.join(tmp_dir, "warm")
 
     def build():
-        return ClusterService(
-            db=db, sources={"doc": storage}, workers=2,
-            artifact_dir=warm_dir, metrics=MetricsRegistry(),
-            trace_requests=False, recorder=False,
-        )
+        return process_service(db, storage, 2, warm_dir)
 
     cluster = build()
     try:
@@ -171,15 +171,16 @@ def check_warm_restart(db, storage, stylesheet, tmp_dir):
     try:
         warm = restarted.transform("doc", stylesheet)
         merged = restarted.stats()["metrics"]["counters"]
+        rows_stable = warm.serialized_rows() == cold.serialized_rows()
         return {
             "warm_tier": warm.cache_tier,
             "disk_hits": merged.get("serve.cache.disk.hits", 0),
             "rewrite_attempts": merged.get("transform.rewrite_attempts", 0),
-            "rows_stable": warm.rows == cold.rows,
+            "rows_stable": rows_stable,
             "ok": (warm.cache_tier == "l2"
                    and merged.get("serve.cache.disk.hits", 0) >= 1
                    and merged.get("transform.rewrite_attempts", 0) == 0
-                   and warm.rows == cold.rows),
+                   and rows_stable),
         }
     finally:
         restarted.close()
@@ -246,15 +247,11 @@ def run_cluster_case(name, size, args, cases_out, core_starved):
         two_tier = check_two_tier(db, storage, stylesheet, tmp_dir)
         warm = check_warm_restart(db, storage, stylesheet, tmp_dir)
 
-        sample = ClusterService(
-            db=db, sources={"doc": storage}, workers=1,
-            artifact_dir=os.path.join(tmp_dir, "verify"),
-            metrics=MetricsRegistry(), trace_requests=False,
-            recorder=False,
-        )
+        sample = process_service(db, storage, 1,
+                                 os.path.join(tmp_dir, "verify"))
         try:
             rows_match = sample.transform(
-                "doc", stylesheet).rows == expected_rows
+                "doc", stylesheet).serialized_rows() == expected_rows
         finally:
             sample.close()
     finally:

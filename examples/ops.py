@@ -18,11 +18,16 @@ context or minting its own — then walks the four endpoints:
   slow or tail-sampled requests — the retained EXPLAIN ANALYZE +
   decision-ledger detail.
 
-Run:  python examples/ops.py [--port N] [--hold SECONDS]
+Run:  python examples/ops.py [--port N] [--hold SECONDS] [--processes N]
 
 ``--port`` fixes the ops port (default: ephemeral).  ``--hold`` keeps
 the service and ops plane up for that many seconds after the tour so an
 external client (curl, a CI step, a browser) can probe the same URLs.
+``--processes N`` serves from N worker *processes* instead of threads:
+the same front door and the same endpoints, requests naming their
+source, and the trace stitched across the pipe (``cluster.request`` ->
+``cluster.worker``); chunk streaming needs thread workers and is
+skipped.
 """
 
 import argparse
@@ -32,9 +37,9 @@ import urllib.request
 
 from quickstart import STYLESHEET, build_database, dept_emp_view
 
+from repro.api import Engine
 from repro.obs import FlightRecorder, new_span_id, new_trace_id
 from repro.obs.trace import TraceContext
-from repro.serve import TransformService
 
 
 def fetch(url):
@@ -48,6 +53,9 @@ def main():
                         help="ops-plane port (default: ephemeral)")
     parser.add_argument("--hold", type=float, default=0.0,
                         help="keep serving this many seconds after the tour")
+    parser.add_argument("--processes", type=int, default=0,
+                        help="serve from N worker processes (default: "
+                             "4 worker threads)")
     args = parser.parse_args()
 
     db = build_database()
@@ -56,8 +64,16 @@ def main():
     # retain full detail for every request so the demo always has an
     # EXPLAIN to show; production keeps the default slow-only policy
     recorder = FlightRecorder(slow_threshold_seconds=0.0)
-    with TransformService(db, workers=4, recorder=recorder,
-                          ops_port=args.port) as service:
+    if args.processes:
+        # process workers hold the sources; requests name them
+        service = Engine(db, workers=args.processes).serve(
+            sources={"dept_emp": view_query}, recorder=recorder,
+            ops_port=args.port)
+        view_query = "dept_emp"
+    else:
+        service = Engine(db).serve(workers=4, recorder=recorder,
+                                   ops_port=args.port)
+    with service:
         base = service.ops.url
         print("ops plane listening on %s" % base)
 
@@ -66,13 +82,14 @@ def main():
         cold = service.transform(view_query, STYLESHEET,
                                  traceparent=upstream.to_traceparent())
         warm = service.transform(view_query, STYLESHEET)
-        stream = service.transform_stream(view_query, STYLESHEET)
-        stream.text()
         print("cold miss joined upstream trace: %s (traceparent in, %s)"
               % (cold.trace_id, cold.trace_id == upstream.trace_id))
         print("cached hit minted its own trace: %s (cache_hit=%s)"
               % (warm.trace_id, warm.cache_hit))
-        print("stream drained under trace:      %s" % stream.trace_id)
+        if not args.processes:
+            stream = service.transform_stream(view_query, STYLESHEET)
+            stream.text()
+            print("stream drained under trace:      %s" % stream.trace_id)
 
         # -- /metrics -------------------------------------------------------
         print()

@@ -17,6 +17,9 @@ serving story end to end:
   against the new physical design.  (Object-relational storage sources
   need no explicit call: index DDL changes their structural
   fingerprint, so stale plans miss automatically.)
+* the same front door over worker *processes*
+  (``Engine(db, workers=2).serve(sources=...)``): requests name their
+  source, a plan compiled by one worker is a disk-tier hit in the other.
 
 Run:  python examples/serving.py
 """
@@ -25,14 +28,15 @@ import threading
 
 from quickstart import STYLESHEET, build_database, dept_emp_view
 
-from repro.serve import TransformService, WorkItem, run_load
+from repro.api import Engine
+from repro.serve import WorkItem, run_load
 
 
 def main():
     db = build_database()
     view_query = dept_emp_view(db)
 
-    with TransformService(db, workers=4, queue_size=64) as service:
+    with Engine(db).serve(workers=4, queue_size=64) as service:
         # -- cold request: compiles, caches ---------------------------------
         cold = service.transform(view_query, STYLESHEET)
         print("cold request: strategy=%s cache_hit=%s"
@@ -60,7 +64,7 @@ def main():
         warm = results[0]
         print()
         print("cache-hit report (no compile stages in the trace):")
-        print(warm.report())
+        print(warm.transform.report())
         print()
         print("cache-hit EXPLAIN REWRITE (ledger preserved from compile):")
         print(warm.explain_report().render())
@@ -87,6 +91,19 @@ def main():
               % evicted)
         fresh = service.transform(view_query, STYLESHEET)
         print("next request recompiles: cache_hit=%s" % fresh.cache_hit)
+
+    # -- the same front door over worker processes --------------------------
+    print()
+    with Engine(db, workers=2).serve(
+            sources={"dept_emp": view_query}) as service:
+        pids = sorted(reply["pid"] for reply in service.ping())
+        print("process workers %s behind the same TransformService" % pids)
+        for worker in (0, 0, 1):
+            result = service.transform_on(worker, "dept_emp", STYLESHEET)
+            print("worker %d: cache_tier=%s rows=%d"
+                  % (result.worker, result.cache_tier,
+                     len(result.serialized_rows())))
+        print("health: %s" % service.health()["status"])
 
 
 if __name__ == "__main__":

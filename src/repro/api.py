@@ -160,7 +160,7 @@ class TransformOptions:
         REWRITE without touching data).
     :param deadline: per-request deadline in seconds
         (:class:`repro.serve.TransformService` only — enforced at
-        dequeue time).
+        dequeue time, so ``0`` always times out).  Must be >= 0.
     :param batch_size: rows per batch on the vectorized executor path.
         None is automatic: row-at-a-time pull for materialized
         execution (``transform``), ``DEFAULT_BATCH_SIZE`` batches for
@@ -218,6 +218,11 @@ class TransformOptions:
             "strategy", self.strategy,
             tuple(choice.value for choice in Strategy),
         ))
+        if self.deadline is not None and self.deadline < 0:
+            raise ValueError(
+                "invalid deadline %r: expected seconds >= 0 (or None)"
+                % (self.deadline,)
+            )
         if self.decorrelate not in (None, True, False):
             raise ValueError(
                 "invalid decorrelate %r: expected True, False or None"
@@ -381,25 +386,17 @@ class Engine:
 
     def _record(self, root, result):
         """Flight-record one finished :meth:`transform` call."""
-        from repro.obs.recorder import stage_seconds
+        from repro.obs.recorder import stage_seconds, transform_fields
 
         spans = [span.to_dict() for span in root.iter_spans()]
-        feedback = result.feedback
         self.recorder.record(
             root.trace_id, name="xml_transform",
             status="ok" if result.fallback_reason is None else "fallback",
-            strategy=result.strategy,
-            fallback_category=result.fallback_category,
             execute_seconds=(result.stats.elapsed_seconds
                              if result.stats is not None else None),
             total_seconds=root.duration,
-            rows=len(result.rows),
-            q_error_max=(feedback.max_q_error
-                         if feedback is not None else None),
-            q_error_triggered=(feedback is not None and feedback.triggered),
             stages=stage_seconds(spans), spans=spans,
-            detail_fn=lambda: "%s\n\nEXPLAIN REWRITE:\n%s" % (
-                result.report(), result.explain_report().render()),
+            **transform_fields(result)
         )
 
     def execute(self, source, compiled, options=None, params=None):
@@ -415,30 +412,26 @@ class Engine:
     # -- serve --------------------------------------------------------------------
 
     def serve(self, sources=None, **kwargs):
-        """The serving tier for this engine's database.
+        """The serving tier for this engine's database: a
+        :class:`~repro.serve.service.TransformService`.
 
-        ``Engine(db)`` (workers=1) returns a thread-pool
-        :class:`~repro.serve.service.TransformService`;
-        ``Engine(db, workers=N)`` with N>1 returns a
-        :class:`~repro.serve.cluster.ClusterService` of N worker
+        ``Engine(db)`` (workers=1) serves from worker *threads* in this
+        process (size the pool with ``serve(workers=N)``);
+        ``Engine(db, workers=N)`` with N>1 serves from N worker
         *processes* sharing a persistent plan tier — CPU-bound
-        transforms then scale past one core.  The cluster tier
-        requires ``sources``, a ``{name: source}`` mapping (requests
-        name their source; the objects live in the workers).  Extra
-        ``kwargs`` pass through to the chosen service constructor
-        (``queue_size``, ``artifact_dir``/``artifact_store``,
-        ``default_timeout``, ...)."""
-        kwargs.setdefault("metrics", self.metrics)
-        if self.workers > 1:
-            from repro.serve.cluster import ClusterService
-
-            return ClusterService(
-                db=self.db, sources=sources or {}, workers=self.workers,
-                **kwargs
-            )
+        transforms then scale past one core.  Process workers need
+        ``sources``, a ``{name: source}`` mapping (requests name their
+        source; the objects live in the workers).  Extra ``kwargs`` pass
+        through to the service constructor (``queue_size``,
+        ``artifact_dir``, ``default_timeout``, ...)."""
         from repro.serve.service import TransformService
 
-        return TransformService(self.db, **kwargs)
+        kwargs.setdefault("metrics", self.metrics)
+        if self.workers > 1:
+            return TransformService(self.db, sources=sources,
+                                    backend="process",
+                                    workers=self.workers, **kwargs)
+        return TransformService(self.db, sources=sources, **kwargs)
 
     def transform_stream(self, source, stylesheet, options=None,
                          params=None):

@@ -359,8 +359,8 @@ class MetricsRegistry:
 def merge_snapshots(snapshots):
     """Aggregate registry snapshots from several processes into one.
 
-    The cluster tier's workers each keep a private registry (instrument
-    objects cannot be shared across processes); ``ClusterService.stats``
+    Process workers each keep a private registry (instrument objects
+    cannot be shared across processes); ``TransformService.stats``
     merges their :meth:`MetricsRegistry.snapshot` dicts through this.
     Counters and gauges sum per key.  Histogram summaries combine
     ``count``/``sum`` additively and take the extreme ``min``/``max`` —

@@ -48,6 +48,25 @@ def stage_seconds(spans):
     return stages
 
 
+def transform_fields(result):
+    """The :meth:`FlightRecorder.record` fields a finished
+    :class:`~repro.core.transform.TransformResult` supplies — strategy,
+    fallback, row count, Q-error verdict, and the lazy slow-request
+    diagnosis: the full report (stats, span tree, EXPLAIN ANALYZE,
+    Q-error) plus EXPLAIN REWRITE (the decision ledger anchored into
+    the plan)."""
+    feedback = result.feedback
+    return dict(
+        strategy=result.strategy,
+        fallback_category=result.fallback_category,
+        rows=len(result.rows),
+        q_error_max=feedback.max_q_error if feedback is not None else None,
+        q_error_triggered=feedback is not None and feedback.triggered,
+        detail_fn=lambda: "%s\n\nEXPLAIN REWRITE:\n%s" % (
+            result.report(), result.explain_report().render()),
+    )
+
+
 class RequestRecord:
     """One served request, compressed for the ring buffer."""
 

@@ -12,14 +12,17 @@ adds the pieces a long-lived server needs on top of
 * :class:`ArtifactStore` — the persistent second tier: serialized plans
   on disk with versioned, checksummed entry headers, shared by every
   process pointing at the directory (warm restarts, cluster workers);
-* :class:`TransformService` — worker-*thread* pool with bounded
-  admission, per-request deadlines, cancellation, and per-request
-  tracing; cache hits skip every compile stage and still carry the
-  preserved EXPLAIN REWRITE ledger;
-* :class:`ClusterService` — worker-*process* pool behind the same
-  bounded admission queue (escaping the GIL for CPU-bound transforms),
-  with the two-tier plan cache, cross-process invalidation over the
-  store's epoch, and traces stitched across the process boundary;
+* :class:`TransformService` — the one front door: bounded admission,
+  per-request deadlines, cancellation, per-request tracing and flight
+  recording over worker *threads* (in-process, live sources, full
+  results) or worker *processes* (``backend="process"``: escaping the
+  GIL for CPU-bound transforms, traces stitched across the pipe);
+* :class:`PlanRuntime` — what every worker runs a claimed request on:
+  the two-tier plan lookup (tier-1 :class:`PlanCache` → optional
+  :class:`ArtifactStore` → compile-and-persist), cross-process
+  invalidation over the store's epoch, feedback re-costing; cache hits
+  skip every compile stage and still carry the preserved EXPLAIN
+  REWRITE ledger;
 * :func:`run_load` / :func:`run_soak` — closed-loop multi-client
   generators producing throughput / p50-p95-p99 latency / hit-ratio
   reports (``benchmarks/run_serve.py`` and
@@ -42,12 +45,7 @@ from repro.serve.cache import (
     CacheStats,
     PlanCache,
 )
-from repro.serve.cluster import (
-    ClusterResult,
-    ClusterService,
-    ClusterWorkerError,
-    WorkerRequestError,
-)
+from repro.serve.cluster import ClusterWorkerError, WorkerRequestError
 from repro.serve.loadgen import (
     LoadReport,
     SoakReport,
@@ -55,17 +53,20 @@ from repro.serve.loadgen import (
     run_load,
     run_soak,
 )
+from repro.serve.runtime import (
+    PlanRuntime,
+    ServeError,
+    ServeResult,
+    source_fingerprint,
+    stylesheet_key,
+)
 from repro.serve.service import (
     RequestCancelledError,
     RequestTimeoutError,
-    ServeError,
     ServeFuture,
-    ServeResult,
     ServiceClosedError,
     ServiceOverloadedError,
     TransformService,
-    source_fingerprint,
-    stylesheet_key,
 )
 
 __all__ = [
@@ -74,14 +75,13 @@ __all__ = [
     "ArtifactHeader",
     "ArtifactStore",
     "CacheStats",
-    "ClusterResult",
-    "ClusterService",
     "ClusterWorkerError",
     "EVICT_INVALIDATED",
     "EVICT_LRU",
     "EVICT_TTL",
     "LoadReport",
     "PlanCache",
+    "PlanRuntime",
     "RequestCancelledError",
     "RequestTimeoutError",
     "ServeError",

@@ -5,9 +5,9 @@ restarted, upgraded and scaled across sessions; recompiling every plan
 after each restart (or once per OS process) throws away exactly the work
 the rewrite amortizes.  :class:`ArtifactStore` persists serialized
 :class:`~repro.core.transform.CompiledTransform` artifacts under a
-directory shared by every worker process of a
-:class:`~repro.serve.cluster.ClusterService` (and usable by a
-single-process :class:`~repro.serve.service.TransformService`), so
+directory shared by every worker process of a process-backed
+:class:`~repro.serve.service.TransformService` (and usable by a
+thread-backed one), so
 
 * a plan compiled by **any** worker is a tier-2 hit in **all** of them;
 * a restarted service serves its first repeat request from the warm
@@ -261,7 +261,7 @@ class ArtifactStore:
 
         Every worker that observes the bump treats its tier-1 entries
         from older epochs as stale (see
-        :class:`~repro.serve.cluster.ClusterService`).  The
+        :meth:`~repro.serve.runtime.PlanRuntime.sync_versions`).  The
         read-increment-write is flock-serialized so concurrent bumps
         from two workers never collapse into one.
         """

@@ -1,88 +1,53 @@
-"""Process-parallel serving: N worker processes, one shared plan tier.
+"""Process workers: the :class:`~repro.serve.service.TransformService`
+backend that escapes the GIL.
 
-:class:`~repro.serve.service.TransformService` is a thread pool, so
-CPU-bound transforms serialize on the GIL and throughput caps at ~1
-core.  :class:`ClusterService` is the same serving contract — bounded
-admission queue, deadlines, cancellation, per-request tracing, flight
-recording — dispatched over a pipe protocol to **worker processes**,
-each running the full pipeline on its own interpreter (its own GIL):
+Worker *threads* serialize CPU-bound transforms on one interpreter
+lock; :class:`ProcessWorkers` runs each worker as a child process with
+its own :class:`~repro.serve.runtime.PlanRuntime` (its own GIL, its own
+tier-1 cache, the disk tier shared).  Everything request-shaped —
+admission, deadlines, cancellation, metrics, flight recording — stays in
+the front door; this module is only what is process-specific:
 
-* the parent keeps the bounded admission queue; one dispatcher thread
-  per worker pulls requests and speaks a strict request/response pipe
-  protocol (``multiprocessing.Pipe``), blocking in ``recv`` — which
-  releases the GIL — while its worker computes;
-* each worker owns a **two-tier compiled-plan cache**: tier 1 is its
-  in-memory :class:`~repro.serve.cache.PlanCache`, tier 2 the
-  disk-backed :class:`~repro.serve.artifact.ArtifactStore` shared by
-  every worker (and by any later service generation — warm-start), so a
-  plan compiled by one worker is a hit in all of them;
-* **cross-process invalidation**: every cached entry carries the
-  statistics version and store epoch it was compiled under.  A worker
-  whose database bumps ``stats_version`` (ANALYZE, DDL, feedback
-  re-cost) bumps the store's shared epoch; every other worker notices
-  on its next request and evicts tier-1 entries from older epochs
-  (``serve.cache.evictions{reason="stale-stats"}``) — stale plans are
-  never served anywhere;
+* the strict request/response **pipe protocol**: ``(op, payload)`` in,
+  ``("ok", reply)`` / ``("error", {...})`` out, over a
+  ``multiprocessing.Pipe``.  The front door's dispatcher thread blocks
+  in ``recv`` — which releases the GIL — while its worker computes.
+  Sources cross by *name* and stylesheets as markup text (content
+  hashes are what make the shared disk tier addressable);
 * **trace identity crosses the process boundary**: the dispatcher sends
-  its span's W3C ``traceparent`` with each request, the worker joins
-  that trace, and the returned span records merge into the parent's
-  flight recorder — one connected trace per request, dispatcher and
-  worker spans linked by parent ids;
-* per-worker metrics are private registries; ``stats()`` aggregates
-  them through :func:`repro.obs.metrics.merge_snapshots`.
-
-Requests name their source (a key into the ``sources`` mapping every
-worker holds) and carry stylesheet **markup text** — both cross the
-process boundary by value, and content-hashed stylesheets are what make
-the shared disk tier addressable.
-
-Worker state comes from either the forked parent (``db`` + ``sources``
-captured at fork, the default on POSIX) or a picklable zero-argument
-``factory`` returning ``(db, sources)`` (required under the ``spawn``
-start method, and what a production deployment would use to open its
-own storage).
+  its ``cluster.request`` span's W3C ``traceparent``, the worker roots
+  ``cluster.worker`` in that trace, and the returned span records merge
+  into the parent's flight recorder — one connected trace per request;
+* **worker death**: a broken pipe marks the worker dead
+  (:class:`ClusterWorkerError`, ``cluster.worker_failures``); a request
+  that failed *inside* a live worker is a :class:`WorkerRequestError`
+  and the worker keeps serving;
+* the control-plane broadcast (``ping`` / ``analyze`` / ``invalidate``
+  / ``stats``) and the aggregation of per-worker private metrics
+  through :func:`repro.obs.metrics.merge_snapshots`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import queue
 import shutil
 import tempfile
 import threading
-import time
 
-from repro.api import Engine, TransformOptions
-from repro.core.transform import execute_compiled
-from repro.obs import InMemorySink, Tracer, global_metrics
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
-from repro.obs.recorder import FlightRecorder, stage_seconds as _stage_seconds
 from repro.obs.trace import (
     TraceContext,
-    current_trace_context,
     new_trace_id,
     parse_traceparent,
     use_trace_context,
 )
-from repro.serve.artifact import ArtifactStore, artifact_key
-from repro.serve.cache import PlanCache
-from repro.serve.service import (
-    RequestTimeoutError,
+from repro.serve.artifact import ArtifactStore
+from repro.serve.runtime import (
+    PlanRuntime,
     ServeError,
-    ServeFuture,
-    ServiceClosedError,
-    ServiceOverloadedError,
-    _sink_spans,
-    options_key,
-    source_fingerprint,
-    stylesheet_key,
+    request_tracer,
+    sink_spans,
 )
-
-#: tier-1 eviction reason for plans invalidated by a sibling process
-EVICT_STALE_STATS = "stale-stats"
-
-_SHUTDOWN = object()
 
 
 class ClusterWorkerError(ServeError):
@@ -98,289 +63,47 @@ class WorkerRequestError(ServeError):
         self.worker = worker
 
 
-class ClusterResult:
-    """One request's outcome as it crossed back from a worker.
-
-    ``rows`` are the transform's *serialized* output rows (markup text —
-    the transport format across the process boundary).  ``cache_tier``
-    is where the compiled plan came from: ``"l1"`` (the worker's
-    in-memory cache), ``"l2"`` (the shared disk tier) or ``"miss"``
-    (freshly compiled).  ``cache_hit`` is True for either cache tier —
-    the request paid no compile."""
-
-    __slots__ = ("rows", "strategy", "cache_tier", "fallback_category",
-                 "queue_wait_seconds", "execute_seconds", "total_seconds",
-                 "trace_id", "worker", "stats_version")
-
-    def __init__(self, rows, strategy, cache_tier, fallback_category,
-                 queue_wait_seconds, execute_seconds, total_seconds,
-                 trace_id, worker, stats_version):
-        self.rows = rows
-        self.strategy = strategy
-        self.cache_tier = cache_tier
-        self.fallback_category = fallback_category
-        self.queue_wait_seconds = queue_wait_seconds
-        self.execute_seconds = execute_seconds
-        self.total_seconds = total_seconds
-        self.trace_id = trace_id
-        self.worker = worker
-        self.stats_version = stats_version
-
-    @property
-    def cache_hit(self):
-        return self.cache_tier in ("l1", "l2")
-
-    def serialized_rows(self, method="xml"):
-        """Transport rows are already serialized; ``method`` must match
-        the worker-side default."""
-        if method != "xml":
-            raise ValueError("cluster results are serialized as xml")
-        return list(self.rows)
-
-
-class _ClusterRequest:
-    __slots__ = ("future", "source", "stylesheet", "options", "params",
-                 "deadline", "submitted_at", "context", "started_wall")
-
-    def __init__(self, future, source, stylesheet, options, params,
-                 deadline, submitted_at, context, started_wall):
-        self.future = future
-        self.source = source
-        self.stylesheet = stylesheet
-        self.options = options
-        self.params = params
-        self.deadline = deadline
-        self.submitted_at = submitted_at
-        self.context = context
-        self.started_wall = started_wall
-
-
 # -- worker side --------------------------------------------------------------------
 
 
-class _CachedPlan:
-    """Tier-1 envelope: the compiled plan plus the versions it was
-    compiled under — the header the cross-process invalidation sweep
-    compares against current state."""
-
-    __slots__ = ("compiled", "stats_version", "epoch")
-
-    def __init__(self, compiled, stats_version, epoch):
-        self.compiled = compiled
-        self.stats_version = stats_version
-        self.epoch = epoch
-
-
-class _WorkerRuntime:
-    """Everything one worker process owns: database, sources, the
-    two-tier plan cache, private metrics, and version bookkeeping."""
-
-    def __init__(self, worker_id, db, sources, artifact_dir,
-                 cache_capacity=128, trace_requests=True):
-        self.worker_id = worker_id
-        self.db = db
-        self.sources = dict(sources or {})
-        self.metrics = MetricsRegistry()
-        self.store = ArtifactStore(artifact_dir, metrics=self.metrics)
-        self.cache = PlanCache(capacity=cache_capacity,
-                               metrics=self.metrics)
-        self.trace_requests = trace_requests
-        self.catalog = db.fingerprint()
-        self.seen_stats_version = db.stats_version()
-        self.seen_epoch = self.store.epoch()
-
-    # -- cross-process invalidation ------------------------------------------------
-
-    def sync_versions(self):
-        """Publish local invalidations, absorb remote ones.
-
-        A local ``stats_version`` bump (ANALYZE / DDL / feedback) bumps
-        the store's shared epoch so *siblings* evict; a remote epoch
-        bump evicts *this* worker's tier-1 entries recorded under older
-        epochs or a different stats version.  Returns evicted count."""
-        stats_version = self.db.stats_version()
-        changed = False
-        if stats_version != self.seen_stats_version:
-            self.seen_stats_version = stats_version
-            self.seen_epoch = self.store.bump_epoch(
-                reason="stats:%d" % stats_version
-            )
-            changed = True
-        epoch = self.store.epoch()
-        if epoch != self.seen_epoch:
-            self.seen_epoch = epoch
-            changed = True
-        if not changed:
-            return 0
-        return self.cache.invalidate_where(
-            lambda value: (value.stats_version != stats_version
-                           or value.epoch < self.seen_epoch),
-            reason=EVICT_STALE_STATS,
+def _serve_transform(runtime, payload, trace_requests):
+    """One ``transform`` message inside the worker: join the
+    dispatcher's trace, run the request on the plan runtime, ship the
+    result back detached with this side's spans."""
+    context = parse_traceparent(payload.get("traceparent"))
+    if context is None:
+        context = TraceContext(new_trace_id())
+    tracer = request_tracer(trace_requests)
+    with use_trace_context(context):
+        result = runtime.run(
+            payload["source"], payload["stylesheet"], payload["options"],
+            payload.get("params"), tracer,
+            "cluster.worker", worker=runtime.worker_id,
         )
-
-    # -- two-tier plan lookup ------------------------------------------------------
-
-    def compiled_for(self, source, stylesheet, opts, tracer):
-        """``(compiled, tier)`` through tier 1, then the shared disk
-        tier, then a real compile (persisted for every sibling)."""
-        fingerprint = source_fingerprint(source)
-        ss_key = stylesheet_key(stylesheet)
-        stats_version = self.db.stats_version()
-        key = (ss_key, fingerprint, opts.effective_rewrite(), options_key(opts),
-               "stats:%d" % stats_version, "epoch:%d" % self.seen_epoch)
-        disk_key = None
-        if ss_key.startswith("ss-text:"):
-            disk_key = artifact_key(ss_key, fingerprint, self.catalog,
-                                    options_key(opts),
-                                    "stats:%d" % stats_version)
-        tier = {"loaded": "miss"}
-
-        def compile_fn():
-            if disk_key is not None:
-                with tracer.span("serve.cache.disk_lookup") as span:
-                    compiled, _header = self.store.get(
-                        disk_key, fingerprint=fingerprint,
-                        catalog=self.catalog, stats_version=stats_version,
-                    )
-                    span.set_attr(hit=compiled is not None)
-                if compiled is not None:
-                    tier["loaded"] = "l2"
-                    return _CachedPlan(compiled, stats_version,
-                                       self.seen_epoch)
-            if opts.effective_rewrite():
-                self.metrics.counter("transform.rewrite_attempts").inc()
-            compiled = Engine(self.db, tracer=tracer,
-                              metrics=self.metrics).compile(
-                source, stylesheet, options=opts
-            )
-            if disk_key is not None:
-                self.store.put(disk_key, compiled, fingerprint=fingerprint,
-                               catalog=self.catalog,
-                               stats_version=stats_version,
-                               epoch=self.seen_epoch)
-            return _CachedPlan(compiled, stats_version, self.seen_epoch)
-
-        entry, hit = self.cache.get_or_compile(key, compile_fn,
-                                               fingerprint=fingerprint)
-        return entry.compiled, ("l1" if hit else tier["loaded"])
-
-    # -- request handling ----------------------------------------------------------
-
-    def handle_transform(self, payload):
-        opts = TransformOptions.coerce(payload.get("options"))
-        context = parse_traceparent(payload.get("traceparent"))
-        if context is None:
-            context = TraceContext(new_trace_id())
-        source_name = payload["source"]
-        source = self.sources.get(source_name)
-        if source is None:
-            raise ServeError(
-                "worker %d has no source %r (known: %s)"
-                % (self.worker_id, source_name,
-                   ", ".join(sorted(self.sources)) or "none")
-            )
-        self.sync_versions()
-        tracer = Tracer(sinks=[InMemorySink()]) if self.trace_requests \
-            else Tracer(enabled=False)
-        started = time.perf_counter()
-        with use_trace_context(context):
-            with tracer.span("cluster.worker",
-                             worker=self.worker_id) as root:
-                compiled, tier = self.compiled_for(
-                    source, payload["stylesheet"], opts, tracer
-                )
-                with tracer.span("serve.execute"):
-                    result = execute_compiled(
-                        self.db, source, compiled,
-                        params=payload.get("params"), tracer=tracer,
-                        metrics=self.metrics, root=root,
-                        profile_plan=opts.profile_plan,
-                        feedback=opts.feedback,
-                    )
-                root.set_attr(cache_tier=tier, strategy=result.strategy)
-        execute_seconds = time.perf_counter() - started
-        self.metrics.histogram("serve.execute_seconds").record(
-            execute_seconds
-        )
-        self.metrics.counter(
-            "serve.completed", strategy=result.strategy, cache=tier
-        ).inc()
-        return {
-            "rows": result.serialized_rows(),
-            "strategy": result.strategy,
-            "cache_tier": tier,
-            "fallback_category": result.fallback_category,
-            "execute_seconds": execute_seconds,
-            "stats_version": self.db.stats_version(),
-            "trace_id": context.trace_id,
-            "spans": _sink_spans(tracer),
-            "worker": self.worker_id,
-        }
-
-    def handle_analyze(self, table):
-        before = self.db.stats_version()
-        self.db.analyze(table)
-        evicted = self.sync_versions()
-        return {
-            "worker": self.worker_id,
-            "stats_version": {"before": before,
-                              "after": self.db.stats_version()},
-            "epoch": self.seen_epoch,
-            "evicted": evicted,
-        }
-
-    def handle_invalidate(self, source_name):
-        source = self.sources.get(source_name)
-        removed = 0
-        if source is not None:
-            fingerprint = source_fingerprint(source)
-            removed += self.cache.invalidate(fingerprint=fingerprint)
-            removed += self.store.invalidate(fingerprint=fingerprint)
-        return {"worker": self.worker_id, "removed": removed}
-
-    def stats_payload(self):
-        return {
-            "worker": self.worker_id,
-            "pid": os.getpid(),
-            "stats_version": self.db.stats_version(),
-            "epoch": self.seen_epoch,
-            "cache": self.cache.stats().as_dict(),
-            "disk": self.store.stats().as_dict(),
-            "metrics": self.metrics.snapshot(),
-        }
+    return {"result": result.detached(), "spans": sink_spans(tracer)}
 
 
-def _worker_main(conn, worker_id, db, sources, factory, artifact_dir,
-                 cache_capacity, trace_requests):
+def _worker_main(conn, worker_id, db, sources, factory, trace_requests,
+                 runtime_options):
     """The worker process entry point: build the runtime, then serve the
     strict request/response pipe protocol until shutdown/EOF."""
     if factory is not None:
         db, sources = factory()
-    runtime = _WorkerRuntime(worker_id, db, sources, artifact_dir,
-                             cache_capacity=cache_capacity,
-                             trace_requests=trace_requests)
+    runtime = PlanRuntime(db, sources, metrics=MetricsRegistry(),
+                          worker_id=worker_id, **runtime_options)
     while True:
         try:
-            message = conn.recv()
+            op, payload = conn.recv()
         except (EOFError, OSError):
             break
-        op, payload = message
         if op == "shutdown":
             conn.send(("ok", {"worker": worker_id}))
             break
         try:
             if op == "transform":
-                reply = runtime.handle_transform(payload)
-            elif op == "analyze":
-                reply = runtime.handle_analyze(payload)
-            elif op == "invalidate":
-                reply = runtime.handle_invalidate(payload)
-            elif op == "stats":
-                reply = runtime.stats_payload()
-            elif op == "ping":
-                reply = {"worker": worker_id, "pid": os.getpid()}
+                reply = _serve_transform(runtime, payload, trace_requests)
             else:
-                raise ServeError("unknown cluster op %r" % (op,))
+                reply = runtime.control(op, payload)
         except BaseException as exc:
             try:
                 conn.send(("error", {"type": type(exc).__name__,
@@ -400,7 +123,7 @@ def _worker_main(conn, worker_id, db, sources, factory, artifact_dir,
 
 
 class _WorkerHandle:
-    __slots__ = ("worker_id", "process", "conn", "lock", "alive", "thread")
+    __slots__ = ("worker_id", "process", "conn", "lock", "alive")
 
     def __init__(self, worker_id, process, conn):
         self.worker_id = worker_id
@@ -408,56 +131,21 @@ class _WorkerHandle:
         self.conn = conn
         self.lock = threading.Lock()
         self.alive = True
-        self.thread = None
 
 
-class ClusterService:
-    """Process-parallel transformation service over replicated state.
+class ProcessWorkers:
+    """N worker processes, each owning a :class:`PlanRuntime` built from
+    ``runtime_options`` over the fork-inherited ``db``/``sources`` or
+    the ``factory``'s (see :class:`~repro.serve.service.TransformService`
+    for the parameters)."""
 
-    :param db: the database each forked worker inherits (with
-        ``sources``); ignored when ``factory`` is given.
-    :param sources: mapping of source *name* → source object; requests
-        reference sources by name, since the objects themselves live in
-        the workers.
-    :param workers: worker-process count.
-    :param factory: picklable zero-argument callable returning
-        ``(db, sources)``, built inside each worker — required with the
-        ``spawn`` start method, optional with ``fork``.
-    :param artifact_dir: directory of the shared persistent plan tier.
-        Omitted → a private temporary directory (removed on close; pass
-        an explicit path to get warm restarts).
-    :param queue_size: admission-queue bound (full → reject).
-    :param default_timeout: per-request deadline applied when a request
-        doesn't carry one (enforced at dispatch, like the thread tier).
-    :param start_method: ``"fork"`` (default where available) or
-        ``"spawn"``.
-    :param recorder: flight recorder (True = default retention) fed one
-        record per request with the *merged* dispatcher+worker spans.
-    """
+    #: the plan runtimes live in the children
+    runtime = None
 
-    def __init__(self, db=None, sources=None, workers=2, queue_size=128,
-                 factory=None, artifact_dir=None, cache_capacity=128,
-                 default_timeout=None, metrics=None, trace_requests=True,
-                 recorder=True, start_method=None):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+    def __init__(self, db, sources, workers, factory, start_method,
+                 trace_requests, metrics, runtime_options):
         if db is None and factory is None:
             raise ValueError("pass db (+ sources) or a factory")
-        self.metrics = metrics or global_metrics()
-        if recorder is True:
-            recorder = FlightRecorder()
-        elif recorder is False:
-            recorder = None
-        self.recorder = recorder
-        self.trace_requests = trace_requests
-        self.default_timeout = default_timeout
-        self._owns_artifact_dir = artifact_dir is None
-        if artifact_dir is None:
-            artifact_dir = tempfile.mkdtemp(prefix="repro-cluster-")
-        self.artifact_dir = artifact_dir
-        #: the parent's own view of the shared tier (stats/epoch only —
-        #: lookups happen in the workers)
-        self.store = ArtifactStore(artifact_dir, metrics=self.metrics)
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
             start_method = "fork" if "fork" in methods else "spawn"
@@ -466,24 +154,28 @@ class ClusterService:
                 "start method %r pickles worker arguments — pass a "
                 "factory instead of a live database" % start_method
             )
+        self.metrics = metrics
+        self.size = workers
+        runtime_options = dict(runtime_options)
+        self._owns_artifact_dir = runtime_options["artifact_dir"] is None
+        if self._owns_artifact_dir:
+            runtime_options["artifact_dir"] = tempfile.mkdtemp(
+                prefix="repro-cluster-"
+            )
+        self.artifact_dir = runtime_options["artifact_dir"]
+        #: the parent's own view of the shared tier (stats/epoch only —
+        #: lookups happen in the workers)
+        self.store = ArtifactStore(self.artifact_dir, metrics=metrics)
         context = multiprocessing.get_context(start_method)
-        self.start_method = start_method
-        self._queue = queue.Queue(maxsize=queue_size)
-        self._closed = False
-        self._close_lock = threading.Lock()
-        self._gauge_depth = self.metrics.gauge("cluster.queue.depth")
-        self._gauge_capacity = self.metrics.gauge("cluster.queue.capacity")
-        self._gauge_capacity.set(queue_size)
         self._handles = []
-        worker_db = None if factory is not None else db
-        worker_sources = None if factory is not None else (sources or {})
         for worker_id in range(workers):
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, worker_id, worker_db, worker_sources,
-                      factory, artifact_dir, cache_capacity,
-                      trace_requests),
+                args=(child_conn, worker_id,
+                      None if factory is not None else db,
+                      None if factory is not None else (sources or {}),
+                      factory, trace_requests, runtime_options),
                 name="repro-cluster-worker-%d" % worker_id,
                 daemon=True,
             )
@@ -492,342 +184,87 @@ class ClusterService:
             self._handles.append(
                 _WorkerHandle(worker_id, process, parent_conn)
             )
-        for handle in self._handles:
-            thread = threading.Thread(
-                target=self._dispatch_loop, args=(handle,),
-                name="repro-cluster-dispatch-%d" % handle.worker_id,
-                daemon=True,
-            )
-            thread.start()
-            handle.thread = thread
 
-    # -- client API --------------------------------------------------------------
+    # -- what the front door asks of a backend -------------------------------------
 
-    def _ingress_context(self, traceparent):
-        context = parse_traceparent(traceparent) if traceparent else None
-        if context is None:
-            context = current_trace_context()
-        if context is None:
-            context = TraceContext(new_trace_id())
-        return context
+    def check(self, source, stylesheet):
+        """Requests cross the pipe by value."""
+        for what, value in (("a source *name* (a key of the sources "
+                             "mapping)", source),
+                            ("stylesheet markup text", stylesheet)):
+            if not isinstance(value, str):
+                raise TypeError("process workers take %s, got %r"
+                                % (what, type(value).__name__))
 
-    def submit(self, source, stylesheet, options=None, params=None,
-               traceparent=None):
-        """Enqueue one request; returns a
-        :class:`~repro.serve.service.ServeFuture`.
+    def live(self):
+        """Indexes of the workers not known to be dead."""
+        return [handle.worker_id for handle in self._handles
+                if handle.alive]
 
-        ``source`` is a source *name* (a key of the workers' ``sources``
-        mapping) and ``stylesheet`` markup text — both cross the process
-        boundary by value.
-        """
-        if self._closed:
-            raise ServiceClosedError("cluster is closed")
-        if not isinstance(source, str):
-            raise TypeError(
-                "cluster requests name their source (a str key into the "
-                "workers' sources mapping), got %r" % type(source).__name__
-            )
-        if not isinstance(stylesheet, str):
-            raise TypeError(
-                "cluster requests carry stylesheet markup text, got %r"
-                % type(stylesheet).__name__
-            )
-        opts = TransformOptions.coerce(options,
-                                       entry_point="ClusterService.submit")
-        deadline_s = opts.deadline if opts.deadline is not None \
-            else self.default_timeout
-        context = self._ingress_context(traceparent)
-        now = time.perf_counter()
-        request = _ClusterRequest(
-            ServeFuture(trace_id=context.trace_id), source, stylesheet,
-            opts, params,
-            deadline=(now + deadline_s) if deadline_s else None,
-            submitted_at=now, context=context, started_wall=time.time(),
-        )
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            self.metrics.counter("cluster.rejected",
-                                 reason="queue-full").inc()
-            raise ServiceOverloadedError(
-                "admission queue full (%d pending)" % self._queue.maxsize
-            )
-        self.metrics.counter("cluster.requests").inc()
-        self._gauge_depth.set(self._queue.qsize())
-        return request.future
-
-    def transform(self, source, stylesheet, options=None, params=None,
-                  traceparent=None):
-        """Synchronous submit+wait; returns the :class:`ClusterResult`."""
-        future = self.submit(source, stylesheet, options=options,
-                             params=params, traceparent=traceparent)
-        return future.result()
-
-    def transform_on(self, worker, source, stylesheet, options=None,
-                     params=None, traceparent=None):
-        """Execute on one *specific* worker, bypassing the shared queue
-        — the deterministic routing tests and benchmarks use to prove
-        cross-worker cache behaviour."""
-        if self._closed:
-            raise ServiceClosedError("cluster is closed")
-        opts = TransformOptions.coerce(
-            options, entry_point="ClusterService.transform_on"
-        )
+    def alive(self, worker):
+        """Whether ``worker``'s process is still running — the check a
+        dispatcher makes before handing it a request, so a worker that
+        died while idle is noticed without sacrificing one."""
         handle = self._handles[worker]
-        context = self._ingress_context(traceparent)
-        started = time.perf_counter()
-        tracer = Tracer(sinks=[InMemorySink()]) if self.trace_requests \
-            else Tracer(enabled=False)
-        with use_trace_context(context):
-            with tracer.span("cluster.request",
-                             worker=handle.worker_id) as root:
-                reply = self._rpc(handle, ("transform", {
-                    "source": source,
-                    "stylesheet": stylesheet,
-                    "options": opts,
-                    "params": params,
-                    "traceparent": root.traceparent() if root
-                    else context.to_traceparent(),
-                }))
-                if root:
-                    root.set_attr(cache_tier=reply["cache_tier"],
-                                  strategy=reply["strategy"])
-        total = time.perf_counter() - started
-        return self._result(reply, queue_wait=0.0, total=total,
-                            context=context)
+        if handle.alive and not handle.process.is_alive():
+            self._lost(handle)
+        return handle.alive
 
-    # -- dispatch ----------------------------------------------------------------
+    def _lost(self, handle):
+        handle.alive = False
+        self.metrics.counter("cluster.worker_failures").inc()
 
-    def _dispatch_loop(self, handle):
-        while True:
-            item = self._queue.get()
-            try:
-                if item is _SHUTDOWN:
-                    return
-                self._handle_request(handle, item)
-            finally:
-                self._queue.task_done()
+    def run(self, worker, request, tracer, queue_wait):
+        """Ship one claimed request to ``worker``; returns the
+        :class:`~repro.serve.runtime.ServeResult` and the worker-side
+        span records."""
+        handle = self._handles[worker]
+        with tracer.span(
+            "cluster.request", worker=handle.worker_id,
+            queue_wait_ms=round(queue_wait * 1000.0, 3),
+        ) as root:
+            reply = self._rpc(handle, ("transform", {
+                "source": request.source,
+                "stylesheet": request.stylesheet,
+                "options": request.options,
+                "params": request.params,
+                "traceparent": root.traceparent() if root
+                else request.context.to_traceparent(),
+            }))
+            result = reply["result"]
+            if root:
+                root.set_attr(cache_tier=result.cache_tier,
+                              strategy=result.strategy)
+        return result, reply["spans"]
 
-    def _handle_request(self, handle, request):
-        started = time.perf_counter()
-        self._gauge_depth.set(self._queue.qsize())
-        future = request.future
-        if request.deadline is not None and started >= request.deadline:
-            self.metrics.counter("cluster.timeouts").inc()
-            future._fail(RequestTimeoutError(
-                "deadline exceeded after %.3fs in queue"
-                % (started - request.submitted_at)
-            ))
-            return
-        if not future._claim():
-            self.metrics.counter("cluster.cancelled").inc()
-            return
-        queue_wait = started - request.submitted_at
-        self.metrics.histogram("cluster.queue_wait_seconds").record(
-            queue_wait
-        )
-        tracer = Tracer(sinks=[InMemorySink()]) if self.trace_requests \
-            else Tracer(enabled=False)
-        try:
-            with use_trace_context(request.context):
-                with tracer.span(
-                    "cluster.request", worker=handle.worker_id,
-                    queue_wait_ms=round(queue_wait * 1000.0, 3),
-                ) as root:
-                    reply = self._rpc(handle, ("transform", {
-                        "source": request.source,
-                        "stylesheet": request.stylesheet,
-                        "options": request.options,
-                        "params": request.params,
-                        "traceparent": root.traceparent() if root
-                        else request.context.to_traceparent(),
-                    }))
-                    if root:
-                        root.set_attr(cache_tier=reply["cache_tier"],
-                                      strategy=reply["strategy"])
-        except BaseException as exc:
-            self.metrics.counter("cluster.errors").inc()
-            self._record(request, tracer, status="error",
-                         error="%s: %s" % (type(exc).__name__, exc),
-                         queue_wait=queue_wait)
-            future._fail(exc)
-            return
-        total = time.perf_counter() - request.submitted_at
-        result = self._result(reply, queue_wait=queue_wait, total=total,
-                              context=request.context)
-        self.metrics.histogram("cluster.request_seconds").record(total)
-        self.metrics.histogram(
-            "serve.request.latency",
-            cache="hit" if result.cache_hit else "miss",
-        ).record(total)
-        self.metrics.counter(
-            "cluster.completed",
-            worker=str(handle.worker_id),
-            cache=result.cache_tier,
-        ).inc()
-        self._record(request, tracer, status="ok", reply=reply,
-                     queue_wait=queue_wait, total=total, result=result)
-        future._resolve(result)
-
-    def _result(self, reply, queue_wait, total, context):
-        return ClusterResult(
-            rows=reply["rows"], strategy=reply["strategy"],
-            cache_tier=reply["cache_tier"],
-            fallback_category=reply.get("fallback_category"),
-            queue_wait_seconds=queue_wait,
-            execute_seconds=reply.get("execute_seconds"),
-            total_seconds=total, trace_id=context.trace_id,
-            worker=reply.get("worker"),
-            stats_version=reply.get("stats_version"),
-        )
-
-    def _record(self, request, tracer, status, error=None, reply=None,
-                queue_wait=None, total=None, result=None):
-        if self.recorder is None:
-            return
-        spans = _sink_spans(tracer)
-        if reply is not None:
-            spans = spans + list(reply.get("spans") or ())
-        self.recorder.record(
-            request.context.trace_id,
-            name=stylesheet_key(request.stylesheet)[:24],
-            status=status, error=error,
-            strategy=(result.strategy if result is not None else None),
-            cache_hit=(result.cache_hit if result is not None else None),
-            fallback_category=(result.fallback_category
-                               if result is not None else None),
-            queue_wait_seconds=queue_wait,
-            execute_seconds=(result.execute_seconds
-                             if result is not None else None),
-            total_seconds=total,
-            rows=(len(result.rows) if result is not None else None),
-            stages=_stage_seconds(spans), spans=spans,
-            started_at=request.started_wall,
-        )
-
-    # -- worker RPC --------------------------------------------------------------
-
-    def _rpc(self, handle, message):
-        with handle.lock:
-            if not handle.alive:
-                raise ClusterWorkerError(
-                    "worker %d is gone" % handle.worker_id
-                )
-            try:
-                handle.conn.send(message)
-                status, reply = handle.conn.recv()
-            except (EOFError, OSError) as exc:
-                handle.alive = False
-                self.metrics.counter("cluster.worker_failures").inc()
-                raise ClusterWorkerError(
-                    "worker %d died mid-request: %s: %s"
-                    % (handle.worker_id, type(exc).__name__, exc)
-                )
-        if status == "error":
-            raise WorkerRequestError(reply.get("type", "Error"),
-                                     reply.get("message", ""),
-                                     worker=reply.get("worker"))
-        return reply
-
-    def _alive_handles(self):
-        return [handle for handle in self._handles if handle.alive]
-
-    # -- control plane -----------------------------------------------------------
-
-    def ping(self):
-        """Round-trip every live worker; returns their pids."""
-        return [self._rpc(handle, ("ping", None))
-                for handle in self._alive_handles()]
-
-    def analyze(self, table=None, worker=None):
-        """Run ANALYZE — on one ``worker`` (propagating the invalidation
-        to its siblings through the shared epoch) or on all of them."""
+    def control(self, op, payload=None, worker=None):
+        """Run a control-plane op on one ``worker`` or every live one."""
         handles = [self._handles[worker]] if worker is not None \
-            else self._alive_handles()
-        return [self._rpc(handle, ("analyze", table))
-                for handle in handles]
-
-    def invalidate(self, source):
-        """Evict every plan compiled against ``source`` (a source name)
-        from every worker's tier 1 and from the shared disk tier."""
-        return [self._rpc(handle, ("invalidate", source))
-                for handle in self._alive_handles()]
-
-    def worker_stats(self):
-        """Each live worker's cache/disk/metrics snapshot."""
-        return [self._rpc(handle, ("stats", None))
-                for handle in self._alive_handles()]
+            else [handle for handle in self._handles if handle.alive]
+        return [self._rpc(handle, (op, payload)) for handle in handles]
 
     def stats(self):
-        """Cluster-wide aggregation: per-worker snapshots merged
-        (counters summed; histogram summaries combined), plus queue and
-        disk-tier state."""
-        per_worker = self.worker_stats()
-        aggregate = {
-            "workers": len(self._handles),
-            "workers_alive": len(self._alive_handles()),
-            "queue_depth": self._queue.qsize(),
-            "queue_capacity": self._queue.maxsize,
+        """Per-worker snapshots merged (counters summed; histogram
+        summaries combined), plus disk-tier state."""
+        per_worker = self.control("stats")
+
+        def total(part, field):
+            return sum(worker[part][field] for worker in per_worker)
+
+        return {
             "disk": self.store.stats().as_dict(),
-            "tier1": {
-                "hits": sum(w["cache"]["hits"] for w in per_worker),
-                "misses": sum(w["cache"]["misses"] for w in per_worker),
-                "compiles": sum(w["cache"]["compiles"] for w in per_worker),
-                "size": sum(w["cache"]["size"] for w in per_worker),
-            },
-            "tier2": {
-                "hits": sum(w["disk"]["hits"] for w in per_worker),
-                "misses": sum(w["disk"]["misses"] for w in per_worker),
-                "puts": sum(w["disk"]["puts"] for w in per_worker),
-                "quarantined": sum(w["disk"]["quarantined"]
-                                   for w in per_worker),
-            },
+            "tier1": {field: total("cache", field)
+                      for field in ("hits", "misses", "compiles", "size")},
+            "tier2": {field: total("disk", field)
+                      for field in ("hits", "misses", "puts",
+                                    "quarantined")},
             "metrics": merge_snapshots(
-                [w["metrics"] for w in per_worker]
+                [worker["metrics"] for worker in per_worker]
             ),
             "per_worker": per_worker,
         }
-        return aggregate
 
-    def health(self):
-        """Liveness plus the saturation signals an operator triages
-        with — same shape as the thread tier's ``/healthz`` body."""
-        depth = self._queue.qsize()
-        capacity = self._queue.maxsize
-        alive = len(self._alive_handles())
-        return {
-            "status": "closed" if self._closed
-            else ("degraded" if alive < len(self._handles) else "ok"),
-            "workers": alive,
-            "queue": {
-                "depth": depth,
-                "capacity": capacity,
-                "saturation": (depth / float(capacity)) if capacity
-                else 0.0,
-            },
-            "rejected": self.metrics.counter_total("cluster.rejected"),
-        }
-
-    def ready(self):
-        body = self.health()
-        ready = (body["status"] == "ok"
-                 and body["queue"]["saturation"] < 1.0)
-        return ready, body
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def close(self, wait=True):
-        """Stop accepting requests, drain dispatchers, stop workers."""
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        for _ in self._handles:
-            self._queue.put(_SHUTDOWN)
-        if wait:
-            for handle in self._handles:
-                if handle.thread is not None:
-                    handle.thread.join()
+    def close(self):
         for handle in self._handles:
             if handle.alive:
                 try:
@@ -844,9 +281,27 @@ class ClusterService:
         if self._owns_artifact_dir:
             shutil.rmtree(self.artifact_dir, ignore_errors=True)
 
-    def __enter__(self):
-        return self
+    # -- worker RPC --------------------------------------------------------------
 
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
+    def _rpc(self, handle, message):
+        with handle.lock:
+            if not handle.alive:
+                raise ClusterWorkerError(
+                    "worker %d is gone" % handle.worker_id
+                )
+            try:
+                handle.conn.send(message)
+                status, reply = handle.conn.recv()
+            except (EOFError, OSError) as exc:
+                self._lost(handle)
+                status, reply = "lost", "%s: %s" % (type(exc).__name__, exc)
+        if status == "lost":
+            # raised outside the handler: the error a future keeps must
+            # not pin the OSError's frames (and the pickled request)
+            raise ClusterWorkerError("worker %d died mid-request: %s"
+                                     % (handle.worker_id, reply))
+        if status == "error":
+            raise WorkerRequestError(reply.get("type", "Error"),
+                                     reply.get("message", ""),
+                                     worker=reply.get("worker"))
+        return reply

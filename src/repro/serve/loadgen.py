@@ -9,14 +9,14 @@ throughput and nearest-rank p50/p95/p99.
 
 ``run_soak`` is the sustained variant: instead of a fixed request
 count, clients hammer the service for a wall-clock **duration** — the
-shape used to soak a :class:`~repro.serve.cluster.ClusterService`
-(N worker processes × M closed-loop clients, mixed hit/miss workload)
+shape used to soak process workers (N worker processes × M closed-loop
+clients, mixed hit/miss workload)
 and read a stable p99 off the steady state.
 
 Both run against anything with a blocking ``transform(source,
 stylesheet, options=...)`` returning a result with ``cache_hit`` and
-``strategy`` — the thread tier passes live source objects, the cluster
-tier passes source *names* (the :class:`WorkItem` carries whichever).
+``strategy`` — thread workers take live source objects, process
+workers take source *names* (the :class:`WorkItem` carries whichever).
 
 The workload is a sequence of :class:`WorkItem` (source, stylesheet,
 kwargs); clients walk it round-robin starting at their own offset so a
@@ -118,20 +118,15 @@ class LoadReport:
         }
 
 
-def run_load(service, workload, clients=4, requests_per_client=25,
-             timeout=None):
-    """Drive ``clients`` closed-loop threads over ``workload``.
-
-    Each client issues ``requests_per_client`` requests through
-    ``service.transform`` (blocking — closed loop), walking the workload
-    round-robin from its own offset.  Returns the merged
-    :class:`LoadReport`.  Request failures are counted (by exception
-    type), never raised.
-    """
+def _drive(service, workload, report, keep_going, timeout, thread_name):
+    """The closed-loop client body both generators share: ``clients``
+    threads walk ``workload`` round-robin (each from its own offset),
+    issuing request ``n`` while ``keep_going(n)`` holds, and merge their
+    tallies into ``report``.  Request failures are counted by exception
+    type, never raised."""
     workload = list(workload)
     if not workload:
         raise ValueError("workload is empty")
-    report = LoadReport(clients)
     lock = threading.Lock()
 
     def client_loop(client_index):
@@ -139,8 +134,10 @@ def run_load(service, workload, clients=4, requests_per_client=25,
         local_hits = 0
         local_strategies = {}
         local_errors = {}
-        for n in range(requests_per_client):
+        n = 0
+        while keep_going(n):
             item = workload[(client_index + n) % len(workload)]
+            n += 1
             kwargs = dict(item.kwargs)
             opts = TransformOptions.coerce(kwargs.pop("options", None))
             if "rewrite" in kwargs:
@@ -178,8 +175,8 @@ def run_load(service, workload, clients=4, requests_per_client=25,
 
     threads = [
         threading.Thread(target=client_loop, args=(index,),
-                         name="repro-loadgen-%d" % index)
-        for index in range(clients)
+                         name="%s-%d" % (thread_name, index))
+        for index in range(report.clients)
     ]
     start = time.perf_counter()
     for thread in threads:
@@ -189,6 +186,21 @@ def run_load(service, workload, clients=4, requests_per_client=25,
     report.elapsed_seconds = time.perf_counter() - start
     _attach_service_state(report, service)
     return report
+
+
+def run_load(service, workload, clients=4, requests_per_client=25,
+             timeout=None):
+    """Drive ``clients`` closed-loop threads over ``workload``.
+
+    Each client issues ``requests_per_client`` requests through
+    ``service.transform`` (blocking — closed loop), walking the workload
+    round-robin from its own offset.  Returns the merged
+    :class:`LoadReport`.  Request failures are counted (by exception
+    type), never raised.
+    """
+    return _drive(service, workload, LoadReport(clients),
+                  lambda n: n < requests_per_client, timeout,
+                  "repro-loadgen")
 
 
 def _attach_service_state(report, service):
@@ -232,69 +244,9 @@ def run_soak(service, workload, clients=4, duration_seconds=5.0,
     misses) to soak both paths of a multi-process cluster at once.
     Request failures are counted by exception type, never raised.
     """
-    workload = list(workload)
-    if not workload:
-        raise ValueError("workload is empty")
     if duration_seconds <= 0:
         raise ValueError("duration_seconds must be > 0")
-    report = SoakReport(clients, duration_seconds)
-    lock = threading.Lock()
     stop_at = time.perf_counter() + duration_seconds
-
-    def client_loop(client_index):
-        local_latencies = []
-        local_hits = 0
-        local_strategies = {}
-        local_errors = {}
-        n = 0
-        while time.perf_counter() < stop_at:
-            item = workload[(client_index + n) % len(workload)]
-            n += 1
-            kwargs = dict(item.kwargs)
-            opts = TransformOptions.coerce(kwargs.pop("options", None))
-            if "rewrite" in kwargs:
-                opts = opts.replace(rewrite=bool(kwargs.pop("rewrite")))
-            if timeout is not None:
-                opts = opts.replace(deadline=timeout)
-            start = time.perf_counter()
-            try:
-                result = service.transform(
-                    item.source, item.stylesheet, options=opts, **kwargs
-                )
-            except Exception as exc:
-                name = type(exc).__name__
-                local_errors[name] = local_errors.get(name, 0) + 1
-                continue
-            local_latencies.append(time.perf_counter() - start)
-            if result.cache_hit:
-                local_hits += 1
-            local_strategies[result.strategy] = (
-                local_strategies.get(result.strategy, 0) + 1
-            )
-        with lock:
-            report.latencies_seconds.extend(local_latencies)
-            report.requests += len(local_latencies)
-            report.cache_hits += local_hits
-            for strategy, count in local_strategies.items():
-                report.strategies[strategy] = (
-                    report.strategies.get(strategy, 0) + count
-                )
-            for name, count in local_errors.items():
-                report.error_types[name] = (
-                    report.error_types.get(name, 0) + count
-                )
-                report.errors += count
-
-    threads = [
-        threading.Thread(target=client_loop, args=(index,),
-                         name="repro-soak-%d" % index)
-        for index in range(clients)
-    ]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    report.elapsed_seconds = time.perf_counter() - start
-    _attach_service_state(report, service)
-    return report
+    return _drive(service, workload, SoakReport(clients, duration_seconds),
+                  lambda n: time.perf_counter() < stop_at, timeout,
+                  "repro-soak")

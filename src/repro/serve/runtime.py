@@ -1,0 +1,425 @@
+"""The plan runtime: what one serving worker does with a claimed request.
+
+A :class:`PlanRuntime` owns a database, the sources it serves and the
+**two-tier compiled-plan cache** — tier 1 an in-memory
+:class:`~repro.serve.cache.PlanCache`, tier 2 an optional disk-backed
+:class:`~repro.serve.artifact.ArtifactStore` shared with every process
+pointing at the same directory.  :meth:`PlanRuntime.run` is the one
+implementation of "look the plan up (or compile and persist it), execute
+it": thread workers call it in-process, process workers call it inside
+the child — same cache key, same invalidation, same spans.
+
+* the tier-1 key is stylesheet content hash + source structural
+  fingerprint + compile-relevant options + ``stats:``/``epoch:``
+  versions, so a plan chosen under stale statistics is never looked up
+  again; a failed rewrite is cached too (negative caching: every
+  execution replays the categorized functional fallback);
+* **cross-process invalidation** (:meth:`PlanRuntime.sync_versions`)
+  and feedback **re-costing** evict under
+  ``serve.cache.evictions{reason="stale-stats"|"recost"}``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import threading
+import time
+
+from repro.api import Engine
+from repro.core.transform import execute_compiled
+from repro.errors import ReproError
+from repro.obs import InMemorySink, Tracer, global_metrics
+from repro.obs.feedback import FeedbackPolicy
+from repro.serve.artifact import ArtifactStore, artifact_key
+from repro.serve.cache import EVICT_RECOST, PlanCache
+from repro.xslt.stylesheet import Stylesheet
+
+#: tier-1 eviction reason for plans invalidated by a sibling process
+EVICT_STALE_STATS = "stale-stats"
+
+
+class ServeError(ReproError):
+    """Base class for serving-layer failures."""
+
+
+def source_fingerprint(source):
+    """The cache-key component describing a source's structural shape.
+
+    Uses the source's own ``fingerprint()`` (storages, views, queries)
+    when it has one; anything else gets a per-object token, which makes
+    equal-but-distinct anonymous sources miss rather than alias."""
+    fingerprint = getattr(source, "fingerprint", None)
+    if callable(fingerprint):
+        return fingerprint()
+    return "anon:%x" % id(source)
+
+
+def stylesheet_key(stylesheet):
+    """Content hash for text; identity for pre-compiled objects (the
+    cached artifact keeps the object alive, so its id cannot be
+    reused while the entry is live).  Only content-hash keys
+    (``ss-text:``) are stable across processes — process workers and
+    the persistent artifact store require them."""
+    if isinstance(stylesheet, Stylesheet):
+        return "ss-obj:%x" % id(stylesheet)
+    return "ss-text:%s" % hashlib.sha256(
+        stylesheet.encode("utf-8")
+    ).hexdigest()
+
+
+def request_tracer(enabled):
+    """A request's private tracer (the tracer keeps a plain span stack
+    and is not thread-safe), retaining its spans in memory."""
+    return Tracer(sinks=[InMemorySink()]) if enabled \
+        else Tracer(enabled=False)
+
+
+def sink_spans(tracer):
+    """Flattened span records of a per-request tracer's in-memory sink
+    (empty when tracing is off)."""
+    for sink in tracer.sinks:
+        spans = getattr(sink, "spans", None)
+        if spans is not None:
+            return [span.to_dict() for span in spans]
+    return []
+
+
+class ServeResult:
+    """One request's outcome, whichever worker backend ran it.
+
+    ``cache_tier`` is where the compiled plan came from: ``"l1"`` (the
+    worker's in-memory cache), ``"l2"`` (the shared disk tier) or
+    ``"miss"`` (freshly compiled); ``cache_hit`` is True for either
+    tier — the request paid no compile.  ``execute_seconds`` is the time
+    the worker spent on the request (plan lookup, compile on a miss,
+    execution); ``queue_wait_seconds`` and ``total_seconds`` are stamped
+    by the front door.
+
+    ``transform`` (the :class:`~repro.core.transform.TransformResult`:
+    rows, ledger, stats) and ``trace`` (the request's span tree) are
+    populated only when the worker ran in this process; a result that
+    crossed a pipe carries its rows serialized."""
+
+    __slots__ = ("transform", "strategy", "cache_tier", "fallback_category",
+                 "queue_wait_seconds", "execute_seconds", "total_seconds",
+                 "trace", "trace_id", "worker", "stats_version",
+                 "_serialized")
+
+    def __init__(self, transform, cache_tier, execute_seconds,
+                 stats_version=None):
+        self.transform = transform
+        self.strategy = transform.strategy
+        self.cache_tier = cache_tier
+        self.fallback_category = transform.fallback_category
+        self.queue_wait_seconds = None
+        self.execute_seconds = execute_seconds
+        self.total_seconds = None
+        #: root span of this request's private trace
+        self.trace = None
+        #: trace id shared by every span of this request (set even when
+        #: per-request tracing is off)
+        self.trace_id = None
+        #: index of the worker that ran the request
+        self.worker = None
+        #: the database statistics version the plan ran under
+        self.stats_version = stats_version
+        self._serialized = None
+
+    @property
+    def cache_hit(self):
+        return self.cache_tier in ("l1", "l2")
+
+    def serialized_rows(self, method="xml"):
+        if self.transform is not None:
+            return self.transform.serialized_rows(method=method)
+        if method != "xml":
+            raise ValueError("rows cross the pipe serialized as xml")
+        return list(self._serialized)
+
+    def explain_report(self, include_decisions=True):
+        if self.transform is None:
+            raise ServeError(
+                "this result crossed a process boundary: only "
+                "serialized_rows() and the request metadata are available"
+            )
+        return self.transform.explain_report(
+            include_decisions=include_decisions
+        )
+
+    def detached(self):
+        """The copy a process worker ships back over the pipe: rows
+        serialized (markup text is the transport format), the DOM and
+        the span tree left behind."""
+        wire = ServeResult.__new__(ServeResult)
+        wire.__setstate__(self.__getstate__())
+        wire._serialized = self.serialized_rows()
+        wire.transform = None
+        return wire
+
+    def __getstate__(self):
+        """The live span tree holds tracer handles (thread-locals) and
+        is process-local, so only the trace *id* survives serialization
+        — the flight recorder keeps the span dicts."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["trace"] = None
+        return state
+
+    def __setstate__(self, state):
+        for name in self.__slots__:
+            setattr(self, name, state.get(name))
+
+
+class _CachedPlan:
+    """Tier-1 envelope: the compiled plan plus the versions it was
+    compiled under — what the cross-process invalidation sweep compares
+    against current state."""
+
+    __slots__ = ("compiled", "stats_version", "epoch")
+
+    def __init__(self, compiled, stats_version, epoch):
+        self.compiled = compiled
+        self.stats_version = stats_version
+        self.epoch = epoch
+
+
+class PlanRuntime:
+    """Database + sources + two-tier plan cache for one worker process
+    or one pool of worker threads.  The parameters are
+    :class:`~repro.serve.service.TransformService`'s, which documents
+    them; ``worker_id`` labels a process worker's replies and spans."""
+
+    def __init__(self, db, sources=None, cache=None, cache_capacity=128,
+                 cache_ttl_seconds=None, artifact_dir=None, metrics=None,
+                 feedback_policy=None, worker_id=None):
+        self.db = db
+        self.sources = dict(sources or {})
+        self.metrics = metrics or global_metrics()
+        self.worker_id = worker_id
+        # explicit None test: an empty PlanCache is falsy (len() == 0)
+        self.cache = cache if cache is not None else PlanCache(
+            capacity=cache_capacity, ttl_seconds=cache_ttl_seconds,
+            metrics=self.metrics,
+        )
+        self.store = None
+        self.seen_epoch = 0
+        if artifact_dir is not None:
+            self.store = ArtifactStore(artifact_dir, metrics=self.metrics)
+            self.seen_epoch = self.store.epoch()
+        self.seen_stats_version = db.stats_version()
+        self._sync_lock = threading.Lock()
+        self._feedback = getattr(db, "feedback", None)
+        if self._feedback is not None:
+            if feedback_policy is not None:
+                self._feedback.enable(
+                    FeedbackPolicy() if feedback_policy is True
+                    else feedback_policy
+                )
+            # subscribe regardless of who enabled the policy, so a
+            # controller enabled directly on the database still re-costs
+            # this runtime's cache
+            self._feedback.add_listener(self._on_feedback)
+
+    def close(self):
+        if self._feedback is not None:
+            self._feedback.remove_listener(self._on_feedback)
+
+    def resolve(self, source):
+        """A request's source: a name from ``sources``, or the live
+        object itself."""
+        if not isinstance(source, str):
+            return source
+        try:
+            return self.sources[source]
+        except KeyError:
+            raise ServeError(
+                "no source %r (known: %s)"
+                % (source, ", ".join(sorted(self.sources)) or "none")
+            ) from None
+
+    # -- invalidation --------------------------------------------------------------
+
+    def sync_versions(self):
+        """Publish local invalidations, absorb remote ones.
+
+        A local ``stats_version`` bump (ANALYZE / DDL / feedback) bumps
+        the store's shared epoch so *siblings* evict; a remote epoch
+        bump evicts *this* runtime's tier-1 entries recorded under older
+        epochs or a different stats version.  Without a disk tier there
+        are no siblings, and the ``stats:`` key component alone retires
+        stale plans.  Returns evicted count."""
+        if self.store is None:
+            return 0
+        with self._sync_lock:  # worker threads share one runtime
+            stats_version = self.db.stats_version()
+            changed = False
+            if stats_version != self.seen_stats_version:
+                self.seen_stats_version = stats_version
+                self.seen_epoch = self.store.bump_epoch(
+                    reason="stats:%d" % stats_version
+                )
+                changed = True
+            epoch = self.store.epoch()
+            if epoch != self.seen_epoch:
+                self.seen_epoch = epoch
+                changed = True
+        if not changed:
+            return 0
+        return self.cache.invalidate_where(
+            lambda entry: (entry.stats_version != stats_version
+                           or entry.epoch < self.seen_epoch),
+            reason=EVICT_STALE_STATS,
+        )
+
+    def _on_feedback(self, event):
+        """Feedback-loop listener: re-cost by evicting every cached
+        artifact the loop distrusted — the one that just executed
+        (``event.compiled``) and any other whose recorded Q-error
+        triggered the policy.  The next request for them recompiles
+        under the post-ANALYZE statistics version."""
+        def distrusted(entry):
+            if entry.compiled is event.compiled:
+                return True
+            feedback = getattr(entry.compiled, "feedback", None)
+            return feedback is not None and feedback.triggered
+
+        removed = self.cache.invalidate_where(distrusted,
+                                              reason=EVICT_RECOST)
+        if removed:
+            self.metrics.counter("serve.recost").inc(removed)
+        return removed
+
+    # -- two-tier plan lookup ------------------------------------------------------
+
+    def compiled_for(self, source, stylesheet, opts, tracer):
+        """``(compiled, tier)`` through tier 1, then the disk tier, then
+        a real compile (persisted for every sibling).
+
+        The compile (leader-only, stampede-suppressed) runs under *this*
+        request's tracer, so compile spans appear exactly once — in the
+        leader's trace — and cache-hit traces contain none."""
+        fingerprint = source_fingerprint(source)
+        ss_key = stylesheet_key(stylesheet)
+        options_key = opts.cache_key()
+        stats_version = self.db.stats_version()
+        epoch = self.seen_epoch
+        key = (ss_key, fingerprint, options_key,
+               "stats:%d" % stats_version, "epoch:%d" % epoch)
+        # identity-keyed (pre-compiled Stylesheet) entries are not
+        # stable across processes — keep them out of the disk tier
+        store = self.store if ss_key.startswith("ss-text:") else None
+        tier = "miss"
+
+        def compile_fn():
+            nonlocal tier
+            if store is not None:
+                catalog = self.db.fingerprint()
+                disk_key = artifact_key(ss_key, fingerprint, catalog,
+                                        options_key,
+                                        "stats:%d" % stats_version)
+                with tracer.span("serve.cache.disk_lookup") as span:
+                    compiled, _header = store.get(
+                        disk_key, fingerprint=fingerprint, catalog=catalog,
+                        stats_version=stats_version,
+                    )
+                    span.set_attr(hit=compiled is not None)
+                if compiled is not None:
+                    tier = "l2"
+                    return _CachedPlan(compiled, stats_version, epoch)
+            if opts.effective_rewrite():
+                self.metrics.counter("transform.rewrite_attempts").inc()
+            compiled = Engine(self.db, tracer=tracer,
+                              metrics=self.metrics).compile(
+                source, stylesheet, options=opts
+            )
+            if store is not None:
+                store.put(disk_key, compiled, fingerprint=fingerprint,
+                          catalog=catalog, stats_version=stats_version,
+                          epoch=epoch)
+            return _CachedPlan(compiled, stats_version, epoch)
+
+        entry, hit = self.cache.get_or_compile(key, compile_fn,
+                                               fingerprint=fingerprint)
+        return entry.compiled, ("l1" if hit else tier)
+
+    # -- request handling ----------------------------------------------------------
+
+    def run(self, source, stylesheet, opts, params, tracer, span_name,
+            **span_attrs):
+        """Execute one claimed request under ``tracer``, inside a root
+        span ``span_name`` that records the cache outcome and strategy;
+        returns a :class:`ServeResult`."""
+        with tracer.span(span_name, **span_attrs) as root:
+            source = self.resolve(source)
+            self.sync_versions()
+            started = time.perf_counter()
+            compiled, tier = self.compiled_for(source, stylesheet, opts,
+                                               tracer)
+            with tracer.span("serve.execute"):
+                transform = execute_compiled(
+                    self.db, source, compiled, params=params, tracer=tracer,
+                    metrics=self.metrics, root=root,
+                    profile_plan=opts.profile_plan, feedback=opts.feedback,
+                )
+            execute_seconds = time.perf_counter() - started
+            self.metrics.histogram("serve.execute_seconds").record(
+                execute_seconds
+            )
+            result = ServeResult(transform, tier, execute_seconds,
+                                 stats_version=self.db.stats_version())
+            root.set_attr(cache_tier=tier, cache_hit=result.cache_hit,
+                          strategy=result.strategy)
+        if root:
+            transform.trace = result.trace = root
+        return result
+
+    # -- control plane -------------------------------------------------------------
+
+    def control(self, op, payload=None):
+        """One control-plane operation — what a process worker answers
+        over its pipe and a thread pool answers in-process."""
+        if op == "ping":
+            return {"worker": self.worker_id, "pid": os.getpid()}
+        if op == "stats":
+            return self.stats_payload()
+        if op == "analyze":
+            return self.analyze(payload)
+        if op == "invalidate":
+            return self.invalidate(payload)
+        raise ServeError("unknown serve op %r" % (op,))
+
+    def analyze(self, table=None):
+        before = self.db.stats_version()
+        self.db.analyze(table)
+        evicted = self.sync_versions()
+        return {
+            "worker": self.worker_id,
+            "stats_version": {"before": before,
+                              "after": self.db.stats_version()},
+            "epoch": self.seen_epoch,
+            "evicted": evicted,
+        }
+
+    def invalidate(self, source):
+        """Evict every plan compiled against ``source``'s current
+        fingerprint, from tier 1 and the disk tier.  Call after DDL that
+        changes a source's schema, view definition or indexes."""
+        removed = 0
+        if not isinstance(source, str) or source in self.sources:
+            fingerprint = source_fingerprint(self.resolve(source))
+            removed += self.cache.invalidate(fingerprint=fingerprint)
+            if self.store is not None:
+                removed += self.store.invalidate(fingerprint=fingerprint)
+        return {"worker": self.worker_id, "removed": removed}
+
+    def stats_payload(self):
+        return {
+            "worker": self.worker_id,
+            "pid": os.getpid(),
+            "stats_version": self.db.stats_version(),
+            "epoch": self.seen_epoch,
+            "cache": self.cache.stats().as_dict(),
+            "disk": (self.store.stats().as_dict()
+                     if self.store is not None else None),
+            "metrics": self.metrics.snapshot(),
+        }

@@ -2,54 +2,52 @@
 
 The paper's function runs inside a database server, where many sessions
 transform concurrently and the same (stylesheet, source) pair repeats.
-:class:`TransformService` is that serving tier in front of the existing
-pipeline:
+:class:`TransformService` is that server's **front door**, one for every
+worker backend:
 
-* a fixed **worker pool** drains a **bounded admission queue** —
-  overload fails fast with :class:`ServiceOverloadedError` instead of
-  queueing without bound;
+* a **bounded admission queue** — overload fails fast with
+  :class:`ServiceOverloadedError` instead of queueing without bound;
 * requests carry **deadlines** (enforced at dequeue: a request that
   waited past its deadline never executes), and can be **cancelled**
   while still queued;
-* the compile half (:func:`repro.core.transform.compile_transform`) goes
-  through a shared :class:`~repro.serve.cache.PlanCache`, keyed by
-  stylesheet content hash + source structural fingerprint, so a cache
-  hit pays only :func:`repro.core.transform.execute_compiled` — its
-  trace contains *no* compile spans at all;
-* a failed rewrite is cached too (negative caching): every execution of
-  that artifact replays the categorized functional fallback through the
-  exact accounting ``xml_transform`` would produce;
+* one dispatcher thread per worker drains the queue and runs each
+  claimed request on its worker — a **thread** worker calls the shared
+  :class:`~repro.serve.runtime.PlanRuntime` in-process, a **process**
+  worker ships the request over a pipe to a child that owns an
+  identical runtime (:mod:`repro.serve.cluster`).  How a claimed
+  request is run is the *only* thing the backends vary;
 * each request runs under its **own** :class:`~repro.obs.trace.Tracer`
-  (the tracer keeps a plain span stack and is not thread-safe), with a
-  ``serve.request`` root span recording queue wait, cache hit and
-  strategy, and a ``serve.execute`` child around plan/VM execution.
+  with a root span (``serve.request`` on thread workers;
+  ``cluster.request`` → ``cluster.worker`` across a pipe) recording
+  queue wait, cache outcome and strategy, and a ``serve.execute`` child
+  around plan/VM execution; a cache hit's trace contains *no* compile
+  spans at all;
+* every terminal status — ok, rejected, timeout, cancelled, error —
+  lands in the flight recorder under the request's trace id.
 
 Metrics (``repro.obs``): ``serve.requests``, ``serve.completed``
 (labelled by strategy and cache hit), ``serve.rejected{reason}``,
-``serve.timeouts``, ``serve.cancelled``, ``serve.errors`` and the
+``serve.timeouts``, ``serve.cancelled``, ``serve.errors``, the
+``serve.queue.depth|capacity|saturation`` gauges, the
 ``serve.queue_wait_seconds`` / ``serve.execute_seconds`` /
-``serve.request_seconds`` histograms, plus
+``serve.request_seconds`` histograms and
 ``serve.request.latency{cache=hit|miss}`` — the one end-to-end
 (admission→response) latency definition the load generator and the
-benches report — and the cache's own ``serve.cache.*`` family.  With a
-``feedback_policy``, distrusted plans are evicted under
-``serve.cache.evictions{reason="recost"}`` (total in ``serve.recost``).
+benches report — plus the plan runtime's ``serve.cache.*`` family.
 """
 
 from __future__ import annotations
 
-import hashlib
+import concurrent.futures
 import queue
 import threading
 import time
 
-from repro.api import Engine, TransformOptions, warn_legacy
-from repro.core.transform import execute_compiled, execute_compiled_stream
-from repro.errors import ReproError
-from repro.obs import InMemorySink, Tracer, global_metrics
-from repro.obs.feedback import FeedbackPolicy
+from repro.api import TransformOptions
+from repro.core.transform import execute_compiled_stream
+from repro.obs import global_metrics
 from repro.obs.ops import OpsServer
-from repro.obs.recorder import FlightRecorder, stage_seconds as _stage_seconds
+from repro.obs.recorder import FlightRecorder, stage_seconds, transform_fields
 from repro.obs.trace import (
     TraceContext,
     current_trace_context,
@@ -57,14 +55,14 @@ from repro.obs.trace import (
     parse_traceparent,
     use_trace_context,
 )
-from repro.serve.cache import EVICT_RECOST, PlanCache
-from repro.xslt.stylesheet import Stylesheet
-
-_UNSET = object()
-
-
-class ServeError(ReproError):
-    """Base class for serving-layer failures."""
+from repro.serve.cluster import ClusterWorkerError, ProcessWorkers
+from repro.serve.runtime import (
+    PlanRuntime,
+    ServeError,
+    request_tracer,
+    sink_spans,
+    stylesheet_key,
+)
 
 
 class ServiceOverloadedError(ServeError):
@@ -83,164 +81,52 @@ class RequestCancelledError(ServeError):
     """The request was cancelled before a worker picked it up."""
 
 
-_PENDING = "pending"
-_RUNNING = "running"
-_DONE = "done"
-_CANCELLED = "cancelled"
+class ServeFuture(concurrent.futures.Future):
+    """Handle to one submitted request: a standard
+    :class:`concurrent.futures.Future` that speaks the serving tier's
+    typed errors.
 
-
-class ServeFuture:
-    """Handle to one submitted request.
-
-    ``result(timeout)`` blocks for the :class:`ServeResult` (re-raising
-    the request's failure); ``cancel()`` succeeds only while the request
-    is still queued.
+    ``result(timeout)`` blocks for the
+    :class:`~repro.serve.runtime.ServeResult` (re-raising the request's
+    failure); ``cancel()`` succeeds only while the request is still
+    queued.
     """
 
-    __slots__ = ("_event", "_lock", "_state", "_value", "_error",
-                 "trace_id")
-
     def __init__(self, trace_id=None):
-        self._event = threading.Event()
-        self._lock = threading.Lock()
-        self._state = _PENDING
-        self._value = None
-        self._error = None
+        super().__init__()
         #: trace id assigned at admission — usable to look the request
         #: up in the flight recorder (``/debug/trace/<id>``) even before
         #: (or without) a result
         self.trace_id = trace_id
 
-    # -- caller side -------------------------------------------------------------
-
-    def cancel(self):
-        """Cancel if still queued; True when the request will not run."""
-        with self._lock:
-            if self._state == _PENDING:
-                self._state = _CANCELLED
-                self._error = RequestCancelledError("request cancelled")
-                self._event.set()
-            return self._state == _CANCELLED
-
-    def cancelled(self):
-        return self._state == _CANCELLED
-
-    def done(self):
-        return self._event.is_set()
+    def exception(self, timeout=None):
+        try:
+            return super().exception(timeout)
+        except concurrent.futures.CancelledError:
+            return RequestCancelledError("request cancelled")
+        except concurrent.futures.TimeoutError:
+            raise RequestTimeoutError(
+                "no result within %.3fs" % timeout
+            ) from None
 
     def result(self, timeout=None):
-        if not self._event.wait(timeout):
-            raise RequestTimeoutError(
-                "no result within %.3fs" % timeout
-            )
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def exception(self, timeout=None):
-        if not self._event.wait(timeout):
-            raise RequestTimeoutError(
-                "no result within %.3fs" % timeout
-            )
-        return self._error
-
-    # -- worker side -------------------------------------------------------------
-
-    def _claim(self):
-        """Transition pending→running; False when already cancelled."""
-        with self._lock:
-            if self._state != _PENDING:
-                return False
-            self._state = _RUNNING
-            return True
-
-    def _resolve(self, value):
-        with self._lock:
-            self._state = _DONE
-            self._value = value
-        self._event.set()
-
-    def _fail(self, error):
-        with self._lock:
-            self._state = _DONE
-            self._error = error
-        self._event.set()
-
-
-class ServeResult:
-    """A :class:`~repro.core.transform.TransformResult` plus the serving
-    metadata for this request: cache behaviour and queue/execute/total
-    latency split."""
-
-    __slots__ = ("transform", "cache_hit", "queue_wait_seconds",
-                 "execute_seconds", "total_seconds", "trace", "trace_id")
-
-    def __init__(self, transform, cache_hit, queue_wait_seconds,
-                 execute_seconds, total_seconds, trace=None,
-                 trace_id=None):
-        #: the underlying TransformResult (rows, strategy, ledger, ...)
-        self.transform = transform
-        #: True when the compiled plan came from the cache
-        self.cache_hit = cache_hit
-        self.queue_wait_seconds = queue_wait_seconds
-        self.execute_seconds = execute_seconds
-        self.total_seconds = total_seconds
-        #: root span of this request's private trace
-        self.trace = trace
-        #: trace id shared by every span of this request (set even when
-        #: per-request tracing is off)
-        self.trace_id = trace_id
-
-    @property
-    def strategy(self):
-        return self.transform.strategy
-
-    @property
-    def rows(self):
-        return self.transform.rows
-
-    def serialized_rows(self, method="xml"):
-        return self.transform.serialized_rows(method=method)
-
-    def report(self):
-        return self.transform.report()
-
-    def explain(self, rewrite=False):
-        # legacy text shim: the historical string carried no
-        # execution/feedback sections (see TransformResult.explain)
-        report = self.transform.explain_report(
-            include_decisions=bool(rewrite)
-        )
-        report.stats = None
-        report.feedback = None
-        return report.render()
-
-    def explain_report(self, include_decisions=True):
-        return self.transform.explain_report(
-            include_decisions=include_decisions
-        )
-
-    def __getstate__(self):
-        """Results cross process boundaries; the live span tree holds
-        tracer handles (thread-locals) and is process-local, so only the
-        trace *id* survives serialization — the flight recorder keeps
-        the span dicts."""
-        state = {name: getattr(self, name) for name in self.__slots__}
-        state["trace"] = None
-        return state
-
-    def __setstate__(self, state):
-        for name in self.__slots__:
-            setattr(self, name, state.get(name))
+        error = self.exception(timeout)
+        if error is not None:
+            raise error
+        return super().result()
 
 
 class _Request:
-    __slots__ = ("future", "source", "stylesheet", "options", "params",
-                 "deadline", "submitted_at", "context", "started_wall")
+    __slots__ = ("future", "name", "source", "stylesheet", "options",
+                 "params", "deadline", "submitted_at", "context",
+                 "started_wall")
 
-    def __init__(self, future, source, stylesheet, options, params,
-                 deadline, submitted_at, context=None, started_wall=None):
+    def __init__(self, future, name, source, stylesheet, options, params,
+                 deadline, submitted_at, context, started_wall):
         self.future = future
+        #: flight-record label; None = the stylesheet key's tail
+        #: (content-hash prefix or object id), worked out when recorded
+        self.name = name
         self.source = source
         self.stylesheet = stylesheet
         self.options = options  # always a TransformOptions
@@ -248,7 +134,7 @@ class _Request:
         self.deadline = deadline
         self.submitted_at = submitted_at
         #: TraceContext minted (or adopted) at admission — activated on
-        #: the worker thread so every span joins this request's trace
+        #: the dispatcher thread so every span joins this request's trace
         self.context = context
         #: wall-clock admission time (``time.time``), for the recorder
         self.started_wall = started_wall
@@ -256,177 +142,190 @@ class _Request:
 
 _SHUTDOWN = object()
 
-
-def source_fingerprint(source):
-    """The cache-key component describing a source's structural shape.
-
-    Uses the source's own ``fingerprint()`` (storages, views, queries)
-    when it has one; anything else gets a per-object token, which makes
-    equal-but-distinct anonymous sources miss rather than alias."""
-    fingerprint = getattr(source, "fingerprint", None)
-    if callable(fingerprint):
-        return fingerprint()
-    return "anon:%x" % id(source)
+#: the counter each terminal failure status increments
+_FAILURE_COUNTERS = {"timeout": "serve.timeouts", "error": "serve.errors"}
 
 
-def stylesheet_key(stylesheet):
-    """Content hash for text; identity for pre-compiled objects (the
-    cached artifact keeps the object alive, so its id cannot be
-    reused while the entry is live).  Only content-hash keys
-    (``ss-text:``) are stable across processes — the cluster tier and
-    the persistent artifact store require them."""
-    if isinstance(stylesheet, Stylesheet):
-        return "ss-obj:%x" % id(stylesheet)
-    return "ss-text:%s" % hashlib.sha256(
-        stylesheet.encode("utf-8")
-    ).hexdigest()
+def _ingress_context(traceparent):
+    """The trace context a request is admitted under: the caller's
+    ``traceparent`` header when given and valid, else the ambient
+    context (an in-process caller already inside a trace), else a
+    freshly minted trace id.  Every span of the request — across
+    admission, worker and stream-drain threads, and across a worker
+    process's pipe — joins it."""
+    context = parse_traceparent(traceparent) if traceparent else None
+    if context is None:
+        context = current_trace_context()
+    if context is None:
+        context = TraceContext(new_trace_id())
+    return context
 
 
-#: backwards-compatible alias (pre-cluster internal name)
-_stylesheet_key = stylesheet_key
+class ThreadWorkers:
+    """N worker threads sharing one in-process
+    :class:`~repro.serve.runtime.PlanRuntime` — the backend without a
+    transport.  Threads do not die on their own, so every worker is
+    always live."""
 
+    def __init__(self, runtime, workers):
+        self.runtime = runtime
+        self.store = runtime.store
+        self.size = workers
 
-def _sink_spans(tracer):
-    """Flattened span records of a per-request tracer's in-memory sink
-    (empty when tracing is off)."""
-    for sink in tracer.sinks:
-        spans = getattr(sink, "spans", None)
-        if spans is not None:
-            return [span.to_dict() for span in spans]
-    return []
+    def check(self, source, stylesheet):
+        """Anything goes in-process: live sources or names, markup or
+        pre-compiled stylesheets."""
 
+    def live(self):
+        return range(self.size)
 
-def _request_name(request):
-    """Short human label for a flight record: the stylesheet key's tail
-    (content-hash prefix or object id)."""
-    return _stylesheet_key(request.stylesheet)[:24]
+    def alive(self, worker):
+        return True
 
+    def run(self, worker, request, tracer, queue_wait):
+        opts = request.options
+        return self.runtime.run(
+            request.source, request.stylesheet, opts, request.params, tracer,
+            "serve.request", rewrite=opts.effective_rewrite(),
+            queue_wait_ms=round(queue_wait * 1000.0, 3),
+        ), ()
 
-def _request_detail(transform):
-    """The slow-request diagnosis the recorder retains: the full report
-    (stats, span tree, EXPLAIN ANALYZE, Q-error) plus EXPLAIN REWRITE
-    (the decision ledger anchored into the plan)."""
-    return "%s\n\nEXPLAIN REWRITE:\n%s" % (
-        transform.report(), transform.explain_report().render()
-    )
+    def control(self, op, payload=None, worker=None):
+        return [self.runtime.control(op, payload)]
 
+    def stats(self):
+        return self.runtime.cache.stats().as_dict()
 
-def options_key(options):
-    """Cache-key component of a request's options — only the
-    compile-relevant fields (see :meth:`TransformOptions.cache_key`)."""
-    if options is None:
-        return ""
-    if isinstance(options, TransformOptions):
-        return options.cache_key()
-    if isinstance(options, dict):
-        return repr(sorted(options.items()))
-    return repr(options)
-
-
-#: backwards-compatible alias (pre-cluster internal name)
-_options_key = options_key
+    def close(self):
+        self.runtime.close()
 
 
 class TransformService:
-    """Concurrent transformation service over one database.
+    """Concurrent transformation service: one admission front door over
+    thread or process workers.
 
-    :param db: the :class:`~repro.rdb.database.Database` to serve from.
-    :param workers: worker-thread count.
-    :param queue_size: admission-queue bound; a full queue rejects with
-        :class:`ServiceOverloadedError`.
-    :param cache: a :class:`~repro.serve.cache.PlanCache` (one is created
-        when omitted — ``cache_capacity``/``cache_ttl_seconds`` configure
-        it).
+    :param db: the :class:`~repro.rdb.database.Database` to serve from
+        (process workers inherit it at fork; ignored with ``factory``).
+    :param workers: worker count (threads or processes).
+    :param backend: ``"thread"`` — workers are threads calling one
+        shared plan runtime in-process — or ``"process"`` — each worker
+        is a child process with its own runtime (CPU-bound transforms
+        scale past one core); requests then name their source and carry
+        stylesheet markup text, results carry serialized rows, and
+        ``transform_stream`` is unavailable.
+    :param sources: ``{name: source}`` — what requests may refer to by
+        name (process workers take only names; threads also take the
+        live object).
+    :param queue_size: admission-queue bound (0 = unbounded); a full
+        queue rejects with :class:`ServiceOverloadedError`.
+    :param cache: a tier-1 :class:`~repro.serve.cache.PlanCache` for the
+        in-process runtime; omitted, each runtime (here or in a worker
+        process) builds one from ``cache_capacity``/``cache_ttl_seconds``.
+    :param artifact_dir: directory of the persistent second cache tier
+        (:class:`~repro.serve.artifact.ArtifactStore`): a tier-1 miss is
+        looked up on disk before compiling and every fresh compile is
+        persisted, so a restarted service or a sibling process on the
+        same directory serves repeats warm.  Omitted, thread workers
+        have no disk tier and process workers share a temporary one
+        (removed on close).
     :param default_timeout: per-request deadline in seconds applied when
-        ``submit``/``transform`` don't pass one (None = no deadline).
-    :param trace_requests: give each request a private tracer so
-        ``ServeResult.trace`` carries its span tree; turn off to shave
-        per-request overhead.
-    :param feedback_policy: enable the database's Q-error feedback loop
-        for requests served here — a
+        the request's options carry none (None = no deadline).
+    :param trace_requests: give each request a private tracer so the
+        flight recorder (and ``ServeResult.trace``, in-process) carries
+        its span tree; turn off to shave per-request overhead.
+    :param feedback_policy: arm the database's Q-error feedback loop in
+        whichever process runs the plans — a
         :class:`~repro.obs.feedback.FeedbackPolicy`, or True for the
-        default thresholds.  When the loop distrusts a plan, the service
-        evicts the cached artifact (``serve.cache.evictions`` reason
-        ``recost``) so the next request re-costs against the corrected
-        statistics.  None leaves the controller as configured on the
-        database (observe-only by default).
-    :param recorder: the flight recorder keeping the last N requests for
-        the ``/debug`` endpoints — a
-        :class:`~repro.obs.recorder.FlightRecorder`, True (the default)
-        for one with default retention, or False/None to disable.
+        default thresholds; a distrusted plan is evicted
+        (``serve.cache.evictions`` reason ``recost``) so the next
+        request re-costs against corrected statistics.  None leaves the
+        controller as configured on the database (observe-only).
+    :param recorder: the flight recorder behind the ``/debug`` endpoints
+        — a :class:`~repro.obs.recorder.FlightRecorder`, True (default
+        retention) or False/None to disable.
     :param ops_port: when not None, start an
         :class:`~repro.obs.ops.OpsServer` on this port (0 = ephemeral;
         read it back from ``service.ops.port``) wired to this service's
         metrics, recorder and health; closed with the service.
-    :param artifact_store: a persistent second cache tier — an
-        :class:`~repro.serve.artifact.ArtifactStore` or a directory
-        path.  On a tier-1 miss the compiled plan is looked up on disk
-        (keyed by stylesheet content hash + source fingerprint + catalog
-        fingerprint + options + stats version) before compiling, and
-        every fresh compile is persisted — so a restarted service (or a
-        sibling process pointing at the same directory) serves repeats
-        warm, without recompiling.  Only content-keyed stylesheets
-        (markup text) participate; pre-compiled Stylesheet objects are
-        identity-keyed and stay tier-1-only.
+    :param factory: process workers only — a picklable zero-argument
+        callable returning ``(db, sources)``, built inside each worker
+        (required with the ``spawn`` start method; what a deployment
+        would use to open its own storage).
+    :param start_method: process workers only — ``"fork"`` (default
+        where available) or ``"spawn"``.
     """
 
-    def __init__(self, db, workers=4, queue_size=64, cache=None,
-                 cache_capacity=128, cache_ttl_seconds=None,
+    def __init__(self, db=None, workers=4, backend="thread", sources=None,
+                 queue_size=64, cache=None, cache_capacity=128,
+                 cache_ttl_seconds=None, artifact_dir=None,
                  default_timeout=None, metrics=None, trace_requests=True,
                  feedback_policy=None, recorder=True, ops_port=None,
-                 artifact_store=None):
+                 factory=None, start_method=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if backend not in ("thread", "process"):
+            raise ValueError(
+                "invalid backend %r: expected 'thread' or 'process'"
+                % (backend,)
+            )
+        if default_timeout is not None and default_timeout < 0:
+            raise ValueError(
+                "invalid default_timeout %r: expected seconds >= 0 (or None)"
+                % (default_timeout,)
+            )
         self.db = db
         self.metrics = metrics or global_metrics()
-        if isinstance(artifact_store, str):
-            from repro.serve.artifact import ArtifactStore
-
-            artifact_store = ArtifactStore(artifact_store,
-                                           metrics=self.metrics)
-        self.artifact_store = artifact_store
         if recorder is True:
             recorder = FlightRecorder()
         elif recorder is False:
             recorder = None
         self.recorder = recorder
-        # explicit None test: an empty PlanCache is falsy (len() == 0)
-        self.cache = cache if cache is not None else PlanCache(
-            capacity=cache_capacity, ttl_seconds=cache_ttl_seconds,
-            metrics=self.metrics,
-        )
         self.default_timeout = default_timeout
         self.trace_requests = trace_requests
-        self._feedback_controller = getattr(db, "feedback", None)
-        if feedback_policy is not None and self._feedback_controller \
-                is not None:
-            if feedback_policy is True:
-                feedback_policy = FeedbackPolicy()
-            self._feedback_controller.enable(feedback_policy)
-        if self._feedback_controller is not None:
-            # subscribe regardless of who enabled the policy, so a
-            # controller enabled directly on the database still re-costs
-            # this service's cache
-            self._feedback_controller.add_listener(self._on_feedback)
-        self._queue = queue.Queue(maxsize=queue_size)
+        self.queue_size = queue_size
+        # Unbounded underneath: the bound is checked under the admission
+        # lock, so shutdown sentinels never block behind a full queue.
+        self._queue = queue.Queue()
         self._closed = False
-        self._close_lock = threading.Lock()
-        # queue occupancy gauges: depth/capacity plus their ratio, the
-        # saturation signal /healthz and /readyz report
+        #: makes admission atomic against close() and against the last
+        #: worker dying — no request lands behind the shutdown sentinels
+        #: or in a queue nobody drains
+        self._admit_lock = threading.Lock()
         self._gauge_depth = self.metrics.gauge("serve.queue.depth")
-        self._gauge_capacity = self.metrics.gauge("serve.queue.capacity")
         self._gauge_saturation = self.metrics.gauge("serve.queue.saturation")
-        self._gauge_capacity.set(queue_size)
+        self.metrics.gauge("serve.queue.capacity").set(queue_size)
         self._update_queue_gauges()
-        self._workers = []
-        for n in range(workers):
-            worker = threading.Thread(
-                target=self._worker_loop,
-                name="repro-serve-%d" % n,
-                daemon=True,
+        runtime_options = dict(
+            cache_capacity=cache_capacity,
+            cache_ttl_seconds=cache_ttl_seconds,
+            artifact_dir=artifact_dir, feedback_policy=feedback_policy,
+        )
+        if backend == "thread":
+            self._backend = ThreadWorkers(
+                PlanRuntime(db, sources, cache=cache, metrics=self.metrics,
+                            **runtime_options),
+                workers,
             )
-            worker.start()
-            self._workers.append(worker)
+        else:
+            if cache is not None:
+                raise ValueError(
+                    "a PlanCache instance cannot be shared with worker "
+                    "processes — pass cache_capacity/cache_ttl_seconds"
+                )
+            self._backend = ProcessWorkers(
+                db, sources, workers, factory, start_method,
+                trace_requests, self.metrics, runtime_options,
+            )
+        #: this process's handle on the disk tier (None without one)
+        self.artifact_store = self._backend.store
+        self._dispatchers = []
+        for worker in range(workers):
+            thread = threading.Thread(
+                target=self._dispatch_loop, args=(worker,),
+                name="repro-serve-%d" % worker, daemon=True,
+            )
+            thread.start()
+            self._dispatchers.append(thread)
         self.ops = None
         if ops_port is not None:
             self.ops = OpsServer(
@@ -434,43 +333,51 @@ class TransformService:
                 health_fn=self.health, ready_fn=self.ready, port=ops_port,
             ).start()
 
-    def _update_queue_gauges(self):
+    @property
+    def cache(self):
+        """The in-process tier-1 plan cache (None with process workers,
+        whose caches live in the children — see :meth:`worker_stats`)."""
+        runtime = self._backend.runtime
+        return runtime.cache if runtime is not None else None
+
+    def _queue_state(self):
+        """Queue occupancy: depth/capacity plus their ratio, the
+        saturation signal ``/healthz`` and ``/readyz`` report."""
         depth = self._queue.qsize()
-        capacity = self._queue.maxsize
-        self._gauge_depth.set(depth)
-        self._gauge_saturation.set(
-            (depth / float(capacity)) if capacity else 0.0
-        )
+        return {
+            "depth": depth,
+            "capacity": self.queue_size,
+            "saturation": (depth / float(self.queue_size))
+            if self.queue_size else 0.0,
+        }
+
+    def _update_queue_gauges(self):
+        state = self._queue_state()
+        self._gauge_depth.set(state["depth"])
+        self._gauge_saturation.set(state["saturation"])
 
     # -- client API --------------------------------------------------------------
 
-    def _effective_options(self, entry_point, options, rewrite, timeout):
-        """Normalize ``options`` plus the deprecated loose kwargs into
-        one :class:`TransformOptions`."""
-        opts = TransformOptions.coerce(options, entry_point=entry_point)
-        if rewrite is not _UNSET:
-            warn_legacy(entry_point, "rewrite=")
-            opts = opts.replace(rewrite=bool(rewrite))
-        if timeout is not _UNSET:
-            warn_legacy(entry_point, "timeout=")
-            opts = opts.replace(deadline=timeout)
-        return opts
+    def _request(self, source, stylesheet, options, params, traceparent,
+                 name=None):
+        if self._closed:
+            raise ServiceClosedError("service is closed")
+        opts = TransformOptions.coerce(options,
+                                       entry_point="TransformService")
+        self._backend.check(source, stylesheet)
+        deadline_s = opts.deadline if opts.deadline is not None \
+            else self.default_timeout
+        context = _ingress_context(traceparent)
+        now = time.perf_counter()
+        return _Request(
+            ServeFuture(trace_id=context.trace_id), name,
+            source, stylesheet, opts, params,
+            deadline=(now + deadline_s) if deadline_s is not None else None,
+            submitted_at=now, context=context, started_wall=time.time(),
+        )
 
-    def _ingress_context(self, traceparent):
-        """The trace context a request is admitted under: the caller's
-        ``traceparent`` header when given and valid, else the ambient
-        context (an in-process caller already inside a trace), else a
-        freshly minted trace id.  Every span of the request — across
-        admission, worker and stream-drain threads — joins it."""
-        context = parse_traceparent(traceparent) if traceparent else None
-        if context is None:
-            context = current_trace_context()
-        if context is None:
-            context = TraceContext(new_trace_id())
-        return context
-
-    def submit(self, source, stylesheet, rewrite=_UNSET, options=None,
-               params=None, timeout=_UNSET, traceparent=None):
+    def submit(self, source, stylesheet, options=None, params=None,
+               traceparent=None):
         """Enqueue one request; returns a :class:`ServeFuture`.
 
         ``options.deadline`` (seconds, default ``default_timeout``)
@@ -478,56 +385,53 @@ class TransformService:
         its deadline fails with :class:`RequestTimeoutError` instead of
         executing.  ``traceparent`` is an optional W3C trace-context
         header from an upstream caller — the request joins that trace
-        (``future.trace_id``) instead of minting its own.  The loose
-        ``rewrite=``/``timeout=`` kwargs are deprecated shims over
-        :class:`repro.api.TransformOptions`.
+        (``future.trace_id``) instead of minting its own.
         """
-        opts = self._effective_options("TransformService.submit", options,
-                                       rewrite, timeout)
-        return self._submit(source, stylesheet, opts, params,
-                            traceparent=traceparent)
-
-    def _submit(self, source, stylesheet, opts, params, traceparent=None):
-        if self._closed:
-            raise ServiceClosedError("service is closed")
-        deadline_s = opts.deadline if opts.deadline is not None \
-            else self.default_timeout
-        context = self._ingress_context(traceparent)
-        now = time.perf_counter()
-        request = _Request(
-            ServeFuture(trace_id=context.trace_id), source, stylesheet,
-            opts, params,
-            deadline=(now + deadline_s) if deadline_s else None,
-            submitted_at=now, context=context, started_wall=time.time(),
-        )
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            self.metrics.counter("serve.rejected", reason="queue-full").inc()
-            self._update_queue_gauges()
-            self._record_request(
-                request, status="rejected",
-                error="admission queue full (%d pending)"
-                % self._queue.maxsize,
-            )
-            raise ServiceOverloadedError(
-                "admission queue full (%d pending)" % self._queue.maxsize
-            )
-        self.metrics.counter("serve.requests").inc()
+        request = self._request(source, stylesheet, options, params,
+                                traceparent)
+        with self._admit_lock:
+            if self._closed:
+                raise ServiceClosedError("service is closed")
+            if not self._backend.live():
+                reason, error = "no-workers", ClusterWorkerError(
+                    "no worker process is alive"
+                )
+            elif 0 < self.queue_size <= self._queue.qsize():
+                reason, error = "queue-full", ServiceOverloadedError(
+                    "admission queue full (%d pending)" % self.queue_size
+                )
+            else:
+                self._queue.put(request)
+                error = None
         self._update_queue_gauges()
+        if error is not None:
+            self.metrics.counter("serve.rejected", reason=reason).inc()
+            self._record(request, "rejected", error=str(error))
+            raise error
+        self.metrics.counter("serve.requests").inc()
         return request.future
 
-    def transform(self, source, stylesheet, rewrite=_UNSET, options=None,
-                  params=None, timeout=_UNSET, traceparent=None):
-        """Synchronous submit+wait; returns the :class:`ServeResult`."""
-        opts = self._effective_options("TransformService.transform", options,
-                                       rewrite, timeout)
-        future = self._submit(source, stylesheet, opts, params,
-                              traceparent=traceparent)
+    def transform(self, source, stylesheet, options=None, params=None,
+                  traceparent=None):
+        """Synchronous submit+wait; returns the
+        :class:`~repro.serve.runtime.ServeResult`."""
         # A deadline bounds queue wait + execution, both on the worker
         # side; the caller waits without its own limit so in-flight
         # execution can finish.
-        return future.result()
+        return self.submit(source, stylesheet, options=options,
+                           params=params, traceparent=traceparent).result()
+
+    def transform_on(self, worker, source, stylesheet, options=None,
+                     params=None, traceparent=None):
+        """Execute on one *specific* worker from the caller's thread,
+        bypassing the shared queue — the deterministic routing tests and
+        benchmarks use to prove cross-worker cache behaviour."""
+        request = self._request(source, stylesheet, options, params,
+                                traceparent)
+        self.metrics.counter("serve.requests").inc()
+        request.future.set_running_or_notify_cancel()
+        self._run(worker, request, 0.0)
+        return request.future.result()
 
     def transform_stream(self, source, stylesheet, options=None,
                          params=None, traceparent=None):
@@ -542,40 +446,43 @@ class TransformService:
         The compile and the chunk drain run under one trace
         (``stream.trace_id``) — joined to the upstream ``traceparent``
         when given — and the drained request lands in the flight
-        recorder like a materialized one.
+        recorder like a materialized one.  Needs the plan runtime in
+        this process: with process workers it raises :class:`ServeError`
+        (chunks are not streamed over the pipe).
         """
-        if self._closed:
-            raise ServiceClosedError("service is closed")
-        opts = TransformOptions.coerce(
-            options, entry_point="TransformService.transform_stream"
-        )
+        runtime = self._backend.runtime
+        if runtime is None:
+            raise ServeError(
+                "transform_stream needs thread workers: process workers "
+                "do not stream chunks over the pipe"
+            )
+        request = self._request(source, stylesheet, options, params,
+                                traceparent, name="stream")
+        opts = request.options
         self.metrics.counter("serve.stream_requests").inc()
-        context = self._ingress_context(traceparent)
-        started = time.perf_counter()
-        started_wall = time.time()
-        tracer = Tracer(sinks=[InMemorySink()]) if self.trace_requests \
-            else Tracer(enabled=False)
-        with use_trace_context(context):
+        tracer = request_tracer(self.trace_requests)
+        source = runtime.resolve(source)
+        with use_trace_context(request.context):
             with tracer.span("serve.stream.compile") as compile_span:
-                compiled, hit = self._compiled_for(
+                compiled, tier = runtime.compiled_for(
                     source, stylesheet, opts, tracer
                 )
+                hit = tier != "miss"
                 compile_span.set_attr(cache_hit=hit)
         self.metrics.counter(
             "serve.stream_cache", cache="hit" if hit else "miss"
         ).inc()
         stream = execute_compiled_stream(
-            self.db, source, compiled, params=params, tracer=tracer,
+            runtime.db, source, compiled, params=params, tracer=tracer,
             metrics=self.metrics, batch_size=opts.batch_size,
             chunk_chars=opts.chunk_chars, feedback=opts.feedback,
         )
-        stream.trace_id = context.trace_id
-        stream._chunks = self._drained(stream, stream._chunks, context,
-                                       tracer, hit, started, started_wall)
+        stream.trace_id = request.context.trace_id
+        stream._chunks = self._drained(stream, stream._chunks, request,
+                                       tracer, hit)
         return stream
 
-    def _drained(self, stream, chunks, context, tracer, cache_hit,
-                 started, started_wall):
+    def _drained(self, stream, chunks, request, tracer, cache_hit):
         """Wrap a stream's chunk iterator so the drain — which may run
         on any thread, any time after submission — happens under the
         request's trace (a ``serve.stream.drain`` span joined by trace
@@ -584,7 +491,7 @@ class TransformService:
         error = None
         bytes_out = 0
         try:
-            with use_trace_context(context):
+            with use_trace_context(request.context):
                 with tracer.span("serve.stream.drain") as span:
                     for chunk in chunks:
                         bytes_out += len(chunk)
@@ -597,115 +504,100 @@ class TransformService:
             self.metrics.counter("serve.errors").inc()
             raise
         finally:
-            total = time.perf_counter() - started
-            if self.recorder is not None:
-                stats = stream.stats
-                self.recorder.record(
-                    context.trace_id, name="stream",
-                    status=status, error=error, strategy=stream.strategy,
-                    cache_hit=cache_hit,
-                    fallback_category=stream.fallback_category,
-                    execute_seconds=(
-                        stats.elapsed_seconds if stats is not None else None
-                    ),
-                    total_seconds=total,
-                    rows=(stats.output_rows if stats is not None else None),
-                    bytes_out=bytes_out,
-                    q_error_max=(
-                        stream.feedback.max_q_error
-                        if stream.feedback is not None else None
-                    ),
-                    q_error_triggered=(
-                        stream.feedback is not None
-                        and stream.feedback.triggered
-                    ),
-                    stages=_stage_seconds(_sink_spans(tracer)),
-                    spans=_sink_spans(tracer),
-                    started_at=started_wall,
-                )
-
-    def invalidate(self, source=None, key=None, tag=None):
-        """Evict cached plans: every plan compiled against ``source``'s
-        current fingerprint, or by exact key/tag.  Call after DDL that
-        changes a source's schema, view definition or indexes."""
-        if source is not None:
-            return self.cache.invalidate(
-                fingerprint=source_fingerprint(source)
+            stats, feedback = stream.stats, stream.feedback
+            self._record(
+                request, status, spans=sink_spans(tracer), error=error,
+                strategy=stream.strategy, cache_hit=cache_hit,
+                fallback_category=stream.fallback_category,
+                execute_seconds=(stats.elapsed_seconds
+                                 if stats is not None else None),
+                total_seconds=time.perf_counter() - request.submitted_at,
+                rows=stats.output_rows if stats is not None else None,
+                bytes_out=bytes_out,
+                q_error_max=(feedback.max_q_error
+                             if feedback is not None else None),
+                q_error_triggered=(feedback is not None
+                                   and feedback.triggered),
             )
-        return self.cache.invalidate(key=key, tag=tag)
+
+    # -- control plane -----------------------------------------------------------
+
+    def ping(self):
+        """Round-trip every live worker process (or the in-process
+        runtime); returns their pids."""
+        return self._backend.control("ping")
+
+    def analyze(self, table=None, worker=None):
+        """Run ANALYZE where the plans run — on one ``worker`` process
+        (propagating the invalidation to its siblings through the shared
+        epoch) or on all of them."""
+        return self._backend.control("analyze", table, worker=worker)
+
+    def invalidate(self, source):
+        """Evict every plan compiled against ``source`` (a name, or with
+        thread workers the live object) from every tier-1 cache and the
+        disk tier; returns the number of entries removed.  Call after
+        DDL that changes a source's schema, view definition or
+        indexes."""
+        return sum(reply["removed"]
+                   for reply in self._backend.control("invalidate", source))
+
+    def worker_stats(self):
+        """Each live plan runtime's cache/disk/metrics snapshot."""
+        return self._backend.control("stats")
 
     def stats(self):
-        """Cache statistics plus queue/worker occupancy."""
-        stats = self.cache.stats().as_dict()
-        stats["queue_depth"] = self._queue.qsize()
-        stats["queue_capacity"] = self._queue.maxsize
-        stats["queue_saturation"] = (
-            self._queue.qsize() / float(self._queue.maxsize)
-            if self._queue.maxsize else 0.0
-        )
-        stats["workers"] = len(self._workers)
+        """Plan-cache statistics (thread workers: the shared tier-1
+        cache's counters at top level; process workers: per-worker
+        snapshots merged into ``tier1``/``tier2``/``metrics``) plus
+        queue/worker occupancy."""
+        stats = self._backend.stats()
+        for key, value in self._queue_state().items():
+            stats["queue_" + key] = value
+        stats["workers"] = self._backend.size
+        stats["workers_alive"] = len(self._backend.live())
         return stats
 
     def health(self):
-        """The ``/healthz`` body: liveness status plus the saturation
-        and cache signals an operator triages overload with."""
-        depth = self._queue.qsize()
-        capacity = self._queue.maxsize
+        """The ``/healthz`` body: liveness status (``degraded`` once a
+        worker process has died) plus the saturation and cache signals
+        an operator triages overload with."""
+        alive = len(self._backend.live())
         body = {
-            "status": "closed" if self._closed else "ok",
-            "workers": len(self._workers),
-            "queue": {
-                "depth": depth,
-                "capacity": capacity,
-                "saturation": (depth / float(capacity)) if capacity else 0.0,
-            },
-            "cache": self.cache.stats().as_dict(),
+            "status": "closed" if self._closed
+            else ("degraded" if alive < self._backend.size else "ok"),
+            "workers": alive,
+            "queue": self._queue_state(),
             "rejected": self.metrics.counter_total("serve.rejected"),
         }
+        if self.cache is not None:
+            body["cache"] = self.cache.stats().as_dict()
         if self.recorder is not None:
             body["recorder"] = self.recorder.stats()
         return body
 
     def ready(self):
         """The ``/readyz`` verdict: ``(ready, body)`` — not ready once
-        closed or when the admission queue is (near) saturated, so a
-        load balancer stops routing before requests start bouncing."""
+        closed, degraded, or when the admission queue is (near)
+        saturated, so a load balancer stops routing before requests
+        start bouncing."""
         body = self.health()
         ready = (body["status"] == "ok"
                  and body["queue"]["saturation"] < 1.0)
         return ready, body
 
-    def _on_feedback(self, event):
-        """Feedback-loop listener: re-cost by evicting every cached
-        artifact the loop distrusted — the one that just executed
-        (``event.compiled``) and any other whose recorded Q-error
-        triggered the policy.  The next request for them recompiles
-        under the post-ANALYZE statistics version."""
-        def distrusted(value):
-            if value is event.compiled:
-                return True
-            feedback = getattr(value, "feedback", None)
-            return feedback is not None and feedback.triggered
-
-        removed = self.cache.invalidate_where(distrusted,
-                                              reason=EVICT_RECOST)
-        if removed:
-            self.metrics.counter("serve.recost").inc(removed)
-        return removed
-
     def close(self, wait=True):
         """Stop accepting requests; drain queued work, stop workers."""
-        with self._close_lock:
+        with self._admit_lock:
             if self._closed:
                 return
             self._closed = True
-        if self._feedback_controller is not None:
-            self._feedback_controller.remove_listener(self._on_feedback)
-        for _ in self._workers:
+        for _ in self._dispatchers:
             self._queue.put(_SHUTDOWN)
         if wait:
-            for worker in self._workers:
-                worker.join()
+            for thread in self._dispatchers:
+                thread.join()
+        self._backend.close()
         if self.ops is not None:
             self.ops.close()
 
@@ -716,199 +608,128 @@ class TransformService:
         self.close()
         return False
 
-    # -- worker side -------------------------------------------------------------
+    # -- dispatcher side ---------------------------------------------------------
 
-    def _worker_loop(self):
+    def _dispatch_loop(self, worker):
         while True:
             item = self._queue.get()
-            try:
-                if item is _SHUTDOWN:
-                    return
-                self._handle(item)
-            finally:
-                self._queue.task_done()
+            if item is _SHUTDOWN:
+                return
+            if not self._backend.alive(worker):
+                # a dead worker's dispatcher stops pulling: it would
+                # only fail requests a healthy sibling can serve
+                self._hand_over(item)
+                return
+            self._handle(worker, item)
 
-    def _handle(self, request):
-        started = time.perf_counter()
+    def _hand_over(self, request):
+        """Pass the request a retiring dispatcher holds to a surviving
+        worker; with none left, it and everything queued fail fast."""
+        with self._admit_lock:
+            live = self._backend.live()
+            stranded = [] if live else self._drain()
+        if live:
+            self._handle(live[0], request)
+            return
+        now = time.perf_counter()
+        for item in [request] + stranded:
+            if item.future.set_running_or_notify_cancel():
+                self._fail(item, "error", ClusterWorkerError(
+                    "no worker process is alive"), now - item.submitted_at)
+
+    def _drain(self):
+        """Empty the queue (keeping close()'s sentinels for the
+        dispatchers still blocked on it); returns the requests."""
+        requests, sentinels = [], 0
+        while True:
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                break
+            if item is _SHUTDOWN:
+                sentinels += 1
+            else:
+                requests.append(item)
+        for _ in range(sentinels):
+            self._queue.put(_SHUTDOWN)
+        return requests
+
+    def _handle(self, worker, request):
+        """One dequeued request: claim → deadline → run."""
         self._update_queue_gauges()
-        future = request.future
-        if request.deadline is not None and started >= request.deadline:
-            self.metrics.counter("serve.timeouts").inc()
-            message = ("deadline exceeded after %.3fs in queue"
-                       % (started - request.submitted_at))
-            self._record_request(request, status="timeout", error=message,
-                                 queue_wait_seconds=started
-                                 - request.submitted_at)
-            future._fail(RequestTimeoutError(message))
-            return
-        if not future._claim():
+        now = time.perf_counter()
+        queue_wait = now - request.submitted_at
+        if not request.future.set_running_or_notify_cancel():
             self.metrics.counter("serve.cancelled").inc()
-            self._record_request(request, status="cancelled",
-                                 queue_wait_seconds=started
-                                 - request.submitted_at)
-            return
-        queue_wait = started - request.submitted_at
-        self.metrics.histogram("serve.queue_wait_seconds").record(queue_wait)
-        tracer = Tracer(sinks=[InMemorySink()]) if self.trace_requests \
-            else Tracer(enabled=False)
+            self._record(request, "cancelled",
+                         queue_wait_seconds=queue_wait)
+        elif request.deadline is not None and now >= request.deadline:
+            self._fail(request, "timeout", RequestTimeoutError(
+                "deadline exceeded after %.3fs in queue" % queue_wait
+            ), queue_wait)
+        else:
+            self.metrics.histogram("serve.queue_wait_seconds").record(
+                queue_wait
+            )
+            self._run(worker, request, queue_wait)
+
+    def _run(self, worker, request, queue_wait):
+        """Run a claimed request on ``worker``: metrics → record →
+        resolve, whichever backend executes it."""
+        tracer = request_tracer(self.trace_requests)
         try:
             with use_trace_context(request.context):
-                result = self._execute(request, tracer, queue_wait)
+                result, worker_spans = self._backend.run(
+                    worker, request, tracer, queue_wait
+                )
         except BaseException as exc:
-            self.metrics.counter("serve.errors").inc()
-            self._record_request(
-                request, status="error",
-                error="%s: %s" % (type(exc).__name__, exc),
-                queue_wait_seconds=queue_wait,
-                total_seconds=time.perf_counter() - request.submitted_at,
-                spans=_sink_spans(tracer),
-            )
-            future._fail(exc)
+            self._fail(request, "error", exc, queue_wait,
+                       spans=sink_spans(tracer))
             return
         total = time.perf_counter() - request.submitted_at
+        result.queue_wait_seconds = queue_wait
         result.total_seconds = total
+        result.trace_id = request.context.trace_id
+        result.worker = worker
+        cache = "hit" if result.cache_hit else "miss"
         self.metrics.histogram("serve.request_seconds").record(total)
         # the one end-to-end latency definition (admission -> response)
-        # shared by BENCH_serve and BENCH_feedback, split by cache outcome
-        self.metrics.histogram(
-            "serve.request.latency",
-            cache="hit" if result.cache_hit else "miss",
-        ).record(total)
-        self.metrics.counter(
-            "serve.completed",
-            strategy=result.strategy,
-            cache="hit" if result.cache_hit else "miss",
-        ).inc()
+        # shared by the benches, split by cache outcome
+        self.metrics.histogram("serve.request.latency",
+                               cache=cache).record(total)
+        self.metrics.counter("serve.completed", strategy=result.strategy,
+                             cache=cache).inc()
+        if result.transform is not None:
+            fields = transform_fields(result.transform)
+        else:
+            fields = dict(strategy=result.strategy,
+                          fallback_category=result.fallback_category,
+                          rows=len(result.serialized_rows()))
+        self._record(request, "ok",
+                     spans=sink_spans(tracer) + list(worker_spans),
+                     cache_hit=result.cache_hit, queue_wait_seconds=queue_wait,
+                     execute_seconds=result.execute_seconds,
+                     total_seconds=total, **fields)
+        request.future.set_result(result)
+
+    def _fail(self, request, status, error, queue_wait, spans=None):
+        """Terminal failure (``timeout`` / ``error``) of an admitted
+        request: count, flight-record and fail its future."""
+        self.metrics.counter(_FAILURE_COUNTERS[status]).inc()
+        self._record(request, status, spans=spans,
+                     error="%s: %s" % (type(error).__name__, error),
+                     queue_wait_seconds=queue_wait,
+                     total_seconds=time.perf_counter() - request.submitted_at)
+        request.future.set_exception(error)
+
+    def _record(self, request, status, spans=None, **fields):
+        """One flight record per request (or drained stream), whatever
+        its terminal status: ok / rejected / timeout / cancelled /
+        error."""
         if self.recorder is not None:
-            transform = result.transform
-            feedback = transform.feedback
-            spans = _sink_spans(tracer)
             self.recorder.record(
-                request.context.trace_id,
-                name=_request_name(request),
-                status="ok", strategy=result.strategy,
-                cache_hit=result.cache_hit,
-                fallback_category=transform.fallback_category,
-                queue_wait_seconds=queue_wait,
-                execute_seconds=result.execute_seconds,
-                total_seconds=total,
-                rows=len(transform.rows),
-                q_error_max=(feedback.max_q_error
-                             if feedback is not None else None),
-                q_error_triggered=(feedback is not None
-                                   and feedback.triggered),
-                stages=_stage_seconds(spans), spans=spans,
-                detail_fn=lambda: _request_detail(transform),
-                started_at=request.started_wall,
+                request.context.trace_id, status=status,
+                name=request.name or stylesheet_key(request.stylesheet)[:24],
+                stages=stage_seconds(spans), spans=spans,
+                started_at=request.started_wall, **fields
             )
-        future._resolve(result)
-
-    def _record_request(self, request, status, error=None,
-                        queue_wait_seconds=None, total_seconds=None,
-                        spans=None):
-        """Flight-record a request that never produced a ServeResult
-        (rejected / timed out / cancelled / errored)."""
-        if self.recorder is None:
-            return
-        self.recorder.record(
-            request.context.trace_id, name=_request_name(request),
-            status=status, error=error,
-            queue_wait_seconds=queue_wait_seconds,
-            total_seconds=total_seconds,
-            stages=_stage_seconds(spans) if spans else None,
-            spans=spans, started_at=request.started_wall,
-        )
-
-    def _execute(self, request, tracer, queue_wait):
-        opts = request.options
-        with tracer.span(
-            "serve.request",
-            rewrite=opts.effective_rewrite(),
-            queue_wait_ms=round(queue_wait * 1000.0, 3),
-        ) as root:
-            compiled, hit = self._compiled_for(
-                request.source, request.stylesheet, opts, tracer
-            )
-            execute_start = time.perf_counter()
-            with tracer.span("serve.execute"):
-                transform = execute_compiled(
-                    self.db, request.source, compiled,
-                    params=request.params, tracer=tracer,
-                    metrics=self.metrics, root=root,
-                    profile_plan=opts.profile_plan,
-                    feedback=opts.feedback,
-                )
-            execute_seconds = time.perf_counter() - execute_start
-            self.metrics.histogram("serve.execute_seconds").record(
-                execute_seconds
-            )
-            root.set_attr(cache_hit=hit, strategy=transform.strategy)
-        if root:
-            transform.trace = root
-        return ServeResult(
-            transform, hit,
-            queue_wait_seconds=queue_wait,
-            execute_seconds=execute_seconds,
-            total_seconds=None,  # stamped by _handle once resolved
-            trace=root if root else None,
-            trace_id=request.context.trace_id,
-        )
-
-    def _compiled_for(self, source, stylesheet, opts, tracer):
-        """The request's CompiledTransform, through the plan cache.
-
-        The compile (leader-only, stampede-suppressed) runs under *this*
-        request's tracer, so compile spans appear exactly once — in the
-        leader's trace — and cache-hit traces contain none.  With an
-        ``artifact_store``, a tier-1 miss consults the persistent tier
-        before compiling, and every fresh compile is persisted.
-        """
-        fingerprint = source_fingerprint(source)
-        ss_key = stylesheet_key(stylesheet)
-        stats_version = self.db.stats_version()
-        key = (
-            ss_key,
-            fingerprint,
-            opts.effective_rewrite(),
-            options_key(opts),
-            # ANALYZE (or DML invalidating analyzed stats) bumps this, so
-            # plans chosen under stale statistics are never served again
-            "stats:%d" % stats_version,
-        )
-        engine = Engine(self.db, tracer=tracer, metrics=self.metrics)
-        store = self.artifact_store
-        # identity-keyed (pre-compiled Stylesheet) entries are not
-        # stable across processes — keep them out of the disk tier
-        if store is not None and not ss_key.startswith("ss-text:"):
-            store = None
-        catalog = self.db.fingerprint() if store is not None else None
-        disk_key = None
-        if store is not None:
-            from repro.serve.artifact import artifact_key
-
-            disk_key = artifact_key(ss_key, fingerprint, catalog,
-                                    options_key(opts),
-                                    "stats:%d" % stats_version)
-
-        def compile_fn():
-            if store is not None:
-                with tracer.span("serve.cache.disk_lookup") as span:
-                    compiled, _header = store.get(
-                        disk_key, fingerprint=fingerprint, catalog=catalog,
-                        stats_version=stats_version,
-                    )
-                    span.set_attr(hit=compiled is not None)
-                if compiled is not None:
-                    return compiled
-            if opts.effective_rewrite():
-                self.metrics.counter("transform.rewrite_attempts").inc()
-            compiled = engine.compile(source, stylesheet, options=opts)
-            if store is not None:
-                store.put(disk_key, compiled, fingerprint=fingerprint,
-                          catalog=catalog, stats_version=stats_version)
-            return compiled
-
-        return self.cache.get_or_compile(
-            key, compile_fn, fingerprint=fingerprint,
-            tags=("src:%x" % id(source),),
-        )

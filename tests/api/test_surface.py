@@ -155,6 +155,48 @@ class TestLegacyEntryPointsAcceptOptions:
 
         for fn in (xml_transform, compile_transform,
                    XsltRewriter.compile, TransformService.transform,
-                   TransformService.submit,
+                   TransformService.submit, TransformService.transform_on,
                    TransformService.transform_stream):
             assert "options" in inspect.signature(fn).parameters, fn
+
+
+class TestServingSurface:
+    """One serving class: the thread/process choice is an argument."""
+
+    def test_serve_exports_one_service(self):
+        import repro.serve
+
+        assert "TransformService" in repro.serve.__all__
+        assert not [name for name in repro.serve.__all__
+                    if name in ("ClusterService", "ClusterResult")]
+
+    def test_constructor_signature(self):
+        from repro.serve import TransformService
+
+        params = list(inspect.signature(TransformService.__init__).parameters)
+        assert params == [
+            "self", "db", "workers", "backend", "sources", "queue_size",
+            "cache", "cache_capacity", "cache_ttl_seconds", "artifact_dir",
+            "default_timeout", "metrics", "trace_requests",
+            "feedback_policy", "recorder", "ops_port", "factory",
+            "start_method",
+        ]
+
+    def test_request_verbs_take_options_not_loose_kwargs(self):
+        from repro.serve import TransformService
+
+        for verb in ("submit", "transform"):
+            params = list(inspect.signature(
+                getattr(TransformService, verb)).parameters)
+            assert params == ["self", "source", "stylesheet", "options",
+                              "params", "traceparent"]
+
+    def test_result_fields(self):
+        from repro.serve import ServeResult
+
+        assert set(ServeResult.__slots__) >= {
+            "transform", "strategy", "cache_tier", "fallback_category",
+            "queue_wait_seconds", "execute_seconds", "total_seconds",
+            "trace", "trace_id", "worker", "stats_version",
+        }
+        assert not hasattr(ServeResult, "explain")

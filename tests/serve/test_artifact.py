@@ -220,14 +220,14 @@ class TestServiceWarmStart:
         store_dir = str(tmp_path / "plans")
         first_metrics = MetricsRegistry()
         with TransformService(db, metrics=first_metrics,
-                              artifact_store=store_dir) as service:
+                              artifact_dir=store_dir) as service:
             cold = service.transform(storage, EXAMPLE1_STYLESHEET)
         assert first_metrics.counter_total("serve.cache.disk.puts") == 1
 
         # a new service generation: empty tier 1, same disk tier
         metrics = MetricsRegistry()
         with TransformService(db, metrics=metrics,
-                              artifact_store=store_dir) as service:
+                              artifact_dir=store_dir) as service:
             warm = service.transform(storage, EXAMPLE1_STYLESHEET)
         assert warm.serialized_rows() == cold.serialized_rows()
         assert metrics.counter_total("serve.cache.disk.hits") == 1
@@ -239,7 +239,7 @@ class TestServiceWarmStart:
         store_dir = str(tmp_path / "plans")
         metrics = MetricsRegistry()
         with TransformService(db, metrics=metrics,
-                              artifact_store=store_dir) as service:
+                              artifact_dir=store_dir) as service:
             service.transform(storage, EXAMPLE1_STYLESHEET)
             db.analyze()  # bumps stats_version -> different disk key
             refreshed = service.transform(storage, EXAMPLE1_STYLESHEET)
@@ -253,6 +253,6 @@ class TestServiceWarmStart:
         store_dir = str(tmp_path / "plans")
         sheet = compile_stylesheet(EXAMPLE1_STYLESHEET)
         with TransformService(db, metrics=MetricsRegistry(),
-                              artifact_store=store_dir) as service:
+                              artifact_dir=store_dir) as service:
             service.transform(storage, sheet)
             assert len(service.artifact_store) == 0

@@ -1,27 +1,26 @@
-"""Tests for ClusterService: process workers, shared plan tier,
-cross-process invalidation, trace stitching."""
+"""Tests for what only process workers do: separate interpreters, the
+shared plan tier, cross-process invalidation, trace stitching across
+the pipe, worker death.  The request lifecycle both backends share is
+asserted once, over both, in ``test_lifecycle.py``."""
 
-import multiprocessing
+import os
 import pickle
 
 import pytest
 
 from repro.api import Engine
-from repro.core import STRATEGY_SQL
 from repro.obs import MetricsRegistry
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
 from repro.serve import (
-    ClusterService,
-    ServiceClosedError,
-    ServiceOverloadedError,
+    ClusterWorkerError,
     TransformService,
     WorkItem,
     WorkerRequestError,
     run_soak,
 )
-from repro.serve.cluster import EVICT_STALE_STATS
+from repro.serve.runtime import EVICT_STALE_STATS
 from repro.xmlmodel import parse_document
 
 from ..core.paper_example import (
@@ -55,26 +54,12 @@ def make_storage():
 def make_cluster(db, storage, tmp_path, workers=2, **kwargs):
     kwargs.setdefault("metrics", MetricsRegistry())
     kwargs.setdefault("artifact_dir", str(tmp_path / "plans"))
-    return ClusterService(db=db, sources={"doc": storage}, workers=workers,
-                          **kwargs)
+    return TransformService(db, backend="process", sources={"doc": storage},
+                            workers=workers, **kwargs)
 
 
 class TestBasicServing:
-    def test_transform_matches_single_process(self, tmp_path):
-        db, storage = make_storage()
-        with make_cluster(db, storage, tmp_path) as cluster:
-            result = cluster.transform("doc", EXAMPLE1_STYLESHEET)
-            assert result.strategy == STRATEGY_SQL
-            assert result.rows == [EXPECTED_ROW1, EXPECTED_ROW2]
-            assert result.cache_tier == "miss"
-            assert not result.cache_hit
-            repeat = cluster.transform("doc", EXAMPLE1_STYLESHEET)
-            assert repeat.cache_hit
-            assert repeat.rows == result.rows
-
     def test_workers_are_separate_processes(self, tmp_path):
-        import os
-
         db, storage = make_storage()
         with make_cluster(db, storage, tmp_path) as cluster:
             pids = {reply["pid"] for reply in cluster.ping()}
@@ -86,7 +71,7 @@ class TestBasicServing:
         with make_cluster(db, storage, tmp_path) as cluster:
             future = cluster.submit("doc", EXAMPLE1_STYLESHEET)
             result = future.result(timeout=30)
-            assert result.rows == [EXPECTED_ROW1, EXPECTED_ROW2]
+            assert result.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
             assert future.done()
 
     def test_results_are_picklable(self, tmp_path):
@@ -94,7 +79,8 @@ class TestBasicServing:
         with make_cluster(db, storage, tmp_path) as cluster:
             result = cluster.transform("doc", EXAMPLE1_STYLESHEET)
         restored = pickle.loads(pickle.dumps(result))
-        assert restored.rows == result.rows
+        assert restored.serialized_rows() == result.serialized_rows()
+        assert restored.cache_tier == result.cache_tier
 
     def test_source_and_stylesheet_must_cross_by_value(self, tmp_path):
         db, storage = make_storage()
@@ -114,7 +100,7 @@ class TestBasicServing:
                 cluster.transform("nope", EXAMPLE1_STYLESHEET)
             # the worker survives the failed request
             result = cluster.transform("doc", EXAMPLE1_STYLESHEET)
-            assert result.rows == [EXPECTED_ROW1, EXPECTED_ROW2]
+            assert result.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
 
 
 class TestTwoTierCache:
@@ -129,7 +115,7 @@ class TestTwoTierCache:
             # worker 1, never compiled it: shared disk tier
             other = cluster.transform_on(1, "doc", EXAMPLE1_STYLESHEET)
             assert other.cache_tier == "l2"
-            assert other.rows == first.rows
+            assert other.serialized_rows() == first.serialized_rows()
             stats = cluster.stats()
             assert stats["tier2"]["hits"] == 1
             assert stats["tier2"]["puts"] == 1
@@ -145,7 +131,7 @@ class TestTwoTierCache:
         with make_cluster(db, storage, tmp_path) as cluster:
             warm = cluster.transform("doc", EXAMPLE1_STYLESHEET)
             assert warm.cache_tier == "l2"
-            assert warm.rows == cold.rows
+            assert warm.serialized_rows() == cold.serialized_rows()
             merged = cluster.stats()["metrics"]["counters"]
             assert merged.get("serve.cache.disk.hits") == 1
             # the acceptance signal: no worker attempted a rewrite
@@ -161,17 +147,17 @@ class TestTwoTierCache:
         with make_cluster(db, storage, tmp_path) as cluster:
             a = cluster.transform("doc", EXAMPLE1_STYLESHEET)
             b = cluster.transform("doc", other)
-            assert a.rows != b.rows
-            assert len(cluster.store) == 2
+            assert a.serialized_rows() != b.serialized_rows()
+            assert len(cluster.artifact_store) == 2
 
     def test_invalidate_source_clears_both_tiers(self, tmp_path):
         db, storage = make_storage()
         with make_cluster(db, storage, tmp_path) as cluster:
             for worker in (0, 1):
                 cluster.transform_on(worker, "doc", EXAMPLE1_STYLESHEET)
-            assert len(cluster.store) == 1
+            assert len(cluster.artifact_store) == 1
             cluster.invalidate("doc")
-            assert len(cluster.store) == 0
+            assert len(cluster.artifact_store) == 0
             refreshed = cluster.transform_on(0, "doc", EXAMPLE1_STYLESHEET)
             assert refreshed.cache_tier == "miss"
 
@@ -242,78 +228,65 @@ class TestTraceStitching:
             spans["cluster.request"]["span_id"]
 
 
-class TestAdmissionAndLifecycle:
-    def test_queue_full_rejects(self, tmp_path):
-        db, storage = make_storage()
-        release = multiprocessing.Event()
-        blocker_running = multiprocessing.Event()
-
-        class Gate:
-            """A 'source' whose fingerprint stalls the worker process
-            (the events are fork-inherited and cross the boundary)."""
-
-            def fingerprint(self):
-                blocker_running.set()
-                release.wait(10.0)
-                return "gate"
-
-            def document_ids(self):
-                return []
-
-            def materialize(self, doc_id, stats=None):
-                raise AssertionError("not reached")
-
-        metrics = MetricsRegistry()
-        cluster = ClusterService(
-            db=db, sources={"doc": storage, "gate": Gate()},
-            workers=1, queue_size=1,
-            artifact_dir=str(tmp_path / "plans"), metrics=metrics,
-        )
-        try:
-            cluster.submit("gate", EXAMPLE1_STYLESHEET)
-            assert blocker_running.wait(10.0)
-            cluster.submit("doc", EXAMPLE1_STYLESHEET)  # fills the queue
-            with pytest.raises(ServiceOverloadedError):
-                cluster.submit("doc", EXAMPLE1_STYLESHEET)
-            assert metrics.counter(
-                "cluster.rejected", reason="queue-full"
-            ).value == 1
-        finally:
-            release.set()
-            cluster.close()
-
-    def test_closed_cluster_rejects(self, tmp_path):
-        db, storage = make_storage()
-        cluster = make_cluster(db, storage, tmp_path)
-        cluster.close()
-        cluster.close()  # idempotent
-        with pytest.raises(ServiceClosedError):
-            cluster.submit("doc", EXAMPLE1_STYLESHEET)
-        with pytest.raises(ServiceClosedError):
-            cluster.transform_on(0, "doc", EXAMPLE1_STYLESHEET)
-
-    def test_health_and_ready(self, tmp_path):
-        db, storage = make_storage()
-        with make_cluster(db, storage, tmp_path) as cluster:
-            body = cluster.health()
-            assert body["status"] == "ok"
-            assert body["workers"] == 2
-            ready, _ = cluster.ready()
-            assert ready
+class TestWorkerDeath:
+    @staticmethod
+    def kill(cluster, worker):
+        process = cluster._backend._handles[worker].process
+        process.terminate()
+        process.join(timeout=10)
+        assert not process.is_alive()
 
     def test_worker_failure_surfaces_and_degrades(self, tmp_path):
         db, storage = make_storage()
         with make_cluster(db, storage, tmp_path) as cluster:
-            cluster._handles[0].process.terminate()
-            cluster._handles[0].process.join(timeout=10)
-            from repro.serve import ClusterWorkerError
-
+            self.kill(cluster, 0)
             with pytest.raises(ClusterWorkerError):
                 cluster.transform_on(0, "doc", EXAMPLE1_STYLESHEET)
             assert cluster.health()["status"] == "degraded"
             # the surviving worker still serves
             result = cluster.transform_on(1, "doc", EXAMPLE1_STYLESHEET)
-            assert result.rows == [EXPECTED_ROW1, EXPECTED_ROW2]
+            assert result.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
+
+    def test_dead_worker_does_not_eat_the_queue(self, tmp_path):
+        """A dead worker's dispatcher stops pulling from the shared
+        queue: everything queued after the death goes to the survivor."""
+        db, storage = make_storage()
+        metrics = MetricsRegistry()
+        with make_cluster(db, storage, tmp_path, metrics=metrics) as cluster:
+            self.kill(cluster, 0)
+            futures = [cluster.submit("doc", EXAMPLE1_STYLESHEET)
+                       for _ in range(50)]
+            for future in futures:
+                result = future.result(timeout=30)
+                assert result.worker == 1
+                assert result.serialized_rows() == [EXPECTED_ROW1,
+                                                    EXPECTED_ROW2]
+            body = cluster.health()
+            assert body["status"] == "degraded"
+            assert body["workers"] == 1
+            assert not cluster.ready()[0]
+            assert metrics.counter_total("serve.errors") == 0
+            assert metrics.counter("cluster.worker_failures").value == 1
+
+    def test_no_worker_alive_fails_fast(self, tmp_path):
+        """With every worker dead, queued requests and new submissions
+        fail with ClusterWorkerError instead of waiting forever."""
+        db, storage = make_storage()
+        metrics = MetricsRegistry()
+        with make_cluster(db, storage, tmp_path, metrics=metrics) as cluster:
+            for worker in (0, 1):
+                self.kill(cluster, worker)
+            queued = [cluster.submit("doc", EXAMPLE1_STYLESHEET)
+                      for _ in range(10)]
+            for future in queued:
+                with pytest.raises(ClusterWorkerError):
+                    future.result(timeout=10)
+            assert cluster.health()["workers"] == 0
+            with pytest.raises(ClusterWorkerError):
+                cluster.submit("doc", EXAMPLE1_STYLESHEET)
+            assert metrics.counter(
+                "serve.rejected", reason="no-workers"
+            ).value == 1
 
 
 class TestAggregation:
@@ -351,6 +324,9 @@ class TestEngineIntegration:
         service = Engine(db).serve()
         try:
             assert isinstance(service, TransformService)
+            assert service.cache is not None  # the plan runtime is local
+            assert [reply["pid"] for reply in service.ping()] \
+                == [os.getpid()]
         finally:
             service.close()
 
@@ -362,9 +338,11 @@ class TestEngineIntegration:
             metrics=MetricsRegistry(),
         )
         try:
-            assert isinstance(cluster, ClusterService)
+            assert isinstance(cluster, TransformService)
+            assert cluster.cache is None  # the runtimes live in the workers
+            assert os.getpid() not in {r["pid"] for r in cluster.ping()}
             result = cluster.transform("doc", EXAMPLE1_STYLESHEET)
-            assert result.rows == [EXPECTED_ROW1, EXPECTED_ROW2]
+            assert result.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
         finally:
             cluster.close()
 

@@ -1,22 +1,17 @@
-"""Tests for TransformService: concurrency, deadlines, cache semantics."""
+"""Tests for TransformService over thread workers: concurrency and
+cache semantics with live sources and full in-process results.  The
+request lifecycle (admission, deadlines, cancel, close) is asserted over
+both backends in ``test_lifecycle.py``."""
 
 import threading
-import time
 
-import pytest
-
+from repro.api import TransformOptions
 from repro.core import STRATEGY_FUNCTIONAL, STRATEGY_SQL, xml_transform
 from repro.obs import MetricsRegistry
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
-from repro.serve import (
-    PlanCache,
-    RequestTimeoutError,
-    ServiceClosedError,
-    ServiceOverloadedError,
-    TransformService,
-)
+from repro.serve import PlanCache, TransformService
 from repro.xmlmodel import parse_document
 
 from ..core.paper_example import (
@@ -90,13 +85,15 @@ class TestBasicServing:
         db, storage = make_storage()
         with make_service(db) as service:
             result = service.transform(
-                storage, EXAMPLE1_STYLESHEET, rewrite=False
+                storage, EXAMPLE1_STYLESHEET,
+                options=TransformOptions(rewrite=False),
             )
             assert result.strategy == STRATEGY_FUNCTIONAL
             assert result.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
             # the compiled stylesheet is still cached for reuse
             again = service.transform(
-                storage, EXAMPLE1_STYLESHEET, rewrite=False
+                storage, EXAMPLE1_STYLESHEET,
+                options=TransformOptions(rewrite=False),
             )
             assert again.cache_hit
 
@@ -165,7 +162,7 @@ class TestCompileSharing:
         assert warm.cache_hit
         assert warm.transform.ledger is not None
         assert len(warm.transform.ledger) > 0
-        explained = warm.explain(rewrite=True)
+        explained = warm.explain_report().render()
         assert "rewrite decisions:" in explained
         assert "(no rewrite decisions recorded)" not in explained
 
@@ -228,122 +225,13 @@ class TestInvalidation:
             assert len(service.cache) == 2
 
 
-class TestAdmissionAndDeadlines:
-    def test_queue_full_rejects(self):
-        db, storage = make_storage()
-        metrics = MetricsRegistry()
-        release = threading.Event()
-        blocker_running = threading.Event()
-
-        class Gate:
-            """A 'source' whose fingerprint stalls the single worker."""
-
-            def fingerprint(self):
-                blocker_running.set()
-                release.wait(10.0)
-                return "gate"
-
-            def document_ids(self):
-                return []
-
-            def materialize(self, doc_id, stats=None):
-                raise AssertionError("not reached")
-
-        service = make_service(db, workers=1, queue_size=1, metrics=metrics)
-        try:
-            service.submit(Gate(), EXAMPLE1_STYLESHEET)
-            assert blocker_running.wait(10.0)
-            service.submit(storage, EXAMPLE1_STYLESHEET)  # fills the queue
-            with pytest.raises(ServiceOverloadedError):
-                service.submit(storage, EXAMPLE1_STYLESHEET)
-            assert metrics.counter(
-                "serve.rejected", reason="queue-full"
-            ).value == 1
-        finally:
-            release.set()
-            service.close()
-
-    def test_deadline_enforced_at_dequeue(self):
-        db, storage = make_storage()
-        metrics = MetricsRegistry()
-        release = threading.Event()
-        blocker_running = threading.Event()
-
-        class Gate:
-            def fingerprint(self):
-                blocker_running.set()
-                release.wait(10.0)
-                return "gate"
-
-        service = make_service(db, workers=1, queue_size=8, metrics=metrics)
-        try:
-            service.submit(Gate(), EXAMPLE1_STYLESHEET)
-            assert blocker_running.wait(10.0)
-            # queued behind the stalled worker with a deadline that will
-            # already have passed when it is dequeued
-            future = service.submit(
-                storage, EXAMPLE1_STYLESHEET, timeout=0.05
-            )
-            time.sleep(0.1)
-            release.set()
-            with pytest.raises(RequestTimeoutError):
-                future.result(timeout=10)
-            assert metrics.counter("serve.timeouts").value == 1
-        finally:
-            release.set()
-            service.close()
-
-    def test_cancel_queued_request(self):
-        db, storage = make_storage()
-        metrics = MetricsRegistry()
-        release = threading.Event()
-        blocker_running = threading.Event()
-
-        class Gate:
-            def fingerprint(self):
-                blocker_running.set()
-                release.wait(10.0)
-                return "gate"
-
-        service = make_service(db, workers=1, queue_size=8, metrics=metrics)
-        try:
-            service.submit(Gate(), EXAMPLE1_STYLESHEET)
-            assert blocker_running.wait(10.0)
-            future = service.submit(storage, EXAMPLE1_STYLESHEET)
-            assert future.cancel()
-            assert future.cancelled()
-            release.set()
-            from repro.serve import RequestCancelledError
-            with pytest.raises(RequestCancelledError):
-                future.result(timeout=10)
-        finally:
-            release.set()
-            service.close()
-
+class TestFutures:
     def test_cancel_after_completion_fails(self):
         db, storage = make_storage()
         with make_service(db) as service:
             future = service.submit(storage, EXAMPLE1_STYLESHEET)
             future.result(timeout=10)
             assert not future.cancel()
-
-    def test_closed_service_rejects(self):
-        db, storage = make_storage()
-        service = make_service(db)
-        service.close()
-        with pytest.raises(ServiceClosedError):
-            service.submit(storage, EXAMPLE1_STYLESHEET)
-
-    def test_close_drains_queued_work(self):
-        db, storage = make_storage()
-        service = make_service(db, workers=2)
-        futures = [
-            service.submit(storage, EXAMPLE1_STYLESHEET) for _ in range(6)
-        ]
-        service.close(wait=True)
-        for future in futures:
-            assert future.result(timeout=10).strategy == STRATEGY_SQL
-
 
 class TestObservability:
     def test_serve_metrics_recorded(self):
