@@ -28,6 +28,7 @@ Sources may be an XMLType view :class:`~repro.rdb.plan.Query` /
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 
@@ -44,11 +45,11 @@ from repro.rdb.plan import (
     explain,
     record_plan_metrics,
 )
-from repro.rdb.sqlxml import plain_text
+from repro.rdb.sqlxml import Markup, render_item, row_items
 from repro.rdb.storage import ClobStorage, ObjectRelationalStorage
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.nodes import Node
-from repro.xmlmodel.serializer import serialize
+from repro.xmlmodel.parser import parse_fragment
 from repro.xslt.stylesheet import Stylesheet, compile_stylesheet
 from repro.xslt.vm import XsltVM
 from repro.core.pipeline import XsltRewriter
@@ -73,7 +74,10 @@ class TransformResult:
 
     def __init__(self, rows, strategy, stats, outcome=None,
                  fallback_reason=None):
-        #: list of rows; each row is a list of result nodes/atomics
+        #: list of rows; each row is a list of items — result nodes and
+        #: atomics on the functional strategy, serialized markup strings
+        #: (plus any top-level atomics) on the SQL strategy, which never
+        #: builds a result DOM
         self.rows = rows
         #: STRATEGY_SQL or STRATEGY_FUNCTIONAL
         self.strategy = strategy
@@ -131,16 +135,8 @@ class TransformResult:
 
     def serialized_rows(self, method="xml"):
         """Each row rendered as markup text."""
-        out = []
-        for row in self.rows:
-            out.append(
-                "".join(
-                    serialize(item, method=method)
-                    if isinstance(item, Node) else _text(item)
-                    for item in row
-                )
-            )
-        return out
+        rows = self.rows if method == "xml" else map(_reparsed, self.rows)
+        return [_render_row(row, method) for row in rows]
 
     def report(self):
         """Human-readable summary of how this one call ran: strategy,
@@ -214,9 +210,22 @@ class TransformResult:
         return report.render()
 
 
-# Top-level row items render with the same unescaped text function the
-# streaming emitter uses, so chunked and materialized output agree.
-_text = plain_text
+def _render_row(row, method="xml"):
+    """One result row as text: every path that renders rows — SQL or
+    functional, materialized or streamed — joins :func:`render_item`."""
+    return "".join([render_item(item, method) for item in row])
+
+
+def _reparsed(row):
+    """``row`` with each run of markup items parsed back into nodes:
+    markup is xml text, the html and text output methods need the tree."""
+    out = []
+    for is_markup, run in itertools.groupby(
+            row, key=lambda item: type(item) is Markup):
+        if is_markup:
+            run = parse_fragment("".join(run)).children
+        out.extend(run)
+    return out
 
 
 def categorize_fallback(exc):
@@ -506,6 +515,8 @@ def _execute_plan(db, compiled, tracer, metrics, profile_plan,
         profiler = None
         if profile_plan and tracer.enabled:
             profiler = stats.profiler = PlanProfiler()
+        # the front door renders text: no result DOM on the rewrite path
+        stats.markup = True
         try:
             if batch_size is None:
                 rows, stats = query.execute(db, stats=stats)
@@ -527,7 +538,7 @@ def _execute_plan(db, compiled, tracer, metrics, profile_plan,
         )
     metrics.histogram("plan.execute_seconds").record(stats.elapsed_seconds)
     record_plan_metrics(query, profiler, metrics)
-    result_rows = [_as_items(row[0]) for row in rows]
+    result_rows = [row_items(row[0]) for row in rows]
     result = TransformResult(result_rows, STRATEGY_SQL, stats,
                              outcome=compiled.outcome)
     result.executed_query = query
@@ -535,14 +546,6 @@ def _execute_plan(db, compiled, tracer, metrics, profile_plan,
     if feedback:
         result.feedback = _observe_feedback(db, compiled, profiler, metrics)
     return result
-
-
-def _as_items(value):
-    if value is None:
-        return []
-    if isinstance(value, list):
-        return value
-    return [value]
 
 
 def _functional(db, source, stylesheet, params, tracer=None):
@@ -787,9 +790,7 @@ def _stream_functional(db, source, stylesheet, params, tracer, stream,
         for document in _materialize_documents(db, source, stats):
             result = vm.transform_document(document, params=params)
             stats.output_rows += 1
-            for item in result.children:
-                yield serialize(item) if isinstance(item, Node) \
-                    else _text(item)
+            yield _render_row(result.children)
         stats.elapsed_seconds = time.perf_counter() - start
         stream.vm_stats = {
             "instructions_executed": vm.instructions_executed,

@@ -22,6 +22,12 @@ the value the correlated probe returned.  Group keys are unique, so the
 join is 1:1 and left-preserving: cardinality, document order and bytes
 are unchanged, which the 40-case xsltmark property test asserts.
 
+Sibling sites whose body, residual filter and correlation render
+identically against the same parent plan are *fused*: they share one
+``Aggregate`` (extra output columns ``v1``, ``v2``, ...) behind one
+``HashLeftJoin``, so one parent's aggregates cost one scan and one hash
+build instead of one each.
+
 Safety is checked per site and any doubt keeps the probe correlated
 (recorded as a ``decorrelate``/``keep-correlated`` ledger decision):
 
@@ -57,6 +63,7 @@ from repro.rdb.plan import (
     NestedLoopJoin,
     Query,
     Scan,
+    _render_plan,
 )
 from repro.rdb.planner import _and_tree, _node_expressions, _split_conjuncts
 from repro.rdb.sqlxml import find_aggregates
@@ -249,8 +256,9 @@ class _Decorrelator:
         an unnested body are handled by the recursion in
         :meth:`_unnest`, and probes inside a *kept* subquery by
         :meth:`_descend`."""
+        fusable = {}  # body + correlation rendering -> join already built
         for path, site in self._collect_sites(holder):
-            plan = self._unnest(plan, path, site, clones)
+            plan = self._unnest(plan, path, site, clones, fusable)
         return plan
 
     def _collect_sites(self, holder):
@@ -308,7 +316,7 @@ class _Decorrelator:
 
     # -- the rewrite -----------------------------------------------------------
 
-    def _unnest(self, plan, path, site, clones):
+    def _unnest(self, plan, path, site, clones, fusable):
         query = site.query
         if not _contains_child(path[-1], site):
             # defensive: unknown parent container shape — keep correlated
@@ -329,24 +337,39 @@ class _Decorrelator:
                              {id(inner_holder): inner_holder})
         out_expr = inner_holder.exprs[0]
 
-        self._counter += 1
-        alias = "dcr%d" % self._counter
-        group_by = [
-            ("k%d" % index, child_key)
-            for index, (child_key, _) in enumerate(info["pairs"])
-        ]
-        aggregate = Aggregate(body, group_by, [("v", out_expr)], alias=alias)
-        join = HashLeftJoin(
-            plan,
-            aggregate,
-            left_keys=[parent_key for _, parent_key in info["pairs"]],
-            right_keys=[
-                ColumnRef(name, alias) for name, _ in group_by
-            ],
-        )
-        self._swap_path(path, site, ColumnRef("v", alias), clones)
-        self._record_unnest(site, query, join, aggregate, info)
-        return join
+        # Sibling probes over the same body, residual filter and
+        # correlation belong in one join graph: later sites become extra
+        # output columns of the first site's Aggregate — one scan, one
+        # hash build.  A body re-wrapped by a nested unnest is private
+        # to its site and never shared.
+        signature = None
+        if body is info["body"]:
+            signature = (_render_plan(body), tuple(
+                (child_key.to_sql(), parent_key.to_sql())
+                for child_key, parent_key in info["pairs"]
+            ))
+        join = fusable.get(signature)
+        if join is None:
+            self._counter += 1
+            alias = "dcr%d" % self._counter
+            group_by = [
+                ("k%d" % index, child_key)
+                for index, (child_key, _) in enumerate(info["pairs"])
+            ]
+            join = plan = HashLeftJoin(
+                plan,
+                Aggregate(body, group_by, [], alias=alias),
+                left_keys=[parent_key for _, parent_key in info["pairs"]],
+                right_keys=[ColumnRef(name, alias) for name, _ in group_by],
+            )
+            if signature is not None:
+                fusable[signature] = join
+        aggregate = join.right
+        column = _output_column(aggregate, out_expr)
+        self._swap_path(path, site, ColumnRef(column, aggregate.alias),
+                        clones)
+        self._record_unnest(site, query, join, aggregate, column, info)
+        return plan
 
     def _analyze(self, plan, query):
         """Eligibility per the module docstring; raises :class:`_Blocked`
@@ -463,7 +486,7 @@ class _Decorrelator:
                 return dict(decision.provenance.xslt)
         return None
 
-    def _record_unnest(self, site, query, join, aggregate, info):
+    def _record_unnest(self, site, query, join, aggregate, column, info):
         if self.ledger is None:
             return
         from repro.obs.decisions import DECORRELATE
@@ -477,6 +500,7 @@ class _Decorrelator:
             "join_keys": len(info["pairs"]),
             "residual_conjuncts": len(info["residual"]),
             "group_alias": aggregate.alias,
+            "output_column": column,
             "subquery": query.to_sql(),
         }
         if variable is not None:
@@ -511,6 +535,20 @@ class _Decorrelator:
             reason=reason,
             detail={"variable": variable} if variable else None,
         )
+
+
+def _output_column(aggregate, out_expr):
+    """The name of ``aggregate``'s output column computing ``out_expr``:
+    an existing column when it holds the same expression — by identity
+    (a variable referenced twice puts one aggregate node at two sites)
+    or by rendering — else a new one (``v``, ``v1``, ``v2``, ...)."""
+    rendered = out_expr.to_sql()
+    for name, expr in aggregate.outputs:
+        if expr is out_expr or expr.to_sql() == rendered:
+            return name
+    name = "v%d" % len(aggregate.outputs) if aggregate.outputs else "v"
+    aggregate.outputs.append((name, out_expr))
+    return name
 
 
 def _body_exprs(plan):

@@ -343,6 +343,8 @@ class ScalarSubquery(SqlExpr):
 
 
 def _text(value):
+    if type(value) is str:
+        return value
     if value is None:
         return ""
     if isinstance(value, float) and value == int(value):

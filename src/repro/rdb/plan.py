@@ -11,9 +11,10 @@ Every operator also supports **vectorized** execution through
 ``iter_batches(db, env, stats, batch_size)``: row environments flow in
 lists of up to ``batch_size`` instead of one generator hop per row.
 :meth:`Query.execute_batches` drives a whole query that way, and
-:meth:`Query.stream_pieces` couples it with the incremental SQL/XML
-emitter (:mod:`repro.rdb.sqlxml`) so serialized output leaves the
-executor in chunks without the result document ever being materialized.
+:meth:`Query.stream_pieces` couples it with the markup representation
+of SQL/XML values (:mod:`repro.rdb.sqlxml`) so serialized output leaves
+the executor in chunks without a result document ever being
+materialized.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from repro.obs.trace import current_trace_id
 from repro.rdb.sqlxml import (
     AGG_STATE,
     find_aggregates,
-    stream_expr_pieces,
-    stream_value_pieces,
+    render_item,
+    row_items,
 )
 
 #: Default row count per batch on the vectorized/streaming path.
@@ -44,6 +45,12 @@ class ExecutionStats:
     materialisation cost.  ``profiler`` optionally carries a
     :class:`PlanProfiler` collecting per-plan-node row counts and
     timings for ``explain(analyze=True)``.
+
+    ``markup`` is not a counter: it is the representation SQL/XML values
+    take during this execution (see :mod:`repro.rdb.sqlxml`), set by the
+    entry point that opened it — the transform front door and
+    :meth:`Query.stream_pieces` render text, everything else builds DOM
+    nodes.  One stats object belongs to one execution.
     """
 
     _FIELDS = (
@@ -56,7 +63,7 @@ class ExecutionStats:
         "elapsed_seconds",
     )
 
-    __slots__ = _FIELDS + ("profiler",)
+    __slots__ = _FIELDS + ("profiler", "markup")
 
     def __init__(self):
         self.rows_scanned = 0
@@ -87,6 +94,7 @@ class ExecutionStats:
         self.peak_ingest_buffered_bytes = 0
         self.elapsed_seconds = 0.0
         self.profiler = None
+        self.markup = False
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self._FIELDS}
@@ -727,6 +735,17 @@ def _null_safe(value):
     return (2, str(value), 0.0)
 
 
+def _aggregates_of(outputs):
+    """The distinct aggregate nodes under ``(name, expr)`` outputs.
+    Accumulator state is keyed by ``id(agg)``, so a node two outputs
+    share must be driven once, not once per mention."""
+    distinct = {}
+    for _, expr in outputs:
+        for agg in find_aggregates(expr):
+            distinct[id(agg)] = agg
+    return list(distinct.values())
+
+
 class Aggregate(PlanNode):
     """Hash aggregation with optional GROUP BY.
 
@@ -744,9 +763,7 @@ class Aggregate(PlanNode):
         return (self.child,)
 
     def rows(self, db, env, stats):
-        aggregates = []
-        for _, expr in self.outputs:
-            aggregates.extend(find_aggregates(expr))
+        aggregates = _aggregates_of(self.outputs)
         groups = {}
         order = []
         for row_env in self.child.iter_rows(db, env, stats):
@@ -782,9 +799,7 @@ class Aggregate(PlanNode):
         XMLAgg=[], SUM/MIN/MAX=NULL) — exactly what a correlated
         aggregating subquery returns when no row matches the parent.
         :class:`HashLeftJoin` binds this on probe misses."""
-        aggregates = []
-        for _, expr in self.outputs:
-            aggregates.extend(find_aggregates(expr))
+        aggregates = _aggregates_of(self.outputs)
         final_env = dict(env)
         final_env[AGG_STATE] = {
             id(agg): agg.new_state() for agg in aggregates
@@ -953,9 +968,7 @@ class Query:
     def _accumulate(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
         """Drain the plan into aggregate states (vectorized); returns the
         final environment carrying ``AGG_STATE``."""
-        aggregates = []
-        for _, expr in self.outputs:
-            aggregates.extend(find_aggregates(expr))
+        aggregates = _aggregates_of(self.outputs)
         states = {id(agg): agg.new_state() for agg in aggregates}
         for batch in self.plan.iter_batches(db, env, stats, batch_size):
             for row_env in batch:
@@ -967,9 +980,7 @@ class Query:
 
     def _iterate(self, db, env, stats):
         if self.is_aggregate():
-            aggregates = []
-            for _, expr in self.outputs:
-                aggregates.extend(find_aggregates(expr))
+            aggregates = _aggregates_of(self.outputs)
             states = {id(agg): agg.new_state() for agg in aggregates}
             for row_env in self.plan.iter_rows(db, env, stats):
                 for agg in aggregates:
@@ -1005,55 +1016,32 @@ class Query:
         """Yield serialized text pieces of the first output column of
         every row, in row order.
 
-        This is the incremental SQL/XML publishing path: the result
+        This opens a *markup* execution (``stats.markup``): the result
         column (the ``xml_content`` construction in rewritten plans)
-        streams through :func:`repro.rdb.sqlxml.stream_expr_pieces`
-        instead of building result DOMs, so the concatenation of the
+        renders text instead of building result DOMs — the same routine
+        the transform front door runs — so the concatenation of the
         pieces is byte-identical to executing the query and serializing
-        ``row[0]`` of every row — exactly what ``core.transform``
-        renders — while no piece ever spans more than one bounded
-        subtree.  Row flow underneath is batched (``iter_batches``).
+        ``row[0]`` of every row, while no piece ever spans more than one
+        aggregated row.  Row flow underneath is batched
+        (``iter_batches``); values are rendered one row at a time.
         """
         env = env or {}
         stats = stats or ExecutionStats()
+        stats.markup = True
         if not self.outputs:
             raise PlanError("cannot stream a query with no outputs")
         expr = self.outputs[0][1]
         if self.is_aggregate():
-            final_env = self._accumulate(db, env, stats, batch_size)
-            stats.batches += 1
-            stats.output_rows += 1
-            for piece in stream_expr_pieces(expr, final_env, db, stats,
-                                            escape=False):
-                yield piece
-            return
-        for batch in self.plan.iter_batches(db, env, stats, batch_size):
+            # one output row, evaluated against the accumulated states
+            batches = [[self._accumulate(db, env, stats, batch_size)]]
+        else:
+            batches = self.plan.iter_batches(db, env, stats, batch_size)
+        for batch in batches:
             stats.batches += 1
             stats.output_rows += len(batch)
             for row_env in batch:
-                for piece in stream_expr_pieces(expr, row_env, db, stats,
-                                                escape=False):
-                    yield piece
-
-    def stream_scalar_pieces(self, db, env, stats, escape=True,
-                             batch_size=DEFAULT_BATCH_SIZE):
-        """Streaming twin of :meth:`execute_scalar`: yield serialized
-        pieces of the single output value instead of materializing it.
-        Aggregate outputs (the correlated XMLAgg subqueries the SQL merge
-        builds per repeating element) stream straight out of the
-        accumulated group — no per-group result DOM."""
-        if len(self.outputs) != 1:
-            raise PlanError("scalar subquery must have one output column")
-        if not self.is_aggregate():
-            value = self.execute_scalar(db, env, stats)
-            for piece in stream_value_pieces(value, escape=escape):
-                yield piece
-            return
-        stats.subquery_executions += 1
-        final_env = self._accumulate(db, env, stats, batch_size)
-        for piece in stream_expr_pieces(self.outputs[0][1], final_env, db,
-                                        stats, escape=escape):
-            yield piece
+                for item in row_items(expr.evaluate(row_env, db, stats)):
+                    yield render_item(item)
 
     def execute_scalar(self, db, env, stats):
         """Scalar-subquery evaluation: exactly one output column."""

@@ -5,37 +5,50 @@
 the classic SQL aggregates (COUNT/SUM/AVG/MIN/MAX) are aggregate
 expressions evaluated by the executor's aggregate machinery.
 
-XML values flowing through the engine are DOM nodes (or lists of nodes);
-scalar values inserted into XML content become text nodes.
+An XML value has one of two representations, fixed per *execution* by
+the entry point that opened it and carried on its ``stats`` object
+(``ExecutionStats.markup``) to every operator and aggregate:
 
-Every publishing function supports two evaluation modes:
+* **DOM nodes** (the default): ``Query.execute()`` /
+  ``execute_batches()`` / ``execute_scalar()`` and a bare
+  ``expr.evaluate()`` build trees, which view materialisation for the
+  functional path, the XMLQuery operators and tests read;
+* **markup** (``stats.markup`` set by the transform front door and
+  ``Query.stream_pieces``): constructors render already-escaped text — a
+  :class:`Markup` string, or a flat list of them when the content holds
+  a sequence, so no piece ever spans more than one aggregated row — and
+  no result DOM is built, copied or walked.  This is the paper's point
+  (Figure 3): the rewritten plan answers ``XMLTransform`` without
+  materialising a document.
 
-* ``evaluate(env, db, stats)`` — materialize the value as DOM nodes (the
-  classic path, used by predicates, functional comparison and callers
-  that need the tree);
-* ``stream_pieces(env, db, stats, escape)`` — the incremental emitter:
-  yield serialized markup pieces directly, never building the result
-  subtree.  Concatenating the pieces is byte-identical to serializing
-  the ``evaluate`` result, but peak memory is bounded by the largest
-  *single* piece (one scalar, one attribute list, one copied stored
-  subtree) instead of the whole result document.  ``XMLAgg`` keeps its
-  group *lazily* — it accumulates ``(order keys, row environment)``
-  pairs and only renders each row when finalized, so the streaming path
-  (:meth:`repro.rdb.plan.Query.stream_pieces`) emits one aggregated
-  element at a time.
+Everything that merely *passes values along* (``XMLConcat``, ``XMLText``,
+``XMLAgg``, CASE, column references into decorrelated aggregates) is
+representation-agnostic; only element, forest and comment construction
+branch.  ``XMLAgg`` keeps its group lazily as ``(order keys, row
+environment)`` pairs and renders each row at finalization, in whichever
+representation the execution uses.
 """
 
 from __future__ import annotations
 
-from repro.errors import DatabaseError
+from repro.errors import DatabaseError, RewriteError
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.nodes import Node, NodeKind, QName
 from repro.xmlmodel.serializer import escape_attribute, escape_text, serialize
-from repro.rdb.expressions import ScalarSubquery, SqlExpr, _text
+from repro.rdb.expressions import SqlExpr, _text
 
 # env key under which aggregate accumulator state is passed during the
 # final evaluation of an aggregate query.
 AGG_STATE = "\0agg-state"
+
+
+class Markup(str):
+    """Serialized, already-escaped XML text: what a publishing function
+    returns on a markup execution.  The type is the escaping contract —
+    content and row rendering pass it through verbatim, every other
+    string is character data."""
+
+    __slots__ = ()
 
 
 class XmlExpr(SqlExpr):
@@ -59,11 +72,36 @@ def append_xml_value(builder, value):
         builder.text(_text(value))
 
 
+def _append_markup(parts, value):
+    """Markup twin of :func:`append_xml_value`: append an evaluated SQL
+    value to element content being rendered."""
+    if value is None:
+        return
+    kind = type(value)
+    if kind is Markup:
+        parts.append(value)
+    elif kind is list:
+        for item in value:
+            _append_markup(parts, item)
+    elif isinstance(value, Node):
+        if value.kind == NodeKind.ATTRIBUTE:
+            # The DOM splices an attribute node into the enclosing start
+            # tag; rendered text has already closed it.  No plan the
+            # rewrite generates does this, so the request falls back.
+            raise RewriteError(
+                "cannot render an attribute node as element content",
+                phase="execute",
+            )
+        parts.append(serialize(value))
+    else:
+        text = _text(value)
+        if text:
+            parts.append(escape_text(text))
+
+
 def plain_text(value):
     """Top-level scalar rendering: unescaped, SQL floats carrying integral
-    values printed as integers.  This is how ``TransformResult.
-    serialized_rows`` renders non-node row items, so the streaming path
-    must use the same function for byte-identical output."""
+    values printed as integers."""
     if isinstance(value, float) and value == int(value):
         return str(int(value))
     if value is None:
@@ -71,62 +109,68 @@ def plain_text(value):
     return str(value)
 
 
+def row_items(value):
+    """The items of one result row: its XML value as a flat list."""
+    if value is None:
+        return []
+    return value if isinstance(value, list) else [value]
+
+
+def render_item(item, method="xml"):
+    """One row item as output text — the single renderer behind
+    ``TransformResult.serialized_rows``, the functional stream and
+    :meth:`repro.rdb.plan.Query.stream_pieces`: markup passes through,
+    nodes serialize, scalars print unescaped (:func:`plain_text`)."""
+    if type(item) is Markup:
+        return item
+    if isinstance(item, Node):
+        return serialize(item, method=method)
+    return plain_text(item)
+
+
 def _lexical(name):
     """The serialized tag/attribute name for a string or QName."""
     return name.lexical if isinstance(name, QName) else str(name)
 
 
-def stream_value_pieces(value, escape=True):
-    """Yield serialized pieces of an already-evaluated SQL value.
-
-    ``escape=True`` renders the value as *element content* (the
-    :func:`append_xml_value` + serializer semantics: nodes serialize,
-    scalars become escaped text, ``None`` disappears).  ``escape=False``
-    is the top-level row mode used by :meth:`repro.rdb.plan.Query.
-    stream_pieces`, matching how ``core.transform`` renders result rows
-    (nodes serialize, scalars stay unescaped :func:`plain_text`).
-    """
-    if value is None:
-        return
-    if isinstance(value, Node):
-        if value.kind == NodeKind.DOCUMENT:
-            for child in value.children:
-                yield serialize(child)
-        elif value.kind == NodeKind.ATTRIBUTE:
-            # Materialization splices attribute nodes into the enclosing
-            # start tag; a piece stream has already emitted it.  No plan
-            # the rewrite generates puts attribute nodes in content.
-            raise DatabaseError(
-                "cannot stream an attribute node as element content"
-            )
-        else:
-            yield serialize(value)
-    elif isinstance(value, list):
-        for item in value:
-            for piece in stream_value_pieces(item, escape=escape):
-                yield piece
-    elif escape:
-        yield escape_text(_text(value))
-    else:
-        yield plain_text(value)
+def _element_node(name, attributes, content, stats):
+    """One element node from evaluated ``(name, value)`` attributes and
+    content values."""
+    builder = TreeBuilder()
+    builder.start_element(name)
+    for attr_name, value in attributes:
+        if value is not None:
+            builder.attribute(attr_name, _text(value))
+    for value in content:
+        append_xml_value(builder, value)
+    builder.end_element()
+    if stats is not None:
+        stats.xml_elements += 1
+    return builder.finish().children[0]
 
 
-def stream_expr_pieces(expr, env, db, stats, escape=True):
-    """Yield serialized pieces of ``expr`` evaluated against ``env``.
-
-    Publishing functions stream natively (their ``stream_pieces``
-    method); correlated scalar subqueries stream through
-    :meth:`repro.rdb.plan.Query.stream_scalar_pieces` so aggregated
-    groups (the per-repeating-element ``XMLAgg`` subqueries the SQL
-    merge builds) never materialize; every other expression is evaluated
-    and rendered by :func:`stream_value_pieces`.
-    """
-    stream = getattr(expr, "stream_pieces", None)
-    if stream is not None:
-        return stream(env, db, stats, escape=escape)
-    if isinstance(expr, ScalarSubquery):
-        return expr.query.stream_scalar_pieces(db, env, stats, escape=escape)
-    return stream_value_pieces(expr.evaluate(env, db, stats), escape=escape)
+def _element_markup(head, close, content, stats):
+    """One element as text: ``head`` is the start tag up to (not
+    including) its ``>``.  Empty content self-closes, exactly like the
+    serializer.  Content holding a sequence (an aggregated group) is not
+    joined: the element stays a flat list of pieces for its consumer to
+    join or stream."""
+    body = []
+    sequence = False
+    for value in content:
+        sequence = sequence or type(value) is list
+        _append_markup(body, value)
+    stats.xml_elements += 1
+    if not body:
+        return Markup(head + "/>")
+    if not sequence:
+        return Markup("%s>%s%s" % (head, "".join(body), close))
+    pieces = [Markup(head + ">")]
+    pieces.extend(
+        piece if type(piece) is Markup else Markup(piece) for piece in body
+    )
+    pieces.append(close)
+    return pieces
 
 
 class XMLElement(XmlExpr):
@@ -136,52 +180,35 @@ class XMLElement(XmlExpr):
         self.name = name
         self.attributes = attributes or []  # list of (attr_name, expr)
         self.content = list(content)
+        # static markup, rendered once per plan instead of once per row
+        tag = _lexical(name)
+        self._open = "<" + tag
+        self._close = Markup("</%s>" % tag)
+        self._attr_open = [
+            ' %s="' % _lexical(attr_name) for attr_name, _ in self.attributes
+        ]
 
     def child_exprs(self):
         return tuple(expr for _, expr in self.attributes) + tuple(self.content)
 
     def evaluate(self, env, db, stats):
-        builder = TreeBuilder()
-        builder.start_element(self.name)
-        for attr_name, expr in self.attributes:
+        if stats is None or not stats.markup:
+            return _element_node(
+                self.name,
+                [(attr_name, expr.evaluate(env, db, stats))
+                 for attr_name, expr in self.attributes],
+                [expr.evaluate(env, db, stats) for expr in self.content],
+                stats,
+            )
+        head = self._open
+        for prefix, (_, expr) in zip(self._attr_open, self.attributes):
             value = expr.evaluate(env, db, stats)
             if value is not None:
-                builder.attribute(attr_name, _text(value))
-        for expr in self.content:
-            append_xml_value(builder, expr.evaluate(env, db, stats))
-        builder.end_element()
-        if stats is not None:
-            stats.xml_elements += 1
-        return builder.finish().children[0]
-
-    def stream_pieces(self, env, db, stats, escape=True):
-        """Incremental twin of :meth:`evaluate`: yield the element's
-        markup piece by piece.  Attributes are evaluated eagerly (they
-        belong to the start tag); content streams recursively, and the
-        start tag is closed lazily so an element whose content renders
-        empty self-closes exactly like the serializer would."""
-        tag = _lexical(self.name)
-        head = ["<%s" % tag]
-        for attr_name, expr in self.attributes:
-            value = expr.evaluate(env, db, stats)
-            if value is not None:
-                head.append(' %s="%s"' % (
-                    _lexical(attr_name), escape_attribute(_text(value))
-                ))
-        yield "".join(head)
-        opened = False
-        for expr in self.content:
-            for piece in stream_expr_pieces(expr, env, db, stats,
-                                            escape=True):
-                if not piece:
-                    continue
-                if not opened:
-                    opened = True
-                    yield ">"
-                yield piece
-        if stats is not None:
-            stats.xml_elements += 1
-        yield "</%s>" % tag if opened else "/>"
+                head += prefix + escape_attribute(_text(value)) + '"'
+        return _element_markup(
+            head, self._close,
+            [expr.evaluate(env, db, stats) for expr in self.content], stats,
+        )
 
     def to_sql(self):
         parts = ['"%s"' % self.name]
@@ -200,43 +227,30 @@ class XMLForest(XmlExpr):
 
     def __init__(self, items):
         self.items = items  # list of (name, expr)
+        self._tags = [
+            ("<" + _lexical(name), Markup("</%s>" % _lexical(name)))
+            for name, _ in items
+        ]
 
     def child_exprs(self):
         return tuple(expr for _, expr in self.items)
 
     def evaluate(self, env, db, stats):
+        markup = stats is not None and stats.markup
         out = []
-        for name, expr in self.items:
+        for (name, expr), (head, close) in zip(self.items, self._tags):
             value = expr.evaluate(env, db, stats)
             if value is None:
                 continue
-            builder = TreeBuilder()
-            builder.start_element(name)
-            append_xml_value(builder, value)
-            builder.end_element()
-            if stats is not None:
-                stats.xml_elements += 1
-            out.append(builder.finish().children[0])
+            if markup:
+                element = _element_markup(head, close, (value,), stats)
+            else:
+                element = _element_node(name, (), (value,), stats)
+            if type(element) is list:
+                out.extend(element)
+            else:
+                out.append(element)
         return out
-
-    def stream_pieces(self, env, db, stats, escape=True):
-        for name, expr in self.items:
-            value = expr.evaluate(env, db, stats)
-            if value is None:
-                continue
-            tag = _lexical(name)
-            yield "<%s" % tag
-            opened = False
-            for piece in stream_value_pieces(value, escape=True):
-                if not piece:
-                    continue
-                if not opened:
-                    opened = True
-                    yield ">"
-                yield piece
-            if stats is not None:
-                stats.xml_elements += 1
-            yield "</%s>" % tag if opened else "/>"
 
     def to_sql(self):
         return "XMLForest(%s)" % ", ".join(
@@ -265,12 +279,6 @@ class XMLConcat(XmlExpr):
                 out.append(value)
         return out
 
-    def stream_pieces(self, env, db, stats, escape=True):
-        for expr in self.items:
-            for piece in stream_expr_pieces(expr, env, db, stats,
-                                            escape=escape):
-                yield piece
-
     def to_sql(self):
         return "XMLConcat(%s)" % ", ".join(expr.to_sql() for expr in self.items)
 
@@ -283,12 +291,12 @@ class XMLComment(XmlExpr):
         return (self.expr,)
 
     def evaluate(self, env, db, stats):
+        text = _text(self.expr.evaluate(env, db, stats))
+        if stats is not None and stats.markup:
+            return Markup("<!--%s-->" % text)
         builder = TreeBuilder()
-        builder.comment(_text(self.expr.evaluate(env, db, stats)))
+        builder.comment(text)
         return builder.finish().children[0]
-
-    def stream_pieces(self, env, db, stats, escape=True):
-        yield "<!--%s-->" % _text(self.expr.evaluate(env, db, stats))
 
     def to_sql(self):
         return "XMLComment(%s)" % self.expr.to_sql()
@@ -307,16 +315,22 @@ class XMLText(XmlExpr):
         value = self.expr.evaluate(env, db, stats)
         return None if value is None else _text(value)
 
-    def stream_pieces(self, env, db, stats, escape=True):
-        for piece in stream_value_pieces(self.evaluate(env, db, stats),
-                                         escape=escape):
-            yield piece
-
     def to_sql(self):
         return self.expr.to_sql()
 
 
 # -- aggregates ----------------------------------------------------------------
+
+
+def _ordered(rows, order_by):
+    """``(keys, payload)`` rows in ORDER BY order: one stable pass per
+    key, last key first (arrival order breaks ties)."""
+    for position in range(len(order_by) - 1, -1, -1):
+        rows = sorted(
+            rows, key=lambda row: row[0][position],
+            reverse=order_by[position][1],
+        )
+    return rows
 
 
 class AggregateExpr(SqlExpr):
@@ -353,9 +367,8 @@ class XMLAgg(AggregateExpr):
     sequence (document order of the group).
 
     Accumulation is *lazy*: the state holds ``(order keys, row env)``
-    pairs, and the per-row XML value is only rendered at finalization —
-    or, on the streaming path, emitted one row at a time by
-    :meth:`stream_pieces` without ever building the group's nodes.  Row
+    pairs, and the per-row XML value is only rendered at finalization,
+    in the representation the finalizing execution uses.  Row
     environments are safe to retain: plan operators yield fresh dicts
     and never mutate a row after yielding it.
     """
@@ -376,19 +389,9 @@ class XMLAgg(AggregateExpr):
         )
         state.append((keys, env))
 
-    def _ordered(self, state):
-        rows = state
-        if self.order_by:
-            for position in range(len(self.order_by) - 1, -1, -1):
-                descending = self.order_by[position][1]
-                rows = sorted(
-                    rows, key=lambda row: row[0][position], reverse=descending
-                )
-        return rows
-
     def final(self, state, db, stats):
         out = []
-        for _, env in self._ordered(state):
+        for _, env in _ordered(state, self.order_by):
             value = self.expr.evaluate(env, db, stats)
             if value is None:
                 continue
@@ -397,12 +400,6 @@ class XMLAgg(AggregateExpr):
             else:
                 out.append(value)
         return out
-
-    def stream_pieces(self, env, db, stats, escape=True):
-        for _, row_env in self._ordered(self._state(env)):
-            for piece in stream_expr_pieces(self.expr, row_env, db, stats,
-                                            escape=escape):
-                yield piece
 
     def to_sql(self):
         text = "XMLAgg(%s" % self.expr.to_sql()
@@ -476,14 +473,9 @@ class ListAgg(AggregateExpr):
         state.append((keys, _text(value)))
 
     def final(self, state, db=None, stats=None):
-        rows = state
-        if self.order_by:
-            for position in range(len(self.order_by) - 1, -1, -1):
-                descending = self.order_by[position][1]
-                rows = sorted(
-                    rows, key=lambda row: row[0][position], reverse=descending
-                )
-        return self.separator.join(text for _, text in rows)
+        return self.separator.join(
+            text for _, text in _ordered(state, self.order_by)
+        )
 
     def to_sql(self):
         text = "LISTAGG(%s, '%s')" % (self.expr.to_sql(), self.separator)

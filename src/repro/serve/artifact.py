@@ -50,7 +50,11 @@ import time
 from repro.errors import ReproError
 from repro.obs import global_metrics
 
-ARTIFACT_FORMAT_VERSION = 1
+#: bump whenever the pickled :class:`CompiledTransform` object graph
+#: changes shape: an entry written by another build must miss and be
+#: recompiled, never be loaded half-initialised.  2: the SQL/XML
+#: constructors carry static markup precomputed at construction.
+ARTIFACT_FORMAT_VERSION = 2
 ARTIFACT_MAGIC = "repro-plan"
 ARTIFACT_SUFFIX = ".plan"
 EPOCH_FILE = "EPOCH"

@@ -55,6 +55,41 @@ class TestViewTransform:
         )
         assert with_rewrite.serialized_rows() == without.serialized_rows()
 
+    def test_rewrite_rows_are_markup_not_nodes(self):
+        """The rewrite path builds no result DOM: its row items are
+        serialized markup strings; functional rows stay nodes."""
+        db = make_database()
+        rewritten = xml_transform(db, dept_emp_view_query(),
+                                  EXAMPLE1_STYLESHEET)
+        assert rewritten.strategy == STRATEGY_SQL
+        items = [item for row in rewritten.rows for item in row]
+        assert items and all(isinstance(item, str) for item in items)
+        assert ["".join(row) for row in rewritten.rows] \
+            == [EXPECTED_ROW1, EXPECTED_ROW2]
+        functional = xml_transform(db, dept_emp_view_query(),
+                                   EXAMPLE1_STYLESHEET, rewrite=False)
+        assert all(hasattr(item, "kind")
+                   for row in functional.rows for item in row)
+
+    @pytest.mark.parametrize("method", ["html", "text"])
+    def test_non_xml_methods_on_rewrite_result(self, method):
+        """html/text need the tree back: a sql-rewrite row's markup is
+        re-parsed, and the answer matches the functional path's."""
+        db = make_database()
+        body = (
+            '<xsl:template match="dept"><p><br/>'
+            '<xsl:value-of select="dname"/> &amp; co</p></xsl:template>'
+        )
+        rewritten = xml_transform(db, dept_emp_view_query(), sheet(body))
+        functional = xml_transform(db, dept_emp_view_query(), sheet(body),
+                                   rewrite=False)
+        assert rewritten.strategy == STRATEGY_SQL
+        assert rewritten.serialized_rows(method=method) \
+            == functional.serialized_rows(method=method)
+        expected = {"html": "<p><br>ACCOUNTING &amp; co</p>",
+                    "text": "ACCOUNTING & co"}[method]
+        assert rewritten.serialized_rows(method=method)[0] == expected
+
     def test_outcome_attached_on_rewrite(self):
         db = make_database()
         result = xml_transform(db, dept_emp_view_query(), EXAMPLE1_STYLESHEET)

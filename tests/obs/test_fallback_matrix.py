@@ -14,9 +14,11 @@ from repro.core import STRATEGY_FUNCTIONAL, xml_transform
 from repro.errors import RewriteError
 from repro.obs import MetricsRegistry, Tracer
 from repro.rdb import Database, Query, Scan
-from repro.rdb.expressions import col
+from repro.rdb.expressions import col, const
+from repro.rdb.sqlxml import XMLElement
 from repro.rdb.storage import ClobStorage
 from repro.xmlmodel import parse_document
+from repro.xmlmodel.builder import attr, elem
 
 from tests.core.paper_example import (
     DEPT_DOC_1,
@@ -162,3 +164,29 @@ class TestExecutePhase:
         stages = {decision.stage for decision in result.ledger}
         assert stages == {"partial-eval", "xquery-gen"}
         assert len(result.ledger) >= 4
+
+    def test_attribute_node_in_content_falls_back_categorized(
+            self, monkeypatch):
+        """The front door renders text, which cannot splice an attribute
+        node arriving as element content into an already-written start
+        tag (the DOM path can).  That must be a categorized execute-phase
+        fallback, never a bare DatabaseError."""
+        tracer, metrics = Tracer(), MetricsRegistry()
+        db = make_database()
+        attribute = elem("e", attr("a", "v")).attributes[0]
+        plan = Query(Scan("dept"),
+                     [(None, XMLElement("out", const(attribute)))])
+        monkeypatch.setattr(
+            Database, "optimize", lambda self, query, **kwargs: plan,
+        )
+        result = xml_transform(db, dept_emp_view_query(),
+                               EXAMPLE1_STYLESHEET,
+                               tracer=tracer, metrics=metrics)
+        assert result.strategy == STRATEGY_FUNCTIONAL
+        assert result.fallback_phase == "execute"
+        assert result.fallback_category == "execute"
+        assert "attribute node" in result.fallback_reason
+        assert result.rows, "fallback must still answer the query"
+        assert metrics.counter(
+            "transform.fallback", phase="execute", reason="execute"
+        ).value == 1

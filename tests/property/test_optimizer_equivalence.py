@@ -40,6 +40,61 @@ def test_levels_are_byte_identical(case):
         assert strategy == baseline_strategy, (case.name, level)
 
 
+#: every (optimizer level, decorrelate) pair the options accept — the
+#: unnesting pass only exists at the cost level
+REPRESENTATION_CONFIGS = [
+    (level, None) for level in LEVELS if level != "cost"
+] + [("cost", True), ("cost", False)]
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.name)
+def test_markup_dom_and_stream_agree(case):
+    """The differential gate for the no-DOM rewrite path.  One compiled
+    plan, three executions: the front door (markup rows), the DOM
+    reference (``Query.execute`` + ``serialize``) and the piece stream.
+    Same bytes row by row, and the same work counted — the text routine
+    may not skip or repeat an element, a scan or a row."""
+    from repro.rdb.plan import ExecutionStats
+    from repro.rdb.sqlxml import plain_text, row_items
+    from repro.xmlmodel import serialize
+    from repro.xmlmodel.nodes import Node
+
+    prepared = prepare_case(case, SIZE)
+    engine = Engine(prepared.db)
+    for level, decorrelate in REPRESENTATION_CONFIGS:
+        compiled = engine.compile(
+            prepared.storage, prepared.stylesheet,
+            options=TransformOptions(optimizer_level=level,
+                                     decorrelate=decorrelate),
+        )
+        if not compiled.is_rewritten:
+            continue
+        where = (case.name, level, decorrelate)
+        front = engine.execute(prepared.storage, compiled)
+        assert not any(isinstance(item, Node)
+                       for row in front.rows for item in row), where
+
+        dom_stats = ExecutionStats()
+        dom_rows, _ = compiled.query.execute(prepared.db, stats=dom_stats)
+        reference = [
+            "".join(serialize(item) if isinstance(item, Node)
+                    else plain_text(item)
+                    for item in row_items(row[0]))
+            for row in dom_rows
+        ]
+        assert front.serialized_rows() == reference, where
+
+        stream_stats = ExecutionStats()
+        streamed = "".join(compiled.query.stream_pieces(
+            prepared.db, stats=stream_stats))
+        assert streamed == "".join(reference), where
+
+        for counter in ("xml_elements", "rows_scanned", "output_rows"):
+            counts = {getattr(stats, counter)
+                      for stats in (front.stats, dom_stats, stream_stats)}
+            assert len(counts) == 1, where + (counter, counts)
+
+
 def test_levels_survive_analyze():
     """Statistics must sharpen estimates, never flip results."""
     case = get_case("chart")

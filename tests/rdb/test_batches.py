@@ -1,9 +1,9 @@
 """Tests for the vectorized executor path (batches/iter_batches) and the
-incremental SQL/XML streaming emitter."""
+markup (text) representation of SQL/XML values behind streaming."""
 
 import pytest
 
-from repro.errors import DatabaseError
+from repro.errors import RewriteError
 from repro.rdb import (
     Aggregate,
     Database,
@@ -29,8 +29,9 @@ from repro.rdb.sqlxml import (
     XMLElement,
     XMLForest,
     XMLText,
-    stream_expr_pieces,
-    stream_value_pieces,
+    Markup,
+    render_item,
+    row_items,
 )
 
 
@@ -333,75 +334,92 @@ class TestStreamPieces:
         assert "".join(query.stream_pieces(db)) == expected
 
 
-class TestStreamValuePieces:
-    def test_scalars(self):
-        assert "".join(stream_value_pieces("a<b", escape=True)) == "a&lt;b"
-        assert "".join(stream_value_pieces("a<b", escape=False)) == "a<b"
-        assert "".join(stream_value_pieces(None)) == ""
-        assert "".join(stream_value_pieces(7.0, escape=False)) == "7"
+def markup_stats():
+    stats = ExecutionStats()
+    stats.markup = True
+    return stats
 
-    def test_list_recurses(self):
-        assert "".join(stream_value_pieces(["a", None, "b"],
-                                           escape=False)) == "ab"
 
-    def test_attribute_node_rejected(self):
-        from repro.xmlmodel.builder import TreeBuilder
+def rendered(value):
+    return "".join(render_item(item) for item in row_items(value))
 
-        builder = TreeBuilder()
-        builder.start_element("e")
-        builder.attribute("a", "v")
-        builder.end_element()
-        element = builder.finish().document_element
-        attribute = element.attributes[0]
-        with pytest.raises(DatabaseError):
-            list(stream_value_pieces(attribute))
+
+class TestRowItemRendering:
+    def test_scalars_print_unescaped(self):
+        assert render_item("a<b") == "a<b"
+        assert render_item(7.0) == "7"
+        assert render_item(None) == ""
+
+    def test_markup_passes_through(self):
+        assert render_item(Markup("<e>a&lt;b</e>")) == "<e>a&lt;b</e>"
+
+    def test_list_flattens(self):
+        assert rendered(["a", None, "b"]) == "ab"
+        assert row_items(None) == []
+        assert row_items("x") == ["x"]
 
 
 class TestConstructorStreaming:
-    """Each SQL/XML constructor's stream_pieces against its evaluate."""
+    """The constructor table: every SQL/XML constructor's markup value
+    against the serialization of its DOM value."""
 
     def roundtrip(self, db, expr, env=None):
         from repro.xmlmodel import serialize
-        from repro.rdb.sqlxml import append_xml_value
 
-        stats = ExecutionStats()
-        value = expr.evaluate(env or {}, db, stats)
-        if isinstance(value, list):
-            expected = "".join(
-                serialize(v) if hasattr(v, "kind") else str(v)
-                for v in value if v is not None
-            )
-        else:
-            expected = serialize(value) if value is not None else ""
-        streamed = "".join(
-            stream_expr_pieces(expr, env or {}, db, ExecutionStats(),
-                               escape=False)
+        dom_stats = ExecutionStats()
+        value = expr.evaluate(env or {}, db, dom_stats)
+        expected = "".join(
+            serialize(item) if hasattr(item, "kind") else render_item(item)
+            for item in row_items(value)
         )
-        assert streamed == expected
-        return streamed
+        text_stats = markup_stats()
+        text = expr.evaluate(env or {}, db, text_stats)
+        assert all(type(item) is Markup or not hasattr(item, "kind")
+                   for item in row_items(text)), "no node may be built"
+        assert rendered(text) == expected
+        assert text_stats.xml_elements == dom_stats.xml_elements
+        return rendered(text)
 
     def test_element_empty(self, db):
         assert self.roundtrip(db, XMLElement("e")) == "<e/>"
 
+    def test_element_empty_text_self_closes(self, db):
+        assert self.roundtrip(db, XMLElement("e", const(""))) == "<e/>"
+
     def test_element_attrs_escaped(self, db):
         out = self.roundtrip(
-            db, XMLElement("e", attributes=[("a", const('x"<'))])
+            db, XMLElement("e", attributes=[("a", const('x"<&\n'))])
         )
-        assert out == '<e a="x&quot;&lt;"/>'
+        assert out == '<e a="x&quot;&lt;&amp;&#10;"/>'
 
     def test_element_content_escaped(self, db):
         out = self.roundtrip(
-            db, XMLElement("e", XMLText(const("a<b")))
+            db, XMLElement("e", XMLText(const("a<b&c>d")))
         )
-        assert out == "<e>a&lt;b</e>"
+        assert out == "<e>a&lt;b&amp;c&gt;d</e>"
+
+    def test_null_attribute_and_content_skipped(self, db):
+        out = self.roundtrip(
+            db,
+            XMLElement("e", const(None), const("x"),
+                       attributes=[("a", const(None)), ("b", const(1))]),
+        )
+        assert out == '<e b="1">x</e>'
+
+    def test_integral_float_prints_as_integer(self, db):
+        out = self.roundtrip(
+            db, XMLElement("e", const(7.0), attributes=[("n", const(2.0))])
+        )
+        assert out == '<e n="2">7</e>'
+        assert self.roundtrip(db, XMLElement("e", const(2.5))) == "<e>2.5</e>"
 
     def test_forest_skips_null(self, db):
         out = self.roundtrip(
             db,
-            XMLForest([("a", const("x")), ("b", const(None)),
-                       ("c", const("y"))]),
+            XMLForest([("a", const("x<")), ("b", const(None)),
+                       ("c", const("")), ("d", const("y"))]),
         )
-        assert out == "<a>x</a><c>y</c>"
+        assert out == "<a>x&lt;</a><c/><d>y</d>"
 
     def test_concat_and_comment(self, db):
         out = self.roundtrip(
@@ -411,17 +429,64 @@ class TestConstructorStreaming:
         )
         assert out == "<!--note--><e/>"
 
+    def test_stored_node_child(self, db):
+        from repro.xmlmodel import parse_document
+
+        document = parse_document('<s a="1">t&amp;<u/><!--c--></s>')
+        stored = document.document_element
+        for node in (stored, document):
+            out = self.roundtrip(db, XMLElement("e", const(node)))
+            assert out == '<e><s a="1">t&amp;<u/><!--c--></s></e>'
+
+    def test_nested_list_content(self, db):
+        out = self.roundtrip(
+            db,
+            XMLElement("e", const(["a<", [None, 2.0, ["b"]], "c"])),
+        )
+        assert out == "<e>a&lt;2bc</e>"
+
+    def test_sequence_content_stays_in_pieces(self, db):
+        """An element over a sequence is a flat list of markup pieces —
+        what keeps the stream incremental — and nests without
+        re-escaping."""
+        inner = XMLElement("in", XMLForest([("a", const("1")),
+                                            ("b", const("<"))]))
+        value = inner.evaluate({}, db, markup_stats())
+        assert value == ["<in>", "<a>1</a>", "<b>&lt;</b>", "</in>"]
+        assert all(type(piece) is Markup for piece in value)
+        out = self.roundtrip(db, XMLElement("out", inner, const("&")))
+        assert out == "<out><in><a>1</a><b>&lt;</b></in>&amp;</out>"
+
+    def test_empty_sequence_self_closes(self, db):
+        assert self.roundtrip(db, XMLElement("e", const([]))) == "<e/>"
+
+    def test_top_level_scalar_unescaped(self, db):
+        assert self.roundtrip(db, XMLText(const("a<b"))) == "a<b"
+        assert self.roundtrip(db, XMLConcat([const("a&"), const(3.0)])) \
+            == "a&3"
+
+    def test_attribute_node_in_content_is_an_execute_fallback(self, db):
+        from repro.xmlmodel.builder import attr, elem
+
+        attribute = elem("e", attr("a", "v")).attributes[0]
+        expr = XMLElement("out", const(attribute))
+        # the DOM splices it into the start tag ...
+        from repro.xmlmodel import serialize
+        assert serialize(expr.evaluate({}, db, None)) == '<out a="v"/>'
+        # ... rendered text cannot, so the request must fall back
+        with pytest.raises(RewriteError) as raised:
+            expr.evaluate({}, db, markup_stats())
+        assert raised.value.phase == "execute"
+
     def test_scalar_subquery_streams(self, db):
         subquery = Query(
             Filter(Scan("emp"), eq(col("empno"), const(7782))),
             [(None, XMLElement("who", col("ename")))],
         )
         expr = XMLElement("out", ScalarSubquery(subquery))
-        stats = ExecutionStats()
-        streamed = "".join(
-            stream_expr_pieces(expr, {}, db, stats, escape=False)
-        )
-        assert streamed == "<out><who>CLARK</who></out>"
+        stats = markup_stats()
+        assert rendered(expr.evaluate({}, db, stats)) \
+            == "<out><who>CLARK</who></out>"
         assert stats.subquery_executions == 1
 
     def test_correlated_agg_subquery_streams(self, db):

@@ -255,6 +255,169 @@ class TestLedger:
         assert decision.detail["variable"] == "$headcount"
 
 
+def emp_probe(output, *extra_conjuncts, alias="e"):
+    """A correlated aggregating probe over emp for the current dept."""
+    plan = Filter(Scan("emp", alias),
+                  eq(col("deptno", alias), col("deptno", "d")))
+    for conjunct in extra_conjuncts:
+        plan = Filter(plan, conjunct)
+    return ScalarSubquery(Query(plan, [(None, output)]))
+
+
+def sibling_query(*sites):
+    return Query(Scan("dept", "d"),
+                 [(None, col("dname", "d"))]
+                 + [(None, site) for site in sites])
+
+
+def plan_shape(query):
+    """(joins, aggregates) of a rewritten plan."""
+    nodes = list(query.plan.iter_plan())
+    return ([n for n in nodes if isinstance(n, HashLeftJoin)],
+            [n for n in nodes if isinstance(n, Aggregate)])
+
+
+class TestSiblingFusion:
+    """Sibling probes over the same body and correlation share one
+    Aggregate behind one HashLeftJoin — one scan instead of one each."""
+
+    def total_like(self):
+        return sibling_query(
+            emp_probe(AggCall("SUM", col("sal", "e"))),
+            emp_probe(AggCall("MAX", col("sal", "e"))),
+            emp_probe(AggCall("COUNT")),
+        )
+
+    def test_same_body_siblings_share_one_aggregate_and_one_scan(self, db):
+        query = self.total_like()
+        rewritten = decorrelate_query(query, db)
+        joins, aggregates = plan_shape(rewritten)
+        assert len(joins) == 1 and len(aggregates) == 1
+        assert [name for name, _ in aggregates[0].outputs] \
+            == ["v", "v1", "v2"]
+        alias = aggregates[0].alias
+        for (_, expr), column in zip(rewritten.outputs[1:],
+                                     ["v", "v1", "v2"]):
+            assert isinstance(expr, ColumnRef)
+            assert (expr.table, expr.column) == (alias, column)
+        correlated, decorrelated = both_ways(db, query)
+        assert decorrelated == correlated
+        assert decorrelated == [("ACCOUNTING", 3750.0, 2450, 2.0),
+                                ("OPERATIONS", 4900.0, 4900, 1.0)]
+        _, stats = db.execute(query)
+        # 2 dept rows + ONE pass over the 3 emp rows (unfused: 2 + 3 * 3)
+        assert stats.rows_scanned == 5
+        assert stats.hash_build_rows == 2  # one group row per dept
+
+    def test_filtered_sibling_is_not_fused(self, db):
+        # chart's shape: one probe filters the body, its sibling does not
+        query = sibling_query(
+            emp_probe(XMLAgg(XMLElement("e", col("ename", "e"))),
+                      gt(col("sal", "e"), const(2000))),
+            emp_probe(AggCall("COUNT")),
+        )
+        joins, aggregates = plan_shape(decorrelate_query(query, db))
+        assert len(joins) == 2 and len(aggregates) == 2
+        assert all(len(aggregate.outputs) == 1 for aggregate in aggregates)
+        correlated, decorrelated = both_ways(db, query)
+        assert [(n, _markup([(n, x)])[0][1], c)
+                for n, x, c in decorrelated] \
+            == [(n, _markup([(n, x)])[0][1], c) for n, x, c in correlated]
+
+    def test_different_correlation_is_not_fused(self, db):
+        other_key = ScalarSubquery(Query(
+            Filter(Scan("emp", "e"),
+                   eq(col("empno", "e"), col("deptno", "d"))),
+            [(None, AggCall("COUNT"))],
+        ))
+        query = sibling_query(emp_probe(AggCall("COUNT")), other_key)
+        joins, aggregates = plan_shape(decorrelate_query(query, db))
+        assert len(joins) == 2 and len(aggregates) == 2
+
+    def test_childless_parent_gets_each_columns_empty_default(self, db):
+        db.insert("dept", (50, "RESEARCH", "DALLAS"))
+        query = sibling_query(
+            emp_probe(AggCall("SUM", col("sal", "e"))),
+            emp_probe(AggCall("COUNT")),
+            emp_probe(XMLAgg(XMLElement("e", col("ename", "e")))),
+        )
+        assert len(plan_shape(decorrelate_query(query, db))[1]) == 1
+        correlated, decorrelated = both_ways(db, query)
+        research = [row for row in decorrelated if row[0] == "RESEARCH"]
+        assert research == [("RESEARCH", None, 0.0, [])]
+        assert research == [row for row in correlated
+                            if row[0] == "RESEARCH"]
+
+    def test_duplicate_parent_keys_share_the_fused_group_row(self, db):
+        db.insert("dept", (10, "ACCOUNTING-ANNEX", "NEWARK"))
+        correlated, decorrelated = both_ways(db, self.total_like())
+        assert decorrelated == correlated
+        by_name = {row[0]: row[1:] for row in decorrelated}
+        assert by_name["ACCOUNTING-ANNEX"] == by_name["ACCOUNTING"] \
+            == (3750.0, 2450, 2.0)
+
+    def test_one_aggregate_node_at_two_sites_is_counted_once(self, db):
+        """A variable referenced twice puts the *same* AggCall object at
+        two sites; aggregate state is keyed by id(agg), so listing it
+        twice would drive it twice per row (COUNT reads double)."""
+        shared = AggCall("COUNT")
+        query = sibling_query(emp_probe(shared), emp_probe(shared))
+        rewritten = decorrelate_query(query, db)
+        _, aggregates = plan_shape(rewritten)
+        assert len(aggregates) == 1
+        assert [name for name, _ in aggregates[0].outputs] == ["v"]
+        assert rewritten.outputs[1][1].column == "v"
+        assert rewritten.outputs[2][1].column == "v"
+        correlated, decorrelated = both_ways(db, query)
+        assert decorrelated == correlated
+        assert decorrelated[0] == ("ACCOUNTING", 2.0, 2.0)
+
+    def test_identically_rendered_outputs_share_a_column(self, db):
+        query = sibling_query(emp_probe(AggCall("SUM", col("sal", "e"))),
+                              emp_probe(AggCall("SUM", col("sal", "e"))))
+        _, aggregates = plan_shape(decorrelate_query(query, db))
+        assert [name for name, _ in aggregates[0].outputs] == ["v"]
+
+    def test_site_with_a_nested_probe_is_not_fused(self, db):
+        """A site whose output carries its own unnestable probe gets its
+        body re-wrapped in a join private to it: it neither joins nor
+        hosts a shared Aggregate."""
+        nested = ScalarSubquery(Query(
+            Filter(Scan("emp", "m"),
+                   eq(col("deptno", "m"), col("deptno", "e"))),
+            [(None, AggCall("COUNT"))],
+        ))
+        with_nested = emp_probe(XMLAgg(XMLElement("e", nested)))
+        query = sibling_query(with_nested, emp_probe(AggCall("COUNT")))
+        rewritten = decorrelate_query(query, db)
+        joins, aggregates = plan_shape(rewritten)
+        assert len(aggregates) == 3  # two sites + the nested probe
+        assert all(len(aggregate.outputs) == 1 for aggregate in aggregates)
+        assert rewritten.outputs[1][1].table != rewritten.outputs[2][1].table
+        correlated, decorrelated = both_ways(db, query)
+        assert [(n, _markup([(n, x)])[0][1], c)
+                for n, x, c in decorrelated] \
+            == [(n, _markup([(n, x)])[0][1], c) for n, x, c in correlated]
+
+    def test_each_fused_site_keeps_its_own_ledger_record(self, db):
+        ledger = DecisionLedger()
+        query = self.total_like()
+        sites = [expr for _, expr in query.outputs[1:]]
+        for index, site in enumerate(sites):
+            ledger.bind_sql_variable("$v%d" % index, site)
+        rewritten = decorrelate_query(query, db, ledger=ledger)
+        decisions = ledger.decisions_of(kind="decorrelate")
+        assert [d.subject for d in decisions] == ["$v0", "$v1", "$v2"]
+        assert [d.detail["output_column"] for d in decisions] \
+            == ["v", "v1", "v2"]
+        aggregate = rewritten.plan.right
+        for index, decision in enumerate(decisions):
+            assert decision.detail["group_alias"] == aggregate.alias
+            assert decision.provenance.sql_node is rewritten.plan
+            assert ledger._sql_bindings["$v%d" % index] is aggregate
+        assert ledger.bound_plans() == [aggregate]
+
+
 class TestOptimizerGate:
     def test_decorrelate_true_requires_cost_level(self, db):
         from repro.errors import PlanError

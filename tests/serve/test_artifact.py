@@ -54,6 +54,18 @@ def make_store(tmp_path):
     return ArtifactStore(str(tmp_path / "plans"), metrics=MetricsRegistry())
 
 
+def restamp_format_version(path, version):
+    """Rewrite one stored entry's header as another build would have
+    written it (payload and checksum untouched)."""
+    with open(path, "rb") as handle:
+        head, payload = handle.read().split(b"\n", 1)
+    record = json.loads(head)
+    record["format_version"] = version
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(record, sort_keys=True).encode("utf-8")
+                     + b"\n" + payload)
+
+
 class TestEncodeDecode:
     def test_round_trip(self):
         _, _, compiled = compile_one()
@@ -178,6 +190,26 @@ class TestStore:
         loaded, _ = store.get("k1")
         assert loaded is not None
 
+    def test_stale_format_version_is_a_miss_never_loaded(
+            self, tmp_path, monkeypatch):
+        """An entry pickled by an older build (its constructors lack
+        fields this build precomputes) must miss before its payload is
+        ever unpickled."""
+        import pickle
+
+        _, _, compiled = compile_one()
+        store = make_store(tmp_path)
+        store.put("k1", compiled, fingerprint="fp")
+        restamp_format_version(store.entry_path("k1"),
+                               ARTIFACT_FORMAT_VERSION - 1)
+        monkeypatch.setattr(
+            pickle, "loads",
+            lambda payload: pytest.fail("stale payload was unpickled"),
+        )
+        assert store.get("k1", fingerprint="fp") == (None, None)
+        assert store.stats().quarantined == 1
+        assert store.stats().misses == 1
+
     def test_garbage_file_quarantined(self, tmp_path):
         store = make_store(tmp_path)
         with open(store.entry_path("k1"), "wb") as handle:
@@ -233,6 +265,29 @@ class TestServiceWarmStart:
         assert metrics.counter_total("serve.cache.disk.hits") == 1
         # the warm-start signal: the plan was loaded, never recompiled
         assert metrics.counter_total("transform.rewrite_attempts") == 0
+
+    def test_stale_format_version_recompiles_on_warm_start(self, tmp_path):
+        """A kept artifact directory survives a build whose plan objects
+        changed shape: the old entries miss, the request recompiles and
+        re-persists, and the answer is unchanged."""
+        db, storage = make_storage()
+        store_dir = str(tmp_path / "plans")
+        with TransformService(db, metrics=MetricsRegistry(),
+                              artifact_dir=store_dir) as service:
+            cold = service.transform(storage, EXAMPLE1_STYLESHEET)
+            store = service.artifact_store
+            for key in store.keys():
+                restamp_format_version(store.entry_path(key),
+                                       ARTIFACT_FORMAT_VERSION - 1)
+        metrics = MetricsRegistry()
+        with TransformService(db, metrics=metrics,
+                              artifact_dir=store_dir) as service:
+            warm = service.transform(storage, EXAMPLE1_STYLESHEET)
+            assert warm.cache_tier == "miss"
+            assert len(service.artifact_store) == 1  # re-persisted
+        assert warm.serialized_rows() == cold.serialized_rows()
+        assert metrics.counter_total("serve.cache.disk.hits") == 0
+        assert metrics.counter_total("transform.rewrite_attempts") == 1
 
     def test_stats_bump_invalidates_disk_entry(self, tmp_path):
         db, storage = make_storage()

@@ -105,3 +105,35 @@ class TestServeResultPickling:
         assert restored.serialized_rows() == result.serialized_rows()
         assert restored.strategy == result.strategy
         assert restored.cache_hit == result.cache_hit
+
+    def test_markup_rows_survive_pickle_and_detach(self):
+        """A sql-rewrite result's rows are ``Markup`` strings, not nodes:
+        they must cross a pickle as markup (the escaping contract is the
+        type) and cross the pipe, through ``detached()``, as plain
+        serialized rows."""
+        from repro.core import STRATEGY_SQL
+        from repro.rdb.sqlxml import Markup
+        from repro.serve import TransformService
+        from repro.xsltmark import get_case
+
+        prep = prepare_case(get_case("avts"), CORPUS_SIZE)
+        with TransformService(prep.db, metrics=MetricsRegistry()) as service:
+            result = service.transform(prep.storage, prep.case.stylesheet)
+        assert result.strategy == STRATEGY_SQL
+        items = [item for row in result.transform.rows for item in row]
+        assert items and all(type(item) is Markup for item in items)
+
+        restored = pickle.loads(pickle.dumps(result))
+        restored_items = [item for row in restored.transform.rows
+                          for item in row]
+        assert restored_items == items
+        assert all(type(item) is Markup for item in restored_items)
+        assert restored.serialized_rows() == result.serialized_rows()
+        # markup still renders under the other output methods
+        assert restored.serialized_rows(method="text") \
+            == result.serialized_rows(method="text")
+
+        wire = pickle.loads(pickle.dumps(result.detached()))
+        assert wire.transform is None
+        assert wire.serialized_rows() == result.serialized_rows()
+        assert all(type(row) is str for row in wire.serialized_rows())
