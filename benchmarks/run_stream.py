@@ -12,9 +12,10 @@ Usage::
 For each xsltmark case the harness measures:
 
 * **stream** — ``Engine.transform_stream`` drained to exhaustion: the
-  plan runs vectorized (``iter_batches``) and its result column goes
-  through the incremental SQL/XML emitter, so no result DOM is built;
-* **materialized** — ``Engine.transform``, the row-at-a-time seed path;
+  plan's result column goes through the incremental SQL/XML emitter,
+  so no result DOM is built;
+* **materialized** — ``Engine.transform``, the same plan on the same
+  executor, collected into a result set;
 * **functional** — ``rewrite=False``, the calibration clock
   ``benchmarks/check_regression.py`` uses.
 

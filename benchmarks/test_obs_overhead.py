@@ -1,6 +1,6 @@
 """Guard: the observability layer, when tracing is disabled, costs noise.
 
-The hot path (plan execution) is permanently instrumented — ``iter_rows``
+The hot path (plan execution) is permanently instrumented — ``iter_batches``
 checks for a profiler, ``Query.execute`` stamps ``elapsed_seconds``, spans
 wrap the stages.  With tracing disabled those reduce to an attribute check
 and a couple of ``perf_counter`` calls per *query* (not per row), so the

@@ -4,9 +4,9 @@
 Runs the quickstart transform (Tables 1–3, Table-5 stylesheet) through
 ``Engine.transform_stream`` and shows the streaming story end to end:
 
-* the rewritten plan executes *vectorized* — operators exchange row
-  batches instead of single rows — and the result column is serialized
-  by the incremental SQL/XML emitter, so chunks of output text flow out
+* the rewritten plan's operators exchange row batches (the executor
+  every door uses) and the result column is serialized by the
+  incremental SQL/XML emitter, so chunks of output text flow out
   while the plan is still running and no result document is ever built
   (``docs_materialized`` stays 0, ``peak_buffered_bytes`` stays tiny);
 * chunk concatenation is byte-identical to the materialized transform;

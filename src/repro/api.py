@@ -161,10 +161,11 @@ class TransformOptions:
     :param deadline: per-request deadline in seconds
         (:class:`repro.serve.TransformService` only — enforced at
         dequeue time, so ``0`` always times out).  Must be >= 0.
-    :param batch_size: rows per batch on the vectorized executor path.
-        None is automatic: row-at-a-time pull for materialized
-        execution (``transform``), ``DEFAULT_BATCH_SIZE`` batches for
-        ``transform_stream``.
+    :param batch_size: how many rows the plan's operators hand over
+        at once.  None means ``DEFAULT_BATCH_SIZE`` at every door
+        (``transform``, ``execute``, ``transform_stream``, serving); it
+        is a tuning value only — the result and the work counters are
+        the same at every size.
     :param chunk_chars: coalescing target for streamed output chunks.
     :param profile_plan: collect per-plan-node EXPLAIN ANALYZE counters
         on the rewrite path (skipped whenever tracing is disabled).

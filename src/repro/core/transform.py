@@ -37,7 +37,6 @@ from repro.obs import NULL_SPAN, get_tracer, global_metrics, render_tree
 from repro.obs.decisions import DecisionLedger
 from repro.rdb.database import View
 from repro.rdb.plan import (
-    DEFAULT_BATCH_SIZE,
     ExecutionStats,
     PlanProfiler,
     Query,
@@ -376,8 +375,8 @@ def execute_compiled(db, source, compiled, params=None, tracer=None,
     fallback artifact replays its recorded error (counter + warning +
     result annotations) and evaluates functionally.  ``root`` is the span
     fallback attributes land on (defaults to the tracer's current span).
-    ``batch_size`` switches plan execution to the vectorized
-    ``iter_batches`` path (None keeps the row-at-a-time pull loop).
+    ``batch_size`` is how many rows the plan's operators hand over at
+    once (None: ``DEFAULT_BATCH_SIZE``); it never changes the result.
     ``feedback=False`` skips the post-execution Q-error observation.
     """
     tracer = tracer or get_tracer()
@@ -518,11 +517,8 @@ def _execute_plan(db, compiled, tracer, metrics, profile_plan,
         # the front door renders text: no result DOM on the rewrite path
         stats.markup = True
         try:
-            if batch_size is None:
-                rows, stats = query.execute(db, stats=stats)
-            else:
-                rows, stats = query.execute(db, stats=stats,
-                                            batch_size=batch_size)
+            rows, stats = query.execute(db, stats=stats,
+                                        batch_size=batch_size)
         except RewriteError as exc:
             # A RewriteError escaping *plan execution* is a run-time
             # failure, not a compile failure — tag it so the fallback
@@ -660,9 +656,10 @@ def execute_compiled_stream(db, source, compiled, params=None, tracer=None,
     """Streaming twin of :func:`execute_compiled`: returns a
     :class:`TransformStream` yielding serialized output chunks.
 
-    On the SQL strategy the optimized plan runs vectorized
-    (``iter_batches``, ``batch_size`` rows per batch) and its result
-    column streams through the incremental SQL/XML emitter — no result
+    On the SQL strategy the optimized plan runs on the same executor
+    as :func:`execute_compiled` (``batch_size`` rows per batch, None:
+    ``DEFAULT_BATCH_SIZE``) and its result column streams through the
+    incremental SQL/XML emitter — no result
     DOM is ever built (``stats.docs_materialized`` stays 0) and at most
     ``chunk_chars`` characters of output are buffered at once, tracked
     in ``stats.peak_buffered_bytes``.  A :class:`RewriteError` raised
@@ -676,7 +673,6 @@ def execute_compiled_stream(db, source, compiled, params=None, tracer=None,
     metrics = metrics or global_metrics()
     if root is None:
         root = tracer.current() or NULL_SPAN
-    batch_size = batch_size or DEFAULT_BATCH_SIZE
     chunk_chars = chunk_chars or DEFAULT_CHUNK_CHARS
     stream = TransformStream(compiled)
     if compiled.is_rewritten and not params:

@@ -1,29 +1,31 @@
-"""Iterator-based query execution (the classical pull model, paper [10]).
+"""Iterator-based query execution (the pull model of paper [10], one
+batch per ``next()``).
 
-Plan nodes yield *environments*: ``{alias: {column: value}}`` dicts.  A
-:class:`Query` couples a plan with output expressions.  Execution statistics
-(heap rows read, index probes, index entries touched, XML elements built)
-are collected per run — benchmarks and tests assert on them to prove plan
-shape, e.g. that the rewritten Figure-2 query probes the B-tree instead of
-scanning.
-
-Every operator also supports **vectorized** execution through
-``iter_batches(db, env, stats, batch_size)``: row environments flow in
-lists of up to ``batch_size`` instead of one generator hop per row.
-:meth:`Query.execute_batches` drives a whole query that way, and
-:meth:`Query.stream_pieces` couples it with the markup representation
-of SQL/XML values (:mod:`repro.rdb.sqlxml`) so serialized output leaves
-the executor in chunks without a result document ever being
-materialized.
+Plan nodes yield *environments*: ``{alias: {column: value}}`` dicts, in
+lists of up to ``batch_size``.  ``batches(db, env, stats, batch_size)``
+is the one way an operator produces rows and ``iter_batches`` (the same
+stream, profiled) the one way a parent consumes them.  A :class:`Query`
+couples a plan with output expressions: :meth:`Query.execute_batches`
+is its one drive loop (``execute`` collects it), and
+:meth:`Query.stream_pieces` couples the same row flow with the markup
+representation of SQL/XML values (:mod:`repro.rdb.sqlxml`) so
+serialized output leaves the executor in chunks without a result
+document ever being materialized.  Execution statistics (heap rows
+read, index probes, index entries touched, XML elements built) are
+collected per run — benchmarks and tests assert on them to prove plan
+shape, e.g. that the rewritten Figure-2 query probes the B-tree instead
+of scanning.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import chain, islice
 
 from repro.errors import DatabaseError, PlanError
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import current_trace_id
+from repro.rdb.expressions import _text
 from repro.rdb.sqlxml import (
     AGG_STATE,
     find_aggregates,
@@ -31,7 +33,7 @@ from repro.rdb.sqlxml import (
     row_items,
 )
 
-#: Default row count per batch on the vectorized/streaming path.
+#: Row count per batch wherever ``batch_size`` is not given (or None).
 DEFAULT_BATCH_SIZE = 256
 
 
@@ -74,7 +76,7 @@ class ExecutionStats:
         self.subquery_executions = 0
         self.btree_node_visits = 0
         self.docs_materialized = 0
-        #: row batches emitted by the top-level plan on the vectorized path
+        #: row batches emitted by the top-level plan
         self.batches = 0
         #: high-water mark of serialized output buffered at once on the
         #: streaming path (0 when execution materialized the result)
@@ -120,7 +122,6 @@ class NodeProfile:
     def __init__(self):
         self.rows_out = 0
         self.opens = 0
-        #: batches emitted when the node ran on the vectorized path
         self.batches = 0
         self.total_seconds = 0.0
 
@@ -129,10 +130,10 @@ class PlanProfiler:
     """Collects per-node row counts and wall time during execution.
 
     Attached via ``stats.profiler``; every plan node routes child
-    iteration through :meth:`PlanNode.iter_rows`, which wraps the row
-    generator when a profiler is present.  Time spent inside a node's
-    ``next()`` includes its children (total time); self time is derived
-    at rendering time as total minus the children's totals.
+    iteration through :meth:`PlanNode.iter_batches`, which wraps the
+    batch generator when a profiler is present.  Time spent inside a
+    node's ``next()`` includes its children (total time); self time is
+    derived at rendering time as total minus the children's totals.
 
     The profiler captures the ambient trace id at construction, so an
     EXPLAIN ANALYZE retained by the flight recorder links back to the
@@ -154,23 +155,9 @@ class PlanProfiler:
     def get(self, node):
         return self._profiles.get(id(node))
 
-    def wrap(self, node, iterator):
-        profile = self.profile_of(node)
-        profile.opens += 1
-        while True:
-            start = time.perf_counter()
-            try:
-                row = next(iterator)
-            except StopIteration:
-                profile.total_seconds += time.perf_counter() - start
-                return
-            profile.total_seconds += time.perf_counter() - start
-            profile.rows_out += 1
-            yield row
-
     def wrap_batches(self, node, iterator):
-        """Like :meth:`wrap` but over a batch iterator: counts whole
-        batches and the rows inside them."""
+        """Pass a node's batch stream through, counting opens, batches,
+        the rows inside them and the time spent producing them."""
         profile = self.profile_of(node)
         profile.opens += 1
         while True:
@@ -199,47 +186,28 @@ class PlanProfiler:
 
 
 class PlanNode:
-    """Base class: ``rows(db, env, stats)`` yields environment dicts."""
+    """Base class: ``batches(db, env, stats, batch_size)`` yields lists of
+    up to ``batch_size`` environment dicts."""
 
-    def rows(self, db, env, stats):
+    def batches(self, db, env, stats, batch_size):
         raise NotImplementedError
 
-    def iter_rows(self, db, env, stats):
-        """Open this node's row stream, profiled when ``stats`` carries a
-        :class:`PlanProfiler`.  Parents iterate children through this
-        (not ``rows``) so per-node counts are collected."""
-        profiler = getattr(stats, "profiler", None)
-        if profiler is None:
-            return self.rows(db, env, stats)
-        return profiler.wrap(self, self.rows(db, env, stats))
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        """Yield row environments in lists of up to ``batch_size``.
-
-        The base implementation chunks :meth:`rows`; operators with a
-        genuinely vectorized inner loop override this to build batches
-        without a per-row generator hop.
-        """
-        batch = []
-        for row_env in self.rows(db, env, stats):
-            batch.append(row_env)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
     def iter_batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        """Open this node's batch stream (profiled like
-        :meth:`iter_rows`).  Parents on the vectorized path iterate
-        children through this so per-node batch/row counts are
-        collected."""
+        """Open this node's batch stream, profiled when ``stats`` carries
+        a :class:`PlanProfiler`.  Parents iterate children through this
+        (not ``batches``) so per-node counts are collected."""
         profiler = getattr(stats, "profiler", None)
         if profiler is None:
             return self.batches(db, env, stats, batch_size)
         return profiler.wrap_batches(
             self, self.batches(db, env, stats, batch_size)
         )
+
+    def iter_rows(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
+        """:meth:`iter_batches` flattened, for operators that consume
+        their child one row at a time (sorts, builds, merges)."""
+        return chain.from_iterable(
+            self.iter_batches(db, env, stats, batch_size))
 
     def children(self):
         return ()
@@ -251,6 +219,26 @@ class PlanNode:
                 yield node
 
 
+def _chunked(rows, batch_size):
+    """Lists of up to ``batch_size`` consecutive items of ``rows`` — how
+    the operators whose output is not a function of one input batch
+    (the expanding joins) re-form batches."""
+    rows = iter(rows)
+    batch = list(islice(rows, batch_size))
+    while batch:
+        yield batch
+        batch = list(islice(rows, batch_size))
+
+
+def _sliced(rows, batch_size):
+    """The batches of an already materialised row list (sorts and
+    aggregates); a list that fits one batch is handed over as it is."""
+    if len(rows) <= batch_size:
+        return (rows,) if rows else ()
+    return [rows[start:start + batch_size]
+            for start in range(0, len(rows), batch_size)]
+
+
 class Scan(PlanNode):
     """Full table scan."""
 
@@ -258,16 +246,7 @@ class Scan(PlanNode):
         self.table_name = table_name
         self.alias = alias or table_name
 
-    def rows(self, db, env, stats):
-        table = db.table(self.table_name)
-        names = table.schema.column_names()
-        for _, row in table.scan():
-            stats.rows_scanned += 1
-            merged = dict(env)
-            merged[self.alias] = dict(zip(names, row))
-            yield merged
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
+    def batches(self, db, env, stats, batch_size):
         table = db.table(self.table_name)
         names = table.schema.column_names()
         alias = self.alias
@@ -296,20 +275,7 @@ class IndexScan(PlanNode):
         self.alias = alias or table_name
         self.column_name = column_name  # for SQL rendering only
 
-    def rows(self, db, env, stats):
-        table = db.table(self.table_name)
-        index = db.index(self.index_name)
-        key = self.key_expr.evaluate(env, db, stats)
-        key = table.schema.column(index.column_name).coerce(key)
-        names = table.schema.column_names()
-        for row_id in index.lookup_op(self.op, key, stats=stats):
-            stats.rows_scanned += 1
-            row = table.fetch(row_id)
-            merged = dict(env)
-            merged[self.alias] = dict(zip(names, row))
-            yield merged
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
+    def batches(self, db, env, stats, batch_size):
         table = db.table(self.table_name)
         index = db.index(self.index_name)
         key = self.key_expr.evaluate(env, db, stats)
@@ -339,24 +305,14 @@ class Filter(PlanNode):
     def children(self):
         return (self.child,)
 
-    def rows(self, db, env, stats):
-        for row_env in self.child.iter_rows(db, env, stats):
-            if bool(self.predicate.evaluate(row_env, db, stats)):
-                yield row_env
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
+    def batches(self, db, env, stats, batch_size):
         predicate = self.predicate
-        batch = []
         for child_batch in self.child.iter_batches(db, env, stats,
                                                    batch_size):
-            for row_env in child_batch:
-                if bool(predicate.evaluate(row_env, db, stats)):
-                    batch.append(row_env)
-            if len(batch) >= batch_size:
+            batch = [row_env for row_env in child_batch
+                     if predicate.evaluate(row_env, db, stats)]
+            if batch:
                 yield batch
-                batch = []
-        if batch:
-            yield batch
 
 
 class NestedLoopJoin(PlanNode):
@@ -370,31 +326,18 @@ class NestedLoopJoin(PlanNode):
     def children(self):
         return (self.left, self.right)
 
-    def rows(self, db, env, stats):
-        for left_env in self.left.iter_rows(db, env, stats):
-            for joined in self.right.iter_rows(db, left_env, stats):
-                if self.condition is None or bool(
-                    self.condition.evaluate(joined, db, stats)
+    def batches(self, db, env, stats, batch_size):
+        return _chunked(self._joined(db, env, stats, batch_size), batch_size)
+
+    def _joined(self, db, env, stats, batch_size):
+        condition = self.condition
+        for left_env in self.left.iter_rows(db, env, stats, batch_size):
+            for joined in self.right.iter_rows(db, left_env, stats,
+                                               batch_size):
+                if condition is None or bool(
+                    condition.evaluate(joined, db, stats)
                 ):
                     yield joined
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        condition = self.condition
-        batch = []
-        for left_batch in self.left.iter_batches(db, env, stats, batch_size):
-            for left_env in left_batch:
-                # right side stays row-driven: it is re-opened per left
-                # row (correlated), so there is no inner batch to reuse
-                for joined in self.right.iter_rows(db, left_env, stats):
-                    if condition is None or bool(
-                        condition.evaluate(joined, db, stats)
-                    ):
-                        batch.append(joined)
-                        if len(batch) >= batch_size:
-                            yield batch
-                            batch = []
-        if batch:
-            yield batch
 
 
 class StructuralScan(PlanNode):
@@ -408,21 +351,18 @@ class StructuralScan(PlanNode):
         self.alias = alias or table_name
         self.doc_id = doc_id
 
-    def rows(self, db, env, stats):
+    def batches(self, db, env, stats, batch_size):
         table = db.table(self.table_name)
         sindex = db.structural_index(self.table_name)
         names = table.schema.column_names()
+        alias = self.alias
+        batch = []
         for _, row_id in sindex.scan_name(self.name, doc_id=self.doc_id,
                                           stats=stats):
             stats.rows_scanned += 1
             merged = dict(env)
-            merged[self.alias] = dict(zip(names, table.fetch(row_id)))
-            yield merged
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        batch = []
-        for row_env in self.rows(db, env, stats):
-            batch.append(row_env)
+            merged[alias] = dict(zip(names, table.fetch(row_id)))
+            batch.append(merged)
             if len(batch) >= batch_size:
                 yield batch
                 batch = []
@@ -458,18 +398,23 @@ class StructuralJoin(PlanNode):
     def children(self):
         return (self.descendant, self.ancestor)
 
-    def _pairs(self, db, env, stats):
+    def batches(self, db, env, stats, batch_size):
+        return _chunked(self._pairs(db, env, stats, batch_size), batch_size)
+
+    def _pairs(self, db, env, stats, batch_size):
         doc_col = self.doc_column
         start_col = self.start_column
         end_col = self.end_column
         anc_alias = self.anc_alias
-        anc_iter = self.ancestor.iter_rows(db, env, stats)
+        anc_batches = self.ancestor.iter_batches(db, env, stats, batch_size)
+        anc_iter = chain.from_iterable(anc_batches)
         next_anc = next(anc_iter, None)
         # stack entries: (doc, start, end, ancestor-row dict), innermost last
         stack = []
         emitted = 0
         try:
-            for desc_env in self.descendant.iter_rows(db, env, stats):
+            for desc_env in self.descendant.iter_rows(db, env, stats,
+                                                      batch_size):
                 desc_row = desc_env[self.desc_alias]
                 desc_key = (desc_row[doc_col], desc_row[start_col])
                 while next_anc is not None:
@@ -493,24 +438,9 @@ class StructuralJoin(PlanNode):
                         stats.struct_join_rows += 1
                         yield merged
         finally:
-            close = getattr(anc_iter, "close", None)
-            if close is not None:
-                close()
+            anc_batches.close()
             global_metrics().counter("structural.index.join_rows").inc(
                 emitted)
-
-    def rows(self, db, env, stats):
-        return self._pairs(db, env, stats)
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        batch = []
-        for row_env in self._pairs(db, env, stats):
-            batch.append(row_env)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
 
 
 class HashJoin(PlanNode):
@@ -536,12 +466,12 @@ class HashJoin(PlanNode):
     def children(self):
         return (self.left, self.right)
 
-    def _build(self, db, env, stats):
-        """``{canonical key: [alias-additions in build order]}`` plus the
-        baseline env keys (to split right-introduced bindings out of the
-        built row environments)."""
+    def _build(self, db, env, stats, batch_size):
+        """``{canonical key: [alias-additions in build order]}``: the
+        right-introduced bindings split out of the built row
+        environments."""
         table = {}
-        for row_env in self.right.iter_rows(db, env, stats):
+        for row_env in self.right.iter_rows(db, env, stats, batch_size):
             key = _hash_key(self.right_key.evaluate(row_env, db, stats))
             stats.hash_build_rows += 1
             if key is None:
@@ -554,37 +484,25 @@ class HashJoin(PlanNode):
             table.setdefault(key, []).append(additions)
         return table
 
-    def _probe(self, db, env, stats, table, left_env):
-        stats.hash_probes += 1
-        key = _hash_key(self.left_key.evaluate(left_env, db, stats))
-        if key is None:
-            return
-        for additions in table.get(key, ()):
-            joined = dict(left_env)
-            joined.update(additions)
-            if self.condition is None or bool(
-                self.condition.evaluate(joined, db, stats)
-            ):
-                yield joined
+    def batches(self, db, env, stats, batch_size):
+        return _chunked(self._joined(db, env, stats, batch_size), batch_size)
 
-    def rows(self, db, env, stats):
-        table = self._build(db, env, stats)
-        for left_env in self.left.iter_rows(db, env, stats):
-            for joined in self._probe(db, env, stats, table, left_env):
-                yield joined
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        table = self._build(db, env, stats)
-        batch = []
-        for left_batch in self.left.iter_batches(db, env, stats, batch_size):
-            for left_env in left_batch:
-                for joined in self._probe(db, env, stats, table, left_env):
-                    batch.append(joined)
-                    if len(batch) >= batch_size:
-                        yield batch
-                        batch = []
-        if batch:
-            yield batch
+    def _joined(self, db, env, stats, batch_size):
+        table = self._build(db, env, stats, batch_size)
+        left_key = self.left_key
+        condition = self.condition
+        for left_env in self.left.iter_rows(db, env, stats, batch_size):
+            stats.hash_probes += 1
+            key = _hash_key(left_key.evaluate(left_env, db, stats))
+            if key is None:
+                continue
+            for additions in table.get(key, ()):
+                joined = dict(left_env)
+                joined.update(additions)
+                if condition is None or bool(
+                    condition.evaluate(joined, db, stats)
+                ):
+                    yield joined
 
 
 class HashLeftJoin(PlanNode):
@@ -610,9 +528,9 @@ class HashLeftJoin(PlanNode):
     def children(self):
         return (self.left, self.right)
 
-    def _build(self, db, env, stats):
+    def _build(self, db, env, stats, batch_size):
         table = {}
-        for row_env in self.right.iter_rows(db, env, stats):
+        for row_env in self.right.iter_rows(db, env, stats, batch_size):
             stats.hash_build_rows += 1
             key = tuple(
                 _hash_key(expr.evaluate(row_env, db, stats))
@@ -634,43 +552,28 @@ class HashLeftJoin(PlanNode):
         row environments as read-only)."""
         return {self.right.alias: self.right.empty_row(db, env, stats)}
 
-    def _joined(self, db, env, stats, table, miss_cell, left_env):
-        stats.hash_probes += 1
-        key = tuple(
-            _hash_key(expr.evaluate(left_env, db, stats))
-            for expr in self.left_keys
-        )
-        matches = table.get(key) if None not in key else None
-        if not matches:
-            if miss_cell[0] is None:
-                miss_cell[0] = self._miss_additions(db, env, stats)
-            matches = (miss_cell[0],)
-        for additions in matches:
-            joined = dict(left_env)
-            joined.update(additions)
-            yield joined
-
-    def rows(self, db, env, stats):
-        table = self._build(db, env, stats)
-        miss_cell = [None]
-        for left_env in self.left.iter_rows(db, env, stats):
-            for joined in self._joined(db, env, stats, table, miss_cell,
-                                       left_env):
-                yield joined
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        table = self._build(db, env, stats)
-        miss_cell = [None]
-        batch = []
+    def batches(self, db, env, stats, batch_size):
+        table = self._build(db, env, stats, batch_size)
+        left_keys = self.left_keys
+        miss = None
+        # one output row per left row, so a left batch maps to one batch
         for left_batch in self.left.iter_batches(db, env, stats, batch_size):
+            batch = []
             for left_env in left_batch:
-                for joined in self._joined(db, env, stats, table, miss_cell,
-                                           left_env):
+                stats.hash_probes += 1
+                key = tuple(
+                    _hash_key(expr.evaluate(left_env, db, stats))
+                    for expr in left_keys
+                )
+                matches = table.get(key) if None not in key else None
+                if not matches:
+                    if miss is None:
+                        miss = (self._miss_additions(db, env, stats),)
+                    matches = miss
+                for additions in matches:
+                    joined = dict(left_env)
+                    joined.update(additions)
                     batch.append(joined)
-                    if len(batch) >= batch_size:
-                        yield batch
-                        batch = []
-        if batch:
             yield batch
 
 
@@ -680,8 +583,6 @@ def _hash_key(value):
     as SQL text — so every key hashes by its text rendering (integral
     floats and ints collapse to the same string, exactly as ``=`` treats
     them as equal)."""
-    from repro.rdb.expressions import _text
-
     if value is None:
         return None
     return _text(value)
@@ -697,25 +598,14 @@ class Sort(PlanNode):
     def children(self):
         return (self.child,)
 
-    def rows(self, db, env, stats):
-        for _, row_env in self._decorated(db, env, stats):
-            yield row_env
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        decorated = self._decorated(db, env, stats)
-        for start in range(0, len(decorated), batch_size):
-            yield [row_env
-                   for _, row_env in decorated[start:start + batch_size]]
-
-    def _decorated(self, db, env, stats):
-        """Sorted ``(key_row, row_env)`` pairs.  This node is the sole
-        consumer of the child's row stream, so rows are decorated in the
-        same pass that drains it — no intermediate copy of the full row
-        list before decoration."""
+    def batches(self, db, env, stats, batch_size):
+        # ``(key_row, row_env)`` pairs: this node is the sole consumer of
+        # the child's row stream, so rows are decorated in the same pass
+        # that drains it — no intermediate copy of the full row list
         decorated = [
             ([expr.evaluate(row_env, db, stats) for expr, _ in self.keys],
              row_env)
-            for row_env in self.child.iter_rows(db, env, stats)
+            for row_env in self.child.iter_rows(db, env, stats, batch_size)
         ]
         for position in range(len(self.keys) - 1, -1, -1):
             descending = self.keys[position][1]
@@ -723,7 +613,7 @@ class Sort(PlanNode):
                 key=lambda pair: _null_safe(pair[0][position]),
                 reverse=descending,
             )
-        return decorated
+        yield from _sliced([row_env for _, row_env in decorated], batch_size)
 
 
 def _null_safe(value):
@@ -762,11 +652,11 @@ class Aggregate(PlanNode):
     def children(self):
         return (self.child,)
 
-    def rows(self, db, env, stats):
+    def batches(self, db, env, stats, batch_size):
         aggregates = _aggregates_of(self.outputs)
         groups = {}
         order = []
-        for row_env in self.child.iter_rows(db, env, stats):
+        for row_env in self.child.iter_rows(db, env, stats, batch_size):
             key = tuple(
                 expr.evaluate(row_env, db, stats) for _, expr in self.group_by
             )
@@ -781,6 +671,7 @@ class Aggregate(PlanNode):
         if not self.group_by and not order:
             groups[()] = {id(agg): agg.new_state() for agg in aggregates}
             order.append(())
+        finalized = []
         for key in order:
             final_env = dict(env)
             final_env[AGG_STATE] = groups[key]
@@ -791,7 +682,8 @@ class Aggregate(PlanNode):
                 out_row[name] = expr.evaluate(final_env, db, stats)
             result_env = dict(env)
             result_env[self.alias] = out_row
-            yield result_env
+            finalized.append(result_env)
+        yield from _sliced(finalized, batch_size)
 
     def empty_row(self, db, env, stats):
         """The output row of a group no child row fell into: group keys
@@ -831,7 +723,7 @@ class TopN(PlanNode):
         return (self.child,)
 
     def _prune(self, buffer):
-        """Stable multi-pass sort (Sort._decorated's strategy), then keep
+        """Stable multi-pass sort (Sort's strategy), then keep
         only the best ``count`` decorated rows."""
         for position in range(len(self.keys) - 1, -1, -1):
             descending = self.keys[position][1]
@@ -841,12 +733,12 @@ class TopN(PlanNode):
             )
         del buffer[self.count:]
 
-    def _top_rows(self, db, env, stats):
+    def batches(self, db, env, stats, batch_size):
         if self.count <= 0:
-            return []
+            return
         threshold = max(self.count * 2, 64)
         buffer = []
-        for row_env in self.child.iter_rows(db, env, stats):
+        for row_env in self.child.iter_rows(db, env, stats, batch_size):
             stats.topn_heap_rows += 1
             buffer.append((
                 [expr.evaluate(row_env, db, stats)
@@ -856,16 +748,7 @@ class TopN(PlanNode):
             if len(buffer) >= threshold:
                 self._prune(buffer)
         self._prune(buffer)
-        return [row_env for _, row_env in buffer]
-
-    def rows(self, db, env, stats):
-        for row_env in self._top_rows(db, env, stats):
-            yield row_env
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        top = self._top_rows(db, env, stats)
-        for start in range(0, len(top), batch_size):
-            yield top[start:start + batch_size]
+        yield from _sliced([row_env for _, row_env in buffer], batch_size)
 
 
 class Limit(PlanNode):
@@ -876,21 +759,14 @@ class Limit(PlanNode):
     def children(self):
         return (self.child,)
 
-    def rows(self, db, env, stats):
+    def batches(self, db, env, stats, batch_size):
         remaining = self.count
         if remaining <= 0:
             return
-        for row_env in self.child.iter_rows(db, env, stats):
-            yield row_env
-            remaining -= 1
-            if remaining <= 0:
-                return
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        remaining = self.count
-        if remaining <= 0:
-            return
-        for batch in self.child.iter_batches(db, env, stats, batch_size):
+        # never ask the child for more rows at once than are still wanted:
+        # a scan under a limit then reads exactly ``count`` rows
+        for batch in self.child.iter_batches(db, env, stats,
+                                             min(batch_size, remaining)):
             if len(batch) >= remaining:
                 yield batch[:remaining]
                 return
@@ -910,91 +786,54 @@ class Query:
 
     def execute(self, db, env=None, stats=None, batch_size=None):
         """Run the query; returns (rows, stats).  Each row is a tuple of
-        output values in declaration order.  With ``batch_size`` the plan
-        runs on the vectorized path (``iter_batches``) instead of the
-        row-at-a-time pull loop."""
-        env = env or {}
+        output values in declaration order.  ``batch_size`` only tunes
+        how many rows the operators hand over at once (None: the
+        default), never the result."""
         stats = stats or ExecutionStats()
-        start = time.perf_counter()
-        if batch_size:
-            rows = []
-            for batch in self.execute_batches(db, env=env, stats=stats,
-                                              batch_size=batch_size,
-                                              _timed=False):
-                rows.extend(batch)
-        else:
-            rows = list(self._iterate(db, env, stats))
-        stats.elapsed_seconds += time.perf_counter() - start
-        stats.output_rows += len(rows)
+        rows = list(chain.from_iterable(
+            self.execute_batches(db, env, stats, batch_size)))
         return rows, stats
 
-    def execute_batches(self, db, env=None, stats=None,
-                        batch_size=DEFAULT_BATCH_SIZE, _timed=True):
-        """Yield lists of output-row tuples, at most ``batch_size`` each.
+    def execute_batches(self, db, env=None, stats=None, batch_size=None):
+        """Yield lists of output-row tuples, at most ``batch_size`` each
+        — the one loop that drives a plan to output rows.
 
-        The whole operator tree runs batched: every plan node hands its
-        parent a list of row environments instead of one row per
-        ``next()``.  ``stats.batches`` counts the top-level batches.
+        ``stats.batches`` / ``output_rows`` count what was handed to the
+        consumer, and ``elapsed_seconds`` the time spent producing it:
+        the clock stops while the consumer holds a batch, and a consumer
+        that stops early has been charged for what it received.
         """
-        env = env or {}
         stats = stats or ExecutionStats()
-        start = time.perf_counter() if _timed else None
-        if self.is_aggregate():
-            final_env = self._accumulate(db, env, stats, batch_size)
-            out = [tuple(
-                expr.evaluate(final_env, db, stats)
-                for _, expr in self.outputs
-            )]
-            stats.batches += 1
-            if _timed:
-                stats.elapsed_seconds += time.perf_counter() - start
-                stats.output_rows += 1
-            yield out
-            return
         outputs = self.outputs
-        for batch in self.plan.iter_batches(db, env, stats, batch_size):
+        start = time.perf_counter()
+        for batch in self._env_batches(db, env or {}, stats,
+                                       batch_size or DEFAULT_BATCH_SIZE):
             out = [
                 tuple(expr.evaluate(row_env, db, stats)
                       for _, expr in outputs)
                 for row_env in batch
             ]
             stats.batches += 1
-            if _timed:
-                stats.output_rows += len(out)
-            yield out
-        if _timed:
+            stats.output_rows += len(out)
             stats.elapsed_seconds += time.perf_counter() - start
+            yield out
+            start = time.perf_counter()
+        stats.elapsed_seconds += time.perf_counter() - start
 
-    def _accumulate(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        """Drain the plan into aggregate states (vectorized); returns the
-        final environment carrying ``AGG_STATE``."""
+    def _env_batches(self, db, env, stats, batch_size):
+        """Batches of the environments the output expressions evaluate
+        against: the plan's rows, or for an aggregate query the single
+        environment carrying the accumulated ``AGG_STATE``."""
+        if not self.is_aggregate():
+            return self.plan.iter_batches(db, env, stats, batch_size)
         aggregates = _aggregates_of(self.outputs)
         states = {id(agg): agg.new_state() for agg in aggregates}
-        for batch in self.plan.iter_batches(db, env, stats, batch_size):
-            for row_env in batch:
-                for agg in aggregates:
-                    agg.accumulate(states[id(agg)], row_env, db, stats)
+        for row_env in self.plan.iter_rows(db, env, stats, batch_size):
+            for agg in aggregates:
+                agg.accumulate(states[id(agg)], row_env, db, stats)
         final_env = dict(env)
         final_env[AGG_STATE] = states
-        return final_env
-
-    def _iterate(self, db, env, stats):
-        if self.is_aggregate():
-            aggregates = _aggregates_of(self.outputs)
-            states = {id(agg): agg.new_state() for agg in aggregates}
-            for row_env in self.plan.iter_rows(db, env, stats):
-                for agg in aggregates:
-                    agg.accumulate(states[id(agg)], row_env, db, stats)
-            final_env = dict(env)
-            final_env[AGG_STATE] = states
-            yield tuple(
-                expr.evaluate(final_env, db, stats) for _, expr in self.outputs
-            )
-            return
-        for row_env in self.plan.iter_rows(db, env, stats):
-            yield tuple(
-                expr.evaluate(row_env, db, stats) for _, expr in self.outputs
-            )
+        return [[final_env]]
 
     # -- explain --------------------------------------------------------------
 
@@ -1011,8 +850,7 @@ class Query:
 
     # -- streaming ------------------------------------------------------------
 
-    def stream_pieces(self, db, env=None, stats=None,
-                      batch_size=DEFAULT_BATCH_SIZE):
+    def stream_pieces(self, db, env=None, stats=None, batch_size=None):
         """Yield serialized text pieces of the first output column of
         every row, in row order.
 
@@ -1022,8 +860,8 @@ class Query:
         the transform front door runs — so the concatenation of the
         pieces is byte-identical to executing the query and serializing
         ``row[0]`` of every row, while no piece ever spans more than one
-        aggregated row.  Row flow underneath is batched
-        (``iter_batches``); values are rendered one row at a time.
+        aggregated row.  Row flow underneath is the executor's batches;
+        values are rendered one row at a time.
         """
         env = env or {}
         stats = stats or ExecutionStats()
@@ -1031,12 +869,8 @@ class Query:
         if not self.outputs:
             raise PlanError("cannot stream a query with no outputs")
         expr = self.outputs[0][1]
-        if self.is_aggregate():
-            # one output row, evaluated against the accumulated states
-            batches = [[self._accumulate(db, env, stats, batch_size)]]
-        else:
-            batches = self.plan.iter_batches(db, env, stats, batch_size)
-        for batch in batches:
+        for batch in self._env_batches(db, env, stats,
+                                       batch_size or DEFAULT_BATCH_SIZE):
             stats.batches += 1
             stats.output_rows += len(batch)
             for row_env in batch:
@@ -1048,14 +882,21 @@ class Query:
         if len(self.outputs) != 1:
             raise PlanError("scalar subquery must have one output column")
         stats.subquery_executions += 1
-        rows = list(self._iterate(db, env, stats))
-        if not rows:
+        expr = self.outputs[0][1]
+        # not execute(): the outer execution's output_rows / batches /
+        # elapsed_seconds are not charged for a subquery's rows
+        values = [
+            expr.evaluate(row_env, db, stats)
+            for row_env in chain.from_iterable(
+                self._env_batches(db, env, stats, DEFAULT_BATCH_SIZE))
+        ]
+        if not values:
             return None
-        if len(rows) > 1:
+        if len(values) > 1:
             raise DatabaseError(
-                "scalar subquery returned %d rows" % len(rows)
+                "scalar subquery returned %d rows" % len(values)
             )
-        return rows[0][0]
+        return values[0]
 
     # -- SQL rendering --------------------------------------------------------
 
@@ -1376,10 +1217,7 @@ def _profile_note(plan, profile):
 def record_plan_metrics(query, profiler, metrics):
     """Export a profiled execution's per-operator counters into an obs
     :class:`~repro.obs.metrics.MetricsRegistry` —
-    ``plan.operator_rows{op=...}`` for every executed node and
-    ``plan.operator_batches{op=...}`` for nodes that ran vectorized, so
-    dashboards can see how much of the plan went through the batched
-    path."""
+    ``plan.operator_rows{op=...}`` for every executed node."""
     if profiler is None or metrics is None:
         return
     plan = query.plan if isinstance(query, Query) else query
@@ -1390,9 +1228,6 @@ def record_plan_metrics(query, profiler, metrics):
         profile = profiler.get(node)
         if profile is None:
             continue
-        op = type(node).__name__
-        metrics.counter("plan.operator_rows", op=op).inc(profile.rows_out)
-        if profile.batches:
-            metrics.counter(
-                "plan.operator_batches", op=op
-            ).inc(profile.batches)
+        metrics.counter(
+            "plan.operator_rows", op=type(node).__name__
+        ).inc(profile.rows_out)

@@ -9,8 +9,8 @@ An XML value has one of two representations, fixed per *execution* by
 the entry point that opened it and carried on its ``stats`` object
 (``ExecutionStats.markup``) to every operator and aggregate:
 
-* **DOM nodes** (the default): ``Query.execute()`` /
-  ``execute_batches()`` / ``execute_scalar()`` and a bare
+* **DOM nodes** (the default): ``Query.execute_batches()`` (which
+  ``execute()`` collects), ``execute_scalar()`` and a bare
   ``expr.evaluate()`` build trees, which view materialisation for the
   functional path, the XMLQuery operators and tests read;
 * **markup** (``stats.markup`` set by the transform front door and

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 
+from repro.api import TransformOptions
 from repro.errors import ReproError, RewriteError, SchemaError
 from repro.rdb.database import Database
 from repro.rdb.infer import infer_view_structure
@@ -158,11 +159,12 @@ def run_case(case, size, repeat=1):
 
 def _timed(prepared, rewrite, repeat):
     result = None
+    options = TransformOptions(rewrite=rewrite)
     start = time.perf_counter()
     for _ in range(repeat):
         result = xml_transform(
             prepared.db, prepared.storage, prepared.stylesheet,
-            rewrite=rewrite,
+            options=options,
         )
     elapsed = (time.perf_counter() - start) / repeat
     return elapsed, result

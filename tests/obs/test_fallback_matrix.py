@@ -141,7 +141,7 @@ class TestCompileStageMatrix:
 
 
 class _ExplodingQuery:
-    def execute(self, db, env=None, stats=None):
+    def execute(self, db, env=None, stats=None, batch_size=None):
         raise RewriteError("simulated runtime rewrite failure")
 
 

@@ -107,7 +107,7 @@ class TestCompileTimeFallback:
 class _ExplodingQuery:
     """Stand-in for an optimized plan that fails at run time."""
 
-    def execute(self, db, env=None, stats=None):
+    def execute(self, db, env=None, stats=None, batch_size=None):
         raise RewriteError("simulated runtime rewrite failure")
 
 

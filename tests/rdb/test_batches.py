@@ -1,5 +1,5 @@
-"""Tests for the vectorized executor path (batches/iter_batches) and the
-markup (text) representation of SQL/XML values behind streaming."""
+"""Tests for the executor's one pull protocol (batches/iter_batches) and
+the markup (text) representation of SQL/XML values behind streaming."""
 
 import pytest
 
@@ -20,7 +20,13 @@ from repro.rdb import (
     TEXT,
 )
 from repro.rdb.expressions import ScalarSubquery, col, const, eq, gt
-from repro.rdb.plan import DEFAULT_BATCH_SIZE, ExecutionStats, PlanProfiler
+from repro.rdb.plan import (
+    DEFAULT_BATCH_SIZE,
+    ExecutionStats,
+    HashLeftJoin,
+    PlanNode,
+    PlanProfiler,
+)
 from repro.rdb.sqlxml import (
     AggCall,
     XMLAgg,
@@ -99,8 +105,7 @@ class TestBatchedExecutionEquivalence:
         stats = ExecutionStats()
         rows, stats = query.execute(db, stats=stats, batch_size=1)
         assert len(rows) == 1
-        # batch_size=1 must not scan past the limit
-        assert stats.rows_scanned <= 2
+        assert stats.rows_scanned == 1
 
     @pytest.mark.parametrize("batch_size", [1, 2, DEFAULT_BATCH_SIZE])
     def test_aggregate_query(self, db, batch_size):
@@ -123,6 +128,10 @@ class TestBatchedExecutionEquivalence:
 
 def _audit_cases():
     """One representative query per physical operator."""
+    correlated_count = Query(
+        Filter(Scan("emp", "e"), eq(col("deptno", "e"), col("deptno", "d"))),
+        [(None, AggCall("COUNT", col("empno", "e")))],
+    )
     return [
         ("scan", Query(Scan("emp"), [(None, col("ename"))])),
         ("filter", Query(
@@ -147,6 +156,19 @@ def _audit_cases():
             ),
             [(None, col("dname", "d")), (None, col("ename", "e"))],
         )),
+        ("hash-left-join", Query(
+            HashLeftJoin(
+                Scan("dept", "d"),
+                Aggregate(
+                    Scan("emp", "e"),
+                    group_by=[("deptno", col("deptno", "e"))],
+                    outputs=[("n", AggCall("COUNT", col("empno", "e")))],
+                    alias="g",
+                ),
+                [col("deptno", "d")], [col("deptno", "g")],
+            ),
+            [(None, col("dname", "d")), (None, col("n", "g"))],
+        )),
         ("sort", Query(
             Sort(Scan("emp"), [(col("sal"), True)]),
             [(None, col("ename"))],
@@ -164,53 +186,160 @@ def _audit_cases():
             ),
             [(None, col("deptno", "agg")), (None, col("total", "agg"))],
         )),
+        ("scalar-subquery", Query(
+            Scan("dept", "d"),
+            [(None, col("dname", "d")),
+             (None, ScalarSubquery(correlated_count))],
+        )),
     ]
 
 
+AUDIT_IDS = [name for name, _ in _audit_cases()]
+AUDIT_BATCH_SIZES = [1, 2, 3, 7, DEFAULT_BATCH_SIZE]
+
+# What the row-at-a-time executor (``rows()`` / ``Query._iterate``, deleted
+# in PR 16) returned for each audit case at the last commit that had it:
+# the rows, and every non-zero ``ExecutionStats`` counter.  The one
+# executor must do exactly this work at every batch size.
+ROW_PATH_ROWS = {
+    "scan": [("CLARK",), ("MILLER",), ("SMITH",)],
+    "filter": [("CLARK",), ("SMITH",)],
+    "index-scan": [("CLARK",), ("SMITH",)],
+    "nested-loop": [("ACCOUNTING", "CLARK"), ("ACCOUNTING", "MILLER"),
+                    ("OPERATIONS", "SMITH")],
+    "hash-join": [("ACCOUNTING", "CLARK"), ("ACCOUNTING", "MILLER"),
+                  ("OPERATIONS", "SMITH")],
+    "hash-left-join": [("ACCOUNTING", 2.0), ("OPERATIONS", 1.0)],
+    "sort": [("SMITH",), ("CLARK",), ("MILLER",)],
+    "top-n": [("SMITH",), ("CLARK",)],
+    "limit": [("CLARK",), ("MILLER",)],
+    "aggregate": [(10, 3750.0), (40, 4900.0)],
+    "scalar-subquery": [("ACCOUNTING", 2.0), ("OPERATIONS", 1.0)],
+}
+ROW_PATH_COUNTERS = {
+    "scan": {"rows_scanned": 3, "output_rows": 3},
+    "filter": {"rows_scanned": 3, "output_rows": 2},
+    "index-scan": {"rows_scanned": 2, "output_rows": 2, "index_probes": 1,
+                   "index_entries": 2, "btree_node_visits": 2},
+    "nested-loop": {"rows_scanned": 8, "output_rows": 3},
+    "hash-join": {"rows_scanned": 5, "output_rows": 3,
+                  "hash_build_rows": 3, "hash_probes": 2},
+    "hash-left-join": {"rows_scanned": 5, "output_rows": 2,
+                       "hash_build_rows": 2, "hash_probes": 2},
+    "sort": {"rows_scanned": 3, "output_rows": 3},
+    "top-n": {"rows_scanned": 3, "output_rows": 2, "topn_heap_rows": 3},
+    # the scan under a limit stops at the limit, at every batch size
+    "limit": {"rows_scanned": 2, "output_rows": 2},
+    "aggregate": {"rows_scanned": 3, "output_rows": 2},
+    # the subquery's rows are not the outer query's output rows
+    "scalar-subquery": {"rows_scanned": 8, "output_rows": 2,
+                        "subquery_executions": 2},
+}
+# ``(op, table, estimated_rows, actual_rows, q_error)`` per judged node and
+# the plan's max Q-error, as the row path reported them for the optimized,
+# analyzed plan of each case.
+ROW_PATH_FEEDBACK = {
+    "scan": ([("Scan", "emp", 3.0, 3.0, 1.0)], 1.0),
+    "filter": ([("IndexScan", "emp", 2.0, 2.0, 1.0)], 1.0),
+    "index-scan": ([("IndexScan", "emp", 2.0, 2.0, 1.0)], 1.0),
+    "nested-loop": ([("Filter", None, 1.5, 1.5, 1.0),
+                     ("NestedLoopJoin", None, 3.0, 3.0, 1.0),
+                     ("Scan", "dept", 2.0, 2.0, 1.0),
+                     ("Scan", "emp", 3.0, 3.0, 1.0)], 1.0),
+    "hash-join": ([("HashJoin", None, 3.0, 3.0, 1.0),
+                   ("Scan", "dept", None, 2.0, None),
+                   ("Scan", "emp", None, 3.0, None)], 1.0),
+    "hash-left-join": ([("Aggregate", None, 2.0, 2.0, 1.0),
+                        ("HashLeftJoin", None, 2.0, 2.0, 1.0),
+                        ("Scan", "dept", 2.0, 2.0, 1.0),
+                        ("Scan", "emp", 3.0, 3.0, 1.0)], 1.0),
+    "sort": ([("Scan", "emp", 3.0, 3.0, 1.0),
+              ("Sort", None, 3.0, 3.0, 1.0)], 1.0),
+    "top-n": ([("Scan", "emp", None, 3.0, None),
+               ("TopN", None, 2.0, 2.0, 1.0)], 1.0),
+    "limit": ([("Limit", None, 2, 2.0, 1.0),
+               ("Scan", "emp", 3.0, 2.0, 1.5)], 1.5),
+    "aggregate": ([("Aggregate", None, 1.0, 2.0, 2.0),
+                   ("Scan", "emp", 3.0, 3.0, 1.0)], 2.0),
+    # decorrelated by the optimizer into the hash-left-join shape
+    "scalar-subquery": ([("Aggregate", None, 2.0, 2.0, 1.0),
+                         ("HashLeftJoin", None, 2.0, 2.0, 1.0),
+                         ("Scan", "dept", 2.0, 2.0, 1.0),
+                         ("Scan", "emp", 3.0, 3.0, 1.0)], 1.0),
+}
+
+
+class TestSingleProtocol:
+    """``batches()`` is the only way an operator produces rows."""
+
+    @staticmethod
+    def _operators():
+        found, todo = [], [PlanNode]
+        while todo:
+            for cls in todo.pop().__subclasses__():
+                found.append(cls)
+                todo.append(cls)
+        return found
+
+    def test_every_operator_defines_batches_and_none_defines_rows(self):
+        operators = self._operators()
+        assert len(operators) >= 12
+        for cls in operators:
+            assert "batches" in cls.__dict__, cls.__name__
+            assert "iter_rows" not in cls.__dict__, cls.__name__
+            assert not hasattr(cls, "rows"), cls.__name__
+
+    def test_one_profiler_wrapper_and_one_drive_loop(self):
+        assert not hasattr(PlanProfiler, "wrap")
+        assert hasattr(PlanProfiler, "wrap_batches")
+        assert not hasattr(Query, "_iterate")
+
+
 class TestBatchesParityAudit:
-    """Regression audit: the batched path must report the exact same work
-    counters as the row-at-a-time path for every physical operator —
-    identical rows AND identical rows_scanned / index_probes /
-    index_entries / hash / top-n counters.  Only ``batches`` (zero on the
-    row path) and wall-clock time may differ."""
+    """Regression audit: at every batch size, every physical operator
+    returns the rows and reports the work counters (rows_scanned /
+    index_probes / index_entries / hash / top-n / ...) that the
+    row-at-a-time executor did.  Only ``batches`` and wall-clock time
+    depend on the batch size."""
 
     IGNORED = {"batches", "elapsed_seconds"}
 
-    @pytest.mark.parametrize(
-        "name,query", _audit_cases(), ids=[c[0] for c in _audit_cases()]
-    )
-    @pytest.mark.parametrize("batch_size", [1, 2, DEFAULT_BATCH_SIZE])
-    def test_counters_match_row_path(self, db, name, query, batch_size):
+    @pytest.mark.parametrize("name,query", _audit_cases(), ids=AUDIT_IDS)
+    @pytest.mark.parametrize("batch_size", AUDIT_BATCH_SIZES)
+    def test_rows_and_counters_match_row_path(self, db, name, query,
+                                              batch_size):
         db.create_index("emp", "sal")
-        row_stats = ExecutionStats()
-        row_rows, row_stats = query.execute(db, stats=row_stats)
-        batch_rows, batch_stats = batched(db, query, batch_size)
-        assert batch_rows == row_rows
+        rows, stats = batched(db, query, batch_size)
+        assert rows == ROW_PATH_ROWS[name]
+        expected = ROW_PATH_COUNTERS[name]
         for field in ExecutionStats._FIELDS:
             if field in self.IGNORED:
                 continue
-            batch_value = getattr(batch_stats, field)
-            row_value = getattr(row_stats, field)
-            if name == "limit" and field == "rows_scanned":
-                # a Limit can only stop pulling on batch boundaries, so the
-                # batched path may overscan by up to one batch
-                assert row_value <= batch_value < row_value + batch_size
-                continue
-            assert batch_value == row_value, \
+            assert getattr(stats, field) == expected.get(field, 0), \
                 "%s diverged on %r at batch_size=%d" % (field, name,
                                                         batch_size)
 
-    def test_audit_covers_the_new_counters(self, db):
-        db.create_index("emp", "sal")
-        for name, query in _audit_cases():
-            _, stats = batched(db, query, 2)
-            if name == "hash-join":
-                assert stats.hash_build_rows == 3
-                assert stats.hash_probes == 2
-            if name == "top-n":
-                assert stats.topn_heap_rows == 3
-            if name == "index-scan":
-                assert stats.index_probes == 1
+    def test_audit_tables_cover_every_case(self):
+        assert set(AUDIT_IDS) == set(ROW_PATH_ROWS) \
+            == set(ROW_PATH_COUNTERS) == set(ROW_PATH_FEEDBACK)
+
+    def test_default_batch_size_is_what_none_means(self, db):
+        query = Query(Scan("emp"), [(None, col("ename"))])
+        _, implicit = query.execute(db)
+        _, explicit = batched(db, query, DEFAULT_BATCH_SIZE)
+        assert implicit.batches == explicit.batches == 1
+
+    def test_limit_over_scan_reads_exactly_the_limit(self, db):
+        """At the default batch size too: the child is opened with
+        ``min(batch_size, remaining)``, never a whole batch."""
+        query = Query(Limit(Scan("emp"), 2), [(None, col("ename"))])
+        stats = ExecutionStats()
+        profiler = stats.profiler = PlanProfiler()
+        rows, _ = query.execute(db, stats=stats)
+        assert len(rows) == 2
+        assert stats.rows_scanned == 2
+        assert profiler.get(query.plan.child).rows_out == 2
+        assert profiler.get(query.plan).rows_out == 2
 
 
 class TestBatchProfile:
@@ -231,66 +360,83 @@ class TestBatchProfile:
         assert profiler.get(scan_node).batches == 2
         assert profiler.get(scan_node).rows_out == 3
 
-    def test_row_path_leaves_batches_zero(self, db):
+    def test_no_batch_exceeds_the_batch_size(self, db):
+        db.create_index("emp", "sal")
+        for name, query in _audit_cases():
+            for batch in query.execute_batches(db, batch_size=2):
+                assert 1 <= len(batch) <= 2, name
+
+
+class TestExecutionAccounting:
+    """``execute_batches`` charges ``stats`` per produced batch."""
+
+    def test_consumer_time_between_batches_is_not_charged(self, db):
+        import time
+
         query = Query(Scan("emp"), [(None, col("ename"))])
         stats = ExecutionStats()
-        profiler = stats.profiler = PlanProfiler()
-        query.execute(db, stats=stats)
-        assert profiler.get(query.plan).batches == 0
-        assert profiler.get(query.plan).rows_out == 3
+        pause = 0.05
+        for _ in query.execute_batches(db, stats=stats, batch_size=1):
+            time.sleep(pause)
+        assert stats.batches == 3
+        assert 0.0 < stats.elapsed_seconds < pause
+
+    def test_consumer_that_stops_early_is_charged_what_it_received(self, db):
+        query = Query(Scan("emp"), [(None, col("ename"))])
+        stats = ExecutionStats()
+        produced = query.execute_batches(db, stats=stats, batch_size=1)
+        assert next(produced) == [("CLARK",)]
+        produced.close()
+        assert stats.batches == 1
+        assert stats.output_rows == 1
+        assert stats.rows_scanned == 1
+        assert stats.elapsed_seconds > 0.0
+
+    @pytest.mark.parametrize("batch_size,batches", [(1, 2), (2, 1),
+                                                    (DEFAULT_BATCH_SIZE, 1)])
+    def test_scalar_subquery_is_not_charged_to_the_outer_query(
+            self, db, batch_size, batches):
+        query = dict(_audit_cases())["scalar-subquery"]
+        _, stats = batched(db, query, batch_size)
+        assert stats.subquery_executions == 2
+        # two dept rows out; the six emp rows the subqueries read and the
+        # two rows they returned are not output rows or batches
+        assert stats.output_rows == 2
+        assert stats.batches == batches
 
 
 class TestBatchFeedbackParity:
-    """Q-error feedback judges batched runs exactly like row runs.
+    """Q-error feedback does not depend on the pull granularity.
 
     The feedback loop pairs ``estimated_rows`` with the profiler's
-    ``rows_out``; if the vectorized path reported different actuals the
-    same plan would earn a different Q-error depending on pull
-    granularity and the controller would mis-trigger.
+    ``rows_out`` / ``opens``; if those moved with the batch size the same
+    plan would earn a different Q-error and the controller would
+    mis-trigger.
     """
 
     @staticmethod
-    def _feedback(db, query, batch_size=None):
+    def _feedback(db, query, batch_size):
         from repro.obs.feedback import compute_plan_feedback
 
         optimized = db.optimize(query)
         stats = ExecutionStats()
         stats.profiler = PlanProfiler()
-        kwargs = {"batch_size": batch_size} if batch_size else {}
-        optimized.execute(db, stats=stats, **kwargs)
+        optimized.execute(db, stats=stats, batch_size=batch_size)
         return compute_plan_feedback(optimized, stats.profiler)
 
-    @staticmethod
-    def _shape(feedback):
-        return sorted(
-            (node.op, node.table, node.estimated_rows, node.actual_rows,
-             node.q_error)
-            for node in feedback.nodes
-        )
-
-    @pytest.mark.parametrize(
-        "name,query", _audit_cases(), ids=[c[0] for c in _audit_cases()]
-    )
-    @pytest.mark.parametrize("batch_size", [1, 2, DEFAULT_BATCH_SIZE])
+    @pytest.mark.parametrize("name,query", _audit_cases(), ids=AUDIT_IDS)
+    @pytest.mark.parametrize("batch_size", AUDIT_BATCH_SIZES)
     def test_actuals_match_row_path(self, db, name, query, batch_size):
-        if name == "limit":
-            # a Limit's source may legally overscan by up to one batch,
-            # so its per-node actuals are not comparable — covered by
-            # test_limit_feedback_stays_bounded below
-            pytest.skip("limit overscan is batch-size dependent")
         db.create_index("emp", "sal")
         db.analyze()
-        row = self._feedback(db, query)
-        batch = self._feedback(db, query, batch_size=batch_size)
-        assert self._shape(batch) == self._shape(row)
-        assert batch.max_q_error == row.max_q_error
-
-    def test_limit_feedback_stays_bounded(self, db):
-        db.analyze()
-        query = Query(Limit(Scan("emp"), 2), [(None, col("ename"))])
-        batch = self._feedback(db, query, batch_size=2)
-        limit_node = next(n for n in batch.nodes if n.op == "Limit")
-        assert limit_node.actual_rows == 2
+        feedback = self._feedback(db, query, batch_size)
+        shape, max_q_error = ROW_PATH_FEEDBACK[name]
+        assert sorted(
+            ((node.op, node.table, node.estimated_rows, node.actual_rows,
+              node.q_error) for node in feedback.nodes),
+            key=lambda row: row[:2],
+        ) == shape
+        assert feedback.max_q_error == max_q_error
 
 
 class TestStreamPieces:

@@ -145,6 +145,14 @@ class TestCaseExecution:
         # 1 probe, 1 matching row + the root-table scan row
         assert run.rewrite_stats.rows_scanned <= 3
 
+    def test_run_case_stays_off_the_deprecated_doors(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            run = run_case(get_case("dbonerow"), 60)
+        assert run.outputs_equal
+
     def test_decoy_pruning(self):
         from repro.xslt import compile_stylesheet
         from repro.core.partial_eval import partially_evaluate
