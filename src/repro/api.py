@@ -160,7 +160,8 @@ class TransformOptions:
         REWRITE without touching data).
     :param deadline: per-request deadline in seconds
         (:class:`repro.serve.TransformService` only — enforced at
-        dequeue time, so ``0`` always times out).  Must be >= 0.
+        dequeue time, so ``0`` always times out, and between row batches
+        while the plan executes).  Must be >= 0.
     :param batch_size: how many rows the plan's operators hand over
         at once.  None means ``DEFAULT_BATCH_SIZE`` at every door
         (``transform``, ``execute``, ``transform_stream``, serving); it

@@ -257,7 +257,8 @@ class CompiledTransform:
     * ``strategy`` — :data:`STRATEGY_SQL` when the rewrite compiled all
       the way to an optimized relational plan, else
       :data:`STRATEGY_FUNCTIONAL`;
-    * ``query`` — the *optimized* merged SQL/XML plan (SQL strategy);
+    * ``query`` — the *optimized* merged SQL/XML plan (SQL strategy),
+      bound to the database's catalog on first execution;
     * ``ledger`` — the :class:`~repro.obs.decisions.DecisionLedger` of
       the compile, preserved verbatim on every cache hit so EXPLAIN
       REWRITE still works for requests that never compiled anything;
@@ -293,7 +294,11 @@ class CompiledTransform:
     # ``feedback`` slot is a *runtime* handle — the latest PlanFeedback
     # of an execution in this process — and is dropped on serialization
     # so a plan persisted by one worker carries no other process's
-    # execution state (repro.serve.artifact stores these bytes).
+    # execution state (repro.serve.artifact stores these bytes).  The
+    # plan's binding (``query.runtime``: slot-resolved closures against
+    # one catalog) is the same kind of handle and ``Query`` drops it the
+    # same way: every thread executing this artifact shares one binding,
+    # and a loaded artifact binds on its first execution.
 
     def __getstate__(self):
         return {
@@ -366,7 +371,7 @@ def _compile_impl(db, source, stylesheet, options=None, tracer=None,
 
 def execute_compiled(db, source, compiled, params=None, tracer=None,
                      metrics=None, profile_plan=True, root=None,
-                     batch_size=None, feedback=True):
+                     batch_size=None, feedback=True, deadline=None):
     """Execute one request over a :class:`CompiledTransform`.
 
     The SQL strategy runs the cached optimized plan; an execute-phase
@@ -378,6 +383,10 @@ def execute_compiled(db, source, compiled, params=None, tracer=None,
     ``batch_size`` is how many rows the plan's operators hand over at
     once (None: ``DEFAULT_BATCH_SIZE``); it never changes the result.
     ``feedback=False`` skips the post-execution Q-error observation.
+    ``deadline`` is an absolute ``time.perf_counter()`` instant: plan
+    execution past it stops between batches with
+    :class:`~repro.errors.DeadlineExceededError` (the serving tier's
+    request deadline; None: never).
     """
     tracer = tracer or get_tracer()
     metrics = metrics or global_metrics()
@@ -387,7 +396,7 @@ def execute_compiled(db, source, compiled, params=None, tracer=None,
         try:
             result = _execute_plan(db, compiled, tracer, metrics,
                                    profile_plan, batch_size=batch_size,
-                                   feedback=feedback)
+                                   feedback=feedback, deadline=deadline)
             metrics.counter("transform.rewrite_success").inc()
         except RewriteError as exc:
             result = _fallback(db, source, compiled.stylesheet, params, exc,
@@ -506,11 +515,12 @@ def _observe_feedback(db, compiled, profiler, metrics):
 
 
 def _execute_plan(db, compiled, tracer, metrics, profile_plan,
-                  batch_size=None, feedback=True):
+                  batch_size=None, feedback=True, deadline=None):
     """Run the cached optimized plan of a SQL-strategy artifact."""
     query = compiled.query
     with tracer.span("plan.execute") as span:
         stats = ExecutionStats()
+        stats.deadline = deadline
         profiler = None
         if profile_plan and tracer.enabled:
             profiler = stats.profiler = PlanProfiler()

@@ -73,6 +73,11 @@ class PlanError(DatabaseError):
     """Raised when a logical query cannot be planned or executed."""
 
 
+class DeadlineExceededError(ReproError):
+    """Raised between batches when an execution outlives the absolute
+    deadline its :class:`~repro.rdb.plan.ExecutionStats` carries."""
+
+
 class RewriteError(ReproError):
     """Raised when the XSLT/XQuery rewrite pipeline cannot proceed.
 

@@ -1,8 +1,12 @@
 """Scalar SQL expressions.
 
-Expressions evaluate against an *environment*: a mapping from table alias
-to a ``{column: value}`` dict for the current row of that alias.  Correlated
-subqueries simply see the outer environment merged in.
+An expression is *bound* once per (plan, catalog) and then called once
+per row: ``expr.bind(binder, layout)`` resolves every column reference
+to a slot of the flat tuple row (:mod:`repro.rdb.binding`) and returns a
+closure ``f(row, stats)``.  Name errors (unknown alias or column,
+ambiguous column, unknown function or operator) are raised by ``bind``;
+a closure only indexes tuples.  Correlated subqueries see the outer row
+as the prefix of their own rows.
 
 Every expression renders itself to SQL text (``to_sql``) so rewritten plans
 can be shown in the paper's Table 7 / Table 11 form.
@@ -10,14 +14,26 @@ can be shown in the paper's Table 7 / Table 11 form.
 
 from __future__ import annotations
 
+import operator
+
 from repro.errors import DatabaseError
+from repro.rdb.binding import Binder, Layout
 
 
 class SqlExpr:
     """Base class for scalar expressions."""
 
-    def evaluate(self, env, db, stats):
+    def bind(self, binder, layout):
+        """Resolve against ``layout``; returns ``f(row, stats)``."""
         raise NotImplementedError
+
+    def evaluate(self, env, db=None, stats=None):
+        """Convenience for one-off evaluation against an ``{alias:
+        {column: value}}`` environment: binds against its shape, then
+        calls the closure once (plans bind once and call per row)."""
+        layout, row = Layout.of_env(env)
+        markup = stats is not None and stats.markup
+        return self.bind(Binder(db, markup), layout)(row, stats)
 
     def to_sql(self):
         raise NotImplementedError
@@ -41,8 +57,9 @@ class Const(SqlExpr):
     def __init__(self, value):
         self.value = value
 
-    def evaluate(self, env, db, stats):
-        return self.value
+    def bind(self, binder, layout):
+        value = self.value
+        return lambda row, stats: value
 
     def to_sql(self):
         if self.value is None:
@@ -63,25 +80,9 @@ class ColumnRef(SqlExpr):
         self.column = column
         self.table = table
 
-    def evaluate(self, env, db, stats):
-        if self.table is not None:
-            row = env.get(self.table)
-            if row is None:
-                raise DatabaseError(
-                    "alias %r is not in scope (have: %s)"
-                    % (self.table, ", ".join(sorted(env)) or "none")
-                )
-            if self.column not in row:
-                raise DatabaseError(
-                    "no column %r in alias %r" % (self.column, self.table)
-                )
-            return row[self.column]
-        matches = [row for row in env.values() if self.column in row]
-        if not matches:
-            raise DatabaseError("unknown column %r" % self.column)
-        if len(matches) > 1:
-            raise DatabaseError("ambiguous column %r" % self.column)
-        return matches[0][self.column]
+    def bind(self, binder, layout):
+        slot = layout.slot(self.column, self.table)
+        return lambda row, stats: row[slot]
 
     def to_sql(self):
         if self.table:
@@ -89,11 +90,19 @@ class ColumnRef(SqlExpr):
         return '"%s"' % self.column.upper()
 
 
+def _divide(left, right):
+    if right == 0:
+        raise DatabaseError("division by zero")
+    return left / right
+
+
 class BinOp(SqlExpr):
     """Binary operators: comparisons, arithmetic, AND/OR, || concat."""
 
-    _COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
-    _ARITHMETIC = {"+", "-", "*", "/"}
+    _COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                    "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+    _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                   "/": _divide}
 
     def __init__(self, op, left, right):
         self.op = op
@@ -103,51 +112,34 @@ class BinOp(SqlExpr):
     def child_exprs(self):
         return (self.left, self.right)
 
-    def evaluate(self, env, db, stats):
+    def bind(self, binder, layout):
         op = self.op
+        left = self.left.bind(binder, layout)
+        right = self.right.bind(binder, layout)
         if op == "AND":
-            return bool(self.left.evaluate(env, db, stats)) and bool(
-                self.right.evaluate(env, db, stats)
-            )
+            return lambda row, stats: (
+                bool(left(row, stats)) and bool(right(row, stats)))
         if op == "OR":
-            return bool(self.left.evaluate(env, db, stats)) or bool(
-                self.right.evaluate(env, db, stats)
-            )
-        left = self.left.evaluate(env, db, stats)
-        right = self.right.evaluate(env, db, stats)
+            return lambda row, stats: (
+                bool(left(row, stats)) or bool(right(row, stats)))
         if op == "||":
-            return _text(left) + _text(right)
-        if left is None or right is None:
-            return None if op in self._ARITHMETIC else False
-        if op in self._COMPARISONS:
-            if isinstance(left, str) or isinstance(right, str):
-                left, right = _text(left), _text(right)
-            return self._compare(op, left, right)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise DatabaseError("division by zero")
-            return left / right
-        raise DatabaseError("unknown operator %r" % op)
+            return lambda row, stats: (
+                _text(left(row, stats)) + _text(right(row, stats)))
+        comparing = op in self._COMPARISONS
+        apply = self._COMPARISONS.get(op) or self._ARITHMETIC.get(op)
+        if apply is None:
+            raise DatabaseError("unknown operator %r" % op)
 
-    @staticmethod
-    def _compare(op, left, right):
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
+        def binary(row, stats):
+            a = left(row, stats)
+            b = right(row, stats)
+            if a is None or b is None:
+                return False if comparing else None
+            if comparing and (isinstance(a, str) or isinstance(b, str)):
+                return apply(_text(a), _text(b))
+            return apply(a, b)
+
+        return binary
 
     def to_sql(self):
         return "%s %s %s" % (self.left.to_sql(), self.op, self.right.to_sql())
@@ -160,8 +152,9 @@ class Not(SqlExpr):
     def child_exprs(self):
         return (self.operand,)
 
-    def evaluate(self, env, db, stats):
-        return not bool(self.operand.evaluate(env, db, stats))
+    def bind(self, binder, layout):
+        operand = self.operand.bind(binder, layout)
+        return lambda row, stats: not operand(row, stats)
 
     def to_sql(self):
         return "NOT (%s)" % self.operand.to_sql()
@@ -175,9 +168,11 @@ class IsNull(SqlExpr):
     def child_exprs(self):
         return (self.operand,)
 
-    def evaluate(self, env, db, stats):
-        result = self.operand.evaluate(env, db, stats) is None
-        return not result if self.negated else result
+    def bind(self, binder, layout):
+        operand = self.operand.bind(binder, layout)
+        if self.negated:
+            return lambda row, stats: operand(row, stats) is not None
+        return lambda row, stats: operand(row, stats) is None
 
     def to_sql(self):
         return "%s IS %sNULL" % (
@@ -200,13 +195,21 @@ class CaseWhen(SqlExpr):
             out.append(self.otherwise)
         return tuple(out)
 
-    def evaluate(self, env, db, stats):
-        for condition, value in self.whens:
-            if bool(condition.evaluate(env, db, stats)):
-                return value.evaluate(env, db, stats)
-        if self.otherwise is not None:
-            return self.otherwise.evaluate(env, db, stats)
-        return None
+    def bind(self, binder, layout):
+        whens = [
+            (condition.bind(binder, layout), value.bind(binder, layout))
+            for condition, value in self.whens
+        ]
+        otherwise = (Const(None) if self.otherwise is None
+                     else self.otherwise).bind(binder, layout)
+
+        def case(row, stats):
+            for condition, value in whens:
+                if condition(row, stats):
+                    return value(row, stats)
+            return otherwise(row, stats)
+
+        return case
 
     def to_sql(self):
         parts = ["CASE"]
@@ -218,8 +221,38 @@ class CaseWhen(SqlExpr):
         return " ".join(parts)
 
 
+def _substr(values):
+    text = _text(values[0])
+    start = int(values[1]) - 1
+    if len(values) > 2:
+        return text[start:start + int(values[2])]
+    return text[start:]
+
+
+def _coalesce(values):
+    for value in values:
+        if value is not None:
+            return value
+    return None
+
+
 class FuncCall(SqlExpr):
     """A small library of scalar SQL functions."""
+
+    #: name -> function of the evaluated argument list
+    _FUNCTIONS = {
+        "UPPER": lambda values: _text(values[0]).upper(),
+        "LOWER": lambda values: _text(values[0]).lower(),
+        "LENGTH": lambda values: float(len(_text(values[0]))),
+        "ABS": lambda values: abs(values[0]),
+        "ROUND": lambda values: round(
+            values[0], int(values[1]) if len(values) > 1 else 0),
+        "SUBSTR": _substr,
+        "CONCAT": lambda values: "".join(_text(value) for value in values),
+        "COALESCE": _coalesce,
+        "TO_CHAR": lambda values: _text(values[0]),
+        "MOD": lambda values: values[0] % values[1],
+    }
 
     def __init__(self, name, args):
         self.name = name.upper()
@@ -228,38 +261,12 @@ class FuncCall(SqlExpr):
     def child_exprs(self):
         return tuple(self.args)
 
-    def evaluate(self, env, db, stats):
-        values = [arg.evaluate(env, db, stats) for arg in self.args]
-        name = self.name
-        if name == "UPPER":
-            return _text(values[0]).upper()
-        if name == "LOWER":
-            return _text(values[0]).lower()
-        if name == "LENGTH":
-            return float(len(_text(values[0])))
-        if name == "ABS":
-            return abs(values[0])
-        if name == "ROUND":
-            digits = int(values[1]) if len(values) > 1 else 0
-            return round(values[0], digits)
-        if name == "SUBSTR":
-            text = _text(values[0])
-            start = int(values[1]) - 1
-            if len(values) > 2:
-                return text[start:start + int(values[2])]
-            return text[start:]
-        if name == "CONCAT":
-            return "".join(_text(value) for value in values)
-        if name == "COALESCE":
-            for value in values:
-                if value is not None:
-                    return value
-            return None
-        if name == "TO_CHAR":
-            return _text(values[0])
-        if name == "MOD":
-            return values[0] % values[1]
-        raise DatabaseError("unknown SQL function %s()" % name)
+    def bind(self, binder, layout):
+        function = self._FUNCTIONS.get(self.name)
+        if function is None:
+            raise DatabaseError("unknown SQL function %s()" % self.name)
+        args = [arg.bind(binder, layout) for arg in self.args]
+        return lambda row, stats: function([arg(row, stats) for arg in args])
 
     def to_sql(self):
         return "%s(%s)" % (
@@ -293,29 +300,36 @@ class TreeContains(SqlExpr):
     def child_exprs(self):
         return self._refs
 
-    def evaluate(self, env, db, stats):
-        anc = env[self.anc_alias]
-        desc = env[self.desc_alias]
-        if anc["doc_id"] != desc["doc_id"]:
-            return False
-        target = anc["node_id"]
-        table = db.table(self.table_name)
-        index = db.find_index(self.table_name, "node_id")
+    def bind(self, binder, layout):
+        anc_doc = layout.slot("doc_id", self.anc_alias)
+        anc_node = layout.slot("node_id", self.anc_alias)
+        desc_doc = layout.slot("doc_id", self.desc_alias)
+        desc_parent = layout.slot("parent_id", self.desc_alias)
+        table = binder.table(self.table_name)
+        index = binder.db.find_index(self.table_name, "node_id")
         if index is None:
             raise DatabaseError(
                 "TREE_CONTAINS needs a node_id index on %r"
                 % self.table_name)
         parent_position = table.schema.position_of("parent_id")
-        parent = desc["parent_id"]
-        while parent:
-            if parent == target:
-                return True
-            row_ids = index.lookup_eq(parent, stats=stats)
-            if not row_ids:
+        rows = table.rows
+
+        def contains(row, stats):
+            if row[anc_doc] != row[desc_doc]:
                 return False
-            stats.rows_scanned += 1
-            parent = table.fetch(row_ids[0])[parent_position]
-        return False
+            target = row[anc_node]
+            parent = row[desc_parent]
+            while parent:
+                if parent == target:
+                    return True
+                row_ids = index.lookup_eq(parent, stats=stats)
+                if not row_ids:
+                    return False
+                stats.rows_scanned += 1
+                parent = rows[row_ids[0]][parent_position]
+            return False
+
+        return contains
 
     def to_sql(self):
         return "TREE_CONTAINS(%s, %s)" % (self.anc_alias, self.desc_alias)
@@ -326,6 +340,8 @@ class ScalarSubquery(SqlExpr):
 
     If the select expression is an aggregate (including ``XMLAgg``), all
     matching rows feed the aggregate; otherwise at most one row may match.
+    The subquery's plan is bound with the enclosing row's layout as its
+    outer prefix, so it runs once per outer row over ``row + inner``.
     """
 
     def __init__(self, query):
@@ -334,9 +350,8 @@ class ScalarSubquery(SqlExpr):
     def child_exprs(self):
         return ()
 
-    def evaluate(self, env, db, stats):
-        values = self.query.execute_scalar(db, env, stats)
-        return values
+    def bind(self, binder, layout):
+        return self.query.bind_scalar(binder, layout)
 
     def to_sql(self):
         return "(%s)" % self.query.to_sql()

@@ -1,20 +1,22 @@
 """Iterator-based query execution (the pull model of paper [10], one
-batch per ``next()``).
+batch per ``next()``) over plans that are bound once.
 
-Plan nodes yield *environments*: ``{alias: {column: value}}`` dicts, in
-lists of up to ``batch_size``.  ``batches(db, env, stats, batch_size)``
-is the one way an operator produces rows and ``iter_batches`` (the same
-stream, profiled) the one way a parent consumes them.  A :class:`Query`
-couples a plan with output expressions: :meth:`Query.execute_batches`
-is its one drive loop (``execute`` collects it), and
-:meth:`Query.stream_pieces` couples the same row flow with the markup
-representation of SQL/XML values (:mod:`repro.rdb.sqlxml`) so
-serialized output leaves the executor in chunks without a result
-document ever being materialized.  Execution statistics (heap rows
-read, index probes, index entries touched, XML elements built) are
-collected per run — benchmarks and tests assert on them to prove plan
-shape, e.g. that the rewritten Figure-2 query probes the B-tree instead
-of scanning.
+Rows are flat tuples and every name is resolved to a tuple slot by one
+*bind* pass per (plan, catalog) — see :mod:`repro.rdb.binding`.
+``node.bind(binder, outer)`` returns a :class:`BoundNode`;
+``batches(db, outer, stats, batch_size, *bound)`` is the one way an
+operator produces rows (lists of up to ``batch_size`` tuples) and
+:meth:`BoundNode.iter_batches` (the same stream, profiled) the one way a
+parent consumes them.  A :class:`Query` couples a plan with output
+expressions and caches its binding: :meth:`Query.execute_batches` is its
+one drive loop (``execute`` collects it), and :meth:`Query.stream_pieces`
+runs the same tree bound to the markup representation of SQL/XML values
+(:mod:`repro.rdb.sqlxml`) so serialized output leaves the executor in
+chunks without a result document ever being materialized.  Execution
+statistics (heap rows read, index probes, index entries touched, XML
+elements built) are collected per run — benchmarks and tests assert on
+them to prove plan shape, e.g. that the rewritten Figure-2 query probes
+the B-tree instead of scanning.
 """
 
 from __future__ import annotations
@@ -22,16 +24,18 @@ from __future__ import annotations
 import time
 from itertools import chain, islice
 
-from repro.errors import DatabaseError, PlanError
+from repro.errors import DatabaseError, DeadlineExceededError, PlanError
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import current_trace_id
-from repro.rdb.expressions import _text
-from repro.rdb.sqlxml import (
-    AGG_STATE,
-    find_aggregates,
-    render_item,
-    row_items,
+from repro.rdb.binding import (
+    BindingCache,
+    BoundNode,
+    bind_order,
+    sort_pairs,
+    tuple_of,
 )
+from repro.rdb.expressions import _text
+from repro.rdb.sqlxml import bind_aggregates, render_item, row_items
 
 #: Row count per batch wherever ``batch_size`` is not given (or None).
 DEFAULT_BATCH_SIZE = 256
@@ -52,7 +56,11 @@ class ExecutionStats:
     take during this execution (see :mod:`repro.rdb.sqlxml`), set by the
     entry point that opened it — the transform front door and
     :meth:`Query.stream_pieces` render text, everything else builds DOM
-    nodes.  One stats object belongs to one execution.
+    nodes — and picks which binding of the plan runs.  Nor is
+    ``deadline``: the ``time.perf_counter()`` instant after which the
+    drive loop raises :class:`~repro.errors.DeadlineExceededError`
+    between batches (None: never).  One stats object belongs to one
+    execution.
     """
 
     _FIELDS = (
@@ -65,7 +73,7 @@ class ExecutionStats:
         "elapsed_seconds",
     )
 
-    __slots__ = _FIELDS + ("profiler", "markup")
+    __slots__ = _FIELDS + ("profiler", "markup", "deadline")
 
     def __init__(self):
         self.rows_scanned = 0
@@ -97,6 +105,7 @@ class ExecutionStats:
         self.elapsed_seconds = 0.0
         self.profiler = None
         self.markup = False
+        self.deadline = None
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self._FIELDS}
@@ -186,28 +195,17 @@ class PlanProfiler:
 
 
 class PlanNode:
-    """Base class: ``batches(db, env, stats, batch_size)`` yields lists of
-    up to ``batch_size`` environment dicts."""
+    """Base class: ``bind(binder, outer)`` resolves the node under the
+    layout of its outer prefix row and returns a :class:`BoundNode`;
+    ``batches(db, outer, stats, batch_size, *bound)`` — ``outer`` the
+    prefix row, ``bound`` what ``bind`` resolved — yields lists of up to
+    ``batch_size`` flat tuple rows."""
 
-    def batches(self, db, env, stats, batch_size):
+    def bind(self, binder, outer):
         raise NotImplementedError
 
-    def iter_batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        """Open this node's batch stream, profiled when ``stats`` carries
-        a :class:`PlanProfiler`.  Parents iterate children through this
-        (not ``batches``) so per-node counts are collected."""
-        profiler = getattr(stats, "profiler", None)
-        if profiler is None:
-            return self.batches(db, env, stats, batch_size)
-        return profiler.wrap_batches(
-            self, self.batches(db, env, stats, batch_size)
-        )
-
-    def iter_rows(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        """:meth:`iter_batches` flattened, for operators that consume
-        their child one row at a time (sorts, builds, merges)."""
-        return chain.from_iterable(
-            self.iter_batches(db, env, stats, batch_size))
+    def batches(self, db, outer, stats, batch_size):
+        raise NotImplementedError
 
     def children(self):
         return ()
@@ -239,6 +237,26 @@ def _sliced(rows, batch_size):
             for start in range(0, len(rows), batch_size)]
 
 
+def _bind_scan(node, binder, outer, *args):
+    """A leaf over ``node.table_name``: its columns follow the prefix."""
+    schema = binder.table(node.table_name).schema
+    layout = outer.extend(node.alias, schema.column_names())
+    return BoundNode(node, layout, *args)
+
+
+def _fetched(rows, row_ids, outer, stats, batch_size):
+    """Batches of ``outer + rows[row_id]``, each fetch a scanned row."""
+    batch = []
+    for row_id in row_ids:
+        stats.rows_scanned += 1
+        batch.append(outer + rows[row_id])
+        if len(batch) >= batch_size:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
+
+
 class Scan(PlanNode):
     """Full table scan."""
 
@@ -246,21 +264,16 @@ class Scan(PlanNode):
         self.table_name = table_name
         self.alias = alias or table_name
 
-    def batches(self, db, env, stats, batch_size):
-        table = db.table(self.table_name)
-        names = table.schema.column_names()
-        alias = self.alias
-        batch = []
-        for _, row in table.scan():
-            stats.rows_scanned += 1
-            merged = dict(env)
-            merged[alias] = dict(zip(names, row))
-            batch.append(merged)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+    def bind(self, binder, outer):
+        return _bind_scan(self, binder, outer)
+
+    def batches(self, db, outer, stats, batch_size):
+        rows = db.table(self.table_name).rows
+        for start in range(0, len(rows), batch_size):
+            batch = rows[start:start + batch_size]
+            stats.rows_scanned += len(batch)
+            # no outer row: the slice of the table's own tuples is the batch
+            yield [outer + row for row in batch] if outer else batch
 
 
 class IndexScan(PlanNode):
@@ -275,24 +288,18 @@ class IndexScan(PlanNode):
         self.alias = alias or table_name
         self.column_name = column_name  # for SQL rendering only
 
-    def batches(self, db, env, stats, batch_size):
-        table = db.table(self.table_name)
-        index = db.index(self.index_name)
-        key = self.key_expr.evaluate(env, db, stats)
-        key = table.schema.column(index.column_name).coerce(key)
-        names = table.schema.column_names()
-        alias = self.alias
-        batch = []
-        for row_id in index.lookup_op(self.op, key, stats=stats):
-            stats.rows_scanned += 1
-            merged = dict(env)
-            merged[alias] = dict(zip(names, table.fetch(row_id)))
-            batch.append(merged)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+    def bind(self, binder, outer):
+        column = binder.db.index(self.index_name).column_name
+        coerce = binder.table(self.table_name).schema.column(column).coerce
+        return _bind_scan(self, binder, outer,
+                          self.key_expr.bind(binder, outer), coerce)
+
+    def batches(self, db, outer, stats, batch_size, key, coerce):
+        # a generator itself, so the probe runs (and is timed) on first pull
+        matches = db.index(self.index_name).lookup_op(
+            self.op, coerce(key(outer, stats)), stats=stats)
+        yield from _fetched(db.table(self.table_name).rows, matches, outer,
+                            stats, batch_size)
 
 
 class Filter(PlanNode):
@@ -305,18 +312,26 @@ class Filter(PlanNode):
     def children(self):
         return (self.child,)
 
-    def batches(self, db, env, stats, batch_size):
-        predicate = self.predicate
-        for child_batch in self.child.iter_batches(db, env, stats,
-                                                   batch_size):
-            batch = [row_env for row_env in child_batch
-                     if predicate.evaluate(row_env, db, stats)]
+    def bind(self, binder, outer):
+        child = self.child.bind(binder, outer)
+        return BoundNode(self, child.layout, child,
+                         self.predicate.bind(binder, child.layout))
+
+    def batches(self, db, outer, stats, batch_size, child, predicate):
+        for child_batch in child.iter_batches(db, outer, stats, batch_size):
+            batch = [row for row in child_batch if predicate(row, stats)]
             if batch:
                 yield batch
 
 
+def _bind_condition(condition, binder, layout):
+    return None if condition is None else condition.bind(binder, layout)
+
+
 class NestedLoopJoin(PlanNode):
-    """Inner join: right side re-evaluated per left row (correlated OK)."""
+    """Inner join: right side re-evaluated per left row (correlated OK) —
+    it is opened with the left row as its prefix, so its rows are the
+    joined rows."""
 
     def __init__(self, left, right, condition=None):
         self.left = left
@@ -326,17 +341,21 @@ class NestedLoopJoin(PlanNode):
     def children(self):
         return (self.left, self.right)
 
-    def batches(self, db, env, stats, batch_size):
-        return _chunked(self._joined(db, env, stats, batch_size), batch_size)
+    def bind(self, binder, outer):
+        left = self.left.bind(binder, outer)
+        right = self.right.bind(binder, left.layout)
+        return BoundNode(
+            self, right.layout, left, right,
+            _bind_condition(self.condition, binder, right.layout))
 
-    def _joined(self, db, env, stats, batch_size):
-        condition = self.condition
-        for left_env in self.left.iter_rows(db, env, stats, batch_size):
-            for joined in self.right.iter_rows(db, left_env, stats,
-                                               batch_size):
-                if condition is None or bool(
-                    condition.evaluate(joined, db, stats)
-                ):
+    def batches(self, db, outer, stats, batch_size, *bound):
+        return _chunked(self._joined(db, outer, stats, batch_size, *bound),
+                        batch_size)
+
+    def _joined(self, db, outer, stats, batch_size, left, right, condition):
+        for left_row in left.iter_rows(db, outer, stats, batch_size):
+            for joined in right.iter_rows(db, left_row, stats, batch_size):
+                if condition is None or condition(joined, stats):
                     yield joined
 
 
@@ -351,23 +370,15 @@ class StructuralScan(PlanNode):
         self.alias = alias or table_name
         self.doc_id = doc_id
 
-    def batches(self, db, env, stats, batch_size):
-        table = db.table(self.table_name)
-        sindex = db.structural_index(self.table_name)
-        names = table.schema.column_names()
-        alias = self.alias
-        batch = []
-        for _, row_id in sindex.scan_name(self.name, doc_id=self.doc_id,
-                                          stats=stats):
-            stats.rows_scanned += 1
-            merged = dict(env)
-            merged[alias] = dict(zip(names, table.fetch(row_id)))
-            batch.append(merged)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+    def bind(self, binder, outer):
+        return _bind_scan(self, binder, outer)
+
+    def batches(self, db, outer, stats, batch_size):
+        labelled = db.structural_index(self.table_name).scan_name(
+            self.name, doc_id=self.doc_id, stats=stats)
+        return _fetched(db.table(self.table_name).rows,
+                        (row_id for _, row_id in labelled), outer, stats,
+                        batch_size)
 
 
 class StructuralJoin(PlanNode):
@@ -398,45 +409,53 @@ class StructuralJoin(PlanNode):
     def children(self):
         return (self.descendant, self.ancestor)
 
-    def batches(self, db, env, stats, batch_size):
-        return _chunked(self._pairs(db, env, stats, batch_size), batch_size)
+    def bind(self, binder, outer):
+        desc = self.descendant.bind(binder, outer)
+        anc = self.ancestor.bind(binder, outer)
+        labels = (self.doc_column, self.start_column, self.end_column)
+        return BoundNode(
+            self, desc.layout.join(anc.layout, outer),
+            desc, anc,
+            [desc.layout.slot(column, self.desc_alias)
+             for column in labels[:2]],
+            [anc.layout.slot(column, self.anc_alias) for column in labels])
 
-    def _pairs(self, db, env, stats, batch_size):
-        doc_col = self.doc_column
-        start_col = self.start_column
-        end_col = self.end_column
-        anc_alias = self.anc_alias
-        anc_batches = self.ancestor.iter_batches(db, env, stats, batch_size)
+    def batches(self, db, outer, stats, batch_size, *bound):
+        return _chunked(self._pairs(db, outer, stats, batch_size, *bound),
+                        batch_size)
+
+    def _pairs(self, db, outer, stats, batch_size, desc, anc, desc_slots,
+               anc_slots):
+        desc_doc, desc_start = desc_slots
+        anc_doc, anc_start, anc_end = anc_slots
+        cut = len(outer)
+        anc_batches = anc.iter_batches(db, outer, stats, batch_size)
         anc_iter = chain.from_iterable(anc_batches)
         next_anc = next(anc_iter, None)
-        # stack entries: (doc, start, end, ancestor-row dict), innermost last
+        # stack entries: (doc, start, end, ancestor's own columns),
+        # innermost last
         stack = []
         emitted = 0
         try:
-            for desc_env in self.descendant.iter_rows(db, env, stats,
-                                                      batch_size):
-                desc_row = desc_env[self.desc_alias]
-                desc_key = (desc_row[doc_col], desc_row[start_col])
+            for desc_row in desc.iter_rows(db, outer, stats, batch_size):
+                desc_key = (desc_row[desc_doc], desc_row[desc_start])
                 while next_anc is not None:
-                    anc_row = next_anc[anc_alias]
-                    anc_key = (anc_row[doc_col], anc_row[start_col])
+                    anc_key = (next_anc[anc_doc], next_anc[anc_start])
                     if anc_key > desc_key:
                         break
                     while stack and (stack[-1][0], stack[-1][2]) < anc_key:
                         stack.pop()
-                    stack.append(
-                        (anc_key[0], anc_key[1], anc_row[end_col], anc_row))
+                    stack.append((anc_key[0], anc_key[1], next_anc[anc_end],
+                                  next_anc[cut:]))
                     next_anc = next(anc_iter, None)
                 while stack and (stack[-1][0], stack[-1][2]) < desc_key:
                     stack.pop()
-                for doc, start, end, anc_row in stack:
+                for doc, start, end, anc_columns in stack:
                     # strict: a node never pairs with itself
                     if doc == desc_key[0] and start < desc_key[1]:
-                        merged = dict(desc_env)
-                        merged[anc_alias] = anc_row
                         emitted += 1
                         stats.struct_join_rows += 1
-                        yield merged
+                        yield desc_row + anc_columns
         finally:
             anc_batches.close()
             global_metrics().counter("structural.index.join_rows").inc(
@@ -450,10 +469,10 @@ class HashJoin(PlanNode):
     Output rows (and their order) are identical to the equivalent
     ``NestedLoopJoin``: left rows drive in left order, and within one
     probe the matches come back in right-side build order.  The right
-    side is evaluated exactly once against the outer environment, so the
+    side is evaluated exactly once against the outer row, so the
     planner only picks this operator when the right side is uncorrelated
     with the left.  ``condition`` carries any residual (non-equi)
-    predicate evaluated against the joined environment.
+    predicate evaluated against the joined row.
     """
 
     def __init__(self, left, right, left_key, right_key, condition=None):
@@ -466,42 +485,38 @@ class HashJoin(PlanNode):
     def children(self):
         return (self.left, self.right)
 
-    def _build(self, db, env, stats, batch_size):
-        """``{canonical key: [alias-additions in build order]}``: the
-        right-introduced bindings split out of the built row
-        environments."""
+    def bind(self, binder, outer):
+        left = self.left.bind(binder, outer)
+        right = self.right.bind(binder, outer)
+        layout = left.layout.join(right.layout, outer)
+        return BoundNode(
+            self, layout, left, right,
+            self.left_key.bind(binder, left.layout),
+            self.right_key.bind(binder, right.layout),
+            _bind_condition(self.condition, binder, layout))
+
+    def batches(self, db, outer, stats, batch_size, *bound):
+        return _chunked(self._joined(db, outer, stats, batch_size, *bound),
+                        batch_size)
+
+    def _joined(self, db, outer, stats, batch_size, left, right, left_key,
+                right_key, condition):
+        # {canonical key: [the right side's own columns, in build order]}
+        cut = len(outer)
         table = {}
-        for row_env in self.right.iter_rows(db, env, stats, batch_size):
-            key = _hash_key(self.right_key.evaluate(row_env, db, stats))
+        for row in right.iter_rows(db, outer, stats, batch_size):
+            key = _hash_key(right_key(row, stats))
             stats.hash_build_rows += 1
-            if key is None:
-                continue  # NULL never equi-joins
-            additions = {
-                alias: bindings
-                for alias, bindings in row_env.items()
-                if env.get(alias) is not bindings
-            }
-            table.setdefault(key, []).append(additions)
-        return table
-
-    def batches(self, db, env, stats, batch_size):
-        return _chunked(self._joined(db, env, stats, batch_size), batch_size)
-
-    def _joined(self, db, env, stats, batch_size):
-        table = self._build(db, env, stats, batch_size)
-        left_key = self.left_key
-        condition = self.condition
-        for left_env in self.left.iter_rows(db, env, stats, batch_size):
+            if key is not None:  # NULL never equi-joins
+                table.setdefault(key, []).append(row[cut:])
+        for left_row in left.iter_rows(db, outer, stats, batch_size):
             stats.hash_probes += 1
-            key = _hash_key(left_key.evaluate(left_env, db, stats))
+            key = _hash_key(left_key(left_row, stats))
             if key is None:
                 continue
-            for additions in table.get(key, ()):
-                joined = dict(left_env)
-                joined.update(additions)
-                if condition is None or bool(
-                    condition.evaluate(joined, db, stats)
-                ):
+            for columns in table.get(key, ()):
+                joined = left_row + columns
+                if condition is None or condition(joined, stats):
                     yield joined
 
 
@@ -511,7 +526,7 @@ class HashLeftJoin(PlanNode):
 
     ``right`` must be an :class:`Aggregate` whose group keys are the
     build keys.  Every left row yields exactly one output row: when a
-    group matches, its bindings; when none does, the aggregate's
+    group matches, its columns; when none does, the aggregate's
     empty-group defaults (:meth:`Aggregate.empty_row` — COUNT()=0,
     XMLAgg=[], SUM/MIN/MAX=NULL), exactly what the correlated
     ``ScalarSubquery`` returned for a parent row with no children.
@@ -528,52 +543,43 @@ class HashLeftJoin(PlanNode):
     def children(self):
         return (self.left, self.right)
 
-    def _build(self, db, env, stats, batch_size):
+    def bind(self, binder, outer):
+        left = self.left.bind(binder, outer)
+        right = self.right.bind(binder, outer)
+        return BoundNode(
+            self, left.layout.join(right.layout, outer),
+            left, right,
+            tuple_of([expr.bind(binder, left.layout)
+                      for expr in self.left_keys]),
+            tuple_of([expr.bind(binder, right.layout)
+                      for expr in self.right_keys]))
+
+    def batches(self, db, outer, stats, batch_size, left, right, left_keys,
+                right_keys):
+        cut = len(outer)
         table = {}
-        for row_env in self.right.iter_rows(db, env, stats, batch_size):
+        for row in right.iter_rows(db, outer, stats, batch_size):
             stats.hash_build_rows += 1
-            key = tuple(
-                _hash_key(expr.evaluate(row_env, db, stats))
-                for expr in self.right_keys
-            )
-            if None in key:
-                continue  # a NULL key component never equi-joins
-            additions = {
-                alias: bindings
-                for alias, bindings in row_env.items()
-                if env.get(alias) is not bindings
-            }
-            table.setdefault(key, []).append(additions)
-        return table
-
-    def _miss_additions(self, db, env, stats):
-        """Alias bindings standing in for a left row with no matching
-        group; computed once per execution and shared (consumers treat
-        row environments as read-only)."""
-        return {self.right.alias: self.right.empty_row(db, env, stats)}
-
-    def batches(self, db, env, stats, batch_size):
-        table = self._build(db, env, stats, batch_size)
-        left_keys = self.left_keys
+            key = tuple(map(_hash_key, right_keys(row, stats)))
+            if None not in key:  # a NULL key component never equi-joins
+                table.setdefault(key, []).append(row[cut:])
+        # what stands in for a left row with no matching group; computed
+        # once per execution, on the first miss
         miss = None
         # one output row per left row, so a left batch maps to one batch
-        for left_batch in self.left.iter_batches(db, env, stats, batch_size):
+        for left_batch in left.iter_batches(db, outer, stats, batch_size):
             batch = []
-            for left_env in left_batch:
+            for left_row in left_batch:
                 stats.hash_probes += 1
-                key = tuple(
-                    _hash_key(expr.evaluate(left_env, db, stats))
-                    for expr in left_keys
-                )
+                key = tuple(map(_hash_key, left_keys(left_row, stats)))
                 matches = table.get(key) if None not in key else None
                 if not matches:
                     if miss is None:
-                        miss = (self._miss_additions(db, env, stats),)
+                        miss = (right.node.empty_row(outer, stats,
+                                                     *right.args),)
                     matches = miss
-                for additions in matches:
-                    joined = dict(left_env)
-                    joined.update(additions)
-                    batch.append(joined)
+                for columns in matches:
+                    batch.append(left_row + columns)
             yield batch
 
 
@@ -598,49 +604,26 @@ class Sort(PlanNode):
     def children(self):
         return (self.child,)
 
-    def batches(self, db, env, stats, batch_size):
-        # ``(key_row, row_env)`` pairs: this node is the sole consumer of
-        # the child's row stream, so rows are decorated in the same pass
-        # that drains it — no intermediate copy of the full row list
-        decorated = [
-            ([expr.evaluate(row_env, db, stats) for expr, _ in self.keys],
-             row_env)
-            for row_env in self.child.iter_rows(db, env, stats, batch_size)
-        ]
-        for position in range(len(self.keys) - 1, -1, -1):
-            descending = self.keys[position][1]
-            decorated.sort(
-                key=lambda pair: _null_safe(pair[0][position]),
-                reverse=descending,
-            )
-        yield from _sliced([row_env for _, row_env in decorated], batch_size)
+    def bind(self, binder, outer):
+        child = self.child.bind(binder, outer)
+        return BoundNode(self, child.layout, child,
+                         *bind_order(binder, self.keys, child.layout))
 
-
-def _null_safe(value):
-    # Sort NULLs first; mixed types compare as text.
-    if value is None:
-        return (0, "", 0.0)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (1, "", float(value))
-    return (2, str(value), 0.0)
-
-
-def _aggregates_of(outputs):
-    """The distinct aggregate nodes under ``(name, expr)`` outputs.
-    Accumulator state is keyed by ``id(agg)``, so a node two outputs
-    share must be driven once, not once per mention."""
-    distinct = {}
-    for _, expr in outputs:
-        for agg in find_aggregates(expr):
-            distinct[id(agg)] = agg
-    return list(distinct.values())
+    def batches(self, db, outer, stats, batch_size, child, key, directions):
+        # this node is the sole consumer of the child's row stream, so
+        # rows are decorated in the same pass that drains it
+        pairs = [(key(row, stats), row)
+                 for row in child.iter_rows(db, outer, stats, batch_size)]
+        yield from _sliced(
+            [row for _, row in sort_pairs(pairs, directions)], batch_size)
 
 
 class Aggregate(PlanNode):
     """Hash aggregation with optional GROUP BY.
 
-    Yields one environment per group under ``alias``, containing the group
-    keys and the aggregate outputs.
+    Yields one row per group, in group arrival order: the prefix, then
+    under ``alias`` the group keys and the aggregate outputs.
+    Accumulator state is a list per group, one slot per aggregate.
     """
 
     def __init__(self, child, group_by, outputs, alias="agg"):
@@ -652,54 +635,44 @@ class Aggregate(PlanNode):
     def children(self):
         return (self.child,)
 
-    def batches(self, db, env, stats, batch_size):
-        aggregates = _aggregates_of(self.outputs)
-        groups = {}
-        order = []
-        for row_env in self.child.iter_rows(db, env, stats, batch_size):
-            key = tuple(
-                expr.evaluate(row_env, db, stats) for _, expr in self.group_by
-            )
-            if key not in groups:
-                groups[key] = {
-                    id(agg): agg.new_state() for agg in aggregates
-                }
-                order.append(key)
-            states = groups[key]
-            for agg in aggregates:
-                agg.accumulate(states[id(agg)], row_env, db, stats)
-        if not self.group_by and not order:
-            groups[()] = {id(agg): agg.new_state() for agg in aggregates}
-            order.append(())
-        finalized = []
-        for key in order:
-            final_env = dict(env)
-            final_env[AGG_STATE] = groups[key]
-            out_row = {}
-            for (name, _), value in zip(self.group_by, key):
-                out_row[name] = value
-            for name, expr in self.outputs:
-                out_row[name] = expr.evaluate(final_env, db, stats)
-            result_env = dict(env)
-            result_env[self.alias] = out_row
-            finalized.append(result_env)
-        yield from _sliced(finalized, batch_size)
+    def bind(self, binder, outer):
+        child = self.child.bind(binder, outer)
+        accumulators, final = bind_aggregates(
+            binder, self.outputs, child.layout, outer)
+        names = [name for name, _ in (*self.group_by, *self.outputs)]
+        return BoundNode(
+            self, outer.extend(self.alias, names), child,
+            tuple_of([expr.bind(binder, child.layout)
+                      for _, expr in self.group_by]),
+            accumulators,
+            tuple_of([expr.bind(binder, final) for _, expr in self.outputs]))
 
-    def empty_row(self, db, env, stats):
-        """The output row of a group no child row fell into: group keys
+    def batches(self, db, outer, stats, batch_size, child, group_key,
+                accumulators, finish):
+        groups = {}
+        for row in child.iter_rows(db, outer, stats, batch_size):
+            key = group_key(row, stats)
+            states = groups.get(key)
+            if states is None:
+                states = groups[key] = [[] for _ in accumulators]
+            for accumulate, state in zip(accumulators, states):
+                accumulate(state, row, stats)
+        if not self.group_by and not groups:
+            groups[()] = [[] for _ in accumulators]
+        yield from _sliced(
+            [outer + key + finish(outer + tuple(states), stats)
+             for key, states in groups.items()],
+            batch_size)
+
+    def empty_row(self, outer, stats, child, group_key, accumulators,
+                  finish):
+        """The columns of a group no child row fell into: group keys
         NULL, aggregates finalized over fresh state (COUNT()=0,
         XMLAgg=[], SUM/MIN/MAX=NULL) — exactly what a correlated
         aggregating subquery returns when no row matches the parent.
-        :class:`HashLeftJoin` binds this on probe misses."""
-        aggregates = _aggregates_of(self.outputs)
-        final_env = dict(env)
-        final_env[AGG_STATE] = {
-            id(agg): agg.new_state() for agg in aggregates
-        }
-        out_row = {name: None for name, _ in self.group_by}
-        for name, expr in self.outputs:
-            out_row[name] = expr.evaluate(final_env, db, stats)
-        return out_row
+        :class:`HashLeftJoin` appends this on probe misses."""
+        fresh = tuple([] for _ in accumulators)
+        return (None,) * len(self.group_by) + finish(outer + fresh, stats)
 
 
 class TopN(PlanNode):
@@ -722,33 +695,25 @@ class TopN(PlanNode):
     def children(self):
         return (self.child,)
 
-    def _prune(self, buffer):
-        """Stable multi-pass sort (Sort's strategy), then keep
-        only the best ``count`` decorated rows."""
-        for position in range(len(self.keys) - 1, -1, -1):
-            descending = self.keys[position][1]
-            buffer.sort(
-                key=lambda pair: _null_safe(pair[0][position]),
-                reverse=descending,
-            )
-        del buffer[self.count:]
+    def bind(self, binder, outer):
+        child = self.child.bind(binder, outer)
+        return BoundNode(self, child.layout, child,
+                         *bind_order(binder, self.keys, child.layout))
 
-    def batches(self, db, env, stats, batch_size):
-        if self.count <= 0:
+    def batches(self, db, outer, stats, batch_size, child, key, directions):
+        count = self.count
+        if count <= 0:
             return
-        threshold = max(self.count * 2, 64)
+        threshold = max(count * 2, 64)
         buffer = []
-        for row_env in self.child.iter_rows(db, env, stats, batch_size):
+        for row in child.iter_rows(db, outer, stats, batch_size):
             stats.topn_heap_rows += 1
-            buffer.append((
-                [expr.evaluate(row_env, db, stats)
-                 for expr, _ in self.keys],
-                row_env,
-            ))
+            buffer.append((key(row, stats), row))
             if len(buffer) >= threshold:
-                self._prune(buffer)
-        self._prune(buffer)
-        yield from _sliced([row_env for _, row_env in buffer], batch_size)
+                buffer = sort_pairs(buffer, directions)[:count]
+        yield from _sliced(
+            [row for _, row in sort_pairs(buffer, directions)[:count]],
+            batch_size)
 
 
 class Limit(PlanNode):
@@ -759,14 +724,18 @@ class Limit(PlanNode):
     def children(self):
         return (self.child,)
 
-    def batches(self, db, env, stats, batch_size):
+    def bind(self, binder, outer):
+        child = self.child.bind(binder, outer)
+        return BoundNode(self, child.layout, child)
+
+    def batches(self, db, outer, stats, batch_size, child):
         remaining = self.count
         if remaining <= 0:
             return
         # never ask the child for more rows at once than are still wanted:
         # a scan under a limit then reads exactly ``count`` rows
-        for batch in self.child.iter_batches(db, env, stats,
-                                             min(batch_size, remaining)):
+        for batch in child.iter_batches(db, outer, stats,
+                                        min(batch_size, remaining)):
             if len(batch) >= remaining:
                 yield batch[:remaining]
                 return
@@ -774,15 +743,77 @@ class Limit(PlanNode):
             yield batch
 
 
+def _check_deadline(stats):
+    if stats.deadline is not None and time.perf_counter() >= stats.deadline:
+        raise DeadlineExceededError(
+            "deadline passed during plan execution (after %d batches)"
+            % stats.batches)
+
+
 class Query:
-    """A plan plus output expressions; the unit the database executes."""
+    """A plan plus output expressions; the unit the database executes.
+    ``runtime`` caches its bindings (closures): a runtime handle,
+    dropped on pickling and rebuilt on first execution."""
 
     def __init__(self, plan, outputs):
         self.plan = plan
         self.outputs = outputs  # list of (name, expr)
+        self.runtime = BindingCache()
 
-    def is_aggregate(self):
-        return any(find_aggregates(expr) for _, expr in self.outputs)
+    def __getstate__(self):
+        return {"plan": self.plan, "outputs": self.outputs}
+
+    def __setstate__(self, state):
+        self.__init__(state["plan"], state["outputs"])
+
+    def bind(self, binder, outer):
+        """Bind plan and outputs under the prefix layout ``outer``.
+        Returns ``(source, outputs)``: ``source(db, outer_row, stats,
+        batch_size)`` yields batches of the rows the ``outputs``
+        closures evaluate against — the plan's rows, or for an aggregate
+        query the single row carrying the accumulated state."""
+        plan = self.plan.bind(binder, outer)
+        accumulators, final = bind_aggregates(
+            binder, self.outputs, plan.layout, outer)
+        if not accumulators:
+            final = plan.layout
+            source = plan.iter_batches
+        else:
+            def source(db, outer_row, stats, batch_size):
+                states = [[] for _ in accumulators]
+                for row in plan.iter_rows(db, outer_row, stats, batch_size):
+                    for accumulate, state in zip(accumulators, states):
+                        accumulate(state, row, stats)
+                return [[outer_row + tuple(states)]]
+        return source, [expr.bind(binder, final) for _, expr in self.outputs]
+
+    def bind_scalar(self, binder, outer):
+        """This query as a correlated scalar subquery of rows of
+        ``outer``: a closure ``f(row, stats)`` that runs it with ``row``
+        as the prefix and returns its single value (or NULL)."""
+        if len(self.outputs) != 1:
+            raise PlanError("scalar subquery must have one output column")
+        source, (value,) = self.bind(binder, outer)
+        db = binder.db
+
+        def scalar(row, stats):
+            stats.subquery_executions += 1
+            # not the drive loop: the outer execution's output_rows /
+            # batches / elapsed_seconds are not charged for these rows
+            values = [
+                value(inner, stats)
+                for batch in source(db, row, stats, DEFAULT_BATCH_SIZE)
+                for inner in batch
+            ]
+            if not values:
+                return None
+            if len(values) > 1:
+                raise DatabaseError(
+                    "scalar subquery returned %d rows" % len(values)
+                )
+            return values[0]
+
+        return scalar
 
     def execute(self, db, env=None, stats=None, batch_size=None):
         """Run the query; returns (rows, stats).  Each row is a tuple of
@@ -801,39 +832,23 @@ class Query:
         ``stats.batches`` / ``output_rows`` count what was handed to the
         consumer, and ``elapsed_seconds`` the time spent producing it:
         the clock stops while the consumer holds a batch, and a consumer
-        that stops early has been charged for what it received.
+        that stops early has been charged for what it received.  Between
+        batches the loop checks ``stats.deadline``.
         """
         stats = stats or ExecutionStats()
-        outputs = self.outputs
         start = time.perf_counter()
-        for batch in self._env_batches(db, env or {}, stats,
-                                       batch_size or DEFAULT_BATCH_SIZE):
-            out = [
-                tuple(expr.evaluate(row_env, db, stats)
-                      for _, expr in outputs)
-                for row_env in batch
-            ]
+        binding, outer_row = self.runtime.get(self, db, env, stats.markup)
+        output = binding.output
+        for batch in binding.source(db, outer_row, stats,
+                                    batch_size or DEFAULT_BATCH_SIZE):
+            _check_deadline(stats)
+            out = [output(row, stats) for row in batch]
             stats.batches += 1
             stats.output_rows += len(out)
             stats.elapsed_seconds += time.perf_counter() - start
             yield out
             start = time.perf_counter()
         stats.elapsed_seconds += time.perf_counter() - start
-
-    def _env_batches(self, db, env, stats, batch_size):
-        """Batches of the environments the output expressions evaluate
-        against: the plan's rows, or for an aggregate query the single
-        environment carrying the accumulated ``AGG_STATE``."""
-        if not self.is_aggregate():
-            return self.plan.iter_batches(db, env, stats, batch_size)
-        aggregates = _aggregates_of(self.outputs)
-        states = {id(agg): agg.new_state() for agg in aggregates}
-        for row_env in self.plan.iter_rows(db, env, stats, batch_size):
-            for agg in aggregates:
-                agg.accumulate(states[id(agg)], row_env, db, stats)
-        final_env = dict(env)
-        final_env[AGG_STATE] = states
-        return [[final_env]]
 
     # -- explain --------------------------------------------------------------
 
@@ -854,49 +869,30 @@ class Query:
         """Yield serialized text pieces of the first output column of
         every row, in row order.
 
-        This opens a *markup* execution (``stats.markup``): the result
-        column (the ``xml_content`` construction in rewritten plans)
-        renders text instead of building result DOMs — the same routine
-        the transform front door runs — so the concatenation of the
-        pieces is byte-identical to executing the query and serializing
-        ``row[0]`` of every row, while no piece ever spans more than one
-        aggregated row.  Row flow underneath is the executor's batches;
-        values are rendered one row at a time.
+        This opens a *markup* execution (``stats.markup``): the plan's
+        markup binding runs, whose result column (the ``xml_content``
+        construction in rewritten plans) renders text instead of
+        building result DOMs — the same binding the transform front door
+        runs — so the concatenation of the pieces is byte-identical to
+        executing the query and serializing ``row[0]`` of every row,
+        while no piece ever spans more than one aggregated row.  Row
+        flow underneath is the executor's batches (with the deadline
+        check between them); values are rendered one row at a time.
         """
-        env = env or {}
         stats = stats or ExecutionStats()
         stats.markup = True
         if not self.outputs:
             raise PlanError("cannot stream a query with no outputs")
-        expr = self.outputs[0][1]
-        for batch in self._env_batches(db, env, stats,
-                                       batch_size or DEFAULT_BATCH_SIZE):
+        binding, outer_row = self.runtime.get(self, db, env, True)
+        value = binding.outputs[0]
+        for batch in binding.source(db, outer_row, stats,
+                                    batch_size or DEFAULT_BATCH_SIZE):
+            _check_deadline(stats)
             stats.batches += 1
             stats.output_rows += len(batch)
-            for row_env in batch:
-                for item in row_items(expr.evaluate(row_env, db, stats)):
+            for row in batch:
+                for item in row_items(value(row, stats)):
                     yield render_item(item)
-
-    def execute_scalar(self, db, env, stats):
-        """Scalar-subquery evaluation: exactly one output column."""
-        if len(self.outputs) != 1:
-            raise PlanError("scalar subquery must have one output column")
-        stats.subquery_executions += 1
-        expr = self.outputs[0][1]
-        # not execute(): the outer execution's output_rows / batches /
-        # elapsed_seconds are not charged for a subquery's rows
-        values = [
-            expr.evaluate(row_env, db, stats)
-            for row_env in chain.from_iterable(
-                self._env_batches(db, env, stats, DEFAULT_BATCH_SIZE))
-        ]
-        if not values:
-            return None
-        if len(values) > 1:
-            raise DatabaseError(
-                "scalar subquery returned %d rows" % len(values)
-            )
-        return values[0]
 
     # -- SQL rendering --------------------------------------------------------
 

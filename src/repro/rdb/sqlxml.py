@@ -3,30 +3,31 @@
 ``XMLElement``, ``XMLAttributes``, ``XMLForest``, ``XMLConcat``,
 ``XMLComment`` construct XML values from relational data; ``XMLAgg`` and
 the classic SQL aggregates (COUNT/SUM/AVG/MIN/MAX) are aggregate
-expressions evaluated by the executor's aggregate machinery.
+expressions driven by the executor's aggregate machinery.
 
-An XML value has one of two representations, fixed per *execution* by
-the entry point that opened it and carried on its ``stats`` object
-(``ExecutionStats.markup``) to every operator and aggregate:
+An XML value has one of two representations.  Which one is decided once,
+when the plan is *bound* (``Binder.markup``, taken from the
+``ExecutionStats.markup`` of the entry point that opened the execution)
+— a bound constructor is a closure over flat tuple rows that builds one
+representation and never asks again:
 
 * **DOM nodes** (the default): ``Query.execute_batches()`` (which
-  ``execute()`` collects), ``execute_scalar()`` and a bare
-  ``expr.evaluate()`` build trees, which view materialisation for the
-  functional path, the XMLQuery operators and tests read;
-* **markup** (``stats.markup`` set by the transform front door and
-  ``Query.stream_pieces``): constructors render already-escaped text — a
-  :class:`Markup` string, or a flat list of them when the content holds
-  a sequence, so no piece ever spans more than one aggregated row — and
-  no result DOM is built, copied or walked.  This is the paper's point
-  (Figure 3): the rewritten plan answers ``XMLTransform`` without
-  materialising a document.
+  ``execute()`` collects) and a bare ``expr.evaluate()`` build trees,
+  which view materialisation for the functional path, the XMLQuery
+  operators and tests read;
+* **markup** (the transform front door and ``Query.stream_pieces``):
+  constructors render already-escaped text — a :class:`Markup` string,
+  or a flat list of them when the content holds a sequence, so no piece
+  ever spans more than one aggregated row — and no result DOM is built,
+  copied or walked.  This is the paper's point (Figure 3): the
+  rewritten plan answers ``XMLTransform`` without materialising a
+  document.
 
 Everything that merely *passes values along* (``XMLConcat``, ``XMLText``,
 ``XMLAgg``, CASE, column references into decorrelated aggregates) is
 representation-agnostic; only element, forest and comment construction
-branch.  ``XMLAgg`` keeps its group lazily as ``(order keys, row
-environment)`` pairs and renders each row at finalization, in whichever
-representation the execution uses.
+differ.  ``XMLAgg`` keeps its group lazily as ``(order keys, row)``
+pairs and renders each row at finalization.
 """
 
 from __future__ import annotations
@@ -35,11 +36,8 @@ from repro.errors import DatabaseError, RewriteError
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.nodes import Node, NodeKind, QName
 from repro.xmlmodel.serializer import escape_attribute, escape_text, serialize
+from repro.rdb.binding import Layout, bind_order, sort_pairs
 from repro.rdb.expressions import SqlExpr, _text
-
-# env key under which aggregate accumulator state is passed during the
-# final evaluation of an aggregate query.
-AGG_STATE = "\0agg-state"
 
 
 class Markup(str):
@@ -116,6 +114,19 @@ def row_items(value):
     return value if isinstance(value, list) else [value]
 
 
+def _flat(values):
+    """Non-NULL values as one flat list (sequences spliced in)."""
+    out = []
+    for value in values:
+        if value is None:
+            continue
+        if isinstance(value, list):
+            out.extend(value)
+        else:
+            out.append(value)
+    return out
+
+
 def render_item(item, method="xml"):
     """One row item as output text — the single renderer behind
     ``TransformResult.serialized_rows``, the functional stream and
@@ -131,6 +142,13 @@ def render_item(item, method="xml"):
 def _lexical(name):
     """The serialized tag/attribute name for a string or QName."""
     return name.lexical if isinstance(name, QName) else str(name)
+
+
+def _tags(name):
+    """An element's static markup: its start tag up to (not including)
+    the ``>``, and its end tag."""
+    tag = _lexical(name)
+    return "<" + tag, Markup("</%s>" % tag)
 
 
 def _element_node(name, attributes, content, stats):
@@ -180,35 +198,38 @@ class XMLElement(XmlExpr):
         self.name = name
         self.attributes = attributes or []  # list of (attr_name, expr)
         self.content = list(content)
-        # static markup, rendered once per plan instead of once per row
-        tag = _lexical(name)
-        self._open = "<" + tag
-        self._close = Markup("</%s>" % tag)
-        self._attr_open = [
-            ' %s="' % _lexical(attr_name) for attr_name, _ in self.attributes
-        ]
 
     def child_exprs(self):
         return tuple(expr for _, expr in self.attributes) + tuple(self.content)
 
-    def evaluate(self, env, db, stats):
-        if stats is None or not stats.markup:
-            return _element_node(
-                self.name,
-                [(attr_name, expr.evaluate(env, db, stats))
-                 for attr_name, expr in self.attributes],
-                [expr.evaluate(env, db, stats) for expr in self.content],
+    def bind(self, binder, layout):
+        attributes = [(attr_name, expr.bind(binder, layout))
+                      for attr_name, expr in self.attributes]
+        content = [expr.bind(binder, layout) for expr in self.content]
+        if not binder.markup:
+            name = self.name
+            return lambda row, stats: _element_node(
+                name,
+                [(attr_name, value(row, stats))
+                 for attr_name, value in attributes],
+                [value(row, stats) for value in content],
                 stats,
             )
-        head = self._open
-        for prefix, (_, expr) in zip(self._attr_open, self.attributes):
-            value = expr.evaluate(env, db, stats)
-            if value is not None:
-                head += prefix + escape_attribute(_text(value)) + '"'
-        return _element_markup(
-            head, self._close,
-            [expr.evaluate(env, db, stats) for expr in self.content], stats,
-        )
+        # static markup, rendered once per binding instead of once per row
+        opening, close = _tags(self.name)
+        attributes = [(' %s="' % _lexical(attr_name), value)
+                      for attr_name, value in attributes]
+
+        def element(row, stats):
+            head = opening
+            for prefix, value in attributes:
+                value = value(row, stats)
+                if value is not None:
+                    head += prefix + escape_attribute(_text(value)) + '"'
+            return _element_markup(
+                head, close, [value(row, stats) for value in content], stats)
+
+        return element
 
     def to_sql(self):
         parts = ['"%s"' % self.name]
@@ -227,30 +248,27 @@ class XMLForest(XmlExpr):
 
     def __init__(self, items):
         self.items = items  # list of (name, expr)
-        self._tags = [
-            ("<" + _lexical(name), Markup("</%s>" % _lexical(name)))
-            for name, _ in items
-        ]
 
     def child_exprs(self):
         return tuple(expr for _, expr in self.items)
 
-    def evaluate(self, env, db, stats):
-        markup = stats is not None and stats.markup
-        out = []
-        for (name, expr), (head, close) in zip(self.items, self._tags):
-            value = expr.evaluate(env, db, stats)
-            if value is None:
-                continue
-            if markup:
-                element = _element_markup(head, close, (value,), stats)
-            else:
-                element = _element_node(name, (), (value,), stats)
-            if type(element) is list:
-                out.extend(element)
-            else:
-                out.append(element)
-        return out
+    def bind(self, binder, layout):
+        build = _element_markup if binder.markup else _element_node
+        items = [
+            (expr.bind(binder, layout),)
+            + (_tags(name) if binder.markup else (name, ()))
+            for name, expr in self.items
+        ]
+
+        def forest(row, stats):
+            elements = []
+            for value, first, second in items:
+                value = value(row, stats)
+                if value is not None:
+                    elements.append(build(first, second, (value,), stats))
+            return _flat(elements)
+
+        return forest
 
     def to_sql(self):
         return "XMLForest(%s)" % ", ".join(
@@ -267,17 +285,9 @@ class XMLConcat(XmlExpr):
     def child_exprs(self):
         return tuple(self.items)
 
-    def evaluate(self, env, db, stats):
-        out = []
-        for expr in self.items:
-            value = expr.evaluate(env, db, stats)
-            if value is None:
-                continue
-            if isinstance(value, list):
-                out.extend(value)
-            else:
-                out.append(value)
-        return out
+    def bind(self, binder, layout):
+        items = [expr.bind(binder, layout) for expr in self.items]
+        return lambda row, stats: _flat([item(row, stats) for item in items])
 
     def to_sql(self):
         return "XMLConcat(%s)" % ", ".join(expr.to_sql() for expr in self.items)
@@ -290,13 +300,18 @@ class XMLComment(XmlExpr):
     def child_exprs(self):
         return (self.expr,)
 
-    def evaluate(self, env, db, stats):
-        text = _text(self.expr.evaluate(env, db, stats))
-        if stats is not None and stats.markup:
-            return Markup("<!--%s-->" % text)
-        builder = TreeBuilder()
-        builder.comment(text)
-        return builder.finish().children[0]
+    def bind(self, binder, layout):
+        text = self.expr.bind(binder, layout)
+        if binder.markup:
+            return lambda row, stats: Markup(
+                "<!--%s-->" % _text(text(row, stats)))
+
+        def comment(row, stats):
+            builder = TreeBuilder()
+            builder.comment(_text(text(row, stats)))
+            return builder.finish().children[0]
+
+        return comment
 
     def to_sql(self):
         return "XMLComment(%s)" % self.expr.to_sql()
@@ -311,9 +326,14 @@ class XMLText(XmlExpr):
     def child_exprs(self):
         return (self.expr,)
 
-    def evaluate(self, env, db, stats):
-        value = self.expr.evaluate(env, db, stats)
-        return None if value is None else _text(value)
+    def bind(self, binder, layout):
+        value = self.expr.bind(binder, layout)
+
+        def text(row, stats):
+            item = value(row, stats)
+            return None if item is None else _text(item)
+
+        return text
 
     def to_sql(self):
         return self.expr.to_sql()
@@ -322,55 +342,59 @@ class XMLText(XmlExpr):
 # -- aggregates ----------------------------------------------------------------
 
 
-def _ordered(rows, order_by):
-    """``(keys, payload)`` rows in ORDER BY order: one stable pass per
-    key, last key first (arrival order breaks ties)."""
-    for position in range(len(order_by) - 1, -1, -1):
-        rows = sorted(
-            rows, key=lambda row: row[0][position],
-            reverse=order_by[position][1],
-        )
-    return rows
-
-
 class AggregateExpr(SqlExpr):
     """Base for aggregate expressions; the executor drives accumulation.
 
-    ``final`` receives ``db``/``stats`` because :class:`XMLAgg` defers
-    rendering its group to finalization (see below); the scalar
-    aggregates ignore both.
+    ``aggregate(binder, layout)`` binds the aggregate over input rows of
+    ``layout`` and returns ``(accumulate, final)``: ``accumulate(state,
+    row, stats)`` folds one row into the aggregate's state (a list the
+    executor creates per group) and ``final(state, stats)`` turns the
+    state into the value.  As an *expression* an aggregate is bound
+    against the layout of a finalised group (:func:`bind_aggregates`),
+    where it reads its state from its slot.
     """
 
-    def new_state(self):
+    def aggregate(self, binder, layout):
         raise NotImplementedError
 
-    def accumulate(self, state, env, db, stats):
-        raise NotImplementedError
-
-    def final(self, state, db, stats):
-        raise NotImplementedError
-
-    def _state(self, env):
-        states = env.get(AGG_STATE)
-        if states is None or id(self) not in states:
+    def bind(self, binder, layout):
+        entry = layout.aggregates.get(id(self))
+        if entry is None:
             raise DatabaseError(
                 "aggregate %s used outside an aggregate query" % self.to_sql()
             )
-        return states[id(self)]
+        slot, final = entry
+        return lambda row, stats: final(row[slot], stats)
 
-    def evaluate(self, env, db, stats):
-        return self.final(self._state(env), db, stats)
+
+def bind_aggregates(binder, outputs, layout, outer):
+    """Bind the distinct aggregates under ``(name, expr)`` outputs over
+    input rows of ``layout``.  Returns ``(accumulators, final_layout)``:
+    one ``accumulate(state, row, stats)`` per aggregate — a node two
+    outputs share is driven once — and the layout the outputs are then
+    bound against, whose rows are ``outer row + (state per aggregate)``.
+    """
+    distinct = {}
+    for _, expr in outputs:
+        for agg in find_aggregates(expr):
+            distinct[id(agg)] = agg
+    accumulators = []
+    slots = {}
+    for agg in distinct.values():
+        accumulate, final = agg.aggregate(binder, layout)
+        slots[id(agg)] = (outer.width + len(accumulators), final)
+        accumulators.append(accumulate)
+    states = (None, tuple(range(len(accumulators))))
+    return accumulators, Layout(outer.segments + (states,), slots)
 
 
 class XMLAgg(AggregateExpr):
     """``XMLAgg(xml_expr [ORDER BY ...])`` — aggregates XML values into a
     sequence (document order of the group).
 
-    Accumulation is *lazy*: the state holds ``(order keys, row env)``
-    pairs, and the per-row XML value is only rendered at finalization,
-    in the representation the finalizing execution uses.  Row
-    environments are safe to retain: plan operators yield fresh dicts
-    and never mutate a row after yielding it.
+    Accumulation is *lazy*: the state holds ``(order keys, row)`` pairs,
+    and the per-row XML value is only rendered at finalization.  Rows
+    are immutable tuples, so retaining them is safe.
     """
 
     def __init__(self, expr, order_by=None):
@@ -380,26 +404,18 @@ class XMLAgg(AggregateExpr):
     def child_exprs(self):
         return (self.expr,) + tuple(expr for expr, _ in self.order_by)
 
-    def new_state(self):
-        return []
+    def aggregate(self, binder, layout):
+        key, directions = bind_order(binder, self.order_by, layout)
+        value = self.expr.bind(binder, layout)
 
-    def accumulate(self, state, env, db, stats):
-        keys = tuple(
-            expr.evaluate(env, db, stats) for expr, _ in self.order_by
-        )
-        state.append((keys, env))
+        def accumulate(state, row, stats):
+            state.append((key(row, stats), row))
 
-    def final(self, state, db, stats):
-        out = []
-        for _, env in _ordered(state, self.order_by):
-            value = self.expr.evaluate(env, db, stats)
-            if value is None:
-                continue
-            if isinstance(value, list):
-                out.extend(value)
-            else:
-                out.append(value)
-        return out
+        def final(state, stats):
+            return _flat([value(row, stats)
+                          for _, row in sort_pairs(state, directions)])
+
+        return accumulate, final
 
     def to_sql(self):
         text = "XMLAgg(%s" % self.expr.to_sql()
@@ -414,38 +430,41 @@ class XMLAgg(AggregateExpr):
 class AggCall(AggregateExpr):
     """COUNT/SUM/AVG/MIN/MAX (COUNT(*) via expr=None)."""
 
+    #: name -> value of a group's non-NULL inputs (empty only for COUNT)
+    _FINAL = {
+        "COUNT": lambda state: float(len(state)),
+        "SUM": lambda state: float(sum(state)),
+        "AVG": lambda state: float(sum(state)) / len(state),
+        "MIN": min,
+        "MAX": max,
+    }
+
     def __init__(self, name, expr=None):
         self.name = name.upper()
-        if self.name not in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
+        if self.name not in self._FINAL:
             raise DatabaseError("unknown aggregate %s" % name)
         self.expr = expr
 
     def child_exprs(self):
         return (self.expr,) if self.expr is not None else ()
 
-    def new_state(self):
-        return []
+    def aggregate(self, binder, layout):
+        finish = self._FINAL[self.name]
+        counting = self.name == "COUNT"
 
-    def accumulate(self, state, env, db, stats):
+        def final(state, stats):
+            return finish(state) if state or counting else None
+
         if self.expr is None:
-            state.append(1)
-            return
-        value = self.expr.evaluate(env, db, stats)
-        if value is not None:
-            state.append(value)
+            return (lambda state, row, stats: state.append(1)), final
+        value = self.expr.bind(binder, layout)
 
-    def final(self, state, db=None, stats=None):
-        if self.name == "COUNT":
-            return float(len(state))
-        if not state:
-            return None
-        if self.name == "SUM":
-            return float(sum(state))
-        if self.name == "AVG":
-            return float(sum(state)) / len(state)
-        if self.name == "MIN":
-            return min(state)
-        return max(state)
+        def accumulate(state, row, stats):
+            item = value(row, stats)
+            if item is not None:
+                state.append(item)
+
+        return accumulate, final
 
     def to_sql(self):
         inner = "*" if self.expr is None else self.expr.to_sql()
@@ -464,18 +483,19 @@ class ListAgg(AggregateExpr):
     def child_exprs(self):
         return (self.expr,) + tuple(expr for expr, _ in self.order_by)
 
-    def new_state(self):
-        return []
+    def aggregate(self, binder, layout):
+        key, directions = bind_order(binder, self.order_by, layout)
+        value = self.expr.bind(binder, layout)
+        separator = self.separator
 
-    def accumulate(self, state, env, db, stats):
-        value = self.expr.evaluate(env, db, stats)
-        keys = tuple(expr.evaluate(env, db, stats) for expr, _ in self.order_by)
-        state.append((keys, _text(value)))
+        def accumulate(state, row, stats):
+            state.append((key(row, stats), _text(value(row, stats))))
 
-    def final(self, state, db=None, stats=None):
-        return self.separator.join(
-            text for _, text in _ordered(state, self.order_by)
-        )
+        def final(state, stats):
+            return separator.join(
+                text for _, text in sort_pairs(state, directions))
+
+        return accumulate, final
 
     def to_sql(self):
         text = "LISTAGG(%s, '%s')" % (self.expr.to_sql(), self.separator)

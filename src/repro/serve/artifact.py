@@ -52,9 +52,11 @@ from repro.obs import global_metrics
 
 #: bump whenever the pickled :class:`CompiledTransform` object graph
 #: changes shape: an entry written by another build must miss and be
-#: recompiled, never be loaded half-initialised.  2: the SQL/XML
-#: constructors carry static markup precomputed at construction.
-ARTIFACT_FORMAT_VERSION = 2
+#: recompiled, never be loaded half-initialised.  3: the SQL/XML
+#: constructors no longer carry precomputed static markup — it belongs
+#: to a plan's *binding* (closures over one catalog's column positions),
+#: which is never part of the graph: ``Query`` pickles the tree only.
+ARTIFACT_FORMAT_VERSION = 3
 ARTIFACT_MAGIC = "repro-plan"
 ARTIFACT_SUFFIX = ".plan"
 EPOCH_FILE = "EPOCH"

@@ -348,7 +348,11 @@ class PlanRuntime:
             **span_attrs):
         """Execute one claimed request under ``tracer``, inside a root
         span ``span_name`` that records the cache outcome and strategy;
-        returns a :class:`ServeResult`."""
+        returns a :class:`ServeResult`.  ``opts.deadline`` is what is
+        left of the request's life on arrival here; plan execution past
+        it raises :class:`~repro.errors.DeadlineExceededError`."""
+        deadline = None if opts.deadline is None \
+            else time.perf_counter() + opts.deadline
         with tracer.span(span_name, **span_attrs) as root:
             source = self.resolve(source)
             self.sync_versions()
@@ -360,6 +364,7 @@ class PlanRuntime:
                     self.db, source, compiled, params=params, tracer=tracer,
                     metrics=self.metrics, root=root,
                     profile_plan=opts.profile_plan, feedback=opts.feedback,
+                    deadline=deadline,
                 )
             execute_seconds = time.perf_counter() - started
             self.metrics.histogram("serve.execute_seconds").record(

@@ -7,8 +7,9 @@ worker backend:
 
 * a **bounded admission queue** — overload fails fast with
   :class:`ServiceOverloadedError` instead of queueing without bound;
-* requests carry **deadlines** (enforced at dequeue: a request that
-  waited past its deadline never executes), and can be **cancelled**
+* requests carry **deadlines** (enforced at dequeue — a request that
+  waited past its deadline never executes — and between row batches of
+  plan execution), and can be **cancelled**
   while still queued;
 * one dispatcher thread per worker drains the queue and runs each
   claimed request on its worker — a **thread** worker calls the shared
@@ -44,6 +45,7 @@ import threading
 import time
 
 from repro.api import TransformOptions
+from repro.errors import DeadlineExceededError
 from repro.core.transform import execute_compiled_stream
 from repro.obs import global_metrics
 from repro.obs.ops import OpsServer
@@ -677,13 +679,24 @@ class TransformService:
         """Run a claimed request on ``worker``: metrics → record →
         resolve, whichever backend executes it."""
         tracer = request_tracer(self.trace_requests)
+        if request.deadline is not None:
+            # what is left of the request's life bounds its execution:
+            # the worker checks it between row batches
+            request.options = request.options.replace(deadline=max(
+                0.0, request.deadline - time.perf_counter()))
         try:
             with use_trace_context(request.context):
                 result, worker_spans = self._backend.run(
                     worker, request, tracer, queue_wait
                 )
         except BaseException as exc:
-            self._fail(request, "error", exc, queue_wait,
+            status = "error"
+            # a process worker reports the error by type name
+            if isinstance(exc, DeadlineExceededError) or getattr(
+                    exc, "error_type", None) == DeadlineExceededError.__name__:
+                status, exc = "timeout", RequestTimeoutError(
+                    "deadline exceeded during execution: %s" % exc)
+            self._fail(request, status, exc, queue_wait,
                        spans=sink_spans(tracer))
             return
         total = time.perf_counter() - request.submitted_at

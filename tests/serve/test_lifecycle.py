@@ -157,6 +157,24 @@ class TestAdmission:
                 future.result(timeout=10)
             assert served.metrics.counter("serve.timeouts").value == 1
 
+    def test_deadline_enforced_during_execution(self, backend, tmp_path):
+        """``transform_on`` skips the queue (and its dequeue check), so an
+        already-spent deadline is met by the executor's drive loop: the
+        request fails as a timeout, and the worker keeps serving."""
+        with Served(backend, tmp_path) as served:
+            service = served.service
+            service.transform("doc", EXAMPLE1_STYLESHEET)  # plan cached
+            with pytest.raises(RequestTimeoutError,
+                               match="during execution"):
+                service.transform_on(0, "doc", EXAMPLE1_STYLESHEET,
+                                     options=TransformOptions(deadline=0))
+            assert served.metrics.counter("serve.timeouts").value == 1
+            assert served.metrics.counter("serve.errors").value == 0
+            again = service.transform_on(
+                0, "doc", EXAMPLE1_STYLESHEET,
+                options=TransformOptions(deadline=60))
+            assert again.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
+
     def test_zero_deadline_times_out(self, backend, tmp_path):
         """``deadline=0`` is a deadline, not "no deadline"."""
         with Served(backend, tmp_path) as served:
