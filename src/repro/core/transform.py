@@ -584,9 +584,10 @@ def _functional(db, source, stylesheet, params, tracer=None):
 
 def _materialize_documents(db, source, stats):
     """Yield each XMLType instance as a full DOM (the no-rewrite cost)."""
-    if isinstance(source, ObjectRelationalStorage) or _is_document_store(
-        source
-    ):
+    if isinstance(source, ObjectRelationalStorage):
+        yield from source.materialize_all(stats=stats)
+        return
+    if _is_document_store(source):
         for doc_id in source.document_ids():
             yield source.materialize(doc_id, stats=stats)
         return

@@ -18,7 +18,7 @@ Two of the paper's storage models are implemented:
 from __future__ import annotations
 
 import hashlib
-import threading
+from operator import itemgetter
 
 from repro.errors import DatabaseError, SchemaError
 from repro.rdb.expressions import (
@@ -32,9 +32,8 @@ from repro.rdb.expressions import (
 from repro.rdb.plan import Filter, Query, Scan
 from repro.rdb.sqlxml import XMLAgg, XMLElement
 from repro.rdb.types import FLOAT, INT, TEXT
-from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.labels import assign_labels
-from repro.xmlmodel.nodes import Element, Text
+from repro.xmlmodel.nodes import Attribute, Document, Element, QName, Text
 from repro.xmlmodel.parser import parse_document
 from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.stream_ingest import DEFAULT_CHUNK_SIZE, StreamParser
@@ -51,6 +50,10 @@ VALUE = "value"
 START = "$start"
 END = "$end"
 LEVEL = "$level"
+
+# Emit-program step kinds (see ObjectRelationalStorage._compile_element).
+_LEAF, _INLINE, _ROWS_LEAF, _ROWS_TREE = range(4)
+_BY_SEQ = itemgetter(2)  # child-table rows are ($id, $parent, $seq, ...)
 
 
 class TableBinding:
@@ -126,20 +129,11 @@ class ObjectRelationalStorage:
         self.bindings = {}       # id(decl) -> binding
         self.tables = []         # TableBinding, parents first
         self._doc_counter = 0
-        # Per-materialize grouped child rows.  Thread-local: the serving
-        # layer materialises concurrently from worker threads, and the
-        # grouped cache only makes sense within one materialize() call.
-        self._tls = threading.local()
         self._layout()
         self._create_tables()
-
-    @property
-    def _child_cache(self):
-        return getattr(self._tls, "child_cache", None)
-
-    @_child_cache.setter
-    def _child_cache(self, value):
-        self._tls.child_cache = value
+        # Compiled once, never mutated: concurrent materialisations share it.
+        self._emit_program = self._compile_element(self.schema.root,
+                                                   self.tables[0])
 
     # -- layout -----------------------------------------------------------------
 
@@ -540,94 +534,135 @@ class ObjectRelationalStorage:
     def materialize(self, doc_id, stats=None):
         """Rebuild the full DOM of one stored document.
 
-        Each table is scanned once and grouped by parent id, so
-        materialisation is linear in storage size — the honest cost of the
-        paper's "XSLT no rewrite" baseline.
+        The root table is scanned for the document's row; child rows come
+        through the parent-id index (one probe per parent) or, without
+        one, from one scan of the child table grouped by parent id.
+        Either way materialisation is linear in storage size — the honest
+        cost of the paper's "XSLT no rewrite" baseline.
         """
-        builder = TreeBuilder()
-        root_table = self.tables[0]
-        row = self._fetch_row(root_table, doc_id, stats)
+        row = None
+        scanned = 0
+        for _, candidate in self.db.table(self.tables[0].table_name).scan():
+            scanned += 1
+            if candidate[0] == doc_id:
+                row = candidate
+                break
+        if stats is not None:
+            stats.rows_scanned += scanned
         if row is None:
             raise DatabaseError("no document %d" % doc_id)
-        if stats is not None:
-            stats.docs_materialized += 1
-        # Child rows are fetched through the parent-id index (one probe per
-        # parent); without one, each child table is scanned once and
-        # grouped.  Either way materialisation touches every row of *this*
-        # document — the honest no-rewrite cost.
-        self._child_cache = {}
-        for table_binding in self.tables[1:]:
-            if self.db.find_index(table_binding.table_name, PARENT_ID):
-                continue  # probed on demand in _child_rows
-            table = self.db.table(table_binding.table_name)
-            grouped = {}
-            for _, raw in table.scan():
-                if stats is not None:
-                    stats.rows_scanned += 1
-                grouped.setdefault(raw[1], []).append(table.row_dict(raw))
-            for rows in grouped.values():
-                rows.sort(key=lambda r: r[SEQ])
-            self._child_cache[id(table_binding)] = grouped
-        try:
-            self._emit(builder, self.schema.root, root_table, row, stats)
-        finally:
-            self._child_cache = None
-        return builder.finish()
+        return self._build_document(row, self._child_fetchers(stats), stats)
 
-    def _fetch_row(self, table_binding, row_id, stats):
-        table = self.db.table(table_binding.table_name)
-        for _, row in table.scan():
+    def materialize_all(self, stats=None):
+        """Yield every stored document's DOM, in document-id order.
+
+        The many-document form of :meth:`materialize`: the root table is
+        walked once and each un-indexed child table is scanned and grouped
+        once for all documents, so the rows touched stay linear in storage
+        size however many documents there are.
+        """
+        rows = [row for _, row in
+                self.db.table(self.tables[0].table_name).scan()]
+        fetchers = self._child_fetchers(stats)
+        for row in rows:
             if stats is not None:
                 stats.rows_scanned += 1
-            if row[0] == row_id:
-                return table.row_dict(row)
-        return None
+            yield self._build_document(row, fetchers, stats)
 
-    def _emit(self, builder, decl, table_binding, row, stats):
-        builder.start_element(decl.name)
-        self._emit_content(builder, decl, table_binding, row, stats)
-        builder.end_element()
+    def _child_fetchers(self, stats):
+        """Per call, one ``parent_id -> child rows in $seq order`` callable
+        for each child table (aligned with ``self.tables``)."""
+        fetchers = [None]
+        for table_binding in self.tables[1:]:
+            table = self.db.table(table_binding.table_name)
+            index = self.db.find_index(table_binding.table_name, PARENT_ID)
+            # an empty index has nothing to probe: fall through to the
+            # (zero-row) scan rather than charge a probe per parent
+            if index is not None and len(index):
+                fetchers.append(_index_fetcher(table, index, stats))
+                continue
+            grouped = {}
+            scanned = 0
+            for _, row in table.scan():
+                scanned += 1
+                grouped.setdefault(row[1], []).append(row)
+            for rows in grouped.values():
+                rows.sort(key=_BY_SEQ)
+            if stats is not None:
+                stats.rows_scanned += scanned
+            fetchers.append(_group_fetcher(grouped))
+        return fetchers
 
-    def _emit_content(self, builder, decl, table_binding, row, stats):
-        self._emit_attributes(builder, decl, table_binding, row)
+    def _build_document(self, row, fetchers, stats):
+        if stats is not None:
+            stats.docs_materialized += 1
+        document = Document()
+        # Nodes are numbered exactly as TreeBuilder would: elements and
+        # text take the next slot, attributes share their element's.
+        document.resume_order(_emit_element(
+            self._emit_program, row, document, document.children, 1,
+            fetchers))
+        return document
+
+    # -- the emit program ---------------------------------------------------------
+
+    def _compile_element(self, decl, table_binding):
+        """``(qname, attrs, steps)`` for an element whose content lives in
+        one row of ``table_binding``'s table: names become shared
+        :class:`QName` objects and column names become row slots, so
+        executing the program touches neither the schema nor the bindings.
+
+        ``attrs`` is ``((qname, slot), ...)``; each step is one of::
+
+            (_LEAF, qname, attrs, slot)          column leaf, NULL = absent
+            (_INLINE, presence_slot, element)    flattened wrapper
+            (_ROWS_LEAF, table, qname, attrs, slot)   child-table leaf rows
+            (_ROWS_TREE, table, element)         child-table subtrees
+
+        where ``table`` indexes ``self.tables`` and ``presence_slot`` is
+        None for a mandatory wrapper.
+        """
+        position_of = self.db.table(table_binding.table_name).schema.position_of
+        steps = []
         for particle in decl.particles:
             child = particle.decl
             binding = self.bindings[id(child)]
             if isinstance(binding, ColumnBinding):
-                value = row.get(binding.column_name)
-                if value is not None:
-                    builder.start_element(child.name)
-                    self._emit_attributes(builder, child, table_binding, row)
-                    builder.text(_as_text(value))
-                    builder.end_element()
+                steps.append((
+                    _LEAF, QName(child.name),
+                    self._compile_attributes(child, table_binding),
+                    position_of(binding.column_name),
+                ))
             elif isinstance(binding, InlineBinding):
-                if (
-                    binding.presence_column is not None
-                    and not row.get(binding.presence_column)
-                ):
-                    continue  # the optional wrapper was absent
-                builder.start_element(child.name)
-                self._emit_content(builder, child, table_binding, row, stats)
-                builder.end_element()
-            else:  # child table
-                child_rows = self._child_rows(binding, row[ROW_ID], stats)
-                for child_row in child_rows:
-                    if child.is_leaf:
-                        builder.start_element(child.name)
-                        self._emit_attributes(builder, child, binding,
-                                              child_row)
-                        builder.text(_as_text(child_row.get(VALUE)))
-                        builder.end_element()
-                    else:
-                        self._emit(builder, child, binding, child_row, stats)
-        if decl.has_text and decl.is_leaf:
-            pass  # leaf text is stored in the parent's column
+                presence = binding.presence_column
+                steps.append((
+                    _INLINE,
+                    None if presence is None else position_of(presence),
+                    self._compile_element(child, table_binding),
+                ))
+            elif child.is_leaf:
+                child_schema = self.db.table(binding.table_name).schema
+                steps.append((
+                    _ROWS_LEAF, self.tables.index(binding), QName(child.name),
+                    self._compile_attributes(child, binding),
+                    child_schema.position_of(VALUE),
+                ))
+            else:
+                steps.append((
+                    _ROWS_TREE, self.tables.index(binding),
+                    self._compile_element(child, binding),
+                ))
+        return (QName(decl.name),
+                self._compile_attributes(decl, table_binding), tuple(steps))
 
-    def _emit_attributes(self, builder, owner_decl, table_binding, row):
+    def _compile_attributes(self, owner_decl, table_binding):
+        position_of = self.db.table(table_binding.table_name).schema.position_of
+        slots = {}
         for attribute in owner_decl.attributes:
             binding = self._attr_binding(table_binding, owner_decl, attribute)
-            if binding is not None and row.get(binding.column_name) is not None:
-                builder.attribute(attribute, _as_text(row[binding.column_name]))
+            if binding is not None:
+                slots.setdefault(attribute, position_of(binding.column_name))
+        return tuple((QName(name), slot) for name, slot in slots.items())
 
     def _attr_binding(self, table_binding, owner_decl, attribute):
         """The column binding of ``owner_decl``'s attribute, if stored."""
@@ -639,26 +674,6 @@ class ObjectRelationalStorage:
             ):
                 return binding
         return None
-
-    def _child_rows(self, table_binding, parent_id, stats):
-        if self._child_cache is not None and id(table_binding) in self._child_cache:
-            return self._child_cache[id(table_binding)].get(parent_id, [])
-        table = self.db.table(table_binding.table_name)
-        index = self.db.find_index(table_binding.table_name, PARENT_ID)
-        rows = []
-        if index is not None:
-            for row_id in index.lookup_eq(parent_id, stats=stats):
-                if stats is not None:
-                    stats.rows_scanned += 1
-                rows.append(table.row_dict(table.fetch(row_id)))
-        else:
-            for _, row in table.scan():
-                if stats is not None:
-                    stats.rows_scanned += 1
-                if row[1] == parent_id:
-                    rows.append(table.row_dict(row))
-        rows.sort(key=lambda r: r[SEQ])
-        return rows
 
     # -- canonical reconstruction view ------------------------------------------------
 
@@ -743,6 +758,94 @@ class ObjectRelationalStorage:
             [(None, XMLAgg(inner, order_by=[(col(SEQ, child_alias), False)]))],
         )
         return ScalarSubquery(subquery)
+
+
+def _index_fetcher(table, index, stats):
+    fetch = table.fetch
+    lookup = index.lookup_eq
+
+    def fetcher(parent_id):
+        rows = [fetch(row_id) for row_id in lookup(parent_id, stats=stats)]
+        if stats is not None:
+            stats.rows_scanned += len(rows)
+        rows.sort(key=_BY_SEQ)
+        return rows
+
+    return fetcher
+
+
+def _group_fetcher(grouped):
+    get = grouped.get
+    return lambda parent_id: get(parent_id, ())
+
+
+def _emit_element(program, row, parent, siblings, order, fetchers):
+    """Run one element program over a raw row, attaching the new subtree
+    to ``parent`` (whose child list is ``siblings``); ``order`` is the next
+    free document-order slot and the slot after the subtree is returned."""
+    name, attrs, steps = program
+    element = Element(name)
+    element.parent = parent
+    element.order = order
+    siblings.append(element)
+    if attrs:
+        _emit_attributes(element, attrs, row)
+    order += 1
+    children = element.children
+    for step in steps:
+        kind = step[0]
+        if kind == _LEAF:
+            value = row[step[3]]
+            if value is not None:
+                order = _emit_leaf(element, children, step[1], step[2], row,
+                                   value, order)
+        elif kind == _INLINE:
+            # an optional wrapper is present only when its flag is set
+            if step[1] is None or row[step[1]]:
+                order = _emit_element(step[2], row, element, children, order,
+                                      fetchers)
+        elif kind == _ROWS_LEAF:
+            _, table, child_name, child_attrs, slot = step
+            for child_row in fetchers[table](row[0]):
+                order = _emit_leaf(element, children, child_name, child_attrs,
+                                   child_row, child_row[slot], order)
+        else:
+            child_program = step[2]
+            for child_row in fetchers[step[1]](row[0]):
+                order = _emit_element(child_program, child_row, element,
+                                      children, order, fetchers)
+    return order
+
+
+def _emit_leaf(parent, siblings, name, attrs, row, value, order):
+    leaf = Element(name)
+    leaf.parent = parent
+    leaf.order = order
+    siblings.append(leaf)
+    if attrs:
+        _emit_attributes(leaf, attrs, row)
+    if type(value) is not str:
+        value = _as_text(value)
+    if value == "":
+        return order + 1  # like TreeBuilder.text(""): no node
+    text = Text(value)
+    text.parent = leaf
+    text.order = order + 1
+    leaf.children.append(text)
+    return order + 2
+
+
+def _emit_attributes(element, attrs, row):
+    attributes = []
+    for name, slot in attrs:
+        value = row[slot]
+        if value is not None:
+            attribute = Attribute(name, _as_text(value))
+            attribute.parent = element
+            attribute.order = element.order
+            attributes.append(attribute)
+    if attributes:
+        element.attributes = attributes
 
 
 def _as_text(value):

@@ -47,10 +47,19 @@ class TreeBuilder:
         """The node new content is appended to."""
         return self._stack[-1]
 
+    def _attach(self, node):
+        """Append a freshly made, childless node to the open element and
+        stamp it from this builder's document: the builder only ever writes
+        in document order, so no walk to the root is needed."""
+        parent = self._stack[-1]
+        node.parent = parent
+        parent._children.append(node)
+        node.order = next(self._document._counter)
+
     def start_element(self, name, namespaces=None):
         """Open an element; ``name`` may be a string or :class:`QName`."""
         element = Element(name, namespaces=namespaces)
-        self.current.append(element)
+        self._attach(element)
         self._stack.append(element)
         return element
 
@@ -79,17 +88,17 @@ class TreeBuilder:
         """Append character data, merging with a preceding text node."""
         if value == "":
             return
-        children = self.current.children
+        children = self._stack[-1]._children
         if children and children[-1].kind == NodeKind.TEXT:
             children[-1].value += value
         else:
-            self.current.append(Text(value))
+            self._attach(Text(value))
 
     def comment(self, value):
-        self.current.append(Comment(value))
+        self._attach(Comment(value))
 
     def processing_instruction(self, target, value):
-        self.current.append(ProcessingInstruction(target, value))
+        self._attach(ProcessingInstruction(target, value))
 
     def copy_node(self, node):
         """Deep-copy an existing node (any kind) into the result tree."""

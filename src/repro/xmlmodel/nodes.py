@@ -201,6 +201,11 @@ class Document(_ParentNode):
         for child in node.children:
             self.stamp(child)
 
+    def resume_order(self, next_order):
+        """Continue numbering at ``next_order``: for a builder that stamped
+        the nodes it attached itself, in document order, from slot 1."""
+        self._counter = itertools.count(next_order)
+
     def renumber(self):
         """Re-assign document order after arbitrary tree surgery."""
         self._counter = itertools.count(1)
@@ -225,11 +230,19 @@ class Element(_ParentNode):
     __slots__ = ("_name", "attributes", "namespaces", "source_line")
 
     def __init__(self, name, namespaces=None):
-        super().__init__()
+        # The base initialisers are inlined in the three node kinds every
+        # build path creates by the thousand: one frame per node, not three.
+        self.parent = None
+        self.order = -1
+        self.label = None
+        self._children = []
         if isinstance(name, str):
             name = QName(name)
         self._name = name
-        self.attributes = []
+        # One shared empty tuple until the first set_attribute(): most
+        # elements carry none, and the list is only ever replaced, never
+        # mutated, through this reference.
+        self.attributes = ()
         # prefix -> uri bindings in scope at this element (own declarations
         # merged over the parent's at parse/build time).
         self.namespaces = dict(namespaces) if namespaces else {}
@@ -250,10 +263,16 @@ class Element(_ParentNode):
                 return attribute
         attribute = Attribute(name, value)
         attribute.parent = self
-        self.attributes.append(attribute)
-        root = self.root()
-        if isinstance(root, Document) and self.order >= 0:
-            attribute.order = self.order  # approximate: shares element slot
+        if self.attributes:
+            self.attributes.append(attribute)
+        else:
+            self.attributes = [attribute]
+        # An element already stamped by its document (order >= 0) lends
+        # its slot to attributes added afterwards; attributes present when
+        # a subtree is adopted get slots of their own (Document.stamp).
+        # document_order_key() orders both numberings the same way.
+        if self.order >= 0:
+            attribute.order = self.order
         return attribute
 
     def get_attribute(self, local, uri=None, default=None):
@@ -306,7 +325,9 @@ class Attribute(Node):
     __slots__ = ("_name", "value")
 
     def __init__(self, name, value):
-        super().__init__()
+        self.parent = None
+        self.order = -1
+        self.label = None
         if isinstance(name, str):
             name = QName(name)
         self._name = name
@@ -331,7 +352,9 @@ class Text(Node):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        super().__init__()
+        self.parent = None
+        self.order = -1
+        self.label = None
         self.value = value
 
     def string_value(self):

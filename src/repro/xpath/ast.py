@@ -384,12 +384,13 @@ class NameTest:
         if name is None:
             return False
         if self.prefix is None:
-            uri = None
-        else:
-            uri = context.resolve_prefix(self.prefix)
+            # unprefixed: any name for ``*``, else a no-namespace name —
+            # nothing to resolve against the context
+            return self.local == "*" or (
+                name.local == self.local and name.uri is None
+            )
+        uri = context.resolve_prefix(self.prefix)
         if self.local == "*":
-            if self.prefix is None:
-                return True
             return name.uri == uri
         return name.local == self.local and name.uri == uri
 
@@ -516,13 +517,15 @@ class PathExpr(Expr):
             nodes = [context.node]
 
         for step in self.steps:
-            reverse = step.axis in REVERSE_AXES
+            if len(nodes) == 1 and step.axis not in REVERSE_AXES:
+                # One context node along a forward axis: select() already
+                # returns document order with no duplicates.
+                nodes = step.select(nodes[0], context)
+                continue
             gathered = []
             for node in nodes:
-                selected = step.select(node, context)
-                gathered.extend(selected)
+                gathered.extend(step.select(node, context))
             nodes = sort_document_order(gathered)
-            del reverse  # axis-order handled inside select()
         return nodes
 
     def to_text(self):

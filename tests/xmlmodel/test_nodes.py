@@ -203,3 +203,133 @@ class TestFind:
         detached = elem("alone")
         assert list(detached.following_siblings()) == []
         assert list(detached.preceding_siblings()) == []
+
+
+def orders(document):
+    """(kind, order) of every node, attributes right after their element."""
+    out = []
+    for node in document.iter_subtree():
+        out.append((node.kind, node.order))
+        if node.kind == NodeKind.ELEMENT:
+            out.extend((a.kind, a.order) for a in node.attributes)
+    return out
+
+
+class TestAttributeOrderNumbering:
+    """Two numberings exist, and XPath's document order (which sorts
+    attributes by owner and list position) is the same under both:
+
+    * an attribute added to an element that is already stamped — the
+      TreeBuilder, the materialiser — shares the element's slot and
+      consumes no counter value;
+    * an attribute already on a subtree when a document adopts it — the
+      parser, ``doc(elem(...))`` — is stamped with a slot of its own.
+    """
+
+    E, A, T = NodeKind.ELEMENT, NodeKind.ATTRIBUTE, NodeKind.TEXT
+
+    def test_builder_attributes_share_the_element_slot(self):
+        from repro.xmlmodel import TreeBuilder
+
+        builder = TreeBuilder()
+        builder.start_element("r")
+        builder.attribute("a", "1")
+        builder.attribute("b", "2")
+        builder.start_element("c")
+        builder.attribute("d", "3")
+        builder.text("t")
+        builder.end_element()
+        builder.comment("x")
+        builder.processing_instruction("p", "q")
+        builder.end_element()
+        assert orders(builder.finish()) == [
+            (NodeKind.DOCUMENT, 0), (self.E, 1), (self.A, 1), (self.A, 1),
+            (self.E, 2), (self.A, 2), (self.T, 3),
+            (NodeKind.COMMENT, 4), (NodeKind.PI, 5),
+        ]
+
+    def test_adopted_attributes_get_their_own_slots(self):
+        document = doc(elem("r", elem("c", "t", d="3"), a="1", b="2"))
+        assert orders(document) == [
+            (NodeKind.DOCUMENT, 0), (self.E, 1), (self.A, 2), (self.A, 3),
+            (self.E, 4), (self.A, 5), (self.T, 6),
+        ]
+
+    def test_set_attribute_on_a_stamped_element_shares_and_consumes_nothing(self):
+        document = doc(elem("r", elem("c")))
+        root = document.document_element
+        attribute = root.set_attribute("late", "v")
+        assert attribute.order == root.order == 1
+        assert document.append(Comment("next")).order == 3
+
+    def test_set_attribute_on_an_unstamped_element_stays_unnumbered(self):
+        element = Element("loose")
+        assert element.set_attribute("k", "v").order == -1
+        # even below a parent, as long as no document has stamped it
+        parent = Element("p")
+        parent.append(element)
+        assert element.set_attribute("k2", "v").order == -1
+
+    def test_both_numberings_sort_the_same(self):
+        from repro.xmlmodel import TreeBuilder
+
+        builder = TreeBuilder()
+        builder.copy_node(doc(elem("r", elem("c", "t", d="3"), a="1", b="2")))
+        for document in (
+            builder.finish(),
+            doc(elem("r", elem("c", "t", d="3"), a="1", b="2")),
+        ):
+            nodes = []
+            for node in document.iter_subtree():
+                nodes.append(node)
+                nodes.extend(getattr(node, "attributes", ()))
+            assert sorted(reversed(nodes), key=document_order_key) == nodes
+
+    def test_attribute_free_elements_share_one_empty_tuple(self):
+        first, second = Element("a"), Element("b")
+        assert first.attributes == () and first.attributes is second.attributes
+        first.set_attribute("k", "v")
+        assert len(first.attributes) == 1 and second.attributes == ()
+
+
+class TestBuilderNumbersLikeAppend:
+    def test_builder_equals_the_generic_append_path(self):
+        """TreeBuilder stamps from its own document; ``append`` finds the
+        document by walking up.  Same numbers either way."""
+        from repro.xmlmodel import TreeBuilder
+
+        builder = TreeBuilder()
+        document = Document()
+        stack = [document]
+        script = [
+            ("start", "r"), ("text", "a"), ("start", "x"), ("start", "y"),
+            ("text", "b"), ("end",), ("comment", "c"), ("end",),
+            ("pi", "t", "v"), ("text", "d"), ("text", "e"), ("start", "z"),
+            ("end",), ("end",),
+        ]
+        for op in script:
+            if op[0] == "start":
+                builder.start_element(op[1])
+                stack.append(stack[-1].append(Element(op[1])))
+            elif op[0] == "end":
+                builder.end_element()
+                stack.pop()
+            elif op[0] == "text":
+                builder.text(op[1])
+                last = stack[-1].children[-1:] or [None]
+                if isinstance(last[0], Text):
+                    last[0].value += op[1]
+                else:
+                    stack[-1].append(Text(op[1]))
+            elif op[0] == "comment":
+                builder.comment(op[1])
+                stack[-1].append(Comment(op[1]))
+            else:
+                builder.processing_instruction(op[1], op[2])
+                stack[-1].append(ProcessingInstruction(op[1], op[2]))
+        built = builder.finish()
+        assert orders(built) == orders(document)
+        assert [n.string_value() for n in built.iter_subtree()] == \
+            [n.string_value() for n in document.iter_subtree()]
+        assert all(child.parent is node for node in built.iter_subtree()
+                   for child in node.children)
