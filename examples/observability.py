@@ -64,7 +64,7 @@ def main():
     print("=" * 72)
     print("EXPLAIN REWRITE: the decision ledger, anchored to plan nodes")
     print("=" * 72)
-    print(result.explain_report().render())
+    print(result.explain().render())
     ledger = result.ledger
     print()
     print("ledger counts: %s" % ledger.counts())

@@ -67,7 +67,7 @@ def main():
         print(warm.transform.report())
         print()
         print("cache-hit EXPLAIN REWRITE (ledger preserved from compile):")
-        print(warm.explain_report().render())
+        print(warm.explain().render())
 
         # -- closed-loop load -----------------------------------------------
         report = run_load(

@@ -12,7 +12,7 @@ object::
     for chunk in engine.transform_stream(storage, stylesheet):
         ...                                             # streaming
 
-The legacy entry points delegate to it:
+Beside it:
 
 * :func:`repro.core.transform.xml_transform` — the ``XMLTransform()``
   equivalent (one-shot compile + execute);

@@ -1,22 +1,16 @@
 """repro.api — the unified public facade over the transform pipeline.
 
-Three PRs of organic growth left four overlapping entry points
-(``xml_transform``, ``compile_transform``/``execute_compiled``,
-``XsltRewriter.compile``, ``TransformService.transform``) with divergent
-keyword arguments.  This module is the consolidation:
-
 * :class:`Engine` — one object owning a database plus tracer/metrics,
   with the five verbs a caller needs: :meth:`Engine.compile`,
   :meth:`Engine.transform`, :meth:`Engine.transform_stream`,
   :meth:`Engine.transform_many` and :meth:`Engine.explain`;
 * :class:`TransformOptions` — the one options dataclass every entry
-  point accepts (``rewrite``, ``inline``, ``explain``, ``deadline``,
-  ``batch_size``, ...), replacing the loose kwargs, which keep working
-  through a deprecation shim (:func:`warn_legacy`, one
-  :class:`DeprecationWarning` per call site).
+  point accepts (``rewrite``, ``inline``, ``deadline``, ``batch_size``,
+  ...).
 
-The legacy entry points delegate here, so behaviour (spans, metrics,
-fallback accounting) is identical whichever door a caller uses::
+The function-style entry points (``xml_transform``, ``compile_transform``,
+``transform_many``) delegate here, so behaviour (spans, metrics, fallback
+accounting) is identical whichever door a caller uses::
 
     from repro import Engine, TransformOptions
 
@@ -29,10 +23,6 @@ fallback accounting) is identical whichever door a caller uses::
 from __future__ import annotations
 
 import enum
-import os
-import sys
-import threading
-import warnings
 from dataclasses import dataclass, replace as _dc_replace
 
 from repro.core.transform import (
@@ -55,7 +45,6 @@ __all__ = [
     "OptimizerLevel",
     "Strategy",
     "TransformOptions",
-    "warn_legacy",
 ]
 
 
@@ -96,52 +85,6 @@ def _validated_choice(field, value, allowed):
     return value
 
 
-# -- deprecation shim --------------------------------------------------------------
-
-_PKG_DIR = os.path.dirname(os.path.abspath(__file__))
-_warned_sites = set()
-_warned_lock = threading.Lock()
-
-
-def warn_legacy(entry_point, what, instead=None):
-    """Emit a :class:`DeprecationWarning` for a legacy kwarg — once per
-    (entry point, caller file, caller line), so a hot loop over an old
-    call site warns a single time.  ``instead`` overrides the suggested
-    replacement (default: the options object).
-
-    The caller site is the first stack frame outside the ``repro``
-    package, and the warning's ``stacklevel`` points at it, so ``python
-    -W error::DeprecationWarning`` blames the right line.
-    """
-    depth = 1
-    frame = sys._getframe(depth)
-    while frame is not None and frame.f_code.co_filename.startswith(_PKG_DIR):
-        depth += 1
-        frame = frame.f_back
-    if frame is None:  # pragma: no cover - internal-only call chains
-        frame = sys._getframe(1)
-        depth = 1
-    site = (entry_point, what, frame.f_code.co_filename, frame.f_lineno)
-    with _warned_lock:
-        if site in _warned_sites:
-            return
-        _warned_sites.add(site)
-    warnings.warn(
-        "%s: passing %s is deprecated; %s instead" % (
-            entry_point, what,
-            instead or "pass options=TransformOptions(...)",
-        ),
-        DeprecationWarning,
-        stacklevel=depth + 1,
-    )
-
-
-def _reset_warned_sites():
-    """Test hook: forget which call sites already warned."""
-    with _warned_lock:
-        _warned_sites.clear()
-
-
 # -- options -----------------------------------------------------------------------
 
 
@@ -155,9 +98,6 @@ class TransformOptions:
     :param inline: force the rewrite's inline mode on/off (None lets the
         pipeline decide, see RewriteOptions.inline_templates §4.4).
         Ignored when ``rewrite_options`` is given.
-    :param explain: ``XsltRewriter.compile(..., options=...)`` returns
-        the rewrite-decision ledger instead of the outcome (EXPLAIN
-        REWRITE without touching data).
     :param deadline: per-request deadline in seconds
         (:class:`repro.serve.TransformService` only — enforced at
         dequeue time, so ``0`` always times out, and between row batches
@@ -200,7 +140,6 @@ class TransformOptions:
 
     rewrite: bool = True
     inline: bool = None
-    explain: bool = False
     deadline: float = None
     batch_size: int = None
     chunk_chars: int = DEFAULT_CHUNK_CHARS
@@ -233,30 +172,25 @@ class TransformOptions:
 
     def effective_rewrite(self):
         """Whether the relational rewrite should be attempted, after
-        ``strategy`` has had its say over the legacy ``rewrite`` flag."""
+        ``strategy`` has had its say over the ``rewrite`` flag."""
         if self.strategy in (None, Strategy.AUTO.value):
             return bool(self.rewrite)
         return self.strategy == Strategy.SQL.value
 
     @classmethod
-    def coerce(cls, value, entry_point=None):
+    def coerce(cls, value):
         """Normalize what callers pass as ``options``: None → defaults,
-        a :class:`TransformOptions` → itself, a dict → keyword arguments,
-        and a legacy :class:`RewriteOptions` → wrapped (with a
-        deprecation warning when ``entry_point`` names the caller)."""
+        a :class:`TransformOptions` → itself, a dict → keyword
+        arguments."""
         if value is None:
             return cls()
         if isinstance(value, cls):
             return value
-        if isinstance(value, RewriteOptions):
-            if entry_point:
-                warn_legacy(entry_point, "options=RewriteOptions(...)")
-            return cls(rewrite_options=value)
         if isinstance(value, dict):
             return cls(**value)
         raise TypeError(
-            "options must be a TransformOptions, RewriteOptions, dict or "
-            "None, not %r" % type(value).__name__
+            "options must be a TransformOptions, dict or None, not %r"
+            % type(value).__name__
         )
 
     def replace(self, **changes):
@@ -303,7 +237,7 @@ class Engine:
     Owns the tracer/metrics pair every operation reports through
     (defaulting to the process-wide instances), so the spans and
     counters are identical whichever entry point — this facade or a
-    legacy wrapper — a caller uses.  An optional
+    function-style wrapper — a caller uses.  An optional
     :class:`~repro.obs.recorder.FlightRecorder` additionally receives
     one :class:`~repro.obs.recorder.RequestRecord` per
     :meth:`transform` call (the serve tier wires its own recorder; pass
@@ -335,7 +269,7 @@ class Engine:
         failed rewrite returns a functional-strategy
         :class:`~repro.core.transform.CompiledTransform` carrying the
         categorized error (negative caching)."""
-        opts = TransformOptions.coerce(options, entry_point="Engine.compile")
+        opts = TransformOptions.coerce(options)
         if not opts.effective_rewrite():
             if not isinstance(stylesheet, Stylesheet):
                 with self.tracer.span("compile.stylesheet"):
@@ -359,8 +293,7 @@ class Engine:
         :class:`~repro.xslt.stylesheet.Stylesheet`; a pre-compiled
         artifact from :meth:`compile` goes through
         :meth:`execute` instead."""
-        opts = TransformOptions.coerce(options,
-                                       entry_point="Engine.transform")
+        opts = TransformOptions.coerce(options)
         tracer, metrics = self.tracer, self.metrics
         rewrite = opts.effective_rewrite()
         with tracer.span("xml_transform", rewrite=rewrite) as root:
@@ -404,7 +337,7 @@ class Engine:
     def execute(self, source, compiled, options=None, params=None):
         """Run one request over a pre-compiled artifact from
         :meth:`compile` (what the serving layer pays per cache hit)."""
-        opts = TransformOptions.coerce(options, entry_point="Engine.execute")
+        opts = TransformOptions.coerce(options)
         return execute_compiled(
             self.db, source, compiled, params=params, tracer=self.tracer,
             metrics=self.metrics, profile_plan=opts.profile_plan,
@@ -443,9 +376,7 @@ class Engine:
         built — ``stream.stats.docs_materialized`` stays 0 and peak
         buffering is bounded by ``options.chunk_chars`` (tracked in
         ``stream.stats.peak_buffered_bytes``)."""
-        opts = TransformOptions.coerce(
-            options, entry_point="Engine.transform_stream"
-        )
+        opts = TransformOptions.coerce(options)
         if opts.effective_rewrite() and not params:
             self.metrics.counter("transform.rewrite_attempts").inc()
             compiled = self.compile(source, stylesheet, options=opts)
@@ -479,10 +410,10 @@ class Engine:
         for the structured form.  ``analyze=True`` executes and
         annotates every plan node with actual rows/batches/timings
         (EXPLAIN ANALYZE) and includes the Q-error feedback.  The
-        report renders as the historical text via ``str()``."""
+        report renders as text via ``str()``."""
         from repro.obs.explain import ExplainReport
 
-        opts = TransformOptions.coerce(options, entry_point="Engine.explain")
+        opts = TransformOptions.coerce(options)
         compiled = self.compile(source, stylesheet, options=opts)
         if analyze:
             result = execute_compiled(
@@ -490,7 +421,7 @@ class Engine:
                 metrics=self.metrics, profile_plan=True,
                 batch_size=opts.batch_size,
             )
-            return result.explain_report()
+            return result.explain()
         fallback_reason = None
         if compiled.error is not None:
             fallback_reason = "compile: %s" % compiled.error

@@ -96,58 +96,17 @@ class XsltRewriter:
         #: stage survive onto the fallback result.
         self.ledger = ledger if ledger is not None else DecisionLedger()
 
-    def compile(self, stylesheet, view_query=None, explain=False,
-                options=None):
-        """Compile without executing.
-
-        ``compile(stylesheet)`` compiles just the stylesheet (markup →
-        :class:`Stylesheet`).  With ``view_query`` the full rewrite runs —
-        partial evaluation, XQuery generation, SQL merge — but nothing is
-        executed; the :class:`RewriteOutcome` is returned.  With
-        ``explain=True`` the rewrite-decision ledger
-        (:class:`repro.obs.decisions.DecisionLedger`) is returned instead:
-        EXPLAIN REWRITE without touching any data.
-
-        ``options`` — a :class:`repro.api.TransformOptions` applied for
-        this call only: its ``explain`` flag folds into ``explain`` and
-        its rewrite options (``inline``/``rewrite_options``) override the
-        rewriter's own for this compilation.
-        """
-        if options is not None:
-            from repro.api import TransformOptions
-
-            opts = TransformOptions.coerce(
-                options, entry_point="XsltRewriter.compile"
-            )
-            explain = explain or opts.explain
-            resolved = opts.resolved_rewrite_options()
-            if resolved is not None and resolved is not self.options:
-                return XsltRewriter(
-                    resolved, tracer=self.tracer, metrics=self.metrics,
-                    ledger=self.ledger,
-                ).compile(stylesheet, view_query, explain=explain)
-        if view_query is None:
-            if explain:
-                raise ValueError(
-                    "compile(..., explain=True) needs a view_query"
-                )
-            if isinstance(stylesheet, Stylesheet):
-                return stylesheet
-            return compile_stylesheet(stylesheet)
-        outcome = self.rewrite_view(stylesheet, view_query)
-        if explain:
-            return outcome.ledger
-        return outcome
-
     def rewrite_to_xquery(self, stylesheet, schema):
         """Stylesheet + structural schema → XQuery module.
 
         Raises :class:`RewriteError` for unsupported constructs.
         """
-        compiled = self.compile(stylesheet)
-        partial = self._partial_eval_stage(compiled, schema)
+        if not isinstance(stylesheet, Stylesheet):
+            stylesheet = compile_stylesheet(stylesheet)
+        partial = self._partial_eval_stage(stylesheet, schema)
         module = self._xquery_gen_stage(partial)
-        return RewriteOutcome(compiled, partial, module, ledger=self.ledger)
+        return RewriteOutcome(stylesheet, partial, module,
+                              ledger=self.ledger)
 
     def rewrite_view(self, stylesheet, view_query):
         """Stylesheet + XMLType view → XQuery and merged SQL/XML query."""

@@ -24,22 +24,6 @@ from repro.xpath import ast as xp
 from repro.xquery import ast as xq
 
 
-# Descendant-axis lowering: '//name' resolves through the structural schema
-# when the path from the context to <name> is unique — the schema, not the
-# data, answers the descendant axis, so the rewrite emits the same child
-# steps a fully-spelled path would.  Module-level (not a TransformOptions
-# field: option snapshots are frozen) so equivalence tests can flip it and
-# compare the lowered pipeline against the functional fallback.
-_DESCENDANT_LOWERING = [True]
-
-
-def set_descendant_lowering(enabled):
-    """Enable/disable '//' schema lowering; returns the previous setting."""
-    previous = _DESCENDANT_LOWERING[0]
-    _DESCENDANT_LOWERING[0] = bool(enabled)
-    return previous
-
-
 def _filtered(plan, conditions):
     """``plan`` under one :class:`Filter` with the conjuncts folded into
     an AND tree — the planner's conjunct-splitting convention — rather
@@ -562,8 +546,6 @@ class SqlRewriter:
         if step.axis == "parent":
             return self._parent_step(target, step, env)
         if step.axis in ("descendant", "descendant-or-self"):
-            if not _DESCENDANT_LOWERING[0]:
-                raise RewriteError("axis %r cannot be merged" % step.axis)
             if step.axis == "descendant":
                 # descendant::name ≡ descendant-or-self::node()/child::name
                 # for element name tests.

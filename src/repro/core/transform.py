@@ -1,9 +1,9 @@
 """The run-time front door: the paper's ``XMLTransform()``.
 
-``xml_transform(db, source, stylesheet, rewrite=...)`` applies a stylesheet
+``xml_transform(db, source, stylesheet, options=...)`` applies a stylesheet
 to every XMLType instance a source produces and reports *how* it did it:
 
-* ``rewrite=True`` — try the full pipeline (partial evaluation → XQuery →
+* ``TransformOptions(rewrite=True)``, the default — try the full pipeline (partial evaluation → XQuery →
   SQL/XML merge).  When any stage raises :class:`RewriteError` the call
   falls back to functional evaluation, exactly like the shipping
   implementation the paper describes (unsupported constructs keep working,
@@ -11,8 +11,8 @@ to every XMLType instance a source produces and reports *how* it did it:
   failure phase (``compile`` vs ``execute``), stage and a categorized
   reason land on the result, in the ``transform.fallback`` counter and in
   a ``repro.obs`` warning.
-* ``rewrite=False`` — functional evaluation: materialise each document as a
-  DOM (from the view or the storage) and run the XSLT VM over it.
+* ``TransformOptions(rewrite=False)`` — functional evaluation: materialise
+  each document as a DOM (from the view or the storage) and run the XSLT VM over it.
 
 Every call runs under an ``xml_transform`` tracing span (see
 :mod:`repro.obs`) whose children cover stylesheet compilation, the three
@@ -59,8 +59,6 @@ STRATEGY_FUNCTIONAL = "functional"
 #: coalescing target for streamed output chunks, in characters (ASCII
 #: output makes characters == bytes, which is what the corpus produces)
 DEFAULT_CHUNK_CHARS = 8192
-
-_UNSET = object()
 
 FALLBACK_PHASE_COMPILE = "compile"
 FALLBACK_PHASE_EXECUTE = "execute"
@@ -170,13 +168,15 @@ class TransformResult:
             lines.extend("  " + line for line in self.feedback.render())
         return "\n".join(lines)
 
-    def explain_report(self, include_decisions=True):
+    def explain(self, include_decisions=True):
         """This call's :class:`~repro.obs.explain.ExplainReport` — the
-        structured EXPLAIN surface: strategy, rewrite-decision ledger,
-        optimized plan with estimates (and EXPLAIN ANALYZE actuals when
-        the plan was profiled), execution stats and Q-error feedback,
-        with ``.render()`` for the text and ``.to_json()`` for the
-        structured form."""
+        structured EXPLAIN surface: strategy, rewrite-decision ledger
+        (rendered as a tree and interleaved into the plan at the ``#n``
+        node each XQuery fragment landed in; ``include_decisions=False``
+        leaves it out), optimized plan with estimates (and EXPLAIN
+        ANALYZE actuals when the plan was profiled), execution stats and
+        Q-error feedback, with ``.render()``/``str()`` for the text and
+        ``.to_json()`` for the structured form."""
         from repro.obs.explain import ExplainReport
 
         return ExplainReport(
@@ -186,27 +186,6 @@ class TransformResult:
             fallback_reason=self.fallback_reason,
             include_decisions=include_decisions,
         )
-
-    def explain(self, rewrite=_UNSET):
-        """EXPLAIN of this call, as text (a thin shim over
-        :meth:`explain_report`).  ``rewrite=True`` is **EXPLAIN
-        REWRITE**: the rewrite-decision ledger is rendered as a tree and
-        its decisions are interleaved into the plan at the ``#n`` plan
-        node their XQuery fragment landed in.  The ``rewrite=`` keyword
-        is legacy — call :meth:`explain_report` and pick sections via
-        ``include_decisions`` instead."""
-        include_decisions = False
-        if rewrite is not _UNSET:
-            from repro.api import warn_legacy
-
-            warn_legacy("TransformResult.explain", "rewrite=",
-                        instead="use explain_report(include_decisions=...)")
-            include_decisions = bool(rewrite)
-        report = self.explain_report(include_decisions=include_decisions)
-        # the historical string carried no execution/feedback sections
-        report.stats = None
-        report.feedback = None
-        return report.render()
 
 
 def _render_row(row, method="xml"):
@@ -316,9 +295,8 @@ def compile_transform(db, source, stylesheet, options=None, tracer=None,
                       metrics=None):
     """Run the compile half of ``xml_transform`` once, for reuse.
 
-    Delegates to :meth:`repro.api.Engine.compile` — ``options`` may be a
-    :class:`repro.api.TransformOptions` (preferred), a legacy
-    :class:`~repro.core.xquery_gen.RewriteOptions` (deprecated) or None.
+    Delegates to :meth:`repro.api.Engine.compile` — ``options`` is a
+    :class:`repro.api.TransformOptions`, the dict of its fields, or None.
     Never raises :class:`RewriteError`: a failed rewrite returns a
     functional-strategy :class:`CompiledTransform` carrying the error, so
     the failure is categorized once and replayed per execution — negative
@@ -410,17 +388,13 @@ def execute_compiled(db, source, compiled, params=None, tracer=None,
     return result
 
 
-def xml_transform(db, source, stylesheet, rewrite=_UNSET, options=None,
-                  params=None, tracer=None, metrics=None,
-                  profile_plan=_UNSET):
+def xml_transform(db, source, stylesheet, options=None, params=None,
+                  tracer=None, metrics=None):
     """Apply ``stylesheet`` to every XMLType instance of ``source``.
 
-    This is a compatibility wrapper over :meth:`repro.api.Engine.
-    transform`, the documented entry point.  ``options`` should be a
-    :class:`repro.api.TransformOptions`; the loose ``rewrite=`` /
-    ``profile_plan=`` kwargs (and a bare
-    :class:`~repro.core.xquery_gen.RewriteOptions` as ``options``) keep
-    working but emit a :class:`DeprecationWarning` once per call site.
+    The function form of :meth:`repro.api.Engine.transform`, for callers
+    with no engine to keep.  ``options`` is a
+    :class:`repro.api.TransformOptions` (or the dict of its fields).
 
     Every call compiles from scratch.  A long-lived process serving many
     calls should go through :class:`repro.serve.TransformService`, which
@@ -429,17 +403,10 @@ def xml_transform(db, source, stylesheet, rewrite=_UNSET, options=None,
     request; one stylesheet over many documents should go through
     :func:`transform_many`.
     """
-    from repro.api import Engine, TransformOptions, warn_legacy
+    from repro.api import Engine
 
-    opts = TransformOptions.coerce(options, entry_point="xml_transform")
-    if rewrite is not _UNSET:
-        warn_legacy("xml_transform", "rewrite=")
-        opts = opts.replace(rewrite=bool(rewrite))
-    if profile_plan is not _UNSET:
-        warn_legacy("xml_transform", "profile_plan=")
-        opts = opts.replace(profile_plan=bool(profile_plan))
     return Engine(db, tracer=tracer, metrics=metrics).transform(
-        source, stylesheet, options=opts, params=params
+        source, stylesheet, options=options, params=params
     )
 
 
@@ -826,7 +793,7 @@ def transform_many(db, sources, stylesheet, options=None, params=None,
     """
     from repro.api import Engine, TransformOptions
 
-    opts = TransformOptions.coerce(options, entry_point="transform_many")
+    opts = TransformOptions.coerce(options)
     tracer = tracer or get_tracer()
     metrics = metrics or global_metrics()
     if not isinstance(stylesheet, Stylesheet):

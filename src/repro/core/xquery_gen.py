@@ -34,8 +34,8 @@ from repro.xslt import instructions as xi
 
 
 class RewriteOptions:
-    """Feature toggles — the ablation benchmarks disable techniques
-    individually to measure their contribution."""
+    """Feature toggles — the ablation tests disable techniques
+    individually and hold the output equal."""
 
     __slots__ = (
         "inline_templates",

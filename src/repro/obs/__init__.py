@@ -8,14 +8,16 @@ Three facilities, threaded through every layer (see README
   execution and the functional path, with pluggable sinks;
 * **metrics** (:mod:`repro.obs.metrics`) — counters (rewrite attempts,
   categorized fallbacks) and histograms (stage / execution timings);
-* **EXPLAIN** — ``repro.rdb.plan.explain(query, analyze=True, db=db)``
-  renders the plan tree annotated with per-node row counts and self/total
-  times;
+* **EXPLAIN** (:mod:`repro.obs.explain`) — every ``explain`` method
+  (``Engine``, ``Database``, ``Query``, ``TransformResult``,
+  ``ServeResult``) returns one :class:`~repro.obs.explain.ExplainReport`:
+  the plan tree with estimates and, with ``analyze=True``, per-node row
+  counts and self/total times;
 * **EXPLAIN REWRITE** (:mod:`repro.obs.decisions`) — a
   :class:`DecisionLedger` recording every rewrite decision (§3.3–3.7,
   §4.3/4.4) with XSLT → XQuery → SQL-plan-node provenance, surfaced by
-  ``TransformResult.explain(rewrite=True)`` and
-  ``XsltRewriter.compile(..., explain=True)``;
+  the report's rewrite-decisions section and by
+  ``XsltRewriter.rewrite_view(...).ledger``;
 * **exporters** (:mod:`repro.obs.export`) — Prometheus text format and
   JSON Lines for metrics and span trees;
 * **adaptive feedback** (:mod:`repro.obs.feedback`) — after every

@@ -14,10 +14,10 @@ the SQL plan node the fragment landed in.
 The ledger is threaded through the whole pipeline by
 :class:`repro.core.pipeline.XsltRewriter` and surfaces three ways:
 
-* ``TransformResult.explain(rewrite=True)`` renders it as a tree
-  interleaved with the executed plan;
-* ``XsltRewriter.compile(stylesheet, view_query, explain=True)`` returns
-  it without executing anything;
+* ``TransformResult.explain()`` renders it as a tree interleaved with
+  the executed plan;
+* ``XsltRewriter().rewrite_view(stylesheet, view_query).ledger`` is the
+  ledger of a compile that executes nothing;
 * :meth:`DecisionLedger.to_json` exports it losslessly
   (:meth:`DecisionLedger.from_json` round-trips), so ledgers can be
   diffed across runs with :func:`diff_ledgers`.

@@ -1,24 +1,19 @@
 """The one structured EXPLAIN surface: :class:`ExplainReport`.
 
-Four PRs of growth left four string-shaped EXPLAIN doors —
-``repro.rdb.plan.explain`` (operator tree), ``Database.explain`` (parse +
-optimize + render), ``TransformResult.explain(rewrite=True)`` (strategy +
-decision ledger interleaved with the plan) and ``Engine.explain`` — each
-concatenating its own sections.  :class:`ExplainReport` is the
-consolidation: one object holding the optimized plan, the cost
-estimates and EXPLAIN ANALYZE actuals, the rewrite-decision ledger and
-the post-execution Q-error feedback, with
+Every ``explain`` method — ``Engine.explain``, ``Database.explain``,
+``Query.explain``, ``TransformResult.explain``, ``ServeResult.explain`` —
+returns this one object, holding the optimized plan, the cost estimates
+and EXPLAIN ANALYZE actuals, the rewrite-decision ledger and the
+post-execution Q-error feedback, with
 
-* :meth:`ExplainReport.render` — the human text all the legacy doors now
-  delegate to (they remain as thin shims emitting their historical
-  strings), and
+* :meth:`ExplainReport.render` — the human text, over the pure tree
+  renderer :func:`repro.rdb.plan.explain`, and
 * :meth:`ExplainReport.to_json` / :meth:`ExplainReport.to_dict` — a
   lossless structured export (nested plan tree with per-node
   estimates/actuals, decisions, Q-errors) for dashboards and diffing.
 
-:meth:`Engine.explain <repro.api.Engine.explain>` returns an
-``ExplainReport``; ``str(report)`` and ``"..." in report`` delegate to
-:meth:`render`, so existing substring-style assertions keep working.
+``str(report)`` and ``"..." in report`` delegate to :meth:`render`.
+:meth:`ExplainReport.for_query` is the only EXPLAIN ANALYZE executor.
 """
 
 from __future__ import annotations
@@ -50,8 +45,7 @@ class ExplainReport:
     ``include_decisions``
         whether :meth:`render` emits the rewrite-decisions section and
         interleaves decisions into the plan (defaults to whether a
-        ledger is present) — the ``TransformResult.explain(rewrite=...)``
-        compatibility knob.
+        ledger is present).
     """
 
     __slots__ = ("query", "ledger", "profile", "stats", "feedback",
@@ -92,11 +86,10 @@ class ExplainReport:
 
     def render(self):
         """The human-readable report.  Sections appear only when their
-        data is present, which is exactly what makes the legacy shims'
-        historical strings fall out of one renderer: a bare
-        ``Database.explain`` report has no strategy/ledger and renders
-        as the unadorned operator tree (+ execution summary), while a
-        transform's report leads with strategy and the decision tree."""
+        data is present: a bare ``Database.explain`` report has no
+        strategy/ledger and renders as the unadorned operator tree
+        (+ execution summary), while a transform's report leads with
+        strategy and the decision tree."""
         lines = []
         if self.strategy is not None:
             lines.append("strategy: %s" % self.strategy)
@@ -149,8 +142,6 @@ class ExplainReport:
         return self.render()
 
     def __contains__(self, text):
-        # substring checks against the rendered report keep working for
-        # callers that treated the old return value as a string
         return text in self.render()
 
     def __repr__(self):

@@ -10,9 +10,6 @@ Two output shapes, both stdlib-only:
 * :func:`metrics_to_jsonl` / :func:`spans_to_jsonl` — one JSON object
   per line, the shape log shippers ingest; span trees are flattened to
   parent-linked records via :meth:`Span.to_dict`.
-
-``benchmarks/run_figures.py`` embeds the Prometheus rendering per figure
-case in ``BENCH_obs.json`` next to the raw snapshot.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 A :class:`MetricsRegistry` hands out :class:`Counter` and
 :class:`Histogram` instances keyed by (name, labels).  The front door
 counts rewrite attempts and fallbacks (keyed by failure phase and reason
-category — the silent-fallback fix), the compile stages record their
-timings, and ``benchmarks/run_figures.py`` emits its measurements through
-a registry into a ``BENCH_obs.json`` artifact.
+category — the silent-fallback fix) and the compile stages record their
+timings.
 
 Histograms keep raw samples (bounded) and report p50/p95/max with
 nearest-rank percentiles — exactly what the paper-style figures need.

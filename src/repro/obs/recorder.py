@@ -63,7 +63,7 @@ def transform_fields(result):
         q_error_max=feedback.max_q_error if feedback is not None else None,
         q_error_triggered=feedback is not None and feedback.triggered,
         detail_fn=lambda: "%s\n\nEXPLAIN REWRITE:\n%s" % (
-            result.report(), result.explain_report().render()),
+            result.report(), result.explain().render()),
     )
 
 

@@ -34,9 +34,10 @@ module provides the span machinery those measurements hang off of:
   :class:`TextSink` (human-readable indented tree per root).
 
 A disabled tracer hands out a shared no-op span, so instrumented code
-pays one attribute check and nothing else — benchmarks guard this
-(``benchmarks/test_obs_overhead.py``), and ``benchmarks/run_ops.py``
-gates the always-on serve-tier tracing + flight-recorder overhead.
+pays one attribute check and nothing else (``tests/obs/test_trace.py``
+pins the shared span and that no profiler is attached by default);
+``bench/run.py --trace`` reports what always-on tracing costs a request
+as ``obs.tracing_overhead_share``.
 """
 
 from __future__ import annotations

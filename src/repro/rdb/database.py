@@ -243,19 +243,12 @@ class Database:
 
     def explain(self, query, analyze=False, env=None, level=None):
         """EXPLAIN (or EXPLAIN ANALYZE) a :class:`Query` or a SQL SELECT
-        string, as text: the optimised operator tree with ``#n`` node
-        ids and per-node cost estimates; with ``analyze=True`` the query
-        runs and actual row counts/timings appear next to the estimates.
-        A thin shim over :meth:`explain_report`, which returns the
-        :class:`~repro.obs.explain.ExplainReport` itself."""
-        return self.explain_report(query, analyze=analyze, env=env,
-                                   level=level).render()
-
-    def explain_report(self, query, analyze=False, env=None, level=None):
-        """The structured EXPLAIN surface for one query: an
-        :class:`~repro.obs.explain.ExplainReport` over the optimised
-        plan (executed here when ``analyze=True``), with ``.render()``
-        for the text and ``.to_json()`` for the structured form."""
+        string: an :class:`~repro.obs.explain.ExplainReport` over the
+        optimised operator tree with ``#n`` node ids and per-node cost
+        estimates; with ``analyze=True`` the query runs here and actual
+        row counts/timings appear next to the estimates.  ``str()`` /
+        ``.render()`` give the text, ``.to_json()`` the structured
+        form."""
         from repro.obs.explain import ExplainReport
         from repro.rdb.plan import assign_plan_node_ids
 

@@ -50,7 +50,7 @@ class ExecutionStats:
     DOMs rebuilt by the functional (no-rewrite) path — the paper's §2
     materialisation cost.  ``profiler`` optionally carries a
     :class:`PlanProfiler` collecting per-plan-node row counts and
-    timings for ``explain(analyze=True)``.
+    timings for EXPLAIN ANALYZE.
 
     ``markup`` is not a counter: it is the representation SQL/XML values
     take during this execution (see :mod:`repro.rdb.sqlxml`), set by the
@@ -853,9 +853,9 @@ class Query:
     # -- explain --------------------------------------------------------------
 
     def explain(self, db=None, analyze=False, env=None):
-        """This query's :class:`~repro.obs.explain.ExplainReport` (a
-        thin shim over it) — render with ``str()``, export with
-        ``.to_json()``.  ``analyze=True`` executes against ``db``."""
+        """This query's :class:`~repro.obs.explain.ExplainReport` —
+        render with ``str()``, export with ``.to_json()``.
+        ``analyze=True`` executes against ``db``."""
         from repro.obs.explain import ExplainReport
 
         if analyze and db is None:
@@ -1075,33 +1075,16 @@ def assign_plan_node_ids(plan_or_query, extra_plans=()):
     return ids
 
 
-def explain(plan_or_query, indent=0, profile=None, analyze=False, db=None,
-            env=None, stats=None):
-    """A readable operator-tree rendering (EXPLAIN).
+def explain(plan_or_query, indent=0, profile=None):
+    """A readable operator-tree rendering (EXPLAIN) — the pure tree
+    renderer :class:`~repro.obs.explain.ExplainReport` calls.
 
-    ``explain(query, analyze=True, db=db)`` *executes* the query with a
-    :class:`PlanProfiler` attached and annotates every node with its
-    actual row count, open count and self/total wall time (EXPLAIN
-    ANALYZE), followed by an execution-stats summary line.  Pass
-    ``profile=`` to render a tree against an already-collected profiler
-    without re-executing.
+    Pass ``profile=`` (an executed :class:`PlanProfiler`) to annotate
+    every node with its actual row count, open count and self/total
+    wall time (EXPLAIN ANALYZE).  Nothing executes here:
+    :meth:`Query.explain` / :meth:`ExplainReport.for_query
+    <repro.obs.explain.ExplainReport.for_query>` run the query.
     """
-    if analyze:
-        if not isinstance(plan_or_query, Query):
-            raise PlanError("explain(analyze=True) requires a Query")
-        if db is None:
-            raise PlanError("explain(analyze=True) requires db=")
-        stats = stats or ExecutionStats()
-        if stats.profiler is None:
-            stats.profiler = PlanProfiler()
-        plan_or_query.execute(db, env=env, stats=stats)
-        text = explain(plan_or_query, profile=stats.profiler)
-        summary = ", ".join(
-            "%s=%s" % (name, _fmt_stat(value))
-            for name, value in stats.as_dict().items()
-            if value
-        )
-        return "%s\nExecution: %s" % (text, summary)
     if isinstance(plan_or_query, Query):
         lines = ["QUERY outputs=[%s]" % ", ".join(
             name or expr.to_sql() for name, expr in plan_or_query.outputs

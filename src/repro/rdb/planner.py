@@ -24,7 +24,7 @@ per call (``optimize_query(..., level=...)``):
     The cheapest candidate wins and every choice — estimates,
     alternatives, winner — is recorded in the
     :class:`~repro.obs.decisions.DecisionLedger` so
-    ``explain(rewrite=True)`` shows *why* a path was taken.
+    ``TransformResult.explain()`` shows *why* a path was taken.
 
 Chosen nodes are stamped with ``estimated_rows``/``estimated_cost``,
 which ``explain`` renders as ``(est rows=... cost=...)`` next to the

@@ -25,8 +25,7 @@ adds the pieces a long-lived server needs on top of
   REWRITE ledger;
 * :func:`run_load` / :func:`run_soak` — closed-loop multi-client
   generators producing throughput / p50-p95-p99 latency / hit-ratio
-  reports (``benchmarks/run_serve.py`` and
-  ``benchmarks/run_cluster.py`` wrap them over the xsltmark corpus).
+  reports.
 """
 
 from repro.serve.artifact import (

@@ -140,8 +140,6 @@ def _drive(service, workload, report, keep_going, timeout, thread_name):
             n += 1
             kwargs = dict(item.kwargs)
             opts = TransformOptions.coerce(kwargs.pop("options", None))
-            if "rewrite" in kwargs:
-                opts = opts.replace(rewrite=bool(kwargs.pop("rewrite")))
             if timeout is not None:
                 opts = opts.replace(deadline=timeout)
             start = time.perf_counter()

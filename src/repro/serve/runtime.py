@@ -137,15 +137,13 @@ class ServeResult:
             raise ValueError("rows cross the pipe serialized as xml")
         return list(self._serialized)
 
-    def explain_report(self, include_decisions=True):
+    def explain(self, include_decisions=True):
         if self.transform is None:
             raise ServeError(
                 "this result crossed a process boundary: only "
                 "serialized_rows() and the request metadata are available"
             )
-        return self.transform.explain_report(
-            include_decisions=include_decisions
-        )
+        return self.transform.explain(include_decisions=include_decisions)
 
     def detached(self):
         """The copy a process worker ships back over the pipe: rows

@@ -364,8 +364,7 @@ class TransformService:
                  name=None):
         if self._closed:
             raise ServiceClosedError("service is closed")
-        opts = TransformOptions.coerce(options,
-                                       entry_point="TransformService")
+        opts = TransformOptions.coerce(options)
         self._backend.check(source, stylesheet)
         deadline_s = opts.deadline if opts.deadline is not None \
             else self.default_timeout

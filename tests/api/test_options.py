@@ -1,10 +1,8 @@
-"""Tests for TransformOptions normalization and the deprecation shim."""
-
-import warnings
+"""Tests for TransformOptions normalization."""
 
 import pytest
 
-from repro.api import Engine, TransformOptions, _reset_warned_sites
+from repro.api import TransformOptions
 from repro.core import RewriteOptions, xml_transform
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
@@ -39,16 +37,6 @@ class TestCoerce:
         opts = TransformOptions.coerce({"rewrite": False, "batch_size": 64})
         assert opts.rewrite is False
         assert opts.batch_size == 64
-
-    def test_rewrite_options_wrapped_with_warning(self):
-        _reset_warned_sites()
-        legacy = RewriteOptions(inline_templates=False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            opts = TransformOptions.coerce(legacy, entry_point="test")
-        assert opts.rewrite_options is legacy
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
 
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
@@ -99,49 +87,18 @@ class TestCacheKey:
         assert a.cache_key() == b.cache_key()
 
 
-class TestDeprecationShim:
-    def test_legacy_rewrite_kwarg_warns_once_per_site(self):
-        _reset_warned_sites()
+class TestOneSpelling:
+    def test_removed_spellings_raise_type_error(self):
+        """Options travel in ``options=`` only: the loose kwargs, the
+        ``explain`` field and a bare RewriteOptions are gone, not
+        deprecated."""
         db, storage = make_storage()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                xml_transform(db, storage, EXAMPLE1_STYLESHEET, rewrite=False)
-        legacy = [w for w in caught
-                  if issubclass(w.category, DeprecationWarning)]
-        assert len(legacy) == 1
-        assert "rewrite=" in str(legacy[0].message)
-        assert "xml_transform" in str(legacy[0].message)
-
-    def test_legacy_kwarg_still_works(self):
-        db, storage = make_storage()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            legacy = xml_transform(db, storage, EXAMPLE1_STYLESHEET,
-                                   rewrite=False)
-        modern = Engine(db).transform(
-            storage, EXAMPLE1_STYLESHEET,
-            options=TransformOptions(rewrite=False),
-        )
-        assert legacy.strategy == modern.strategy == "functional"
-        assert legacy.serialized_rows() == modern.serialized_rows()
-
-    def test_options_path_does_not_warn(self):
-        _reset_warned_sites()
-        db, storage = make_storage()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            xml_transform(db, storage, EXAMPLE1_STYLESHEET,
-                          options=TransformOptions(rewrite=False))
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_warning_blames_the_caller(self):
-        _reset_warned_sites()
-        db, storage = make_storage()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.raises(TypeError):
             xml_transform(db, storage, EXAMPLE1_STYLESHEET, rewrite=False)
-        legacy = [w for w in caught
-                  if issubclass(w.category, DeprecationWarning)]
-        assert legacy[0].filename == __file__
+        with pytest.raises(TypeError):
+            xml_transform(db, storage, EXAMPLE1_STYLESHEET,
+                          profile_plan=True)
+        with pytest.raises(TypeError):
+            TransformOptions(explain=True)
+        with pytest.raises(TypeError):
+            TransformOptions.coerce(RewriteOptions())

@@ -90,7 +90,6 @@ class TestOptionsSurface:
         opts = TransformOptions()
         assert opts.rewrite is True
         assert opts.inline is None
-        assert opts.explain is False
         assert opts.deadline is None
         assert opts.batch_size is None
         assert opts.chunk_chars == 8192
@@ -104,10 +103,10 @@ class TestOptionsSurface:
     def test_field_order_is_stable(self):
         # positional construction is allowed; the order is part of the API
         names = [f for f in TransformOptions.__dataclass_fields__]
-        assert names == ["rewrite", "inline", "explain", "deadline",
-                         "batch_size", "chunk_chars", "profile_plan",
-                         "rewrite_options", "optimizer_level", "feedback",
-                         "strategy", "decorrelate"]
+        assert names == ["rewrite", "inline", "deadline", "batch_size",
+                         "chunk_chars", "profile_plan", "rewrite_options",
+                         "optimizer_level", "feedback", "strategy",
+                         "decorrelate"]
 
     def test_choice_fields_validate_at_construction(self):
         with pytest.raises(ValueError, match="invalid optimizer_level"):
@@ -146,18 +145,42 @@ class TestOptionsSurface:
 
 
 class TestLegacyEntryPointsAcceptOptions:
-    """Every legacy door takes the same ``options=`` object."""
+    """Every function-style and serving door takes the same
+    ``options=`` object, and nothing beside it."""
 
     def test_signatures_accept_options(self):
-        from repro.core.pipeline import XsltRewriter
         from repro.core.transform import compile_transform, xml_transform
         from repro.serve.service import TransformService
 
         for fn in (xml_transform, compile_transform,
-                   XsltRewriter.compile, TransformService.transform,
+                   TransformService.transform,
                    TransformService.submit, TransformService.transform_on,
                    TransformService.transform_stream):
             assert "options" in inspect.signature(fn).parameters, fn
+        assert list(inspect.signature(xml_transform).parameters) == [
+            "db", "source", "stylesheet", "options", "params", "tracer",
+            "metrics",
+        ]
+
+
+class TestExplainSurface:
+    def test_one_explain_door_per_class(self):
+        from repro.core.pipeline import XsltRewriter
+        from repro.core.transform import TransformResult
+        from repro.rdb import Database
+        from repro.rdb.plan import Query
+        from repro.serve import ServeResult
+
+        for cls in (Engine, Database, Query, TransformResult, ServeResult):
+            doors = [name for name in dir(cls) if "explain" in name]
+            assert doors == ["explain"], cls
+        assert not hasattr(XsltRewriter, "compile")
+        assert list(inspect.signature(
+            TransformResult.explain).parameters) == ["self",
+                                                     "include_decisions"]
+        assert list(inspect.signature(
+            ServeResult.explain).parameters) == ["self",
+                                                 "include_decisions"]
 
 
 class TestServingSurface:
@@ -199,4 +222,3 @@ class TestServingSurface:
             "queue_wait_seconds", "execute_seconds", "total_seconds",
             "trace", "trace_id", "worker", "stats_version",
         }
-        assert not hasattr(ServeResult, "explain")

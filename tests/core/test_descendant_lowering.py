@@ -4,14 +4,12 @@ When the inferred view schema gives a *unique* root-to-name path, the
 rewriter expands ``//name`` (and ``descendant::name``) into plain child
 steps, so the descendant axis costs exactly what the explicit path
 costs — no functional fallback, no runtime tree walk.  Zero or multiple
-candidate paths must refuse the rewrite (the front door then falls back),
-as must the lowering toggle used by the equivalence gate.
+candidate paths must refuse the rewrite (the front door then falls back).
 """
 
 import pytest
 
 from repro.core.pipeline import XsltRewriter
-from repro.core.sql_rewrite import set_descendant_lowering
 from repro.errors import RewriteError
 from repro.rdb import Filter, Query, Scan
 from repro.rdb.expressions import ScalarSubquery, col, eq
@@ -102,15 +100,3 @@ class TestDescendantLowering:
 </xsl:template></xsl:stylesheet>""" % XSL
         with pytest.raises(RewriteError, match="ambiguous"):
             XsltRewriter().rewrite_view(sheet, ambiguous_view_query())
-
-    def test_toggle_disables_the_lowering(self):
-        previous = set_descendant_lowering(False)
-        try:
-            with pytest.raises(RewriteError):
-                rewrite("//emp")
-        finally:
-            set_descendant_lowering(previous)
-        # Restored: the lowering works again.
-        db = make_database()
-        rows, _ = db.execute(rewrite("//emp").sql_query)
-        assert len(rows) == 2

@@ -4,12 +4,15 @@ NULL optional columns)."""
 
 import pytest
 
+from repro.api import TransformOptions
 from repro.core import STRATEGY_SQL, xml_transform
 from repro.rdb import Database
 from repro.rdb.infer import infer_view_structure
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
 from repro.xmlmodel import parse_document, serialize
+
+FUNCTIONAL = TransformOptions(rewrite=False)
 
 SHEET = (
     '<xsl:stylesheet version="1.0"'
@@ -50,7 +53,7 @@ class TestOptionalChildren:
     def test_rewrite_equals_functional(self):
         db, storage = make_storage(self.DTD, self.DOCS)
         rewritten = xml_transform(db, storage, SHEET)
-        functional = xml_transform(db, storage, SHEET, rewrite=False)
+        functional = xml_transform(db, storage, SHEET, options=FUNCTIONAL)
         assert rewritten.strategy == STRATEGY_SQL
         assert rewritten.serialized_rows() == functional.serialized_rows()
         assert rewritten.serialized_rows() == [
@@ -71,7 +74,7 @@ class TestChoiceChildren:
     def test_rewrite_equals_functional(self):
         db, storage = make_storage(self.DTD, self.DOCS)
         rewritten = xml_transform(db, storage, SHEET)
-        functional = xml_transform(db, storage, SHEET, rewrite=False)
+        functional = xml_transform(db, storage, SHEET, options=FUNCTIONAL)
         assert rewritten.strategy == STRATEGY_SQL
         assert rewritten.serialized_rows() == functional.serialized_rows()
 
@@ -84,6 +87,7 @@ class TestChoiceChildren:
         )
         db, storage = make_storage(self.DTD, self.DOCS)
         rewritten = xml_transform(db, storage, copy_sheet)
-        functional = xml_transform(db, storage, copy_sheet, rewrite=False)
+        functional = xml_transform(db, storage, copy_sheet,
+                                   options=FUNCTIONAL)
         assert rewritten.serialized_rows() == functional.serialized_rows()
         assert rewritten.serialized_rows() == ["<w/>", "<w><a>world</a></w>"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import TransformOptions
 from repro.errors import RewriteError
 from repro.rdb import IndexScan
 from repro.rdb.infer import infer_view_structure
@@ -23,6 +24,7 @@ from .paper_example import (
 )
 
 XSL = 'xmlns:xsl="http://www.w3.org/1999/XSL/Transform"'
+FUNCTIONAL = TransformOptions(rewrite=False)
 
 
 def sheet(body):
@@ -93,7 +95,7 @@ class TestExample1SqlRewrite:
         from repro.core.transform import xml_transform
 
         functional = xml_transform(
-            db, view_query, EXAMPLE1_STYLESHEET, rewrite=False
+            db, view_query, EXAMPLE1_STYLESHEET, options=FUNCTIONAL
         )
         assert [row_markup(r[0]) for r in sql_rows] == (
             functional.serialized_rows()

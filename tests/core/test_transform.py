@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import TransformOptions
 from repro.core import (
     STRATEGY_FUNCTIONAL,
     STRATEGY_SQL,
@@ -24,6 +25,7 @@ from .paper_example import (
 )
 
 XSL = 'xmlns:xsl="http://www.w3.org/1999/XSL/Transform"'
+FUNCTIONAL = TransformOptions(rewrite=False)
 
 
 def sheet(body):
@@ -40,7 +42,7 @@ class TestViewTransform:
     def test_functional_strategy(self):
         db = make_database()
         result = xml_transform(
-            db, dept_emp_view_query(), EXAMPLE1_STYLESHEET, rewrite=False
+            db, dept_emp_view_query(), EXAMPLE1_STYLESHEET, options=FUNCTIONAL
         )
         assert result.strategy == STRATEGY_FUNCTIONAL
         assert result.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
@@ -51,7 +53,7 @@ class TestViewTransform:
             db, dept_emp_view_query(), EXAMPLE1_STYLESHEET
         )
         without = xml_transform(
-            db, dept_emp_view_query(), EXAMPLE1_STYLESHEET, rewrite=False
+            db, dept_emp_view_query(), EXAMPLE1_STYLESHEET, options=FUNCTIONAL
         )
         assert with_rewrite.serialized_rows() == without.serialized_rows()
 
@@ -67,7 +69,7 @@ class TestViewTransform:
         assert ["".join(row) for row in rewritten.rows] \
             == [EXPECTED_ROW1, EXPECTED_ROW2]
         functional = xml_transform(db, dept_emp_view_query(),
-                                   EXAMPLE1_STYLESHEET, rewrite=False)
+                                   EXAMPLE1_STYLESHEET, options=FUNCTIONAL)
         assert all(hasattr(item, "kind")
                    for row in functional.rows for item in row)
 
@@ -82,7 +84,7 @@ class TestViewTransform:
         )
         rewritten = xml_transform(db, dept_emp_view_query(), sheet(body))
         functional = xml_transform(db, dept_emp_view_query(), sheet(body),
-                                   rewrite=False)
+                                   options=FUNCTIONAL)
         assert rewritten.strategy == STRATEGY_SQL
         assert rewritten.serialized_rows(method=method) \
             == functional.serialized_rows(method=method)
@@ -142,7 +144,8 @@ class TestStorageTransform:
 
     def test_functional_over_storage(self):
         db, storage = self.make_storage()
-        result = xml_transform(db, storage, EXAMPLE1_STYLESHEET, rewrite=False)
+        result = xml_transform(db, storage, EXAMPLE1_STYLESHEET,
+                               options=FUNCTIONAL)
         assert result.strategy == STRATEGY_FUNCTIONAL
         assert result.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
 
@@ -151,7 +154,7 @@ class TestStorageTransform:
         storage.create_value_index("sal")
         rewritten = xml_transform(db, storage, EXAMPLE1_STYLESHEET)
         functional = xml_transform(
-            db, storage, EXAMPLE1_STYLESHEET, rewrite=False
+            db, storage, EXAMPLE1_STYLESHEET, options=FUNCTIONAL
         )
         # the rewrite probes the value index and fetches only qualifying
         # rows; functional materialisation reads every row of the document
@@ -167,4 +170,15 @@ class TestStorageTransform:
         result = xml_transform(db, storage, EXAMPLE1_STYLESHEET)
         assert result.strategy == STRATEGY_FUNCTIONAL
         assert result.fallback_reason
+        assert result.serialized_rows() == [EXPECTED_ROW1]
+
+    def test_tree_storage_always_functional(self):
+        from repro.rdb.treestorage import TreeStorage
+
+        db = Database()
+        storage = TreeStorage(db, "t")
+        storage.load(parse_document(DEPT_DOC_1))
+        result = xml_transform(db, storage, EXAMPLE1_STYLESHEET)
+        # schema-less: no structure for the rewrite to exploit
+        assert result.strategy == STRATEGY_FUNCTIONAL
         assert result.serialized_rows() == [EXPECTED_ROW1]

@@ -232,6 +232,34 @@ class TestTemplatePruning:
         assert "unreachable" not in xquery_to_text(module)
 
 
+class TestAblationOverPatternsCase:
+    """Each §3.3–3.7 technique switched off alone on xsltmark's
+    ``patterns`` stylesheet, which exercises model groups, backward
+    removal and pruning: the output never changes, and the
+    straightforward translation is the longer query."""
+
+    @pytest.mark.parametrize("technique", [
+        "use_model_groups", "remove_backward_tests", "prune_templates",
+        "builtin_compaction",
+    ])
+    def test_one_technique_off_is_equivalent_and_no_shorter(self, technique):
+        from repro.xmlmodel import serialize
+        from repro.xsltmark import get_case
+
+        case = get_case("patterns")
+        source = serialize(case.make_document(8))
+        options = RewriteOptions(**{technique: False})
+        assert equivalent(case.stylesheet, source, dtd=case.dtd,
+                          options=options) \
+            == equivalent(case.stylesheet, source, dtd=case.dtd)
+        full = len(xquery_to_text(generate(case.stylesheet, case.dtd)[0]))
+        ablated = len(xquery_to_text(
+            generate(case.stylesheet, case.dtd, options)[0]))
+        assert ablated >= full
+        if technique == "use_model_groups":
+            assert ablated > full
+
+
 class TestInstructionCoverage:
     def test_for_each_with_sort(self):
         body = (

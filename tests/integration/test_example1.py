@@ -12,9 +12,12 @@ from tests.core.paper_example import (
     make_database,
 )
 
+from repro.api import TransformOptions
 from repro.core import XsltRewriter, xml_transform
 from repro.rdb.infer import infer_view_structure
 from repro.xmlmodel import serialize
+
+FUNCTIONAL = TransformOptions(rewrite=False)
 
 
 class TestExample1EndToEnd:
@@ -65,7 +68,7 @@ class TestExample1EndToEnd:
         db.create_index("emp", "sal")
         rewritten = xml_transform(db, dept_emp_view_query(), EXAMPLE1_STYLESHEET)
         functional = xml_transform(
-            db, dept_emp_view_query(), EXAMPLE1_STYLESHEET, rewrite=False
+            db, dept_emp_view_query(), EXAMPLE1_STYLESHEET, options=FUNCTIONAL
         )
         assert rewritten.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
         assert functional.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]

@@ -9,10 +9,13 @@ from tests.core.paper_example import (
     make_database,
 )
 
+from repro.api import TransformOptions
 from repro.core import rewrite_combined, rewrite_xquery_over_view
 from repro.core.pipeline import XsltRewriter
 from repro.xmlmodel import serialize
 from repro.xmlmodel.nodes import Node
+
+FUNCTIONAL = TransformOptions(rewrite=False)
 
 # Table 10: the user XQuery over the XSLT view's result.
 USER_XQUERY = "for $tr in ./table/tr return $tr"
@@ -79,7 +82,7 @@ class TestExample2Combined:
         combined_rows, _ = db.execute(combined)
 
         functional = xml_transform(
-            db, dept_emp_view_query(), EXAMPLE1_STYLESHEET, rewrite=False
+            db, dept_emp_view_query(), EXAMPLE1_STYLESHEET, options=FUNCTIONAL
         )
         expected = []
         for row in functional.rows:

@@ -9,8 +9,6 @@ across runs.
 
 import json
 
-import pytest
-
 from repro.core import xml_transform
 from repro.core.pipeline import XsltRewriter
 from repro.core.xquery_gen import RewriteOptions
@@ -58,7 +56,7 @@ def transform_ledger(stylesheet=EXAMPLE1_STYLESHEET):
 
 def compile_ledger(stylesheet=EXAMPLE1_STYLESHEET, options=None):
     rewriter = XsltRewriter(options=options)
-    return rewriter.compile(stylesheet, dept_emp_view_query(), explain=True)
+    return rewriter.rewrite_view(stylesheet, dept_emp_view_query()).ledger
 
 
 class TestDecisionKinds:
@@ -177,13 +175,9 @@ class TestSurfaces:
         assert isinstance(ledger, DecisionLedger)
         assert len(ledger) > 0
 
-    def test_compile_explain_requires_view_query(self):
-        with pytest.raises(ValueError):
-            XsltRewriter().compile(EXAMPLE1_STYLESHEET, explain=True)
-
     def test_result_explain_rewrite_interleaves_plan_and_decisions(self):
         result = transform_ledger()
-        text = result.explain(rewrite=True)
+        text = result.explain().render()
         assert "rewrite decisions:" in text
         assert "plan:" in text
         # decisions are anchored under their #n plan lines
@@ -192,7 +186,7 @@ class TestSurfaces:
 
     def test_result_explain_without_rewrite_omits_ledger(self):
         result = transform_ledger()
-        text = result.explain()
+        text = result.explain(include_decisions=False).render()
         assert "rewrite decisions:" not in text
 
     def test_render_groups_by_stage(self):

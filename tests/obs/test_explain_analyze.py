@@ -33,8 +33,8 @@ def filtered_query():
 class TestExplainAnalyze:
     def test_annotates_per_node_rows(self):
         db = make_db()
-        text = explain(filtered_query(), analyze=True, db=db)
-        lines = text.splitlines()
+        report = filtered_query().explain(db=db, analyze=True)
+        lines = report.render().splitlines()
         assert lines[0].startswith("QUERY outputs=[id]")
         filter_line = next(line for line in lines if "Filter" in line)
         scan_line = next(line for line in lines if "Scan" in line)
@@ -71,9 +71,7 @@ class TestExplainAnalyze:
 
     def test_analyze_requires_query_and_db(self):
         with pytest.raises(PlanError):
-            explain(Scan("t"), analyze=True, db=make_db())
-        with pytest.raises(PlanError):
-            explain(filtered_query(), analyze=True)
+            filtered_query().explain(analyze=True)
 
     def test_unexecuted_branch_is_marked(self):
         db = make_db()

@@ -1,14 +1,11 @@
-"""The unified ExplainReport surface and its legacy string shims.
+"""The unified ExplainReport surface.
 
-Every historical EXPLAIN door — ``repro.rdb.plan.explain``,
-``Database.explain``, ``Query.explain``, ``TransformResult.explain`` —
-now renders through one :class:`repro.obs.explain.ExplainReport`; these
-tests pin the structured object (sections, to_dict/to_json export,
-decision interleaving) and that each shim still emits its historical
-string shape.
+Every ``explain`` method — ``Engine``, ``Database``, ``Query``,
+``TransformResult`` — returns one
+:class:`repro.obs.explain.ExplainReport`; these tests pin the structured
+object (sections, to_dict/to_json export, decision interleaving) and
+what each door puts in it.
 """
-
-import warnings
 
 import pytest
 
@@ -123,18 +120,18 @@ class TestEngineExplain:
 
 
 class TestDatabaseExplain:
-    def test_legacy_string_matches_report_render(self):
+    def test_bare_query_report_has_no_transform_sections(self):
         db = make_plain_db()
-        sql = "SELECT id FROM t WHERE id > 4"
-        text = db.explain(sql)
-        assert isinstance(text, str)
-        assert text == db.explain_report(sql).render()
+        report = db.explain("SELECT id FROM t WHERE id > 4")
+        assert isinstance(report, ExplainReport)
+        text = report.render()
         assert text.splitlines()[0].startswith("QUERY")
-        assert "strategy:" not in text  # bare mode: no transform sections
+        assert "strategy:" not in text
 
     def test_analyze_appends_execution_line(self):
         db = make_plain_db()
-        text = db.explain("SELECT id FROM t WHERE id > 4", analyze=True)
+        text = db.explain("SELECT id FROM t WHERE id > 4",
+                          analyze=True).render()
         assert text.splitlines()[-1].startswith("Execution: ")
 
 
@@ -155,29 +152,11 @@ class TestQueryExplain:
             query.explain(analyze=True)
 
 
-class TestTransformResultShim:
-    def test_explain_is_a_string_without_execution(self):
+class TestTransformResultExplain:
+    def test_explain_carries_execution_state(self):
         db, storage = make_storage()
         result = Engine(db).transform(storage, EXAMPLE1_STYLESHEET)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the no-kwarg path is clean
-            text = result.explain()
-        assert isinstance(text, str)
-        assert "strategy: sql-rewrite" in text
-        assert "Execution:" not in text  # the historical string had none
-        assert "rewrite decisions:" not in text
-
-    def test_rewrite_kwarg_warns_and_includes_decisions(self):
-        db, storage = make_storage()
-        result = Engine(db).transform(storage, EXAMPLE1_STYLESHEET)
-        with pytest.warns(DeprecationWarning, match="explain"):
-            text = result.explain(rewrite=True)
-        assert "rewrite decisions:" in text
-
-    def test_explain_report_carries_execution_state(self):
-        db, storage = make_storage()
-        result = Engine(db).transform(storage, EXAMPLE1_STYLESHEET)
-        report = result.explain_report()
+        report = result.explain()
         assert isinstance(report, ExplainReport)
         assert report.stats is not None
         assert "Execution:" in report.render()

@@ -99,6 +99,17 @@ class TestDisabledTracer:
         assert not span  # falsy, so callers can skip it
         assert span.find("anything") is None
 
+    def test_profiling_is_off_by_default(self):
+        from repro.rdb import Database, INT
+        from repro.rdb.expressions import col
+        from repro.rdb.plan import Query, Scan
+
+        db = Database()
+        db.create_table("t", [("id", INT)])
+        db.insert("t", (1,))
+        _, stats = Query(Scan("t"), [("id", col("id", "t"))]).execute(db)
+        assert stats.profiler is None
+
     def test_enable_disable_roundtrip(self):
         tracer = Tracer()
         tracer.disable()

@@ -137,21 +137,17 @@ def test_decorrelation_is_byte_identical(case):
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.name)
 def test_descendant_lowering_is_byte_identical(case):
-    """Descendant lowering on vs. off across the whole corpus: whether
-    ``//name`` becomes child hops in the merged SQL or the case falls
-    back, the bytes never change."""
-    from repro.core.sql_rewrite import set_descendant_lowering
-
+    """Whether ``//name`` becomes child hops in the merged SQL or the
+    case falls back, the bytes are the functional path's."""
     prepared = prepare_case(case, SIZE)
     engine = Engine(prepared.db)
-    on = engine.transform(prepared.storage, prepared.stylesheet)
-    previous = set_descendant_lowering(False)
-    try:
-        off = engine.transform(prepared.storage, prepared.stylesheet)
-    finally:
-        set_descendant_lowering(previous)
-    assert "".join(on.serialized_rows()) == \
-        "".join(off.serialized_rows()), case.name
+    lowered = engine.transform(prepared.storage, prepared.stylesheet)
+    functional = engine.transform(
+        prepared.storage, prepared.stylesheet,
+        options=TransformOptions(strategy="functional"),
+    )
+    assert "".join(lowered.serialized_rows()) == \
+        "".join(functional.serialized_rows()), case.name
 
 
 def test_structural_index_is_byte_identical():

@@ -11,6 +11,7 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import TransformOptions
 from repro.core.partial_eval import partially_evaluate
 from repro.schema.model import (
     ElementDecl,
@@ -24,6 +25,7 @@ from repro.xslt import compile_stylesheet, transform
 from repro.core.xquery_gen import generate_xquery
 
 XSL = 'xmlns:xsl="http://www.w3.org/1999/XSL/Transform"'
+FUNCTIONAL = TransformOptions(rewrite=False)
 
 _NAMES = [
     "alpha", "beta", "gamma", "delta", "epsi", "zeta", "eta", "theta",
@@ -206,7 +208,8 @@ class TestRandomSchemaStorageEquivalence:
         storage = ObjectRelationalStorage(db, schema, "rs")
         storage.load(document)
         rewritten = xml_transform(db, storage, sheet(body))
-        functional = xml_transform(db, storage, sheet(body), rewrite=False)
+        functional = xml_transform(db, storage, sheet(body),
+                                   options=FUNCTIONAL)
         assert rewritten.serialized_rows() == functional.serialized_rows()
 
     @given(pair=schema_and_document())
@@ -283,5 +286,6 @@ class TestAttributeSchemas:
         storage = ObjectRelationalStorage(db, schema, "ab")
         storage.load(document)
         rewritten = xml_transform(db, storage, sheet(body))
-        functional = xml_transform(db, storage, sheet(body), rewrite=False)
+        functional = xml_transform(db, storage, sheet(body),
+                                   options=FUNCTIONAL)
         assert rewritten.serialized_rows() == functional.serialized_rows()

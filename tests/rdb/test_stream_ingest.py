@@ -14,7 +14,7 @@ from repro.rdb.treestorage import TreeStorage
 from repro.schema import schema_from_dtd
 from repro.xmlmodel import parse_document, serialize
 
-from benchmarks.gen_corpus import iter_tree_xml, tree_xml
+from tests.rdb.tree_corpus import iter_tree_xml, tree_xml
 
 GNARLY = (
     "<!-- prolog --><tree official=\"yes\"><node>plain"

@@ -90,7 +90,7 @@ class TestServeFeedbackLoop:
                                       options=KEEP_CORRELATED)
 
             # EXPLAIN REWRITE: the plan-feedback stage tells the story
-            explain = first.explain_report().render()
+            explain = first.explain().render()
             assert "plan-feedback" in explain
             assert "[plan-qerror]" in explain
             assert "distrust plan" in explain

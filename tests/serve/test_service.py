@@ -162,7 +162,7 @@ class TestCompileSharing:
         assert warm.cache_hit
         assert warm.transform.ledger is not None
         assert len(warm.transform.ledger) > 0
-        explained = warm.explain_report().render()
+        explained = warm.explain().render()
         assert "rewrite decisions:" in explained
         assert "(no rewrite decisions recorded)" not in explained
 

@@ -145,6 +145,32 @@ class TestCaseExecution:
         # 1 probe, 1 matching row + the root-table scan row
         assert run.rewrite_stats.rows_scanned <= 3
 
+    def test_figure2_rewrite_is_flat_while_functional_is_linear(self):
+        """Figure 2 as work counters: over an 8x larger document the
+        rewrite still makes one B-tree probe and reads the same rows,
+        while the functional path reads one more row per document row."""
+        sizes = (250, 2000)
+        small, large = (run_case(get_case("dbonerow"), size)
+                        for size in sizes)
+        for run in (small, large):
+            assert run.strategy == "sql-rewrite"
+            assert run.outputs_equal
+            assert run.rewrite_stats.index_probes == 1
+            assert run.rewrite_stats.rows_scanned <= 3
+        assert (large.functional_stats.rows_scanned
+                - small.functional_stats.rows_scanned) == sizes[1] - sizes[0]
+
+    @pytest.mark.parametrize("name", ["avts", "chart", "metric", "total"])
+    def test_figure3_rewrite_builds_no_document(self, name):
+        """Figure 3 as work counters: no value index applies, so the
+        rewrite wins by constructing the result straight from columns —
+        it materialises no document, the functional path every one."""
+        run = run_case(get_case(name), 120)
+        assert run.strategy == "sql-rewrite"
+        assert run.outputs_equal
+        assert run.rewrite_stats.docs_materialized == 0
+        assert run.functional_stats.docs_materialized == 1
+
     def test_run_case_stays_off_the_deprecated_doors(self):
         import warnings
 
