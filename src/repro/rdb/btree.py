@@ -30,8 +30,14 @@ class BTreeIndex:
     def insert(self, key, row_id):
         if key is None:
             return  # NULLs are not indexed
-        position = bisect.bisect_right(self._keys, key)
-        self._keys.insert(position, key)
+        keys = self._keys
+        if not keys or key >= keys[-1]:
+            # ingest appends in key order: same slot bisect_right finds
+            keys.append(key)
+            self._row_ids.append(row_id)
+            return
+        position = bisect.bisect_right(keys, key)
+        keys.insert(position, key)
         self._row_ids.insert(position, row_id)
 
     def build(self, pairs):

@@ -99,6 +99,7 @@ class Database:
             (row[position], row_id) for row_id, row in table.scan()
         )
         self._indexes[index_name] = index
+        table.indexes.append((position, index))
         self.stats.note_ddl(table_name)
         return index
 
@@ -129,19 +130,12 @@ class Database:
     # -- DML -----------------------------------------------------------------
 
     def insert(self, table_name, *rows):
-        table = self.table(table_name)
-        row_ids = []
-        for values in rows:
-            row_id = table.insert(values)
-            row_ids.append(row_id)
-            stored = table.fetch(row_id)
-            for index in self._indexes.values():
-                if index.table_name == table_name:
-                    position = table.schema.position_of(index.column_name)
-                    index.insert(stored[position], row_id)
+        """Append rows; returns their row ids.  One statistics note for
+        the whole batch, and only the table's own indexes are touched."""
+        first = self.table(table_name).extend(rows)
         if rows:
             self.stats.note_dml(table_name)
-        return row_ids
+        return list(range(first, first + len(rows)))
 
     # -- catalog lookups ------------------------------------------------------
 

@@ -32,11 +32,14 @@ from repro.rdb.expressions import (
 from repro.rdb.plan import Filter, Query, Scan
 from repro.rdb.sqlxml import XMLAgg, XMLElement
 from repro.rdb.types import FLOAT, INT, TEXT
-from repro.xmlmodel.labels import assign_labels
 from repro.xmlmodel.nodes import Attribute, Document, Element, QName, Text
 from repro.xmlmodel.parser import parse_document
 from repro.xmlmodel.serializer import serialize
-from repro.xmlmodel.stream_ingest import DEFAULT_CHUNK_SIZE, StreamParser
+from repro.xmlmodel.stream_ingest import (
+    DEFAULT_CHUNK_SIZE,
+    StreamParser,
+    document_events,
+)
 
 # Reserved bookkeeping column names; element names never collide with
 # these (they are not valid XML names).
@@ -51,9 +54,14 @@ START = "$start"
 END = "$end"
 LEVEL = "$level"
 
-# Emit-program step kinds (see ObjectRelationalStorage._compile_element).
-_LEAF, _INLINE, _ROWS_LEAF, _ROWS_TREE = range(4)
+# Emit-program step kinds (see ObjectRelationalStorage._compile_element);
+# the shred program (_compile_shred_row) uses the first two and _ROWS.
+_LEAF, _INLINE, _ROWS_LEAF, _ROWS_TREE, _ROWS = range(5)
 _BY_SEQ = itemgetter(2)  # child-table rows are ($id, $parent, $seq, ...)
+# Shredded rows wait in per-table batches of this many before they are
+# appended, so a streamed load never holds more than this beside the tables.
+_BATCH_ROWS = 1024
+_NO_CHILDREN = {}
 
 
 class TableBinding:
@@ -134,6 +142,8 @@ class ObjectRelationalStorage:
         # Compiled once, never mutated: concurrent materialisations share it.
         self._emit_program = self._compile_element(self.schema.root,
                                                    self.tables[0])
+        self._shred_program = self._compile_shred_row(self.schema.root,
+                                                      self.tables[0])
 
     # -- layout -----------------------------------------------------------------
 
@@ -299,12 +309,7 @@ class ObjectRelationalStorage:
             raise DatabaseError(
                 "document does not conform to schema: %s" % violations[0]
             )
-        self._doc_counter += 1
-        doc_id = self._doc_counter
-        assign_labels(document)
-        root = document.document_element
-        self._insert_element(root, self.schema.root, doc_id, None, 0)
-        return doc_id
+        return self._shred(document_events(document))[0]
 
     def load_many(self, documents):
         return [self.load(document) for document in documents]
@@ -317,10 +322,9 @@ class ObjectRelationalStorage:
         chunks.  Rows, row ids and containment labels come out identical
         to :meth:`load` of the parsed document, so fingerprints and query
         results match exactly.  Memory stays bounded by the parser's
-        token buffer plus the open *row scopes* — the subtrees of
-        repeating elements whose rows are still being assembled — never
-        the whole document.  Pass an
-        :class:`~repro.rdb.plan.ExecutionStats` to record the buffering
+        token buffer plus the open *row scopes* — the rows of repeating
+        elements still being assembled — never the whole document.  Pass
+        an :class:`~repro.rdb.plan.ExecutionStats` to record the buffering
         high-water mark in ``peak_ingest_buffered_bytes``.
 
         Streaming resolves every element against the schema (unknown
@@ -329,201 +333,183 @@ class ObjectRelationalStorage:
         """
         parser = StreamParser(source, strip_whitespace=strip_whitespace,
                               chunk_size=chunk_size)
-        self._doc_counter += 1
-        doc_id = self._doc_counter
-        counter = 1  # label counter; 1 is the (virtual) document node
-        frames = []  # per open element: [decl, mini_element, scope_or_None]
-        # Open row scopes, outermost first.  Scope layout:
-        # [table_binding, decl, row_id, (parent_row_id, seq), child_seq,
-        #  mini_element, start, level, buffered_chars]
-        scopes = []
-        open_chars = 0
-        peak_chars = 0
-
-        for event in parser.events():
-            kind = event[0]
-            if kind == "start":
-                name = event[1]
-                if frames:
-                    particle = frames[-1][0].particle_for(name)
-                    if particle is None:
-                        raise DatabaseError(
-                            "document does not conform to schema:"
-                            " unexpected <%s> under <%s>"
-                            % (name, frames[-1][0].name))
-                    decl = particle.decl
-                else:
-                    decl = self.schema.root
-                    if name != decl.name:
-                        raise DatabaseError(
-                            "document does not conform to schema: root is"
-                            " <%s>, expected <%s>" % (name, decl.name))
-                counter += 1
-                start = counter
-                level = len(frames) + 1
-                counter += len(event[2])  # attributes label start == end
-                mini = Element(name)
-                added = len(name)
-                for attr_name, value in event[2]:
-                    mini.set_attribute(attr_name, value)
-                    added += len(attr_name) + len(value)
-                binding = self.bindings[id(decl)]
-                scope = None
-                if isinstance(binding, TableBinding):
-                    if binding.parent is None:
-                        row_id, link = doc_id, None
-                    else:
-                        parent_scope = scopes[-1]
-                        # Reserved now, inserted at scope close: one table
-                        # per decl and non-recursive schemas mean no other
-                        # row can enter this table while the scope is open.
-                        row_id = self._next_row_id(binding)
-                        seq = parent_scope[4].get(name, 0)
-                        parent_scope[4][name] = seq + 1
-                        link = (parent_scope[2], seq)
-                    scope = [binding, decl, row_id, link, {}, mini,
-                             start, level, 0]
-                    scopes.append(scope)
-                else:
-                    frames[-1][1].append(mini)
-                frames.append([decl, mini, scope])
-                scopes[-1][8] += added
-                open_chars += added
-                if open_chars > peak_chars:
-                    peak_chars = open_chars
-            elif kind == "text":
-                counter += 1
-                frames[-1][1].append(Text(event[1]))
-                scopes[-1][8] += len(event[1])
-                open_chars += len(event[1])
-                if open_chars > peak_chars:
-                    peak_chars = open_chars
-            elif kind == "end":
-                decl, mini, scope = frames.pop()
-                if scope is None:
-                    continue
-                scopes.pop()
-                binding = scope[0]
-                values = [scope[2]]
-                if binding.parent is not None:
-                    values.append(scope[3][0])
-                    values.append(scope[3][1])
-                if decl.is_leaf and binding.parent is not None:
-                    values.append(mini.string_value())
-                    for column in self._columns[id(binding)][1:]:
-                        values.append(self._find_value(mini, decl, column))
-                else:
-                    values.extend(self._column_values(mini, decl, binding))
-                values.extend((scope[6], counter, scope[7]))
-                self.db.insert(binding.table_name, tuple(values))
-                open_chars -= scope[8]
-            else:
-                # Comments and processing instructions are not shredded
-                # (the column extractor never reads them) but they do
-                # occupy a label slot, keeping labels aligned with
-                # :func:`assign_labels` over the parsed document.
-                counter += 1
+        doc_id, peak_chars = self._shred(parser.events())
         if stats is not None:
             stats.peak_ingest_buffered_bytes = max(
                 stats.peak_ingest_buffered_bytes,
                 parser.peak_buffered_bytes + peak_chars)
         return doc_id
 
-    def _insert_element(self, element, decl, row_id, parent_row_id, seq):
-        binding = self.bindings[id(decl)]
-        if isinstance(binding, InlineBinding):
-            raise AssertionError("inline elements are inserted via parents")
-        table = binding
-        values = [row_id]
-        if table.parent is not None:
-            values.append(parent_row_id)
-            values.append(seq)
-        values.extend(self._column_values(element, decl, table))
-        values.extend(element.label.as_tuple())
-        self.db.insert(table.table_name, tuple(values))
-        self._insert_repeating(element, decl, row_id)
-        return row_id
+    def _shred(self, events):
+        """Run the shred program over one document's event stream (see
+        :mod:`repro.xmlmodel.stream_ingest`), filling row value lists by
+        slot and appending them in per-table batches.  Returns the doc id
+        and the high-water mark of characters held in open rows."""
+        self._doc_counter += 1
+        doc_id = self._doc_counter
+        insert = self.db.insert
+        table_names = [table.table_name for table in self.tables]
+        batches = [[] for _ in table_names]
+        next_ids = [len(self.db.table(name)) + 1 for name in table_names]
+        counter = 1  # label counter; 1 is the (virtual) document node
+        # One frame per open element: (children, row, slots, parts, scope,
+        # name).  children maps a child element name to its step; slots and
+        # parts are where a leaf's text goes; scope is set on the element
+        # that owns row: [row, table, child $seq counters, chars before].
+        frames = [({self.schema.root.name: (_ROWS, self._shred_program)},
+                   None, None, None, None, None)]
+        scopes = []
+        open_chars = 0
+        peak_chars = 0
 
-    def _column_values(self, element, decl, table):
-        """Values for this table's data columns, reading the element tree."""
-        out = []
-        for binding in self._columns[id(table)]:
-            out.append(self._find_value(element, decl, binding))
-        return out
+        for event in events:
+            kind = event[0]
+            if kind == "start":
+                name = event[1]
+                children, row, _, _, _, parent_name = frames[-1]
+                step = children.get(name)
+                if step is None:
+                    raise DatabaseError(
+                        "document does not conform to schema: " + (
+                            "root is <%s>, expected <%s>"
+                            % (name, self.schema.root.name)
+                            if parent_name is None else
+                            "unexpected <%s> under <%s>"
+                            % (name, parent_name)))
+                counter += 1
+                step_kind = step[0]
+                if step_kind == _LEAF:
+                    attr_slots = step[2]
+                    frames.append((_NO_CHILDREN, row, step[1], [], None, name))
+                elif step_kind == _INLINE:
+                    for slot in step[1]:
+                        row[slot] = 1
+                    attr_slots = step[2]
+                    frames.append((step[3], row, None, None, None, name))
+                else:
+                    table, template, children, attr_slots, slots = step[1]
+                    row = template[:]
+                    if scopes:
+                        row[0] = next_ids[table]
+                        next_ids[table] += 1
+                        outer = scopes[-1]
+                        row[1] = outer[0][0]
+                        row[2] = seq = outer[2].get(table, 0)
+                        outer[2][table] = seq + 1
+                    else:
+                        row[0] = doc_id
+                    row[-3] = counter
+                    row[-1] = len(frames)
+                    scope = [row, table, {}, open_chars]
+                    scopes.append(scope)
+                    frames.append((children, row, slots,
+                                   None if slots is None else [], scope, name))
+                attributes = event[2]
+                if attributes:
+                    counter += len(attributes)  # attribute labels
+                    if attr_slots is not None:
+                        for attr_name, value in attributes:
+                            for slot in attr_slots.get(attr_name, ()):
+                                if row[slot] is None:
+                                    row[slot] = value
+                                    open_chars += len(value)
+            elif kind == "text":
+                counter += 1
+                parts = frames[-1][3]
+                if parts is not None:
+                    parts.append(event[1])
+            elif kind == "end":
+                _, row, slots, parts, scope, _ = frames.pop()
+                if slots is not None:
+                    value = parts[0] if len(parts) == 1 else "".join(parts)
+                    for slot in slots:
+                        # the first instance wins: a declaration shared by
+                        # two wrappers of one row has several slots, and an
+                        # unvalidated stream may repeat a single child
+                        if row[slot] is None:
+                            row[slot] = value
+                            open_chars += len(value)
+                if scope is not None:
+                    scopes.pop()
+                    row[-2] = counter
+                    if open_chars > peak_chars:
+                        peak_chars = open_chars
+                    open_chars = scope[3]
+                    batch = batches[scope[1]]
+                    batch.append(row)
+                    if len(batch) >= _BATCH_ROWS:
+                        insert(table_names[scope[1]], *batch)
+                        del batch[:]
+                    if not scopes:
+                        break  # the root row: nothing after it is shredded
+            else:
+                # Comments and processing instructions are not shredded
+                # but they do occupy a label slot (see
+                # :func:`repro.xmlmodel.labels.assign_labels`).
+                counter += 1
+        for _ in events:
+            pass  # the scanner still checks what follows the root
+        for table_name, batch in zip(table_names, batches):
+            if batch:
+                insert(table_name, *batch)
+        return doc_id, peak_chars
 
-    def _find_value(self, element, decl, binding):
-        if binding.is_attribute:
-            owner = self._find_owner(element, decl, binding.decl)
-            if owner is None:
-                return None
-            return owner.get_attribute(binding.attr_name)
-        if isinstance(binding, PresenceBinding):
-            holder = self._find_holder(element, decl, binding.decl)
-            return 1 if holder is not None else 0
-        if isinstance(self.bindings[id(binding.decl)], ColumnBinding):
-            holder = self._find_holder(element, decl, binding.decl)
-            if holder is None:
-                return None
-            return holder.string_value()
-        return None
+    # -- the shred program ----------------------------------------------------------
 
-    def _find_owner(self, element, decl, attr_decl):
-        if decl is attr_decl:
-            return element
-        return self._find_holder(element, decl, attr_decl)
+    def _compile_shred_row(self, decl, table_binding):
+        """``(table, template, children, attr_slots, slots)`` for an element
+        that opens a row of ``table_binding``'s table (``table`` indexes
+        ``self.tables``): ``template`` is the row before any value is known
+        (NULLs, 0 in presence columns), ``slots`` where the text of a
+        leaf with rows of its own goes (else None), and ``children`` maps
+        each child element name to its step::
 
-    def _find_holder(self, element, decl, target_decl):
-        """Locate the instance element for a decl reachable via single-
-        occurrence steps from ``element``/``decl``."""
-        if decl is target_decl:
-            return element
-        for particle in decl.particles:
-            if not particle.at_most_one:
-                continue
-            child_element = element.find(particle.decl.name)
-            if particle.decl is target_decl:
-                return child_element
-            if child_element is not None and not particle.decl.is_leaf:
-                found = self._find_holder(
-                    child_element, particle.decl, target_decl
-                )
-                if found is not None:
-                    return found
-        return None
+            (_LEAF, slots, attr_slots)               text into the open row
+            (_INLINE, presence_slots, attr_slots, children)   same row
+            (_ROWS, row program)                     a row of a child table
 
-    def _insert_repeating(self, element, decl, parent_row_id):
-        """Insert child-table rows for every many-occurrence descendant
-        reachable through single-occurrence steps."""
+        ``attr_slots`` is ``{attribute name: slots}`` or None.  Like the
+        emit program it is built once from the schema and the bindings, so
+        shredding touches neither.
+        """
+        schema = self.db.table(table_binding.table_name).schema
+        template = [None] * len(schema.columns)
+        # (id(decl), what) -> row positions, what being None for the
+        # element's text, "@name" for an attribute, "?" for its presence
+        slot_map = {}
+        for binding in self._columns[id(table_binding)]:
+            position = schema.position_of(binding.column_name)
+            if isinstance(binding, PresenceBinding):
+                what = "?"
+                template[position] = 0
+            else:
+                what = "@" + binding.attr_name if binding.is_attribute else None
+            slot_map.setdefault((id(binding.decl), what), []).append(position)
+        slots = None
+        if decl.is_leaf and table_binding.parent is not None:
+            slots = (schema.position_of(VALUE),)
+        return (self.tables.index(table_binding), template,
+                self._compile_shred_children(decl, slot_map),
+                _attr_slots(decl, slot_map), slots)
+
+    def _compile_shred_children(self, decl, slot_map):
+        children = {}
         for particle in decl.particles:
             child = particle.decl
-            if particle.at_most_one:
-                if not child.is_leaf:
-                    child_element = element.find(child.name)
-                    if child_element is not None:
-                        self._insert_repeating(
-                            child_element, child, parent_row_id
-                        )
-                continue
-            child_table = self.bindings[id(child)]
-            for seq, child_element in enumerate(element.findall(child.name)):
-                row_id = self._next_row_id(child_table)
-                values = [row_id, parent_row_id, seq]
-                if child.is_leaf:
-                    values.append(child_element.string_value())
-                    for binding in self._columns[id(child_table)][1:]:
-                        values.append(
-                            self._find_value(child_element, child, binding)
-                        )
-                else:
-                    values.extend(
-                        self._column_values(child_element, child, child_table)
-                    )
-                values.extend(child_element.label.as_tuple())
-                self.db.insert(child_table.table_name, tuple(values))
-                self._insert_repeating(child_element, child, row_id)
-
-    def _next_row_id(self, table_binding):
-        return len(self.db.table(table_binding.table_name)) + 1
+            if child.name in children:
+                continue  # as ElementDecl.particle_for: the first one
+            if not particle.at_most_one:
+                step = (_ROWS, self._compile_shred_row(
+                    child, self.bindings[id(child)]))
+            elif child.is_leaf:
+                step = (_LEAF, tuple(slot_map.get((id(child), None), ())),
+                        _attr_slots(child, slot_map))
+            else:
+                step = (_INLINE, tuple(slot_map.get((id(child), "?"), ())),
+                        _attr_slots(child, slot_map),
+                        self._compile_shred_children(child, slot_map))
+            children[child.name] = step
+        return children
 
     # -- materialisation (functional / no-rewrite path) --------------------------------
 
@@ -758,6 +744,15 @@ class ObjectRelationalStorage:
             [(None, XMLAgg(inner, order_by=[(col(SEQ, child_alias), False)]))],
         )
         return ScalarSubquery(subquery)
+
+
+def _attr_slots(decl, slot_map):
+    """``{attribute name: row positions}`` for ``decl``'s stored
+    attributes, or None when it has none."""
+    found = {attribute: tuple(slot_map[(id(decl), "@" + attribute)])
+             for attribute in decl.attributes
+             if (id(decl), "@" + attribute) in slot_map}
+    return found or None
 
 
 def _index_fetcher(table, index, stats):

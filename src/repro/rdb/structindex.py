@@ -37,20 +37,24 @@ class StructuralPathIndex:
 
     # -- maintenance ---------------------------------------------------------
 
-    def add(self, path, name, doc_id, start, row_id):
-        """Record one element occurrence.  ``path`` is the root-to-node
-        path (e.g. ``/tree/node/label``); ``name`` its last segment."""
-        index = self._by_path.get(path)
-        if index is None:
-            index = BTreeIndex(
-                "sidx_%s%s" % (self.table_name, path.replace("/", "_")),
-                self.table_name, "($doc,$start)")
-            self._by_path[path] = index
-            paths = self._by_name.setdefault(name, [])
-            paths.append(path)
-            paths.sort()
-        index.insert((doc_id, start), row_id)
-        self._entries += 1
+    def add_elements(self, doc_id, elements):
+        """Record element occurrences of one document: ``elements`` yields
+        ``(path, name, start, row_id)`` in preorder, ``path`` the
+        root-to-node path (e.g. ``/tree/node/label``) and ``name`` its
+        last segment."""
+        by_path = self._by_path
+        for path, name, start, row_id in elements:
+            index = by_path.get(path)
+            if index is None:
+                index = BTreeIndex(
+                    "sidx_%s%s" % (self.table_name, path.replace("/", "_")),
+                    self.table_name, "($doc,$start)")
+                by_path[path] = index
+                paths = self._by_name.setdefault(name, [])
+                paths.append(path)
+                paths.sort()
+            index.insert((doc_id, start), row_id)
+            self._entries += 1
         global_metrics().gauge("structural.index.entries").set(self._entries)
 
     # -- lookups -------------------------------------------------------------

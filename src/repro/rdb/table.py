@@ -9,18 +9,26 @@ class HeapTable:
     def __init__(self, schema):
         self.schema = schema
         self.rows = []
+        # (column position, BTreeIndex) for every index over this table;
+        # the owning Database keeps the list, extend() keeps them current.
+        self.indexes = []
 
     def __len__(self):
         return len(self.rows)
 
-    def insert(self, values):
-        """Insert one row (coerced to column types); returns its row id."""
-        row = self.schema.coerce_row(values)
-        self.rows.append(row)
-        return len(self.rows) - 1
-
-    def insert_many(self, value_rows):
-        return [self.insert(values) for values in value_rows]
+    def extend(self, value_rows):
+        """Append rows (coerced to column types) and enter them in the
+        table's indexes; returns the row id of the first.  Every row is
+        coerced before any is stored."""
+        coerce_row = self.schema.coerce_row
+        rows = [coerce_row(values) for values in value_rows]
+        first = len(self.rows)
+        self.rows.extend(rows)
+        for position, index in self.indexes:
+            insert = index.insert
+            for row_id, row in enumerate(rows, first):
+                insert(row[position], row_id)
+        return first
 
     def fetch(self, row_id):
         return self.rows[row_id]

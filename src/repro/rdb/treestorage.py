@@ -22,9 +22,10 @@ descendant-axis (``//``) steps into index range scans feeding a
 :class:`~repro.rdb.plan.StructuralJoin`.
 
 Documents load either from a DOM (:meth:`load`) or straight from text in
-bounded memory (:meth:`load_stream`): the streaming path assigns the same
-labels, inserts the same rows in the same order, and maintains the same
-indexes, one SAX-style event at a time.
+bounded memory (:meth:`load_stream`); both feed one event-driven shredder
+(a replayed DOM or the scanner's stream — see
+:mod:`repro.xmlmodel.stream_ingest`), so labels, rows, row order and
+indexes cannot differ between the two doors.
 """
 
 from __future__ import annotations
@@ -38,9 +39,16 @@ from repro.rdb.plan import Filter, NestedLoopJoin, Query, Scan
 from repro.rdb.structindex import StructuralPathIndex
 from repro.rdb.types import INT, TEXT
 from repro.xmlmodel.builder import TreeBuilder
-from repro.xmlmodel.labels import assign_labels
-from repro.xmlmodel.nodes import NodeKind
-from repro.xmlmodel.stream_ingest import DEFAULT_CHUNK_SIZE, StreamParser
+from repro.xmlmodel.stream_ingest import (
+    DEFAULT_CHUNK_SIZE,
+    StreamParser,
+    document_events,
+)
+
+# Node rows wait in a batch of this many before they are appended, so a
+# streamed load never holds more than this beside the node table.
+_BATCH_ROWS = 1024
+_END = 8  # position of the "end" column
 
 
 class TreeStorage:
@@ -79,72 +87,10 @@ class TreeStorage:
     # -- loading -----------------------------------------------------------
 
     def load(self, document):
-        self._doc_counter += 1
-        doc_id = self._doc_counter
-        assign_labels(document)
-        for seq, child in enumerate(document.children):
-            self._insert_node(child, doc_id, parent_id=0, seq=seq, path="")
-        if self.index is not None:
-            self.index.add_document(doc_id, document)
-        return doc_id
+        return self._shred(document_events(document))[0]
 
     def load_many(self, documents):
         return [self.load(document) for document in documents]
-
-    def _insert_node(self, node, doc_id, parent_id, seq, path):
-        self._node_counter += 1
-        node_id = self._node_counter
-        kind = node.kind
-        label = node.label
-        if kind == NodeKind.ELEMENT:
-            node_path = "%s/%s" % (path, node.name.local)
-            row_ids = self.db.insert(
-                self.table_name,
-                (node_id, doc_id, parent_id, seq, "element",
-                 node.name.local, None,
-                 label.start, label.end, label.level),
-            )
-            if self.structural is not None:
-                self.structural.add(
-                    node_path, node.name.local, doc_id, label.start,
-                    row_ids[0])
-            position = 0
-            for attribute in node.attributes:
-                self._node_counter += 1
-                attr_label = attribute.label
-                self.db.insert(
-                    self.table_name,
-                    (self._node_counter, doc_id, node_id, position,
-                     "attribute", attribute.name.local, attribute.value,
-                     attr_label.start, attr_label.end, attr_label.level),
-                )
-                position += 1
-            for child in node.children:
-                self._insert_node(child, doc_id, node_id, position,
-                                  node_path)
-                position += 1
-        elif kind == NodeKind.TEXT:
-            self.db.insert(
-                self.table_name,
-                (node_id, doc_id, parent_id, seq, "text", None, node.value,
-                 label.start, label.end, label.level),
-            )
-        elif kind == NodeKind.COMMENT:
-            self.db.insert(
-                self.table_name,
-                (node_id, doc_id, parent_id, seq, "comment", None,
-                 node.value, label.start, label.end, label.level),
-            )
-        elif kind == NodeKind.PI:
-            self.db.insert(
-                self.table_name,
-                (node_id, doc_id, parent_id, seq, "pi", node.target,
-                 node.value, label.start, label.end, label.level),
-            )
-        else:
-            raise DatabaseError("cannot store node kind %r" % kind)
-
-    # -- streaming ingest -----------------------------------------------------
 
     def load_stream(self, source, strip_whitespace=False, stats=None,
                     chunk_size=DEFAULT_CHUNK_SIZE):
@@ -154,102 +100,113 @@ class TreeStorage:
         chunks.  Labels, node ids, row order and every index end up
         identical to :meth:`load` over the parsed document; memory stays
         bounded by the parser's token buffer plus one frame per open
-        element (``end`` labels are patched in place at element close).
+        element (``end`` labels are filled in at element close).
         Pass an :class:`~repro.rdb.plan.ExecutionStats` to record the
         buffering high-water mark in ``peak_ingest_buffered_bytes``.
         """
         parser = StreamParser(source, strip_whitespace=strip_whitespace,
                               chunk_size=chunk_size)
-        self._doc_counter += 1
-        doc_id = self._doc_counter
-        table = self.db.table(self.table_name)
-        end_position = table.schema.position_of("end")
-        counter = 1  # label counter; 1 is the (virtual) document node
-        # frame: [path, node_id, row_id, start, next_seq, text_parts,
-        #         has_element_children]
-        frames = [["", 0, None, 1, 0, [], False]]
-        buffered_text = 0
-        peak_text = 0
-
-        def leaf_row(kind, name, value, level):
-            nonlocal counter
-            self._node_counter += 1
-            counter += 1
-            parent = frames[-1]
-            self.db.insert(
-                self.table_name,
-                (self._node_counter, doc_id, parent[1], parent[4], kind,
-                 name, value, counter, counter, level),
-            )
-            parent[4] += 1
-
-        for event in parser.events():
-            kind = event[0]
-            if kind == "start":
-                name = event[1]
-                parent = frames[-1]
-                parent[6] = True
-                self._node_counter += 1
-                node_id = self._node_counter
-                counter += 1
-                start = counter
-                level = len(frames)
-                node_path = "%s/%s" % (parent[0], name)
-                row_ids = self.db.insert(
-                    self.table_name,
-                    (node_id, doc_id, parent[1], parent[4], "element",
-                     name, None, start, None, level),
-                )
-                parent[4] += 1
-                if self.structural is not None:
-                    self.structural.add(node_path, name, doc_id, start,
-                                        row_ids[0])
-                frames.append([node_path, node_id, row_ids[0], start,
-                               len(event[2]), [], False])
-                for position, (attr_name, value) in enumerate(event[2]):
-                    self._node_counter += 1
-                    counter += 1
-                    self.db.insert(
-                        self.table_name,
-                        (self._node_counter, doc_id, node_id, position,
-                         "attribute", attr_name, value,
-                         counter, counter, level + 1),
-                    )
-                    if self.index is not None:
-                        self.index._insert(
-                            "%s/@%s" % (node_path, attr_name), value,
-                            doc_id)
-            elif kind == "text":
-                value = event[1]
-                leaf_row("text", None, value, len(frames))
-                frames[-1][5].append(value)
-                buffered_text += len(value)
-                if buffered_text > peak_text:
-                    peak_text = buffered_text
-            elif kind == "end":
-                frame = frames.pop()
-                row = table.fetch(frame[2])
-                table.rows[frame[2]] = (
-                    row[:end_position] + (counter,)
-                    + row[end_position + 1:])
-                if self.index is not None:
-                    direct_text = "".join(frame[5])
-                    if not frame[6]:
-                        if direct_text:
-                            self.index._insert(frame[0], direct_text,
-                                               doc_id)
-                    elif direct_text.strip():
-                        self.index._insert(frame[0], direct_text, doc_id)
-                buffered_text -= sum(len(piece) for piece in frame[5])
-            elif kind == "comment":
-                leaf_row("comment", None, event[1], len(frames))
-            elif kind == "pi":
-                leaf_row("pi", event[1], event[2], len(frames))
+        doc_id, peak_text = self._shred(parser.events())
         if stats is not None:
             stats.peak_ingest_buffered_bytes = max(
                 stats.peak_ingest_buffered_bytes,
                 parser.peak_buffered_bytes + peak_text)
         return doc_id
+
+    def _shred(self, events):
+        """Node rows, containment labels and both indexes from one
+        document's event stream (see :mod:`repro.xmlmodel.stream_ingest`).
+        Returns the doc id and the high-water mark of buffered text."""
+        self._doc_counter += 1
+        doc_id = self._doc_counter
+        stored = self.db.table(self.table_name).rows
+        structural = self.structural
+        # Only the first top-level element is path/value-indexed
+        # (PathValueIndex.add_document indexes the document element).
+        index = self.index
+        node_id = self._node_counter
+        counter = 1  # label counter; 1 is the (virtual) document node
+        rows = []      # rows not yet appended; rows[0] gets row id `first`
+        first = len(stored)
+        elements = []  # their (path, name, start, row id) entries
+        # frame: [path, node_id, row, row_id, next_seq, text_parts,
+        #         has_element_children]
+        frames = [["", 0, None, None, 0, [], False]]
+        buffered_text = 0
+        peak_text = 0
+
+        def flush():
+            nonlocal first
+            self.db.insert(self.table_name, *rows)
+            first += len(rows)
+            del rows[:]
+            if structural is not None:
+                structural.add_elements(doc_id, elements)
+                del elements[:]
+            self._node_counter = node_id
+
+        for event in events:
+            kind = event[0]
+            if kind == "end":
+                frame = frames.pop()
+                frame[2][_END] = counter
+                if frame[3] < first:
+                    # appended while still open: fill in the stored tuple
+                    row = stored[frame[3]]
+                    stored[frame[3]] = (
+                        row[:_END] + (counter,) + row[_END + 1:])
+                if index is not None:
+                    direct_text = "".join(frame[5])
+                    if direct_text and (not frame[6]
+                                        or direct_text.strip()):
+                        index._insert(frame[0], direct_text, doc_id)
+                    buffered_text -= len(direct_text)
+                    if len(frames) == 1:
+                        index = None
+                if len(rows) >= _BATCH_ROWS:
+                    flush()
+                continue
+            # every other event is one node under the innermost open element
+            parent = frames[-1]
+            level = len(frames)
+            node_id += 1
+            counter += 1
+            if kind == "start":
+                name = event[1]
+                parent[6] = True
+                path = "%s/%s" % (parent[0], name)
+                row = [node_id, doc_id, parent[1], parent[4], "element",
+                       name, None, counter, None, level]
+                row_id = first + len(rows)
+                if structural is not None:
+                    elements.append((path, name, counter, row_id))
+                frames.append([path, node_id, row, row_id, len(event[2]),
+                               [], False])
+                rows.append(row)
+                element_id = node_id
+                for position, (attr_name, value) in enumerate(event[2]):
+                    node_id += 1
+                    counter += 1
+                    rows.append([node_id, doc_id, element_id, position,
+                                 "attribute", attr_name, value,
+                                 counter, counter, level + 1])
+                    if index is not None:
+                        index._insert("%s/@%s" % (path, attr_name), value,
+                                      doc_id)
+            else:
+                # "text", "comment" and "pi" are stored under those names
+                name, value = (event[1:] if kind == "pi"
+                               else (None, event[1]))
+                rows.append([node_id, doc_id, parent[1], parent[4], kind,
+                             name, value, counter, counter, level])
+                if kind == "text" and index is not None:
+                    parent[5].append(value)
+                    buffered_text += len(value)
+                    if buffered_text > peak_text:
+                        peak_text = buffered_text
+            parent[4] += 1
+        flush()
+        return doc_id, peak_text
 
     # -- structural queries ----------------------------------------------------
 

@@ -14,36 +14,45 @@ _TYPES = frozenset([INT, FLOAT, TEXT, XML])
 
 
 class Column:
-    """A typed column."""
+    """A typed column.
 
-    __slots__ = ("name", "type")
+    ``coerce(value)`` is ``value`` itself when that is None or exactly an
+    ``exact``, and ``convert(value)`` otherwise — the pair
+    :meth:`TableSchema.coerce_row` inlines.
+    """
+
+    __slots__ = ("name", "type", "exact", "convert")
 
     def __init__(self, name, type_=TEXT):
         if type_ not in _TYPES:
             raise CatalogError("unknown column type %r" % type_)
         self.name = name
         self.type = type_
+        self.exact, self.convert = (
+            _COERCIONS.get(type_) or (None, self._as_xml))
 
     def coerce(self, value):
         """Coerce a Python value to this column's storage type."""
-        if value is None:
-            return None
-        if self.type == INT:
-            return int(value)
-        if self.type == FLOAT:
-            return float(value)
-        if self.type == TEXT:
-            return value if isinstance(value, str) else str(value)
-        if self.type == XML:
-            if not isinstance(value, (Node, str)):
-                raise DatabaseError(
-                    "XML column %r expects a node or markup text" % self.name
-                )
+        if value is None or type(value) is self.exact:
             return value
-        raise AssertionError("unreachable")
+        return self.convert(value)
+
+    def _as_xml(self, value):
+        if not isinstance(value, (Node, str)):
+            raise DatabaseError(
+                "XML column %r expects a node or markup text" % self.name
+            )
+        return value
 
     def __repr__(self):
         return "Column(%r, %r)" % (self.name, self.type)
+
+
+def _as_text(value):
+    return value if isinstance(value, str) else str(value)
+
+
+_COERCIONS = {INT: (int, int), FLOAT: (float, float), TEXT: (str, _as_text)}
 
 
 class TableSchema:
@@ -52,6 +61,8 @@ class TableSchema:
     def __init__(self, name, columns):
         self.name = name
         self.columns = list(columns)
+        self._coercions = [(column.exact, column.convert)
+                           for column in self.columns]
         self._index = {}
         for position, column in enumerate(self.columns):
             if column.name in self._index:
@@ -82,7 +93,8 @@ class TableSchema:
                 "table %r expects %d values, got %d"
                 % (self.name, len(self.columns), len(values))
             )
-        return tuple(
-            column.coerce(value)
-            for column, value in zip(self.columns, values)
-        )
+        return tuple([
+            value if value is None or type(value) is exact
+            else convert(value)
+            for value, (exact, convert) in zip(values, self._coercions)
+        ])

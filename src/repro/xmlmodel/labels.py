@@ -55,19 +55,26 @@ def assign_labels(document):
     Returns the highest ``start`` assigned.  Safe to call repeatedly; labels
     are recomputed from scratch.  The counter visits node, attributes, then
     children — the same order as :meth:`Document.stamp` — so ``start`` sorts
-    nodes in document order.
+    nodes in document order.  Iterative: depth costs heap, not stack.
     """
-    counter = _label(document, 0, 0)
-    return counter
-
-
-def _label(node, counter, level):
-    counter += 1
-    start = counter
-    for attribute in getattr(node, "attributes", ()):
-        counter += 1
-        attribute.label = Label(counter, counter, level + 1)
-    for child in node.children:
-        counter = _label(child, counter, level + 1)
-    node.label = Label(start, counter, level)
+    counter = 1
+    # One (node, start, remaining children) entry per open ancestor, so an
+    # entry's position in the stack is its node's level.
+    open_nodes = [(document, 1, iter(document.children))]
+    while open_nodes:
+        node, start, remaining = open_nodes[-1]
+        level = len(open_nodes)
+        for child in remaining:
+            counter += 1
+            child_start = counter
+            for attribute in getattr(child, "attributes", ()):
+                counter += 1
+                attribute.label = Label(counter, counter, level + 1)
+            if child.children:
+                open_nodes.append((child, child_start, iter(child.children)))
+                break
+            child.label = Label(child_start, counter, level)
+        else:
+            open_nodes.pop()
+            node.label = Label(start, counter, level - 1)
     return counter

@@ -1,39 +1,101 @@
-"""SAX-style streaming XML tokenizer for bounded-memory ingest.
+"""The XML scanner: the library's only tokeniser, as a flat event stream.
 
 :func:`stream_events` turns an XML source — a string, a file-like object, or
-an iterable of string chunks — into a flat event stream without ever
-materializing a DOM:
+an iterable of string chunks — into parse events without ever materializing
+a DOM:
 
-    ``("start", name, [(attr_name, value), ...])``
+    ``("start", local, attributes, name, attribute_names, namespaces, line)``
     ``("text", value)``
     ``("comment", value)``
     ``("pi", target, value)``
-    ``("end", name)``
+    ``("end", local)``
+
+A ``start`` event serves both kinds of consumer.  The relational shredders
+store local names, so ``local`` is the element's local name and
+``attributes`` its ``[(local, value), ...]`` pairs with namespace
+declarations (``xmlns``/``xmlns:*``) dropped.  The DOM builder
+(:mod:`repro.xmlmodel.parser`) reads the rest: ``name`` is the expanded
+:class:`~repro.xmlmodel.nodes.QName`, ``attribute_names`` the attributes'
+QNames (parallel to ``attributes``), ``namespaces`` the element's own
+``{prefix: uri}`` declarations or None, and ``line`` the 1-based line of the
+start tag.  QNames are shared between events: treat them as immutable.
+:func:`document_events` replays an existing DOM as the same stream, so one
+shredder per storage serves ``load`` and ``load_stream`` alike.
 
 Adjacent character data (including expanded entity references) is merged
 into a single ``text`` event, with a ``<![CDATA[`` open acting as a node
-boundary — exactly the text-node structure the DOM parser produces — so
-shredding the event stream yields the same rows and containment labels as
-shredding a parsed tree.
+boundary: text before the section is its own event, the section's content
+(never entity-expanded, never whitespace-stripped) merges with what follows.
 
-Names are local names: namespace declarations (``xmlns``/``xmlns:*``) are
-dropped and prefixes stripped, matching what the relational shredders store.
-
+Tokens are matched by one compiled regular expression, and only once their
+closing delimiter is buffered, so chunk boundaries never change the events.
 Memory is bounded by the input chunk size plus the largest single token
-(one tag, one run of character data): the internal buffer is compacted as
-tokens are consumed, and its high-water mark is exposed as
+(one tag, one run of character data): the consumed prefix of the buffer is
+dropped as chunks arrive, and the buffer's high-water mark is exposed as
 :attr:`StreamParser.peak_buffered_bytes` so ingest paths can report
 ``stats.peak_ingest_buffered_bytes``.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import XmlSyntaxError
-from repro.xmlmodel.parser import _PREDEFINED_ENTITIES, _NAME_START, _NAME_CHARS
+from repro.xmlmodel.nodes import NodeKind, QName
 
 DEFAULT_CHUNK_SIZE = 65536
 
+#: Deepest element nesting any door accepts (libxml2's default).  The
+#: scanner itself is iterative; the cap keeps the recursive consumers of a
+#: parsed tree — ``serialize``, ``Document.stamp``, ``materialize`` —
+#: inside the interpreter's default recursion limit.
+MAX_ELEMENT_DEPTH = 256
+
+XML_NAMESPACE = "http://www.w3.org/XML/1998/namespace"
+
 _COMPACT_THRESHOLD = 8192
+
+_PREDEFINED_ENTITIES = {
+    "amp": "&",
+    "lt": "<",
+    "gt": ">",
+    "quot": '"',
+    "apos": "'",
+}
+
+_NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+_QNAME = r"%s(?::%s)?" % (_NAME, _NAME)
+_VALUE = r"""(?:"[^"]*"|'[^']*')"""
+_S = r"[ \t\r\n]*"
+
+# One alternative per token kind; Match.lastindex tells which one matched.
+_TOKEN = re.compile(
+    r"<(%(qname)s)(?=[ \t\r\n/>])((?:%(s)s%(qname)s%(s)s=%(s)s%(value)s)*)"
+    r"%(s)s(/?)>"
+    r"|</(%(qname)s)%(s)s>"
+    r"|<!--(.*?)-->"
+    r"|<!\[CDATA\[(.*?)\]\]>"
+    r"|<\?(%(name)s)%(s)s(.*?)\?>"
+    % {"name": _NAME, "qname": _QNAME, "value": _VALUE, "s": _S},
+    re.DOTALL)
+_START, _END, _COMMENT, _CDATA, _PI = 3, 4, 5, 6, 8
+_PI_TARGET = 7
+
+_ATTRIBUTE = re.compile(
+    r"""(%s)%s=%s(?:"([^"]*)"|'([^']*)')""" % (_QNAME, _S, _S))
+# A tag whose closing ">" is buffered, whatever is wrong inside it.
+_CLOSED_TAG = re.compile(r"""<[^"'>]*(?:%s[^"'>]*)*>""" % _VALUE)
+_QNAME_AT = re.compile(_QNAME)
+_VALUE_AT = re.compile(_VALUE)
+_SPACE = re.compile(_S)
+_DOCTYPE_MARK = re.compile(r"[\[\]>]")
+# (opener, closer, what) of the tokens delimited by fixed strings.
+_DELIMITED = (
+    ("<!--", "-->", "comment"),
+    ("<![CDATA[", "]]>", "CDATA section"),
+    ("<!DOCTYPE", None, "DOCTYPE declaration"),
+    ("<?", "?>", "processing instruction"),
+)
 
 
 def stream_events(source, strip_whitespace=False, chunk_size=DEFAULT_CHUNK_SIZE):
@@ -41,6 +103,42 @@ def stream_events(source, strip_whitespace=False, chunk_size=DEFAULT_CHUNK_SIZE)
     parser = StreamParser(
         source, strip_whitespace=strip_whitespace, chunk_size=chunk_size)
     return parser.events()
+
+
+def document_events(document):
+    """Replay a DOM as the event stream scanning its serialization would
+    give (minus the scanner's text merging: every text node is one event)."""
+    element_kind, text_kind = NodeKind.ELEMENT, NodeKind.TEXT
+    comment_kind = NodeKind.COMMENT
+    open_names = []
+    walks = [iter(document.children)]
+    while walks:
+        for node in walks[-1]:
+            kind = node.kind
+            if kind == element_kind:
+                name = node.name
+                local = name.local
+                attributes = node.attributes
+                yield ("start", local,
+                       [(attribute.name.local, attribute.value)
+                        for attribute in attributes],
+                       name, [attribute.name for attribute in attributes],
+                       node.namespaces or None, node.source_line)
+                if node.children:
+                    open_names.append(local)
+                    walks.append(iter(node.children))
+                    break
+                yield ("end", local)
+            elif kind == text_kind:
+                yield ("text", node.value)
+            elif kind == comment_kind:
+                yield ("comment", node.value)
+            else:
+                yield ("pi", node.target, node.value)
+        else:
+            walks.pop()
+            if open_names:
+                yield ("end", open_names.pop())
 
 
 class StreamParser:
@@ -53,336 +151,393 @@ class StreamParser:
         self.internal_subset = None
         self.peak_buffered_bytes = 0
         self._buf = ""
-        self._pos = 0
-        self._eof = False
+        self._seen_doctype = False
+        # Line tracking: newlines before buffer offset _counted are in
+        # _line; _line_start is the offset of the current line's first
+        # character (negative once that character has been dropped).
+        self._line = 1
+        self._counted = 0
+        self._line_start = 0
+        # Namespace scope.  The name caches map a lexical name to
+        # (local, QName) under the bindings in _namespaces; an element that
+        # declares namespaces saves all three on _outer_scopes with its
+        # depth and starts fresh ones.
+        self._namespaces = {"xml": XML_NAMESPACE}
+        self._element_names = {}
+        self._attribute_names = {}
+        self._outer_scopes = []
 
-    # -- buffer management -------------------------------------------------
+    # -- buffer and location -----------------------------------------------------
 
-    def _fill(self):
-        """Append one more chunk; False at end of input."""
-        if self._eof:
-            return False
+    def _fill(self, pos):
+        """Buffer one more chunk behind the unconsumed ``buf[pos:]``.
+        Returns where that tail now starts, or -1 at end of input."""
         try:
             chunk = next(self._chunks)
         except StopIteration:
-            self._eof = True
-            return False
-        if self._pos > _COMPACT_THRESHOLD:
-            self._buf = self._buf[self._pos:]
-            self._pos = 0
+            return -1
+        if pos > _COMPACT_THRESHOLD:
+            self._line_at(pos)
+            self._buf = self._buf[pos:]
+            self._counted = 0
+            self._line_start -= pos
+            pos = 0
         self._buf += chunk
         if len(self._buf) > self.peak_buffered_bytes:
             self.peak_buffered_bytes = len(self._buf)
-        return True
+        return pos
 
-    def _compact(self):
-        if self._pos > _COMPACT_THRESHOLD:
-            self._buf = self._buf[self._pos:]
-            self._pos = 0
+    def _line_at(self, pos):
+        """1-based line of buffer offset ``pos``.  Scanning only moves
+        forward, so each newline is counted once."""
+        newlines = self._buf.count("\n", self._counted, pos)
+        if newlines:
+            self._line += newlines
+            self._line_start = self._buf.rfind("\n", self._counted, pos) + 1
+        self._counted = pos
+        return self._line
 
-    def _has(self, count):
-        while len(self._buf) - self._pos < count:
-            if not self._fill():
-                return False
-        return True
-
-    def _peek(self, offset=0):
-        if self._has(offset + 1):
-            return self._buf[self._pos + offset]
-        return ""
-
-    def _starts_with(self, token):
-        if not self._has(len(token)):
-            return False
-        return self._buf.startswith(token, self._pos)
-
-    def _expect(self, token):
-        if not self._starts_with(token):
-            raise XmlSyntaxError("expected %r" % token)
-        self._pos += len(token)
-
-    def _skip_space(self):
-        while True:
-            while self._pos < len(self._buf) and self._buf[self._pos] in " \t\r\n":
-                self._pos += 1
-            if self._pos < len(self._buf) or not self._fill():
-                return
-
-    def _read_until(self, token, error):
-        """Consume text up to and including *token*; returns the text."""
-        while True:
-            end = self._buf.find(token, self._pos)
-            if end >= 0:
-                content = self._buf[self._pos:end]
-                self._pos = end + len(token)
-                self._compact()
-                return content
-            if not self._fill():
-                raise XmlSyntaxError(error)
-
-    def _read_name(self):
-        if not self._has(1) or self._buf[self._pos] not in _NAME_START:
-            raise XmlSyntaxError("expected a name")
-        start = self._pos
-        self._pos += 1
-        while True:
-            while self._pos < len(self._buf) and self._buf[self._pos] in _NAME_CHARS:
-                self._pos += 1
-            if self._pos < len(self._buf) or not self._fill():
-                return self._buf[start:self._pos]
+    def _fail(self, message, pos):
+        line = self._line_at(pos)
+        raise XmlSyntaxError(message, line=line,
+                             column=pos - self._line_start + 1)
 
     # -- entity expansion ----------------------------------------------------
 
-    def _expand(self, raw):
-        if "&" not in raw:
-            return raw
+    def _expand(self, raw, pos):
+        """``raw`` (buffered at ``pos``) with its references replaced."""
         parts = []
         index = 0
         while True:
             amp = raw.find("&", index)
             if amp < 0:
                 parts.append(raw[index:])
-                break
+                return "".join(parts)
             parts.append(raw[index:amp])
             semi = raw.find(";", amp + 1)
             if semi < 0:
-                raise XmlSyntaxError("unterminated entity reference")
+                self._fail("unterminated entity reference", pos + amp)
             entity = raw[amp + 1:semi]
-            parts.append(self._decode_entity(entity))
+            try:
+                if entity[:2] in ("#x", "#X"):
+                    parts.append(chr(int(entity[2:], 16)))
+                elif entity[:1] == "#":
+                    parts.append(chr(int(entity[1:])))
+                else:
+                    parts.append(_PREDEFINED_ENTITIES[entity])
+            except (ValueError, OverflowError):
+                self._fail("bad character reference &%s;" % entity, pos + amp)
+            except KeyError:
+                self._fail("undefined entity &%s;" % entity, pos + amp)
             index = semi + 1
-        return "".join(parts)
 
-    def _decode_entity(self, entity):
-        if entity.startswith("#x") or entity.startswith("#X"):
-            try:
-                return chr(int(entity[2:], 16))
-            except ValueError:
-                raise XmlSyntaxError("bad character reference &%s;" % entity)
-        if entity.startswith("#"):
-            try:
-                return chr(int(entity[1:]))
-            except ValueError:
-                raise XmlSyntaxError("bad character reference &%s;" % entity)
-        if entity in _PREDEFINED_ENTITIES:
-            return _PREDEFINED_ENTITIES[entity]
-        raise XmlSyntaxError("undefined entity &%s;" % entity)
+    # -- names and namespaces ---------------------------------------------------
+
+    def _resolve(self, lexical, pos, cache):
+        """``(local, QName)`` of a lexical name under the current bindings,
+        remembered in ``cache`` (one of the two name caches).  Only an
+        element takes the default namespace when it has no prefix."""
+        prefix, _, local = lexical.rpartition(":")
+        if prefix:
+            uri = self._namespaces.get(prefix)
+            if uri is None:
+                self._fail("undeclared namespace prefix %r" % prefix, pos)
+        elif cache is self._element_names:
+            uri = self._namespaces.get("")
+        else:
+            uri = None
+        entry = cache[lexical] = (local, QName(local, uri or None,
+                                               prefix or None))
+        return entry
+
+    def _attributes(self, raw, pos, depth):
+        """The attribute part ``raw`` of the start tag of an element at
+        ``depth``, buffered at ``pos``:
+        ``(attributes, attribute_names, declared)`` as in the ``start``
+        event.  Namespace declarations open a new scope first, so they
+        apply to the tag's own names."""
+        if "<" in raw:
+            self._fail("'<' in attribute value", pos + raw.index("<"))
+        # (lexical name, "value", 'value'): "" for the quote not used
+        found = _ATTRIBUTE.findall(raw)
+        if len(found) > 1 and len({item[0] for item in found}) < len(found):
+            seen = set()
+            for match in _ATTRIBUTE.finditer(raw):
+                if match.group(1) in seen:
+                    self._fail("duplicate attribute %r" % match.group(1),
+                               pos + match.start())
+                seen.add(match.group(1))
+        if "&" in raw:
+            found = []
+            for match in _ATTRIBUTE.finditer(raw):
+                quote = 3 if match.group(2) is None else 2
+                value = match.group(quote)
+                if "&" in value:
+                    value = self._expand(value, pos + match.start(quote))
+                found.append((match.group(1), value, ""))
+        declared = None
+        if "xmlns" in raw:
+            declared = {}
+            kept = []
+            for item in found:
+                lexical = item[0]
+                if lexical == "xmlns":
+                    declared[""] = item[1] or item[2]
+                elif lexical.startswith("xmlns:"):
+                    declared[lexical[6:]] = item[1] or item[2]
+                else:
+                    kept.append(item)
+            found = kept
+        if declared:
+            self._outer_scopes.append(
+                (depth, self._namespaces, self._element_names,
+                 self._attribute_names))
+            self._namespaces = dict(self._namespaces)
+            self._namespaces.update(declared)
+            self._element_names = {}
+            self._attribute_names = {}
+        cache = self._attribute_names
+        attributes = []
+        names = []
+        for lexical, double, single in found:
+            entry = cache.get(lexical)
+            if entry is None:
+                entry = self._resolve(lexical, pos + next(
+                    match.start() for match in _ATTRIBUTE.finditer(raw)
+                    if match.group(1) == lexical), cache)
+            attributes.append((entry[0], double or single))
+            names.append(entry[1])
+        if len(names) > 1 and ":" in raw and len(set(names)) < len(names):
+            self._fail("duplicate attribute (two prefixes, one namespace)",
+                       pos)
+        return attributes, names, declared or None
+
+    def _leave_scope(self):
+        """Back to the bindings outside the innermost declaring element;
+        returns the element-name cache that goes with them."""
+        (_, self._namespaces, self._element_names,
+         self._attribute_names) = self._outer_scopes.pop()
+        return self._element_names
 
     # -- event stream --------------------------------------------------------
 
     def events(self):
         """The generator of parse events for the whole document."""
-        self._skip_space()
-        if self._starts_with("<?xml"):
-            self._read_until("?>", "unterminated XML declaration")
-        yield from self._prolog_misc()
-        if self._starts_with("<!DOCTYPE"):
-            self._parse_doctype()
-            yield from self._prolog_misc()
+        return self._scan(fragment=False)
 
-        open_tags = []
-        pending_text = []
-        elements_seen = 0
+    def _scan(self, fragment):
+        """The one tokenising loop.  With ``fragment``, character data and
+        any number of elements may sit at the top level."""
+        strip = self.strip_whitespace
+        match = _TOKEN.match
+        open_tags = []    # lexical names of the open elements
+        text = None       # merged character data not yet emitted
+        # Until the first element (or top-level text of a fragment): where
+        # a DOCTYPE may appear and white space is not content.
+        in_prolog = True
+        names = self._element_names
+        scopes = self._outer_scopes
+        pos = self._skip_declaration()
+        buf = self._buf
+        # Ahead of self._line/_counted, which _fill and _fail catch up.
+        line, counted = self._line, self._counted
         while True:
-            if not self._has(1):
-                break
-            char = self._buf[self._pos]
-            if char != "<":
-                raw = self._read_text_run()
-                if open_tags:
-                    pending_text.append(raw)
-                elif self._expand(raw).strip():
-                    raise XmlSyntaxError(
-                        "text content outside the document element")
-                continue
-            if self._starts_with("<!--"):
-                yield from self._flush_text(pending_text)
-                self._expect("<!--")
-                content = self._read_until("-->", "unterminated comment")
-                yield ("comment", content)
-            elif self._starts_with("<![CDATA["):
-                if not open_tags:
-                    raise XmlSyntaxError("CDATA outside the document element")
-                # A CDATA open is a text-node boundary (matching the DOM
-                # parser): preceding character data becomes its own event,
-                # while the section's content merges with what follows.
-                yield from self._flush_text(pending_text)
-                self._expect("<![CDATA[")
-                pending_text.append(
-                    _Opaque(self._read_until("]]>", "unterminated CDATA section")))
-            elif self._starts_with("<?"):
-                yield from self._flush_text(pending_text)
-                self._expect("<?")
-                target = self._read_name()
-                self._skip_space()
-                content = self._read_until(
-                    "?>", "unterminated processing instruction")
-                yield ("pi", target, content)
-            elif self._starts_with("</"):
-                if not open_tags:
-                    raise XmlSyntaxError("unexpected end tag")
-                yield from self._flush_text(pending_text)
-                self._expect("</")
-                name = self._read_local_name()
-                self._skip_space()
-                self._expect(">")
-                expected = open_tags.pop()
-                if name != expected:
-                    raise XmlSyntaxError(
-                        "mismatched end tag </%s>, expected </%s>"
-                        % (name, expected))
-                yield ("end", name)
-            else:
-                if not open_tags:
-                    if elements_seen:
-                        raise XmlSyntaxError("multiple top-level elements")
-                    elements_seen += 1
-                yield from self._flush_text(pending_text)
-                name, attributes, self_closing = self._parse_start_tag()
-                yield ("start", name, attributes)
-                if self_closing:
-                    yield ("end", name)
-                else:
-                    open_tags.append(name)
-        if open_tags:
-            raise XmlSyntaxError("unterminated element <%s>" % open_tags[-1])
-        if not elements_seen:
-            raise XmlSyntaxError("no document element")
-
-    def _prolog_misc(self):
-        while True:
-            self._skip_space()
-            if self._starts_with("<!--"):
-                self._expect("<!--")
-                yield ("comment",
-                       self._read_until("-->", "unterminated comment"))
-            elif self._starts_with("<?") and not self._starts_with("<?xml"):
-                self._expect("<?")
-                target = self._read_name()
-                self._skip_space()
-                yield ("pi", target, self._read_until(
-                    "?>", "unterminated processing instruction"))
-            else:
-                return
-
-    def _parse_doctype(self):
-        self._expect("<!DOCTYPE")
-        depth = 0
-        subset_parts = None
-        while True:
-            if not self._has(1):
-                raise XmlSyntaxError("unterminated DOCTYPE declaration")
-            char = self._buf[self._pos]
-            if char == "[":
-                if depth == 0 and subset_parts is None:
-                    subset_parts = []
-                    self._pos += 1
-                    subset_parts.append(
-                        self._read_until("]", "unterminated DOCTYPE subset"))
-                    self.internal_subset = "".join(subset_parts)
+            lt = buf.find("<", pos)
+            if lt < 0:
+                more = self._fill(pos)
+                if more >= 0:
+                    pos = more
+                    buf = self._buf
+                    line, counted = self._line, self._counted
                     continue
+                lt = len(buf)  # end of input: the rest is character data
+            if lt > pos:
+                raw = buf[pos:lt]
+                if open_tags or (fragment
+                                 and not (in_prolog and raw.isspace())):
+                    in_prolog = False
+                    if "&" in raw:
+                        raw = self._expand(raw, pos)
+                    if not (strip and raw.isspace()):
+                        text = raw if text is None else text + raw
+                elif not raw.isspace():
+                    self._fail("text content outside the document element",
+                               pos + len(raw) - len(raw.lstrip()))
+                pos = lt
+            if lt == len(buf):
+                break
+            token = match(buf, pos)
+            if token is None:
+                pos = self._unmatched(pos, in_prolog)
+                buf = self._buf
+                line, counted = self._line, self._counted
+                continue
+            kind = token.lastindex
+            if kind == _START:
+                if text:
+                    yield ("text", text)
+                text = None
+                lexical, raw, empty = token.group(1, 2, 3)
+                if not open_tags:
+                    if not (in_prolog or fragment):
+                        self._fail("multiple top-level elements", pos)
+                    in_prolog = False
+                elif len(open_tags) == MAX_ELEMENT_DEPTH:
+                    self._fail("elements nested deeper than %d"
+                               % MAX_ELEMENT_DEPTH, pos)
+                line += buf.count("\n", counted, pos)
+                counted = pos
+                if raw:
+                    attributes, attribute_names, declared = self._attributes(
+                        raw, token.start(2), len(open_tags) + 1)
+                    if declared:
+                        names = self._element_names
+                else:
+                    attributes, attribute_names, declared = [], [], None
+                entry = names.get(lexical)
+                if entry is None:
+                    entry = self._resolve(lexical, pos + 1, names)
+                local = entry[0]
+                yield ("start", local, attributes, entry[1], attribute_names,
+                       declared, line)
+                if empty:
+                    yield ("end", local)
+                    if declared:
+                        names = self._leave_scope()
+                else:
+                    open_tags.append(lexical)
+            elif kind == _END:
+                if text:
+                    yield ("text", text)
+                text = None
+                lexical = token.group(_END)
+                if not open_tags:
+                    self._fail("unexpected end tag", pos)
+                if lexical != open_tags[-1]:
+                    self._fail("mismatched end tag </%s>, expected </%s>"
+                               % (lexical, open_tags[-1]), pos)
+                yield ("end", names[lexical][0])
+                if scopes and scopes[-1][0] == len(open_tags):
+                    names = self._leave_scope()
+                open_tags.pop()
+            elif kind == _CDATA:
+                if not (open_tags or fragment):
+                    self._fail("CDATA section outside the document element",
+                               pos)
+                in_prolog = False
+                if text:
+                    yield ("text", text)
+                text = token.group(_CDATA)
+            else:
+                if text:
+                    yield ("text", text)
+                text = None
+                if kind == _COMMENT:
+                    yield ("comment", token.group(_COMMENT))
+                else:
+                    yield ("pi", token.group(_PI_TARGET), token.group(_PI))
+            pos = token.end()
+        if open_tags:
+            self._fail("unterminated element <%s>" % open_tags[-1], pos)
+        if text:
+            yield ("text", text)
+        if in_prolog and not fragment:
+            self._fail("no document element", pos)
+
+    def _skip_declaration(self):
+        """Buffer the start of the input; returns the offset past leading
+        white space and the XML declaration, if there is one."""
+        while True:
+            start = _SPACE.match(self._buf).end()
+            if len(self._buf) - start < len("<?xml") and self._fill(0) >= 0:
+                continue
+            if not self._buf.startswith("<?xml", start):
+                return start
+            end = self._buf.find("?>", start)
+            if end >= 0:
+                return end + 2
+            if self._fill(0) < 0:
+                self._fail("unterminated XML declaration", start)
+
+    def _unmatched(self, pos, in_prolog):
+        """No token matches at the ``<`` buffered at ``pos``.  A DOCTYPE
+        declaration is consumed and a token cut short by the end of the
+        buffer gets one more chunk (either way the offset to resume at is
+        returned); anything else is a located syntax error."""
+        buf = self._buf
+        tail = len(buf) - pos
+        for opener, closer, what in _DELIMITED:
+            if tail < len(opener) and opener.startswith(buf[pos:]):
+                what = "markup"  # too little buffered to tell what
+                break
+            if not buf.startswith(opener, pos):
+                continue
+            if closer is None:
+                if self._seen_doctype or not in_prolog:
+                    self._fail("unexpected DOCTYPE declaration", pos)
+                end = self._doctype(pos)
+                if end >= 0:
+                    self._seen_doctype = True
+                    return end
+            elif buf.find(closer, pos + len(opener)) >= 0:
+                # closed yet unmatched: a processing instruction whose
+                # target is not a name
+                self._fail("expected a name", pos + len(opener))
+            break
+        else:
+            if _CLOSED_TAG.match(buf, pos):
+                self._malformed_tag(pos)
+            what = "end tag" if buf.startswith("</", pos) else "start tag"
+        more = self._fill(pos)
+        if more < 0:
+            self._fail("unterminated %s" % what, pos)
+        return more
+
+    def _doctype(self, pos):
+        """The offset after the DOCTYPE declaration buffered at ``pos``
+        (recording its internal subset), or -1 when it is cut short."""
+        buf = self._buf
+        depth = 0
+        subset_start = None
+        for mark in _DOCTYPE_MARK.finditer(buf, pos):
+            char = mark.group()
+            if char == "[":
+                if depth == 0 and subset_start is None:
+                    subset_start = mark.end()
                 depth += 1
-            elif char == ">" and depth == 0:
-                self._pos += 1
-                self._compact()
-                return
             elif char == "]":
                 depth -= 1
-            self._pos += 1
+                if depth == 0 and subset_start is not None:
+                    self.internal_subset = buf[subset_start:mark.start()]
+            elif depth == 0:
+                return mark.end()
+        return -1
 
-    def _read_text_run(self):
-        """Raw character data up to (excluding) the next ``<``."""
+    def _malformed_tag(self, pos):
+        """Raise for the first thing wrong with the tag closed but
+        unmatched at ``pos``."""
+        buf = self._buf
+        at = pos + (2 if buf.startswith("</", pos) else 1)
+        name = _QNAME_AT.match(buf, at)
+        if name is None:
+            self._fail("expected a name", at)
+        at = _SPACE.match(buf, name.end()).end()
+        if buf.startswith("</", pos):
+            self._fail("expected '>'", at)
         while True:
-            lt = self._buf.find("<", self._pos)
-            if lt >= 0:
-                raw = self._buf[self._pos:lt]
-                self._pos = lt
-                self._compact()
-                return raw
-            if not self._fill():
-                raw = self._buf[self._pos:]
-                self._pos = len(self._buf)
-                if raw:
-                    return raw
-                raise XmlSyntaxError("unexpected end of input")
-
-    def _flush_text(self, pending):
-        if not pending:
-            return
-        value = "".join(
-            piece.value if isinstance(piece, _Opaque) else self._expand(piece)
-            for piece in pending)
-        pending.clear()
-        if not value:
-            return
-        if self.strip_whitespace and not value.strip():
-            return
-        yield ("text", value)
-
-    def _read_local_name(self):
-        name = self._read_name()
-        if self._peek() == ":":
-            self._pos += 1
-            return self._read_name()
-        return name
-
-    def _parse_start_tag(self):
-        self._expect("<")
-        prefix_or_name = self._read_name()
-        if self._peek() == ":":
-            self._pos += 1
-            name = self._read_name()
-        else:
-            name = prefix_or_name
-            prefix_or_name = None
-        attributes = []
-        while True:
-            self._skip_space()
-            if self._starts_with("/>"):
-                self._pos += 2
-                self._compact()
-                return name, attributes, True
-            if self._peek() == ">":
-                self._pos += 1
-                self._compact()
-                return name, attributes, False
-            if not self._has(1):
-                raise XmlSyntaxError("unterminated start tag")
-            attr_first = self._read_name()
-            attr_prefix = None
-            if self._peek() == ":":
-                self._pos += 1
-                attr_prefix = attr_first
-                attr_name = self._read_name()
-            else:
-                attr_name = attr_first
-            self._skip_space()
-            self._expect("=")
-            self._skip_space()
-            value = self._parse_attribute_value()
-            if attr_prefix is None and attr_name == "xmlns":
-                continue
-            if attr_prefix == "xmlns":
-                continue
-            attributes.append((attr_name, value))
-
-    def _parse_attribute_value(self):
-        quote = self._peek()
-        if quote not in ('"', "'"):
-            raise XmlSyntaxError("expected quoted attribute value")
-        self._pos += 1
-        raw = self._read_until(quote, "unterminated attribute value")
-        if "<" in raw:
-            raise XmlSyntaxError("'<' in attribute value")
-        return self._expand(raw)
-
-
-class _Opaque:
-    """CDATA content: merged verbatim, never entity-expanded."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
+            name = _QNAME_AT.match(buf, at)
+            if name is None:
+                self._fail("expected a name", at)
+            at = _SPACE.match(buf, name.end()).end()
+            if buf[at] != "=":
+                self._fail("expected '='", at)
+            at = _SPACE.match(buf, at + 1).end()
+            value = _VALUE_AT.match(buf, at)
+            if value is None:
+                self._fail("unterminated attribute value"
+                           if buf[at] in "\"'"
+                           else "expected quoted attribute value", at)
+            at = _SPACE.match(buf, value.end()).end()
 
 
 def _chunked(source, chunk_size):

@@ -72,6 +72,80 @@ class TestCatalog:
         assert db.find_index("emp", "sal") is None
 
 
+class TestInsertMaintenance:
+    """``Database.insert`` works from the table's own index list."""
+
+    def make(self):
+        database = Database()
+        database.create_table("a", [("k", INT), ("v", TEXT)])
+        database.create_table("b", [("k%d" % n, INT) for n in range(40)])
+        return database
+
+    def test_insert_does_no_work_for_another_tables_indexes(
+            self, monkeypatch):
+        from repro.rdb.types import TableSchema
+
+        database = self.make()
+        index = database.create_index("a", "k")
+        others = [database.create_index("b", "k%d" % n) for n in range(40)]
+        touched = []
+        monkeypatch.setattr(
+            BTreeIndex, "insert",
+            lambda self, key, row_id: touched.append(self.name))
+        monkeypatch.setattr(
+            TableSchema, "position_of",
+            lambda self, name: touched.append("position_of %s" % name))
+        database.insert("a", (1, "x"), (2, "y"))
+        # one entry per row in a's one index; nothing per index on b, and
+        # no column lookup per row either (the parent commit walked the
+        # whole catalog and called position_of for every row)
+        assert touched == [index.name, index.name]
+        assert all(len(other) == 0 for other in others)
+
+    def test_index_created_after_rows_exist_sees_old_and_new_rows(self):
+        database = self.make()
+        database.insert("a", (3, "c"), (1, "a"))
+        index = database.create_index("a", "k")
+        assert database.insert("a", (2, "b"), (None, "n")) == [2, 3]
+        assert index.lookup_op(">=", 1) == [1, 2, 0]  # NULL not indexed
+        database.create_index("a", "v")
+        database.insert("a", (4, "d"))
+        assert database.find_index("a", "v").lookup_eq("d") == [4]
+        assert index.lookup_eq(4) == [4]
+
+    def test_one_statistics_note_per_statement(self):
+        database = self.make()
+        database.insert("a", (1, "x"))
+        database.analyze("a")
+        version = database.stats_version()
+        database.insert("a", (2, "y"), (3, "z"))  # stale now: one bump
+        assert database.stats_version() == version + 1
+        database.insert("a", (4, "w"))  # never re-analyzed: no bump
+        database.insert("a")
+        assert database.stats_version() == version + 1
+        database.analyze("a")
+        version = database.stats_version()
+        assert database.insert("a", (5, "v"), (6, "u")) == [4, 5]
+        assert database.stats_version() == version + 1
+
+    def test_a_failed_coercion_stores_nothing(self):
+        database = self.make()
+        database.create_index("a", "k")
+        with pytest.raises(ValueError):
+            database.insert("a", (1, "x"), ("not a number", "y"))
+        assert len(database.table("a")) == 0
+        assert len(database.find_index("a", "k")) == 0
+
+    def test_recreated_table_starts_without_the_dropped_indexes(self):
+        database = self.make()
+        database.create_index("a", "k")
+        database.drop_table("a")
+        database.create_table("a", [("k", INT)])
+        database.insert("a", (1,))
+        assert database.indexes_on("a") == []
+        assert database.table("a").indexes == []
+
+
 class TestBTree:
     def make_index(self):
         index = BTreeIndex("i", "t", "c")
@@ -95,6 +169,15 @@ class TestBTree:
         index = self.make_index()
         index.insert(4, 5)
         assert sorted(index.lookup_op(">", 3)) == [0, 4, 5]
+
+    def test_appends_keep_bisect_right_order(self):
+        # the ingest fast path (key >= last key) and the bisect path must
+        # agree: equal keys stay in insertion order
+        index = BTreeIndex("i", "t", "c")
+        for row_id, key in enumerate([1, 3, 3, 2, 3, 9, 9, 0]):
+            index.insert(key, row_id)
+        assert index.lookup_range_items() == [
+            (0, 7), (1, 0), (2, 3), (3, 1), (3, 2), (3, 4), (9, 5), (9, 6)]
 
     def test_nulls_not_indexed(self):
         index = BTreeIndex("i", "t", "c")

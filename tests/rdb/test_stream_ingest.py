@@ -5,16 +5,37 @@ document — identical rows (including containment labels), identical row
 ids, identical index contents and identical fingerprints — while its
 memory high-water mark stays bounded by the parser buffer plus the open
 scopes, not the document size.
+
+Each storage has one event-driven shredder behind both doors.  The
+algorithms they replaced — the object-relational ``_find_value`` walk over
+the element tree and the tree storage's recursive ``_insert_node`` — are
+kept at the bottom of this file as references, compared row for row on the
+XSLTMark corpora and on generated schemas and documents.
 """
 
+import pytest
+from hypothesis import given, settings
+
+from repro.errors import DatabaseError, XmlSyntaxError
 from repro.rdb import Database, INT
 from repro.rdb.plan import ExecutionStats
-from repro.rdb.storage import ObjectRelationalStorage
+from repro.rdb.storage import (
+    ColumnBinding,
+    InlineBinding,
+    ObjectRelationalStorage,
+    PresenceBinding,
+)
 from repro.rdb.treestorage import TreeStorage
 from repro.schema import schema_from_dtd
-from repro.xmlmodel import parse_document, serialize
+from repro.xmlmodel import NodeKind, parse_document, serialize
+from repro.xmlmodel.labels import assign_labels
+from repro.xmlmodel.stream_ingest import MAX_ELEMENT_DEPTH
+from repro.xsltmark import ALL_CASES
 
+from tests.property.test_random_schemas import schema_and_document
 from tests.rdb.tree_corpus import iter_tree_xml, tree_xml
+from tests.xmlmodel.test_parser import MALFORMED, verdict
+from tests.xmlmodel.test_scanner_differential import documents
 
 GNARLY = (
     "<!-- prolog --><tree official=\"yes\"><node>plain"
@@ -203,3 +224,445 @@ class TestObjectRelationalStreaming:
         storage.load_stream(text, stats=stats, chunk_size=256)
         assert len(db.table("xd_emp")) == 500
         assert stats.peak_ingest_buffered_bytes < len(text) * 0.4
+
+
+# -- one scanner behind every door ------------------------------------------------------
+
+ABC_DTD = """
+<!ELEMENT a (b*, c*)>
+<!ELEMENT b (#PCDATA)>
+<!ELEMENT c (#PCDATA)>
+<!ATTLIST a x CDATA #IMPLIED>
+<!ATTLIST b x CDATA #IMPLIED>
+"""
+
+
+def tree_stream(source):
+    return TreeStorage(Database(), "t").load_stream(source, chunk_size=5)
+
+
+def or_stream(source):
+    storage = ObjectRelationalStorage(Database(), schema_from_dtd(ABC_DTD),
+                                      "s")
+    return storage.load_stream(source, chunk_size=5)
+
+
+class TestEveryDoorRejectsTheSame:
+    @pytest.mark.parametrize("source, message, line, column", MALFORMED)
+    def test_malformed_table_through_the_storages(self, source, message,
+                                                  line, column):
+        expected = "%s (line %d, column %d)" % (message, line, column)
+        assert verdict(tree_stream, source) == expected
+        if not message.startswith("elements nested deeper"):
+            # (a non-recursive schema rejects <a> under <a> first)
+            assert verdict(or_stream, source) == expected
+
+    def test_duplicate_attribute_through_both_doors_of_both_storages(self):
+        # on the parent commit the DOM door kept the last value, the
+        # stream door stored two attribute rows, and labels diverged
+        source = "<a x='1' x='2'><b/></a>"
+        doors = [
+            tree_stream, or_stream,
+            lambda text: TreeStorage(Database(), "t").load(
+                parse_document(text)),
+            lambda text: ObjectRelationalStorage(
+                Database(), schema_from_dtd(ABC_DTD), "s").load(
+                parse_document(text)),
+        ]
+        assert {verdict(door, source) for door in doors} == {
+            "duplicate attribute 'x' (line 1, column 10)"}
+
+    def test_undeclared_prefix_no_longer_loads_through_the_stream(self):
+        with pytest.raises(XmlSyntaxError, match="undeclared namespace"):
+            tree_stream("<p:a/>")
+
+    def test_depth_cap_holds_for_the_stores_and_their_materialiser(self):
+        source = "<a>" * MAX_ELEMENT_DEPTH + "</a>" * MAX_ELEMENT_DEPTH
+        storage = TreeStorage(Database(), "t")
+        storage.load_stream(source)
+        storage.load(parse_document(source))
+        import sys
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # the interpreter's default
+        try:
+            materialized = serialize(storage.materialize(2))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert parse_document(materialized).document_element is not None
+        assert materialized.count("<a") == MAX_ELEMENT_DEPTH
+        with pytest.raises(XmlSyntaxError, match="nested deeper"):
+            storage.load_stream("<a>" + source + "</a>")
+
+
+# -- generated matrix: load(parse_document(t)) vs load_stream(chunks(t)) ----------------
+
+
+def chunks(text, size):
+    return (text[index:index + size] for index in range(0, len(text), size))
+
+
+def btree_entries(index):
+    return (list(index._keys), list(index._row_ids))
+
+
+def tree_state(storage):
+    db = storage.db
+    return {
+        "rows": rows_of(db, storage.table_name),
+        "fingerprint": storage.fingerprint(),
+        "catalog": db.fingerprint(),
+        "counters": (storage._doc_counter, storage._node_counter),
+        "value indexes": [(index.name, btree_entries(index))
+                          for index in db.indexes_on(storage.table_name)],
+        "path/value": (
+            storage.index.entries,
+            {path: btree_entries(index)
+             for path, index in storage.index._text.items()},
+            {path: btree_entries(index)
+             for path, index in storage.index._number.items()}),
+        "structural": (
+            len(storage.structural), dict(storage.structural._by_name),
+            {path: btree_entries(index)
+             for path, index in storage.structural._by_path.items()}),
+    }
+
+
+def or_state(storage):
+    db = storage.db
+    return {
+        "fingerprint": storage.fingerprint(),
+        "tables": {
+            binding.table_name: (
+                rows_of(db, binding.table_name),
+                [(index.name, btree_entries(index))
+                 for index in db.indexes_on(binding.table_name)])
+            for binding in storage.tables},
+    }
+
+
+class TestGeneratedMatrix:
+    @given(text=documents())
+    @settings(max_examples=60, deadline=None)
+    def test_tree_storage(self, text):
+        states = []
+        for door in ("load", 1, 7, 256):
+            storage = TreeStorage(Database(), "t")
+            for _ in range(2):  # a second document continues the ids
+                if door == "load":
+                    storage.load(parse_document(text))
+                else:
+                    storage.load_stream(chunks(text, door))
+            states.append(tree_state(storage))
+        assert all(state == states[0] for state in states[1:])
+
+    @given(pair=schema_and_document())
+    @settings(max_examples=60, deadline=None)
+    def test_object_relational_storage(self, pair):
+        schema, document = pair
+        text = serialize(document)
+        states = []
+        for door in ("load", 1, 7, 256):
+            storage = ObjectRelationalStorage(Database(), schema, "s")
+            for _ in range(2):
+                if door == "load":
+                    storage.load(parse_document(text))
+                else:
+                    storage.load_stream(chunks(text, door))
+            states.append(or_state(storage))
+        assert all(state == states[0] for state in states[1:])
+
+
+# -- the replaced shredders, as references ----------------------------------------------
+
+
+def reference_or_load(storage, document):
+    """``ObjectRelationalStorage.load`` as it was: validate, stamp labels,
+    then read every column value out of the element tree."""
+    db = storage.db
+    violations = storage.schema.validate(document)
+    if violations:
+        raise DatabaseError(
+            "document does not conform to schema: %s" % violations[0])
+    storage._doc_counter += 1
+    doc_id = storage._doc_counter
+    assign_labels(document)
+
+    def _next_row_id(table_binding):
+        return len(db.table(table_binding.table_name)) + 1
+
+    def _column_values(element, decl, table):
+        return [_find_value(element, decl, binding)
+                for binding in storage._columns[id(table)]]
+
+    def _find_value(element, decl, binding):
+        if binding.is_attribute:
+            owner = (element if decl is binding.decl
+                     else _find_holder(element, decl, binding.decl))
+            if owner is None:
+                return None
+            return owner.get_attribute(binding.attr_name)
+        if isinstance(binding, PresenceBinding):
+            holder = _find_holder(element, decl, binding.decl)
+            return 1 if holder is not None else 0
+        if isinstance(storage.bindings[id(binding.decl)], ColumnBinding):
+            holder = _find_holder(element, decl, binding.decl)
+            if holder is None:
+                return None
+            return holder.string_value()
+        return None
+
+    def _find_holder(element, decl, target_decl):
+        if decl is target_decl:
+            return element
+        for particle in decl.particles:
+            if not particle.at_most_one:
+                continue
+            child_element = element.find(particle.decl.name)
+            if particle.decl is target_decl:
+                return child_element
+            if child_element is not None and not particle.decl.is_leaf:
+                found = _find_holder(child_element, particle.decl,
+                                     target_decl)
+                if found is not None:
+                    return found
+        return None
+
+    def _insert_element(element, decl, row_id):
+        table = storage.bindings[id(decl)]
+        assert not isinstance(table, InlineBinding)
+        values = [row_id]
+        values.extend(_column_values(element, decl, table))
+        values.extend(element.label.as_tuple())
+        db.insert(table.table_name, tuple(values))
+        _insert_repeating(element, decl, row_id)
+
+    def _insert_repeating(element, decl, parent_row_id):
+        for particle in decl.particles:
+            child = particle.decl
+            if particle.at_most_one:
+                if not child.is_leaf:
+                    child_element = element.find(child.name)
+                    if child_element is not None:
+                        _insert_repeating(child_element, child,
+                                          parent_row_id)
+                continue
+            child_table = storage.bindings[id(child)]
+            for seq, child_element in enumerate(element.findall(child.name)):
+                row_id = _next_row_id(child_table)
+                values = [row_id, parent_row_id, seq]
+                if child.is_leaf:
+                    values.append(child_element.string_value())
+                    for binding in storage._columns[id(child_table)][1:]:
+                        values.append(
+                            _find_value(child_element, child, binding))
+                else:
+                    values.extend(
+                        _column_values(child_element, child, child_table))
+                values.extend(child_element.label.as_tuple())
+                db.insert(child_table.table_name, tuple(values))
+                _insert_repeating(child_element, child, row_id)
+
+    _insert_element(document.document_element, storage.schema.root, doc_id)
+    return doc_id
+
+
+def reference_tree_load(storage, document):
+    """``TreeStorage.load`` as it was: stamp labels, then one recursive
+    ``_insert_node`` per node and a second walk for the path/value index."""
+    db = storage.db
+    storage._doc_counter += 1
+    doc_id = storage._doc_counter
+    assign_labels(document)
+
+    def _insert_node(node, parent_id, seq, path):
+        storage._node_counter += 1
+        node_id = storage._node_counter
+        kind = node.kind
+        label = node.label.as_tuple()
+        if kind == NodeKind.ELEMENT:
+            node_path = "%s/%s" % (path, node.name.local)
+            row_ids = db.insert(
+                storage.table_name,
+                (node_id, doc_id, parent_id, seq, "element",
+                 node.name.local, None) + label)
+            if storage.structural is not None:
+                storage.structural.add_elements(doc_id, [
+                    (node_path, node.name.local, label[0], row_ids[0])])
+            position = 0
+            for attribute in node.attributes:
+                storage._node_counter += 1
+                db.insert(
+                    storage.table_name,
+                    (storage._node_counter, doc_id, node_id, position,
+                     "attribute", attribute.name.local, attribute.value)
+                    + attribute.label.as_tuple())
+                position += 1
+            for child in node.children:
+                _insert_node(child, node_id, position, node_path)
+                position += 1
+        else:
+            name = node.target if kind == NodeKind.PI else None
+            stored_kind = {NodeKind.TEXT: "text", NodeKind.COMMENT: "comment",
+                           NodeKind.PI: "pi"}[kind]
+            db.insert(storage.table_name,
+                      (node_id, doc_id, parent_id, seq, stored_kind, name,
+                       node.value) + label)
+
+    for seq, child in enumerate(document.children):
+        _insert_node(child, 0, seq, "")
+    if storage.index is not None:
+        storage.index.add_document(doc_id, document)
+    return doc_id
+
+
+LIBRARY_DTD = """
+<!ELEMENT lib (meta?, shelf*, tag*)>
+<!ATTLIST lib owner CDATA #IMPLIED>
+<!ELEMENT meta (title, info?)>
+<!ATTLIST meta lang CDATA #IMPLIED>
+<!ELEMENT title (#PCDATA)>
+<!ATTLIST title short CDATA #IMPLIED>
+<!ELEMENT info (note?)>
+<!ELEMENT note (#PCDATA)>
+<!ELEMENT shelf (book*, label?)>
+<!ATTLIST shelf no CDATA #IMPLIED>
+<!ELEMENT book (name, year?)>
+<!ATTLIST book isbn CDATA #IMPLIED>
+<!ELEMENT name (#PCDATA)>
+<!ELEMENT year (#PCDATA)>
+<!ELEMENT label (#PCDATA)>
+<!ELEMENT tag (#PCDATA)>
+<!ATTLIST tag weight CDATA #IMPLIED>
+"""
+LIBRARY_DOCS = [
+    "<lib/>",
+    "<!--before--><lib owner='me'><meta lang='en'><title short='t'>T&amp;"
+    "<!--split-->itle</title><info><note><![CDATA[<n>]]> tail</note></info>"
+    "</meta><shelf no='1'><book isbn='x1'><name>One</name><year>1999</year>"
+    "</book><?pi here?><book><name/></book><label/></shelf><shelf/>"
+    "<tag weight='3'>red</tag><tag>blue<!--c-->ish</tag></lib><!--after-->",
+    "<lib><meta><title>only</title><info/></meta><shelf><label>L</label>"
+    "</shelf><tag weight='7'/></lib>",
+]
+
+
+def case_storage(case):
+    return ObjectRelationalStorage(
+        Database(), schema_from_dtd(case.dtd), "s",
+        column_types=case.column_types)
+
+
+SHREDDABLE_CASES = [case for case in ALL_CASES
+                    if not schema_from_dtd(case.dtd).is_recursive()]
+
+
+class TestAgainstTheReplacedShredders:
+    @pytest.mark.parametrize("case", SHREDDABLE_CASES,
+                             ids=lambda case: case.name)
+    def test_object_relational_rows_on_the_xsltmark_corpora(self, case):
+        reference = case_storage(case)
+        loaded = case_storage(case)
+        streamed = case_storage(case)
+        for name in case.indexed_elements:
+            for storage in (reference, loaded, streamed):
+                storage.create_value_index(name)
+        for size in (0, 1, 12):
+            text = serialize(case.make_document(size))
+            reference_or_load(reference, parse_document(text))
+            loaded.load(parse_document(text))
+            streamed.load_stream(text, chunk_size=64)
+        assert or_state(loaded) == or_state(reference)
+        assert or_state(streamed) == or_state(reference)
+
+    @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.name)
+    def test_tree_rows_on_the_xsltmark_corpora(self, case):
+        reference = TreeStorage(Database(), "t")
+        loaded = TreeStorage(Database(), "t")
+        streamed = TreeStorage(Database(), "t")
+        for size in (0, 1, 12):
+            text = serialize(case.make_document(size))
+            reference_tree_load(reference, parse_document(text))
+            loaded.load(parse_document(text))
+            streamed.load_stream(text, chunk_size=64)
+        assert tree_state(loaded) == tree_state(reference)
+        assert tree_state(streamed) == tree_state(reference)
+
+    @given(pair=schema_and_document())
+    @settings(max_examples=100, deadline=None)
+    def test_object_relational_rows_on_random_schemas(self, pair):
+        schema, document = pair
+        reference = ObjectRelationalStorage(Database(), schema, "s")
+        loaded = ObjectRelationalStorage(Database(), schema, "s")
+        for _ in range(2):
+            reference_or_load(reference, document)
+            loaded.load(document)
+        assert or_state(loaded) == or_state(reference)
+
+    @given(text=documents())
+    @settings(max_examples=100, deadline=None)
+    def test_tree_rows_on_generated_documents(self, text):
+        reference = TreeStorage(Database(), "t")
+        loaded = TreeStorage(Database(), "t")
+        for _ in range(2):
+            reference_tree_load(reference, parse_document(text))
+            loaded.load(parse_document(text))
+        assert tree_state(loaded) == tree_state(reference)
+
+    def test_every_binding_kind_on_a_hand_written_schema(self):
+        # attributes on the row element, on column leaves, on an inline
+        # wrapper and on a repeating leaf; optional and nested wrappers
+        # (presence columns); typed columns; comments, processing
+        # instructions, CDATA and split text inside leaves
+        def storage():
+            return ObjectRelationalStorage(
+                Database(), schema_from_dtd(LIBRARY_DTD), "s",
+                column_types={"year": INT, "weight": INT})
+
+        reference, loaded, streamed = storage(), storage(), storage()
+        for text in LIBRARY_DOCS:
+            reference_or_load(reference, parse_document(text))
+            loaded.load(parse_document(text))
+            streamed.load_stream(text, strip_whitespace=False, chunk_size=9)
+        assert or_state(loaded) == or_state(reference)
+        assert or_state(streamed) == or_state(reference)
+        assert [serialize(streamed.materialize(doc_id))
+                for doc_id in streamed.document_ids()] == [
+            serialize(reference.materialize(doc_id))
+            for doc_id in reference.document_ids()]
+
+    def test_declaration_shared_by_two_wrappers_of_one_row(self):
+        # <name> is one declaration stored twice in the row of <a>: the
+        # replaced shredder found the first instance for both columns
+        dtd = ("<!ELEMENT a (b, c)><!ELEMENT b (name)><!ELEMENT c (name)>"
+               "<!ELEMENT name (#PCDATA)>")
+        text = "<a><b><name>1</name></b><c><name>2</name></c></a>"
+        states = []
+        for load in (reference_or_load,
+                     ObjectRelationalStorage.load,
+                     lambda storage, document: storage.load_stream(text)):
+            storage = ObjectRelationalStorage(
+                Database(), schema_from_dtd(dtd), "s")
+            load(storage, parse_document(text))
+            states.append(or_state(storage))
+        assert states[1] == states[0] and states[2] == states[0]
+
+    def test_batches_flush_mid_document(self, monkeypatch):
+        # rows leave for the table while elements are still open: their
+        # end labels are filled in afterwards, ids stay consecutive
+        from repro.rdb import storage as or_module, treestorage
+        monkeypatch.setattr(treestorage, "_BATCH_ROWS", 7)
+        monkeypatch.setattr(or_module, "_BATCH_ROWS", 3)
+        text = tree_xml(2)
+        reference = TreeStorage(Database(), "t")
+        streamed = TreeStorage(Database(), "t")
+        for _ in range(2):
+            reference_tree_load(reference, parse_document(text))
+            streamed.load_stream(text, chunk_size=32)
+        assert tree_state(streamed) == tree_state(reference)
+        case = SHREDDABLE_CASES[0]
+        reference, streamed = case_storage(case), case_storage(case)
+        text = serialize(case.make_document(20))
+        for _ in range(2):
+            reference_or_load(reference, parse_document(text))
+            streamed.load_stream(text, chunk_size=32)
+        assert or_state(streamed) == or_state(reference)

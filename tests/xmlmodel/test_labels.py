@@ -56,7 +56,8 @@ class TestLabels:
 
 
 def events(text, **kwargs):
-    return list(stream_events(text, **kwargs))
+    """The shredder-facing view: a start event's first three fields."""
+    return [event[:3] for event in stream_events(text, **kwargs)]
 
 
 class TestStreamParser:
@@ -114,6 +115,16 @@ class TestStreamParser:
             ("end", "b"),
             ("end", "a"),
         ]
+
+    def test_start_event_carries_the_dom_fields(self):
+        (_, local, attributes, name, attribute_names, namespaces,
+         line), *_ = stream_events('\n<p:a xmlns:p="u" p:x="1" y="2"/>')
+        assert (local, attributes) == ("a", [("x", "1"), ("y", "2")])
+        assert (name.local, name.uri, name.prefix) == ("a", "u", "p")
+        assert [(q.local, q.uri, q.prefix) for q in attribute_names] == [
+            ("x", "u", "p"), ("y", None, None)]
+        assert namespaces == {"p": "u"}
+        assert line == 2
 
     def test_chunk_boundaries_do_not_matter(self):
         text = '<r a="v&#65;l"><x>one<!--c-->two</x><y/>tail text</r>'

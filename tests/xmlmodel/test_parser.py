@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import XmlSyntaxError
 from repro.xmlmodel import NodeKind, parse_document, parse_fragment, serialize
+from repro.xmlmodel.stream_ingest import MAX_ELEMENT_DEPTH, stream_events
 
 
 class TestBasicParsing:
@@ -172,6 +173,106 @@ class TestErrors:
         with pytest.raises(XmlSyntaxError) as excinfo:
             parse_document("<a>\n<b></a>")
         assert excinfo.value.line == 2
+
+
+# (input, message, line, column): one scanner, so one verdict whichever door
+# the text comes through (tests/rdb/test_stream_ingest.py pushes the same
+# table through both storages' load_stream).
+MALFORMED = [
+    ("<a><b></a>", "mismatched end tag </a>, expected </b>", 1, 7),
+    ("<a>\n<b>\n </c></a>", "mismatched end tag </c>, expected </b>", 3, 2),
+    ("<a>&nope;</a>", "undefined entity &nope;", 1, 4),
+    ("<a>\n\n  <b x='&bad;'/></a>", "undefined entity &bad;", 3, 9),
+    ("<a>&#xZZ;</a>", "bad character reference &#xZZ;", 1, 4),
+    ("<a>&amp</a>", "unterminated entity reference", 1, 4),
+    ("<a x='<'/>", "'<' in attribute value", 1, 7),
+    ("<a/><b/>", "multiple top-level elements", 1, 5),
+    ("<a>", "unterminated element <a>", 1, 4),
+    ("</a>", "unexpected end tag", 1, 1),
+    ("<a b=c/>", "expected quoted attribute value", 1, 6),
+    ("<a b/>", "expected '='", 1, 5),
+    ("<1a/>", "expected a name", 1, 2),
+    ("<a><?1x?></a>", "expected a name", 1, 6),
+    ("<a x=\"1/>", "unterminated start tag", 1, 1),
+    ("<a></a", "unterminated end tag", 1, 4),
+    ("<a><!-- never closed</a>", "unterminated comment", 1, 4),
+    ("<a><![CDATA[ never closed</a>", "unterminated CDATA section", 1, 4),
+    ("<a><?pi never closed</a>",
+     "unterminated processing instruction", 1, 4),
+    ("<!DOCTYPE a [ never closed <a/>",
+     "unterminated DOCTYPE declaration", 1, 1),
+    ("<a/><!DOCTYPE a>", "unexpected DOCTYPE declaration", 1, 5),
+    ("<a/>\ntrailing", "text content outside the document element", 2, 1),
+    ("leading<a/>", "text content outside the document element", 1, 1),
+    ("<a/><![CDATA[x]]>",
+     "CDATA section outside the document element", 1, 5),
+    ("", "no document element", 1, 1),
+    ("<a x='1' x='2'><b/></a>", "duplicate attribute 'x'", 1, 10),
+    ("<a xmlns:p='u' xmlns:q='u' p:x='1' q:x='2'/>",
+     "duplicate attribute (two prefixes, one namespace)", 1, 3),
+    ("<p:a/>", "undeclared namespace prefix 'p'", 1, 2),
+    ("<a p:x='1'/>", "undeclared namespace prefix 'p'", 1, 4),
+    ("<a>" * (MAX_ELEMENT_DEPTH + 1) + "</a>" * (MAX_ELEMENT_DEPTH + 1),
+     "elements nested deeper than %d" % MAX_ELEMENT_DEPTH,
+     1, 3 * MAX_ELEMENT_DEPTH + 1),
+]
+
+
+def verdict(door, source):
+    with pytest.raises(XmlSyntaxError) as excinfo:
+        door(source)
+    error = excinfo.value
+    message = "%s (line %d, column %d)" % (
+        str(error).rsplit(" (line", 1)[0], error.line, error.column)
+    assert str(error) == message  # the location is in the text as well
+    return message
+
+
+class TestOneScannerOneVerdict:
+    DOORS = [
+        parse_document,
+        lambda source: list(stream_events(source)),
+        # newlines and columns are counted across chunk boundaries
+        lambda source: list(stream_events(source, chunk_size=1)),
+        lambda source: list(stream_events(source, chunk_size=3)),
+    ]
+
+    @pytest.mark.parametrize("source, message, line, column", MALFORMED)
+    def test_same_message_and_location_from_every_door(
+            self, source, message, line, column):
+        expected = "%s (line %d, column %d)" % (message, line, column)
+        for door in self.DOORS:
+            assert verdict(door, source) == expected
+
+    def test_location_survives_buffer_compaction(self):
+        # ~40 KB of lines in 1 KB chunks: the consumed prefix is dropped
+        # several times before the error
+        source = "<a>\n" + "<b>text</b>\n" * 3000 + "  <c></d></a>"
+        with pytest.raises(XmlSyntaxError) as excinfo:
+            list(stream_events(source, chunk_size=1024))
+        assert (excinfo.value.line, excinfo.value.column) == (3002, 6)
+
+    def test_hostile_depth_is_a_syntax_error_not_a_recursion_error(self):
+        with pytest.raises(XmlSyntaxError, match="nested deeper"):
+            parse_document("<a>" * 200_000 + "</a>" * 200_000)
+
+    def test_a_document_at_the_cap_survives_the_recursive_consumers(self):
+        import sys
+        source = "<a>" * MAX_ELEMENT_DEPTH + "t" + "</a>" * MAX_ELEMENT_DEPTH
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # the interpreter's default
+        try:
+            document = parse_document(source)
+            assert serialize(document) == source
+            document.renumber()  # Document.stamp
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_fragments_get_the_same_checks(self):
+        assert verdict(parse_fragment, "<a x='1' x='2'/><b/>") == (
+            "duplicate attribute 'x' (line 1, column 10)")
+        assert verdict(parse_fragment, "text</a>") == (
+            "unexpected end tag (line 1, column 5)")
 
 
 class TestWhitespaceHandling:
