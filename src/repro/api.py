@@ -29,16 +29,15 @@ from repro.core.transform import (
     DEFAULT_CHUNK_CHARS,
     STRATEGY_FUNCTIONAL,
     STRATEGY_SQL,
-    CompiledTransform,
     _compile_impl,
-    _functional,
+    _stylesheet,
     execute_compiled,
     execute_compiled_stream,
-    transform_many as _transform_many,
+    source_fingerprint,
 )
 from repro.core.xquery_gen import RewriteOptions
 from repro.obs import get_tracer, global_metrics
-from repro.xslt.stylesheet import Stylesheet, compile_stylesheet
+from repro.obs.recorder import transform_fields
 
 __all__ = [
     "Engine",
@@ -240,8 +239,9 @@ class Engine:
     function-style wrapper — a caller uses.  An optional
     :class:`~repro.obs.recorder.FlightRecorder` additionally receives
     one :class:`~repro.obs.recorder.RequestRecord` per
-    :meth:`transform` call (the serve tier wires its own recorder; pass
-    one here for engine-level use without a service).
+    :meth:`transform` call, per :meth:`transform_many` result and per
+    drained :meth:`transform_stream` (the serve tier wires its own
+    recorder; pass one here for engine-level use without a service).
 
     ``workers`` sizes the serving tier :meth:`serve` builds: 1 (the
     default) keeps everything in-process, >1 scales out to that many
@@ -270,13 +270,12 @@ class Engine:
         :class:`~repro.core.transform.CompiledTransform` carrying the
         categorized error (negative caching)."""
         opts = TransformOptions.coerce(options)
-        if not opts.effective_rewrite():
-            if not isinstance(stylesheet, Stylesheet):
-                with self.tracer.span("compile.stylesheet"):
-                    stylesheet = compile_stylesheet(stylesheet)
-            return CompiledTransform(stylesheet, STRATEGY_FUNCTIONAL)
+        return self._compile(self.db, source, stylesheet, opts,
+                             opts.effective_rewrite())
+
+    def _compile(self, db, source, stylesheet, opts, rewrite):
         return _compile_impl(
-            self.db, source, stylesheet,
+            db, source, stylesheet, rewrite,
             options=opts.resolved_rewrite_options(),
             tracer=self.tracer, metrics=self.metrics,
             optimizer_level=opts.optimizer_level,
@@ -293,56 +292,67 @@ class Engine:
         :class:`~repro.xslt.stylesheet.Stylesheet`; a pre-compiled
         artifact from :meth:`compile` goes through
         :meth:`execute` instead."""
-        opts = TransformOptions.coerce(options)
-        tracer, metrics = self.tracer, self.metrics
-        rewrite = opts.effective_rewrite()
-        with tracer.span("xml_transform", rewrite=rewrite) as root:
-            if rewrite and not params:
-                metrics.counter("transform.rewrite_attempts").inc()
-                compiled = self.compile(source, stylesheet, options=opts)
-                result = execute_compiled(
-                    self.db, source, compiled, params=params, tracer=tracer,
-                    metrics=metrics, profile_plan=opts.profile_plan,
-                    root=root, batch_size=opts.batch_size,
-                    feedback=opts.feedback,
-                )
-            else:
-                if not isinstance(stylesheet, Stylesheet):
-                    with tracer.span("compile.stylesheet"):
-                        stylesheet = compile_stylesheet(stylesheet)
-                result = _functional(self.db, source, stylesheet, params,
-                                     tracer)
+        return self._transform(self.db, source, stylesheet,
+                               TransformOptions.coerce(options), params)
+
+    def _transform(self, db, source, stylesheet, opts, params, plans=None):
+        with self.tracer.span("xml_transform",
+                              rewrite=opts.effective_rewrite()) as root:
+            result = self._open(execute_compiled, root, db, source,
+                                stylesheet, opts, params, plans)
             root.set_attr(strategy=result.strategy)
-        if root:
-            result.trace = root
-        if self.recorder is not None and root:
-            self._record(root, result)
+        self._record(root, result)
         return result
 
-    def _record(self, root, result):
-        """Flight-record one finished :meth:`transform` call."""
-        from repro.obs.recorder import stage_seconds, transform_fields
+    def _open(self, door, root, db, source, stylesheet, opts, params,
+              plans=None, **door_options):
+        """What every one-shot door does under its root span: rewrite
+        unless ``params`` are given (a plan cannot bind them), count the
+        attempt, compile — once per source shape, given
+        :meth:`transform_many`'s ``plans`` memo — and open ``door`` over
+        the artifact."""
+        rewrite = opts.effective_rewrite() and not params
+        key = source_fingerprint(source) \
+            if rewrite and plans is not None else None
+        compiled = plans.get(key) if key is not None else None
+        if compiled is None:
+            if rewrite:
+                self.metrics.counter("transform.rewrite_attempts").inc()
+            compiled = self._compile(db, source, stylesheet, opts, rewrite)
+            if key is not None:
+                plans[key] = compiled
+        view = self._run(door, root, db, source, compiled, opts, params,
+                         **door_options)
+        if root:
+            view.run.trace = root
+        return view
 
-        spans = [span.to_dict() for span in root.iter_spans()]
-        self.recorder.record(
-            root.trace_id, name="xml_transform",
-            status="ok" if result.fallback_reason is None else "fallback",
-            execute_seconds=(result.stats.elapsed_seconds
-                             if result.stats is not None else None),
-            total_seconds=root.duration,
-            stages=stage_seconds(spans), spans=spans,
-            **transform_fields(result)
+    def _run(self, door, root, db, source, compiled, opts, params,
+             **door_options):
+        return door(
+            db, source, compiled, params=params, tracer=self.tracer,
+            metrics=self.metrics, root=root, profile_plan=opts.profile_plan,
+            batch_size=opts.batch_size, feedback=opts.feedback,
+            **door_options
         )
+
+    def _record(self, root, view):
+        """Flight-record one finished (drained) one-shot transform."""
+        if self.recorder is not None and root:
+            self.recorder.record(
+                root.trace_id, name="xml_transform",
+                status="ok" if view.fallback_reason is None else "fallback",
+                total_seconds=root.duration,
+                spans=[span.to_dict() for span in root.iter_spans()],
+                **transform_fields(view)
+            )
 
     def execute(self, source, compiled, options=None, params=None):
         """Run one request over a pre-compiled artifact from
-        :meth:`compile` (what the serving layer pays per cache hit)."""
-        opts = TransformOptions.coerce(options)
-        return execute_compiled(
-            self.db, source, compiled, params=params, tracer=self.tracer,
-            metrics=self.metrics, profile_plan=opts.profile_plan,
-            batch_size=opts.batch_size, feedback=opts.feedback,
-        )
+        :meth:`compile` (what the serving layer pays per cache hit): no
+        root span, no flight record."""
+        return self._run(execute_compiled, None, self.db, source, compiled,
+                         TransformOptions.coerce(options), params)
 
     # -- serve --------------------------------------------------------------------
 
@@ -375,31 +385,53 @@ class Engine:
         serialized output chunks.  On the SQL strategy no result DOM is
         built — ``stream.stats.docs_materialized`` stays 0 and peak
         buffering is bounded by ``options.chunk_chars`` (tracked in
-        ``stream.stats.peak_buffered_bytes``)."""
-        opts = TransformOptions.coerce(options)
-        if opts.effective_rewrite() and not params:
-            self.metrics.counter("transform.rewrite_attempts").inc()
-            compiled = self.compile(source, stylesheet, options=opts)
-        else:
-            stylesheet_obj = stylesheet
-            if not isinstance(stylesheet_obj, Stylesheet):
-                with self.tracer.span("compile.stylesheet"):
-                    stylesheet_obj = compile_stylesheet(stylesheet_obj)
-            compiled = CompiledTransform(stylesheet_obj, STRATEGY_FUNCTIONAL)
-        return execute_compiled_stream(
-            self.db, source, compiled, params=params, tracer=self.tracer,
-            metrics=self.metrics, profile_plan=opts.profile_plan,
-            batch_size=opts.batch_size, chunk_chars=opts.chunk_chars,
-            feedback=opts.feedback,
-        )
+        ``stream.stats.peak_buffered_bytes``).
+
+        The compile happens here; the run happens as the chunks are
+        pulled, and the ``xml_transform`` root span stays open — and
+        current on this thread's tracer — until the stream is drained
+        (then it is flight-recorded) or closed."""
+        drain = self._drain(source, stylesheet,
+                            TransformOptions.coerce(options), params)
+        stream = next(drain)
+        stream.chunks = drain
+        return stream
+
+    def _drain(self, source, stylesheet, opts, params):
+        """:meth:`_transform` for a lazy view: yields the opened stream
+        first, then its chunks, all inside the root span."""
+        with self.tracer.span("xml_transform",
+                              rewrite=opts.effective_rewrite()) as root:
+            stream = self._open(execute_compiled_stream, root, self.db,
+                                source, stylesheet, opts, params,
+                                chunk_chars=opts.chunk_chars)
+            chunks = stream.chunks  # the caller points stream.chunks here
+            yield stream
+            yield from chunks
+            root.set_attr(strategy=stream.strategy)
+        self._record(root, stream)
 
     def transform_many(self, sources, stylesheet, options=None, params=None):
-        """One stylesheet over many sources, compiling once per distinct
-        source shape; returns the list of results in input order."""
-        return _transform_many(
-            self.db, sources, stylesheet, options=options, params=params,
-            tracer=self.tracer, metrics=self.metrics,
-        )
+        """Apply one stylesheet across many sources, compiling once per
+        distinct source *shape*; returns the list of results in input
+        order.
+
+        ``sources`` is an iterable of sources, or of ``(db, source)``
+        pairs when the documents live in different databases.  The
+        stylesheet is compiled once and the rewrite runs once per
+        distinct :func:`~repro.core.transform.source_fingerprint` — N
+        same-shaped documents pay one compile and N plan executions,
+        which is what makes this ≥2× faster than N independent
+        :meth:`transform` calls."""
+        opts = TransformOptions.coerce(options)
+        stylesheet = _stylesheet(stylesheet, self.tracer)
+        plans, results = {}, []
+        for entry in sources:
+            db, source = entry if isinstance(entry, tuple) \
+                else (self.db, entry)
+            results.append(self._transform(db, source, stylesheet, opts,
+                                           params, plans))
+        return results
 
     # -- explain ------------------------------------------------------------------
 
@@ -416,12 +448,9 @@ class Engine:
         opts = TransformOptions.coerce(options)
         compiled = self.compile(source, stylesheet, options=opts)
         if analyze:
-            result = execute_compiled(
-                self.db, source, compiled, tracer=self.tracer,
-                metrics=self.metrics, profile_plan=True,
-                batch_size=opts.batch_size,
-            )
-            return result.explain()
+            return self.execute(
+                source, compiled, options=opts.replace(profile_plan=True)
+            ).explain()
         fallback_reason = None
         if compiled.error is not None:
             fallback_reason = "compile: %s" % compiled.error

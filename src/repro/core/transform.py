@@ -1,24 +1,32 @@
 """The run-time front door: the paper's ``XMLTransform()``.
 
 ``xml_transform(db, source, stylesheet, options=...)`` applies a stylesheet
-to every XMLType instance a source produces and reports *how* it did it:
+to every XMLType instance a source produces and reports *how* it did it.
 
-* ``TransformOptions(rewrite=True)``, the default — try the full pipeline (partial evaluation → XQuery →
-  SQL/XML merge).  When any stage raises :class:`RewriteError` the call
-  falls back to functional evaluation, exactly like the shipping
-  implementation the paper describes (unsupported constructs keep working,
-  they just don't get the speedup).  The fallback is **not silent**: the
-  failure phase (``compile`` vs ``execute``), stage and a categorized
-  reason land on the result, in the ``transform.fallback`` counter and in
-  a ``repro.obs`` warning.
-* ``TransformOptions(rewrite=False)`` — functional evaluation: materialise
-  each document as a DOM (from the view or the storage) and run the XSLT VM over it.
+**Compile** (:func:`compile_transform`, once per stylesheet × source
+shape) runs the rewrite — partial evaluation → XQuery → SQL/XML merge →
+plan optimisation — into a :class:`CompiledTransform`.  A stage raising
+:class:`RewriteError` yields a functional-strategy artifact carrying the
+categorized error, exactly like the shipping implementation the paper
+describes (unsupported constructs keep working, they just don't get the
+speedup).
 
-Every call runs under an ``xml_transform`` tracing span (see
-:mod:`repro.obs`) whose children cover stylesheet compilation, the three
-compile stages, and plan execution (profiled per plan node); the span tree,
-execution statistics and an EXPLAIN ANALYZE rendering are summarized by
-:meth:`TransformResult.report`.
+**Execute** is one run behind two doors.  The run is a generator of rows
+— one item list per XMLType instance — pulled from the optimized plan
+(``_plan_rows``, under a ``plan.execute`` span) or from the XSLT VM over
+materialised documents (``_vm_rows``, ``functional.execute``), with one
+loud functional retry (``_fallback_rows``: failure phase, ``compile`` vs
+``execute``, stage and categorized reason land on the record, in the
+``transform.fallback`` counter and in a ``repro.obs`` warning — never a
+silent fallback).  :func:`execute_compiled` is ``list(rows)`` behind a
+:class:`TransformResult`; :func:`execute_compiled_stream` renders and
+coalesces the same rows into the chunks of a :class:`TransformStream`.
+All a door owns is its answer to "has the consumer seen output yet?"
+when the plan fails mid-run.  Both views read through to one
+:class:`Execution` record, so ``explain()``, ``report()`` and the flight
+recorder see the same thing whichever door ran; the one-shot doors of
+:class:`repro.api.Engine` put an ``xml_transform`` root span around
+compile and run.
 
 Sources may be an XMLType view :class:`~repro.rdb.plan.Query` /
 :class:`~repro.rdb.database.View`, an
@@ -28,13 +36,16 @@ Sources may be an XMLType view :class:`~repro.rdb.plan.Query` /
 
 from __future__ import annotations
 
+import copy
 import itertools
 import logging
+import operator
 import time
 
 from repro.errors import RewriteError
 from repro.obs import NULL_SPAN, get_tracer, global_metrics, render_tree
 from repro.obs.decisions import DecisionLedger
+from repro.obs.trace import current_trace_id
 from repro.rdb.database import View
 from repro.rdb.plan import (
     ExecutionStats,
@@ -66,74 +77,75 @@ FALLBACK_PHASE_EXECUTE = "execute"
 _LOG = logging.getLogger("repro.obs")
 
 
-class TransformResult:
-    """Per-row transformation results plus execution metadata."""
+class Execution:
+    """The record of one execution — what both views of a run
+    (:class:`TransformResult`, :class:`TransformStream`) read through
+    to, and what EXPLAIN, ``report()`` and the flight recorder are
+    defined over.  On a streamed run it is *live*: ``stats`` counters
+    grow while chunks are consumed and — like ``strategy`` and the
+    fallback fields, which an execute-phase fallback may still change
+    before the first chunk — are final once the stream is exhausted."""
 
-    def __init__(self, rows, strategy, stats, outcome=None,
-                 fallback_reason=None):
-        #: list of rows; each row is a list of items — result nodes and
-        #: atomics on the functional strategy, serialized markup strings
-        #: (plus any top-level atomics) on the SQL strategy, which never
-        #: builds a result DOM
-        self.rows = rows
+    __slots__ = ("strategy", "stats", "outcome", "ledger", "fallback_reason",
+                 "fallback_phase", "fallback_category", "executed_query",
+                 "plan_profile", "vm_stats", "feedback", "trace", "trace_id")
+
+    def __init__(self, strategy, stats=None, outcome=None, ledger=None):
         #: STRATEGY_SQL or STRATEGY_FUNCTIONAL
         self.strategy = strategy
         #: ExecutionStats of the run (view/plan execution + materialisation)
         self.stats = stats
         #: RewriteOutcome when the rewrite succeeded (even if not used)
         self.outcome = outcome
+        #: DecisionLedger of the rewrite attempt (also set on fallback,
+        #: holding the decisions made before the failing stage)
+        self.ledger = ledger
         #: why the rewrite fell back ("<phase>: <message>"), when it did
-        self.fallback_reason = fallback_reason
+        self.fallback_reason = None
         #: "compile" or "execute" — where the rewrite failed, when it did
         self.fallback_phase = None
         #: coarse category of the failure (the fallback counter key)
         self.fallback_category = None
-        #: root Span of this call (None when tracing is disabled)
-        self.trace = None
         #: the optimized Query the rewrite executed (STRATEGY_SQL only)
         self.executed_query = None
         #: PlanProfiler with per-node rows/timings, when collected
         self.plan_profile = None
         #: functional-path VM counters (instructions, template dispatches)
         self.vm_stats = None
-        #: DecisionLedger of the rewrite attempt (also set on fallback,
-        #: holding the decisions made before the failing stage)
-        self.ledger = None
         #: PlanFeedback (estimate-vs-actual Q-error) of this execution,
         #: when the plan was profiled and the database has a feedback
-        #: controller
+        #: controller; on a stream, set once it is drained
         self.feedback = None
-
-    @property
-    def trace_id(self):
-        """The trace id of this call's span tree (None when tracing is
-        disabled) — the key ``/debug/trace/<id>`` looks up."""
-        return self.trace.trace_id if self.trace is not None else None
+        #: root Span of the call (None when tracing is disabled or the
+        #: door opens no root span)
+        self.trace = None
+        #: the trace this execution was opened under (None outside any)
+        #: — the key ``/debug/trace/<id>`` looks up
+        self.trace_id = current_trace_id()
 
     def __getstate__(self):
-        """Results cross process boundaries (the cluster tier returns
+        """Records cross process boundaries (the cluster tier returns
         them from worker processes); live spans hold tracer handles and
         the plan profiler keys node profiles by ``id()`` — both are
         process-local, so they are shed rather than serialized."""
-        state = dict(self.__dict__)
-        state["trace"] = None
-        state["plan_profile"] = None
-        stats = state.get("stats")
-        if stats is not None and getattr(stats, "profiler", None) is not None:
-            import copy
-
-            stats = copy.copy(stats)
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["trace"] = state["plan_profile"] = None
+        stats = self.stats
+        if stats is not None and stats.profiler is not None:
+            stats = state["stats"] = copy.copy(stats)
             stats.profiler = None
-            state["stats"] = stats
         return state
 
     def __setstate__(self, state):
-        self.__dict__.update(state)
+        for name in self.__slots__:
+            setattr(self, name, state.get(name))
 
-    def serialized_rows(self, method="xml"):
-        """Each row rendered as markup text."""
-        rows = self.rows if method == "xml" else map(_reparsed, self.rows)
-        return [_render_row(row, method) for row in rows]
+
+class _ExecutionView:
+    """What the two views share: every :class:`Execution` field as a
+    read-through attribute, plus the report and EXPLAIN built on them."""
+
+    __slots__ = ()
 
     def report(self):
         """Human-readable summary of how this one call ran: strategy,
@@ -188,10 +200,61 @@ class TransformResult:
         )
 
 
-def _render_row(row, method="xml"):
-    """One result row as text: every path that renders rows — SQL or
-    functional, materialized or streamed — joins :func:`render_item`."""
-    return "".join([render_item(item, method) for item in row])
+for _field in Execution.__slots__:
+    setattr(_ExecutionView, _field,
+            property(operator.attrgetter("run." + _field)))
+
+
+class TransformResult(_ExecutionView):
+    """The materialised view of a run: its rows, plus the
+    :class:`Execution` record (``run``) every metadata attribute —
+    ``strategy``, ``stats``, ``ledger``, ``trace_id``, ... — reads from."""
+
+    __slots__ = ("rows", "run")
+
+    def __init__(self, rows, strategy=None, stats=None, run=None):
+        #: list of rows; each row is a list of items — result nodes and
+        #: atomics on the functional strategy, serialized markup strings
+        #: (plus any top-level atomics) on the SQL strategy, which never
+        #: builds a result DOM
+        self.rows = rows
+        self.run = run if run is not None else Execution(strategy, stats)
+
+    def serialized_rows(self, method="xml"):
+        """Each row rendered as markup text."""
+        rows = self.rows if method == "xml" else map(_reparsed, self.rows)
+        return ["".join([render_item(item, method) for item in row])
+                for row in rows]
+
+
+class TransformStream(_ExecutionView):
+    """The streamed view of a run: an iterator of serialized output
+    chunks plus the live :class:`Execution` record (``run``).
+
+    Produced by :func:`execute_compiled_stream`.  Yields non-empty
+    ``str`` chunks whose concatenation is byte-identical to
+    ``"".join(result.serialized_rows())`` of the equivalent materialized
+    call.  ``text()`` drains the stream and returns the whole output.
+    """
+
+    __slots__ = ("compiled", "run", "chunks")
+
+    def __init__(self, compiled, run, chunks):
+        self.compiled = compiled
+        self.run = run
+        #: the chunk iterator; a door that wraps the drain (to trace or
+        #: record it) replaces it
+        self.chunks = chunks
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self.chunks)
+
+    def text(self):
+        """Drain the stream; the full serialized output."""
+        return "".join(self)
 
 
 def _reparsed(row):
@@ -309,23 +372,35 @@ def compile_transform(db, source, stylesheet, options=None, tracer=None,
     )
 
 
-def _compile_impl(db, source, stylesheet, options=None, tracer=None,
-                  metrics=None, optimizer_level=None, decorrelate=None):
+def _stylesheet(stylesheet, tracer):
+    """``stylesheet`` as a compiled :class:`Stylesheet`: markup compiles
+    under a ``compile.stylesheet`` span, a compiled one passes through."""
+    if isinstance(stylesheet, Stylesheet):
+        return stylesheet
+    with tracer.span("compile.stylesheet"):
+        return compile_stylesheet(stylesheet)
+
+
+def _compile_impl(db, source, stylesheet, rewrite=True, options=None,
+                  tracer=None, metrics=None, optimizer_level=None,
+                  decorrelate=None):
     """The compile worker behind :meth:`repro.api.Engine.compile`.
 
-    Compiles the stylesheet (when given as markup), runs the three
-    rewrite stages, optimizes the merged plan against ``db`` at
-    ``optimizer_level`` (None = the planner default) and resolves the
-    decision ledger's provenance into the optimized plan.  ``options``
-    is a resolved :class:`~repro.core.xquery_gen.RewriteOptions` (or
-    None); ``decorrelate`` gates the correlated-subquery unnesting pass
-    (None = automatic at the cost level).
+    Compiles the stylesheet (when given as markup) and — unless
+    ``rewrite`` is False, which stops there with a functional-strategy
+    artifact — runs the three rewrite stages, optimizes the merged plan
+    against ``db`` at ``optimizer_level`` (None = the planner default)
+    and resolves the decision ledger's provenance into the optimized
+    plan.  ``options`` is a resolved
+    :class:`~repro.core.xquery_gen.RewriteOptions` (or None);
+    ``decorrelate`` gates the correlated-subquery unnesting pass (None =
+    automatic at the cost level).
     """
     tracer = tracer or get_tracer()
     metrics = metrics or global_metrics()
-    if not isinstance(stylesheet, Stylesheet):
-        with tracer.span("compile.stylesheet"):
-            stylesheet = compile_stylesheet(stylesheet)
+    stylesheet = _stylesheet(stylesheet, tracer)
+    if not rewrite:
+        return CompiledTransform(stylesheet, STRATEGY_FUNCTIONAL)
     # Created before compiling so that on a failed rewrite the artifact
     # still carries the decisions made before the failure point.
     ledger = DecisionLedger()
@@ -345,47 +420,6 @@ def _compile_impl(db, source, stylesheet, options=None, tracer=None,
                                  ledger=ledger, error=exc, options=options)
     return CompiledTransform(stylesheet, STRATEGY_SQL, outcome=outcome,
                              query=query, ledger=ledger, options=options)
-
-
-def execute_compiled(db, source, compiled, params=None, tracer=None,
-                     metrics=None, profile_plan=True, root=None,
-                     batch_size=None, feedback=True, deadline=None):
-    """Execute one request over a :class:`CompiledTransform`.
-
-    The SQL strategy runs the cached optimized plan; an execute-phase
-    :class:`RewriteError` retries functionally with the categorized
-    fallback accounting of :func:`xml_transform`.  A compile-time
-    fallback artifact replays its recorded error (counter + warning +
-    result annotations) and evaluates functionally.  ``root`` is the span
-    fallback attributes land on (defaults to the tracer's current span).
-    ``batch_size`` is how many rows the plan's operators hand over at
-    once (None: ``DEFAULT_BATCH_SIZE``); it never changes the result.
-    ``feedback=False`` skips the post-execution Q-error observation.
-    ``deadline`` is an absolute ``time.perf_counter()`` instant: plan
-    execution past it stops between batches with
-    :class:`~repro.errors.DeadlineExceededError` (the serving tier's
-    request deadline; None: never).
-    """
-    tracer = tracer or get_tracer()
-    metrics = metrics or global_metrics()
-    if root is None:
-        root = tracer.current() or NULL_SPAN
-    if compiled.is_rewritten and not params:
-        try:
-            result = _execute_plan(db, compiled, tracer, metrics,
-                                   profile_plan, batch_size=batch_size,
-                                   feedback=feedback, deadline=deadline)
-            metrics.counter("transform.rewrite_success").inc()
-        except RewriteError as exc:
-            result = _fallback(db, source, compiled.stylesheet, params, exc,
-                               tracer, metrics, root)
-    elif compiled.error is not None:
-        result = _fallback(db, source, compiled.stylesheet, params,
-                           compiled.error, tracer, metrics, root)
-    else:
-        result = _functional(db, source, compiled.stylesheet, params, tracer)
-    result.ledger = compiled.ledger
-    return result
 
 
 def xml_transform(db, source, stylesheet, options=None, params=None,
@@ -410,32 +444,31 @@ def xml_transform(db, source, stylesheet, options=None, params=None,
     )
 
 
-def _note_fallback(exc, metrics, root):
-    """The loud part of falling back: categorize the failure, bump the
-    fallback counter, warn through the obs logger and annotate the span.
-    Returns (phase, category)."""
-    phase = getattr(exc, "phase", None) or FALLBACK_PHASE_COMPILE
-    stage = getattr(exc, "stage", None)
-    category = categorize_fallback(exc)
-    metrics.counter("transform.fallback", phase=phase, reason=category).inc()
-    _LOG.warning(
-        "xml_transform falling back to functional evaluation"
-        " (phase=%s, stage=%s, category=%s): %s",
-        phase, stage, category, exc,
+def transform_many(db, sources, stylesheet, options=None, params=None,
+                   tracer=None, metrics=None):
+    """Apply one stylesheet across many sources, compiling once per
+    distinct source *shape*: the function form of
+    :meth:`repro.api.Engine.transform_many`, which documents it."""
+    from repro.api import Engine
+
+    return Engine(db, tracer=tracer, metrics=metrics).transform_many(
+        sources, stylesheet, options=options, params=params
     )
-    root.set_attr(fallback_phase=phase, fallback_category=category,
-                  fallback_reason=str(exc))
-    return phase, category
 
 
-def _fallback(db, source, stylesheet, params, exc, tracer, metrics, root):
-    """Functional evaluation after a failed rewrite — loudly."""
-    phase, category = _note_fallback(exc, metrics, root)
-    result = _functional(db, source, stylesheet, params, tracer)
-    result.fallback_reason = "%s: %s" % (phase, exc)
-    result.fallback_phase = phase
-    result.fallback_category = category
-    return result
+def source_fingerprint(source):
+    """The plan-reuse key component describing a source's structural
+    shape — what the serving tier's plan cache and ``transform_many``
+    key compiled plans by.
+
+    Uses the source's own ``fingerprint()`` (storages, views, queries)
+    when it has one, so two same-shaped storages share a compiled plan;
+    anything else gets a per-object token, which makes
+    equal-but-distinct anonymous sources miss rather than alias."""
+    fingerprint = getattr(source, "fingerprint", None)
+    if callable(fingerprint):
+        return fingerprint()
+    return "anon:%x" % id(source)
 
 
 def _view_query(source):
@@ -481,21 +514,64 @@ def _observe_feedback(db, compiled, profiler, metrics):
     return record
 
 
-def _execute_plan(db, compiled, tracer, metrics, profile_plan,
-                  batch_size=None, feedback=True, deadline=None):
-    """Run the cached optimized plan of a SQL-strategy artifact."""
+# -- the run ----------------------------------------------------------------------
+
+
+def _start(db, source, compiled, params, tracer, metrics, root,
+           profile_plan, batch_size, feedback, deadline):
+    """Open one run over ``compiled``: ``(run, rows, retry)``.
+
+    ``run`` is the :class:`Execution` record, ``rows`` the generator of
+    item lists — nothing executes until a door pulls it — and
+    ``retry(exc)`` the functional row generator a door switches to when
+    the plan raised :class:`RewriteError` before the door let any output
+    go.  The optimized plan runs only without ``params`` (a plan cannot
+    bind them); an artifact whose compile fell back replays its recorded
+    error, loudly, on every execution.
+    """
+    tracer = tracer or get_tracer()
+    metrics = metrics or global_metrics()
+    run = Execution(compiled.strategy, outcome=compiled.outcome,
+                    ledger=compiled.ledger)
+
+    def retry(exc):
+        return _fallback_rows(db, source, compiled.stylesheet, params, exc,
+                              run, tracer, metrics, root)
+
+    if compiled.is_rewritten and not params:
+        rows = _plan_rows(db, compiled, run, tracer, metrics, profile_plan,
+                          batch_size, feedback, deadline)
+    elif compiled.error is not None:
+        rows = retry(compiled.error)
+    else:
+        rows = _vm_rows(db, source, compiled.stylesheet, params, run, tracer)
+    return run, rows, retry
+
+
+def _plan_rows(db, compiled, run, tracer, metrics, profile_plan, batch_size,
+               feedback, deadline):
+    """One item list per output row of the artifact's optimized plan.
+
+    Exhausting it counts the rewrite success, exports the per-operator
+    metrics and runs the Q-error feedback loop; a consumer that stops
+    early has paid for, and recorded, what it received.
+    """
     query = compiled.query
     with tracer.span("plan.execute") as span:
-        stats = ExecutionStats()
+        stats = run.stats = ExecutionStats()
         stats.deadline = deadline
+        # the front door renders text: no result DOM on the rewrite path
+        stats.markup = True
         profiler = None
         if profile_plan and tracer.enabled:
             profiler = stats.profiler = PlanProfiler()
-        # the front door renders text: no result DOM on the rewrite path
-        stats.markup = True
+        run.executed_query = query
+        run.plan_profile = profiler
         try:
-            rows, stats = query.execute(db, stats=stats,
-                                        batch_size=batch_size)
+            for batch in query.execute_batches(db, stats=stats,
+                                               batch_size=batch_size):
+                for row in batch:
+                    yield row_items(row[0])
         except RewriteError as exc:
             # A RewriteError escaping *plan execution* is a run-time
             # failure, not a compile failure — tag it so the fallback
@@ -504,49 +580,69 @@ def _execute_plan(db, compiled, tracer, metrics, profile_plan,
                 exc.phase = FALLBACK_PHASE_EXECUTE
             raise
         span.set_attr(
-            output_rows=len(rows),
+            output_rows=stats.output_rows,
             rows_scanned=stats.rows_scanned,
             index_probes=stats.index_probes,
             elapsed_ms=round(stats.elapsed_seconds * 1000.0, 3),
         )
+    metrics.counter("transform.rewrite_success").inc()
     metrics.histogram("plan.execute_seconds").record(stats.elapsed_seconds)
     record_plan_metrics(query, profiler, metrics)
-    result_rows = [row_items(row[0]) for row in rows]
-    result = TransformResult(result_rows, STRATEGY_SQL, stats,
-                             outcome=compiled.outcome)
-    result.executed_query = query
-    result.plan_profile = profiler
     if feedback:
-        result.feedback = _observe_feedback(db, compiled, profiler, metrics)
-    return result
+        run.feedback = _observe_feedback(db, compiled, profiler, metrics)
 
 
-def _functional(db, source, stylesheet, params, tracer=None):
-    tracer = tracer or get_tracer()
+def _vm_rows(db, source, stylesheet, params, run, tracer):
+    """One item list per document from functional evaluation: each
+    document is materialised as a DOM and transformed by the XSLT VM
+    (that cost is inherent to the strategy)."""
     with tracer.span("functional.execute") as span:
-        stats = ExecutionStats()
+        run.strategy = STRATEGY_FUNCTIONAL
+        stats = run.stats = ExecutionStats()
         vm = XsltVM(stylesheet)
-        rows = []
         start = time.perf_counter()
-        for document in _materialize_documents(db, source, stats):
+        documents = _materialize_documents(db, source, stats)
+        for count, document in enumerate(documents, 1):
             result = vm.transform_document(document, params=params)
-            rows.append(list(result.children))
-            stats.output_rows += 1
+            # assigned, not added: a view source's own query counted too
+            stats.output_rows = count
+            yield list(result.children)
         # total functional wall time (materialisation + VM); view-path
         # query time is a subset of this window, so assign, don't add
         stats.elapsed_seconds = time.perf_counter() - start
+        run.vm_stats = {
+            "instructions_executed": vm.instructions_executed,
+            "templates_dispatched": vm.templates_dispatched,
+        }
         span.set_attr(
             docs_materialized=stats.docs_materialized,
-            instructions_executed=vm.instructions_executed,
-            templates_dispatched=vm.templates_dispatched,
             elapsed_ms=round(stats.elapsed_seconds * 1000.0, 3),
+            **run.vm_stats
         )
-    result = TransformResult(rows, STRATEGY_FUNCTIONAL, stats)
-    result.vm_stats = {
-        "instructions_executed": vm.instructions_executed,
-        "templates_dispatched": vm.templates_dispatched,
-    }
-    return result
+
+
+def _fallback_rows(db, source, stylesheet, params, exc, run, tracer, metrics,
+                   root):
+    """Functional rows after a failed rewrite — loudly, and the only
+    place that is: categorize the failure, bump the fallback counter,
+    warn through the obs logger, annotate ``root`` (default: the span
+    current when the retry starts) and the record."""
+    phase = getattr(exc, "phase", None) or FALLBACK_PHASE_COMPILE
+    category = categorize_fallback(exc)
+    metrics.counter("transform.fallback", phase=phase, reason=category).inc()
+    _LOG.warning(
+        "xml_transform falling back to functional evaluation"
+        " (phase=%s, stage=%s, category=%s): %s",
+        phase, getattr(exc, "stage", None), category, exc,
+    )
+    (root or tracer.current() or NULL_SPAN).set_attr(
+        fallback_phase=phase, fallback_category=category,
+        fallback_reason=str(exc))
+    run.fallback_reason = "%s: %s" % (phase, exc)
+    run.fallback_phase = phase
+    run.fallback_category = category
+    run.executed_query = run.plan_profile = None
+    yield from _vm_rows(db, source, stylesheet, params, run, tracer)
 
 
 def _materialize_documents(db, source, stats):
@@ -577,69 +673,53 @@ def _wrap_document(value):
     return builder.finish()
 
 
-# -- streaming execution ----------------------------------------------------------
+# -- the two doors ----------------------------------------------------------------
 
 
-class TransformStream:
-    """An iterator of serialized output chunks plus execution metadata.
+def execute_compiled(db, source, compiled, params=None, tracer=None,
+                     metrics=None, profile_plan=True, root=None,
+                     batch_size=None, feedback=True, deadline=None):
+    """Execute one request over a :class:`CompiledTransform`; returns a
+    :class:`TransformResult`.
 
-    Produced by :func:`execute_compiled_stream`.  Yields non-empty
-    ``str`` chunks whose concatenation is byte-identical to
-    ``"".join(result.serialized_rows())`` of the equivalent materialized
-    call.  Metadata is *live*: ``stats`` counters grow while chunks are
-    consumed and — like ``strategy`` and the fallback fields, which an
-    execute-phase fallback may still change before the first chunk — are
-    final once the iterator is exhausted.  ``text()`` drains the stream
-    and returns the whole output.
+    The SQL strategy runs the cached optimized plan; an execute-phase
+    :class:`RewriteError` retries functionally with the categorized
+    fallback accounting of :func:`xml_transform`.  A compile-time
+    fallback artifact replays its recorded error (counter + warning +
+    result annotations) and evaluates functionally.  ``root`` is the span
+    fallback attributes land on (defaults to the tracer's current span).
+    ``batch_size`` is how many rows the plan's operators hand over at
+    once (None: ``DEFAULT_BATCH_SIZE``); it never changes the result.
+    ``feedback=False`` skips the post-execution Q-error observation.
+    ``deadline`` is an absolute ``time.perf_counter()`` instant: plan
+    execution past it stops between batches with
+    :class:`~repro.errors.DeadlineExceededError` (the serving tier's
+    request deadline; None: never).
     """
-
-    __slots__ = ("compiled", "strategy", "stats", "ledger", "executed_query",
-                 "plan_profile", "vm_stats", "fallback_reason",
-                 "fallback_phase", "fallback_category", "feedback",
-                 "trace_id", "_chunks")
-
-    def __init__(self, compiled):
-        self.compiled = compiled
-        self.strategy = compiled.strategy
-        self.stats = None
-        self.ledger = compiled.ledger
-        self.executed_query = None
-        self.plan_profile = None
-        self.vm_stats = None
-        self.fallback_reason = None
-        self.fallback_phase = None
-        self.fallback_category = None
-        #: PlanFeedback of this execution, set once the stream is drained
-        self.feedback = None
-        #: trace id the compile and the drain spans share (set by the
-        #: serve tier; None outside it or with tracing disabled)
-        self.trace_id = None
-        self._chunks = iter(())
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        return next(self._chunks)
-
-    def text(self):
-        """Drain the stream; the full serialized output."""
-        return "".join(self)
+    run, rows, retry = _start(db, source, compiled, params, tracer, metrics,
+                              root, profile_plan, batch_size, feedback,
+                              deadline)
+    try:
+        rows = list(rows)
+    except RewriteError as exc:
+        # no row has left this call: drop the plan's, answer functionally
+        rows = list(retry(exc))
+    return TransformResult(rows, run=run)
 
 
 def execute_compiled_stream(db, source, compiled, params=None, tracer=None,
                             metrics=None, profile_plan=True, root=None,
                             batch_size=None, chunk_chars=None,
                             feedback=True):
-    """Streaming twin of :func:`execute_compiled`: returns a
-    :class:`TransformStream` yielding serialized output chunks.
+    """The streaming door of the run :func:`execute_compiled`
+    materialises: returns a :class:`TransformStream` yielding serialized
+    output chunks as its consumer pulls them.
 
-    On the SQL strategy the optimized plan runs on the same executor
-    as :func:`execute_compiled` (``batch_size`` rows per batch, None:
-    ``DEFAULT_BATCH_SIZE``) and its result column streams through the
-    incremental SQL/XML emitter — no result
-    DOM is ever built (``stats.docs_materialized`` stays 0) and at most
-    ``chunk_chars`` characters of output are buffered at once, tracked
+    On the SQL strategy the rows arrive a batch at a time from the
+    optimized plan (``batch_size`` rows per batch, None:
+    ``DEFAULT_BATCH_SIZE``) already rendered as text — no result DOM is
+    ever built (``stats.docs_materialized`` stays 0) — and the coalescer
+    holds at most ``chunk_chars`` characters of output at once, tracked
     in ``stats.peak_buffered_bytes``.  A :class:`RewriteError` raised
     before the first chunk was emitted falls back to the functional
     strategy with the categorized accounting of :func:`xml_transform`;
@@ -647,199 +727,47 @@ def execute_compiled_stream(db, source, compiled, params=None, tracer=None,
     functional strategy streams per transformed document, which still
     materializes each source DOM first.
     """
-    tracer = tracer or get_tracer()
-    metrics = metrics or global_metrics()
-    if root is None:
-        root = tracer.current() or NULL_SPAN
+    run, rows, retry = _start(db, source, compiled, params, tracer, metrics,
+                              root, profile_plan, batch_size, feedback, None)
     chunk_chars = chunk_chars or DEFAULT_CHUNK_CHARS
-    stream = TransformStream(compiled)
-    if compiled.is_rewritten and not params:
-        chunks = _stream_sql(db, source, compiled, stream, params, tracer,
-                             metrics, profile_plan, root, batch_size,
-                             chunk_chars, feedback)
-    elif compiled.error is not None:
-        chunks = _stream_fallback(db, source, compiled.stylesheet, params,
-                                  compiled.error, tracer, metrics, root,
-                                  stream, chunk_chars)
-    else:
-        chunks = _stream_functional(db, source, compiled.stylesheet, params,
-                                    tracer, stream, chunk_chars)
-    stream._chunks = chunks
-    return stream
+
+    def chunks():
+        emitted = False
+        try:
+            for chunk in _coalesce(rows, run, chunk_chars):
+                emitted = True
+                yield chunk
+        except RewriteError as exc:
+            if emitted:
+                # Output already reached the consumer; a silent strategy
+                # switch would corrupt it.  Let the caller handle the error.
+                raise
+            yield from _coalesce(retry(exc), run, chunk_chars)
+
+    return TransformStream(compiled, run, chunks())
 
 
-def _coalesce(pieces, stats, chunk_chars):
-    """Coalesce small emitter pieces into ~chunk_chars chunks, tracking
-    the buffering high-water mark in ``stats.peak_buffered_bytes``."""
+def _coalesce(rows, run, chunk_chars):
+    """Render ``rows`` item by item — a row holding an aggregated group
+    streams piece by piece — and coalesce the pieces into ~chunk_chars
+    chunks, tracking the buffering high-water mark in the run's
+    ``stats.peak_buffered_bytes`` (``run.stats`` exists once the first
+    row has been pulled)."""
     buffer = []
     buffered = 0
-    for piece in pieces:
-        if not piece:
-            continue
-        buffer.append(piece)
-        buffered += len(piece)
-        if buffered > stats.peak_buffered_bytes:
-            stats.peak_buffered_bytes = buffered
-        if buffered >= chunk_chars:
-            yield "".join(buffer)
-            buffer = []
-            buffered = 0
+    for row in rows:
+        stats = run.stats
+        for item in row:
+            piece = render_item(item)
+            if not piece:
+                continue
+            buffer.append(piece)
+            buffered += len(piece)
+            if buffered > stats.peak_buffered_bytes:
+                stats.peak_buffered_bytes = buffered
+            if buffered >= chunk_chars:
+                yield "".join(buffer)
+                buffer = []
+                buffered = 0
     if buffer:
         yield "".join(buffer)
-
-
-def _stream_sql(db, source, compiled, stream, params, tracer, metrics,
-                profile_plan, root, batch_size, chunk_chars, feedback=True):
-    """Chunk generator for the SQL strategy."""
-    stats = ExecutionStats()
-    profiler = None
-    if profile_plan and tracer.enabled:
-        profiler = stats.profiler = PlanProfiler()
-    stream.strategy = STRATEGY_SQL
-    stream.stats = stats
-    stream.executed_query = compiled.query
-    stream.plan_profile = profiler
-    chunks = _coalesce(
-        compiled.query.stream_pieces(db, stats=stats, batch_size=batch_size),
-        stats, chunk_chars,
-    )
-    emitted = False
-    try:
-        while True:
-            start = time.perf_counter()
-            try:
-                chunk = next(chunks)
-            except StopIteration:
-                stats.elapsed_seconds += time.perf_counter() - start
-                break
-            stats.elapsed_seconds += time.perf_counter() - start
-            emitted = True
-            yield chunk
-    except RewriteError as exc:
-        if getattr(exc, "phase", None) is None:
-            exc.phase = FALLBACK_PHASE_EXECUTE
-        if emitted:
-            # Output already reached the consumer; a silent strategy
-            # switch would corrupt it.  Let the caller handle the error.
-            raise
-        stream.executed_query = None
-        stream.plan_profile = None
-        for chunk in _stream_fallback(db, source, compiled.stylesheet,
-                                      params, exc, tracer, metrics, root,
-                                      stream, chunk_chars):
-            yield chunk
-        return
-    metrics.counter("transform.rewrite_success").inc()
-    metrics.histogram("plan.execute_seconds").record(stats.elapsed_seconds)
-    record_plan_metrics(compiled.query, profiler, metrics)
-    if feedback:
-        stream.feedback = _observe_feedback(db, compiled, profiler, metrics)
-
-
-def _stream_fallback(db, source, stylesheet, params, exc, tracer, metrics,
-                     root, stream, chunk_chars):
-    """Functional chunk generator after a failed rewrite — loudly."""
-    phase, category = _note_fallback(exc, metrics, root)
-    stream.fallback_reason = "%s: %s" % (phase, exc)
-    stream.fallback_phase = phase
-    stream.fallback_category = category
-    for chunk in _stream_functional(db, source, stylesheet, params, tracer,
-                                    stream, chunk_chars):
-        yield chunk
-
-
-def _stream_functional(db, source, stylesheet, params, tracer, stream,
-                       chunk_chars):
-    """Chunk generator for functional evaluation: each document is
-    materialized and transformed by the VM (that cost is inherent to the
-    strategy), but its output serializes straight into chunks instead of
-    being kept as rows."""
-    stats = ExecutionStats()
-    stream.strategy = STRATEGY_FUNCTIONAL
-    stream.stats = stats
-    vm = XsltVM(stylesheet)
-
-    def pieces():
-        start = time.perf_counter()
-        for document in _materialize_documents(db, source, stats):
-            result = vm.transform_document(document, params=params)
-            stats.output_rows += 1
-            yield _render_row(result.children)
-        stats.elapsed_seconds = time.perf_counter() - start
-        stream.vm_stats = {
-            "instructions_executed": vm.instructions_executed,
-            "templates_dispatched": vm.templates_dispatched,
-        }
-
-    return _coalesce(pieces(), stats, chunk_chars)
-
-
-# -- batch API --------------------------------------------------------------------
-
-
-def transform_many(db, sources, stylesheet, options=None, params=None,
-                   tracer=None, metrics=None):
-    """Apply one stylesheet across many sources, compiling once per
-    distinct source *shape*.
-
-    ``sources`` is an iterable of sources, or of ``(db, source)`` pairs
-    when the documents live in different databases.  The stylesheet is
-    compiled once and the rewrite runs once per distinct source
-    fingerprint (see :func:`repro.serve.service.source_fingerprint`) —
-    N same-shaped documents pay one compile and N plan executions, which
-    is what makes this ≥2× faster than N independent
-    :func:`xml_transform` calls.  Returns the list of
-    :class:`TransformResult`, in input order.
-    """
-    from repro.api import Engine, TransformOptions
-
-    opts = TransformOptions.coerce(options)
-    tracer = tracer or get_tracer()
-    metrics = metrics or global_metrics()
-    if not isinstance(stylesheet, Stylesheet):
-        with tracer.span("compile.stylesheet"):
-            stylesheet = compile_stylesheet(stylesheet)
-    engine_cache = {}
-    compiled_cache = {}
-    results = []
-    for entry in sources:
-        target_db, source = entry if isinstance(entry, tuple) else (db, entry)
-        engine = engine_cache.get(id(target_db))
-        if engine is None:
-            engine = engine_cache[id(target_db)] = Engine(
-                target_db, tracer=tracer, metrics=metrics
-            )
-        rewrite = opts.effective_rewrite()
-        with tracer.span("xml_transform", rewrite=rewrite) as root:
-            if rewrite and not params:
-                key = _source_key(source)
-                compiled = compiled_cache.get(key)
-                if compiled is None:
-                    metrics.counter("transform.rewrite_attempts").inc()
-                    compiled = engine.compile(source, stylesheet,
-                                              options=opts)
-                    compiled_cache[key] = compiled
-                result = execute_compiled(
-                    target_db, source, compiled, params=params,
-                    tracer=tracer, metrics=metrics,
-                    profile_plan=opts.profile_plan, root=root,
-                    batch_size=opts.batch_size, feedback=opts.feedback,
-                )
-            else:
-                result = _functional(target_db, source, stylesheet, params,
-                                     tracer)
-            root.set_attr(strategy=result.strategy)
-        if root:
-            result.trace = root
-        results.append(result)
-    return results
-
-
-def _source_key(source):
-    """Plan-reuse key for one source: its structural fingerprint when it
-    has one (two same-shaped storages share a compiled plan), else a
-    per-object token."""
-    fingerprint = getattr(source, "fingerprint", None)
-    if callable(fingerprint):
-        return fingerprint()
-    return "anon:%x" % id(source)

@@ -48,22 +48,26 @@ def stage_seconds(spans):
     return stages
 
 
-def transform_fields(result):
-    """The :meth:`FlightRecorder.record` fields a finished
-    :class:`~repro.core.transform.TransformResult` supplies — strategy,
-    fallback, row count, Q-error verdict, and the lazy slow-request
-    diagnosis: the full report (stats, span tree, EXPLAIN ANALYZE,
-    Q-error) plus EXPLAIN REWRITE (the decision ledger anchored into
-    the plan)."""
-    feedback = result.feedback
+def transform_fields(view):
+    """The :meth:`FlightRecorder.record` fields a finished transform
+    supplies, read off its execution record through either view
+    (:class:`~repro.core.transform.TransformResult` or a drained
+    :class:`~repro.core.transform.TransformStream`) — strategy,
+    fallback, row count, execution time, Q-error verdict, and the lazy
+    slow-request diagnosis: the full report (stats, span tree, EXPLAIN
+    ANALYZE, Q-error) plus EXPLAIN REWRITE (the decision ledger
+    anchored into the plan)."""
+    stats, feedback = view.stats, view.feedback
     return dict(
-        strategy=result.strategy,
-        fallback_category=result.fallback_category,
-        rows=len(result.rows),
+        strategy=view.strategy,
+        fallback_category=view.fallback_category,
+        rows=stats.output_rows if stats is not None else None,
+        execute_seconds=(stats.elapsed_seconds
+                         if stats is not None else None),
         q_error_max=feedback.max_q_error if feedback is not None else None,
         q_error_triggered=feedback is not None and feedback.triggered,
         detail_fn=lambda: "%s\n\nEXPLAIN REWRITE:\n%s" % (
-            result.report(), result.explain().render()),
+            view.report(), view.explain().render()),
     )
 
 
@@ -81,7 +85,7 @@ class RequestRecord:
                  fallback_category=None, queue_wait_seconds=None,
                  execute_seconds=None, total_seconds=None, rows=None,
                  bytes_out=None, q_error_max=None, q_error_triggered=False,
-                 stages=None, spans=None, detail=None, detail_reason=None):
+                 spans=None, detail=None, detail_reason=None):
         #: trace id shared by every span of this request
         self.trace_id = trace_id
         #: short human label (stylesheet hash, workload item name, ...)
@@ -105,10 +109,10 @@ class RequestRecord:
         self.q_error_max = q_error_max
         #: True when the feedback policy distrusted the plan
         self.q_error_triggered = q_error_triggered
-        #: {stage name: seconds} aggregated from the span tree
-        self.stages = dict(stages) if stages else {}
         #: flattened span records (``Span.to_dict`` shape) of the trace
         self.spans = list(spans) if spans else []
+        #: {stage name: seconds} aggregated from the span tree
+        self.stages = stage_seconds(self.spans)
         #: full EXPLAIN ANALYZE + decision ledger, when retained
         self.detail = detail
         #: why detail was retained (DETAIL_SLOW / DETAIL_TAIL_SAMPLE)
@@ -178,18 +182,15 @@ class FlightRecorder:
 
     # -- recording ---------------------------------------------------------------
 
-    def record(self, trace_id, name=None, status="ok", error=None,
-               strategy=None, cache_hit=None, fallback_category=None,
-               queue_wait_seconds=None, execute_seconds=None,
-               total_seconds=None, rows=None, bytes_out=None,
-               q_error_max=None, q_error_triggered=False, stages=None,
-               spans=None, detail_fn=None, started_at=None):
+    def record(self, trace_id, total_seconds=None, detail_fn=None,
+               started_at=None, **fields):
         """Append one request record; returns it.
 
-        ``detail_fn`` is a zero-argument callable producing the full
-        diagnosis (EXPLAIN ANALYZE + ledger rendering); it is invoked —
-        outside the ring lock — only when the slow/tail-sample policy
-        retains it.
+        ``fields`` are :class:`RequestRecord`'s (``name``, ``status``,
+        ``strategy``, ``spans``, ...).  ``detail_fn`` is a zero-argument
+        callable producing the full diagnosis (EXPLAIN ANALYZE + ledger
+        rendering); it is invoked — outside the ring lock — only when
+        the slow/tail-sample policy retains it.
         """
         with self._lock:
             self._sequence += 1
@@ -211,16 +212,11 @@ class FlightRecorder:
                     detail = "detail unavailable: %s: %s" % (
                         type(exc).__name__, exc)
         record = RequestRecord(
-            trace_id, name=name, sequence=sequence,
+            trace_id, sequence=sequence,
             started_at=started_at if started_at is not None
             else self.clock(),
-            status=status, error=error, strategy=strategy,
-            cache_hit=cache_hit, fallback_category=fallback_category,
-            queue_wait_seconds=queue_wait_seconds,
-            execute_seconds=execute_seconds, total_seconds=total_seconds,
-            rows=rows, bytes_out=bytes_out, q_error_max=q_error_max,
-            q_error_triggered=q_error_triggered, stages=stages,
-            spans=spans, detail=detail, detail_reason=detail_reason,
+            total_seconds=total_seconds, detail=detail,
+            detail_reason=detail_reason, **fields
         )
         with self._lock:
             self._records.append(record)

@@ -443,12 +443,12 @@ class Tracer:
 
     def _finish(self, span):
         # Tolerate out-of-order exits (a caller holding a span past its
-        # children): pop everything above the finishing span.
+        # children): pop everything above the finishing span.  A span
+        # that is no longer on this thread's stack — a generator-held
+        # span closed late, or from another thread — unwinds nothing.
         stack = self._stack()
-        while stack and stack[-1] is not span:
-            stack.pop()
-        if stack:
-            stack.pop()
+        if span in stack:
+            del stack[stack.index(span):]
         _TRACE_CONTEXT.set(span._saved_context)
         for sink in self.sinks:
             sink.emit(span)

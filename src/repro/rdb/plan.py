@@ -875,23 +875,18 @@ class Query:
         building result DOMs — the same binding the transform front door
         runs — so the concatenation of the pieces is byte-identical to
         executing the query and serializing ``row[0]`` of every row,
-        while no piece ever spans more than one aggregated row.  Row
-        flow underneath is the executor's batches (with the deadline
-        check between them); values are rendered one row at a time.
+        while no piece ever spans more than one aggregated row.  This is
+        a rendering loop over :meth:`execute_batches`, which owns the
+        drive loop, its deadline check and the ``batches`` /
+        ``output_rows`` / ``elapsed_seconds`` accounting.
         """
         stats = stats or ExecutionStats()
         stats.markup = True
         if not self.outputs:
             raise PlanError("cannot stream a query with no outputs")
-        binding, outer_row = self.runtime.get(self, db, env, True)
-        value = binding.outputs[0]
-        for batch in binding.source(db, outer_row, stats,
-                                    batch_size or DEFAULT_BATCH_SIZE):
-            _check_deadline(stats)
-            stats.batches += 1
-            stats.output_rows += len(batch)
+        for batch in self.execute_batches(db, env, stats, batch_size):
             for row in batch:
-                for item in row_items(value(row, stats)):
+                for item in row_items(row[0]):
                     yield render_item(item)
 
     # -- SQL rendering --------------------------------------------------------

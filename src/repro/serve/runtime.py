@@ -7,7 +7,8 @@ A :class:`PlanRuntime` owns a database, the sources it serves and the
 pointing at the same directory.  :meth:`PlanRuntime.run` is the one
 implementation of "look the plan up (or compile and persist it), execute
 it": thread workers call it in-process, process workers call it inside
-the child — same cache key, same invalidation, same spans.
+the child — same cache key, same invalidation, same spans — and its
+lookup half, :meth:`PlanRuntime.plan_for`, is the streaming door's too.
 
 * the tier-1 key is stylesheet content hash + source structural
   fingerprint + compile-relevant options + ``stats:``/``epoch:``
@@ -27,7 +28,7 @@ import threading
 import time
 
 from repro.api import Engine
-from repro.core.transform import execute_compiled
+from repro.core.transform import execute_compiled, source_fingerprint
 from repro.errors import ReproError
 from repro.obs import InMemorySink, Tracer, global_metrics
 from repro.obs.feedback import FeedbackPolicy
@@ -41,18 +42,6 @@ EVICT_STALE_STATS = "stale-stats"
 
 class ServeError(ReproError):
     """Base class for serving-layer failures."""
-
-
-def source_fingerprint(source):
-    """The cache-key component describing a source's structural shape.
-
-    Uses the source's own ``fingerprint()`` (storages, views, queries)
-    when it has one; anything else gets a per-object token, which makes
-    equal-but-distinct anonymous sources miss rather than alias."""
-    fingerprint = getattr(source, "fingerprint", None)
-    if callable(fingerprint):
-        return fingerprint()
-    return "anon:%x" % id(source)
 
 
 def stylesheet_key(stylesheet):
@@ -289,6 +278,14 @@ class PlanRuntime:
 
     # -- two-tier plan lookup ------------------------------------------------------
 
+    def plan_for(self, source, stylesheet, opts, tracer):
+        """The plan-lookup step of every serve door, materialised or
+        streamed: resolve the source, absorb (and publish) invalidations,
+        then look the plan up — ``(source, compiled, tier)``."""
+        source = self.resolve(source)
+        self.sync_versions()
+        return (source,) + self.compiled_for(source, stylesheet, opts, tracer)
+
     def compiled_for(self, source, stylesheet, opts, tracer):
         """``(compiled, tier)`` through tier 1, then the disk tier, then
         a real compile (persisted for every sibling).
@@ -352,11 +349,9 @@ class PlanRuntime:
         deadline = None if opts.deadline is None \
             else time.perf_counter() + opts.deadline
         with tracer.span(span_name, **span_attrs) as root:
-            source = self.resolve(source)
-            self.sync_versions()
             started = time.perf_counter()
-            compiled, tier = self.compiled_for(source, stylesheet, opts,
-                                               tracer)
+            source, compiled, tier = self.plan_for(source, stylesheet, opts,
+                                                   tracer)
             with tracer.span("serve.execute"):
                 transform = execute_compiled(
                     self.db, source, compiled, params=params, tracer=tracer,
@@ -373,7 +368,7 @@ class PlanRuntime:
             root.set_attr(cache_tier=tier, cache_hit=result.cache_hit,
                           strategy=result.strategy)
         if root:
-            transform.trace = result.trace = root
+            transform.run.trace = result.trace = root
         return result
 
     # -- control plane -------------------------------------------------------------

@@ -49,7 +49,7 @@ from repro.errors import DeadlineExceededError
 from repro.core.transform import execute_compiled_stream
 from repro.obs import global_metrics
 from repro.obs.ops import OpsServer
-from repro.obs.recorder import FlightRecorder, stage_seconds, transform_fields
+from repro.obs.recorder import FlightRecorder, transform_fields
 from repro.obs.trace import (
     TraceContext,
     current_trace_context,
@@ -462,32 +462,31 @@ class TransformService:
         opts = request.options
         self.metrics.counter("serve.stream_requests").inc()
         tracer = request_tracer(self.trace_requests)
-        source = runtime.resolve(source)
         with use_trace_context(request.context):
             with tracer.span("serve.stream.compile") as compile_span:
-                compiled, tier = runtime.compiled_for(
+                source, compiled, tier = runtime.plan_for(
                     source, stylesheet, opts, tracer
                 )
                 hit = tier != "miss"
                 compile_span.set_attr(cache_hit=hit)
+            stream = execute_compiled_stream(
+                runtime.db, source, compiled, params=params, tracer=tracer,
+                metrics=self.metrics, batch_size=opts.batch_size,
+                chunk_chars=opts.chunk_chars, feedback=opts.feedback,
+            )
         self.metrics.counter(
             "serve.stream_cache", cache="hit" if hit else "miss"
         ).inc()
-        stream = execute_compiled_stream(
-            runtime.db, source, compiled, params=params, tracer=tracer,
-            metrics=self.metrics, batch_size=opts.batch_size,
-            chunk_chars=opts.chunk_chars, feedback=opts.feedback,
-        )
-        stream.trace_id = request.context.trace_id
-        stream._chunks = self._drained(stream, stream._chunks, request,
-                                       tracer, hit)
+        stream.chunks = self._drained(stream, stream.chunks, request,
+                                      tracer, hit)
         return stream
 
     def _drained(self, stream, chunks, request, tracer, cache_hit):
         """Wrap a stream's chunk iterator so the drain — which may run
         on any thread, any time after submission — happens under the
         request's trace (a ``serve.stream.drain`` span joined by trace
-        id) and the finished request lands in the flight recorder."""
+        id, the run's own span beneath it) and the finished request
+        lands in the flight recorder."""
         status = "ok"
         error = None
         bytes_out = 0
@@ -505,20 +504,11 @@ class TransformService:
             self.metrics.counter("serve.errors").inc()
             raise
         finally:
-            stats, feedback = stream.stats, stream.feedback
             self._record(
                 request, status, spans=sink_spans(tracer), error=error,
-                strategy=stream.strategy, cache_hit=cache_hit,
-                fallback_category=stream.fallback_category,
-                execute_seconds=(stats.elapsed_seconds
-                                 if stats is not None else None),
+                cache_hit=cache_hit, bytes_out=bytes_out,
                 total_seconds=time.perf_counter() - request.submitted_at,
-                rows=stats.output_rows if stats is not None else None,
-                bytes_out=bytes_out,
-                q_error_max=(feedback.max_q_error
-                             if feedback is not None else None),
-                q_error_triggered=(feedback is not None
-                                   and feedback.triggered),
+                **transform_fields(stream)
             )
 
     # -- control plane -----------------------------------------------------------
@@ -717,10 +707,11 @@ class TransformService:
             fields = dict(strategy=result.strategy,
                           fallback_category=result.fallback_category,
                           rows=len(result.serialized_rows()))
+        # the worker's whole time on the request, not only the run's
+        fields["execute_seconds"] = result.execute_seconds
         self._record(request, "ok",
                      spans=sink_spans(tracer) + list(worker_spans),
                      cache_hit=result.cache_hit, queue_wait_seconds=queue_wait,
-                     execute_seconds=result.execute_seconds,
                      total_seconds=total, **fields)
         request.future.set_result(result)
 
@@ -742,6 +733,5 @@ class TransformService:
             self.recorder.record(
                 request.context.trace_id, status=status,
                 name=request.name or stylesheet_key(request.stylesheet)[:24],
-                stages=stage_seconds(spans), spans=spans,
-                started_at=request.started_wall, **fields
+                spans=spans, started_at=request.started_wall, **fields
             )

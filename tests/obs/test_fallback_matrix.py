@@ -11,7 +11,6 @@ holding whatever the compiler decided *before* the failure point.
 import pytest
 
 from repro.core import STRATEGY_FUNCTIONAL, xml_transform
-from repro.errors import RewriteError
 from repro.obs import MetricsRegistry, Tracer
 from repro.rdb import Database, Query, Scan
 from repro.rdb.expressions import col, const
@@ -26,6 +25,7 @@ from tests.core.paper_example import (
     dept_emp_view_query,
     make_database,
 )
+from tests.obs.fakes import ExplodingQuery
 
 XSL = 'xmlns:xsl="http://www.w3.org/1999/XSL/Transform"'
 
@@ -140,18 +140,13 @@ class TestCompileStageMatrix:
             assert result.ledger.decisions_of(stage="partial-eval")
 
 
-class _ExplodingQuery:
-    def execute(self, db, env=None, stats=None, batch_size=None):
-        raise RewriteError("simulated runtime rewrite failure")
-
-
 class TestExecutePhase:
     def test_execute_fallback_keeps_full_compile_ledger(self, monkeypatch):
         tracer, metrics = Tracer(), MetricsRegistry()
         db = make_database()
         monkeypatch.setattr(
             Database, "optimize",
-            lambda self, query, **kwargs: _ExplodingQuery(),
+            lambda self, query, **kwargs: ExplodingQuery(),
         )
         result = xml_transform(db, dept_emp_view_query(),
                                EXAMPLE1_STYLESHEET,

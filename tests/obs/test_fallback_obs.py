@@ -24,6 +24,7 @@ from tests.core.paper_example import (
     dept_emp_view_query,
     make_database,
 )
+from tests.obs.fakes import ExplodingQuery
 
 XSL = 'xmlns:xsl="http://www.w3.org/1999/XSL/Transform"'
 
@@ -104,20 +105,13 @@ class TestCompileTimeFallback:
         assert result.trace.attrs["fallback_phase"] == "compile"
 
 
-class _ExplodingQuery:
-    """Stand-in for an optimized plan that fails at run time."""
-
-    def execute(self, db, env=None, stats=None, batch_size=None):
-        raise RewriteError("simulated runtime rewrite failure")
-
-
 class TestRunTimeFallback:
     def test_execute_phase_distinguished(self, monkeypatch):
         tracer, metrics = fresh_obs()
         db = make_database()
         monkeypatch.setattr(
             Database, "optimize",
-            lambda self, query, **kwargs: _ExplodingQuery(),
+            lambda self, query, **kwargs: ExplodingQuery(),
         )
         result = xml_transform(db, dept_emp_view_query(),
                                EXAMPLE1_STYLESHEET,
@@ -135,12 +129,89 @@ class TestRunTimeFallback:
         db = make_database()
         monkeypatch.setattr(
             Database, "optimize",
-            lambda self, query, **kwargs: _ExplodingQuery(),
+            lambda self, query, **kwargs: ExplodingQuery(),
         )
         result = xml_transform(db, dept_emp_view_query(),
                                EXAMPLE1_STYLESHEET,
                                tracer=tracer, metrics=metrics)
         assert len(result.rows) == 2  # both departments, functionally
+
+
+class TestRunTimeFallbackDoors:
+    """The execute-phase fallback is one routine behind two doors; the
+    only thing a door decides is whether its consumer has already seen
+    output when the plan fails."""
+
+    def doors(self, monkeypatch, good_batches):
+        """Both doors over a plan that fails after ``good_batches``
+        rows: ``(metrics, run materialised, open stream)``."""
+        from repro.api import Engine, TransformOptions
+
+        tracer, metrics = fresh_obs()
+        monkeypatch.setattr(
+            Database, "optimize",
+            lambda self, query, **kwargs: ExplodingQuery(good_batches),
+        )
+        engine = Engine(make_database(), tracer=tracer, metrics=metrics)
+        options = TransformOptions(chunk_chars=1)
+        source = dept_emp_view_query()
+        return (
+            metrics,
+            lambda: engine.transform(source, EXAMPLE1_STYLESHEET,
+                                     options=options),
+            lambda: engine.transform_stream(source, EXAMPLE1_STYLESHEET,
+                                            options=options),
+        )
+
+    def fallbacks(self, metrics):
+        return metrics.counter("transform.fallback", phase="execute",
+                               reason="execute").value
+
+    @pytest.mark.parametrize("good_batches", [0, 1])
+    def test_materialised_door_always_retries(self, monkeypatch,
+                                              good_batches):
+        metrics, transform, _ = self.doors(monkeypatch, good_batches)
+        result = transform()
+        assert result.strategy == STRATEGY_FUNCTIONAL
+        assert result.fallback_phase == "execute"
+        # rows the plan produced before failing never leave the call
+        assert len(result.rows) == 2
+        assert "<row" not in "".join(result.serialized_rows())
+        assert self.fallbacks(metrics) == 1
+
+    def test_stream_door_retries_before_first_chunk(self, monkeypatch):
+        metrics, transform, transform_stream = self.doors(monkeypatch, 0)
+        stream = transform_stream()
+        text = stream.text()
+        assert self.fallbacks(metrics) == 1
+        result = transform()
+        assert text == "".join(result.serialized_rows())
+        for field in ("strategy", "fallback_phase", "fallback_category",
+                      "fallback_reason", "vm_stats", "executed_query",
+                      "plan_profile"):
+            assert getattr(stream, field) == getattr(result, field), field
+        assert stream.trace.attrs == result.trace.attrs
+        assert stream.trace.attrs["fallback_phase"] == "execute"
+        for view in (stream, result):
+            failed = view.trace.find("plan.execute")
+            assert failed.status == "error"
+            assert view.trace.find("functional.execute").status == "ok"
+
+    def test_stream_door_propagates_after_first_chunk(self, monkeypatch):
+        metrics, _, transform_stream = self.doors(monkeypatch, 1)
+        stream = transform_stream()
+        chunks = [next(stream)]
+        with pytest.raises(RewriteError) as raised:
+            chunks.extend(stream)
+        assert raised.value.phase == "execute"
+        # the consumer holds plan output: no silent strategy switch,
+        # nothing emitted twice, no fallback counted
+        assert chunks == ["<row n='0'/>"]
+        assert list(stream) == []
+        assert stream.fallback_reason is None
+        assert self.fallbacks(metrics) == 0
+        assert stream.trace.find("functional.execute") is None
+        assert stream.trace.status == "error"
 
 
 class TestCategorize:

@@ -88,6 +88,19 @@ class TestExceptionCapture:
             pass
         assert span.parent is None
 
+    def test_late_finish_of_an_unwound_span_leaves_the_stack_alone(self):
+        """A generator may hold a span open past its parent (a stream
+        abandoned and closed later): finishing it then must not unwind
+        whatever is active by that time."""
+        tracer = Tracer()
+        with tracer.span("parent"):
+            held = tracer.span("held")
+        # "parent" finishing popped "held" off the stack with it
+        with tracer.span("unrelated") as active:
+            held.__exit__(None, None, None)
+            assert tracer.current() is active
+        assert held.finished and tracer.current() is None
+
 
 class TestDisabledTracer:
     def test_disabled_returns_null_span(self):

@@ -311,3 +311,41 @@ class TestServiceWarmStart:
                               artifact_dir=store_dir) as service:
             service.transform(storage, sheet)
             assert len(service.artifact_store) == 0
+
+
+class TestSiblingEpochBump:
+    """A sibling process publishing an invalidation (a bumped store
+    epoch) must reach every serve door — both go through
+    ``PlanRuntime.plan_for``."""
+
+    @pytest.mark.parametrize("door", ["transform", "transform_stream"])
+    def test_door_absorbs_remote_invalidation(self, tmp_path, door):
+        db, storage = make_storage()
+        store_dir = str(tmp_path / "plans")
+        metrics = MetricsRegistry()
+
+        def request(service):
+            if door == "transform":
+                result = service.transform(storage, EXAMPLE1_STYLESHEET)
+                return "".join(result.serialized_rows())
+            return service.transform_stream(storage,
+                                            EXAMPLE1_STYLESHEET).text()
+
+        with TransformService(db, metrics=metrics,
+                              artifact_dir=store_dir) as service:
+            runtime = service._backend.runtime
+            cold = request(service)
+            assert request(service) == cold  # warm: tier 1
+            assert runtime.seen_epoch == 0
+            assert metrics.counter_total("serve.cache.disk.hits") == 0
+            # a second handle on the directory: what a sibling does
+            ArtifactStore(store_dir, metrics=MetricsRegistry()).bump_epoch(
+                reason="sibling")
+            assert request(service) == cold
+            assert runtime.seen_epoch == 1
+            assert metrics.counter("serve.cache.evictions",
+                                   reason="stale-stats").value == 1
+        # the stale tier-1 entry went; the plan was re-read from the
+        # disk tier (same stats version), never recompiled
+        assert metrics.counter_total("serve.cache.disk.hits") == 1
+        assert metrics.counter_total("transform.rewrite_attempts") == 1
