@@ -57,9 +57,9 @@ class PartialEvaluation:
     # -- serialization ----------------------------------------------------------
 
     def __getstate__(self):
-        """Drop the traced VM: its function table is built from closures
-        (unpicklable) and it is only consulted during compilation —
-        a serialized compile artifact never re-runs partial evaluation."""
+        """Drop the traced VM: its bound program is closures (unpicklable)
+        and it is only consulted during compilation — a serialized compile
+        artifact never re-runs partial evaluation."""
         state = dict(self.__dict__)
         state["vm"] = None
         return state

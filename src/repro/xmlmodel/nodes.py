@@ -171,6 +171,9 @@ class _ParentNode(Node):
         return child
 
     def string_value(self):
+        children = self._children
+        if len(children) == 1 and children[0].kind == NodeKind.TEXT:
+            return children[0].value  # the leaf shape: no walk
         parts = []
         for node in self.iter_descendants():
             if node.kind == NodeKind.TEXT:

@@ -1,8 +1,21 @@
-"""XPath 1.0 abstract syntax tree with direct evaluation.
+"""XPath 1.0 abstract syntax tree, compiled to closures on first use.
 
-Every node implements ``evaluate(context) -> value`` using the value model
-in :mod:`repro.xpath.datamodel`.  The XQuery package builds on these classes
-(path expressions inside FLWOR bodies are exactly these nodes), so they are
+The nodes are plain data (the XQuery generator walks and rebuilds them,
+compile artifacts pickle them).  Each XPath node's semantics live in one
+``compile()`` that returns a closure ``fn(context) -> value`` over the
+node's fields and its children's closures — name tests decided on
+``(kind, local, uri)``, child/attribute/self/parent steps as direct list
+operations, one context per predicate pass — using the value model in
+:mod:`repro.xpath.datamodel`.  ``bound()`` caches that closure on the node
+(it is dropped on pickling) and ``evaluate(context)`` is a call into it, so
+every stylesheet that parses the same expression text shares one compiled
+form (:func:`repro.xpath.parser.compile_xpath` memoises the tree).  What a
+closure cannot know from the tree alone is looked up where it is reached:
+a namespace prefix in the context's bindings, a function in the context's
+overlay, so an undeclared prefix or an unknown function raises when the
+step or call is evaluated, never when it is compiled.  The XQuery package
+builds on these classes (path expressions inside FLWOR bodies are exactly
+these nodes; its own nodes implement ``evaluate`` directly), so they are
 written to tolerate general item sequences where that costs nothing.
 
 Every node also implements ``to_text()`` producing parseable XPath syntax;
@@ -13,10 +26,12 @@ paper's Table 8 style output).
 from __future__ import annotations
 
 import math
+import operator
 
 from repro.errors import XPathEvaluationError
 from repro.xmlmodel.nodes import Node, NodeKind
 from repro.xpath.axes import AXES, REVERSE_AXES
+from repro.xpath.functions import CORE_FUNCTIONS
 from repro.xpath.datamodel import (
     sort_document_order,
     to_boolean,
@@ -32,6 +47,11 @@ class Expr:
 
     def evaluate(self, context):
         raise NotImplementedError
+
+    def bound(self):
+        """A callable ``fn(context) -> value`` for this node.  A node that
+        evaluates itself (the XQuery ones) is its own."""
+        return self.evaluate
 
     def to_text(self):
         raise NotImplementedError
@@ -51,14 +71,41 @@ class Expr:
         return "%s(%s)" % (type(self).__name__, self.to_text())
 
 
-class Literal(Expr):
+class XPathExpr(Expr):
+    """An XPath 1.0 node.  ``compile()`` holds its semantics; ``bound()``
+    is the closure it returned, made on first use and kept on the node as a
+    runtime handle: pickling drops it, and it closes over the node's fields
+    and its children's closures, never over the node (no cycle)."""
+
+    _fn = None
+
+    def compile(self):
+        raise NotImplementedError
+
+    def bound(self):
+        fn = self._fn
+        if fn is None:
+            fn = self._fn = self.compile()
+        return fn
+
+    def evaluate(self, context):
+        return self.bound()(context)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_fn", None)
+        return state
+
+
+class Literal(XPathExpr):
     """A string literal."""
 
     def __init__(self, value):
         self.value = value
 
-    def evaluate(self, context):
-        return self.value
+    def compile(self):
+        value = self.value
+        return lambda context: value
 
     def to_text(self):
         if '"' not in self.value:
@@ -66,39 +113,50 @@ class Literal(Expr):
         return "'%s'" % self.value
 
 
-class NumberLiteral(Expr):
+class NumberLiteral(XPathExpr):
     """A numeric literal (always a float, per XPath 1.0)."""
 
     def __init__(self, value):
         self.value = float(value)
 
-    def evaluate(self, context):
-        return self.value
+    compile = Literal.compile
 
     def to_text(self):
         return number_to_string(self.value)
 
 
-class VariableRef(Expr):
+class VariableRef(XPathExpr):
     """A ``$name`` reference."""
 
     def __init__(self, name):
         self.name = name
 
-    def evaluate(self, context):
-        return context.lookup_variable(self.name)
+    def compile(self):
+        name = self.name
+
+        def variable(context):
+            try:
+                return context.variables[name]
+            except KeyError:
+                return context.lookup_variable(name)  # the undefined-$x error
+
+        return variable
 
     def to_text(self):
         return "$%s" % self.name
 
 
-class ContextItem(Expr):
+class ContextItem(XPathExpr):
     """The ``.`` expression."""
 
-    def evaluate(self, context):
-        if context.node is None:
-            raise XPathEvaluationError("no context item")
-        return [context.node] if isinstance(context.node, Node) else context.node
+    def compile(self):
+        def context_item(context):
+            node = context.node
+            if node is None:
+                raise XPathEvaluationError("no context item")
+            return [node] if isinstance(node, Node) else node
+
+        return context_item
 
     def to_text(self):
         return "."
@@ -121,7 +179,7 @@ def is_context_item(expr):
     )
 
 
-class FunctionCall(Expr):
+class FunctionCall(XPathExpr):
     """A call into the function library (core + host registered)."""
 
     def __init__(self, name, args):
@@ -131,23 +189,28 @@ class FunctionCall(Expr):
     def child_exprs(self):
         return tuple(self.args)
 
-    def evaluate(self, context):
-        entry = context.functions.get(self.name)
-        if entry is None:
-            from repro.xpath.functions import CORE_FUNCTIONS
+    def compile(self):
+        name = self.name
+        args = [arg.bound() for arg in self.args]
+        count = len(args)
 
-            entry = CORE_FUNCTIONS.get(self.name)
-        if entry is None:
-            raise XPathEvaluationError("unknown function %s()" % self.name)
-        min_args, max_args, impl = entry
-        count = len(self.args)
-        if count < min_args or (max_args is not None and count > max_args):
-            raise XPathEvaluationError(
-                "%s() expects %s argument(s), got %d"
-                % (self.name, _arity_text(min_args, max_args), count)
-            )
-        values = [arg.evaluate(context) for arg in self.args]
-        return impl(context, *values)
+        core = CORE_FUNCTIONS.get(name)  # looked up once; overlay per call
+
+        def call(context):
+            # an unknown name or a wrong arity is an error of the call that
+            # is reached, never of the compile
+            entry = context.functions.get(name) or core
+            if entry is None:
+                raise XPathEvaluationError("unknown function %s()" % name)
+            min_args, max_args, impl = entry
+            if count < min_args or (max_args is not None and count > max_args):
+                raise XPathEvaluationError(
+                    "%s() expects %s argument(s), got %d"
+                    % (name, _arity_text(min_args, max_args), count)
+                )
+            return impl(context, *[arg(context) for arg in args])
+
+        return call
 
     def to_text(self):
         return "%s(%s)" % (self.name, ", ".join(a.to_text() for a in self.args))
@@ -161,21 +224,22 @@ def _arity_text(min_args, max_args):
     return "%d..%d" % (min_args, max_args)
 
 
-class UnaryMinus(Expr):
+class UnaryMinus(XPathExpr):
     def __init__(self, operand):
         self.operand = operand
 
     def child_exprs(self):
         return (self.operand,)
 
-    def evaluate(self, context):
-        return -to_number(self.operand.evaluate(context))
+    def compile(self):
+        operand = self.operand.bound()
+        return lambda context: -to_number(operand(context))
 
     def to_text(self):
         return "-%s" % self.operand.to_text()
 
 
-class BinaryOp(Expr):
+class BinaryOp(XPathExpr):
     """Binary operators: or, and, comparisons, arithmetic."""
 
     def __init__(self, op, left, right):
@@ -186,35 +250,26 @@ class BinaryOp(Expr):
     def child_exprs(self):
         return (self.left, self.right)
 
-    def evaluate(self, context):
+    def compile(self):
         op = self.op
+        left, right = self.left.bound(), self.right.bound()
         if op == "or":
-            return to_boolean(self.left.evaluate(context)) or to_boolean(
-                self.right.evaluate(context)
-            )
+            return lambda context: (
+                to_boolean(left(context)) or to_boolean(right(context)))
         if op == "and":
-            return to_boolean(self.left.evaluate(context)) and to_boolean(
-                self.right.evaluate(context)
-            )
-        left = self.left.evaluate(context)
-        right = self.right.evaluate(context)
+            return lambda context: (
+                to_boolean(left(context)) and to_boolean(right(context)))
         if op in ("=", "!=", "<", "<=", ">", ">="):
-            return compare_values(op, left, right)
-        left_num = to_number(left)
-        right_num = to_number(right)
-        if op == "+":
-            return left_num + right_num
-        if op == "-":
-            return left_num - right_num
-        if op == "*":
-            return left_num * right_num
-        if op == "div":
-            return _divide(left_num, right_num)
-        if op == "mod":
-            if right_num == 0 or right_num != right_num:
-                return float("nan")
-            return math.fmod(left_num, right_num)
-        raise XPathEvaluationError("unknown operator %r" % op)
+            return lambda context: compare_values(
+                op, left(context), right(context))
+        operate = _ARITHMETIC.get(op)
+
+        def arithmetic(context):
+            if operate is None:
+                raise XPathEvaluationError("unknown operator %r" % op)
+            return operate(to_number(left(context)), to_number(right(context)))
+
+        return arithmetic
 
     def to_text(self):
         return "%s %s %s" % (
@@ -248,6 +303,16 @@ def _divide(left, right):
             return float("nan")
         return math.inf if left > 0 else -math.inf
     return left / right
+
+
+def _modulo(left, right):
+    if right == 0 or right != right:
+        return float("nan")
+    return math.fmod(left, right)
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "div": _divide, "mod": _modulo}
 
 
 def compare_values(op, left, right):
@@ -348,7 +413,7 @@ def _numeric_compare(op, left, right):
     raise XPathEvaluationError("unknown comparison %r" % op)
 
 
-class UnionExpr(Expr):
+class UnionExpr(XPathExpr):
     """``a | b``: node-set union in document order."""
 
     def __init__(self, parts):
@@ -357,14 +422,23 @@ class UnionExpr(Expr):
     def child_exprs(self):
         return tuple(self.parts)
 
-    def evaluate(self, context):
-        nodes = []
-        for part in self.parts:
-            nodes.extend(to_node_set(part.evaluate(context), "union operand"))
-        return sort_document_order(nodes)
+    def compile(self):
+        parts = [part.bound() for part in self.parts]
+
+        def union(context):
+            nodes = []
+            for part in parts:
+                nodes.extend(to_node_set(part(context), "union operand"))
+            return sort_document_order(nodes)
+
+        return union
 
     def to_text(self):
         return " | ".join(part.to_text() for part in self.parts)
+
+
+_ELEMENT = NodeKind.ELEMENT
+_ATTRIBUTE = NodeKind.ATTRIBUTE
 
 
 class NameTest:
@@ -377,22 +451,20 @@ class NameTest:
         self.prefix = prefix
         self.local = local
 
-    def matches(self, node, principal_kind, context):
-        if node.kind != principal_kind:
-            return False
-        name = node.name
-        if name is None:
-            return False
+    def matcher(self, principal, uri):
+        """``match(node) -> bool`` on ``(kind, local, uri)``: ``principal``
+        is the axis's principal node kind, ``uri`` what the prefix resolved
+        to (``None``: unprefixed, a no-namespace name).  ``_name`` is the
+        slot behind an element's or attribute's ``name`` property, read
+        directly because this runs once per candidate node."""
+        local = self.local
+        if local != "*":
+            return lambda node: (node.kind == principal
+                                 and node._name.local == local
+                                 and node._name.uri == uri)
         if self.prefix is None:
-            # unprefixed: any name for ``*``, else a no-namespace name —
-            # nothing to resolve against the context
-            return self.local == "*" or (
-                name.local == self.local and name.uri is None
-            )
-        uri = context.resolve_prefix(self.prefix)
-        if self.local == "*":
-            return name.uri == uri
-        return name.local == self.local and name.uri == uri
+            return lambda node: node.kind == principal
+        return lambda node: node.kind == principal and node._name.uri == uri
 
     def to_text(self):
         if self.prefix:
@@ -409,14 +481,15 @@ class KindTest:
         self.kind = kind  # None means node()
         self.target = target
 
-    def matches(self, node, principal_kind, context):
-        if self.kind is None:
-            return True
-        if node.kind != self.kind:
-            return False
-        if self.kind == NodeKind.PI and self.target is not None:
-            return node.target == self.target
-        return True
+    def matcher(self, principal, uri):
+        """``match(node) -> bool``, or ``None`` for ``node()`` (every node
+        matches)."""
+        kind, target = self.kind, self.target
+        if kind is None:
+            return None
+        if kind == NodeKind.PI and target is not None:
+            return lambda node: node.kind == kind and node.target == target
+        return lambda node: node.kind == kind
 
     def to_text(self):
         if self.kind is None:
@@ -424,6 +497,19 @@ class KindTest:
         if self.kind == NodeKind.PI and self.target is not None:
             return 'processing-instruction("%s")' % self.target
         return "%s()" % self.kind
+
+
+def bind_prefix(test, build):
+    """``build(uri)`` makes a step's closure ``fn(node, context)`` for the
+    namespace its test's prefix resolved to.  Unprefixed: built once.
+    Prefixed: resolved in the context's bindings each time the step is
+    reached — one tree serves every stylesheet that parses the same text,
+    and an undeclared prefix is an error of the evaluation that reaches it."""
+    prefix = getattr(test, "prefix", None)
+    if prefix is None:
+        return build(None)
+    return lambda node, context: build(
+        context.resolve_prefix(prefix))(node, context)
 
 
 class Step:
@@ -436,21 +522,29 @@ class Step:
         self.test = test
         self.predicates = predicates or []
 
+    def compile(self):
+        """``select(node, context)``: the nodes this step reaches from one
+        context node, in axis order with predicates applied."""
+        axis, test = self.axis, self.test
+        filters = [compile_predicate(expr) for expr in self.predicates]
+
+        def build(uri):
+            select = _axis_select(axis, test, uri)
+            if not filters:
+                return select
+
+            def filtered(node, context):
+                nodes = select(node, context)
+                for keep in filters:
+                    nodes = keep(nodes, context)
+                return nodes
+
+            return filtered
+
+        return bind_prefix(test, build)
+
     def select(self, node, context):
-        """Nodes selected by this step from one context node, in axis order
-        with predicates applied."""
-        axis_fn = AXES[self.axis]
-        principal = (
-            NodeKind.ATTRIBUTE if self.axis == "attribute" else NodeKind.ELEMENT
-        )
-        selected = [
-            candidate
-            for candidate in axis_fn(node)
-            if self.test.matches(candidate, principal, context)
-        ]
-        for predicate in self.predicates:
-            selected = _filter_by_predicate(selected, predicate, context)
-        return selected
+        return self.compile()(node, context)
 
     def to_text(self):
         prefix = ""
@@ -468,23 +562,80 @@ class Step:
         return text
 
 
-def _filter_by_predicate(nodes, predicate, context):
-    """Apply one predicate to a node list (already in axis order)."""
-    size = len(nodes)
-    survivors = []
-    for index, node in enumerate(nodes, start=1):
-        sub = context.with_node(node, position=index, size=size)
-        value = predicate.evaluate(sub)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            keep = float(value) == float(index)
-        else:
-            keep = to_boolean(value)
-        if keep:
-            survivors.append(node)
-    return survivors
+def _axis_select(axis, test, uri):
+    """The predicate-free part of a step as ``select(node, context)``."""
+    principal = _ATTRIBUTE if axis == "attribute" else _ELEMENT
+    match = test.matcher(principal, uri)
+    local = getattr(test, "local", "*")
+    if axis == "child":
+        if local != "*":
+            return lambda node, context: [
+                child for child in node.children
+                if child.kind == _ELEMENT and child._name.local == local
+                and child._name.uri == uri]
+        if match is None:
+            return lambda node, context: list(node.children)
+        return lambda node, context: [
+            child for child in node.children if match(child)]
+    if axis == "attribute":
+        if match is None:
+            match = lambda node: True  # noqa: E731 - attribute::node()
+        return lambda node, context: [
+            attribute for attribute in node.attributes if match(attribute)
+        ] if node.kind == _ELEMENT else []
+    if axis == "self":
+        return lambda node, context: (
+            [node] if match is None or match(node) else [])
+    if axis == "parent":
+        def parent(node, context):
+            up = node.parent
+            return [up] if up is not None and (
+                match is None or match(up)) else []
+
+        return parent
+    walk = AXES[axis]
+    if match is None:
+        return lambda node, context: list(walk(node))
+    return lambda node, context: [
+        candidate for candidate in walk(node) if match(candidate)]
 
 
-class PathExpr(Expr):
+def compile_predicate(expr):
+    """One predicate as ``keep(nodes, context) -> survivors`` over a node
+    list already in axis order.  One context serves the whole pass: its
+    node and position are re-pointed at each candidate."""
+    if isinstance(expr, NumberLiteral):  # [k]: no context at all
+        index = expr.value
+        if index < 1 or not index.is_integer():
+            return lambda nodes, context: []
+        return lambda nodes, context: nodes[int(index) - 1:int(index)]
+    test = expr.bound()
+
+    def keep(nodes, context):
+        if not nodes:
+            return nodes
+        focus = context.with_node(nodes[0], 0, len(nodes))
+        survivors = []
+        position = 0
+        for node in nodes:
+            position += 1
+            focus.node = node
+            focus.position = position
+            value = test(focus)
+            if isinstance(value, bool):
+                if value:
+                    survivors.append(node)
+            elif isinstance(value, (int, float)):
+                if value == position:
+                    survivors.append(node)
+            elif to_boolean(value):
+                survivors.append(node)
+        return survivors
+
+    return keep
+
+
+class PathExpr(XPathExpr):
     """A location path, optionally rooted at a primary expression.
 
     ``absolute`` paths start at the document root; otherwise at the context
@@ -503,30 +654,43 @@ class PathExpr(Expr):
         )
         return base + predicates
 
-    def evaluate(self, context):
-        if self.start is not None:
-            value = self.start.evaluate(context)
-            nodes = to_node_set(value, "path start")
-        elif self.absolute:
-            if context.node is None:
-                raise XPathEvaluationError("absolute path with no context node")
-            nodes = [context.node.root()]
-        else:
-            if context.node is None:
-                raise XPathEvaluationError("relative path with no context node")
-            nodes = [context.node]
-
+    def compile(self):
+        start = self.start.bound() if self.start is not None else None
+        absolute = self.absolute
+        # (select, reverse axis?, gathered output needs no sort?).  From one
+        # context node, child/attribute/self steps reach nodes none of which
+        # is another's ancestor; gathering a downward step over those, in
+        # order, is already document order.  Descendants may nest: the step
+        # after them sorts.
+        steps = []
+        flat = start is None
         for step in self.steps:
-            if len(nodes) == 1 and step.axis not in REVERSE_AXES:
-                # One context node along a forward axis: select() already
-                # returns document order with no duplicates.
-                nodes = step.select(nodes[0], context)
-                continue
-            gathered = []
-            for node in nodes:
-                gathered.extend(step.select(node, context))
-            nodes = sort_document_order(gathered)
-        return nodes
+            ordered = flat and step.axis in _DOWNWARD_AXES
+            steps.append((step.compile(), step.axis in REVERSE_AXES, ordered))
+            flat = ordered and step.axis in _DOWNWARD_AXES[:3]
+
+        def path(context):
+            if start is not None:
+                nodes = to_node_set(start(context), "path start")
+            elif context.node is None:
+                raise XPathEvaluationError(
+                    "%s path with no context node"
+                    % ("absolute" if absolute else "relative"))
+            else:
+                nodes = [context.node.root() if absolute else context.node]
+            for select, reverse, ordered in steps:
+                if len(nodes) == 1 and not reverse:
+                    # One context node along a forward axis: select()
+                    # already returns document order with no duplicates.
+                    nodes = select(nodes[0], context)
+                    continue
+                gathered = []
+                for node in nodes:
+                    gathered.extend(select(node, context))
+                nodes = gathered if ordered else sort_document_order(gathered)
+            return nodes
+
+        return path
 
     def to_text(self):
         parts = []
@@ -542,7 +706,11 @@ class PathExpr(Expr):
         return step_text
 
 
-class FilterExpr(Expr):
+_DOWNWARD_AXES = ("child", "attribute", "self", "descendant",
+                  "descendant-or-self")
+
+
+class FilterExpr(XPathExpr):
     """A primary expression with predicates: ``$x[1]``, ``(a|b)[last()]``."""
 
     def __init__(self, primary, predicates):
@@ -552,13 +720,18 @@ class FilterExpr(Expr):
     def child_exprs(self):
         return (self.primary,) + tuple(self.predicates)
 
-    def evaluate(self, context):
-        value = self.primary.evaluate(context)
-        nodes = to_node_set(value, "filter expression")
-        nodes = sort_document_order(nodes)
-        for predicate in self.predicates:
-            nodes = _filter_by_predicate(nodes, predicate, context)
-        return nodes
+    def compile(self):
+        primary = self.primary.bound()
+        filters = [compile_predicate(expr) for expr in self.predicates]
+
+        def filter_expr(context):
+            nodes = sort_document_order(
+                to_node_set(primary(context), "filter expression"))
+            for keep in filters:
+                nodes = keep(nodes, context)
+            return nodes
+
+        return filter_expr
 
     def to_text(self):
         text = self.primary.to_text()
@@ -567,3 +740,7 @@ class FilterExpr(Expr):
         for predicate in self.predicates:
             text += "[%s]" % predicate.to_text()
         return text
+
+
+#: the node types whose value is always a (validated) node list
+NODE_SET_EXPRS = (PathExpr, UnionExpr, FilterExpr)

@@ -54,32 +54,23 @@ class XPathContext:
         self.extra = extra if extra is not None else {}
 
     def with_node(self, node, position=1, size=1):
-        """A context focused on a different node, sharing the environment."""
-        return XPathContext(
-            node,
-            position=position,
-            size=size,
-            variables=self.variables,
-            namespaces=self.namespaces,
-            functions=self.functions,
-            current=self.current,
-            extra=self.extra,
-        )
+        """A context focused on a different node, sharing the environment.
+
+        The compiled evaluator makes one of these per predicate pass (or
+        ``for-each`` / ``apply-templates`` loop) and re-points its ``node``
+        and ``position`` at each candidate; nothing keeps a context past
+        the evaluation it was made for."""
+        return XPathContext(node, position, size, self.variables,
+                            self.namespaces, self.functions, self.current,
+                            self.extra)
 
     def with_variables(self, new_variables):
         """A context with additional variable bindings layered on."""
         merged = dict(self.variables)
         merged.update(new_variables)
-        return XPathContext(
-            self.node,
-            position=self.position,
-            size=self.size,
-            variables=merged,
-            namespaces=self.namespaces,
-            functions=self.functions,
-            current=self.current,
-            extra=self.extra,
-        )
+        return XPathContext(self.node, self.position, self.size, merged,
+                            self.namespaces, self.functions, self.current,
+                            self.extra)
 
     def lookup_variable(self, name):
         if name in self.variables:

@@ -47,17 +47,9 @@ def sort_document_order(nodes):
 
 
 def to_string(value):
-    """XPath ``string()`` conversion."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return number_to_string(value)
-    if isinstance(value, int):
-        return number_to_string(float(value))
+    """XPath ``string()`` conversion (commonest types first)."""
     if isinstance(value, str):
         return value
-    if isinstance(value, Node):
-        return value.string_value()
     if isinstance(value, list):
         if not value:
             return ""
@@ -65,6 +57,12 @@ def to_string(value):
         if isinstance(first, Node):
             return first.string_value()
         return to_string(first)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, int)):
+        return number_to_string(float(value))
+    if isinstance(value, Node):
+        return value.string_value()
     raise XPathTypeError("cannot convert %r to a string" % type(value).__name__)
 
 

@@ -4,7 +4,9 @@ A pattern is a union of *location path patterns*; a node matches if it
 matches any alternative.  Matching is implemented by the reverse-step walk
 the paper attributes to [6] (Moerkotte) and [9]: the node must match the
 last step, its parent chain must satisfy the remaining steps, and a leading
-``/`` anchors the chain at the document root.
+``/`` anchors the chain at the document root.  Like the expression tree,
+a pattern is plain data whose ``compile()`` returns the matcher closure;
+the stylesheet program binds each rule's matcher once.
 
 Each alternative carries the XSLT 1.0 *default priority* (§5.5), used for
 template conflict resolution:
@@ -20,7 +22,7 @@ from __future__ import annotations
 from repro.errors import XPathSyntaxError
 from repro.xmlmodel.nodes import NodeKind
 from repro.xpath import lexer as lex
-from repro.xpath.ast import KindTest, NameTest, _filter_by_predicate
+from repro.xpath.ast import KindTest, NameTest, bind_prefix, compile_predicate
 from repro.xpath.lexer import Lexer
 from repro.xpath.parser import XPathParser
 
@@ -39,38 +41,52 @@ class StepPattern:
         self.test = test
         self.predicates = predicates
 
-    def node_matches(self, node, context):
-        """Does ``node`` satisfy this step's test and predicates?"""
-        principal = (
+    @property
+    def principal(self):
+        return (
             NodeKind.ATTRIBUTE if self.axis == "attribute" else NodeKind.ELEMENT
         )
-        if not self.test.matches(node, principal, context):
-            return False
-        if not self.predicates:
-            return True
-        return self._predicates_hold(node, context)
 
-    def _predicates_hold(self, node, context):
-        """Pattern predicates count position among like-named siblings."""
-        parent = node.parent
-        if parent is None:
-            siblings = [node]
-        elif self.axis == "attribute":
-            siblings = [
-                attribute
-                for attribute in parent.attributes
-                if self.test.matches(attribute, NodeKind.ATTRIBUTE, context)
-            ]
-        else:
-            siblings = [
-                child
-                for child in parent.children
-                if self.test.matches(child, NodeKind.ELEMENT, context)
-            ]
-        survivors = siblings
-        for predicate in self.predicates:
-            survivors = _filter_by_predicate(survivors, predicate, context)
-        return any(candidate is node for candidate in survivors)
+    def admits(self, node, namespaces):
+        """Can this step's node test match a node of ``node``'s kind and
+        name?  What a dispatch table keys on: ``True``/``False``, or
+        ``None`` when the test's prefix is not in ``namespaces`` — the
+        matcher decides then, raising when it is reached."""
+        prefix = getattr(self.test, "prefix", None)
+        if prefix is not None and prefix not in namespaces:
+            return None if node.kind == self.principal else False
+        match = self.test.matcher(self.principal, namespaces.get(prefix))
+        return match is None or match(node)
+
+    def compile(self):
+        """``matches(node, context)``: does ``node`` satisfy this step's
+        test and predicates?  Pattern predicates count position among the
+        like-tested siblings."""
+        principal, test = self.principal, self.test
+        filters = [compile_predicate(expr) for expr in self.predicates]
+
+        def build(uri):
+            match = test.matcher(principal, uri) or (lambda node: True)
+            if not filters:
+                return lambda node, context: match(node)
+
+            def step(node, context):
+                if not match(node):
+                    return False
+                parent = node.parent
+                if parent is None:
+                    siblings = [node]
+                elif principal == NodeKind.ATTRIBUTE:
+                    siblings = [a for a in parent.attributes if match(a)]
+                else:
+                    siblings = [c for c in parent.children if match(c)]
+                for keep in filters:
+                    siblings = keep(siblings, context)
+                return any(candidate is node for candidate in siblings)
+
+            return step
+
+        return bind_prefix(test, build)
 
     def to_text(self):
         prefix = "@" if self.axis == "attribute" else ""
@@ -78,6 +94,29 @@ class StepPattern:
         for predicate in self.predicates:
             text += "[%s]" % predicate.to_text()
         return text
+
+
+def _chain_matches(steps, connectors, anchored, node, index, context):
+    """Check steps[0..index-1] against the ancestors of ``node``."""
+    if index == 0:
+        if not anchored:
+            return True
+        parent = node.parent
+        return parent is not None and parent.kind == NodeKind.DOCUMENT
+    prior = steps[index - 1]
+    ancestor = node.parent
+    if connectors[index - 1] == CHILD:
+        return (ancestor is not None and prior(ancestor, context)
+                and _chain_matches(steps, connectors, anchored, ancestor,
+                                   index - 1, context))
+    # '//': some ancestor matches the prior step
+    while ancestor is not None:
+        if prior(ancestor, context) and _chain_matches(
+            steps, connectors, anchored, ancestor, index - 1, context
+        ):
+            return True
+        ancestor = ancestor.parent
+    return False
 
 
 class PathPattern:
@@ -92,38 +131,27 @@ class PathPattern:
         self.anchored = anchored
         self.source = source
 
-    def matches(self, node, context):
-        if not self.steps:  # the pattern "/" — matches the document node
-            return node.kind == NodeKind.DOCUMENT
-        if not self.steps[-1].node_matches(node, context):
-            return False
-        return self._chain_matches(node, len(self.steps) - 1, context)
+    @property
+    def keyed(self):
+        """Decided by the node's kind and name alone: one unanchored,
+        predicate-free step (the default-priority <= 0 shapes)."""
+        return (len(self.steps) == 1 and not self.anchored
+                and not self.steps[0].predicates)
 
-    def _chain_matches(self, node, step_index, context):
-        """Check steps[0..step_index-1] against the ancestors of ``node``."""
-        if step_index == 0:
-            if not self.anchored:
-                return True
-            parent = node.parent
-            return parent is not None and parent.kind == NodeKind.DOCUMENT
-        connector = self.connectors[step_index - 1]
-        prior = self.steps[step_index - 1]
-        parent = node.parent
-        if connector == CHILD:
-            if parent is None:
-                return False
-            return prior.node_matches(parent, context) and self._chain_matches(
-                parent, step_index - 1, context
-            )
-        # '//': some ancestor matches the prior step
-        ancestor = parent
-        while ancestor is not None:
-            if prior.node_matches(ancestor, context) and self._chain_matches(
-                ancestor, step_index - 1, context
-            ):
-                return True
-            ancestor = ancestor.parent
-        return False
+    def compile(self):
+        """``matches(node, context)`` for this alternative."""
+        if not self.steps:  # the pattern "/" — matches the document node
+            return lambda node, context: node.kind == NodeKind.DOCUMENT
+        steps = [step.compile() for step in self.steps]
+        if len(steps) == 1 and not self.anchored:
+            return steps[0]
+        connectors, anchored = self.connectors, self.anchored
+        last, rest = steps[-1], len(steps) - 1
+        return lambda node, context: last(node, context) and _chain_matches(
+            steps, connectors, anchored, node, rest, context)
+
+    def matches(self, node, context):
+        return self.compile()(node, context)
 
     def default_priority(self):
         if len(self.steps) != 1 or self.anchored:
@@ -166,8 +194,15 @@ class Pattern:
         self.alternatives = alternatives
         self.source = source
 
+    def compile(self):
+        alternatives = [alt.compile() for alt in self.alternatives]
+        if len(alternatives) == 1:
+            return alternatives[0]
+        return lambda node, context: any(
+            matches(node, context) for matches in alternatives)
+
     def matches(self, node, context):
-        return any(alt.matches(node, context) for alt in self.alternatives)
+        return self.compile()(node, context)
 
     def max_default_priority(self):
         return max(alt.default_priority() for alt in self.alternatives)

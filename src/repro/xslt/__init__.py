@@ -3,10 +3,13 @@
 The paper's Oracle XSLTVM [13] compiles a stylesheet into bytecode and
 executes it; partial evaluation (§4.3) instruments that VM with *trace
 instructions*.  Here the stylesheet is compiled into an instruction tree
-(:mod:`.instructions`) executed by :class:`~repro.xslt.vm.XsltVM`, which
-accepts a :class:`~repro.xslt.trace.TraceRecorder` exposing exactly the
-events partial evaluation needs: template instantiations per
-``apply-templates``/``call-template`` site with their context nodes.
+(:mod:`.instructions`, plain data) which is bound once, on first use, into
+a program of closures (:mod:`.program`) — our bytecode — that every
+:class:`~repro.xslt.vm.XsltVM` run of the stylesheet shares.  A VM given a
+:class:`~repro.xslt.trace.TraceRecorder` binds the tracing variant, which
+exposes exactly the events partial evaluation needs: template
+instantiations per ``apply-templates``/``call-template`` site with their
+context nodes.
 
 Public API:
 

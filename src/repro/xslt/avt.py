@@ -20,14 +20,19 @@ class Avt:
         self.parts = parts  # list of str (literal) or Expr (expression)
         self.source = source
 
-    def evaluate(self, context):
-        out = []
-        for part in self.parts:
+    def compile(self):
+        """``value(context) -> str`` over the parts' bound closures."""
+        parts = [part if isinstance(part, str) else part.bound()
+                 for part in self.parts]
+        if len(parts) == 1:
+            part = parts[0]
             if isinstance(part, str):
-                out.append(part)
-            else:
-                out.append(to_string(part.evaluate(context)))
-        return "".join(out)
+                return lambda context: part
+            return lambda context: to_string(part(context))
+        return lambda context: "".join([
+            part if isinstance(part, str) else to_string(part(context))
+            for part in parts
+        ])
 
     @property
     def is_constant(self):

@@ -1,9 +1,15 @@
-"""Compiled XSLT instruction tree — the VM's "bytecode".
+"""Compiled XSLT instruction tree — what a stylesheet program is bound from.
 
-Every instruction implements ``execute(vm, context, output)`` where ``vm``
-is the :class:`~repro.xslt.vm.XsltVM`, ``context`` an
-:class:`~repro.xpath.context.XPathContext` and ``output`` a
-:class:`~repro.xmlmodel.builder.TreeBuilder`.
+The tree is plain data: the XQuery generator walks it and compile artifacts
+pickle it.  Each instruction's semantics live in one ``bind(program)`` that
+returns a closure ``run(vm, context, output)`` over its pre-resolved names,
+its expressions' closures and its nested bodies' closures — ``vm`` is the
+:class:`~repro.xslt.vm.XsltVM` holding the run's state, ``context`` an
+:class:`~repro.xpath.context.XPathContext`, ``output`` a
+:class:`~repro.xmlmodel.builder.TreeBuilder`.  ``program`` is the
+:class:`~repro.xslt.program.Program` doing the binding; what differs under
+partial evaluation (every branch explored, selects rewritten) is asked of
+it at bind time, never tested per node.
 
 Each instruction carries a ``site_id`` (assigned by the compiler), which is
 how the partial evaluator's trace-table keys ``apply-templates`` and
@@ -14,9 +20,8 @@ instructions back to stylesheet constructs.
 from __future__ import annotations
 
 from repro.errors import XsltRuntimeError
-from repro.xmlmodel.builder import TreeBuilder
-from repro.xmlmodel.nodes import NodeKind, QName
-from repro.xpath.datamodel import to_boolean, to_node_set, to_number, to_string
+from repro.xmlmodel.nodes import Node, NodeKind, QName
+from repro.xpath.datamodel import to_boolean, to_number, to_string
 
 
 class Instruction:
@@ -24,7 +29,8 @@ class Instruction:
 
     site_id = -1
 
-    def execute(self, vm, context, output):
+    def bind(self, program):
+        """This instruction as ``run(vm, context, output)``."""
         raise NotImplementedError
 
     def child_bodies(self):
@@ -60,11 +66,6 @@ class WithParam:
         self.select = select
         self.body = body or []
 
-    def value(self, vm, context):
-        if self.select is not None:
-            return self.select.evaluate(context)
-        return vm.build_fragment(self.body, context)
-
 
 class TextInstr(Instruction):
     """Literal character data (from literal text or ``<xsl:text>``)."""
@@ -72,8 +73,9 @@ class TextInstr(Instruction):
     def __init__(self, value):
         self.value = value
 
-    def execute(self, vm, context, output):
-        output.text(self.value)
+    def bind(self, program):
+        value = self.value
+        return lambda vm, context, output: output.text(value)
 
 
 class LiteralElementInstr(Instruction):
@@ -88,12 +90,20 @@ class LiteralElementInstr(Instruction):
     def child_bodies(self):
         return (self.body,)
 
-    def execute(self, vm, context, output):
-        output.start_element(self.name, namespaces=self.namespaces)
-        for attr_name, avt in self.attributes:
-            output.attribute(attr_name, avt.evaluate(context))
-        vm.execute_body(self.body, context, output)
-        output.end_element()
+    def bind(self, program):
+        name, namespaces = self.name, self.namespaces
+        attributes = [(attr_name, avt.compile())
+                      for attr_name, avt in self.attributes]
+        body = program.body(self.body)
+
+        def literal_element(vm, context, output):
+            output.start_element(name, namespaces)
+            for attr_name, value in attributes:
+                output.attribute(attr_name, value(context))
+            body(vm, context, output)
+            output.end_element()
+
+        return literal_element
 
 
 class ValueOfInstr(Instruction):
@@ -102,8 +112,10 @@ class ValueOfInstr(Instruction):
     def __init__(self, select):
         self.select = select
 
-    def execute(self, vm, context, output):
-        output.text(to_string(self.select.evaluate(context)))
+    def bind(self, program):
+        select = self.select.bound()
+        return lambda vm, context, output: output.text(
+            to_string(select(context)))
 
 
 class ApplyTemplatesInstr(Instruction):
@@ -115,19 +127,21 @@ class ApplyTemplatesInstr(Instruction):
         self.sorts = sorts or []
         self.with_params = with_params or []
 
-    def execute(self, vm, context, output):
-        if self.select is not None:
-            value = vm.eval_select(self.select, context)
-            nodes = to_node_set(value, "apply-templates select")
-        else:
-            nodes = list(context.node.children)
-        if self.sorts:
-            nodes = vm.sort_nodes(nodes, self.sorts, context)
-        params = {
-            with_param.name: with_param.value(vm, context)
-            for with_param in self.with_params
-        }
-        vm.apply_templates(nodes, self.mode, params, context, output, site=self)
+    def bind(self, program):
+        select = (program.select(self.select, "apply-templates select")
+                  if self.select is not None else None)
+        sort = program.sorter(self.sorts)
+        with_params = program.with_params(self.with_params)
+        apply = program.applier(self.mode)
+        site = self
+
+        def apply_templates(vm, context, output):
+            nodes = context.node.children if select is None else select(context)
+            if sort is not None:
+                nodes = sort(nodes, context)
+            apply(vm, nodes, with_params(vm, context), context, output, site)
+
+        return apply_templates
 
 
 class CallTemplateInstr(Instruction):
@@ -137,12 +151,19 @@ class CallTemplateInstr(Instruction):
         self.name = name
         self.with_params = with_params or []
 
-    def execute(self, vm, context, output):
-        params = {
-            with_param.name: with_param.value(vm, context)
-            for with_param in self.with_params
-        }
-        vm.call_template(self.name, params, context, output, site=self)
+    def bind(self, program):
+        name, site = self.name, self
+        with_params = program.with_params(self.with_params)
+        enter = None
+
+        def call_template(vm, context, output):
+            nonlocal enter
+            params = with_params(vm, context)
+            if enter is None:  # an unknown name is an error once reached
+                enter = vm.program.named_template(name)
+            enter(vm, params, context, output, site)
+
+        return call_template
 
 
 class ForEachInstr(Instruction):
@@ -156,17 +177,24 @@ class ForEachInstr(Instruction):
     def child_bodies(self):
         return (self.body,)
 
-    def execute(self, vm, context, output):
-        nodes = to_node_set(
-            vm.eval_select(self.select, context), "for-each select"
-        )
-        if self.sorts:
-            nodes = vm.sort_nodes(nodes, self.sorts, context)
-        size = len(nodes)
-        for position, node in enumerate(nodes, start=1):
-            sub = context.with_node(node, position=position, size=size)
-            sub.current = node
-            vm.execute_body(self.body, sub, output)
+    def bind(self, program):
+        select = program.select(self.select, "for-each select")
+        sort = program.sorter(self.sorts)
+        body = program.body(self.body)
+
+        def for_each(vm, context, output):
+            nodes = select(context)
+            if sort is not None:
+                nodes = sort(nodes, context)
+            if nodes:
+                # one context for the loop, re-pointed at each node
+                focus = context.with_node(nodes[0], 0, len(nodes))
+                for node in nodes:
+                    focus.node = focus.current = node
+                    focus.position += 1
+                    body(vm, focus, output)
+
+        return for_each
 
 
 class IfInstr(Instruction):
@@ -179,14 +207,19 @@ class IfInstr(Instruction):
     def child_bodies(self):
         return (self.body,)
 
-    def execute(self, vm, context, output):
-        if vm.explore:
+    def bind(self, program):
+        body = program.body(self.body)
+        if program.explore:
             # Partial evaluation explores every branch: the test depends on
             # content values the sample document does not carry.
-            vm.execute_body(self.body, context, output)
-            return
-        if to_boolean(self.test.evaluate(context)):
-            vm.execute_body(self.body, context, output)
+            return body
+        test = self.test.bound()
+
+        def if_(vm, context, output):
+            if to_boolean(test(context)):
+                body(vm, context, output)
+
+        return if_
 
 
 class ChooseInstr(Instruction):
@@ -199,22 +232,32 @@ class ChooseInstr(Instruction):
     def child_bodies(self):
         return tuple(body for _, body in self.whens) + (self.otherwise,)
 
-    def execute(self, vm, context, output):
-        if vm.explore:
-            for _, body in self.whens:
-                vm.execute_body(body, context, output)
-            vm.execute_body(self.otherwise, context, output)
-            return
-        for test, body in self.whens:
-            if to_boolean(test.evaluate(context)):
-                vm.execute_body(body, context, output)
-                return
-        vm.execute_body(self.otherwise, context, output)
+    def bind(self, program):
+        bodies = [program.body(body) for _, body in self.whens]
+        otherwise = program.body(self.otherwise)
+        if program.explore:
+            def every_branch(vm, context, output):
+                for body in bodies:
+                    body(vm, context, output)
+                otherwise(vm, context, output)
+
+            return every_branch
+        whens = [(test.bound(), body)
+                 for (test, _), body in zip(self.whens, bodies)]
+
+        def choose(vm, context, output):
+            for test, body in whens:
+                if to_boolean(test(context)):
+                    return body(vm, context, output)
+            otherwise(vm, context, output)
+
+        return choose
 
 
 class VariableInstr(Instruction):
-    """``<xsl:variable>`` — handled specially by the body executor, which
-    threads the new binding into subsequent siblings."""
+    """``<xsl:variable>`` — its closure *returns* the context extended with
+    the new binding, which the enclosing body threads into the following
+    siblings."""
 
     def __init__(self, name, select=None, body=None):
         self.name = name
@@ -224,13 +267,10 @@ class VariableInstr(Instruction):
     def child_bodies(self):
         return (self.body,)
 
-    def compute(self, vm, context):
-        if self.select is not None:
-            return self.select.evaluate(context)
-        return vm.build_fragment(self.body, context)
-
-    def execute(self, vm, context, output):  # pragma: no cover - see executor
-        raise XsltRuntimeError("xsl:variable must be handled by the executor")
+    def bind(self, program):
+        name, value = self.name, program.value(self.select, self.body)
+        return lambda vm, context, output: context.with_variables(
+            {name: value(vm, context)})
 
 
 class ParamInstr(VariableInstr):
@@ -246,29 +286,32 @@ class CopyInstr(Instruction):
     def child_bodies(self):
         return (self.body,)
 
-    def execute(self, vm, context, output):
-        node = context.node
-        kind = node.kind
-        if kind == NodeKind.ELEMENT:
-            output.start_element(
-                QName(node.name.local, node.name.uri, node.name.prefix),
-                namespaces=dict(node.namespaces),
-            )
-            vm.execute_body(self.body, context, output)
-            output.end_element()
-        elif kind == NodeKind.DOCUMENT:
-            vm.execute_body(self.body, context, output)
-        elif kind == NodeKind.TEXT:
-            output.text(node.value)
-        elif kind == NodeKind.ATTRIBUTE:
-            output.attribute(
-                QName(node.name.local, node.name.uri, node.name.prefix),
-                node.value,
-            )
-        elif kind == NodeKind.COMMENT:
-            output.comment(node.value)
-        elif kind == NodeKind.PI:
-            output.processing_instruction(node.target, node.value)
+    def bind(self, program):
+        body = program.body(self.body)
+
+        def copy(vm, context, output):
+            node = context.node
+            kind = node.kind
+            if kind == NodeKind.ELEMENT:
+                name = node.name
+                output.start_element(QName(name.local, name.uri, name.prefix),
+                                     dict(node.namespaces))
+                body(vm, context, output)
+                output.end_element()
+            elif kind == NodeKind.DOCUMENT:
+                body(vm, context, output)
+            elif kind == NodeKind.TEXT:
+                output.text(node.value)
+            elif kind == NodeKind.ATTRIBUTE:
+                name = node.name
+                output.attribute(QName(name.local, name.uri, name.prefix),
+                                 node.value)
+            elif kind == NodeKind.COMMENT:
+                output.comment(node.value)
+            elif kind == NodeKind.PI:
+                output.processing_instruction(node.target, node.value)
+
+        return copy
 
 
 class CopyOfInstr(Instruction):
@@ -277,9 +320,18 @@ class CopyOfInstr(Instruction):
     def __init__(self, select):
         self.select = select
 
-    def execute(self, vm, context, output):
-        value = self.select.evaluate(context)
-        vm.copy_value(value, output)
+    def bind(self, program):
+        select = self.select.bound()
+
+        def copy_of(vm, context, output):
+            value = select(context)
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Node):
+                    output.copy_node(item)
+                else:
+                    output.text(to_string(item))
+
+        return copy_of
 
 
 class ElementInstr(Instruction):
@@ -292,11 +344,15 @@ class ElementInstr(Instruction):
     def child_bodies(self):
         return (self.body,)
 
-    def execute(self, vm, context, output):
-        name = self.name_avt.evaluate(context)
-        output.start_element(QName(name))
-        vm.execute_body(self.body, context, output)
-        output.end_element()
+    def bind(self, program):
+        name, body = self.name_avt.compile(), program.body(self.body)
+
+        def element(vm, context, output):
+            output.start_element(QName(name(context)))
+            body(vm, context, output)
+            output.end_element()
+
+        return element
 
 
 class AttributeInstr(Instruction):
@@ -309,10 +365,10 @@ class AttributeInstr(Instruction):
     def child_bodies(self):
         return (self.body,)
 
-    def execute(self, vm, context, output):
-        name = self.name_avt.evaluate(context)
-        value = vm.body_to_string(self.body, context)
-        output.attribute(QName(name), value)
+    def bind(self, program):
+        name, text = self.name_avt.compile(), program.text_of(self.body)
+        return lambda vm, context, output: output.attribute(
+            QName(name(context)), text(vm, context))
 
 
 class CommentInstr(Instruction):
@@ -324,8 +380,9 @@ class CommentInstr(Instruction):
     def child_bodies(self):
         return (self.body,)
 
-    def execute(self, vm, context, output):
-        output.comment(vm.body_to_string(self.body, context))
+    def bind(self, program):
+        text = program.text_of(self.body)
+        return lambda vm, context, output: output.comment(text(vm, context))
 
 
 class PiInstr(Instruction):
@@ -338,17 +395,20 @@ class PiInstr(Instruction):
     def child_bodies(self):
         return (self.body,)
 
-    def execute(self, vm, context, output):
-        target = self.name_avt.evaluate(context)
-        output.processing_instruction(target, vm.body_to_string(self.body, context))
+    def bind(self, program):
+        target, text = self.name_avt.compile(), program.text_of(self.body)
+        return lambda vm, context, output: output.processing_instruction(
+            target(context), text(vm, context))
 
 
 class ApplyImportsInstr(Instruction):
     """``<xsl:apply-imports/>`` — re-match the current node using only
     rules of lower import precedence than the current template's."""
 
-    def execute(self, vm, context, output):
-        vm.apply_imports(context, output, site=self)
+    def bind(self, program):
+        site = self
+        return lambda vm, context, output: vm.program.apply_imports(
+            vm, context, output, site)
 
 
 class FallbackInstr(Instruction):
@@ -362,8 +422,8 @@ class FallbackInstr(Instruction):
     def child_bodies(self):
         return (self.body,)
 
-    def execute(self, vm, context, output):
-        return None
+    def bind(self, program):
+        return lambda vm, context, output: None
 
 
 class NumberInstr(Instruction):
@@ -377,17 +437,18 @@ class NumberInstr(Instruction):
         self.value = value        # Expr or None
         self.format_avt = format_avt
 
-    def execute(self, vm, context, output):
+    def bind(self, program):
         if self.value is not None:
-            number = int(to_number(self.value.evaluate(context)))
+            value = self.value.bound()
+            number = lambda context: int(to_number(value(context)))  # noqa: E731
         else:
-            number = vm.count_number(
-                context.node, self.level, self.count, self.from_, context
-            )
+            number = program.counter(self.level, self.count, self.from_)
         format_spec = (
-            self.format_avt.evaluate(context) if self.format_avt else "1"
+            self.format_avt.compile() if self.format_avt
+            else lambda context: "1"
         )
-        output.text(format_number_token(number, format_spec))
+        return lambda vm, context, output: output.text(
+            format_number_token(number(context), format_spec(context)))
 
 
 def format_number_token(number, format_spec):
@@ -444,8 +505,13 @@ class MessageInstr(Instruction):
     def child_bodies(self):
         return (self.body,)
 
-    def execute(self, vm, context, output):
-        message = vm.body_to_string(self.body, context)
-        vm.messages.append(message)
-        if self.terminate:
-            raise XsltRuntimeError("xsl:message terminate: %s" % message)
+    def bind(self, program):
+        text, terminate = program.text_of(self.body), self.terminate
+
+        def message(vm, context, output):
+            message = text(vm, context)
+            vm.messages.append(message)
+            if terminate:
+                raise XsltRuntimeError("xsl:message terminate: %s" % message)
+
+        return message

@@ -18,6 +18,7 @@ from repro.xpath.parser import compile_xpath
 from repro.xpath.patterns import compile_pattern
 from repro.xslt.avt import compile_avt
 from repro.xslt import instructions as instr
+from repro.xslt.program import Program
 
 XSL_NS = "http://www.w3.org/1999/XSL/Transform"
 
@@ -92,7 +93,11 @@ class Key:
 
 
 class Stylesheet:
-    """The compiled stylesheet."""
+    """The compiled stylesheet: plain data, plus the program bound from it
+    on first use — a runtime handle like ``Query.runtime``, shared by every
+    VM and thread that runs this stylesheet and dropped on pickling."""
+
+    _program = None
 
     def __init__(self):
         self.templates = []
@@ -109,6 +114,18 @@ class Stylesheet:
 
     def rules_for_mode(self, mode):
         return self.rules_by_mode.get(mode, ())
+
+    def program(self):
+        """The bound :class:`~repro.xslt.program.Program` (made once)."""
+        program = self._program
+        if program is None:
+            program = self._program = Program(self)
+        return program
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_program", None)
+        return state
 
     def iter_instructions(self):
         """All instructions in all templates and globals, pre-order."""
@@ -706,3 +723,7 @@ class _Compiler:
             if uri != XSL_NS and prefix
         }
         return namespaces
+
+
+#: local names of the instructions this processor implements
+INSTRUCTION_NAMES = frozenset(_Compiler._INSTRUCTIONS)

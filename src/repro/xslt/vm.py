@@ -1,11 +1,14 @@
 """The XSLT virtual machine.
 
-Executes a compiled :class:`~repro.xslt.stylesheet.Stylesheet` against a
-source document: template rule matching with XSLT 1.0 conflict resolution,
-built-in template rules, parameters, result tree fragments, keys, sorting
-and ``xsl:number`` counting.  A :class:`~repro.xslt.trace.TraceRecorder`
-can be attached to observe every dispatch — the hook partial evaluation
-builds on.
+Runs a compiled :class:`~repro.xslt.stylesheet.Stylesheet` against a source
+document.  What executes is the stylesheet's bound
+:class:`~repro.xslt.program.Program` — closures made once per stylesheet;
+an :class:`XsltVM` is the state of one run threaded through them (counters,
+messages, key indexes, the current template rule, nesting depth) and the
+public face of dispatch.  Constructed with a
+:class:`~repro.xslt.trace.TraceRecorder`, a rewriter hook or ``explore`` it
+binds a :class:`~repro.xslt.program.TracingProgram` of its own instead —
+what partial evaluation builds on.
 """
 
 from __future__ import annotations
@@ -14,17 +17,17 @@ import sys
 
 from repro.errors import XsltRuntimeError
 from repro.xmlmodel.builder import TreeBuilder
-from repro.xmlmodel.nodes import Document, Node, NodeKind
+from repro.xmlmodel.nodes import Node, NodeKind
 from repro.xpath.context import XPathContext
-from repro.xpath.datamodel import to_number, to_string
-from repro.xslt import trace as trace_mod
-from repro.xslt.instructions import ParamInstr, VariableInstr
+from repro.xpath.datamodel import sort_document_order, to_number, to_string
+from repro.xpath.functions import CORE_FUNCTIONS
+from repro.xslt.instructions import ParamInstr
+from repro.xslt.program import TracingProgram
+from repro.xslt.stylesheet import INSTRUCTION_NAMES
 
-_MAX_TEMPLATE_DEPTH = 500
-
-# Each template instantiation costs ~10 Python frames; make sure our own
-# depth guard (_MAX_TEMPLATE_DEPTH, a clean XsltRuntimeError) trips before
-# the interpreter's RecursionError would.
+# A template instantiation costs a handful of Python frames; make sure the
+# program's own depth guard (MAX_TEMPLATE_DEPTH, a clean XsltRuntimeError)
+# trips before the interpreter's RecursionError would.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 
@@ -33,9 +36,9 @@ class XsltVM:
 
     The three partial-evaluation hooks (paper §4.3) are:
 
-    * ``select_rewriter`` — applied to every ``select``/``test`` expression
-      before evaluation (the partial evaluator strips value predicates so
-      dispatch is driven by structure only);
+    * ``select_rewriter`` — applied to every dispatching ``select``
+      expression before it is bound (the partial evaluator strips value
+      predicates so dispatch is driven by structure only);
     * ``pattern_rewriter`` — applied to match-pattern alternatives before
       matching (predicates assumed true);
     * ``explore`` — when True the VM executes *every* conditional branch
@@ -55,79 +58,41 @@ class XsltVM:
         self.instructions_executed = 0
         self.templates_dispatched = 0
         self._key_indexes = {}
-        self._template_stack = []
-        # (template, mode) of the current template *rule*, for apply-imports
-        self._rule_stack = []
-        self._explore_stack = []
+        self._rule = None   # (template, mode) of the current template rule
         self._depth = 0
-        self._functions = self._build_function_table()
-
-    # -- entry point ------------------------------------------------------------
+        if trace is None and not (select_rewriter or pattern_rewriter
+                                  or explore):
+            self.program = stylesheet.program()
+        else:
+            self.program = TracingProgram(
+                stylesheet, trace, select_rewriter, pattern_rewriter, explore)
+            self._template_stack = []
+            self._explore_stack = []
 
     def transform_document(self, document, params=None):
         """Run the stylesheet; returns the result tree :class:`Document`."""
-        if self.stylesheet.strip_space_names:
-            document = strip_space(document, self.stylesheet.strip_space_names,
-                                   self.stylesheet.preserve_space_names)
+        stylesheet = self.stylesheet
+        if stylesheet.strip_space_names:
+            document = strip_space(document, stylesheet.strip_space_names,
+                                   stylesheet.preserve_space_names)
         output = TreeBuilder()
         context = XPathContext(
             document,
             variables={},
-            namespaces=self.stylesheet.namespaces,
-            functions=self._functions,
+            namespaces=stylesheet.namespaces,
+            functions=XSLT_FUNCTIONS,
+            extra={"xslt_vm": self},
         )
-        context.variables.update(self._resolve_globals(context, params or {}))
-        self.apply_templates([document], None, {}, context, output, site=None)
+        if stylesheet.global_bindings:
+            context.variables.update(
+                self._resolve_globals(context, params or {}))
+        self.program.applier(None)(self, [document], {}, context, output, None)
         return output.finish()
-
-    # -- template dispatch ---------------------------------------------------------
-
-    def apply_templates(self, nodes, mode, params, context, output, site):
-        caller = self._template_stack[-1] if self._template_stack else None
-        size = len(nodes)
-        for position, node in enumerate(nodes, start=1):
-            sub = context.with_node(node, position=position, size=size)
-            sub.current = node
-            if self.explore:
-                self._apply_exploring(node, mode, params, sub, output, site,
-                                      caller, context)
-                continue
-            rule = self.find_rule(node, mode, sub)
-            resolved = rule.template if rule else _builtin_kind(node)
-            if self.trace is not None:
-                self.trace.record_apply(
-                    site, caller, context.node, node, resolved, mode
-                )
-            if rule is not None:
-                self._instantiate(rule.template, params, sub, output, site,
-                                  mode=mode)
-            else:
-                self._builtin(node, mode, sub, output, site)
-
-    def _apply_exploring(self, node, mode, params, sub, output, site, caller,
-                         context):
-        """Explore-mode dispatch: instantiate every candidate template (and
-        the built-in rule when all candidates are conditional)."""
-        candidates = self.find_candidate_rules(node, mode, sub)
-        for rule in candidates:
-            if self.trace is not None:
-                self.trace.record_apply(
-                    site, caller, context.node, node, rule.template, mode
-                )
-            self._instantiate(rule.template, params, sub, output, site)
-        if not candidates or all(
-            _rule_is_conditional(rule) for rule in candidates
-        ):
-            if self.trace is not None:
-                self.trace.record_apply(
-                    site, caller, context.node, node, _builtin_kind(node), mode
-                )
-            self._builtin(node, mode, sub, output, site)
 
     def find_rule(self, node, mode, context):
         """Best matching rule for ``node`` in ``mode`` (or None)."""
-        for rule in self.stylesheet.rules_for_mode(mode):
-            if self._pattern(rule).matches(node, context):
+        for rule, matcher, _, _, _ in self.program.rules_for(mode, node):
+            if matcher is None or matcher(node, context):
                 return rule
         return None
 
@@ -136,248 +101,34 @@ class XsltVM:
         best-first, cut after the first unconditional rule (later rules can
         never fire)."""
         candidates = []
-        for rule in self.stylesheet.rules_for_mode(mode):
-            if self._pattern(rule).matches(node, context):
+        for rule, matcher, conditional, _, _ in self.program.rules_for(
+                mode, node):
+            if matcher is None or matcher(node, context):
                 candidates.append(rule)
-                if not _rule_is_conditional(rule):
+                if not conditional:
                     break
         return candidates
-
-    def _pattern(self, rule):
-        if self.pattern_rewriter is not None:
-            return self.pattern_rewriter(rule.pattern)
-        return rule.pattern
-
-    def eval_select(self, select, context):
-        """Evaluate a select/test expression through the rewriter hook."""
-        if self.select_rewriter is not None:
-            select = self.select_rewriter(select)
-        return select.evaluate(context)
-
-    def apply_imports(self, context, output, site=None):
-        """xsl:apply-imports: match with rules of strictly lower import
-        precedence than the current template rule, in its mode."""
-        if not self._rule_stack:
-            raise XsltRuntimeError(
-                "xsl:apply-imports outside any template rule"
-            )
-        current_template, mode = self._rule_stack[-1]
-        for rule in self.stylesheet.rules_for_mode(mode):
-            if rule.precedence >= current_template.precedence:
-                continue
-            if self._pattern(rule).matches(context.node, context):
-                if self.trace is not None:
-                    self.trace.record_apply(
-                        site, current_template, context.node, context.node,
-                        rule.template, mode,
-                    )
-                self._instantiate(rule.template, {}, context, output, site,
-                                  mode=mode)
-                return
-        self._builtin(context.node, mode, context, output, site)
-
-    def call_template(self, name, params, context, output, site):
-        template = self.stylesheet.named_templates.get(name)
-        if template is None:
-            raise XsltRuntimeError("no template named %r" % name)
-        caller = self._template_stack[-1] if self._template_stack else None
-        if self.trace is not None:
-            self.trace.record_call(site, caller, context.node, template)
-        self._instantiate(template, params, context, output, site)
-
-    def _instantiate(self, template, params, context, output, site,
-                     mode=None):
-        if self.explore:
-            # Partial evaluation: a template re-entered on the same sample
-            # node is a recursion — record it (the trace already holds the
-            # edge) but do not re-execute, so exploration terminates.  The
-            # execution graph becomes cyclic and forces non-inline mode.
-            marker = (id(template), id(context.node))
-            if marker in self._explore_stack:
-                return
-            self._explore_stack.append(marker)
-            try:
-                self._instantiate_inner(template, params, context, output,
-                                        site, mode)
-            finally:
-                self._explore_stack.pop()
-            return
-        self._instantiate_inner(template, params, context, output, site, mode)
-
-    def _instantiate_inner(self, template, params, context, output, site,
-                           mode=None):
-        if self._depth >= _MAX_TEMPLATE_DEPTH:
-            raise XsltRuntimeError(
-                "template nesting exceeded %d (possible infinite recursion"
-                " in %s)" % (_MAX_TEMPLATE_DEPTH, template.label())
-            )
-        self.templates_dispatched += 1
-        if self.trace is not None:
-            caller = self._template_stack[-1] if self._template_stack else None
-            self.trace.record_instantiation(template, context.node, site, caller)
-        bound = {}
-        for param in template.params:
-            if param.name in params:
-                bound[param.name] = params[param.name]
-            else:
-                bound[param.name] = param.compute(self, context)
-        body_context = context.with_variables(bound) if bound else context
-        self._template_stack.append(template)
-        self._rule_stack.append((template, mode))
-        self._depth += 1
-        try:
-            self.execute_body(template.body, body_context, output)
-        finally:
-            self._depth -= 1
-            self._rule_stack.pop()
-            self._template_stack.pop()
-
-    def _builtin(self, node, mode, context, output, site):
-        kind = node.kind
-        self.templates_dispatched += 1
-        if self.trace is not None:
-            self.trace.record_instantiation(
-                _builtin_kind(node), node, site,
-                self._template_stack[-1] if self._template_stack else None,
-            )
-        if kind in (NodeKind.ELEMENT, NodeKind.DOCUMENT):
-            self.apply_templates(
-                list(node.children), mode, {}, context, output, site=None
-            )
-        elif kind in (NodeKind.TEXT, NodeKind.ATTRIBUTE):
-            output.text(node.string_value())
-        # comments and PIs: no output
-
-    # -- body execution --------------------------------------------------------------
-
-    def execute_body(self, body, context, output):
-        """Execute instructions; xsl:variable threads new bindings forward."""
-        for instruction in body:
-            self.instructions_executed += 1
-            if isinstance(instruction, VariableInstr):
-                # Covers ParamInstr in bodies too (treated as variable).
-                value = instruction.compute(self, context)
-                context = context.with_variables({instruction.name: value})
-            else:
-                instruction.execute(self, context, output)
-
-    def build_fragment(self, body, context):
-        """Execute a body into a fresh result tree fragment (a Document)."""
-        builder = TreeBuilder()
-        self.execute_body(body, context, builder)
-        return builder.finish()
-
-    def body_to_string(self, body, context):
-        return self.build_fragment(body, context).string_value()
-
-    def copy_value(self, value, output):
-        """xsl:copy-of semantics for any XPath value."""
-        if isinstance(value, Node):
-            output.copy_node(value)
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, Node):
-                    output.copy_node(item)
-                else:
-                    output.text(to_string(item))
-        else:
-            output.text(to_string(value))
-
-    # -- sorting -----------------------------------------------------------------------
-
-    def sort_nodes(self, nodes, sorts, context):
-        """Apply xsl:sort specs (stable, last spec applied first)."""
-        ordered = list(nodes)
-        size = len(ordered)
-        # Precompute key values in the *unsorted* context, as the spec asks.
-        key_rows = {}
-        for position, node in enumerate(ordered, start=1):
-            sub = context.with_node(node, position=position, size=size)
-            key_rows[id(node)] = [
-                self._sort_key(spec, sub) for spec in sorts
-            ]
-        for index in range(len(sorts) - 1, -1, -1):
-            spec = sorts[index]
-            ordered.sort(
-                key=lambda node: key_rows[id(node)][index],
-                reverse=(spec.order == "descending"),
-            )
-        return ordered
-
-    @staticmethod
-    def _sort_key(spec, context):
-        value = spec.select.evaluate(context)
-        if spec.data_type == "number":
-            number = to_number(value)
-            # NaN sorts before any number.
-            return (0 if number != number else 1, 0.0 if number != number else number)
-        return (1, to_string(value))
-
-    # -- xsl:number ---------------------------------------------------------------------
-
-    def count_number(self, node, level, count_pattern, from_pattern, context):
-        def matches(candidate):
-            if count_pattern is not None:
-                return count_pattern.matches(
-                    candidate, context.with_node(candidate)
-                )
-            return (
-                candidate.kind == node.kind
-                and candidate.name == node.name
-            )
-
-        if level == "single":
-            target = node
-            while target is not None and not matches(target):
-                target = target.parent
-            if target is None:
-                return 0
-            count = 1
-            for sibling in target.preceding_siblings():
-                if matches(sibling):
-                    count += 1
-            return count
-
-        # level="any": count matching nodes up to and including this one,
-        # restarting after the closest preceding 'from' match.
-        count = 0
-        root = node.root()
-        for candidate in root.iter_subtree():
-            if from_pattern is not None and from_pattern.matches(
-                candidate, context.with_node(candidate)
-            ):
-                count = 0
-            if matches(candidate):
-                count += 1
-            if candidate is node:
-                break
-        return count
-
-    # -- globals --------------------------------------------------------------------------
 
     def _resolve_globals(self, context, params):
         """Evaluate top-level variables/params; forward references are
         resolved by fixed-point iteration."""
-        pending = list(self.stylesheet.global_bindings)
+        pending = list(self.program.global_values())
         resolved = {}
         while pending:
             progressed = False
             errors = {}
-            for binding in list(pending):
+            for entry in list(pending):
+                binding, value = entry
                 if isinstance(binding, ParamInstr) and binding.name in params:
                     resolved[binding.name] = params[binding.name]
-                    pending.remove(binding)
-                    progressed = True
-                    continue
-                try:
-                    value = binding.compute(
-                        self, context.with_variables(resolved)
-                    )
-                except Exception as exc:  # retry once dependencies resolve
-                    errors[binding.name] = exc
-                    continue
-                resolved[binding.name] = value
-                pending.remove(binding)
+                else:
+                    try:
+                        resolved[binding.name] = value(
+                            self, context.with_variables(resolved))
+                    except Exception as exc:  # retry once dependencies resolve
+                        errors[binding.name] = exc
+                        continue
+                pending.remove(entry)
                 progressed = True
             if not progressed:
                 name, exc = next(iter(errors.items()))
@@ -386,130 +137,116 @@ class XsltVM:
                 )
         return resolved
 
-    # -- XSLT function library ------------------------------------------------------------
-
-    def _build_function_table(self):
-        vm = self
-
-        def fn_current(context):
-            return [context.current]
-
-        def fn_key(context, name, value):
-            name = to_string(name)
-            key = vm.stylesheet.keys.get(name)
-            if key is None:
-                raise XsltRuntimeError("no xsl:key named %r" % name)
-            index = vm._key_index(name, key, context)
-            if isinstance(value, list) and value and isinstance(value[0], Node):
-                wanted = [node.string_value() for node in value]
-            else:
-                wanted = [to_string(value)]
-            found = []
-            for want in wanted:
-                found.extend(index.get(want, ()))
-            from repro.xpath.datamodel import sort_document_order
-
-            return sort_document_order(found)
-
-        def fn_generate_id(context, value=None):
-            if value is None:
-                node = context.node
-            else:
-                if not isinstance(value, list):
-                    raise XsltRuntimeError("generate-id() expects a node-set")
-                if not value:
-                    return ""
-                node = value[0]
-            # Stable across repeated materialisations of the same stored
-            # document: document order is deterministic, object ids are not.
-            return "id%d" % node.order
-
-        def fn_system_property(context, name):
-            name = to_string(name)
-            properties = {
-                "xsl:version": "1.0",
-                "xsl:vendor": "repro-xsltvm",
-                "xsl:vendor-url": "https://example.invalid/repro",
-            }
-            return properties.get(name, "")
-
-        def fn_format_number(context, number, picture, fmt=None):
-            return format_decimal(to_number(number), to_string(picture))
-
-        def fn_document(context, *args):
-            raise XsltRuntimeError("document() is not supported")
-
-        def fn_unparsed_entity_uri(context, name):
-            return ""
-
-        def fn_element_available(context, name):
-            from repro.xslt.stylesheet import _Compiler
-
-            local = to_string(name).split(":")[-1]
-            return local in _Compiler._INSTRUCTIONS
-
-        def fn_function_available(context, name):
-            from repro.xpath.functions import CORE_FUNCTIONS
-
-            local = to_string(name)
-            if local.startswith("fn:"):
-                local = local[3:]
-            return local in CORE_FUNCTIONS or local in vm._functions
-
-        return {
-            "current": (0, 0, fn_current),
-            "key": (2, 2, fn_key),
-            "generate-id": (0, 1, fn_generate_id),
-            "system-property": (1, 1, fn_system_property),
-            "format-number": (2, 3, fn_format_number),
-            "document": (1, 2, fn_document),
-            "unparsed-entity-uri": (1, 1, fn_unparsed_entity_uri),
-            "element-available": (1, 1, fn_element_available),
-            "function-available": (1, 1, fn_function_available),
-        }
-
-    def _key_index(self, name, key, context):
-        # Keyed by key *name*, holding the document root alongside the
-        # index: a live reference keeps the root's id from being reused
-        # after GC (which would alias indexes across documents), and
-        # moving to the next document simply replaces the entry — the
-        # index is evicted together with the document it describes.
+    def key_index(self, name, context):
+        """``value -> [nodes]`` for ``xsl:key`` ``name`` over the context
+        node's document.  Cached by key *name*, holding the document root
+        alongside the index: a live reference keeps the root's id from
+        being reused after GC (which would alias indexes across documents),
+        and moving to the next document simply replaces the entry — the
+        index is evicted together with the document it describes."""
+        if name not in self.stylesheet.keys:
+            raise XsltRuntimeError("no xsl:key named %r" % name)
         root = context.node.root()
         cached = self._key_indexes.get(name)
         if cached is not None and cached[0] is root:
             return cached[1]
+        key = self.stylesheet.keys[name]
+        match, use = key.match.compile(), key.use.bound()
+        focus = context.with_node(root)
         index = {}
         for node in root.iter_subtree():
-            candidates = [node]
-            if node.kind == NodeKind.ELEMENT:
-                candidates.extend(node.attributes)
-            for candidate in candidates:
-                if key.match.matches(candidate, context.with_node(candidate)):
-                    use_value = key.use.evaluate(context.with_node(candidate))
-                    if isinstance(use_value, list):
-                        values = [item.string_value() if isinstance(item, Node)
-                                  else to_string(item) for item in use_value]
-                    else:
-                        values = [to_string(use_value)]
-                    for value in values:
-                        index.setdefault(value, []).append(candidate)
+            for candidate in (node, *node.attributes) \
+                    if node.kind == NodeKind.ELEMENT else (node,):
+                if match(candidate, context):
+                    focus.node = candidate
+                    values = use(focus)
+                    for value in values if isinstance(values, list) \
+                            else (values,):
+                        index.setdefault(to_string(value), []).append(candidate)
         self._key_indexes[name] = (root, index)
         return index
 
 
-def _rule_is_conditional(rule):
-    """True when any step of the rule's pattern carries predicates (the
-    match can fail on real data even though structure matches)."""
-    return any(step.predicates for step in rule.pattern.steps)
+# -- XSLT function library: entries overlaid on the core one through
+# ``XPathContext.functions``; the run's state is reached through the
+# context (``extra["xslt_vm"]``) -----------------------------------------------------
 
 
-def _builtin_kind(node):
-    kind = node.kind
-    if kind in (NodeKind.ELEMENT, NodeKind.DOCUMENT):
-        return trace_mod.BUILTIN_RECURSE
-    if kind in (NodeKind.TEXT, NodeKind.ATTRIBUTE):
-        return trace_mod.BUILTIN_TEXT
-    return trace_mod.BUILTIN_SKIP
+def fn_current(context):
+    return [context.current]
+
+
+def fn_key(context, name, value):
+    index = context.extra["xslt_vm"].key_index(to_string(name), context)
+    if isinstance(value, list) and value and isinstance(value[0], Node):
+        wanted = [node.string_value() for node in value]
+    else:
+        wanted = [to_string(value)]
+    found = []
+    for want in wanted:
+        found.extend(index.get(want, ()))
+    return sort_document_order(found)
+
+
+def fn_generate_id(context, value=None):
+    if value is None:
+        node = context.node
+    else:
+        if not isinstance(value, list):
+            raise XsltRuntimeError("generate-id() expects a node-set")
+        if not value:
+            return ""
+        node = value[0]
+    # Stable across repeated materialisations of the same stored
+    # document: document order is deterministic, object ids are not.
+    return "id%d" % node.order
+
+
+_SYSTEM_PROPERTIES = {
+    "xsl:version": "1.0",
+    "xsl:vendor": "repro-xsltvm",
+    "xsl:vendor-url": "https://example.invalid/repro",
+}
+
+
+def fn_system_property(context, name):
+    return _SYSTEM_PROPERTIES.get(to_string(name), "")
+
+
+def fn_format_number(context, number, picture, fmt=None):
+    return format_decimal(to_number(number), to_string(picture))
+
+
+def fn_document(context, *args):
+    raise XsltRuntimeError("document() is not supported")
+
+
+def fn_unparsed_entity_uri(context, name):
+    return ""
+
+
+def fn_element_available(context, name):
+    return to_string(name).split(":")[-1] in INSTRUCTION_NAMES
+
+
+def fn_function_available(context, name):
+    local = to_string(name)
+    if local.startswith("fn:"):
+        local = local[3:]
+    return local in CORE_FUNCTIONS or local in XSLT_FUNCTIONS
+
+
+XSLT_FUNCTIONS = {
+    "current": (0, 0, fn_current),
+    "key": (2, 2, fn_key),
+    "generate-id": (0, 1, fn_generate_id),
+    "system-property": (1, 1, fn_system_property),
+    "format-number": (2, 3, fn_format_number),
+    "document": (1, 2, fn_document),
+    "unparsed-entity-uri": (1, 1, fn_unparsed_entity_uri),
+    "element-available": (1, 1, fn_element_available),
+    "function-available": (1, 1, fn_function_available),
+}
 
 
 def strip_space(document, strip_names, preserve_names):

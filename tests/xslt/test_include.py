@@ -271,6 +271,41 @@ class TestApplyImports:
             "<main-m><base-m/></main-m>"
         )
 
+    CALLED_BASE = sheet('<xsl:template match="a" mode="m"><imp/></xsl:template>')
+    CALLED_MAIN = sheet(
+        '<xsl:import href="base.xsl"/>'
+        '<xsl:template match="/"><xsl:apply-templates select="a" mode="m"/>'
+        "</xsl:template>"
+        '<xsl:template match="a" mode="m"><main>'
+        '<xsl:call-template name="n"/></main></xsl:template>'
+        '<xsl:template name="n"><xsl:apply-imports/></xsl:template>'
+    )
+
+    def test_call_template_keeps_the_current_template_rule(self):
+        # XSLT 1.0 §5.6: xsl:call-template does not change the current
+        # template rule, so apply-imports inside the called template still
+        # matches in mode "m" below the *calling* rule's precedence —
+        # exactly as when it is written inline.
+        compiled = compile_stylesheet(
+            self.CALLED_MAIN, resolver=lambda _: self.CALLED_BASE)
+        assert transform_to_string(compiled, "<a>t</a>") == (
+            "<main><imp/></main>"
+        )
+
+    def test_explore_dispatch_keeps_the_mode_for_apply_imports(self):
+        from repro.xmlmodel import parse_document
+        from repro.xslt import TraceRecorder, XsltVM
+
+        compiled = compile_stylesheet(
+            self.CALLED_MAIN, resolver=lambda _: self.CALLED_BASE)
+        trace = TraceRecorder()
+        XsltVM(compiled, trace=trace, explore=True).transform_document(
+            parse_document("<a>t</a>"))
+        imported = [event for event in trace.apply_events
+                    if getattr(event.resolved, "precedence", None) == 0]
+        assert [(event.mode, event.resolved.label()) for event in imported] \
+            == [("m", 'match="a" mode="m"')]
+
     def test_apply_imports_stylesheet_falls_back_in_rewrite(self):
         from repro.core import xml_transform
         from repro.rdb import Database, INT
