@@ -10,6 +10,8 @@ shape, not just wall-clock time.
 from __future__ import annotations
 
 import bisect
+from itertools import islice
+from operator import itemgetter, le
 
 from repro.errors import DatabaseError
 
@@ -28,17 +30,37 @@ class BTreeIndex:
         return len(self._keys)
 
     def insert(self, key, row_id):
+        """Enter one pair, after every equal key already present.  Keys of
+        one index must be totally ordered: callers keep NaN out."""
         if key is None:
             return  # NULLs are not indexed
-        keys = self._keys
-        if not keys or key >= keys[-1]:
-            # ingest appends in key order: same slot bisect_right finds
-            keys.append(key)
-            self._row_ids.append(row_id)
-            return
-        position = bisect.bisect_right(keys, key)
-        keys.insert(position, key)
+        position = bisect.bisect_right(self._keys, key)
+        self._keys.insert(position, key)
         self._row_ids.insert(position, row_id)
+
+    def extend(self, keys, row_ids):
+        """Enter parallel sequences of keys and row ids, leaving the index
+        as one :meth:`insert` per pair, in order, would.  A batch in key
+        order that starts at or after the last key — what ingest hands
+        over — is appended whole; any other is merged in one pass."""
+        if None in keys:
+            row_ids = [row_id for key, row_id in zip(keys, row_ids)
+                       if key is not None]
+            keys = [key for key in keys if key is not None]
+        mine, my_row_ids = self._keys, self._row_ids
+        if all(map(le, keys, islice(keys, 1, None))) and (
+                not mine or not keys or keys[0] >= mine[-1]):
+            mine.extend(keys)
+            my_row_ids.extend(row_ids)
+            return
+        # the stretch the batch overlaps, re-sorted with the batch behind
+        # it: stable, so equal keys land after those present, in batch order
+        start = bisect.bisect_right(mine, min(keys))
+        stop = bisect.bisect_right(mine, max(keys), start)
+        entries = sorted(zip(mine[start:stop] + list(keys),
+                             my_row_ids[start:stop] + list(row_ids)),
+                         key=itemgetter(0))
+        mine[start:stop], my_row_ids[start:stop] = zip(*entries)
 
     def build(self, pairs):
         """Bulk-load (key, row_id) pairs."""

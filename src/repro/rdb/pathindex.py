@@ -13,6 +13,9 @@ string equality and numeric range probes work.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from math import isfinite
+
 from repro.rdb.btree import BTreeIndex
 from repro.xmlmodel.nodes import NodeKind
 
@@ -30,25 +33,24 @@ class PathValueIndex:
         root_element = document.document_element
         if root_element is None:
             return
-        self._walk(root_element, "", doc_id)
+        leaves = []
+        self._walk(root_element, "", leaves)
+        self.add_leaves(doc_id, leaves)
 
-    def _walk(self, element, prefix, doc_id):
+    def _walk(self, element, prefix, leaves):
         path = "%s/%s" % (prefix, element.name.local)
         for attribute in element.attributes:
-            self._insert(
-                "%s/@%s" % (path, attribute.name.local),
-                attribute.value,
-                doc_id,
-            )
+            leaves.append(
+                ("%s/@%s" % (path, attribute.name.local), attribute.value))
         has_element_children = False
         for child in element.children:
             if child.kind == NodeKind.ELEMENT:
                 has_element_children = True
-                self._walk(child, path, doc_id)
+                self._walk(child, path, leaves)
         if not has_element_children:
             value = element.string_value()
             if value:
-                self._insert(path, value, doc_id)
+                leaves.append((path, value))
         else:
             # Mixed content: the element's own character data is a leaf
             # value too.  Only non-whitespace runs are indexed, so
@@ -58,22 +60,27 @@ class PathValueIndex:
                 if child.kind == NodeKind.TEXT
             )
             if direct_text.strip():
-                self._insert(path, direct_text, doc_id)
+                leaves.append((path, direct_text))
 
-    def _insert(self, path, value, doc_id):
-        self.entries += 1
-        text_index = self._text.get(path)
-        if text_index is None:
-            text_index = BTreeIndex("pv:%s" % path, "", path)
-            self._text[path] = text_index
-        text_index.insert(value, doc_id)
-        number = _as_number(value)
-        if number is not None:
-            number_index = self._number.get(path)
-            if number_index is None:
-                number_index = BTreeIndex("pvn:%s" % path, "", path)
-                self._number[path] = number_index
-            number_index.insert(number, doc_id)
+    def add_leaves(self, doc_id, leaves):
+        """Enter ``(path, value)`` leaves of one document: each path's
+        values go to its text index, the finite numbers among them to its
+        numeric one, as one sorted run each."""
+        self.entries += len(leaves)
+        by_path = defaultdict(list)
+        for path, value in leaves:
+            by_path[path].append(value)
+        for path, values in by_path.items():
+            numbers = sorted(number for number in map(_as_number, values)
+                             if number is not None)
+            for prefix, indexes, run in (("pv", self._text, sorted(values)),
+                                         ("pvn", self._number, numbers)):
+                if run:
+                    index = indexes.get(path)
+                    if index is None:
+                        index = indexes[path] = BTreeIndex(
+                            "%s:%s" % (prefix, path), "", path)
+                    index.extend(run, [doc_id] * len(run))
 
     def paths(self):
         return sorted(self._text)
@@ -97,10 +104,18 @@ class PathValueIndex:
 
 
 def _as_number(text):
-    try:
-        return float(text)
-    except (TypeError, ValueError):
+    """The finite number *text* spells, else None: ``nan`` has no place
+    in a sorted index and ``inf`` is no document's value."""
+    if text.isalpha():
+        # same answer as below, without a raised ValueError (~0.5 µs
+        # against ~0.02): 57 % of the `ingest` document's leaves are one
+        # word, and ten pairs with/without read p50 -3.6 % (CHANGES.md)
         return None
+    try:
+        number = float(text)
+    except ValueError:
+        return None
+    return number if isfinite(number) else None
 
 
 class IndexedClobStorage:

@@ -303,13 +303,9 @@ class ObjectRelationalStorage:
     # -- loading ------------------------------------------------------------------
 
     def load(self, document):
-        """Shred one document; returns its doc id."""
-        violations = self.schema.validate(document)
-        if violations:
-            raise DatabaseError(
-                "document does not conform to schema: %s" % violations[0]
-            )
-        return self._shred(document_events(document))[0]
+        """Shred one document; returns its doc id.  All or nothing: a
+        document that does not conform leaves every table as it was."""
+        return self._shred(document_events(document), float("inf"))[0]
 
     def load_many(self, documents):
         return [self.load(document) for document in documents]
@@ -327,67 +323,79 @@ class ObjectRelationalStorage:
         an :class:`~repro.rdb.plan.ExecutionStats` to record the buffering
         high-water mark in ``peak_ingest_buffered_bytes``.
 
-        Streaming resolves every element against the schema (unknown
-        children raise :class:`DatabaseError`) but does not run the full
-        validator; route untrusted documents through :meth:`load`.
+        A document that does not conform raises the same
+        :class:`DatabaseError` as :meth:`load`, at the close of the
+        offending element; batches of rows already appended by then stay.
         """
         parser = StreamParser(source, strip_whitespace=strip_whitespace,
                               chunk_size=chunk_size)
-        doc_id, peak_chars = self._shred(parser.events())
+        doc_id, peak_chars = self._shred(parser.events(), _BATCH_ROWS)
         if stats is not None:
             stats.peak_ingest_buffered_bytes = max(
                 stats.peak_ingest_buffered_bytes,
                 parser.peak_buffered_bytes + peak_chars)
         return doc_id
 
-    def _shred(self, events):
+    def _shred(self, events, batch_rows):
         """Run the shred program over one document's event stream (see
         :mod:`repro.xmlmodel.stream_ingest`), filling row value lists by
-        slot and appending them in per-table batches.  Returns the doc id
-        and the high-water mark of characters held in open rows."""
-        self._doc_counter += 1
-        doc_id = self._doc_counter
+        slot, checking each element's children against its content model
+        as it closes, and appending rows in per-table batches of
+        *batch_rows* (none is reached: only once the whole document has
+        been accepted).  Returns the doc id and the high-water mark of
+        characters held in open rows."""
+        doc_id = self._doc_counter + 1
         insert = self.db.insert
         table_names = [table.table_name for table in self.tables]
         batches = [[] for _ in table_names]
         next_ids = [len(self.db.table(name)) + 1 for name in table_names]
         counter = 1  # label counter; 1 is the (virtual) document node
         # One frame per open element: (children, row, slots, parts, scope,
-        # name).  children maps a child element name to its step; slots and
-        # parts are where a leaf's text goes; scope is set on the element
-        # that owns row: [row, table, child $seq counters, chars before].
-        frames = [({self.schema.root.name: (_ROWS, self._shred_program)},
-                   None, None, None, None, None)]
+        # name, seen, model).  children maps a child element name to its
+        # step; slots and parts are where a leaf's text goes; scope is set
+        # on the element that owns row: [row, table, child $seq counters,
+        # chars before]; seen collects the particle positions of the child
+        # elements for model (None on a column leaf) to judge at the close.
+        frames = [({self.schema.root.name: (_ROWS, self._shred_program, 0)},
+                   None, None, None, None, None, [], None)]
         scopes = []
         open_chars = 0
         peak_chars = 0
+
+        def reject(message):  # located at the innermost open element
+            return DatabaseError(
+                "document does not conform to schema: /%s: %s"
+                % ("/".join(frame[5] for frame in frames[1:]), message))
 
         for event in events:
             kind = event[0]
             if kind == "start":
                 name = event[1]
-                children, row, _, _, _, parent_name = frames[-1]
+                children, row, _, _, _, parent_name, seen, _ = frames[-1]
                 step = children.get(name)
                 if step is None:
-                    raise DatabaseError(
-                        "document does not conform to schema: " + (
+                    if parent_name is None:
+                        raise DatabaseError(
+                            "document does not conform to schema: "
                             "root is <%s>, expected <%s>"
-                            % (name, self.schema.root.name)
-                            if parent_name is None else
-                            "unexpected <%s> under <%s>"
-                            % (name, parent_name)))
+                            % (name, self.schema.root.name))
+                    raise reject("unexpected child <%s>" % name)
+                seen.append(step[-1])
                 counter += 1
                 step_kind = step[0]
                 if step_kind == _LEAF:
                     attr_slots = step[2]
-                    frames.append((_NO_CHILDREN, row, step[1], [], None, name))
+                    frames.append((_NO_CHILDREN, row, step[1], [], None, name,
+                                   None, None))
                 elif step_kind == _INLINE:
                     for slot in step[1]:
                         row[slot] = 1
                     attr_slots = step[2]
-                    frames.append((step[3], row, None, None, None, name))
+                    frames.append((step[3], row, None, None, None, name,
+                                   [], step[4]))
                 else:
-                    table, template, children, attr_slots, slots = step[1]
+                    table, template, children, attr_slots, slots, model = (
+                        step[1])
                     row = template[:]
                     if scopes:
                         row[0] = next_ids[table]
@@ -403,7 +411,8 @@ class ObjectRelationalStorage:
                     scope = [row, table, {}, open_chars]
                     scopes.append(scope)
                     frames.append((children, row, slots,
-                                   None if slots is None else [], scope, name))
+                                   None if slots is None else [], scope, name,
+                                   [], model))
                 attributes = event[2]
                 if attributes:
                     counter += len(attributes)  # attribute labels
@@ -419,13 +428,17 @@ class ObjectRelationalStorage:
                 if parts is not None:
                     parts.append(event[1])
             elif kind == "end":
-                _, row, slots, parts, scope, _ = frames.pop()
+                _, row, slots, parts, scope, _, seen, model = frames[-1]
+                if model is not None:
+                    problems = model.violations(seen)
+                    if problems:
+                        raise reject(problems[0])
+                del frames[-1]
                 if slots is not None:
                     value = parts[0] if len(parts) == 1 else "".join(parts)
                     for slot in slots:
                         # the first instance wins: a declaration shared by
-                        # two wrappers of one row has several slots, and an
-                        # unvalidated stream may repeat a single child
+                        # two wrappers of one row has several slots
                         if row[slot] is None:
                             row[slot] = value
                             open_chars += len(value)
@@ -437,7 +450,8 @@ class ObjectRelationalStorage:
                     open_chars = scope[3]
                     batch = batches[scope[1]]
                     batch.append(row)
-                    if len(batch) >= _BATCH_ROWS:
+                    if len(batch) >= batch_rows:
+                        self._doc_counter = doc_id
                         insert(table_names[scope[1]], *batch)
                         del batch[:]
                     if not scopes:
@@ -449,6 +463,7 @@ class ObjectRelationalStorage:
                 counter += 1
         for _ in events:
             pass  # the scanner still checks what follows the root
+        self._doc_counter = doc_id
         for table_name, batch in zip(table_names, batches):
             if batch:
                 insert(table_name, *batch)
@@ -457,16 +472,18 @@ class ObjectRelationalStorage:
     # -- the shred program ----------------------------------------------------------
 
     def _compile_shred_row(self, decl, table_binding):
-        """``(table, template, children, attr_slots, slots)`` for an element
-        that opens a row of ``table_binding``'s table (``table`` indexes
-        ``self.tables``): ``template`` is the row before any value is known
-        (NULLs, 0 in presence columns), ``slots`` where the text of a
-        leaf with rows of its own goes (else None), and ``children`` maps
-        each child element name to its step::
+        """``(table, template, children, attr_slots, slots, model)`` for an
+        element that opens a row of ``table_binding``'s table (``table``
+        indexes ``self.tables``): ``template`` is the row before any value
+        is known (NULLs, 0 in presence columns), ``slots`` where the text
+        of a leaf with rows of its own goes (else None), ``model`` the
+        element's :class:`~repro.schema.model.ContentModel`, and
+        ``children`` maps each child element name to its step, which ends
+        in the child's particle position for ``model``::
 
-            (_LEAF, slots, attr_slots)               text into the open row
-            (_INLINE, presence_slots, attr_slots, children)   same row
-            (_ROWS, row program)                     a row of a child table
+            (_LEAF, slots, attr_slots, position)     text into the open row
+            (_INLINE, presence_slots, attr_slots, children, model, position)
+            (_ROWS, row program, position)           a row of a child table
 
         ``attr_slots`` is ``{attribute name: slots}`` or None.  Like the
         emit program it is built once from the schema and the bindings, so
@@ -490,25 +507,26 @@ class ObjectRelationalStorage:
             slots = (schema.position_of(VALUE),)
         return (self.tables.index(table_binding), template,
                 self._compile_shred_children(decl, slot_map),
-                _attr_slots(decl, slot_map), slots)
+                _attr_slots(decl, slot_map), slots,
+                self.schema.content_model(decl))
 
     def _compile_shred_children(self, decl, slot_map):
         children = {}
-        for particle in decl.particles:
+        for name, position in self.schema.content_model(decl).index_of.items():
+            particle = decl.particles[position]
             child = particle.decl
-            if child.name in children:
-                continue  # as ElementDecl.particle_for: the first one
             if not particle.at_most_one:
                 step = (_ROWS, self._compile_shred_row(
-                    child, self.bindings[id(child)]))
+                    child, self.bindings[id(child)]), position)
             elif child.is_leaf:
                 step = (_LEAF, tuple(slot_map.get((id(child), None), ())),
-                        _attr_slots(child, slot_map))
+                        _attr_slots(child, slot_map), position)
             else:
                 step = (_INLINE, tuple(slot_map.get((id(child), "?"), ())),
                         _attr_slots(child, slot_map),
-                        self._compile_shred_children(child, slot_map))
-            children[child.name] = step
+                        self._compile_shred_children(child, slot_map),
+                        self.schema.content_model(child), position)
+            children[name] = step
         return children
 
     # -- materialisation (functional / no-rewrite path) --------------------------------

@@ -8,8 +8,9 @@ root-to-node *paths* it appears under, and each path holds a B-tree over
 index range scan in document order — the input a stack-based structural
 join (:class:`repro.rdb.plan.StructuralJoin`) consumes without sorting.
 
-Maintained incrementally at ingest (DOM or streaming — both insert elements
-in preorder, so per-path B-tree appends are already sorted), and registered
+Maintained incrementally at ingest (DOM or streaming — both hand over
+elements in preorder, so each path's share of a batch is a sorted run the
+B-tree appends whole), and registered
 with the owning :class:`~repro.rdb.database.Database` so its presence and
 entry count participate in catalog/storage fingerprints, invalidating the
 serve tier's plan cache exactly like any other DDL.
@@ -42,19 +43,24 @@ class StructuralPathIndex:
         ``(path, name, start, row_id)`` in preorder, ``path`` the
         root-to-node path (e.g. ``/tree/node/label``) and ``name`` its
         last segment."""
-        by_path = self._by_path
+        runs = {}  # path -> (name, keys, row ids), each a preorder run
         for path, name, start, row_id in elements:
-            index = by_path.get(path)
+            run = runs.get(path)
+            if run is None:
+                run = runs[path] = (name, [], [])
+            run[1].append((doc_id, start))
+            run[2].append(row_id)
+        for path, (name, keys, row_ids) in runs.items():
+            index = self._by_path.get(path)
             if index is None:
-                index = BTreeIndex(
+                index = self._by_path[path] = BTreeIndex(
                     "sidx_%s%s" % (self.table_name, path.replace("/", "_")),
                     self.table_name, "($doc,$start)")
-                by_path[path] = index
                 paths = self._by_name.setdefault(name, [])
                 paths.append(path)
                 paths.sort()
-            index.insert((doc_id, start), row_id)
-            self._entries += 1
+            index.extend(keys, row_ids)
+            self._entries += len(keys)
         global_metrics().gauge("structural.index.entries").set(self._entries)
 
     # -- lookups -------------------------------------------------------------

@@ -19,15 +19,15 @@ class HeapTable:
     def extend(self, value_rows):
         """Append rows (coerced to column types) and enter them in the
         table's indexes; returns the row id of the first.  Every row is
-        coerced before any is stored."""
-        coerce_row = self.schema.coerce_row
-        rows = [coerce_row(values) for values in value_rows]
+        coerced before any is stored, and each index takes its column as
+        one run."""
         first = len(self.rows)
-        self.rows.extend(rows)
-        for position, index in self.indexes:
-            insert = index.insert
-            for row_id, row in enumerate(rows, first):
-                insert(row[position], row_id)
+        if value_rows:
+            columns = self.schema.coerce_columns(value_rows)
+            self.rows.extend(zip(*columns))
+            row_ids = range(first, len(self.rows))
+            for position, index in self.indexes:
+                index.extend(columns[position], row_ids)
         return first
 
     def fetch(self, row_id):

@@ -129,6 +129,7 @@ class TreeStorage:
         rows = []      # rows not yet appended; rows[0] gets row id `first`
         first = len(stored)
         elements = []  # their (path, name, start, row id) entries
+        leaves = []    # (path, value) leaves not yet path/value-indexed
         # frame: [path, node_id, row, row_id, next_seq, text_parts,
         #         has_element_children]
         frames = [["", 0, None, None, 0, [], False]]
@@ -143,6 +144,9 @@ class TreeStorage:
             if structural is not None:
                 structural.add_elements(doc_id, elements)
                 del elements[:]
+            if leaves:
+                self.index.add_leaves(doc_id, leaves)
+                del leaves[:]
             self._node_counter = node_id
 
         for event in events:
@@ -159,7 +163,7 @@ class TreeStorage:
                     direct_text = "".join(frame[5])
                     if direct_text and (not frame[6]
                                         or direct_text.strip()):
-                        index._insert(frame[0], direct_text, doc_id)
+                        leaves.append((frame[0], direct_text))
                     buffered_text -= len(direct_text)
                     if len(frames) == 1:
                         index = None
@@ -187,18 +191,17 @@ class TreeStorage:
                 for position, (attr_name, value) in enumerate(event[2]):
                     node_id += 1
                     counter += 1
-                    rows.append([node_id, doc_id, element_id, position,
+                    rows.append((node_id, doc_id, element_id, position,
                                  "attribute", attr_name, value,
-                                 counter, counter, level + 1])
+                                 counter, counter, level + 1))
                     if index is not None:
-                        index._insert("%s/@%s" % (path, attr_name), value,
-                                      doc_id)
+                        leaves.append(("%s/@%s" % (path, attr_name), value))
             else:
                 # "text", "comment" and "pi" are stored under those names
-                name, value = (event[1:] if kind == "pi"
-                               else (None, event[1]))
-                rows.append([node_id, doc_id, parent[1], parent[4], kind,
-                             name, value, counter, counter, level])
+                value = event[-1]
+                rows.append((node_id, doc_id, parent[1], parent[4], kind,
+                             event[1] if kind == "pi" else None, value,
+                             counter, counter, level))
                 if kind == "text" and index is not None:
                     parent[5].append(value)
                     buffered_text += len(value)

@@ -17,8 +17,8 @@ class Column:
     """A typed column.
 
     ``coerce(value)`` is ``value`` itself when that is None or exactly an
-    ``exact``, and ``convert(value)`` otherwise — the pair
-    :meth:`TableSchema.coerce_row` inlines.
+    ``exact``, and ``convert(value)`` otherwise;
+    :meth:`TableSchema.coerce_columns` decides that a column at a time.
     """
 
     __slots__ = ("name", "type", "exact", "convert")
@@ -61,8 +61,9 @@ class TableSchema:
     def __init__(self, name, columns):
         self.name = name
         self.columns = list(columns)
-        self._coercions = [(column.exact, column.convert)
-                           for column in self.columns]
+        self._coercions = [
+            (frozenset((column.exact, type(None))), column.coerce)
+            for column in self.columns]
         self._index = {}
         for position, column in enumerate(self.columns):
             if column.name in self._index:
@@ -87,14 +88,20 @@ class TableSchema:
     def column_names(self):
         return [column.name for column in self.columns]
 
-    def coerce_row(self, values):
-        if len(values) != len(self.columns):
+    def coerce_columns(self, value_rows):
+        """A non-empty batch of rows, transposed into one tuple per column
+        with every value coerced to the column's type.  A column is
+        checked whole — the set of its value types against the exact type
+        and NULL — and only one that needs it is converted cell by cell."""
+        width = len(self.columns)
+        lengths = set(map(len, value_rows))
+        if lengths != {width}:
             raise DatabaseError(
                 "table %r expects %d values, got %d"
-                % (self.name, len(self.columns), len(values))
-            )
-        return tuple([
-            value if value is None or type(value) is exact
-            else convert(value)
-            for value, (exact, convert) in zip(values, self._coercions)
-        ])
+                % (self.name, width, (lengths - {width}).pop()))
+        return [
+            values if accepted.issuperset(map(type, values))
+            else tuple(map(coerce, values))
+            for values, (accepted, coerce)
+            in zip(zip(*value_rows), self._coercions)
+        ]

@@ -96,6 +96,7 @@ class StructuralSchema:
     def __init__(self, root):
         self.root = root
         self._parents = None
+        self._models = {}  # ElementDecl -> ContentModel
 
     # -- global analyses -----------------------------------------------------
 
@@ -164,54 +165,34 @@ class StructuralSchema:
                 return decl
         return None
 
+    def content_model(self, decl):
+        """The :class:`ContentModel` of one declaration, compiled once."""
+        model = self._models.get(decl)
+        if model is None:
+            model = self._models[decl] = ContentModel(decl)
+        return model
+
     def validate(self, document):
         """Check a document instance against the schema; returns a list of
         violation strings (empty when valid)."""
         violations = []
 
         def check(element, decl, path):
-            child_elements = element.child_elements()
-            names = [child.name.local for child in child_elements]
-            allowed = set(decl.child_names())
-            for name in names:
-                if name not in allowed:
+            model = self.content_model(decl)
+            known = []  # (child element, its particle's position)
+            for child in element.child_elements():
+                position = model.index_of.get(child.name.local)
+                if position is None:
                     violations.append(
-                        "%s: unexpected child <%s>" % (path, name)
-                    )
-            if decl.group == CHOICE and len(child_elements) > 1:
-                violations.append(
-                    "%s: choice group with %d children" % (path, len(names))
-                )
-            if decl.group == SEQUENCE:
-                expected = [
-                    particle.decl.name
-                    for particle in decl.particles
-                ]
-                ordered = [name for name in names if name in allowed]
-                rank = {name: index for index, name in enumerate(expected)}
-                if any(
-                    rank[a] > rank[b]
-                    for a, b in zip(ordered, ordered[1:])
-                    if a in rank and b in rank
-                ):
-                    violations.append("%s: sequence order violated" % path)
-            for particle in decl.particles:
-                count = names.count(particle.decl.name)
-                if particle.occurs == ONE and decl.group != CHOICE and count != 1:
-                    violations.append(
-                        "%s: <%s> occurs %d times, expected 1"
-                        % (path, particle.decl.name, count)
-                    )
-                if particle.occurs == OPTIONAL and count > 1:
-                    violations.append(
-                        "%s: <%s> occurs %d times, expected at most 1"
-                        % (path, particle.decl.name, count)
-                    )
-            for child in child_elements:
-                child_particle = decl.particle_for(child.name.local)
-                if child_particle is not None:
-                    check(child, child_particle.decl,
-                          path + "/" + child.name.local)
+                        "%s: unexpected child <%s>" % (path, child.name.local))
+                else:
+                    known.append((child, position))
+            violations.extend(
+                "%s: %s" % (path, message) for message in model.violations(
+                    [position for _, position in known]))
+            for child, position in known:
+                check(child, decl.particles[position].decl,
+                      path + "/" + child.name.local)
 
         root_element = document.document_element
         if root_element is None:
@@ -223,6 +204,55 @@ class StructuralSchema:
             ]
         check(root_element, self.root, "/" + self.root.name)
         return violations
+
+
+class ContentModel:
+    """One declaration's children, compiled for conformance checks: the
+    definition :meth:`StructuralSchema.validate` and the object-relational
+    shredder share.  ``index_of`` maps a child element name to the
+    position of its particle (the first, for a name declared twice, as
+    :meth:`ElementDecl.particle_for`); :meth:`violations` judges the
+    positions an element's children resolved to.  A child with no
+    particle has no position: it is the caller's to report.
+    """
+
+    __slots__ = ("index_of", "_group", "_canonical", "_counted")
+
+    _EXPECTED = {ONE: "1", OPTIONAL: "at most 1", ONE_OR_MORE: "at least 1"}
+
+    def __init__(self, decl):
+        self.index_of = index_of = {}
+        for position, particle in enumerate(decl.particles):
+            index_of.setdefault(particle.decl.name, position)
+        occurs = [(position, name, decl.particles[position].occurs)
+                  for name, position in index_of.items()]
+        self._group = decl.group
+        # the row case: every child exactly once, in declaration order
+        self._canonical = (
+            list(index_of.values()) if decl.group == SEQUENCE
+            and all(indicator == ONE for _, _, indicator in occurs) else None)
+        # the particles with a count to keep; a choice group only ever
+        # bounds the total
+        self._counted = [entry for entry in occurs if entry[2] != MANY
+                         and decl.group != CHOICE]
+
+    def violations(self, positions):
+        """What is wrong with children that resolved, in document order,
+        to these particle positions: messages, none when they conform."""
+        if positions == self._canonical:
+            return ()
+        found = []
+        if self._group == CHOICE and len(positions) > 1:
+            found.append("choice group with %d children" % len(positions))
+        if self._group == SEQUENCE and positions != sorted(positions):
+            found.append("sequence order violated")
+        for position, name, indicator in self._counted:
+            count = positions.count(position)
+            if (count != 1 if indicator == ONE
+                    else count > 1 if indicator == OPTIONAL else count < 1):
+                found.append("<%s> occurs %d times, expected %s"
+                             % (name, count, self._EXPECTED[indicator]))
+        return found
 
 
 # -- terse constructors (tests, benchmarks) --------------------------------------

@@ -19,7 +19,8 @@ declarations (``xmlns``/``xmlns:*``) dropped.  The DOM builder
 QNames (parallel to ``attributes``), ``namespaces`` the element's own
 ``{prefix: uri}`` declarations or None, and ``line`` the 1-based line of the
 start tag.  QNames are shared between events: treat them as immutable.
-:func:`document_events` replays an existing DOM as the same stream, so one
+:func:`document_events` replays an existing DOM as the same stream — its
+``start`` events stop after ``attributes``, all a shredder reads — so one
 shredder per storage serves ``load`` and ``load_stream`` alike.
 
 Adjacent character data (including expanded entity references) is merged
@@ -107,23 +108,24 @@ def stream_events(source, strip_whitespace=False, chunk_size=DEFAULT_CHUNK_SIZE)
 
 def document_events(document):
     """Replay a DOM as the event stream scanning its serialization would
-    give (minus the scanner's text merging: every text node is one event)."""
+    give, cut down to what the shredders read: a ``start`` event is
+    ``("start", local, attributes)`` only, and every text node is one event
+    (the scanner merges adjacent ones)."""
     element_kind, text_kind = NodeKind.ELEMENT, NodeKind.TEXT
     comment_kind = NodeKind.COMMENT
+    no_attributes = []  # shared: consumers only read it
     open_names = []
     walks = [iter(document.children)]
     while walks:
         for node in walks[-1]:
             kind = node.kind
             if kind == element_kind:
-                name = node.name
-                local = name.local
+                local = node.name.local
                 attributes = node.attributes
                 yield ("start", local,
                        [(attribute.name.local, attribute.value)
-                        for attribute in attributes],
-                       name, [attribute.name for attribute in attributes],
-                       node.namespaces or None, node.source_line)
+                        for attribute in attributes]
+                       if attributes else no_attributes)
                 if node.children:
                     open_names.append(local)
                     walks.append(iter(node.children))

@@ -227,6 +227,95 @@ class TestRandomSchemaStorageEquivalence:
         assert serialize(rows[0][0]) == serialize(document)
 
 
+def _as_tree(element):
+    """[name, child trees, text] of an element (text only on a leaf)."""
+    children = [_as_tree(child) for child in element.child_elements()]
+    return [element.name.local, children,
+            "" if children else element.string_value()]
+
+
+def _rebuild(tree):
+    builder = TreeBuilder()
+
+    def emit(node):
+        builder.start_element(node[0])
+        for child in node[1]:
+            emit(child)
+        if node[2]:
+            builder.text(node[2])
+        builder.end_element()
+
+    emit(tree)
+    return builder.finish()
+
+
+@st.composite
+def mutated_documents(draw):
+    """A schema and a conforming document with one child dropped,
+    duplicated, swapped with its neighbour or renamed."""
+    schema, document = draw(schema_and_document())
+    tree = _as_tree(document.document_element)
+    parents, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node[1]:
+            parents.append(node)
+            stack.extend(node[1])
+    if not parents:
+        return schema, document
+    children = draw(st.sampled_from(parents))[1]
+    at = draw(st.integers(0, len(children) - 1))
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "rename"]))
+    if kind == "drop":
+        del children[at]
+    elif kind == "duplicate":
+        children.insert(at, children[at])
+    elif kind == "swap":
+        other = (at + 1) % len(children)
+        children[at], children[other] = children[other], children[at]
+    else:
+        children[at] = [draw(st.sampled_from(_NAMES))] + children[at][1:]
+    return schema, _rebuild(tree)
+
+
+class TestConformanceDifferential:
+    """One content model, three callers: ``validate`` finds a violation
+    exactly when ``load`` and ``load_stream`` refuse the document."""
+
+    @given(pair=mutated_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_validate_load_and_load_stream_agree(self, pair):
+        from repro.errors import DatabaseError
+        from repro.rdb import Database
+        from repro.rdb.storage import ObjectRelationalStorage
+        from repro.xmlmodel import serialize
+
+        schema, document = pair
+        violations = schema.validate(document)
+        states = []
+        for door in ("load", "load_stream"):
+            storage = ObjectRelationalStorage(Database(), schema, "s")
+            try:
+                if door == "load":
+                    storage.load(document)
+                else:
+                    storage.load_stream(serialize(document), chunk_size=7)
+            except DatabaseError as error:
+                assert violations, (door, str(error))
+                assert str(error) in [
+                    "document does not conform to schema: " + violation
+                    for violation in violations]
+            else:
+                assert violations == [], door
+            states.append((storage.fingerprint(), {
+                binding.table_name: list(
+                    storage.db.table(binding.table_name).scan())
+                for binding in storage.tables}))
+        assert states[0] == states[1]
+        if violations:
+            assert not any(states[0][1].values())
+
+
 class TestAttributeSchemas:
     """Schemas with attributes: sample generation, shredding and the
     rewrite must all carry them."""

@@ -1,6 +1,7 @@
 """Tests for tables, indexes, expressions, plans and the planner."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import CatalogError, DatabaseError
 from repro.rdb import (
@@ -89,17 +90,24 @@ class TestInsertMaintenance:
         index = database.create_index("a", "k")
         others = [database.create_index("b", "k%d" % n) for n in range(40)]
         touched = []
+        extend = BTreeIndex.extend
+        monkeypatch.setattr(
+            BTreeIndex, "extend",
+            lambda self, keys, row_ids: (
+                touched.append(self.name), extend(self, keys, row_ids)))
         monkeypatch.setattr(
             BTreeIndex, "insert",
-            lambda self, key, row_id: touched.append(self.name))
+            lambda self, key, row_id: touched.append("insert"))
         monkeypatch.setattr(
             TableSchema, "position_of",
             lambda self, name: touched.append("position_of %s" % name))
         database.insert("a", (1, "x"), (2, "y"))
-        # one entry per row in a's one index; nothing per index on b, and
-        # no column lookup per row either (the parent commit walked the
-        # whole catalog and called position_of for every row)
-        assert touched == [index.name, index.name]
+        # one run per statement into a's one index; nothing per index on
+        # b, no per-entry insert and no column lookup per row either (the
+        # parent commit walked the whole catalog and called position_of
+        # for every row)
+        assert touched == [index.name]
+        assert index.lookup_range_items() == [(1, 0), (2, 1)]
         assert all(len(other) == 0 for other in others)
 
     def test_index_created_after_rows_exist_sees_old_and_new_rows(self):
@@ -135,6 +143,16 @@ class TestInsertMaintenance:
             database.insert("a", (1, "x"), ("not a number", "y"))
         assert len(database.table("a")) == 0
         assert len(database.find_index("a", "k")) == 0
+
+    def test_a_failed_coercion_in_the_last_row_of_a_big_batch(self):
+        database = self.make()
+        database.create_index("a", "k")
+        database.insert("a", (7, "kept"))
+        rows = [(n, "x") for n in range(1499)] + [("not a number", "y")]
+        with pytest.raises(ValueError):
+            database.insert("a", *rows)
+        assert database.table("a").rows == [(7, "kept")]
+        assert database.find_index("a", "k").lookup_range_items() == [(7, 0)]
 
     def test_recreated_table_starts_without_the_dropped_indexes(self):
         database = self.make()
@@ -182,7 +200,47 @@ class TestBTree:
     def test_nulls_not_indexed(self):
         index = BTreeIndex("i", "t", "c")
         index.insert(None, 0)
+        index.extend([None, None], [1, 2])
         assert len(index) == 0
+
+    # few distinct keys: batches overlap the index, repeat its keys, lie
+    # wholly before it or extend it; sorted ones are the runs ingest hands
+    # over, and sizes 0 and 1 are drawn too
+    BATCHES = st.lists(
+        st.tuples(st.booleans(),
+                  st.lists(st.one_of(st.none(), st.integers(0, 12)),
+                           max_size=8)),
+        max_size=6)
+
+    @given(batches=BATCHES)
+    @settings(max_examples=300, deadline=None)
+    def test_extend_leaves_what_one_insert_per_entry_would(self, batches):
+        extended = BTreeIndex("i", "t", "c")
+        inserted = BTreeIndex("i", "t", "c")
+        row_id = 0
+        for as_run, keys in batches:
+            if as_run:
+                keys = sorted(keys, key=lambda key: (key is not None, key))
+            row_ids = range(row_id, row_id + len(keys))
+            row_id += len(keys)
+            extended.extend(tuple(keys), row_ids)
+            for key, entry in zip(keys, row_ids):
+                inserted.insert(key, entry)
+            assert extended._keys == inserted._keys
+            assert extended._row_ids == inserted._row_ids
+        assert extended._keys == sorted(extended._keys)
+
+    def test_a_run_before_between_and_after_the_existing_keys(self):
+        index = BTreeIndex("i", "t", "c")
+        index.extend([10, 20, 20, 30], [0, 1, 2, 3])       # appended
+        index.extend([30, 40], [4, 5])                     # appended
+        index.extend([1, 2], [6, 7])                       # wholly before
+        index.extend([2, 20, 25, 50], [8, 9, 10, 11])      # interleaved
+        index.extend([45, 5], [12, 13])                    # not a run
+        assert index.lookup_range_items() == [
+            (1, 6), (2, 7), (2, 8), (5, 13), (10, 0), (20, 1), (20, 2),
+            (20, 9), (25, 10), (30, 3), (30, 4), (40, 5), (45, 12),
+            (50, 11)]
 
     def test_probe_stats(self):
         from repro.rdb.plan import ExecutionStats

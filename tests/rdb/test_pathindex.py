@@ -86,6 +86,49 @@ class TestPathValueIndex:
         assert index.paths() == ["/doc/id"]
 
 
+class TestOnlyFiniteNumbersAreIndexedNumerically:
+    """``float()`` also reads "nan", "inf", "Infinity" — and a surname like
+    Nan; a NaN key breaks the order bisect relies on."""
+
+    VALUES = ["5", "nan", "1", "3", "NaN", "inf", "-Infinity", "Nan", "1e999"]
+
+    def loaded(self, door):
+        from repro.rdb.treestorage import TreeStorage
+
+        if door == "add_document":
+            index = PathValueIndex()
+        else:
+            storage = TreeStorage(Database(), "t")
+            index = storage.index
+        for doc_id, value in enumerate(self.VALUES, 1):
+            text = "<r><v>%s</v></r>" % value
+            if door == "add_document":
+                index.add_document(doc_id, parse_document(text))
+            elif door == "load":
+                storage.load(parse_document(text))
+            else:
+                storage.load_stream(text)
+        return index
+
+    @pytest.mark.parametrize("door", ["add_document", "load", "load_stream"])
+    def test_numeric_probes_answer_from_a_sorted_index(self, door):
+        index = self.loaded(door)
+        assert index._number["/r/v"]._keys == [1.0, 3.0, 5.0]
+        assert index._number["/r/v"]._row_ids == [3, 4, 1]
+        assert index.lookup("/r/v", "<", 4) == [3, 4]
+        assert index.lookup("/r/v", "=", 1) == [3]
+        assert index.lookup("/r/v", ">=", 0) == [1, 3, 4]
+
+    @pytest.mark.parametrize("door", ["add_document", "load", "load_stream"])
+    def test_the_text_index_still_holds_every_string(self, door):
+        index = self.loaded(door)
+        assert index.entries == len(self.VALUES)
+        assert index._text["/r/v"]._keys == sorted(self.VALUES)
+        assert index.lookup("/r/v", "=", "nan") == [2]
+        assert index.lookup("/r/v", "=", "Nan") == [8]
+        assert index.lookup("/r/v", "=", "inf") == [6]
+
+
 class TestSelectiveTransform:
     SHEET = (
         '<xsl:stylesheet version="1.0"'

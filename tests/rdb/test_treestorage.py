@@ -90,6 +90,128 @@ class TestPathFiltering:
             storage.find_documents("/memo/to", "=", "Bob")
 
 
+# Several documents in ONE storage: the second document's path/value run
+# interleaves with the first's keys (values sort between them), its
+# structural and heap runs append after them.
+SHELVES = [
+    "<lib owner='ann'><shelf n='2'><book>Emma</book><book>Ulysses</book>"
+    "<price>12.5</price></shelf><shelf n='9'><book>Dune</book>"
+    "<price>nan</price></shelf></lib>",
+    "<lib owner='bob'><shelf n='5'><book>Ivanhoe</book><book>Dune</book>"
+    "<price>7</price><note>see <b>Emma</b> too</note></shelf></lib>",
+    "<lib owner='al'><shelf n='1'><book>Zadig</book><book>Candide</book>"
+    "<price>12.5</price></shelf><shelf n='3'><price>3</price></shelf></lib>",
+]
+
+
+def entries(index):
+    return list(zip(index._keys, index._row_ids))
+
+
+def inserted_one_by_one(pairs):
+    from repro.rdb.btree import BTreeIndex
+
+    index = BTreeIndex("reference", "", "")
+    for key, row_id in pairs:
+        index.insert(key, row_id)
+    return entries(index)
+
+
+class TestSeveralDocumentsInOneStorage:
+    def load(self, count, door):
+        storage = make_storage()
+        for text in SHELVES[:count]:
+            if door == "load":
+                storage.load(parse_document(text))
+            else:
+                storage.load_stream(text, chunk_size=16)
+        return storage
+
+    @pytest.mark.parametrize("batch_rows", [3, 7, 1024])
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("door", ["load", "load_stream"])
+    def test_indexes_equal_per_entry_insertion(self, monkeypatch, door,
+                                               count, batch_rows):
+        import math
+        from repro.rdb import treestorage
+        from repro.rdb.pathindex import PathValueIndex
+
+        monkeypatch.setattr(treestorage, "_BATCH_ROWS", batch_rows)
+        storage = self.load(count, door)
+        table = storage.db.table(storage.table_name)
+        rows = list(table.scan())
+        # heap indexes: one entry per row, in row order
+        for column in ("doc_id", "node_id"):
+            position = table.schema.position_of(column)
+            assert entries(storage.db.find_index(
+                storage.table_name, column)) == inserted_one_by_one(
+                (row[position], row_id) for row_id, row in rows)
+        # structural index: one (doc_id, start) entry per element, under
+        # the path its parent chain spells
+        paths, by_path = {}, {}
+        for row_id, row in rows:
+            if row[4] == "element":
+                path = paths[row[0]] = "%s/%s" % (paths.get(row[2], ""),
+                                                  row[5])
+                by_path.setdefault(path, []).append(((row[1], row[7]),
+                                                     row_id))
+        assert {path: entries(index) for path, index
+                in storage.structural._by_path.items()} == {
+            path: inserted_one_by_one(pairs)
+            for path, pairs in by_path.items()}
+        # path/value index: one entry per leaf, document after document
+        text, number = {}, {}
+        for doc_id, source in enumerate(SHELVES[:count], 1):
+            leaves = []
+            PathValueIndex()._walk(
+                parse_document(source).document_element, "", leaves)
+            for path, value in leaves:
+                text.setdefault(path, []).append((value, doc_id))
+                try:
+                    as_float = float(value)
+                except ValueError:
+                    continue
+                if math.isfinite(as_float):
+                    number.setdefault(path, []).append((as_float, doc_id))
+        assert storage.index.entries == sum(map(len, text.values()))
+        for built, expected in ((storage.index._text, text),
+                                (storage.index._number, number)):
+            assert {path: entries(index)
+                    for path, index in built.items()} == {
+                path: inserted_one_by_one(pairs)
+                for path, pairs in expected.items()}
+
+    @pytest.mark.parametrize("batch_rows", [3, 7])
+    @pytest.mark.parametrize("door", ["load", "load_stream"])
+    def test_queries_answer_as_before(self, monkeypatch, door, batch_rows):
+        from repro.rdb import treestorage
+
+        expected = self.load(3, door)
+        monkeypatch.setattr(treestorage, "_BATCH_ROWS", batch_rows)
+        storage = self.load(3, door)
+        assert storage.find_documents("/lib/shelf/book", "=", "Dune") == [1, 2]
+        assert storage.find_documents("/lib/shelf/price", "=", 12.5) == [1, 3]
+        assert storage.find_documents("/lib/shelf/price", "<", 10) == [2, 3]
+        assert storage.find_documents("/lib/shelf/price", "=", "nan") == [1]
+        assert storage.find_documents("/lib/shelf/@n", ">=", 3) == [1, 2, 3]
+        assert storage.find_documents("/lib/shelf/note", "=", "see  too") == [2]
+        assert storage.find_documents("/lib/@owner", "<", "b") == [1, 3]
+        for names in (("lib", "book"), ("shelf", "b"), ("shelf", "price")):
+            query = storage.descendant_query(*names)
+            walked, _ = storage.db.execute(query, level="rules")
+            joined, _ = storage.db.execute(query, level="cost")
+            assert joined == walked
+            assert joined == expected.db.execute(
+                expected.descendant_query(*names), level="cost")[0]
+        assert len(joined) == 5  # one (shelf, price) pair per price
+        one_document, _ = storage.db.execute(
+            storage.descendant_query("lib", "book", doc_id=2), level="cost")
+        assert [row[0] for row in one_document] == [2, 2]
+        assert [serialize(storage.materialize(doc_id))
+                for doc_id in storage.document_ids()] == [
+            serialize(parse_document(text)) for text in SHELVES]
+
+
 class TestTransformOverTreeStorage:
     def test_functional_transform(self):
         """Tree storage feeds the functional path (no structure for the

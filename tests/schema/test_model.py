@@ -143,6 +143,33 @@ class TestValidate:
         document = parse_document("<c><a/><b/></c>")
         assert schema.validate(document)
 
+    def test_one_or_more_needs_one(self):
+        from repro.schema import schema_from_dtd
+
+        schema = schema_from_dtd(
+            "<!ELEMENT a (b+, c)><!ELEMENT b (#PCDATA)>"
+            "<!ELEMENT c (#PCDATA)>")
+        violations = schema.validate(parse_document("<a><c>x</c></a>"))
+        assert violations == ["/a: <b> occurs 0 times, expected at least 1"]
+        for conforming in ("<a><b>1</b><c>x</c></a>",
+                           "<a><b>1</b><b>2</b><b>3</b><c>x</c></a>"):
+            assert schema.validate(parse_document(conforming)) == []
+
+    def test_all_group_takes_any_order_but_keeps_counts(self):
+        schema = StructuralSchema(all_group("r", leaf("a"), leaf("b")))
+        assert schema.validate(parse_document("<r><b/><a/></r>")) == []
+        assert schema.validate(parse_document("<r><b/><a/><b/></r>")) == [
+            "/r: <b> occurs 2 times, expected 1"]
+
+    def test_one_content_model_per_declaration(self):
+        schema = dept_schema()
+        model = schema.content_model(schema.root)
+        assert schema.content_model(schema.root) is model
+        assert model.index_of == {"dname": 0, "loc": 1, "employees": 2}
+        assert model.violations([0, 1, 2]) == ()
+        assert model.violations([0, 2]) == [
+            "<loc> occurs 0 times, expected 1"]
+
     def test_optional_child_absent_ok(self):
         schema = StructuralSchema(seq("r", optional(leaf("o")), leaf("m")))
         assert schema.validate(parse_document("<r><m/></r>")) == []

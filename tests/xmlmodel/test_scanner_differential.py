@@ -227,10 +227,15 @@ class TestScannerAgainstExpat:
     @given(text=documents())
     @settings(max_examples=100, deadline=None)
     def test_replayed_dom_is_the_same_stream(self, text):
-        # document_events(parse_document(t)) == the scan of t, but for the
-        # fields only a scan knows (source order of xmlns, shared QNames)
-        replayed = normal(document_events(parse_document(text)))
-        assert replayed == normal(scanned(text, None))
+        # document_events(parse_document(t)) == the scan of t cut down to
+        # what the shredders read: a start event stops after its attributes.
+        # The fields no longer replayed stay covered on the scanner, which
+        # is where the DOM builder gets them: QNames and attribute names by
+        # test_events_equal_expat_at_every_chunk_size (through normal()),
+        # namespace declarations and lines by
+        # test_lines_and_declarations_survive_chunking above.
+        replayed = list(document_events(parse_document(text)))
+        assert replayed == [event[:3] for event in scanned(text, None)]
 
 
 def _lexical(events):
