@@ -117,7 +117,7 @@ def main():
     print("Functional (no-rewrite) path for comparison")
     print("=" * 72)
     functional = engine.transform(
-        view, STYLESHEET, options=TransformOptions(rewrite=False))
+        view, STYLESHEET, options=TransformOptions(strategy="functional"))
     print("strategy:", functional.strategy)
     print("execution statistics:", functional.stats)
     print()

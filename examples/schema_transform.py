@@ -87,7 +87,7 @@ def main():
 
     start = time.perf_counter()
     functional = engine.transform(
-        storage, CONVERT, options=TransformOptions(rewrite=False))
+        storage, CONVERT, options=TransformOptions(strategy="functional"))
     functional_seconds = time.perf_counter() - start
 
     print()

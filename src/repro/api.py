@@ -5,8 +5,7 @@
   :meth:`Engine.transform`, :meth:`Engine.transform_stream`,
   :meth:`Engine.transform_many` and :meth:`Engine.explain`;
 * :class:`TransformOptions` — the one options dataclass every entry
-  point accepts (``rewrite``, ``inline``, ``deadline``, ``batch_size``,
-  ...).
+  point accepts (``strategy``, ``deadline``, ``batch_size``, ...).
 
 The function-style entry points (``xml_transform``, ``compile_transform``,
 ``transform_many``) delegate here, so behaviour (spans, metrics, fallback
@@ -52,17 +51,15 @@ class OptimizerLevel(str, enum.Enum):
     accepts (strings work too; both validate at construction time)."""
 
     OFF = "off"
-    RULES = "rules"
     COST = "cost"
 
 
 class Strategy(str, enum.Enum):
-    """How the transform should run: ``AUTO`` follows the ``rewrite``
-    flag, ``SQL`` insists on the relational rewrite (falling back
+    """How the transform should run: ``SQL`` (also what ``None``, the
+    default, means) attempts the relational rewrite, falling back
     functionally only on unsupported constructs, as the paper's engine
-    does), ``FUNCTIONAL`` skips the rewrite entirely."""
+    does; ``FUNCTIONAL`` skips the rewrite entirely."""
 
-    AUTO = "auto"
     SQL = STRATEGY_SQL
     FUNCTIONAL = STRATEGY_FUNCTIONAL
 
@@ -91,12 +88,6 @@ def _validated_choice(field, value, allowed):
 class TransformOptions:
     """The one options object every transform entry point accepts.
 
-    :param rewrite: attempt the XSLT→XQuery→SQL/XML rewrite (falling
-        back functionally on unsupported constructs); False forces
-        functional evaluation.
-    :param inline: force the rewrite's inline mode on/off (None lets the
-        pipeline decide, see RewriteOptions.inline_templates §4.4).
-        Ignored when ``rewrite_options`` is given.
     :param deadline: per-request deadline in seconds
         (:class:`repro.serve.TransformService` only — enforced at
         dequeue time, so ``0`` always times out, and between row batches
@@ -111,13 +102,13 @@ class TransformOptions:
         on the rewrite path (skipped whenever tracing is disabled).
     :param rewrite_options: a full
         :class:`~repro.core.xquery_gen.RewriteOptions` for per-technique
-        ablation; overrides ``inline``.
+        ablation (``inline_templates`` forces the §4.4 inline mode on or
+        off); None lets the pipeline decide.
     :param optimizer_level: plan-optimizer level — ``"off"`` (execute
-        the merged plan as emitted), ``"rules"`` (heuristic index
-        selection only) or ``"cost"`` (statistics-driven access-path and
-        join-strategy selection).  None uses the planner default
-        (``cost``).  Compile-relevant: distinct levels cache distinct
-        compiled plans.
+        the merged plan as emitted) or ``"cost"`` (statistics-driven
+        access-path and join-strategy selection).  None uses the planner
+        default (``cost``).  Compile-relevant: distinct levels cache
+        distinct compiled plans.
     :param feedback: run the post-execution Q-error feedback loop
         (:mod:`repro.obs.feedback`) on profiled rewrite executions —
         estimates vs. actuals land in metrics and on
@@ -125,20 +116,17 @@ class TransformOptions:
         :class:`~repro.obs.feedback.FeedbackPolicy` may auto-ANALYZE /
         re-cost.  Runtime-only: never part of the plan-cache key.
     :param strategy: execution strategy — :class:`Strategy` or its
-        string value.  ``"auto"``/None follow ``rewrite``;
-        ``"sql-rewrite"`` and ``"functional"`` pin the strategy
-        explicitly (and override ``rewrite``).  Invalid values raise
-        ``ValueError`` at construction.
+        string value: ``"sql-rewrite"`` (what None means: attempt the
+        XSLT→XQuery→SQL/XML rewrite, falling back functionally on
+        unsupported constructs) or ``"functional"`` (no rewrite).
+        Invalid values raise ``ValueError`` at construction.
     :param decorrelate: the correlated-subquery unnesting pass
-        (:mod:`repro.rdb.decorrelate`).  None (default) runs it
-        automatically at the ``cost`` optimizer level; False disables
-        it; True requires the ``cost`` level and raises
-        :class:`~repro.errors.PlanError` otherwise.  Compile-relevant:
-        part of the plan-cache key.
+        (:mod:`repro.rdb.decorrelate`) that runs ahead of the ``cost``
+        optimizer: on by default, False disables it; at the ``off``
+        level nothing is optimized and the flag is moot.
+        Compile-relevant: part of the plan-cache key.
     """
 
-    rewrite: bool = True
-    inline: bool = None
     deadline: float = None
     batch_size: int = None
     chunk_chars: int = DEFAULT_CHUNK_CHARS
@@ -147,7 +135,7 @@ class TransformOptions:
     optimizer_level: str = None
     feedback: bool = True
     strategy: str = None
-    decorrelate: bool = None
+    decorrelate: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "optimizer_level", _validated_choice(
@@ -163,18 +151,15 @@ class TransformOptions:
                 "invalid deadline %r: expected seconds >= 0 (or None)"
                 % (self.deadline,)
             )
-        if self.decorrelate not in (None, True, False):
+        if self.decorrelate is not True and self.decorrelate is not False:
             raise ValueError(
-                "invalid decorrelate %r: expected True, False or None"
+                "invalid decorrelate %r: expected True or False"
                 % (self.decorrelate,)
             )
 
     def effective_rewrite(self):
-        """Whether the relational rewrite should be attempted, after
-        ``strategy`` has had its say over the ``rewrite`` flag."""
-        if self.strategy in (None, Strategy.AUTO.value):
-            return bool(self.rewrite)
-        return self.strategy == Strategy.SQL.value
+        """Whether the relational rewrite should be attempted."""
+        return self.strategy != STRATEGY_FUNCTIONAL
 
     @classmethod
     def coerce(cls, value):
@@ -196,15 +181,6 @@ class TransformOptions:
         """A copy with ``changes`` applied (the dataclass is frozen)."""
         return _dc_replace(self, **changes)
 
-    def resolved_rewrite_options(self):
-        """The :class:`RewriteOptions` the pipeline should run with, or
-        None for the defaults."""
-        if self.rewrite_options is not None:
-            return self.rewrite_options
-        if self.inline is None:
-            return None
-        return RewriteOptions(inline_templates=bool(self.inline))
-
     def cache_key(self):
         """The compile-relevant part of these options, as a stable string
         — the serving layer's plan-cache key component.  Runtime-only
@@ -212,18 +188,17 @@ class TransformOptions:
         they never fragment the cache."""
         from repro.rdb.planner import normalize_level
 
-        rewrite_options = self.resolved_rewrite_options()
         token = ""
-        if rewrite_options is not None:
+        if self.rewrite_options is not None:
             token = ",".join(
-                "%s=%r" % (name, getattr(rewrite_options, name))
+                "%s=%r" % (name, getattr(self.rewrite_options, name))
                 for name in RewriteOptions.__slots__
             )
-        # normalized so None and the explicit default level share a key
-        decorrelate = {None: "auto", True: "on", False: "off"}[self.decorrelate]
+        # normalized so None and the explicit default level share a key;
+        # "auto" is the token the decorrelate default has always had
         return "rw=%d;opt=%s;dcr=%s;%s" % (
             self.effective_rewrite(), normalize_level(self.optimizer_level),
-            decorrelate, token,
+            "auto" if self.decorrelate else "off", token,
         )
 
 
@@ -276,7 +251,7 @@ class Engine:
     def _compile(self, db, source, stylesheet, opts, rewrite):
         return _compile_impl(
             db, source, stylesheet, rewrite,
-            options=opts.resolved_rewrite_options(),
+            options=opts.rewrite_options,
             tracer=self.tracer, metrics=self.metrics,
             optimizer_level=opts.optimizer_level,
             decorrelate=opts.decorrelate,

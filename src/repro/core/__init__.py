@@ -10,7 +10,7 @@ Pipeline (paper Figure 1)::
         └─ SQL/XML rewrite     (repro.core.sql_rewrite)
              XQuery merged into the view's construction → relational plan
         └─ front door          (repro.core.transform)
-             xml_transform(..., options=TransformOptions(rewrite=...))
+             xml_transform(..., options=TransformOptions(strategy=...))
 
 Plus :mod:`repro.core.combined` for the paper's example 2 (XQuery over an
 XSLT view rewritten end-to-end).

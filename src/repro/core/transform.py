@@ -51,8 +51,6 @@ from repro.rdb.plan import (
     ExecutionStats,
     PlanProfiler,
     Query,
-    _fmt_stat,
-    explain,
     record_plan_metrics,
 )
 from repro.rdb.sqlxml import Markup, render_item, row_items
@@ -148,21 +146,15 @@ class _ExecutionView:
     __slots__ = ()
 
     def report(self):
-        """Human-readable summary of how this one call ran: strategy,
-        fallback (if any), execution statistics, the span tree with
-        timings, VM counters, and the per-node EXPLAIN ANALYZE of the
-        executed plan."""
-        lines = ["strategy: %s" % self.strategy]
-        if self.fallback_reason:
-            lines.append("fallback: %s" % self.fallback_reason)
-            if self.fallback_category:
-                lines.append("fallback-category: %s" % self.fallback_category)
-        if self.stats is not None:
-            lines.append("stats: %s" % ", ".join(
-                "%s=%s" % (name, _fmt_stat(value))
-                for name, value in self.stats.as_dict().items()
-                if value
-            ))
+        """Human-readable summary of how this one call ran: the sections
+        of :meth:`explain` without the decision ledger — strategy,
+        fallback, the executed plan with its EXPLAIN ANALYZE actuals,
+        execution statistics, Q-error — each rendered once, then what
+        only the call knows: fallback category, VM counters, the span
+        tree with timings."""
+        lines = [self.explain(include_decisions=False).render()]
+        if self.fallback_category:
+            lines.append("fallback-category: %s" % self.fallback_category)
         if self.vm_stats:
             lines.append("vm: %s" % ", ".join(
                 "%s=%d" % (name, value)
@@ -171,13 +163,6 @@ class _ExecutionView:
         if self.trace is not None:
             lines.append("trace:")
             lines.extend("  " + line for line in render_tree(self.trace))
-        if self.executed_query is not None and self.plan_profile is not None:
-            lines.append("plan (EXPLAIN ANALYZE):")
-            rendered = explain(self.executed_query, profile=self.plan_profile)
-            lines.extend("  " + line for line in rendered.splitlines())
-        if self.feedback is not None and self.feedback.nodes:
-            lines.append("plan feedback (Q-error):")
-            lines.extend("  " + line for line in self.feedback.render())
         return "\n".join(lines)
 
     def explain(self, include_decisions=True):
@@ -383,7 +368,7 @@ def _stylesheet(stylesheet, tracer):
 
 def _compile_impl(db, source, stylesheet, rewrite=True, options=None,
                   tracer=None, metrics=None, optimizer_level=None,
-                  decorrelate=None):
+                  decorrelate=True):
     """The compile worker behind :meth:`repro.api.Engine.compile`.
 
     Compiles the stylesheet (when given as markup) and — unless
@@ -393,8 +378,8 @@ def _compile_impl(db, source, stylesheet, rewrite=True, options=None,
     and resolves the decision ledger's provenance into the optimized
     plan.  ``options`` is a resolved
     :class:`~repro.core.xquery_gen.RewriteOptions` (or None);
-    ``decorrelate`` gates the correlated-subquery unnesting pass (None =
-    automatic at the cost level).
+    ``decorrelate`` gates the correlated-subquery unnesting pass ahead of
+    the cost optimizer.
     """
     tracer = tracer or get_tracer()
     metrics = metrics or global_metrics()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 
-from repro.rdb.plan import PlanProfiler, _fmt_stat, explain
+from repro.rdb.plan import PlanProfiler, _fmt_stat, explain_lines
 
 
 class ExplainReport:
@@ -104,20 +104,19 @@ class ExplainReport:
         if self.query is not None:
             wrapped = (self.strategy is not None or self.include_decisions)
             by_node = self._decisions_by_node()
-            rendered = explain(self.query, profile=self.profile)
             prefix = "  " if wrapped else ""
             if wrapped:
                 lines.append("plan:")
-            for line in rendered.splitlines():
+            for node, line in explain_lines(self.query,
+                                            profile=self.profile):
                 lines.append(prefix + line)
-                anchored = by_node.get(_plan_line_node_id(line))
-                if anchored:
-                    pad = " " * (len(line) - len(line.lstrip()) + 4)
-                    for decision in anchored:
-                        lines.append("%s%s<- [%s] %s -> %s" % (
-                            prefix, pad, decision.kind, decision.subject,
-                            decision.action,
-                        ))
+                pad = " " * (len(line) - len(line.lstrip()) + 4)
+                for decision in by_node.get(
+                        getattr(node, "plan_node_id", None), ()):
+                    lines.append("%s%s<- [%s] %s -> %s" % (
+                        prefix, pad, decision.kind, decision.subject,
+                        decision.action,
+                    ))
         if self.stats is not None:
             lines.append("Execution: %s" % ", ".join(
                 "%s=%s" % (name, _fmt_stat(value))
@@ -195,9 +194,8 @@ class ExplainReport:
                 record[attr.replace("estimated_", "est_")] = round(
                     float(value), 2
                 )
-        detail = _node_detail(node)
-        if detail:
-            record.update(detail)
+        # the same facts, in the same order, the text line prints
+        record.update((key, value) for key, value, *_ in node.detail())
         if self.profile is not None:
             node_profile = self.profile.get(node)
             if node_profile is not None:
@@ -210,54 +208,3 @@ class ExplainReport:
         if children:
             record["children"] = children
         return record
-
-
-def _node_detail(node):
-    """Operator-specific facts for the structured plan export."""
-    from repro.rdb.plan import (
-        Aggregate,
-        Filter,
-        HashJoin,
-        HashLeftJoin,
-        IndexScan,
-        Scan,
-        Sort,
-        TopN,
-    )
-
-    if isinstance(node, Scan):
-        return {"table": node.table_name, "alias": node.alias}
-    if isinstance(node, IndexScan):
-        return {"table": node.table_name, "index": node.index_name,
-                "op": node.op, "key": node.key_expr.to_sql()}
-    if isinstance(node, Filter):
-        return {"predicate": node.predicate.to_sql()}
-    if isinstance(node, HashJoin):
-        return {"keys": ["%s = %s" % (node.left_key.to_sql(),
-                                      node.right_key.to_sql())]}
-    if isinstance(node, HashLeftJoin):
-        return {"outer": True, "keys": [
-            "%s = %s" % (lk.to_sql(), rk.to_sql())
-            for lk, rk in zip(node.left_keys, node.right_keys)
-        ]}
-    if isinstance(node, Aggregate):
-        return {"alias": node.alias,
-                "group_by": [name for name, _ in node.group_by]}
-    if isinstance(node, (Sort, TopN)):
-        detail = {"keys": [expr.to_sql() for expr, _ in node.keys]}
-        if isinstance(node, TopN):
-            detail["count"] = node.count
-        return detail
-    return {}
-
-
-def _plan_line_node_id(line):
-    """The ``#n`` plan node id an explain line starts with, or None."""
-    stripped = line.strip()
-    if not stripped.startswith("#"):
-        return None
-    token = stripped.split(None, 1)[0]
-    try:
-        return int(token[1:])
-    except ValueError:
-        return None

@@ -54,9 +54,9 @@ def transform_fields(view):
     (:class:`~repro.core.transform.TransformResult` or a drained
     :class:`~repro.core.transform.TransformStream`) — strategy,
     fallback, row count, execution time, Q-error verdict, and the lazy
-    slow-request diagnosis: the full report (stats, span tree, EXPLAIN
-    ANALYZE, Q-error) plus EXPLAIN REWRITE (the decision ledger
-    anchored into the plan)."""
+    slow-request diagnosis: the full report (EXPLAIN ANALYZE, stats,
+    Q-error, span tree) plus EXPLAIN REWRITE (the decision tree, each
+    decision naming its plan node), every section rendered once."""
     stats, feedback = view.stats, view.feedback
     return dict(
         strategy=view.strategy,
@@ -66,9 +66,15 @@ def transform_fields(view):
                          if stats is not None else None),
         q_error_max=feedback.max_q_error if feedback is not None else None,
         q_error_triggered=feedback is not None and feedback.triggered,
-        detail_fn=lambda: "%s\n\nEXPLAIN REWRITE:\n%s" % (
-            view.report(), view.explain().render()),
+        detail_fn=lambda: _detail(view),
     )
+
+
+def _detail(view):
+    from repro.obs.explain import ExplainReport  # imports the plan layer
+
+    decisions = ExplainReport(ledger=view.ledger).render()
+    return "\n".join(filter(None, [view.report(), decisions]))
 
 
 class RequestRecord:

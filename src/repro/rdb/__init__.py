@@ -4,7 +4,7 @@ This is the substrate the paper runs on: tables with typed columns, B-tree
 indexes, an iterator-based executor (scan, index scan, filter, join,
 aggregate, sort), correlated scalar subqueries, the SQL/XML generation
 functions (``XMLElement``, ``XMLAttributes``, ``XMLForest``, ``XMLAgg``,
-``XMLConcat``), relational and XMLType views, a rule-based planner that
+``XMLConcat``), relational and XMLType views, a cost-based planner that
 turns indexable predicates into B-tree probes, and the two XMLType storage
 models the evaluation uses (object-relational shredding and CLOB).
 

@@ -223,15 +223,15 @@ class Database:
 
     # -- execution -------------------------------------------------------------
 
-    def execute(self, query, env=None, optimize=True, stats=None, level=None):
-        """Execute a :class:`Query`; returns (rows, stats).  Pass a
+    def execute(self, query, env=None, stats=None, level=None):
+        """Optimize (``level="off"``: run the plan as written) and
+        execute a :class:`Query`; returns (rows, stats).  Pass a
         prepared :class:`ExecutionStats` (e.g. with a
         :class:`~repro.rdb.plan.PlanProfiler` attached) to collect into."""
-        if optimize:
-            query = optimize_query(query, self, level=level)
+        query = optimize_query(query, self, level=level)
         return query.execute(self, env=env, stats=stats or ExecutionStats())
 
-    def optimize(self, query, level=None, ledger=None, decorrelate=None):
+    def optimize(self, query, level=None, ledger=None, decorrelate=True):
         return optimize_query(query, self, level=level, ledger=ledger,
                               decorrelate=decorrelate)
 

@@ -57,22 +57,12 @@ from repro.rdb.expressions import BinOp, ColumnRef, ScalarSubquery
 from repro.rdb.plan import (
     Aggregate,
     Filter,
-    HashJoin,
     HashLeftJoin,
-    IndexScan,
-    NestedLoopJoin,
     Query,
-    Scan,
     _render_plan,
 )
-from repro.rdb.planner import _and_tree, _node_expressions, _split_conjuncts
+from repro.rdb.planner import _and_tree, _split_conjuncts
 from repro.rdb.sqlxml import find_aggregates
-
-#: operators with grouping-safe row semantics below an Aggregate
-_SAFE_BODY_NODES = (
-    Scan, IndexScan, Filter, NestedLoopJoin, HashJoin, HashLeftJoin,
-    Aggregate,
-)
 
 STAGE = "plan-optimize"
 
@@ -87,29 +77,6 @@ def decorrelate_query(query, db, ledger=None):
     entry points reuse the view's outputs), and those must keep their
     correlated form.  Untouched subtrees are shared with the input."""
     return _Decorrelator(db, ledger).run(query)
-
-
-def _bound_aliases(plan):
-    """Every alias bound anywhere inside a plan subtree."""
-    return {
-        node.alias
-        for node in plan.iter_plan()
-        if isinstance(node, (Scan, IndexScan, Aggregate))
-    }
-
-
-def _visible_aliases(plan):
-    """Aliases present in the row environments a subtree *emits* — an
-    Aggregate re-binds its input under its own alias, hiding the scans
-    beneath it."""
-    if isinstance(plan, Aggregate):
-        return {plan.alias}
-    if isinstance(plan, (Scan, IndexScan)):
-        return {plan.alias}
-    out = set()
-    for child in plan.children():
-        out |= _visible_aliases(child)
-    return out
 
 
 def _free_info(expr, bound):
@@ -136,12 +103,11 @@ def _free_info(expr, bound):
 
 
 def _query_free_info(query, bound):
-    inner_bound = bound | _bound_aliases(query.plan)
+    inner_bound = bound | query.plan.bound_aliases()
     free = set()
     opaque = False
     exprs = [expr for _, expr in query.outputs]
-    for node in query.plan.iter_plan():
-        exprs.extend(_node_expressions(node))
+    exprs.extend(query.plan.iter_expressions())
     for expr in exprs:
         expr_free, expr_opaque = _free_info(expr, inner_bound)
         free |= expr_free
@@ -387,13 +353,13 @@ class _Decorrelator:
             conjuncts.extend(_split_conjuncts(base.predicate))
             base = base.child
         for node in base.iter_plan():
-            if not isinstance(node, _SAFE_BODY_NODES):
+            if not node.regroupable:
                 raise _Blocked(
                     "%s below the aggregate" % type(node).__name__
                 )
 
-        own = _bound_aliases(base)
-        visible = _visible_aliases(plan)
+        own = base.bound_aliases()
+        visible = plan.visible_aliases()
         if own & visible:
             raise _Blocked(
                 "alias shadowing: %s" % ", ".join(sorted(own & visible))
@@ -417,7 +383,7 @@ class _Decorrelator:
         if not pairs:
             raise _Blocked("not correlated with the parent plan")
 
-        for expr in [out_expr] + _body_exprs(base):
+        for expr in [out_expr, *base.iter_expressions()]:
             free, opaque = _free_info(expr, own)
             if opaque:
                 raise _Blocked("unqualified column below the aggregate")
@@ -549,10 +515,3 @@ def _output_column(aggregate, out_expr):
     name = "v%d" % len(aggregate.outputs) if aggregate.outputs else "v"
     aggregate.outputs.append((name, out_expr))
     return name
-
-
-def _body_exprs(plan):
-    exprs = []
-    for node in plan.iter_plan():
-        exprs.extend(_node_expressions(node))
-    return exprs

@@ -21,6 +21,7 @@ the B-tree instead of scanning.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from itertools import chain, islice
 
@@ -34,7 +35,7 @@ from repro.rdb.binding import (
     sort_pairs,
     tuple_of,
 )
-from repro.rdb.expressions import _text
+from repro.rdb.expressions import SqlExpr, _text
 from repro.rdb.sqlxml import bind_aggregates, render_item, row_items
 
 #: Row count per batch wherever ``batch_size`` is not given (or None).
@@ -199,7 +200,20 @@ class PlanNode:
     layout of its outer prefix row and returns a :class:`BoundNode`;
     ``batches(db, outer, stats, batch_size, *bound)`` — ``outer`` the
     prefix row, ``bound`` what ``bind`` resolved — yields lists of up to
-    ``batch_size`` flat tuple rows."""
+    ``batch_size`` flat tuple rows.
+
+    An operator also *describes itself*, once — :meth:`detail`,
+    :meth:`expressions`, :meth:`render_sql`, ``alias``, ``regroupable`` —
+    and the EXPLAIN text and JSON, ``Query.to_sql`` and the planner's
+    and decorrelator's walks all read that description."""
+
+    #: the alias this operator binds its rows under, if it binds one
+    alias = None
+    #: True when running the operator once over every parent row's input
+    #: and grouping gives what a run per parent row gave — what unnesting
+    #: needs of an aggregate's body (Sort/TopN/Limit see the per-parent
+    #: stream, so they are not)
+    regroupable = False
 
     def bind(self, binder, outer):
         raise NotImplementedError
@@ -213,8 +227,54 @@ class PlanNode:
     def iter_plan(self):
         yield self
         for child in self.children():
-            for node in child.iter_plan():
-                yield node
+            yield from child.iter_plan()
+
+    def detail(self):
+        """The operator's facts in display order: ``(key, value)`` — the
+        EXPLAIN JSON stores the (JSON-ready) value under ``key``, the
+        text prints ``key=value``, a list joined by ``", "`` — or
+        ``(key, value, text)`` where the text words it its own way."""
+        raise NotImplementedError
+
+    def expressions(self):
+        """Every :class:`SqlExpr` the operator holds: whatever its
+        attributes, or lists / pairs in them, reference."""
+        return tuple(_held_expressions(vars(self).values()))
+
+    def iter_expressions(self):
+        for node in self.iter_plan():
+            yield from node.expressions()
+
+    def render_sql(self, sources, predicates):
+        """Append this subtree's FROM items and WHERE conjuncts."""
+        raise NotImplementedError
+
+    def render_root(self, sources, predicates):
+        """:meth:`render_sql` as the root of a statement; returns the
+        ORDER BY clause (only a root sort orders the statement)."""
+        self.render_sql(sources, predicates)
+        return ""
+
+    def bound_aliases(self):
+        """Every alias bound anywhere inside this subtree."""
+        return {node.alias for node in self.iter_plan()
+                if node.alias is not None}
+
+    def visible_aliases(self):
+        """Aliases in the rows this subtree *emits*: an operator that
+        binds one (an Aggregate re-binds its input) hides those below."""
+        if self.alias is not None:
+            return {self.alias}
+        return set().union(*[child.visible_aliases()
+                             for child in self.children()])
+
+
+def _held_expressions(values):
+    for value in values:
+        if isinstance(value, SqlExpr):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            yield from _held_expressions(value)
 
 
 def _chunked(rows, batch_size):
@@ -257,12 +317,36 @@ def _fetched(rows, row_ids, outer, stats, batch_size):
         yield batch
 
 
+def _source(table_name, alias):
+    if alias and alias != table_name:
+        return "%s %s" % (table_name.upper(), alias)
+    return table_name.upper()
+
+
+def _order_sql(keys):
+    return ", ".join(expr.to_sql() + (" DESC" if descending else "")
+                     for expr, descending in keys)
+
+
+def _key_pairs(left_keys, right_keys):
+    return ["%s = %s" % (left.to_sql(), right.to_sql())
+            for left, right in zip(left_keys, right_keys)]
+
+
 class Scan(PlanNode):
     """Full table scan."""
+
+    regroupable = True
 
     def __init__(self, table_name, alias=None):
         self.table_name = table_name
         self.alias = alias or table_name
+
+    def detail(self):
+        return (("table", self.table_name), ("alias", self.alias))
+
+    def render_sql(self, sources, predicates):
+        sources.append(_source(self.table_name, self.alias))
 
     def bind(self, binder, outer):
         return _bind_scan(self, binder, outer)
@@ -279,6 +363,8 @@ class Scan(PlanNode):
 class IndexScan(PlanNode):
     """B-tree probe: ``column op key`` where ``key`` may be correlated."""
 
+    regroupable = True
+
     def __init__(self, table_name, index_name, op, key_expr, alias=None,
                  column_name=None):
         self.table_name = table_name
@@ -287,6 +373,18 @@ class IndexScan(PlanNode):
         self.key_expr = key_expr
         self.alias = alias or table_name
         self.column_name = column_name  # for SQL rendering only
+
+    def detail(self):
+        return (("table", self.table_name), ("index", self.index_name),
+                ("compare", self.op, "op=%s" % self.op),
+                ("key", self.key_expr.to_sql()))
+
+    def render_sql(self, sources, predicates):
+        sources.append(_source(self.table_name, self.alias))
+        predicates.append('"%s"."%s" %s %s /*+ INDEX(%s) */' % (
+            self.alias.upper(),
+            (self.column_name or self.index_name).upper(), self.op,
+            self.key_expr.to_sql(), self.index_name))
 
     def bind(self, binder, outer):
         column = binder.db.index(self.index_name).column_name
@@ -305,12 +403,21 @@ class IndexScan(PlanNode):
 class Filter(PlanNode):
     """Row filter over a child plan."""
 
+    regroupable = True
+
     def __init__(self, child, predicate):
         self.child = child
         self.predicate = predicate
 
     def children(self):
         return (self.child,)
+
+    def detail(self):
+        return (("predicate", self.predicate.to_sql()),)
+
+    def render_sql(self, sources, predicates):
+        self.child.render_sql(sources, predicates)
+        predicates.append(self.predicate.to_sql())
 
     def bind(self, binder, outer):
         child = self.child.bind(binder, outer)
@@ -328,10 +435,19 @@ def _bind_condition(condition, binder, layout):
     return None if condition is None else condition.bind(binder, layout)
 
 
+def _render_join(join, sources, predicates, *conjuncts):
+    """Both sides' FROM items and conjuncts, then the join's own."""
+    for child in join.children():
+        child.render_sql(sources, predicates)
+    predicates.extend(conjuncts)
+
+
 class NestedLoopJoin(PlanNode):
     """Inner join: right side re-evaluated per left row (correlated OK) —
     it is opened with the left row as its prefix, so its rows are the
     joined rows."""
+
+    regroupable = True
 
     def __init__(self, left, right, condition=None):
         self.left = left
@@ -340,6 +456,14 @@ class NestedLoopJoin(PlanNode):
 
     def children(self):
         return (self.left, self.right)
+
+    def detail(self):
+        return ()
+
+    def render_sql(self, sources, predicates):
+        _render_join(self, sources, predicates)
+        if self.condition is not None:
+            predicates.append(self.condition.to_sql())
 
     def bind(self, binder, outer):
         left = self.left.bind(binder, outer)
@@ -369,6 +493,20 @@ class StructuralScan(PlanNode):
         self.name = name
         self.alias = alias or table_name
         self.doc_id = doc_id
+
+    def detail(self):
+        facts = (("table", self.table_name), ("name", self.name),
+                 ("alias", self.alias))
+        return facts if self.doc_id is None else (*facts, ("doc", self.doc_id))
+
+    def render_sql(self, sources, predicates):
+        sources.append(_source(self.table_name, self.alias))
+        predicate = '"%s"."NAME" = \'%s\' /*+ STRUCT_PATH(%s) */' % (
+            self.alias.upper(), self.name, self.table_name)
+        if self.doc_id is not None:
+            predicate += ' AND "%s"."DOC_ID" = %s' % (
+                self.alias.upper(), self.doc_id)
+        predicates.append(predicate)
 
     def bind(self, binder, outer):
         return _bind_scan(self, binder, outer)
@@ -408,6 +546,17 @@ class StructuralJoin(PlanNode):
 
     def children(self):
         return (self.descendant, self.ancestor)
+
+    def detail(self):
+        return (("desc", self.desc_alias), ("anc", self.anc_alias),
+                ("labels", [self.start_column, self.end_column],
+                 "labels=(%s,%s)" % (self.start_column, self.end_column)))
+
+    def render_sql(self, sources, predicates):
+        _render_join(
+            self, sources, predicates,
+            'STRUCT_CONTAINS("%s", "%s") /*+ STRUCT_JOIN */'
+            % (self.anc_alias.upper(), self.desc_alias.upper()))
 
     def bind(self, binder, outer):
         desc = self.descendant.bind(binder, outer)
@@ -475,6 +624,8 @@ class HashJoin(PlanNode):
     predicate evaluated against the joined row.
     """
 
+    regroupable = True
+
     def __init__(self, left, right, left_key, right_key, condition=None):
         self.left = left
         self.right = right
@@ -484,6 +635,16 @@ class HashJoin(PlanNode):
 
     def children(self):
         return (self.left, self.right)
+
+    def detail(self):
+        (pair,) = _key_pairs([self.left_key], [self.right_key])
+        return (("build", "right"), ("keys", [pair], "key=%s" % pair))
+
+    def render_sql(self, sources, predicates):
+        _render_join(self, sources, predicates, "%s = %s /*+ USE_HASH */" % (
+            self.left_key.to_sql(), self.right_key.to_sql()))
+        if self.condition is not None:
+            predicates.append(self.condition.to_sql())
 
     def bind(self, binder, outer):
         left = self.left.bind(binder, outer)
@@ -534,6 +695,8 @@ class HashLeftJoin(PlanNode):
     — the invariant that keeps decorrelated output byte-identical.
     """
 
+    regroupable = True
+
     def __init__(self, left, right, left_keys, right_keys):
         self.left = left
         self.right = right
@@ -542,6 +705,15 @@ class HashLeftJoin(PlanNode):
 
     def children(self):
         return (self.left, self.right)
+
+    def detail(self):
+        return (("outer", True, "build=right(outer)"),
+                ("keys", _key_pairs(self.left_keys, self.right_keys)))
+
+    def render_sql(self, sources, predicates):
+        _render_join(self, sources, predicates, *[
+            "%s (+) /*+ USE_HASH */" % pair
+            for pair in _key_pairs(self.left_keys, self.right_keys)])
 
     def bind(self, binder, outer):
         left = self.left.bind(binder, outer)
@@ -604,6 +776,17 @@ class Sort(PlanNode):
     def children(self):
         return (self.child,)
 
+    def detail(self):
+        return (("keys", [expr.to_sql() for expr, _ in self.keys]),)
+
+    def render_sql(self, sources, predicates):
+        # a sort below the root has no SQL spelling here: an opaque source
+        sources.append("(/* %s */)" % type(self).__name__)
+
+    def render_root(self, sources, predicates):
+        self.child.render_sql(sources, predicates)
+        return _order_sql(self.keys)
+
     def bind(self, binder, outer):
         child = self.child.bind(binder, outer)
         return BoundNode(self, child.layout, child,
@@ -626,6 +809,8 @@ class Aggregate(PlanNode):
     Accumulator state is a list per group, one slot per aggregate.
     """
 
+    regroupable = True
+
     def __init__(self, child, group_by, outputs, alias="agg"):
         self.child = child
         self.group_by = group_by  # list of (name, expr)
@@ -634,6 +819,26 @@ class Aggregate(PlanNode):
 
     def children(self):
         return (self.child,)
+
+    def detail(self):
+        names = [name for name, _ in self.group_by]
+        return (("alias", self.alias),
+                ("group_by", names, "group_by=[%s]" % ", ".join(names)))
+
+    def render_sql(self, sources, predicates):
+        inner_sources, inner_predicates = [], []
+        self.child.render_sql(inner_sources, inner_predicates)
+        body = "SELECT %s FROM %s" % (
+            ", ".join("%s AS %s" % (expr.to_sql(), name)
+                      for name, expr in (*self.group_by, *self.outputs)),
+            ", ".join(inner_sources) or "DUAL",
+        )
+        if inner_predicates:
+            body += " WHERE %s" % " AND ".join(inner_predicates)
+        if self.group_by:
+            body += " GROUP BY %s" % ", ".join(
+                expr.to_sql() for _, expr in self.group_by)
+        sources.append("(%s) %s" % (body, self.alias))
 
     def bind(self, binder, outer):
         child = self.child.bind(binder, outer)
@@ -695,6 +900,18 @@ class TopN(PlanNode):
     def children(self):
         return (self.child,)
 
+    def detail(self):
+        return (("keys", [expr.to_sql() for expr, _ in self.keys]),
+                ("count", self.count))
+
+    def render_sql(self, sources, predicates):
+        self.child.render_sql(sources, predicates)
+        predicates.append("ROWNUM <= %d" % self.count)
+
+    def render_root(self, sources, predicates):
+        self.render_sql(sources, predicates)
+        return _order_sql(self.keys)
+
     def bind(self, binder, outer):
         child = self.child.bind(binder, outer)
         return BoundNode(self, child.layout, child,
@@ -723,6 +940,13 @@ class Limit(PlanNode):
 
     def children(self):
         return (self.child,)
+
+    def detail(self):
+        return ()
+
+    def render_sql(self, sources, predicates):
+        self.child.render_sql(sources, predicates)
+        predicates.append("ROWNUM <= %d" % self.count)
 
     def bind(self, binder, outer):
         child = self.child.bind(binder, outer)
@@ -901,8 +1125,6 @@ class Query:
         storage-level fingerprints (:meth:`ObjectRelationalStorage.
         fingerprint`) cover that.
         """
-        import hashlib
-
         return hashlib.sha256(self.to_sql().encode("utf-8")).hexdigest()
 
     def to_sql(self):
@@ -922,122 +1144,11 @@ class Query:
 
 
 def _render_plan(plan):
-    """Render the supported plan shapes to FROM/WHERE/ORDER BY fragments."""
-    order_clause = ""
-    rownum_limit = None
-    if isinstance(plan, TopN):
-        rownum_limit = plan.count
-        order_clause = ", ".join(
-            expr.to_sql() + (" DESC" if descending else "")
-            for expr, descending in plan.keys
-        )
-        plan = plan.child
-    elif isinstance(plan, Sort):
-        order_clause = ", ".join(
-            expr.to_sql() + (" DESC" if descending else "")
-            for expr, descending in plan.keys
-        )
-        plan = plan.child
-
-    predicates = []
-    sources = []
-    _collect(plan, sources, predicates)
-    if rownum_limit is not None:
-        predicates.append("ROWNUM <= %d" % rownum_limit)
-    from_clause = ", ".join(sources)
-    where_clause = " AND ".join(predicates)
-    return from_clause, where_clause, order_clause
-
-
-def _collect(plan, sources, predicates):
-    if isinstance(plan, Filter):
-        _collect(plan.child, sources, predicates)
-        predicates.append(plan.predicate.to_sql())
-    elif isinstance(plan, Scan):
-        sources.append(_source(plan.table_name, plan.alias))
-    elif isinstance(plan, IndexScan):
-        sources.append(_source(plan.table_name, plan.alias))
-        column = plan.column_name or plan.index_name
-        predicates.append(
-            '"%s"."%s" %s %s /*+ INDEX(%s) */'
-            % (
-                plan.alias.upper(),
-                column.upper(),
-                plan.op,
-                plan.key_expr.to_sql(),
-                plan.index_name,
-            )
-        )
-    elif isinstance(plan, StructuralScan):
-        sources.append(_source(plan.table_name, plan.alias))
-        predicate = '"%s"."NAME" = \'%s\' /*+ STRUCT_PATH(%s) */' % (
-            plan.alias.upper(), plan.name, plan.table_name)
-        if plan.doc_id is not None:
-            predicate += ' AND "%s"."DOC_ID" = %s' % (
-                plan.alias.upper(), plan.doc_id)
-        predicates.append(predicate)
-    elif isinstance(plan, StructuralJoin):
-        _collect(plan.descendant, sources, predicates)
-        _collect(plan.ancestor, sources, predicates)
-        predicates.append(
-            'STRUCT_CONTAINS("%s", "%s") /*+ STRUCT_JOIN */'
-            % (plan.anc_alias.upper(), plan.desc_alias.upper()))
-    elif isinstance(plan, NestedLoopJoin):
-        _collect(plan.left, sources, predicates)
-        _collect(plan.right, sources, predicates)
-        if plan.condition is not None:
-            predicates.append(plan.condition.to_sql())
-    elif isinstance(plan, HashJoin):
-        _collect(plan.left, sources, predicates)
-        _collect(plan.right, sources, predicates)
-        predicates.append(
-            "%s = %s /*+ USE_HASH */"
-            % (plan.left_key.to_sql(), plan.right_key.to_sql())
-        )
-        if plan.condition is not None:
-            predicates.append(plan.condition.to_sql())
-    elif isinstance(plan, HashLeftJoin):
-        _collect(plan.left, sources, predicates)
-        _collect(plan.right, sources, predicates)
-        predicates.extend(
-            "%s = %s (+) /*+ USE_HASH */"
-            % (lk.to_sql(), rk.to_sql())
-            for lk, rk in zip(plan.left_keys, plan.right_keys)
-        )
-    elif isinstance(plan, TopN):
-        _collect(plan.child, sources, predicates)
-        predicates.append("ROWNUM <= %d" % plan.count)
-    elif isinstance(plan, Limit):
-        _collect(plan.child, sources, predicates)
-        predicates.append("ROWNUM <= %d" % plan.count)
-    elif isinstance(plan, Aggregate):
-        inner_sources = []
-        inner_predicates = []
-        _collect(plan.child, inner_sources, inner_predicates)
-        body = "SELECT %s FROM %s" % (
-            ", ".join(
-                ["%s AS %s" % (expr.to_sql(), name)
-                 for name, expr in plan.group_by]
-                + ["%s AS %s" % (expr.to_sql(), name)
-                   for name, expr in plan.outputs]
-            ),
-            ", ".join(inner_sources) or "DUAL",
-        )
-        if inner_predicates:
-            body += " WHERE %s" % " AND ".join(inner_predicates)
-        if plan.group_by:
-            body += " GROUP BY %s" % ", ".join(
-                expr.to_sql() for _, expr in plan.group_by
-            )
-        sources.append("(%s) %s" % (body, plan.alias))
-    else:  # pragma: no cover - defensive
-        sources.append("(/* %s */)" % type(plan).__name__)
-
-
-def _source(table_name, alias):
-    if alias and alias != table_name:
-        return "%s %s" % (table_name.upper(), alias)
-    return table_name.upper()
+    """A plan's FROM / WHERE / ORDER BY fragments, as its operators
+    render themselves."""
+    sources, predicates = [], []
+    order_clause = plan.render_root(sources, predicates)
+    return ", ".join(sources), " AND ".join(predicates), order_clause
 
 
 def assign_plan_node_ids(plan_or_query, extra_plans=()):
@@ -1051,9 +1162,7 @@ def assign_plan_node_ids(plan_or_query, extra_plans=()):
     Returns the ``{id(node): plan_node_id}`` map.
     """
     roots = []
-    if isinstance(plan_or_query, Query):
-        roots.append(plan_or_query.plan)
-    elif plan_or_query is not None:
+    if plan_or_query is not None:  # a plan, or anything carrying one
         roots.append(getattr(plan_or_query, "plan", plan_or_query))
     roots.extend(extra_plans)
     ids = {}
@@ -1080,65 +1189,34 @@ def explain(plan_or_query, indent=0, profile=None):
     :meth:`Query.explain` / :meth:`ExplainReport.for_query
     <repro.obs.explain.ExplainReport.for_query>` run the query.
     """
-    if isinstance(plan_or_query, Query):
-        lines = ["QUERY outputs=[%s]" % ", ".join(
-            name or expr.to_sql() for name, expr in plan_or_query.outputs
-        )]
-        lines.extend(
-            explain(plan_or_query.plan, indent + 1, profile=profile)
-            .splitlines()
-        )
-        return "\n".join(lines)
-    plan = plan_or_query
-    pad = "  " * indent
+    return "\n".join(
+        line for _, line in explain_lines(plan_or_query, indent, profile))
+
+
+def explain_lines(plan, indent=0, profile=None):
+    """The lines of :func:`explain`, each with the operator it renders
+    (None for a query's header line)."""
+    if isinstance(plan, Query):
+        yield None, "QUERY outputs=[%s]" % ", ".join(
+            name or expr.to_sql() for name, expr in plan.outputs)
+        plan, indent = plan.plan, indent + 1
     label = type(plan).__name__
     node_id = getattr(plan, "plan_node_id", None)
     if node_id is not None:
         label = "#%d %s" % (node_id, label)
-    detail = ""
-    if isinstance(plan, Scan):
-        detail = " table=%s alias=%s" % (plan.table_name, plan.alias)
-    elif isinstance(plan, IndexScan):
-        detail = " table=%s index=%s op=%s key=%s" % (
-            plan.table_name, plan.index_name, plan.op, plan.key_expr.to_sql(),
-        )
-    elif isinstance(plan, Filter):
-        detail = " predicate=%s" % plan.predicate.to_sql()
-    elif isinstance(plan, Sort):
-        detail = " keys=%s" % ", ".join(expr.to_sql() for expr, _ in plan.keys)
-    elif isinstance(plan, TopN):
-        detail = " keys=%s count=%d" % (
-            ", ".join(expr.to_sql() for expr, _ in plan.keys), plan.count,
-        )
-    elif isinstance(plan, HashJoin):
-        detail = " build=right key=%s = %s" % (
-            plan.left_key.to_sql(), plan.right_key.to_sql(),
-        )
-    elif isinstance(plan, HashLeftJoin):
-        detail = " build=right(outer) keys=%s" % ", ".join(
-            "%s = %s" % (lk.to_sql(), rk.to_sql())
-            for lk, rk in zip(plan.left_keys, plan.right_keys)
-        )
-    elif isinstance(plan, Aggregate):
-        detail = " alias=%s group_by=[%s]" % (
-            plan.alias, ", ".join(name for name, _ in plan.group_by),
-        )
-    elif isinstance(plan, StructuralScan):
-        detail = " table=%s name=%s alias=%s" % (
-            plan.table_name, plan.name, plan.alias,
-        )
-        if plan.doc_id is not None:
-            detail += " doc=%s" % plan.doc_id
-    elif isinstance(plan, StructuralJoin):
-        detail = " desc=%s anc=%s labels=(%s,%s)" % (
-            plan.desc_alias, plan.anc_alias,
-            plan.start_column, plan.end_column,
-        )
-    lines = [pad + label + detail + _estimate_note(plan)
-             + _profile_note(plan, profile)]
+    detail = "".join(" " + _fact_text(*fact) for fact in plan.detail())
+    yield plan, ("  " * indent + label + detail + _estimate_note(plan)
+                 + _profile_note(plan, profile))
     for child in plan.children():
-        lines.append(explain(child, indent + 1, profile=profile))
-    return "\n".join(lines)
+        yield from explain_lines(child, indent + 1, profile)
+
+
+def _fact_text(key, value, text=None):
+    """How the EXPLAIN line words one :meth:`PlanNode.detail` fact."""
+    if text is None:
+        text = "%s=%s" % (
+            key, ", ".join(value) if isinstance(value, list) else value)
+    return text
 
 
 def _estimate_note(plan):
@@ -1195,10 +1273,7 @@ def record_plan_metrics(query, profiler, metrics):
     if profiler is None or metrics is None:
         return
     plan = query.plan if isinstance(query, Query) else query
-    nodes = [plan]
-    while nodes:
-        node = nodes.pop()
-        nodes.extend(node.children())
+    for node in plan.iter_plan():
         profile = profiler.get(node)
         if profile is None:
             continue

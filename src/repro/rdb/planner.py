@@ -1,16 +1,13 @@
-"""Plan optimisation: rule-based index selection and a cost-based layer.
+"""Plan optimisation: the one cost-based optimizer.
 
 This is the step that makes the paper's rewritten Table-7 query fast: the
 predicate ``SAL > 2000`` over the shredded ``emp`` table becomes an
-``IndexScan`` on the ``sal`` B-tree.  Three optimizer levels exist, chosen
+``IndexScan`` on the ``sal`` B-tree.  Two optimizer levels exist, chosen
 per call (``optimize_query(..., level=...)``):
 
 ``off``
-    the plan executes exactly as the rewrite emitted it;
-``rules``
-    the original heuristic pass — ``Filter(Scan)`` with an indexable
-    conjunct becomes an ``IndexScan`` (+ one residual ``Filter``), with
-    equality probes preferred over range probes;
+    the plan executes exactly as the rewrite emitted it (the reference
+    the equivalence tests compare against);
 ``cost`` (the default)
     every access path and join strategy is *estimated*: per-candidate
     cardinality and cost are computed from :class:`~repro.rdb.stats.
@@ -28,7 +25,9 @@ per call (``optimize_query(..., level=...)``):
 
 Chosen nodes are stamped with ``estimated_rows``/``estimated_cost``,
 which ``explain`` renders as ``(est rows=... cost=...)`` next to the
-EXPLAIN ANALYZE actuals.
+EXPLAIN ANALYZE actuals.  What lives here is policy — cost rules,
+rewrite rules, ledger records; what an operator *is* (its expressions,
+aliases, rendering) it says itself, in :mod:`repro.rdb.plan`.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from repro.rdb.plan import (
     IndexScan,
     Limit,
     NestedLoopJoin,
+    Query,
     Scan,
     Sort,
     StructuralJoin,
@@ -64,9 +64,8 @@ _INDEXABLE_OPS = frozenset(["=", "<", "<=", ">", ">="])
 # -- optimizer levels ----------------------------------------------------------
 
 LEVEL_OFF = "off"
-LEVEL_RULES = "rules"
 LEVEL_COST = "cost"
-LEVELS = (LEVEL_OFF, LEVEL_RULES, LEVEL_COST)
+LEVELS = (LEVEL_OFF, LEVEL_COST)
 DEFAULT_LEVEL = LEVEL_COST
 
 # -- cost model constants ------------------------------------------------------
@@ -98,142 +97,23 @@ def normalize_level(level):
     return level
 
 
-def optimize(plan, db):
-    """The rule-based pass: an optimised copy (inputs are not mutated)."""
-    if isinstance(plan, Filter):
-        # Collapse filter chains so every conjunct is visible to the index
-        # matcher (rewrites stack their residual predicates as new Filters).
-        predicate = plan.predicate
-        child = plan.child
-        while isinstance(child, Filter):
-            predicate = BinOp("AND", predicate, child.predicate)
-            child = child.child
-        child = optimize(child, db)
-        if isinstance(child, Scan):
-            return _optimize_filtered_scan(predicate, child, db)
-        return Filter(child, predicate)
-    if isinstance(plan, NestedLoopJoin):
-        return NestedLoopJoin(
-            optimize(plan.left, db), optimize(plan.right, db), plan.condition
-        )
-    if isinstance(plan, Sort):
-        return Sort(optimize(plan.child, db), plan.keys)
-    if isinstance(plan, Aggregate):
-        return Aggregate(
-            optimize(plan.child, db), plan.group_by, plan.outputs, plan.alias
-        )
-    if isinstance(plan, Limit):
-        return Limit(optimize(plan.child, db), plan.count)
-    return plan
-
-
-def optimize_query(query, db, level=None, ledger=None, decorrelate=None):
+def optimize_query(query, db, level=None, ledger=None, decorrelate=True):
     """Optimise a query's plan and, recursively, every scalar subquery
-    reachable from its output expressions, at the requested optimizer
-    level.
+    reachable from its expressions — or, at ``level="off"``, return it
+    as emitted.
 
     ``decorrelate`` gates the subquery-unnesting pass
-    (:mod:`repro.rdb.decorrelate`), which turns correlated aggregating
-    ``ScalarSubquery`` probes into ``HashLeftJoin`` over a grouped
-    ``Aggregate``.  The pass is tied to the cost level (only the cost
-    pass understands the new operators): ``None`` runs it exactly at
-    ``level="cost"``, ``False`` disables it there, and ``True`` at any
-    other level raises :class:`~repro.errors.PlanError`.
+    (:mod:`repro.rdb.decorrelate`) that runs ahead of the cost pass and
+    turns correlated aggregating ``ScalarSubquery`` probes into
+    ``HashLeftJoin`` over a grouped ``Aggregate``; ``off`` runs neither.
     """
-    level = normalize_level(level)
-    if decorrelate and level != LEVEL_COST:
-        raise PlanError(
-            "decorrelate=True requires optimizer level %r (got %r)"
-            % (LEVEL_COST, level)
-        )
-    if level == LEVEL_OFF:
+    if normalize_level(level) == LEVEL_OFF:
         return query
-    if level == LEVEL_COST:
-        if decorrelate is None or decorrelate:
-            from repro.rdb.decorrelate import decorrelate_query
+    if decorrelate:
+        from repro.rdb.decorrelate import decorrelate_query
 
-            query = decorrelate_query(query, db, ledger=ledger)
-        return _CostOptimizer(db, ledger).optimize_query(query)
-    return _rules_optimize_query(query, db)
-
-
-def _rules_optimize_query(query, db):
-    from repro.rdb.plan import Query
-
-    new_plan = optimize(query.plan, db)
-    new_outputs = []
-    for name, expr in query.outputs:
-        for node in expr.iter_tree():
-            if isinstance(node, ScalarSubquery):
-                node.query = _rules_optimize_query(node.query, db)
-        new_outputs.append((name, expr))
-    _optimize_embedded(new_plan, db)
-    return Query(new_plan, new_outputs)
-
-
-def _optimize_embedded(plan, db, optimizer=None):
-    """Optimise subqueries inside plan predicates."""
-    for node in plan.iter_plan():
-        for expr in _node_expressions(node):
-            for sub in expr.iter_tree():
-                if isinstance(sub, ScalarSubquery):
-                    if optimizer is not None:
-                        sub.query = optimizer.optimize_query(sub.query)
-                    else:
-                        sub.query = _rules_optimize_query(sub.query, db)
-
-
-def _node_expressions(node):
-    exprs = []
-    if isinstance(node, Filter):
-        exprs.append(node.predicate)
-    elif isinstance(node, IndexScan):
-        exprs.append(node.key_expr)
-    elif isinstance(node, HashJoin):
-        exprs.append(node.left_key)
-        exprs.append(node.right_key)
-        if node.condition is not None:
-            exprs.append(node.condition)
-    elif isinstance(node, NestedLoopJoin) and node.condition is not None:
-        exprs.append(node.condition)
-    elif isinstance(node, (Sort, TopN)):
-        exprs.extend(expr for expr, _ in node.keys)
-    elif isinstance(node, HashLeftJoin):
-        exprs.extend(node.left_keys)
-        exprs.extend(node.right_keys)
-    elif isinstance(node, Aggregate):
-        exprs.extend(expr for _, expr in node.group_by)
-        exprs.extend(expr for _, expr in node.outputs)
-    return exprs
-
-
-def _optimize_filtered_scan(predicate, scan, db):
-    conjuncts = _split_conjuncts(predicate)
-    candidates = []
-    for position, conjunct in enumerate(conjuncts):
-        probe = _match_index(conjunct, scan, db)
-        if probe is not None:
-            candidates.append((position, probe))
-    if not candidates:
-        return Filter(scan, predicate)
-    # Prefer equality probes (point lookups) over range probes — an
-    # equality conjunct is almost always the more selective access path
-    # (e.g. the parent-key correlation of a shredded child table).
-    candidates.sort(key=lambda entry: 0 if entry[1][1] == "=" else 1)
-    position, (index, op, key_expr, column) = candidates[0]
-    new_plan = IndexScan(
-        scan.table_name,
-        index.name,
-        op,
-        key_expr,
-        alias=scan.alias,
-        column_name=column,
-    )
-    residual = conjuncts[:position] + conjuncts[position + 1:]
-    if residual:
-        # one Filter over an AND-tree, not a chain of nested Filters
-        new_plan = Filter(new_plan, _and_tree(residual))
-    return new_plan
+        query = decorrelate_query(query, db, ledger=ledger)
+    return _CostOptimizer(db, ledger).optimize_query(query)
 
 
 def _split_conjuncts(predicate):
@@ -320,16 +200,6 @@ def _stamp(node, rows, cost):
     return node
 
 
-def _aliases_of(plan):
-    """Aliases bound somewhere inside one plan subtree (scan aliases plus
-    the output alias of any grouped Aggregate)."""
-    return {
-        node.alias
-        for node in plan.iter_plan()
-        if isinstance(node, (Scan, IndexScan, StructuralScan, Aggregate))
-    }
-
-
 def _referenced_aliases(expr):
     """(qualified alias set, has-unqualified-or-subquery flag)."""
     aliases = set()
@@ -349,11 +219,10 @@ def _is_uncorrelated(plan, own_aliases):
     """True when no expression in the subtree references an alias outside
     the subtree's own scans — i.e. the subtree produces the same rows
     regardless of the probing row, so it is safe to hash-build once."""
-    for node in plan.iter_plan():
-        for expr in _node_expressions(node):
-            aliases, opaque = _referenced_aliases(expr)
-            if opaque or (aliases - own_aliases):
-                return False
+    for expr in plan.iter_expressions():
+        aliases, opaque = _referenced_aliases(expr)
+        if opaque or (aliases - own_aliases):
+            return False
     return True
 
 
@@ -380,27 +249,20 @@ class _CostOptimizer:
     # -- entry points ----------------------------------------------------------
 
     def optimize_query(self, query):
-        from repro.rdb.plan import Query
-
         new_plan = self.optimize_plan(query.plan)
-        new_outputs = []
-        for name, expr in query.outputs:
+        # subqueries of the outputs, then those inside plan predicates
+        exprs = [expr for _, expr in query.outputs]
+        exprs.extend(new_plan.iter_expressions())
+        for expr in exprs:
             for node in expr.iter_tree():
                 if isinstance(node, ScalarSubquery):
                     node.query = self.optimize_query(node.query)
-            new_outputs.append((name, expr))
-        _optimize_embedded(new_plan, self.db, optimizer=self)
         self._flush()
-        return Query(new_plan, new_outputs)
+        return Query(new_plan, list(query.outputs))
 
     def optimize_plan(self, plan):
         if isinstance(plan, Filter):
-            predicate = plan.predicate
-            child = plan.child
-            while isinstance(child, Filter):
-                predicate = BinOp("AND", predicate, child.predicate)
-                child = child.child
-            return self.push_into(child, _split_conjuncts(predicate))
+            return self.push_into(plan, [])  # collapses the filter chain
         if isinstance(plan, NestedLoopJoin):
             return self.plan_join(plan, [])
         if isinstance(plan, Limit):
@@ -456,7 +318,7 @@ class _CostOptimizer:
         if isinstance(plan, HashLeftJoin):
             # conjuncts over left columns commute with the left-outer
             # join (every left row survives it); the rest stays above
-            left_aliases = _aliases_of(plan.left)
+            left_aliases = plan.left.bound_aliases()
             pushed, kept = [], []
             for conjunct in conjuncts:
                 refs, opaque = _referenced_aliases(conjunct)
@@ -467,18 +329,11 @@ class _CostOptimizer:
             plan.left = self.push_into(plan.left, pushed)
             plan.right = self.optimize_plan(plan.right)
             joined = _stamp(plan, *self._derive_hash_left(plan))
-            if not kept:
-                return joined
-            rows, cost = joined.estimated_rows, joined.estimated_cost
-            selectivity = 1.0
-            for conjunct in kept:
-                selectivity *= self.conjunct_selectivity(conjunct, None)
-            return _stamp(
-                Filter(joined, _and_tree(kept)),
-                rows * selectivity,
-                cost + rows * len(kept) * FILTER_EVAL,
-            )
-        child = self.optimize_plan(plan)
+            return self.filter_above(joined, kept) if kept else joined
+        return self.filter_above(self.optimize_plan(plan), conjuncts)
+
+    def filter_above(self, child, conjuncts):
+        """One residual Filter over an optimized ``child``."""
         rows, cost = self.estimate(child)
         selectivity = 1.0
         for conjunct in conjuncts:
@@ -600,8 +455,8 @@ class _CostOptimizer:
         all_conjuncts = list(conjuncts)
         if join.condition is not None:
             all_conjuncts.extend(_split_conjuncts(join.condition))
-        left_aliases = _aliases_of(join.left)
-        right_aliases = _aliases_of(join.right)
+        left_aliases = join.left.bound_aliases()
+        right_aliases = join.right.bound_aliases()
 
         left_only, right_only, equi, residual = [], [], [], []
         for conjunct in all_conjuncts:

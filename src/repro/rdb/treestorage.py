@@ -219,9 +219,9 @@ class TreeStorage:
         (ancestor, descendant) element pair.
 
         Built in its *naive* shape — a nested-loop join whose condition
-        walks parent chains (:class:`TreeContains`).  The rule-based
-        optimizer executes it as written; the cost-based planner replaces
-        it with a StructuralJoin over label ranges when this storage's
+        walks parent chains (:class:`TreeContains`).  ``level="off"``
+        executes it as written; the cost-based planner replaces it with
+        a StructuralJoin over label ranges when this storage's
         structural index is registered.
         """
         conjuncts = [

@@ -42,12 +42,11 @@ EVICT_RECOST = "recost"  # evicted by the Q-error feedback loop
 
 
 class _Entry:
-    __slots__ = ("value", "fingerprint", "tags", "expires_at", "inserted_at")
+    __slots__ = ("value", "fingerprint", "expires_at", "inserted_at")
 
-    def __init__(self, value, fingerprint, tags, expires_at, inserted_at):
+    def __init__(self, value, fingerprint, expires_at, inserted_at):
         self.value = value
         self.fingerprint = fingerprint
-        self.tags = tags
         self.expires_at = expires_at
         self.inserted_at = inserted_at
 
@@ -149,7 +148,7 @@ class PlanCache:
             value = self._lookup(key)
         return value
 
-    def get_or_compile(self, key, compile_fn, fingerprint=None, tags=(),
+    def get_or_compile(self, key, compile_fn, fingerprint=None,
                        wait_timeout=None):
         """The cached value for ``key``, compiling it at most once.
 
@@ -171,8 +170,8 @@ class PlanCache:
                 if leader:
                     slot = self._compiling[key] = _CompileSlot()
             if leader:
-                return self._compile(key, slot, compile_fn, fingerprint,
-                                     tags), False
+                return self._compile(key, slot, compile_fn,
+                                     fingerprint), False
             self._suppressed += 1
             self.metrics.counter("serve.cache.stampede_suppressed").inc()
             slot.wait(wait_timeout)
@@ -186,7 +185,7 @@ class PlanCache:
             if slot.value is not None:
                 return slot.value, True
 
-    def _compile(self, key, slot, compile_fn, fingerprint, tags):
+    def _compile(self, key, slot, compile_fn, fingerprint):
         start = self.clock()
         try:
             value = compile_fn()
@@ -199,7 +198,7 @@ class PlanCache:
         self.metrics.histogram("serve.cache.compile_seconds").record(
             self.clock() - start
         )
-        self.put(key, value, fingerprint=fingerprint, tags=tags)
+        self.put(key, value, fingerprint=fingerprint)
         with self._lock:
             self._compiling.pop(key, None)
         slot.resolve(value)
@@ -226,11 +225,11 @@ class PlanCache:
 
     # -- mutation ----------------------------------------------------------------
 
-    def put(self, key, value, fingerprint=None, tags=()):
+    def put(self, key, value, fingerprint=None):
         """Insert (or replace) an entry, evicting LRU beyond capacity."""
         now = self.clock()
         expires = now + self.ttl_seconds if self.ttl_seconds else None
-        entry = _Entry(value, fingerprint, frozenset(tags), expires, now)
+        entry = _Entry(value, fingerprint, expires, now)
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -238,9 +237,9 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self._count_eviction(EVICT_LRU)
 
-    def invalidate(self, key=None, fingerprint=None, tag=None):
-        """Explicit eviction: by exact key, by source fingerprint (every
-        plan compiled against that schema/view shape) or by tag.  Returns
+    def invalidate(self, key=None, fingerprint=None):
+        """Explicit eviction: by exact key or by source fingerprint
+        (every plan compiled against that schema/view shape).  Returns
         the number of entries removed."""
         removed = 0
         with self._lock:
@@ -250,7 +249,6 @@ class PlanCache:
                     (key is not None and existing == key)
                     or (fingerprint is not None
                         and entry.fingerprint == fingerprint)
-                    or (tag is not None and tag in entry.tags)
                 ):
                     del self._entries[existing]
                     self._count_eviction(EVICT_INVALIDATED)

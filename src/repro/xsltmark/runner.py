@@ -140,10 +140,10 @@ def run_case(case, size, repeat=1):
     classification, sql_merged = classify_case(case)
 
     rewrite_seconds, rewrite_result = _timed(
-        prepared, rewrite=True, repeat=repeat
+        prepared, "sql-rewrite", repeat=repeat
     )
     functional_seconds, functional_result = _timed(
-        prepared, rewrite=False, repeat=repeat
+        prepared, "functional", repeat=repeat
     )
 
     outputs_equal = (
@@ -157,9 +157,9 @@ def run_case(case, size, repeat=1):
     )
 
 
-def _timed(prepared, rewrite, repeat):
+def _timed(prepared, strategy, repeat):
     result = None
-    options = TransformOptions(rewrite=rewrite)
+    options = TransformOptions(strategy=strategy)
     start = time.perf_counter()
     for _ in range(repeat):
         result = xml_transform(

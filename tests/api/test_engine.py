@@ -47,7 +47,7 @@ class TestTransform:
         db, storage = make_storage()
         result = Engine(db).transform(
             storage, EXAMPLE1_STYLESHEET,
-            options=TransformOptions(rewrite=False),
+            options=TransformOptions(strategy="functional"),
         )
         assert result.strategy == STRATEGY_FUNCTIONAL
         assert result.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
@@ -79,7 +79,7 @@ class TestCompileExecute:
         db, storage = make_storage()
         compiled = Engine(db).compile(
             storage, EXAMPLE1_STYLESHEET,
-            options=TransformOptions(rewrite=False),
+            options=TransformOptions(strategy="functional"),
         )
         assert compiled.strategy == STRATEGY_FUNCTIONAL
         assert compiled.error is None
@@ -98,7 +98,7 @@ class TestStream:
     def test_functional_stream_matches(self):
         db, storage = make_storage()
         engine = Engine(db)
-        opts = TransformOptions(rewrite=False)
+        opts = TransformOptions(strategy="functional")
         materialized = engine.transform(storage, EXAMPLE1_STYLESHEET,
                                         options=opts)
         stream = engine.transform_stream(storage, EXAMPLE1_STYLESHEET,

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.api import TransformOptions
+from repro.api import Engine, OptimizerLevel, Strategy, TransformOptions
 from repro.core import RewriteOptions, xml_transform
+from repro.errors import PlanError
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
@@ -26,16 +27,17 @@ class TestCoerce:
     def test_none_is_defaults(self):
         opts = TransformOptions.coerce(None)
         assert opts == TransformOptions()
-        assert opts.rewrite is True
+        assert opts.effective_rewrite() is True
         assert opts.deadline is None
 
     def test_instance_passes_through(self):
-        opts = TransformOptions(rewrite=False)
+        opts = TransformOptions(strategy="functional")
         assert TransformOptions.coerce(opts) is opts
 
     def test_dict_becomes_kwargs(self):
-        opts = TransformOptions.coerce({"rewrite": False, "batch_size": 64})
-        assert opts.rewrite is False
+        opts = TransformOptions.coerce({"strategy": "functional",
+                                        "batch_size": 64})
+        assert opts.effective_rewrite() is False
         assert opts.batch_size == 64
 
     def test_rejects_unknown_type(self):
@@ -44,29 +46,35 @@ class TestCoerce:
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            TransformOptions().rewrite = False
+            TransformOptions().strategy = "functional"
 
     def test_replace_returns_copy(self):
         opts = TransformOptions()
-        changed = opts.replace(rewrite=False, deadline=1.5)
-        assert changed.rewrite is False
+        changed = opts.replace(strategy="functional", deadline=1.5)
+        assert changed.strategy == "functional"
         assert changed.deadline == 1.5
-        assert opts.rewrite is True
+        assert opts.strategy is None
 
 
 class TestRewriteOptionResolution:
     def test_defaults_resolve_to_none(self):
-        assert TransformOptions().resolved_rewrite_options() is None
-
-    def test_inline_flag_builds_rewrite_options(self):
-        resolved = TransformOptions(inline=False).resolved_rewrite_options()
-        assert isinstance(resolved, RewriteOptions)
-        assert resolved.inline_templates is False
+        db, storage = make_storage()
+        assert TransformOptions().rewrite_options is None
+        compiled = Engine(db).compile(storage, EXAMPLE1_STYLESHEET)
+        assert compiled.options is None
+        assert compiled.outcome.inline_mode is True
 
     def test_explicit_rewrite_options_win(self):
-        explicit = RewriteOptions(prune_templates=False)
-        opts = TransformOptions(inline=True, rewrite_options=explicit)
-        assert opts.resolved_rewrite_options() is explicit
+        # a RewriteOptions is the one spelling of the inline mode (and of
+        # every other ablation) and reaches the pipeline as given
+        db, storage = make_storage()
+        explicit = RewriteOptions(inline_templates=False)
+        compiled = Engine(db).compile(
+            storage, EXAMPLE1_STYLESHEET,
+            options=TransformOptions(rewrite_options=explicit))
+        assert compiled.options is explicit
+        # non-inline XQuery cannot merge into the view: a compile fallback
+        assert "non-inline" in str(compiled.error)
 
 
 class TestCacheKey:
@@ -78,8 +86,15 @@ class TestCacheKey:
 
     def test_compile_fields_do_fragment(self):
         base = TransformOptions()
-        assert base.cache_key() != TransformOptions(rewrite=False).cache_key()
-        assert base.cache_key() != TransformOptions(inline=False).cache_key()
+        assert base.cache_key() != TransformOptions(
+            strategy="functional").cache_key()
+        assert base.cache_key() != TransformOptions(
+            rewrite_options=RewriteOptions(inline_templates=False)
+        ).cache_key()
+        assert base.cache_key() != TransformOptions(
+            decorrelate=False).cache_key()
+        assert base.cache_key() != TransformOptions(
+            optimizer_level="off").cache_key()
 
     def test_stable_across_instances(self):
         a = TransformOptions(rewrite_options=RewriteOptions())
@@ -102,3 +117,42 @@ class TestOneSpelling:
             TransformOptions(explain=True)
         with pytest.raises(TypeError):
             TransformOptions.coerce(RewriteOptions())
+
+    def test_second_spellings_raise_at_construction(self):
+        """``strategy`` is the one way to pick the strategy, a
+        ``RewriteOptions`` the one way to force the inline mode; there
+        are two optimizer levels, a two-valued ``decorrelate``, and
+        ``level="off"`` is the one way to run a plan as written."""
+        for removed in ({"rewrite": False}, {"rewrite": True},
+                        {"inline": False}, {"inline": None}):
+            with pytest.raises(TypeError):
+                TransformOptions(**removed)
+            with pytest.raises(TypeError):
+                TransformOptions.coerce(removed)
+            with pytest.raises(TypeError):
+                TransformOptions().replace(**removed)
+        with pytest.raises(ValueError, match="invalid strategy 'auto'"):
+            TransformOptions(strategy="auto")
+        assert not hasattr(Strategy, "AUTO")
+        with pytest.raises(ValueError, match="invalid optimizer_level"):
+            TransformOptions(optimizer_level="rules")
+        assert not hasattr(OptimizerLevel, "RULES")
+        with pytest.raises(ValueError, match="invalid decorrelate None"):
+            TransformOptions(decorrelate=None)
+        assert not hasattr(TransformOptions, "resolved_rewrite_options")
+
+    def test_second_spellings_below_the_options_raise_too(self):
+        from repro.serve.cache import PlanCache
+
+        db, storage = make_storage()
+        query = storage.make_view_query()
+        with pytest.raises(PlanError, match="unknown optimizer level"):
+            db.optimize(query, level="rules")
+        with pytest.raises(PlanError, match="unknown optimizer level"):
+            db.execute(query, level="rules")
+        with pytest.raises(TypeError):
+            db.execute(query, optimize=False)
+        with pytest.raises(TypeError):
+            PlanCache().put("k", 1, tags=("t",))
+        with pytest.raises(TypeError):
+            PlanCache().invalidate(tag="t")

@@ -88,8 +88,6 @@ class TestEngineSurface:
 class TestOptionsSurface:
     def test_fields_and_defaults(self):
         opts = TransformOptions()
-        assert opts.rewrite is True
-        assert opts.inline is None
         assert opts.deadline is None
         assert opts.batch_size is None
         assert opts.chunk_chars == 8192
@@ -98,12 +96,12 @@ class TestOptionsSurface:
         assert opts.optimizer_level is None
         assert opts.feedback is True
         assert opts.strategy is None
-        assert opts.decorrelate is None
+        assert opts.decorrelate is True
 
     def test_field_order_is_stable(self):
         # positional construction is allowed; the order is part of the API
         names = [f for f in TransformOptions.__dataclass_fields__]
-        assert names == ["rewrite", "inline", "deadline", "batch_size",
+        assert names == ["deadline", "batch_size",
                          "chunk_chars", "profile_plan", "rewrite_options",
                          "optimizer_level", "feedback", "strategy",
                          "decorrelate"]
@@ -111,29 +109,30 @@ class TestOptionsSurface:
     def test_choice_fields_validate_at_construction(self):
         with pytest.raises(ValueError, match="invalid optimizer_level"):
             TransformOptions(optimizer_level="costly")
-        with pytest.raises(ValueError, match="'auto', 'sql-rewrite', 'functional'"):
+        with pytest.raises(ValueError, match="'sql-rewrite', 'functional'"):
             TransformOptions(strategy="sql")
         with pytest.raises(ValueError, match="invalid decorrelate"):
             TransformOptions(decorrelate="yes")
 
     def test_choice_fields_accept_enums_as_plain_strings(self):
         opts = TransformOptions(optimizer_level=OptimizerLevel.COST,
-                                strategy=Strategy.AUTO)
+                                strategy=Strategy.SQL)
         # enum members collapse to their plain string value, so cache
         # keys and reprs never carry "OptimizerLevel.COST"
         assert opts.optimizer_level == "cost"
         assert type(opts.optimizer_level) is str
-        assert opts.strategy == "auto"
+        assert opts.strategy == "sql-rewrite"
         assert type(opts.strategy) is str
 
-    def test_strategy_overrides_rewrite_flag(self):
+    def test_strategy_decides_whether_to_rewrite(self):
         assert TransformOptions(strategy="functional").effective_rewrite() \
             is False
-        assert TransformOptions(rewrite=False,
-                                strategy="sql-rewrite").effective_rewrite() \
+        assert TransformOptions(strategy="sql-rewrite").effective_rewrite() \
             is True
-        assert TransformOptions(rewrite=False).effective_rewrite() is False
         assert TransformOptions().effective_rewrite() is True
+        assert [choice.value for choice in Strategy] == [
+            "sql-rewrite", "functional"]
+        assert [level.value for level in OptimizerLevel] == ["off", "cost"]
 
     def test_cache_key_carries_compile_relevant_fields(self):
         key = TransformOptions(optimizer_level="cost",

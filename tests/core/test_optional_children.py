@@ -12,7 +12,7 @@ from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
 from repro.xmlmodel import parse_document, serialize
 
-FUNCTIONAL = TransformOptions(rewrite=False)
+FUNCTIONAL = TransformOptions(strategy="functional")
 
 SHEET = (
     '<xsl:stylesheet version="1.0"'

@@ -25,7 +25,7 @@ from .paper_example import (
 )
 
 XSL = 'xmlns:xsl="http://www.w3.org/1999/XSL/Transform"'
-FUNCTIONAL = TransformOptions(rewrite=False)
+FUNCTIONAL = TransformOptions(strategy="functional")
 
 
 def sheet(body):

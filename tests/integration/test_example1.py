@@ -17,7 +17,7 @@ from repro.core import XsltRewriter, xml_transform
 from repro.rdb.infer import infer_view_structure
 from repro.xmlmodel import serialize
 
-FUNCTIONAL = TransformOptions(rewrite=False)
+FUNCTIONAL = TransformOptions(strategy="functional")
 
 
 class TestExample1EndToEnd:

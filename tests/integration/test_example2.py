@@ -15,7 +15,7 @@ from repro.core.pipeline import XsltRewriter
 from repro.xmlmodel import serialize
 from repro.xmlmodel.nodes import Node
 
-FUNCTIONAL = TransformOptions(rewrite=False)
+FUNCTIONAL = TransformOptions(strategy="functional")
 
 # Table 10: the user XQuery over the XSLT view's result.
 USER_XQUERY = "for $tr in ./table/tr return $tr"

@@ -128,6 +128,32 @@ class TestDetailPolicy:
         assert record.detail is None
 
 
+class TestTransformDetail:
+    def test_each_section_is_rendered_once(self):
+        """A retained detail is ``report()`` plus the decision tree —
+        not two reports glued together."""
+        from repro.api import Engine
+        from repro.obs.trace import Tracer
+
+        from ..api.test_options import EXAMPLE1_STYLESHEET, make_storage
+
+        db, storage = make_storage()
+        recorder = FlightRecorder(slow_threshold_seconds=0.0)
+        Engine(db, tracer=Tracer(), recorder=recorder).transform(
+            storage, EXAMPLE1_STYLESHEET)
+        (record,) = recorder.records()
+        assert record.detail_reason == DETAIL_SLOW
+        detail = record.detail
+        nodes = [line for line in detail.splitlines()
+                 if "actual rows=" in line]
+        assert nodes, detail
+        for line in nodes:  # every plan node's EXPLAIN ANALYZE line: once
+            assert detail.count(line.strip()) == 1, line
+        for section in ("strategy: ", "rewrite decisions:", "plan:",
+                        "Execution: ", "trace:", "QUERY outputs="):
+            assert detail.count(section) == 1, section
+
+
 class TestStats:
     def test_stats_shape(self):
         recorder = FlightRecorder(capacity=8, slow_threshold_seconds=0.25,

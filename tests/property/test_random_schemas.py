@@ -25,7 +25,7 @@ from repro.xslt import compile_stylesheet, transform
 from repro.core.xquery_gen import generate_xquery
 
 XSL = 'xmlns:xsl="http://www.w3.org/1999/XSL/Transform"'
-FUNCTIONAL = TransformOptions(rewrite=False)
+FUNCTIONAL = TransformOptions(strategy="functional")
 
 _NAMES = [
     "alpha", "beta", "gamma", "delta", "epsi", "zeta", "eta", "theta",

@@ -327,7 +327,7 @@ class TestOperatorsOverTupleRows:
         query = storage.descendant_query("b", "c")
         assert any(isinstance(node, StructuralJoin)
                    for node in db.optimize(query).plan.iter_plan())
-        walk, _ = db.execute(query, level="rules")
+        walk, _ = db.execute(query, level="off")
         rows, stats = db.optimize(query).execute(db, batch_size=batch_size)
         # outer <b> contains both nested <c>; inner <b> only its own
         assert len(rows) == 3 and rows == walk

@@ -62,11 +62,10 @@ class TestAccessPath:
         db.analyze()
         sql = ("SELECT l.qty FROM line l "
                "WHERE l.doc = 3 AND l.qty > 1 AND l.id < 399")
-        for level in ("rules", "cost"):
-            plan = plan_of(db, sql, level=level)
-            assert isinstance(plan, Filter)
-            assert not isinstance(plan.child, Filter), level
-            assert isinstance(plan.child, IndexScan), level
+        plan = plan_of(db, sql)
+        assert isinstance(plan, Filter)
+        assert not isinstance(plan.child, Filter)
+        assert isinstance(plan.child, IndexScan)
 
     def test_decision_lists_alternatives(self):
         db = make_db()
@@ -190,8 +189,9 @@ class TestLevels:
         assert normalize_level(None) == "cost"
         for level in LEVELS:
             assert normalize_level(level) == level
-        with pytest.raises(PlanError):
-            normalize_level("aggressive")
+        for unknown in ("aggressive", "rules"):
+            with pytest.raises(PlanError):
+                normalize_level(unknown)
 
     def test_off_returns_query_untouched(self):
         db = make_db()
@@ -206,7 +206,7 @@ class TestLevels:
                "ORDER BY l.qty, d.name LIMIT 7")
         query = parse_select(sql)
         results = [db.execute(query, level=level)[0] for level in LEVELS]
-        assert results[0] == results[1] == results[2]
+        assert len(results) == 2 and results[0] == results[1]
 
     def test_cost_is_the_default(self):
         db = make_db()
@@ -239,7 +239,7 @@ class TestDatabaseExplain:
 
     def test_explain_respects_level(self):
         db = make_db(index_line=False)
-        text = db.explain(self.SQL, level="rules")
+        text = db.explain(self.SQL, level="off")
         assert "NestedLoopJoin" in text
         assert "TopN" not in text
 

@@ -54,7 +54,7 @@ def _markup(rows):
 
 def both_ways(db, query):
     """(correlated rows, decorrelated rows) for the same query."""
-    correlated, stats = db.execute(query, level="rules")
+    correlated, stats = db.execute(query, level="off")
     assert stats.subquery_executions > 0
     decorrelated, stats = db.execute(query)
     assert stats.subquery_executions == 0
@@ -205,7 +205,7 @@ class TestCopyOnPath:
         assert rewritten is not query
         # the original keeps its correlated ScalarSubquery site
         assert isinstance(query.outputs[1][1], ScalarSubquery)
-        rows, stats = db.execute(query, level="rules")
+        rows, stats = db.execute(query, level="off")
         assert stats.subquery_executions == 2
         assert rows == [("ACCOUNTING", 2.0), ("OPERATIONS", 1.0)]
 
@@ -218,7 +218,7 @@ class TestCopyOnPath:
         query_a = Query(Scan("dept", "d"), list(shared_outputs))
         query_b = Query(Scan("dept", "d"), list(shared_outputs))
         decorrelate_query(query_a, db)
-        rows, stats = db.execute(query_b, level="rules")
+        rows, stats = db.execute(query_b, level="off")
         assert stats.subquery_executions == 2
         assert rows == [("ACCOUNTING", 2.0), ("OPERATIONS", 1.0)]
 
@@ -419,12 +419,12 @@ class TestSiblingFusion:
 
 
 class TestOptimizerGate:
-    def test_decorrelate_true_requires_cost_level(self, db):
-        from repro.errors import PlanError
+    def test_off_level_runs_no_pass_whatever_the_flag_says(self, db):
+        # the flag gates a pass of the cost level; "off" means as emitted
+        query = parent_query()
+        assert db.optimize(query, level="off", decorrelate=True) is query
+        assert db.optimize(query, level="off", decorrelate=False) is query
 
-        with pytest.raises(PlanError):
-            db.optimize(parent_query(), level="rules", decorrelate=True)
-
-    def test_rules_level_does_not_decorrelate(self, db):
-        optimized = db.optimize(parent_query(), level="rules")
+    def test_decorrelate_false_keeps_the_probe_correlated(self, db):
+        optimized = db.optimize(parent_query(), decorrelate=False)
         assert isinstance(optimized.outputs[1][1], ScalarSubquery)

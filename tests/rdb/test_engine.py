@@ -318,7 +318,7 @@ class TestPlans:
             Filter(Scan("emp"), gt(col("sal"), const(2000))),
             [(None, col("ename"))],
         )
-        rows, stats = run(db, query, optimize=False)
+        rows, stats = run(db, query, level="off")
         assert [row[0] for row in rows] == ["CLARK", "SMITH"]
         assert stats.rows_scanned == 3
 
@@ -328,7 +328,7 @@ class TestPlans:
             IndexScan("emp", "idx_emp_sal", ">", const(2000)),
             [(None, col("ename"))],
         )
-        rows, stats = run(db, query, optimize=False)
+        rows, stats = run(db, query, level="off")
         assert sorted(row[0] for row in rows) == ["CLARK", "SMITH"]
         assert stats.index_probes == 1
         assert stats.rows_scanned == 2  # only matching rows fetched
@@ -399,9 +399,9 @@ class TestPlans:
         )
 
     def test_scalar_subquery_correlated(self, db):
-        # below the cost level the probe stays correlated: one subquery
+        # run as emitted the probe stays correlated: one subquery
         # execution per outer row
-        rows, stats = run(db, self._headcount_query(), level="rules")
+        rows, stats = run(db, self._headcount_query(), level="off")
         assert rows == [("ACCOUNTING", 2.0), ("OPERATIONS", 1.0)]
         assert stats.subquery_executions == 2
 
@@ -506,7 +506,7 @@ class TestPlanner:
             Filter(Scan("emp"), gt(col("sal", "emp"), const(2000))),
             [(None, col("empno"))],
         )
-        before, _ = db.execute(query, optimize=False)
+        before, _ = db.execute(query, level="off")
         db.create_index("emp", "sal")
         after, _ = db.execute(query)
         assert sorted(before) == sorted(after)

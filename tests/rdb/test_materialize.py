@@ -400,7 +400,7 @@ class TestManyDocuments:
     @pytest.mark.parametrize("indexed", [True, False])
     def test_functional_paths_use_it(self, indexed):
         storage = shop_storage(*[FULL, BARE] * 32, indexed=indexed)
-        options = TransformOptions(rewrite=False)
+        options = TransformOptions(strategy="functional")
         engine = Engine(storage.db)
         result = engine.transform(storage, self.SHEET, options=options)
         assert result.strategy == "functional"

@@ -68,7 +68,7 @@ class TestAccessPathChoice:
             eq(col("doc", "line"), const(7)),
         )
         query = Query(Filter(Scan("line"), predicate), [(None, col("label"))])
-        plain, _ = db.execute(query, optimize=False)
+        plain, _ = db.execute(query, level="off")
         optimized, _ = db.execute(query)
         assert sorted(plain) == sorted(optimized)
 

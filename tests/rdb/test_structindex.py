@@ -76,17 +76,17 @@ class TestStructuralJoinPlanning:
         assert "StructuralJoin" in names
         assert "NestedLoopJoin" not in names
 
-    def test_rules_level_keeps_tree_walk(self):
+    def test_off_level_keeps_tree_walk(self):
         db, storage = make_storage()
         query = storage.descendant_query("node", "label")
-        optimized = db.optimize(query, level="rules")
+        optimized = db.optimize(query, level="off")
         names = [type(node).__name__ for node in optimized.plan.iter_plan()]
         assert "StructuralJoin" not in names
 
     def test_byte_identical_results(self):
         db, storage = make_storage()
         query = storage.descendant_query("node", "label")
-        walk_rows, _ = db.execute(query, level="rules")
+        walk_rows, _ = db.execute(query, level="off")
         index_rows, _ = db.execute(query, level="cost")
         assert walk_rows == index_rows
         assert len(index_rows) > 0
@@ -106,7 +106,7 @@ class TestStructuralJoinPlanning:
     def test_doc_id_restriction(self):
         db, storage = make_storage()
         query = storage.descendant_query("node", "label", doc_id=2)
-        walk_rows, _ = db.execute(query, level="rules")
+        walk_rows, _ = db.execute(query, level="off")
         index_rows, stats = db.execute(query, level="cost")
         assert walk_rows == index_rows
         assert index_rows and all(row[0] == 2 for row in index_rows)
@@ -114,7 +114,7 @@ class TestStructuralJoinPlanning:
     def test_self_join_excludes_self_pairs(self):
         db, storage = make_storage(docs=1)
         query = storage.descendant_query("node", "node")
-        walk_rows, _ = db.execute(query, level="rules")
+        walk_rows, _ = db.execute(query, level="off")
         index_rows, _ = db.execute(query, level="cost")
         assert walk_rows == index_rows
         assert all(row[1] != row[2] for row in index_rows)
@@ -125,7 +125,7 @@ class TestStructuralJoinPlanning:
         optimized = db.optimize(query, level="cost")
         names = [type(node).__name__ for node in optimized.plan.iter_plan()]
         assert "StructuralJoin" not in names
-        walk_rows, _ = db.execute(query, level="rules")
+        walk_rows, _ = db.execute(query, level="off")
         cost_rows, _ = db.execute(query, level="cost")
         assert walk_rows == cost_rows
 

@@ -198,7 +198,7 @@ class TestSeveralDocumentsInOneStorage:
         assert storage.find_documents("/lib/@owner", "<", "b") == [1, 3]
         for names in (("lib", "book"), ("shelf", "b"), ("shelf", "price")):
             query = storage.descendant_query(*names)
-            walked, _ = storage.db.execute(query, level="rules")
+            walked, _ = storage.db.execute(query, level="off")
             joined, _ = storage.db.execute(query, level="cost")
             assert joined == walked
             assert joined == expected.db.execute(

@@ -159,13 +159,6 @@ class TestInvalidation:
         assert ("s1", "y") in cache
         assert len(cache) == 1
 
-    def test_invalidate_by_tag(self):
-        cache = make_cache()
-        cache.put("a", 1, tags=("src:1", "other"))
-        cache.put("b", 2, tags=("src:2",))
-        assert cache.invalidate(tag="src:1") == 1
-        assert "b" in cache
-
     def test_clear(self):
         cache = make_cache()
         cache.put("a", 1)

@@ -86,14 +86,14 @@ class TestBasicServing:
         with make_service(db) as service:
             result = service.transform(
                 storage, EXAMPLE1_STYLESHEET,
-                options=TransformOptions(rewrite=False),
+                options=TransformOptions(strategy="functional"),
             )
             assert result.strategy == STRATEGY_FUNCTIONAL
             assert result.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
             # the compiled stylesheet is still cached for reuse
             again = service.transform(
                 storage, EXAMPLE1_STYLESHEET,
-                options=TransformOptions(rewrite=False),
+                options=TransformOptions(strategy="functional"),
             )
             assert again.cache_hit
 

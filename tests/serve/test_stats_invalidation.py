@@ -85,7 +85,7 @@ class TestAnalyzeInvalidatesPlanCache:
             service.transform(storage, EXAMPLE1_STYLESHEET)
             other_level = service.transform(
                 storage, EXAMPLE1_STYLESHEET,
-                options=TransformOptions(optimizer_level="rules"),
+                options=TransformOptions(optimizer_level="off"),
             )
             assert not other_level.cache_hit
             same_as_default = service.transform(

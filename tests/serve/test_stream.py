@@ -71,11 +71,11 @@ class TestServiceStreaming:
         with make_service(db) as service:
             materialized = service.transform(
                 storage, EXAMPLE1_STYLESHEET,
-                options=TransformOptions(rewrite=False),
+                options=TransformOptions(strategy="functional"),
             )
             stream = service.transform_stream(
                 storage, EXAMPLE1_STYLESHEET,
-                options=TransformOptions(rewrite=False),
+                options=TransformOptions(strategy="functional"),
             )
             text = stream.text()
         assert stream.strategy == STRATEGY_FUNCTIONAL
