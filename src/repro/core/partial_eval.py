@@ -8,8 +8,9 @@ Phases, exactly as the paper lays them out:
 2. generate the annotated sample document from the structural schema
    (§4.2, :mod:`repro.schema.sample`);
 3. run the XSLT VM over the sample with tracing, *predicates assumed true*
-   (selects and patterns are evaluated with value predicates stripped) and
-   every conditional branch / candidate template explored;
+   (selects and patterns are evaluated through their own
+   ``without_predicates()`` form) and every conditional branch / candidate
+   template explored — the VM's ``explore`` stance;
 4. build the template execution graph and classify: inline mode (acyclic)
    vs non-inline mode (recursion), plus the §3.7 instantiated-template set.
 """
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 from repro.errors import ReproError, RewriteError
 from repro.schema.sample import generate_sample
-from repro.xpath import ast as xp
-from repro.xpath.patterns import PathPattern, Pattern, StepPattern
 from repro.xslt.trace import TraceRecorder
 from repro.xslt.vm import XsltVM
 from repro.core.graph import build_execution_graph
@@ -28,16 +27,13 @@ from repro.core.graph import build_execution_graph
 class PartialEvaluation:
     """Everything downstream stages need."""
 
-    def __init__(self, stylesheet, schema, sample, trace, graph, vm,
-                 stripper=None):
+    def __init__(self, stylesheet, schema, sample, trace, graph, vm):
         self.stylesheet = stylesheet
         self.schema = schema
         self.sample = sample
         self.trace = trace
         self.graph = graph
         self.vm = vm  # the traced VM (kept for candidate-rule queries)
-        #: per-compilation PredicateStripper (released with this object)
-        self.stripper = stripper if stripper is not None else PredicateStripper()
         self.instantiated_templates = trace.instantiated_templates()
         self.recursive = graph.is_recursive()
 
@@ -77,14 +73,7 @@ def partially_evaluate(stylesheet, schema, ledger=None):
     with its sample-document evidence."""
     sample = generate_sample(schema)  # SchemaError for recursive schemas
     trace = TraceRecorder()
-    stripper = PredicateStripper()
-    vm = XsltVM(
-        stylesheet,
-        trace=trace,
-        select_rewriter=stripper.strip_expr,
-        pattern_rewriter=stripper.strip_pattern,
-        explore=True,
-    )
+    vm = XsltVM(stylesheet, trace=trace, explore=True)
     try:
         vm.transform_document(sample.document)
     except ReproError as exc:
@@ -92,8 +81,7 @@ def partially_evaluate(stylesheet, schema, ledger=None):
             "partial evaluation failed on the sample document: %s" % exc
         ) from exc
     graph = build_execution_graph(trace, sample)
-    result = PartialEvaluation(stylesheet, schema, sample, trace, graph, vm,
-                               stripper=stripper)
+    result = PartialEvaluation(stylesheet, schema, sample, trace, graph, vm)
     if ledger is not None:
         _record_template_decisions(result, ledger)
     return result
@@ -130,108 +118,3 @@ def _record_template_decisions(pe, ledger):
                 detail={"sample_nodes": []},
                 template=template,
             )
-
-
-# -- predicate stripping (the "assume predicates true" stance, §4.3) ----------
-
-
-class PredicateStripper:
-    """Memoized predicate stripping, scoped to one compilation.
-
-    Each :func:`partially_evaluate` call creates its own instance and
-    threads it through the VM and the XQuery generator, so the memo (which
-    holds strong references to the original expressions, keyed by object
-    identity) is released with the compilation instead of accumulating
-    across compiles — a long-lived serving process must not pin every
-    stylesheet's expressions forever.  The module-level helpers below keep
-    a bounded shared instance for ad-hoc use.
-    """
-
-    __slots__ = ("max_entries", "_exprs", "_patterns")
-
-    def __init__(self, max_entries=None):
-        self.max_entries = max_entries
-        self._exprs = {}
-        self._patterns = {}
-
-    def strip_expr(self, expr):
-        """A copy of an XPath expression with all step/filter predicates
-        removed.  Dropping predicates only ever *adds* selected nodes, so
-        the traced dispatch is a superset of any real document's dispatch.
-        """
-        cached = self._exprs.get(id(expr))
-        if cached is not None and cached[0] is expr:
-            return cached[1]
-        stripped = _strip(expr)
-        if self.max_entries and len(self._exprs) >= self.max_entries:
-            self._exprs.clear()
-        self._exprs[id(expr)] = (expr, stripped)
-        return stripped
-
-    def strip_pattern(self, pattern):
-        """A pattern (or single alternative) with every step's predicates
-        dropped — matching succeeds whenever the structure allows it."""
-        cached = self._patterns.get(id(pattern))
-        if cached is not None and cached[0] is pattern:
-            return cached[1]
-        if isinstance(pattern, Pattern):
-            stripped = Pattern(
-                [self.strip_pattern(alt) for alt in pattern.alternatives],
-                pattern.source,
-            )
-        else:
-            stripped = PathPattern(
-                [
-                    StepPattern(step.axis, step.test, [])
-                    for step in pattern.steps
-                ],
-                list(pattern.connectors),
-                pattern.anchored,
-                pattern.source,
-            )
-        if self.max_entries and len(self._patterns) >= self.max_entries:
-            self._patterns.clear()
-        self._patterns[id(pattern)] = (pattern, stripped)
-        return stripped
-
-    def clear(self):
-        self._exprs.clear()
-        self._patterns.clear()
-
-    def __len__(self):
-        return len(self._exprs) + len(self._patterns)
-
-
-_DEFAULT_STRIPPER = PredicateStripper(max_entries=4096)
-
-
-def strip_predicates(expr):
-    """Module-level convenience over a bounded shared memo — prefer the
-    per-compilation :class:`PredicateStripper` carried on
-    :class:`PartialEvaluation` inside the pipeline."""
-    return _DEFAULT_STRIPPER.strip_expr(expr)
-
-
-def _strip(expr):
-    if isinstance(expr, xp.PathExpr):
-        return xp.PathExpr(
-            [xp.Step(step.axis, step.test, []) for step in expr.steps],
-            start=_strip(expr.start) if expr.start is not None else None,
-            absolute=expr.absolute,
-        )
-    if isinstance(expr, xp.FilterExpr):
-        return _strip(expr.primary)
-    if isinstance(expr, xp.UnionExpr):
-        return xp.UnionExpr([_strip(part) for part in expr.parts])
-    if isinstance(expr, xp.BinaryOp):
-        return xp.BinaryOp(expr.op, _strip(expr.left), _strip(expr.right))
-    if isinstance(expr, xp.FunctionCall):
-        return xp.FunctionCall(expr.name, [_strip(arg) for arg in expr.args])
-    if isinstance(expr, xp.UnaryMinus):
-        return xp.UnaryMinus(_strip(expr.operand))
-    return expr  # literals, variables, context item
-
-
-def strip_pattern_predicates(pattern):
-    """Module-level convenience over the bounded shared memo."""
-    return _DEFAULT_STRIPPER.strip_pattern(pattern)

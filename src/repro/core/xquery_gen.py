@@ -83,9 +83,6 @@ class XQueryGenerator:
     def __init__(self, partial_evaluation, options=None, ledger=None):
         self.pe = partial_evaluation
         self.options = options or RewriteOptions()
-        # reuse the compilation-scoped predicate-strip memo (it already
-        # holds every expression the traced run touched)
-        self._strip = partial_evaluation.stripper.strip_expr
         self.vm = partial_evaluation.vm
         self.sample = partial_evaluation.sample
         self.schema = partial_evaluation.schema
@@ -305,6 +302,10 @@ class XQueryGenerator:
         finally:
             self._template_stack.pop()
             self._inline_stack.pop()
+        if isinstance(body, xp.XPathExpr):
+            # a bare select can be the tree the parse memo shares between
+            # stylesheets: annotate only what this generator built
+            body = body.clone()
         body.xq_comment = "<xsl:template %s>" % template.label()
         if self.ledger is not None:
             self.ledger.record(
@@ -793,7 +794,7 @@ class XQueryGenerator:
             context = self._match_context.with_node(cursor.node)
             ranked = []
             for branch in branches:
-                selected = self._strip(branch).evaluate(context)
+                selected = branch.without_predicates().evaluate(context)
                 if not isinstance(selected, list):
                     raise RewriteError("union branch must select nodes")
                 if not selected:
@@ -815,9 +816,8 @@ class XQueryGenerator:
         return _seq([item for item in items if item is not None])
 
     def _select_branch(self, branch, cursor, mode, params, sorts):
-        stripped = self._strip(branch)
         context = self._match_context.with_node(cursor.node)
-        selected = stripped.evaluate(context)
+        selected = branch.without_predicates().evaluate(context)
         if not isinstance(selected, list):
             raise RewriteError("apply-templates select must be a node-set")
         if not selected:
@@ -902,9 +902,8 @@ class XQueryGenerator:
 
     def _gen_for_each(self, instruction, cursor):
         branch = instruction.select
-        stripped = self._strip(branch)
         context = self._match_context.with_node(cursor.node)
-        selected = stripped.evaluate(context)
+        selected = branch.without_predicates().evaluate(context)
         if not isinstance(selected, list):
             raise RewriteError("for-each select must be a node-set")
         if not selected:
@@ -1024,41 +1023,20 @@ class XQueryGenerator:
         return self._rebase_walk(expr, cursor)
 
     def _rebase_walk(self, expr, cursor):
-        if isinstance(expr, xp.PathExpr):
-            steps = list(expr.steps)
-            if expr.start is not None:
-                return xp.PathExpr(
-                    steps, start=self._rebase_walk(expr.start, cursor)
-                )
-            if expr.absolute:
-                return xp.PathExpr(steps, start=xp.VariableRef(ROOT_VAR))
-            if (
-                len(steps) == 1
-                and steps[0].axis == "self"
-                and isinstance(steps[0].test, xp.KindTest)
-                and steps[0].test.kind is None
-                and not steps[0].predicates
-            ):
-                return cursor.ref()
-            return xp.PathExpr(steps, start=cursor.ref())
-        if isinstance(expr, xp.ContextItem):
+        if xp.is_context_item(expr):
             return cursor.ref()
-        if isinstance(expr, xp.FilterExpr):
+        if isinstance(expr, xp.PathExpr):
+            if expr.start is not None:
+                start = self._rebase_walk(expr.start, cursor)
+            elif expr.absolute:
+                start = xp.VariableRef(ROOT_VAR)
+            else:
+                start = cursor.ref()
+            return xp.PathExpr(expr.steps, start=start)
+        if isinstance(expr, xp.FilterExpr):  # predicates keep their own focus
             return xp.FilterExpr(
                 self._rebase_walk(expr.primary, cursor), expr.predicates
             )
-        if isinstance(expr, xp.UnionExpr):
-            return xp.UnionExpr(
-                [self._rebase_walk(part, cursor) for part in expr.parts]
-            )
-        if isinstance(expr, xp.BinaryOp):
-            return xp.BinaryOp(
-                expr.op,
-                self._rebase_walk(expr.left, cursor),
-                self._rebase_walk(expr.right, cursor),
-            )
-        if isinstance(expr, xp.UnaryMinus):
-            return xp.UnaryMinus(self._rebase_walk(expr.operand, cursor))
         if isinstance(expr, xp.FunctionCall):
             if expr.name in ("position", "last"):
                 raise RewriteError(
@@ -1079,11 +1057,7 @@ class XQueryGenerator:
                 # zero-arg forms default to the context node, which the
                 # generated FLWOR no longer focuses — pass it explicitly
                 return xp.FunctionCall(expr.name, [cursor.ref()])
-            return xp.FunctionCall(
-                expr.name,
-                [self._rebase_walk(arg, cursor) for arg in expr.args],
-            )
-        return expr  # literals, numbers, variable refs
+        return expr.rebuilt(lambda child: self._rebase_walk(child, cursor))
 
 
 def _replace_current(expr, var):
@@ -1091,41 +1065,7 @@ def _replace_current(expr, var):
     inside predicates, where the context item differs from current())."""
     if isinstance(expr, xp.FunctionCall) and expr.name == "current":
         return xp.VariableRef(var)
-    if isinstance(expr, xp.PathExpr):
-        return xp.PathExpr(
-            [
-                xp.Step(
-                    step.axis,
-                    step.test,
-                    [_replace_current(p, var) for p in step.predicates],
-                )
-                for step in expr.steps
-            ],
-            start=_replace_current(expr.start, var)
-            if expr.start is not None
-            else None,
-            absolute=expr.absolute,
-        )
-    if isinstance(expr, xp.FilterExpr):
-        return xp.FilterExpr(
-            _replace_current(expr.primary, var),
-            [_replace_current(p, var) for p in expr.predicates],
-        )
-    if isinstance(expr, xp.UnionExpr):
-        return xp.UnionExpr([_replace_current(p, var) for p in expr.parts])
-    if isinstance(expr, xp.BinaryOp):
-        return xp.BinaryOp(
-            expr.op,
-            _replace_current(expr.left, var),
-            _replace_current(expr.right, var),
-        )
-    if isinstance(expr, xp.UnaryMinus):
-        return xp.UnaryMinus(_replace_current(expr.operand, var))
-    if isinstance(expr, xp.FunctionCall):
-        return xp.FunctionCall(
-            expr.name, [_replace_current(arg, var) for arg in expr.args]
-        )
-    return expr
+    return expr.rebuilt(lambda child: _replace_current(child, var))
 
 
 def _uses_position(expr):

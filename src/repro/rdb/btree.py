@@ -11,9 +11,16 @@ from __future__ import annotations
 
 import bisect
 from itertools import islice
-from operator import itemgetter, le
+from operator import itemgetter, le, ne
 
 from repro.errors import DatabaseError
+
+
+def _indexable(key):
+    """NULLs are not indexed, and neither is NaN: it has no place in a
+    total order (one NaN key breaks ``bisect`` for its neighbours), and no
+    comparison a probe serves is true of it — exactly what a scan finds."""
+    return key is not None and key == key
 
 
 class BTreeIndex:
@@ -30,10 +37,9 @@ class BTreeIndex:
         return len(self._keys)
 
     def insert(self, key, row_id):
-        """Enter one pair, after every equal key already present.  Keys of
-        one index must be totally ordered: callers keep NaN out."""
-        if key is None:
-            return  # NULLs are not indexed
+        """Enter one pair, after every equal key already present."""
+        if not _indexable(key):
+            return
         position = bisect.bisect_right(self._keys, key)
         self._keys.insert(position, key)
         self._row_ids.insert(position, row_id)
@@ -43,10 +49,11 @@ class BTreeIndex:
         as one :meth:`insert` per pair, in order, would.  A batch in key
         order that starts at or after the last key — what ingest hands
         over — is appended whole; any other is merged in one pass."""
-        if None in keys:
+        if None in keys or (keys and type(keys[-1]) is float
+                            and any(map(ne, keys, keys))):
             row_ids = [row_id for key, row_id in zip(keys, row_ids)
-                       if key is not None]
-            keys = [key for key in keys if key is not None]
+                       if _indexable(key)]
+            keys = [key for key in keys if _indexable(key)]
         mine, my_row_ids = self._keys, self._row_ids
         if all(map(le, keys, islice(keys, 1, None))) and (
                 not mine or not keys or keys[0] >= mine[-1]):
@@ -65,7 +72,7 @@ class BTreeIndex:
     def build(self, pairs):
         """Bulk-load (key, row_id) pairs."""
         entries = sorted(
-            (key, row_id) for key, row_id in pairs if key is not None
+            (key, row_id) for key, row_id in pairs if _indexable(key)
         )
         self._keys = [key for key, _ in entries]
         self._row_ids = [row_id for _, row_id in entries]
@@ -83,6 +90,8 @@ class BTreeIndex:
         if stats is not None:
             stats.index_probes += 1
             stats.btree_node_visits += self.node_visits_per_probe()
+        if key != key:
+            return []  # a NaN probe equals nothing
         low = bisect.bisect_left(self._keys, key)
         high = bisect.bisect_right(self._keys, key)
         if stats is not None:
@@ -107,6 +116,8 @@ class BTreeIndex:
         if stats is not None:
             stats.index_probes += 1
             stats.btree_node_visits += self.node_visits_per_probe()
+        if low != low or high != high:
+            return 0, 0  # a NaN bound admits no key
         if low is None:
             start = 0
         elif low_inclusive:

@@ -68,7 +68,7 @@ class Const(SqlExpr):
             return "'%s'" % self.value.replace("'", "''")
         if isinstance(self.value, bool):
             return "TRUE" if self.value else "FALSE"
-        if isinstance(self.value, float) and self.value == int(self.value):
+        if isinstance(self.value, float) and self.value.is_integer():
             return str(int(self.value))
         return str(self.value)
 

@@ -56,7 +56,10 @@ from repro.obs import global_metrics
 #: constructors no longer carry precomputed static markup — it belongs
 #: to a plan's *binding* (closures over one catalog's column positions),
 #: which is never part of the graph: ``Query`` pickles the tree only.
-ARTIFACT_FORMAT_VERSION = 3
+#: 4: a ``PartialEvaluation`` no longer carries its predicate-strip memo
+#: (that class is gone — a version 3 payload would fail inside
+#: ``pickle.loads``), and patterns pickle as dicts, not slots.
+ARTIFACT_FORMAT_VERSION = 4
 ARTIFACT_MAGIC = "repro-plan"
 ARTIFACT_SUFFIX = ".plan"
 EPOCH_FILE = "EPOCH"

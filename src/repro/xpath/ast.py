@@ -1,7 +1,11 @@
 """XPath 1.0 abstract syntax tree, compiled to closures on first use.
 
 The nodes are plain data (the XQuery generator walks and rebuilds them,
-compile artifacts pickle them).  Each XPath node's semantics live in one
+compile artifacts pickle them) and describe their own shape: each class
+names the attributes that hold sub-expressions (``_parts``) and
+:class:`Structure` reads ``child_exprs()`` and ``rebuilt(fn)`` — the one
+tree copier every rewriting pass is built on — from that declaration.
+Each XPath node's semantics live in one
 ``compile()`` that returns a closure ``fn(context) -> value`` over the
 node's fields and its children's closures — name tests decided on
 ``(kind, local, uri)``, child/attribute/self/parent steps as direct list
@@ -42,7 +46,120 @@ from repro.xpath.datamodel import (
 )
 
 
-class Expr:
+#: runtime handles cached on a node: never pickled, never copied
+_HANDLES = ("_fn", "_stripped")
+
+
+def _plain_state(node):
+    """A dict-based node's fields (and ``xq_comment``) without the handles:
+    what a pickle and a copy carry."""
+    state = node.__dict__.copy()
+    for handle in _HANDLES:
+        state.pop(handle, None)
+    return state
+
+
+def _map_part(value, each):
+    """One declared part with ``each`` applied to the structures in it: an
+    expression, a record holding some (a step, a FLWOR clause), a list or
+    tuple of either; literal text and names pass through.  The value
+    itself comes back when nothing in it changed."""
+    if isinstance(value, Structure):
+        return each(value)
+    if isinstance(value, (list, tuple)):
+        mapped = None
+        for index, item in enumerate(value):
+            new = _map_part(item, each)
+            if new is not item:
+                if mapped is None:
+                    mapped = list(value)
+                mapped[index] = new
+        if mapped is None:
+            return value
+        return mapped if isinstance(value, list) else tuple(mapped)
+    return value
+
+
+_without_predicates = operator.methodcaller("without_predicates")
+
+
+class Structure:
+    """What expression nodes and the records inside them (steps, pattern
+    steps, FLWOR clauses, attribute constructors) share: ``_parts`` names
+    the attributes that hold sub-expressions, in evaluation order."""
+
+    __slots__ = ()
+    _parts = ()
+
+    def child_exprs(self):
+        """Direct sub-expressions, for generic analysis passes: what
+        ``rebuilt`` hands to its ``fn``, in that order."""
+        found = []
+        self.rebuilt(lambda child: found.append(child) or child)
+        return tuple(found)
+
+    def rebuilt(self, fn):
+        """A copy with ``fn`` applied to each direct sub-expression — this
+        node itself when ``fn`` changed none of them."""
+        def each(part):  # a record's own sub-expressions are direct ones
+            return fn(part) if isinstance(part, Expr) else part._mapped(each)
+
+        return self._mapped(each)
+
+    def without_predicates(self):
+        """The paper's §4.3 "predicates assumed true" form: every step and
+        filter predicate dropped, which only ever adds selected or matched
+        nodes.  This node itself when it holds none."""
+        return self._mapped(_without_predicates)
+
+    def _mapped(self, each):
+        clone = None
+        for name in self._parts:
+            old = getattr(self, name)
+            if not old:
+                continue  # no start, no predicates
+            new = _map_part(old, each)
+            if new is not old:
+                if clone is None:
+                    clone = self.clone()
+                setattr(clone, name, new)
+        return self if clone is None else clone
+
+    def clone(self, **changes):
+        """A shallow copy of the plain data — the fields and ``xq_comment``,
+        no runtime handle — with the named fields replaced."""
+        clone = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(clone, name, getattr(self, name))
+        if hasattr(self, "__dict__"):
+            clone.__dict__ = _plain_state(self)
+        for name, value in changes.items():
+            setattr(clone, name, value)
+        return clone
+
+
+class Memoised:
+    """Mixed into the nodes the parse memos own (one tree serves every
+    stylesheet with the same text): ``without_predicates()`` is made once
+    and kept on the node as a runtime handle, like the bound closure —
+    pickling drops it, two threads racing the first call both get a
+    correct form, and it goes when the memo drops the node."""
+
+    _stripped = None
+
+    def without_predicates(self):
+        stripped = self._stripped
+        if stripped is None:
+            stripped = super().without_predicates()
+            if stripped is not self:  # no self-reference: refcount frees it
+                self._stripped = stripped
+        return stripped
+
+    def __getstate__(self):
+        return _plain_state(self)
+
+
+class Expr(Structure):
     """Base class for all expression nodes."""
 
     def evaluate(self, context):
@@ -56,10 +173,6 @@ class Expr:
     def to_text(self):
         raise NotImplementedError
 
-    def child_exprs(self):
-        """Direct sub-expressions, for generic analysis passes."""
-        return ()
-
     def iter_tree(self):
         """This node and all sub-expressions, pre-order."""
         yield self
@@ -71,7 +184,7 @@ class Expr:
         return "%s(%s)" % (type(self).__name__, self.to_text())
 
 
-class XPathExpr(Expr):
+class XPathExpr(Memoised, Expr):
     """An XPath 1.0 node.  ``compile()`` holds its semantics; ``bound()``
     is the closure it returned, made on first use and kept on the node as a
     runtime handle: pickling drops it, and it closes over the node's fields
@@ -90,11 +203,6 @@ class XPathExpr(Expr):
 
     def evaluate(self, context):
         return self.bound()(context)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_fn", None)
-        return state
 
 
 class Literal(XPathExpr):
@@ -182,12 +290,11 @@ def is_context_item(expr):
 class FunctionCall(XPathExpr):
     """A call into the function library (core + host registered)."""
 
+    _parts = ("args",)
+
     def __init__(self, name, args):
         self.name = name
         self.args = args
-
-    def child_exprs(self):
-        return tuple(self.args)
 
     def compile(self):
         name = self.name
@@ -225,11 +332,10 @@ def _arity_text(min_args, max_args):
 
 
 class UnaryMinus(XPathExpr):
+    _parts = ("operand",)
+
     def __init__(self, operand):
         self.operand = operand
-
-    def child_exprs(self):
-        return (self.operand,)
 
     def compile(self):
         operand = self.operand.bound()
@@ -242,13 +348,12 @@ class UnaryMinus(XPathExpr):
 class BinaryOp(XPathExpr):
     """Binary operators: or, and, comparisons, arithmetic."""
 
+    _parts = ("left", "right")
+
     def __init__(self, op, left, right):
         self.op = op
         self.left = left
         self.right = right
-
-    def child_exprs(self):
-        return (self.left, self.right)
 
     def compile(self):
         op = self.op
@@ -416,11 +521,10 @@ def _numeric_compare(op, left, right):
 class UnionExpr(XPathExpr):
     """``a | b``: node-set union in document order."""
 
+    _parts = ("parts",)
+
     def __init__(self, parts):
         self.parts = parts
-
-    def child_exprs(self):
-        return tuple(self.parts)
 
     def compile(self):
         parts = [part.bound() for part in self.parts]
@@ -512,15 +616,19 @@ def bind_prefix(test, build):
         context.resolve_prefix(prefix))(node, context)
 
 
-class Step:
+class Step(Structure):
     """A single location step: axis, node test, predicates."""
 
     __slots__ = ("axis", "test", "predicates")
+    _parts = ("predicates",)
 
     def __init__(self, axis, test, predicates=None):
         self.axis = axis
         self.test = test
         self.predicates = predicates or []
+
+    def without_predicates(self):
+        return self.clone(predicates=[]) if self.predicates else self
 
     def compile(self):
         """``select(node, context)``: the nodes this step reaches from one
@@ -642,17 +750,12 @@ class PathExpr(XPathExpr):
     node (or at ``start``'s value when present).
     """
 
+    _parts = ("start", "steps")
+
     def __init__(self, steps, start=None, absolute=False):
         self.steps = steps
         self.start = start
         self.absolute = absolute
-
-    def child_exprs(self):
-        base = (self.start,) if self.start is not None else ()
-        predicates = tuple(
-            predicate for step in self.steps for predicate in step.predicates
-        )
-        return base + predicates
 
     def compile(self):
         start = self.start.bound() if self.start is not None else None
@@ -713,12 +816,14 @@ _DOWNWARD_AXES = ("child", "attribute", "self", "descendant",
 class FilterExpr(XPathExpr):
     """A primary expression with predicates: ``$x[1]``, ``(a|b)[last()]``."""
 
+    _parts = ("primary", "predicates")
+
     def __init__(self, primary, predicates):
         self.primary = primary
         self.predicates = predicates
 
-    def child_exprs(self):
-        return (self.primary,) + tuple(self.predicates)
+    def without_predicates(self):
+        return self.primary.without_predicates()
 
     def compile(self):
         primary = self.primary.bound()

@@ -6,7 +6,9 @@ the paper attributes to [6] (Moerkotte) and [9]: the node must match the
 last step, its parent chain must satisfy the remaining steps, and a leading
 ``/`` anchors the chain at the document root.  Like the expression tree,
 a pattern is plain data whose ``compile()`` returns the matcher closure;
-the stylesheet program binds each rule's matcher once.
+the stylesheet program binds each rule's matcher once.  Patterns speak the
+expression tree's structural protocol (``child_exprs()``, ``rebuilt(fn)``,
+``without_predicates()`` over their steps' predicates).
 
 Each alternative carries the XSLT 1.0 *default priority* (§5.5), used for
 template conflict resolution:
@@ -22,7 +24,14 @@ from __future__ import annotations
 from repro.errors import XPathSyntaxError
 from repro.xmlmodel.nodes import NodeKind
 from repro.xpath import lexer as lex
-from repro.xpath.ast import KindTest, NameTest, bind_prefix, compile_predicate
+from repro.xpath.ast import (
+    KindTest,
+    Memoised,
+    NameTest,
+    Structure,
+    bind_prefix,
+    compile_predicate,
+)
 from repro.xpath.lexer import Lexer
 from repro.xpath.parser import XPathParser
 
@@ -31,15 +40,19 @@ CHILD = "/"
 ANCESTOR = "//"
 
 
-class StepPattern:
+class StepPattern(Structure):
     """One pattern step: child or attribute axis, node test, predicates."""
 
     __slots__ = ("axis", "test", "predicates")
+    _parts = ("predicates",)
 
     def __init__(self, axis, test, predicates):
         self.axis = axis
         self.test = test
         self.predicates = predicates
+
+    def without_predicates(self):
+        return self.clone(predicates=[]) if self.predicates else self
 
     @property
     def principal(self):
@@ -119,10 +132,10 @@ def _chain_matches(steps, connectors, anchored, node, index, context):
     return False
 
 
-class PathPattern:
+class PathPattern(Memoised, Structure):
     """One alternative of a pattern: steps joined by '/' or '//'."""
 
-    __slots__ = ("steps", "connectors", "anchored", "source")
+    _parts = ("steps",)
 
     def __init__(self, steps, connectors, anchored, source=""):
         # steps[i] is joined to steps[i+1] by connectors[i]
@@ -185,10 +198,10 @@ class PathPattern:
         return "".join(parts)
 
 
-class Pattern:
+class Pattern(Memoised, Structure):
     """A full match pattern: union of :class:`PathPattern` alternatives."""
 
-    __slots__ = ("alternatives", "source")
+    _parts = ("alternatives",)
 
     def __init__(self, alternatives, source):
         self.alternatives = alternatives

@@ -4,7 +4,9 @@ Values are general item sequences: Python lists whose items are DOM nodes or
 atomics (str/float/bool).  Single items and sequences inter-convert through
 :func:`as_sequence` / :func:`as_single`.
 
-Every node supports ``evaluate(context)`` and is rendered to query text by
+Every node supports ``evaluate(context)``, declares its sub-expressions in
+``_parts`` (see :class:`repro.xpath.ast.Structure` — so do the FLWOR clause
+and attribute records) and is rendered to query text by
 :mod:`repro.xquery.serializer` (AST nodes here carry an optional
 ``xq_comment`` attribute, which the serializer prints as an XQuery comment —
 the paper's Table 8 annotates generated code with the originating template).
@@ -15,7 +17,7 @@ from __future__ import annotations
 from repro.errors import XQueryEvaluationError, XQueryTypeError
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.nodes import Node, NodeKind, QName
-from repro.xpath.ast import Expr
+from repro.xpath.ast import Expr, Structure
 from repro.xpath.datamodel import to_boolean, to_number, to_string
 
 
@@ -36,10 +38,11 @@ def as_single(value, what="expression"):
     return seq[0]
 
 
-class ForClause:
+class ForClause(Structure):
     """``for $var [at $pos] in expr``."""
 
     __slots__ = ("variable", "position_variable", "expr")
+    _parts = ("expr",)
 
     def __init__(self, variable, expr, position_variable=None):
         self.variable = variable
@@ -47,39 +50,43 @@ class ForClause:
         self.position_variable = position_variable
 
 
-class LetClause:
+class LetClause(Structure):
     """``let $var := expr``."""
 
     __slots__ = ("variable", "expr")
+    _parts = ("expr",)
 
     def __init__(self, variable, expr):
         self.variable = variable
         self.expr = expr
 
 
-class WhereClause:
+class WhereClause(Structure):
     """``where expr``."""
 
     __slots__ = ("expr",)
+    _parts = ("expr",)
 
     def __init__(self, expr):
         self.expr = expr
 
 
-class OrderSpec:
+class OrderSpec(Structure):
     """One ``order by`` key."""
 
     __slots__ = ("expr", "descending")
+    _parts = ("expr",)
 
     def __init__(self, expr, descending=False):
         self.expr = expr
         self.descending = descending
 
 
-class OrderByClause:
+class OrderByClause(Structure):
     """``order by`` with one or more keys."""
 
     __slots__ = ("specs",)
+    _parts = ("specs",)
 
     def __init__(self, specs):
         self.specs = specs
@@ -88,19 +95,11 @@ class OrderByClause:
 class FlworExpr(Expr):
     """A FLWOR expression."""
 
+    _parts = ("clauses", "return_expr")
+
     def __init__(self, clauses, return_expr):
         self.clauses = clauses
         self.return_expr = return_expr
-
-    def child_exprs(self):
-        out = []
-        for clause in self.clauses:
-            if isinstance(clause, OrderByClause):
-                out.extend(spec.expr for spec in clause.specs)
-            else:
-                out.append(clause.expr)
-        out.append(self.return_expr)
-        return tuple(out)
 
     def evaluate(self, context):
         tuples = [context]
@@ -185,13 +184,12 @@ def _order_tuples(tuples, order_by):
 class IfExpr(Expr):
     """``if (cond) then ... else ...``."""
 
+    _parts = ("condition", "then_expr", "else_expr")
+
     def __init__(self, condition, then_expr, else_expr):
         self.condition = condition
         self.then_expr = then_expr
         self.else_expr = else_expr
-
-    def child_exprs(self):
-        return (self.condition, self.then_expr, self.else_expr)
 
     def evaluate(self, context):
         if to_boolean(self.condition.evaluate(context)):
@@ -207,11 +205,10 @@ class IfExpr(Expr):
 class SequenceExpr(Expr):
     """``(a, b, c)`` — concatenation of item sequences."""
 
+    _parts = ("items",)
+
     def __init__(self, items):
         self.items = items
-
-    def child_exprs(self):
-        return tuple(self.items)
 
     def evaluate(self, context):
         out = []
@@ -238,12 +235,11 @@ class EmptySequence(Expr):
 class RangeExpr(Expr):
     """``m to n`` — the integer range sequence."""
 
+    _parts = ("low", "high")
+
     def __init__(self, low, high):
         self.low = low
         self.high = high
-
-    def child_exprs(self):
-        return (self.low, self.high)
 
     def evaluate(self, context):
         low = int(to_number(as_single(self.low.evaluate(context), "range start")))
@@ -257,13 +253,12 @@ class RangeExpr(Expr):
 class QuantifiedExpr(Expr):
     """``some/every $v in expr satisfies test``."""
 
+    _parts = ("bindings", "satisfies")
+
     def __init__(self, kind, bindings, satisfies):
         self.kind = kind  # 'some' | 'every'
         self.bindings = bindings  # list of (variable, expr)
         self.satisfies = satisfies
-
-    def child_exprs(self):
-        return tuple(expr for _, expr in self.bindings) + (self.satisfies,)
 
     def evaluate(self, context):
         return self._check(context, 0)
@@ -299,13 +294,12 @@ class InstanceOfExpr(Expr):
     dispatch conditionals (paper Tables 12/17/19) are implemented.
     """
 
+    _parts = ("expr",)
+
     def __init__(self, expr, type_name, element_name=None):
         self.expr = expr
         self.type_name = type_name  # 'element' | 'text' | 'node' | 'attribute' | 'document-node'
         self.element_name = element_name
-
-    def child_exprs(self):
-        return (self.expr,)
 
     def evaluate(self, context):
         seq = as_sequence(self.expr.evaluate(context))
@@ -338,11 +332,12 @@ class InstanceOfExpr(Expr):
         return "%s instance of %s" % (self.expr.to_text(), type_text)
 
 
-class AttributeConstructor:
+class AttributeConstructor(Structure):
     """One attribute inside a direct element constructor; the value is a
     list of parts (literal strings and expressions)."""
 
     __slots__ = ("name", "parts")
+    _parts = ("parts",)
 
     def __init__(self, name, parts):
         self.name = name  # QName
@@ -368,18 +363,13 @@ class AttributeConstructor:
 class DirectElementConstructor(Expr):
     """``<name attr="...">content</name>`` with enclosed expressions."""
 
+    _parts = ("attributes", "content")
+
     def __init__(self, name, attributes, content, namespaces=None):
         self.name = name              # QName
         self.attributes = attributes  # list of AttributeConstructor
         self.content = content        # list of str | Expr
         self.namespaces = namespaces or {}
-
-    def child_exprs(self):
-        out = []
-        for attribute in self.attributes:
-            out.extend(p for p in attribute.parts if not isinstance(p, str))
-        out.extend(item for item in self.content if not isinstance(item, str))
-        return tuple(out)
 
     def evaluate(self, context):
         builder = TreeBuilder()
@@ -447,11 +437,10 @@ class ComputedTextConstructor(Expr):
     from XSLT's output).  ``text {()}`` constructs nothing.
     """
 
+    _parts = ("expr",)
+
     def __init__(self, expr):
         self.expr = expr
-
-    def child_exprs(self):
-        return (self.expr,)
 
     def evaluate(self, context):
         value = self.expr.evaluate(context)
@@ -480,11 +469,10 @@ class DocumentConstructor(Expr):
     outer query's child steps start from a document node.
     """
 
+    _parts = ("expr",)
+
     def __init__(self, expr):
         self.expr = expr
-
-    def child_exprs(self):
-        return (self.expr,)
 
     def evaluate(self, context):
         builder = TreeBuilder()
@@ -498,12 +486,11 @@ class DocumentConstructor(Expr):
 class UserFunctionCall(Expr):
     """A call to a ``declare function`` definition (non-inline mode)."""
 
+    _parts = ("args",)
+
     def __init__(self, name, args):
         self.name = name
         self.args = args
-
-    def child_exprs(self):
-        return tuple(self.args)
 
     def evaluate(self, context):
         functions = context.extra.get("xquery_functions", {})

@@ -5,6 +5,10 @@ both generators number their variables ``$var000, $var002, ...``, so the
 inner module's names are prefixed before splicing.  Renaming is uniform —
 every variable and every ``local:`` function name gets the prefix — which
 is safe because generated modules are closed except for the context item.
+The tree copy is ``rebuilt()``; what is written here is the places a name
+lives: references, calls, ``for``/``let``/quantifier binders, declarations
+— each renamed on a ``clone()``, never on the node handed in (it may be
+shared).
 """
 
 from __future__ import annotations
@@ -16,20 +20,45 @@ from repro.xquery import ast as xq
 def prefix_module(module, prefix):
     """A copy of ``module`` with every variable and local: function name
     prefixed."""
+
+    def renamed(expr):
+        expr = expr.rebuilt(renamed)
+        if isinstance(expr, xp.VariableRef):
+            return expr.clone(name=prefix + expr.name)
+        if isinstance(expr, xq.UserFunctionCall):
+            return expr.clone(name=_prefix_function(expr.name, prefix))
+        if isinstance(expr, xq.FlworExpr):
+            return expr.clone(
+                clauses=[binder(clause) for clause in expr.clauses])
+        if isinstance(expr, xq.QuantifiedExpr):
+            return expr.clone(bindings=[
+                (prefix + variable, bound)
+                for variable, bound in expr.bindings])
+        return expr
+
+    def binder(clause):
+        if isinstance(clause, xq.ForClause):
+            position = clause.position_variable
+            return clause.clone(
+                variable=prefix + clause.variable,
+                position_variable=position and prefix + position)
+        if isinstance(clause, xq.LetClause):
+            return clause.clone(variable=prefix + clause.variable)
+        return clause
+
     variables = [
-        xq.VariableDecl(prefix + declaration.name,
-                        _walk(declaration.expr, prefix))
+        xq.VariableDecl(prefix + declaration.name, renamed(declaration.expr))
         for declaration in module.variables
     ]
     functions = [
         xq.FunctionDecl(
             _prefix_function(declaration.name, prefix),
             [prefix + param for param in declaration.params],
-            _walk(declaration.body, prefix),
+            renamed(declaration.body),
         )
         for declaration in module.functions
     ]
-    return xq.Module(variables, functions, _walk(module.body, prefix))
+    return xq.Module(variables, functions, renamed(module.body))
 
 
 def _prefix_function(name, prefix):
@@ -37,137 +66,3 @@ def _prefix_function(name, prefix):
     if namespace:
         return "%s:%s%s" % (namespace, prefix, local)
     return prefix + name
-
-
-def _walk(expr, prefix):
-    if isinstance(expr, xp.VariableRef):
-        return xp.VariableRef(prefix + expr.name)
-    if isinstance(expr, (xp.Literal, xp.NumberLiteral, xp.ContextItem)):
-        return expr
-    if isinstance(expr, xq.EmptySequence):
-        return expr
-    if isinstance(expr, xp.PathExpr):
-        return xp.PathExpr(
-            [_walk_step(step, prefix) for step in expr.steps],
-            start=_walk(expr.start, prefix) if expr.start is not None else None,
-            absolute=expr.absolute,
-        )
-    if isinstance(expr, xp.FilterExpr):
-        return xp.FilterExpr(
-            _walk(expr.primary, prefix),
-            [_walk(p, prefix) for p in expr.predicates],
-        )
-    if isinstance(expr, xp.UnionExpr):
-        return xp.UnionExpr([_walk(part, prefix) for part in expr.parts])
-    if isinstance(expr, xp.BinaryOp):
-        return xp.BinaryOp(
-            expr.op, _walk(expr.left, prefix), _walk(expr.right, prefix)
-        )
-    if isinstance(expr, xp.UnaryMinus):
-        return xp.UnaryMinus(_walk(expr.operand, prefix))
-    if isinstance(expr, xp.FunctionCall):
-        return xp.FunctionCall(
-            expr.name, [_walk(arg, prefix) for arg in expr.args]
-        )
-    if isinstance(expr, xq.UserFunctionCall):
-        return xq.UserFunctionCall(
-            _prefix_function(expr.name, prefix),
-            [_walk(arg, prefix) for arg in expr.args],
-        )
-    if isinstance(expr, xq.FlworExpr):
-        clauses = []
-        for clause in expr.clauses:
-            if isinstance(clause, xq.ForClause):
-                clauses.append(
-                    xq.ForClause(
-                        prefix + clause.variable,
-                        _walk(clause.expr, prefix),
-                        prefix + clause.position_variable
-                        if clause.position_variable else None,
-                    )
-                )
-            elif isinstance(clause, xq.LetClause):
-                clauses.append(
-                    xq.LetClause(
-                        prefix + clause.variable, _walk(clause.expr, prefix)
-                    )
-                )
-            elif isinstance(clause, xq.WhereClause):
-                clauses.append(xq.WhereClause(_walk(clause.expr, prefix)))
-            elif isinstance(clause, xq.OrderByClause):
-                clauses.append(
-                    xq.OrderByClause(
-                        [
-                            xq.OrderSpec(_walk(spec.expr, prefix),
-                                         spec.descending)
-                            for spec in clause.specs
-                        ]
-                    )
-                )
-        result = xq.FlworExpr(clauses, _walk(expr.return_expr, prefix))
-        return _copy_comment(expr, result)
-    if isinstance(expr, xq.IfExpr):
-        return _copy_comment(expr, xq.IfExpr(
-            _walk(expr.condition, prefix),
-            _walk(expr.then_expr, prefix),
-            _walk(expr.else_expr, prefix),
-        ))
-    if isinstance(expr, xq.SequenceExpr):
-        return _copy_comment(
-            expr,
-            xq.SequenceExpr([_walk(item, prefix) for item in expr.items]),
-        )
-    if isinstance(expr, xq.RangeExpr):
-        return xq.RangeExpr(_walk(expr.low, prefix), _walk(expr.high, prefix))
-    if isinstance(expr, xq.QuantifiedExpr):
-        return xq.QuantifiedExpr(
-            expr.kind,
-            [
-                (prefix + variable, _walk(bound, prefix))
-                for variable, bound in expr.bindings
-            ],
-            _walk(expr.satisfies, prefix),
-        )
-    if isinstance(expr, xq.InstanceOfExpr):
-        return xq.InstanceOfExpr(
-            _walk(expr.expr, prefix), expr.type_name, expr.element_name
-        )
-    if isinstance(expr, xq.DirectElementConstructor):
-        return _copy_comment(expr, xq.DirectElementConstructor(
-            expr.name,
-            [
-                xq.AttributeConstructor(
-                    attribute.name,
-                    [
-                        part if isinstance(part, str) else _walk(part, prefix)
-                        for part in attribute.parts
-                    ],
-                )
-                for attribute in expr.attributes
-            ],
-            [
-                item if isinstance(item, str) else _walk(item, prefix)
-                for item in expr.content
-            ],
-            namespaces=dict(expr.namespaces),
-        ))
-    if isinstance(expr, xq.ComputedTextConstructor):
-        return xq.ComputedTextConstructor(_walk(expr.expr, prefix))
-    if isinstance(expr, xq.DocumentConstructor):
-        return xq.DocumentConstructor(_walk(expr.expr, prefix))
-    raise TypeError("cannot rename %s" % type(expr).__name__)
-
-
-def _walk_step(step, prefix):
-    return xp.Step(
-        step.axis,
-        step.test,
-        [_walk(predicate, prefix) for predicate in step.predicates],
-    )
-
-
-def _copy_comment(source, target):
-    comment = getattr(source, "xq_comment", None)
-    if comment:
-        target.xq_comment = comment
-    return target

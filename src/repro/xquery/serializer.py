@@ -12,7 +12,7 @@ from repro.xquery import ast as xq
 from repro.xpath.ast import Expr
 
 
-def xquery_to_text(node, indent=0):
+def xquery_to_text(node):
     """Serialize a Module or expression to XQuery text."""
     writer = _Writer()
     if isinstance(node, xq.Module):

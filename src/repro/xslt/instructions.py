@@ -8,7 +8,7 @@ its expressions' closures and its nested bodies' closures — ``vm`` is the
 :class:`~repro.xpath.context.XPathContext`, ``output`` a
 :class:`~repro.xmlmodel.builder.TreeBuilder`.  ``program`` is the
 :class:`~repro.xslt.program.Program` doing the binding; what differs under
-partial evaluation (every branch explored, selects rewritten) is asked of
+partial evaluation (every branch explored, predicates dropped) is asked of
 it at bind time, never tested per node.
 
 Each instruction carries a ``site_id`` (assigned by the compiler), which is

@@ -15,10 +15,11 @@ per-run state — that lives on the :class:`~.vm.XsltVM` passed to every call
 tree the reference counter frees.
 
 :class:`TracingProgram` is the variant partial evaluation (paper §4.3) and
-``trace=`` runs use: selects and patterns pass through the rewriter hooks,
-dispatch records every event, and under ``explore`` every candidate
-template and every conditional branch runs.  It is chosen when the VM is
-constructed and bound as lazily, once per VM.
+``trace=`` runs use: dispatch records every event, and under ``explore``
+selects and patterns run as their ``without_predicates()`` form (a handle
+on the memoised tree, so its closure is shared across compiles like the
+plain one) and every candidate template and every conditional branch runs.
+It is chosen when the VM is constructed and bound as lazily, once per VM.
 """
 
 from __future__ import annotations
@@ -373,31 +374,27 @@ def _caller(vm):
 
 
 class TracingProgram(Program):
-    """The variant behind ``XsltVM(stylesheet, trace=, select_rewriter=,
-    pattern_rewriter=, explore=)``, bound per VM: the three
-    partial-evaluation hooks of paper §4.3 decided at bind time."""
+    """The variant behind ``XsltVM(stylesheet, trace=, explore=)``, bound
+    per VM: tracing, and the paper's §4.3 stance decided at bind time."""
 
-    def __init__(self, stylesheet, trace, select_rewriter, pattern_rewriter,
-                 explore):
+    def __init__(self, stylesheet, trace, explore):
         Program.__init__(self, stylesheet)
         self.trace = trace if trace is not None else trace_mod.TraceRecorder()
-        self.select_rewriter = select_rewriter
-        self.pattern_rewriter = pattern_rewriter
         self.explore = explore
 
     def select(self, expr, what):
-        if self.select_rewriter is not None:
-            expr = self.select_rewriter(expr)
+        if self.explore:
+            expr = expr.without_predicates()
         return Program.select(self, expr, what)
 
     def pattern(self, rule):
-        if self.pattern_rewriter is not None:
-            return self.pattern_rewriter(rule.pattern)
+        if self.explore:
+            return rule.pattern.without_predicates()
         return rule.pattern
 
     def rules_for(self, mode, node):
-        """Every rule of the mode behind its rewritten pattern's matcher: a
-        one-shot run does not earn a keyed table back."""
+        """Every rule of the mode behind its pattern's matcher: a one-shot
+        run does not earn a keyed table back."""
         entries = self._tables.get(mode)
         if entries is None:
             entries = self._tables[mode] = tuple(

@@ -6,9 +6,9 @@ document.  What executes is the stylesheet's bound
 an :class:`XsltVM` is the state of one run threaded through them (counters,
 messages, key indexes, the current template rule, nesting depth) and the
 public face of dispatch.  Constructed with a
-:class:`~repro.xslt.trace.TraceRecorder`, a rewriter hook or ``explore`` it
-binds a :class:`~repro.xslt.program.TracingProgram` of its own instead —
-what partial evaluation builds on.
+:class:`~repro.xslt.trace.TraceRecorder` or ``explore`` it binds a
+:class:`~repro.xslt.program.TracingProgram` of its own instead — what
+partial evaluation builds on.
 """
 
 from __future__ import annotations
@@ -34,24 +34,18 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 class XsltVM:
     """One VM instance per transformation run.
 
-    The three partial-evaluation hooks (paper §4.3) are:
-
-    * ``select_rewriter`` — applied to every dispatching ``select``
-      expression before it is bound (the partial evaluator strips value
-      predicates so dispatch is driven by structure only);
-    * ``pattern_rewriter`` — applied to match-pattern alternatives before
-      matching (predicates assumed true);
-    * ``explore`` — when True the VM executes *every* conditional branch
-      and instantiates *every* candidate template at each dispatch, so the
-      trace covers everything that could fire on any conforming document.
+    ``trace`` records every dispatch event.  ``explore`` is the paper's
+    §4.3 partial-evaluation stance, whole: predicates are assumed true
+    (every dispatching ``select`` and every match pattern runs as its
+    ``without_predicates()`` form, so dispatch is driven by structure
+    only), *every* conditional branch executes and *every* candidate
+    template is instantiated at each dispatch, so the trace covers
+    everything that could fire on any conforming document.
     """
 
-    def __init__(self, stylesheet, trace=None, select_rewriter=None,
-                 pattern_rewriter=None, explore=False):
+    def __init__(self, stylesheet, trace=None, explore=False):
         self.stylesheet = stylesheet
         self.trace = trace
-        self.select_rewriter = select_rewriter
-        self.pattern_rewriter = pattern_rewriter
         self.explore = explore
         self.messages = []
         #: observability counters, read by the obs layer / TransformResult
@@ -60,12 +54,10 @@ class XsltVM:
         self._key_indexes = {}
         self._rule = None   # (template, mode) of the current template rule
         self._depth = 0
-        if trace is None and not (select_rewriter or pattern_rewriter
-                                  or explore):
+        if trace is None and not explore:
             self.program = stylesheet.program()
         else:
-            self.program = TracingProgram(
-                stylesheet, trace, select_rewriter, pattern_rewriter, explore)
+            self.program = TracingProgram(stylesheet, trace, explore)
             self._template_stack = []
             self._explore_stack = []
 

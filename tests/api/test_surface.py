@@ -221,3 +221,19 @@ class TestServingSurface:
             "queue_wait_seconds", "execute_seconds", "total_seconds",
             "trace", "trace_id", "worker", "stats_version",
         }
+
+
+class TestVmSurface:
+    """The VM's settings: a trace recorder and the §4.3 ``explore`` stance
+    (which *is* "predicates assumed true" — there is no rewriter hook)."""
+
+    def test_constructor_signature(self):
+        from repro.xslt import XsltVM
+
+        assert list(inspect.signature(XsltVM.__init__).parameters) == [
+            "self", "stylesheet", "trace", "explore"]
+
+    def test_xquery_to_text_takes_the_node_only(self):
+        from repro.xquery import xquery_to_text
+
+        assert list(inspect.signature(xquery_to_text).parameters) == ["node"]

@@ -8,11 +8,7 @@ from repro.schema import schema_from_dtd
 from repro.xpath.parser import parse_xpath
 from repro.xpath.patterns import parse_pattern
 from repro.xslt import compile_stylesheet
-from repro.core.partial_eval import (
-    partially_evaluate,
-    strip_pattern_predicates,
-    strip_predicates,
-)
+from repro.core.partial_eval import partially_evaluate
 
 from .paper_example import DEPT_DTD, EXAMPLE1_STYLESHEET
 
@@ -31,39 +27,63 @@ def pe(body_or_sheet, dtd=DEPT_DTD):
 
 
 class TestStripPredicates:
+    """``without_predicates()``: the §4.3 "predicates assumed true" form
+    every expression and pattern node makes of itself."""
+
     def test_step_predicates_removed(self):
-        expr = strip_predicates(parse_xpath("emp[sal > 2000]"))
+        expr = parse_xpath("emp[sal > 2000]").without_predicates()
         assert expr.to_text() == "emp"
 
     def test_nested_path_predicates_removed(self):
-        expr = strip_predicates(parse_xpath("a[x]/b[y][1]/c"))
+        expr = parse_xpath("a[x]/b[y][1]/c").without_predicates()
         assert expr.to_text() == "a/b/c"
 
     def test_filter_expr_unwrapped(self):
-        expr = strip_predicates(parse_xpath("$v[2]"))
+        expr = parse_xpath("$v[2]").without_predicates()
         assert expr.to_text() == "$v"
 
     def test_function_args_stripped(self):
-        expr = strip_predicates(parse_xpath("count(emp[sal > 100])"))
+        expr = parse_xpath("count(emp[sal > 100])").without_predicates()
         assert expr.to_text() == "count(emp)"
 
     def test_union_stripped(self):
-        expr = strip_predicates(parse_xpath("a[1] | b[2]"))
+        expr = parse_xpath("a[1] | b[2]").without_predicates()
         assert expr.to_text() == "a | b"
 
-    def test_cached(self):
-        expr = parse_xpath("emp[1]")
-        assert strip_predicates(expr) is strip_predicates(expr)
+    def test_predicate_free_node_is_its_own_stripped_form(self):
+        for text in ("emp/sal", "count(emp) + 1", "a | b", "$v", "-x"):
+            expr = parse_xpath(text)
+            assert expr.without_predicates() is expr, text
+        pattern = parse_pattern("emp/empno | /")
+        assert pattern.without_predicates() is pattern
+
+    def test_original_keeps_its_predicates(self):
+        expr = parse_xpath("a[x]/b[1]")
+        expr.without_predicates()
+        assert expr.to_text() == "a[x]/b[1]"
+
+    def test_instance_memoizes_by_identity(self):
+        expr = parse_xpath("emp[sal > 2000]")
+        assert expr.without_predicates() is expr.without_predicates()
+        # an equal-but-distinct parse gets its own stripped copy
+        other = parse_xpath("emp[sal > 2000]")
+        assert other.without_predicates() is not expr.without_predicates()
+
+    def test_instance_memoizes_patterns(self):
+        pattern = parse_pattern("emp[sal > 2000]/empno")
+        assert pattern.without_predicates() is pattern.without_predicates()
+        assert pattern.without_predicates().to_text() == "emp/empno"
+        alternative = pattern.alternatives[0]
+        assert (alternative.without_predicates()
+                is alternative.without_predicates())
 
     def test_pattern_stripping(self):
         pattern = parse_pattern("emp/empno[. = 3456]")
-        stripped = strip_pattern_predicates(pattern)
-        assert stripped.to_text() == "emp/empno"
+        assert pattern.without_predicates().to_text() == "emp/empno"
 
     def test_pattern_alternatives_stripped(self):
         pattern = parse_pattern("a[1] | b[x]")
-        stripped = strip_pattern_predicates(pattern)
-        assert stripped.to_text() == "a | b"
+        assert pattern.without_predicates().to_text() == "a | b"
 
 
 class TestTracing:
@@ -175,55 +195,3 @@ class TestExecutionGraph:
         result = pe("")
         assert result.instantiated_templates == set()
         assert result.inline_mode
-
-
-class TestPredicateStripper:
-    """Per-compilation scoping of the strip memo (serving-process leak fix)."""
-
-    def test_each_compilation_gets_its_own_stripper(self):
-        first = pe(EXAMPLE1_STYLESHEET)
-        second = pe(EXAMPLE1_STYLESHEET)
-        assert first.stripper is not None
-        assert first.stripper is not second.stripper
-
-    def test_compilation_memo_is_populated_and_released(self):
-        result = pe(EXAMPLE1_STYLESHEET)
-        assert len(result.stripper) > 0
-        result.stripper.clear()
-        assert len(result.stripper) == 0
-
-    def test_instance_memoizes_by_identity(self):
-        from repro.core.partial_eval import PredicateStripper
-
-        stripper = PredicateStripper()
-        expr = parse_xpath("emp[sal > 2000]")
-        assert stripper.strip_expr(expr) is stripper.strip_expr(expr)
-        # an equal-but-distinct parse gets its own stripped copy
-        other = parse_xpath("emp[sal > 2000]")
-        assert stripper.strip_expr(other) is not stripper.strip_expr(expr)
-
-    def test_instance_memoizes_patterns(self):
-        from repro.core.partial_eval import PredicateStripper
-
-        stripper = PredicateStripper()
-        pattern = parse_pattern("emp[sal > 2000]/empno")
-        assert stripper.strip_pattern(pattern) is stripper.strip_pattern(
-            pattern
-        )
-        assert stripper.strip_pattern(pattern).to_text() == "emp/empno"
-
-    def test_bounded_memo_resets_at_capacity(self):
-        from repro.core.partial_eval import PredicateStripper
-
-        stripper = PredicateStripper(max_entries=4)
-        exprs = [parse_xpath("a[%d]" % n) for n in range(10)]
-        for expr in exprs:
-            stripper.strip_expr(expr)
-        # the memo never grows past its bound (it resets, keeping the
-        # module-level default from leaking in a long-lived process)
-        assert len(stripper) <= 5
-
-    def test_module_default_is_bounded(self):
-        from repro.core.partial_eval import _DEFAULT_STRIPPER
-
-        assert _DEFAULT_STRIPPER.max_entries is not None

@@ -452,3 +452,31 @@ class TestHeterogeneousForEach:
         )
         with pytest.raises(RewriteError):
             generate(body)
+
+
+class TestGeneratedTreesShareParsedExpressions:
+    """``compile_xpath`` memoises trees by text for the whole process and
+    ``rebuilt()`` hands an untouched subtree back as itself, so a generated
+    module can hold the very node another stylesheet's module holds: the
+    generator annotates only nodes it built."""
+
+    DTD = "<!ELEMENT r (a*)><!ELEMENT a (#PCDATA)>"
+    PARAM = '<xsl:param name="g" select="1"/>'
+    FOR_EACH = PARAM + (
+        '<xsl:template match="/"><xsl:for-each select="r/a">'
+        '<b><xsl:copy-of select="$g"/></b></xsl:for-each></xsl:template>')
+    APPLY = PARAM + (
+        '<xsl:template match="/"><xsl:apply-templates select="r/a"/>'
+        '</xsl:template>'
+        '<xsl:template match="a"><xsl:copy-of select="$g"/></xsl:template>')
+
+    def test_template_comment_does_not_leak_across_stylesheets(self):
+        from repro.xpath import compile_xpath
+
+        before = xquery_to_text(generate(self.FOR_EACH, self.DTD)[0])
+        inlined = xquery_to_text(generate(self.APPLY, self.DTD)[0])
+        assert '(: <xsl:template match="a"> :)\n  $g' in inlined
+        after = xquery_to_text(generate(self.FOR_EACH, self.DTD)[0])
+        assert before == after
+        assert all(getattr(node, "xq_comment", None) is None
+                   for node in compile_xpath("$g").iter_tree())

@@ -14,6 +14,7 @@ from repro.rdb import (
     Query,
     Scan,
     Sort,
+    FLOAT,
     INT,
     TEXT,
 )
@@ -202,6 +203,48 @@ class TestBTree:
         index.insert(None, 0)
         index.extend([None, None], [1, 2])
         assert len(index) == 0
+
+    def test_nan_not_indexed_by_any_door(self):
+        nan = float("nan")
+        for keys in ([1.0, nan, 3.0], [nan, None, 2.0], [nan]):
+            extended = BTreeIndex("i", "t", "c")
+            extended.extend(keys, range(len(keys)))
+            inserted = BTreeIndex("i", "t", "c")
+            for row_id, key in enumerate(keys):
+                inserted.insert(key, row_id)
+            built = BTreeIndex("i", "t", "c")
+            built.build(zip(keys, range(len(keys))))
+            want = sorted((key, row_id) for row_id, key in enumerate(keys)
+                          if key is not None and key == key)
+            for index in (extended, inserted, built):
+                assert index.lookup_range_items() == want
+
+    NAN_ROWS = [(1, 1.0), (2, "nan"), (3, 3.0), (4, 2.0), (5, 0.5)]
+
+    @pytest.mark.parametrize("index_when", ["before-rows", "after-rows"])
+    @pytest.mark.parametrize("probe", [4.0, 2.0, float("nan")], ids=str)
+    @pytest.mark.parametrize("op", ["<", "<=", "=", ">=", ">"])
+    def test_index_and_scan_agree_with_a_nan_row_or_probe(
+            self, op, probe, index_when):
+        def ids(indexed):
+            database = Database()
+            database.create_table("t", [("id", INT), ("v", FLOAT)])
+            if indexed and index_when == "before-rows":
+                database.create_index("t", "v")
+            database.insert("t", *self.NAN_ROWS)
+            if indexed and index_when == "after-rows":
+                database.create_index("t", "v")
+            query = Query(
+                Filter(Scan("t"), BinOp(op, col("v"), const(probe))),
+                [(None, col("id"))])
+            if indexed:
+                assert "IndexScan" in str(database.explain(query))
+            rows, _ = database.execute(query)
+            return sorted(row[0] for row in rows)
+
+        scanned = ids(indexed=False)
+        assert 2 not in scanned  # no comparison is true of NaN
+        assert ids(indexed=True) == scanned
 
     # few distinct keys: batches overlap the index, repeat its keys, lie
     # wholly before it or extend it; sorted ones are the runs ingest hands

@@ -10,7 +10,11 @@ the diff names the cases it moved, the way ``bench/expected.json`` does
 for strategies.  The 40 stylesheets only reach five operators, so an
 ``operators`` section pins a hand-built query per remaining one
 (joins, sorts, limits, the structural pair) the same
-way.  Regenerate (from the repo root) with::
+way, and an ``xquery`` section the stage before the merge: per case (all
+40) the sha256 of the generated XQuery text over the case's DTD schema —
+or of ``"<stage>: <message>"`` where generation refuses — plus one
+composed module (the only path through ``prefix_module``).  Regenerate
+(from the repo root) with::
 
     PYTHONPATH=src python tests/rdb/test_plan_goldens.py
 """
@@ -22,14 +26,21 @@ import os
 import pytest
 
 from repro.api import Engine, TransformOptions
+from repro.core.combined import rewrite_xslt_over_xquery
+from repro.core.pipeline import XsltRewriter
+from repro.errors import RewriteError
 from repro.rdb import INT, TEXT, Database
 from repro.rdb.plan import explain
 from repro.rdb.planner import LEVELS
 from repro.rdb.sql_parser import parse_select
 from repro.rdb.treestorage import TreeStorage
+from repro.schema import schema_from_dtd
+from repro.xquery import parse_xquery, xquery_to_text
 from repro.xsltmark import ALL_CASES
 from repro.xsltmark.generator import make_tree_document
 from repro.xsltmark.runner import prepare_case
+
+from tests.core.test_composition import DEPT_DTD, INNER, SHEET
 
 GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "plan_goldens.json")
@@ -112,6 +123,23 @@ def operator_digests():
             for name, (db, query) in queries.items()}
 
 
+def xquery_digest(case):
+    """sha256 of the XQuery text generated for one case, or of the
+    refusal's ``"<stage>: <message>"``."""
+    try:
+        outcome = XsltRewriter().rewrite_to_xquery(
+            case.stylesheet, schema_from_dtd(case.dtd))
+    except RewriteError as exc:
+        return _sha("%s: %s" % (exc.stage, exc))
+    return _sha(outcome.xquery_text())
+
+
+def composed_digest():
+    composed, _ = rewrite_xslt_over_xquery(
+        SHEET, parse_xquery(INNER), schema_from_dtd(DEPT_DTD))
+    return _sha(xquery_to_text(composed))
+
+
 def _load():
     with open(GOLDENS) as handle:
         return json.load(handle)
@@ -127,6 +155,15 @@ def test_plan_and_sql_match_the_goldens(case):
     assert actual is not None, "%s no longer rewrites" % case.name
     for level in LEVELS:
         assert actual[level] == expected[level], (case.name, level)
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.name)
+def test_generated_xquery_matches_the_goldens(case):
+    assert xquery_digest(case) == _load()["xquery"]["cases"][case.name]
+
+
+def test_composed_xquery_matches_the_goldens():
+    assert composed_digest() == _load()["xquery"]["composed"]
 
 
 def test_operator_tour_matches_the_goldens():
@@ -152,10 +189,12 @@ if __name__ == "__main__":
         record = digests(case)
         if record is not None:
             cases[case.name] = record
+    xquery = {"cases": {case.name: xquery_digest(case) for case in ALL_CASES},
+              "composed": composed_digest()}
     with open(GOLDENS, "w") as handle:
         json.dump({"size": SIZE, "cases": cases,
-                   "operators": operator_digests()}, handle, indent=1,
-                  sort_keys=True)
+                   "operators": operator_digests(), "xquery": xquery},
+                  handle, indent=1, sort_keys=True)
         handle.write("\n")
     print("wrote %d cases x %d levels to %s"
           % (len(cases), len(LEVELS), GOLDENS))

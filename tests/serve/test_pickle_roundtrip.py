@@ -70,6 +70,15 @@ class TestStrippedRuntimeState:
         restored = pickle.loads(pickle.dumps(compiled))
         assert restored.outcome.partial_evaluation.vm is None
 
+    def test_no_strip_memo_and_no_runtime_handle_in_the_bytes(self):
+        """ALL_CASES[0] is ``dbonerow``, compiled through partial
+        evaluation: its selects were stripped and bound on the way."""
+        _, compiled = self.make_compiled()
+        assert compiled.outcome.partial_evaluation is not None
+        data = pickle.dumps(compiled)
+        for name in (b"stripper", b"_stripped", b"_fn"):
+            assert name not in data, name
+
     def test_ledger_survives_roundtrip(self):
         _, compiled = self.make_compiled()
         restored = pickle.loads(pickle.dumps(compiled))

@@ -49,24 +49,18 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 class ReferenceVM:
     """One VM instance per transformation run.
 
-    The three partial-evaluation hooks (paper §4.3) are:
-
-    * ``select_rewriter`` — applied to every ``select``/``test`` expression
-      before evaluation (the partial evaluator strips value predicates so
-      dispatch is driven by structure only);
-    * ``pattern_rewriter`` — applied to match-pattern alternatives before
-      matching (predicates assumed true);
-    * ``explore`` — when True the VM executes *every* conditional branch
-      and instantiates *every* candidate template at each dispatch, so the
-      trace covers everything that could fire on any conforming document.
+    ``explore`` is the paper's §4.3 partial-evaluation stance, whole:
+    dispatching selects and match patterns are evaluated as the node's own
+    ``without_predicates()`` form (predicates assumed true — the one thing
+    this reference shares with ``src``), *every* conditional branch
+    executes and *every* candidate template is instantiated at each
+    dispatch, so the trace covers everything that could fire on any
+    conforming document.
     """
 
-    def __init__(self, stylesheet, trace=None, select_rewriter=None,
-                 pattern_rewriter=None, explore=False):
+    def __init__(self, stylesheet, trace=None, explore=False):
         self.stylesheet = stylesheet
         self.trace = trace
-        self.select_rewriter = select_rewriter
-        self.pattern_rewriter = pattern_rewriter
         self.explore = explore
         self.messages = []
         #: observability counters, read by the obs layer / TransformResult
@@ -162,14 +156,14 @@ class ReferenceVM:
         return candidates
 
     def _pattern(self, rule):
-        if self.pattern_rewriter is not None:
-            return self.pattern_rewriter(rule.pattern)
+        if self.explore:
+            return rule.pattern.without_predicates()
         return rule.pattern
 
     def eval_select(self, select, context):
-        """Evaluate a select/test expression through the rewriter hook."""
-        if self.select_rewriter is not None:
-            select = self.select_rewriter(select)
+        """Evaluate a dispatching select (stripped when exploring)."""
+        if self.explore:
+            select = select.without_predicates()
         return evaluate(select, context)
 
     def apply_imports(self, context, output, site=None):

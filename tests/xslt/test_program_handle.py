@@ -56,10 +56,11 @@ class TestPickling:
             assert loaded.stylesheet.program() \
                 is not compiled.stylesheet.program()
 
-    def test_the_artifact_format_did_not_change_shape(self):
-        # a Stylesheet's or an expression's pickled state is the dict it
-        # was, so version 3 artifacts written before this change still load
-        assert ARTIFACT_FORMAT_VERSION == 3
+    def test_runtime_handles_are_not_part_of_the_artifact_format(self):
+        # a Stylesheet's or an expression's pickled state is its plain
+        # fields whether or not it was bound or stripped (version 4: the
+        # predicate-strip memo left the PartialEvaluation)
+        assert ARTIFACT_FORMAT_VERSION == 4
         case = get_case("keys")
         stylesheet = compile_stylesheet(case.stylesheet)
         fields = set(stylesheet.__getstate__())
