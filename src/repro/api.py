@@ -100,6 +100,9 @@ class TransformOptions:
     :param chunk_chars: coalescing target for streamed output chunks.
     :param profile_plan: collect per-plan-node EXPLAIN ANALYZE counters
         on the rewrite path (skipped whenever tracing is disabled).
+        Costs a wrapped batch stream per operator opened and one pass
+        over the plan's observation table after the run
+        (``plan.operator_rows{op}``); nothing walks the plan per request.
     :param rewrite_options: a full
         :class:`~repro.core.xquery_gen.RewriteOptions` for per-technique
         ablation (``inline_templates`` forces the §4.4 inline mode on or
@@ -114,7 +117,10 @@ class TransformOptions:
         estimates vs. actuals land in metrics and on
         ``result.feedback``, and an enabled
         :class:`~repro.obs.feedback.FeedbackPolicy` may auto-ANALYZE /
-        re-cost.  Runtime-only: never part of the plan-cache key.
+        re-cost.  Costs a Q-error and a histogram sample per profiled
+        operator in that same pass; ``NodeFeedback`` objects are built
+        only when ``.nodes`` is read.  Runtime-only: never part of the
+        plan-cache key.
     :param strategy: execution strategy — :class:`Strategy` or its
         string value: ``"sql-rewrite"`` (what None means: attempt the
         XSLT→XQuery→SQL/XML rewrite, falling back functionally on
@@ -163,11 +169,12 @@ class TransformOptions:
 
     @classmethod
     def coerce(cls, value):
-        """Normalize what callers pass as ``options``: None → defaults,
-        a :class:`TransformOptions` → itself, a dict → keyword
+        """Normalize what callers pass as ``options``: None → the one
+        shared default instance (the dataclass is frozen), a
+        :class:`TransformOptions` → itself, a dict → keyword
         arguments."""
         if value is None:
-            return cls()
+            return _DEFAULT_OPTIONS
         if isinstance(value, cls):
             return value
         if isinstance(value, dict):
@@ -200,6 +207,9 @@ class TransformOptions:
             self.effective_rewrite(), normalize_level(self.optimizer_level),
             "auto" if self.decorrelate else "off", token,
         )
+
+
+_DEFAULT_OPTIONS = TransformOptions()
 
 
 # -- the facade --------------------------------------------------------------------
@@ -318,7 +328,7 @@ class Engine:
                 root.trace_id, name="xml_transform",
                 status="ok" if view.fallback_reason is None else "fallback",
                 total_seconds=root.duration,
-                spans=[span.to_dict() for span in root.iter_spans()],
+                spans=root.iter_spans(),
                 **transform_fields(view)
             )
 

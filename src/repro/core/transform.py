@@ -45,14 +45,10 @@ import time
 from repro.errors import RewriteError
 from repro.obs import NULL_SPAN, get_tracer, global_metrics, render_tree
 from repro.obs.decisions import DecisionLedger
+from repro.obs.feedback import observe_profile
 from repro.obs.trace import current_trace_id
 from repro.rdb.database import View
-from repro.rdb.plan import (
-    ExecutionStats,
-    PlanProfiler,
-    Query,
-    record_plan_metrics,
-)
+from repro.rdb.plan import ExecutionStats, PlanProfiler, Query
 from repro.rdb.sqlxml import Markup, render_item, row_items
 from repro.rdb.storage import ClobStorage, ObjectRelationalStorage
 from repro.xmlmodel.builder import TreeBuilder
@@ -124,8 +120,9 @@ class Execution:
     def __getstate__(self):
         """Records cross process boundaries (the cluster tier returns
         them from worker processes); live spans hold tracer handles and
-        the plan profiler keys node profiles by ``id()`` — both are
-        process-local, so they are shed rather than serialized."""
+        the plan profiler resolves nodes through its binding's
+        observation table — both are process-local, so they are shed
+        rather than serialized."""
         state = {name: getattr(self, name) for name in self.__slots__}
         state["trace"] = state["plan_profile"] = None
         stats = self.stats
@@ -481,22 +478,19 @@ def _is_document_store(source):
     return hasattr(source, "document_ids") and hasattr(source, "materialize")
 
 
-def _observe_feedback(db, compiled, profiler, metrics):
-    """Run the database's Q-error feedback loop over one profiled
-    execution; returns the PlanFeedback (or None when unavailable)."""
-    if profiler is None:
-        return None
-    controller = getattr(db, "feedback", None)
+def _observe(db, compiled, profiler, metrics, feedback):
+    """The post-execution fold over one profiled execution: the
+    per-operator counters and — when ``feedback`` is on and the database
+    has a feedback controller — its Q-error loop; returns the
+    PlanFeedback (or None when not judged)."""
+    controller = getattr(db, "feedback", None) if feedback else None
     if controller is None:
-        return None
-    ledger = compiled.ledger
-    extra = ledger.bound_plans() if ledger is not None else ()
-    record = controller.observe(
-        compiled.query, profiler, metrics=metrics, ledger=ledger,
-        compiled=compiled, extra_plans=extra,
+        return observe_profile(profiler, metrics, judge=False)
+    compiled.feedback = controller.observe(
+        compiled.query, profiler, metrics=metrics, ledger=compiled.ledger,
+        compiled=compiled,
     )
-    compiled.feedback = record
-    return record
+    return compiled.feedback
 
 
 # -- the run ----------------------------------------------------------------------
@@ -537,8 +531,8 @@ def _plan_rows(db, compiled, run, tracer, metrics, profile_plan, batch_size,
                feedback, deadline):
     """One item list per output row of the artifact's optimized plan.
 
-    Exhausting it counts the rewrite success, exports the per-operator
-    metrics and runs the Q-error feedback loop; a consumer that stops
+    Exhausting it counts the rewrite success and folds the profile once
+    (per-operator metrics, Q-error feedback loop); a consumer that stops
     early has paid for, and recorded, what it received.
     """
     query = compiled.query
@@ -572,9 +566,8 @@ def _plan_rows(db, compiled, run, tracer, metrics, profile_plan, batch_size,
         )
     metrics.counter("transform.rewrite_success").inc()
     metrics.histogram("plan.execute_seconds").record(stats.elapsed_seconds)
-    record_plan_metrics(query, profiler, metrics)
-    if feedback:
-        run.feedback = _observe_feedback(db, compiled, profiler, metrics)
+    if profiler is not None:
+        run.feedback = _observe(db, compiled, profiler, metrics, feedback)
 
 
 def _vm_rows(db, source, stylesheet, params, run, tracer):

@@ -72,7 +72,7 @@ def format_qerror(value):
 
 
 def _capped(value):
-    return min(value, QERROR_CAP)
+    return value if value < QERROR_CAP else QERROR_CAP
 
 
 class NodeFeedback:
@@ -132,25 +132,52 @@ class NodeFeedback:
 
 
 class PlanFeedback:
-    """Q-error record of one profiled execution of one plan."""
+    """Q-error record of one profiled execution of one plan.  What the
+    loop decides on (``max_q_error``, ``missing_estimates``) comes from
+    the fold that builds it; the :class:`NodeFeedback` objects
+    (``nodes``, ``worst``) are built on first read, and pickled."""
 
-    __slots__ = ("nodes", "missing_estimates", "max_q_error", "worst",
-                 "triggered", "actions", "stats_version")
+    __slots__ = ("_observed", "_nodes", "_worst", "missing_estimates",
+                 "max_q_error", "triggered", "actions", "stats_version")
 
-    def __init__(self, nodes, missing_estimates):
-        self.nodes = nodes
+    def __init__(self, observed, missing_estimates, max_q_error, worst):
+        #: ``(observation row, rows out, opens)`` per profiled node
+        self._observed = observed
+        self._nodes = None
+        #: position in ``nodes`` of the first node at ``max_q_error``
+        self._worst = worst
         self.missing_estimates = missing_estimates
-        self.max_q_error = None
-        self.worst = None
-        for node in nodes:
-            if node.q_error is None:
-                continue
-            if self.max_q_error is None or node.q_error > self.max_q_error:
-                self.max_q_error = node.q_error
-                self.worst = node
+        self.max_q_error = max_q_error
         self.triggered = False
         self.actions = []
         self.stats_version = None
+
+    @property
+    def nodes(self):
+        if self._nodes is None:
+            self._nodes = [
+                NodeFeedback(node_id, op, table, estimated_rows, rows_out,
+                             tables=tables, opens=opens)
+                for (_, node_id, op, table, estimated_rows, tables),
+                    rows_out, opens in self._observed
+            ]
+        return self._nodes
+
+    @property
+    def worst(self):
+        return None if self._worst is None else self.nodes[self._worst]
+
+    def __len__(self):
+        return len(self._observed if self._nodes is None else self._nodes)
+
+    def __getstate__(self):
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_nodes"], state["_observed"] = self.nodes, None
+        return state
+
+    def __setstate__(self, state):
+        for name in self.__slots__:
+            setattr(self, name, state[name])
 
     def offending(self, threshold):
         """Nodes whose Q-error meets ``threshold``."""
@@ -158,19 +185,17 @@ class PlanFeedback:
                 if node.q_error is not None and node.q_error >= threshold]
 
     def exceeds(self, policy):
-        """Does this record miss the policy's thresholds?"""
-        if self.max_q_error is None:
-            return False
-        if self.max_q_error >= policy.plan_threshold:
-            return True
-        return bool(self.offending(policy.node_threshold))
+        """Does this record miss the policy's thresholds?  (Some node
+        meets ``node_threshold`` exactly when the maximum does.)"""
+        return self.max_q_error is not None and self.max_q_error >= min(
+            policy.plan_threshold, policy.node_threshold)
 
     def render(self):
         """Human-readable lines for ``TransformResult.report()``."""
         lines = []
         if self.max_q_error is None:
             lines.append("q-error: no estimates to judge "
-                         "(%d node(s) profiled)" % len(self.nodes))
+                         "(%d node(s) profiled)" % len(self))
         else:
             lines.append("q-error max=%s at %s" % (
                 format_qerror(self.max_q_error), self.worst.describe()))
@@ -195,79 +220,94 @@ class PlanFeedback:
 
     def __repr__(self):
         return "PlanFeedback(max=%s nodes=%d triggered=%r)" % (
-            format_qerror(self.max_q_error), len(self.nodes), self.triggered)
+            format_qerror(self.max_q_error), len(self), self.triggered)
 
 
-def _subtree_tables(node):
-    """Base tables reachable from ``node``, in pre-order."""
-    tables = []
-    for descendant in node.iter_plan():
-        table = getattr(descendant, "table_name", None)
-        if table and table not in tables:
-            tables.append(table)
-    return tables
+def _instruments(table, metrics):
+    """Per row of ``table``, its ``[plan.operator_rows counter,
+    planner.qerror histogram]`` in ``metrics``: resolved when the row
+    first records (a snapshot lists no instrument nothing recorded into)
+    and kept on the table until the registry is reset or swapped."""
+    held = table.instruments
+    if held is None or held[0] is not metrics \
+            or held[1] != metrics.generation:
+        held = table.instruments = (
+            metrics, metrics.generation, [[None, None] for _ in table.rows])
+    return held[2]
 
 
-def _iter_plans(query, extra_plans=()):
-    plan = getattr(query, "plan", None)
-    if plan is None:
-        plan = query
-    yield plan
-    for extra in extra_plans:
-        extra = getattr(extra, "plan", None) or extra
-        if extra is not plan:
-            yield extra
-
-
-def compute_plan_feedback(query, profiler, extra_plans=()):
-    """Walk the plan(s) pairing estimates with profiled actuals.
-
-    ``extra_plans`` carries subquery plans (from
-    ``DecisionLedger.bound_plans``) so the correlated inner queries the
-    XSLT rewrite produces are judged too.  Nodes the profiler never saw
-    (never-executed branches) are skipped — there is no actual to
-    compare.
-    """
-    nodes = []
+def observe_profile(profiler, metrics=None, judge=True):
+    """The one pass over a profiled execution: per row of the
+    :class:`~repro.rdb.binding.Observation` it ran under, bump
+    ``plan.operator_rows{op}`` and, when ``judge``, record the Q-error
+    of the estimate against the per-open actual (``planner.qerror{op}``,
+    ``.max``, ``.missing_estimates``) and return the
+    :class:`PlanFeedback`.  A node that never opened has no actual and
+    is skipped; ``metrics=None`` exports nothing."""
+    table = profiler.table
+    if table is None:  # nothing ran under this profiler
+        return PlanFeedback([], 0, None, None) if judge else None
+    rows_out, opens = profiler.rows_out, profiler.opens
+    instruments = None if metrics is None else _instruments(table, metrics)
+    observed = []
     missing = 0
-    seen = set()
-    for plan in _iter_plans(query, extra_plans):
-        for node in plan.iter_plan():
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            profile = profiler.get(node)
-            if profile is None:
-                continue
-            feedback = NodeFeedback(
-                getattr(node, "plan_node_id", None),
-                type(node).__name__,
-                getattr(node, "table_name", None),
-                getattr(node, "estimated_rows", None),
-                profile.rows_out,
-                tables=_subtree_tables(node),
-                opens=getattr(profile, "opens", 1),
-            )
-            if feedback.q_error is None:
-                missing += 1
-            nodes.append(feedback)
-    return PlanFeedback(nodes, missing)
+    max_q_error = worst = None
+    for index, row in enumerate(table.rows):
+        slot = row[0]
+        loops = opens[slot]
+        if not loops:
+            continue
+        rows = rows_out[slot]
+        if instruments is not None:
+            pair = instruments[index]
+            if pair[0] is None:
+                pair[0] = metrics.counter("plan.operator_rows", op=row[2])
+            pair[0].inc(rows)
+        if not judge:
+            continue
+        # estimates are per open; a correlated inner plan re-opens once
+        # per outer row, so the comparable actual is rows / loops
+        error = q_error(row[4], rows / loops)
+        if error is None:
+            missing += 1
+        else:
+            if instruments is not None:
+                if pair[1] is None:
+                    pair[1] = metrics.histogram("planner.qerror", op=row[2])
+                pair[1].record(_capped(error))
+            if max_q_error is None or error > max_q_error:
+                max_q_error, worst = error, len(observed)
+        observed.append((row, rows, loops))
+    if not judge:
+        return None
+    if metrics is not None:
+        _record_plan_qerror(metrics, max_q_error, missing)
+    return PlanFeedback(observed, missing, max_q_error, worst)
+
+
+def compute_plan_feedback(query, profiler):
+    """The :class:`PlanFeedback` of ``query``'s profiled execution
+    (``profiler`` holds its observation table); exports nothing."""
+    return observe_profile(profiler)
+
+
+def _record_plan_qerror(metrics, max_q_error, missing_estimates):
+    if max_q_error is not None:
+        metrics.histogram("planner.qerror.max").record(_capped(max_q_error))
+    if missing_estimates:
+        metrics.counter("planner.qerror.missing_estimates").inc(
+            missing_estimates)
 
 
 def record_feedback_metrics(feedback, metrics=None):
-    """Export a :class:`PlanFeedback` through the obs registry."""
+    """Export a :class:`PlanFeedback` computed without a registry."""
     metrics = metrics or global_metrics()
     for node in feedback.nodes:
-        if node.q_error is None:
-            continue
-        metrics.histogram("planner.qerror", op=node.op).record(
-            _capped(node.q_error))
-    if feedback.max_q_error is not None:
-        metrics.histogram("planner.qerror.max").record(
-            _capped(feedback.max_q_error))
-    if feedback.missing_estimates:
-        metrics.counter("planner.qerror.missing_estimates").inc(
-            feedback.missing_estimates)
+        if node.q_error is not None:
+            metrics.histogram("planner.qerror", op=node.op).record(
+                _capped(node.q_error))
+    _record_plan_qerror(metrics, feedback.max_q_error,
+                        feedback.missing_estimates)
     return feedback
 
 
@@ -378,19 +418,19 @@ class FeedbackController:
     # -- the loop ---------------------------------------------------------------
 
     def observe(self, query, profiler, metrics=None, ledger=None,
-                compiled=None, extra_plans=()):
-        """Judge one profiled execution; act when the policy says so.
+                compiled=None):
+        """Fold one profiled execution (:func:`observe_profile`) and
+        judge it; act when the policy says so.
 
         Returns the :class:`PlanFeedback` (always, even observe-only).
         """
-        feedback = compute_plan_feedback(query, profiler,
-                                         extra_plans=extra_plans)
+        metrics = metrics or self.metrics or global_metrics()
+        feedback = observe_profile(profiler, metrics)
         feedback.stats_version = self.db.stats_version()
-        record_feedback_metrics(feedback, metrics or self.metrics)
         policy = self.policy
-        if policy is None or not feedback.nodes:
+        if policy is None or not len(feedback):
             return feedback
-        key = self._plan_key(query)
+        key = query.fingerprint()
         if not feedback.exceeds(policy):
             with self._lock:
                 self._misses.pop(key, None)
@@ -402,20 +442,11 @@ class FeedbackController:
             return feedback
         with self._lock:
             self._misses.pop(key, None)
-        self._act(query, feedback, policy, ledger, compiled,
-                  metrics or self.metrics)
+        self._act(query, feedback, policy, ledger, compiled, metrics)
         return feedback
-
-    @staticmethod
-    def _plan_key(query):
-        fingerprint = getattr(query, "fingerprint", None)
-        if callable(fingerprint):
-            return fingerprint()
-        return "plan:%x" % id(query)
 
     def _act(self, query, feedback, policy, ledger, compiled, metrics):
         from .decisions import PLAN_QERROR, PLAN_RECOST, FEEDBACK_STAGE
-        metrics = metrics or global_metrics()
         feedback.triggered = True
         worst = feedback.worst
         metrics.counter("planner.feedback.triggered").inc()

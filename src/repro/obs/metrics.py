@@ -17,6 +17,8 @@ import time
 
 
 def _label_key(labels):
+    if len(labels) < 2:  # nothing to order: most instruments, every hot one
+        return tuple(labels.items())
     return tuple(sorted(labels.items()))
 
 
@@ -259,6 +261,9 @@ class MetricsRegistry:
         self._gauges = {}
         self._histograms = {}
         self._lock = threading.Lock()
+        #: how often :meth:`reset` ran: whoever holds instruments across
+        #: requests resolves them again once this has moved
+        self.generation = 0
 
     def counter(self, name, **labels):
         key = (name, _label_key(labels))
@@ -353,6 +358,7 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self.generation += 1
 
 
 def merge_snapshots(snapshots):

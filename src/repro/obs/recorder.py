@@ -10,8 +10,10 @@ verdict, row counts), retrievable by trace id from the ops plane
 Retention is two-tier, mirroring production tracing systems:
 
 * **every** request gets a compact :class:`RequestRecord` (plus its
-  span tree, already materialized by the per-request tracer — keeping
-  it costs a list of dicts, not a re-serialization);
+  span tree: the finished ``Span`` objects the per-request tracer
+  already holds are kept as they are and rendered to dicts when
+  ``spans`` / ``stages`` are read — nothing is serialized between a
+  request finishing and its future resolving);
 * the **slow-request policy** additionally retains the full diagnosis
   (EXPLAIN ANALYZE + the rewrite-decision ledger, produced lazily by
   the caller's ``detail_fn``) for requests over
@@ -84,7 +86,7 @@ class RequestRecord:
                  "error", "strategy", "cache_hit", "fallback_category",
                  "queue_wait_seconds", "execute_seconds", "total_seconds",
                  "rows", "bytes_out", "q_error_max", "q_error_triggered",
-                 "stages", "spans", "detail", "detail_reason")
+                 "_spans", "detail", "detail_reason")
 
     def __init__(self, trace_id, name=None, sequence=0, started_at=None,
                  status="ok", error=None, strategy=None, cache_hit=None,
@@ -115,14 +117,24 @@ class RequestRecord:
         self.q_error_max = q_error_max
         #: True when the feedback policy distrusted the plan
         self.q_error_triggered = q_error_triggered
-        #: flattened span records (``Span.to_dict`` shape) of the trace
-        self.spans = list(spans) if spans else []
-        #: {stage name: seconds} aggregated from the span tree
-        self.stages = stage_seconds(self.spans)
+        #: the trace's spans as handed over: finished ``Span`` objects, or
+        #: the dicts a worker pipe delivered
+        self._spans = list(spans) if spans else []
         #: full EXPLAIN ANALYZE + decision ledger, when retained
         self.detail = detail
         #: why detail was retained (DETAIL_SLOW / DETAIL_TAIL_SAMPLE)
         self.detail_reason = detail_reason
+
+    @property
+    def spans(self):
+        """Flattened span records (``Span.to_dict`` shape) of the trace."""
+        return [span if isinstance(span, dict) else span.to_dict()
+                for span in self._spans]
+
+    @property
+    def stages(self):
+        """{stage name: seconds} aggregated from the span tree."""
+        return stage_seconds(self.spans)
 
     def as_dict(self, include_spans=False, include_detail=False):
         record = {
@@ -141,14 +153,14 @@ class RequestRecord:
             "bytes_out": self.bytes_out,
             "q_error_max": self.q_error_max,
             "q_error_triggered": self.q_error_triggered,
-            "stages": dict(self.stages),
+            "stages": self.stages,
             "has_detail": self.detail is not None,
             "detail_reason": self.detail_reason,
         }
         if self.error is not None:
             record["error"] = self.error
         if include_spans:
-            record["spans"] = list(self.spans)
+            record["spans"] = self.spans
         if include_detail:
             record["detail"] = self.detail
         return record

@@ -11,8 +11,11 @@ every name to a slot (name errors are raised here, once, not per row)
 and leaves closures ``f(row, stats)`` behind; the pass's result is a
 :class:`BoundNode` per operator and, for a whole query, the
 :class:`Binding` the :class:`~repro.rdb.plan.Query` caches in its
-:class:`BindingCache`.  Nothing here is pickled: an artifact carries the
-tree, not the binding.
+:class:`BindingCache`.  The same pass gives every operator an
+*observation slot* and leaves an :class:`Observation` behind: what a
+profiled execution counts into and what EXPLAIN ANALYZE, the metrics
+and the Q-error loop read back.  Nothing here is pickled: an artifact
+carries the tree, not the binding.
 """
 
 from __future__ import annotations
@@ -100,19 +103,35 @@ class Binder:
     """What one bind pass resolves against: the catalog, the
     representation SQL/XML values take (``markup`` text or DOM nodes),
     and the ``{table name: TableSchema}`` it resolved — slots are column
-    positions, so a bound program is only valid for those very schemas."""
+    positions, so a bound program is only valid for those very schemas.
+    It also hands every operator it binds its observation slot
+    (``slots``: ``{id(plan node): slot}``, ``nodes``: by slot) and keeps
+    the plan roots bound (``plans``: the main tree, then each subquery
+    reached through an expression) for the :class:`Observation`."""
 
-    __slots__ = ("db", "markup", "schemas")
+    __slots__ = ("db", "markup", "schemas", "slots", "nodes", "plans")
 
     def __init__(self, db, markup=False):
         self.db = db
         self.markup = markup
         self.schemas = {}
+        self.slots = {}
+        self.nodes = []
+        self.plans = []
 
     def table(self, name):
         table = self.db.table(name)
         self.schemas[name] = table.schema
         return table
+
+    def bound(self, node, layout, *args):
+        """``node`` bound to ``layout``: a :class:`BoundNode` under the
+        node's slot — one per plan node, however many places bind it."""
+        slot = self.slots.get(id(node))
+        if slot is None:
+            slot = self.slots[id(node)] = len(self.nodes)
+            self.nodes.append(node)
+        return BoundNode(node, slot, layout, *args)
 
 
 #: layout and row of no outer prefix: what a top-level execution without a
@@ -121,14 +140,16 @@ _NO_OUTER = (Layout(), ())
 
 
 class BoundNode:
-    """A plan node bound to one row layout: the node, the layout of the
-    rows it yields, and the bound arguments its ``batches`` takes.
-    Immutable once built, so any number of executions share it."""
+    """A plan node bound to one row layout: the node, its observation
+    slot, the layout of the rows it yields, and the bound arguments its
+    ``batches`` takes.  Immutable once built, so any number of
+    executions share it."""
 
-    __slots__ = ("node", "layout", "args")
+    __slots__ = ("node", "slot", "layout", "args")
 
-    def __init__(self, node, layout, *args):
+    def __init__(self, node, slot, layout, *args):
         self.node = node
+        self.slot = slot
         self.layout = layout
         self.args = args
 
@@ -140,7 +161,7 @@ class BoundNode:
         profiler = getattr(stats, "profiler", None)
         if profiler is None:
             return batches
-        return profiler.wrap_batches(self.node, batches)
+        return profiler.wrap_batches(self.slot, batches)
 
     def iter_rows(self, db, outer, stats, batch_size):
         """:meth:`iter_batches` flattened, for operators that consume
@@ -149,20 +170,71 @@ class BoundNode:
             self.iter_batches(db, outer, stats, batch_size))
 
 
+class Observation:
+    """What one bind pass fixed about observing the plan.  Every bound
+    operator has a slot (``slots``: ``{id(node): slot}``; ``nodes``, by
+    slot, keeps the ids valid), so a profiled execution owns only its
+    per-slot counters.  ``rows`` is what is read back after a run:
+    ``(slot, plan_node_id, operator name, table_name, estimated_rows,
+    subtree base tables)`` — plain data — per node EXPLAIN shows: the
+    main tree, then the subquery plans it numbers (those the rewrite's
+    ledger bound), in pre-order and, where numbered, ``#n`` order.  A
+    plan is numbered and costed at compile, before it is first bound."""
+
+    __slots__ = ("rows", "slots", "nodes", "instruments")
+
+    def __init__(self, binder):
+        self.slots = binder.slots
+        self.nodes = binder.nodes
+        #: whatever the reader of ``rows`` keeps per row between runs
+        #: (``repro.obs.feedback``: its metric instruments)
+        self.instruments = None
+        rows, seen = [], {}
+        self._observe(binder.plans[0], rows, seen)
+        for plan in binder.plans[1:]:
+            if getattr(plan, "plan_node_id", None) is not None:
+                self._observe(plan, rows, seen)
+        rows.sort(key=lambda row: row[1] or 0)
+        self.rows = tuple(map(tuple, rows))
+
+    def _observe(self, node, rows, seen):
+        """Append ``node``'s subtree to ``rows``, once (two subqueries
+        may share one); returns its base tables, first seen first
+        (``seen``: those lists by slot)."""
+        slot = self.slots[id(node)]
+        if slot in seen:
+            return seen[slot]
+        table = getattr(node, "table_name", None)
+        tables = seen[slot] = [table] if table else []
+        row = [slot, getattr(node, "plan_node_id", None),
+               type(node).__name__, table,
+               getattr(node, "estimated_rows", None), None]
+        rows.append(row)
+        for child in node.children():
+            for name in self._observe(child, rows, seen):
+                if name not in tables:
+                    tables.append(name)
+        row[5] = tuple(tables)
+        return tables
+
+
 class Binding:
     """A query bound to one catalog: ``source(db, outer_row, stats,
     batch_size)`` yields batches of the rows the ``outputs`` closures
-    (``output``: all of them, as one tuple) evaluate.  It remembers what
-    its slots were resolved against — the database, the very
-    ``TableSchema`` objects, the shape of the caller's ``env`` — and
-    :meth:`fits` is checked once per execution, never per row."""
+    (``output``: all of them, as one tuple) evaluate, and
+    ``observation`` is the :class:`Observation` of the pass.  It
+    remembers what its slots were resolved against — the database, the
+    very ``TableSchema`` objects, the shape of the caller's ``env`` —
+    and :meth:`fits` is checked once per execution, never per row."""
 
-    __slots__ = ("db", "schemas", "shape", "source", "outputs", "output")
+    __slots__ = ("db", "schemas", "shape", "source", "outputs", "output",
+                 "observation")
 
     def __init__(self, query, db, markup, outer):
         binder = Binder(db, markup)
         self.source, self.outputs = query.bind(binder, outer)
         self.output = tuple_of(self.outputs)
+        self.observation = Observation(binder)
         self.db = db
         self.schemas = list(binder.schemas.items())
         self.shape = outer.segments

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import namedtuple
 from itertools import chain, islice
 
 from repro.errors import DatabaseError, DeadlineExceededError, PlanError
@@ -30,7 +31,6 @@ from repro.obs.metrics import global_metrics
 from repro.obs.trace import current_trace_id
 from repro.rdb.binding import (
     BindingCache,
-    BoundNode,
     bind_order,
     sort_pairs,
     tuple_of,
@@ -124,74 +124,80 @@ def _fmt_stat(value):
     return "%d" % value
 
 
-class NodeProfile:
-    """Per-plan-node counters for one profiled execution."""
-
-    __slots__ = ("rows_out", "opens", "batches", "total_seconds")
-
-    def __init__(self):
-        self.rows_out = 0
-        self.opens = 0
-        self.batches = 0
-        self.total_seconds = 0.0
+#: one plan node's counters, as read out of a profiled execution
+NodeProfile = namedtuple("NodeProfile",
+                         "rows_out opens batches total_seconds")
 
 
 class PlanProfiler:
     """Collects per-node row counts and wall time during execution.
 
     Attached via ``stats.profiler``; every plan node routes child
-    iteration through :meth:`PlanNode.iter_batches`, which wraps the
-    batch generator when a profiler is present.  Time spent inside a
-    node's ``next()`` includes its children (total time); self time is
-    derived at rendering time as total minus the children's totals.
+    iteration through :meth:`BoundNode.iter_batches`, which wraps the
+    batch generator when a profiler is present.  The counters are four
+    flat arrays indexed by observation slot, sized when the drive loop
+    hands over (:meth:`attach`) the binding's shared
+    :class:`~repro.rdb.binding.Observation` (``table``).  Time spent
+    inside a node's ``next()`` includes its children (total time); self
+    time is derived at rendering time as total minus the children's.
 
     The profiler captures the ambient trace id at construction, so an
     EXPLAIN ANALYZE retained by the flight recorder links back to the
     request whose execution produced it.
     """
 
+    __slots__ = ("trace_id", "table", "rows_out", "opens", "batches",
+                 "total_seconds")
+
     def __init__(self):
-        self._profiles = {}  # id(node) -> NodeProfile
         #: trace id of the request this execution profiled under (None
         #: outside any trace)
         self.trace_id = current_trace_id()
+        self.table = None
+        self.rows_out = self.opens = self.batches = self.total_seconds = ()
 
-    def profile_of(self, node):
-        profile = self._profiles.get(id(node))
-        if profile is None:
-            profile = self._profiles[id(node)] = NodeProfile()
-        return profile
+    def attach(self, table):
+        """Count into ``table``'s slots from here on; a further
+        execution of the same binding keeps accumulating."""
+        if table is not self.table:
+            self.table = table
+            width = len(table.nodes)
+            self.rows_out = [0] * width
+            self.opens = [0] * width
+            self.batches = [0] * width
+            self.total_seconds = [0.0] * width
 
     def get(self, node):
-        return self._profiles.get(id(node))
+        """The node's :class:`NodeProfile`; None when it never opened."""
+        slot = None if self.table is None else self.table.slots.get(id(node))
+        if slot is None or not self.opens[slot]:
+            return None
+        return NodeProfile(self.rows_out[slot], self.opens[slot],
+                           self.batches[slot], self.total_seconds[slot])
 
-    def wrap_batches(self, node, iterator):
+    def wrap_batches(self, slot, iterator):
         """Pass a node's batch stream through, counting opens, batches,
         the rows inside them and the time spent producing them."""
-        profile = self.profile_of(node)
-        profile.opens += 1
-        while True:
-            start = time.perf_counter()
-            try:
-                batch = next(iterator)
-            except StopIteration:
-                profile.total_seconds += time.perf_counter() - start
-                return
-            profile.total_seconds += time.perf_counter() - start
-            profile.batches += 1
-            profile.rows_out += len(batch)
+        rows_out, batches = self.rows_out, self.batches
+        total_seconds, clock = self.total_seconds, time.perf_counter
+        self.opens[slot] += 1
+        start = clock()
+        for batch in iterator:
+            total_seconds[slot] += clock() - start
+            batches[slot] += 1
+            rows_out[slot] += len(batch)
             yield batch
+            start = clock()
+        total_seconds[slot] += clock() - start
 
     def self_seconds(self, node):
         """Total time minus the direct children's total time."""
         profile = self.get(node)
         if profile is None:
             return 0.0
-        child_total = sum(
-            self.get(child).total_seconds
-            for child in node.children()
-            if self.get(child) is not None
-        )
+        children = [self.get(child) for child in node.children()]
+        child_total = sum(child.total_seconds for child in children
+                          if child is not None)
         return max(0.0, profile.total_seconds - child_total)
 
 
@@ -301,7 +307,7 @@ def _bind_scan(node, binder, outer, *args):
     """A leaf over ``node.table_name``: its columns follow the prefix."""
     schema = binder.table(node.table_name).schema
     layout = outer.extend(node.alias, schema.column_names())
-    return BoundNode(node, layout, *args)
+    return binder.bound(node, layout, *args)
 
 
 def _fetched(rows, row_ids, outer, stats, batch_size):
@@ -421,8 +427,8 @@ class Filter(PlanNode):
 
     def bind(self, binder, outer):
         child = self.child.bind(binder, outer)
-        return BoundNode(self, child.layout, child,
-                         self.predicate.bind(binder, child.layout))
+        return binder.bound(self, child.layout, child,
+                            self.predicate.bind(binder, child.layout))
 
     def batches(self, db, outer, stats, batch_size, child, predicate):
         for child_batch in child.iter_batches(db, outer, stats, batch_size):
@@ -468,7 +474,7 @@ class NestedLoopJoin(PlanNode):
     def bind(self, binder, outer):
         left = self.left.bind(binder, outer)
         right = self.right.bind(binder, left.layout)
-        return BoundNode(
+        return binder.bound(
             self, right.layout, left, right,
             _bind_condition(self.condition, binder, right.layout))
 
@@ -562,7 +568,7 @@ class StructuralJoin(PlanNode):
         desc = self.descendant.bind(binder, outer)
         anc = self.ancestor.bind(binder, outer)
         labels = (self.doc_column, self.start_column, self.end_column)
-        return BoundNode(
+        return binder.bound(
             self, desc.layout.join(anc.layout, outer),
             desc, anc,
             [desc.layout.slot(column, self.desc_alias)
@@ -650,7 +656,7 @@ class HashJoin(PlanNode):
         left = self.left.bind(binder, outer)
         right = self.right.bind(binder, outer)
         layout = left.layout.join(right.layout, outer)
-        return BoundNode(
+        return binder.bound(
             self, layout, left, right,
             self.left_key.bind(binder, left.layout),
             self.right_key.bind(binder, right.layout),
@@ -718,7 +724,7 @@ class HashLeftJoin(PlanNode):
     def bind(self, binder, outer):
         left = self.left.bind(binder, outer)
         right = self.right.bind(binder, outer)
-        return BoundNode(
+        return binder.bound(
             self, left.layout.join(right.layout, outer),
             left, right,
             tuple_of([expr.bind(binder, left.layout)
@@ -789,8 +795,8 @@ class Sort(PlanNode):
 
     def bind(self, binder, outer):
         child = self.child.bind(binder, outer)
-        return BoundNode(self, child.layout, child,
-                         *bind_order(binder, self.keys, child.layout))
+        return binder.bound(self, child.layout, child,
+                            *bind_order(binder, self.keys, child.layout))
 
     def batches(self, db, outer, stats, batch_size, child, key, directions):
         # this node is the sole consumer of the child's row stream, so
@@ -845,7 +851,7 @@ class Aggregate(PlanNode):
         accumulators, final = bind_aggregates(
             binder, self.outputs, child.layout, outer)
         names = [name for name, _ in (*self.group_by, *self.outputs)]
-        return BoundNode(
+        return binder.bound(
             self, outer.extend(self.alias, names), child,
             tuple_of([expr.bind(binder, child.layout)
                       for _, expr in self.group_by]),
@@ -914,8 +920,8 @@ class TopN(PlanNode):
 
     def bind(self, binder, outer):
         child = self.child.bind(binder, outer)
-        return BoundNode(self, child.layout, child,
-                         *bind_order(binder, self.keys, child.layout))
+        return binder.bound(self, child.layout, child,
+                            *bind_order(binder, self.keys, child.layout))
 
     def batches(self, db, outer, stats, batch_size, child, key, directions):
         count = self.count
@@ -950,7 +956,7 @@ class Limit(PlanNode):
 
     def bind(self, binder, outer):
         child = self.child.bind(binder, outer)
-        return BoundNode(self, child.layout, child)
+        return binder.bound(self, child.layout, child)
 
     def batches(self, db, outer, stats, batch_size, child):
         remaining = self.count
@@ -996,6 +1002,7 @@ class Query:
         batch_size)`` yields batches of the rows the ``outputs``
         closures evaluate against — the plan's rows, or for an aggregate
         query the single row carrying the accumulated state."""
+        binder.plans.append(self.plan)
         plan = self.plan.bind(binder, outer)
         accumulators, final = bind_aggregates(
             binder, self.outputs, plan.layout, outer)
@@ -1062,6 +1069,8 @@ class Query:
         stats = stats or ExecutionStats()
         start = time.perf_counter()
         binding, outer_row = self.runtime.get(self, db, env, stats.markup)
+        if stats.profiler is not None:
+            stats.profiler.attach(binding.observation)
         output = binding.output
         for batch in binding.source(db, outer_row, stats,
                                     batch_size or DEFAULT_BATCH_SIZE):
@@ -1264,19 +1273,3 @@ def _profile_note(plan, profile):
         profile.self_seconds(plan) * 1000.0,
         qnote,
     )
-
-
-def record_plan_metrics(query, profiler, metrics):
-    """Export a profiled execution's per-operator counters into an obs
-    :class:`~repro.obs.metrics.MetricsRegistry` —
-    ``plan.operator_rows{op=...}`` for every executed node."""
-    if profiler is None or metrics is None:
-        return
-    plan = query.plan if isinstance(query, Query) else query
-    for node in plan.iter_plan():
-        profile = profiler.get(node)
-        if profile is None:
-            continue
-        metrics.counter(
-            "plan.operator_rows", op=type(node).__name__
-        ).inc(profile.rows_out)

@@ -137,6 +137,8 @@ class ObjectRelationalStorage:
         self.bindings = {}       # id(decl) -> binding
         self.tables = []         # TableBinding, parents first
         self._doc_counter = 0
+        #: the schema half of :meth:`fingerprint`, once first asked for
+        self._schema_signature = None
         self._layout()
         self._create_tables()
         # Compiled once, never mutated: concurrent materialisations share it.
@@ -254,9 +256,13 @@ class ObjectRelationalStorage:
         those tables.  Creating a value index — which changes what plan
         the optimizer picks — changes the fingerprint, so the serving
         layer's plan cache misses instead of executing a stale plan.
+        The structural schema does not change after ``__init__`` (the
+        emit and shred programs rely on that too), so its signature is
+        derived once; the catalog half is read live on every call.
         """
-        parts = ["object-relational:%s" % self.name,
-                 _schema_signature(self.schema.root)]
+        if self._schema_signature is None:
+            self._schema_signature = _schema_signature(self.schema.root)
+        parts = ["object-relational:%s" % self.name, self._schema_signature]
         for table in self.tables:
             schema = self.db.table(table.table_name).schema
             parts.append("table:%s parent=%s cols=%s" % (

@@ -80,7 +80,8 @@ def _serve_transform(runtime, payload, trace_requests):
             payload.get("params"), tracer,
             "cluster.worker", worker=runtime.worker_id,
         )
-    return {"result": result.detached(), "spans": sink_spans(tracer)}
+    return {"result": result.detached(),
+            "spans": [span.to_dict() for span in sink_spans(tracer)]}
 
 
 def _worker_main(conn, worker_id, db, sources, factory, trace_requests,

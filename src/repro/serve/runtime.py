@@ -65,12 +65,13 @@ def request_tracer(enabled):
 
 
 def sink_spans(tracer):
-    """Flattened span records of a per-request tracer's in-memory sink
-    (empty when tracing is off)."""
+    """The finished spans in a per-request tracer's in-memory sink
+    (empty when tracing is off) — what the flight recorder keeps;
+    ``Span.to_dict`` renders one for a pipe."""
     for sink in tracer.sinks:
         spans = getattr(sink, "spans", None)
         if spans is not None:
-            return [span.to_dict() for span in spans]
+            return list(spans)
     return []
 
 
@@ -147,7 +148,7 @@ class ServeResult:
     def __getstate__(self):
         """The live span tree holds tracer handles (thread-locals) and
         is process-local, so only the trace *id* survives serialization
-        — the flight recorder keeps the span dicts."""
+        — the flight recorder keeps the spans."""
         state = {name: getattr(self, name) for name in self.__slots__}
         state["trace"] = None
         return state

@@ -30,6 +30,10 @@ class TestCoerce:
         assert opts.effective_rewrite() is True
         assert opts.deadline is None
 
+    def test_none_is_one_shared_instance(self):
+        # frozen, so every request without options can share it
+        assert TransformOptions.coerce(None) is TransformOptions.coerce(None)
+
     def test_instance_passes_through(self):
         opts = TransformOptions(strategy="functional")
         assert TransformOptions.coerce(opts) is opts

@@ -181,62 +181,55 @@ class TestRecordFeedbackMetrics:
             == feedback.missing_estimates
 
 
-class _FakeNode:
-    """Minimal plan node: iter_plan + the attributes feedback reads."""
-
-    def __init__(self, op, table, estimated_rows=None, children=()):
-        self._op = op
-        self.table_name = table
-        self.estimated_rows = estimated_rows
-        self.plan_node_id = None
-        self._children = children
-
-    @property
-    def op(self):
-        return self._op
-
-    def iter_plan(self):
-        yield self
-        for child in self._children:
-            yield from child.iter_plan()
+def _FakeNode(op, table, estimated_rows=None):
+    """A real scan whose estimate is stamped by hand; ``op`` is the name
+    ``_FakeProfiler`` keys its actuals by."""
+    node = Scan(table)
+    node.op = op
+    node.estimated_rows = estimated_rows
+    node.plan_node_id = None
+    return node
 
 
-class _FakePlan:
+class _FakePlan(Query):
+    """A real query over one hand-stamped node, bound against
+    ``make_db()`` so it has an observation table — which it leaves in
+    ``latest`` for the ``_FakeProfiler`` built next."""
+
+    latest = None
+
     def __init__(self, nodes):
-        self._nodes = nodes
+        (node,) = nodes
+        super().__init__(node, [("id", col("id", node.alias))])
+        binding, _ = self.runtime.get(self, make_db(), None, False)
+        _FakePlan.latest = binding.observation
 
-    def iter_plan(self):
-        for node in self._nodes:
-            yield from node.iter_plan()
 
-
-class _FakeProfiler:
-    """Maps op name -> rows_out (None = unprofiled)."""
-
-    class _Profile:
-        def __init__(self, rows):
-            self.rows_out = rows
+class _FakeProfiler(PlanProfiler):
+    """A real profiler over the latest ``_FakePlan``, its counters set
+    from op name -> rows_out (None = unprofiled) instead of by a run."""
 
     def __init__(self, rows_by_op):
-        self._rows = rows_by_op
-
-    def get(self, node):
-        rows = self._rows.get(getattr(node, "op", None))
-        if rows is None:
-            return None
-        return self._Profile(rows)
+        super().__init__()
+        self.attach(_FakePlan.latest)
+        for slot, node in enumerate(self.table.nodes):
+            rows = rows_by_op.get(node.op)
+            if rows is not None:
+                self.opens[slot] = 1
+                self.rows_out[slot] = rows
 
 
 class TestFakeNodeTypeName:
     def test_fake_op_is_class_name_surrogate(self):
-        # compute_plan_feedback names ops via type(node).__name__; the
-        # fakes above are all "_FakeNode", so tests that need distinct
-        # op names must use real plans.  This guards the assumption.
+        # the observation table names ops via type(node).__name__; the
+        # fakes above are real scans whatever ``op`` they were given, so
+        # tests that need distinct op names must use real plans.  This
+        # guards the assumption.
         feedback = compute_plan_feedback(
-            _FakePlan([_FakeNode("Scan", "t", estimated_rows=1.0)]),
-            _FakeProfiler({"Scan": 1}),
+            _FakePlan([_FakeNode("Filter", "t", estimated_rows=1.0)]),
+            _FakeProfiler({"Filter": 1}),
         )
-        assert feedback.nodes[0].op == "_FakeNode"
+        assert feedback.nodes[0].op == "Scan"
 
 
 class TestFeedbackPolicy:

@@ -8,7 +8,7 @@ from repro.obs.recorder import (
     FlightRecorder,
     stage_seconds,
 )
-from repro.obs.trace import new_trace_id
+from repro.obs.trace import Tracer, new_trace_id
 
 
 class TestRing:
@@ -230,3 +230,44 @@ class TestStageSeconds:
     def test_empty_and_none(self):
         assert stage_seconds([]) == {}
         assert stage_seconds(None) == {}
+
+
+class TestLazySpans:
+    """A record keeps the spans it was handed — finished ``Span``
+    objects, or the dicts a worker pipe delivered — and renders
+    ``spans`` / ``stages`` when read."""
+
+    @staticmethod
+    def _trace():
+        tracer = Tracer()
+        with tracer.span("xml_transform", rewrite=True) as root:
+            with tracer.span("compile.stylesheet"):
+                pass
+            with tracer.span("plan.execute") as span:
+                span.set_attr(output_rows=3)
+        return list(root.iter_spans())
+
+    def test_live_spans_and_their_dicts_render_the_same(self):
+        spans = self._trace()
+        recorder = FlightRecorder(clock=lambda: 12.5)
+        live = recorder.record("t1", spans=iter(spans), status="ok")
+        wire = recorder.record(
+            "t1", spans=[span.to_dict() for span in spans], status="ok")
+        assert live._spans == spans  # kept, not serialized
+        assert live.spans == wire.spans == [s.to_dict() for s in spans]
+        assert live.stages == wire.stages == stage_seconds(wire.spans)
+        assert set(live.stages) == {
+            "xml_transform", "compile.stylesheet", "plan.execute"}
+        as_live = live.as_dict(include_spans=True)
+        as_wire = wire.as_dict(include_spans=True)
+        assert as_live.pop("sequence") + 1 == as_wire.pop("sequence")
+        assert as_live == as_wire
+
+    def test_mixed_and_absent_spans(self):
+        spans = self._trace()
+        recorder = FlightRecorder()
+        mixed = recorder.record(
+            "t2", spans=spans[:1] + [span.to_dict() for span in spans[1:]])
+        assert mixed.spans == [span.to_dict() for span in spans]
+        bare = recorder.record("t3")
+        assert bare.spans == [] and bare.stages == {}

@@ -70,6 +70,24 @@ class TestStorageFingerprint:
         storage.create_value_index("sal")
         assert storage.fingerprint() != before
 
+    def test_schema_half_is_derived_once_catalog_half_stays_live(
+            self, monkeypatch):
+        from repro.rdb import storage as storage_module
+
+        derived = []
+        derive = storage_module._schema_signature
+        monkeypatch.setattr(
+            storage_module, "_schema_signature",
+            lambda decl, *seen: derived.append(decl) or derive(decl, *seen))
+        db, storage = make_storage()
+        first = storage.fingerprint()
+        assert storage.fingerprint() == first
+        storage.create_value_index("sal")
+        indexed = storage.fingerprint()
+        db.analyze()
+        assert len({first, indexed, storage.fingerprint()}) == 3
+        assert derived.count(storage.schema.root) == 1
+
     def test_table_name_changes_fingerprint(self):
         _, s1 = make_storage(table="xd")
         _, s2 = make_storage(table="other")
