@@ -64,7 +64,7 @@ def main():
         warm = results[0]
         print()
         print("cache-hit report (no compile stages in the trace):")
-        print(warm.transform.report())
+        print(warm.report())
         print()
         print("cache-hit EXPLAIN REWRITE (ledger preserved from compile):")
         print(warm.explain().render())

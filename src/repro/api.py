@@ -22,6 +22,7 @@ accounting) is identical whichever door a caller uses::
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, replace as _dc_replace
 
 from repro.core.transform import (
@@ -91,7 +92,7 @@ class TransformOptions:
     :param deadline: per-request deadline in seconds
         (:class:`repro.serve.TransformService` only — enforced at
         dequeue time, so ``0`` always times out, and between row batches
-        while the plan executes).  Must be >= 0.
+        while the plan executes, streamed or not).  Must be >= 0.
     :param batch_size: how many rows the plan's operators hand over
         at once.  None means ``DEFAULT_BATCH_SIZE`` at every door
         (``transform``, ``execute``, ``transform_stream``, serving); it
@@ -254,18 +255,9 @@ class Engine:
         failed rewrite returns a functional-strategy
         :class:`~repro.core.transform.CompiledTransform` carrying the
         categorized error (negative caching)."""
-        opts = TransformOptions.coerce(options)
-        return self._compile(self.db, source, stylesheet, opts,
-                             opts.effective_rewrite())
-
-    def _compile(self, db, source, stylesheet, opts, rewrite):
-        return _compile_impl(
-            db, source, stylesheet, rewrite,
-            options=opts.rewrite_options,
-            tracer=self.tracer, metrics=self.metrics,
-            optimizer_level=opts.optimizer_level,
-            decorrelate=opts.decorrelate,
-        )
+        return _compile_impl(self.db, source, stylesheet,
+                             TransformOptions.coerce(options), self.tracer,
+                             self.metrics)
 
     # -- execute ------------------------------------------------------------------
 
@@ -290,54 +282,53 @@ class Engine:
         return result
 
     def _open(self, door, root, db, source, stylesheet, opts, params,
-              plans=None, **door_options):
-        """What every one-shot door does under its root span: rewrite
-        unless ``params`` are given (a plan cannot bind them), count the
-        attempt, compile — once per source shape, given
-        :meth:`transform_many`'s ``plans`` memo — and open ``door`` over
-        the artifact."""
-        rewrite = opts.effective_rewrite() and not params
-        key = source_fingerprint(source) \
-            if rewrite and plans is not None else None
-        compiled = plans.get(key) if key is not None else None
-        if compiled is None:
-            if rewrite:
+              plans=None, deadline=None):
+        """What every door that is handed a stylesheet does — the three
+        here, the serving tier's three: go functional when ``params``
+        are given (a plan cannot bind them), get the plan from ``plans``
+        — a plan source ``(source, stylesheet, opts, build, tracer) ->
+        (compiled, tier)``: :meth:`transform_many`'s memo, a serving
+        ``PlanRuntime``'s two tiers; None compiles — counting the
+        attempt when ``build`` runs, and open ``door`` over it with
+        the options whole."""
+        started = time.perf_counter()
+        if params and opts.effective_rewrite():
+            opts = opts.replace(strategy=STRATEGY_FUNCTIONAL)
+
+        def build():
+            if opts.effective_rewrite():
                 self.metrics.counter("transform.rewrite_attempts").inc()
-            compiled = self._compile(db, source, stylesheet, opts, rewrite)
-            if key is not None:
-                plans[key] = compiled
-        view = self._run(door, root, db, source, compiled, opts, params,
-                         **door_options)
+            return _compile_impl(db, source, stylesheet, opts, self.tracer,
+                                 self.metrics)
+
+        compiled, tier = (build(), None) if plans is None \
+            else plans(source, stylesheet, opts, build, self.tracer)
+        view = door(db, source, compiled, opts, params, self.tracer,
+                    self.metrics, root, deadline, started)
+        view.run.cache_tier = tier
         if root:
             view.run.trace = root
         return view
 
-    def _run(self, door, root, db, source, compiled, opts, params,
-             **door_options):
-        return door(
-            db, source, compiled, params=params, tracer=self.tracer,
-            metrics=self.metrics, root=root, profile_plan=opts.profile_plan,
-            batch_size=opts.batch_size, feedback=opts.feedback,
-            **door_options
-        )
-
     def _record(self, root, view):
-        """Flight-record one finished (drained) one-shot transform."""
-        if self.recorder is not None and root:
-            self.recorder.record(
-                root.trace_id, name="xml_transform",
-                status="ok" if view.fallback_reason is None else "fallback",
-                total_seconds=root.duration,
-                spans=root.iter_spans(),
-                **transform_fields(view)
-            )
+        """One finished (drained) one-shot transform: total it, record it."""
+        if root:
+            view.run.total_seconds = root.duration
+            if self.recorder is not None:
+                self.recorder.record(
+                    root.trace_id, name="xml_transform",
+                    status="ok" if view.fallback_reason is None
+                    else "fallback",
+                    spans=root.iter_spans(), **transform_fields(view)
+                )
 
     def execute(self, source, compiled, options=None, params=None):
         """Run one request over a pre-compiled artifact from
         :meth:`compile` (what the serving layer pays per cache hit): no
         root span, no flight record."""
-        return self._run(execute_compiled, None, self.db, source, compiled,
-                         TransformOptions.coerce(options), params)
+        return execute_compiled(self.db, source, compiled,
+                                TransformOptions.coerce(options), params,
+                                self.tracer, self.metrics)
 
     # -- serve --------------------------------------------------------------------
 
@@ -388,8 +379,7 @@ class Engine:
         with self.tracer.span("xml_transform",
                               rewrite=opts.effective_rewrite()) as root:
             stream = self._open(execute_compiled_stream, root, self.db,
-                                source, stylesheet, opts, params,
-                                chunk_chars=opts.chunk_chars)
+                                source, stylesheet, opts, params)
             chunks = stream.chunks  # the caller points stream.chunks here
             yield stream
             yield from chunks
@@ -410,7 +400,15 @@ class Engine:
         :meth:`transform` calls."""
         opts = TransformOptions.coerce(options)
         stylesheet = _stylesheet(stylesheet, self.tracer)
-        plans, results = {}, []
+        memo, results = {}, []
+
+        def plans(source, stylesheet, opts, build, tracer):
+            key = source_fingerprint(source)
+            if key in memo:
+                return memo[key], "l1"
+            memo[key] = compiled = build()
+            return compiled, "miss"
+
         for entry in sources:
             db, source = entry if isinstance(entry, tuple) \
                 else (self.db, entry)

@@ -67,7 +67,7 @@ class RewriteOutcome:
 def _resolve_rewrite_options(options):
     """Normalize the rewriter's options: None → defaults, RewriteOptions
     → as-is, and the unified :class:`repro.api.TransformOptions` →
-    its resolved rewrite options."""
+    its ``rewrite_options``."""
     if options is None:
         return RewriteOptions()
     if isinstance(options, RewriteOptions):
@@ -77,7 +77,7 @@ def _resolve_rewrite_options(options):
     from repro.api import TransformOptions
 
     if isinstance(options, TransformOptions):
-        return options.resolved_rewrite_options() or RewriteOptions()
+        return options.rewrite_options or RewriteOptions()
     raise TypeError(
         "options must be a RewriteOptions, TransformOptions or None, "
         "not %r" % type(options).__name__

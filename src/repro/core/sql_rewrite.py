@@ -37,6 +37,25 @@ def _filtered(plan, conditions):
     return Filter(plan, predicate)
 
 
+def _is_number(expr):
+    """Statically a number: a declared-numeric column, a numeric literal."""
+    return getattr(expr, "numeric", False) or (
+        isinstance(expr, sqle.Const) and type(expr.value) in (int, float))
+
+
+def _number(expr):
+    """``expr`` where XPath wants a number: cast unless statically one."""
+    return expr if _is_number(expr) else sqle.FuncCall("NUMBER", [expr])
+
+
+def _sort_key(key):
+    """A numeric sort key that had to be cast: NaN becomes NULL (``k = k``
+    fails only for NaN), which sorts where ``xsl:sort`` puts a non-number."""
+    if isinstance(key, sqle.FuncCall) and key.name == "NUMBER":
+        return sqle.CaseWhen([(sqle.BinOp("=", key, key), key)])
+    return key
+
+
 class SqlRewriter:
     """Rewrites one XQuery module against one XMLType view."""
 
@@ -196,7 +215,8 @@ class SqlRewriter:
             order_specs = list(target.order_by)
             if order_by is not None:
                 order_specs = [
-                    (self._scalar(spec.expr, inner_env), spec.descending)
+                    (_sort_key(self._scalar(spec.expr, inner_env)),
+                     spec.descending)
                     for spec in order_by.specs
                 ]
             plan = _filtered(target.plan, target.conditions)
@@ -295,12 +315,12 @@ class SqlRewriter:
         if name == "string-join":
             return self._string_join(expr, env)
         if name == "normalize-space" and len(expr.args) == 1:
-            # storage-backed text has no markup whitespace; keep verbatim
-            return self._scalar(expr.args[0], env)
+            return sqle.FuncCall("NORMALIZE_SPACE",
+                                 [self._scalar(expr.args[0], env)])
         if name == "string-length":
             return sqle.FuncCall("LENGTH", [self._scalar(expr.args[0], env)])
         if name == "number" and expr.args:
-            return self._scalar(expr.args[0], env)
+            return _number(self._scalar(expr.args[0], env))
         if name in ("name", "local-name") and len(expr.args) == 1:
             target = self._resolve(expr.args[0], env)
             if isinstance(target, _ElementTarget):
@@ -325,7 +345,8 @@ class SqlRewriter:
                     raise RewriteError(
                         "%s() needs a leaf path" % name
                     )
-                aggregate = sqlxml.AggCall(agg_name, target.leaf_expr)
+                aggregate = sqlxml.AggCall(agg_name,
+                                           _number(target.leaf_expr))
             subquery = sqle.ScalarSubquery(Query(plan, [(None, aggregate)]))
             if agg_name == "SUM":
                 # XPath sum() of an empty node-set is 0; SQL SUM is NULL.
@@ -426,11 +447,13 @@ class SqlRewriter:
         if isinstance(expr, xp.BinaryOp):
             if expr.op in ("=", "!=", "<", "<=", ">", ">="):
                 op = "<>" if expr.op == "!=" else expr.op
-                return sqle.BinOp(
-                    op,
-                    self._scalar(expr.left, env),
-                    self._scalar(expr.right, env),
-                )
+                left = self._scalar(expr.left, env)
+                right = self._scalar(expr.right, env)
+                if op not in ("=", "<>") and not (
+                        _is_number(left) or _is_number(right)):
+                    # XPath orders numbers only (against one, BinOp converts)
+                    left, right = _number(left), _number(right)
+                return sqle.BinOp(op, left, right)
             if expr.op in ("and", "or"):
                 return sqle.BinOp(
                     expr.op.upper(),

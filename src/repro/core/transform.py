@@ -15,18 +15,18 @@ speedup).
 — one item list per XMLType instance — pulled from the optimized plan
 (``_plan_rows``, under a ``plan.execute`` span) or from the XSLT VM over
 materialised documents (``_vm_rows``, ``functional.execute``), with one
-loud functional retry (``_fallback_rows``: failure phase, ``compile`` vs
-``execute``, stage and categorized reason land on the record, in the
-``transform.fallback`` counter and in a ``repro.obs`` warning — never a
-silent fallback).  :func:`execute_compiled` is ``list(rows)`` behind a
-:class:`TransformResult`; :func:`execute_compiled_stream` renders and
-coalesces the same rows into the chunks of a :class:`TransformStream`.
-All a door owns is its answer to "has the consumer seen output yet?"
-when the plan fails mid-run.  Both views read through to one
-:class:`Execution` record, so ``explain()``, ``report()`` and the flight
-recorder see the same thing whichever door ran; the one-shot doors of
-:class:`repro.api.Engine` put an ``xml_transform`` root span around
-compile and run.
+loud functional retry (``_fallback_rows``: failure phase, stage and
+categorized reason land on the record, in the ``transform.fallback``
+counter and in a ``repro.obs`` warning — never a silent fallback).
+:func:`execute_compiled` is ``list(rows)`` behind a
+:class:`TransformResult`; :func:`execute_compiled_stream` coalesces the
+same rows into the chunks of a :class:`TransformStream`.  All a door
+owns is its answer to "has the consumer seen output yet?" when the plan
+fails mid-run.  Every view reads through to one :class:`Execution`
+record, so ``explain()``, ``report()`` and the flight recorder see the
+same thing whichever of the seven doors ran (:class:`repro.api.Engine`'s
+four and the serving tier's three all open the run through
+``Engine._open``).
 
 Sources may be an XMLType view :class:`~repro.rdb.plan.Query` /
 :class:`~repro.rdb.database.View`, an
@@ -36,7 +36,6 @@ Sources may be an XMLType view :class:`~repro.rdb.plan.Query` /
 
 from __future__ import annotations
 
-import copy
 import itertools
 import logging
 import operator
@@ -45,7 +44,7 @@ import time
 from repro.errors import RewriteError
 from repro.obs import NULL_SPAN, get_tracer, global_metrics, render_tree
 from repro.obs.decisions import DecisionLedger
-from repro.obs.feedback import observe_profile
+from repro.obs.feedback import PlanFeedback, observe_profile
 from repro.obs.trace import current_trace_id
 from repro.rdb.database import View
 from repro.rdb.plan import ExecutionStats, PlanProfiler, Query
@@ -72,17 +71,19 @@ _LOG = logging.getLogger("repro.obs")
 
 
 class Execution:
-    """The record of one execution — what both views of a run
-    (:class:`TransformResult`, :class:`TransformStream`) read through
-    to, and what EXPLAIN, ``report()`` and the flight recorder are
-    defined over.  On a streamed run it is *live*: ``stats`` counters
-    grow while chunks are consumed and — like ``strategy`` and the
-    fallback fields, which an execute-phase fallback may still change
-    before the first chunk — are final once the stream is exhausted."""
+    """The record of one execution — what every view of a run
+    (:class:`TransformResult`, :class:`TransformStream`, the serving
+    ``ServeResult``) reads through to, and what EXPLAIN, ``report()``
+    and the flight recorder are defined over.  On a streamed run it is
+    *live*: ``stats`` counters grow while chunks are consumed and — like
+    ``strategy`` and the fallback fields, which an execute-phase fallback
+    may still change before the first chunk — are final when it ends."""
 
     __slots__ = ("strategy", "stats", "outcome", "ledger", "fallback_reason",
                  "fallback_phase", "fallback_category", "executed_query",
-                 "plan_profile", "vm_stats", "feedback", "trace", "trace_id")
+                 "plan_profile", "vm_stats", "feedback", "trace", "trace_id",
+                 "cache_tier", "queue_wait_seconds", "execute_seconds",
+                 "total_seconds", "worker", "stats_version")
 
     def __init__(self, strategy, stats=None, outcome=None, ledger=None):
         #: STRATEGY_SQL or STRATEGY_FUNCTIONAL
@@ -116,39 +117,69 @@ class Execution:
         #: the trace this execution was opened under (None outside any)
         #: — the key ``/debug/trace/<id>`` looks up
         self.trace_id = current_trace_id()
+        #: where the plan came from: "l1" (an in-memory cache), "l2"
+        #: (the shared disk tier), "miss" (compiled for this request) or
+        #: None (the door asked no cache)
+        self.cache_tier = None
+        #: the door's time on the request, at every door: plan lookup or
+        #: compile, then the run to its last row; no queue, no transport
+        self.execute_seconds = None
+        #: admission to response and the part of it spent queued (the
+        #: serving tier's; a one-shot door's total is its root span's),
+        #: the serving worker's index, the statistics version run under
+        self.queue_wait_seconds = self.total_seconds = None
+        self.worker = self.stats_version = None
 
     def __getstate__(self):
-        """Records cross process boundaries (the cluster tier returns
-        them from worker processes); live spans hold tracer handles and
-        the plan profiler resolves nodes through its binding's
-        observation table — both are process-local, so they are shed
-        rather than serialized."""
-        state = {name: getattr(self, name) for name in self.__slots__}
-        state["trace"] = state["plan_profile"] = None
-        stats = self.stats
-        if stats is not None and stats.profiler is not None:
-            stats = state["stats"] = copy.copy(stats)
-            stats.profiler = None
-        return state
+        """The wire form a worker process ships back, as plain values:
+        the facts and counters (``stats``, the Q-error verdict without
+        its nodes), not the plan — ``outcome``, ``ledger`` and
+        ``executed_query`` stay where it lives (~14 KB and ~0.9 ms a
+        reply otherwise), live spans and the profiler are process-local."""
+        stats, feedback = self.stats, self.feedback
+        return _wire_values(self) + (
+            None if stats is None else _stat_values(stats),
+            None if feedback is None else feedback.verdict())
 
     def __setstate__(self, state):
-        for name in self.__slots__:
-            setattr(self, name, state.get(name))
+        self.__init__(None)
+        *facts, stats, feedback = state
+        for name, value in zip(_WIRE, facts):
+            setattr(self, name, value)
+        if stats is not None:
+            self.stats = ExecutionStats()
+            for name, value in zip(ExecutionStats._FIELDS, stats):
+                setattr(self.stats, name, value)
+        if feedback is not None:
+            self.feedback = PlanFeedback.from_verdict(feedback)
+
+
+#: the plain facts of the wire form (``stats`` and ``feedback`` follow)
+_WIRE = ("strategy", "fallback_reason", "fallback_phase", "fallback_category",
+         "vm_stats", "trace_id", "cache_tier", "queue_wait_seconds",
+         "execute_seconds", "total_seconds", "worker", "stats_version")
+_wire_values = operator.attrgetter(*_WIRE)
+_stat_values = operator.attrgetter(*ExecutionStats._FIELDS)
 
 
 class _ExecutionView:
-    """What the two views share: every :class:`Execution` field as a
-    read-through attribute, plus the report and EXPLAIN built on them."""
+    """What the views of a run share: every :class:`Execution` field as
+    a read-through attribute, plus the report and EXPLAIN built on them
+    (over a record that crossed a pipe: on what crossed)."""
 
     __slots__ = ()
 
+    @property
+    def cache_hit(self):
+        """A cache tier supplied the plan (None: no cache was asked)."""
+        tier = self.cache_tier
+        return None if tier is None else tier != "miss"
+
     def report(self):
         """Human-readable summary of how this one call ran: the sections
-        of :meth:`explain` without the decision ledger — strategy,
-        fallback, the executed plan with its EXPLAIN ANALYZE actuals,
-        execution statistics, Q-error — each rendered once, then what
-        only the call knows: fallback category, VM counters, the span
-        tree with timings."""
+        of :meth:`explain` without the decision ledger, each rendered
+        once, then what only the call knows: fallback category, VM
+        counters, the span tree with timings."""
         lines = [self.explain(include_decisions=False).render()]
         if self.fallback_category:
             lines.append("fallback-category: %s" % self.fallback_category)
@@ -163,14 +194,13 @@ class _ExecutionView:
         return "\n".join(lines)
 
     def explain(self, include_decisions=True):
-        """This call's :class:`~repro.obs.explain.ExplainReport` — the
-        structured EXPLAIN surface: strategy, rewrite-decision ledger
-        (rendered as a tree and interleaved into the plan at the ``#n``
-        node each XQuery fragment landed in; ``include_decisions=False``
-        leaves it out), optimized plan with estimates (and EXPLAIN
-        ANALYZE actuals when the plan was profiled), execution stats and
-        Q-error feedback, with ``.render()``/``str()`` for the text and
-        ``.to_json()`` for the structured form."""
+        """This call's :class:`~repro.obs.explain.ExplainReport`:
+        strategy, rewrite-decision ledger (a tree, interleaved into the
+        plan at the ``#n`` node each XQuery fragment landed in;
+        ``include_decisions=False`` leaves it out), optimized plan with
+        estimates (EXPLAIN ANALYZE actuals when profiled), execution
+        stats and Q-error feedback; ``.render()``/``str()`` for the
+        text, ``.to_json()`` for the structured form."""
         from repro.obs.explain import ExplainReport
 
         return ExplainReport(
@@ -219,10 +249,9 @@ class TransformStream(_ExecutionView):
     call.  ``text()`` drains the stream and returns the whole output.
     """
 
-    __slots__ = ("compiled", "run", "chunks")
+    __slots__ = ("run", "chunks")
 
-    def __init__(self, compiled, run, chunks):
-        self.compiled = compiled
+    def __init__(self, run, chunks):
         self.run = run
         #: the chunk iterator; a door that wraps the drain (to trace or
         #: record it) replaces it
@@ -363,45 +392,43 @@ def _stylesheet(stylesheet, tracer):
         return compile_stylesheet(stylesheet)
 
 
-def _compile_impl(db, source, stylesheet, rewrite=True, options=None,
-                  tracer=None, metrics=None, optimizer_level=None,
-                  decorrelate=True):
+def _compile_impl(db, source, stylesheet, options, tracer, metrics):
     """The compile worker behind :meth:`repro.api.Engine.compile`.
 
     Compiles the stylesheet (when given as markup) and — unless
-    ``rewrite`` is False, which stops there with a functional-strategy
-    artifact — runs the three rewrite stages, optimizes the merged plan
-    against ``db`` at ``optimizer_level`` (None = the planner default)
-    and resolves the decision ledger's provenance into the optimized
-    plan.  ``options`` is a resolved
-    :class:`~repro.core.xquery_gen.RewriteOptions` (or None);
-    ``decorrelate`` gates the correlated-subquery unnesting pass ahead of
-    the cost optimizer.
+    ``options`` (a :class:`repro.api.TransformOptions`, whole) ask for
+    the functional strategy, which stops there — runs the three rewrite
+    stages, optimizes the merged plan against ``db`` at
+    ``options.optimizer_level`` (``decorrelate`` gates the unnesting
+    pass ahead of the cost optimizer) and resolves the decision ledger's
+    provenance into the optimized plan.
     """
-    tracer = tracer or get_tracer()
-    metrics = metrics or global_metrics()
     stylesheet = _stylesheet(stylesheet, tracer)
-    if not rewrite:
+    if not options.effective_rewrite():
         return CompiledTransform(stylesheet, STRATEGY_FUNCTIONAL)
+    rewrite_options = options.rewrite_options
     # Created before compiling so that on a failed rewrite the artifact
     # still carries the decisions made before the failure point.
     ledger = DecisionLedger()
     try:
         view_query = _view_query(source)
-        rewriter = XsltRewriter(options, tracer=tracer, metrics=metrics,
-                                ledger=ledger)
+        rewriter = XsltRewriter(rewrite_options, tracer=tracer,
+                                metrics=metrics, ledger=ledger)
         outcome = rewriter.rewrite_view(stylesheet, view_query)
         with tracer.span("compile.optimize"):
-            query = db.optimize(outcome.sql_query, level=optimizer_level,
-                                ledger=ledger, decorrelate=decorrelate)
+            query = db.optimize(outcome.sql_query,
+                                level=options.optimizer_level, ledger=ledger,
+                                decorrelate=options.decorrelate)
             # re-resolve decision provenance against the *optimized* plan
             # (the one explain() renders and execution profiles)
             ledger.attach_plan(query)
     except RewriteError as exc:
         return CompiledTransform(stylesheet, STRATEGY_FUNCTIONAL,
-                                 ledger=ledger, error=exc, options=options)
+                                 ledger=ledger, error=exc,
+                                 options=rewrite_options)
     return CompiledTransform(stylesheet, STRATEGY_SQL, outcome=outcome,
-                             query=query, ledger=ledger, options=options)
+                             query=query, ledger=ledger,
+                             options=rewrite_options)
 
 
 def xml_transform(db, source, stylesheet, options=None, params=None,
@@ -496,8 +523,8 @@ def _observe(db, compiled, profiler, metrics, feedback):
 # -- the run ----------------------------------------------------------------------
 
 
-def _start(db, source, compiled, params, tracer, metrics, root,
-           profile_plan, batch_size, feedback, deadline):
+def _start(db, source, compiled, options, params, tracer, metrics, root,
+           deadline):
     """Open one run over ``compiled``: ``(run, rows, retry)``.
 
     ``run`` is the :class:`Execution` record, ``rows`` the generator of
@@ -508,6 +535,10 @@ def _start(db, source, compiled, params, tracer, metrics, root,
     bind them); an artifact whose compile fell back replays its recorded
     error, loudly, on every execution.
     """
+    if options is None:
+        from repro.api import TransformOptions
+
+        options = TransformOptions.coerce(None)
     tracer = tracer or get_tracer()
     metrics = metrics or global_metrics()
     run = Execution(compiled.strategy, outcome=compiled.outcome,
@@ -518,8 +549,8 @@ def _start(db, source, compiled, params, tracer, metrics, root,
                               run, tracer, metrics, root)
 
     if compiled.is_rewritten and not params:
-        rows = _plan_rows(db, compiled, run, tracer, metrics, profile_plan,
-                          batch_size, feedback, deadline)
+        rows = _plan_rows(db, compiled, run, tracer, metrics, options,
+                          deadline)
     elif compiled.error is not None:
         rows = retry(compiled.error)
     else:
@@ -527,9 +558,10 @@ def _start(db, source, compiled, params, tracer, metrics, root,
     return run, rows, retry
 
 
-def _plan_rows(db, compiled, run, tracer, metrics, profile_plan, batch_size,
-               feedback, deadline):
-    """One item list per output row of the artifact's optimized plan.
+def _plan_rows(db, compiled, run, tracer, metrics, options, deadline):
+    """One item list per output row of the artifact's optimized plan,
+    run the way ``options`` says (``profile_plan``, ``batch_size``,
+    ``feedback``) and no later than the absolute ``deadline``.
 
     Exhausting it counts the rewrite success and folds the profile once
     (per-operator metrics, Q-error feedback loop); a consumer that stops
@@ -542,13 +574,13 @@ def _plan_rows(db, compiled, run, tracer, metrics, profile_plan, batch_size,
         # the front door renders text: no result DOM on the rewrite path
         stats.markup = True
         profiler = None
-        if profile_plan and tracer.enabled:
+        if options.profile_plan and tracer.enabled:
             profiler = stats.profiler = PlanProfiler()
         run.executed_query = query
         run.plan_profile = profiler
         try:
-            for batch in query.execute_batches(db, stats=stats,
-                                               batch_size=batch_size):
+            for batch in query.execute_batches(
+                    db, stats=stats, batch_size=options.batch_size):
                 for row in batch:
                     yield row_items(row[0])
         except RewriteError as exc:
@@ -567,7 +599,8 @@ def _plan_rows(db, compiled, run, tracer, metrics, profile_plan, batch_size,
     metrics.counter("transform.rewrite_success").inc()
     metrics.histogram("plan.execute_seconds").record(stats.elapsed_seconds)
     if profiler is not None:
-        run.feedback = _observe(db, compiled, profiler, metrics, feedback)
+        run.feedback = _observe(db, compiled, profiler, metrics,
+                                options.feedback)
 
 
 def _vm_rows(db, source, stylesheet, params, run, tracer):
@@ -654,60 +687,59 @@ def _wrap_document(value):
 # -- the two doors ----------------------------------------------------------------
 
 
-def execute_compiled(db, source, compiled, params=None, tracer=None,
-                     metrics=None, profile_plan=True, root=None,
-                     batch_size=None, feedback=True, deadline=None):
+def execute_compiled(db, source, compiled, options=None, params=None,
+                     tracer=None, metrics=None, root=None, deadline=None,
+                     started=None):
     """Execute one request over a :class:`CompiledTransform`; returns a
     :class:`TransformResult`.
 
     The SQL strategy runs the cached optimized plan; an execute-phase
     :class:`RewriteError` retries functionally with the categorized
-    fallback accounting of :func:`xml_transform`.  A compile-time
-    fallback artifact replays its recorded error (counter + warning +
-    result annotations) and evaluates functionally.  ``root`` is the span
-    fallback attributes land on (defaults to the tracer's current span).
-    ``batch_size`` is how many rows the plan's operators hand over at
-    once (None: ``DEFAULT_BATCH_SIZE``); it never changes the result.
-    ``feedback=False`` skips the post-execution Q-error observation.
-    ``deadline`` is an absolute ``time.perf_counter()`` instant: plan
-    execution past it stops between batches with
-    :class:`~repro.errors.DeadlineExceededError` (the serving tier's
-    request deadline; None: never).
+    fallback accounting of :func:`xml_transform`, and a compile-time
+    fallback artifact replays its recorded error the same way.
+    ``options`` is the request's coerced
+    :class:`repro.api.TransformOptions` (None: the defaults), handed
+    over whole — the run reads ``profile_plan``, ``batch_size`` and
+    ``feedback`` off it, so no door can drop one.  ``root`` is the span
+    fallback attributes land on (default: the tracer's current span).
+    ``deadline`` and ``started`` are absolute ``time.perf_counter()``
+    instants: past the first, plan execution stops between batches with
+    :class:`~repro.errors.DeadlineExceededError` (None: never);
+    ``run.execute_seconds`` counts from the second, when the door's work
+    on the request began (None: now).
     """
-    run, rows, retry = _start(db, source, compiled, params, tracer, metrics,
-                              root, profile_plan, batch_size, feedback,
-                              deadline)
+    started = started or time.perf_counter()
+    run, rows, retry = _start(db, source, compiled, options, params, tracer,
+                              metrics, root, deadline)
     try:
         rows = list(rows)
     except RewriteError as exc:
         # no row has left this call: drop the plan's, answer functionally
         rows = list(retry(exc))
+    run.execute_seconds = time.perf_counter() - started
     return TransformResult(rows, run=run)
 
 
-def execute_compiled_stream(db, source, compiled, params=None, tracer=None,
-                            metrics=None, profile_plan=True, root=None,
-                            batch_size=None, chunk_chars=None,
-                            feedback=True):
+def execute_compiled_stream(db, source, compiled, options=None, params=None,
+                            tracer=None, metrics=None, root=None,
+                            deadline=None, started=None):
     """The streaming door of the run :func:`execute_compiled`
-    materialises: returns a :class:`TransformStream` yielding serialized
-    output chunks as its consumer pulls them.
+    materialises — same parameters — returning a
+    :class:`TransformStream` of serialized output chunks.
 
-    On the SQL strategy the rows arrive a batch at a time from the
-    optimized plan (``batch_size`` rows per batch, None:
-    ``DEFAULT_BATCH_SIZE``) already rendered as text — no result DOM is
-    ever built (``stats.docs_materialized`` stays 0) — and the coalescer
-    holds at most ``chunk_chars`` characters of output at once, tracked
-    in ``stats.peak_buffered_bytes``.  A :class:`RewriteError` raised
-    before the first chunk was emitted falls back to the functional
-    strategy with the categorized accounting of :func:`xml_transform`;
-    after the first chunk it propagates (output was already sent).  The
-    functional strategy streams per transformed document, which still
-    materializes each source DOM first.
+    On the SQL strategy the rows arrive a batch at a time from the plan
+    already rendered as text — no result DOM (``stats.docs_materialized``
+    stays 0) — and the coalescer holds at most ``options.chunk_chars``
+    characters at once (``stats.peak_buffered_bytes``).  A
+    :class:`RewriteError` before the first chunk falls back functionally
+    with the categorized accounting of :func:`xml_transform`; after it,
+    it propagates (output was already sent).  The functional strategy
+    streams per transformed document, materializing each source DOM.
     """
-    run, rows, retry = _start(db, source, compiled, params, tracer, metrics,
-                              root, profile_plan, batch_size, feedback, None)
-    chunk_chars = chunk_chars or DEFAULT_CHUNK_CHARS
+    started = started or time.perf_counter()
+    run, rows, retry = _start(db, source, compiled, options, params, tracer,
+                              metrics, root, deadline)
+    chunk_chars = getattr(options, "chunk_chars", None) or DEFAULT_CHUNK_CHARS
 
     def chunks():
         emitted = False
@@ -721,8 +753,9 @@ def execute_compiled_stream(db, source, compiled, params=None, tracer=None,
                 # switch would corrupt it.  Let the caller handle the error.
                 raise
             yield from _coalesce(retry(exc), run, chunk_chars)
+        run.execute_seconds = time.perf_counter() - started
 
-    return TransformStream(compiled, run, chunks())
+    return TransformStream(run, chunks())
 
 
 def _coalesce(rows, run, chunk_chars):

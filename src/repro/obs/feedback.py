@@ -179,6 +179,17 @@ class PlanFeedback:
         for name in self.__slots__:
             setattr(self, name, state[name])
 
+    def verdict(self):
+        """What the loop decided, as plain values: a run's wire form."""
+        return (self.missing_estimates, self.max_q_error, self.triggered,
+                self.actions, self.stats_version)
+
+    @classmethod
+    def from_verdict(cls, verdict):
+        lean = cls((), verdict[0], verdict[1], None)  # no nodes crossed
+        lean.triggered, lean.actions, lean.stats_version = verdict[2:]
+        return lean
+
     def offending(self, threshold):
         """Nodes whose Q-error meets ``threshold``."""
         return [node for node in self.nodes
@@ -197,8 +208,9 @@ class PlanFeedback:
             lines.append("q-error: no estimates to judge "
                          "(%d node(s) profiled)" % len(self))
         else:
-            lines.append("q-error max=%s at %s" % (
-                format_qerror(self.max_q_error), self.worst.describe()))
+            lines.append("q-error max=%s" % format_qerror(self.max_q_error)
+                         + (" at %s" % self.worst.describe()
+                            if len(self) else ""))  # a verdict has no nodes
         for node in self.nodes:
             lines.append("  %s" % node.describe())
         if self.missing_estimates:

@@ -52,20 +52,24 @@ def stage_seconds(spans):
 
 def transform_fields(view):
     """The :meth:`FlightRecorder.record` fields a finished transform
-    supplies, read off its execution record through either view
-    (:class:`~repro.core.transform.TransformResult` or a drained
-    :class:`~repro.core.transform.TransformStream`) — strategy,
-    fallback, row count, execution time, Q-error verdict, and the lazy
-    slow-request diagnosis: the full report (EXPLAIN ANALYZE, stats,
-    Q-error, span tree) plus EXPLAIN REWRITE (the decision tree, each
-    decision naming its plan node), every section rendered once."""
+    supplies, read off its one execution record through whichever view
+    the door returned (``TransformResult``, a drained
+    ``TransformStream``, a ``ServeResult`` from either backend) —
+    strategy, fallback, cache outcome, row count, the three timings,
+    Q-error verdict, and the lazy slow-request diagnosis: the full
+    report (EXPLAIN ANALYZE, stats, Q-error, span tree) plus EXPLAIN
+    REWRITE (the decision tree, each decision naming its plan node),
+    every section rendered once — over a record that crossed a worker
+    pipe, the sections that crossed (strategy, fallback, stats)."""
     stats, feedback = view.stats, view.feedback
     return dict(
         strategy=view.strategy,
         fallback_category=view.fallback_category,
+        cache_hit=view.cache_hit,
         rows=stats.output_rows if stats is not None else None,
-        execute_seconds=(stats.elapsed_seconds
-                         if stats is not None else None),
+        queue_wait_seconds=view.queue_wait_seconds,
+        execute_seconds=view.execute_seconds,
+        total_seconds=view.total_seconds,
         q_error_max=feedback.max_q_error if feedback is not None else None,
         q_error_triggered=feedback is not None and feedback.triggered,
         detail_fn=lambda: _detail(view),
@@ -82,11 +86,12 @@ def _detail(view):
 class RequestRecord:
     """One served request, compressed for the ring buffer."""
 
-    __slots__ = ("trace_id", "name", "sequence", "started_at", "status",
-                 "error", "strategy", "cache_hit", "fallback_category",
-                 "queue_wait_seconds", "execute_seconds", "total_seconds",
-                 "rows", "bytes_out", "q_error_max", "q_error_triggered",
-                 "_spans", "detail", "detail_reason")
+    #: what :meth:`as_dict` always carries, in its order
+    _FACTS = ("trace_id", "name", "sequence", "started_at", "status",
+              "strategy", "cache_hit", "fallback_category",
+              "queue_wait_seconds", "execute_seconds", "total_seconds",
+              "rows", "bytes_out", "q_error_max", "q_error_triggered")
+    __slots__ = _FACTS + ("error", "_spans", "detail", "detail_reason")
 
     def __init__(self, trace_id, name=None, sequence=0, started_at=None,
                  status="ok", error=None, strategy=None, cache_hit=None,
@@ -137,26 +142,9 @@ class RequestRecord:
         return stage_seconds(self.spans)
 
     def as_dict(self, include_spans=False, include_detail=False):
-        record = {
-            "trace_id": self.trace_id,
-            "name": self.name,
-            "sequence": self.sequence,
-            "started_at": self.started_at,
-            "status": self.status,
-            "strategy": self.strategy,
-            "cache_hit": self.cache_hit,
-            "fallback_category": self.fallback_category,
-            "queue_wait_seconds": self.queue_wait_seconds,
-            "execute_seconds": self.execute_seconds,
-            "total_seconds": self.total_seconds,
-            "rows": self.rows,
-            "bytes_out": self.bytes_out,
-            "q_error_max": self.q_error_max,
-            "q_error_triggered": self.q_error_triggered,
-            "stages": self.stages,
-            "has_detail": self.detail is not None,
-            "detail_reason": self.detail_reason,
-        }
+        record = {name: getattr(self, name) for name in self._FACTS}
+        record.update(stages=self.stages, has_detail=self.detail is not None,
+                      detail_reason=self.detail_reason)
         if self.error is not None:
             record["error"] = self.error
         if include_spans:

@@ -18,6 +18,9 @@ import operator
 
 from repro.errors import DatabaseError
 from repro.rdb.binding import Binder, Layout
+from repro.xpath.ast import _modulo as xpath_mod
+from repro.xpath.datamodel import number_to_string, to_number
+from repro.xpath.functions import fn_normalize_space
 
 
 class SqlExpr:
@@ -74,11 +77,13 @@ class Const(SqlExpr):
 
 
 class ColumnRef(SqlExpr):
-    """A (possibly alias-qualified) column reference."""
+    """A (possibly alias-qualified) column reference.  ``numeric``: a
+    storage's view says the column is declared INT/FLOAT (no cast needed)."""
 
-    def __init__(self, column, table=None):
+    def __init__(self, column, table=None, numeric=False):
         self.column = column
         self.table = table
+        self.numeric = numeric
 
     def bind(self, binder, layout):
         slot = layout.slot(self.column, self.table)
@@ -97,7 +102,12 @@ def _divide(left, right):
 
 
 class BinOp(SqlExpr):
-    """Binary operators: comparisons, arithmetic, AND/OR, || concat."""
+    """Binary operators: comparisons, arithmetic, AND/OR, || concat.
+
+    Typed operands compare and compute natively, text against text as
+    text.  A text operand in a numeric context — arithmetic, comparison
+    against a number — is character data: both sides go through XPath's
+    ``to_number`` (a non-number is NaN: only ``<>`` holds against it)."""
 
     _COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
                     "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -135,8 +145,11 @@ class BinOp(SqlExpr):
             b = right(row, stats)
             if a is None or b is None:
                 return False if comparing else None
-            if comparing and (isinstance(a, str) or isinstance(b, str)):
-                return apply(_text(a), _text(b))
+            if isinstance(a, str) or isinstance(b, str):
+                if comparing and type(a) not in (int, float) \
+                        and type(b) not in (int, float):  # bools: as text
+                    return apply(_text(a), _text(b))
+                return apply(to_number(a), to_number(b))
             return apply(a, b)
 
         return binary
@@ -251,7 +264,11 @@ class FuncCall(SqlExpr):
         "CONCAT": lambda values: "".join(_text(value) for value in values),
         "COALESCE": _coalesce,
         "TO_CHAR": lambda values: _text(values[0]),
-        "MOD": lambda values: values[0] % values[1],
+        # the XPath library's own arithmetic and conversions
+        "MOD": lambda values: xpath_mod(*map(to_number, values)),
+        "NUMBER": lambda values: to_number(_text(values[0])),
+        "NORMALIZE_SPACE": lambda values: fn_normalize_space(
+            None, _text(values[0])),
     }
 
     def __init__(self, name, args):
@@ -362,8 +379,8 @@ def _text(value):
         return value
     if value is None:
         return ""
-    if isinstance(value, float) and value == int(value):
-        return str(int(value))
+    if isinstance(value, float):
+        return number_to_string(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)

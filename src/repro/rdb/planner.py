@@ -42,6 +42,7 @@ from repro.rdb.expressions import (
     ScalarSubquery,
     TreeContains,
 )
+from repro.rdb.types import TEXT
 from repro.rdb.plan import (
     Aggregate,
     Filter,
@@ -143,7 +144,12 @@ def _match_index(conjunct, scan, db):
         candidates.append((right.column, _FLIP[conjunct.op], left))
     for column, op, key_expr in candidates:
         index = db.find_index(scan.table_name, column)
-        if index is not None:
+        # an index over character data is in text order: it answers a
+        # text key only (a number key makes the comparison numeric)
+        if index is not None and (
+                db.table(scan.table_name).schema.column(column).type != TEXT
+                or isinstance(key_expr, Const)
+                and isinstance(key_expr.value, str)):
             return index, op, key_expr, column
     return None
 

@@ -23,6 +23,7 @@ from operator import itemgetter
 from repro.errors import DatabaseError, SchemaError
 from repro.rdb.expressions import (
     CaseWhen,
+    ColumnRef,
     Const,
     IsNull,
     ScalarSubquery,
@@ -220,6 +221,16 @@ class ObjectRelationalStorage:
         columns.append(binding)
         return binding
 
+    def _type_of(self, binding):
+        return self.column_types.get(
+            binding.decl.name if not binding.is_attribute
+            else binding.column_name.replace("attr_", "", 1), TEXT)
+
+    def _ref(self, binding, alias):
+        """The view's reference to a bound column, saying if it is numeric."""
+        return ColumnRef(binding.column_name, alias,
+                         self._type_of(binding) != TEXT)
+
     def _create_tables(self):
         for table in self.tables:
             columns = [(ROW_ID, INT)]
@@ -232,12 +243,7 @@ class ObjectRelationalStorage:
                 if isinstance(binding, PresenceBinding):
                     columns.append((binding.column_name, INT))
                     continue
-                type_ = self.column_types.get(
-                    binding.decl.name if not binding.is_attribute
-                    else binding.column_name.replace("attr_", "", 1),
-                    TEXT,
-                )
-                columns.append((binding.column_name, type_))
+                columns.append((binding.column_name, self._type_of(binding)))
             columns.append((START, INT))
             columns.append((END, INT))
             columns.append((LEVEL, INT))
@@ -704,13 +710,14 @@ class ObjectRelationalStorage:
         for attribute in decl.attributes:
             binding = self._attr_binding(table_binding, decl, attribute)
             if binding is not None:
-                attributes.append((attribute, col(binding.column_name, alias)))
+                attributes.append((attribute, self._ref(binding, alias)))
         for particle in decl.particles:
             content.append(
                 self._child_expr(decl, particle, table_binding, alias)
             )
         if decl.is_leaf and decl.has_text:
-            content.append(col(VALUE, alias))
+            content.append(ColumnRef(
+                VALUE, alias, self.column_types.get(decl.name, TEXT) != TEXT))
         return XMLElement(decl.name, *content, attributes=attributes)
 
     def _child_expr(self, decl, particle, table_binding, alias):
@@ -723,10 +730,10 @@ class ObjectRelationalStorage:
                                                   attribute)
                 if attr_binding is not None:
                     leaf_attributes.append(
-                        (attribute, col(attr_binding.column_name, alias))
+                        (attribute, self._ref(attr_binding, alias))
                     )
             element = XMLElement(
-                child.name, col(binding.column_name, alias),
+                child.name, self._ref(binding, alias),
                 attributes=leaf_attributes,
             )
             if particle.occurs == "?" or decl.group == "choice":

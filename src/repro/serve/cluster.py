@@ -69,7 +69,7 @@ class WorkerRequestError(ServeError):
 def _serve_transform(runtime, payload, trace_requests):
     """One ``transform`` message inside the worker: join the
     dispatcher's trace, run the request on the plan runtime, ship the
-    result back detached with this side's spans."""
+    result (pickling it is its wire form) with this side's spans."""
     context = parse_traceparent(payload.get("traceparent"))
     if context is None:
         context = TraceContext(new_trace_id())
@@ -80,7 +80,7 @@ def _serve_transform(runtime, payload, trace_requests):
             payload.get("params"), tracer,
             "cluster.worker", worker=runtime.worker_id,
         )
-    return {"result": result.detached(),
+    return {"result": result,
             "spans": [span.to_dict() for span in sink_spans(tracer)]}
 
 

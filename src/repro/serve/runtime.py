@@ -4,11 +4,12 @@ A :class:`PlanRuntime` owns a database, the sources it serves and the
 **two-tier compiled-plan cache** — tier 1 an in-memory
 :class:`~repro.serve.cache.PlanCache`, tier 2 an optional disk-backed
 :class:`~repro.serve.artifact.ArtifactStore` shared with every process
-pointing at the same directory.  :meth:`PlanRuntime.run` is the one
-implementation of "look the plan up (or compile and persist it), execute
-it": thread workers call it in-process, process workers call it inside
-the child — same cache key, same invalidation, same spans — and its
-lookup half, :meth:`PlanRuntime.plan_for`, is the streaming door's too.
+pointing at the same directory.  It is a *plan source*: "plan or
+compile, then open the run" is :meth:`repro.api.Engine._open`'s for
+every door, and :meth:`PlanRuntime.compiled_for` the lookup handed to
+it.  :meth:`PlanRuntime.run` is one materialised request — thread
+workers call it in-process, process workers inside the child — and
+:meth:`PlanRuntime.open` the step it shares with the streaming door.
 
 * the tier-1 key is stylesheet content hash + source structural
   fingerprint + compile-relevant options + ``stats:``/``epoch:``
@@ -28,10 +29,15 @@ import threading
 import time
 
 from repro.api import Engine
-from repro.core.transform import execute_compiled, source_fingerprint
+from repro.core.transform import (
+    TransformResult,
+    execute_compiled,
+    source_fingerprint,
+)
 from repro.errors import ReproError
 from repro.obs import InMemorySink, Tracer, global_metrics
 from repro.obs.feedback import FeedbackPolicy
+from repro.rdb.sqlxml import Markup
 from repro.serve.artifact import ArtifactStore, artifact_key
 from repro.serve.cache import EVICT_RECOST, PlanCache
 from repro.xslt.stylesheet import Stylesheet
@@ -75,87 +81,27 @@ def sink_spans(tracer):
     return []
 
 
-class ServeResult:
-    """One request's outcome, whichever worker backend ran it.
+class ServeResult(TransformResult):
+    """One served request, whichever worker backend ran it: the view of
+    its run a service future resolves to.  Every fact — ``cache_tier``,
+    ``execute_seconds``, ``queue_wait_seconds`` / ``total_seconds`` /
+    ``worker`` as stamped by the front door — reads through to ``run``,
+    the one :class:`~repro.core.transform.Execution` record.
 
-    ``cache_tier`` is where the compiled plan came from: ``"l1"`` (the
-    worker's in-memory cache), ``"l2"`` (the shared disk tier) or
-    ``"miss"`` (freshly compiled); ``cache_hit`` is True for either
-    tier — the request paid no compile.  ``execute_seconds`` is the time
-    the worker spent on the request (plan lookup, compile on a miss,
-    execution); ``queue_wait_seconds`` and ``total_seconds`` are stamped
-    by the front door.
+    Where the plan ran the record is whole (ledger, plan, profile, span
+    tree).  Pickling *is* the wire form of a process worker's reply:
+    each row rendered to one markup item (markup text is the transport
+    format) over the record's own wire form, so ``explain()`` /
+    ``report()`` on the far side render what crossed."""
 
-    ``transform`` (the :class:`~repro.core.transform.TransformResult`:
-    rows, ledger, stats) and ``trace`` (the request's span tree) are
-    populated only when the worker ran in this process; a result that
-    crossed a pipe carries its rows serialized."""
-
-    __slots__ = ("transform", "strategy", "cache_tier", "fallback_category",
-                 "queue_wait_seconds", "execute_seconds", "total_seconds",
-                 "trace", "trace_id", "worker", "stats_version",
-                 "_serialized")
-
-    def __init__(self, transform, cache_tier, execute_seconds,
-                 stats_version=None):
-        self.transform = transform
-        self.strategy = transform.strategy
-        self.cache_tier = cache_tier
-        self.fallback_category = transform.fallback_category
-        self.queue_wait_seconds = None
-        self.execute_seconds = execute_seconds
-        self.total_seconds = None
-        #: root span of this request's private trace
-        self.trace = None
-        #: trace id shared by every span of this request (set even when
-        #: per-request tracing is off)
-        self.trace_id = None
-        #: index of the worker that ran the request
-        self.worker = None
-        #: the database statistics version the plan ran under
-        self.stats_version = stats_version
-        self._serialized = None
-
-    @property
-    def cache_hit(self):
-        return self.cache_tier in ("l1", "l2")
-
-    def serialized_rows(self, method="xml"):
-        if self.transform is not None:
-            return self.transform.serialized_rows(method=method)
-        if method != "xml":
-            raise ValueError("rows cross the pipe serialized as xml")
-        return list(self._serialized)
-
-    def explain(self, include_decisions=True):
-        if self.transform is None:
-            raise ServeError(
-                "this result crossed a process boundary: only "
-                "serialized_rows() and the request metadata are available"
-            )
-        return self.transform.explain(include_decisions=include_decisions)
-
-    def detached(self):
-        """The copy a process worker ships back over the pipe: rows
-        serialized (markup text is the transport format), the DOM and
-        the span tree left behind."""
-        wire = ServeResult.__new__(ServeResult)
-        wire.__setstate__(self.__getstate__())
-        wire._serialized = self.serialized_rows()
-        wire.transform = None
-        return wire
+    __slots__ = ()
 
     def __getstate__(self):
-        """The live span tree holds tracer handles (thread-locals) and
-        is process-local, so only the trace *id* survives serialization
-        — the flight recorder keeps the spans."""
-        state = {name: getattr(self, name) for name in self.__slots__}
-        state["trace"] = None
-        return state
+        return self.serialized_rows(), self.run
 
     def __setstate__(self, state):
-        for name in self.__slots__:
-            setattr(self, name, state.get(name))
+        rows, self.run = state
+        self.rows = [[Markup(text)] for text in rows]
 
 
 class _CachedPlan:
@@ -279,21 +225,16 @@ class PlanRuntime:
 
     # -- two-tier plan lookup ------------------------------------------------------
 
-    def plan_for(self, source, stylesheet, opts, tracer):
-        """The plan-lookup step of every serve door, materialised or
-        streamed: resolve the source, absorb (and publish) invalidations,
-        then look the plan up — ``(source, compiled, tier)``."""
-        source = self.resolve(source)
-        self.sync_versions()
-        return (source,) + self.compiled_for(source, stylesheet, opts, tracer)
+    def compiled_for(self, source, stylesheet, opts, build, tracer):
+        """This runtime as :meth:`repro.api.Engine._open`'s plan source:
+        absorb (and publish) invalidations, then ``(compiled, tier)``
+        through tier 1, then the disk tier, then ``build()``
+        (persisted for every sibling).
 
-    def compiled_for(self, source, stylesheet, opts, tracer):
-        """``(compiled, tier)`` through tier 1, then the disk tier, then
-        a real compile (persisted for every sibling).
-
-        The compile (leader-only, stampede-suppressed) runs under *this*
+        ``compile`` (leader-only, stampede-suppressed) runs under *this*
         request's tracer, so compile spans appear exactly once — in the
         leader's trace — and cache-hit traces contain none."""
+        self.sync_versions()
         fingerprint = source_fingerprint(source)
         ss_key = stylesheet_key(stylesheet)
         options_key = opts.cache_key()
@@ -322,12 +263,7 @@ class PlanRuntime:
                 if compiled is not None:
                     tier = "l2"
                     return _CachedPlan(compiled, stats_version, epoch)
-            if opts.effective_rewrite():
-                self.metrics.counter("transform.rewrite_attempts").inc()
-            compiled = Engine(self.db, tracer=tracer,
-                              metrics=self.metrics).compile(
-                source, stylesheet, options=opts
-            )
+            compiled = build()
             if store is not None:
                 store.put(disk_key, compiled, fingerprint=fingerprint,
                           catalog=catalog, stats_version=stats_version,
@@ -340,37 +276,38 @@ class PlanRuntime:
 
     # -- request handling ----------------------------------------------------------
 
+    def open(self, door, source, stylesheet, opts, params, tracer, root=None,
+             deadline=None):
+        """Open ``door`` over one request, the way every door does
+        (:meth:`repro.api.Engine._open`) with this runtime's plans."""
+        view = Engine(self.db, tracer=tracer, metrics=self.metrics)._open(
+            door, root, self.db, self.resolve(source), stylesheet, opts,
+            params, self.compiled_for, deadline)
+        view.run.stats_version = self.db.stats_version()
+        return view
+
     def run(self, source, stylesheet, opts, params, tracer, span_name,
             **span_attrs):
         """Execute one claimed request under ``tracer``, inside a root
-        span ``span_name`` that records the cache outcome and strategy;
-        returns a :class:`ServeResult`.  ``opts.deadline`` is what is
-        left of the request's life on arrival here; plan execution past
-        it raises :class:`~repro.errors.DeadlineExceededError`."""
+        span ``span_name`` recording the cache outcome and strategy; a
+        :class:`ServeResult`.  ``opts.deadline`` is what is left of the
+        request's life on arrival here (past it, plan execution raises
+        :class:`~repro.errors.DeadlineExceededError`)."""
         deadline = None if opts.deadline is None \
             else time.perf_counter() + opts.deadline
-        with tracer.span(span_name, **span_attrs) as root:
-            started = time.perf_counter()
-            source, compiled, tier = self.plan_for(source, stylesheet, opts,
-                                                   tracer)
+
+        def door(*args):
             with tracer.span("serve.execute"):
-                transform = execute_compiled(
-                    self.db, source, compiled, params=params, tracer=tracer,
-                    metrics=self.metrics, root=root,
-                    profile_plan=opts.profile_plan, feedback=opts.feedback,
-                    deadline=deadline,
-                )
-            execute_seconds = time.perf_counter() - started
+                return execute_compiled(*args)
+
+        with tracer.span(span_name, **span_attrs) as root:
+            view = self.open(door, source, stylesheet, opts, params, tracer,
+                             root, deadline)
             self.metrics.histogram("serve.execute_seconds").record(
-                execute_seconds
-            )
-            result = ServeResult(transform, tier, execute_seconds,
-                                 stats_version=self.db.stats_version())
-            root.set_attr(cache_tier=tier, cache_hit=result.cache_hit,
-                          strategy=result.strategy)
-        if root:
-            transform.run.trace = result.trace = root
-        return result
+                view.execute_seconds)
+            root.set_attr(cache_tier=view.cache_tier,
+                          cache_hit=view.cache_hit, strategy=view.strategy)
+        return ServeResult(view.rows, run=view.run)
 
     # -- control plane -------------------------------------------------------------
 

@@ -9,8 +9,7 @@ worker backend:
   :class:`ServiceOverloadedError` instead of queueing without bound;
 * requests carry **deadlines** (enforced at dequeue — a request that
   waited past its deadline never executes — and between row batches of
-  plan execution), and can be **cancelled**
-  while still queued;
+  plan execution), and can be **cancelled** while still queued;
 * one dispatcher thread per worker drains the queue and runs each
   claimed request on its worker — a **thread** worker calls the shared
   :class:`~repro.serve.runtime.PlanRuntime` in-process, a **process**
@@ -440,16 +439,15 @@ class TransformService:
         :class:`~repro.core.transform.TransformStream` of serialized
         output chunks.
 
-        Runs on the *caller's* thread (the worker pool stays free for
-        materialized requests — a slow chunk consumer must not occupy a
-        worker), but shares the compiled-plan cache, so a hot
-        (stylesheet, source) pair streams without compiling anything.
+        Runs on the *caller's* thread (a slow chunk consumer must not
+        occupy a worker) but through the same step and plan cache as a
+        materialized request, so a hot (stylesheet, source) pair streams
+        without compiling and every option — the deadline too — holds.
         The compile and the chunk drain run under one trace
-        (``stream.trace_id``) — joined to the upstream ``traceparent``
-        when given — and the drained request lands in the flight
-        recorder like a materialized one.  Needs the plan runtime in
-        this process: with process workers it raises :class:`ServeError`
-        (chunks are not streamed over the pipe).
+        (``stream.trace_id``, joined to ``traceparent`` when given) and
+        the drained request is flight-recorded like a materialized one.
+        Needs the plan runtime in this process: with process workers it
+        raises :class:`ServeError` (chunks do not cross the pipe).
         """
         runtime = self._backend.runtime
         if runtime is None:
@@ -459,29 +457,23 @@ class TransformService:
             )
         request = self._request(source, stylesheet, options, params,
                                 traceparent, name="stream")
-        opts = request.options
         self.metrics.counter("serve.stream_requests").inc()
         tracer = request_tracer(self.trace_requests)
         with use_trace_context(request.context):
             with tracer.span("serve.stream.compile") as compile_span:
-                source, compiled, tier = runtime.plan_for(
-                    source, stylesheet, opts, tracer
+                stream = runtime.open(
+                    execute_compiled_stream, source, stylesheet,
+                    request.options, params, tracer,
+                    deadline=request.deadline,
                 )
-                hit = tier != "miss"
-                compile_span.set_attr(cache_hit=hit)
-            stream = execute_compiled_stream(
-                runtime.db, source, compiled, params=params, tracer=tracer,
-                metrics=self.metrics, batch_size=opts.batch_size,
-                chunk_chars=opts.chunk_chars, feedback=opts.feedback,
-            )
+                compile_span.set_attr(cache_hit=stream.cache_hit)
         self.metrics.counter(
-            "serve.stream_cache", cache="hit" if hit else "miss"
+            "serve.stream_cache", cache="hit" if stream.cache_hit else "miss"
         ).inc()
-        stream.chunks = self._drained(stream, stream.chunks, request,
-                                      tracer, hit)
+        stream.chunks = self._drained(stream, stream.chunks, request, tracer)
         return stream
 
-    def _drained(self, stream, chunks, request, tracer, cache_hit):
+    def _drained(self, stream, chunks, request, tracer):
         """Wrap a stream's chunk iterator so the drain — which may run
         on any thread, any time after submission — happens under the
         request's trace (a ``serve.stream.drain`` span joined by trace
@@ -504,12 +496,11 @@ class TransformService:
             self.metrics.counter("serve.errors").inc()
             raise
         finally:
-            self._record(
-                request, status, spans=sink_spans(tracer), error=error,
-                cache_hit=cache_hit, bytes_out=bytes_out,
-                total_seconds=time.perf_counter() - request.submitted_at,
-                **transform_fields(stream)
-            )
+            stream.run.total_seconds = \
+                time.perf_counter() - request.submitted_at
+            self._record(request, status, spans=sink_spans(tracer),
+                         error=error, bytes_out=bytes_out,
+                         **transform_fields(stream))
 
     # -- control plane -----------------------------------------------------------
 
@@ -688,11 +679,10 @@ class TransformService:
             self._fail(request, status, exc, queue_wait,
                        spans=sink_spans(tracer))
             return
-        total = time.perf_counter() - request.submitted_at
-        result.queue_wait_seconds = queue_wait
-        result.total_seconds = total
-        result.trace_id = request.context.trace_id
-        result.worker = worker
+        run = result.run
+        run.queue_wait_seconds = queue_wait
+        run.total_seconds = total = time.perf_counter() - request.submitted_at
+        run.worker = worker
         cache = "hit" if result.cache_hit else "miss"
         self.metrics.histogram("serve.request_seconds").record(total)
         # the one end-to-end latency definition (admission -> response)
@@ -701,18 +691,9 @@ class TransformService:
                                cache=cache).record(total)
         self.metrics.counter("serve.completed", strategy=result.strategy,
                              cache=cache).inc()
-        if result.transform is not None:
-            fields = transform_fields(result.transform)
-        else:
-            fields = dict(strategy=result.strategy,
-                          fallback_category=result.fallback_category,
-                          rows=len(result.serialized_rows()))
-        # the worker's whole time on the request, not only the run's
-        fields["execute_seconds"] = result.execute_seconds
         self._record(request, "ok",
                      spans=sink_spans(tracer) + list(worker_spans),
-                     cache_hit=result.cache_hit, queue_wait_seconds=queue_wait,
-                     total_seconds=total, **fields)
+                     **transform_fields(result))
         request.future.set_result(result)
 
     def _fail(self, request, status, error, queue_wait, spans=None):

@@ -502,7 +502,7 @@ def _atom_compare(op, left, right):
 
 def _numeric_compare(op, left, right):
     if left != left or right != right:
-        return False  # NaN compares false
+        return op == "!="  # IEEE 754: against NaN only != holds
     if op == "<":
         return left < right
     if op == "<=":

@@ -1,13 +1,18 @@
 """The door matrix: every way into a transform observes the same run.
 
 ``transform`` / ``execute`` / ``transform_stream`` / ``transform_many``
-are four doors onto one run (``repro.core.transform``); for each of the
-three ways that run can go — rewritten plan, compile-time fallback,
-forced functional — every door must leave the same spans, the same
-``transform.*`` / ``plan.*`` counters and the same execution record as
-``Engine.transform`` does, and every traced door must flight-record it.
+on :class:`Engine` and ``transform`` on thread workers, ``transform`` on
+process workers and ``transform_stream`` on
+:class:`~repro.serve.TransformService` are seven doors onto one run
+(``repro.core.transform``), opened by one step (``Engine._open``); for
+each of the three ways that run can go — rewritten plan, compile-time
+fallback, forced functional — every door must return the same bytes and
+leave the same ``transform.*`` / ``plan.*`` counters, the same execution
+record and the same flight-record fields as ``Engine.transform`` does.
+The four engine doors must also leave the same spans.
 """
 
+import functools
 import re
 from pathlib import Path
 
@@ -15,6 +20,7 @@ import pytest
 
 from repro.api import Engine, TransformOptions
 from repro.obs import FlightRecorder, InMemorySink, MetricsRegistry, Tracer
+from repro.serve import ServeResult, TransformService
 from repro.xsltmark import get_case
 from repro.xsltmark.runner import prepare_case
 
@@ -27,60 +33,85 @@ SCENARIOS = {
     "forced-functional": ("avts", TransformOptions(strategy="functional"),
                           "functional", None),
 }
-DOORS = ("transform", "execute", "transform_stream", "transform_many")
-#: the doors that open an ``xml_transform`` root span (and flight-record)
-ROOTED = ("transform", "transform_stream", "transform_many")
+ENGINE_DOORS = ("transform", "execute", "transform_stream", "transform_many")
+SERVE_DOORS = ("serve/thread", "serve/process", "serve/stream")
+DOORS = ENGINE_DOORS + SERVE_DOORS
+#: the doors that flight-record (``Engine.execute`` is the per-hit path)
+RECORDED = tuple(door for door in DOORS if door != "execute")
 
 WORK_COUNTERS = ("rows_scanned", "index_probes", "index_entries",
                  "output_rows", "xml_elements", "subquery_executions",
                  "docs_materialized", "hash_probes")
 
 
+def drive(door, prepared, options=None, params=None, recorder=None,
+          sink=None):
+    """One request through ``door`` over fresh metrics: ``(view, output
+    text, counters)`` — the counters of whichever registry the run
+    counted in (process workers keep their own)."""
+    storage, sheet = prepared.storage, prepared.case.stylesheet  # markup
+    metrics = MetricsRegistry()
+    request = dict(options=options, params=params)
+    if door in ENGINE_DOORS:
+        engine = Engine(prepared.db, metrics=metrics, recorder=recorder,
+                        tracer=Tracer(sinks=[sink] if sink else None))
+        if door == "transform":
+            view = engine.transform(storage, sheet, **request)
+        elif door == "execute":
+            compiled = engine.compile(storage, sheet, options=options)
+            view = engine.execute(storage, compiled, **request)
+        elif door == "transform_many":
+            view, = engine.transform_many([storage], sheet, **request)
+        else:
+            view = engine.transform_stream(storage, sheet, **request)
+            # recorded when drained, not before
+            assert recorder is None or len(recorder) == 0
+        text = view.text() if door == "transform_stream" \
+            else "".join(view.serialized_rows())
+        return view, text, metrics.snapshot()["counters"]
+    process = door == "serve/process"
+    with TransformService(
+            prepared.db, workers=1, metrics=metrics, recorder=recorder,
+            backend="process" if process else "thread",
+            sources={"doc": storage}) as service:
+        source = "doc" if process else storage  # process workers take names
+        if door == "serve/stream":
+            view = service.transform_stream(source, sheet, **request)
+            text = view.text()
+        else:
+            view = service.transform(source, sheet, **request)
+            assert type(view) is ServeResult
+            text = "".join(view.serialized_rows())
+        counters = (service.stats()["metrics"] if process
+                    else metrics.snapshot())["counters"]
+    return view, text, counters
+
+
+@functools.lru_cache(maxsize=None)
 def observe(door, scenario):
     """Run one door over one scenario against a fresh database, tracer,
     registry and recorder; return everything the doors must agree on."""
     case_name, options, _, _ = SCENARIOS[scenario]
     prepared = prepare_case(get_case(case_name), SIZE)
-    sheet = prepared.case.stylesheet  # markup: the door compiles it
     sink = InMemorySink()
-    metrics = MetricsRegistry()
-    recorder = FlightRecorder()
-    engine = Engine(prepared.db, tracer=Tracer(sinks=[sink]),
-                    metrics=metrics, recorder=recorder)
-    if door == "transform":
-        view = engine.transform(prepared.storage, sheet, options=options)
-        text = "".join(view.serialized_rows())
-    elif door == "execute":
-        compiled = engine.compile(prepared.storage, sheet, options=options)
-        view = engine.execute(prepared.storage, compiled, options=options)
-        text = "".join(view.serialized_rows())
-    elif door == "transform_stream":
-        view = engine.transform_stream(prepared.storage, sheet,
-                                       options=options)
-        assert len(recorder) == 0  # recorded when drained, not before
-        text = view.text()
-    else:
-        view, = engine.transform_many([prepared.storage], sheet,
-                                      options=options)
-        text = "".join(view.serialized_rows())
-    run_span = [span for span in sink.spans
-                if span.name in ("plan.execute", "functional.execute")]
-    counters = {
-        name: value
-        for name, value in metrics.snapshot()["counters"].items()
-        if name.startswith(("transform.", "plan."))
-    }
+    recorder = FlightRecorder(slow_threshold_seconds=0)
+    view, text, counters = drive(door, prepared, options, recorder=recorder,
+                                 sink=sink)
+    records = recorder.records()
+    crossed = door == "serve/process"  # the plan stayed in the worker
     return {
         "view": view,
         "text": text,
         "spans": {span.name for span in sink.spans} - {"xml_transform"},
         "run_spans": [
-            (span.name, span.status,
-             {key: value for key, value in span.attrs.items()
+            (span["name"], span["status"],
+             {key: value for key, value in span["attrs"].items()
               if key != "elapsed_ms"})
-            for span in run_span
+            for record in records for span in record.spans
+            if span["name"] in ("plan.execute", "functional.execute")
         ],
-        "counters": counters,
+        "counters": {name: value for name, value in counters.items()
+                     if name.startswith(("transform.", "plan."))},
         "record": {
             "strategy": view.strategy,
             "fallback_reason": view.fallback_reason,
@@ -88,54 +119,83 @@ def observe(door, scenario):
             "fallback_category": view.fallback_category,
             "stats": {name: getattr(view.stats, name)
                       for name in WORK_COUNTERS},
+            "vm_stats": view.vm_stats,
+            "q_error_max": (view.feedback.max_q_error
+                            if view.feedback is not None else None),
+        },
+        "plan": None if crossed else {
             "ledger": (view.ledger.to_json()
                        if view.ledger is not None else None),
-            "vm_stats": view.vm_stats,
-            "has_feedback": view.feedback is not None,
             "has_plan": view.executed_query is not None,
             "profiled": view.plan_profile is not None,
         },
-        "recorder": recorder,
+        "records": records,
     }
-
-
-@pytest.fixture(scope="module")
-def reference():
-    return {scenario: observe("transform", scenario)
-            for scenario in SCENARIOS}
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("door", DOORS)
-def test_door_observes_the_same_run(door, scenario, reference):
-    expected = reference[scenario]
+def test_door_observes_the_same_run(door, scenario):
+    expected = observe("transform", scenario)
     seen = observe(door, scenario)
     _, _, strategy, phase = SCENARIOS[scenario]
     assert seen["record"]["strategy"] == strategy
     assert seen["record"]["fallback_phase"] == phase
     assert seen["text"] == expected["text"]
-    assert seen["spans"] == expected["spans"]
-    assert seen["run_spans"] == expected["run_spans"]
     assert seen["record"] == expected["record"]
+    if seen["plan"] is not None:
+        assert seen["plan"] == expected["plan"]
+    if door in ENGINE_DOORS:
+        assert seen["spans"] == expected["spans"]
+    if door in RECORDED:
+        assert seen["run_spans"] == expected["run_spans"]
     counters = dict(expected["counters"])
     if door == "execute":
-        # Engine.compile alone is not an attempt: the one-shot step and
-        # the serve tier's PlanRuntime count attempts
+        # Engine.compile alone is not an attempt: the step that is
+        # handed a stylesheet (Engine._open) counts attempts
         counters.pop("transform.rewrite_attempts", None)
     assert seen["counters"] == counters
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("door", DOORS)
-def test_rooted_doors_trace_and_record(door, scenario, reference):
+def test_rooted_doors_trace_and_record(door, scenario):
     seen = observe(door, scenario)
-    view, recorder = seen["view"], seen["recorder"]
-    if door not in ROOTED:
+    view, records = seen["view"], seen["records"]
+    if door not in RECORDED:
         # the serve tier's per-hit path: no root span, no record
         assert view.trace is None and view.trace_id is None
-        assert len(recorder) == 0
+        assert records == []
         return
-    expected = reference[scenario]["view"]
+    expected = observe("transform", scenario)
+    record, = records
+    reference, = expected["records"]
+    assert record.trace_id == view.trace_id is not None
+    # the fields every door builds one way (obs.recorder.transform_fields)
+    for field in ("strategy", "fallback_category", "rows", "q_error_max",
+                  "q_error_triggered"):
+        assert getattr(record, field) == getattr(reference, field), field
+    assert record.strategy == view.strategy
+    assert record.rows == view.stats.output_rows > 0
+    # one definition of execute_seconds: the door's time on the request
+    # — plan lookup or compile, then the run — inside the total
+    assert record.execute_seconds == view.execute_seconds
+    assert view.stats.elapsed_seconds <= record.execute_seconds \
+        <= record.total_seconds == view.total_seconds
+    assert record.cache_hit == view.cache_hit
+    assert record.queue_wait_seconds == view.queue_wait_seconds
+    assert (view.queue_wait_seconds is not None) \
+        == (door in ("serve/thread", "serve/process"))
+    # a slow request's detail names the strategy wherever it ran; the
+    # plan and the decisions are rendered only where the plan lives
+    assert record.detail_reason == "slow"
+    assert ("strategy: %s" % view.strategy) in record.detail
+    if scenario == "sql-rewrite":
+        assert ("plan:" in record.detail) == (door != "serve/process")
+    if door not in ENGINE_DOORS:
+        return
+    # the engine's rooted doors leave the same trace below the same root
+    expected = expected["view"]
     assert view.trace is not None and view.trace.finished
     assert view.trace_id == view.trace.trace_id
     below_root = {span.name for span in expected.trace.iter_spans()}
@@ -144,22 +204,81 @@ def test_rooted_doors_trace_and_record(door, scenario, reference):
         below_root.discard("compile.stylesheet")
     assert {span.name for span in view.trace.iter_spans()} == below_root
     assert view.trace.attrs == expected.trace.attrs
-    record, = recorder.records()
-    assert record.trace_id == view.trace_id
     assert record.name == "xml_transform"
     assert record.status == ("ok" if view.fallback_reason is None
                              else "fallback")
-    assert record.strategy == view.strategy
-    assert record.fallback_category == view.fallback_category
-    assert record.rows == view.stats.output_rows > 0
-    assert record.execute_seconds == view.stats.elapsed_seconds
-    assert record.total_seconds >= record.execute_seconds
-    feedback = view.feedback
-    assert record.q_error_max == (feedback.max_q_error
-                                  if feedback is not None else None)
+    assert record.total_seconds == view.trace.duration
     assert {span["name"] for span in record.spans} \
         == {span.name for span in view.trace.iter_spans()}
     assert record.stages["xml_transform"] > 0
+
+
+class TestOptionsReachEveryDoor:
+    """The options travel whole, so no door can drop one."""
+
+    @pytest.mark.parametrize("door", DOORS)
+    def test_params_never_attempt_a_rewrite(self, door):
+        """A plan cannot bind parameters: decided once, before any door
+        compiles, so none compiles (or counts) a rewrite it cannot run."""
+        prepared = prepare_case(get_case("avts"), SIZE)
+        view, text, counters = drive(door, prepared,
+                                     params={"unused": "1"})
+        assert view.strategy == "functional"
+        assert view.fallback_reason is None
+        assert text == observe("transform", "forced-functional")["text"]
+        assert counters.get("transform.rewrite_attempts", 0) == 0
+        assert counters.get("transform.rewrite_success", 0) == 0
+        assert not [name for name in counters
+                    if name.startswith("transform.fallback")]
+
+    def many_documents(self):
+        prepared = prepare_case(get_case("avts"), SIZE)
+        for _ in range(3):
+            prepared.storage.load(prepared.case.make_document(SIZE))
+        return prepared
+
+    @pytest.mark.parametrize("door", ("transform", "execute",
+                                      "serve/thread", "serve/process"))
+    def test_batch_size_reaches_the_plan(self, door):
+        prepared = self.many_documents()
+        batches = {}
+        for size in (None, 1):
+            view, _, _ = drive(door, prepared,
+                               TransformOptions(batch_size=size))
+            assert view.stats.output_rows == 4
+            batches[size] = view.stats.batches
+        assert batches == {None: 1, 1: 4}
+
+    @pytest.mark.parametrize("profile_plan", (True, False))
+    def test_profile_plan_is_honoured_by_the_serving_stream(self,
+                                                           profile_plan):
+        prepared = prepare_case(get_case("avts"), SIZE)
+        options = TransformOptions(profile_plan=profile_plan)
+        engine = Engine(prepared.db, tracer=Tracer(),
+                        metrics=MetricsRegistry())
+        expected = engine.transform_stream(
+            prepared.storage, prepared.case.stylesheet, options=options)
+        with TransformService(prepared.db, workers=1,
+                              metrics=MetricsRegistry()) as service:
+            stream = service.transform_stream(
+                prepared.storage, prepared.case.stylesheet, options=options)
+            assert stream.text() == expected.text()
+        assert (stream.plan_profile is not None) == profile_plan \
+            == (expected.plan_profile is not None)
+        assert (stream.feedback is not None) == profile_plan
+
+    def test_a_served_stream_keeps_the_request_deadline(self):
+        from repro.errors import DeadlineExceededError
+
+        prepared = prepare_case(get_case("avts"), SIZE)
+        with TransformService(prepared.db, workers=1,
+                              metrics=MetricsRegistry()) as service:
+            stream = service.transform_stream(
+                prepared.storage, prepared.case.stylesheet,
+                options=TransformOptions(deadline=0))
+            with pytest.raises(DeadlineExceededError):
+                stream.text()
+            assert service.recorder.get(stream.trace_id).status == "error"
 
 
 def test_transform_many_records_each_result():
@@ -208,13 +327,33 @@ class TestOneRun:
 
     def test_each_dispatch_is_written_once(self):
         everything = "\n".join(self.sources().values())
-        # "rewrite unless params": the one-shot step of Engine
-        assert len(re.findall(r"rewrite(\(\))? and not params",
+        # "functional when params are given": the step every door that
+        # is handed a stylesheet goes through (Engine._open)
+        assert len(re.findall(r"if params and \w+\.effective_rewrite\(\)",
                               everything)) == 1
+        assert not re.findall(r"rewrite(\(\))? and not params", everything)
         # "run the plan unless params": the run's own dispatch
         assert everything.count("is_rewritten and not params") == 1
-        # attempts: the one-shot step and PlanRuntime.compiled_for
-        assert everything.count('"transform.rewrite_attempts"') == 2
+        # attempts are counted by that one step, whoever supplies plans
+        assert everything.count('"transform.rewrite_attempts"') == 1
+
+    def test_no_door_is_handed_an_option_by_keyword(self):
+        """The options → run hand-off is the options object itself."""
+        handoff = re.compile(
+            r"\b(profile_plan|batch_size|feedback|chunk_chars)=")
+        for path, source in self.sources().items():
+            if path.name != "api.py" and path.parent.name != "serve":
+                continue
+            # Engine.explain overrides the options object; not a hand-off
+            source = source.replace("opts.replace(profile_plan=True)", "")
+            assert not handoff.findall(source), path
+
+    def test_the_service_builds_record_fields_one_way(self):
+        import repro.serve.service as module
+
+        source = Path(module.__file__).read_text()
+        assert source.count("transform_fields(") == 2  # result, stream
+        assert "dict(strategy=" not in source
 
     def test_the_run_builds_one_profiler_and_one_vm(self):
         import repro.core.transform as module
@@ -229,7 +368,9 @@ class TestOneRun:
         )
 
         assert TransformResult.__slots__ == ("rows", "run")
-        assert TransformStream.__slots__ == ("compiled", "run", "chunks")
+        assert TransformStream.__slots__ == ("run", "chunks")
+        assert ServeResult.__slots__ == ()  # rows + run, like its base
         for field in Execution.__slots__:
-            for view in (TransformResult, TransformStream):
+            for view in (TransformResult, TransformStream, ServeResult):
                 assert isinstance(getattr(view, field), property), field
+                assert field not in view.__slots__, field

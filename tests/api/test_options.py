@@ -145,6 +145,21 @@ class TestOneSpelling:
             TransformOptions(decorrelate=None)
         assert not hasattr(TransformOptions, "resolved_rewrite_options")
 
+    def test_the_rewriter_reads_the_field_that_replaced_it(self):
+        """``XsltRewriter(TransformOptions(...))`` called the removed
+        ``resolved_rewrite_options()`` and raised AttributeError."""
+        from repro.core.pipeline import XsltRewriter
+        from repro.core.xquery_gen import RewriteOptions
+
+        defaults = XsltRewriter(TransformOptions()).options
+        assert isinstance(defaults, RewriteOptions)
+        assert [getattr(defaults, name) for name in RewriteOptions.__slots__] \
+            == [getattr(RewriteOptions(), name)
+                for name in RewriteOptions.__slots__]
+        chosen = RewriteOptions(inline_templates=False)
+        assert XsltRewriter(
+            TransformOptions(rewrite_options=chosen)).options is chosen
+
     def test_second_spellings_below_the_options_raise_too(self):
         from repro.serve.cache import PlanCache
 

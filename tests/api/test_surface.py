@@ -161,6 +161,20 @@ class TestLegacyEntryPointsAcceptOptions:
             "metrics",
         ]
 
+    def test_the_run_doors_take_the_options_whole(self):
+        """No per-option keyword (``profile_plan=``, ``batch_size=``,
+        ``feedback=``, ``chunk_chars=``): a door cannot drop an option
+        it is never handed separately."""
+        from repro.core.transform import (
+            execute_compiled, execute_compiled_stream,
+        )
+
+        for door in (execute_compiled, execute_compiled_stream):
+            assert list(inspect.signature(door).parameters) == [
+                "db", "source", "compiled", "options", "params", "tracer",
+                "metrics", "root", "deadline", "started",
+            ], door
+
 
 class TestExplainSurface:
     def test_one_explain_door_per_class(self):
@@ -214,12 +228,20 @@ class TestServingSurface:
                               "params", "traceparent"]
 
     def test_result_fields(self):
+        """A view of the run: every fact is the one record's, none is
+        the result's own copy."""
+        from repro.core.transform import Execution
         from repro.serve import ServeResult
 
-        assert set(ServeResult.__slots__) >= {
-            "transform", "strategy", "cache_tier", "fallback_category",
-            "queue_wait_seconds", "execute_seconds", "total_seconds",
-            "trace", "trace_id", "worker", "stats_version",
+        assert ServeResult.__slots__ == ()
+        for field in ("rows", "run", "strategy", "cache_tier", "cache_hit",
+                      "fallback_category", "queue_wait_seconds",
+                      "execute_seconds", "total_seconds", "trace",
+                      "trace_id", "worker", "stats_version"):
+            assert hasattr(ServeResult, field), field
+        assert set(Execution.__slots__) >= {
+            "cache_tier", "queue_wait_seconds", "execute_seconds",
+            "total_seconds", "worker", "stats_version",
         }
 
 

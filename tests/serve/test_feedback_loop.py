@@ -55,7 +55,7 @@ class TestServeFeedbackLoop:
         with make_service(db, metrics=metrics) as service:
             first = service.transform(storage, EXAMPLE1_STYLESHEET,
                                       options=KEEP_CORRELATED)
-            feedback = first.transform.feedback
+            feedback = first.feedback
             assert feedback is not None
             # default selectivities mis-estimate the correlated probe
             assert feedback.max_q_error >= POLICY["plan_threshold"]
@@ -72,7 +72,7 @@ class TestServeFeedbackLoop:
             assert second.serialized_rows() == first.serialized_rows()
 
             # fresh statistics: estimates now track actuals
-            recovered = second.transform.feedback
+            recovered = second.feedback
             assert recovered.max_q_error < feedback.max_q_error
             assert recovered.max_q_error < POLICY["plan_threshold"]
             assert not recovered.triggered
@@ -98,7 +98,7 @@ class TestServeFeedbackLoop:
             assert "[plan-recost]" in explain
 
             # report(): the Q-error table and the actions taken
-            report = first.transform.report()
+            report = first.report()
             assert "plan feedback (Q-error):" in report
             assert "q-error max=" in report
             assert "action: recost: notified serve tier" in report
@@ -121,7 +121,7 @@ class TestServeFeedbackLoop:
         with make_service(db) as service:
             result = service.transform(storage, EXAMPLE1_STYLESHEET,
                                        options=KEEP_CORRELATED)
-            as_dict = result.transform.feedback.as_dict()
+            as_dict = result.feedback.as_dict()
             assert as_dict["triggered"] is True
             assert as_dict["nodes"]
             assert any(node["q_error"] is not None

@@ -116,10 +116,11 @@ class TestServeResultPickling:
         assert restored.cache_hit == result.cache_hit
 
     def test_markup_rows_survive_pickle_and_detach(self):
-        """A sql-rewrite result's rows are ``Markup`` strings, not nodes:
-        they must cross a pickle as markup (the escaping contract is the
-        type) and cross the pipe, through ``detached()``, as plain
-        serialized rows."""
+        """A sql-rewrite result's rows are ``Markup`` strings, not nodes.
+        Pickling a served result *is* detaching it — the form a process
+        worker's reply takes: each row crosses as one markup item (the
+        escaping contract is the type) over the lean record; the plan
+        and the ledger stay where the plan lives."""
         from repro.core import STRATEGY_SQL
         from repro.rdb.sqlxml import Markup
         from repro.serve import TransformService
@@ -129,20 +130,36 @@ class TestServeResultPickling:
         with TransformService(prep.db, metrics=MetricsRegistry()) as service:
             result = service.transform(prep.storage, prep.case.stylesheet)
         assert result.strategy == STRATEGY_SQL
-        items = [item for row in result.transform.rows for item in row]
-        assert items and all(type(item) is Markup for item in items)
+        items = [item for row in result.rows for item in row]
+        assert len(items) > 1 and all(type(item) is Markup for item in items)
+        assert result.ledger is not None and result.executed_query is not None
 
-        restored = pickle.loads(pickle.dumps(result))
-        restored_items = [item for row in restored.transform.rows
-                          for item in row]
-        assert restored_items == items
-        assert all(type(item) is Markup for item in restored_items)
-        assert restored.serialized_rows() == result.serialized_rows()
-        # markup still renders under the other output methods
-        assert restored.serialized_rows(method="text") \
-            == result.serialized_rows(method="text")
-
-        wire = pickle.loads(pickle.dumps(result.detached()))
-        assert wire.transform is None
+        data = pickle.dumps(result)
+        wire = pickle.loads(data)
+        assert [[type(item) for item in row] for row in wire.rows] \
+            == [[Markup]] * len(result.rows)
         assert wire.serialized_rows() == result.serialized_rows()
         assert all(type(row) is str for row in wire.serialized_rows())
+        # markup still renders under the other output methods
+        assert wire.serialized_rows(method="text") \
+            == result.serialized_rows(method="text")
+        assert wire.ledger is None and wire.executed_query is None
+        assert wire.outcome is None and wire.plan_profile is None
+        assert wire.stats.as_dict() == result.stats.as_dict()
+        assert wire.stats.profiler is None
+        assert wire.feedback.max_q_error == result.feedback.max_q_error
+        assert wire.feedback.triggered == result.feedback.triggered
+        assert wire.feedback.nodes == [] and result.feedback.nodes
+        assert wire.feedback.render()[0] \
+            == result.feedback.render()[0].split(" at ")[0]
+        for field in ("cache_tier", "execute_seconds", "total_seconds",
+                      "queue_wait_seconds", "worker", "stats_version",
+                      "trace_id", "fallback_category", "vm_stats"):
+            assert getattr(wire, field) == getattr(result, field), field
+        # lean: under 1 KB on top of the rows, and no plan rides along
+        payload = sum(len(row) for row in result.serialized_rows())
+        assert len(data) - payload < 1024
+        assert b"repro.rdb.plan" not in data
+        # what crossed still explains itself; the plan section did not
+        assert "strategy: sql-rewrite" in wire.explain().render()
+        assert "plan:" not in wire.report()

@@ -160,8 +160,8 @@ class TestCompileSharing:
             service.transform(storage, EXAMPLE1_STYLESHEET)
             warm = service.transform(storage, EXAMPLE1_STYLESHEET)
         assert warm.cache_hit
-        assert warm.transform.ledger is not None
-        assert len(warm.transform.ledger) > 0
+        assert warm.ledger is not None
+        assert len(warm.ledger) > 0
         explained = warm.explain().render()
         assert "rewrite decisions:" in explained
         assert "(no rewrite decisions recorded)" not in explained
@@ -182,9 +182,9 @@ class TestCompileSharing:
         assert warm.cache_hit
         assert service.cache.stats().compiles == 1
         # the categorized fallback is replayed per execution
-        assert cold.transform.fallback_category
-        assert (warm.transform.fallback_category
-                == cold.transform.fallback_category)
+        assert cold.fallback_category
+        assert (warm.fallback_category
+                == cold.fallback_category)
         assert metrics.counter_total("transform.fallback") == 2
 
 

@@ -72,7 +72,7 @@ class TestConnectedTraces:
             assert result.trace.find("compile.stylesheet") is not None
             assert result.trace.find("serve.execute") is not None
             # the plan profiler captured the same trace id
-            assert result.transform.plan_profile.trace_id == result.trace_id
+            assert result.plan_profile.trace_id == result.trace_id
 
     def test_cached_hit_yields_its_own_connected_trace(self):
         db, storage = make_storage()
@@ -98,8 +98,10 @@ class TestConnectedTraces:
     def test_transform_result_trace_id_matches(self):
         db, storage = make_storage()
         with make_service(db) as service:
-            result = service.transform(storage, EXAMPLE1_STYLESHEET)
-            assert result.transform.trace_id == result.trace_id
+            future = service.submit(storage, EXAMPLE1_STYLESHEET)
+            result = future.result(timeout=10)
+            # one record: the view's id is the run's, minted at admission
+            assert result.trace_id == result.run.trace_id == future.trace_id
 
 
 class TestTraceparentIngress:

@@ -221,6 +221,28 @@ class TestOperators:
     def test_comparisons(self, expr, expected):
         assert ev(expr) is expected
 
+    @pytest.mark.parametrize(
+        "expr, expected",
+        [
+            # IEEE 754 / XPath 1.0 §3.4: against NaN only != holds, and
+            # it holds whichever way the NaN was reached
+            ("//ename != 10", True),
+            ("string(//ename) != 10", True),
+            ("'abc' != 10", True),
+            ("10 != //ename", True),
+            ("number('abc') != number('abc')", True),
+            ("//ename = 10", False),
+            ("//ename < 10", False),
+            ("//ename >= 10", False),
+            ("(0 div 0) = (0 div 0)", False),
+            ("//missing != 10", False),  # no node, no pair
+            ("//sal != 2450", True),
+            ("//dname != 'ACCOUNTING'", False),
+        ],
+    )
+    def test_nan_compares_false_except_not_equal(self, expr, expected):
+        assert ev(expr) is expected
+
     def test_nodeset_number_comparison_existential(self):
         assert ev("//sal > 4000") is True
         assert ev("//sal > 5000") is False
