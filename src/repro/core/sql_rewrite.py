@@ -280,12 +280,11 @@ class SqlRewriter:
             return self._scalar_function(expr, env)
         if isinstance(expr, xp.BinaryOp):
             if expr.op in ("+", "-", "*", "div", "mod"):
-                op = {"div": "/", "mod": "MOD"}.get(expr.op, expr.op)
                 left = self._scalar(expr.left, env)
                 right = self._scalar(expr.right, env)
-                if op == "MOD":
-                    return sqle.FuncCall("MOD", [left, right])
-                return sqle.BinOp(op, left, right)
+                if expr.op in ("div", "mod"):  # XPath's own, not SQL's
+                    return sqle.FuncCall(expr.op.upper(), [left, right])
+                return sqle.BinOp(expr.op, left, right)
             raise RewriteError("operator %r in scalar context" % expr.op)
         if isinstance(expr, xp.PathExpr):
             return self._string_of_target(self._resolve(expr, env))

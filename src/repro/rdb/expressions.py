@@ -18,7 +18,7 @@ import operator
 
 from repro.errors import DatabaseError
 from repro.rdb.binding import Binder, Layout
-from repro.xpath.ast import _modulo as xpath_mod
+from repro.xpath.ast import _divide as xpath_divide, _modulo as xpath_mod
 from repro.xpath.datamodel import number_to_string, to_number
 from repro.xpath.functions import fn_normalize_space
 
@@ -242,6 +242,14 @@ def _substr(values):
     return text[start:]
 
 
+def _xpath_div(values):
+    """XPath ``div``: a zero divisor gives ±Infinity or NaN, not an
+    error; a NULL operand gives NULL, like SQL ``/``."""
+    if values[0] is None or values[1] is None:
+        return None
+    return xpath_divide(*map(to_number, values))
+
+
 def _coalesce(values):
     for value in values:
         if value is not None:
@@ -266,6 +274,7 @@ class FuncCall(SqlExpr):
         "TO_CHAR": lambda values: _text(values[0]),
         # the XPath library's own arithmetic and conversions
         "MOD": lambda values: xpath_mod(*map(to_number, values)),
+        "DIV": _xpath_div,
         "NUMBER": lambda values: to_number(_text(values[0])),
         "NORMALIZE_SPACE": lambda values: fn_normalize_space(
             None, _text(values[0])),

@@ -19,7 +19,9 @@ representation and never asks again:
   constructors render already-escaped text — a :class:`Markup` string,
   or a flat list of them when the content holds a sequence, so no piece
   ever spans more than one aggregated row — and no result DOM is built,
-  copied or walked.  This is the paper's point (Figure 3): the
+  copied or walked.  An element and the elements nested in its content
+  bind to one template (:func:`_template`): a format string and the
+  scalar leaves that fill it.  This is the paper's point (Figure 3): the
   rewritten plan answers ``XMLTransform`` without materialising a
   document.
 
@@ -37,7 +39,8 @@ from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.nodes import Node, NodeKind, QName
 from repro.xmlmodel.serializer import escape_attribute, escape_text, serialize
 from repro.rdb.binding import Layout, bind_order, sort_pairs
-from repro.rdb.expressions import SqlExpr, _text
+from repro.rdb.expressions import Const, SqlExpr, _text
+from repro.xpath.datamodel import number_to_string
 
 
 class Markup(str):
@@ -97,16 +100,6 @@ def _append_markup(parts, value):
             parts.append(escape_text(text))
 
 
-def plain_text(value):
-    """Top-level scalar rendering: unescaped, SQL floats carrying integral
-    values printed as integers."""
-    if isinstance(value, float) and value == int(value):
-        return str(int(value))
-    if value is None:
-        return ""
-    return str(value)
-
-
 def row_items(value):
     """The items of one result row: its XML value as a flat list."""
     if value is None:
@@ -131,12 +124,13 @@ def render_item(item, method="xml"):
     """One row item as output text — the single renderer behind
     ``TransformResult.serialized_rows``, the functional stream and
     :meth:`repro.rdb.plan.Query.stream_pieces`: markup passes through,
-    nodes serialize, scalars print unescaped (:func:`plain_text`)."""
+    nodes serialize, scalars print unescaped, converted like element
+    content (XPath's number-to-string)."""
     if type(item) is Markup:
         return item
     if isinstance(item, Node):
         return serialize(item, method=method)
-    return plain_text(item)
+    return _text(item)
 
 
 def _lexical(name):
@@ -191,6 +185,120 @@ def _element_markup(head, close, content, stats):
     return pieces
 
 
+#: constant values a template folds into its static text
+_STATIC = (str, int, float, bool, type(None))
+
+
+def _is_static(expr):
+    return type(expr) is Const and type(expr.value) in _STATIC
+
+
+def _render(nest, values, stats):
+    """One element of a template for a row that left the format, from
+    the row's leaf ``values``: ``nest`` is ``(start tag head, end tag,
+    attributes, content)`` as :func:`_template` records it — an
+    attribute is ``(prefix, leaf index)``, or ``(text, None)`` when
+    constant; a content item is a leaf index, a nested element's nest or
+    constant markup."""
+    head, close, attributes, content = nest
+    for text, index in attributes:
+        if index is None:
+            head += text
+        elif values[index] is not None:
+            head += text + escape_attribute(_text(values[index])) + '"'
+    return _element_markup(head, close, [
+        values[item] if type(item) is int
+        else _render(item, values, stats) if type(item) is tuple
+        else item
+        for item in content
+    ], stats)
+
+
+def _template(element, binder, layout):
+    """Bind a markup ``element`` and every ``XMLElement`` nested in its
+    content as one template: a format string holding each tag, ``name="``
+    prefix, end tag and constant, escaped once here with ``%`` doubled,
+    beside the tuple of its scalar leaves.  Per row each leaf is called
+    exactly once; when every value is a plain scalar (a string — non-empty
+    in content —, an int or a float) the row is one ``fmt % args``.  Any
+    other value (NULL, empty content text, a bool, a sequence, markup, a
+    node) renders that row from the same values through
+    :func:`_render`.  ``xml_elements`` counts every element of the nest
+    either way."""
+    leaves = []  # (bound closure, is an attribute value), in call order
+    pieces = []  # the format: static text, None where a leaf goes
+    elements = 0
+
+    def leaf(expr, attribute):
+        pieces.append(None)
+        leaves.append((expr.bind(binder, layout), attribute))
+        return len(leaves) - 1
+
+    def nest(element):
+        """Append ``element`` to the format; returns its nest for
+        :func:`_render`."""
+        nonlocal elements
+        elements += 1
+        opening, close = _tags(element.name)
+        pieces.append(opening)
+        attributes = []
+        for attr_name, expr in element.attributes:
+            prefix = ' %s="' % _lexical(attr_name)
+            if not _is_static(expr):
+                pieces.append(prefix)
+                attributes.append((prefix, leaf(expr, True)))
+                pieces.append('"')
+            elif expr.value is not None:
+                text = prefix + escape_attribute(_text(expr.value)) + '"'
+                pieces.append(text)
+                attributes.append((text, None))
+        start = len(pieces)
+        pieces.append(">")
+        content = []
+        for expr in element.content:
+            if type(expr) is XMLElement:
+                content.append(nest(expr))
+            elif not _is_static(expr):
+                content.append(leaf(expr, False))
+            elif _text(expr.value):
+                text = Markup(escape_text(_text(expr.value)))
+                pieces.append(text)
+                content.append(text)
+        if len(pieces) == start + 1:  # no content: self-closing
+            pieces[start] = "/>"
+        else:
+            pieces.append(close)
+        return opening, close, attributes, content
+
+    root = nest(element)
+    fmt = "".join("%s" if piece is None else piece.replace("%", "%%")
+                  for piece in pieces)
+    leaves = tuple(leaves)
+
+    def template(row, stats):
+        values = []
+        args = []
+        for leaf, attribute in leaves:
+            value = leaf(row, stats)
+            values.append(value)
+            kind = type(value)
+            if kind is str and (value or attribute):
+                args.append(escape_attribute(value) if attribute
+                            else escape_text(value))
+            elif kind is int:
+                args.append(value)
+            elif kind is float:
+                args.append(number_to_string(value))
+            else:  # the rest are called once, then the row leaves the format
+                values += [rest(row, stats)
+                           for rest, _ in leaves[len(values):]]
+                return _render(root, values, stats)
+        stats.xml_elements += elements
+        return Markup(fmt % tuple(args))
+
+    return template
+
+
 class XMLElement(XmlExpr):
     """``XMLElement("name", XMLAttributes(...), content...)``."""
 
@@ -203,33 +311,18 @@ class XMLElement(XmlExpr):
         return tuple(expr for _, expr in self.attributes) + tuple(self.content)
 
     def bind(self, binder, layout):
+        if binder.markup:
+            return _template(self, binder, layout)
+        name = self.name
         attributes = [(attr_name, expr.bind(binder, layout))
                       for attr_name, expr in self.attributes]
         content = [expr.bind(binder, layout) for expr in self.content]
-        if not binder.markup:
-            name = self.name
-            return lambda row, stats: _element_node(
-                name,
-                [(attr_name, value(row, stats))
-                 for attr_name, value in attributes],
-                [value(row, stats) for value in content],
-                stats,
-            )
-        # static markup, rendered once per binding instead of once per row
-        opening, close = _tags(self.name)
-        attributes = [(' %s="' % _lexical(attr_name), value)
-                      for attr_name, value in attributes]
-
-        def element(row, stats):
-            head = opening
-            for prefix, value in attributes:
-                value = value(row, stats)
-                if value is not None:
-                    head += prefix + escape_attribute(_text(value)) + '"'
-            return _element_markup(
-                head, close, [value(row, stats) for value in content], stats)
-
-        return element
+        return lambda row, stats: _element_node(
+            name,
+            [(attr_name, value(row, stats)) for attr_name, value in attributes],
+            [value(row, stats) for value in content],
+            stats,
+        )
 
     def to_sql(self):
         parts = ['"%s"' % self.name]

@@ -55,7 +55,8 @@ def test_markup_dom_and_stream_agree(case):
     Same bytes row by row, and the same work counted — the text routine
     may not skip or repeat an element, a scan or a row."""
     from repro.rdb.plan import ExecutionStats
-    from repro.rdb.sqlxml import plain_text, row_items
+    from repro.rdb.expressions import _text
+    from repro.rdb.sqlxml import row_items
     from repro.xmlmodel import serialize
     from repro.xmlmodel.nodes import Node
 
@@ -78,7 +79,7 @@ def test_markup_dom_and_stream_agree(case):
         dom_rows, _ = compiled.query.execute(prepared.db, stats=dom_stats)
         reference = [
             "".join(serialize(item) if isinstance(item, Node)
-                    else plain_text(item)
+                    else _text(item)
                     for item in row_items(row[0]))
             for row in dom_rows
         ]

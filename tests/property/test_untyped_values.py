@@ -19,11 +19,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Engine, TransformOptions
+from repro.errors import DatabaseError
 from repro.obs import MetricsRegistry, Tracer
 from repro.rdb import Database
+from repro.rdb.expressions import FuncCall, const
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
-from repro.xmlmodel import parse_document
+from repro.xmlmodel import parse_document, serialize
+from repro.xslt.stylesheet import compile_stylesheet
+from repro.xslt.vm import XsltVM
+from repro.xsltmark.cases import get_case
+from repro.xsltmark.runner import prepare_case
 
 DTD = "<!ELEMENT t (r*)><!ELEMENT r (v)><!ELEMENT v (#PCDATA)>"
 FUNCTIONAL = TransformOptions(strategy="functional")
@@ -60,6 +66,7 @@ BODIES = {
     "v - 1": value_of("v - 1"),
     "v div 2": value_of("v div 2"),
     "v mod 2": value_of("v mod 2"),
+    "v div 0": value_of("v div 0"),
     "{v + 1}": each("t/r", '<e a="{v + 1}"/>'),
     "sum": '<xsl:value-of select="sum(t/r/v)"/>',
     "number": value_of("number(v)"),
@@ -129,6 +136,50 @@ def test_the_answers_themselves():
     assert text("number", ["007"]) == "<o>[7]</o>"
     assert text("normalize-space", ["  a   b  "]) == "<o>[a b]</o>"
     assert text("sort") == "<o>[abc][9][10][10.0]</o>"
+
+
+#: top-level numbers over the typed ``dbonerow`` document (ids 1..20):
+#: the row prints as XPath prints the number, and ``div`` is XPath's
+DBONEROW_SCALARS = {
+    "sum(table/row/id) * 1000000000000000000": "2.1e+20",
+    "sum(table/row/id) div 0": "Infinity",
+    "(0 - sum(table/row/id)) div 0": "-Infinity",
+    "0 div 0": "NaN",
+    "sum(table/row/id) div 8": "26.25",
+}
+
+
+@pytest.mark.parametrize("select", sorted(DBONEROW_SCALARS))
+def test_top_level_numbers_print_like_the_vm(select):
+    prepared = prepare_case(get_case("dbonerow"), 20)
+    text = ('<xsl:stylesheet version="1.0" '
+            'xmlns:xsl="http://www.w3.org/1999/XSL/Transform">'
+            '<xsl:template match="/"><xsl:value-of select="%s"/>'
+            "</xsl:template></xsl:stylesheet>" % select)
+    rewritten = Engine(prepared.db).transform(prepared.storage, text)
+    document = prepared.storage.materialize(
+        prepared.storage.document_ids()[0])
+    vm = serialize(XsltVM(compile_stylesheet(text)).transform_document(
+        document))
+    assert rewritten.strategy == "sql-rewrite"
+    assert "".join(rewritten.serialized_rows()) == vm \
+        == DBONEROW_SCALARS[select]
+
+
+def test_xpath_div_beside_sql_slash():
+    """The rewrite's ``DIV`` is XPath's (NULL still in, NULL out); SQL
+    text's ``/`` keeps SQL's error."""
+    def div(left, right):
+        return FuncCall("DIV", [const(left), const(right)]).evaluate({})
+
+    assert div(1, 0) == float("inf")
+    assert div("abc", 2) != div("abc", 2)  # NaN
+    assert div(None, 0) is None and div(1, None) is None
+    db = Database()
+    db.sql("CREATE TABLE t (x INT)")
+    db.sql("INSERT INTO t VALUES (1)")
+    with pytest.raises(DatabaseError, match="division by zero"):
+        db.sql("SELECT x / 0 FROM t")
 
 
 def test_a_text_index_answers_text_keys_only():

@@ -496,6 +496,16 @@ class TestRowItemRendering:
         assert render_item(7.0) == "7"
         assert render_item(None) == ""
 
+    def test_scalars_print_like_xpath_numbers(self):
+        """Top-level scalars convert like element content: what the VM
+        prints for the same number."""
+        assert render_item(2.1e20) == "2.1e+20"
+        assert render_item(float("nan")) == "NaN"
+        assert render_item(float("inf")) == "Infinity"
+        assert render_item(float("-inf")) == "-Infinity"
+        assert render_item(-0.0) == "0"
+        assert render_item(True) == "true"
+
     def test_markup_passes_through(self):
         assert render_item(Markup("<e>a&lt;b</e>")) == "<e>a&lt;b</e>"
 
@@ -652,3 +662,82 @@ class TestConstructorStreaming:
         expected = "".join(serialize(row[0]) for row in rows)
         assert "".join(outer.stream_pieces(db)) == expected
         assert "<n>CLARK</n><n>MILLER</n>" in expected
+
+    # -- a nest bound as one template: constants folded, row values as leaves
+
+    def test_percent_and_ampersand_in_constants_and_values(self, db):
+        expr = XMLElement(
+            "e%s", const("100% & "), col("v", "t"),
+            XMLElement("i", attributes=[("a%d", const("%s&")),
+                                        ("b", col("w", "t"))]),
+            attributes=[("c", const("%%"))])
+        out = self.roundtrip(db, expr, {"t": {"v": "50%s & %d",
+                                              "w": '%%"&'}})
+        assert out == ('<e%s c="%%">100% &amp; 50%s &amp; %d'
+                       '<i a%d="%s&amp;" b="%%&quot;&amp;"/></e%s>')
+
+    def test_attribute_only_element_nested_self_closes(self, db):
+        expr = XMLElement(
+            "bars", XMLElement("bar", attributes=[("name", col("n", "t")),
+                                                  ("height", col("h", "t"))]),
+            col("n", "t"))
+        assert self.roundtrip(db, expr, {"t": {"n": "x<", "h": 51}}) \
+            == '<bars><bar name="x&lt;" height="51"/>x&lt;</bars>'
+        # a NULL attribute is omitted, a NULL content leaf adds nothing
+        assert self.roundtrip(db, expr, {"t": {"n": None, "h": 51}}) \
+            == '<bars><bar height="51"/></bars>'
+
+    def test_empty_string_leaf(self, db):
+        env = {"t": {"v": "", "w": "x"}}
+        v, w = col("v", "t"), col("w", "t")
+        # the sole body self-closes, beside another leaf it adds nothing
+        assert self.roundtrip(db, XMLElement("e", v), env) == "<e/>"
+        assert self.roundtrip(db, XMLElement("e", v, w), env) == "<e>x</e>"
+        assert self.roundtrip(db, XMLElement("o", XMLElement("e", v), w),
+                              env) == "<o><e/>x</o>"
+        # an empty attribute value is still written
+        assert self.roundtrip(
+            db, XMLElement("e", w, attributes=[("a", v)]), env) \
+            == '<e a="">x</e>'
+
+    @pytest.mark.parametrize("value, text", [
+        (float("nan"), "NaN"), (float("inf"), "Infinity"),
+        (float("-inf"), "-Infinity"), (1e20, "1e+20"), (-0.0, "0"),
+        (2.5, "2.5"), (7.0, "7"), (7, "7"), (True, "true"),
+        (False, "false"),
+    ])
+    def test_number_and_bool_leaves(self, db, value, text):
+        leaf = col("v", "t")
+        expr = XMLElement("e", XMLElement("i", leaf,
+                                          attributes=[("a", leaf)]))
+        assert self.roundtrip(db, expr, {"t": {"v": value}}) \
+            == '<e><i a="%s">%s</i></e>' % (text, text)
+
+    def test_markup_and_list_leaves_inside_a_nest(self, db):
+        v = col("v", "t")
+        expr = XMLElement(
+            "o", XMLElement("p", XMLComment(v), v),
+            XMLConcat([XMLElement("q"), v]), XMLForest([("f", v)]))
+        value = expr.evaluate({"t": {"v": "x&"}}, db, markup_stats())
+        assert type(value) is list  # a sequence leaf keeps the pieces
+        assert all(type(piece) is Markup for piece in value)
+        assert self.roundtrip(db, expr, {"t": {"v": "x&"}}) == (
+            "<o><p><!--x&-->x&amp;</p><q/>x&amp;<f>x&amp;</f></o>")
+
+    @pytest.mark.parametrize("v", ["x", None])
+    def test_scalar_subquery_leaf_runs_once(self, db, v):
+        """Whether the row stays in the format or leaves it at a NULL
+        before or after the subquery, the subquery runs once."""
+        who = ScalarSubquery(Query(
+            Filter(Scan("emp"), eq(col("empno"), const(7782))),
+            [(None, col("ename"))],
+        ))
+        leaf = col("v", "t")
+        for expr in (XMLElement("o", XMLElement("who", who), leaf),
+                     XMLElement("o", leaf, XMLElement("who", who))):
+            stats = markup_stats()
+            expr.evaluate({"t": {"v": v}}, db, stats)
+            assert stats.subquery_executions == 1
+            assert stats.xml_elements == 2
+            out = self.roundtrip(db, expr, {"t": {"v": v}})
+            assert "<who>CLARK</who>" in out
