@@ -288,9 +288,10 @@ class Engine:
         are given (a plan cannot bind them), get the plan from ``plans``
         — a plan source ``(source, stylesheet, opts, build, tracer) ->
         (compiled, tier)``: :meth:`transform_many`'s memo, a serving
-        ``PlanRuntime``'s two tiers; None compiles — counting the
-        attempt when ``build`` runs, and open ``door`` over it with
-        the options whole."""
+        ``PlanRuntime``'s two tiers; None compiles for this request
+        alone, without a projection mask — counting the attempt when
+        ``build`` runs, and open ``door`` over it with the options
+        whole."""
         started = time.perf_counter()
         if params and opts.effective_rewrite():
             opts = opts.replace(strategy=STRATEGY_FUNCTIONAL)
@@ -299,7 +300,7 @@ class Engine:
             if opts.effective_rewrite():
                 self.metrics.counter("transform.rewrite_attempts").inc()
             return _compile_impl(db, source, stylesheet, opts, self.tracer,
-                                 self.metrics)
+                                 self.metrics, reused=plans is not None)
 
         compiled, tier = (build(), None) if plans is None \
             else plans(source, stylesheet, opts, build, self.tracer)

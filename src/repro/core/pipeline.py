@@ -95,6 +95,9 @@ class XsltRewriter:
         #: door) may pass their own so decisions made before a failing
         #: stage survive onto the fallback result.
         self.ledger = ledger if ledger is not None else DecisionLedger()
+        #: the PartialEvaluation of the last rewrite, kept when a later
+        #: stage fails (a functional artifact projects from it)
+        self.partial_evaluation = None
 
     def rewrite_to_xquery(self, stylesheet, schema):
         """Stylesheet + structural schema → XQuery module.
@@ -141,6 +144,7 @@ class XsltRewriter:
                 raise _tag(
                     RewriteError("rewrite failed: %s" % exc), "partial-eval"
                 ) from exc
+            self.partial_evaluation = partial
             span.set_attr(
                 templates_total=len(compiled.templates),
                 templates_instantiated=len(partial.instantiated_templates),

@@ -43,7 +43,7 @@ import time
 
 from repro.errors import RewriteError
 from repro.obs import NULL_SPAN, get_tracer, global_metrics, render_tree
-from repro.obs.decisions import DecisionLedger
+from repro.obs.decisions import PROJECTION, DecisionLedger
 from repro.obs.feedback import PlanFeedback, observe_profile
 from repro.obs.trace import current_trace_id
 from repro.rdb.database import View
@@ -56,6 +56,7 @@ from repro.xmlmodel.parser import parse_fragment
 from repro.xslt.stylesheet import Stylesheet, compile_stylesheet
 from repro.xslt.vm import XsltVM
 from repro.core.pipeline import XsltRewriter
+from repro.core.projection import functional_projection, projection_summary
 
 STRATEGY_SQL = "sql-rewrite"
 STRATEGY_FUNCTIONAL = "functional"
@@ -183,6 +184,9 @@ class _ExecutionView:
         lines = [self.explain(include_decisions=False).render()]
         if self.fallback_category:
             lines.append("fallback-category: %s" % self.fallback_category)
+        if self.ledger is not None:
+            lines.extend("projection: %s" % projection_summary(decision)
+                         for decision in self.ledger.decisions_of(PROJECTION))
         if self.vm_stats:
             lines.append("vm: %s" % ", ".join(
                 "%s=%d" % (name, value)
@@ -317,14 +321,17 @@ class CompiledTransform:
       REWRITE still works for requests that never compiled anything;
     * ``error`` — the categorized :class:`RewriteError` when compilation
       fell back (kept so every execution of this artifact reports the
-      same fallback reason the paper's implementation would).
+      same fallback reason the paper's implementation would);
+    * ``mask`` — on a functional artifact, the projection mask its
+      documents are built with (:mod:`repro.core.projection`; None: the
+      whole document).
     """
 
     __slots__ = ("stylesheet", "strategy", "outcome", "query", "ledger",
-                 "error", "options", "feedback")
+                 "error", "options", "mask", "feedback")
 
     def __init__(self, stylesheet, strategy, outcome=None, query=None,
-                 ledger=None, error=None, options=None):
+                 ledger=None, error=None, options=None, mask=None):
         self.stylesheet = stylesheet
         self.strategy = strategy
         self.outcome = outcome
@@ -332,6 +339,7 @@ class CompiledTransform:
         self.ledger = ledger
         self.error = error
         self.options = options
+        self.mask = mask
         #: latest PlanFeedback recorded for an execution of this artifact
         #: (the serve tier's re-cost predicate reads it)
         self.feedback = None
@@ -392,7 +400,8 @@ def _stylesheet(stylesheet, tracer):
         return compile_stylesheet(stylesheet)
 
 
-def _compile_impl(db, source, stylesheet, options, tracer, metrics):
+def _compile_impl(db, source, stylesheet, options, tracer, metrics,
+                  reused=True):
     """The compile worker behind :meth:`repro.api.Engine.compile`.
 
     Compiles the stylesheet (when given as markup) and — unless
@@ -401,20 +410,25 @@ def _compile_impl(db, source, stylesheet, options, tracer, metrics):
     stages, optimizes the merged plan against ``db`` at
     ``options.optimizer_level`` (``decorrelate`` gates the unnesting
     pass ahead of the cost optimizer) and resolves the decision ledger's
-    provenance into the optimized plan.
+    provenance into the optimized plan.  A functional artifact that is
+    ``reused`` (not one request's own compile) carries a projection
+    mask; a failed rewrite derives it from the partial evaluation it
+    already made.
     """
     stylesheet = _stylesheet(stylesheet, tracer)
-    if not options.effective_rewrite():
-        return CompiledTransform(stylesheet, STRATEGY_FUNCTIONAL)
-    rewrite_options = options.rewrite_options
     # Created before compiling so that on a failed rewrite the artifact
     # still carries the decisions made before the failure point.
     ledger = DecisionLedger()
+    if not options.effective_rewrite():
+        return CompiledTransform(
+            stylesheet, STRATEGY_FUNCTIONAL, ledger=ledger,
+            mask=functional_projection(source, stylesheet, ledger, tracer,
+                                       reused))
+    rewrite_options = options.rewrite_options
+    rewriter = XsltRewriter(rewrite_options, tracer=tracer, metrics=metrics,
+                            ledger=ledger)
     try:
-        view_query = _view_query(source)
-        rewriter = XsltRewriter(rewrite_options, tracer=tracer,
-                                metrics=metrics, ledger=ledger)
-        outcome = rewriter.rewrite_view(stylesheet, view_query)
+        outcome = rewriter.rewrite_view(stylesheet, _view_query(source))
         with tracer.span("compile.optimize"):
             query = db.optimize(outcome.sql_query,
                                 level=options.optimizer_level, ledger=ledger,
@@ -423,9 +437,13 @@ def _compile_impl(db, source, stylesheet, options, tracer, metrics):
             # (the one explain() renders and execution profiles)
             ledger.attach_plan(query)
     except RewriteError as exc:
+        mask = functional_projection(source, stylesheet, ledger, tracer,
+                                     reused,
+                                     partial=rewriter.partial_evaluation,
+                                     error=exc)
         return CompiledTransform(stylesheet, STRATEGY_FUNCTIONAL,
                                  ledger=ledger, error=exc,
-                                 options=rewrite_options)
+                                 options=rewrite_options, mask=mask)
     return CompiledTransform(stylesheet, STRATEGY_SQL, outcome=outcome,
                              query=query, ledger=ledger,
                              options=rewrite_options)
@@ -545,8 +563,8 @@ def _start(db, source, compiled, options, params, tracer, metrics, root,
                     ledger=compiled.ledger)
 
     def retry(exc):
-        return _fallback_rows(db, source, compiled.stylesheet, params, exc,
-                              run, tracer, metrics, root)
+        return _fallback_rows(db, source, compiled, params, exc, run, tracer,
+                              metrics, root)
 
     if compiled.is_rewritten and not params:
         rows = _plan_rows(db, compiled, run, tracer, metrics, options,
@@ -554,7 +572,7 @@ def _start(db, source, compiled, options, params, tracer, metrics, root,
     elif compiled.error is not None:
         rows = retry(compiled.error)
     else:
-        rows = _vm_rows(db, source, compiled.stylesheet, params, run, tracer)
+        rows = _vm_rows(db, source, compiled, params, run, tracer)
     return run, rows, retry
 
 
@@ -603,16 +621,17 @@ def _plan_rows(db, compiled, run, tracer, metrics, options, deadline):
                                 options.feedback)
 
 
-def _vm_rows(db, source, stylesheet, params, run, tracer):
+def _vm_rows(db, source, compiled, params, run, tracer):
     """One item list per document from functional evaluation: each
-    document is materialised as a DOM and transformed by the XSLT VM
-    (that cost is inherent to the strategy)."""
+    document is materialised as a DOM — only what the artifact's
+    projection mask reaches — and transformed by the XSLT VM (that cost
+    is inherent to the strategy)."""
     with tracer.span("functional.execute") as span:
         run.strategy = STRATEGY_FUNCTIONAL
         stats = run.stats = ExecutionStats()
-        vm = XsltVM(stylesheet)
+        vm = XsltVM(compiled.stylesheet)
         start = time.perf_counter()
-        documents = _materialize_documents(db, source, stats)
+        documents = _materialize_documents(db, source, stats, compiled.mask)
         for count, document in enumerate(documents, 1):
             result = vm.transform_document(document, params=params)
             # assigned, not added: a view source's own query counted too
@@ -632,7 +651,7 @@ def _vm_rows(db, source, stylesheet, params, run, tracer):
         )
 
 
-def _fallback_rows(db, source, stylesheet, params, exc, run, tracer, metrics,
+def _fallback_rows(db, source, compiled, params, exc, run, tracer, metrics,
                    root):
     """Functional rows after a failed rewrite — loudly, and the only
     place that is: categorize the failure, bump the fallback counter,
@@ -653,13 +672,15 @@ def _fallback_rows(db, source, stylesheet, params, exc, run, tracer, metrics,
     run.fallback_phase = phase
     run.fallback_category = category
     run.executed_query = run.plan_profile = None
-    yield from _vm_rows(db, source, stylesheet, params, run, tracer)
+    yield from _vm_rows(db, source, compiled, params, run, tracer)
 
 
-def _materialize_documents(db, source, stats):
-    """Yield each XMLType instance as a full DOM (the no-rewrite cost)."""
+def _materialize_documents(db, source, stats, mask):
+    """Yield each XMLType instance as a DOM (the no-rewrite cost):
+    object-relational storage builds what ``mask`` reaches, any other
+    source the whole document."""
     if isinstance(source, ObjectRelationalStorage):
-        yield from source.materialize_all(stats=stats)
+        yield from source.materialize_all(stats=stats, mask=mask)
         return
     if _is_document_store(source):
         for doc_id in source.document_ids():

@@ -36,6 +36,8 @@ TEMPLATE_DISPATCHED = "template-dispatched"      # §4.4: stays a function
 CARDINALITY = "cardinality"                      # §3.4: FOR vs LET
 BACKWARD_STEP = "backward-step"                  # §3.5: parent tests removed
 BUILTIN_COMPACTION = "builtin-compaction"        # §3.6: string-join form
+# a functional artifact: which stored paths the VM's documents keep
+PROJECTION = "projection"
 
 # cost-based plan optimisation (repro.rdb.planner, not a paper section)
 ACCESS_PATH = "access-path"        # Scan vs IndexScan per filtered table
@@ -60,6 +62,7 @@ KINDS = (
     CARDINALITY,
     BACKWARD_STEP,
     BUILTIN_COMPACTION,
+    PROJECTION,
     ACCESS_PATH,
     JOIN_STRATEGY,
     TOPN_FUSION,

@@ -27,6 +27,7 @@ from repro.rdb.expressions import (
     Const,
     IsNull,
     ScalarSubquery,
+    _text,
     col,
     eq,
 )
@@ -55,14 +56,18 @@ START = "$start"
 END = "$end"
 LEVEL = "$level"
 
-# Emit-program step kinds (see ObjectRelationalStorage._compile_element);
-# the shred program (_compile_shred_row) uses the first two and _ROWS.
-_LEAF, _INLINE, _ROWS_LEAF, _ROWS_TREE, _ROWS = range(5)
+# Emit-program step kinds (see ObjectRelationalStorage._compile_element;
+# _SKIP only occurs in a projected program); the shred program
+# (_compile_shred_row) uses the first two and _ROWS.
+_LEAF, _INLINE, _ROWS_LEAF, _ROWS_TREE, _ROWS, _SKIP = range(6)
 _BY_SEQ = itemgetter(2)  # child-table rows are ($id, $parent, $seq, ...)
 # Shredded rows wait in per-table batches of this many before they are
 # appended, so a streamed load never holds more than this beside the tables.
 _BATCH_ROWS = 1024
 _NO_CHILDREN = {}
+# Projected emit programs a storage keeps, one per distinct mask: a
+# long-lived storage serving ad-hoc stylesheets must not grow without bound.
+_PROJECTIONS_KEPT = 64
 
 
 class TableBinding:
@@ -145,6 +150,8 @@ class ObjectRelationalStorage:
         # Compiled once, never mutated: concurrent materialisations share it.
         self._emit_program = self._compile_element(self.schema.root,
                                                    self.tables[0])
+        #: projection mask -> the emit program it filters to (_projected)
+        self._projections = {}
         self._shred_program = self._compile_shred_row(self.schema.root,
                                                       self.tables[0])
 
@@ -567,23 +574,30 @@ class ObjectRelationalStorage:
             stats.rows_scanned += scanned
         if row is None:
             raise DatabaseError("no document %d" % doc_id)
-        return self._build_document(row, self._child_fetchers(stats), stats)
+        return self._build_document(row, self._child_fetchers(stats), stats,
+                                    self._emit_program)
 
-    def materialize_all(self, stats=None):
+    def materialize_all(self, stats=None, mask=None):
         """Yield every stored document's DOM, in document-id order.
 
         The many-document form of :meth:`materialize`: the root table is
         walked once and each un-indexed child table is scanned and grouped
         once for all documents, so the rows touched stay linear in storage
         size however many documents there are.
+
+        ``mask`` is a projection mask (see :meth:`_projected`): only the
+        nodes it reaches are built, each with the ``order`` it has in the
+        full DOM, and the rows touched are the same.  None builds all.
         """
+        program = (self._emit_program if mask is None
+                   else self._projected(mask))
         rows = [row for _, row in
                 self.db.table(self.tables[0].table_name).scan()]
         fetchers = self._child_fetchers(stats)
         for row in rows:
             if stats is not None:
                 stats.rows_scanned += 1
-            yield self._build_document(row, fetchers, stats)
+            yield self._build_document(row, fetchers, stats, program)
 
     def _child_fetchers(self, stats):
         """Per call, one ``parent_id -> child rows in $seq order`` callable
@@ -609,16 +623,41 @@ class ObjectRelationalStorage:
             fetchers.append(_group_fetcher(grouped))
         return fetchers
 
-    def _build_document(self, row, fetchers, stats):
+    def _build_document(self, row, fetchers, stats, program):
         if stats is not None:
             stats.docs_materialized += 1
         document = Document()
         # Nodes are numbered exactly as TreeBuilder would: elements and
         # text take the next slot, attributes share their element's.
         document.resume_order(_emit_element(
-            self._emit_program, row, document, document.children, 1,
-            fetchers))
+            program, row, document, document.children, 1, fetchers))
         return document
+
+    def _projected(self, mask):
+        """The emit program filtered by a projection ``mask`` — a
+        frozenset of ``(path, content)`` pairs, ``path`` naming an element
+        (``row/state``) or attribute (``row/@id``) below the document
+        element, ``content`` whether its value (an element's: its whole
+        subtree) is read or only the node (see
+        :mod:`repro.core.projection`).  What no path reaches becomes a
+        ``_SKIP`` step that advances ``order`` by the nodes it would have
+        built.  The mask holds names, so any storage of the same schema
+        resolves it.  Memoised per mask, at most ``_PROJECTIONS_KEPT``
+        programs (the memo starts over when full); two threads racing a
+        fill build equal programs."""
+        program = self._projections.get(mask)
+        if program is None:
+            paths = dict(mask)
+            reached = {""}  # every path of the mask and each prefix of one
+            for path in paths:
+                parts = path.split("/")
+                reached.update("/".join(parts[:end])
+                               for end in range(1, len(parts) + 1))
+            program = _project(self._emit_program, "", paths, reached)
+            if len(self._projections) >= _PROJECTIONS_KEPT:
+                self._projections.clear()
+            self._projections[mask] = program
+        return program
 
     # -- the emit program ---------------------------------------------------------
 
@@ -634,9 +673,11 @@ class ObjectRelationalStorage:
             (_INLINE, presence_slot, element)    flattened wrapper
             (_ROWS_LEAF, table, qname, attrs, slot)   child-table leaf rows
             (_ROWS_TREE, table, element)         child-table subtrees
+            (_SKIP, steps)                       counted, not built
 
         where ``table`` indexes ``self.tables`` and ``presence_slot`` is
-        None for a mandatory wrapper.
+        None for a mandatory wrapper.  ``_SKIP`` occurs only in a
+        projected program (:meth:`_projected`).
         """
         position_of = self.db.table(table_binding.table_name).schema.position_of
         steps = []
@@ -835,6 +876,8 @@ def _emit_element(program, row, parent, siblings, order, fetchers):
             for child_row in fetchers[table](row[0]):
                 order = _emit_leaf(element, children, child_name, child_attrs,
                                    child_row, child_row[slot], order)
+        elif kind == _SKIP:
+            order += _skipped(step[1], row, fetchers)
         else:
             child_program = step[2]
             for child_row in fetchers[step[1]](row[0]):
@@ -851,7 +894,7 @@ def _emit_leaf(parent, siblings, name, attrs, row, value, order):
     if attrs:
         _emit_attributes(leaf, attrs, row)
     if type(value) is not str:
-        value = _as_text(value)
+        value = _text(value)
     if value == "":
         return order + 1  # like TreeBuilder.text(""): no node
     text = Text(value)
@@ -866,7 +909,7 @@ def _emit_attributes(element, attrs, row):
     for name, slot in attrs:
         value = row[slot]
         if value is not None:
-            attribute = Attribute(name, _as_text(value))
+            attribute = Attribute(name, _text(value))
             attribute.parent = element
             attribute.order = element.order
             attributes.append(attribute)
@@ -874,12 +917,65 @@ def _emit_attributes(element, attrs, row):
         element.attributes = attributes
 
 
-def _as_text(value):
-    if value is None:
-        return ""
-    if isinstance(value, float) and value == int(value):
-        return str(int(value))
-    return str(value)
+def _skipped(steps, row, fetchers):
+    """How many order slots ``steps`` of an element program take over
+    ``row``, counted without building a node: a NULL column leaf 0, a
+    leaf with empty (or, in a child table, NULL) text 1, any other leaf
+    2, a wrapper or child row 1 plus its own steps."""
+    count = 0
+    for step in steps:
+        kind = step[0]
+        if kind == _LEAF:
+            value = row[step[3]]
+            if value is not None:
+                count += 1 if value == "" else 2
+        elif kind == _INLINE:
+            if step[1] is None or row[step[1]]:
+                count += 1 + _skipped(step[2][2], row, fetchers)
+        elif kind == _ROWS_LEAF:
+            slot = step[4]
+            for child_row in fetchers[step[1]](row[0]):
+                value = child_row[slot]
+                count += 1 if value is None or value == "" else 2
+        else:
+            child_steps = step[2][2]
+            for child_row in fetchers[step[1]](row[0]):
+                count += 1 + _skipped(child_steps, child_row, fetchers)
+    return count
+
+
+def _project(program, path, paths, reached):
+    """The element program at ``path`` (``""``: the document element)
+    with what ``reached`` — the mask's paths and their prefixes — does not
+    name turned into ``_SKIP`` steps; ``paths[path]`` true keeps the whole
+    subtree as stored, and so does a leaf reached at all."""
+    if paths.get(path):
+        return program
+    name, attrs, steps = program
+    prefix = path + "/" if path else ""
+    kept, skipped = [], []
+    for step in steps:
+        kind = step[0]
+        if kind == _LEAF:
+            child = prefix + step[1].local
+        elif kind == _ROWS_LEAF:
+            child = prefix + step[2].local
+        else:  # a wrapper or subtree: its element program's name
+            child = prefix + step[2][0].local
+        if child not in reached:
+            skipped.append(step)
+            continue
+        if skipped:
+            kept.append((_SKIP, tuple(skipped)))
+            skipped = []
+        if kind == _INLINE or kind == _ROWS_TREE:
+            step = step[:2] + (_project(step[2], child, paths, reached),)
+        kept.append(step)
+    if skipped:
+        kept.append((_SKIP, tuple(skipped)))
+    return (name, tuple(attr for attr in attrs
+                        if prefix + "@" + attr[0].local in reached),
+            tuple(kept))
 
 
 def _schema_signature(decl, seen=None):

@@ -59,7 +59,10 @@ from repro.obs import global_metrics
 #: 4: a ``PartialEvaluation`` no longer carries its predicate-strip memo
 #: (that class is gone — a version 3 payload would fail inside
 #: ``pickle.loads``), and patterns pickle as dicts, not slots.
-ARTIFACT_FORMAT_VERSION = 4
+#: 5: a ``CompiledTransform`` carries a ``mask`` slot (the projection its
+#: functional documents are built with); a version 4 payload lacks it
+#: and would run a forced-functional or fallback artifact unprojected.
+ARTIFACT_FORMAT_VERSION = 5
 ARTIFACT_MAGIC = "repro-plan"
 ARTIFACT_SUFFIX = ".plan"
 EPOCH_FILE = "EPOCH"

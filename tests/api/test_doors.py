@@ -20,6 +20,7 @@ import pytest
 
 from repro.api import Engine, TransformOptions
 from repro.obs import FlightRecorder, InMemorySink, MetricsRegistry, Tracer
+from repro.obs.decisions import PROJECTION
 from repro.serve import ServeResult, TransformService
 from repro.xsltmark import get_case
 from repro.xsltmark.runner import prepare_case
@@ -38,6 +39,11 @@ SERVE_DOORS = ("serve/thread", "serve/process", "serve/stream")
 DOORS = ENGINE_DOORS + SERVE_DOORS
 #: the doors that flight-record (``Engine.execute`` is the per-hit path)
 RECORDED = tuple(door for door in DOORS if door != "execute")
+#: the doors that compile for their one request: a functional artifact
+#: gets no projection mask there (the others keep theirs for reuse, and a
+#: forced-functional one runs partial evaluation for it)
+ONE_SHOT = ("transform", "transform_stream")
+MASK_SPAN = "compile.partial-eval"
 
 WORK_COUNTERS = ("rows_scanned", "index_probes", "index_entries",
                  "output_rows", "xml_elements", "subquery_executions",
@@ -124,8 +130,11 @@ def observe(door, scenario):
                             if view.feedback is not None else None),
         },
         "plan": None if crossed else {
-            "ledger": (view.ledger.to_json()
-                       if view.ledger is not None else None),
+            "ledger": [decision.to_dict() for decision in view.ledger
+                       if decision.kind != PROJECTION],
+            "projection": [(decision.action, decision.reason)
+                           for decision in view.ledger.decisions_of(
+                               PROJECTION)],
             "has_plan": view.executed_query is not None,
             "profiled": view.plan_profile is not None,
         },
@@ -144,9 +153,17 @@ def test_door_observes_the_same_run(door, scenario):
     assert seen["text"] == expected["text"]
     assert seen["record"] == expected["record"]
     if seen["plan"] is not None:
-        assert seen["plan"] == expected["plan"]
+        projects_like = observe("transform" if door in ONE_SHOT
+                                else "execute", scenario)["plan"]
+        assert seen["plan"] == dict(
+            expected["plan"], projection=projects_like["projection"])
+        if strategy == "functional":
+            (action, reason), = seen["plan"]["projection"]
+            assert ("one-shot" in reason) == (door in ONE_SHOT)
+            assert (action == "project") == (
+                door not in ONE_SHOT and scenario == "forced-functional")
     if door in ENGINE_DOORS:
-        assert seen["spans"] == expected["spans"]
+        assert seen["spans"] - {MASK_SPAN} == expected["spans"] - {MASK_SPAN}
     if door in RECORDED:
         assert seen["run_spans"] == expected["run_spans"]
     counters = dict(expected["counters"])
@@ -202,7 +219,11 @@ def test_rooted_doors_trace_and_record(door, scenario):
     if door == "transform_many":
         # compiled once for the whole batch, before the first root opens
         below_root.discard("compile.stylesheet")
-    assert {span.name for span in view.trace.iter_spans()} == below_root
+    spans = {span.name for span in view.trace.iter_spans()}
+    if door not in ONE_SHOT:
+        spans.discard(MASK_SPAN)
+        below_root.discard(MASK_SPAN)
+    assert spans == below_root
     assert view.trace.attrs == expected.trace.attrs
     assert record.name == "xml_transform"
     assert record.status == ("ok" if view.fallback_reason is None

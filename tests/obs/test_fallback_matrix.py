@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import STRATEGY_FUNCTIONAL, xml_transform
 from repro.obs import MetricsRegistry, Tracer
+from repro.obs.decisions import PROJECTION
 from repro.rdb import Database, Query, Scan
 from repro.rdb.expressions import col, const
 from repro.rdb.sqlxml import XMLElement
@@ -133,7 +134,12 @@ class TestCompileStageMatrix:
         result, _ = run(source_kind, stylesheet)
         assert result.ledger is not None, \
             "a fallback result still carries its (possibly empty) ledger"
-        stages = {decision.stage for decision in result.ledger}
+        # the functional artifact's one projection decision comes after
+        # the failure; none of these sources is stored by structure
+        projection = result.ledger.decisions_of(PROJECTION)
+        assert [decision.action for decision in projection] == ["full"]
+        stages = {decision.stage for decision in result.ledger
+                  if decision.kind != PROJECTION}
         assert stages == ledger_stages
         if "xquery-gen" in ledger_stages:
             # stages before the failure point really did record evidence

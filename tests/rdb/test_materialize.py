@@ -32,6 +32,7 @@ from repro.rdb.storage import (
 )
 from repro.rdb.treestorage import TreeStorage
 from repro.schema import schema_from_dtd
+from repro.xpath.datamodel import number_to_string
 from repro.xmlmodel import (
     Element,
     NodeKind,
@@ -39,7 +40,8 @@ from repro.xmlmodel import (
     parse_document,
     serialize,
 )
-from repro.xsltmark import ALL_CASES
+from repro.xsltmark import ALL_CASES, get_case
+from repro.xsltmark.generator import SALES_DTD
 from repro.xsltmark.runner import prepare_case
 
 # -- the reference: the replaced algorithm, verbatim in behaviour -------------------
@@ -133,8 +135,8 @@ def reference_materialize(storage, doc_id, stats=None):
 def as_text(value):
     if value is None:
         return ""
-    if isinstance(value, float) and value == int(value):
-        return str(int(value))
+    if isinstance(value, float):  # the one spelling both paths print
+        return number_to_string(value)
     return str(value)
 
 
@@ -350,6 +352,71 @@ class TestDifferential:
             storage.materialize(9, stats=stats)
         assert counters(stats) == dict.fromkeys(COUNTERS, 0) | {
             "rows_scanned": 2}
+
+
+def price_storage(*prices):
+    """SALES_DTD with a FLOAT price column, one product per price text."""
+    storage = ObjectRelationalStorage(
+        Database(), schema_from_dtd(SALES_DTD), "p",
+        column_types={"price": FLOAT})
+    storage.load_stream("<sales>%s</sales>" % "".join(
+        "<product><name>n</name><quantity>1</quantity><price>%s</price>"
+        "<region>r</region></product>" % price for price in prices))
+    return storage
+
+
+class TestFloatText:
+    """A stored FLOAT renders one way on both paths — the rewrite's and
+    the VM's ``number_to_string`` — and NaN / infinities materialise."""
+
+    VALUE_OF = (
+        '<xsl:stylesheet version="1.0" '
+        'xmlns:xsl="http://www.w3.org/1999/XSL/Transform">'
+        '<xsl:template match="sales"><o><xsl:for-each select="product">'
+        '<p><xsl:value-of select="price"/></p></xsl:for-each></o>'
+        "</xsl:template></xsl:stylesheet>")
+    SPELLED = [("NaN", "NaN"), ("INF", "Infinity"), ("-INF", "-Infinity"),
+               ("1e20", "1e+20"), ("-2.5e17", "-2.5e+17"), ("2.5", "2.5"),
+               ("3", "3")]
+
+    @pytest.mark.parametrize("text,spelled", SPELLED)
+    def test_rewrite_and_functional_print_the_same(self, text, spelled):
+        storage = price_storage(text)
+        engine = Engine(storage.db)
+        rewritten = engine.transform(storage, self.VALUE_OF)
+        functional = engine.transform(
+            storage, self.VALUE_OF,
+            options=TransformOptions(strategy="functional"))
+        assert rewritten.strategy == "sql-rewrite"
+        assert rewritten.serialized_rows() == functional.serialized_rows() \
+            == ["<o><p>%s</p></o>" % spelled]
+
+    @pytest.mark.parametrize("case", ["total", "metric", "chart"])
+    def test_special_values_no_longer_crash_the_functional_path(self, case):
+        storage = price_storage("NaN", "INF", "-INF", "1e20")
+        result = Engine(storage.db).transform(
+            storage, get_case(case).stylesheet,
+            options=TransformOptions(strategy="functional"))
+        assert result.rows
+
+    def test_materialize_round_trip(self):
+        texts = [text for text, _ in self.SPELLED]
+        storage = price_storage(*texts)
+        document = storage.materialize(1)
+        prices = [product.find("price").string_value() for product in
+                  document.document_element.findall("product")]
+        assert prices == [spelled for _, spelled in self.SPELLED]
+        again = ObjectRelationalStorage(
+            Database(), storage.schema, "q", column_types={"price": FLOAT})
+        again.load_stream(serialize(document))
+
+        def stored(source):
+            table = source.db.table(source.tables[1].table_name)
+            column = table.schema.position_of("price")
+            return [repr(row[column]) for _, row in table.scan()]
+
+        assert stored(again) == stored(storage)
+        assert serialize(again.materialize(1)) == serialize(document)
 
 
 class TestIndexDecidedPerCall:

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.api import TransformOptions
 from repro.obs import MetricsRegistry
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
@@ -192,9 +193,11 @@ class TestStore:
 
     def test_stale_format_version_is_a_miss_never_loaded(
             self, tmp_path, monkeypatch, caplog):
-        """An entry pickled by an older build (a version 3 payload names
-        the predicate-strip memo, a class this build no longer has) must
-        miss at the header check, before its payload is ever unpickled."""
+        """An entry pickled by an older build (a version 4 payload has no
+        projection mask; a version 3 one names the predicate-strip memo,
+        a class this build no longer has) must miss at the header check,
+        before its payload is ever unpickled."""
+        assert ARTIFACT_FORMAT_VERSION - 1 == 4
         import pickle
 
         _, _, compiled = compile_one()
@@ -291,6 +294,39 @@ class TestServiceWarmStart:
         assert warm.serialized_rows() == cold.serialized_rows()
         assert metrics.counter_total("serve.cache.disk.hits") == 0
         assert metrics.counter_total("transform.rewrite_attempts") == 1
+
+    def test_functional_artifact_keeps_its_projection(self, tmp_path):
+        """A forced-functional plan goes to disk with its projection
+        mask; the next generation loads it — a mask of names, resolved
+        against a second storage of the same fingerprint — and projects
+        byte-identically."""
+        db, storage = make_storage()
+        sheet = (
+            '<xsl:stylesheet version="1.0" '
+            'xmlns:xsl="http://www.w3.org/1999/XSL/Transform">'
+            '<xsl:template match="dept"><d n="{count(employees/emp)}">'
+            '<xsl:value-of select="dname"/></d></xsl:template>'
+            "</xsl:stylesheet>")
+        options = TransformOptions(strategy="functional")
+        store_dir = str(tmp_path / "plans")
+        with TransformService(db, metrics=MetricsRegistry(),
+                              artifact_dir=store_dir) as service:
+            cold = service.transform(storage, sheet, options=options)
+            (key,) = service.artifact_store.keys()
+            written, _ = service.artifact_store.get(key)
+        assert dict(written.mask) == {
+            "dname": True, "employees": False, "employees/emp": False}
+        other_db, other = make_storage()
+        assert other.fingerprint() == storage.fingerprint()
+        metrics = MetricsRegistry()
+        with TransformService(other_db, metrics=metrics,
+                              artifact_dir=store_dir) as service:
+            warm = service.transform(other, sheet, options=options)
+            loaded, _ = service.artifact_store.get(key)
+        assert warm.cache_tier == "l2"
+        assert loaded.mask == written.mask
+        assert warm.serialized_rows() == cold.serialized_rows() == [
+            '<d n="2">ACCOUNTING</d>', '<d n="1">OPERATIONS</d>']
 
     def test_stats_bump_invalidates_disk_entry(self, tmp_path):
         db, storage = make_storage()

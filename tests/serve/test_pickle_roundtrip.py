@@ -11,10 +11,14 @@ included.
 import pickle
 
 from repro.api import Engine
-from repro.core.transform import execute_compiled
+from repro.core.transform import (
+    STRATEGY_FUNCTIONAL,
+    CompiledTransform,
+    execute_compiled,
+)
 from repro.obs import MetricsRegistry
 from repro.serve import ServeResult, decode_artifact, encode_artifact
-from repro.xsltmark.cases import ALL_CASES
+from repro.xsltmark.cases import ALL_CASES, get_case
 from repro.xsltmark.runner import prepare_case
 
 CORPUS_SIZE = 10
@@ -84,6 +88,24 @@ class TestStrippedRuntimeState:
         restored = pickle.loads(pickle.dumps(compiled))
         if compiled.ledger is not None:
             assert restored.ledger is not None
+
+    def test_functional_artifacts_keep_their_projection_mask(self):
+        """A fallback and a forced-functional artifact round-trip with
+        their mask, which resolves against another same-fingerprint
+        storage and projects byte-identically to the full document."""
+        for name, options in (("keys", None),
+                              ("dbonerow", {"strategy": "functional"})):
+            prep = prepare_case(get_case(name), CORPUS_SIZE)
+            compiled = Engine(prep.db, metrics=MetricsRegistry()).compile(
+                prep.storage, prep.case.stylesheet, options=options)
+            decoded = roundtrip(compiled, key=name)
+            assert compiled.mask and decoded.mask == compiled.mask
+            other = prepare_case(get_case(name), CORPUS_SIZE)
+            assert other.storage.fingerprint() == prep.storage.fingerprint()
+            full = CompiledTransform(decoded.stylesheet, STRATEGY_FUNCTIONAL)
+            engine = Engine(other.db, metrics=MetricsRegistry())
+            assert engine.execute(other.storage, decoded).serialized_rows() \
+                == engine.execute(other.storage, full).serialized_rows()
 
 
 class TestServeResultPickling:

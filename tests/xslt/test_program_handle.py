@@ -59,8 +59,9 @@ class TestPickling:
     def test_runtime_handles_are_not_part_of_the_artifact_format(self):
         # a Stylesheet's or an expression's pickled state is its plain
         # fields whether or not it was bound or stripped (version 4: the
-        # predicate-strip memo left the PartialEvaluation)
-        assert ARTIFACT_FORMAT_VERSION == 4
+        # predicate-strip memo left the PartialEvaluation; version 5: the
+        # artifact carries its projection mask)
+        assert ARTIFACT_FORMAT_VERSION == 5
         case = get_case("keys")
         stylesheet = compile_stylesheet(case.stylesheet)
         fields = set(stylesheet.__getstate__())
