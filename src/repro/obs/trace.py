@@ -47,6 +47,7 @@ import json
 import random
 import threading
 import time
+import weakref
 
 _INVALID_TRACE_ID = "0" * 32
 _INVALID_SPAN_ID = "0" * 16
@@ -204,19 +205,26 @@ class Span:
     :meth:`Tracer.span`): on exit the span records its end time and any
     in-flight exception (type and message; the exception still
     propagates).
+
+    A finished tree holds no reference cycle: ``children`` are strong,
+    the ``parent`` link is weak and the tracer link is dropped once the
+    span finishes, so a tree nobody holds any more (a record leaving the
+    flight recorder's ring) is freed by reference counting, not by a
+    cyclic garbage collection.
     """
 
     __slots__ = ("name", "attrs", "trace_id", "span_id", "parent_span_id",
-                 "parent", "children", "start", "end", "status", "error",
-                 "_tracer", "_saved_context")
+                 "_parent", "children", "start", "end", "status", "error",
+                 "_tracer", "_saved_context", "__weakref__")
 
     def __init__(self, name, attrs=None, parent=None, tracer=None,
                  context=None):
         self.name = name
         self.attrs = dict(attrs) if attrs else {}
         self.span_id = new_span_id()
-        self.parent = parent
+        self._parent = None
         if parent is not None:
+            self._parent = weakref.ref(parent)
             self.trace_id = parent.trace_id
             self.parent_span_id = parent.span_id
         elif context is not None:
@@ -234,6 +242,11 @@ class Span:
         self._saved_context = None
         if parent is not None:
             parent.children.append(self)
+
+    @property
+    def parent(self):
+        """The enclosing span (None for a root, or once it is freed)."""
+        return self._parent() if self._parent is not None else None
 
     # -- recording --------------------------------------------------------------
 
@@ -269,6 +282,7 @@ class Span:
         self.end = time.perf_counter()
         if self._tracer is not None:
             self._tracer._finish(self)
+            self._tracer = None
         return False  # never swallow
 
     # -- introspection ----------------------------------------------------------

@@ -10,11 +10,12 @@ the front door; this module is only what is process-specific:
 
 * the strict request/response **pipe protocol**: ``(op, payload)`` in,
   ``("ok", reply)`` / ``("error", {...})`` out, over a
-  ``multiprocessing.Pipe``.  The front door's dispatcher thread blocks
-  in ``recv`` — which releases the GIL — while its worker computes.
+  ``multiprocessing.Pipe``.  The front-door thread holding the worker's
+  slot — its dispatcher, or a caller running its own request — blocks
+  in ``recv`` (which releases the GIL) while the worker computes.
   Sources cross by *name* and stylesheets as markup text (content
   hashes are what make the shared disk tier addressable);
-* **trace identity crosses the process boundary**: the dispatcher sends
+* **trace identity crosses the process boundary**: the front door sends
   its ``cluster.request`` span's W3C ``traceparent``, the worker roots
   ``cluster.worker`` in that trace, and the returned span records merge
   into the parent's flight recorder — one connected trace per request;
@@ -67,8 +68,8 @@ class WorkerRequestError(ServeError):
 
 
 def _serve_transform(runtime, payload, trace_requests):
-    """One ``transform`` message inside the worker: join the
-    dispatcher's trace, run the request on the plan runtime, ship the
+    """One ``transform`` message inside the worker: join the front
+    door's trace, run the request on the plan runtime, ship the
     result (pickling it is its wire form) with this side's spans."""
     context = parse_traceparent(payload.get("traceparent"))
     if context is None:
@@ -204,8 +205,9 @@ class ProcessWorkers:
 
     def alive(self, worker):
         """Whether ``worker``'s process is still running — the check a
-        dispatcher makes before handing it a request, so a worker that
-        died while idle is noticed without sacrificing one."""
+        dispatcher or a caller makes before running a request on it, so
+        a worker that died while idle is noticed without sacrificing
+        one."""
         handle = self._handles[worker]
         if handle.alive and not handle.process.is_alive():
             self._lost(handle)

@@ -7,11 +7,24 @@ worker backend:
 
 * a **bounded admission queue** — overload fails fast with
   :class:`ServiceOverloadedError` instead of queueing without bound;
-* requests carry **deadlines** (enforced at dequeue — a request that
-  waited past its deadline never executes — and between row batches of
-  plan execution), and can be **cancelled** while still queued;
-* one dispatcher thread per worker drains the queue and runs each
-  claimed request on its worker — a **thread** worker calls the shared
+* requests carry **deadlines** (enforced when a worker claims the
+  request — one that waited past its deadline never executes — and
+  between row batches of plan execution), and can be **cancelled**
+  while still queued;
+* each worker has one **slot**: whoever holds slot *i* is the only one
+  running on worker *i*.  A synchronous :meth:`transform` that finds
+  a live worker idle and the service not oversubscribed (nothing
+  queued, no dispatcher busy, no more threads waiting for results than
+  workers) takes that
+  slot and **runs on the caller's thread** — the way the paper's
+  ``XMLTransform()`` runs in the session that calls it, with no thread
+  hand-off.  Everything else is queued; a dispatcher thread takes the
+  oldest queued request only together with a free live slot, so a
+  queued request never waits behind a busy worker while another sits
+  idle, and the queue depth counts every request not yet running.
+  Either way the request goes through one claim → deadline → run →
+  record → resolve path;
+* a **thread** worker calls the shared
   :class:`~repro.serve.runtime.PlanRuntime` in-process, a **process**
   worker ships the request over a pipe to a child that owns an
   identical runtime (:mod:`repro.serve.cluster`).  How a claimed
@@ -38,8 +51,8 @@ benches report — plus the plan runtime's ``serve.cache.*`` family.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
-import queue
 import threading
 import time
 
@@ -99,8 +112,14 @@ class ServeFuture(concurrent.futures.Future):
         #: up in the flight recorder (``/debug/trace/<id>``) even before
         #: (or without) a result
         self.trace_id = trace_id
+        #: set by submit(): the service that counts a thread blocked here
+        #: among its waiters
+        self._service = None
 
     def exception(self, timeout=None):
+        service = self._service if not self.done() else None
+        if service is not None:
+            service._count_waiter(1)
         try:
             return super().exception(timeout)
         except concurrent.futures.CancelledError:
@@ -109,6 +128,9 @@ class ServeFuture(concurrent.futures.Future):
             raise RequestTimeoutError(
                 "no result within %.3fs" % timeout
             ) from None
+        finally:
+            if service is not None:
+                service._count_waiter(-1)
 
     def result(self, timeout=None):
         error = self.exception(timeout)
@@ -135,13 +157,11 @@ class _Request:
         self.deadline = deadline
         self.submitted_at = submitted_at
         #: TraceContext minted (or adopted) at admission — activated on
-        #: the dispatcher thread so every span joins this request's trace
+        #: whichever thread runs the request, so every span joins its trace
         self.context = context
         #: wall-clock admission time (``time.time``), for the recorder
         self.started_wall = started_wall
 
-
-_SHUTDOWN = object()
 
 #: the counter each terminal failure status increments
 _FAILURE_COUNTERS = {"timeout": "serve.timeouts", "error": "serve.errors"}
@@ -284,14 +304,28 @@ class TransformService:
         self.default_timeout = default_timeout
         self.trace_requests = trace_requests
         self.queue_size = queue_size
-        # Unbounded underneath: the bound is checked under the admission
-        # lock, so shutdown sentinels never block behind a full queue.
-        self._queue = queue.Queue()
+        #: admitted requests not yet running, oldest first: one leaves
+        #: only together with the slot it runs on, so the length is the
+        #: depth the bound and the gauges read
+        self._pending = collections.deque()
         self._closed = False
-        #: makes admission atomic against close() and against the last
-        #: worker dying — no request lands behind the shutdown sentinels
-        #: or in a queue nobody drains
-        self._admit_lock = threading.Lock()
+        #: one per worker: whoever holds slot i — a dispatcher or a
+        #: caller running its own request — is the only one running on
+        #: worker i (a process worker's pipe is the holder's)
+        self._busy = [False] * workers
+        #: slots held by dispatchers, and threads waiting for a result
+        #: (inside transform(), or blocked on a submitted request's
+        #: future): together they tell an oversubscribed service
+        self._dispatching = 0
+        self._waiters = 0
+        #: guards the queue, the slots and ``_closed``: admission is
+        #: atomic against close() and against the last worker dying, so
+        #: no request lands in a queue nobody drains
+        self._lock = threading.Lock()
+        #: dispatchers wait here for a queued request and a free slot
+        self._work = threading.Condition(self._lock)
+        #: transform_on() and close() wait here for a slot to free
+        self._freed = threading.Condition(self._lock)
         self._gauge_depth = self.metrics.gauge("serve.queue.depth")
         self._gauge_saturation = self.metrics.gauge("serve.queue.saturation")
         self.metrics.gauge("serve.queue.capacity").set(queue_size)
@@ -319,11 +353,12 @@ class TransformService:
             )
         #: this process's handle on the disk tier (None without one)
         self.artifact_store = self._backend.store
+        # as many dispatchers as slots: every free slot has one to fill it
         self._dispatchers = []
-        for worker in range(workers):
+        for index in range(workers):
             thread = threading.Thread(
-                target=self._dispatch_loop, args=(worker,),
-                name="repro-serve-%d" % worker, daemon=True,
+                target=self._dispatch_loop,
+                name="repro-serve-%d" % index, daemon=True,
             )
             thread.start()
             self._dispatchers.append(thread)
@@ -344,7 +379,7 @@ class TransformService:
     def _queue_state(self):
         """Queue occupancy: depth/capacity plus their ratio, the
         saturation signal ``/healthz`` and ``/readyz`` report."""
-        depth = self._queue.qsize()
+        depth = len(self._pending)
         return {
             "depth": depth,
             "capacity": self.queue_size,
@@ -389,19 +424,84 @@ class TransformService:
         """
         request = self._request(source, stylesheet, options, params,
                                 traceparent)
-        with self._admit_lock:
+        self._admit(request)
+        request.future._service = self
+        return request.future
+
+    def _count_waiter(self, delta):
+        with self._lock:
+            self._waiters += delta
+
+    def transform(self, source, stylesheet, options=None, params=None,
+                  traceparent=None):
+        """Run one request and wait for it; returns the
+        :class:`~repro.serve.runtime.ServeResult`.
+
+        While the service is not oversubscribed — nothing queued, no
+        dispatcher busy, no more threads waiting for results than
+        workers — and a live worker is idle, the request takes that
+        worker's slot and runs on the caller's thread (queue wait ~0);
+        otherwise it is queued like :meth:`submit`'s and waited for.
+        Either way the deadline, metrics and flight record are
+        :meth:`submit`'s; the caller waits without its own limit so
+        in-flight execution can finish."""
+        request = self._request(source, stylesheet, options, params,
+                                traceparent)
+        with self._lock:
+            self._waiters += 1
+            # Queued requests go first, and an oversubscribed service
+            # serves everyone through the queue: a caller running in
+            # place never blocks, so it keeps the GIL from the clients
+            # a dispatcher has just answered (DESIGN §8.3: 4 clients
+            # over 2 thread workers, p99 16 -> 30 ms without this).
+            worker = None if (
+                self._closed or self._pending or self._dispatching
+                or self._waiters > len(self._busy)) else self._claim()
+        try:
+            if worker is None:
+                self._admit(request)
+            else:
+                self.metrics.counter("serve.requests").inc()
+                self._run_on(worker, request)
+            return request.future.result()
+        finally:
+            self._count_waiter(-1)
+
+    def transform_on(self, worker, source, stylesheet, options=None,
+                     params=None, traceparent=None):
+        """Run on one *specific* worker from the caller's thread,
+        bypassing the shared queue (waiting for the worker's slot) — the
+        deterministic routing tests and benchmarks use to prove
+        cross-worker cache behaviour."""
+        request = self._request(source, stylesheet, options, params,
+                                traceparent)
+        with self._lock:
+            while self._busy[worker] and not self._closed:
+                self._freed.wait()
+            if self._closed:
+                raise ServiceClosedError("service is closed")
+            self._busy[worker] = True
+        self.metrics.counter("serve.requests").inc()
+        self._run_on(worker, request)
+        return request.future.result()
+
+    def _admit(self, request):
+        """Queue a request for the dispatchers, or reject it: closed,
+        no live worker, or the queue is full."""
+        with self._lock:
             if self._closed:
                 raise ServiceClosedError("service is closed")
             if not self._backend.live():
                 reason, error = "no-workers", ClusterWorkerError(
                     "no worker process is alive"
                 )
-            elif 0 < self.queue_size <= self._queue.qsize():
+            elif 0 < self.queue_size <= len(self._pending):
                 reason, error = "queue-full", ServiceOverloadedError(
                     "admission queue full (%d pending)" % self.queue_size
                 )
             else:
-                self._queue.put(request)
+                self._pending.append(request)
+                self._work.notify()
                 error = None
         self._update_queue_gauges()
         if error is not None:
@@ -409,29 +509,6 @@ class TransformService:
             self._record(request, "rejected", error=str(error))
             raise error
         self.metrics.counter("serve.requests").inc()
-        return request.future
-
-    def transform(self, source, stylesheet, options=None, params=None,
-                  traceparent=None):
-        """Synchronous submit+wait; returns the
-        :class:`~repro.serve.runtime.ServeResult`."""
-        # A deadline bounds queue wait + execution, both on the worker
-        # side; the caller waits without its own limit so in-flight
-        # execution can finish.
-        return self.submit(source, stylesheet, options=options,
-                           params=params, traceparent=traceparent).result()
-
-    def transform_on(self, worker, source, stylesheet, options=None,
-                     params=None, traceparent=None):
-        """Execute on one *specific* worker from the caller's thread,
-        bypassing the shared queue — the deterministic routing tests and
-        benchmarks use to prove cross-worker cache behaviour."""
-        request = self._request(source, stylesheet, options, params,
-                                traceparent)
-        self.metrics.counter("serve.requests").inc()
-        request.future.set_running_or_notify_cancel()
-        self._run(worker, request, 0.0)
-        return request.future.result()
 
     def transform_stream(self, source, stylesheet, options=None,
                          params=None, traceparent=None):
@@ -569,17 +646,30 @@ class TransformService:
         return ready, body
 
     def close(self, wait=True):
-        """Stop accepting requests; drain queued work, stop workers."""
-        with self._admit_lock:
+        """Stop accepting requests; drain queued work, let in-flight
+        requests finish, stop workers."""
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-        for _ in self._dispatchers:
-            self._queue.put(_SHUTDOWN)
+            self._work.notify_all()
+            self._freed.notify_all()
         if wait:
             for thread in self._dispatchers:
                 thread.join()
-        self._backend.close()
+        # a request running on a caller's thread finishes before its
+        # runtime or pipe closes: hold every slot while the backend closes
+        with self._lock:
+            for worker in range(len(self._busy)):
+                while self._busy[worker]:
+                    self._freed.wait()
+                self._busy[worker] = True
+        try:
+            self._backend.close()
+        finally:
+            with self._lock:
+                self._busy = [False] * len(self._busy)
+                self._work.notify_all()
         if self.ops is not None:
             self.ops.close()
 
@@ -590,54 +680,64 @@ class TransformService:
         self.close()
         return False
 
-    # -- dispatcher side ---------------------------------------------------------
+    # -- running a request --------------------------------------------------------
 
-    def _dispatch_loop(self, worker):
+    def _dispatch_loop(self):
         while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            if not self._backend.alive(worker):
-                # a dead worker's dispatcher stops pulling: it would
-                # only fail requests a healthy sibling can serve
-                self._hand_over(item)
-                return
-            self._handle(worker, item)
+            with self._lock:
+                while True:
+                    if self._pending:
+                        worker = self._claim()
+                        if worker is not None:
+                            request = self._pending.popleft()
+                            self._dispatching += 1
+                            break
+                        if not self._backend.live():
+                            stranded = list(self._pending)
+                            self._pending.clear()
+                            break
+                    elif self._closed:
+                        return
+                    self._work.wait()
+            if worker is not None:
+                self._run_on(worker, request, dispatched=True)
+                continue
+            # every worker is dead: what is queued fails fast
+            self._update_queue_gauges()
+            now = time.perf_counter()
+            for item in stranded:
+                if item.future.set_running_or_notify_cancel():
+                    self._fail(item, "error", ClusterWorkerError(
+                        "no worker process is alive"), now - item.submitted_at)
 
-    def _hand_over(self, request):
-        """Pass the request a retiring dispatcher holds to a surviving
-        worker; with none left, it and everything queued fail fast."""
-        with self._admit_lock:
-            live = self._backend.live()
-            stranded = [] if live else self._drain()
-        if live:
-            self._handle(live[0], request)
-            return
-        now = time.perf_counter()
-        for item in [request] + stranded:
-            if item.future.set_running_or_notify_cancel():
-                self._fail(item, "error", ClusterWorkerError(
-                    "no worker process is alive"), now - item.submitted_at)
+    def _claim(self):
+        """Take the slot of a live, idle worker (lock held): the worker,
+        or None when every live worker is busy.  A worker found dead
+        while idle is skipped — noticed without sacrificing a request."""
+        for worker, busy in enumerate(self._busy):
+            if not busy and self._backend.alive(worker):
+                self._busy[worker] = True
+                return worker
+        return None
 
-    def _drain(self):
-        """Empty the queue (keeping close()'s sentinels for the
-        dispatchers still blocked on it); returns the requests."""
-        requests, sentinels = [], 0
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                sentinels += 1
-            else:
-                requests.append(item)
-        for _ in range(sentinels):
-            self._queue.put(_SHUTDOWN)
-        return requests
+    def _run_on(self, worker, request, dispatched=False):
+        """Run a request on ``worker``, whose slot this thread has
+        claimed, then free the slot for the next request."""
+        try:
+            self._handle(worker, request)
+        finally:
+            with self._lock:
+                self._busy[worker] = False
+                if dispatched:
+                    self._dispatching -= 1
+                if self._pending:
+                    self._work.notify()
+                self._freed.notify_all()
 
     def _handle(self, worker, request):
-        """One dequeued request: claim → deadline → run."""
+        """One request on ``worker``, whose slot this thread holds —
+        dequeued by a dispatcher or run where its caller waits: claim →
+        deadline → run."""
         self._update_queue_gauges()
         now = time.perf_counter()
         queue_wait = now - request.submitted_at
@@ -647,7 +747,7 @@ class TransformService:
                          queue_wait_seconds=queue_wait)
         elif request.deadline is not None and now >= request.deadline:
             self._fail(request, "timeout", RequestTimeoutError(
-                "deadline exceeded after %.3fs in queue" % queue_wait
+                "deadline exceeded after %.3fs waiting to run" % queue_wait
             ), queue_wait)
         else:
             self.metrics.histogram("serve.queue_wait_seconds").record(

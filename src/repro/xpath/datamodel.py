@@ -16,6 +16,7 @@ semantics, which is what both the XSLT VM and the generated queries need.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 from repro.errors import XPathTypeError
 from repro.xmlmodel.nodes import Node, document_order_key
@@ -137,16 +138,25 @@ def _is_xpath_numeral(body):
 
 
 def number_to_string(value):
-    """XPath number → string formatting rules."""
+    """XPath number → string (XPath 1.0 §4.2): an integer has no decimal
+    point, and nothing has an exponent — the shortest round-tripping
+    digits written out in full, so ``string_to_number`` reads every
+    finite number back to itself (``1e20`` → ``100000000000000000000``,
+    ``1e-7`` → ``0.0000001``)."""
     if value != value:
         return "NaN"
     if value == math.inf:
         return "Infinity"
     if value == -math.inf:
         return "-Infinity"
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
+    if abs(value) < 2 ** 53 and value == int(value):
+        return str(int(value))  # exact, and the shortest digits too
+    # past 2**53 the exact integer is not the shortest spelling (1e23
+    # is 99999999999999991611392 exactly): write out repr's digits
+    text = repr(value)
+    if "e" in text:
+        text = format(Decimal(text), "f")
+    return text[:-2] if text.endswith(".0") else text
 
 
 def xpath_round(value):

@@ -1,7 +1,9 @@
 """Span nesting, exception capture, and the three sinks."""
 
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
@@ -55,6 +57,25 @@ class TestSpanNesting:
         with tracer.span("s", color="red") as span:
             span.set_attr(rows=7)
         assert span.attrs == {"color": "red", "rows": 7}
+
+    def test_a_finished_tree_is_freed_without_the_cycle_collector(self):
+        """Children are strong, the parent link weak, and a finished
+        span lets go of its tracer: dropping the last reference frees
+        the tree at once, with the cyclic collector off."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tracer = Tracer(sinks=[InMemorySink()])
+            with tracer.span("root") as root:
+                with tracer.span("child") as child:
+                    pass
+            assert child.parent is root
+            dead = [weakref.ref(root), weakref.ref(child)]
+            del root, child, tracer
+            assert [ref() for ref in dead] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_find(self):
         tracer = Tracer()

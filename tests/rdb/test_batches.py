@@ -499,7 +499,7 @@ class TestRowItemRendering:
     def test_scalars_print_like_xpath_numbers(self):
         """Top-level scalars convert like element content: what the VM
         prints for the same number."""
-        assert render_item(2.1e20) == "2.1e+20"
+        assert render_item(2.1e20) == "210000000000000000000"
         assert render_item(float("nan")) == "NaN"
         assert render_item(float("inf")) == "Infinity"
         assert render_item(float("-inf")) == "-Infinity"
@@ -702,7 +702,8 @@ class TestConstructorStreaming:
 
     @pytest.mark.parametrize("value, text", [
         (float("nan"), "NaN"), (float("inf"), "Infinity"),
-        (float("-inf"), "-Infinity"), (1e20, "1e+20"), (-0.0, "0"),
+        (float("-inf"), "-Infinity"), (1e20, "100000000000000000000"), (1e-7, "0.0000001"),
+        (-0.0, "0"),
         (2.5, "2.5"), (7.0, "7"), (7, "7"), (True, "true"),
         (False, "false"),
     ])

@@ -376,8 +376,9 @@ class TestFloatText:
         '<p><xsl:value-of select="price"/></p></xsl:for-each></o>'
         "</xsl:template></xsl:stylesheet>")
     SPELLED = [("NaN", "NaN"), ("INF", "Infinity"), ("-INF", "-Infinity"),
-               ("1e20", "1e+20"), ("-2.5e17", "-2.5e+17"), ("2.5", "2.5"),
-               ("3", "3")]
+               ("1e20", "100000000000000000000"),
+               ("-2.5e17", "-250000000000000000"), ("1e-7", "0.0000001"),
+               ("2.5", "2.5"), ("3", "3")]
 
     @pytest.mark.parametrize("text,spelled", SPELLED)
     def test_rewrite_and_functional_print_the_same(self, text, spelled):
@@ -390,6 +391,31 @@ class TestFloatText:
         assert rewritten.strategy == "sql-rewrite"
         assert rewritten.serialized_rows() == functional.serialized_rows() \
             == ["<o><p>%s</p></o>" % spelled]
+
+    def test_printed_numbers_read_back_as_themselves(self):
+        """``number(string(x)) = x`` on both paths: the functional path
+        reads the materialised text back in a numeric context, the
+        rewrite reads the FLOAT column — with no exponent in the text,
+        both see the stored number."""
+        texts = ["1e20", "-2.5e17", "1e-7", "1.5e300", "0.1", "2.5"]
+        storage = price_storage(*texts)
+        engine = Engine(storage.db)
+        sheet = self.VALUE_OF.replace('select="price"',
+                                      'select="price * 1"')
+        rewritten = engine.transform(storage, sheet)
+        functional = engine.transform(
+            storage, sheet, options=TransformOptions(strategy="functional"))
+        assert rewritten.strategy == "sql-rewrite"
+        assert rewritten.serialized_rows() == functional.serialized_rows() \
+            == ["<o>%s</o>" % "".join(
+                "<p>%s</p>" % number_to_string(float(text))
+                for text in texts)]
+        same = engine.transform(
+            storage, self.VALUE_OF.replace(
+                'select="price"', 'select="number(string(price)) = price"'),
+            options=TransformOptions(strategy="functional"))
+        assert same.serialized_rows() == ["<o>%s</o>"
+                                          % ("<p>true</p>" * len(texts))]
 
     @pytest.mark.parametrize("case", ["total", "metric", "chart"])
     def test_special_values_no_longer_crash_the_functional_path(self, case):

@@ -10,6 +10,7 @@ workers and must see the same behaviour.  Requests name their source
 import multiprocessing
 import sys
 import threading
+import time
 
 import pytest
 
@@ -40,6 +41,8 @@ from ..core.paper_example import (
 )
 
 BACKENDS = ("thread", "process")
+#: how long a plan lookup stalls while ``Served.slow`` is set
+SLOW_SECONDS = 0.4
 #: the root span a request's trace starts with, per backend
 ROOT_SPAN = {"thread": "serve.request", "process": "cluster.request"}
 
@@ -73,6 +76,17 @@ class Served:
         )
         storage.load(parse_document(DEPT_DOC_1))
         storage.load(parse_document(DEPT_DOC_2))
+        #: while set, every plan lookup on "doc" first sleeps SLOW_SECONDS
+        #: — after the request is claimed, before its plan executes
+        self.slow = multiprocessing.Event()
+        fingerprint = storage.fingerprint
+
+        def slowed():
+            if self.slow.is_set():
+                time.sleep(SLOW_SECONDS)
+            return fingerprint()
+
+        storage.fingerprint = slowed
         self.gate = Gate()
         self.metrics = kwargs.setdefault("metrics", MetricsRegistry())
         self.service = TransformService(
@@ -119,9 +133,290 @@ class TestServing:
             result = served.service.transform_on(1, "doc",
                                                  EXAMPLE1_STYLESHEET)
             assert result.worker == 1
-            assert result.queue_wait_seconds == 0.0
+            assert 0.0 <= result.queue_wait_seconds < 0.1
             assert result.serialized_rows() == [EXPECTED_ROW1,
                                                 EXPECTED_ROW2]
+
+
+def wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class Instrumented:
+    """Wraps a service's backend: every run notes the thread it ran on
+    and how many runs overlapped, and (while ``go`` is clear) waits for
+    ``go`` — the barrier that lets a test fill every worker first."""
+
+    def __init__(self, service):
+        backend = service._backend
+        self.threads, self.events = [], []
+        self.active = self.peak = 0
+        self.go = threading.Event()
+        self.go.set()
+        self._lock = threading.Lock()
+        run, close = backend.run, backend.close
+
+        def tracked_run(*args):
+            with self._lock:
+                self.active += 1
+                self.peak = max(self.peak, self.active)
+                self.threads.append(threading.current_thread())
+                self.events.append("run")
+            try:
+                assert self.go.wait(10.0)
+                return run(*args)
+            finally:
+                with self._lock:
+                    self.active -= 1
+                    self.events.append("ran")
+
+        def tracked_close():
+            self.events.append("close")
+            close()
+
+        backend.run, backend.close = tracked_run, tracked_close
+
+    def on_dispatchers(self):
+        return sum(thread.name.startswith("repro-serve-")
+                   for thread in self.threads)
+
+
+class TestCallerRuns:
+    """A synchronous request that finds the queue empty and a live
+    worker idle takes that worker's slot and runs on the caller's
+    thread, through the same claim/record/resolve path as a dispatched
+    one."""
+
+    def test_never_more_than_workers_at_once(self, backend, tmp_path):
+        with Served(backend, tmp_path, workers=2) as served:
+            service = served.service
+            service.transform("doc", EXAMPLE1_STYLESHEET)  # plan cached
+            probe = Instrumented(service)
+            probe.go.clear()
+            results = []
+
+            def caller():
+                results.append(service.transform("doc",
+                                                 EXAMPLE1_STYLESHEET))
+
+            first = [threading.Thread(target=caller) for _ in range(2)]
+            for thread in first:
+                thread.start()
+            # both workers are now held by callers running in place
+            wait_until(lambda: probe.active == 2)
+            futures = [service.submit("doc", EXAMPLE1_STYLESHEET)
+                       for _ in range(4)]
+            later = [threading.Thread(target=caller) for _ in range(2)]
+            for thread in later:
+                thread.start()
+            probe.go.set()
+            for thread in first + later:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            results += [future.result(timeout=10) for future in futures]
+        assert probe.peak == 2
+        assert len(probe.threads) == 8
+        assert set(probe.threads[:2]) == {thread for thread in first}
+        assert probe.on_dispatchers() >= 4  # the submits, at least
+        assert [result.serialized_rows() for result in results] \
+            == [[EXPECTED_ROW1, EXPECTED_ROW2]] * 8
+
+    def test_callers_racing_each_other_and_close(self, backend, tmp_path):
+        """More callers than workers, more workers than cores, frequent
+        thread switches: no more than ``workers`` runs overlap, every
+        answer is right, and ``close()`` never closes the backend under
+        a run — nothing runs after it, no caller hangs."""
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Served(backend, tmp_path, workers=3, queue_size=256,
+                        recorder=False) as served:
+                service = served.service
+                service.transform("doc", EXAMPLE1_STYLESHEET)
+                probe = Instrumented(service)
+                outcomes = []
+
+                def caller():
+                    while True:
+                        try:
+                            result = service.transform(
+                                "doc", EXAMPLE1_STYLESHEET)
+                        except ServiceClosedError:
+                            outcomes.append("closed")
+                            return
+                        except ServiceOverloadedError:
+                            continue
+                        outcomes.append(result.serialized_rows()
+                                        == [EXPECTED_ROW1, EXPECTED_ROW2])
+
+                threads = [threading.Thread(target=caller)
+                           for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                wait_until(lambda: len(outcomes) >= 40)
+                service.close()
+                for thread in threads:
+                    thread.join(10.0)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert 1 <= probe.peak <= 3
+        assert set(outcomes) == {True, "closed"}
+        assert outcomes.count("closed") == 6
+        assert probe.events[-1] == "close"
+        assert probe.events.count("run") == probe.events.count("ran")
+
+    def test_a_caller_run_leaves_one_ok_record(self, backend, tmp_path):
+        with Served(backend, tmp_path, workers=2) as served:
+            service = served.service
+            probe = Instrumented(service)
+            result = service.transform("doc", EXAMPLE1_STYLESHEET)
+            records = [record for record in service.recorder.records()
+                       if record.trace_id == result.trace_id]
+        assert probe.threads == [threading.current_thread()]
+        assert [record.status for record in records] == ["ok"]
+        assert result.worker in (0, 1)
+        assert 0.0 <= records[0].queue_wait_seconds \
+            == result.queue_wait_seconds < 0.1
+        assert served.metrics.counter("serve.requests").value == 1
+        assert served.metrics.histogram(
+            "serve.queue_wait_seconds").count == 1
+        names = {span["name"] for span in records[0].spans}
+        assert {ROOT_SPAN[backend], "serve.execute"} <= names
+
+    def test_close_waits_for_a_caller_run(self, backend, tmp_path):
+        with Served(backend, tmp_path, workers=1) as served:
+            service = served.service
+            service.transform("doc", EXAMPLE1_STYLESHEET)  # plan cached
+            probe = Instrumented(service)
+            served.slow.set()  # the run below stalls in its plan lookup
+            results = []
+            caller = threading.Thread(target=lambda: results.append(
+                service.transform("doc", EXAMPLE1_STYLESHEET)))
+            caller.start()
+            wait_until(lambda: probe.events)
+            service.close()
+            caller.join(10.0)
+            assert not caller.is_alive()
+        assert probe.threads == [caller]
+        assert probe.events == ["run", "ran", "close"]
+        assert results[0].serialized_rows() == [EXPECTED_ROW1,
+                                                EXPECTED_ROW2]
+
+    def test_a_worker_killed_while_idle_is_skipped(self, tmp_path):
+        with Served("process", tmp_path, workers=2) as served:
+            service = served.service
+            process = service._backend._handles[0].process
+            process.terminate()
+            process.join(timeout=10)
+            probe = Instrumented(service)
+            for _ in range(3):
+                result = service.transform("doc", EXAMPLE1_STYLESHEET)
+                assert result.worker == 1
+                assert result.serialized_rows() == [EXPECTED_ROW1,
+                                                    EXPECTED_ROW2]
+            assert service.health()["status"] == "degraded"
+        assert probe.threads == [threading.current_thread()] * 3
+        assert served.metrics.counter("cluster.worker_failures").value == 1
+        assert served.metrics.counter_total("serve.errors") == 0
+
+    def test_a_queued_request_takes_the_first_free_worker(
+            self, backend, tmp_path):
+        """A queued request counts in the queue depth until it runs, and
+        runs on whichever worker frees first: a caller-run holding
+        worker 0 does not hold it up once worker 1 is free."""
+        with Served(backend, tmp_path, workers=2) as served:
+            service = served.service
+            service.transform("doc", EXAMPLE1_STYLESHEET)  # plan cached
+            probe = Instrumented(service)
+
+            def hold():
+                try:
+                    service.transform("gate", EXAMPLE1_STYLESHEET)
+                except Exception:  # the gate is no real source
+                    pass
+
+            held = threading.Thread(target=hold)
+            held.start()
+            assert served.gate.running.wait(10.0)  # worker 0, held
+            probe.go.clear()
+            results = []
+            busy = threading.Thread(target=lambda: results.append(
+                service.transform("doc", EXAMPLE1_STYLESHEET)))
+            busy.start()
+            wait_until(lambda: probe.active == 2)  # worker 1, until go
+            queued = service.submit("doc", EXAMPLE1_STYLESHEET)
+            threading.Event().wait(0.05)
+            assert service.health()["queue"]["depth"] == 1
+            probe.go.set()
+            result = queued.result(timeout=5)
+            assert held.is_alive()  # worker 0 is still held
+            busy.join(10.0)
+            served.gate.release.set()
+            held.join(10.0)
+        assert [run.worker for run in results + [result]] == [1, 1]
+        assert probe.threads[2].name.startswith("repro-serve-")
+        assert result.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
+
+    def test_an_oversubscribed_service_queues_its_callers(
+            self, backend, tmp_path):
+        """With a dispatcher busy, or more threads waiting for results
+        than workers, a caller takes the queue even though a worker is
+        idle; once neither holds, it runs in place again."""
+        with Served(backend, tmp_path, workers=2) as served:
+            service = served.service
+            service.transform("doc", EXAMPLE1_STYLESHEET)  # plan cached
+            probe = Instrumented(service)
+            stalled = served.stall()  # a dispatcher holds a worker
+            behind_dispatcher = service.transform("doc", EXAMPLE1_STYLESHEET)
+            served.gate.release.set()
+            stalled.exception(timeout=10)
+            wait_until(lambda: service._dispatching == 0)
+            service._count_waiter(2)  # two clients already waiting
+            try:
+                crowded = service.transform("doc", EXAMPLE1_STYLESHEET)
+            finally:
+                service._count_waiter(-2)
+            alone = service.transform("doc", EXAMPLE1_STYLESHEET)
+        assert [thread.name.startswith("repro-serve-")
+                for thread in probe.threads] == [True, True, True, False]
+        for result in (behind_dispatcher, crowded, alone):
+            assert result.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
+
+    def test_busy_slots_queue_with_rejection_and_deadline(
+            self, backend, tmp_path):
+        """With the one worker held, ``transform`` is a queued request:
+        a full queue rejects it and its deadline holds at dequeue."""
+        with Served(backend, tmp_path, workers=1, queue_size=1) as served:
+            service, metrics = served.service, served.metrics
+            served.stall()
+            errors = []
+
+            def caller():
+                try:
+                    service.transform("doc", EXAMPLE1_STYLESHEET,
+                                      options=TransformOptions(deadline=0.05))
+                except ServeError as exc:
+                    errors.append(exc)
+
+            queued = threading.Thread(target=caller)
+            queued.start()
+            wait_until(lambda: service.health()["queue"]["depth"] == 1)
+            with pytest.raises(ServiceOverloadedError):
+                service.transform("doc", EXAMPLE1_STYLESHEET)
+            threading.Event().wait(0.1)
+            served.gate.release.set()
+            queued.join(10.0)
+            assert not queued.is_alive()
+            assert metrics.counter(
+                "serve.rejected", reason="queue-full").value == 1
+            assert metrics.counter("serve.timeouts").value == 1
+        assert len(errors) == 1
+        assert isinstance(errors[0], RequestTimeoutError)
+        assert "waiting to run" in str(errors[0])
 
 
 class TestAdmission:
@@ -158,16 +453,20 @@ class TestAdmission:
             assert served.metrics.counter("serve.timeouts").value == 1
 
     def test_deadline_enforced_during_execution(self, backend, tmp_path):
-        """``transform_on`` skips the queue (and its dequeue check), so an
-        already-spent deadline is met by the executor's drive loop: the
-        request fails as a timeout, and the worker keeps serving."""
+        """A request claimed in time whose deadline passes before its
+        plan runs (a stalled plan lookup) is met by the executor's drive
+        loop: the request fails as a timeout, and the worker keeps
+        serving."""
         with Served(backend, tmp_path) as served:
             service = served.service
             service.transform("doc", EXAMPLE1_STYLESHEET)  # plan cached
+            served.slow.set()
             with pytest.raises(RequestTimeoutError,
                                match="during execution"):
-                service.transform_on(0, "doc", EXAMPLE1_STYLESHEET,
-                                     options=TransformOptions(deadline=0))
+                service.transform_on(
+                    0, "doc", EXAMPLE1_STYLESHEET,
+                    options=TransformOptions(deadline=SLOW_SECONDS / 2))
+            served.slow.clear()
             assert served.metrics.counter("serve.timeouts").value == 1
             assert served.metrics.counter("serve.errors").value == 0
             again = service.transform_on(
@@ -231,7 +530,7 @@ class TestClose:
     def test_submitters_racing_close_never_hang(self, backend, tmp_path):
         """Every future handed out around ``close()`` resolves; every
         submit that lost the race raises ServiceClosedError — nothing
-        lands behind the shutdown sentinels."""
+        lands in a queue the exiting dispatchers no longer drain."""
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

@@ -3,9 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.xmlmodel import parse_document
 from repro.xpath import evaluate_xpath
+from repro.xpath.datamodel import number_to_string, string_to_number
 
 DOC = parse_document(
     '<r a="  spaced  out  ">'
@@ -52,6 +54,23 @@ class TestStringFunctions:
     def test_string_of_number(self):
         assert ev("string(12)") == "12"
         assert ev("string(3.5)") == "3.5"
+
+    def test_string_of_number_has_no_exponent(self):
+        assert ev("string(100000000000000000000)") \
+            == "100000000000000000000"
+        # the shortest digits, not the float's exact binary value
+        assert number_to_string(1e23) == "100000000000000000000000"
+        assert number_to_string(-2.0 ** 60) == "-1152921504606847000"
+        assert number_to_string(2.0 ** 53) == "9007199254740992"
+        assert ev("string(1 div 10000000)") == "0.0000001"
+        assert ev("string(-25 div 100000000)") == "-0.00000025"
+        assert ev("number(string(1 div 10000000)) * 10000000") == 1.0
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_number_string_round_trip(self, value):
+        text = number_to_string(value)
+        assert "e" not in text
+        assert string_to_number(text) == value
 
     def test_string_of_context(self):
         s = ev("//s")[0]
