@@ -16,10 +16,10 @@ Then runs a stylesheet the rewrite cannot handle (``xsl:number``) to show
 the non-silent fallback: a categorized reason on the result, a warning on
 the ``repro.obs`` logger, and a labelled fallback counter.
 
-Finally demonstrates the **adaptive feedback loop**: the Q-error record
-every profiled execution produces, and what happens when a
-``FeedbackPolicy`` is enabled and the planner's estimates miss —
-auto-ANALYZE plus a ``plan-feedback`` ledger stage.
+Finally shows the **Q-error record** every profiled execution produces
+(the planner's estimate vs. the actual row count per plan node) and the
+fix for estimates made without statistics: a manual ``db.analyze()``,
+after which the next compile plans with real numbers.
 
 Run:  python examples/observability.py
 """
@@ -28,10 +28,10 @@ import logging
 
 from repro.core import xml_transform
 from repro.obs import (
-    FeedbackPolicy,
     JsonLinesSink,
     MetricsRegistry,
     Tracer,
+    format_qerror,
     prometheus_text,
 )
 
@@ -79,31 +79,6 @@ def main():
                              tracer=tracer, metrics=metrics)
     print(fallback.report())
 
-    print()
-    print("=" * 72)
-    print("Adaptive feedback: Q-error per plan node, actions on drift")
-    print("=" * 72)
-    if result.feedback is not None:
-        print("observe-only record from the first transform:")
-        for line in result.feedback.render():
-            print("  " + line)
-    policy = db.feedback.enable(FeedbackPolicy(node_threshold=2.0,
-                                               plan_threshold=2.0,
-                                               consecutive_misses=1))
-    print("enabled %r" % policy)
-    judged = xml_transform(db, view, STYLESHEET,
-                           tracer=tracer, metrics=metrics)
-    feedback = judged.feedback
-    if feedback is not None and feedback.triggered:
-        print("plan distrusted (max q=%.2f); actions:" % feedback.max_q_error)
-        for action in feedback.actions:
-            print("  " + action)
-        print("stats_version is now %d; EXPLAIN REWRITE gained a "
-              "plan-feedback stage" % db.stats_version())
-    else:
-        print("plan trusted (max q=%s) — estimates track actuals"
-              % ("%.2f" % feedback.max_q_error if feedback else "-"))
-    db.feedback.disable()
 
     print()
     print("=" * 72)
@@ -135,6 +110,25 @@ def main():
     with open(path, "r", encoding="utf-8") as handle:
         line_count = sum(1 for _ in handle)
     print("  wrote %d span records to %s" % (line_count, path))
+
+    print()
+    print("=" * 72)
+    print("Q-error: estimates vs. actuals, and the fix")
+    print("=" * 72)
+    print("record from the first transform (no statistics yet):")
+    for line in result.feedback.render():
+        print("  " + line)
+    db.analyze()
+    analyzed = xml_transform(db, view, STYLESHEET,
+                             tracer=tracer, metrics=metrics)
+    print("after db.analyze() (stats_version %d), the next compile:"
+          % db.stats_version())
+    for line in analyzed.feedback.render():
+        print("  " + line)
+    print("max q %s -> %s, same output: %s" % (
+        format_qerror(result.feedback.max_q_error),
+        format_qerror(analyzed.feedback.max_q_error),
+        analyzed.serialized_rows() == result.serialized_rows()))
 
 
 if __name__ == "__main__":

@@ -103,7 +103,10 @@ class TransformOptions:
         on the rewrite path (skipped whenever tracing is disabled).
         Costs a wrapped batch stream per operator opened and one pass
         over the plan's observation table after the run
-        (``plan.operator_rows{op}``); nothing walks the plan per request.
+        (``plan.operator_rows{op}`` and the Q-error record,
+        ``result.feedback``: a Q-error and a histogram sample per
+        profiled operator; ``NodeFeedback`` objects are built only when
+        ``.nodes`` is read); nothing walks the plan per request.
     :param rewrite_options: a full
         :class:`~repro.core.xquery_gen.RewriteOptions` for per-technique
         ablation (``inline_templates`` forces the §4.4 inline mode on or
@@ -113,15 +116,6 @@ class TransformOptions:
         access-path and join-strategy selection).  None uses the planner
         default (``cost``).  Compile-relevant: distinct levels cache
         distinct compiled plans.
-    :param feedback: run the post-execution Q-error feedback loop
-        (:mod:`repro.obs.feedback`) on profiled rewrite executions —
-        estimates vs. actuals land in metrics and on
-        ``result.feedback``, and an enabled
-        :class:`~repro.obs.feedback.FeedbackPolicy` may auto-ANALYZE /
-        re-cost.  Costs a Q-error and a histogram sample per profiled
-        operator in that same pass; ``NodeFeedback`` objects are built
-        only when ``.nodes`` is read.  Runtime-only: never part of the
-        plan-cache key.
     :param strategy: execution strategy — :class:`Strategy` or its
         string value: ``"sql-rewrite"`` (what None means: attempt the
         XSLT→XQuery→SQL/XML rewrite, falling back functionally on
@@ -140,7 +134,6 @@ class TransformOptions:
     profile_plan: bool = True
     rewrite_options: RewriteOptions = None
     optimizer_level: str = None
-    feedback: bool = True
     strategy: str = None
     decorrelate: bool = True
 
@@ -425,7 +418,7 @@ class Engine:
         decisions, optimized plan with estimates, plus ``.to_json()``
         for the structured form.  ``analyze=True`` executes and
         annotates every plan node with actual rows/batches/timings
-        (EXPLAIN ANALYZE) and includes the Q-error feedback.  The
+        (EXPLAIN ANALYZE) and includes the Q-error record.  The
         report renders as text via ``str()``."""
         from repro.obs.explain import ExplainReport
 

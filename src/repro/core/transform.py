@@ -109,8 +109,7 @@ class Execution:
         #: functional-path VM counters (instructions, template dispatches)
         self.vm_stats = None
         #: PlanFeedback (estimate-vs-actual Q-error) of this execution,
-        #: when the plan was profiled and the database has a feedback
-        #: controller; on a stream, set once it is drained
+        #: when the plan was profiled; on a stream, set once it is drained
         self.feedback = None
         #: root Span of the call (None when tracing is disabled or the
         #: door opens no root span)
@@ -203,7 +202,7 @@ class _ExecutionView:
         plan at the ``#n`` node each XQuery fragment landed in;
         ``include_decisions=False`` leaves it out), optimized plan with
         estimates (EXPLAIN ANALYZE actuals when profiled), execution
-        stats and Q-error feedback; ``.render()``/``str()`` for the
+        stats and the Q-error record; ``.render()``/``str()`` for the
         text, ``.to_json()`` for the structured form."""
         from repro.obs.explain import ExplainReport
 
@@ -328,7 +327,7 @@ class CompiledTransform:
     """
 
     __slots__ = ("stylesheet", "strategy", "outcome", "query", "ledger",
-                 "error", "options", "mask", "feedback")
+                 "error", "options", "mask")
 
     def __init__(self, stylesheet, strategy, outcome=None, query=None,
                  ledger=None, error=None, options=None, mask=None):
@@ -340,9 +339,6 @@ class CompiledTransform:
         self.error = error
         self.options = options
         self.mask = mask
-        #: latest PlanFeedback recorded for an execution of this artifact
-        #: (the serve tier's re-cost predicate reads it)
-        self.feedback = None
 
     @property
     def is_rewritten(self):
@@ -350,23 +346,15 @@ class CompiledTransform:
 
     # -- serialization ----------------------------------------------------------
     #
-    # The artifact half of this class (stylesheet, plan, ledger, error,
-    # options) is immutable once compiled and pickles cleanly; the
-    # ``feedback`` slot is a *runtime* handle — the latest PlanFeedback
-    # of an execution in this process — and is dropped on serialization
-    # so a plan persisted by one worker carries no other process's
-    # execution state (repro.serve.artifact stores these bytes).  The
-    # plan's binding (``query.runtime``: slot-resolved closures against
-    # one catalog) is the same kind of handle and ``Query`` drops it the
-    # same way: every thread executing this artifact shares one binding,
-    # and a loaded artifact binds on its first execution.
+    # Nothing writes to an artifact once it is compiled, so it pickles
+    # whole (repro.serve.artifact stores these bytes).  The plan's
+    # binding (``query.runtime``: slot-resolved closures against one
+    # catalog) is a runtime handle, and ``Query`` drops it on
+    # serialization: every thread executing this artifact shares one
+    # binding, and a loaded artifact binds on its first execution.
 
     def __getstate__(self):
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name != "feedback"
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __setstate__(self, state):
         for name in self.__slots__:
@@ -523,21 +511,6 @@ def _is_document_store(source):
     return hasattr(source, "document_ids") and hasattr(source, "materialize")
 
 
-def _observe(db, compiled, profiler, metrics, feedback):
-    """The post-execution fold over one profiled execution: the
-    per-operator counters and — when ``feedback`` is on and the database
-    has a feedback controller — its Q-error loop; returns the
-    PlanFeedback (or None when not judged)."""
-    controller = getattr(db, "feedback", None) if feedback else None
-    if controller is None:
-        return observe_profile(profiler, metrics, judge=False)
-    compiled.feedback = controller.observe(
-        compiled.query, profiler, metrics=metrics, ledger=compiled.ledger,
-        compiled=compiled,
-    )
-    return compiled.feedback
-
-
 # -- the run ----------------------------------------------------------------------
 
 
@@ -578,11 +551,11 @@ def _start(db, source, compiled, options, params, tracer, metrics, root,
 
 def _plan_rows(db, compiled, run, tracer, metrics, options, deadline):
     """One item list per output row of the artifact's optimized plan,
-    run the way ``options`` says (``profile_plan``, ``batch_size``,
-    ``feedback``) and no later than the absolute ``deadline``.
+    run the way ``options`` says (``profile_plan``, ``batch_size``) and
+    no later than the absolute ``deadline``.
 
     Exhausting it counts the rewrite success and folds the profile once
-    (per-operator metrics, Q-error feedback loop); a consumer that stops
+    (per-operator metrics, the Q-error record); a consumer that stops
     early has paid for, and recorded, what it received.
     """
     query = compiled.query
@@ -617,8 +590,7 @@ def _plan_rows(db, compiled, run, tracer, metrics, options, deadline):
     metrics.counter("transform.rewrite_success").inc()
     metrics.histogram("plan.execute_seconds").record(stats.elapsed_seconds)
     if profiler is not None:
-        run.feedback = _observe(db, compiled, profiler, metrics,
-                                options.feedback)
+        run.feedback = observe_profile(profiler, metrics)
 
 
 def _vm_rows(db, source, compiled, params, run, tracer):
@@ -720,8 +692,8 @@ def execute_compiled(db, source, compiled, options=None, params=None,
     fallback artifact replays its recorded error the same way.
     ``options`` is the request's coerced
     :class:`repro.api.TransformOptions` (None: the defaults), handed
-    over whole — the run reads ``profile_plan``, ``batch_size`` and
-    ``feedback`` off it, so no door can drop one.  ``root`` is the span
+    over whole — the run reads ``profile_plan`` and ``batch_size`` off
+    it, so no door can drop one.  ``root`` is the span
     fallback attributes land on (default: the tracer's current span).
     ``deadline`` and ``started`` are absolute ``time.perf_counter()``
     instants: past the first, plan execution stops between batches with

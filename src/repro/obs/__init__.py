@@ -1,7 +1,7 @@
 """Observability for the XSLT→XQuery→SQL pipeline.
 
-Three facilities, threaded through every layer (see README
-"Observability" and DESIGN §spans):
+Seven facilities, threaded through every layer (see README
+"Observability" and DESIGN §6, §11, §12):
 
 * **tracing** (:mod:`repro.obs.trace`) — nested spans over the compile
   stages (partial evaluation, XQuery generation, SQL/XML merge), plan
@@ -20,13 +20,18 @@ Three facilities, threaded through every layer (see README
   ``XsltRewriter.rewrite_view(...).ledger``;
 * **exporters** (:mod:`repro.obs.export`) — Prometheus text format and
   JSON Lines for metrics and span trees;
-* **adaptive feedback** (:mod:`repro.obs.feedback`) — after every
+* **the Q-error record** (:mod:`repro.obs.feedback`) — after every
   profiled execution, per-node/per-plan Q-error (estimate vs. actual
-  cardinality) is computed and exported; a :class:`FeedbackPolicy`
-  closes the loop with auto-ANALYZE and serve-cache re-costing.
+  cardinality) is computed, exported and kept on the result; nothing
+  acts on it (``db.analyze()`` is the fix for bad estimates);
+* **structured logs** (:mod:`repro.obs.logs`) — a JSON-lines log
+  formatter carrying the active trace id;
+* **the ops plane** (:mod:`repro.obs.recorder`, :mod:`repro.obs.ops`)
+  — a flight recorder of recent requests and the HTTP endpoints
+  (``/metrics``, ``/healthz``, ``/debug/requests``) that serve it.
 
-``repro.core.transform.TransformResult.report()`` assembles the first
-three for one ``xml_transform`` call.
+``repro.core.transform.TransformResult.report()`` assembles tracing,
+EXPLAIN and the Q-error record for one ``xml_transform`` call.
 """
 
 from repro.obs.decisions import (
@@ -42,15 +47,11 @@ from repro.obs.export import (
     write_prometheus,
 )
 from repro.obs.feedback import (
-    FeedbackController,
-    FeedbackEvent,
-    FeedbackPolicy,
     NodeFeedback,
     PlanFeedback,
-    compute_plan_feedback,
     format_qerror,
+    observe_profile,
     q_error,
-    record_feedback_metrics,
 )
 from repro.obs.logs import (
     JsonLogFormatter,
@@ -104,9 +105,6 @@ __all__ = [
     "DETAIL_TAIL_SAMPLE",
     "Decision",
     "DecisionLedger",
-    "FeedbackController",
-    "FeedbackEvent",
-    "FeedbackPolicy",
     "FlightRecorder",
     "Gauge",
     "Histogram",
@@ -126,7 +124,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "activate_trace_context",
-    "compute_plan_feedback",
     "configure_json_logging",
     "current_trace_context",
     "current_trace_id",
@@ -139,10 +136,10 @@ __all__ = [
     "metrics_to_jsonl",
     "new_span_id",
     "new_trace_id",
+    "observe_profile",
     "parse_traceparent",
     "prometheus_text",
     "q_error",
-    "record_feedback_metrics",
     "render_tree",
     "set_metrics",
     "set_tracer",

@@ -46,14 +46,6 @@ TOPN_FUSION = "topn-fusion"        # Limit(Sort) fused into bounded-heap TopN
 DECORRELATE = "decorrelate"        # correlated subquery -> join + group-agg
 STRUCTURAL_PATH = "structural-path"  # tree-walk join vs label-range StructuralJoin
 
-# adaptive feedback after execution (repro.obs.feedback)
-PLAN_QERROR = "plan-qerror"        # observed q-error distrusted the plan
-AUTO_ANALYZE = "auto-analyze"      # feedback ANALYZEd an unanalyzed table
-PLAN_RECOST = "plan-recost"        # serve tier asked to evict/re-cost
-
-#: the post-execution ledger stage the feedback loop records under
-FEEDBACK_STAGE = "plan-feedback"
-
 KINDS = (
     TEMPLATE_INSTANTIATED,
     TEMPLATE_PRUNED,
@@ -68,9 +60,6 @@ KINDS = (
     TOPN_FUSION,
     DECORRELATE,
     STRUCTURAL_PATH,
-    PLAN_QERROR,
-    AUTO_ANALYZE,
-    PLAN_RECOST,
 )
 
 _SECTIONS = {
@@ -283,8 +272,7 @@ class DecisionLedger:
     """Ordered record of every rewrite decision of one compilation."""
 
     # the pipeline stages, in rendering order
-    STAGES = ("partial-eval", "xquery-gen", "sql-merge", "plan-optimize",
-              FEEDBACK_STAGE)
+    STAGES = ("partial-eval", "xquery-gen", "sql-merge", "plan-optimize")
 
     def __init__(self):
         self.decisions = []
@@ -324,8 +312,8 @@ class DecisionLedger:
         """Re-point every variable bound to ``expr`` at ``node``.  The
         decorrelation pass replaces a bound ScalarSubquery expression
         with a plan node living inside the main tree; rebinding keeps
-        per-variable provenance and feedback attribution following the
-        surviving node.  Returns the rebound variable names."""
+        per-variable provenance and EXPLAIN ANALYZE numbering following
+        the surviving node.  Returns the rebound variable names."""
         rebound = [
             variable
             for variable, binding in self._sql_bindings.items()
@@ -344,8 +332,8 @@ class DecisionLedger:
 
     def bound_plans(self):
         """The subquery plan roots the SQL merge bound, in first-bound
-        order — the ``extra_plans`` the feedback loop judges alongside
-        the main plan."""
+        order — the ``extra_plans`` EXPLAIN numbers alongside the main
+        plan."""
         plans = []
         for variable in self._sql_bindings:
             plan_node = self._bound_plan(variable)

@@ -4,7 +4,7 @@ Every ``explain`` method — ``Engine.explain``, ``Database.explain``,
 ``Query.explain``, ``TransformResult.explain``, ``ServeResult.explain`` —
 returns this one object, holding the optimized plan, the cost estimates
 and EXPLAIN ANALYZE actuals, the rewrite-decision ledger and the
-post-execution Q-error feedback, with
+post-execution Q-error record, with
 
 * :meth:`ExplainReport.render` — the human text, over the pure tree
   renderer :func:`repro.rdb.plan.explain`, and

@@ -71,7 +71,6 @@ def transform_fields(view):
         execute_seconds=view.execute_seconds,
         total_seconds=view.total_seconds,
         q_error_max=feedback.max_q_error if feedback is not None else None,
-        q_error_triggered=feedback is not None and feedback.triggered,
         detail_fn=lambda: _detail(view),
     )
 
@@ -90,14 +89,14 @@ class RequestRecord:
     _FACTS = ("trace_id", "name", "sequence", "started_at", "status",
               "strategy", "cache_hit", "fallback_category",
               "queue_wait_seconds", "execute_seconds", "total_seconds",
-              "rows", "bytes_out", "q_error_max", "q_error_triggered")
+              "rows", "bytes_out", "q_error_max")
     __slots__ = _FACTS + ("error", "_spans", "detail", "detail_reason")
 
     def __init__(self, trace_id, name=None, sequence=0, started_at=None,
                  status="ok", error=None, strategy=None, cache_hit=None,
                  fallback_category=None, queue_wait_seconds=None,
                  execute_seconds=None, total_seconds=None, rows=None,
-                 bytes_out=None, q_error_max=None, q_error_triggered=False,
+                 bytes_out=None, q_error_max=None,
                  spans=None, detail=None, detail_reason=None):
         #: trace id shared by every span of this request
         self.trace_id = trace_id
@@ -120,8 +119,6 @@ class RequestRecord:
         self.bytes_out = bytes_out
         #: plan-wide max Q-error of this execution (None when unprofiled)
         self.q_error_max = q_error_max
-        #: True when the feedback policy distrusted the plan
-        self.q_error_triggered = q_error_triggered
         #: the trace's spans as handed over: finished ``Span`` objects, or
         #: the dicts a worker pipe delivered
         self._spans = list(spans) if spans else []

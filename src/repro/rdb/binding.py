@@ -175,8 +175,8 @@ class Observation:
     operator has a slot (``slots``: ``{id(node): slot}``; ``nodes``, by
     slot, keeps the ids valid), so a profiled execution owns only its
     per-slot counters.  ``rows`` is what is read back after a run:
-    ``(slot, plan_node_id, operator name, table_name, estimated_rows,
-    subtree base tables)`` — plain data — per node EXPLAIN shows: the
+    ``(slot, plan_node_id, operator name, table_name, estimated_rows)``
+    — plain data — per node EXPLAIN shows: the
     main tree, then the subquery plans it numbers (those the rewrite's
     ledger bound), in pre-order and, where numbered, ``#n`` order.  A
     plan is numbered and costed at compile, before it is first bound."""
@@ -189,33 +189,26 @@ class Observation:
         #: whatever the reader of ``rows`` keeps per row between runs
         #: (``repro.obs.feedback``: its metric instruments)
         self.instruments = None
-        rows, seen = [], {}
+        rows, seen = [], set()
         self._observe(binder.plans[0], rows, seen)
         for plan in binder.plans[1:]:
             if getattr(plan, "plan_node_id", None) is not None:
                 self._observe(plan, rows, seen)
         rows.sort(key=lambda row: row[1] or 0)
-        self.rows = tuple(map(tuple, rows))
+        self.rows = tuple(rows)
 
     def _observe(self, node, rows, seen):
         """Append ``node``'s subtree to ``rows``, once (two subqueries
-        may share one); returns its base tables, first seen first
-        (``seen``: those lists by slot)."""
+        may share one; ``seen``: the slots appended)."""
         slot = self.slots[id(node)]
         if slot in seen:
-            return seen[slot]
-        table = getattr(node, "table_name", None)
-        tables = seen[slot] = [table] if table else []
-        row = [slot, getattr(node, "plan_node_id", None),
-               type(node).__name__, table,
-               getattr(node, "estimated_rows", None), None]
-        rows.append(row)
+            return
+        seen.add(slot)
+        rows.append((slot, getattr(node, "plan_node_id", None),
+                     type(node).__name__, getattr(node, "table_name", None),
+                     getattr(node, "estimated_rows", None)))
         for child in node.children():
-            for name in self._observe(child, rows, seen):
-                if name not in tables:
-                    tables.append(name)
-        row[5] = tuple(tables)
-        return tables
+            self._observe(child, rows, seen)
 
 
 class Binding:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 
 from repro.errors import CatalogError
-from repro.obs.feedback import FeedbackController
 from repro.rdb.btree import BTreeIndex
 from repro.rdb.plan import ExecutionStats, Query
 from repro.rdb.planner import optimize_query
@@ -56,9 +55,6 @@ class Database:
         self._structural = {}  # table name -> StructuralPathIndex
         self._index_names = itertools.count(1)
         self.stats = StatisticsCatalog(self)
-        # Q-error feedback loop; observe-only until a FeedbackPolicy is
-        # enabled (db.feedback.enable(...))
-        self.feedback = FeedbackController(self)
 
     # -- DDL ----------------------------------------------------------------
 

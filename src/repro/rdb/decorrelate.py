@@ -45,7 +45,7 @@ Safety is checked per site and any doubt keeps the probe correlated
 Each rewrite is a first-class :class:`~repro.obs.decisions.DecisionLedger`
 record (kind ``decorrelate``, stage ``plan-optimize``) whose provenance
 points at the new join node; the FLWOR-variable binding is re-pointed at
-the Aggregate, so per-variable provenance and the Q-error feedback loop
+the Aggregate, so per-variable provenance and EXPLAIN's node numbering
 follow the surviving nodes.
 """
 
@@ -460,7 +460,7 @@ class _Decorrelator:
         variable = self._variable_of(site)
         if variable is not None:
             # the ScalarSubquery expression is dead; provenance and the
-            # feedback loop's extra_plans follow the aggregate instead
+            # ledger's bound plans follow the aggregate instead
             self.ledger.rebind_sql_expression(site, aggregate)
         detail = {
             "join_keys": len(info["pairs"]),

@@ -287,8 +287,8 @@ class _CostOptimizer:
             )
         if isinstance(plan, Aggregate):
             # optimized in place: the decorrelation pass binds this node
-            # into the decision ledger by identity, so feedback
-            # attribution must survive the cost pass
+            # into the decision ledger by identity, so the node must
+            # survive the cost pass
             plan.child = self.optimize_plan(plan.child)
             rows, cost = self.estimate(plan.child)
             group_rows = self._group_rows(plan, rows)

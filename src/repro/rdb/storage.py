@@ -745,37 +745,34 @@ class ObjectRelationalStorage:
         return Query(Scan(root_table.table_name, alias),
                      [("xml_content", construction)])
 
-    def _construct_expr(self, decl, table_binding, alias):
-        content = []
-        attributes = []
+    def _attribute_refs(self, decl, table_binding, alias):
+        """``(name, column ref)`` per stored attribute of ``decl``: the
+        ``attributes=`` of its view constructor."""
+        refs = []
         for attribute in decl.attributes:
             binding = self._attr_binding(table_binding, decl, attribute)
             if binding is not None:
-                attributes.append((attribute, self._ref(binding, alias)))
-        for particle in decl.particles:
-            content.append(
-                self._child_expr(decl, particle, table_binding, alias)
-            )
+                refs.append((attribute, self._ref(binding, alias)))
+        return refs
+
+    def _construct_expr(self, decl, table_binding, alias):
+        content = [
+            self._child_expr(decl, particle, table_binding, alias)
+            for particle in decl.particles
+        ]
         if decl.is_leaf and decl.has_text:
             content.append(ColumnRef(
                 VALUE, alias, self.column_types.get(decl.name, TEXT) != TEXT))
-        return XMLElement(decl.name, *content, attributes=attributes)
+        return XMLElement(decl.name, *content, attributes=self._attribute_refs(
+            decl, table_binding, alias))
 
     def _child_expr(self, decl, particle, table_binding, alias):
         child = particle.decl
         binding = self.bindings[id(child)]
         if isinstance(binding, ColumnBinding):
-            leaf_attributes = []
-            for attribute in child.attributes:
-                attr_binding = self._attr_binding(table_binding, child,
-                                                  attribute)
-                if attr_binding is not None:
-                    leaf_attributes.append(
-                        (attribute, self._ref(attr_binding, alias))
-                    )
             element = XMLElement(
                 child.name, self._ref(binding, alias),
-                attributes=leaf_attributes,
+                attributes=self._attribute_refs(child, table_binding, alias),
             )
             if particle.occurs == "?" or decl.group == "choice":
                 # absent children are NULL columns: guard so the view does
@@ -802,7 +799,8 @@ class ObjectRelationalStorage:
             self._child_expr(decl, particle, table_binding, alias)
             for particle in decl.particles
         ]
-        return XMLElement(decl.name, *content)
+        return XMLElement(decl.name, *content, attributes=self._attribute_refs(
+            decl, table_binding, alias))
 
     def _aggregate_subquery(self, decl, table_binding, parent_alias):
         child_alias = table_binding.table_name

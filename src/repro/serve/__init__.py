@@ -20,9 +20,8 @@ adds the pieces a long-lived server needs on top of
 * :class:`PlanRuntime` — what every worker runs a claimed request on:
   the two-tier plan lookup (tier-1 :class:`PlanCache` → optional
   :class:`ArtifactStore` → compile-and-persist), cross-process
-  invalidation over the store's epoch, feedback re-costing; cache hits
-  skip every compile stage and still carry the preserved EXPLAIN
-  REWRITE ledger;
+  invalidation over the store's epoch; cache hits skip every compile
+  stage and still carry the preserved EXPLAIN REWRITE ledger;
 * :func:`run_load` / :func:`run_soak` — closed-loop multi-client
   generators producing throughput / p50-p95-p99 latency / hit-ratio
   reports.

@@ -30,10 +30,9 @@ warning), and the request recompiles as a plain miss.
 
 Cross-process invalidation rides on the store's **epoch**: a monotonic
 counter in ``EPOCH`` (flock-protected read-increment-write).  A worker
-that runs ANALYZE / DDL (bumping its database's ``stats_version``) or
-gets a feedback re-cost event bumps the shared epoch; every other worker
-notices the bump on its next lookup and evicts tier-1 entries recorded
-under the previous epoch.  Writes are atomic (temp file + ``os.replace``)
+that runs ANALYZE / DDL (bumping its database's ``stats_version``)
+bumps the shared epoch; every other worker notices the bump on its next
+lookup and evicts tier-1 entries recorded under the previous epoch.  Writes are atomic (temp file + ``os.replace``)
 so readers never observe half-written entries.
 """
 

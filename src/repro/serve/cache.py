@@ -38,7 +38,6 @@ from repro.obs import global_metrics
 EVICT_LRU = "lru"
 EVICT_TTL = "ttl"
 EVICT_INVALIDATED = "invalidated"
-EVICT_RECOST = "recost"  # evicted by the Q-error feedback loop
 
 
 class _Entry:
@@ -258,12 +257,11 @@ class PlanCache:
     def invalidate_where(self, predicate, reason=EVICT_INVALIDATED):
         """Evict every entry whose cached *value* satisfies ``predicate``.
 
-        The feedback loop uses this to drop compiled transforms whose
-        recorded Q-error crossed the policy threshold
-        (``reason=EVICT_RECOST``) — the artifacts to re-cost are known
-        only by inspection, not by key.  ``predicate`` runs under the
-        cache lock and must not call back into the cache.  Returns the
-        number of entries removed.
+        The cross-process invalidation sweep uses this to drop plans
+        compiled under another statistics version or an older epoch —
+        entries known only by inspection, not by key.  ``predicate`` runs
+        under the cache lock and must not call back into the cache.
+        Returns the number of entries removed.
         """
         removed = 0
         with self._lock:

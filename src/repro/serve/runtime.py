@@ -17,8 +17,7 @@ workers call it in-process, process workers inside the child — and
   again; a failed rewrite is cached too (negative caching: every
   execution replays the categorized functional fallback);
 * **cross-process invalidation** (:meth:`PlanRuntime.sync_versions`)
-  and feedback **re-costing** evict under
-  ``serve.cache.evictions{reason="stale-stats"|"recost"}``.
+  evicts under ``serve.cache.evictions{reason="stale-stats"}``.
 """
 
 from __future__ import annotations
@@ -36,10 +35,9 @@ from repro.core.transform import (
 )
 from repro.errors import ReproError
 from repro.obs import InMemorySink, Tracer, global_metrics
-from repro.obs.feedback import FeedbackPolicy
 from repro.rdb.sqlxml import Markup
 from repro.serve.artifact import ArtifactStore, artifact_key
-from repro.serve.cache import EVICT_RECOST, PlanCache
+from repro.serve.cache import PlanCache
 from repro.xslt.stylesheet import Stylesheet
 
 #: tier-1 eviction reason for plans invalidated by a sibling process
@@ -125,7 +123,7 @@ class PlanRuntime:
 
     def __init__(self, db, sources=None, cache=None, cache_capacity=128,
                  cache_ttl_seconds=None, artifact_dir=None, metrics=None,
-                 feedback_policy=None, worker_id=None):
+                 worker_id=None):
         self.db = db
         self.sources = dict(sources or {})
         self.metrics = metrics or global_metrics()
@@ -142,21 +140,6 @@ class PlanRuntime:
             self.seen_epoch = self.store.epoch()
         self.seen_stats_version = db.stats_version()
         self._sync_lock = threading.Lock()
-        self._feedback = getattr(db, "feedback", None)
-        if self._feedback is not None:
-            if feedback_policy is not None:
-                self._feedback.enable(
-                    FeedbackPolicy() if feedback_policy is True
-                    else feedback_policy
-                )
-            # subscribe regardless of who enabled the policy, so a
-            # controller enabled directly on the database still re-costs
-            # this runtime's cache
-            self._feedback.add_listener(self._on_feedback)
-
-    def close(self):
-        if self._feedback is not None:
-            self._feedback.remove_listener(self._on_feedback)
 
     def resolve(self, source):
         """A request's source: a name from ``sources``, or the live
@@ -176,7 +159,7 @@ class PlanRuntime:
     def sync_versions(self):
         """Publish local invalidations, absorb remote ones.
 
-        A local ``stats_version`` bump (ANALYZE / DDL / feedback) bumps
+        A local ``stats_version`` bump (ANALYZE / DDL) bumps
         the store's shared epoch so *siblings* evict; a remote epoch
         bump evicts *this* runtime's tier-1 entries recorded under older
         epochs or a different stats version.  Without a disk tier there
@@ -204,24 +187,6 @@ class PlanRuntime:
                            or entry.epoch < self.seen_epoch),
             reason=EVICT_STALE_STATS,
         )
-
-    def _on_feedback(self, event):
-        """Feedback-loop listener: re-cost by evicting every cached
-        artifact the loop distrusted — the one that just executed
-        (``event.compiled``) and any other whose recorded Q-error
-        triggered the policy.  The next request for them recompiles
-        under the post-ANALYZE statistics version."""
-        def distrusted(entry):
-            if entry.compiled is event.compiled:
-                return True
-            feedback = getattr(entry.compiled, "feedback", None)
-            return feedback is not None and feedback.triggered
-
-        removed = self.cache.invalidate_where(distrusted,
-                                              reason=EVICT_RECOST)
-        if removed:
-            self.metrics.counter("serve.recost").inc(removed)
-        return removed
 
     # -- two-tier plan lookup ------------------------------------------------------
 

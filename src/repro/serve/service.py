@@ -218,7 +218,7 @@ class ThreadWorkers:
         return self.runtime.cache.stats().as_dict()
 
     def close(self):
-        self.runtime.close()
+        """Nothing to release: the runtime lives as long as the service."""
 
 
 class TransformService:
@@ -254,13 +254,6 @@ class TransformService:
     :param trace_requests: give each request a private tracer so the
         flight recorder (and ``ServeResult.trace``, in-process) carries
         its span tree; turn off to shave per-request overhead.
-    :param feedback_policy: arm the database's Q-error feedback loop in
-        whichever process runs the plans — a
-        :class:`~repro.obs.feedback.FeedbackPolicy`, or True for the
-        default thresholds; a distrusted plan is evicted
-        (``serve.cache.evictions`` reason ``recost``) so the next
-        request re-costs against corrected statistics.  None leaves the
-        controller as configured on the database (observe-only).
     :param recorder: the flight recorder behind the ``/debug`` endpoints
         — a :class:`~repro.obs.recorder.FlightRecorder`, True (default
         retention) or False/None to disable.
@@ -280,7 +273,7 @@ class TransformService:
                  queue_size=64, cache=None, cache_capacity=128,
                  cache_ttl_seconds=None, artifact_dir=None,
                  default_timeout=None, metrics=None, trace_requests=True,
-                 feedback_policy=None, recorder=True, ops_port=None,
+                 recorder=True, ops_port=None,
                  factory=None, start_method=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -333,7 +326,7 @@ class TransformService:
         runtime_options = dict(
             cache_capacity=cache_capacity,
             cache_ttl_seconds=cache_ttl_seconds,
-            artifact_dir=artifact_dir, feedback_policy=feedback_policy,
+            artifact_dir=artifact_dir,
         )
         if backend == "thread":
             self._backend = ThreadWorkers(

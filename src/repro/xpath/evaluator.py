@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.xmlmodel.nodes import Node
 from repro.xpath.context import XPathContext
 from repro.xpath.parser import compile_xpath
 
@@ -20,12 +19,3 @@ def evaluate_xpath(source, node, variables=None, namespaces=None, functions=None
         functions=functions,
     )
     return expr.evaluate(context)
-
-
-def first_node(value):
-    """The first node of a node-set value, or ``None``."""
-    if isinstance(value, Node):
-        return value
-    if isinstance(value, list) and value:
-        return value[0]
-    return None

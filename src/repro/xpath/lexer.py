@@ -112,13 +112,6 @@ class Lexer:
             return self._buffer[0].pos
         return self._pos
 
-    def skip_raw_space(self):
-        """Advance the raw position past whitespace (raw mode helper)."""
-        assert not self._buffer, "cannot mix raw access with buffered tokens"
-        while self._pos < len(self.source) and self.source[self._pos] in " \t\r\n":
-            self._pos += 1
-        return self._pos
-
     def fail(self, message, at=None):
         at = self._pos if at is None else at
         raise XPathSyntaxError(

@@ -189,8 +189,7 @@ def test_rooted_doors_trace_and_record(door, scenario):
     reference, = expected["records"]
     assert record.trace_id == view.trace_id is not None
     # the fields every door builds one way (obs.recorder.transform_fields)
-    for field in ("strategy", "fallback_category", "rows", "q_error_max",
-                  "q_error_triggered"):
+    for field in ("strategy", "fallback_category", "rows", "q_error_max"):
         assert getattr(record, field) == getattr(reference, field), field
     assert record.strategy == view.strategy
     assert record.rows == view.stats.output_rows > 0
@@ -361,7 +360,7 @@ class TestOneRun:
     def test_no_door_is_handed_an_option_by_keyword(self):
         """The options → run hand-off is the options object itself."""
         handoff = re.compile(
-            r"\b(profile_plan|batch_size|feedback|chunk_chars)=")
+            r"\b(profile_plan|batch_size|chunk_chars)=")
         for path, source in self.sources().items():
             if path.name != "api.py" and path.parent.name != "serve":
                 continue

@@ -94,7 +94,6 @@ class TestOptionsSurface:
         assert opts.profile_plan is True
         assert opts.rewrite_options is None
         assert opts.optimizer_level is None
-        assert opts.feedback is True
         assert opts.strategy is None
         assert opts.decorrelate is True
 
@@ -103,8 +102,7 @@ class TestOptionsSurface:
         names = [f for f in TransformOptions.__dataclass_fields__]
         assert names == ["deadline", "batch_size",
                          "chunk_chars", "profile_plan", "rewrite_options",
-                         "optimizer_level", "feedback", "strategy",
-                         "decorrelate"]
+                         "optimizer_level", "strategy", "decorrelate"]
 
     def test_choice_fields_validate_at_construction(self):
         with pytest.raises(ValueError, match="invalid optimizer_level"):
@@ -163,7 +161,7 @@ class TestLegacyEntryPointsAcceptOptions:
 
     def test_the_run_doors_take_the_options_whole(self):
         """No per-option keyword (``profile_plan=``, ``batch_size=``,
-        ``feedback=``, ``chunk_chars=``): a door cannot drop an option
+        ``chunk_chars=``): a door cannot drop an option
         it is never handed separately."""
         from repro.core.transform import (
             execute_compiled, execute_compiled_stream,
@@ -213,9 +211,8 @@ class TestServingSurface:
         assert params == [
             "self", "db", "workers", "backend", "sources", "queue_size",
             "cache", "cache_capacity", "cache_ttl_seconds", "artifact_dir",
-            "default_timeout", "metrics", "trace_requests",
-            "feedback_policy", "recorder", "ops_port", "factory",
-            "start_method",
+            "default_timeout", "metrics", "trace_requests", "recorder",
+            "ops_port", "factory", "start_method",
         ]
 
     def test_request_verbs_take_options_not_loose_kwargs(self):

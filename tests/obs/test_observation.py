@@ -10,11 +10,11 @@ import threading
 import pytest
 
 from repro.api import Engine, TransformOptions
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, format_qerror
 from repro.rdb import Database, ExecutionStats, INT, PlanProfiler, TEXT, explain
 from repro.rdb.expressions import Const, col, eq, gt
 from repro.rdb.plan import Filter, NestedLoopJoin, PlanNode, Query, Scan
-from repro.obs.feedback import compute_plan_feedback
+from repro.obs.feedback import QERROR_CAP, observe_profile
 from repro.xsltmark import get_case
 from repro.xsltmark.runner import prepare_case
 
@@ -84,16 +84,18 @@ class TestNoPerRequestPlanWalk:
         assert operator_rows(registry) == before
 
     def test_an_instrument_nothing_recorded_into_is_not_created(self):
-        engine, registry, storage, compiled = prepared("avts")
-        engine.execute(storage, compiled,
-                       options=TransformOptions(feedback=False))
+        # a plan run as emitted carries no estimates to judge
+        engine, registry, storage, compiled = prepared(
+            "avts", optimizer_level="off")
+        engine.execute(storage, compiled)
         assert operator_rows(registry)
         assert registry.histograms("planner.qerror") == []
 
 
 class TestCounterAndFeedbackReadTheSameRows:
     """``plan.operator_rows`` used to walk the main tree only, so the
-    correlated subquery plans feedback judged never reached it."""
+    correlated subquery plans the Q-error record judged never reached
+    it."""
 
     def test_correlated_subquery_operators_are_counted(self):
         engine, registry, storage, compiled = prepared(
@@ -109,6 +111,65 @@ class TestCounterAndFeedbackReadTheSameRows:
         engine.execute(storage, compiled)
         assert operator_rows(registry) == {
             "Aggregate": 1, "HashLeftJoin": 1, "Scan": ROWS + 1}
+
+
+def qerror_column(result):
+    """EXPLAIN ANALYZE's ``q=`` values, in plan order."""
+    return re.findall(r" q=(\S+?)\)", str(result.explain()))
+
+
+def qerror_counts(registry):
+    return {histogram.labels["op"]: histogram.count
+            for histogram in registry.histograms("planner.qerror")}
+
+
+class TestOneRecordEverySurface:
+    """EXPLAIN ANALYZE's ``q=`` column, ``report()`` and the
+    ``planner.qerror*`` instruments all show the one record
+    ``observe_profile`` folds from a profiled run.  The cases span the
+    plan shapes: a one-sided zero (``inf``), a filtered join, two
+    grouped joins and an all-exact plan."""
+
+    @pytest.mark.parametrize("name", [
+        "dbonerow", "decoy", "avts", "chart", "summarize", "inventory",
+        "workbook"])
+    def test_surfaces_agree_with_the_record(self, name):
+        engine, registry, storage, compiled = prepared(name)
+        result = engine.execute(storage, compiled)
+        feedback = result.feedback
+        errors = [node.q_error for node in feedback.nodes]
+        assert None not in errors and feedback.missing_estimates == 0
+        assert feedback.max_q_error == max(errors) == feedback.worst.q_error
+        assert qerror_column(result) == [format_qerror(e) for e in errors]
+        report = result.report()
+        for node in feedback.nodes:
+            assert node.describe() in report
+        ops = [node.op for node in feedback.nodes]
+        assert qerror_counts(registry) == {op: ops.count(op) for op in ops}
+        maxes = registry.histogram("planner.qerror.max")
+        assert maxes.count == 1
+        assert maxes.max == min(feedback.max_q_error, QERROR_CAP)
+        assert registry.counters("planner.qerror.missing_estimates") == []
+
+    @pytest.mark.parametrize("name", ["dbonerow", "chart", "inventory"])
+    def test_a_plan_without_estimates_records_only_the_count(self, name):
+        engine, registry, storage, compiled = prepared(
+            name, optimizer_level="off")
+        result = engine.execute(storage, compiled)
+        feedback = result.feedback
+        assert feedback.max_q_error is None and feedback.worst is None
+        assert feedback.missing_estimates == len(feedback) > 0
+        # no node has an estimate to print a q= column against; the
+        # table still lists every node, judged "-"
+        assert qerror_column(result) == []
+        report = result.report()
+        for node in feedback.nodes:
+            assert node.describe().endswith(" q=-")
+            assert node.describe() in report
+        assert registry.histograms("planner.qerror") == []
+        assert registry.histograms("planner.qerror.max") == []
+        assert registry.counter("planner.qerror.missing_estimates").value \
+            == len(feedback)
 
 
 class TestSharedTablePrivateCounters:
@@ -175,7 +236,7 @@ class TestNeverOpenedBranch:
 
     def test_feedback_skips_it(self):
         query, profiler = self.make()
-        feedback = compute_plan_feedback(query, profiler)
+        feedback = observe_profile(profiler)
         assert [(node.op, node.table) for node in feedback.nodes] == [
             ("NestedLoopJoin", None), ("Filter", None), ("Scan", "t")]
         assert profiler.get(query.plan.right) is None

@@ -406,23 +406,22 @@ class TestExecutionAccounting:
 
 
 class TestBatchFeedbackParity:
-    """Q-error feedback does not depend on the pull granularity.
+    """The Q-error record does not depend on the pull granularity.
 
-    The feedback loop pairs ``estimated_rows`` with the profiler's
+    ``observe_profile`` pairs ``estimated_rows`` with the profiler's
     ``rows_out`` / ``opens``; if those moved with the batch size the same
-    plan would earn a different Q-error and the controller would
-    mis-trigger.
+    plan would earn a different Q-error at every size.
     """
 
     @staticmethod
     def _feedback(db, query, batch_size):
-        from repro.obs.feedback import compute_plan_feedback
+        from repro.obs.feedback import observe_profile
 
         optimized = db.optimize(query)
         stats = ExecutionStats()
         stats.profiler = PlanProfiler()
         optimized.execute(db, stats=stats, batch_size=batch_size)
-        return compute_plan_feedback(optimized, stats.profiler)
+        return observe_profile(stats.profiler)
 
     @pytest.mark.parametrize("name,query", _audit_cases(), ids=AUDIT_IDS)
     @pytest.mark.parametrize("batch_size", AUDIT_BATCH_SIZES)

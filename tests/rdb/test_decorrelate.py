@@ -248,7 +248,7 @@ class TestLedger:
         site = query.outputs[1][1]
         ledger.bind_sql_variable("$headcount", site)
         rewritten = decorrelate_query(query, db, ledger=ledger)
-        # feedback/provenance now follow the surviving Aggregate node
+        # provenance now follows the surviving Aggregate node
         assert ledger._sql_bindings["$headcount"] is rewritten.plan.right
         decision = ledger.decisions_of(kind="decorrelate")[0]
         assert decision.subject == "$headcount"

@@ -354,6 +354,47 @@ class TestDifferential:
             "rows_scanned": 2}
 
 
+class TestInlineWrapperAttributes:
+    """An inline wrapper's stored attributes are in the storage view as
+    well as in the materialised DOM, so a path through one rewrites."""
+
+    SHEET = (
+        '<xsl:stylesheet version="1.0" '
+        'xmlns:xsl="http://www.w3.org/1999/XSL/Transform">'
+        '<xsl:template match="/"><o><xsl:value-of select="shop/meta/@kind"/>'
+        '|<xsl:value-of select="shop/meta/owner"/></o></xsl:template>'
+        "</xsl:stylesheet>")
+
+    def test_rewrite_reads_the_wrapper_attribute(self):
+        # FULL has the attribute, SPARSE the wrapper only, BARE neither
+        storage = shop_storage(FULL, SPARSE, BARE)
+        engine = Engine(storage.db)
+        rewritten = engine.transform(storage, self.SHEET)
+        functional = engine.transform(
+            storage, self.SHEET,
+            options=TransformOptions(strategy="functional"))
+        assert rewritten.strategy == "sql-rewrite", rewritten.fallback_reason
+        assert rewritten.serialized_rows() == functional.serialized_rows() \
+            == ["<o>k|Ann</o>", "<o>|Bob</o>", "<o>|</o>"]
+
+    def test_copy_of_the_wrapper_keeps_its_attribute(self):
+        # the constructed wrapper used to drop kind="k" without falling back
+        sheet = self.SHEET.replace(
+            '<o><xsl:value-of select="shop/meta/@kind"/>'
+            '|<xsl:value-of select="shop/meta/owner"/></o>',
+            '<o><xsl:copy-of select="shop/meta"/></o>')
+        storage = shop_storage(FULL, SPARSE, BARE)
+        engine = Engine(storage.db)
+        rewritten = engine.transform(storage, sheet)
+        functional = engine.transform(
+            storage, sheet, options=TransformOptions(strategy="functional"))
+        assert rewritten.strategy == "sql-rewrite", rewritten.fallback_reason
+        assert rewritten.serialized_rows() == functional.serialized_rows() \
+            == ['<o><meta kind="k"><owner>Ann</owner><phone>555</phone>'
+                "</meta></o>",
+                "<o><meta><owner>Bob</owner></meta></o>", "<o/>"]
+
+
 def price_storage(*prices):
     """SALES_DTD with a FLOAT price column, one product per price text."""
     storage = ObjectRelationalStorage(

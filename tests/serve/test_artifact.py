@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.api import TransformOptions
+from repro.core.transform import CompiledTransform
 from repro.obs import MetricsRegistry
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
@@ -122,6 +123,14 @@ class TestEncodeDecode:
             data.split(b"\n", 1)[1]
         with pytest.raises(ArtifactCorruptError):
             decode_artifact(doctored)
+
+    def test_payload_carries_every_slot_and_format_stays(self):
+        """No slot of a compiled plan is a runtime handle dropped on the
+        way to disk: the payload is every slot — the fields format 5
+        always wrote, so the format version stays."""
+        _, _, compiled = compile_one()
+        assert set(compiled.__getstate__()) == set(CompiledTransform.__slots__)
+        assert ARTIFACT_FORMAT_VERSION == 5
 
     def test_artifact_key_is_stable_and_injective_on_parts(self):
         assert artifact_key("a", "b") == artifact_key("a", "b")

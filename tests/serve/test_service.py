@@ -12,6 +12,7 @@ from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
 from repro.serve import PlanCache, TransformService
+from repro.serve.loadgen import WorkItem, run_load
 from repro.xmlmodel import parse_document
 
 from ..core.paper_example import (
@@ -295,3 +296,34 @@ class TestSharedCache:
             expired = service.transform(storage, EXAMPLE1_STYLESHEET)
             assert not expired.cache_hit
             assert cache.stats().evictions.get("ttl") == 1
+
+
+class TestServiceLatencyHistogram:
+    def test_latency_recorded_by_cache_outcome(self):
+        db, storage = make_storage()
+        metrics = MetricsRegistry()
+        with make_service(db, metrics=metrics) as service:
+            service.transform(storage, EXAMPLE1_STYLESHEET)
+            service.transform(storage, EXAMPLE1_STYLESHEET)
+            miss = metrics.histogram("serve.request.latency", cache="miss")
+            hit = metrics.histogram("serve.request.latency", cache="hit")
+            assert miss.count == 1
+            assert hit.count == 1
+            assert miss.sum > 0.0
+
+    def test_loadgen_reports_service_latency(self):
+        db, storage = make_storage()
+        metrics = MetricsRegistry()
+        with make_service(db, metrics=metrics) as service:
+            report = run_load(
+                service,
+                [WorkItem(storage, EXAMPLE1_STYLESHEET, name="dept")],
+                clients=2, requests_per_client=3,
+            )
+        assert report.requests == 6
+        assert report.service_latency
+        assert any("cache=hit" in key for key in report.service_latency)
+        total = sum(summary["count"]
+                    for summary in report.service_latency.values())
+        assert total == 6
+        assert "service_latency" in report.as_dict()
