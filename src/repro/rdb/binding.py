@@ -8,13 +8,15 @@ outer layout is a prefix of the inner one and outer references resolve
 like any other.  One *bind* pass per (plan, catalog) walks the operator
 tree and every expression under it with a :class:`Binder`, resolves
 every name to a slot (name errors are raised here, once, not per row)
-and leaves closures ``f(row, stats)`` behind; the pass's result is a
-:class:`BoundNode` per operator and, for a whole query, the
+and leaves functions ``f(row, stats)`` behind — each predicate, key
+tuple, output tuple and SQL/XML template one generated function
+(:class:`Codegen`, the one place source text becomes code); the pass's
+result is a :class:`BoundNode` per operator and, for a whole query, the
 :class:`Binding` the :class:`~repro.rdb.plan.Query` caches in its
 :class:`BindingCache`.  The same pass gives every operator an
 *observation slot* and leaves an :class:`Observation` behind: what a
 profiled execution counts into and what EXPLAIN ANALYZE, the metrics
-and the Q-error loop read back.  Nothing here is pickled: an artifact
+and the Q-error record read back.  Nothing here is pickled: an artifact
 carries the tree, not the binding.
 """
 
@@ -33,13 +35,13 @@ class Layout:
     reaches — aggregate accumulator state, found through ``aggregates``:
     ``{id(aggregate expr): (slot, finaliser)}``."""
 
-    __slots__ = ("segments", "width", "aggregates", "_slots")
+    __slots__ = ("segments", "width", "aggregates")
 
-    def __init__(self, segments=(), aggregates=None):
+    def __init__(self, segments=(), aggregates=None, width=None):
         self.segments = tuple(segments)
-        self.width = sum(len(names) for _, names in self.segments)
+        self.width = (sum(len(names) for _, names in self.segments)
+                      if width is None else width)
         self.aggregates = aggregates or {}
-        self._slots = None
 
     @classmethod
     def of_env(cls, env):
@@ -54,49 +56,47 @@ class Layout:
 
     def extend(self, alias, names):
         """This layout followed by one more segment."""
-        return Layout(self.segments + ((alias, tuple(names)),))
+        names = tuple(names)
+        return Layout(self.segments + ((alias, names),),
+                      width=self.width + len(names))
 
     def join(self, other, outer):
         """This layout followed by ``other``'s segments past the prefix
         ``outer`` that both sides were bound under."""
-        return Layout(self.segments + other.segments[len(outer.segments):])
-
-    def _visible(self):
-        """``{alias: {column: slot}}`` of the segments names reach."""
-        if self._slots is None:
-            visible = {}
-            offset = 0
-            for alias, names in self.segments:
-                if alias is not None:
-                    visible[alias] = {
-                        name: offset + position
-                        for position, name in enumerate(names)
-                    }
-                offset += len(names)
-            self._slots = visible
-        return self._slots
+        return Layout(self.segments + other.segments[len(outer.segments):],
+                      width=self.width + other.width - outer.width)
 
     def slot(self, column, alias=None):
-        """The tuple position of a (possibly alias-qualified) column."""
-        visible = self._visible()
+        """The tuple position of a (possibly alias-qualified) column,
+        found from the last segment back: the first segment of an alias
+        met is the one in scope."""
+        end = self.width
+        found = None
+        seen = set() if alias is None else None
+        for name, names in reversed(self.segments):
+            end -= len(names)
+            if alias is not None:
+                if name != alias:
+                    continue
+                if column not in names:
+                    raise DatabaseError(
+                        "no column %r in alias %r" % (column, alias))
+                return end + names.index(column)
+            if name is None or name in seen:
+                continue
+            seen.add(name)
+            if column in names:
+                if found is not None:
+                    raise DatabaseError("ambiguous column %r" % column)
+                found = end + names.index(column)
         if alias is not None:
-            slots = visible.get(alias)
-            if slots is None:
-                raise DatabaseError(
-                    "alias %r is not in scope (have: %s)"
-                    % (alias, ", ".join(sorted(visible)) or "none")
-                )
-            if column not in slots:
-                raise DatabaseError(
-                    "no column %r in alias %r" % (column, alias)
-                )
-            return slots[column]
-        matches = [slots for slots in visible.values() if column in slots]
-        if not matches:
+            visible = {name for name, _ in self.segments if name is not None}
+            raise DatabaseError(
+                "alias %r is not in scope (have: %s)"
+                % (alias, ", ".join(sorted(visible)) or "none"))
+        if found is None:
             raise DatabaseError("unknown column %r" % column)
-        if len(matches) > 1:
-            raise DatabaseError("ambiguous column %r" % column)
-        return matches[0][column]
+        return found
 
 
 class Binder:
@@ -213,20 +213,18 @@ class Observation:
 
 class Binding:
     """A query bound to one catalog: ``source(db, outer_row, stats,
-    batch_size)`` yields batches of the rows the ``outputs`` closures
-    (``output``: all of them, as one tuple) evaluate, and
-    ``observation`` is the :class:`Observation` of the pass.  It
-    remembers what its slots were resolved against — the database, the
-    very ``TableSchema`` objects, the shape of the caller's ``env`` —
-    and :meth:`fits` is checked once per execution, never per row."""
+    batch_size)`` yields batches of the rows ``output(row, stats)`` turns
+    into the tuple of the query's output values, and ``observation`` is the
+    :class:`Observation` of the pass.  It remembers what its slots were
+    resolved against — the database, the very ``TableSchema`` objects,
+    the shape of the caller's ``env`` — and :meth:`fits` is checked once
+    per execution, never per row."""
 
-    __slots__ = ("db", "schemas", "shape", "source", "outputs", "output",
-                 "observation")
+    __slots__ = ("db", "schemas", "shape", "source", "output", "observation")
 
     def __init__(self, query, db, markup, outer):
         binder = Binder(db, markup)
-        self.source, self.outputs = query.bind(binder, outer)
-        self.output = tuple_of(self.outputs)
+        self.source, self.output = query.bind(binder, outer)
         self.observation = Observation(binder)
         self.db = db
         self.schemas = list(binder.schemas.items())
@@ -271,14 +269,73 @@ class BindingCache:
         return binding, outer_row
 
 
-def tuple_of(closures):
-    """One closure returning the tuple of the given closures' values."""
-    if not closures:
-        return lambda row, stats: ()
-    if len(closures) == 1:
-        (only,) = closures
-        return lambda row, stats: (only(row, stats),)
-    return lambda row, stats: tuple([f(row, stats) for f in closures])
+# -- generated row functions ------------------------------------------------------
+
+#: factories kept, by source text (the oldest goes first)
+_FACTORY_CACHE_SIZE = 512
+#: nesting past which a subexpression is a function of its own: a level
+#: opens at most two brackets, and CPython's parser stops at 200
+_MAX_DEPTH = 32
+
+_factories = {}
+_factories_lock = threading.Lock()
+
+
+class Codegen:
+    """One generated function ``f(row, stats)`` being built — the one
+    place source text becomes code.  ``emit`` methods return source (an
+    atom) over ``row`` and ``stats``; any value it needs (a constant,
+    helper, closure, format string) is a parameter of the factory
+    ``make(...)`` around it — :meth:`helper` a fixed name, :meth:`ref`
+    ``_kN`` — never spliced in, so the source is the cache key of its
+    factory and a plan of the same shape only calls it."""
+
+    __slots__ = ("names", "values", "depth")
+
+    def __init__(self, names=None, values=None):
+        self.names = list(names) if names else []  # the factory's parameters
+        self.values = list(values) if values else []  # ... and their values
+        self.depth = 0
+
+    def ref(self, value):
+        name = "_k%d" % len(self.values)
+        self.names.append(name)
+        self.values.append(value)
+        return name
+
+    def helper(self, name, function):
+        if name not in self.names:
+            self.names.append(name)
+            self.values.append(function)
+        return name
+
+    def emit(self, expr, binder, layout):
+        """``expr``'s source; nested too deep, a call of its own
+        function."""
+        if self.depth >= _MAX_DEPTH:
+            return "%s(row, stats)" % self.ref(expr.bind(binder, layout))
+        self.depth += 1
+        source = expr.emit(binder, layout, self)
+        self.depth -= 1
+        return source
+
+    def function(self, body):
+        """``f(row, stats)`` running ``body`` (statements apart by a
+        newline and two spaces)."""
+        source = "def make(%s):\n def f(row, stats):\n  %s\n return f\n" % (
+            ", ".join(self.names), body)
+        make = _factories.get(source)
+        if make is None:
+            namespace = {}
+            exec(compile(source, "<bound expression>", "exec"), namespace)
+            make = namespace["make"]
+            if not self.values:  # nothing bound in: one shared function
+                make = lambda shared=make(): shared  # noqa: E731
+            with _factories_lock:
+                if len(_factories) >= _FACTORY_CACHE_SIZE:
+                    del _factories[next(iter(_factories))]
+                _factories[source] = make
+        return make(*self.values)
 
 
 # -- ORDER BY --------------------------------------------------------------------
@@ -291,14 +348,6 @@ def _null_safe(value):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return (1, "", float(value))
     return (2, str(value), 0.0)
-
-
-def bind_order(binder, order_by, layout):
-    """Bind ``(expr, descending)`` ORDER BY pairs: returns ``(key,
-    directions)`` — ``key(row, stats)`` is the tuple of key values to
-    decorate a row with, ``directions`` what :func:`sort_pairs` takes."""
-    key = tuple_of([expr.bind(binder, layout) for expr, _ in order_by])
-    return key, [descending for _, descending in order_by]
 
 
 def sort_pairs(pairs, directions):

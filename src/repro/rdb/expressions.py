@@ -3,10 +3,13 @@
 An expression is *bound* once per (plan, catalog) and then called once
 per row: ``expr.bind(binder, layout)`` resolves every column reference
 to a slot of the flat tuple row (:mod:`repro.rdb.binding`) and returns a
-closure ``f(row, stats)``.  Name errors (unknown alias or column,
-ambiguous column, unknown function or operator) are raised by ``bind``;
-a closure only indexes tuples.  Correlated subqueries see the outer row
-as the prefix of their own rows.
+function ``f(row, stats)``: a kind either has ``emit`` return Python
+source for its value (``row[7]``, CASE as a conditional chain), which the
+base ``bind`` compiles into one generated function per tree, or — holding
+runtime state — has ``bind`` return a closure the source calls.  Name errors
+(unknown alias or column, ambiguous column, unknown function or
+operator) are raised at bind; a bound function only indexes tuples.
+Correlated subqueries see the outer row as the prefix of their own rows.
 
 Every expression renders itself to SQL text (``to_sql``) so rewritten plans
 can be shown in the paper's Table 7 / Table 11 form.
@@ -14,10 +17,13 @@ can be shown in the paper's Table 7 / Table 11 form.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 from repro.errors import DatabaseError
-from repro.rdb.binding import Binder, Layout
+from repro.rdb.binding import Binder, Codegen, Layout
 from repro.xpath.ast import _divide as xpath_divide, _modulo as xpath_mod
 from repro.xpath.datamodel import number_to_string, to_number
 from repro.xpath.functions import fn_normalize_space
@@ -28,7 +34,13 @@ class SqlExpr:
 
     def bind(self, binder, layout):
         """Resolve against ``layout``; returns ``f(row, stats)``."""
-        raise NotImplementedError
+        cg = Codegen()
+        return cg.function("return " + cg.emit(self, binder, layout))
+
+    def emit(self, binder, layout, cg):
+        """Source of the value over ``row`` and ``stats``, built in
+        ``cg``: here, a call of the bound closure."""
+        return "%s(row, stats)" % cg.ref(self.bind(binder, layout))
 
     def evaluate(self, env, db=None, stats=None):
         """Convenience for one-off evaluation against an ``{alias:
@@ -60,9 +72,8 @@ class Const(SqlExpr):
     def __init__(self, value):
         self.value = value
 
-    def bind(self, binder, layout):
-        value = self.value
-        return lambda row, stats: value
+    def emit(self, binder, layout, cg):
+        return cg.ref(self.value)
 
     def to_sql(self):
         if self.value is None:
@@ -85,14 +96,25 @@ class ColumnRef(SqlExpr):
         self.table = table
         self.numeric = numeric
 
-    def bind(self, binder, layout):
-        slot = layout.slot(self.column, self.table)
-        return lambda row, stats: row[slot]
+    def emit(self, binder, layout, cg):
+        return "row[%d]" % layout.slot(self.column, self.table)
 
     def to_sql(self):
         if self.table:
             return '"%s"."%s"' % (self.table.upper(), self.column.upper())
         return '"%s"' % self.column.upper()
+
+
+def _binary(apply, comparing, a, b):
+    """``apply`` under SQL's NULL rule and the text-vs-number rule."""
+    if a is None or b is None:
+        return False if comparing else None
+    if isinstance(a, str) or isinstance(b, str):
+        if comparing and type(a) not in (int, float) \
+                and type(b) not in (int, float):  # bools: as text
+            return apply(_text(a), _text(b))
+        return apply(to_number(a), to_number(b))
+    return apply(a, b)
 
 
 def _divide(left, right):
@@ -122,37 +144,29 @@ class BinOp(SqlExpr):
     def child_exprs(self):
         return (self.left, self.right)
 
-    def bind(self, binder, layout):
+    def emit(self, binder, layout, cg):
         op = self.op
-        left = self.left.bind(binder, layout)
-        right = self.right.bind(binder, layout)
-        if op == "AND":
-            return lambda row, stats: (
-                bool(left(row, stats)) and bool(right(row, stats)))
-        if op == "OR":
-            return lambda row, stats: (
-                bool(left(row, stats)) or bool(right(row, stats)))
+        if op not in ("AND", "OR", "||"):
+            apply = self._COMPARISONS.get(op) or self._ARITHMETIC.get(op)
+            if apply is None:
+                raise DatabaseError("unknown operator %r" % op)
+            return "%s(%s, %s, %s, %s)" % (
+                cg.helper("_binary", _binary), cg.ref(apply),
+                op in self._COMPARISONS, cg.emit(self.left, binder, layout),
+                cg.emit(self.right, binder, layout))
+        # a chain of one operator is emitted flat, however long
+        terms, stack = [], [self.right, self.left]
+        while stack:
+            expr = stack.pop()
+            if type(expr) is BinOp and expr.op == op:
+                stack += (expr.right, expr.left)
+            else:
+                terms.append(cg.emit(expr, binder, layout))
         if op == "||":
-            return lambda row, stats: (
-                _text(left(row, stats)) + _text(right(row, stats)))
-        comparing = op in self._COMPARISONS
-        apply = self._COMPARISONS.get(op) or self._ARITHMETIC.get(op)
-        if apply is None:
-            raise DatabaseError("unknown operator %r" % op)
-
-        def binary(row, stats):
-            a = left(row, stats)
-            b = right(row, stats)
-            if a is None or b is None:
-                return False if comparing else None
-            if isinstance(a, str) or isinstance(b, str):
-                if comparing and type(a) not in (int, float) \
-                        and type(b) not in (int, float):  # bools: as text
-                    return apply(_text(a), _text(b))
-                return apply(to_number(a), to_number(b))
-            return apply(a, b)
-
-        return binary
+            text = cg.helper("_text", _text)
+            return "(%s)" % " + ".join(
+                "%s(%s)" % (text, term) for term in terms)
+        return "(True if %s else False)" % (" %s " % op.lower()).join(terms)
 
     def to_sql(self):
         return "%s %s %s" % (self.left.to_sql(), self.op, self.right.to_sql())
@@ -165,9 +179,8 @@ class Not(SqlExpr):
     def child_exprs(self):
         return (self.operand,)
 
-    def bind(self, binder, layout):
-        operand = self.operand.bind(binder, layout)
-        return lambda row, stats: not operand(row, stats)
+    def emit(self, binder, layout, cg):
+        return "(not %s)" % cg.emit(self.operand, binder, layout)
 
     def to_sql(self):
         return "NOT (%s)" % self.operand.to_sql()
@@ -181,11 +194,9 @@ class IsNull(SqlExpr):
     def child_exprs(self):
         return (self.operand,)
 
-    def bind(self, binder, layout):
-        operand = self.operand.bind(binder, layout)
-        if self.negated:
-            return lambda row, stats: operand(row, stats) is not None
-        return lambda row, stats: operand(row, stats) is None
+    def emit(self, binder, layout, cg):
+        return "(%s is %sNone)" % (cg.emit(self.operand, binder, layout),
+                                   "not " if self.negated else "")
 
     def to_sql(self):
         return "%s IS %sNULL" % (
@@ -208,21 +219,16 @@ class CaseWhen(SqlExpr):
             out.append(self.otherwise)
         return tuple(out)
 
-    def bind(self, binder, layout):
-        whens = [
-            (condition.bind(binder, layout), value.bind(binder, layout))
-            for condition, value in self.whens
-        ]
-        otherwise = (Const(None) if self.otherwise is None
-                     else self.otherwise).bind(binder, layout)
-
-        def case(row, stats):
-            for condition, value in whens:
-                if condition(row, stats):
-                    return value(row, stats)
-            return otherwise(row, stats)
-
-        return case
+    def emit(self, binder, layout, cg):
+        # an unbracketed chain: ``v1 if c1 else v2 if c2 else v3``
+        chain = []
+        for condition, value in self.whens:
+            condition = cg.emit(condition, binder, layout)
+            chain.append("%s if %s else" % (cg.emit(value, binder, layout),
+                                            condition))
+        chain.append("None" if self.otherwise is None
+                     else cg.emit(self.otherwise, binder, layout))
+        return "(%s)" % " ".join(chain)
 
     def to_sql(self):
         parts = ["CASE"]
@@ -240,6 +246,24 @@ def _substr(values):
     if len(values) > 2:
         return text[start:start + int(values[2])]
     return text[start:]
+
+
+#: wide enough to hold any float to the unit
+_ROUNDING = Context(prec=400)
+
+
+def _round(values):
+    """SQL ``ROUND(x [, digits])`` as Oracle rounds: half away from zero
+    on the decimal value (``ROUND(2.675, 2)`` is 2.68); NULL is NULL."""
+    if None in values:
+        return None
+    value = values[0]
+    if isinstance(value, float) and not math.isfinite(value):
+        return value
+    digits = int(values[1]) if len(values) > 1 else 0
+    rounded = Decimal(str(value)).quantize(
+        Decimal(1).scaleb(-digits), ROUND_HALF_UP, _ROUNDING)
+    return float(rounded) if isinstance(value, float) else int(rounded)
 
 
 def _xpath_div(values):
@@ -265,9 +289,8 @@ class FuncCall(SqlExpr):
         "UPPER": lambda values: _text(values[0]).upper(),
         "LOWER": lambda values: _text(values[0]).lower(),
         "LENGTH": lambda values: float(len(_text(values[0]))),
-        "ABS": lambda values: abs(values[0]),
-        "ROUND": lambda values: round(
-            values[0], int(values[1]) if len(values) > 1 else 0),
+        "ABS": lambda values: None if values[0] is None else abs(values[0]),
+        "ROUND": _round,
         "SUBSTR": _substr,
         "CONCAT": lambda values: "".join(_text(value) for value in values),
         "COALESCE": _coalesce,
@@ -287,12 +310,12 @@ class FuncCall(SqlExpr):
     def child_exprs(self):
         return tuple(self.args)
 
-    def bind(self, binder, layout):
+    def emit(self, binder, layout, cg):
         function = self._FUNCTIONS.get(self.name)
         if function is None:
             raise DatabaseError("unknown SQL function %s()" % self.name)
-        args = [arg.bind(binder, layout) for arg in self.args]
-        return lambda row, stats: function([arg(row, stats) for arg in args])
+        return "%s([%s])" % (cg.ref(function), ", ".join(
+            cg.emit(arg, binder, layout) for arg in self.args))
 
     def to_sql(self):
         return "%s(%s)" % (
@@ -393,6 +416,35 @@ def _text(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+def bind_tuple(binder, exprs, layout):
+    """``f(row, stats)``: the tuple of ``exprs``' values (of bare columns,
+    one function shared per slot tuple)."""
+    slots = []
+    for expr in exprs:
+        if type(expr) is not ColumnRef:
+            break
+        slots.append(layout.slot(expr.column, expr.table))
+    else:
+        return _columns(tuple(slots))
+    cg = Codegen()
+    return cg.function("return (%s)" % "".join(
+        [cg.emit(expr, binder, layout) + ", " for expr in exprs]))
+
+
+@functools.lru_cache(maxsize=256)
+def _columns(slots):
+    return Codegen().function(
+        "return (%s)" % "".join(["row[%d], " % slot for slot in slots]))
+
+
+def bind_order(binder, order_by, layout):
+    """Bind ``(expr, descending)`` ORDER BY pairs: returns ``(key,
+    directions)`` — ``key(row, stats)`` is the tuple of key values to
+    decorate a row with, ``directions`` what ``sort_pairs`` takes."""
+    key = bind_tuple(binder, [expr for expr, _ in order_by], layout)
+    return key, [descending for _, descending in order_by]
 
 
 # Convenience constructors used throughout the rewrite and tests.

@@ -29,13 +29,8 @@ from itertools import chain, islice
 from repro.errors import DatabaseError, DeadlineExceededError, PlanError
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import current_trace_id
-from repro.rdb.binding import (
-    BindingCache,
-    bind_order,
-    sort_pairs,
-    tuple_of,
-)
-from repro.rdb.expressions import SqlExpr, _text
+from repro.rdb.binding import BindingCache, sort_pairs
+from repro.rdb.expressions import SqlExpr, _text, bind_order, bind_tuple
 from repro.rdb.sqlxml import bind_aggregates, render_item, row_items
 
 #: Row count per batch wherever ``batch_size`` is not given (or None).
@@ -727,10 +722,8 @@ class HashLeftJoin(PlanNode):
         return binder.bound(
             self, left.layout.join(right.layout, outer),
             left, right,
-            tuple_of([expr.bind(binder, left.layout)
-                      for expr in self.left_keys]),
-            tuple_of([expr.bind(binder, right.layout)
-                      for expr in self.right_keys]))
+            bind_tuple(binder, self.left_keys, left.layout),
+            bind_tuple(binder, self.right_keys, right.layout))
 
     def batches(self, db, outer, stats, batch_size, left, right, left_keys,
                 right_keys):
@@ -853,10 +846,10 @@ class Aggregate(PlanNode):
         names = [name for name, _ in (*self.group_by, *self.outputs)]
         return binder.bound(
             self, outer.extend(self.alias, names), child,
-            tuple_of([expr.bind(binder, child.layout)
-                      for _, expr in self.group_by]),
+            bind_tuple(binder, [expr for _, expr in self.group_by],
+                       child.layout),
             accumulators,
-            tuple_of([expr.bind(binder, final) for _, expr in self.outputs]))
+            bind_tuple(binder, [expr for _, expr in self.outputs], final))
 
     def batches(self, db, outer, stats, batch_size, child, group_key,
                 accumulators, finish):
@@ -998,10 +991,11 @@ class Query:
 
     def bind(self, binder, outer):
         """Bind plan and outputs under the prefix layout ``outer``.
-        Returns ``(source, outputs)``: ``source(db, outer_row, stats,
-        batch_size)`` yields batches of the rows the ``outputs``
-        closures evaluate against — the plan's rows, or for an aggregate
-        query the single row carrying the accumulated state."""
+        Returns ``(source, output)``: ``source(db, outer_row, stats,
+        batch_size)`` yields batches of the rows ``output(row, stats)``
+        turns into the tuple of output values — the plan's rows, or for
+        an aggregate query the single row carrying the accumulated
+        state."""
         binder.plans.append(self.plan)
         plan = self.plan.bind(binder, outer)
         accumulators, final = bind_aggregates(
@@ -1016,7 +1010,8 @@ class Query:
                     for accumulate, state in zip(accumulators, states):
                         accumulate(state, row, stats)
                 return [[outer_row + tuple(states)]]
-        return source, [expr.bind(binder, final) for _, expr in self.outputs]
+        return source, bind_tuple(
+            binder, [expr for _, expr in self.outputs], final)
 
     def bind_scalar(self, binder, outer):
         """This query as a correlated scalar subquery of rows of
@@ -1024,7 +1019,7 @@ class Query:
         as the prefix and returns its single value (or NULL)."""
         if len(self.outputs) != 1:
             raise PlanError("scalar subquery must have one output column")
-        source, (value,) = self.bind(binder, outer)
+        source, output = self.bind(binder, outer)
         db = binder.db
 
         def scalar(row, stats):
@@ -1032,7 +1027,7 @@ class Query:
             # not the drive loop: the outer execution's output_rows /
             # batches / elapsed_seconds are not charged for these rows
             values = [
-                value(inner, stats)
+                output(inner, stats)[0]
                 for batch in source(db, row, stats, DEFAULT_BATCH_SIZE)
                 for inner in batch
             ]

@@ -8,7 +8,7 @@ expressions driven by the executor's aggregate machinery.
 An XML value has one of two representations.  Which one is decided once,
 when the plan is *bound* (``Binder.markup``, taken from the
 ``ExecutionStats.markup`` of the entry point that opened the execution)
-— a bound constructor is a closure over flat tuple rows that builds one
+— a bound constructor is a function of flat tuple rows that builds one
 representation and never asks again:
 
 * **DOM nodes** (the default): ``Query.execute_batches()`` (which
@@ -20,8 +20,8 @@ representation and never asks again:
   or a flat list of them when the content holds a sequence, so no piece
   ever spans more than one aggregated row — and no result DOM is built,
   copied or walked.  An element and the elements nested in its content
-  bind to one template (:func:`_template`): a format string and the
-  scalar leaves that fill it.  This is the paper's point (Figure 3): the
+  bind to one template (:func:`_template`): one generated function that
+  fills a format string.  This is the paper's point (Figure 3): the
   rewritten plan answers ``XMLTransform`` without materialising a
   document.
 
@@ -34,12 +34,14 @@ pairs and renders each row at finalization.
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import DatabaseError, RewriteError
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.nodes import Node, NodeKind, QName
 from repro.xmlmodel.serializer import escape_attribute, escape_text, serialize
-from repro.rdb.binding import Layout, bind_order, sort_pairs
-from repro.rdb.expressions import Const, SqlExpr, _text
+from repro.rdb.binding import Codegen, Layout, sort_pairs
+from repro.rdb.expressions import Const, SqlExpr, _text, bind_order
 from repro.xpath.datamodel import number_to_string
 
 
@@ -216,23 +218,25 @@ def _render(nest, values, stats):
 
 def _template(element, binder, layout):
     """Bind a markup ``element`` and every ``XMLElement`` nested in its
-    content as one template: a format string holding each tag, ``name="``
-    prefix, end tag and constant, escaped once here with ``%`` doubled,
-    beside the tuple of its scalar leaves.  Per row each leaf is called
-    exactly once; when every value is a plain scalar (a string — non-empty
-    in content —, an int or a float) the row is one ``fmt % args``.  Any
-    other value (NULL, empty content text, a bool, a sequence, markup, a
-    node) renders that row from the same values through
-    :func:`_render`.  ``xml_elements`` counts every element of the nest
-    either way."""
-    leaves = []  # (bound closure, is an attribute value), in call order
-    pieces = []  # the format: static text, None where a leaf goes
+    content as one generated function over a format string holding each
+    tag, ``name="`` prefix, end tag and constant, escaped once here with
+    ``%`` doubled.  Its leaves are evaluated once each, in order; a str
+    (non-empty in content), float or int goes into one ``fmt % args``,
+    any other value (NULL, "", a bool, a sequence, markup, a node)
+    renders the row from the same values through :func:`_render`.
+    ``xml_elements`` counts every element of the nest either way."""
+    cg = Codegen(*_TEMPLATE_PARAMETERS)
+    body = []    # the leaves' assignments, in evaluation order
+    kinds = []   # whether each is an attribute value
+    runs = [""]  # the format's static text before, between, after leaves
     elements = 0
 
     def leaf(expr, attribute):
-        pieces.append(None)
-        leaves.append((expr.bind(binder, layout), attribute))
-        return len(leaves) - 1
+        source = cg.emit(expr, binder, layout)
+        body.append("_v%d = %s\n  " % (len(body), source))
+        kinds.append(attribute)
+        runs.append("")
+        return len(body) - 1
 
     def nest(element):
         """Append ``element`` to the format; returns its nest for
@@ -240,20 +244,20 @@ def _template(element, binder, layout):
         nonlocal elements
         elements += 1
         opening, close = _tags(element.name)
-        pieces.append(opening)
+        runs[-1] += opening
         attributes = []
         for attr_name, expr in element.attributes:
             prefix = ' %s="' % _lexical(attr_name)
             if not _is_static(expr):
-                pieces.append(prefix)
+                runs[-1] += prefix
                 attributes.append((prefix, leaf(expr, True)))
-                pieces.append('"')
+                runs[-1] += '"'
             elif expr.value is not None:
                 text = prefix + escape_attribute(_text(expr.value)) + '"'
-                pieces.append(text)
+                runs[-1] += text
                 attributes.append((text, None))
-        start = len(pieces)
-        pieces.append(">")
+        runs[-1] += ">"
+        empty = len(runs), len(runs[-1])
         content = []
         for expr in element.content:
             if type(expr) is XMLElement:
@@ -262,41 +266,47 @@ def _template(element, binder, layout):
                 content.append(leaf(expr, False))
             elif _text(expr.value):
                 text = Markup(escape_text(_text(expr.value)))
-                pieces.append(text)
+                runs[-1] += text
                 content.append(text)
-        if len(pieces) == start + 1:  # no content: self-closing
-            pieces[start] = "/>"
+        if (len(runs), len(runs[-1])) == empty:  # no content: self-closing
+            runs[-1] = runs[-1][:-1] + "/>"
         else:
-            pieces.append(close)
+            runs[-1] += close
         return opening, close, attributes, content
 
     root = nest(element)
-    fmt = "".join("%s" if piece is None else piece.replace("%", "%%")
-                  for piece in pieces)
-    leaves = tuple(leaves)
+    cg.values[:2] = root, "%s".join([run.replace("%", "%%") for run in runs])
+    return cg.function("".join(body) + _tail(tuple(kinds), elements))
 
-    def template(row, stats):
-        values = []
-        args = []
-        for leaf, attribute in leaves:
-            value = leaf(row, stats)
-            values.append(value)
-            kind = type(value)
-            if kind is str and (value or attribute):
-                args.append(escape_attribute(value) if attribute
-                            else escape_text(value))
-            elif kind is int:
-                args.append(value)
-            elif kind is float:
-                args.append(number_to_string(value))
-            else:  # the rest are called once, then the row leaves the format
-                values += [rest(row, stats)
-                           for rest, _ in leaves[len(values):]]
-                return _render(root, values, stats)
-        stats.xml_elements += elements
-        return Markup(fmt % tuple(args))
 
-    return template
+#: a template's factory takes its nest (``_k0``), its format (``_k1``)
+#: and the helpers its function calls, under fixed names
+_TEMPLATE_PARAMETERS = (
+    ("_k0", "_k1", "_render", "_Markup", "_escape_text",
+     "_escape_attribute", "_number_to_string"),
+    (None, None, _render, Markup, escape_text, escape_attribute,
+     number_to_string))
+
+
+@functools.lru_cache(maxsize=256)
+def _tail(kinds, elements):
+    """What a template runs after its leaves' assignments: each leaf
+    value ``_vN``'s fast path to its format argument ``_aN`` (or the row
+    leaves the format), then the count and the format."""
+    leave = "return _render(_k0, (%s), stats)" % "".join(
+        "_v%d, " % n for n in range(len(kinds)))
+    return "".join(
+        "_t = type(_v{n})\n  "
+        "if _t is str{nonempty}:\n   _a{n} = {escape}(_v{n})\n  "
+        "elif _t is float:\n   _a{n} = _number_to_string(_v{n})\n  "
+        "elif _t is int:\n   _a{n} = _v{n}\n  "
+        "else:\n   {leave}\n  ".format(
+            n=n, nonempty="" if attribute else " and _v%d" % n,
+            escape="_escape_attribute" if attribute else "_escape_text",
+            leave=leave)
+        for n, attribute in enumerate(kinds)
+    ) + "stats.xml_elements += %d\n  return _Markup(_k1 %% (%s))" % (
+        elements, "".join("_a%d, " % n for n in range(len(kinds))))
 
 
 class XMLElement(XmlExpr):
@@ -308,7 +318,7 @@ class XMLElement(XmlExpr):
         self.content = list(content)
 
     def child_exprs(self):
-        return tuple(expr for _, expr in self.attributes) + tuple(self.content)
+        return (*[expr for _, expr in self.attributes], *self.content)
 
     def bind(self, binder, layout):
         if binder.markup:
@@ -378,9 +388,9 @@ class XMLConcat(XmlExpr):
     def child_exprs(self):
         return tuple(self.items)
 
-    def bind(self, binder, layout):
-        items = [expr.bind(binder, layout) for expr in self.items]
-        return lambda row, stats: _flat([item(row, stats) for item in items])
+    def emit(self, binder, layout, cg):
+        return "%s([%s])" % (cg.helper("_flat", _flat), ", ".join(
+            cg.emit(expr, binder, layout) for expr in self.items))
 
     def to_sql(self):
         return "XMLConcat(%s)" % ", ".join(expr.to_sql() for expr in self.items)
@@ -419,14 +429,10 @@ class XMLText(XmlExpr):
     def child_exprs(self):
         return (self.expr,)
 
-    def bind(self, binder, layout):
-        value = self.expr.bind(binder, layout)
-
-        def text(row, stats):
-            item = value(row, stats)
-            return None if item is None else _text(item)
-
-        return text
+    def emit(self, binder, layout, cg):
+        # ``_x`` is read right after it is set: nesting cannot clobber it
+        return "(None if (_x := %s) is None else %s(_x))" % (
+            cg.emit(self.expr, binder, layout), cg.helper("_text", _text))
 
     def to_sql(self):
         return self.expr.to_sql()
@@ -450,14 +456,14 @@ class AggregateExpr(SqlExpr):
     def aggregate(self, binder, layout):
         raise NotImplementedError
 
-    def bind(self, binder, layout):
+    def emit(self, binder, layout, cg):
         entry = layout.aggregates.get(id(self))
         if entry is None:
             raise DatabaseError(
                 "aggregate %s used outside an aggregate query" % self.to_sql()
             )
         slot, final = entry
-        return lambda row, stats: final(row[slot], stats)
+        return "%s(row[%d], stats)" % (cg.ref(final), slot)
 
 
 def bind_aggregates(binder, outputs, layout, outer):
@@ -602,6 +608,10 @@ class ListAgg(AggregateExpr):
 
 def find_aggregates(expr):
     """All aggregate nodes in an expression tree (not crossing subqueries)."""
-    return [
-        node for node in expr.iter_tree() if isinstance(node, AggregateExpr)
-    ]
+    found, stack = [], [expr]
+    while stack:  # one walk per output of every bind: no generators
+        node = stack.pop()
+        if isinstance(node, AggregateExpr):
+            found.append(node)
+        stack.extend(node.child_exprs())
+    return found

@@ -75,6 +75,43 @@ class TestScalarFunctions:
     def test_round_with_digits(self):
         assert ev(FuncCall("ROUND", [Const(3.14159), Const(2)])) == 3.14
 
+    @pytest.mark.parametrize("args, expected", [
+        ((2.5,), 3.0), ((-2.5,), -3.0), ((0.5,), 1.0), ((1.25, 1), 1.3),
+        ((2.675, 2), 2.68), ((-1.005, 2), -1.01), ((1250.0, -2), 1300.0),
+        ((7,), 7), ((15, -1), 20),
+    ])
+    def test_round_half_away_from_zero_on_the_decimal_value(
+            self, args, expected):
+        """Oracle's NUMBER rounding, not Python's half-to-even on the
+        binary value (``round(2.5)`` is 2, ``round(2.675, 2)`` 2.67)."""
+        result = ev(FuncCall("ROUND", [Const(arg) for arg in args]))
+        assert result == expected
+        assert type(result) is type(args[0])
+
+    def test_round_keeps_nan_and_infinity(self):
+        assert ev(FuncCall("ROUND", [Const(float("inf"))])) == float("inf")
+        nan = ev(FuncCall("ROUND", [Const(float("nan")), Const(1)]))
+        assert nan != nan
+
+    @pytest.mark.parametrize("args", [
+        (None,), (None, 1), (2.5, None)])
+    def test_round_of_null_is_null(self, args):
+        assert ev(FuncCall("ROUND", [Const(arg) for arg in args])) is None
+
+    def test_abs(self):
+        assert ev(FuncCall("ABS", [Const(-2.5)])) == 2.5
+        assert ev(FuncCall("ABS", [Const(None)])) is None
+
+    def test_null_through_a_plan_is_null_not_a_type_error(self):
+        from repro.rdb import Database
+
+        db = Database()
+        db.sql("CREATE TABLE t (x FLOAT)")
+        db.sql("INSERT INTO t VALUES (NULL)")
+        db.sql("INSERT INTO t VALUES (2.5)")
+        rows, _ = db.sql("SELECT ROUND(x), ABS(x) FROM t")
+        assert rows == [(None, None), (3.0, 2.5)]
+
     def test_unknown_function(self):
         with pytest.raises(DatabaseError):
             ev(FuncCall("FROBNICATE", [Const(1)]))

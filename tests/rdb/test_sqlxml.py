@@ -2,9 +2,11 @@
 reproducing the paper's Tables 3, 4 and 7 as executable checks."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import DatabaseError
-from repro.rdb import Filter, Query, Scan
+from repro.rdb import ExecutionStats, Filter, Query, Scan
+from repro.rdb.binding import Binder, Layout
 from repro.rdb.expressions import (
     ScalarSubquery,
     col,
@@ -16,13 +18,15 @@ from repro.rdb.expressions import (
 )
 from repro.rdb.sqlxml import (
     AggCall,
+    Markup,
     XMLAgg,
     XMLComment,
     XMLConcat,
     XMLElement,
     XMLForest,
+    _render,
 )
-from repro.xmlmodel import serialize
+from repro.xmlmodel import parse_document, serialize
 
 
 def dept_emp_view_query():
@@ -302,3 +306,40 @@ class TestViewStructureInference:
         query = Query(Scan("dept"), [("x", col("dname"))])
         with pytest.raises(RewriteError):
             infer_view_structure(query)
+
+
+#: every kind of value a template leaf can meet
+LEAF_VALUES = st.one_of(
+    st.none(), st.just(""), st.text(alphabet='<&"\n\t%ab>', max_size=6),
+    st.integers(), st.booleans(), st.just(-0.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just([Markup("<i/>"), Markup("t&amp;")]),
+    st.just(parse_document("<n k='1'>x<m/></n>").children[0]),
+)
+
+#: leaves: ``a`` (attribute), ``c0`` (content), ``b`` (nested attribute),
+#: ``c1`` (nested content), evaluated in that order
+NEST = XMLElement(
+    "e", col("c0", "t"),
+    XMLElement("f", col("c1", "t"), attributes=[("b", col("b", "t"))]),
+    const("tail & 100%"),
+    attributes=[("a", col("a", "t")), ("k", const("%s"))])
+
+
+class TestTemplateFastPath:
+    @given(st.tuples(LEAF_VALUES, LEAF_VALUES, LEAF_VALUES, LEAF_VALUES))
+    def test_the_generated_template_agrees_with_render(self, values):
+        """Whatever the leaves hold, the generated function's text and
+        element count are ``_render``'s for the same values."""
+        c0, a, c1, b = values
+        template = NEST.bind(Binder(None, markup=True),
+                             Layout().extend("t", ["c0", "a", "c1", "b"]))
+        fast = ExecutionStats()
+        text = template((c0, a, c1, b), fast)
+        # the template's factory takes its nest as ``_k0``
+        nest = dict(zip(template.__code__.co_freevars,
+                        (cell.cell_contents
+                         for cell in template.__closure__)))["_k0"]
+        slow = ExecutionStats()
+        assert text == _render(nest, (a, c0, b, c1), slow)
+        assert fast.xml_elements == slow.xml_elements == 2
