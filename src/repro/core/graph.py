@@ -70,23 +70,7 @@ class ExecutionGraph:
 
     def is_recursive(self):
         """Any cycle in the state graph?"""
-        visiting = set()
-        finished = set()
-
-        def visit(key):
-            if key in finished:
-                return False
-            if key in visiting:
-                return True
-            visiting.add(key)
-            for _, target_key in self._edges[key]:
-                if visit(target_key):
-                    return True
-            visiting.discard(key)
-            finished.add(key)
-            return False
-
-        return any(visit(key) for key in list(self._states))
+        return any(self._reaches_itself(key) for key in self._states)
 
     def cyclic_state_keys(self):
         """Keys of every state that lies on a cycle (it can reach itself).
@@ -94,20 +78,20 @@ class ExecutionGraph:
         These are the states that must stay functions in partial inline
         mode (paper §7.2); everything else inlines safely.
         """
-        cyclic = set()
-        for start in self._states:
-            stack = [target for _, target in self._edges[start]]
-            seen = set()
-            while stack:
-                key = stack.pop()
-                if key == start:
-                    cyclic.add(start)
-                    break
-                if key in seen:
-                    continue
-                seen.add(key)
-                stack.extend(target for _, target in self._edges[key])
-        return cyclic
+        return {key for key in self._states if self._reaches_itself(key)}
+
+    def _reaches_itself(self, start):
+        stack = [target for _, target in self._edges[start]]
+        seen = set()
+        while stack:
+            key = stack.pop()
+            if key == start:
+                return True
+            if key in seen:
+                continue
+            seen.add(key)
+            stack.extend(target for _, target in self._edges[key])
+        return False
 
     def to_text(self):
         lines = []

@@ -54,7 +54,7 @@ class Database:
         self._views = {}
         self._structural = {}  # table name -> StructuralPathIndex
         self._index_names = itertools.count(1)
-        self.stats = StatisticsCatalog(self)
+        self.stats = StatisticsCatalog()
 
     # -- DDL ----------------------------------------------------------------
 
@@ -184,7 +184,7 @@ class Database:
 
     def analyze(self, table_name=None):
         """Compute and cache optimizer statistics (ANALYZE)."""
-        return self.stats.analyze(table_name)
+        return self.stats.analyze(self, table_name)
 
     def stats_version(self):
         """Monotonic statistics version; bumps on ANALYZE and on DML/DDL

@@ -149,32 +149,34 @@ class StatisticsCatalog:
     consumed change: on every ``analyze()`` and whenever DML/DDL drops a
     table's cached stats.  It never decreases, so it is safe to embed in
     cache keys and fingerprints.
+
+    It holds no reference to its database (which holds it): ``analyze``
+    is handed the database, so a dropped database is freed by refcount.
     """
 
-    def __init__(self, db):
-        self._db = db
+    def __init__(self):
         self._tables = {}   # table_name -> TableStats
         self.version = 0
 
     # -- computing ---------------------------------------------------------------
 
-    def analyze(self, table_name=None):
-        """Compute (and cache) statistics; returns the TableStats computed
-        (a single one, or ``{name: TableStats}`` for a whole-database
-        ANALYZE)."""
+    def analyze(self, db, table_name=None):
+        """Compute (and cache) statistics over ``db``'s tables; returns the
+        TableStats computed (a single one, or ``{name: TableStats}`` for a
+        whole-database ANALYZE)."""
         self.version += 1
         if table_name is not None:
-            self._tables[table_name] = self._compute(table_name)
+            self._tables[table_name] = self._compute(db, table_name)
             return self._tables[table_name]
         out = {}
-        for name in self._db.table_names():
-            out[name] = self._tables[name] = self._compute(name)
+        for name in db.table_names():
+            out[name] = self._tables[name] = self._compute(db, name)
         return out
 
-    def _compute(self, table_name):
-        table = self._db.table(table_name)
+    def _compute(self, db, table_name):
+        table = db.table(table_name)
         indexed = {
-            index.column_name for index in self._db.indexes_on(table_name)
+            index.column_name for index in db.indexes_on(table_name)
         }
         names = table.schema.column_names()
         per_column = {name: [] for name in names}

@@ -388,7 +388,7 @@ class ObjectRelationalStorage:
 
         for event in events:
             kind = event[0]
-            if kind == "start":
+            if kind == "start" or kind == "leaf":
                 name = event[1]
                 children, row, _, _, _, parent_name, seen, _ = frames[-1]
                 step = children.get(name)
@@ -400,8 +400,23 @@ class ObjectRelationalStorage:
                             % (name, self.schema.root.name))
                     raise reject("unexpected child <%s>" % name)
                 seen.append(step[-1])
-                counter += 1
                 step_kind = step[0]
+                if step_kind == _LEAF and kind == "leaf":
+                    # a column leaf in one step: its text into the open row
+                    value = event[2]
+                    if value is None:
+                        counter += 1
+                        value = ""
+                    else:
+                        counter += 2
+                    for slot in step[1]:
+                        # the first instance wins: a declaration shared by
+                        # two wrappers of one row has several slots
+                        if row[slot] is None:
+                            row[slot] = value
+                            open_chars += len(value)
+                    continue
+                counter += 1
                 if step_kind == _LEAF:
                     attr_slots = step[2]
                     frames.append((_NO_CHILDREN, row, step[1], [], None, name,
@@ -432,54 +447,63 @@ class ObjectRelationalStorage:
                     frames.append((children, row, slots,
                                    None if slots is None else [], scope, name,
                                    [], model))
-                attributes = event[2]
-                if attributes:
-                    counter += len(attributes)  # attribute labels
-                    if attr_slots is not None:
-                        for attr_name, value in attributes:
-                            for slot in attr_slots.get(attr_name, ()):
-                                if row[slot] is None:
-                                    row[slot] = value
-                                    open_chars += len(value)
+                if kind == "start":
+                    attributes = event[2]
+                    if attributes:
+                        counter += len(attributes)  # attribute labels
+                        if attr_slots is not None:
+                            for attr_name, value in attributes:
+                                for slot in attr_slots.get(attr_name, ()):
+                                    if row[slot] is None:
+                                        row[slot] = value
+                                        open_chars += len(value)
+                    continue
+                # a leaf that opens a row or a wrapper: its text, then its
+                # end, below
+                if event[2] is not None:
+                    counter += 1
+                    parts = frames[-1][3]
+                    if parts is not None:
+                        parts.append(event[2])
             elif kind == "text":
                 counter += 1
                 parts = frames[-1][3]
                 if parts is not None:
                     parts.append(event[1])
-            elif kind == "end":
-                _, row, slots, parts, scope, _, seen, model = frames[-1]
-                if model is not None:
-                    problems = model.violations(seen)
-                    if problems:
-                        raise reject(problems[0])
-                del frames[-1]
-                if slots is not None:
-                    value = parts[0] if len(parts) == 1 else "".join(parts)
-                    for slot in slots:
-                        # the first instance wins: a declaration shared by
-                        # two wrappers of one row has several slots
-                        if row[slot] is None:
-                            row[slot] = value
-                            open_chars += len(value)
-                if scope is not None:
-                    scopes.pop()
-                    row[-2] = counter
-                    if open_chars > peak_chars:
-                        peak_chars = open_chars
-                    open_chars = scope[3]
-                    batch = batches[scope[1]]
-                    batch.append(row)
-                    if len(batch) >= batch_rows:
-                        self._doc_counter = doc_id
-                        insert(table_names[scope[1]], *batch)
-                        del batch[:]
-                    if not scopes:
-                        break  # the root row: nothing after it is shredded
-            else:
+                continue
+            elif kind != "end":
                 # Comments and processing instructions are not shredded
                 # but they do occupy a label slot (see
                 # :func:`repro.xmlmodel.labels.assign_labels`).
                 counter += 1
+                continue
+            # the end of an element
+            _, row, slots, parts, scope, _, seen, model = frames[-1]
+            if model is not None:
+                problems = model.violations(seen)
+                if problems:
+                    raise reject(problems[0])
+            del frames[-1]
+            if slots is not None:
+                value = parts[0] if len(parts) == 1 else "".join(parts)
+                for slot in slots:
+                    if row[slot] is None:
+                        row[slot] = value
+                        open_chars += len(value)
+            if scope is not None:
+                scopes.pop()
+                row[-2] = counter
+                if open_chars > peak_chars:
+                    peak_chars = open_chars
+                open_chars = scope[3]
+                batch = batches[scope[1]]
+                batch.append(row)
+                if len(batch) >= batch_rows:
+                    self._doc_counter = doc_id
+                    insert(table_names[scope[1]], *batch)
+                    del batch[:]
+                if not scopes:
+                    break  # the root row: nothing after it is shredded
         for _ in events:
             pass  # the scanner still checks what follows the root
         self._doc_counter = doc_id

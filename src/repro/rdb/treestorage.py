@@ -175,15 +175,39 @@ class TreeStorage:
             level = len(frames)
             node_id += 1
             counter += 1
-            if kind == "start":
+            if kind == "start" or kind == "leaf":
                 name = event[1]
                 parent[6] = True
                 path = "%s/%s" % (parent[0], name)
-                row = [node_id, doc_id, parent[1], parent[4], "element",
-                       name, None, counter, None, level]
                 row_id = first + len(rows)
                 if structural is not None:
                     elements.append((path, name, counter, row_id))
+                if kind == "leaf":
+                    # a start, text and end in one step: the element row
+                    # with its final end label, then its text row if any
+                    value = event[2]
+                    rows.append((node_id, doc_id, parent[1], parent[4],
+                                 "element", name, None, counter,
+                                 counter if value is None else counter + 1,
+                                 level))
+                    if value is not None:
+                        node_id += 1
+                        counter += 1
+                        rows.append((node_id, doc_id, node_id - 1, 0, "text",
+                                     None, value, counter, counter,
+                                     level + 1))
+                        if value and index is not None:
+                            leaves.append((path, value))
+                            if buffered_text + len(value) > peak_text:
+                                peak_text = buffered_text + len(value)
+                    if level == 1:
+                        index = None  # the first top-level element is done
+                    parent[4] += 1
+                    if len(rows) >= _BATCH_ROWS:
+                        flush()
+                    continue
+                row = [node_id, doc_id, parent[1], parent[4], "element",
+                       name, None, counter, None, level]
                 frames.append([path, node_id, row, row_id, len(event[2]),
                                [], False])
                 rows.append(row)

@@ -113,24 +113,27 @@ class StructuralSchema:
             stack.extend(particle.decl for particle in decl.particles)
 
     def is_recursive(self):
-        """True if any element type can (indirectly) contain itself."""
-        visiting = set()
+        """True if any element type can (indirectly) contain itself.  An
+        iterative depth-first search (every compile's sample generation
+        asks): a recursive closure would be a reference cycle per call."""
+        visiting = {id(self.root)}
         finished = set()
-
-        def visit(decl):
-            if id(decl) in finished:
-                return False
-            if id(decl) in visiting:
-                return True
-            visiting.add(id(decl))
-            for particle in decl.particles:
-                if visit(particle.decl):
+        walks = [(self.root, iter(self.root.particles))]
+        while walks:
+            decl, particles = walks[-1]
+            for particle in particles:
+                child = particle.decl
+                if id(child) in visiting:
                     return True
-            visiting.discard(id(decl))
-            finished.add(id(decl))
-            return False
-
-        return visit(self.root)
+                if id(child) not in finished:
+                    visiting.add(id(child))
+                    walks.append((child, iter(child.particles)))
+                    break
+            else:
+                walks.pop()
+                visiting.discard(id(decl))
+                finished.add(id(decl))
+        return False
 
     def parents_of(self, name):
         """All element-type names that can be the parent of ``name``.

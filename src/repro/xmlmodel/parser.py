@@ -55,6 +55,23 @@ def _build(source, strip_whitespace, fragment):
     order = 1
     for event in scanner._scan(fragment):
         kind = event[0]
+        if kind == "leaf":
+            # the element and its text child, if any, in one step
+            _, _, value, name, line = event
+            node = Element(name)
+            node.source_line = line
+            node.order = order
+            node.parent = parent
+            siblings.append(node)
+            if value is None:
+                order += 1
+            else:
+                text = Text(value)
+                text.parent = node
+                text.order = order + 1
+                node.children.append(text)
+                order += 2
+            continue
         if kind == "start":
             _, _, attributes, name, attribute_names, namespaces, line = event
             node = Element(name, namespaces)

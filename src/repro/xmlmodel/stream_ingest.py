@@ -5,6 +5,7 @@ an iterable of string chunks — into parse events without ever materializing
 a DOM:
 
     ``("start", local, attributes, name, attribute_names, namespaces, line)``
+    ``("leaf", local, text, name, line)``
     ``("text", value)``
     ``("comment", value)``
     ``("pi", target, value)``
@@ -19,9 +20,19 @@ declarations (``xmlns``/``xmlns:*``) dropped.  The DOM builder
 QNames (parallel to ``attributes``), ``namespaces`` the element's own
 ``{prefix: uri}`` declarations or None, and ``line`` the 1-based line of the
 start tag.  QNames are shared between events: treat them as immutable.
+
+A ``leaf`` event is a whole element in one step: one without attributes
+whose content is nothing or plain character data (no reference, CDATA,
+comment or child element), as in ``<id>1</id>`` or ``<br/>``.  ``text`` is
+its character data, None when it has none (or only white space that
+``strip_whitespace`` drops); everything else about it is a ``start``
+event's.  Any other element takes ``start``, its content's events, then
+``end``.
+
 :func:`document_events` replays an existing DOM as the same stream — its
-``start`` events stop after ``attributes``, all a shredder reads — so one
-shredder per storage serves ``load`` and ``load_stream`` alike.
+``start`` and ``leaf`` events stop after ``attributes`` / ``text``, all a
+shredder reads — so one shredder per storage serves ``load`` and
+``load_stream`` alike.
 
 Adjacent character data (including expanded entity references) is merged
 into a single ``text`` event, with a ``<![CDATA[`` open acting as a node
@@ -29,7 +40,9 @@ boundary: text before the section is its own event, the section's content
 (never entity-expanded, never whitespace-stripped) merges with what follows.
 
 Tokens are matched by one compiled regular expression, and only once their
-closing delimiter is buffered, so chunk boundaries never change the events.
+closing delimiter is buffered, so chunk boundaries never change the events:
+an attribute-less element that the end of the buffer cuts short of a leaf
+waits for more input before it becomes a ``start`` event.
 Memory is bounded by the input chunk size plus the largest single token
 (one tag, one run of character data): the consumed prefix of the buffer is
 dropped as chunks arrive, and the buffer's high-water mark is exposed as
@@ -56,6 +69,8 @@ XML_NAMESPACE = "http://www.w3.org/XML/1998/namespace"
 
 _COMPACT_THRESHOLD = 8192
 
+_CDATA_END_IN_TEXT = "']]>' in character data"
+
 _PREDEFINED_ENTITIES = {
     "amp": "&",
     "lt": "<",
@@ -64,23 +79,46 @@ _PREDEFINED_ENTITIES = {
     "apos": "'",
 }
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+# What may follow a name's first character, as the body of a class.
+_NAME_CHARS = r"A-Za-z0-9_.\-"
+_NAME = r"[A-Za-z_][%s]*" % _NAME_CHARS
 _QNAME = r"%s(?::%s)?" % (_NAME, _NAME)
 _VALUE = r"""(?:"[^"]*"|'[^']*')"""
 _S = r"[ \t\r\n]*"
 
-# One alternative per token kind; Match.lastindex tells which one matched.
+# One alternative per token kind.  The first is an element, its whole name
+# (the lookahead keeps a name from giving back characters, so <abc="1"> is
+# no tag "ab" with an attribute "c"; Python 3.9's re has no atomic group to
+# say it), then one of
+#   a start tag with attributes;
+#   a leaf: no attributes, and empty or plain character data (no reference,
+#     no markup) closed by its own end tag -- the back-reference checks it,
+#     so a mismatched one is left to the start tag and its error;
+#   a leaf cut short: the same up to the end of the buffer, in its text or
+#     in what may become its end tag (see StreamParser._scan);
+#   an attribute-less start tag.
+# Groups: 1 the element name, 2 the attributes and 3 the "/" of a start tag
+# with attributes, 4 a leaf's text, 5 the tail of a cut leaf, 6 (empty) an
+# attribute-less start tag, 7 an end tag's name, 8 a comment, 9 a CDATA
+# section, 10 and 11 a processing instruction's target and data.
+# Match.lastindex, the last group closed, gives the kind through _KINDS.
 _TOKEN = re.compile(
-    r"<(%(qname)s)(?=[ \t\r\n/>])((?:%(s)s%(qname)s%(s)s=%(s)s%(value)s)*)"
-    r"%(s)s(/?)>"
+    r"<(%(qname)s)(?=[ \t\r\n/>])"
+    r"(?:((?:%(s)s%(qname)s%(s)s=%(s)s%(value)s)+)%(s)s(/?)>"
+    r"|%(s)s(?:/>|>(?:([^<&]*)</\1%(s)s>"
+    r"|[^<&]*(<|</[%(chars)s:]*%(s)s|)\Z|())))"
     r"|</(%(qname)s)%(s)s>"
     r"|<!--(.*?)-->"
     r"|<!\[CDATA\[(.*?)\]\]>"
     r"|<\?(%(name)s)%(s)s(.*?)\?>"
-    % {"name": _NAME, "qname": _QNAME, "value": _VALUE, "s": _S},
+    % {"name": _NAME, "qname": _QNAME, "value": _VALUE, "s": _S,
+       "chars": _NAME_CHARS},
     re.DOTALL)
-_START, _END, _COMMENT, _CDATA, _PI = 3, 4, 5, 6, 8
-_PI_TARGET = 7
+_LEAF, _CUT, _START, _END, _COMMENT, _CDATA, _PI = range(1, 8)
+_KINDS = (None, _LEAF, None, _START, _LEAF, _CUT, _START, _END, _COMMENT,
+          _CDATA, None, _PI)
+# The XML 1.0 Char production: what a character reference may name.
+_XML_CHAR = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 _ATTRIBUTE = re.compile(
     r"""(%s)%s=%s(?:"([^"]*)"|'([^']*)')""" % (_QNAME, _S, _S))
@@ -109,8 +147,12 @@ def stream_events(source, strip_whitespace=False, chunk_size=DEFAULT_CHUNK_SIZE)
 def document_events(document):
     """Replay a DOM as the event stream scanning its serialization would
     give, cut down to what the shredders read: a ``start`` event is
-    ``("start", local, attributes)`` only, and every text node is one event
-    (the scanner merges adjacent ones)."""
+    ``("start", local, attributes)`` and a ``leaf`` event
+    ``("leaf", local, text)`` only, and every text node is one event (the
+    scanner merges adjacent ones).  Every attribute-less element with no
+    children or one text child is a leaf, whatever its text: ``text`` is
+    None only when there is no text child, so an empty text node a built
+    DOM may hold keeps its label slot."""
     element_kind, text_kind = NodeKind.ELEMENT, NodeKind.TEXT
     comment_kind = NodeKind.COMMENT
     no_attributes = []  # shared: consumers only read it
@@ -122,13 +164,21 @@ def document_events(document):
             if kind == element_kind:
                 local = node.name.local
                 attributes = node.attributes
+                children = node.children
+                if not attributes:
+                    if not children:
+                        yield ("leaf", local, None)
+                        continue
+                    if len(children) == 1 and children[0].kind == text_kind:
+                        yield ("leaf", local, children[0].value)
+                        continue
                 yield ("start", local,
                        [(attribute.name.local, attribute.value)
                         for attribute in attributes]
                        if attributes else no_attributes)
-                if node.children:
+                if children:
                     open_names.append(local)
-                    walks.append(iter(node.children))
+                    walks.append(iter(children))
                     break
                 yield ("end", local)
             elif kind == text_kind:
@@ -222,15 +272,19 @@ class StreamParser:
             entity = raw[amp + 1:semi]
             try:
                 if entity[:2] in ("#x", "#X"):
-                    parts.append(chr(int(entity[2:], 16)))
+                    char = chr(int(entity[2:], 16))
                 elif entity[:1] == "#":
-                    parts.append(chr(int(entity[1:])))
+                    char = chr(int(entity[1:]))
                 else:
-                    parts.append(_PREDEFINED_ENTITIES[entity])
+                    char = _PREDEFINED_ENTITIES[entity]
             except (ValueError, OverflowError):
                 self._fail("bad character reference &%s;" % entity, pos + amp)
             except KeyError:
                 self._fail("undefined entity &%s;" % entity, pos + amp)
+            if entity[:1] == "#" and not _XML_CHAR.match(char):
+                self._fail("reference to a non-XML character &%s;" % entity,
+                           pos + amp)
+            parts.append(char)
             index = semi + 1
 
     # -- names and namespaces ---------------------------------------------------
@@ -332,6 +386,7 @@ class StreamParser:
         any number of elements may sit at the top level."""
         strip = self.strip_whitespace
         match = _TOKEN.match
+        kinds = _KINDS
         open_tags = []    # lexical names of the open elements
         text = None       # merged character data not yet emitted
         # Until the first element (or top-level text of a fragment): where
@@ -358,6 +413,8 @@ class StreamParser:
                 if open_tags or (fragment
                                  and not (in_prolog and raw.isspace())):
                     in_prolog = False
+                    if "]]>" in raw:
+                        self._fail(_CDATA_END_IN_TEXT, pos + raw.index("]]>"))
                     if "&" in raw:
                         raw = self._expand(raw, pos)
                     if not (strip and raw.isspace()):
@@ -374,12 +431,23 @@ class StreamParser:
                 buf = self._buf
                 line, counted = self._line, self._counted
                 continue
-            kind = token.lastindex
-            if kind == _START:
+            kind = kinds[token.lastindex]
+            if kind <= _START:
+                # an element: a leaf, a start tag, or a cut leaf
+                if kind == _CUT:
+                    # chunk boundaries must not change the events: an
+                    # element that may yet be a leaf waits for more input,
+                    # and is a start tag only if the input ends
+                    more = self._fill(pos)
+                    if more >= 0:
+                        pos = more
+                        buf = self._buf
+                        line, counted = self._line, self._counted
+                        continue
+                lexical = token.group(1)
                 if text:
                     yield ("text", text)
                 text = None
-                lexical, raw, empty = token.group(1, 2, 3)
                 if not open_tags:
                     if not (in_prolog or fragment):
                         self._fail("multiple top-level elements", pos)
@@ -389,6 +457,20 @@ class StreamParser:
                                % MAX_ELEMENT_DEPTH, pos)
                 line += buf.count("\n", counted, pos)
                 counted = pos
+                if kind == _LEAF:
+                    value = token.group(4)
+                    entry = names.get(lexical)
+                    if entry is None:
+                        entry = self._resolve(lexical, pos + 1, names)
+                    if value and "]]>" in value:
+                        self._fail(_CDATA_END_IN_TEXT,
+                                   token.start(4) + value.index("]]>"))
+                    if not value or (strip and value.isspace()):
+                        value = None
+                    yield ("leaf", entry[0], value, entry[1], line)
+                    pos = token.end()
+                    continue
+                raw, empty = token.group(2, 3)  # None without attributes
                 if raw:
                     attributes, attribute_names, declared = self._attributes(
                         raw, token.start(2), len(open_tags) + 1)
@@ -408,11 +490,15 @@ class StreamParser:
                         names = self._leave_scope()
                 else:
                     open_tags.append(lexical)
+                if kind == _CUT:
+                    # the input ended: go on past the start tag only
+                    pos = buf.index(">", pos) + 1
+                    continue
             elif kind == _END:
                 if text:
                     yield ("text", text)
                 text = None
-                lexical = token.group(_END)
+                lexical = token.group(7)
                 if not open_tags:
                     self._fail("unexpected end tag", pos)
                 if lexical != open_tags[-1]:
@@ -429,15 +515,20 @@ class StreamParser:
                 in_prolog = False
                 if text:
                     yield ("text", text)
-                text = token.group(_CDATA)
+                text = token.group(9)
             else:
                 if text:
                     yield ("text", text)
                 text = None
                 if kind == _COMMENT:
-                    yield ("comment", token.group(_COMMENT))
+                    body = token.group(8)
+                    if "--" in body or body[-1:] == "-":
+                        at = body.find("--")  # else the "-" before "-->"
+                        self._fail("'--' in comment", pos + 4 + (
+                            at if at >= 0 else len(body) - 1))
+                    yield ("comment", body)
                 else:
-                    yield ("pi", token.group(_PI_TARGET), token.group(_PI))
+                    yield ("pi", token.group(10), token.group(11))
             pos = token.end()
         if open_tags:
             self._fail("unterminated element <%s>" % open_tags[-1], pos)

@@ -29,13 +29,13 @@ from repro.rdb.treestorage import TreeStorage
 from repro.schema import schema_from_dtd
 from repro.xmlmodel import NodeKind, parse_document, serialize
 from repro.xmlmodel.labels import assign_labels
-from repro.xmlmodel.stream_ingest import MAX_ELEMENT_DEPTH
+from repro.xmlmodel.stream_ingest import MAX_ELEMENT_DEPTH, stream_events
 from repro.xsltmark import ALL_CASES
 
 from tests.property.test_random_schemas import schema_and_document
 from tests.rdb.tree_corpus import iter_tree_xml, tree_xml
 from tests.xmlmodel.test_parser import MALFORMED, verdict
-from tests.xmlmodel.test_scanner_differential import documents
+from tests.xmlmodel.test_scanner_differential import documents, expand_leaves
 
 GNARLY = (
     "<!-- prolog --><tree official=\"yes\"><node>plain"
@@ -245,6 +245,32 @@ def or_stream(source):
     storage = ObjectRelationalStorage(Database(), schema_from_dtd(ABC_DTD),
                                       "s")
     return storage.load_stream(source, chunk_size=5)
+
+
+class TestDroppedStoreIsFreedByRefcount:
+    def test_no_cyclic_garbage_after_load_analyze_and_drop(self):
+        # a database, its rows, indexes and statistics hold no reference
+        # cycle: a dropped store goes at once, not at a generation-2 pass
+        # (a DOM does: its nodes link to their parents, so it is built first)
+        import gc
+
+        schema = schema_from_dtd(DEPT_DTD)
+        document = parse_document(DEPT_DOC)
+        makers = [lambda: ObjectRelationalStorage(Database(), schema, "s"),
+                  lambda: TreeStorage(Database(), "t")]
+        gc.collect()
+        gc.disable()
+        try:
+            for make in makers:
+                storage = make()
+                storage.load_stream(DEPT_DOC)
+                storage.load(document)
+                storage.db.analyze()
+                storage.fingerprint()
+                del storage
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEveryDoorRejectsTheSame:
@@ -661,6 +687,8 @@ LIBRARY_DOCS = [
     "<tag weight='3'>red</tag><tag>blue<!--c-->ish</tag></lib><!--after-->",
     "<lib><meta><title>only</title><info/></meta><shelf><label>L</label>"
     "</shelf><tag weight='7'/></lib>",
+    "<lib><meta><title>t</title><info></info></meta><shelf><book><name>n"
+    "</name></book></shelf><tag>plain</tag><tag/></lib>",
 ]
 
 
@@ -784,6 +812,83 @@ class TestAgainstTheReplacedShredders:
             reference_or_load(reference, parse_document(text))
             streamed.load_stream(text, chunk_size=32)
         assert or_state(streamed) == or_state(reference)
+
+
+# -- a leaf event is its start, text and end events -------------------------------------
+
+
+def expanded_or_load(storage, text):
+    """``load_stream`` with every leaf spelled out as three events."""
+    return storage._shred(
+        expand_leaves(stream_events(text, strip_whitespace=True)),
+        float("inf"))[0]
+
+
+def expanded_tree_load(storage, text):
+    return storage._shred(expand_leaves(stream_events(text)))[0]
+
+
+class TestLeafEventsAgainstTheirExpansion:
+    """Each shredder takes a leaf in one step; fed the same stream with
+    the leaves spelled out it must store exactly the same."""
+
+    @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.name)
+    def test_the_xsltmark_corpora_at_chunk_sizes_1_and_7(self, case):
+        texts = [serialize(case.make_document(size)) for size in (0, 1, 12)]
+        doors = [expanded_tree_load,
+                 lambda storage, text: storage.load(parse_document(text))]
+        doors += [lambda storage, text, size=size: storage.load_stream(
+            chunks(text, size)) for size in (1, 7)]
+        states = []
+        for door in doors:
+            storage = TreeStorage(Database(), "t")
+            for text in texts:
+                door(storage, text)
+            states.append(tree_state(storage))
+        assert all(state == states[0] for state in states[1:])
+        if case not in SHREDDABLE_CASES:
+            return
+        doors[0] = expanded_or_load
+        states = []
+        for door in doors:
+            storage = case_storage(case)
+            for name in case.indexed_elements:
+                storage.create_value_index(name)
+            for text in texts:
+                door(storage, text)
+            states.append(or_state(storage))
+        assert all(state == states[0] for state in states[1:])
+
+    @given(pair=schema_and_document())
+    @settings(max_examples=60, deadline=None)
+    def test_random_schemas(self, pair):
+        schema, document = pair
+        text = serialize(document)
+        expanded = ObjectRelationalStorage(Database(), schema, "s")
+        fused = ObjectRelationalStorage(Database(), schema, "s")
+        for _ in range(2):
+            expanded_or_load(expanded, text)
+            fused.load_stream(text)
+        assert or_state(fused) == or_state(expanded)
+
+    def test_leaves_that_open_a_row_or_a_wrapper(self):
+        # <lib/> is the root row, <shelf/> a row of a non-leaf type,
+        # <tag>plain</tag> and <tag/> rows of a leaf type, <info></info>
+        # an inline wrapper: all go through the start and end code
+        leaves = {event[1] for text in LIBRARY_DOCS
+                  for event in stream_events(text) if event[0] == "leaf"}
+        assert {"lib", "shelf", "tag", "info", "label", "name"} <= leaves
+
+        def storage():
+            return ObjectRelationalStorage(
+                Database(), schema_from_dtd(LIBRARY_DTD), "s",
+                column_types={"year": INT, "weight": INT})
+
+        expanded, fused = storage(), storage()
+        for text in LIBRARY_DOCS:
+            expanded_or_load(expanded, text)
+            fused.load_stream(text, chunk_size=7)
+        assert or_state(fused) == or_state(expanded)
 
 
 # -- replaced, not forked ---------------------------------------------------------------

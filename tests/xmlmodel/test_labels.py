@@ -56,19 +56,51 @@ class TestLabels:
 
 
 def events(text, **kwargs):
-    """The shredder-facing view: a start event's first three fields."""
+    """The shredder-facing view: a start or leaf event's first three
+    fields."""
     return [event[:3] for event in stream_events(text, **kwargs)]
 
 
 class TestStreamParser:
     def test_simple_events(self):
-        assert events("<a><b>t</b></a>") == [
+        # <b>t</b> is a leaf: one event for its start, text and end
+        assert events("<a><b>t</b><c/><d></d></a>") == [
             ("start", "a", []),
-            ("start", "b", []),
-            ("text", "t"),
-            ("end", "b"),
+            ("leaf", "b", "t"),
+            ("leaf", "c", None),
+            ("leaf", "d", None),
             ("end", "a"),
         ]
+
+    def test_leaf_event_carries_the_dom_fields(self):
+        _, (_, local, text, name, line), _ = stream_events(
+            '\n\n<p:a xmlns:p="u"><p:b\n>x</p:b ></p:a>')
+        assert (local, text, line) == ("b", "x", 3)
+        assert (name.local, name.uri, name.prefix) == ("b", "u", "p")
+
+    def test_what_is_not_a_leaf(self):
+        # attributes, references, CDATA, comments, PIs and child elements
+        # keep the start / content / end events
+        for text in ('<a x="1">t</a>', "<a>x&amp;y</a>", "<a>&#65;</a>",
+                     "<a><![CDATA[t]]></a>", "<a><!--c--></a>",
+                     "<a><?p?></a>", "<a><b/></a>", '<a x="1"/>'):
+            kinds = [event[0] for event in stream_events(text)]
+            assert kinds[0] == "start" and kinds[-1] == "end", text
+
+    def test_mismatched_end_tag_is_not_a_leaf(self):
+        with pytest.raises(XmlSyntaxError,
+                           match=r"mismatched end tag </b>, expected </a> "
+                                 r"\(line 1, column 5\)"):
+            events("<a>x</b>")
+
+    def test_a_leaf_cut_by_a_chunk_boundary_waits_for_its_end(self):
+        # cut anywhere inside <b>text</b>, the scanner buffers on rather
+        # than emit a start event it would not emit for the whole text
+        text = "<a><b>some text</b  ><c>t<d/></c><e>x</e>tail</a>"
+        whole = list(stream_events(text))
+        for cut in range(1, len(text)):
+            parts = iter([text[:cut], text[cut:]])
+            assert list(stream_events(parts)) == whole, cut
 
     def test_attributes_and_self_closing(self):
         assert events('<a x="1"><b y="&lt;"/></a>') == [
@@ -104,15 +136,17 @@ class TestStreamParser:
 
     def test_strip_whitespace(self):
         got = events("<a>\n  <b/>\n</a>", strip_whitespace=True)
-        assert got == [("start", "a", []), ("start", "b", []),
-                       ("end", "b"), ("end", "a")]
+        assert got == [("start", "a", []), ("leaf", "b", None), ("end", "a")]
+        assert events("<a><b> \n</b></a>", strip_whitespace=True) == [
+            ("start", "a", []), ("leaf", "b", None), ("end", "a")]
+        assert events("<a><b> \n</b></a>") == [
+            ("start", "a", []), ("leaf", "b", " \n"), ("end", "a")]
 
     def test_namespace_prefixes_stripped(self):
         got = events('<p:a xmlns:p="u" p:x="1"><p:b/></p:a>')
         assert got == [
             ("start", "a", [("x", "1")]),
-            ("start", "b", []),
-            ("end", "b"),
+            ("leaf", "b", None),
             ("end", "a"),
         ]
 
@@ -134,8 +168,7 @@ class TestStreamParser:
 
     def test_file_like_source(self):
         import io
-        assert events(io.StringIO("<a>t</a>")) == [
-            ("start", "a", []), ("text", "t"), ("end", "a")]
+        assert events(io.StringIO("<a>t</a>")) == [("leaf", "a", "t")]
 
     def test_mismatched_tag_raises(self):
         with pytest.raises(XmlSyntaxError):

@@ -201,6 +201,9 @@ MALFORMED = [
      "unterminated processing instruction", 1, 4),
     ("<!DOCTYPE a [ never closed <a/>",
      "unterminated DOCTYPE declaration", 1, 1),
+    # a name is never cut short into a tag name plus an attribute name
+    ("<abc=\"1\"/>", "expected a name", 1, 5),
+    ("<ab=\"1\">x</ab>", "expected a name", 1, 4),
     ("<a/><!DOCTYPE a>", "unexpected DOCTYPE declaration", 1, 5),
     ("<a/>\ntrailing", "text content outside the document element", 2, 1),
     ("leading<a/>", "text content outside the document element", 1, 1),
@@ -215,6 +218,17 @@ MALFORMED = [
     ("<a>" * (MAX_ELEMENT_DEPTH + 1) + "</a>" * (MAX_ELEMENT_DEPTH + 1),
      "elements nested deeper than %d" % MAX_ELEMENT_DEPTH,
      1, 3 * MAX_ELEMENT_DEPTH + 1),
+    # what expat rejects too: "]]>" in character data (in a leaf and in a
+    # text run), references to non-Chars, "--" inside a comment
+    ("<a>x ]]> y</a>", "']]>' in character data", 1, 6),
+    ("<a x='1'>\n ]]></a>", "']]>' in character data", 2, 2),
+    ("<a>&#0;</a>", "reference to a non-XML character &#0;", 1, 4),
+    ("<a>&#xD800;</a>", "reference to a non-XML character &#xD800;", 1, 4),
+    ("<a>t&#xFFFE;</a>", "reference to a non-XML character &#xFFFE;", 1, 5),
+    ("<a x='&#1;'/>", "reference to a non-XML character &#1;", 1, 7),
+    ("<a><!-- x -- y --></a>", "'--' in comment", 1, 11),
+    ("<a><!-- x ---></a>", "'--' in comment", 1, 11),
+    ("<!-- a -- b --><a/>", "'--' in comment", 1, 8),
 ]
 
 
@@ -273,6 +287,16 @@ class TestOneScannerOneVerdict:
             "duplicate attribute 'x' (line 1, column 10)")
         assert verdict(parse_fragment, "text</a>") == (
             "unexpected end tag (line 1, column 5)")
+
+    def test_patterns_keep_to_the_python_39_regex_grammar(self):
+        # the package supports Python 3.9, whose `re` rejects atomic groups
+        # and possessive quantifiers (both arrived in 3.11)
+        import re
+        from repro.xmlmodel import stream_ingest
+        for value in vars(stream_ingest).values():
+            if isinstance(value, re.Pattern):
+                assert not re.search(r"\(\?>|[*+?}]\+", value.pattern), (
+                    value.pattern)
 
 
 class TestWhitespaceHandling:

@@ -5,8 +5,10 @@ differential suite stands in for per-door spot checks: hypothesis writes
 well-formed documents that use attributes, namespaces (prefixed, default,
 re-declared, undeclared-default), entity and character references, CDATA
 sections, comments, processing instructions and mixed white space; the
-events must equal what the standard library's expat reports, at every
-chunk size.  expat is a test-only dependency.
+events, each leaf spelled out as the start, text and end it stands for,
+must equal what the standard library's expat reports, at every chunk size,
+and the raw events (leaves included) must not depend on the chunk size.
+expat is a test-only dependency.
 """
 
 from xml.parsers import expat
@@ -181,9 +183,28 @@ def expat_events(text):
     return out
 
 
+def expand_leaves(events):
+    """The events with each ``leaf`` spelled out as the ``start``, ``text``
+    (when it has text) and ``end`` events it stands for; a scanner leaf
+    keeps its QName and line, a replayed one its three fields."""
+    for event in events:
+        if event[0] != "leaf":
+            yield event
+            continue
+        _, local, text, *located = event
+        if located:
+            name, line = located
+            yield ("start", local, [], name, [], None, line)
+        else:
+            yield ("start", local, [])
+        if text is not None:
+            yield ("text", text)
+        yield ("end", local)
+
+
 def normal(events):
     out = []
-    for event in events:
+    for event in expand_leaves(events):
         if event[0] == "start":
             _, local, attributes, name, attribute_names, _, _ = event
             assert name.local == local
@@ -211,12 +232,21 @@ class TestScannerAgainstExpat:
             assert normal(scanned(text, chunk_size)) == expected, chunk_size
 
     @given(text=documents())
+    @settings(max_examples=300, deadline=None)
+    def test_raw_events_do_not_depend_on_the_chunk_size(self, text):
+        # leaves included: an element cut anywhere is still one leaf
+        whole = scanned(text, None)
+        for chunk_size in CHUNK_SIZES[:-1]:
+            assert scanned(text, chunk_size) == whole, chunk_size
+
+    @given(text=documents())
     @settings(max_examples=100, deadline=None)
     def test_lines_and_declarations_survive_chunking(self, text):
         # the fields expat has no word for: identical however it is cut
-        whole = scanned(text, None)
+        whole = list(expand_leaves(scanned(text, None)))
         for chunk_size in CHUNK_SIZES[:-1]:
-            assert [event[5:] for event in scanned(text, chunk_size)
+            assert [event[5:] for event in expand_leaves(
+                        scanned(text, chunk_size))
                     if event[0] == "start"] == [
                 event[5:] for event in whole if event[0] == "start"]
         lines = [event[6] for event in whole if event[0] == "start"]
@@ -229,13 +259,16 @@ class TestScannerAgainstExpat:
     def test_replayed_dom_is_the_same_stream(self, text):
         # document_events(parse_document(t)) == the scan of t cut down to
         # what the shredders read: a start event stops after its attributes.
+        # Compared with leaves spelled out: <a>x&amp;y</a> scans as three
+        # events but replays as one leaf.
         # The fields no longer replayed stay covered on the scanner, which
         # is where the DOM builder gets them: QNames and attribute names by
         # test_events_equal_expat_at_every_chunk_size (through normal()),
         # namespace declarations and lines by
         # test_lines_and_declarations_survive_chunking above.
-        replayed = list(document_events(parse_document(text)))
-        assert replayed == [event[:3] for event in scanned(text, None)]
+        replayed = list(expand_leaves(document_events(parse_document(text))))
+        assert replayed == [event[:3] for event in
+                            expand_leaves(scanned(text, None))]
 
 
 def _lexical(events):
