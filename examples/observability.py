@@ -10,7 +10,7 @@ the EXPLAIN ANALYZE rendering of the executed plan.
 
 Then prints **EXPLAIN REWRITE** — the rewrite-decision ledger with
 XSLT -> XQuery -> SQL-plan-node provenance interleaved into the plan —
-and exports the metrics in Prometheus text format.
+and a snapshot of the metrics registry.
 
 Then runs a stylesheet the rewrite cannot handle (``xsl:number``) to show
 the non-silent fallback: a categorized reason on the result, a warning on
@@ -32,7 +32,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     format_qerror,
-    prometheus_text,
 )
 
 from examples.quickstart import STYLESHEET, build_database, dept_emp_view
@@ -91,13 +90,6 @@ def main():
         print("  %-60s count=%d p50=%.6fs max=%.6fs"
               % (key, summary["count"], summary["p50"], summary["max"]))
 
-    print()
-    print("=" * 72)
-    print("Prometheus text rendering of the same registry")
-    print("=" * 72)
-    for line in prometheus_text(metrics).splitlines()[:12]:
-        print("  " + line)
-    print("  ...")
 
     print()
     print("Spans can also stream to a sink, e.g. JSON lines:")

@@ -115,7 +115,7 @@ class Execution:
         #: door opens no root span)
         self.trace = None
         #: the trace this execution was opened under (None outside any)
-        #: — the key ``/debug/trace/<id>`` looks up
+        #: — the key ``FlightRecorder.get`` looks up
         self.trace_id = current_trace_id()
         #: where the plan came from: "l1" (an in-memory cache), "l2"
         #: (the shared disk tier), "miss" (compiled for this request) or

@@ -1,6 +1,6 @@
 """Observability for the XSLT→XQuery→SQL pipeline.
 
-Seven facilities, threaded through every layer (see README
+Six facilities, threaded through every layer (see README
 "Observability" and DESIGN §6, §11, §12):
 
 * **tracing** (:mod:`repro.obs.trace`) — nested spans over the compile
@@ -18,17 +18,13 @@ Seven facilities, threaded through every layer (see README
   §4.3/4.4) with XSLT → XQuery → SQL-plan-node provenance, surfaced by
   the report's rewrite-decisions section and by
   ``XsltRewriter.rewrite_view(...).ledger``;
-* **exporters** (:mod:`repro.obs.export`) — Prometheus text format and
-  JSON Lines for metrics and span trees;
 * **the Q-error record** (:mod:`repro.obs.feedback`) — after every
   profiled execution, per-node/per-plan Q-error (estimate vs. actual
   cardinality) is computed, exported and kept on the result; nothing
   acts on it (``db.analyze()`` is the fix for bad estimates);
-* **structured logs** (:mod:`repro.obs.logs`) — a JSON-lines log
-  formatter carrying the active trace id;
-* **the ops plane** (:mod:`repro.obs.recorder`, :mod:`repro.obs.ops`)
-  — a flight recorder of recent requests and the HTTP endpoints
-  (``/metrics``, ``/healthz``, ``/debug/requests``) that serve it.
+* **the flight recorder** (:mod:`repro.obs.recorder`) — a bounded
+  ring of recent requests, one :class:`RequestRecord` each, looked up
+  by trace id (``TransformService.recorder``).
 
 ``repro.core.transform.TransformResult.report()`` assembles tracing,
 EXPLAIN and the Q-error record for one ``xml_transform`` call.
@@ -40,23 +36,12 @@ from repro.obs.decisions import (
     Provenance,
     diff_ledgers,
 )
-from repro.obs.export import (
-    metrics_to_jsonl,
-    prometheus_text,
-    spans_to_jsonl,
-    write_prometheus,
-)
 from repro.obs.feedback import (
     NodeFeedback,
     PlanFeedback,
     format_qerror,
     observe_profile,
     q_error,
-)
-from repro.obs.logs import (
-    JsonLogFormatter,
-    JsonLogHandler,
-    configure_json_logging,
 )
 from repro.obs.metrics import (
     Counter,
@@ -65,10 +50,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     global_metrics,
     set_metrics,
-)
-from repro.obs.ops import (
-    OpsServer,
-    start_ops_server,
 )
 from repro.obs.recorder import (
     DETAIL_SLOW,
@@ -110,12 +91,9 @@ __all__ = [
     "Histogram",
     "InMemorySink",
     "JsonLinesSink",
-    "JsonLogFormatter",
-    "JsonLogHandler",
     "MetricsRegistry",
     "NULL_SPAN",
     "NodeFeedback",
-    "OpsServer",
     "PlanFeedback",
     "Provenance",
     "RequestRecord",
@@ -124,7 +102,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "activate_trace_context",
-    "configure_json_logging",
     "current_trace_context",
     "current_trace_id",
     "deactivate_trace_context",
@@ -133,19 +110,14 @@ __all__ = [
     "format_traceparent",
     "get_tracer",
     "global_metrics",
-    "metrics_to_jsonl",
     "new_span_id",
     "new_trace_id",
     "observe_profile",
     "parse_traceparent",
-    "prometheus_text",
     "q_error",
     "render_tree",
     "set_metrics",
     "set_tracer",
-    "spans_to_jsonl",
     "stage_seconds",
-    "start_ops_server",
     "use_trace_context",
-    "write_prometheus",
 ]

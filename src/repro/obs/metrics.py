@@ -196,33 +196,6 @@ class Histogram:
             "p95": self._nearest_rank(ordered, 95) if ordered else None,
         }
 
-    def buckets(self, bounds):
-        """Cumulative counts per upper bound, Prometheus-style.
-
-        Returns ``(items, total_sum, total_count)`` where ``items`` is a
-        list of ``(upper_bound, cumulative_count)`` ending with
-        ``(float("inf"), total_count)``.  Counts are scaled from the
-        retained samples up to the true observation count, so a
-        downsampled histogram still reports a distribution whose
-        ``+Inf`` bucket equals ``_count``.
-        """
-        count, total, values = self._read()
-        ordered = sorted(values)
-        items = []
-        scale = (count / float(len(ordered))) if ordered else 0.0
-        index = 0
-        for bound in sorted(bounds):
-            while index < len(ordered) and ordered[index] <= bound:
-                index += 1
-            items.append((bound, int(round(index * scale))))
-        items.append((float("inf"), count))
-        # scaling rounds independently per bound; clamp to monotone
-        for position in range(1, len(items)):
-            if items[position][1] < items[position - 1][1]:
-                items[position] = (items[position][0],
-                                   items[position - 1][1])
-        return items, total, count
-
     def key(self):
         return _render_key(self.name, self.labels)
 

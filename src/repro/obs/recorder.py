@@ -4,8 +4,8 @@ Metrics aggregate and traces explain *one* request — the flight
 recorder is the piece in between: the last N requests the process
 served, each compressed to the fields an operator triages with (trace
 id, stage timings, cache behaviour, fallback category, Q-error
-verdict, row counts), retrievable by trace id from the ops plane
-(``/debug/requests``, ``/debug/trace/<id>``).
+verdict, row counts), retrievable by trace id (:meth:`FlightRecorder.get`)
+or newest first (:meth:`FlightRecorder.snapshot`).
 
 Retention is two-tier, mirroring production tracing systems:
 
@@ -22,7 +22,7 @@ Retention is two-tier, mirroring production tracing systems:
   latency (tail sampling).
 
 The ring is thread-safe: the serve tier records from worker threads
-while ``/debug`` endpoints snapshot concurrently, and
+while readers snapshot concurrently, and
 ``snapshot()``/``reset()`` take consistent copies under the lock.
 ``detail_fn`` runs *outside* the lock (rendering an EXPLAIN is not
 cheap) and only when the policy retains it.

@@ -472,7 +472,7 @@ class InMemorySink:
     """Collects finished spans; root spans (full trees) under ``roots``.
 
     Lock-protected: a tracer shared across threads emits concurrently,
-    and readers (``/debug`` endpoints, tests) take consistent copies.
+    and readers (the flight recorder, tests) take consistent copies.
     """
 
     def __init__(self, max_roots=1000):

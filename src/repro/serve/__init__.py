@@ -5,7 +5,7 @@ many sessions repeat the same (stylesheet, source) work.  This package
 adds the pieces a long-lived server needs on top of
 :func:`repro.core.transform.xml_transform`:
 
-* :class:`PlanCache` — thread-safe LRU+TTL cache of
+* :class:`PlanCache` — thread-safe LRU cache of
   :class:`~repro.core.transform.CompiledTransform` artifacts, keyed by
   stylesheet content hash + source structural fingerprint, with
   stampede suppression and explicit schema-change invalidation;
@@ -21,10 +21,7 @@ adds the pieces a long-lived server needs on top of
   the two-tier plan lookup (tier-1 :class:`PlanCache` → optional
   :class:`ArtifactStore` → compile-and-persist), cross-process
   invalidation over the store's epoch; cache hits skip every compile
-  stage and still carry the preserved EXPLAIN REWRITE ledger;
-* :func:`run_load` / :func:`run_soak` — closed-loop multi-client
-  generators producing throughput / p50-p95-p99 latency / hit-ratio
-  reports.
+  stage and still carry the preserved EXPLAIN REWRITE ledger.
 """
 
 from repro.serve.artifact import (
@@ -39,18 +36,10 @@ from repro.serve.artifact import (
 from repro.serve.cache import (
     EVICT_INVALIDATED,
     EVICT_LRU,
-    EVICT_TTL,
     CacheStats,
     PlanCache,
 )
 from repro.serve.cluster import ClusterWorkerError, WorkerRequestError
-from repro.serve.loadgen import (
-    LoadReport,
-    SoakReport,
-    WorkItem,
-    run_load,
-    run_soak,
-)
 from repro.serve.runtime import (
     PlanRuntime,
     ServeError,
@@ -76,8 +65,6 @@ __all__ = [
     "ClusterWorkerError",
     "EVICT_INVALIDATED",
     "EVICT_LRU",
-    "EVICT_TTL",
-    "LoadReport",
     "PlanCache",
     "PlanRuntime",
     "RequestCancelledError",
@@ -87,15 +74,11 @@ __all__ = [
     "ServeResult",
     "ServiceClosedError",
     "ServiceOverloadedError",
-    "SoakReport",
     "TransformService",
-    "WorkItem",
     "WorkerRequestError",
     "artifact_key",
     "decode_artifact",
     "encode_artifact",
-    "run_load",
-    "run_soak",
     "source_fingerprint",
     "stylesheet_key",
 ]

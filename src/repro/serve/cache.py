@@ -1,4 +1,4 @@
-"""Thread-safe compiled-plan cache: LRU + TTL + stampede suppression.
+"""Thread-safe compiled-plan cache: LRU + stampede suppression.
 
 The paper's ``XMLTransform()`` lives inside a database serving many
 concurrent SQL sessions; recompiling the stylesheet through the full
@@ -36,18 +36,15 @@ from collections import OrderedDict
 from repro.obs import global_metrics
 
 EVICT_LRU = "lru"
-EVICT_TTL = "ttl"
 EVICT_INVALIDATED = "invalidated"
 
 
 class _Entry:
-    __slots__ = ("value", "fingerprint", "expires_at", "inserted_at")
+    __slots__ = ("value", "fingerprint")
 
-    def __init__(self, value, fingerprint, expires_at, inserted_at):
+    def __init__(self, value, fingerprint):
         self.value = value
         self.fingerprint = fingerprint
-        self.expires_at = expires_at
-        self.inserted_at = inserted_at
 
 
 class _CompileSlot:
@@ -111,25 +108,23 @@ class CacheStats:
 
 
 class PlanCache:
-    """Bounded, thread-safe LRU+TTL cache of compiled transforms.
+    """Bounded, thread-safe LRU cache of compiled transforms.
+
+    An entry never expires by age: a plan goes stale only when its key
+    changes (the source fingerprint and statistics version are part of
+    it) or an invalidation sweep evicts it.
 
     :param capacity: maximum live entries; the least recently *used*
         entry is evicted beyond it.
-    :param ttl_seconds: entry lifetime (None = no expiry).  Expiry is
-        checked lazily at lookup time against the injected ``clock``.
     :param metrics: a :class:`~repro.obs.metrics.MetricsRegistry`
         (defaults to the process-wide one).
-    :param clock: monotonic-seconds callable, injectable for tests.
     """
 
-    def __init__(self, capacity=128, ttl_seconds=None, metrics=None,
-                 clock=time.monotonic):
+    def __init__(self, capacity=128, metrics=None):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.ttl_seconds = ttl_seconds
         self.metrics = metrics or global_metrics()
-        self.clock = clock
         self._lock = threading.Lock()
         self._entries = OrderedDict()
         self._compiling = {}
@@ -168,10 +163,11 @@ class PlanCache:
                 leader = slot is None
                 if leader:
                     slot = self._compiling[key] = _CompileSlot()
+                else:
+                    self._suppressed += 1
             if leader:
                 return self._compile(key, slot, compile_fn,
                                      fingerprint), False
-            self._suppressed += 1
             self.metrics.counter("serve.cache.stampede_suppressed").inc()
             slot.wait(wait_timeout)
             # Re-check the map rather than trusting the slot value: the
@@ -185,7 +181,7 @@ class PlanCache:
                 return slot.value, True
 
     def _compile(self, key, slot, compile_fn, fingerprint):
-        start = self.clock()
+        start = time.perf_counter()
         try:
             value = compile_fn()
         except BaseException as exc:
@@ -193,24 +189,19 @@ class PlanCache:
                 self._compiling.pop(key, None)
             slot.fail(exc)
             raise
-        self._compiles += 1
         self.metrics.histogram("serve.cache.compile_seconds").record(
-            self.clock() - start
+            time.perf_counter() - start
         )
         self.put(key, value, fingerprint=fingerprint)
         with self._lock:
+            self._compiles += 1
             self._compiling.pop(key, None)
         slot.resolve(value)
         return value
 
     def _lookup(self, key, count=True):
-        """Hit test under the lock: TTL-evicts, LRU-promotes, counts."""
+        """Hit test under the lock: LRU-promotes, counts."""
         entry = self._entries.get(key)
-        if entry is not None and entry.expires_at is not None \
-                and self.clock() >= entry.expires_at:
-            del self._entries[key]
-            self._count_eviction(EVICT_TTL)
-            entry = None
         if entry is None:
             if count:
                 self._misses += 1
@@ -226,9 +217,7 @@ class PlanCache:
 
     def put(self, key, value, fingerprint=None):
         """Insert (or replace) an entry, evicting LRU beyond capacity."""
-        now = self.clock()
-        expires = now + self.ttl_seconds if self.ttl_seconds else None
-        entry = _Entry(value, fingerprint, expires, now)
+        entry = _Entry(value, fingerprint)
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -292,13 +281,7 @@ class PlanCache:
 
     def __contains__(self, key):
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            if entry.expires_at is not None \
-                    and self.clock() >= entry.expires_at:
-                return False
-            return True
+            return key in self._entries
 
     def keys(self):
         with self._lock:

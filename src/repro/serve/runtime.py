@@ -122,16 +122,14 @@ class PlanRuntime:
     them; ``worker_id`` labels a process worker's replies and spans."""
 
     def __init__(self, db, sources=None, cache=None, cache_capacity=128,
-                 cache_ttl_seconds=None, artifact_dir=None, metrics=None,
-                 worker_id=None):
+                 artifact_dir=None, metrics=None, worker_id=None):
         self.db = db
         self.sources = dict(sources or {})
         self.metrics = metrics or global_metrics()
         self.worker_id = worker_id
         # explicit None test: an empty PlanCache is falsy (len() == 0)
         self.cache = cache if cache is not None else PlanCache(
-            capacity=cache_capacity, ttl_seconds=cache_ttl_seconds,
-            metrics=self.metrics,
+            capacity=cache_capacity, metrics=self.metrics,
         )
         self.store = None
         self.seen_epoch = 0

@@ -45,8 +45,8 @@ Metrics (``repro.obs``): ``serve.requests``, ``serve.completed``
 ``serve.queue_wait_seconds`` / ``serve.execute_seconds`` /
 ``serve.request_seconds`` histograms and
 ``serve.request.latency{cache=hit|miss}`` — the one end-to-end
-(admission→response) latency definition the load generator and the
-benches report — plus the plan runtime's ``serve.cache.*`` family.
+(admission→response) latency definition the benches report — plus the
+plan runtime's ``serve.cache.*`` family.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from repro.api import TransformOptions
 from repro.errors import DeadlineExceededError
 from repro.core.transform import execute_compiled_stream
 from repro.obs import global_metrics
-from repro.obs.ops import OpsServer
 from repro.obs.recorder import FlightRecorder, transform_fields
 from repro.obs.trace import (
     TraceContext,
@@ -109,8 +108,8 @@ class ServeFuture(concurrent.futures.Future):
     def __init__(self, trace_id=None):
         super().__init__()
         #: trace id assigned at admission — usable to look the request
-        #: up in the flight recorder (``/debug/trace/<id>``) even before
-        #: (or without) a result
+        #: up in the flight recorder (``service.recorder.get(id)``) even
+        #: before (or without) a result
         self.trace_id = trace_id
         #: set by submit(): the service that counts a thread blocked here
         #: among its waiters
@@ -241,7 +240,7 @@ class TransformService:
         queue rejects with :class:`ServiceOverloadedError`.
     :param cache: a tier-1 :class:`~repro.serve.cache.PlanCache` for the
         in-process runtime; omitted, each runtime (here or in a worker
-        process) builds one from ``cache_capacity``/``cache_ttl_seconds``.
+        process) builds one from ``cache_capacity``.
     :param artifact_dir: directory of the persistent second cache tier
         (:class:`~repro.serve.artifact.ArtifactStore`): a tier-1 miss is
         looked up on disk before compiling and every fresh compile is
@@ -254,13 +253,10 @@ class TransformService:
     :param trace_requests: give each request a private tracer so the
         flight recorder (and ``ServeResult.trace``, in-process) carries
         its span tree; turn off to shave per-request overhead.
-    :param recorder: the flight recorder behind the ``/debug`` endpoints
-        — a :class:`~repro.obs.recorder.FlightRecorder`, True (default
+    :param recorder: the flight recorder of recent requests
+        (``service.recorder``) — a
+        :class:`~repro.obs.recorder.FlightRecorder`, True (default
         retention) or False/None to disable.
-    :param ops_port: when not None, start an
-        :class:`~repro.obs.ops.OpsServer` on this port (0 = ephemeral;
-        read it back from ``service.ops.port``) wired to this service's
-        metrics, recorder and health; closed with the service.
     :param factory: process workers only — a picklable zero-argument
         callable returning ``(db, sources)``, built inside each worker
         (required with the ``spawn`` start method; what a deployment
@@ -271,9 +267,8 @@ class TransformService:
 
     def __init__(self, db=None, workers=4, backend="thread", sources=None,
                  queue_size=64, cache=None, cache_capacity=128,
-                 cache_ttl_seconds=None, artifact_dir=None,
-                 default_timeout=None, metrics=None, trace_requests=True,
-                 recorder=True, ops_port=None,
+                 artifact_dir=None, default_timeout=None, metrics=None,
+                 trace_requests=True, recorder=True,
                  factory=None, start_method=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -311,6 +306,9 @@ class TransformService:
         #: future): together they tell an oversubscribed service
         self._dispatching = 0
         self._waiters = 0
+        #: requests this service turned away (its own tally: the
+        #: ``serve.rejected`` counter may be shared with other services)
+        self._rejected = 0
         #: guards the queue, the slots and ``_closed``: admission is
         #: atomic against close() and against the last worker dying, so
         #: no request lands in a queue nobody drains
@@ -324,9 +322,7 @@ class TransformService:
         self.metrics.gauge("serve.queue.capacity").set(queue_size)
         self._update_queue_gauges()
         runtime_options = dict(
-            cache_capacity=cache_capacity,
-            cache_ttl_seconds=cache_ttl_seconds,
-            artifact_dir=artifact_dir,
+            cache_capacity=cache_capacity, artifact_dir=artifact_dir,
         )
         if backend == "thread":
             self._backend = ThreadWorkers(
@@ -338,7 +334,7 @@ class TransformService:
             if cache is not None:
                 raise ValueError(
                     "a PlanCache instance cannot be shared with worker "
-                    "processes — pass cache_capacity/cache_ttl_seconds"
+                    "processes — pass cache_capacity"
                 )
             self._backend = ProcessWorkers(
                 db, sources, workers, factory, start_method,
@@ -355,12 +351,6 @@ class TransformService:
             )
             thread.start()
             self._dispatchers.append(thread)
-        self.ops = None
-        if ops_port is not None:
-            self.ops = OpsServer(
-                metrics=self.metrics, recorder=self.recorder,
-                health_fn=self.health, ready_fn=self.ready, port=ops_port,
-            ).start()
 
     @property
     def cache(self):
@@ -371,7 +361,7 @@ class TransformService:
 
     def _queue_state(self):
         """Queue occupancy: depth/capacity plus their ratio, the
-        saturation signal ``/healthz`` and ``/readyz`` report."""
+        saturation signal :meth:`health` reports."""
         depth = len(self._pending)
         return {
             "depth": depth,
@@ -496,6 +486,8 @@ class TransformService:
                 self._pending.append(request)
                 self._work.notify()
                 error = None
+            if error is not None:
+                self._rejected += 1
         self._update_queue_gauges()
         if error is not None:
             self.metrics.counter("serve.rejected", reason=reason).inc()
@@ -611,32 +603,22 @@ class TransformService:
         return stats
 
     def health(self):
-        """The ``/healthz`` body: liveness status (``degraded`` once a
-        worker process has died) plus the saturation and cache signals
-        an operator triages overload with."""
+        """Liveness status (``degraded`` once a worker process has
+        died) plus the saturation and cache signals an operator triages
+        overload with; ``rejected`` counts this service's rejections."""
         alive = len(self._backend.live())
         body = {
             "status": "closed" if self._closed
             else ("degraded" if alive < self._backend.size else "ok"),
             "workers": alive,
             "queue": self._queue_state(),
-            "rejected": self.metrics.counter_total("serve.rejected"),
+            "rejected": self._rejected,
         }
         if self.cache is not None:
             body["cache"] = self.cache.stats().as_dict()
         if self.recorder is not None:
             body["recorder"] = self.recorder.stats()
         return body
-
-    def ready(self):
-        """The ``/readyz`` verdict: ``(ready, body)`` — not ready once
-        closed, degraded, or when the admission queue is (near)
-        saturated, so a load balancer stops routing before requests
-        start bouncing."""
-        body = self.health()
-        ready = (body["status"] == "ok"
-                 and body["queue"]["saturation"] < 1.0)
-        return ready, body
 
     def close(self, wait=True):
         """Stop accepting requests; drain queued work, let in-flight
@@ -663,8 +645,6 @@ class TransformService:
             with self._lock:
                 self._busy = [False] * len(self._busy)
                 self._work.notify_all()
-        if self.ops is not None:
-            self.ops.close()
 
     def __enter__(self):
         return self
@@ -690,6 +670,10 @@ class TransformService:
                             self._pending.clear()
                             break
                     elif self._closed:
+                        # a sibling that went back to waiting after
+                        # close() (queue not yet empty, no slot free)
+                        # hears of the empty queue from no one else
+                        self._work.notify_all()
                         return
                     self._work.wait()
             if worker is not None:

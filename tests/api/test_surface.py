@@ -204,15 +204,43 @@ class TestServingSurface:
         assert not [name for name in repro.serve.__all__
                     if name in ("ClusterService", "ClusterResult")]
 
+    def test_no_ops_plane_exporters_or_load_generator(self):
+        """The library is XMLTransform() and its serving tier: no HTTP
+        server, metrics exporters, log formatter or load generator."""
+        import repro.obs
+        import repro.serve
+
+        assert not [name for name in repro.obs.__all__ if name in (
+            "OpsServer", "start_ops_server", "prometheus_text",
+            "write_prometheus", "metrics_to_jsonl", "spans_to_jsonl",
+            "JsonLogFormatter", "JsonLogHandler", "configure_json_logging")]
+        assert not [name for name in repro.serve.__all__ if name in (
+            "run_load", "run_soak", "LoadReport", "SoakReport", "WorkItem",
+            "EVICT_TTL")]
+
+    @pytest.mark.parametrize("knob", ["ops_port", "cache_ttl_seconds"])
+    def test_no_ops_port_or_plan_ttl_knob(self, knob):
+        from repro.serve import TransformService
+
+        with pytest.raises(TypeError):
+            TransformService(**{knob: 0})
+
+    @pytest.mark.parametrize("attribute", ["ops", "ready"])
+    def test_health_is_the_one_probe(self, attribute):
+        from repro.serve import TransformService
+
+        assert hasattr(TransformService, "health")
+        assert not hasattr(TransformService, attribute)
+
     def test_constructor_signature(self):
         from repro.serve import TransformService
 
         params = list(inspect.signature(TransformService.__init__).parameters)
         assert params == [
             "self", "db", "workers", "backend", "sources", "queue_size",
-            "cache", "cache_capacity", "cache_ttl_seconds", "artifact_dir",
-            "default_timeout", "metrics", "trace_requests", "recorder",
-            "ops_port", "factory", "start_method",
+            "cache", "cache_capacity", "artifact_dir", "default_timeout",
+            "metrics", "trace_requests", "recorder", "factory",
+            "start_method",
         ]
 
     def test_request_verbs_take_options_not_loose_kwargs(self):

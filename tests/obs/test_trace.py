@@ -214,6 +214,94 @@ class TestSinks:
         assert "!KeyError" in rendered
 
 
+
+class TestJsonLinesSink:
+    """The sink is the spans' one export: one JSON object per finished
+    span, parent-linked, so a file of them rebuilds every tree."""
+
+    def test_a_transform_trace_rebuilds_from_its_lines(self):
+        from repro.core import xml_transform
+
+        from tests.core.paper_example import (
+            EXAMPLE1_STYLESHEET,
+            dept_emp_view_query,
+            make_database,
+        )
+
+        stream = io.StringIO()
+        tracer = Tracer(sinks=[JsonLinesSink(stream)])
+        xml_transform(make_database(), dept_emp_view_query(),
+                      EXAMPLE1_STYLESHEET, tracer=tracer)
+        records = [json.loads(line) for line in
+                   stream.getvalue().splitlines()]
+        assert len(records) > 2
+        (root,) = [record for record in records
+                   if record["parent_id"] is None]
+        span_ids = {record["span_id"] for record in records}
+        assert len(span_ids) == len(records)
+        assert all(record["parent_id"] in span_ids
+                   for record in records if record is not root)
+        assert {record["trace_id"] for record in records} \
+            == {root["trace_id"]}
+        assert any(record["name"].startswith("compile")
+                   for record in records)
+        # a parent finishes after its children, so it is written later
+        position = {record["span_id"]: n for n, record in enumerate(records)}
+        assert all(position[record["parent_id"]] > position[record["span_id"]]
+                   for record in records if record is not root)
+
+    def test_lines_are_written_with_sorted_keys(self):
+        stream = io.StringIO()
+        tracer = Tracer(sinks=[JsonLinesSink(stream)])
+        with tracer.span("root", zeta=1, alpha=2):
+            pass
+        (line,) = stream.getvalue().splitlines()
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+        assert list(json.loads(line)["attrs"]) == ["alpha", "zeta"]
+
+    def test_error_span_carries_its_error(self):
+        stream = io.StringIO()
+        tracer = Tracer(sinks=[JsonLinesSink(stream)])
+        with pytest.raises(KeyError):
+            with tracer.span("failing"):
+                raise KeyError("missing")
+        (record,) = [json.loads(line) for line in
+                     stream.getvalue().splitlines()]
+        assert record["status"] == "error"
+        assert record["error"] == "KeyError: 'missing'"
+
+    def test_non_json_attrs_are_stringified(self):
+        stream = io.StringIO()
+        tracer = Tracer(sinks=[JsonLinesSink(stream)])
+        with tracer.span("root", rows=(1, 2), ok=True, ratio=0.5, none=None):
+            pass
+        attrs = json.loads(stream.getvalue())["attrs"]
+        assert attrs == {"rows": "(1, 2)", "ok": True, "ratio": 0.5,
+                         "none": None}
+
+    def test_close_leaves_a_borrowed_stream_open(self):
+        stream = io.StringIO()
+        sink = JsonLinesSink(stream)
+        tracer = Tracer(sinks=[sink])
+        with tracer.span("one"):
+            pass
+        sink.close()
+        assert not stream.closed
+        assert json.loads(stream.getvalue())["name"] == "one"
+
+    def test_close_closes_a_file_it_opened(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        sink = JsonLinesSink(str(path))
+        tracer = Tracer(sinks=[sink])
+        for name in ("first", "second"):
+            with tracer.span(name):
+                pass
+        sink.close()
+        assert sink._stream.closed
+        assert [json.loads(line)["name"] for line in
+                path.read_text(encoding="utf-8").splitlines()] \
+            == ["first", "second"]
+
 class TestGlobalTracer:
     def test_set_tracer_swaps_and_restores(self):
         replacement = Tracer()

@@ -1,22 +1,11 @@
-"""Tests for the compiled-plan cache: LRU, TTL, invalidation, stampede."""
+"""Tests for the compiled-plan cache: LRU, invalidation, stampede."""
 
 import threading
 
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.serve import EVICT_INVALIDATED, EVICT_LRU, EVICT_TTL, PlanCache
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
+from repro.serve import EVICT_INVALIDATED, EVICT_LRU, PlanCache
 
 
 def make_cache(**kwargs):
@@ -71,6 +60,14 @@ class TestBasics:
         assert metrics.counter("serve.cache.hits").value == 1
 
 
+    @pytest.mark.parametrize("removed", ["ttl_seconds", "clock"])
+    def test_no_time_based_expiry(self, removed):
+        # a plan goes stale through its key (fingerprint, statistics),
+        # never through age: the cache takes no TTL and no clock
+        with pytest.raises(TypeError):
+            PlanCache(**{removed: 1})
+
+
 class TestLru:
     def test_lru_eviction_beyond_capacity(self):
         cache = make_cache(capacity=2)
@@ -97,48 +94,6 @@ class TestLru:
         cache.put("a", 10)
         assert len(cache) == 2
         assert cache.get("a") == 10
-
-
-class TestTtl:
-    def test_entry_expires(self):
-        clock = FakeClock()
-        cache = make_cache(ttl_seconds=10, clock=clock)
-        cache.put("k", "plan")
-        assert cache.get("k") == "plan"
-        clock.advance(10.0)
-        assert cache.get("k") is None
-        assert cache.stats().evictions == {EVICT_TTL: 1}
-
-    def test_expired_entry_recompiles(self):
-        clock = FakeClock()
-        cache = make_cache(ttl_seconds=5, clock=clock)
-        calls = []
-
-        def compile_fn():
-            calls.append(1)
-            return "plan-%d" % len(calls)
-
-        value, hit = cache.get_or_compile("k", compile_fn)
-        assert value == "plan-1" and not hit
-        clock.advance(6.0)
-        value, hit = cache.get_or_compile("k", compile_fn)
-        assert value == "plan-2" and not hit
-        assert len(calls) == 2
-
-    def test_no_ttl_never_expires(self):
-        clock = FakeClock()
-        cache = make_cache(clock=clock)
-        cache.put("k", "plan")
-        clock.advance(1e9)
-        assert cache.get("k") == "plan"
-
-    def test_contains_respects_ttl(self):
-        clock = FakeClock()
-        cache = make_cache(ttl_seconds=1, clock=clock)
-        cache.put("k", "plan")
-        assert "k" in cache
-        clock.advance(2.0)
-        assert "k" not in cache
 
 
 class TestInvalidation:
@@ -200,6 +155,53 @@ class TestStampedeSuppression:
         stats = cache.stats()
         assert stats.compiles == 1
         assert stats.stampede_suppressed + stats.hits >= 7
+        # the tallies stats() reads agree with the exported counter
+        assert stats.stampede_suppressed == cache.metrics.counter(
+            "serve.cache.stampede_suppressed").value
+
+    def test_concurrent_misses_on_many_keys_count_exactly(self):
+        """Many threads over a few cold keys: each key compiles once,
+        and every lookup is counted once as a hit, a miss or a
+        suppressed wait, in ``stats()`` and in the exported counters."""
+        cache = make_cache()
+        keys = ["k%d" % n for n in range(4)]
+        threads_per_key = 6
+        started = threading.Barrier(len(keys) * threads_per_key)
+        calls = []
+        calls_lock = threading.Lock()
+
+        def compile_fn(key):
+            with calls_lock:
+                calls.append(key)
+            return "plan-" + key
+
+        results = []
+
+        def worker(key):
+            started.wait(5.0)
+            for _ in range(10):
+                results.append(
+                    (key, cache.get_or_compile(key,
+                                               lambda: compile_fn(key))))
+
+        threads = [threading.Thread(target=worker, args=(key,))
+                   for key in keys for _ in range(threads_per_key)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert sorted(calls) == keys
+        assert len(results) == len(threads) * 10
+        assert all(value == "plan-" + key for key, (value, _) in results)
+        stats = cache.stats()
+        assert stats.compiles == len(keys)
+        assert stats.hits + stats.misses == len(results)
+        assert stats.misses == len(keys) + stats.stampede_suppressed
+        counters = cache.metrics
+        assert stats.hits == counters.counter("serve.cache.hits").value
+        assert stats.misses == counters.counter("serve.cache.misses").value
+        assert stats.stampede_suppressed == counters.counter(
+            "serve.cache.stampede_suppressed").value
 
     def test_leader_failure_propagates_to_waiters(self):
         cache = make_cache()

@@ -434,8 +434,23 @@ class TestAdmission:
             assert metrics.gauge("serve.queue.capacity").value == 1
             assert metrics.gauge("serve.queue.saturation").value == 1.0
             assert service.health()["rejected"] == 1
-            ready, _ = service.ready()
-            assert not ready  # saturated
+            assert service.health()["queue"]["saturation"] == 1.0
+
+    def test_rejections_are_counted_per_service(self, backend, tmp_path):
+        """Two services on one registry share the ``serve.rejected``
+        counter; each ``health()["rejected"]`` is the service's own."""
+        metrics = MetricsRegistry()
+        with Served(backend, tmp_path, workers=1, queue_size=1,
+                    metrics=metrics) as full, \
+                Served(backend, tmp_path, workers=1,
+                       metrics=metrics) as idle:
+            full.stall()
+            full.service.submit("doc", EXAMPLE1_STYLESHEET)
+            with pytest.raises(ServiceOverloadedError):
+                full.service.submit("doc", EXAMPLE1_STYLESHEET)
+            assert metrics.counter_total("serve.rejected") == 1
+            assert full.service.health()["rejected"] == 1
+            assert idle.service.health()["rejected"] == 0
 
     def test_deadline_enforced_at_dequeue(self, backend, tmp_path):
         with Served(backend, tmp_path, workers=1) as served:
@@ -575,7 +590,7 @@ class TestClose:
 
 
 class TestHealth:
-    def test_health_and_ready_shape(self, backend, tmp_path):
+    def test_health_shape(self, backend, tmp_path):
         with Served(backend, tmp_path, workers=2, queue_size=16) as served:
             service = served.service
             body = service.health()
@@ -585,15 +600,11 @@ class TestHealth:
                                      "saturation": 0.0}
             assert body["rejected"] == 0
             assert body["recorder"]["capacity"] == 256
-            ready, _ = service.ready()
-            assert ready
             stats = service.stats()
             assert stats["workers"] == stats["workers_alive"] == 2
             assert stats["queue_capacity"] == 16
             service.close()
-            ready, body = service.ready()
-            assert not ready
-            assert body["status"] == "closed"
+            assert service.health()["status"] == "closed"
 
 
 class TestTracing:

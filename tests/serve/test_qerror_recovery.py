@@ -13,7 +13,7 @@ Q-error collapses.
 import pytest
 
 from repro.api import Engine, TransformOptions
-from repro.obs import MetricsRegistry, prometheus_text
+from repro.obs import MetricsRegistry
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
@@ -97,11 +97,12 @@ class TestRecoveryByAnalyze:
             assert "plan feedback (Q-error):" in report
             assert "#3 IndexScan(xd_emp) est=0.2 actual=2 q=10.00" in report
 
-            # Prometheus: per-op histograms and the plan maximum
-            text = prometheus_text(metrics)
-            assert 'planner_qerror_count{op="Filter"} 1' in text
-            assert "planner_qerror_max_count 1" in text
-            assert "planner_feedback" not in text
+            # metrics: per-op histograms and the plan maximum
+            histograms = metrics.snapshot()["histograms"]
+            assert histograms["planner.qerror{op=Filter}"]["count"] == 1
+            assert histograms["planner.qerror.max"]["count"] == 1
+            assert not [key for key in histograms
+                        if key.startswith("planner.feedback")]
 
     def test_explain_analyze_shows_qerror_column(self):
         db, storage = make_storage()

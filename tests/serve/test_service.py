@@ -12,7 +12,6 @@ from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
 from repro.serve import PlanCache, TransformService
-from repro.serve.loadgen import WorkItem, run_load
 from repro.xmlmodel import parse_document
 
 from ..core.paper_example import (
@@ -281,21 +280,21 @@ class TestObservability:
 
 
 class TestSharedCache:
-    def test_injected_cache_with_ttl(self):
+    def test_injected_cache_serves_and_invalidates(self):
         db, storage = make_storage()
         metrics = MetricsRegistry()
-        clock_value = [0.0]
-        cache = PlanCache(ttl_seconds=100, metrics=metrics,
-                          clock=lambda: clock_value[0])
+        cache = PlanCache(metrics=metrics)
         with make_service(db, cache=cache, metrics=metrics) as service:
+            assert service.cache is cache
             service.transform(storage, EXAMPLE1_STYLESHEET)
             assert service.transform(
                 storage, EXAMPLE1_STYLESHEET
             ).cache_hit
-            clock_value[0] = 101.0
-            expired = service.transform(storage, EXAMPLE1_STYLESHEET)
-            assert not expired.cache_hit
-            assert cache.stats().evictions.get("ttl") == 1
+            assert service.invalidate(storage) == 1
+            assert not service.transform(
+                storage, EXAMPLE1_STYLESHEET
+            ).cache_hit
+            assert cache.stats().evictions == {"invalidated": 1}
 
 
 class TestServiceLatencyHistogram:
@@ -311,19 +310,24 @@ class TestServiceLatencyHistogram:
             assert hit.count == 1
             assert miss.sum > 0.0
 
-    def test_loadgen_reports_service_latency(self):
+    def test_concurrent_clients_each_record_latency(self):
         db, storage = make_storage()
         metrics = MetricsRegistry()
-        with make_service(db, metrics=metrics) as service:
-            report = run_load(
-                service,
-                [WorkItem(storage, EXAMPLE1_STYLESHEET, name="dept")],
-                clients=2, requests_per_client=3,
-            )
-        assert report.requests == 6
-        assert report.service_latency
-        assert any("cache=hit" in key for key in report.service_latency)
-        total = sum(summary["count"]
-                    for summary in report.service_latency.values())
-        assert total == 6
-        assert "service_latency" in report.as_dict()
+        with make_service(db, workers=2, metrics=metrics) as service:
+            def client():
+                for _ in range(3):
+                    service.transform(storage, EXAMPLE1_STYLESHEET)
+
+            threads = [threading.Thread(target=client) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+        latency = {
+            histogram.labels["cache"]: histogram.count
+            for histogram in metrics.histograms("serve.request.latency")
+        }
+        assert sum(latency.values()) == 6
+        assert latency["hit"] >= 4
+        assert "serve.request.latency{cache=hit}" in \
+            metrics.snapshot()["histograms"]

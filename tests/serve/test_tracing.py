@@ -4,12 +4,10 @@ The acceptance shape of the observability plane: a cached-hit and a
 cold-miss request each produce ONE connected trace — every span from
 admission through plan execution (and the stream drain, on the
 streaming path) shares the request's trace id — retrievable from the
-flight recorder via the ops plane's ``/debug/trace/<id>``.
+flight recorder by trace id.
 """
 
-import json
 import threading
-import urllib.request
 
 from repro.core import STRATEGY_SQL
 from repro.obs import MetricsRegistry
@@ -22,7 +20,7 @@ from repro.obs.trace import (
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
-from repro.serve import TransformService, WorkItem, run_load
+from repro.serve import TransformService
 from repro.xmlmodel import parse_document
 
 from ..core.paper_example import (
@@ -246,67 +244,55 @@ class TestQueueGauges:
             assert metrics.gauge("serve.queue.depth").value == 0
             assert metrics.gauge("serve.queue.saturation").value == 0.0
 
-    def test_loadgen_reports_queue(self):
+    def test_health_reports_queue_under_concurrent_clients(self):
+        db, storage = make_storage()
+        with make_service(db, workers=2) as service:
+            def client():
+                for _ in range(3):
+                    service.transform(storage, EXAMPLE1_STYLESHEET)
+
+            threads = [threading.Thread(target=client) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+            health = service.health()
+            assert health["queue"] == {"depth": 0, "capacity": 64,
+                                       "saturation": 0.0}
+            assert health["rejected"] == 0
+            assert health["recorder"]["size"] == 6
+
+
+class TestRecorderIntegration:
+    def test_recorder_retrieves_hit_and_miss(self):
+        """Both a cold-miss and a cached-hit request are retrievable
+        from the flight recorder by trace id, with one connected span
+        tree each."""
         db, storage = make_storage()
         with make_service(db) as service:
-            report = run_load(
-                service,
-                [WorkItem(storage, EXAMPLE1_STYLESHEET, name="fig2")],
-                clients=2, requests_per_client=3,
-            )
-            assert report.queue["capacity"] == 64
-            assert report.queue["rejected"] == 0
-            assert "saturation" in report.queue
-            assert report.as_dict()["queue"] == report.queue
-
-
-class TestOpsPlaneIntegration:
-    def test_debug_trace_retrieves_hit_and_miss(self):
-        """The PR's acceptance criterion: both a cold-miss and a
-        cached-hit request are retrievable via /debug/trace/<id> with
-        one connected span tree each."""
-        db, storage = make_storage()
-        with make_service(db, ops_port=0) as service:
-            assert service.ops.port != 0
             cold = service.transform(storage, EXAMPLE1_STYLESHEET)
             warm = service.transform(storage, EXAMPLE1_STYLESHEET)
             for result, hit in ((cold, False), (warm, True)):
-                url = "%s/debug/trace/%s" % (service.ops.url,
-                                             result.trace_id)
-                with urllib.request.urlopen(url, timeout=5) as response:
-                    payload = json.loads(response.read().decode("utf-8"))
-                assert payload["trace_id"] == result.trace_id
-                assert payload["cache_hit"] is hit
-                assert payload["status"] == "ok"
-                assert {s["trace_id"] for s in payload["spans"]} \
+                record = service.recorder.get(result.trace_id).as_dict(
+                    include_spans=True)
+                assert record["trace_id"] == result.trace_id
+                assert record["cache_hit"] is hit
+                assert record["status"] == "ok"
+                assert {s["trace_id"] for s in record["spans"]} \
                     == {result.trace_id}
-                names = {s["name"] for s in payload["spans"]}
+                names = {s["name"] for s in record["spans"]}
                 assert "serve.request" in names
                 assert ("compile.stylesheet" in names) is (not hit)
 
-    def test_healthz_and_metrics_wired_to_service(self):
+    def test_health_and_metrics_reflect_service(self):
         db, storage = make_storage()
-        with make_service(db, ops_port=0) as service:
+        metrics = MetricsRegistry()
+        with make_service(db, metrics=metrics) as service:
             service.transform(storage, EXAMPLE1_STYLESHEET)
-            with urllib.request.urlopen(service.ops.url + "/healthz",
-                                        timeout=5) as response:
-                health = json.loads(response.read().decode("utf-8"))
+            health = service.health()
             assert health["queue"]["capacity"] == 64
             assert health["recorder"]["size"] == 1
-            with urllib.request.urlopen(service.ops.url + "/metrics",
-                                        timeout=5) as response:
-                text = response.read().decode("utf-8")
-            assert "serve_queue_capacity 64" in text
-            assert "serve_completed_total" in text
-
-    def test_ops_server_closed_with_service(self):
-        db, _ = make_storage()
-        service = make_service(db, ops_port=0)
-        url = service.ops.url
-        service.close()
-        try:
-            urllib.request.urlopen(url + "/healthz", timeout=1)
-        except Exception:
-            pass
-        else:
-            raise AssertionError("ops server survived service.close()")
+            snapshot = metrics.snapshot()
+            assert snapshot["gauges"]["serve.queue.capacity"] == 64
+            assert any(key.startswith("serve.completed")
+                       for key in snapshot["counters"])
