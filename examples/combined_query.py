@@ -18,18 +18,9 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from quickstart import STYLESHEET, build_database, dept_emp_view
 
 from repro.core import rewrite_combined
-from repro.xmlmodel import serialize
-from repro.xmlmodel.nodes import Node
+from repro.rdb.sqlxml import content_markup as row_markup
 
 USER_XQUERY = "for $tr in ./table/tr return $tr"  # Table 10
-
-
-def row_markup(value):
-    if isinstance(value, list):
-        return "".join(serialize(item) for item in value)
-    if isinstance(value, Node):
-        return serialize(value)
-    return "" if value is None else str(value)
 
 
 def main():

@@ -21,18 +21,10 @@ from repro.core import (
 )
 from repro.rdb import Database
 from repro.rdb.infer import infer_view_structure
-from repro.xmlmodel import parse_document, serialize, serialize_children
-from repro.xmlmodel.nodes import Node
+from repro.rdb.sqlxml import content_markup as markup
+from repro.xmlmodel import parse_fragment, serialize_children
 from repro.xquery import parse_xquery
 from repro.xquery.evaluator import evaluate_module, sequence_to_document
-
-
-def markup(value):
-    if isinstance(value, list):
-        return "".join(serialize(item) for item in value)
-    if isinstance(value, Node):
-        return serialize(value)
-    return "" if value is None else str(value)
 
 
 def main():
@@ -69,7 +61,7 @@ def main():
     )
     rows, stats = db.execute(exists_query)
     for row in rows:
-        print(" ", serialize(row[0])[:60], "...")
+        print(" ", markup(row[0])[:60], "...")
     print("  stats:", stats)
 
     print()
@@ -105,13 +97,11 @@ def main():
     print()
     print("=== composed XSLT-over-XQuery (static typing, %s) ==="
           % ("inline" if outcome.inline_mode else "non-inline"))
+    # the view's rows are markup text: parse each into the tree the
+    # composed query is evaluated over
     view_rows, _ = db.execute(view_query)
     for row in view_rows:
-        from repro.xmlmodel.builder import TreeBuilder
-
-        builder = TreeBuilder()
-        builder.copy_node(row[0])
-        result = evaluate_module(composed, builder.finish())
+        result = evaluate_module(composed, parse_fragment(markup(row[0])))
         print(" ", serialize_children(sequence_to_document(result)))
 
 

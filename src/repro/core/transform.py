@@ -48,10 +48,8 @@ from repro.obs.feedback import PlanFeedback, observe_profile
 from repro.obs.trace import current_trace_id
 from repro.rdb.database import View
 from repro.rdb.plan import ExecutionStats, PlanProfiler, Query
-from repro.rdb.sqlxml import Markup, render_item, row_items
+from repro.rdb.sqlxml import Markup, content_markup, render_item, row_items
 from repro.rdb.storage import ClobStorage, ObjectRelationalStorage
-from repro.xmlmodel.builder import TreeBuilder
-from repro.xmlmodel.nodes import Node
 from repro.xmlmodel.parser import parse_fragment
 from repro.xslt.stylesheet import Stylesheet, compile_stylesheet
 from repro.xslt.vm import XsltVM
@@ -562,8 +560,6 @@ def _plan_rows(db, compiled, run, tracer, metrics, options, deadline):
     with tracer.span("plan.execute") as span:
         stats = run.stats = ExecutionStats()
         stats.deadline = deadline
-        # the front door renders text: no result DOM on the rewrite path
-        stats.markup = True
         profiler = None
         if options.profile_plan and tracer.enabled:
             profiler = stats.profiler = PlanProfiler()
@@ -649,8 +645,9 @@ def _fallback_rows(db, source, compiled, params, exc, run, tracer, metrics,
 
 def _materialize_documents(db, source, stats, mask):
     """Yield each XMLType instance as a DOM (the no-rewrite cost):
-    object-relational storage builds what ``mask`` reaches, any other
-    source the whole document."""
+    object-relational storage builds what ``mask`` reaches, a document
+    store the whole document, and a view's rows are parsed from the
+    markup its constructors render."""
     if isinstance(source, ObjectRelationalStorage):
         yield from source.materialize_all(stats=stats, mask=mask)
         return
@@ -662,19 +659,7 @@ def _materialize_documents(db, source, stats, mask):
     rows, _ = view_query.execute(db, stats=stats)
     for row in rows:
         stats.docs_materialized += 1
-        yield _wrap_document(row[0])
-
-
-def _wrap_document(value):
-    """Wrap a constructed XML value in a document node (copying — this is
-    the materialisation step functional evaluation pays for)."""
-    builder = TreeBuilder()
-    if isinstance(value, list):
-        for item in value:
-            builder.copy_node(item)
-    elif isinstance(value, Node):
-        builder.copy_node(value)
-    return builder.finish()
+        yield parse_fragment(content_markup(row[0]))
 
 
 # -- the two doors ----------------------------------------------------------------

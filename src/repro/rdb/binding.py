@@ -100,20 +100,18 @@ class Layout:
 
 
 class Binder:
-    """What one bind pass resolves against: the catalog, the
-    representation SQL/XML values take (``markup`` text or DOM nodes),
-    and the ``{table name: TableSchema}`` it resolved — slots are column
+    """What one bind pass resolves against: the catalog, and the
+    ``{table name: TableSchema}`` it resolved — slots are column
     positions, so a bound program is only valid for those very schemas.
     It also hands every operator it binds its observation slot
     (``slots``: ``{id(plan node): slot}``, ``nodes``: by slot) and keeps
     the plan roots bound (``plans``: the main tree, then each subquery
     reached through an expression) for the :class:`Observation`."""
 
-    __slots__ = ("db", "markup", "schemas", "slots", "nodes", "plans")
+    __slots__ = ("db", "schemas", "slots", "nodes", "plans")
 
-    def __init__(self, db, markup=False):
+    def __init__(self, db):
         self.db = db
-        self.markup = markup
         self.schemas = {}
         self.slots = {}
         self.nodes = []
@@ -222,8 +220,8 @@ class Binding:
 
     __slots__ = ("db", "schemas", "shape", "source", "output", "observation")
 
-    def __init__(self, query, db, markup, outer):
-        binder = Binder(db, markup)
+    def __init__(self, query, db, outer):
+        binder = Binder(db)
         self.source, self.output = query.bind(binder, outer)
         self.observation = Observation(binder)
         self.db = db
@@ -240,31 +238,30 @@ class Binding:
 
 
 class BindingCache:
-    """A query's runtime handle: its current :class:`Binding` per
-    SQL/XML representation, and how often it was (re)bound.  Never
+    """A query's runtime handle: its current :class:`Binding`, and how
+    often it was (re)bound.  Never
     pickled — a loaded query starts with an empty one and binds on its
     first execution.  Executions only read a binding, so threads share
     it; the lock makes concurrent first executions bind once."""
 
-    __slots__ = ("binds", "_bindings", "_lock")
+    __slots__ = ("binds", "_binding", "_lock")
 
     def __init__(self):
         self.binds = 0
-        self._bindings = {}  # markup (bool) -> Binding
+        self._binding = None
         self._lock = threading.Lock()
 
-    def get(self, query, db, env, markup):
+    def get(self, query, db, env):
         """``(binding, outer row)`` for one execution: the cached binding
         when it still fits ``db`` and the shape of ``env``, else a fresh
         one (which replaces it)."""
         outer, outer_row = Layout.of_env(env) if env else _NO_OUTER
-        binding = self._bindings.get(markup)
+        binding = self._binding
         if binding is None or not binding.fits(db, outer.segments):
             with self._lock:
-                binding = self._bindings.get(markup)
+                binding = self._binding
                 if binding is None or not binding.fits(db, outer.segments):
-                    binding = Binding(query, db, markup, outer)
-                    self._bindings[markup] = binding
+                    binding = self._binding = Binding(query, db, outer)
                     self.binds += 1
         return binding, outer_row
 

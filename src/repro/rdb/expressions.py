@@ -45,10 +45,14 @@ class SqlExpr:
     def evaluate(self, env, db=None, stats=None):
         """Convenience for one-off evaluation against an ``{alias:
         {column: value}}`` environment: binds against its shape, then
-        calls the closure once (plans bind once and call per row)."""
+        calls the closure once (plans bind once and call per row).
+        Without ``stats`` the run's counters go to a throwaway one."""
+        if stats is None:
+            from repro.rdb.plan import ExecutionStats
+
+            stats = ExecutionStats()
         layout, row = Layout.of_env(env)
-        markup = stats is not None and stats.markup
-        return self.bind(Binder(db, markup), layout)(row, stats)
+        return self.bind(Binder(db), layout)(row, stats)
 
     def to_sql(self):
         raise NotImplementedError

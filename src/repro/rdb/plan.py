@@ -10,9 +10,8 @@ operator produces rows (lists of up to ``batch_size`` tuples) and
 parent consumes them.  A :class:`Query` couples a plan with output
 expressions and caches its binding: :meth:`Query.execute_batches` is its
 one drive loop (``execute`` collects it), and :meth:`Query.stream_pieces`
-runs the same tree bound to the markup representation of SQL/XML values
-(:mod:`repro.rdb.sqlxml`) so serialized output leaves the executor in
-chunks without a result document ever being materialized.  Execution
+yields the same rows' SQL/XML values (markup, :mod:`repro.rdb.sqlxml`)
+in pieces, so no result document is ever materialized.  Execution
 statistics (heap rows read, index probes, index entries touched, XML
 elements built) are collected per run — benchmarks and tests assert on
 them to prove plan shape, e.g. that the rewritten Figure-2 query probes
@@ -48,15 +47,10 @@ class ExecutionStats:
     :class:`PlanProfiler` collecting per-plan-node row counts and
     timings for EXPLAIN ANALYZE.
 
-    ``markup`` is not a counter: it is the representation SQL/XML values
-    take during this execution (see :mod:`repro.rdb.sqlxml`), set by the
-    entry point that opened it — the transform front door and
-    :meth:`Query.stream_pieces` render text, everything else builds DOM
-    nodes — and picks which binding of the plan runs.  Nor is
-    ``deadline``: the ``time.perf_counter()`` instant after which the
-    drive loop raises :class:`~repro.errors.DeadlineExceededError`
-    between batches (None: never).  One stats object belongs to one
-    execution.
+    ``deadline`` is not a counter: it is the ``time.perf_counter()``
+    instant after which the drive loop raises
+    :class:`~repro.errors.DeadlineExceededError` between batches (None:
+    never).  One stats object belongs to one execution.
     """
 
     _FIELDS = (
@@ -69,7 +63,7 @@ class ExecutionStats:
         "elapsed_seconds",
     )
 
-    __slots__ = _FIELDS + ("profiler", "markup", "deadline")
+    __slots__ = _FIELDS + ("profiler", "deadline")
 
     def __init__(self):
         self.rows_scanned = 0
@@ -100,7 +94,6 @@ class ExecutionStats:
         self.peak_ingest_buffered_bytes = 0
         self.elapsed_seconds = 0.0
         self.profiler = None
-        self.markup = False
         self.deadline = None
 
     def as_dict(self):
@@ -975,7 +968,7 @@ def _check_deadline(stats):
 
 class Query:
     """A plan plus output expressions; the unit the database executes.
-    ``runtime`` caches its bindings (closures): a runtime handle,
+    ``runtime`` caches its binding (closures): a runtime handle,
     dropped on pickling and rebuilt on first execution."""
 
     def __init__(self, plan, outputs):
@@ -1063,7 +1056,7 @@ class Query:
         """
         stats = stats or ExecutionStats()
         start = time.perf_counter()
-        binding, outer_row = self.runtime.get(self, db, env, stats.markup)
+        binding, outer_row = self.runtime.get(self, db, env)
         if stats.profiler is not None:
             stats.profiler.attach(binding.observation)
         output = binding.output
@@ -1097,19 +1090,12 @@ class Query:
         """Yield serialized text pieces of the first output column of
         every row, in row order.
 
-        This opens a *markup* execution (``stats.markup``): the plan's
-        markup binding runs, whose result column (the ``xml_content``
-        construction in rewritten plans) renders text instead of
-        building result DOMs — the same binding the transform front door
-        runs — so the concatenation of the pieces is byte-identical to
-        executing the query and serializing ``row[0]`` of every row,
-        while no piece ever spans more than one aggregated row.  This is
-        a rendering loop over :meth:`execute_batches`, which owns the
-        drive loop, its deadline check and the ``batches`` /
-        ``output_rows`` / ``elapsed_seconds`` accounting.
+        The pieces are ``row[0]``'s markup as :meth:`execute` returns
+        it, no piece spanning more than one aggregated row.  This is a
+        rendering loop over :meth:`execute_batches`, which owns the drive
+        loop, its deadline check and the ``batches`` / ``output_rows`` /
+        ``elapsed_seconds`` accounting.
         """
-        stats = stats or ExecutionStats()
-        stats.markup = True
         if not self.outputs:
             raise PlanError("cannot stream a query with no outputs")
         for batch in self.execute_batches(db, env, stats, batch_size):

@@ -5,31 +5,16 @@
 the classic SQL aggregates (COUNT/SUM/AVG/MIN/MAX) are aggregate
 expressions driven by the executor's aggregate machinery.
 
-An XML value has one of two representations.  Which one is decided once,
-when the plan is *bound* (``Binder.markup``, taken from the
-``ExecutionStats.markup`` of the entry point that opened the execution)
-— a bound constructor is a function of flat tuple rows that builds one
-representation and never asks again:
-
-* **DOM nodes** (the default): ``Query.execute_batches()`` (which
-  ``execute()`` collects) and a bare ``expr.evaluate()`` build trees,
-  which view materialisation for the functional path, the XMLQuery
-  operators and tests read;
-* **markup** (the transform front door and ``Query.stream_pieces``):
-  constructors render already-escaped text — a :class:`Markup` string,
-  or a flat list of them when the content holds a sequence, so no piece
-  ever spans more than one aggregated row — and no result DOM is built,
-  copied or walked.  An element and the elements nested in its content
-  bind to one template (:func:`_template`): one generated function that
-  fills a format string.  This is the paper's point (Figure 3): the
-  rewritten plan answers ``XMLTransform`` without materialising a
-  document.
-
-Everything that merely *passes values along* (``XMLConcat``, ``XMLText``,
-``XMLAgg``, CASE, column references into decorrelated aggregates) is
-representation-agnostic; only element, forest and comment construction
-differ.  ``XMLAgg`` keeps its group lazily as ``(order keys, row)``
-pairs and renders each row at finalization.
+A constructed XML value is **markup** at every door: a :class:`Markup`
+string, or a flat list of them when the content holds a sequence, so no
+piece spans more than one aggregated row.  No result DOM is built; a
+reader that needs a tree parses the text (``parse_fragment``).  An
+element and the elements nested in its content bind to one template
+(:func:`_template`), one generated function filling a format string —
+the paper's point (Figure 3): the rewritten plan answers
+``XMLTransform`` without materialising a document.  ``XMLAgg`` keeps
+its group lazily as ``(order keys, row)`` pairs and renders each row at
+finalization.
 """
 
 from __future__ import annotations
@@ -37,9 +22,9 @@ from __future__ import annotations
 import functools
 
 from repro.errors import DatabaseError, RewriteError
-from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.nodes import Node, NodeKind, QName
-from repro.xmlmodel.serializer import escape_attribute, escape_text, serialize
+from repro.xmlmodel.serializer import (
+    comment_markup, escape_attribute, escape_text, serialize)
 from repro.rdb.binding import Codegen, Layout, sort_pairs
 from repro.rdb.expressions import Const, SqlExpr, _text, bind_order
 from repro.xpath.datamodel import number_to_string
@@ -47,37 +32,17 @@ from repro.xpath.datamodel import number_to_string
 
 class Markup(str):
     """Serialized, already-escaped XML text: what a publishing function
-    returns on a markup execution.  The type is the escaping contract —
-    content and row rendering pass it through verbatim, every other
-    string is character data."""
+    returns.  The type is the escaping contract — content and row
+    rendering pass it through verbatim, every other string is character
+    data."""
 
     __slots__ = ()
 
 
-class XmlExpr(SqlExpr):
-    """Marker base class for XML-producing expressions."""
-
-
-def append_xml_value(builder, value):
-    """Append an evaluated SQL value to XML content under construction."""
-    if value is None:
-        return
-    if isinstance(value, Node):
-        if value.kind == NodeKind.DOCUMENT:
-            for child in value.children:
-                builder.copy_node(child)
-        else:
-            builder.copy_node(value)
-    elif isinstance(value, list):
-        for item in value:
-            append_xml_value(builder, item)
-    else:
-        builder.text(_text(value))
-
-
 def _append_markup(parts, value):
-    """Markup twin of :func:`append_xml_value`: append an evaluated SQL
-    value to element content being rendered."""
+    """Append an evaluated SQL value to element content being rendered:
+    markup verbatim, a stored node serialized, anything else as escaped
+    character data."""
     if value is None:
         return
     kind = type(value)
@@ -88,9 +53,8 @@ def _append_markup(parts, value):
             _append_markup(parts, item)
     elif isinstance(value, Node):
         if value.kind == NodeKind.ATTRIBUTE:
-            # The DOM splices an attribute node into the enclosing start
-            # tag; rendered text has already closed it.  No plan the
-            # rewrite generates does this, so the request falls back.
+            # the start tag is closed already; no rewritten plan does
+            # this, so the request falls back
             raise RewriteError(
                 "cannot render an attribute node as element content",
                 phase="execute",
@@ -100,6 +64,14 @@ def _append_markup(parts, value):
         text = _text(value)
         if text:
             parts.append(escape_text(text))
+
+
+def content_markup(value):
+    """An evaluated SQL value rendered as element content, one string:
+    what a reader that needs a tree hands ``parse_fragment``."""
+    parts = []
+    _append_markup(parts, value)
+    return "".join(parts)
 
 
 def row_items(value):
@@ -145,22 +117,6 @@ def _tags(name):
     the ``>``, and its end tag."""
     tag = _lexical(name)
     return "<" + tag, Markup("</%s>" % tag)
-
-
-def _element_node(name, attributes, content, stats):
-    """One element node from evaluated ``(name, value)`` attributes and
-    content values."""
-    builder = TreeBuilder()
-    builder.start_element(name)
-    for attr_name, value in attributes:
-        if value is not None:
-            builder.attribute(attr_name, _text(value))
-    for value in content:
-        append_xml_value(builder, value)
-    builder.end_element()
-    if stats is not None:
-        stats.xml_elements += 1
-    return builder.finish().children[0]
 
 
 def _element_markup(head, close, content, stats):
@@ -217,7 +173,7 @@ def _render(nest, values, stats):
 
 
 def _template(element, binder, layout):
-    """Bind a markup ``element`` and every ``XMLElement`` nested in its
+    """Bind ``element`` and every ``XMLElement`` nested in its
     content as one generated function over a format string holding each
     tag, ``name="`` prefix, end tag and constant, escaped once here with
     ``%`` doubled.  Its leaves are evaluated once each, in order; a str
@@ -309,7 +265,7 @@ def _tail(kinds, elements):
         elements, "".join("_a%d, " % n for n in range(len(kinds))))
 
 
-class XMLElement(XmlExpr):
+class XMLElement(SqlExpr):
     """``XMLElement("name", XMLAttributes(...), content...)``."""
 
     def __init__(self, name, *content, attributes=None):
@@ -321,18 +277,7 @@ class XMLElement(XmlExpr):
         return (*[expr for _, expr in self.attributes], *self.content)
 
     def bind(self, binder, layout):
-        if binder.markup:
-            return _template(self, binder, layout)
-        name = self.name
-        attributes = [(attr_name, expr.bind(binder, layout))
-                      for attr_name, expr in self.attributes]
-        content = [expr.bind(binder, layout) for expr in self.content]
-        return lambda row, stats: _element_node(
-            name,
-            [(attr_name, value(row, stats)) for attr_name, value in attributes],
-            [value(row, stats) for value in content],
-            stats,
-        )
+        return _template(self, binder, layout)
 
     def to_sql(self):
         parts = ['"%s"' % self.name]
@@ -346,7 +291,7 @@ class XMLElement(XmlExpr):
         return "XMLElement(%s)" % ", ".join(parts)
 
 
-class XMLForest(XmlExpr):
+class XMLForest(SqlExpr):
     """``XMLForest(expr AS name, ...)`` — one element per non-null item."""
 
     def __init__(self, items):
@@ -356,19 +301,16 @@ class XMLForest(XmlExpr):
         return tuple(expr for _, expr in self.items)
 
     def bind(self, binder, layout):
-        build = _element_markup if binder.markup else _element_node
-        items = [
-            (expr.bind(binder, layout),)
-            + (_tags(name) if binder.markup else (name, ()))
-            for name, expr in self.items
-        ]
+        items = [(expr.bind(binder, layout),) + _tags(name)
+                 for name, expr in self.items]
 
         def forest(row, stats):
             elements = []
-            for value, first, second in items:
+            for value, head, close in items:
                 value = value(row, stats)
                 if value is not None:
-                    elements.append(build(first, second, (value,), stats))
+                    elements.append(
+                        _element_markup(head, close, (value,), stats))
             return _flat(elements)
 
         return forest
@@ -379,7 +321,7 @@ class XMLForest(XmlExpr):
         )
 
 
-class XMLConcat(XmlExpr):
+class XMLConcat(SqlExpr):
     """``XMLConcat(a, b, ...)`` — concatenation of XML values."""
 
     def __init__(self, items):
@@ -396,31 +338,30 @@ class XMLConcat(XmlExpr):
         return "XMLConcat(%s)" % ", ".join(expr.to_sql() for expr in self.items)
 
 
-class XMLComment(XmlExpr):
+def _comment(value):
+    return Markup(comment_markup(_text(value)))
+
+
+class XMLComment(SqlExpr):
+    """``XMLComment(expr)`` — a comment, NULL when ``expr`` is."""
+
     def __init__(self, expr):
         self.expr = expr
 
     def child_exprs(self):
         return (self.expr,)
 
-    def bind(self, binder, layout):
-        text = self.expr.bind(binder, layout)
-        if binder.markup:
-            return lambda row, stats: Markup(
-                "<!--%s-->" % _text(text(row, stats)))
-
-        def comment(row, stats):
-            builder = TreeBuilder()
-            builder.comment(_text(text(row, stats)))
-            return builder.finish().children[0]
-
-        return comment
+    def emit(self, binder, layout, cg):
+        # ``_x`` is read right after it is set: nesting cannot clobber it
+        return "(None if (_x := %s) is None else %s(_x))" % (
+            cg.emit(self.expr, binder, layout),
+            cg.helper("_comment", _comment))
 
     def to_sql(self):
         return "XMLComment(%s)" % self.expr.to_sql()
 
 
-class XMLText(XmlExpr):
+class XMLText(SqlExpr):
     """A bare text node (convenience for generated plans)."""
 
     def __init__(self, expr):

@@ -11,6 +11,8 @@ Supports the three XSLT 1.0 output methods:
 
 from __future__ import annotations
 
+import re
+
 from repro.xmlmodel.nodes import NodeKind
 
 _HTML_EMPTY_ELEMENTS = frozenset(
@@ -50,6 +52,18 @@ def escape_attribute(value):
     )
 
 
+def comment_markup(value):
+    """A well-formed comment holding ``value``, by XSLT 1.0 §7.4's
+    recovery: a space after each ``-`` followed by ``-`` or at the end."""
+    return "<!--%s-->" % re.sub(r"-(?=-|\Z)", "- ", value)
+
+
+def pi_markup(target, value):
+    """A well-formed processing instruction, by XSLT 1.0 §7.3's
+    recovery: a space between ``?`` and ``>``."""
+    return "<?%s %s?>" % (target, value.replace("?>", "? >"))
+
+
 def _write(node, out, method, indent, depth):
     kind = node.kind
     if kind == NodeKind.DOCUMENT:
@@ -66,10 +80,10 @@ def _write(node, out, method, indent, depth):
             out.append(escape_text(node.value))
     elif kind == NodeKind.COMMENT:
         if method != "text":
-            out.append("<!--%s-->" % node.value)
+            out.append(comment_markup(node.value))
     elif kind == NodeKind.PI:
         if method != "text":
-            out.append("<?%s %s?>" % (node.target, node.value))
+            out.append(pi_markup(node.target, node.value))
     elif kind == NodeKind.ATTRIBUTE:
         out.append('%s="%s"' % (node.name.lexical, escape_attribute(node.value)))
     else:  # pragma: no cover - exhaustive over node kinds

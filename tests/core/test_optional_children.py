@@ -10,7 +10,7 @@ from repro.rdb import Database
 from repro.rdb.infer import infer_view_structure
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
-from repro.xmlmodel import parse_document, serialize
+from repro.xmlmodel import parse_document
 
 FUNCTIONAL = TransformOptions(strategy="functional")
 
@@ -39,8 +39,8 @@ class TestOptionalChildren:
     def test_view_omits_absent_optional(self):
         db, storage = make_storage(self.DTD, self.DOCS)
         rows, _ = db.execute(storage.make_view_query())
-        assert serialize(rows[0][0]) == "<r><b>x</b></r>"
-        assert serialize(rows[1][0]) == "<r><a>1</a><b>y</b></r>"
+        assert rows[0][0] == "<r><b>x</b></r>"
+        assert rows[1][0] == "<r><a>1</a><b>y</b></r>"
 
     def test_inferred_occurrence(self):
         _, storage = make_storage(self.DTD, self.DOCS)
@@ -68,8 +68,8 @@ class TestChoiceChildren:
     def test_view_emits_only_chosen_alternative(self):
         db, storage = make_storage(self.DTD, self.DOCS)
         rows, _ = db.execute(storage.make_view_query())
-        assert serialize(rows[0][0]) == "<r><b>hello</b></r>"
-        assert serialize(rows[1][0]) == "<r><a>world</a></r>"
+        assert rows[0][0] == "<r><b>hello</b></r>"
+        assert rows[1][0] == "<r><a>world</a></r>"
 
     def test_rewrite_equals_functional(self):
         db, storage = make_storage(self.DTD, self.DOCS)

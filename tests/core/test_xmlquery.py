@@ -4,19 +4,11 @@ import pytest
 
 from repro.errors import RewriteError
 from repro.core.xmlquery import rewrite_extract, rewrite_xml_exists
-from repro.xmlmodel import serialize
-from repro.xmlmodel.nodes import Node
+from repro.rdb.sqlxml import content_markup as markup
+from repro.xmlmodel import parse_fragment, serialize
 from repro.xpath import evaluate_xpath
 
 from .paper_example import dept_emp_view_query, make_database
-
-
-def markup(value):
-    if isinstance(value, list):
-        return "".join(serialize(item) for item in value)
-    if isinstance(value, Node):
-        return serialize(value)
-    return "" if value is None else str(value)
 
 
 class TestXmlExists:
@@ -27,7 +19,7 @@ class TestXmlExists:
         )
         rows, _ = db.execute(query)
         assert len(rows) == 1
-        assert "OPERATIONS" in serialize(rows[0][0])
+        assert "OPERATIONS" in markup(rows[0][0])
 
     def test_uses_value_index(self):
         db = make_database()
@@ -59,23 +51,19 @@ class TestXmlExists:
         rewritten_rows, _ = db.execute(rewrite_xml_exists(view_query, path))
         all_rows, _ = db.execute(view_query)
         expected = [
-            serialize(row[0])
+            markup(row[0])
             for row in all_rows
             if evaluate_xpath(path, _as_document(row[0]))
         ]
-        assert [serialize(row[0]) for row in rewritten_rows] == expected
+        assert [markup(row[0]) for row in rewritten_rows] == expected
 
     def test_unknown_path_rejected(self):
         with pytest.raises(RewriteError):
             rewrite_xml_exists(dept_emp_view_query(), "/dept/bogus")
 
 
-def _as_document(element):
-    from repro.xmlmodel.builder import TreeBuilder
-
-    builder = TreeBuilder()
-    builder.copy_node(element)
-    return builder.finish()
+def _as_document(value):
+    return parse_fragment(markup(value))
 
 
 class TestExtract:

@@ -15,7 +15,7 @@ from tests.core.paper_example import (
 from repro.api import TransformOptions
 from repro.core import XsltRewriter, xml_transform
 from repro.rdb.infer import infer_view_structure
-from repro.xmlmodel import serialize
+from repro.rdb.sqlxml import content_markup
 
 FUNCTIONAL = TransformOptions(strategy="functional")
 
@@ -26,7 +26,7 @@ class TestExample1EndToEnd:
         db = make_database()
         rows, _ = db.execute(dept_emp_view_query())
         assert len(rows) == 2
-        first = serialize(rows[0][0])
+        first = content_markup(rows[0][0])
         assert first.startswith("<dept><dname>ACCOUNTING</dname>")
         assert "<emp><empno>7934</empno><ename>MILLER</ename>" in first
 

@@ -12,21 +12,13 @@ from tests.core.paper_example import (
 from repro.api import TransformOptions
 from repro.core import rewrite_combined, rewrite_xquery_over_view
 from repro.core.pipeline import XsltRewriter
+from repro.rdb.sqlxml import content_markup as row_markup
 from repro.xmlmodel import serialize
-from repro.xmlmodel.nodes import Node
 
 FUNCTIONAL = TransformOptions(strategy="functional")
 
 # Table 10: the user XQuery over the XSLT view's result.
 USER_XQUERY = "for $tr in ./table/tr return $tr"
-
-
-def row_markup(value):
-    if isinstance(value, list):
-        return "".join(serialize(item) for item in value)
-    if isinstance(value, Node):
-        return serialize(value)
-    return "" if value is None else str(value)
 
 
 class TestExample2Combined:

@@ -188,7 +188,7 @@ class _FakePlan(Query):
     def __init__(self, nodes):
         (node,) = nodes
         super().__init__(node, [("id", col("id", node.alias))])
-        binding, _ = self.runtime.get(self, make_db(), None, False)
+        binding, _ = self.runtime.get(self, make_db(), None)
         _FakePlan.latest = binding.observation
 
 

@@ -255,10 +255,10 @@ class TestRuntimeHandlesAreNotPickled:
         before = engine.execute(storage, compiled).feedback.as_dict()
         loaded = pickle.loads(pickle.dumps(compiled))
         assert loaded.query.runtime.binds == 0
-        assert loaded.query.runtime._bindings == {}
+        assert loaded.query.runtime._binding is None
         result = engine.execute(storage, loaded)
         assert loaded.query.runtime.binds == 1
-        (binding,) = loaded.query.runtime._bindings.values()
+        binding = loaded.query.runtime._binding
         assert result.plan_profile.table is binding.observation
         assert result.feedback.as_dict() == before
 

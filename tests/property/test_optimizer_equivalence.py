@@ -48,20 +48,22 @@ REPRESENTATION_CONFIGS = [
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.name)
-def test_markup_dom_and_stream_agree(case):
+def test_execute_stream_and_front_door_agree_with_the_vm(case):
     """The differential gate for the no-DOM rewrite path.  One compiled
-    plan, three executions: the front door (markup rows), the DOM
-    reference (``Query.execute`` + ``serialize``) and the piece stream.
-    Same bytes row by row, and the same work counted — the text routine
-    may not skip or repeat an element, a scan or a row."""
+    plan, three executions — the front door, ``Query.execute`` and the
+    piece stream — against the XSLT VM over the same documents.  Same
+    bytes row by row, and the same work counted: no door may skip or
+    repeat an element, a scan or a row."""
     from repro.rdb.plan import ExecutionStats
-    from repro.rdb.expressions import _text
-    from repro.rdb.sqlxml import row_items
-    from repro.xmlmodel import serialize
+    from repro.rdb.sqlxml import render_item, row_items
     from repro.xmlmodel.nodes import Node
 
     prepared = prepare_case(case, SIZE)
     engine = Engine(prepared.db)
+    vm = engine.transform(
+        prepared.storage, prepared.stylesheet,
+        options=TransformOptions(strategy="functional"),
+    ).serialized_rows()
     for level, decorrelate in REPRESENTATION_CONFIGS:
         compiled = engine.compile(
             prepared.storage, prepared.stylesheet,
@@ -74,25 +76,21 @@ def test_markup_dom_and_stream_agree(case):
         front = engine.execute(prepared.storage, compiled)
         assert not any(isinstance(item, Node)
                        for row in front.rows for item in row), where
+        assert front.serialized_rows() == vm, where
 
-        dom_stats = ExecutionStats()
-        dom_rows, _ = compiled.query.execute(prepared.db, stats=dom_stats)
-        reference = [
-            "".join(serialize(item) if isinstance(item, Node)
-                    else _text(item)
-                    for item in row_items(row[0]))
-            for row in dom_rows
-        ]
-        assert front.serialized_rows() == reference, where
+        execute_stats = ExecutionStats()
+        rows, _ = compiled.query.execute(prepared.db, stats=execute_stats)
+        assert ["".join(map(render_item, row_items(row[0])))
+                for row in rows] == vm, where
 
         stream_stats = ExecutionStats()
         streamed = "".join(compiled.query.stream_pieces(
             prepared.db, stats=stream_stats))
-        assert streamed == "".join(reference), where
+        assert streamed == "".join(vm), where
 
         for counter in ("xml_elements", "rows_scanned", "output_rows"):
             counts = {getattr(stats, counter)
-                      for stats in (front.stats, dom_stats, stream_stats)}
+                      for stats in (front.stats, execute_stats, stream_stats)}
             assert len(counts) == 1, where + (counter, counts)
 
 

@@ -14,11 +14,11 @@ from repro.core.partial_eval import partially_evaluate
 from repro.core.pipeline import XsltRewriter
 from repro.core.xquery_gen import generate_xquery
 from repro.rdb import Database, INT
+from repro.rdb.sqlxml import row_items
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
 from repro.xmlmodel import parse_document, serialize, serialize_children
 from repro.xmlmodel.builder import TreeBuilder
-from repro.xmlmodel.nodes import Node
 from repro.xquery.evaluator import evaluate_module, sequence_to_document
 from repro.xslt import compile_stylesheet, transform
 
@@ -113,14 +113,8 @@ def module_for(body):
 
 
 def row_markup(value):
-    if isinstance(value, list):
-        return "".join(
-            serialize(item) if isinstance(item, Node) else _atom(item)
-            for item in value
-        )
-    if isinstance(value, Node):
-        return serialize(value)
-    return _atom(value)
+    """A row's value as text: constructed XML is markup already."""
+    return "".join(_atom(item) for item in row_items(value))
 
 
 def _atom(value):
@@ -206,4 +200,4 @@ class TestStorageRoundTripProperty:
         )
         storage.load(document)
         rows, _ = db.execute(storage.make_view_query())
-        assert serialize(rows[0][0]) == serialize(document)
+        assert row_markup(rows[0][0]) == serialize(document)

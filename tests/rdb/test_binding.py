@@ -24,7 +24,7 @@ from repro.rdb import (
     INT,
     TEXT,
 )
-from repro.rdb.binding import Layout, sort_pairs
+from repro.rdb.binding import Binder, Layout, sort_pairs
 from repro.rdb.expressions import (
     BinOp,
     ColumnRef,
@@ -128,12 +128,32 @@ class TestBindKeySafety:
         assert run(db, query, env=dict(narrow)) == [("SMITH", "OPS")]
         assert query.runtime.binds == 3  # same shape: no re-bind
 
-    def test_dom_and_markup_bindings_are_cached_side_by_side(self, db):
+    def test_every_door_shares_one_binding(self, db):
         query = Query(Scan("emp"), [(None, XMLElement("e", col("ename")))])
         for _ in range(3):
-            query.execute(db)
-            "".join(query.stream_pieces(db))
-        assert query.runtime.binds == 2
+            rows, _ = query.execute(db)
+            assert "".join(query.stream_pieces(db)) == "".join(
+                row[0] for row in rows)
+        query.explain(db, analyze=True)
+        assert query.runtime.binds == 1
+
+    def test_explain_analyze_then_transform_binds_once(self):
+        prepared = prepare_case(get_case("avts"), 10)
+        engine = Engine(prepared.db)
+        compiled = engine.compile(prepared.storage, prepared.stylesheet)
+        compiled.query.explain(prepared.db, analyze=True)
+        result = engine.execute(prepared.storage, compiled)
+        assert result.strategy == "sql-rewrite"
+        assert compiled.query.runtime.binds == 1
+
+    def test_one_representation(self, db):
+        """Nothing picks a representation: no flag on the stats, no
+        argument to the binder."""
+        assert not hasattr(ExecutionStats(), "markup")
+        assert "markup" not in ExecutionStats.__slots__
+        with pytest.raises(TypeError):
+            Binder(db, True)
+        assert Binder(db).db is db
 
 
 class TestNameErrorsAtBind:

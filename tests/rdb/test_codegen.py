@@ -17,7 +17,7 @@ from xml.sax.saxutils import escape, quoteattr
 import pytest
 
 from repro.api import Engine, TransformOptions
-from repro.rdb import Database, ExecutionStats, Filter, Query, Scan, binding
+from repro.rdb import Database, Filter, Query, Scan, binding
 from repro.rdb.expressions import (
     CaseWhen,
     Not,
@@ -157,10 +157,8 @@ def _query(label, threshold):
 
 
 def _run(query, db):
-    """The rows of a markup execution, which binds the query afresh."""
-    stats = ExecutionStats()
-    stats.markup = True
-    rows, _ = query.execute(db, stats=stats)
+    """The rows of one execution, which binds the query afresh."""
+    rows, _ = query.execute(db)
     return [row[0] for row in rows]
 
 

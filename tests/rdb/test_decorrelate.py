@@ -43,11 +43,11 @@ def parent_query(subquery=None):
 
 
 def _markup(rows):
-    from repro.xmlmodel import serialize
+    from repro.rdb.sqlxml import content_markup
 
     return [
-        (name, "".join(serialize(node) for node in value))
-        if isinstance(value, list) else (name, value)
+        (name, content_markup(value)) if isinstance(value, list)
+        else (name, value)
         for name, value in rows
     ]
 

@@ -5,7 +5,8 @@ import pytest
 from repro.errors import CatalogError
 from repro.rdb import Database, IndexScan
 from repro.rdb.sql_parser import SqlSyntaxError, parse_select, parse_sql
-from repro.xmlmodel import serialize
+from repro.rdb.sqlxml import content_markup
+from repro.xmlmodel import parse_fragment
 
 
 @pytest.fixture
@@ -144,14 +145,14 @@ class TestSqlXml:
             "SELECT XMLElement(\"d\", XMLAttributes(deptno AS \"no\"), dname)"
             " FROM dept WHERE deptno = 10"
         )
-        assert serialize(rows[0][0]) == '<d no="10">ACCOUNTING</d>'
+        assert rows[0][0] == '<d no="10">ACCOUNTING</d>'
 
     def test_xmlforest(self, db):
         rows, _ = db.sql(
             'SELECT XMLForest(dname AS "n", loc AS "l") FROM dept'
             " WHERE deptno = 40"
         )
-        assert "".join(serialize(node) for node in rows[0][0]) == (
+        assert content_markup(rows[0][0]) == (
             "<n>OPERATIONS</n><l>BOSTON</l>"
         )
 
@@ -159,7 +160,7 @@ class TestSqlXml:
         rows, _ = db.sql(
             "SELECT XMLForest(dname, loc) FROM dept WHERE deptno = 40"
         )
-        assert "".join(serialize(node) for node in rows[0][0]) == (
+        assert content_markup(rows[0][0]) == (
             "<dname>OPERATIONS</dname><loc>BOSTON</loc>"
         )
 
@@ -167,7 +168,8 @@ class TestSqlXml:
         rows, _ = db.sql(
             'SELECT XMLAgg(XMLElement("e", ename) ORDER BY sal DESC) FROM emp'
         )
-        names = [node.string_value() for node in rows[0][0]]
+        names = [node.string_value() for node in
+                 parse_fragment(content_markup(rows[0][0])).children]
         assert names == ["SMITH", "CLARK", "MILLER"]
 
     def test_paper_table3_view(self, db):
@@ -182,7 +184,7 @@ class TestSqlXml:
             " FROM dept"
         )
         rows, _ = db.execute(db.view("dept_emp").query)
-        first = serialize(rows[0][0])
+        first = content_markup(rows[0][0])
         assert first.startswith("<dept><dname>ACCOUNTING</dname>")
         assert "<sal>2450</sal>" in first
 
@@ -214,7 +216,7 @@ class TestSqlXml:
             'SELECT XMLConcat(XMLElement("a", dname), XMLComment(loc))'
             " FROM dept WHERE deptno = 10"
         )
-        assert "".join(serialize(node) for node in rows[0][0]) == (
+        assert content_markup(rows[0][0]) == (
             "<a>ACCOUNTING</a><!--NEW YORK-->"
         )
 

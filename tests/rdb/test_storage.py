@@ -6,6 +6,7 @@ import pytest
 from repro.errors import DatabaseError, SchemaError
 from repro.rdb import Database, INT
 from repro.rdb.infer import infer_view_structure
+from repro.rdb.sqlxml import content_markup
 from repro.rdb.storage import ClobStorage, ObjectRelationalStorage
 from repro.schema import schema_from_dtd
 from repro.xmlmodel import parse_document, serialize
@@ -146,7 +147,7 @@ class TestReconstructionView:
         storage.load(parse_document(DOC1))
         storage.load(parse_document(DOC2))
         rows, _ = storage.db.execute(storage.make_view_query())
-        assert [serialize(row[0]) for row in rows] == [DOC1, DOC2]
+        assert [content_markup(row[0]) for row in rows] == [DOC1, DOC2]
 
     def test_view_structure_matches_schema(self, storage, schema):
         structure = infer_view_structure(storage.make_view_query())

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from repro.errors import DatabaseError, XmlSyntaxError
 from repro.rdb import Database, INT
 from repro.rdb.plan import ExecutionStats
+from repro.rdb.sqlxml import content_markup
 from repro.rdb.storage import (
     ColumnBinding,
     InlineBinding,
@@ -197,8 +198,8 @@ class TestObjectRelationalStreaming:
         str_db, str_storage, _ = self.build(stream=True)
         dom_rows, _ = dom_db.execute(dom_storage.make_view_query())
         str_rows, _ = str_db.execute(str_storage.make_view_query())
-        assert [serialize(row[0]) for row in dom_rows] == \
-            [serialize(row[0]) for row in str_rows]
+        assert [content_markup(row[0]) for row in dom_rows] == \
+            [content_markup(row[0]) for row in str_rows]
 
     def test_unknown_element_rejected(self):
         import pytest

@@ -4,6 +4,7 @@ sorting, numbering, keys."""
 import pytest
 
 from repro.errors import XsltCompileError, XsltRuntimeError
+from repro.xmlmodel import parse_document
 from repro.xslt import compile_stylesheet, transform, transform_to_string
 from repro.xslt.vm import format_decimal
 
@@ -206,6 +207,33 @@ class TestComputedConstructors:
             "</xsl:template>"
         )
         assert run(body, "<a/>") == "<?t data?>"
+
+    @pytest.mark.parametrize("content, text, value", [
+        ("a--b-", "<!--a- -b- -->", "a- -b- "),
+        ("-", "<!--- -->", "- "),
+        ("x-y", "<!--x-y-->", "x-y"),
+    ])
+    def test_comment_output_is_well_formed(self, content, text, value):
+        """XSLT 1.0 §7.4's recovery: a space after each ``-`` followed by
+        ``-`` or ending the comment, so the output parses back."""
+        body = ('<xsl:template match="/"><r><xsl:comment>%s</xsl:comment>'
+                "</r></xsl:template>" % content)
+        out = run(body, "<a/>")
+        assert out == "<r>%s</r>" % text
+        assert parse_document(out).document_element.children[0].value \
+            == value
+
+    def test_pi_output_is_well_formed(self):
+        """XSLT 1.0 §7.3's recovery: a space between ``?`` and ``>``."""
+        body = (
+            '<xsl:template match="/"><r>'
+            '<xsl:processing-instruction name="p">x?&gt;y?</xsl:processing-instruction>'
+            "</r></xsl:template>"
+        )
+        out = run(body, "<a/>")
+        assert out == "<r><?p x? >y??></r>"
+        (pi,) = parse_document(out).document_element.children
+        assert (pi.target, pi.value) == ("p", "x? >y?")
 
 
 class TestSorting:
