@@ -25,6 +25,8 @@ Run:  python examples/observability.py
 """
 
 import logging
+import os
+import tempfile
 
 from repro.core import xml_transform
 from repro.obs import (
@@ -93,15 +95,16 @@ def main():
 
     print()
     print("Spans can also stream to a sink, e.g. JSON lines:")
-    path = "trace.jsonl"
-    sink = JsonLinesSink(path)
-    sink_tracer = Tracer(sinks=[sink])
-    xml_transform(db, view, STYLESHEET,
-                  tracer=sink_tracer, metrics=metrics)
-    sink.close()
-    with open(path, "r", encoding="utf-8") as handle:
-        line_count = sum(1 for _ in handle)
-    print("  wrote %d span records to %s" % (line_count, path))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "trace.jsonl")
+        sink = JsonLinesSink(path)
+        sink_tracer = Tracer(sinks=[sink])
+        xml_transform(db, view, STYLESHEET,
+                      tracer=sink_tracer, metrics=metrics)
+        sink.close()
+        with open(path, "r", encoding="utf-8") as handle:
+            line_count = sum(1 for _ in handle)
+    print("  wrote %d span records to a trace.jsonl" % line_count)
 
     print()
     print("=" * 72)

@@ -36,7 +36,7 @@ from repro.core.transform import (
     source_fingerprint,
 )
 from repro.core.xquery_gen import RewriteOptions
-from repro.obs import get_tracer, global_metrics
+from repro.obs import Tracer, get_tracer, global_metrics
 from repro.obs.recorder import transform_fields
 
 __all__ = [
@@ -99,14 +99,6 @@ class TransformOptions:
         is a tuning value only — the result and the work counters are
         the same at every size.
     :param chunk_chars: coalescing target for streamed output chunks.
-    :param profile_plan: collect per-plan-node EXPLAIN ANALYZE counters
-        on the rewrite path (skipped whenever tracing is disabled).
-        Costs a wrapped batch stream per operator opened and one pass
-        over the plan's observation table after the run
-        (``plan.operator_rows{op}`` and the Q-error record,
-        ``result.feedback``: a Q-error and a histogram sample per
-        profiled operator; ``NodeFeedback`` objects are built only when
-        ``.nodes`` is read); nothing walks the plan per request.
     :param rewrite_options: a full
         :class:`~repro.core.xquery_gen.RewriteOptions` for per-technique
         ablation (``inline_templates`` forces the §4.4 inline mode on or
@@ -131,7 +123,6 @@ class TransformOptions:
     deadline: float = None
     batch_size: int = None
     chunk_chars: int = DEFAULT_CHUNK_CHARS
-    profile_plan: bool = True
     rewrite_options: RewriteOptions = None
     optimizer_level: str = None
     strategy: str = None
@@ -185,7 +176,7 @@ class TransformOptions:
     def cache_key(self):
         """The compile-relevant part of these options, as a stable string
         — the serving layer's plan-cache key component.  Runtime-only
-        fields (deadline, batch/chunk sizes, profiling) are excluded so
+        fields (deadline, batch/chunk sizes) are excluded so
         they never fragment the cache."""
         from repro.rdb.planner import normalize_level
 
@@ -359,7 +350,7 @@ class Engine:
 
         The compile happens here; the run happens as the chunks are
         pulled, and the ``xml_transform`` root span stays open — and
-        current on this thread's tracer — until the stream is drained
+        ambient on this thread — until the stream is drained
         (then it is flight-recorded) or closed."""
         drain = self._drain(source, stylesheet,
                             TransformOptions.coerce(options), params)
@@ -425,9 +416,10 @@ class Engine:
         opts = TransformOptions.coerce(options)
         compiled = self.compile(source, stylesheet, options=opts)
         if analyze:
-            return self.execute(
-                source, compiled, options=opts.replace(profile_plan=True)
-            ).explain()
+            # a run profiles its plan only under an enabled tracer
+            tracer = self.tracer if self.tracer.enabled else Tracer()
+            return execute_compiled(self.db, source, compiled, opts, None,
+                                    tracer, self.metrics).explain()
         fallback_reason = None
         if compiled.error is not None:
             fallback_reason = "compile: %s" % compiled.error

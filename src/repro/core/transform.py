@@ -549,8 +549,15 @@ def _start(db, source, compiled, options, params, tracer, metrics, root,
 
 def _plan_rows(db, compiled, run, tracer, metrics, options, deadline):
     """One item list per output row of the artifact's optimized plan,
-    run the way ``options`` says (``profile_plan``, ``batch_size``) and
-    no later than the absolute ``deadline``.
+    run the way ``options`` says (``batch_size``) and no later than the
+    absolute ``deadline``, profiled exactly when ``tracer`` is enabled.
+
+    The profile costs a wrapped batch stream per operator opened and one
+    pass over the plan's observation table after the run
+    (``plan.operator_rows{op}`` and the Q-error record,
+    ``run.feedback``: a Q-error and a histogram sample per profiled
+    operator; ``NodeFeedback`` objects are built only when ``.nodes`` is
+    read); nothing walks the plan per request.
 
     Exhausting it counts the rewrite success and folds the profile once
     (per-operator metrics, the Q-error record); a consumer that stops
@@ -561,7 +568,7 @@ def _plan_rows(db, compiled, run, tracer, metrics, options, deadline):
         stats = run.stats = ExecutionStats()
         stats.deadline = deadline
         profiler = None
-        if options.profile_plan and tracer.enabled:
+        if tracer.enabled:
             profiler = stats.profiler = PlanProfiler()
         run.executed_query = query
         run.plan_profile = profiler
@@ -677,8 +684,8 @@ def execute_compiled(db, source, compiled, options=None, params=None,
     fallback artifact replays its recorded error the same way.
     ``options`` is the request's coerced
     :class:`repro.api.TransformOptions` (None: the defaults), handed
-    over whole — the run reads ``profile_plan`` and ``batch_size`` off
-    it, so no door can drop one.  ``root`` is the span
+    over whole — the run reads ``batch_size`` off it, so no door can
+    drop one; the plan is profiled when ``tracer`` is enabled.  ``root`` is the span
     fallback attributes land on (default: the tracer's current span).
     ``deadline`` and ``started`` are absolute ``time.perf_counter()``
     instants: past the first, plan execution stops between batches with

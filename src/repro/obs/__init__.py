@@ -66,15 +66,11 @@ from repro.obs.trace import (
     TextSink,
     TraceContext,
     Tracer,
-    activate_trace_context,
     current_trace_context,
     current_trace_id,
-    deactivate_trace_context,
-    format_traceparent,
     get_tracer,
     new_span_id,
     new_trace_id,
-    parse_traceparent,
     render_tree,
     set_tracer,
     use_trace_context,
@@ -101,19 +97,15 @@ __all__ = [
     "TextSink",
     "TraceContext",
     "Tracer",
-    "activate_trace_context",
     "current_trace_context",
     "current_trace_id",
-    "deactivate_trace_context",
     "diff_ledgers",
     "format_qerror",
-    "format_traceparent",
     "get_tracer",
     "global_metrics",
     "new_span_id",
     "new_trace_id",
     "observe_profile",
-    "parse_traceparent",
     "q_error",
     "render_tree",
     "set_metrics",

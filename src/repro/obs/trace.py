@@ -10,24 +10,23 @@ module provides the span machinery those measurements hang off of:
   spans of one request, its own 64-bit ``span_id`` and the
   ``parent_span_id`` linking it upward (both W3C-trace-context-shaped
   lowercase hex);
-* :class:`Tracer` — manages per-thread active-span stacks and hands
+* :class:`Tracer` — opens spans under the ambient one and hands
   finished spans to pluggable sinks.  One tracer may be shared by many
-  threads: the stack lives in a ``threading.local``, so concurrent
-  requests never cross-link spans;
-* :class:`TraceContext` — the propagation unit (``trace_id`` + parent
-  ``span_id``).  The *ambient* context lives in a
-  :mod:`contextvars` ``ContextVar``: opening a span publishes its
-  context, closing it restores the previous one, and
-  :func:`current_trace_context` reads it from anywhere (the structured
-  log sink, the plan profiler, a worker handing work to another
+  threads: nesting follows the ambient context, which is per thread, so
+  concurrent requests never cross-link spans;
+* one carrier of trace identity — a :mod:`contextvars` ``ContextVar``
+  holding the innermost open :class:`Span` itself, or, at an ingress
+  (the serve tier's admission, a worker process's pipe), a bare
+  :class:`TraceContext` (``trace_id`` + upstream ``span_id``).  Opening
+  a span makes it ambient; finishing it restores its predecessor where
+  it is still current, and a finished span is never a parent.
+  :func:`current_trace_context` / :func:`current_trace_id` read it from
+  anywhere (the plan profiler, a worker handing work to another
   thread).  A root span opened while a context is ambient **joins**
-  that trace instead of minting a new one — this is how the serve
-  tier's admission thread, worker thread and stream drain stitch one
-  request into one trace;
-* W3C interop — :func:`parse_traceparent` / :func:`format_traceparent`
-  convert to and from the ``traceparent`` header
-  (``00-<trace_id>-<span_id>-<flags>``), so external callers can
-  correlate across process boundaries;
+  that trace — this is how the serve tier's admission thread, worker
+  thread and stream drain stitch one request into one trace, and how a
+  caller joins an upstream trace:
+  ``with use_trace_context(TraceContext(trace_id, span_id)):``;
 * sinks — :class:`InMemorySink` (keeps finished root trees, now
   lock-protected for multi-threaded tracers),
   :class:`JsonLinesSink` (one JSON object per finished span),
@@ -49,10 +48,6 @@ import threading
 import time
 import weakref
 
-_INVALID_TRACE_ID = "0" * 32
-_INVALID_SPAN_ID = "0" * 16
-_HEX_DIGITS = set("0123456789abcdef")
-
 
 def new_trace_id():
     """A fresh 128-bit trace id as 32 lowercase hex characters."""
@@ -65,87 +60,62 @@ def new_span_id():
 
 
 class TraceContext:
-    """The unit of trace propagation: a trace id plus the span id of
-    the propagating (parent) span.
+    """Trace identity without a span: a trace id plus the span id of
+    the upstream (parent) span — what an ingress holds ambient for the
+    root spans of a request to adopt.
 
     ``span_id`` may be None for a context minted at an ingress with no
     upstream caller — spans opened under it join ``trace_id`` as roots
-    (no parent link).  ``sampled`` mirrors the W3C ``sampled`` flag and
-    is carried through :func:`format_traceparent`.
+    (no parent link).
     """
 
-    __slots__ = ("trace_id", "span_id", "sampled")
+    __slots__ = ("trace_id", "span_id")
 
-    def __init__(self, trace_id, span_id=None, sampled=True):
+    def __init__(self, trace_id, span_id=None):
         self.trace_id = trace_id
         self.span_id = span_id
-        self.sampled = sampled
-
-    def to_traceparent(self):
-        """This context as a W3C ``traceparent`` header value."""
-        return "00-%s-%s-%s" % (
-            self.trace_id,
-            self.span_id or _INVALID_SPAN_ID,
-            "01" if self.sampled else "00",
-        )
-
-    def __eq__(self, other):
-        return (isinstance(other, TraceContext)
-                and self.trace_id == other.trace_id
-                and self.span_id == other.span_id
-                and self.sampled == other.sampled)
-
-    def __hash__(self):
-        return hash((self.trace_id, self.span_id, self.sampled))
 
     def __repr__(self):
         return "TraceContext(%s, %s)" % (self.trace_id, self.span_id)
 
 
-#: The ambient trace context of the calling execution context.  Spans
-#: publish themselves here while open; ingress points (the serve tier's
-#: ``submit``) activate a remote caller's context around request
-#: handling so every span joins the caller's trace.
+#: The one carrier of trace identity: the innermost open :class:`Span`
+#: of the calling execution context, or an ingress's
+#: :class:`TraceContext`.
 _TRACE_CONTEXT = contextvars.ContextVar("repro.trace_context",
                                         default=None)
 
 
 def current_trace_context():
-    """The ambient :class:`TraceContext`, or None outside any trace."""
-    return _TRACE_CONTEXT.get()
+    """The ambient trace identity — the innermost open :class:`Span`
+    or an ingress :class:`TraceContext` (both carry ``trace_id`` and
+    ``span_id``) — or None outside any trace.
+
+    A span finished on another thread than the one that opened it stays
+    in the opener's variable; a finished span is never a parent, so what
+    was ambient before it stands in."""
+    current = _TRACE_CONTEXT.get()
+    while current.__class__ is Span and current.end is not None:
+        current = current._predecessor()
+    return current
 
 
 def current_trace_id():
     """The ambient trace id, or None outside any trace."""
-    context = _TRACE_CONTEXT.get()
+    context = current_trace_context()
     return context.trace_id if context is not None else None
 
 
-def activate_trace_context(context):
-    """Make ``context`` ambient; returns a token for
-    :func:`deactivate_trace_context`.  Prefer :func:`use_trace_context`
-    (the context-manager form) where scoping allows."""
-    return _TRACE_CONTEXT.set(context)
-
-
-def deactivate_trace_context(token):
-    """Restore the ambient context saved by
-    :func:`activate_trace_context`."""
-    _TRACE_CONTEXT.reset(token)
-
-
 class use_trace_context:
-    """``with use_trace_context(ctx):`` — scoped ambient activation.
-
-    ``ctx`` may be None (explicitly trace-free scope), a
-    :class:`TraceContext`, or a :class:`Span` (its context is used).
+    """``with use_trace_context(ctx):`` — scoped ambient activation;
+    ``with use_trace_context(TraceContext(trace_id, span_id)):`` joins
+    an upstream trace.  ``ctx`` may also be None (a trace-free scope) or
+    a :class:`Span`.
     """
 
     __slots__ = ("context", "_token")
 
     def __init__(self, context):
-        if isinstance(context, Span):
-            context = context.context()
         self.context = context
         self._token = None
 
@@ -156,46 +126,6 @@ class use_trace_context:
     def __exit__(self, exc_type, exc, tb):
         _TRACE_CONTEXT.reset(self._token)
         return False
-
-
-def _is_hex(text):
-    return bool(text) and all(char in _HEX_DIGITS for char in text)
-
-
-def parse_traceparent(header):
-    """Parse a W3C ``traceparent`` header into a :class:`TraceContext`.
-
-    Returns None for anything malformed (wrong field widths, non-hex,
-    all-zero trace/span id, version ``ff``) — a bad header must never
-    break a request, only decline correlation.
-    """
-    if not header or not isinstance(header, str):
-        return None
-    parts = header.strip().lower().split("-")
-    if len(parts) < 4:
-        return None
-    version, trace_id, span_id, flags = parts[0], parts[1], parts[2], parts[3]
-    if len(version) != 2 or not _is_hex(version) or version == "ff":
-        return None
-    if version == "00" and len(parts) != 4:
-        return None
-    if len(trace_id) != 32 or not _is_hex(trace_id) \
-            or trace_id == _INVALID_TRACE_ID:
-        return None
-    if len(span_id) != 16 or not _is_hex(span_id) \
-            or span_id == _INVALID_SPAN_ID:
-        return None
-    if len(flags) != 2 or not _is_hex(flags):
-        return None
-    return TraceContext(trace_id, span_id,
-                        sampled=bool(int(flags, 16) & 0x01))
-
-
-def format_traceparent(span_or_context):
-    """A W3C ``traceparent`` header value for a span or context."""
-    if isinstance(span_or_context, Span):
-        span_or_context = span_or_context.context()
-    return span_or_context.to_traceparent()
 
 
 class Span:
@@ -214,8 +144,8 @@ class Span:
     """
 
     __slots__ = ("name", "attrs", "trace_id", "span_id", "parent_span_id",
-                 "_parent", "children", "start", "end", "status", "error",
-                 "_tracer", "_saved_context", "__weakref__")
+                 "_parent", "_context", "children", "start", "end", "status",
+                 "error", "_tracer", "__weakref__")
 
     def __init__(self, name, attrs=None, parent=None, tracer=None,
                  context=None):
@@ -223,6 +153,7 @@ class Span:
         self.attrs = dict(attrs) if attrs else {}
         self.span_id = new_span_id()
         self._parent = None
+        self._context = context  # joined by ids only
         if parent is not None:
             self._parent = weakref.ref(parent)
             self.trace_id = parent.trace_id
@@ -239,7 +170,6 @@ class Span:
         self.status = "ok"
         self.error = None
         self._tracer = tracer
-        self._saved_context = None
         if parent is not None:
             parent.children.append(self)
 
@@ -248,6 +178,11 @@ class Span:
         """The enclosing span (None for a root, or once it is freed)."""
         return self._parent() if self._parent is not None else None
 
+    def _predecessor(self):
+        """What was ambient when this span opened."""
+        return self._parent() if self._parent is not None \
+            else self._context
+
     # -- recording --------------------------------------------------------------
 
     def set_attr(self, **attrs):
@@ -255,12 +190,9 @@ class Span:
         return self
 
     def context(self):
-        """This span's :class:`TraceContext` (for propagation)."""
-        return TraceContext(self.trace_id, self.span_id)
-
-    def traceparent(self):
-        """This span as a W3C ``traceparent`` header value."""
-        return self.context().to_traceparent()
+        """This span as a propagation context: it carries ``trace_id``
+        and ``span_id`` itself."""
+        return self
 
     @property
     def duration(self):
@@ -393,17 +325,14 @@ NULL_SPAN = _NullSpan()
 class Tracer:
     """Hands out nested spans and feeds finished ones to sinks.
 
-    The active-span stack is **per-thread** (``threading.local``): one
-    tracer may serve many concurrent requests and each thread sees only
-    its own nesting.  Trace identity propagates *between* threads via
-    the ambient :class:`TraceContext` (see :func:`use_trace_context`),
-    not via the stack.
+    Nesting follows the ambient context (:func:`current_trace_context`),
+    which is per thread: one tracer may serve many concurrent threads
+    and each sees only its own nesting.
     """
 
     def __init__(self, sinks=None, enabled=True):
         self.sinks = list(sinks) if sinks else []
         self.enabled = enabled
-        self._local = threading.local()
 
     # -- control ----------------------------------------------------------------
 
@@ -422,48 +351,37 @@ class Tracer:
 
     # -- spans ------------------------------------------------------------------
 
-    def _stack(self):
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def span(self, name, **attrs):
-        """Open a span nested under the currently active one.
+        """Open a span under the ambient one and make it ambient until
+        it finishes.
 
-        A root span (nothing active on this thread's stack) adopts the
-        ambient :class:`TraceContext` when one is set — joining the
-        propagated trace with a parent link — and mints a fresh trace id
-        otherwise.  The new span's context becomes ambient until it
-        finishes.
+        Under an open span of this tracer the new span is its child;
+        under another tracer's span or an ingress :class:`TraceContext`
+        it joins that trace as a root with a parent link; with nothing
+        ambient it mints a fresh trace id.
         """
         if not self.enabled:
             return NULL_SPAN
-        stack = self._stack()
-        parent = stack[-1] if stack else None
-        ambient = _TRACE_CONTEXT.get()
-        context = ambient if parent is None else None
-        span = Span(name, attrs=attrs, parent=parent, tracer=self,
-                    context=context)
-        span._saved_context = ambient
-        stack.append(span)
-        _TRACE_CONTEXT.set(span.context())
+        ambient = current_trace_context()
+        if ambient.__class__ is Span and ambient._tracer is self:
+            span = Span(name, attrs, parent=ambient, tracer=self)
+        else:
+            span = Span(name, attrs, tracer=self, context=ambient)
+        _TRACE_CONTEXT.set(span)
         return span
 
     def current(self):
-        """The active span on this thread, or None."""
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
+        """The ambient span when this tracer opened it, else None."""
+        span = current_trace_context()
+        return span if span.__class__ is Span and span._tracer is self \
+            else None
 
     def _finish(self, span):
-        # Tolerate out-of-order exits (a caller holding a span past its
-        # children): pop everything above the finishing span.  A span
-        # that is no longer on this thread's stack — a generator-held
-        # span closed late, or from another thread — unwinds nothing.
-        stack = self._stack()
-        if span in stack:
-            del stack[stack.index(span):]
-        _TRACE_CONTEXT.set(span._saved_context)
+        # a span finished where it is not current (on another thread
+        # than it opened on, or under a span it did not open) leaves
+        # that context alone
+        if _TRACE_CONTEXT.get() is span:
+            _TRACE_CONTEXT.set(span._predecessor())
         for sink in self.sinks:
             sink.emit(span)
 

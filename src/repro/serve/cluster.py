@@ -16,9 +16,10 @@ the front door; this module is only what is process-specific:
   Sources cross by *name* and stylesheets as markup text (content
   hashes are what make the shared disk tier addressable);
 * **trace identity crosses the process boundary**: the front door sends
-  its ``cluster.request`` span's W3C ``traceparent``, the worker roots
-  ``cluster.worker`` in that trace, and the returned span records merge
-  into the parent's flight recorder — one connected trace per request;
+  its ``cluster.request`` span's ``(trace_id, span_id)``, the worker
+  makes them ambient and roots ``cluster.worker`` in that trace, and the
+  returned span records merge into the parent's flight recorder — one
+  connected trace per request;
 * **worker death**: a broken pipe marks the worker dead
   (:class:`ClusterWorkerError`, ``cluster.worker_failures``); a request
   that failed *inside* a live worker is a :class:`WorkerRequestError`
@@ -36,12 +37,7 @@ import tempfile
 import threading
 
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
-from repro.obs.trace import (
-    TraceContext,
-    new_trace_id,
-    parse_traceparent,
-    use_trace_context,
-)
+from repro.obs.trace import TraceContext, use_trace_context
 from repro.serve.artifact import ArtifactStore
 from repro.serve.runtime import (
     PlanRuntime,
@@ -71,11 +67,8 @@ def _serve_transform(runtime, payload, trace_requests):
     """One ``transform`` message inside the worker: join the front
     door's trace, run the request on the plan runtime, ship the
     result (pickling it is its wire form) with this side's spans."""
-    context = parse_traceparent(payload.get("traceparent"))
-    if context is None:
-        context = TraceContext(new_trace_id())
     tracer = request_tracer(trace_requests)
-    with use_trace_context(context):
+    with use_trace_context(TraceContext(*payload["trace"])):
         result = runtime.run(
             payload["source"], payload["stylesheet"], payload["options"],
             payload.get("params"), tracer,
@@ -226,13 +219,13 @@ class ProcessWorkers:
             "cluster.request", worker=handle.worker_id,
             queue_wait_ms=round(queue_wait * 1000.0, 3),
         ) as root:
+            parent = root or request.context
             reply = self._rpc(handle, ("transform", {
                 "source": request.source,
                 "stylesheet": request.stylesheet,
                 "options": request.options,
                 "params": request.params,
-                "traceparent": root.traceparent() if root
-                else request.context.to_traceparent(),
+                "trace": (parent.trace_id, parent.span_id),
             }))
             result = reply["result"]
             if root:

@@ -62,8 +62,7 @@ def stylesheet_key(stylesheet):
 
 
 def request_tracer(enabled):
-    """A request's private tracer (the tracer keeps a plain span stack
-    and is not thread-safe), retaining its spans in memory."""
+    """A request's private tracer, retaining its spans in memory."""
     return Tracer(sinks=[InMemorySink()]) if enabled \
         else Tracer(enabled=False)
 

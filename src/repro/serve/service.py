@@ -65,7 +65,6 @@ from repro.obs.trace import (
     TraceContext,
     current_trace_context,
     new_trace_id,
-    parse_traceparent,
     use_trace_context,
 )
 from repro.serve.cluster import ClusterWorkerError, ProcessWorkers
@@ -166,19 +165,15 @@ class _Request:
 _FAILURE_COUNTERS = {"timeout": "serve.timeouts", "error": "serve.errors"}
 
 
-def _ingress_context(traceparent):
-    """The trace context a request is admitted under: the caller's
-    ``traceparent`` header when given and valid, else the ambient
-    context (an in-process caller already inside a trace), else a
-    freshly minted trace id.  Every span of the request — across
-    admission, worker and stream-drain threads, and across a worker
-    process's pipe — joins it."""
-    context = parse_traceparent(traceparent) if traceparent else None
-    if context is None:
-        context = current_trace_context()
-    if context is None:
-        context = TraceContext(new_trace_id())
-    return context
+def _ingress_context():
+    """The trace context a request is admitted under: the ambient
+    trace's ids (taken now: the caller's span may finish before the
+    request runs), else a fresh trace.  Every span of the request, on
+    any thread or across a worker process's pipe, joins it."""
+    ambient = current_trace_context()
+    if ambient is None:
+        return TraceContext(new_trace_id())
+    return TraceContext(ambient.trace_id, ambient.span_id)
 
 
 class ThreadWorkers:
@@ -377,15 +372,14 @@ class TransformService:
 
     # -- client API --------------------------------------------------------------
 
-    def _request(self, source, stylesheet, options, params, traceparent,
-                 name=None):
+    def _request(self, source, stylesheet, options, params, name=None):
         if self._closed:
             raise ServiceClosedError("service is closed")
         opts = TransformOptions.coerce(options)
         self._backend.check(source, stylesheet)
         deadline_s = opts.deadline if opts.deadline is not None \
             else self.default_timeout
-        context = _ingress_context(traceparent)
+        context = _ingress_context()
         now = time.perf_counter()
         return _Request(
             ServeFuture(trace_id=context.trace_id), name,
@@ -394,19 +388,17 @@ class TransformService:
             submitted_at=now, context=context, started_wall=time.time(),
         )
 
-    def submit(self, source, stylesheet, options=None, params=None,
-               traceparent=None):
+    def submit(self, source, stylesheet, options=None, params=None):
         """Enqueue one request; returns a :class:`ServeFuture`.
 
         ``options.deadline`` (seconds, default ``default_timeout``)
         bounds the request's *total* life: a request still queued past
         its deadline fails with :class:`RequestTimeoutError` instead of
-        executing.  ``traceparent`` is an optional W3C trace-context
-        header from an upstream caller — the request joins that trace
+        executing.  Submitted inside a trace — an open span, or
+        ``use_trace_context`` around the call — the request joins it
         (``future.trace_id``) instead of minting its own.
         """
-        request = self._request(source, stylesheet, options, params,
-                                traceparent)
+        request = self._request(source, stylesheet, options, params)
         self._admit(request)
         request.future._service = self
         return request.future
@@ -415,8 +407,7 @@ class TransformService:
         with self._lock:
             self._waiters += delta
 
-    def transform(self, source, stylesheet, options=None, params=None,
-                  traceparent=None):
+    def transform(self, source, stylesheet, options=None, params=None):
         """Run one request and wait for it; returns the
         :class:`~repro.serve.runtime.ServeResult`.
 
@@ -428,8 +419,7 @@ class TransformService:
         Either way the deadline, metrics and flight record are
         :meth:`submit`'s; the caller waits without its own limit so
         in-flight execution can finish."""
-        request = self._request(source, stylesheet, options, params,
-                                traceparent)
+        request = self._request(source, stylesheet, options, params)
         with self._lock:
             self._waiters += 1
             # Queued requests go first, and an oversubscribed service
@@ -451,13 +441,12 @@ class TransformService:
             self._count_waiter(-1)
 
     def transform_on(self, worker, source, stylesheet, options=None,
-                     params=None, traceparent=None):
+                     params=None):
         """Run on one *specific* worker from the caller's thread,
         bypassing the shared queue (waiting for the worker's slot) — the
         deterministic routing tests and benchmarks use to prove
         cross-worker cache behaviour."""
-        request = self._request(source, stylesheet, options, params,
-                                traceparent)
+        request = self._request(source, stylesheet, options, params)
         with self._lock:
             while self._busy[worker] and not self._closed:
                 self._freed.wait()
@@ -496,7 +485,7 @@ class TransformService:
         self.metrics.counter("serve.requests").inc()
 
     def transform_stream(self, source, stylesheet, options=None,
-                         params=None, traceparent=None):
+                         params=None):
         """Streaming transform: returns a
         :class:`~repro.core.transform.TransformStream` of serialized
         output chunks.
@@ -506,7 +495,7 @@ class TransformService:
         materialized request, so a hot (stylesheet, source) pair streams
         without compiling and every option — the deadline too — holds.
         The compile and the chunk drain run under one trace
-        (``stream.trace_id``, joined to ``traceparent`` when given) and
+        (``stream.trace_id``, the ambient trace's when there is one) and
         the drained request is flight-recorded like a materialized one.
         Needs the plan runtime in this process: with process workers it
         raises :class:`ServeError` (chunks do not cross the pipe).
@@ -518,7 +507,7 @@ class TransformService:
                 "do not stream chunks over the pipe"
             )
         request = self._request(source, stylesheet, options, params,
-                                traceparent, name="stream")
+                                name="stream")
         self.metrics.counter("serve.stream_requests").inc()
         tracer = request_tracer(self.trace_requests)
         with use_trace_context(request.context):

@@ -269,23 +269,29 @@ class TestOptionsReachEveryDoor:
             batches[size] = view.stats.batches
         assert batches == {None: 1, 1: 4}
 
-    @pytest.mark.parametrize("profile_plan", (True, False))
-    def test_profile_plan_is_honoured_by_the_serving_stream(self,
-                                                           profile_plan):
+    @pytest.mark.parametrize("traced", (True, False))
+    def test_profiling_follows_the_tracer(self, traced):
+        """A run profiles its plan exactly when its tracer is enabled:
+        the engine's, or the serving tier's per-request one."""
         prepared = prepare_case(get_case("avts"), SIZE)
-        options = TransformOptions(profile_plan=profile_plan)
-        engine = Engine(prepared.db, tracer=Tracer(),
+        engine = Engine(prepared.db, tracer=Tracer(enabled=traced),
                         metrics=MetricsRegistry())
-        expected = engine.transform_stream(
-            prepared.storage, prepared.case.stylesheet, options=options)
+        expected = engine.transform_stream(prepared.storage,
+                                           prepared.case.stylesheet)
         with TransformService(prepared.db, workers=1,
-                              metrics=MetricsRegistry()) as service:
-            stream = service.transform_stream(
-                prepared.storage, prepared.case.stylesheet, options=options)
+                              metrics=MetricsRegistry(),
+                              trace_requests=traced) as service:
+            stream = service.transform_stream(prepared.storage,
+                                              prepared.case.stylesheet)
             assert stream.text() == expected.text()
-        assert (stream.plan_profile is not None) == profile_plan \
-            == (expected.plan_profile is not None)
-        assert (stream.feedback is not None) == profile_plan
+            served = service.transform(prepared.storage,
+                                       prepared.case.stylesheet)
+        assert (stream.plan_profile is not None) == traced \
+            == (expected.plan_profile is not None) \
+            == (served.plan_profile is not None)
+        assert (stream.feedback is not None) == traced \
+            == (expected.feedback is not None) \
+            == (served.feedback is not None)
 
     def test_a_served_stream_keeps_the_request_deadline(self):
         from repro.errors import DeadlineExceededError
@@ -364,8 +370,6 @@ class TestOneRun:
         for path, source in self.sources().items():
             if path.name != "api.py" and path.parent.name != "serve":
                 continue
-            # Engine.explain overrides the options object; not a hand-off
-            source = source.replace("opts.replace(profile_plan=True)", "")
             assert not handoff.findall(source), path
 
     def test_the_service_builds_record_fields_one_way(self):

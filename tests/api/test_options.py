@@ -85,8 +85,7 @@ class TestCacheKey:
     def test_runtime_fields_do_not_fragment(self):
         base = TransformOptions()
         assert base.cache_key() == TransformOptions(
-            deadline=2.0, batch_size=16, chunk_chars=128, profile_plan=False
-        ).cache_key()
+            deadline=2.0, batch_size=16, chunk_chars=128).cache_key()
 
     def test_compile_fields_do_fragment(self):
         base = TransformOptions()

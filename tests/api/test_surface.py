@@ -91,7 +91,6 @@ class TestOptionsSurface:
         assert opts.deadline is None
         assert opts.batch_size is None
         assert opts.chunk_chars == 8192
-        assert opts.profile_plan is True
         assert opts.rewrite_options is None
         assert opts.optimizer_level is None
         assert opts.strategy is None
@@ -101,7 +100,7 @@ class TestOptionsSurface:
         # positional construction is allowed; the order is part of the API
         names = [f for f in TransformOptions.__dataclass_fields__]
         assert names == ["deadline", "batch_size",
-                         "chunk_chars", "profile_plan", "rewrite_options",
+                         "chunk_chars", "rewrite_options",
                          "optimizer_level", "strategy", "decorrelate"]
 
     def test_choice_fields_validate_at_construction(self):
@@ -250,7 +249,18 @@ class TestServingSurface:
             params = list(inspect.signature(
                 getattr(TransformService, verb)).parameters)
             assert params == ["self", "source", "stylesheet", "options",
-                              "params", "traceparent"]
+                              "params"]
+
+    def test_no_verb_takes_a_traceparent(self):
+        """A request joins an upstream trace through the ambient context
+        (``use_trace_context``), not through a header argument."""
+        from repro.serve import TransformService
+
+        for verb in ("submit", "transform", "transform_on",
+                     "transform_stream"):
+            params = inspect.signature(
+                getattr(TransformService, verb)).parameters
+            assert "traceparent" not in params, verb
 
     def test_result_fields(self):
         """A view of the run: every fact is the one record's, none is
@@ -268,6 +278,38 @@ class TestServingSurface:
             "cache_tier", "queue_wait_seconds", "execute_seconds",
             "total_seconds", "worker", "stats_version",
         }
+
+
+class TestTraceSurface:
+    """One carrier of trace identity: the ambient context."""
+
+    GONE = ("activate_trace_context", "deactivate_trace_context",
+            "format_traceparent", "parse_traceparent")
+
+    def test_the_string_interop_is_not_exported(self):
+        import repro.obs
+        import repro.obs.trace
+
+        assert not [name for name in repro.obs.__all__ if name in self.GONE]
+        assert not [name for name in self.GONE
+                    if hasattr(repro.obs.trace, name)]
+
+    def test_a_tracer_keeps_no_per_thread_state(self):
+        import threading
+
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        assert not [value for value in vars(tracer).values()
+                    if isinstance(value, threading.local)]
+
+    def test_no_source_mentions_a_traceparent(self):
+        from pathlib import Path
+
+        root = Path(repro.__file__).parent
+        assert not [path for path in root.rglob("*.py")
+                    if "traceparent" in path.read_text()
+                    or "activate_trace_context" in path.read_text()]
 
 
 class TestVmSurface:

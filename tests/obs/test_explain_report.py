@@ -7,10 +7,13 @@ object (sections, to_dict/to_json export, decision interleaving) and
 what each door puts in it.
 """
 
+import re
+
 import pytest
 
 from repro.api import Engine, TransformOptions
 from repro.errors import PlanError
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs.explain import ExplainReport
 from repro.rdb import Database, INT
 from repro.rdb.expressions import Const, col, gt
@@ -18,6 +21,8 @@ from repro.rdb.plan import Filter, Query, Scan
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
 from repro.xmlmodel import parse_document
+from repro.xsltmark import get_case
+from repro.xsltmark.runner import prepare_case
 
 from tests.core.paper_example import (
     DEPT_DTD,
@@ -111,6 +116,25 @@ class TestEngineExplain:
         assert record["version"] == 1
         assert "execution" in record
         assert record["plan"]["actual_rows"] == 2
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_analyze_reports_actuals_whatever_the_tracer(self, enabled):
+        """EXPLAIN ANALYZE profiles its run even under a disabled
+        tracer: every plan node has its actuals and Q-error, and the
+        report has the Q-error section."""
+        prepared = prepare_case(get_case("avts"), 20)
+        report = Engine(prepared.db, tracer=Tracer(enabled=enabled),
+                        metrics=MetricsRegistry()).explain(
+            prepared.storage, prepared.case.stylesheet, analyze=True)
+        text = report.render()
+        node_lines = [line for line in text.splitlines()
+                      if "(est rows=" in line]
+        assert len(node_lines) == 4
+        assert all(re.search(r"\(actual rows=\d+ .* q=[\d.]+\)", line)
+                   for line in node_lines), text
+        assert "plan feedback (Q-error):" in text
+        record = report.to_dict()
+        assert record["feedback"]["max_q_error"] == pytest.approx(2.0)
 
     def test_contains_and_str_delegate_to_render(self):
         db, storage = make_storage()

@@ -116,7 +116,7 @@ class TestExceptionCapture:
         tracer = Tracer()
         with tracer.span("parent"):
             held = tracer.span("held")
-        # "parent" finishing popped "held" off the stack with it
+        # "parent" finishing while "held" is current leaves "held" there
         with tracer.span("unrelated") as active:
             held.__exit__(None, None, None)
             assert tracer.current() is active

@@ -1,22 +1,36 @@
-"""Trace identity and propagation: ids, W3C traceparent, contextvars,
-per-thread isolation of a shared tracer."""
+"""Trace identity and propagation: ids, the one ambient carrier,
+per-thread isolation of a shared tracer, spans finished on another
+thread than the one that opened them."""
 
 import threading
 
+import pytest
+
+from repro.api import Engine
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     InMemorySink,
     Span,
     TraceContext,
     Tracer,
-    activate_trace_context,
     current_trace_context,
     current_trace_id,
-    deactivate_trace_context,
-    format_traceparent,
     new_span_id,
     new_trace_id,
-    parse_traceparent,
     use_trace_context,
+)
+from repro.rdb import Database, INT
+from repro.rdb.storage import ObjectRelationalStorage
+from repro.schema import schema_from_dtd
+from repro.xmlmodel import parse_document
+
+from ..core.paper_example import (
+    DEPT_DTD,
+    DEPT_DOC_1,
+    DEPT_DOC_2,
+    EXAMPLE1_STYLESHEET,
+    EXPECTED_ROW1,
+    EXPECTED_ROW2,
 )
 
 
@@ -65,71 +79,10 @@ class TestSpanIdentity:
         assert record["parent_id"] == root.span_id
 
 
-class TestTraceparent:
-    def test_round_trip(self):
-        context = TraceContext(new_trace_id(), new_span_id())
-        parsed = parse_traceparent(context.to_traceparent())
-        assert parsed == context
-
-    def test_format_from_span(self):
-        span = Span("s")
-        header = format_traceparent(span)
-        parsed = parse_traceparent(header)
-        assert parsed.trace_id == span.trace_id
-        assert parsed.span_id == span.span_id
-
-    def test_unsampled_flag_round_trips(self):
-        context = TraceContext(new_trace_id(), new_span_id(), sampled=False)
-        assert context.to_traceparent().endswith("-00")
-        assert parse_traceparent(context.to_traceparent()).sampled is False
-
-    def test_valid_header_parses(self):
-        header = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-        context = parse_traceparent(header)
-        assert context.trace_id == "4bf92f3577b34da6a3ce929d0e0e4736"
-        assert context.span_id == "00f067aa0ba902b7"
-        assert context.sampled is True
-
-    def test_malformed_headers_return_none(self):
-        good_trace = "4bf92f3577b34da6a3ce929d0e0e4736"
-        good_span = "00f067aa0ba902b7"
-        bad = [
-            None,
-            "",
-            "garbage",
-            "00-%s-%s" % (good_trace, good_span),           # missing flags
-            "00-%s-%s-01-extra" % (good_trace, good_span),  # v00: exactly 4
-            "ff-%s-%s-01" % (good_trace, good_span),        # forbidden version
-            "00-%s-%s-01" % ("0" * 32, good_span),          # all-zero trace
-            "00-%s-%s-01" % (good_trace, "0" * 16),         # all-zero span
-            "00-%s-%s-01" % (good_trace[:-1], good_span),   # short trace id
-            "00-%s-%s-01" % (good_trace, good_span[:-1]),   # short span id
-            "00-%s-%s-zz" % (good_trace, good_span),        # non-hex flags
-            "0x-%s-%s-01" % (good_trace, good_span),        # non-hex version
-        ]
-        for header in bad:
-            assert parse_traceparent(header) is None, header
-
-    def test_future_version_with_extra_fields_parses(self):
-        header = ("01-4bf92f3577b34da6a3ce929d0e0e4736-"
-                  "00f067aa0ba902b7-01-whatever")
-        assert parse_traceparent(header) is not None
-
-
 class TestAmbientContext:
     def test_default_is_none(self):
         assert current_trace_context() is None
         assert current_trace_id() is None
-
-    def test_activate_and_deactivate(self):
-        context = TraceContext(new_trace_id())
-        token = activate_trace_context(context)
-        try:
-            assert current_trace_context() is context
-            assert current_trace_id() == context.trace_id
-        finally:
-            deactivate_trace_context(token)
-        assert current_trace_context() is None
 
     def test_use_trace_context_scopes(self):
         context = TraceContext(new_trace_id())
@@ -243,3 +196,99 @@ class TestInMemorySink:
         assert sink.roots_for(first.trace_id) == [first]
         assert sink.roots_for(second.trace_id) == [second]
         assert sink.roots_for("0" * 32) == []
+
+
+def make_engine(tracer):
+    db = Database()
+    storage = ObjectRelationalStorage(
+        db, schema_from_dtd(DEPT_DTD), "xd",
+        column_types={"sal": INT, "empno": INT},
+    )
+    storage.load(parse_document(DEPT_DOC_1))
+    storage.load(parse_document(DEPT_DOC_2))
+    return Engine(db, tracer=tracer, metrics=MetricsRegistry()), storage
+
+
+def on_thread(target):
+    """Run ``target`` on a fresh thread; returns what it returned."""
+    box = []
+    thread = threading.Thread(target=lambda: box.append(target()))
+    thread.start()
+    thread.join()
+    return box[0]
+
+
+class TestOneCarrier:
+    """The open span is the ambient context: a span finished on another
+    thread than the one that opened it disturbs neither thread."""
+
+    @pytest.mark.parametrize("shared", (True, False),
+                             ids=("engine-tracer", "own-tracer"))
+    def test_the_draining_thread_stays_in_its_own_trace(self, shared):
+        tracer = Tracer()
+        engine, storage = make_engine(tracer)
+        stream = engine.transform_stream(storage, EXAMPLE1_STYLESHEET)
+
+        def drain():
+            # the draining thread's own span: from the engine's tracer
+            # or from one of its own
+            with (tracer if shared else Tracer()).span("b.request") as own:
+                text = stream.text()
+                after = current_trace_id()
+                result = engine.transform(storage, EXAMPLE1_STYLESHEET)
+            return own, text, after, result
+
+        own, text, after, result = on_thread(drain)
+        assert text == EXPECTED_ROW1 + EXPECTED_ROW2
+        assert stream.trace.finished
+        assert after == own.trace_id
+        assert result.trace_id == own.trace_id
+        assert result.trace.parent_span_id == own.span_id
+
+    def test_the_opening_thread_does_not_nest_under_the_finished_stream(
+            self):
+        tracer = Tracer()
+        engine, storage = make_engine(tracer)
+        stream = engine.transform_stream(storage, EXAMPLE1_STYLESHEET)
+        on_thread(stream.text)
+        assert stream.trace.finished
+        assert current_trace_context() is None
+        assert tracer.current() is None
+        with tracer.span("a.next") as following:
+            pass
+        assert following.parent is None
+        assert following.trace_id != stream.trace_id
+        result = engine.transform(storage, EXAMPLE1_STYLESHEET)
+        assert result.trace.parent is None
+        assert result.trace_id not in (stream.trace_id, following.trace_id)
+        # a request under the opener's own span of another tracer joins
+        # that span's trace by id
+        with Tracer().span("a.own") as own:
+            joined = engine.transform(storage, EXAMPLE1_STYLESHEET)
+        assert joined.trace_id == own.trace_id
+        assert joined.trace.parent_span_id == own.span_id
+
+    def test_a_span_finished_elsewhere_hands_back_its_predecessor(self):
+        tracer = Tracer()
+        with tracer.span("outer") as outer:
+            held = tracer.span("held")
+            on_thread(lambda: held.__exit__(None, None, None))
+            assert held.finished
+            assert current_trace_context() is outer
+            assert tracer.current() is outer
+            with tracer.span("next") as following:
+                pass
+            assert following.parent is outer
+        assert current_trace_context() is None
+
+    def test_another_tracers_root_links_by_id_only(self):
+        first, second = Tracer(), Tracer(sinks=[InMemorySink()])
+        with first.span("t1") as outer:
+            with second.span("t2") as inner:
+                assert current_trace_context() is inner
+            assert current_trace_context() is outer
+        assert inner.trace_id == outer.trace_id
+        assert inner.parent_span_id == outer.span_id
+        assert inner.parent is None
+        assert outer.children == []
+        assert second.sinks[0].roots == [inner]

@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro.api import Engine
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, TraceContext, use_trace_context
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
@@ -21,6 +21,8 @@ from repro.serve import (
 )
 from repro.serve.runtime import EVICT_STALE_STATS
 from repro.xmlmodel import parse_document
+from repro.xsltmark import get_case
+from repro.xsltmark.runner import prepare_case
 
 from ..core.paper_example import (
     DEPT_DTD,
@@ -55,6 +57,14 @@ def make_cluster(db, storage, tmp_path, workers=2, **kwargs):
     kwargs.setdefault("artifact_dir", str(tmp_path / "plans"))
     return TransformService(db, backend="process", sources={"doc": storage},
                             workers=workers, **kwargs)
+
+
+def avts_sources():
+    """The ``avts`` case at 20 rows as ``(db, sources)``: a worker
+    factory (module level, so the ``spawn`` start method pickles it by
+    name and the child builds its own storage)."""
+    prepared = prepare_case(get_case("avts"), 20)
+    return prepared.db, {"avts": prepared.storage}
 
 
 class TestBasicServing:
@@ -100,6 +110,31 @@ class TestBasicServing:
             # the worker survives the failed request
             result = cluster.transform("doc", EXAMPLE1_STYLESHEET)
             assert result.serialized_rows() == [EXPECTED_ROW1, EXPECTED_ROW2]
+
+
+class TestSpawnStartMethod:
+    def test_a_spawned_worker_serves_what_a_thread_worker_does(
+            self, tmp_path):
+        stylesheet = get_case("avts").stylesheet
+        db, sources = avts_sources()
+        with TransformService(db, sources=sources, workers=1,
+                              metrics=MetricsRegistry()) as threads:
+            expected = threads.transform("avts", stylesheet)
+        with TransformService(backend="process", factory=avts_sources,
+                              start_method="spawn", workers=1,
+                              metrics=MetricsRegistry(),
+                              artifact_dir=str(tmp_path / "plans")) \
+                as spawned:
+            result = spawned.transform("avts", stylesheet)
+            record = spawned.recorder.get(result.trace_id)
+        assert result.strategy == expected.strategy == "sql-rewrite"
+        assert result.serialized_rows() == expected.serialized_rows()
+        # the request's trace id crossed the pipe
+        spans = {span["name"]: span for span in record.spans}
+        assert spans["cluster.worker"]["trace_id"] == result.trace_id
+        assert spans["cluster.worker"]["parent_id"] == \
+            spans["cluster.request"]["span_id"]
+        assert "serve.execute" in spans
 
 
 class TestTwoTierCache:
@@ -201,10 +236,9 @@ class TestTraceStitching:
         db, storage = make_storage()
         trace_id = "ab" * 16
         upstream_span = "cd" * 8
-        traceparent = "00-%s-%s-01" % (trace_id, upstream_span)
         with make_cluster(db, storage, tmp_path) as cluster:
-            result = cluster.transform("doc", EXAMPLE1_STYLESHEET,
-                                       traceparent=traceparent)
+            with use_trace_context(TraceContext(trace_id, upstream_span)):
+                result = cluster.transform("doc", EXAMPLE1_STYLESHEET)
             assert result.trace_id == trace_id
             record = cluster.recorder.get(trace_id)
         spans = {span["name"]: span for span in record.spans}

@@ -17,7 +17,12 @@ import pytest
 from repro.api import TransformOptions
 from repro.core import STRATEGY_SQL
 from repro.obs import MetricsRegistry
-from repro.obs.trace import TraceContext, new_span_id, new_trace_id
+from repro.obs.trace import (
+    TraceContext,
+    new_span_id,
+    new_trace_id,
+    use_trace_context,
+)
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
@@ -608,13 +613,11 @@ class TestHealth:
 
 
 class TestTracing:
-    def test_traceparent_adopted(self, backend, tmp_path):
+    def test_upstream_trace_adopted(self, backend, tmp_path):
         upstream = TraceContext(new_trace_id(), new_span_id())
         with Served(backend, tmp_path) as served:
-            future = served.service.submit(
-                "doc", EXAMPLE1_STYLESHEET,
-                traceparent=upstream.to_traceparent(),
-            )
+            with use_trace_context(upstream):
+                future = served.service.submit("doc", EXAMPLE1_STYLESHEET)
             assert future.trace_id == upstream.trace_id
             result = future.result(timeout=30)
             assert result.trace_id == upstream.trace_id
@@ -626,12 +629,13 @@ class TestTracing:
         assert spans[ROOT_SPAN[backend]]["parent_id"] == upstream.span_id
         assert "serve.execute" in spans
 
-    def test_malformed_traceparent_degrades_to_fresh_trace(
-            self, backend, tmp_path):
+    def test_outside_any_trace_a_fresh_one_is_minted(self, backend,
+                                                     tmp_path):
         with Served(backend, tmp_path) as served:
-            result = served.service.transform(
-                "doc", EXAMPLE1_STYLESHEET, traceparent="garbage-header")
-            assert len(result.trace_id) == 32
+            first = served.service.transform("doc", EXAMPLE1_STYLESHEET)
+            second = served.service.transform("doc", EXAMPLE1_STYLESHEET)
+        assert len(first.trace_id) == len(second.trace_id) == 32
+        assert first.trace_id != second.trace_id
 
 
 class TestFlightRecorder:

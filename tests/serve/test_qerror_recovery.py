@@ -13,7 +13,7 @@ Q-error collapses.
 import pytest
 
 from repro.api import Engine, TransformOptions
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
@@ -126,10 +126,8 @@ class TestRecoveryByAnalyze:
 class TestWhenTheRecordIsTaken:
     def test_unprofiled_run_has_no_record(self):
         db, storage = make_storage()
-        result = Engine(db).transform(
-            storage, EXAMPLE1_STYLESHEET,
-            options=TransformOptions(profile_plan=False),
-        )
+        result = Engine(db, tracer=Tracer(enabled=False)).transform(
+            storage, EXAMPLE1_STYLESHEET)
         assert result.feedback is None
 
     def test_streaming_execution_is_judged_too(self):

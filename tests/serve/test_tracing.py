@@ -16,6 +16,7 @@ from repro.obs.trace import (
     Tracer,
     new_span_id,
     new_trace_id,
+    use_trace_context,
 )
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
@@ -131,14 +132,13 @@ class TestStreamTracing:
             assert {span["trace_id"] for span in record.spans} \
                 == {stream.trace_id}
 
-    def test_stream_joins_upstream_traceparent(self):
+    def test_stream_joins_upstream_trace(self):
         db, storage = make_storage()
         upstream = TraceContext(new_trace_id(), new_span_id())
         with make_service(db) as service:
-            stream = service.transform_stream(
-                storage, EXAMPLE1_STYLESHEET,
-                traceparent=upstream.to_traceparent(),
-            )
+            with use_trace_context(upstream):
+                stream = service.transform_stream(storage,
+                                                  EXAMPLE1_STYLESHEET)
             assert stream.trace_id == upstream.trace_id
             stream.text()
             assert service.recorder.get(upstream.trace_id) is not None
