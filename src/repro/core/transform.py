@@ -236,7 +236,8 @@ class TransformResult(_ExecutionView):
     def serialized_rows(self, method="xml"):
         """Each row rendered as markup text."""
         rows = self.rows if method == "xml" else map(_reparsed, self.rows)
-        return ["".join([render_item(item, method) for item in row])
+        return ["".join([item if type(item) is Markup
+                         else render_item(item, method) for item in row])
                 for row in rows]
 
 

@@ -51,7 +51,7 @@ def q_error(estimated, actual):
         return QERROR_PERFECT
     if estimated <= 0.0 or actual <= 0.0:
         return float("inf")
-    return max(estimated / actual, actual / estimated)
+    return estimated / actual if estimated > actual else actual / estimated
 
 
 def format_qerror(value):
@@ -200,14 +200,16 @@ class PlanFeedback:
 
 def _instruments(table, metrics):
     """Per row of ``table``, its ``[plan.operator_rows counter,
-    planner.qerror histogram]`` in ``metrics``: resolved when the row
-    first records (a snapshot lists no instrument nothing recorded into)
-    and kept on the table until the registry is reset or swapped."""
+    planner.qerror histogram]`` in ``metrics``, then ``[planner.qerror.max
+    histogram]``: resolved when first recorded into (a snapshot lists no
+    instrument nothing recorded into) and kept on the table until the
+    registry is reset or swapped."""
     held = table.instruments
     if held is None or held[0] is not metrics \
             or held[1] != metrics.generation:
         held = table.instruments = (
-            metrics, metrics.generation, [[None, None] for _ in table.rows])
+            metrics, metrics.generation,
+            [[None, None] for _ in table.rows] + [[None]])
     return held[2]
 
 
@@ -253,8 +255,10 @@ def observe_profile(profiler, metrics=None):
         observed.append((row, rows, loops))
     if metrics is not None:
         if max_q_error is not None:
-            metrics.histogram("planner.qerror.max").record(
-                _capped(max_q_error))
+            plan = instruments[-1]
+            if plan[0] is None:
+                plan[0] = metrics.histogram("planner.qerror.max")
+            plan[0].record(_capped(max_q_error))
         if missing:
             metrics.counter("planner.qerror.missing_estimates").inc(missing)
     return PlanFeedback(observed, missing, max_q_error, worst)

@@ -342,13 +342,6 @@ class Tracer:
     def disable(self):
         self.enabled = False
 
-    def add_sink(self, sink):
-        self.sinks.append(sink)
-        return sink
-
-    def remove_sink(self, sink):
-        self.sinks.remove(sink)
-
     # -- spans ------------------------------------------------------------------
 
     def span(self, name, **attrs):

@@ -9,15 +9,15 @@ like any other.  One *bind* pass per (plan, catalog) walks the operator
 tree and every expression under it with a :class:`Binder`, resolves
 every name to a slot (name errors are raised here, once, not per row)
 and leaves functions ``f(row, stats)`` behind — each predicate, key
-tuple, output tuple and SQL/XML template one generated function
-(:class:`Codegen`, the one place source text becomes code); the pass's
-result is a :class:`BoundNode` per operator and, for a whole query, the
-:class:`Binding` the :class:`~repro.rdb.plan.Query` caches in its
-:class:`BindingCache`.  The same pass gives every operator an
-*observation slot* and leaves an :class:`Observation` behind: what a
-profiled execution counts into and what EXPLAIN ANALYZE, the metrics
-and the Q-error record read back.  Nothing here is pickled: an artifact
-carries the tree, not the binding.
+tuple, output tuple, SQL/XML template and aggregate fold one generated
+function (:class:`Codegen`, the one place source text becomes code);
+the pass's result is a :class:`BoundNode` per operator and, for a
+whole query, the :class:`Binding` the :class:`~repro.rdb.plan.Query`
+caches in its :class:`BindingCache`.  The same pass gives every
+operator an *observation slot* and leaves an :class:`Observation`
+behind: what a profiled execution counts into and what EXPLAIN ANALYZE,
+the metrics and the Q-error record read back.  Nothing here is pickled:
+an artifact carries the tree, not the binding.
 """
 
 from __future__ import annotations
@@ -279,8 +279,8 @@ _factories_lock = threading.Lock()
 
 
 class Codegen:
-    """One generated function ``f(row, stats)`` being built — the one
-    place source text becomes code.  ``emit`` methods return source (an
+    """One generated function ``f(row, stats)`` (or an aggregate's fold
+    over a batch) being built — the one place source text becomes code.  ``emit`` methods return source (an
     atom) over ``row`` and ``stats``; any value it needs (a constant,
     helper, closure, format string) is a parameter of the factory
     ``make(...)`` around it — :meth:`helper` a fixed name, :meth:`ref`
@@ -316,11 +316,11 @@ class Codegen:
         self.depth -= 1
         return source
 
-    def function(self, body):
-        """``f(row, stats)`` running ``body`` (statements apart by a
-        newline and two spaces)."""
-        source = "def make(%s):\n def f(row, stats):\n  %s\n return f\n" % (
-            ", ".join(self.names), body)
+    def function(self, body, signature="row, stats"):
+        """``f(row, stats)`` (or ``f(signature)``) running ``body``
+        (statements apart by a newline and two spaces)."""
+        source = "def make(%s):\n def f(%s):\n  %s\n return f\n" % (
+            ", ".join(self.names), signature, body)
         make = _factories.get(source)
         if make is None:
             namespace = {}

@@ -177,9 +177,6 @@ class Database:
             raise CatalogError("no view %r" % name)
         return self._views[name]
 
-    def has_view(self, name):
-        return name in self._views
-
     # -- statistics ------------------------------------------------------------
 
     def analyze(self, table_name=None):

@@ -433,8 +433,13 @@ def bind_tuple(binder, exprs, layout):
     else:
         return _columns(tuple(slots))
     cg = Codegen()
-    return cg.function("return (%s)" % "".join(
-        [cg.emit(expr, binder, layout) + ", " for expr in exprs]))
+    return cg.function("return " + tuple_source(exprs, binder, layout, cg))
+
+
+def tuple_source(exprs, binder, layout, cg):
+    """Source, built in ``cg``, of the tuple of ``exprs``' values."""
+    return "(%s)" % "".join(
+        [cg.emit(expr, binder, layout) + ", " for expr in exprs])
 
 
 @functools.lru_cache(maxsize=256)

@@ -797,8 +797,8 @@ class Aggregate(PlanNode):
     """Hash aggregation with optional GROUP BY.
 
     Yields one row per group, in group arrival order: the prefix, then
-    under ``alias`` the group keys and the aggregate outputs.
-    Accumulator state is a list per group, one slot per aggregate.
+    under ``alias`` the group keys and the aggregate outputs.  Per group,
+    one generated fold keeps one state per aggregate.
     """
 
     regroupable = True
@@ -834,42 +834,40 @@ class Aggregate(PlanNode):
 
     def bind(self, binder, outer):
         child = self.child.bind(binder, outer)
-        accumulators, final = bind_aggregates(
-            binder, self.outputs, child.layout, outer)
+        fold, fresh, final = bind_aggregates(
+            binder, self.outputs, child.layout, outer,
+            [expr for _, expr in self.group_by])
         names = [name for name, _ in (*self.group_by, *self.outputs)]
         return binder.bound(
-            self, outer.extend(self.alias, names), child,
-            bind_tuple(binder, [expr for _, expr in self.group_by],
-                       child.layout),
-            accumulators,
+            self, outer.extend(self.alias, names), child, fold, fresh,
             bind_tuple(binder, [expr for _, expr in self.outputs], final))
 
-    def batches(self, db, outer, stats, batch_size, child, group_key,
-                accumulators, finish):
-        groups = {}
-        for row in child.iter_rows(db, outer, stats, batch_size):
-            key = group_key(row, stats)
-            states = groups.get(key)
-            if states is None:
-                states = groups[key] = [[] for _ in accumulators]
-            for accumulate, state in zip(accumulators, states):
-                accumulate(state, row, stats)
-        if not self.group_by and not groups:
-            groups[()] = [[] for _ in accumulators]
+    def batches(self, db, outer, stats, batch_size, child, fold, fresh,
+                finish):
+        groups = _folded(child, db, outer, stats, batch_size, fold, fresh,
+                         self.group_by)
         yield from _sliced(
             [outer + key + finish(outer + tuple(states), stats)
              for key, states in groups.items()],
             batch_size)
 
-    def empty_row(self, outer, stats, child, group_key, accumulators,
-                  finish):
+    def empty_row(self, outer, stats, child, fold, fresh, finish):
         """The columns of a group no child row fell into: group keys
         NULL, aggregates finalized over fresh state (COUNT()=0,
         XMLAgg=[], SUM/MIN/MAX=NULL) — exactly what a correlated
         aggregating subquery returns when no row matches the parent.
         :class:`HashLeftJoin` appends this on probe misses."""
-        fresh = tuple([] for _ in accumulators)
-        return (None,) * len(self.group_by) + finish(outer + fresh, stats)
+        return (None,) * len(self.group_by) + finish(
+            outer + tuple(fresh()), stats)
+
+
+def _folded(child, db, outer, stats, batch_size, fold, fresh, grouped):
+    """``{group key: states}`` once ``fold`` (``bind_aggregates``) took
+    in every batch of ``child``; ungrouped, the one group ``()``."""
+    groups = {} if grouped else {(): fresh()}
+    for batch in child.iter_batches(db, outer, stats, batch_size):
+        fold(batch, groups, stats)
+    return groups
 
 
 class TopN(PlanNode):
@@ -991,18 +989,15 @@ class Query:
         state."""
         binder.plans.append(self.plan)
         plan = self.plan.bind(binder, outer)
-        accumulators, final = bind_aggregates(
+        fold, fresh, final = bind_aggregates(
             binder, self.outputs, plan.layout, outer)
-        if not accumulators:
-            final = plan.layout
+        if fold is None:
             source = plan.iter_batches
         else:
             def source(db, outer_row, stats, batch_size):
-                states = [[] for _ in accumulators]
-                for row in plan.iter_rows(db, outer_row, stats, batch_size):
-                    for accumulate, state in zip(accumulators, states):
-                        accumulate(state, row, stats)
-                return [[outer_row + tuple(states)]]
+                groups = _folded(plan, db, outer_row, stats, batch_size,
+                                 fold, fresh, False)
+                return [[outer_row + tuple(groups[()])]]
         return source, bind_tuple(
             binder, [expr for _, expr in self.outputs], final)
 

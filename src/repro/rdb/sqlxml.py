@@ -26,8 +26,8 @@ from repro.xmlmodel.nodes import Node, NodeKind, QName
 from repro.xmlmodel.serializer import (
     comment_markup, escape_attribute, escape_text, serialize)
 from repro.rdb.binding import Codegen, Layout, sort_pairs
-from repro.rdb.expressions import Const, SqlExpr, _text, bind_order
-from repro.xpath.datamodel import number_to_string
+from repro.rdb.expressions import Const, SqlExpr, _text, tuple_source
+from repro.xpath.datamodel import number_to_string, to_number
 
 
 class Markup(str):
@@ -40,9 +40,9 @@ class Markup(str):
 
 
 def _append_markup(parts, value):
-    """Append an evaluated SQL value to element content being rendered:
-    markup verbatim, a stored node serialized, anything else as escaped
-    character data."""
+    """Append an evaluated SQL value to element content being rendered,
+    as :class:`Markup` pieces: markup verbatim, a stored node
+    serialized, anything else as escaped character data."""
     if value is None:
         return
     kind = type(value)
@@ -50,7 +50,10 @@ def _append_markup(parts, value):
         parts.append(value)
     elif kind is list:
         for item in value:
-            _append_markup(parts, item)
+            if type(item) is Markup:
+                parts.append(item)
+            else:
+                _append_markup(parts, item)
     elif isinstance(value, Node):
         if value.kind == NodeKind.ATTRIBUTE:
             # the start tag is closed already; no rewritten plan does
@@ -59,11 +62,11 @@ def _append_markup(parts, value):
                 "cannot render an attribute node as element content",
                 phase="execute",
             )
-        parts.append(serialize(value))
+        parts.append(Markup(serialize(value)))
     else:
         text = _text(value)
         if text:
-            parts.append(escape_text(text))
+            parts.append(Markup(escape_text(text)))
 
 
 def content_markup(value):
@@ -135,12 +138,9 @@ def _element_markup(head, close, content, stats):
         return Markup(head + "/>")
     if not sequence:
         return Markup("%s>%s%s" % (head, "".join(body), close))
-    pieces = [Markup(head + ">")]
-    pieces.extend(
-        piece if type(piece) is Markup else Markup(piece) for piece in body
-    )
-    pieces.append(close)
-    return pieces
+    body.insert(0, Markup(head + ">"))
+    body.append(close)
+    return body
 
 
 #: constant values a template folds into its static text
@@ -383,18 +383,17 @@ class XMLText(SqlExpr):
 
 
 class AggregateExpr(SqlExpr):
-    """Base for aggregate expressions; the executor drives accumulation.
+    """Base for aggregate expressions, folded by :func:`bind_aggregates`.
 
-    ``aggregate(binder, layout)`` binds the aggregate over input rows of
-    ``layout`` and returns ``(accumulate, final)``: ``accumulate(state,
-    row, stats)`` folds one row into the aggregate's state (a list the
-    executor creates per group) and ``final(state, stats)`` turns the
-    state into the value.  As an *expression* an aggregate is bound
-    against the layout of a finalised group (:func:`bind_aggregates`),
-    where it reads its state from its slot.
+    ``fold(binder, layout, cg, state)`` emits into ``cg`` and returns
+    ``(initial, statement, final)``: the source of a fresh state, one
+    statement taking the input row ``row`` (of ``layout``) into the
+    state held at ``state`` (source: ``_s[i]``), and ``final(state,
+    stats)``, the value.  As an *expression* an aggregate is bound
+    against the layout of a finalised group, reading its state's slot.
     """
 
-    def aggregate(self, binder, layout):
+    def fold(self, binder, layout, cg, state):
         raise NotImplementedError
 
     def emit(self, binder, layout, cg):
@@ -407,28 +406,67 @@ class AggregateExpr(SqlExpr):
         return "%s(row[%d], stats)" % (cg.ref(final), slot)
 
 
-def bind_aggregates(binder, outputs, layout, outer):
+def bind_aggregates(binder, outputs, layout, outer, group_by=None):
     """Bind the distinct aggregates under ``(name, expr)`` outputs over
-    input rows of ``layout``.  Returns ``(accumulators, final_layout)``:
-    one ``accumulate(state, row, stats)`` per aggregate — a node two
-    outputs share is driven once — and the layout the outputs are then
-    bound against, whose rows are ``outer row + (state per aggregate)``.
-    """
+    rows of ``layout`` into one generated ``fold(batch, groups, stats)``:
+    per row, the ``group_by`` key and every aggregate's statement on that
+    group's states in ``groups`` (``{key: states}``, new ones as
+    ``fresh()`` makes them).  Returns ``(fold, fresh, final_layout)``,
+    the outputs' layout: ``outer row + (state per aggregate)``.  No
+    aggregate and no ``group_by`` is ``(None, None, layout)``."""
     distinct = {}
     for _, expr in outputs:
         for agg in find_aggregates(expr):
             distinct[id(agg)] = agg
-    accumulators = []
-    slots = {}
+    if group_by is None and not distinct:
+        return None, None, layout
+    cg = Codegen()
+    key = tuple_source(group_by or (), binder, layout, cg)
+    initials, statements, slots = [], [], {}
     for agg in distinct.values():
-        accumulate, final = agg.aggregate(binder, layout)
-        slots[id(agg)] = (outer.width + len(accumulators), final)
-        accumulators.append(accumulate)
-    states = (None, tuple(range(len(accumulators))))
-    return accumulators, Layout(outer.segments + (states,), slots)
+        initial, statement, final = agg.fold(
+            binder, layout, cg, "_s[%d]" % len(statements))
+        slots[id(agg)] = (outer.width + len(statements), final)
+        initials.append(initial)
+        statements.append(statement)
+    fresh = "[%s]" % ", ".join(initials)
+    fold = cg.function(
+        "for row in batch:\n   _key = %s\n   _s = groups.get(_key)\n"
+        "   if _s is None:\n    _s = groups[_key] = %s\n   %s"
+        % (key, fresh, "\n   ".join(statements)), "batch, groups, stats")
+    states = (None, tuple(range(len(statements))))
+    return fold, _fresh(fresh), Layout(outer.segments + (states,), slots)
 
 
-class XMLAgg(AggregateExpr):
+@functools.lru_cache(maxsize=256)
+def _fresh(states):
+    """``fresh()``: a new group's states, ``states`` their source."""
+    return Codegen().function("return " + states, "")
+
+
+class _Ordered(AggregateExpr):
+    """An aggregate of ``expr`` in ``order_by`` order (``(expr,
+    descending)`` pairs): its state holds ``(order keys, item)`` pairs."""
+
+    def __init__(self, expr, order_by=None):
+        self.expr = expr
+        self.order_by = order_by or []
+
+    def child_exprs(self):
+        return (self.expr,) + tuple(expr for expr, _ in self.order_by)
+
+    def _order(self, binder, layout, cg):
+        """``(directions, source of the order keys over row)``."""
+        return ([descending for _, descending in self.order_by],
+                tuple_source([expr for expr, _ in self.order_by],
+                             binder, layout, cg))
+
+    def _order_sql(self):
+        return ", ".join(expr.to_sql() + (" DESC" if descending else "")
+                         for expr, descending in self.order_by)
+
+
+class XMLAgg(_Ordered):
     """``XMLAgg(xml_expr [ORDER BY ...])`` — aggregates XML values into a
     sequence (document order of the group).
 
@@ -437,42 +475,29 @@ class XMLAgg(AggregateExpr):
     are immutable tuples, so retaining them is safe.
     """
 
-    def __init__(self, expr, order_by=None):
-        self.expr = expr
-        self.order_by = order_by or []  # list of (expr, descending)
-
-    def child_exprs(self):
-        return (self.expr,) + tuple(expr for expr, _ in self.order_by)
-
-    def aggregate(self, binder, layout):
-        key, directions = bind_order(binder, self.order_by, layout)
+    def fold(self, binder, layout, cg, state):
         value = self.expr.bind(binder, layout)
-
-        def accumulate(state, row, stats):
-            state.append((key(row, stats), row))
+        directions, keys = self._order(binder, layout, cg)
 
         def final(state, stats):
             return _flat([value(row, stats)
                           for _, row in sort_pairs(state, directions)])
 
-        return accumulate, final
+        return "[]", "%s.append((%s, row))" % (state, keys), final
 
     def to_sql(self):
-        text = "XMLAgg(%s" % self.expr.to_sql()
-        if self.order_by:
-            text += " ORDER BY " + ", ".join(
-                expr.to_sql() + (" DESC" if descending else "")
-                for expr, descending in self.order_by
-            )
-        return text + ")"
+        order = " ORDER BY " + self._order_sql() if self.order_by else ""
+        return "XMLAgg(%s%s)" % (self.expr.to_sql(), order)
 
 
 class AggCall(AggregateExpr):
-    """COUNT/SUM/AVG/MIN/MAX (COUNT(*) via expr=None)."""
+    """COUNT/SUM/AVG/MIN/MAX (COUNT(*) via expr=None).  NULL inputs are
+    skipped; SUM and AVG take text as character data in a numeric
+    context, through XPath's ``to_number`` as :class:`BinOp` does."""
 
-    #: name -> value of a group's non-NULL inputs (empty only for COUNT)
+    #: name -> value of a group's state (a count, or its non-NULL inputs)
     _FINAL = {
-        "COUNT": lambda state: float(len(state)),
+        "COUNT": float,
         "SUM": lambda state: float(sum(state)),
         "AVG": lambda state: float(sum(state)) / len(state),
         "MIN": min,
@@ -488,7 +513,7 @@ class AggCall(AggregateExpr):
     def child_exprs(self):
         return (self.expr,) if self.expr is not None else ()
 
-    def aggregate(self, binder, layout):
+    def fold(self, binder, layout, cg, state):
         finish = self._FINAL[self.name]
         counting = self.name == "COUNT"
 
@@ -496,54 +521,47 @@ class AggCall(AggregateExpr):
             return finish(state) if state or counting else None
 
         if self.expr is None:
-            return (lambda state, row, stats: state.append(1)), final
-        value = self.expr.bind(binder, layout)
-
-        def accumulate(state, row, stats):
-            item = value(row, stats)
-            if item is not None:
-                state.append(item)
-
-        return accumulate, final
+            return "0", "%s += 1" % state, final
+        value = cg.emit(self.expr, binder, layout)
+        if counting:
+            return "0", "if %s is not None: %s += 1" % (value, state), final
+        item = "_v"
+        if self.name in ("SUM", "AVG"):
+            item = "%s(_v) if isinstance(_v, str) else _v" % cg.helper(
+                "_to_number", to_number)
+        return "[]", "if (_v := %s) is not None: %s.append(%s)" % (
+            value, state, item), final
 
     def to_sql(self):
         inner = "*" if self.expr is None else self.expr.to_sql()
         return "%s(%s)" % (self.name, inner)
 
 
-class ListAgg(AggregateExpr):
+class ListAgg(_Ordered):
     """``LISTAGG(expr, separator) WITHIN GROUP (ORDER BY ...)`` — string
-    aggregation (used when a whole repeating subtree is taken as text)."""
+    aggregation (used when a whole repeating subtree is taken as text).
+    NULL inputs are skipped; a group of none is the empty string."""
 
     def __init__(self, expr, separator="", order_by=None):
-        self.expr = expr
+        super().__init__(expr, order_by)
         self.separator = separator
-        self.order_by = order_by or []  # list of (expr, descending)
 
-    def child_exprs(self):
-        return (self.expr,) + tuple(expr for expr, _ in self.order_by)
-
-    def aggregate(self, binder, layout):
-        key, directions = bind_order(binder, self.order_by, layout)
-        value = self.expr.bind(binder, layout)
+    def fold(self, binder, layout, cg, state):
+        value = cg.emit(self.expr, binder, layout)
+        directions, keys = self._order(binder, layout, cg)
         separator = self.separator
-
-        def accumulate(state, row, stats):
-            state.append((key(row, stats), _text(value(row, stats))))
 
         def final(state, stats):
             return separator.join(
                 text for _, text in sort_pairs(state, directions))
 
-        return accumulate, final
+        return "[]", "if (_v := %s) is not None: %s.append((%s, %s(_v)))" % (
+            value, state, keys, cg.helper("_text", _text)), final
 
     def to_sql(self):
         text = "LISTAGG(%s, '%s')" % (self.expr.to_sql(), self.separator)
         if self.order_by:
-            text += " WITHIN GROUP (ORDER BY %s)" % ", ".join(
-                expr.to_sql() + (" DESC" if descending else "")
-                for expr, descending in self.order_by
-            )
+            text += " WITHIN GROUP (ORDER BY %s)" % self._order_sql()
         return text
 
 

@@ -299,9 +299,6 @@ class ObjectRelationalStorage:
                 ))
         return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
-    def binding_of(self, decl):
-        return self.bindings.get(id(decl))
-
     def column_of(self, decl):
         """(table_name, column_name) for a leaf element declaration."""
         binding = self.bindings.get(id(decl))

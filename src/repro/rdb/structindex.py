@@ -68,10 +68,6 @@ class StructuralPathIndex:
     def paths(self):
         return sorted(self._by_path)
 
-    def paths_for(self, name):
-        """All indexed root-to-node paths ending in *name*."""
-        return list(self._by_name.get(name, ()))
-
     def count_name(self, name):
         """Number of indexed occurrences of *name* (cost estimation)."""
         return sum(

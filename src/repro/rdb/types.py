@@ -82,9 +82,6 @@ class TableSchema:
     def column(self, column_name):
         return self.columns[self.position_of(column_name)]
 
-    def has_column(self, column_name):
-        return column_name in self._index
-
     def column_names(self):
         return [column.name for column in self.columns]
 

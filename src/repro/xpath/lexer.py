@@ -105,13 +105,6 @@ class Lexer:
         self._pos = pos
         self._prev_type = None if operand_expected else NAME
 
-    @property
-    def buffered_start(self):
-        """Raw source offset of the next unconsumed token (or scan point)."""
-        if self._buffer:
-            return self._buffer[0].pos
-        return self._pos
-
     def fail(self, message, at=None):
         at = self._pos if at is None else at
         raise XPathSyntaxError(

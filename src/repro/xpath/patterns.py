@@ -217,9 +217,6 @@ class Pattern(Memoised, Structure):
     def matches(self, node, context):
         return self.compile()(node, context)
 
-    def max_default_priority(self):
-        return max(alt.default_priority() for alt in self.alternatives)
-
     def to_text(self):
         return " | ".join(alt.to_text() for alt in self.alternatives)
 

@@ -27,10 +27,12 @@ from repro.rdb.expressions import (
     eq,
     gt,
 )
-from repro.rdb.sqlxml import XMLElement
+from repro.rdb.sqlxml import AggCall, XMLAgg, XMLElement
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
 from repro.xmlmodel import parse_document
+from repro.xsltmark import ALL_CASES
+from repro.xsltmark.runner import prepare_case
 
 #: stylesheet constants that would break, or run, spliced-in source
 HAZARDS = [
@@ -68,12 +70,17 @@ def _sheet(hazard):
         # a predicate comparison
         "<xsl:for-each select=%(where)s>"
         '[<xsl:value-of select="v"/>]</xsl:for-each>'
+        # an XMLAgg ORDER BY key
+        '<xsl:for-each select="t/r">'
+        '<xsl:sort select=%(sort)s order="descending"/>'
+        '<s><xsl:value-of select="v"/></s></xsl:for-each>'
         "</o></xsl:template></xsl:stylesheet>"
     ) % {
         "text": escape(hazard),
         "test": quoteattr("v = %s" % literal),
         "concat": quoteattr("concat(v, %s, v)" % literal),
         "where": quoteattr("t/r[v = %s]" % literal),
+        "sort": quoteattr("concat(%s, v)" % literal),
     }
 
 
@@ -103,9 +110,54 @@ def test_stylesheet_constants_never_become_source(hazard):
     assert rewritten.serialized_rows() == functional.serialized_rows()
     output = "".join(rewritten.serialized_rows())
     assert output.count("[%s]" % escape(hazard)) == 1
+    _assert_no_hazard_in_source()
+
+
+def _assert_no_hazard_in_source():
     for source in binding._factories:
         for value in HAZARDS:
             assert value not in source
+
+
+@pytest.mark.parametrize("hazard", HAZARDS)
+def test_aggregate_constants_never_become_source(hazard):
+    """The fold of an aggregate query: a SUM over an expression and an
+    XMLAgg ORDER BY key, each holding the constant."""
+    db = _db()
+    db.sql("INSERT INTO t VALUES (4, '%s')" % hazard.replace("'", "''"))
+    match = CaseWhen([(eq(col("b", "t"), const(hazard)), col("a", "t"))],
+                     const(0))
+    query = Query(Scan("t"), [
+        (None, AggCall("SUM", match)),
+        (None, XMLAgg(XMLElement("r", col("b", "t")), order_by=[
+            (concat(col("b", "t"), const(hazard)), True)])),
+    ])
+    rows, _ = query.execute(db)
+    assert rows[0][0] == 4.0
+    assert "".join(rows[0][1]) == "".join(
+        "<r>%s</r>" % escape(text)
+        for text in sorted(["one", "two", "three", hazard],
+                           key=lambda text: text + hazard, reverse=True))
+    _assert_no_hazard_in_source()
+
+
+def test_rebinding_the_rewritten_plans_adds_no_factory():
+    """Every generated function of the 23 rewritten XSLTMark plans is
+    cached by its source: binding them all again compiles nothing."""
+    plans = []
+    for case in ALL_CASES:
+        prepared = prepare_case(case, 10)
+        compiled = Engine(prepared.db).compile(prepared.storage,
+                                               case.stylesheet)
+        if compiled.query is not None:
+            plans.append((compiled.query, prepared.db))
+    assert len(plans) == 23
+    for query, db in plans:
+        binding.Binding(query, db, binding.Layout())
+    before = list(binding._factories)
+    for query, db in plans:
+        binding.Binding(query, db, binding.Layout())
+    assert list(binding._factories) == before
 
 
 class TestDeepAndWide:

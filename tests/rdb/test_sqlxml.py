@@ -344,3 +344,37 @@ class TestTemplateFastPath:
         slow = ExecutionStats()
         assert text == _render(nest, (a, c0, b, c1), slow)
         assert fast.xml_elements == slow.xml_elements == 2
+
+
+class TestEscapingIsDecidedPerValue:
+    """A prepared plan's binding outlives DML (it is checked against the
+    catalog and schemas, not the statistics), so whether a value needs
+    escaping can only be decided when the value is seen."""
+
+    def test_a_row_inserted_after_compile_comes_out_escaped(self):
+        from repro.api import Engine, TransformOptions
+        from repro.xsltmark import get_case
+        from repro.xsltmark.runner import prepare_case
+
+        case = get_case("avts")
+        prepared = prepare_case(case, 3)
+        engine = Engine(prepared.db)
+        compiled = engine.compile(prepared.storage, case.stylesheet)
+        before = engine.execute(prepared.storage, compiled)
+        assert before.strategy == "sql-rewrite"
+        assert "&amp;" not in before.serialized_rows()[0]
+
+        hostile = '<&"\n\t'
+        # $id, $parent, $seq, id, firstname, lastname, street, city,
+        # state, zip, $start, $end, $level
+        prepared.db.insert("bm_row", (4, 1, 3, 4, "Di", hostile, "1 St",
+                                      hostile, "NY", 10111, 48, 62, 2))
+        after = engine.execute(prepared.storage, compiled)
+        assert compiled.query.runtime.binds == 1
+        output = after.serialized_rows()[0]
+        assert 'title="&lt;&amp;&quot;&#10;&#9;"' in output
+        assert '>&lt;&amp;"\n\t</span>' in output
+        functional = engine.transform(
+            prepared.storage, case.stylesheet,
+            options=TransformOptions(strategy="functional"))
+        assert after.serialized_rows() == functional.serialized_rows()

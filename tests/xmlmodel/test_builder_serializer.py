@@ -1,6 +1,7 @@
 """Unit tests for TreeBuilder and the serializer."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ReproError
 from repro.xmlmodel import (
@@ -13,6 +14,7 @@ from repro.xmlmodel import (
     serialize_children,
     text,
 )
+from repro.xmlmodel.serializer import escape_attribute, escape_text
 
 
 class TestTreeBuilder:
@@ -159,3 +161,32 @@ class TestTextSerialization:
         tree = doc(elem("a", "x"))
         tree.document_element.append(elem("b", "y"))
         assert serialize(tree, method="text") == "xy"
+
+
+# -- escaping is decided per value ----------------------------------------------
+
+
+def _full_text_escape(value):
+    return (value.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;"))
+
+
+def _full_attribute_escape(value):
+    return (value.replace("&", "&amp;").replace("<", "&lt;")
+            .replace('"', "&quot;").replace("\n", "&#10;")
+            .replace("\t", "&#9;"))
+
+
+#: the characters escaping replaces, their neighbours, and text outside
+#: the basic multilingual plane
+_ESCAPABLE = st.text(
+    st.one_of(st.sampled_from('&<>"\n\t\r\'; a#\U0001f600é'),
+              st.characters()))
+
+
+@given(_ESCAPABLE)
+def test_escaping_equals_the_full_replace_chain(value):
+    """The fast path (nothing to escape: the value itself) never
+    differs from replacing every special character."""
+    assert escape_text(value) == _full_text_escape(value)
+    assert escape_attribute(value) == _full_attribute_escape(value)
