@@ -24,24 +24,27 @@ from __future__ import annotations
 
 import threading
 from itertools import chain
+from operator import itemgetter
 
 from repro.errors import DatabaseError
 
 
 class Layout:
     """The static shape of a flat tuple row: ``(alias, column names)``
-    segments in slot order.  A later segment shadows an earlier one of
+    segments in slot order, and ``types``, per slot ``int``, ``float``,
+    ``str`` or None (unknown).  A later segment shadows an earlier one of
     the same alias; a segment whose alias is None holds slots no name
     reaches — aggregate accumulator state, found through ``aggregates``:
     ``{id(aggregate expr): (slot, finaliser)}``."""
 
-    __slots__ = ("segments", "width", "aggregates")
+    __slots__ = ("segments", "width", "aggregates", "types")
 
-    def __init__(self, segments=(), aggregates=None, width=None):
+    def __init__(self, segments=(), aggregates=None, width=None, types=None):
         self.segments = tuple(segments)
         self.width = (sum(len(names) for _, names in self.segments)
                       if width is None else width)
         self.aggregates = aggregates or {}
+        self.types = (None,) * self.width if types is None else types
 
     @classmethod
     def of_env(cls, env):
@@ -54,34 +57,41 @@ class Layout:
         )
         return layout, row
 
-    def extend(self, alias, names):
-        """This layout followed by one more segment."""
+    def extend(self, alias, names, types=None):
+        """This layout followed by one more segment (of ``types``)."""
         names = tuple(names)
         return Layout(self.segments + ((alias, names),),
-                      width=self.width + len(names))
+                      width=self.width + len(names),
+                      types=self.types + (types or (None,) * len(names)))
 
     def join(self, other, outer):
         """This layout followed by ``other``'s segments past the prefix
         ``outer`` that both sides were bound under."""
         return Layout(self.segments + other.segments[len(outer.segments):],
-                      width=self.width + other.width - outer.width)
+                      width=self.width + other.width - outer.width,
+                      types=self.types + other.types[outer.width:])
 
     def slot(self, column, alias=None):
         """The tuple position of a (possibly alias-qualified) column,
         found from the last segment back: the first segment of an alias
         met is the one in scope."""
         end = self.width
+        if alias is not None:
+            for name, names in reversed(self.segments):
+                end -= len(names)
+                if name == alias:
+                    if column not in names:
+                        raise DatabaseError(
+                            "no column %r in alias %r" % (column, alias))
+                    return end + names.index(column)
+            visible = {name for name, _ in self.segments if name is not None}
+            raise DatabaseError(
+                "alias %r is not in scope (have: %s)"
+                % (alias, ", ".join(sorted(visible)) or "none"))
         found = None
-        seen = set() if alias is None else None
+        seen = set()
         for name, names in reversed(self.segments):
             end -= len(names)
-            if alias is not None:
-                if name != alias:
-                    continue
-                if column not in names:
-                    raise DatabaseError(
-                        "no column %r in alias %r" % (column, alias))
-                return end + names.index(column)
             if name is None or name in seen:
                 continue
             seen.add(name)
@@ -89,11 +99,6 @@ class Layout:
                 if found is not None:
                     raise DatabaseError("ambiguous column %r" % column)
                 found = end + names.index(column)
-        if alias is not None:
-            visible = {name for name, _ in self.segments if name is not None}
-            raise DatabaseError(
-                "alias %r is not in scope (have: %s)"
-                % (alias, ", ".join(sorted(visible)) or "none"))
         if found is None:
             raise DatabaseError("unknown column %r" % column)
         return found
@@ -347,6 +352,9 @@ def _null_safe(value):
     return (2, str(value), 0.0)
 
 
+_KEYS = itemgetter(0)
+
+
 def sort_pairs(pairs, directions):
     """``(key values, payload)`` pairs in ORDER BY order — the one sort
     behind ``Sort``, ``TopN``, ``XMLAgg`` and ``LISTAGG``: stable, one
@@ -356,7 +364,9 @@ def sort_pairs(pairs, directions):
     for position in range(len(directions) - 1, -1, -1):
         descending = directions[position]
         try:
-            pairs = sorted(pairs, key=lambda pair: pair[0][position],
+            # one key: its 1-tuple orders as it does, with no call per pair
+            pairs = sorted(pairs, key=_KEYS if len(directions) == 1
+                           else lambda pair: pair[0][position],
                            reverse=descending)
         except TypeError:
             pairs = sorted(pairs,

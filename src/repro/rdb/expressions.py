@@ -42,6 +42,11 @@ class SqlExpr:
         ``cg``: here, a call of the bound closure."""
         return "%s(row, stats)" % cg.ref(self.bind(binder, layout))
 
+    def value_type(self, layout):
+        """The type of every non-NULL value over rows of ``layout`` —
+        ``int``, ``float``, ``str`` — or None where the bind cannot tell."""
+        return None
+
     def evaluate(self, env, db=None, stats=None):
         """Convenience for one-off evaluation against an ``{alias:
         {column: value}}`` environment: binds against its shape, then
@@ -79,6 +84,10 @@ class Const(SqlExpr):
     def emit(self, binder, layout, cg):
         return cg.ref(self.value)
 
+    def value_type(self, layout):
+        kind = type(self.value)  # a bool is none of the three
+        return kind if kind in (int, float, str) else None
+
     def to_sql(self):
         if self.value is None:
             return "NULL"
@@ -103,6 +112,9 @@ class ColumnRef(SqlExpr):
     def emit(self, binder, layout, cg):
         return "row[%d]" % layout.slot(self.column, self.table)
 
+    def value_type(self, layout):
+        return layout.types[layout.slot(self.column, self.table)]
+
     def to_sql(self):
         if self.table:
             return '"%s"."%s"' % (self.table.upper(), self.column.upper())
@@ -119,6 +131,30 @@ def _binary(apply, comparing, a, b):
             return apply(_text(a), _text(b))
         return apply(to_number(a), to_number(b))
     return apply(a, b)
+
+
+def _concat(terms, binder, layout, cg):
+    """Source of ``||`` over ``terms``: constants folded into one text at
+    bind, a typed term converted inline, any other through ``_text``."""
+    pieces, text = [], ""
+    for expr in terms:
+        if type(expr) is Const:
+            text += _text(expr.value)
+            continue
+        if text:
+            pieces.append(cg.ref(text))
+            text = ""
+        source = cg.emit(expr, binder, layout)
+        kind = expr.value_type(layout)
+        if kind is str:
+            pieces.append("(%s or '')" % source)
+        elif kind is int and type(expr) is ColumnRef:
+            pieces.append("('' if %s is None else str(%s))" % (source, source))
+        else:
+            pieces.append("%s(%s)" % (cg.helper("_text", _text), source))
+    if text or not pieces:
+        pieces.append(cg.ref(text))
+    return "(%s)" % " + ".join(pieces)
 
 
 def _divide(left, right):
@@ -154,6 +190,14 @@ class BinOp(SqlExpr):
             apply = self._COMPARISONS.get(op) or self._ARITHMETIC.get(op)
             if apply is None:
                 raise DatabaseError("unknown operator %r" % op)
+            if op in self._COMPARISONS and self._native(layout):
+                left, right = (cg.emit(expr, binder, layout)
+                               for expr in (self.left, self.right))
+                return "(%s%s %s %s)" % ("".join(
+                    "%s is not None and " % source for expr, source in
+                    ((self.left, left), (self.right, right))
+                    if type(expr) is ColumnRef), left,
+                    {"=": "==", "<>": "!="}.get(op, op), right)
             return "%s(%s, %s, %s, %s)" % (
                 cg.helper("_binary", _binary), cg.ref(apply),
                 op in self._COMPARISONS, cg.emit(self.left, binder, layout),
@@ -165,12 +209,23 @@ class BinOp(SqlExpr):
             if type(expr) is BinOp and expr.op == op:
                 stack += (expr.right, expr.left)
             else:
-                terms.append(cg.emit(expr, binder, layout))
+                terms.append(expr)
         if op == "||":
-            text = cg.helper("_text", _text)
-            return "(%s)" % " + ".join(
-                "%s(%s)" % (text, term) for term in terms)
-        return "(True if %s else False)" % (" %s " % op.lower()).join(terms)
+            return _concat(terms, binder, layout, cg)
+        return "(True if %s else False)" % (" %s " % op.lower()).join(
+            [cg.emit(expr, binder, layout) for expr in terms])
+
+    def value_type(self, layout):
+        return str if self.op == "||" else None
+
+    def _native(self, layout):
+        """Whether Python compares the operands as ``_binary`` does: two
+        numbers or two texts, no CASE (a typed constant or ``||`` is never
+        NULL; a column's NULL test repeats only a tuple index)."""
+        if CaseWhen in (type(self.left), type(self.right)):
+            return False
+        kinds = {self.left.value_type(layout), self.right.value_type(layout)}
+        return None not in kinds and (str not in kinds or len(kinds) == 1)
 
     def to_sql(self):
         return "%s %s %s" % (self.left.to_sql(), self.op, self.right.to_sql())
@@ -233,6 +288,15 @@ class CaseWhen(SqlExpr):
         chain.append("None" if self.otherwise is None
                      else cg.emit(self.otherwise, binder, layout))
         return "(%s)" % " ".join(chain)
+
+    def value_type(self, layout):
+        """The constants' one type, when every branch is a constant (or
+        such a CASE)."""
+        kinds = {value.value_type(layout)
+                 if type(value) in (Const, CaseWhen) else None
+                 for value in [*(value for _, value in self.whens),
+                               self.otherwise] if value is not None}
+        return kinds.pop() if len(kinds) == 1 else None
 
     def to_sql(self):
         parts = ["CASE"]

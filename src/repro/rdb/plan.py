@@ -28,9 +28,10 @@ from itertools import chain, islice
 from repro.errors import DatabaseError, DeadlineExceededError, PlanError
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import current_trace_id
-from repro.rdb.binding import BindingCache, sort_pairs
+from repro.rdb.binding import BindingCache, Codegen, sort_pairs
 from repro.rdb.expressions import SqlExpr, _text, bind_order, bind_tuple
 from repro.rdb.sqlxml import bind_aggregates, render_item, row_items
+from repro.xpath.datamodel import to_number
 
 #: Row count per batch wherever ``batch_size`` is not given (or None).
 DEFAULT_BATCH_SIZE = 256
@@ -292,9 +293,10 @@ def _sliced(rows, batch_size):
 
 
 def _bind_scan(node, binder, outer, *args):
-    """A leaf over ``node.table_name``: its columns follow the prefix."""
+    """A leaf over ``node.table_name``: its columns, and their declared
+    types, follow the prefix."""
     schema = binder.table(node.table_name).schema
-    layout = outer.extend(node.alias, schema.column_names())
+    layout = outer.extend(node.alias, schema.names, schema.types)
     return binder.bound(node, layout, *args)
 
 
@@ -382,14 +384,19 @@ class IndexScan(PlanNode):
 
     def bind(self, binder, outer):
         column = binder.db.index(self.index_name).column_name
-        coerce = binder.table(self.table_name).schema.column(column).coerce
+        kind = binder.table(self.table_name).schema.column(column).exact
         return _bind_scan(self, binder, outer,
-                          self.key_expr.bind(binder, outer), coerce)
+                          self.key_expr.bind(binder, outer),
+                          kind in (int, float))
 
-    def batches(self, db, outer, stats, batch_size, key, coerce):
+    def batches(self, db, outer, stats, batch_size, key, numeric):
         # a generator itself, so the probe runs (and is timed) on first pull
+        value = key(outer, stats)  # compared as ``column op key`` compares
+        value = _numeric_key(value) if numeric else value
+        if value is None:
+            return  # NULL (or NaN) satisfies no comparison
         matches = db.index(self.index_name).lookup_op(
-            self.op, coerce(key(outer, stats)), stats=stats)
+            self.op, value, stats=stats)
         yield from _fetched(db.table(self.table_name).rows, matches, outer,
                             stats, batch_size)
 
@@ -646,8 +653,8 @@ class HashJoin(PlanNode):
         layout = left.layout.join(right.layout, outer)
         return binder.bound(
             self, layout, left, right,
-            self.left_key.bind(binder, left.layout),
-            self.right_key.bind(binder, right.layout),
+            *_bind_keys(binder, [self.left_key], [self.right_key],
+                        left.layout, right.layout),
             _bind_condition(self.condition, binder, layout))
 
     def batches(self, db, outer, stats, batch_size, *bound):
@@ -660,14 +667,14 @@ class HashJoin(PlanNode):
         cut = len(outer)
         table = {}
         for row in right.iter_rows(db, outer, stats, batch_size):
-            key = _hash_key(right_key(row, stats))
+            key = right_key(row, stats)
             stats.hash_build_rows += 1
-            if key is not None:  # NULL never equi-joins
+            if None not in key:  # NULL never equi-joins
                 table.setdefault(key, []).append(row[cut:])
         for left_row in left.iter_rows(db, outer, stats, batch_size):
             stats.hash_probes += 1
-            key = _hash_key(left_key(left_row, stats))
-            if key is None:
+            key = left_key(left_row, stats)
+            if None in key:
                 continue
             for columns in table.get(key, ()):
                 joined = left_row + columns
@@ -715,8 +722,8 @@ class HashLeftJoin(PlanNode):
         return binder.bound(
             self, left.layout.join(right.layout, outer),
             left, right,
-            bind_tuple(binder, self.left_keys, left.layout),
-            bind_tuple(binder, self.right_keys, right.layout))
+            *_bind_keys(binder, self.left_keys, self.right_keys,
+                        left.layout, right.layout))
 
     def batches(self, db, outer, stats, batch_size, left, right, left_keys,
                 right_keys):
@@ -724,7 +731,7 @@ class HashLeftJoin(PlanNode):
         table = {}
         for row in right.iter_rows(db, outer, stats, batch_size):
             stats.hash_build_rows += 1
-            key = tuple(map(_hash_key, right_keys(row, stats)))
+            key = right_keys(row, stats)
             if None not in key:  # a NULL key component never equi-joins
                 table.setdefault(key, []).append(row[cut:])
         # what stands in for a left row with no matching group; computed
@@ -735,7 +742,7 @@ class HashLeftJoin(PlanNode):
             batch = []
             for left_row in left_batch:
                 stats.hash_probes += 1
-                key = tuple(map(_hash_key, left_keys(left_row, stats)))
+                key = left_keys(left_row, stats)
                 matches = table.get(key) if None not in key else None
                 if not matches:
                     if miss is None:
@@ -747,15 +754,49 @@ class HashLeftJoin(PlanNode):
             yield batch
 
 
+def _bind_keys(binder, left_keys, right_keys, left, right):
+    """``(left key, right key)`` of an equi-join of rows of the layouts
+    ``left`` and ``right``: per side, ``f(row, stats)``, the tuple of its
+    keys normalised as ``=`` compares each pair (DESIGN §10)."""
+    kinds = [(left_key.value_type(left), right_key.value_type(right))
+             for left_key, right_key in zip(left_keys, right_keys)]
+    return (_bind_key(binder, left_keys, [
+                _NORMALS.get(pair, _hash_key) for pair in kinds], left),
+            _bind_key(binder, right_keys, [
+                _NORMALS.get(pair[::-1], _hash_key) for pair in kinds], right))
+
+
+def _bind_key(binder, exprs, normals, layout):
+    if not any(normals):
+        return bind_tuple(binder, exprs, layout)
+    cg = Codegen()
+    return cg.function("return (%s)" % "".join([
+        (source if normal is None else "%s(%s)" % (
+            cg.helper(normal.__name__, normal), source)) + ", "
+        for normal, source in zip(normals, [
+            cg.emit(expr, binder, layout) for expr in exprs])]))
+
+
 def _hash_key(value):
-    """Canonical equi-join hash key, matching ``BinOp('=')`` semantics:
-    NULL joins nothing (None sentinel), and mixed-type operands compare
-    as SQL text — so every key hashes by its text rendering (integral
-    floats and ints collapse to the same string, exactly as ``=`` treats
-    them as equal)."""
-    if value is None:
-        return None
-    return _text(value)
+    """An untyped equi-join key: its text; NULL joins nothing."""
+    return None if value is None else _text(value)
+
+
+def _numeric_key(value):
+    """A key compared as a number (text through ``to_number``); None for
+    NULL and NaN, which equal nothing."""
+    if isinstance(value, str):
+        value = to_number(value)
+    return None if value != value else value
+
+
+#: what a key of the first type compared with one of the second goes
+#: through (None: nothing, ``hash(1) == hash(1.0)``); a pair with an
+#: unknown type compares by text (``_hash_key``)
+_NORMALS = {(int, int): None, (int, float): None, (int, str): None,
+            (str, str): None, (str, int): _numeric_key,
+            (str, float): _numeric_key, (float, int): _numeric_key,
+            (float, float): _numeric_key, (float, str): _numeric_key}
 
 
 class Sort(PlanNode):
@@ -838,8 +879,10 @@ class Aggregate(PlanNode):
             binder, self.outputs, child.layout, outer,
             [expr for _, expr in self.group_by])
         names = [name for name, _ in (*self.group_by, *self.outputs)]
+        types = tuple(expr.value_type(child.layout) for _, expr
+                      in self.group_by) + (None,) * len(self.outputs)
         return binder.bound(
-            self, outer.extend(self.alias, names), child, fold, fresh,
+            self, outer.extend(self.alias, names, types), child, fold, fresh,
             bind_tuple(binder, [expr for _, expr in self.outputs], final))
 
     def batches(self, db, outer, stats, batch_size, child, fold, fresh,

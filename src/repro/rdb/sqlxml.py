@@ -24,8 +24,9 @@ import functools
 from repro.errors import DatabaseError, RewriteError
 from repro.xmlmodel.nodes import Node, NodeKind, QName
 from repro.xmlmodel.serializer import (
-    comment_markup, escape_attribute, escape_text, serialize)
-from repro.rdb.binding import Codegen, Layout, sort_pairs
+    ATTRIBUTE_SPECIAL, TEXT_SPECIAL, comment_markup, escape_attribute,
+    escape_text, serialize)
+from repro.rdb.binding import Codegen, sort_pairs
 from repro.rdb.expressions import Const, SqlExpr, _text, tuple_source
 from repro.xpath.datamodel import number_to_string, to_number
 
@@ -39,6 +40,13 @@ class Markup(str):
     __slots__ = ()
 
 
+class MarkupList(list):
+    """A sequence of :class:`Markup` items only (an element holding a
+    group, an ``XMLAgg`` of typed leaves): content takes it whole."""
+
+    __slots__ = ()
+
+
 def _append_markup(parts, value):
     """Append an evaluated SQL value to element content being rendered,
     as :class:`Markup` pieces: markup verbatim, a stored node
@@ -48,6 +56,8 @@ def _append_markup(parts, value):
     kind = type(value)
     if kind is Markup:
         parts.append(value)
+    elif kind is MarkupList:
+        parts += value
     elif kind is list:
         for item in value:
             if type(item) is Markup:
@@ -127,11 +137,11 @@ def _element_markup(head, close, content, stats):
     including) its ``>``.  Empty content self-closes, exactly like the
     serializer.  Content holding a sequence (an aggregated group) is not
     joined: the element stays a flat list of pieces for its consumer to
-    join or stream."""
-    body = []
+    join or stream, a :class:`MarkupList`."""
+    body = MarkupList()
     sequence = False
     for value in content:
-        sequence = sequence or type(value) is list
+        sequence = sequence or isinstance(value, list)
         _append_markup(body, value)
     stats.xml_elements += 1
     if not body:
@@ -180,17 +190,19 @@ def _template(element, binder, layout):
     (non-empty in content), float or int goes into one ``fmt % args``,
     any other value (NULL, "", a bool, a sequence, markup, a node)
     renders the row from the same values through :func:`_render`.
-    ``xml_elements`` counts every element of the nest either way."""
+    ``xml_elements`` counts every element of the nest either way.
+    Returns it, and whether every leaf is typed (then it always renders
+    one :class:`Markup`)."""
     cg = Codegen(*_TEMPLATE_PARAMETERS)
     body = []    # the leaves' assignments, in evaluation order
-    kinds = []   # whether each is an attribute value
+    kinds = []   # each one's (whether an attribute value, static type)
     runs = [""]  # the format's static text before, between, after leaves
     elements = 0
 
     def leaf(expr, attribute):
         source = cg.emit(expr, binder, layout)
         body.append("_v%d = %s\n  " % (len(body), source))
-        kinds.append(attribute)
+        kinds.append((attribute, expr.value_type(layout)))
         runs.append("")
         return len(body) - 1
 
@@ -232,35 +244,50 @@ def _template(element, binder, layout):
 
     root = nest(element)
     cg.values[:2] = root, "%s".join([run.replace("%", "%%") for run in runs])
-    return cg.function("".join(body) + _tail(tuple(kinds), elements))
+    return (cg.function("".join(body) + _tail(tuple(kinds), elements)),
+            all(kind is not None for _, kind in kinds))
 
 
 #: a template's factory takes its nest (``_k0``), its format (``_k1``)
 #: and the helpers its function calls, under fixed names
 _TEMPLATE_PARAMETERS = (
     ("_k0", "_k1", "_render", "_Markup", "_escape_text",
-     "_escape_attribute", "_number_to_string"),
+     "_escape_attribute", "_number_to_string", "_text_special",
+     "_attribute_special"),
     (None, None, _render, Markup, escape_text, escape_attribute,
-     number_to_string))
+     number_to_string, TEXT_SPECIAL, ATTRIBUTE_SPECIAL))
+
+
+#: a leaf value ``_vN``'s path to its format argument ``_aN``: of unknown
+#: type a ``type()`` ladder; of a static type one NULL (or "") test, and
+#: text escaped only where the escaper's search finds something
+_PATHS = {
+    None: "_t = type(_v{n})\n  if _t is str{nonempty}:\n   _a{n} = "
+          "{escape}(_v{n})\n  elif _t is float:\n   _a{n} = "
+          "_number_to_string(_v{n})\n  elif _t is int:\n   _a{n} = _v{n}\n"
+          "  else:\n   {leave}\n  ",
+    str: "if {null}:\n   {leave}\n  _a{n} = _v{n} if {special}(_v{n}) is None "
+         "else {escape}(_v{n})\n  ",
+    float: "if _v{n} is None:\n   {leave}\n  _a{n} = _number_to_string(_v{n})"
+           "\n  ",
+    int: "if _v{n} is None:\n   {leave}\n  _a{n} = _v{n}\n  ",
+}
 
 
 @functools.lru_cache(maxsize=256)
 def _tail(kinds, elements):
-    """What a template runs after its leaves' assignments: each leaf
-    value ``_vN``'s fast path to its format argument ``_aN`` (or the row
-    leaves the format), then the count and the format."""
+    """What a template runs after its leaves' assignments: each leaf's
+    path (``kinds``: per leaf, whether it is an attribute value and its
+    static type), or the row leaves the format; then the count and the
+    format."""
     leave = "return _render(_k0, (%s), stats)" % "".join(
         "_v%d, " % n for n in range(len(kinds)))
-    return "".join(
-        "_t = type(_v{n})\n  "
-        "if _t is str{nonempty}:\n   _a{n} = {escape}(_v{n})\n  "
-        "elif _t is float:\n   _a{n} = _number_to_string(_v{n})\n  "
-        "elif _t is int:\n   _a{n} = _v{n}\n  "
-        "else:\n   {leave}\n  ".format(
-            n=n, nonempty="" if attribute else " and _v%d" % n,
-            escape="_escape_attribute" if attribute else "_escape_text",
-            leave=leave)
-        for n, attribute in enumerate(kinds)
+    return "".join(_PATHS[kind].format(
+        n=n, leave=leave, nonempty="" if attribute else " and _v%d" % n,
+        null="_v%d is None" % n if attribute else "not _v%d" % n,
+        escape="_escape_attribute" if attribute else "_escape_text",
+        special="_attribute_special" if attribute else "_text_special")
+        for n, (attribute, kind) in enumerate(kinds)
     ) + "stats.xml_elements += %d\n  return _Markup(_k1 %% (%s))" % (
         elements, "".join("_a%d, " % n for n in range(len(kinds))))
 
@@ -277,7 +304,7 @@ class XMLElement(SqlExpr):
         return (*[expr for _, expr in self.attributes], *self.content)
 
     def bind(self, binder, layout):
-        return _template(self, binder, layout)
+        return _template(self, binder, layout)[0]
 
     def to_sql(self):
         parts = ['"%s"' % self.name]
@@ -434,8 +461,9 @@ def bind_aggregates(binder, outputs, layout, outer, group_by=None):
         "for row in batch:\n   _key = %s\n   _s = groups.get(_key)\n"
         "   if _s is None:\n    _s = groups[_key] = %s\n   %s"
         % (key, fresh, "\n   ".join(statements)), "batch, groups, stats")
-    states = (None, tuple(range(len(statements))))
-    return fold, _fresh(fresh), Layout(outer.segments + (states,), slots)
+    final = outer.extend(None, range(len(statements)))  # the states
+    final.aggregates = slots
+    return fold, _fresh(fresh), final
 
 
 @functools.lru_cache(maxsize=256)
@@ -476,12 +504,16 @@ class XMLAgg(_Ordered):
     """
 
     def fold(self, binder, layout, cg, state):
-        value = self.expr.bind(binder, layout)
+        # an element of typed leaves renders one Markup per row
+        value, typed = (_template(self.expr, binder, layout)
+                        if type(self.expr) is XMLElement
+                        else (self.expr.bind(binder, layout), False))
+        collect = MarkupList if typed else _flat
         directions, keys = self._order(binder, layout, cg)
 
         def final(state, stats):
-            return _flat([value(row, stats)
-                          for _, row in sort_pairs(state, directions)])
+            return collect([value(row, stats)
+                            for _, row in sort_pairs(state, directions)])
 
         return "[]", "%s.append((%s, row))" % (state, keys), final
 

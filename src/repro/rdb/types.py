@@ -48,19 +48,20 @@ class Column:
         return "Column(%r, %r)" % (self.name, self.type)
 
 
-def _as_text(value):
-    return value if isinstance(value, str) else str(value)
-
-
-_COERCIONS = {INT: (int, int), FLOAT: (float, float), TEXT: (str, _as_text)}
+#: each coerces to exactly its type: a str subclass (``Markup``) is stored
+#: as plain ``str``, so a binding may take a TEXT value for ``str`` itself
+_COERCIONS = {INT: (int, int), FLOAT: (float, float), TEXT: (str, str)}
 
 
 class TableSchema:
-    """Ordered column list with name lookup."""
+    """Ordered column list with name lookup; ``names`` and ``types``:
+    each column's name and ``exact`` type."""
 
     def __init__(self, name, columns):
         self.name = name
         self.columns = list(columns)
+        self.names = tuple(column.name for column in self.columns)
+        self.types = tuple(column.exact for column in self.columns)
         self._coercions = [
             (frozenset((column.exact, type(None))), column.coerce)
             for column in self.columns]
@@ -83,7 +84,7 @@ class TableSchema:
         return self.columns[self.position_of(column_name)]
 
     def column_names(self):
-        return [column.name for column in self.columns]
+        return list(self.names)
 
     def coerce_columns(self, value_rows):
         """A non-empty batch of rows, transposed into one tuple per column

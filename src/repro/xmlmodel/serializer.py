@@ -37,20 +37,20 @@ def serialize_children(node, method="xml", indent=False):
 
 
 #: one search per value: one with nothing to escape is returned as it is
-_TEXT_SPECIAL = re.compile("[&<>]").search
-_ATTRIBUTE_SPECIAL = re.compile('[&<"\n\t]').search
+TEXT_SPECIAL = re.compile("[&<>]").search
+ATTRIBUTE_SPECIAL = re.compile('[&<"\n\t]').search
 
 
 def escape_text(value):
     """Escape character data for the xml output method."""
-    if _TEXT_SPECIAL(value) is None:
+    if TEXT_SPECIAL(value) is None:
         return value
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def escape_attribute(value):
     """Escape an attribute value (double-quote delimited)."""
-    if _ATTRIBUTE_SPECIAL(value) is None:
+    if ATTRIBUTE_SPECIAL(value) is None:
         return value
     return (
         value.replace("&", "&amp;")

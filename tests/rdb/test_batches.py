@@ -36,6 +36,7 @@ from repro.rdb.sqlxml import (
     XMLForest,
     XMLText,
     Markup,
+    MarkupList,
     render_item,
     row_items,
 )
@@ -763,7 +764,10 @@ class TestConstructorStreaming:
             "o", XMLElement("p", XMLComment(v), v),
             XMLConcat([XMLElement("q"), v]), XMLForest([("f", v)]))
         value = expr.evaluate({"t": {"v": "x&"}}, db, ExecutionStats())
-        assert type(value) is list  # a sequence leaf keeps the pieces
+        # a sequence leaf keeps the pieces: a list of markup only
+        assert type(value) is MarkupList
+        assert value == ["<o>", "<p><!--x&-->x&amp;</p>", "<q/>", "x&amp;",
+                         "<f>x&amp;</f>", "</o>"]
         assert all(type(piece) is Markup for piece in value)
         assert self.roundtrip(
             db, expr,
