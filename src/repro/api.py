@@ -210,8 +210,8 @@ class Engine:
     :class:`~repro.obs.recorder.FlightRecorder` additionally receives
     one :class:`~repro.obs.recorder.RequestRecord` per
     :meth:`transform` call, per :meth:`transform_many` result and per
-    drained :meth:`transform_stream` (the serve tier wires its own
-    recorder; pass one here for engine-level use without a service).
+    drained :meth:`transform_stream`, and the service :meth:`serve`
+    builds records into it too.
 
     ``workers`` sizes the serving tier :meth:`serve` builds: 1 (the
     default) keeps everything in-process, >1 scales out to that many
@@ -257,12 +257,13 @@ class Engine:
                                TransformOptions.coerce(options), params)
 
     def _transform(self, db, source, stylesheet, opts, params, plans=None):
+        started_at = time.time()
         with self.tracer.span("xml_transform",
                               rewrite=opts.effective_rewrite()) as root:
             result = self._open(execute_compiled, root, db, source,
                                 stylesheet, opts, params, plans)
             root.set_attr(strategy=result.strategy)
-        self._record(root, result)
+        self._record(root, result, started_at)
         return result
 
     def _open(self, door, root, db, source, stylesheet, opts, params,
@@ -270,7 +271,7 @@ class Engine:
         """What every door that is handed a stylesheet does — the three
         here, the serving tier's three: go functional when ``params``
         are given (a plan cannot bind them), get the plan from ``plans``
-        — a plan source ``(source, stylesheet, opts, build, tracer) ->
+        — a plan source ``(source, stylesheet, opts, build) ->
         (compiled, tier)``: :meth:`transform_many`'s memo, a serving
         ``PlanRuntime``'s two tiers; None compiles for this request
         alone, without a projection mask — counting the attempt when
@@ -287,7 +288,7 @@ class Engine:
                                  self.metrics, reused=plans is not None)
 
         compiled, tier = (build(), None) if plans is None \
-            else plans(source, stylesheet, opts, build, self.tracer)
+            else plans(source, stylesheet, opts, build)
         view = door(db, source, compiled, opts, params, self.tracer,
                     self.metrics, root, deadline, started)
         view.run.cache_tier = tier
@@ -295,16 +296,16 @@ class Engine:
             view.run.trace = root
         return view
 
-    def _record(self, root, view):
-        """One finished (drained) one-shot transform: total it, record it."""
+    def _record(self, root, view, started_at):
+        """One finished (drained) one-shot transform: total it, record it
+        as started at ``started_at``, the wall time its root opened."""
         if root:
             view.run.total_seconds = root.duration
             if self.recorder is not None:
                 self.recorder.record(
-                    root.trace_id, name="xml_transform",
-                    status="ok" if view.fallback_reason is None
-                    else "fallback",
-                    spans=root.iter_spans(), **transform_fields(view)
+                    root.trace_id, name="xml_transform", status="ok",
+                    started_at=started_at, spans=root.iter_spans(),
+                    **transform_fields(view)
                 )
 
     def execute(self, source, compiled, options=None, params=None):
@@ -327,12 +328,17 @@ class Engine:
         *processes* sharing a persistent plan tier — CPU-bound
         transforms then scale past one core.  Process workers need
         ``sources``, a ``{name: source}`` mapping (requests name their
-        source; the objects live in the workers).  Extra ``kwargs`` pass
-        through to the service constructor (``queue_size``,
-        ``artifact_dir``, ``default_timeout``, ...)."""
+        source; the objects live in the workers).  The service reports
+        through this engine: its tracer, its metrics and, when it has
+        one, its recorder.  Extra ``kwargs`` pass through to the service
+        constructor (``queue_size``, ``artifact_dir``,
+        ``default_timeout``, ...)."""
         from repro.serve.service import TransformService
 
+        kwargs.setdefault("tracer", self.tracer)
         kwargs.setdefault("metrics", self.metrics)
+        if self.recorder is not None:
+            kwargs.setdefault("recorder", self.recorder)
         if self.workers > 1:
             return TransformService(self.db, sources=sources,
                                     backend="process",
@@ -361,6 +367,7 @@ class Engine:
     def _drain(self, source, stylesheet, opts, params):
         """:meth:`_transform` for a lazy view: yields the opened stream
         first, then its chunks, all inside the root span."""
+        started_at = time.time()
         with self.tracer.span("xml_transform",
                               rewrite=opts.effective_rewrite()) as root:
             stream = self._open(execute_compiled_stream, root, self.db,
@@ -369,7 +376,7 @@ class Engine:
             yield stream
             yield from chunks
             root.set_attr(strategy=stream.strategy)
-        self._record(root, stream)
+        self._record(root, stream, started_at)
 
     def transform_many(self, sources, stylesheet, options=None, params=None):
         """Apply one stylesheet across many sources, compiling once per
@@ -387,7 +394,7 @@ class Engine:
         stylesheet = _stylesheet(stylesheet, self.tracer)
         memo, results = {}, []
 
-        def plans(source, stylesheet, opts, build, tracer):
+        def plans(source, stylesheet, opts, build):
             key = source_fingerprint(source)
             if key in memo:
                 return memo[key], "l1"

@@ -34,7 +34,6 @@ from repro.obs.decisions import (
     Decision,
     DecisionLedger,
     Provenance,
-    diff_ledgers,
 )
 from repro.obs.feedback import (
     NodeFeedback,
@@ -99,7 +98,6 @@ __all__ = [
     "Tracer",
     "current_trace_context",
     "current_trace_id",
-    "diff_ledgers",
     "format_qerror",
     "get_tracer",
     "global_metrics",

@@ -18,9 +18,8 @@ The ledger is threaded through the whole pipeline by
   the executed plan;
 * ``XsltRewriter().rewrite_view(stylesheet, view_query).ledger`` is the
   ledger of a compile that executes nothing;
-* :meth:`DecisionLedger.to_json` exports it losslessly
-  (:meth:`DecisionLedger.from_json` round-trips), so ledgers can be
-  diffed across runs with :func:`diff_ledgers`.
+* :meth:`DecisionLedger.to_json` exports it as JSON (EXPLAIN's
+  structured form carries it).
 """
 
 from __future__ import annotations
@@ -107,16 +106,15 @@ class Provenance:
     """
 
     __slots__ = ("xslt", "xquery_node", "_xquery_text", "sql_node_id",
-                 "sql_node", "_sql_node_name")
+                 "sql_node")
 
-    def __init__(self, xslt=None, xquery_node=None, xquery_text=None,
-                 sql_node_id=None, sql_node=None, sql_node_name=None):
+    def __init__(self, xslt=None, xquery_node=None, sql_node_id=None,
+                 sql_node=None):
         self.xslt = xslt                  # dict from xslt_provenance(), or None
         self.xquery_node = xquery_node    # generated XQuery AST node, or None
-        self._xquery_text = xquery_text   # pre-rendered text (from_dict path)
+        self._xquery_text = None          # its text, rendered on first read
         self.sql_node_id = sql_node_id    # plan node id after the SQL merge
         self.sql_node = sql_node          # the plan node itself (not exported)
-        self._sql_node_name = sql_node_name  # class name (from_dict path)
 
     @property
     def xquery(self):
@@ -126,9 +124,8 @@ class Provenance:
 
     @property
     def sql_node_name(self):
-        if self.sql_node is not None:
-            return type(self.sql_node).__name__
-        return self._sql_node_name
+        return None if self.sql_node is None \
+            else type(self.sql_node).__name__
 
     def sql_label(self):
         """Human-readable plan-node reference, e.g. ``#3 IndexScan``."""
@@ -150,15 +147,6 @@ class Provenance:
             if self.sql_node_name is not None:
                 record["sql_node"] = self.sql_node_name
         return record
-
-    @classmethod
-    def from_dict(cls, record):
-        return cls(
-            xslt=record.get("xslt"),
-            xquery_text=record.get("xquery"),
-            sql_node_id=record.get("sql_node_id"),
-            sql_node_name=record.get("sql_node"),
-        )
 
 
 class Decision:
@@ -191,10 +179,6 @@ class Decision:
         self.reason = reason
         self.detail = dict(detail) if detail else {}
         self.provenance = provenance or Provenance()
-
-    def key(self):
-        """Stable identity for cross-run diffing (no timings, no ids)."""
-        return (self.kind, self.subject, self.action)
 
     def render(self):
         """One- or multi-line human rendering."""
@@ -240,20 +224,6 @@ class Decision:
         if provenance:
             record["provenance"] = provenance
         return record
-
-    @classmethod
-    def from_dict(cls, record):
-        return cls(
-            seq=record["seq"],
-            kind=record["kind"],
-            stage=record["stage"],
-            section=record.get("section"),
-            subject=record["subject"],
-            action=record["action"],
-            reason=record.get("reason"),
-            detail=record.get("detail"),
-            provenance=Provenance.from_dict(record.get("provenance") or {}),
-        )
 
     def __repr__(self):
         return "<Decision %s %s -> %s>" % (self.kind, self.subject,
@@ -423,7 +393,7 @@ class DecisionLedger:
                 lines.extend("  " + line for line in rendered[1:])
         return lines
 
-    # -- export / round-trip ------------------------------------------------------
+    # -- export -----------------------------------------------------------------
 
     def to_dict(self):
         return {
@@ -434,44 +404,3 @@ class DecisionLedger:
 
     def to_json(self, indent=None):
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, record):
-        ledger = cls()
-        for entry in record.get("decisions", ()):
-            ledger.decisions.append(Decision.from_dict(entry))
-        return ledger
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
-
-def diff_ledgers(old, new):
-    """Compare two ledgers (or their dict exports) by decision identity.
-
-    Returns ``{"added": [...], "removed": [...], "changed": [...]}`` where
-    added/removed hold decision keys present in only one ledger and
-    changed holds keys whose reason/detail differ — the cross-run "did a
-    stylesheet or schema change alter what the compiler decided" view.
-    """
-    if isinstance(old, dict):
-        old = DecisionLedger.from_dict(old)
-    if isinstance(new, dict):
-        new = DecisionLedger.from_dict(new)
-    old_map = {decision.key(): decision for decision in old}
-    new_map = {decision.key(): decision for decision in new}
-    added = [key for key in new_map if key not in old_map]
-    removed = [key for key in old_map if key not in new_map]
-    changed = [
-        key
-        for key, decision in new_map.items()
-        if key in old_map
-        and (old_map[key].reason != decision.reason
-             or old_map[key].detail != decision.detail)
-    ]
-    return {
-        "added": sorted(added),
-        "removed": sorted(removed),
-        "changed": sorted(changed),
-    }

@@ -61,8 +61,8 @@ class Counter:
 class Gauge:
     """A named value that can go up and down (queue depth, saturation).
 
-    Set/inc/dec are lock-protected for the same reason counters are:
-    the serving layer updates shared gauges from worker threads.
+    ``set`` is lock-protected for the same reason counters are: the
+    serving layer updates shared gauges from worker threads.
     """
 
     __slots__ = ("name", "labels", "_value", "_lock")
@@ -81,16 +81,6 @@ class Gauge:
     def set(self, value):
         with self._lock:
             self._value = float(value)
-            return self._value
-
-    def inc(self, amount=1):
-        with self._lock:
-            self._value += amount
-            return self._value
-
-    def dec(self, amount=1):
-        with self._lock:
-            self._value -= amount
             return self._value
 
     def key(self):

@@ -10,8 +10,8 @@ or newest first (:meth:`FlightRecorder.snapshot`).
 Retention is two-tier, mirroring production tracing systems:
 
 * **every** request gets a compact :class:`RequestRecord` (plus its
-  span tree: the finished ``Span`` objects the per-request tracer
-  already holds are kept as they are and rendered to dicts when
+  span tree: the finished ``Span`` objects of the root the request
+  opened are kept as they are and rendered to dicts when
   ``spans`` / ``stages`` are read — nothing is serialized between a
   request finishing and its future resolving);
 * the **slow-request policy** additionally retains the full diagnosis

@@ -27,10 +27,11 @@ module provides the span machinery those measurements hang off of:
   thread and stream drain stitch one request into one trace, and how a
   caller joins an upstream trace:
   ``with use_trace_context(TraceContext(trace_id, span_id)):``;
-* sinks — :class:`InMemorySink` (keeps finished root trees, now
-  lock-protected for multi-threaded tracers),
+* sinks — :class:`InMemorySink` (keeps finished root trees),
   :class:`JsonLinesSink` (one JSON object per finished span),
-  :class:`TextSink` (human-readable indented tree per root).
+  :class:`TextSink` (human-readable indented tree per root); each is
+  lock-protected, and the two writers write a span (a root tree) in
+  one call, so spans finished on concurrent threads never interleave.
 
 A disabled tracer hands out a shared no-op span, so instrumented code
 pays one attribute check and nothing else (``tests/obs/test_trace.py``
@@ -414,7 +415,8 @@ class InMemorySink:
 
 
 class JsonLinesSink:
-    """Writes one JSON object per finished span to a file or stream."""
+    """Writes one JSON object per finished span to a file or stream,
+    each line in one write under a lock."""
 
     def __init__(self, path_or_stream):
         if hasattr(path_or_stream, "write"):
@@ -423,10 +425,12 @@ class JsonLinesSink:
         else:
             self._stream = open(path_or_stream, "w", encoding="utf-8")
             self._owns = True
+        self._lock = threading.Lock()
 
     def emit(self, span):
-        self._stream.write(json.dumps(span.to_dict(), sort_keys=True))
-        self._stream.write("\n")
+        line = json.dumps(span.to_dict(), sort_keys=True) + "\n"
+        with self._lock:
+            self._stream.write(line)
 
     def close(self):
         self._stream.flush()
@@ -435,16 +439,19 @@ class JsonLinesSink:
 
 
 class TextSink:
-    """Writes a human-readable tree when each *root* span finishes."""
+    """Writes a human-readable tree when each *root* span finishes, the
+    whole tree in one write under a lock."""
 
     def __init__(self, stream):
         self._stream = stream
+        self._lock = threading.Lock()
 
     def emit(self, span):
         if span.parent is not None:
             return
-        for line in render_tree(span):
-            self._stream.write(line + "\n")
+        text = "".join(line + "\n" for line in render_tree(span))
+        with self._lock:
+            self._stream.write(text)
 
 
 _GLOBAL_TRACER = Tracer()

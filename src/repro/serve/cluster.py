@@ -17,9 +17,10 @@ the front door; this module is only what is process-specific:
   hashes are what make the shared disk tier addressable);
 * **trace identity crosses the process boundary**: the front door sends
   its ``cluster.request`` span's ``(trace_id, span_id)``, the worker
-  makes them ambient and roots ``cluster.worker`` in that trace, and the
-  returned span records merge into the parent's flight recorder — one
-  connected trace per request;
+  makes them ambient and roots ``cluster.worker`` in that trace under
+  its one ``Tracer`` (``enabled`` as the parent's; sinks stay in the
+  parent), and the returned span records merge into the parent's flight
+  recorder — one connected trace per request;
 * **worker death**: a broken pipe marks the worker dead
   (:class:`ClusterWorkerError`, ``cluster.worker_failures``); a request
   that failed *inside* a live worker is a :class:`WorkerRequestError`
@@ -37,14 +38,9 @@ import tempfile
 import threading
 
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
-from repro.obs.trace import TraceContext, use_trace_context
+from repro.obs.trace import TraceContext, Tracer, use_trace_context
 from repro.serve.artifact import ArtifactStore
-from repro.serve.runtime import (
-    PlanRuntime,
-    ServeError,
-    request_tracer,
-    sink_spans,
-)
+from repro.serve.runtime import PlanRuntime, ServeError
 
 
 class ClusterWorkerError(ServeError):
@@ -63,29 +59,33 @@ class WorkerRequestError(ServeError):
 # -- worker side --------------------------------------------------------------------
 
 
-def _serve_transform(runtime, payload, trace_requests):
+def _serve_transform(runtime, payload):
     """One ``transform`` message inside the worker: join the front
-    door's trace, run the request on the plan runtime, ship the
-    result (pickling it is its wire form) with this side's spans."""
-    tracer = request_tracer(trace_requests)
+    door's trace, run the request on the plan runtime inside a
+    ``cluster.worker`` root span, ship the result (pickling it is its
+    wire form) with that span tree as dicts."""
     with use_trace_context(TraceContext(*payload["trace"])):
-        result = runtime.run(
-            payload["source"], payload["stylesheet"], payload["options"],
-            payload.get("params"), tracer,
-            "cluster.worker", worker=runtime.worker_id,
-        )
+        with runtime.engine.tracer.span(
+                "cluster.worker", worker=runtime.worker_id) as root:
+            result = runtime.run(
+                payload["source"], payload["stylesheet"],
+                payload["options"], payload.get("params"), root,
+            )
     return {"result": result,
-            "spans": [span.to_dict() for span in sink_spans(tracer)]}
+            "spans": [span.to_dict() for span in root.iter_spans()]}
 
 
-def _worker_main(conn, worker_id, db, sources, factory, trace_requests,
+def _worker_main(conn, worker_id, db, sources, factory, traced,
                  runtime_options):
-    """The worker process entry point: build the runtime, then serve the
-    strict request/response pipe protocol until shutdown/EOF."""
+    """The worker process entry point: build the runtime — traced by one
+    sink-less ``Tracer`` enabled when the parent's is (``traced``) —
+    then serve the strict request/response pipe protocol until
+    shutdown/EOF."""
     if factory is not None:
         db, sources = factory()
     runtime = PlanRuntime(db, sources, metrics=MetricsRegistry(),
-                          worker_id=worker_id, **runtime_options)
+                          worker_id=worker_id,
+                          tracer=Tracer(enabled=traced), **runtime_options)
     while True:
         try:
             op, payload = conn.recv()
@@ -96,7 +96,7 @@ def _worker_main(conn, worker_id, db, sources, factory, trace_requests,
             break
         try:
             if op == "transform":
-                reply = _serve_transform(runtime, payload, trace_requests)
+                reply = _serve_transform(runtime, payload)
             else:
                 reply = runtime.control(op, payload)
         except BaseException as exc:
@@ -132,13 +132,16 @@ class ProcessWorkers:
     """N worker processes, each owning a :class:`PlanRuntime` built from
     ``runtime_options`` over the fork-inherited ``db``/``sources`` or
     the ``factory``'s (see :class:`~repro.serve.service.TransformService`
-    for the parameters)."""
+    for the parameters).  Each worker traces when ``tracer`` (the
+    front door's) is enabled at start."""
 
     #: the plan runtimes live in the children
     runtime = None
+    #: the root span the front door opens around each request
+    root_span = "cluster.request"
 
     def __init__(self, db, sources, workers, factory, start_method,
-                 trace_requests, metrics, runtime_options):
+                 tracer, metrics, runtime_options):
         if db is None and factory is None:
             raise ValueError("pass db (+ sources) or a factory")
         methods = multiprocessing.get_all_start_methods()
@@ -170,7 +173,7 @@ class ProcessWorkers:
                 args=(child_conn, worker_id,
                       None if factory is not None else db,
                       None if factory is not None else (sources or {}),
-                      factory, trace_requests, runtime_options),
+                      factory, tracer.enabled, runtime_options),
                 name="repro-cluster-worker-%d" % worker_id,
                 daemon=True,
             )
@@ -210,27 +213,23 @@ class ProcessWorkers:
         handle.alive = False
         self.metrics.counter("cluster.worker_failures").inc()
 
-    def run(self, worker, request, tracer, queue_wait):
-        """Ship one claimed request to ``worker``; returns the
+    def run(self, worker, request, root):
+        """Ship one claimed request to ``worker`` from inside its
+        ``root`` span; returns the
         :class:`~repro.serve.runtime.ServeResult` and the worker-side
         span records."""
         handle = self._handles[worker]
-        with tracer.span(
-            "cluster.request", worker=handle.worker_id,
-            queue_wait_ms=round(queue_wait * 1000.0, 3),
-        ) as root:
-            parent = root or request.context
-            reply = self._rpc(handle, ("transform", {
-                "source": request.source,
-                "stylesheet": request.stylesheet,
-                "options": request.options,
-                "params": request.params,
-                "trace": (parent.trace_id, parent.span_id),
-            }))
-            result = reply["result"]
-            if root:
-                root.set_attr(cache_tier=result.cache_tier,
-                              strategy=result.strategy)
+        root.set_attr(worker=handle.worker_id)
+        parent = root or request.context
+        reply = self._rpc(handle, ("transform", {
+            "source": request.source,
+            "stylesheet": request.stylesheet,
+            "options": request.options,
+            "params": request.params,
+            "trace": (parent.trace_id, parent.span_id),
+        }))
+        result = reply["result"]
+        root.set_attr(cache_tier=result.cache_tier, strategy=result.strategy)
         return result, reply["spans"]
 
     def control(self, op, payload=None, worker=None):

@@ -34,7 +34,7 @@ from repro.core.transform import (
     source_fingerprint,
 )
 from repro.errors import ReproError
-from repro.obs import InMemorySink, Tracer, global_metrics
+from repro.obs import global_metrics
 from repro.rdb.sqlxml import Markup
 from repro.serve.artifact import ArtifactStore, artifact_key
 from repro.serve.cache import PlanCache
@@ -59,23 +59,6 @@ def stylesheet_key(stylesheet):
     return "ss-text:%s" % hashlib.sha256(
         stylesheet.encode("utf-8")
     ).hexdigest()
-
-
-def request_tracer(enabled):
-    """A request's private tracer, retaining its spans in memory."""
-    return Tracer(sinks=[InMemorySink()]) if enabled \
-        else Tracer(enabled=False)
-
-
-def sink_spans(tracer):
-    """The finished spans in a per-request tracer's in-memory sink
-    (empty when tracing is off) — what the flight recorder keeps;
-    ``Span.to_dict`` renders one for a pipe."""
-    for sink in tracer.sinks:
-        spans = getattr(sink, "spans", None)
-        if spans is not None:
-            return list(spans)
-    return []
 
 
 class ServeResult(TransformResult):
@@ -116,15 +99,19 @@ class _CachedPlan:
 
 class PlanRuntime:
     """Database + sources + two-tier plan cache for one worker process
-    or one pool of worker threads.  The parameters are
+    or one pool of worker threads, reporting through one
+    :class:`~repro.api.Engine` (``self.engine``: the tracer and metrics
+    every request it runs uses).  The parameters are
     :class:`~repro.serve.service.TransformService`'s, which documents
     them; ``worker_id`` labels a process worker's replies and spans."""
 
     def __init__(self, db, sources=None, cache=None, cache_capacity=128,
-                 artifact_dir=None, metrics=None, worker_id=None):
+                 artifact_dir=None, metrics=None, worker_id=None,
+                 tracer=None):
         self.db = db
         self.sources = dict(sources or {})
         self.metrics = metrics or global_metrics()
+        self.engine = Engine(db, tracer=tracer, metrics=self.metrics)
         self.worker_id = worker_id
         # explicit None test: an empty PlanCache is falsy (len() == 0)
         self.cache = cache if cache is not None else PlanCache(
@@ -187,15 +174,15 @@ class PlanRuntime:
 
     # -- two-tier plan lookup ------------------------------------------------------
 
-    def compiled_for(self, source, stylesheet, opts, build, tracer):
+    def compiled_for(self, source, stylesheet, opts, build):
         """This runtime as :meth:`repro.api.Engine._open`'s plan source:
         absorb (and publish) invalidations, then ``(compiled, tier)``
         through tier 1, then the disk tier, then ``build()``
         (persisted for every sibling).
 
-        ``compile`` (leader-only, stampede-suppressed) runs under *this*
-        request's tracer, so compile spans appear exactly once — in the
-        leader's trace — and cache-hit traces contain none."""
+        ``compile`` (leader-only, stampede-suppressed) runs inside *this*
+        request's root span, so compile spans appear exactly once — in
+        the leader's trace — and cache-hit traces contain none."""
         self.sync_versions()
         fingerprint = source_fingerprint(source)
         ss_key = stylesheet_key(stylesheet)
@@ -216,7 +203,8 @@ class PlanRuntime:
                 disk_key = artifact_key(ss_key, fingerprint, catalog,
                                         options_key,
                                         "stats:%d" % stats_version)
-                with tracer.span("serve.cache.disk_lookup") as span:
+                with self.engine.tracer.span(
+                        "serve.cache.disk_lookup") as span:
                     compiled, _header = store.get(
                         disk_key, fingerprint=fingerprint, catalog=catalog,
                         stats_version=stats_version,
@@ -238,37 +226,37 @@ class PlanRuntime:
 
     # -- request handling ----------------------------------------------------------
 
-    def open(self, door, source, stylesheet, opts, params, tracer, root=None,
+    def open(self, door, source, stylesheet, opts, params, root=None,
              deadline=None):
         """Open ``door`` over one request, the way every door does
         (:meth:`repro.api.Engine._open`) with this runtime's plans."""
-        view = Engine(self.db, tracer=tracer, metrics=self.metrics)._open(
+        view = self.engine._open(
             door, root, self.db, self.resolve(source), stylesheet, opts,
             params, self.compiled_for, deadline)
         view.run.stats_version = self.db.stats_version()
         return view
 
-    def run(self, source, stylesheet, opts, params, tracer, span_name,
-            **span_attrs):
-        """Execute one claimed request under ``tracer``, inside a root
-        span ``span_name`` recording the cache outcome and strategy; a
-        :class:`ServeResult`.  ``opts.deadline`` is what is left of the
-        request's life on arrival here (past it, plan execution raises
+    def run(self, source, stylesheet, opts, params, root):
+        """Execute one claimed request inside ``root``, the request's
+        root span its door opened, recording the cache outcome and
+        strategy on it; a :class:`ServeResult`.  ``opts.deadline`` is
+        what is left of the request's life on arrival here (past it,
+        plan execution raises
         :class:`~repro.errors.DeadlineExceededError`)."""
         deadline = None if opts.deadline is None \
             else time.perf_counter() + opts.deadline
+        tracer = self.engine.tracer
 
         def door(*args):
             with tracer.span("serve.execute"):
                 return execute_compiled(*args)
 
-        with tracer.span(span_name, **span_attrs) as root:
-            view = self.open(door, source, stylesheet, opts, params, tracer,
-                             root, deadline)
-            self.metrics.histogram("serve.execute_seconds").record(
-                view.execute_seconds)
-            root.set_attr(cache_tier=view.cache_tier,
-                          cache_hit=view.cache_hit, strategy=view.strategy)
+        view = self.open(door, source, stylesheet, opts, params, root,
+                         deadline)
+        self.metrics.histogram("serve.execute_seconds").record(
+            view.execute_seconds)
+        root.set_attr(cache_tier=view.cache_tier, cache_hit=view.cache_hit,
+                      strategy=view.strategy)
         return ServeResult(view.rows, run=view.run)
 
     # -- control plane -------------------------------------------------------------

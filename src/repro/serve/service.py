@@ -29,14 +29,16 @@ worker backend:
   worker ships the request over a pipe to a child that owns an
   identical runtime (:mod:`repro.serve.cluster`).  How a claimed
   request is run is the *only* thing the backends vary;
-* each request runs under its **own** :class:`~repro.obs.trace.Tracer`
-  with a root span (``serve.request`` on thread workers;
-  ``cluster.request`` → ``cluster.worker`` across a pipe) recording
-  queue wait, cache outcome and strategy, and a ``serve.execute`` child
-  around plan/VM execution; a cache hit's trace contains *no* compile
-  spans at all;
+* every request is traced by the service's one
+  :class:`~repro.obs.trace.Tracer` (an ``Engine.serve()`` service's is
+  the engine's): the front door opens the request's root span
+  (``serve.request`` on thread workers; ``cluster.request`` →
+  ``cluster.worker`` across a pipe) recording queue wait, cache outcome
+  and strategy, with a ``serve.execute`` child around plan/VM
+  execution; a cache hit's trace contains *no* compile spans at all;
 * every terminal status — ok, rejected, timeout, cancelled, error —
-  lands in the flight recorder under the request's trace id.
+  lands in the flight recorder under the request's trace id, with the
+  spans of the root tree(s) the request opened.
 
 Metrics (``repro.obs``): ``serve.requests``, ``serve.completed``
 (labelled by strategy and cache hit), ``serve.rejected{reason}``,
@@ -53,28 +55,24 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import itertools
 import threading
 import time
 
 from repro.api import TransformOptions
 from repro.errors import DeadlineExceededError
 from repro.core.transform import execute_compiled_stream
-from repro.obs import global_metrics
+from repro.obs import get_tracer, global_metrics
 from repro.obs.recorder import FlightRecorder, transform_fields
 from repro.obs.trace import (
+    NULL_SPAN,
     TraceContext,
     current_trace_context,
     new_trace_id,
     use_trace_context,
 )
 from repro.serve.cluster import ClusterWorkerError, ProcessWorkers
-from repro.serve.runtime import (
-    PlanRuntime,
-    ServeError,
-    request_tracer,
-    sink_spans,
-    stylesheet_key,
-)
+from repro.serve.runtime import PlanRuntime, ServeError, stylesheet_key
 
 
 class ServiceOverloadedError(ServeError):
@@ -182,6 +180,9 @@ class ThreadWorkers:
     transport.  Threads do not die on their own, so every worker is
     always live."""
 
+    #: the root span the front door opens around each request
+    root_span = "serve.request"
+
     def __init__(self, runtime, workers):
         self.runtime = runtime
         self.store = runtime.store
@@ -197,13 +198,14 @@ class ThreadWorkers:
     def alive(self, worker):
         return True
 
-    def run(self, worker, request, tracer, queue_wait):
+    def run(self, worker, request, root):
+        """Run one claimed request in-process inside its ``root`` span;
+        returns the :class:`~repro.serve.runtime.ServeResult` and no
+        span records from elsewhere."""
         opts = request.options
-        return self.runtime.run(
-            request.source, request.stylesheet, opts, request.params, tracer,
-            "serve.request", rewrite=opts.effective_rewrite(),
-            queue_wait_ms=round(queue_wait * 1000.0, 3),
-        ), ()
+        root.set_attr(rewrite=opts.effective_rewrite())
+        return self.runtime.run(request.source, request.stylesheet, opts,
+                                request.params, root), ()
 
     def control(self, op, payload=None, worker=None):
         return [self.runtime.control(op, payload)]
@@ -245,9 +247,13 @@ class TransformService:
         (removed on close).
     :param default_timeout: per-request deadline in seconds applied when
         the request's options carry none (None = no deadline).
-    :param trace_requests: give each request a private tracer so the
-        flight recorder (and ``ServeResult.trace``, in-process) carries
-        its span tree; turn off to shave per-request overhead.
+    :param tracer: the :class:`~repro.obs.trace.Tracer` every request
+        is traced by (default: the global tracer, as at every other
+        door): its spans land in the flight recorder and, in-process, on
+        ``ServeResult.trace``; a disabled tracer records no spans.
+        Process workers each trace with their own ``Tracer`` of the same
+        ``enabled``; the spans they ship back reach the flight recorder,
+        not this tracer's sinks.
     :param recorder: the flight recorder of recent requests
         (``service.recorder``) — a
         :class:`~repro.obs.recorder.FlightRecorder`, True (default
@@ -263,7 +269,7 @@ class TransformService:
     def __init__(self, db=None, workers=4, backend="thread", sources=None,
                  queue_size=64, cache=None, cache_capacity=128,
                  artifact_dir=None, default_timeout=None, metrics=None,
-                 trace_requests=True, recorder=True,
+                 tracer=None, recorder=True,
                  factory=None, start_method=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -279,13 +285,13 @@ class TransformService:
             )
         self.db = db
         self.metrics = metrics or global_metrics()
+        self.tracer = tracer or get_tracer()
         if recorder is True:
             recorder = FlightRecorder()
         elif recorder is False:
             recorder = None
         self.recorder = recorder
         self.default_timeout = default_timeout
-        self.trace_requests = trace_requests
         self.queue_size = queue_size
         #: admitted requests not yet running, oldest first: one leaves
         #: only together with the slot it runs on, so the length is the
@@ -322,7 +328,7 @@ class TransformService:
         if backend == "thread":
             self._backend = ThreadWorkers(
                 PlanRuntime(db, sources, cache=cache, metrics=self.metrics,
-                            **runtime_options),
+                            tracer=self.tracer, **runtime_options),
                 workers,
             )
         else:
@@ -333,7 +339,7 @@ class TransformService:
                 )
             self._backend = ProcessWorkers(
                 db, sources, workers, factory, start_method,
-                trace_requests, self.metrics, runtime_options,
+                self.tracer, self.metrics, runtime_options,
             )
         #: this process's handle on the disk tier (None without one)
         self.artifact_store = self._backend.store
@@ -509,38 +515,39 @@ class TransformService:
         request = self._request(source, stylesheet, options, params,
                                 name="stream")
         self.metrics.counter("serve.stream_requests").inc()
-        tracer = request_tracer(self.trace_requests)
         with use_trace_context(request.context):
-            with tracer.span("serve.stream.compile") as compile_span:
+            with self.tracer.span("serve.stream.compile") as compiled:
                 stream = runtime.open(
                     execute_compiled_stream, source, stylesheet,
-                    request.options, params, tracer,
-                    deadline=request.deadline,
+                    request.options, params, deadline=request.deadline,
                 )
-                compile_span.set_attr(cache_hit=stream.cache_hit)
+                compiled.set_attr(cache_hit=stream.cache_hit)
         self.metrics.counter(
             "serve.stream_cache", cache="hit" if stream.cache_hit else "miss"
         ).inc()
-        stream.chunks = self._drained(stream, stream.chunks, request, tracer)
+        stream.chunks = self._drained(stream, stream.chunks, request,
+                                      compiled)
         return stream
 
-    def _drained(self, stream, chunks, request, tracer):
+    def _drained(self, stream, chunks, request, compiled):
         """Wrap a stream's chunk iterator so the drain — which may run
         on any thread, any time after submission — happens under the
         request's trace (a ``serve.stream.drain`` span joined by trace
         id, the run's own span beneath it) and the finished request
-        lands in the flight recorder."""
+        lands in the flight recorder with both of its root trees: the
+        ``compiled`` span and the drain."""
         status = "ok"
         error = None
         bytes_out = 0
+        drain = NULL_SPAN
         try:
             with use_trace_context(request.context):
-                with tracer.span("serve.stream.drain") as span:
+                with self.tracer.span("serve.stream.drain") as drain:
                     for chunk in chunks:
                         bytes_out += len(chunk)
                         yield chunk
-                    span.set_attr(bytes_out=bytes_out,
-                                  strategy=stream.strategy)
+                    drain.set_attr(bytes_out=bytes_out,
+                                   strategy=stream.strategy)
         except BaseException as exc:
             status = "error"
             error = "%s: %s" % (type(exc).__name__, exc)
@@ -549,7 +556,9 @@ class TransformService:
         finally:
             stream.run.total_seconds = \
                 time.perf_counter() - request.submitted_at
-            self._record(request, status, spans=sink_spans(tracer),
+            self._record(request, status,
+                         spans=itertools.chain(compiled.iter_spans(),
+                                               drain.iter_spans()),
                          error=error, bytes_out=bytes_out,
                          **transform_fields(stream))
 
@@ -722,19 +731,22 @@ class TransformService:
             self._run(worker, request, queue_wait)
 
     def _run(self, worker, request, queue_wait):
-        """Run a claimed request on ``worker``: metrics → record →
-        resolve, whichever backend executes it."""
-        tracer = request_tracer(self.trace_requests)
+        """Run a claimed request on ``worker`` inside the request's root
+        span: metrics → record → resolve, whichever backend executes
+        it."""
         if request.deadline is not None:
             # what is left of the request's life bounds its execution:
             # the worker checks it between row batches
             request.options = request.options.replace(deadline=max(
                 0.0, request.deadline - time.perf_counter()))
+        root = NULL_SPAN
         try:
             with use_trace_context(request.context):
-                result, worker_spans = self._backend.run(
-                    worker, request, tracer, queue_wait
-                )
+                with self.tracer.span(
+                        self._backend.root_span,
+                        queue_wait_ms=round(queue_wait * 1000.0, 3)) as root:
+                    result, worker_spans = self._backend.run(
+                        worker, request, root)
         except BaseException as exc:
             status = "error"
             # a process worker reports the error by type name
@@ -743,7 +755,7 @@ class TransformService:
                 status, exc = "timeout", RequestTimeoutError(
                     "deadline exceeded during execution: %s" % exc)
             self._fail(request, status, exc, queue_wait,
-                       spans=sink_spans(tracer))
+                       spans=root.iter_spans())
             return
         run = result.run
         run.queue_wait_seconds = queue_wait
@@ -758,7 +770,7 @@ class TransformService:
         self.metrics.counter("serve.completed", strategy=result.strategy,
                              cache=cache).inc()
         self._record(request, "ok",
-                     spans=sink_spans(tracer) + list(worker_spans),
+                     spans=itertools.chain(root.iter_spans(), worker_spans),
                      **transform_fields(result))
         request.future.set_result(result)
 

@@ -14,6 +14,7 @@ The four engine doors must also leave the same spans.
 
 import functools
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -225,8 +226,7 @@ def test_rooted_doors_trace_and_record(door, scenario):
     assert spans == below_root
     assert view.trace.attrs == expected.trace.attrs
     assert record.name == "xml_transform"
-    assert record.status == ("ok" if view.fallback_reason is None
-                             else "fallback")
+    assert record.status == "ok"
     assert record.total_seconds == view.trace.duration
     assert {span["name"] for span in record.spans} \
         == {span.name for span in view.trace.iter_spans()}
@@ -272,7 +272,7 @@ class TestOptionsReachEveryDoor:
     @pytest.mark.parametrize("traced", (True, False))
     def test_profiling_follows_the_tracer(self, traced):
         """A run profiles its plan exactly when its tracer is enabled:
-        the engine's, or the serving tier's per-request one."""
+        the engine's, or the serving tier's."""
         prepared = prepare_case(get_case("avts"), SIZE)
         engine = Engine(prepared.db, tracer=Tracer(enabled=traced),
                         metrics=MetricsRegistry())
@@ -280,7 +280,7 @@ class TestOptionsReachEveryDoor:
                                            prepared.case.stylesheet)
         with TransformService(prepared.db, workers=1,
                               metrics=MetricsRegistry(),
-                              trace_requests=traced) as service:
+                              tracer=Tracer(enabled=traced)) as service:
             stream = service.transform_stream(prepared.storage,
                                               prepared.case.stylesheet)
             assert stream.text() == expected.text()
@@ -305,6 +305,27 @@ class TestOptionsReachEveryDoor:
             with pytest.raises(DeadlineExceededError):
                 stream.text()
             assert service.recorder.get(stream.trace_id).status == "error"
+
+
+@pytest.mark.parametrize("door", ("transform", "transform_stream"))
+def test_an_engine_record_starts_when_its_root_opens(door):
+    """``started_at`` is the wall time the door opened its root, not the
+    recorder's clock when the finished request is recorded (here an hour
+    late, so reading it would show)."""
+    prepared = prepare_case(get_case("avts"), SIZE)
+    recorder = FlightRecorder(clock=lambda: time.time() + 3600.0)
+    engine = Engine(prepared.db, tracer=Tracer(), metrics=MetricsRegistry(),
+                    recorder=recorder)
+    before = time.time()
+    if door == "transform":
+        engine.transform(prepared.storage, prepared.case.stylesheet)
+    else:
+        engine.transform_stream(prepared.storage,
+                                prepared.case.stylesheet).text()
+    after = time.time()
+    record, = recorder.records()
+    assert before <= record.started_at
+    assert record.started_at + record.total_seconds <= after + 1e-3
 
 
 def test_transform_many_records_each_result():

@@ -217,7 +217,8 @@ class TestServingSurface:
             "run_load", "run_soak", "LoadReport", "SoakReport", "WorkItem",
             "EVICT_TTL")]
 
-    @pytest.mark.parametrize("knob", ["ops_port", "cache_ttl_seconds"])
+    @pytest.mark.parametrize("knob", ["ops_port", "cache_ttl_seconds",
+                                      "trace_requests"])
     def test_no_ops_port_or_plan_ttl_knob(self, knob):
         from repro.serve import TransformService
 
@@ -238,7 +239,7 @@ class TestServingSurface:
         assert params == [
             "self", "db", "workers", "backend", "sources", "queue_size",
             "cache", "cache_capacity", "artifact_dir", "default_timeout",
-            "metrics", "trace_requests", "recorder", "factory",
+            "metrics", "tracer", "recorder", "factory",
             "start_method",
         ]
 
@@ -278,6 +279,30 @@ class TestServingSurface:
             "cache_tier", "queue_wait_seconds", "execute_seconds",
             "total_seconds", "worker", "stats_version",
         }
+
+
+class TestObsCensus:
+    """What nothing outside the tests used is gone from ``repro.obs``:
+    the decision ledger exports (``to_dict`` / ``to_json``) but reads
+    nothing back, and a gauge is set, never stepped."""
+
+    def test_no_ledger_read_back_or_diff(self):
+        import repro.obs
+        from repro.obs.decisions import Decision, DecisionLedger, Provenance
+
+        assert "diff_ledgers" not in repro.obs.__all__
+        assert not hasattr(repro.obs.decisions, "diff_ledgers")
+        assert not [name for name in ("from_dict", "from_json")
+                    if hasattr(DecisionLedger, name)]
+        assert not hasattr(Decision, "from_dict")
+        assert not hasattr(Decision, "key")
+        assert not hasattr(Provenance, "from_dict")
+        assert hasattr(DecisionLedger, "to_json")
+
+    def test_a_gauge_is_only_set(self):
+        from repro.obs.metrics import Gauge
+
+        assert not [name for name in ("inc", "dec") if hasattr(Gauge, name)]
 
 
 class TestTraceSurface:

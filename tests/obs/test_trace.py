@@ -3,6 +3,9 @@
 import gc
 import io
 import json
+import sys
+import threading
+import time
 import weakref
 
 import pytest
@@ -212,6 +215,82 @@ class TestSinks:
                 raise KeyError("k")
         rendered = "\n".join(render_tree(span))
         assert "!KeyError" in rendered
+
+
+class _YieldingStream:
+    """A stream whose ``write`` hands the interpreter to another thread
+    halfway through, as a file or socket write may."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        middle = len(text) // 2
+        self.parts.append(text[:middle])
+        time.sleep(0)
+        self.parts.append(text[middle:])
+
+    def getvalue(self):
+        return "".join(self.parts)
+
+
+def _on_threads(count, body):
+    """``body(index)`` on ``count`` threads at once, switching often."""
+    threads = [threading.Thread(target=body, args=(index,))
+               for index in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [thread for thread in threads if thread.is_alive()]
+
+
+class TestSinksUnderConcurrentSpans:
+    """One tracer shared by many threads (concurrent doors, served
+    requests) emits into one sink at once: no span's output may split."""
+
+    def test_json_lines_stay_whole(self):
+        stream = _YieldingStream()
+        tracer = Tracer(sinks=[JsonLinesSink(stream)])
+
+        def open_spans(index):
+            for number in range(200):
+                with tracer.span("t%d" % index, number=number):
+                    pass
+
+        _on_threads(4, open_spans)
+        records = [json.loads(line)
+                   for line in stream.getvalue().splitlines()]
+        assert len(records) == 800
+        for index in range(4):
+            assert sorted(record["attrs"]["number"] for record in records
+                          if record["name"] == "t%d" % index) \
+                == list(range(200))
+
+    def test_text_trees_stay_whole(self):
+        stream = _YieldingStream()
+        tracer = Tracer(sinks=[TextSink(stream)])
+
+        def open_trees(index):
+            for _ in range(50):
+                with tracer.span("t%d" % index):
+                    for _ in range(3):
+                        with tracer.span("t%d.child" % index):
+                            pass
+
+        _on_threads(4, open_trees)
+        lines = stream.getvalue().splitlines()
+        assert len(lines) == 4 * 50 * 4
+        for start in range(0, len(lines), 4):
+            root = lines[start].split()[0]
+            assert not lines[start].startswith(" ")
+            assert [line.split()[0] for line in lines[start + 1:start + 4]] \
+                == [root + ".child"] * 3
 
 
 

@@ -7,7 +7,7 @@ import threading
 
 from repro.api import TransformOptions
 from repro.core import STRATEGY_FUNCTIONAL, STRATEGY_SQL, xml_transform
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
@@ -264,7 +264,7 @@ class TestObservability:
 
     def test_tracing_can_be_disabled(self):
         db, storage = make_storage()
-        with make_service(db, trace_requests=False) as service:
+        with make_service(db, tracer=Tracer(enabled=False)) as service:
             result = service.transform(storage, EXAMPLE1_STYLESHEET)
         assert result.trace is None
         assert result.strategy == STRATEGY_SQL

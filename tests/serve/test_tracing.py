@@ -8,9 +8,14 @@ flight recorder by trace id.
 """
 
 import threading
+import time
 
+import pytest
+
+from repro.api import Engine, TransformOptions
 from repro.core import STRATEGY_SQL
-from repro.obs import MetricsRegistry
+from repro.errors import DeadlineExceededError
+from repro.obs import FlightRecorder, InMemorySink, MetricsRegistry
 from repro.obs.trace import (
     TraceContext,
     Tracer,
@@ -21,7 +26,7 @@ from repro.obs.trace import (
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
-from repro.serve import TransformService
+from repro.serve import RequestTimeoutError, ServeError, TransformService
 from repro.xmlmodel import parse_document
 
 from ..core.paper_example import (
@@ -184,7 +189,7 @@ class TestFlightRecorderIntegration:
 
     def test_tracing_off_still_records_compact(self):
         db, storage = make_storage()
-        with make_service(db, trace_requests=False) as service:
+        with make_service(db, tracer=Tracer(enabled=False)) as service:
             result = service.transform(storage, EXAMPLE1_STYLESHEET)
             assert result.trace is None
             assert result.trace_id is not None
@@ -296,3 +301,168 @@ class TestRecorderIntegration:
             assert snapshot["gauges"]["serve.queue.capacity"] == 64
             assert any(key.startswith("serve.completed")
                        for key in snapshot["counters"])
+
+
+def serve(engine, backend, storage):
+    """``engine.serve()`` on thread workers, or its process-backed twin
+    (an engine with two workers) over ``storage`` named ``"doc"``."""
+    if backend == "thread":
+        return engine.serve(sources={"doc": storage})
+    return Engine(engine.db, tracer=engine.tracer, metrics=engine.metrics,
+                  recorder=engine.recorder, workers=2).serve(
+        sources={"doc": storage})
+
+
+class TestOneTracerPerEngine:
+    """A served request reports through its Engine: the engine's tracer
+    traces it, the engine's recorder records it, and the record's spans
+    are the root tree(s) the request opened."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_tracer_off_records_no_spans(self, backend):
+        db, storage = make_storage()
+        engine = Engine(db, tracer=Tracer(enabled=False),
+                        metrics=MetricsRegistry())
+        with serve(engine, backend, storage) as service:
+            result = service.transform("doc", EXAMPLE1_STYLESHEET)
+            record = service.recorder.get(result.trace_id)
+        assert result.trace_id is not None
+        assert record.status == "ok"
+        assert record.spans == []
+        assert result.trace is None
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_the_engine_recorder_records_served_requests(self, backend):
+        db, storage = make_storage()
+        recorder = FlightRecorder()
+        engine = Engine(db, metrics=MetricsRegistry(), recorder=recorder)
+        with serve(engine, backend, storage) as service:
+            assert service.recorder is recorder
+            result = service.transform("doc", EXAMPLE1_STYLESHEET)
+        assert [record.trace_id for record in recorder.records()] \
+            == [result.trace_id]
+
+    def test_a_sink_on_the_tracer_sees_the_whole_tree(self):
+        db, storage = make_storage()
+        sink = InMemorySink()
+        recorder = FlightRecorder()
+        engine = Engine(db, tracer=Tracer(sinks=[sink]),
+                        metrics=MetricsRegistry(), recorder=recorder)
+        with serve(engine, "thread", storage) as service:
+            result = service.transform("doc", EXAMPLE1_STYLESHEET)
+        assert sink.roots_for(result.trace_id) == [result.trace]
+        seen = {span.span_id for span in sink.spans
+                if span.trace_id == result.trace_id}
+        assert seen == {span.span_id for span in result.trace.iter_spans()}
+        assert seen == {span["span_id"] for span
+                        in recorder.get(result.trace_id).spans}
+        assert len(seen) > 3
+
+    def test_process_workers_keep_their_spans_out_of_the_sink(self):
+        """Sinks do not cross the pipe: the parent's sink sees the
+        parent-side root, the record holds the worker's tree too."""
+        db, storage = make_storage()
+        sink = InMemorySink()
+        recorder = FlightRecorder()
+        engine = Engine(db, tracer=Tracer(sinks=[sink]),
+                        metrics=MetricsRegistry(), recorder=recorder)
+        with serve(engine, "process", storage) as service:
+            result = service.transform("doc", EXAMPLE1_STYLESHEET)
+        assert [span.name for span in sink.spans
+                if span.trace_id == result.trace_id] == ["cluster.request"]
+        names = {span["name"] for span in recorder.get(result.trace_id).spans}
+        assert {"cluster.request", "cluster.worker", "serve.execute",
+                "plan.execute"} <= names
+
+    def test_serving_builds_no_tracer(self, monkeypatch):
+        db, storage = make_storage()
+        with serve(Engine(db, metrics=MetricsRegistry()), "thread",
+                   storage) as service:
+            service.transform("doc", EXAMPLE1_STYLESHEET)
+            built = []
+            init = Tracer.__init__
+
+            def counting(self, *args, **kwargs):
+                built.append(self)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(Tracer, "__init__", counting)
+            for _ in range(20):
+                service.transform("doc", EXAMPLE1_STYLESHEET)
+                service.transform_stream("doc", EXAMPLE1_STYLESHEET).text()
+        assert built == []
+
+
+class TestEveryStatusKeepsItsSpans:
+    """Whatever ends a served request, its flight record carries the
+    spans of the root tree(s) it opened."""
+
+    @pytest.fixture
+    def served(self):
+        db, storage = make_storage()
+        recorder = FlightRecorder()
+        engine = Engine(db, tracer=Tracer(), metrics=MetricsRegistry(),
+                        recorder=recorder)
+        with serve(engine, "thread", storage) as service:
+            service.transform("doc", EXAMPLE1_STYLESHEET)  # plan cached
+            recorder.reset()
+            yield service, storage, recorder
+
+    @staticmethod
+    def only_record(recorder, status):
+        record, = recorder.records()
+        assert record.status == status
+        spans = record.spans
+        assert {span["trace_id"] for span in spans} == {record.trace_id}
+        return {span["name"]: span["status"] for span in spans}
+
+    def test_ok(self, served):
+        service, _, recorder = served
+        service.transform("doc", EXAMPLE1_STYLESHEET)
+        spans = self.only_record(recorder, "ok")
+        assert spans == {"serve.request": "ok", "serve.execute": "ok",
+                         "plan.execute": "ok"}
+
+    def test_error(self, served):
+        service, _, recorder = served
+        with pytest.raises(ServeError, match="no source"):
+            service.transform("missing", EXAMPLE1_STYLESHEET)
+        assert self.only_record(recorder, "error") \
+            == {"serve.request": "error"}
+
+    def test_deadline_expiring_mid_run(self, served):
+        service, storage, recorder = served
+        fingerprint = storage.fingerprint
+
+        def stalled():  # the plan lookup outlives the deadline
+            time.sleep(0.4)
+            return fingerprint()
+
+        storage.fingerprint = stalled
+        with pytest.raises(RequestTimeoutError, match="during execution"):
+            service.transform("doc", EXAMPLE1_STYLESHEET,
+                              options=TransformOptions(deadline=0.2))
+        spans = self.only_record(recorder, "timeout")
+        assert spans["serve.request"] == "error"
+        assert spans["plan.execute"] == "error"
+
+    def test_stream_drained_to_the_end(self, served):
+        service, _, recorder = served
+        service.transform_stream("doc", EXAMPLE1_STYLESHEET).text()
+        spans = self.only_record(recorder, "ok")
+        assert spans == {"serve.stream.compile": "ok",
+                         "serve.stream.drain": "ok", "plan.execute": "ok"}
+
+    def test_stream_failing_mid_drain(self, served):
+        service, _, recorder = served
+        stream = service.transform_stream(
+            "doc", EXAMPLE1_STYLESHEET, options=TransformOptions(
+                deadline=0.3, batch_size=1, chunk_chars=1))
+        assert next(stream.chunks)
+        time.sleep(0.4)
+        with pytest.raises(DeadlineExceededError):
+            list(stream.chunks)
+        spans = self.only_record(recorder, "error")
+        assert spans == {"serve.stream.compile": "ok",
+                         "serve.stream.drain": "error",
+                         "plan.execute": "error"}
