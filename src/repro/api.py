@@ -29,14 +29,16 @@ from repro.core.transform import (
     DEFAULT_CHUNK_CHARS,
     STRATEGY_FUNCTIONAL,
     STRATEGY_SQL,
+    _collected,
     _compile_impl,
+    _start,
     _stylesheet,
     execute_compiled,
     execute_compiled_stream,
     source_fingerprint,
 )
 from repro.core.xquery_gen import RewriteOptions
-from repro.obs import Tracer, get_tracer, global_metrics
+from repro.obs import get_tracer, global_metrics
 from repro.obs.recorder import transform_fields
 
 __all__ = [
@@ -414,19 +416,21 @@ class Engine:
         """EXPLAIN (REWRITE) of the transform, without executing it, as
         an :class:`~repro.obs.explain.ExplainReport` — strategy, rewrite
         decisions, optimized plan with estimates, plus ``.to_json()``
-        for the structured form.  ``analyze=True`` executes and
-        annotates every plan node with actual rows/batches/timings
-        (EXPLAIN ANALYZE) and includes the Q-error record.  The
-        report renders as text via ``str()``."""
+        for the structured form.  ``analyze=True`` executes under a
+        timed profiler and annotates every plan node with actual
+        rows/batches/opens and total/self times (EXPLAIN ANALYZE) and
+        includes the Q-error record.  The report renders as text via
+        ``str()``."""
         from repro.obs.explain import ExplainReport
+        from repro.rdb.plan import PlanProfiler
 
         opts = TransformOptions.coerce(options)
         compiled = self.compile(source, stylesheet, options=opts)
         if analyze:
-            # a run profiles its plan only under an enabled tracer
-            tracer = self.tracer if self.tracer.enabled else Tracer()
-            return execute_compiled(self.db, source, compiled, opts, None,
-                                    tracer, self.metrics).explain()
+            return _collected(time.perf_counter(), *_start(
+                self.db, source, compiled, opts, None, self.tracer,
+                self.metrics, None, None, PlanProfiler(timed=True))
+            ).explain()
         fallback_reason = None
         if compiled.error is not None:
             fallback_reason = "compile: %s" % compiled.error

@@ -44,7 +44,7 @@ import time
 from repro.errors import RewriteError
 from repro.obs import NULL_SPAN, get_tracer, global_metrics, render_tree
 from repro.obs.decisions import PROJECTION, DecisionLedger
-from repro.obs.feedback import PlanFeedback, observe_profile
+from repro.obs.feedback import PlanFeedback, plan_feedback
 from repro.obs.trace import current_trace_id
 from repro.rdb.database import View
 from repro.rdb.plan import ExecutionStats, PlanProfiler, Query
@@ -80,9 +80,9 @@ class Execution:
 
     __slots__ = ("strategy", "stats", "outcome", "ledger", "fallback_reason",
                  "fallback_phase", "fallback_category", "executed_query",
-                 "plan_profile", "vm_stats", "feedback", "trace", "trace_id",
-                 "cache_tier", "queue_wait_seconds", "execute_seconds",
-                 "total_seconds", "worker", "stats_version")
+                 "plan_profile", "vm_stats", "trace", "trace_id", "cache_tier",
+                 "queue_wait_seconds", "execute_seconds", "total_seconds",
+                 "worker", "stats_version", "_observed", "_feedback")
 
     def __init__(self, strategy, stats=None, outcome=None, ledger=None):
         #: STRATEGY_SQL or STRATEGY_FUNCTIONAL
@@ -102,13 +102,15 @@ class Execution:
         self.fallback_category = None
         #: the optimized Query the rewrite executed (STRATEGY_SQL only)
         self.executed_query = None
-        #: PlanProfiler with per-node rows/timings, when collected
+        #: PlanProfiler with per-node rows (and, on an EXPLAIN ANALYZE,
+        #: timings), when collected
         self.plan_profile = None
         #: functional-path VM counters (instructions, template dispatches)
         self.vm_stats = None
-        #: PlanFeedback (estimate-vs-actual Q-error) of this execution,
-        #: when the plan was profiled; on a stream, set once it is drained
-        self.feedback = None
+        #: ``(observation table, rows, opens)`` of a profiled plan run
+        #: that ran to its end — what ``feedback`` is built from
+        self._observed = None
+        self._feedback = None
         #: root Span of the call (None when tracing is disabled or the
         #: door opens no root span)
         self.trace = None
@@ -127,6 +129,16 @@ class Execution:
         #: the serving worker's index, the statistics version run under
         self.queue_wait_seconds = self.total_seconds = None
         self.worker = self.stats_version = None
+
+    @property
+    def feedback(self):
+        """PlanFeedback (estimate-vs-actual Q-error) of this execution,
+        when its plan was profiled and ran to its end (on a stream: once
+        drained; a stream closed early has none) — built from the run's
+        counts on first read."""
+        if self._feedback is None and self._observed is not None:
+            self._feedback = plan_feedback(*self._observed)
+        return self._feedback
 
     def __getstate__(self):
         """The wire form a worker process ships back, as plain values:
@@ -149,7 +161,7 @@ class Execution:
             for name, value in zip(ExecutionStats._FIELDS, stats):
                 setattr(self.stats, name, value)
         if feedback is not None:
-            self.feedback = PlanFeedback.from_verdict(feedback)
+            self._feedback = PlanFeedback.from_verdict(feedback)
 
 
 #: the plain facts of the wire form (``stats`` and ``feedback`` follow)
@@ -213,7 +225,7 @@ class _ExecutionView:
         )
 
 
-for _field in Execution.__slots__:
+for _field in Execution.__slots__ + ("feedback",):
     setattr(_ExecutionView, _field,
             property(operator.attrgetter("run." + _field)))
 
@@ -514,7 +526,7 @@ def _is_document_store(source):
 
 
 def _start(db, source, compiled, options, params, tracer, metrics, root,
-           deadline):
+           deadline, profiler=None):
     """Open one run over ``compiled``: ``(run, rows, retry)``.
 
     ``run`` is the :class:`Execution` record, ``rows`` the generator of
@@ -523,7 +535,8 @@ def _start(db, source, compiled, options, params, tracer, metrics, root,
     the plan raised :class:`RewriteError` before the door let any output
     go.  The optimized plan runs only without ``params`` (a plan cannot
     bind them); an artifact whose compile fell back replays its recorded
-    error, loudly, on every execution.
+    error, loudly, on every execution.  A plan runs under ``profiler``
+    when one is handed over (EXPLAIN ANALYZE's timed one).
     """
     if options is None:
         from repro.api import TransformOptions
@@ -540,7 +553,7 @@ def _start(db, source, compiled, options, params, tracer, metrics, root,
 
     if compiled.is_rewritten and not params:
         rows = _plan_rows(db, compiled, run, tracer, metrics, options,
-                          deadline)
+                          deadline, profiler)
     elif compiled.error is not None:
         rows = retry(compiled.error)
     else:
@@ -548,53 +561,75 @@ def _start(db, source, compiled, options, params, tracer, metrics, root,
     return run, rows, retry
 
 
-def _plan_rows(db, compiled, run, tracer, metrics, options, deadline):
+def _plan_rows(db, compiled, run, tracer, metrics, options, deadline,
+               profiler=None):
     """One item list per output row of the artifact's optimized plan,
     run the way ``options`` says (``batch_size``) and no later than the
-    absolute ``deadline``, profiled exactly when ``tracer`` is enabled.
+    absolute ``deadline``, profiled under ``profiler`` or, when none is
+    handed over, exactly when ``tracer`` is enabled.
 
-    The profile costs a wrapped batch stream per operator opened and one
-    pass over the plan's observation table after the run
-    (``plan.operator_rows{op}`` and the Q-error record,
-    ``run.feedback``: a Q-error and a histogram sample per profiled
-    operator; ``NodeFeedback`` objects are built only when ``.nodes`` is
-    read); nothing walks the plan per request.
+    A profile costs no wrapper: the loops that already pull the batches
+    count each operator's rows, batches and opens into the profiler's
+    per-slot arrays; nothing times an operator unless the profiler is
+    timed (EXPLAIN ANALYZE), and nothing walks the plan per request.
+    The run then reports in one call,
+    :meth:`~repro.obs.metrics.MetricsRegistry.plan_run`: the success,
+    a ``plan.execute_seconds`` sample, and its counts, which the
+    registry folds into ``plan.operator_rows{op}`` and the
+    ``planner.qerror*`` instruments when it is read; ``run.feedback``
+    is built from the same counts when it is first read.
 
-    Exhausting it counts the rewrite success and folds the profile once
-    (per-operator metrics, the Q-error record); a consumer that stops
-    early has paid for, and recorded, what it received.
+    A consumer that stops early (a stream closed before it is drained)
+    has paid for, and recorded, what it received: the success, the
+    elapsed sample and the operator rows of what ran — but its actuals
+    are truncated, so it stays out of the Q-error record (no
+    ``planner.qerror*`` sample, ``run.feedback`` None).  A run that
+    fails records nothing.
     """
     query = compiled.query
-    with tracer.span("plan.execute") as span:
-        stats = run.stats = ExecutionStats()
-        stats.deadline = deadline
-        profiler = None
-        if tracer.enabled:
-            profiler = stats.profiler = PlanProfiler()
-        run.executed_query = query
-        run.plan_profile = profiler
-        try:
-            for batch in query.execute_batches(
-                    db, stats=stats, batch_size=options.batch_size):
-                for row in batch:
-                    yield row_items(row[0])
-        except RewriteError as exc:
-            # A RewriteError escaping *plan execution* is a run-time
-            # failure, not a compile failure — tag it so the fallback
-            # reason distinguishes the two.
-            if getattr(exc, "phase", None) is None:
-                exc.phase = FALLBACK_PHASE_EXECUTE
-            raise
-        span.set_attr(
-            output_rows=stats.output_rows,
-            rows_scanned=stats.rows_scanned,
-            index_probes=stats.index_probes,
-            elapsed_ms=round(stats.elapsed_seconds * 1000.0, 3),
-        )
-    metrics.counter("transform.rewrite_success").inc()
-    metrics.histogram("plan.execute_seconds").record(stats.elapsed_seconds)
-    if profiler is not None:
-        run.feedback = observe_profile(profiler, metrics)
+    stats = run.stats = ExecutionStats()
+    stats.deadline = deadline
+    if profiler is None and tracer.enabled:
+        profiler = PlanProfiler()
+    stats.profiler = run.plan_profile = profiler
+    run.executed_query = query
+    # a plan.execute span nobody can receive — no open span of this
+    # tracer to hold it, no sink to take it — is not built
+    span = tracer.span("plan.execute") if tracer.enabled and (
+        tracer.sinks or tracer.current() is not None) else NULL_SPAN
+    complete = None  # True: ran to its end; False: its consumer stopped
+    try:
+        with span:
+            try:
+                for batch in query.execute_batches(
+                        db, stats=stats, batch_size=options.batch_size):
+                    for row in batch:
+                        yield row_items(row[0])
+            except RewriteError as exc:
+                # A RewriteError escaping *plan execution* is a run-time
+                # failure, not a compile failure — tag it so the fallback
+                # reason distinguishes the two.
+                if getattr(exc, "phase", None) is None:
+                    exc.phase = FALLBACK_PHASE_EXECUTE
+                raise
+            span.set_attr(
+                output_rows=stats.output_rows,
+                rows_scanned=stats.rows_scanned,
+                index_probes=stats.index_probes,
+                elapsed_ms=round(stats.elapsed_seconds * 1000.0, 3),
+            )
+        complete = True
+    except GeneratorExit:
+        complete = False
+        raise
+    finally:
+        if complete is not None:
+            observed = (None, None, None) if profiler is None else (
+                profiler.table, tuple(profiler.rows_out),
+                tuple(profiler.opens))
+            if complete and profiler is not None:
+                run._observed = observed
+            metrics.plan_run(*observed, stats.elapsed_seconds, complete)
 
 
 def _vm_rows(db, source, compiled, params, run, tracer):
@@ -695,8 +730,13 @@ def execute_compiled(db, source, compiled, options=None, params=None,
     on the request began (None: now).
     """
     started = started or time.perf_counter()
-    run, rows, retry = _start(db, source, compiled, options, params, tracer,
-                              metrics, root, deadline)
+    return _collected(started, *_start(db, source, compiled, options, params,
+                                       tracer, metrics, root, deadline))
+
+
+def _collected(started, run, rows, retry):
+    """The :class:`TransformResult` of the run :func:`_start` opened,
+    its rows pulled to the last."""
     try:
         rows = list(rows)
     except RewriteError as exc:

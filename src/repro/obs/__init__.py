@@ -18,10 +18,11 @@ Six facilities, threaded through every layer (see README
   §4.3/4.4) with XSLT → XQuery → SQL-plan-node provenance, surfaced by
   the report's rewrite-decisions section and by
   ``XsltRewriter.rewrite_view(...).ledger``;
-* **the Q-error record** (:mod:`repro.obs.feedback`) — after every
-  profiled execution, per-node/per-plan Q-error (estimate vs. actual
-  cardinality) is computed, exported and kept on the result; nothing
-  acts on it (``db.analyze()`` is the fix for bad estimates);
+* **the Q-error record** (:mod:`repro.obs.feedback`) — every profiled
+  execution's per-node/per-plan Q-error (estimate vs. actual
+  cardinality), folded into the metrics when they are read and built
+  on the result when it is read; nothing acts on it (``db.analyze()``
+  is the fix for bad estimates);
 * **the flight recorder** (:mod:`repro.obs.recorder`) — a bounded
   ring of recent requests, one :class:`RequestRecord` each, looked up
   by trace id (``TransformService.recorder``).
@@ -39,7 +40,6 @@ from repro.obs.feedback import (
     NodeFeedback,
     PlanFeedback,
     format_qerror,
-    observe_profile,
     q_error,
 )
 from repro.obs.metrics import (
@@ -103,7 +103,6 @@ __all__ = [
     "global_metrics",
     "new_span_id",
     "new_trace_id",
-    "observe_profile",
     "q_error",
     "render_tree",
     "set_metrics",

@@ -34,7 +34,8 @@ class ExplainReport:
         (None when the caller has none);
     ``profile``
         a :class:`~repro.rdb.plan.PlanProfiler` with per-node actuals,
-        set when the plan executed (EXPLAIN ANALYZE);
+        set when the plan executed (EXPLAIN ANALYZE; per-node times
+        where the profiler was timed);
     ``stats``
         the :class:`~repro.rdb.plan.ExecutionStats` of that execution;
     ``feedback``
@@ -70,15 +71,16 @@ class ExplainReport:
     @classmethod
     def for_query(cls, db, query, analyze=False, env=None, ledger=None):
         """A report over one optimized :class:`~repro.rdb.plan.Query`;
-        with ``analyze=True`` the query is executed here and the report
-        carries the actuals (``Database.explain``'s contract)."""
+        with ``analyze=True`` the query is executed here, under a timed
+        profiler, and the report carries the actuals and per-node times
+        (``Database.explain``'s contract)."""
         from repro.rdb.plan import ExecutionStats
 
         profile = None
         stats = None
         if analyze:
             stats = ExecutionStats()
-            stats.profiler = profile = PlanProfiler()
+            stats.profiler = profile = PlanProfiler(timed=True)
             query.execute(db, env=env, stats=stats)
         return cls(query=query, ledger=ledger, profile=profile, stats=stats)
 
@@ -201,9 +203,9 @@ class ExplainReport:
             if node_profile is not None:
                 record["actual_rows"] = node_profile.rows_out
                 record["opens"] = node_profile.opens
-                record["total_ms"] = round(
-                    node_profile.total_seconds * 1000.0, 3
-                )
+                if node_profile.total_seconds is not None:
+                    record["total_ms"] = round(
+                        node_profile.total_seconds * 1000.0, 3)
         children = [self._plan_dict(child) for child in node.children()]
         if children:
             record["children"] = children

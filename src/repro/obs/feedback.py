@@ -2,13 +2,15 @@
 
 The cost planner (:mod:`repro.rdb.planner`) stamps every plan node with
 ``estimated_rows``; the profiler (:class:`~repro.rdb.plan.PlanProfiler`)
-records what actually flowed.  This module pairs the two after a
-profiled execution and computes the **Q-error** of every estimate —
-``max(est/act, act/est)``, the standard multiplicative measure of
-cardinality-estimation quality.  Every observation lands in metrics
+counts what actually flowed.  This module pairs the two and computes
+the **Q-error** of every estimate — ``max(est/act, act/est)``, the
+standard multiplicative measure of cardinality-estimation quality —
+when something reads it: a run's counts are folded into the metrics
 (``planner.qerror`` histogram labeled by operator kind,
-``planner.qerror.max`` per plan) and on the execution result
-(``result.feedback``), and EXPLAIN ANALYZE renders a ``q=`` column.
+``planner.qerror.max`` per plan, :func:`export_runs`) when the registry
+is read, and into the execution result's ``result.feedback``
+(:func:`plan_feedback`) when that is read; EXPLAIN ANALYZE renders a
+``q=`` column.
 
 It is a record, not a loop: nothing acts on it.  Fresh statistics
 (``db.analyze()``) are the fix for a bad estimate, and the serving
@@ -198,8 +200,63 @@ class PlanFeedback:
             format_qerror(self.max_q_error), len(self))
 
 
+def _judged(table, rows, opens):
+    """``(observation row, rows out, opens, Q-error)`` per row of
+    ``table`` whose node opened: ``rows`` and ``opens`` are a run's
+    per-slot counts.  Estimates are per open; a correlated inner plan
+    re-opens once per outer row, so the comparable actual is rows /
+    opens."""
+    for row in table.rows:
+        slot = row[0]
+        loops = opens[slot]
+        if loops:
+            rows_out = rows[slot]
+            yield row, rows_out, loops, q_error(row[4], rows_out / loops)
+
+
+def plan_feedback(table, rows, opens):
+    """The :class:`PlanFeedback` of one run that counted ``rows`` and
+    ``opens`` per slot of ``table`` (None: nothing ran under it)."""
+    observed = []
+    missing = 0
+    max_q_error = worst = None
+    if table is not None:
+        for row, rows_out, loops, error in _judged(table, rows, opens):
+            if error is None:
+                missing += 1
+            elif max_q_error is None or error > max_q_error:
+                max_q_error, worst = error, len(observed)
+            observed.append((row, rows_out, loops))
+    return PlanFeedback(observed, missing, max_q_error, worst)
+
+
+#: the instruments :func:`export_runs` writes: a registry's getter of
+#: one of them folds the runs it holds first
+FOLDED = frozenset({
+    "transform.rewrite_success", "plan.operator_rows", "planner.qerror",
+    "planner.qerror.max", "planner.qerror.missing_estimates",
+})
+
+
+def export_runs(runs, metrics):
+    """Fold tallied plan runs — ``{(table, rows, opens, complete):
+    times}`` — into the registry ``metrics``, through its getters that
+    do not fold (this is the fold): ``transform.rewrite_success`` per
+    run and, per profiled run, ``plan.operator_rows{op}`` per node that
+    opened; a complete run also records the Q-error of every estimate
+    (``planner.qerror{op}``, capped), the plan's worst
+    (``planner.qerror.max``) and ``planner.qerror.missing_estimates``.
+    A run stopped early by its consumer has truncated actuals: it is
+    kept out of the Q-error instruments."""
+    metrics._counter("transform.rewrite_success", {}).inc(
+        sum(runs.values()))
+    for (table, rows, opens, complete), times in runs.items():
+        if table is not None:
+            _export(metrics, table, rows, opens, complete, times)
+
+
 def _instruments(table, metrics):
-    """Per row of ``table``, its ``[plan.operator_rows counter,
+    """Per slot of ``table``, its ``[plan.operator_rows counter,
     planner.qerror histogram]`` in ``metrics``, then ``[planner.qerror.max
     histogram]``: resolved when first recorded into (a snapshot lists no
     instrument nothing recorded into) and kept on the table until the
@@ -209,56 +266,34 @@ def _instruments(table, metrics):
             or held[1] != metrics.generation:
         held = table.instruments = (
             metrics, metrics.generation,
-            [[None, None] for _ in table.rows] + [[None]])
+            [[None, None] for _ in table.nodes] + [[None]])
     return held[2]
 
 
-def observe_profile(profiler, metrics=None):
-    """The one pass over a profiled execution: per row of the
-    :class:`~repro.rdb.binding.Observation` it ran under, bump
-    ``plan.operator_rows{op}`` and record the Q-error of the estimate
-    against the per-open actual (``planner.qerror{op}``, ``.max``,
-    ``.missing_estimates``); returns the :class:`PlanFeedback`.  A node
-    that never opened has no actual and is skipped; ``metrics=None``
-    exports nothing."""
-    table = profiler.table
-    if table is None:  # nothing ran under this profiler
-        return PlanFeedback([], 0, None, None)
-    rows_out, opens = profiler.rows_out, profiler.opens
-    instruments = None if metrics is None else _instruments(table, metrics)
-    observed = []
+def _export(metrics, table, rows, opens, complete, times):
+    instruments = _instruments(table, metrics)
     missing = 0
-    max_q_error = worst = None
-    for index, row in enumerate(table.rows):
-        slot = row[0]
-        loops = opens[slot]
-        if not loops:
+    worst = None
+    for row, rows_out, _, error in _judged(table, rows, opens):
+        pair = instruments[row[0]]
+        if pair[0] is None:
+            pair[0] = metrics._counter("plan.operator_rows", {"op": row[2]})
+        pair[0].inc(rows_out * times)
+        if not complete:
             continue
-        rows = rows_out[slot]
-        if instruments is not None:
-            pair = instruments[index]
-            if pair[0] is None:
-                pair[0] = metrics.counter("plan.operator_rows", op=row[2])
-            pair[0].inc(rows)
-        # estimates are per open; a correlated inner plan re-opens once
-        # per outer row, so the comparable actual is rows / loops
-        error = q_error(row[4], rows / loops)
         if error is None:
             missing += 1
         else:
-            if instruments is not None:
-                if pair[1] is None:
-                    pair[1] = metrics.histogram("planner.qerror", op=row[2])
-                pair[1].record(_capped(error))
-            if max_q_error is None or error > max_q_error:
-                max_q_error, worst = error, len(observed)
-        observed.append((row, rows, loops))
-    if metrics is not None:
-        if max_q_error is not None:
-            plan = instruments[-1]
-            if plan[0] is None:
-                plan[0] = metrics.histogram("planner.qerror.max")
-            plan[0].record(_capped(max_q_error))
-        if missing:
-            metrics.counter("planner.qerror.missing_estimates").inc(missing)
-    return PlanFeedback(observed, missing, max_q_error, worst)
+            if pair[1] is None:
+                pair[1] = metrics._histogram("planner.qerror", {"op": row[2]})
+            pair[1].record(_capped(error), times)
+            if worst is None or error > worst:
+                worst = error
+    if worst is not None:
+        plan = instruments[-1]
+        if plan[0] is None:
+            plan[0] = metrics._histogram("planner.qerror.max", {})
+        plan[0].record(_capped(worst), times)
+    if missing:
+        metrics._counter("planner.qerror.missing_estimates", {}).inc(
+            missing * times)

@@ -4,7 +4,8 @@ A :class:`MetricsRegistry` hands out :class:`Counter` and
 :class:`Histogram` instances keyed by (name, labels).  The front door
 counts rewrite attempts and fallbacks (keyed by failure phase and reason
 category — the silent-fallback fix) and the compile stages record their
-timings.
+timings.  A plan run reports in one call (:meth:`MetricsRegistry.plan_run`)
+whose per-operator part is folded when the registry is read.
 
 Histograms keep raw samples (bounded) and report p50/p95/max with
 nearest-rank percentiles — exactly what the paper-style figures need.
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import threading
 import time
+
+from repro.obs.feedback import FOLDED, export_runs
 
 
 def _label_key(labels):
@@ -112,18 +115,21 @@ class Histogram:
         self._skip = 0
         self._lock = threading.Lock()
 
-    def record(self, value):
+    def record(self, value, times=1):
+        """``value`` as ``times`` samples, exactly as ``times`` single
+        records would leave the histogram."""
         value = float(value)
         with self._lock:
-            self.count += 1
-            self.sum += value
-            self._skip += 1
-            if self._skip >= self._keep_every:
-                self._skip = 0
-                self._values.append(value)
-                if len(self._values) >= self.max_samples:
-                    self._values = self._values[::2]
-                    self._keep_every *= 2
+            for _ in range(times):
+                self.count += 1
+                self.sum += value
+                self._skip += 1
+                if self._skip >= self._keep_every:
+                    self._skip = 0
+                    self._values.append(value)
+                    if len(self._values) >= self.max_samples:
+                        self._values = self._values[::2]
+                        self._keep_every *= 2
         return value
 
     def time(self):
@@ -211,12 +217,23 @@ class _HistogramTimer:
         return False
 
 
+#: distinct plan runs the registry tallies; a run that finds the tally
+#: full and its key not in it is folded alone, at once
+PENDING_RUNS = 64
+
+
 class MetricsRegistry:
     """Keyed store of counters and histograms.
 
     Get-or-create is lock-protected so two worker threads asking for the
     same key always receive the same instrument (an unguarded race would
     hand out two counters and lose one's increments).
+
+    A plan run reports in one call, :meth:`plan_run`, which tallies it
+    by what it observed; the instruments the tally is folded into
+    (:data:`repro.obs.feedback.FOLDED`) are brought up to date when the
+    registry is read: a getter of one of them, :meth:`counters`,
+    :meth:`histograms`, :meth:`counter_total`, :meth:`snapshot`.
     """
 
     def __init__(self):
@@ -227,39 +244,84 @@ class MetricsRegistry:
         #: how often :meth:`reset` ran: whoever holds instruments across
         #: requests resolves them again once this has moved
         self.generation = 0
+        #: ``{(table, rows, opens, complete): runs}`` not yet folded
+        self._runs = {}
+        # held across a whole fold, so a reader waits for one under way
+        self._fold_lock = threading.Lock()
+        self._execute_seconds = None
+
+    def _instrument(self, store, kind, name, labels):
+        key = (name, _label_key(labels))
+        instrument = store.get(key)
+        if instrument is None:
+            with self._lock:
+                instrument = store.get(key)
+                if instrument is None:
+                    instrument = store[key] = kind(name, labels)
+        return instrument
+
+    # get-or-create without folding: what the fold itself writes through
+    def _counter(self, name, labels):
+        return self._instrument(self._counters, Counter, name, labels)
+
+    def _histogram(self, name, labels):
+        return self._instrument(self._histograms, Histogram, name, labels)
 
     def counter(self, name, **labels):
-        key = (name, _label_key(labels))
-        counter = self._counters.get(key)
-        if counter is None:
-            with self._lock:
-                counter = self._counters.get(key)
-                if counter is None:
-                    counter = self._counters[key] = Counter(name, labels)
-        return counter
+        if self._runs and name in FOLDED:
+            self._fold()
+        return self._counter(name, labels)
 
     def gauge(self, name, **labels):
-        key = (name, _label_key(labels))
-        gauge = self._gauges.get(key)
-        if gauge is None:
-            with self._lock:
-                gauge = self._gauges.get(key)
-                if gauge is None:
-                    gauge = self._gauges[key] = Gauge(name, labels)
-        return gauge
+        return self._instrument(self._gauges, Gauge, name, labels)
 
     def histogram(self, name, **labels):
-        key = (name, _label_key(labels))
-        histogram = self._histograms.get(key)
+        if self._runs and name in FOLDED:
+            self._fold()
+        return self._histogram(name, labels)
+
+    # -- plan runs --------------------------------------------------------------
+
+    def plan_run(self, table, rows, opens, seconds, complete=True):
+        """One run of an optimized plan, in one call: a
+        ``plan.execute_seconds`` sample of ``seconds`` now, and the run
+        tallied by what it observed — its
+        :class:`~repro.rdb.binding.Observation` ``table`` and per-slot
+        ``rows`` and ``opens`` tuples (all None: the run was not
+        profiled); ``complete=False``: its consumer stopped it early.
+        The tally is folded (:func:`repro.obs.feedback.export_runs`)
+        when the registry is read.  It holds :data:`PENDING_RUNS`
+        distinct runs: a run whose key is new to a full tally is folded
+        alone, now, which costs it about what the per-run fold always
+        did."""
+        histogram = self._execute_seconds
         if histogram is None:
+            histogram = self._execute_seconds = self._histogram(
+                "plan.execute_seconds", {})
+        histogram.record(seconds)
+        key = (table, rows, opens, complete)
+        with self._lock:
+            runs = self._runs
+            count = runs.get(key)
+            if count is not None or len(runs) < PENDING_RUNS:
+                runs[key] = (count or 0) + 1
+                return
+        export_runs({key: 1}, self)
+
+    def _fold(self):
+        """Bring the folded instruments up to date with every plan run
+        tallied so far."""
+        with self._fold_lock:
             with self._lock:
-                histogram = self._histograms.get(key)
-                if histogram is None:
-                    histogram = self._histograms[key] = Histogram(name, labels)
-        return histogram
+                runs, self._runs = self._runs, {}
+            if runs:
+                export_runs(runs, self)
+
+    # -- reading ----------------------------------------------------------------
 
     def counters(self, name=None):
         """All counters, optionally filtered by name."""
+        self._fold()
         with self._lock:
             values = list(self._counters.values())
         return [
@@ -278,6 +340,7 @@ class MetricsRegistry:
 
     def histograms(self, name=None):
         """All histograms, optionally filtered by name."""
+        self._fold()
         with self._lock:
             values = list(self._histograms.values())
         return [
@@ -297,6 +360,7 @@ class MetricsRegistry:
         (the serve tier does both) never mutate the dicts under the
         iteration.
         """
+        self._fold()
         with self._lock:
             counters = list(self._counters.values())
             gauges = list(self._gauges.values())
@@ -317,10 +381,13 @@ class MetricsRegistry:
         return snapshot
 
     def reset(self):
-        with self._lock:
+        """Drop every instrument, and the plan runs not yet folded."""
+        with self._fold_lock, self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._runs = {}
+            self._execute_seconds = None
             self.generation += 1
 
 

@@ -9,7 +9,7 @@ module provides the span machinery those measurements hang off of:
   identity**: every span carries a 128-bit ``trace_id`` shared by all
   spans of one request, its own 64-bit ``span_id`` and the
   ``parent_span_id`` linking it upward (both W3C-trace-context-shaped
-  lowercase hex);
+  lowercase hex, minted when first read);
 * :class:`Tracer` — opens spans under the ambient one and hands
   finished spans to pluggable sinks.  One tracer may be shared by many
   threads: nesting follows the ambient context, which is per thread, so
@@ -21,8 +21,8 @@ module provides the span machinery those measurements hang off of:
   a span makes it ambient; finishing it restores its predecessor where
   it is still current, and a finished span is never a parent.
   :func:`current_trace_context` / :func:`current_trace_id` read it from
-  anywhere (the plan profiler, a worker handing work to another
-  thread).  A root span opened while a context is ambient **joins**
+  anywhere (a run's record as it opens, a worker handing work to
+  another thread).  A root span opened while a context is ambient **joins**
   that trace — this is how the serve tier's admission thread, worker
   thread and stream drain stitch one request into one trace, and how a
   caller joins an upstream trace:
@@ -103,7 +103,9 @@ def current_trace_context():
 
 def current_trace_id():
     """The ambient trace id, or None outside any trace."""
-    context = current_trace_context()
+    context = _TRACE_CONTEXT.get()
+    while context.__class__ is Span and context.end is not None:
+        context = context._predecessor()
     return context.trace_id if context is not None else None
 
 
@@ -129,6 +131,18 @@ class use_trace_context:
         return False
 
 
+_MINT_LOCK = threading.Lock()
+
+
+def _minted(cell, new_id):
+    """The id in ``cell``, minted by ``new_id`` on first read — once,
+    however many threads read it at the same time."""
+    with _MINT_LOCK:
+        if cell[0] is None:
+            cell[0] = new_id()
+        return cell[0]
+
+
 class Span:
     """One named, timed unit of work inside a trace.
 
@@ -144,27 +158,34 @@ class Span:
     cyclic garbage collection.
     """
 
-    __slots__ = ("name", "attrs", "trace_id", "span_id", "parent_span_id",
-                 "_parent", "_context", "children", "start", "end", "status",
-                 "error", "_tracer", "__weakref__")
+    __slots__ = ("name", "attrs", "_trace", "_id", "_up", "_parent",
+                 "_context", "children", "start", "end", "status", "error",
+                 "_tracer", "__weakref__")
 
     def __init__(self, name, attrs=None, parent=None, tracer=None,
                  context=None):
         self.name = name
         self.attrs = dict(attrs) if attrs else {}
-        self.span_id = new_span_id()
+        # ids are minted when first read: ``_id`` holds this span's,
+        # ``_up`` is its parent's cell and ``_trace`` the cell every
+        # span of the trace shares
+        self._id = [None]
         self._parent = None
         self._context = context  # joined by ids only
         if parent is not None:
             self._parent = weakref.ref(parent)
-            self.trace_id = parent.trace_id
-            self.parent_span_id = parent.span_id
+            self._trace = parent._trace
+            self._up = parent._id
         elif context is not None:
-            self.trace_id = context.trace_id
-            self.parent_span_id = context.span_id
+            if context.__class__ is Span:
+                self._trace, self._up = context._trace, context._id
+            else:  # an ingress may know no upstream span
+                self._trace = [context.trace_id]
+                self._up = None if context.span_id is None \
+                    else [context.span_id]
         else:
-            self.trace_id = new_trace_id()
-            self.parent_span_id = None
+            self._trace = [None]
+            self._up = None
         self.children = []
         self.start = time.perf_counter()
         self.end = None
@@ -173,6 +194,24 @@ class Span:
         self._tracer = tracer
         if parent is not None:
             parent.children.append(self)
+
+    @property
+    def trace_id(self):
+        """The 128-bit trace id every span of the trace shares."""
+        return self._trace[0] or _minted(self._trace, new_trace_id)
+
+    @property
+    def span_id(self):
+        """This span's own 64-bit id."""
+        return self._id[0] or _minted(self._id, new_span_id)
+
+    @property
+    def parent_span_id(self):
+        """The id of the span this one opened under (None: none)."""
+        up = self._up
+        if up is None:
+            return None
+        return up[0] or _minted(up, new_span_id)
 
     @property
     def parent(self):
@@ -356,7 +395,9 @@ class Tracer:
         """
         if not self.enabled:
             return NULL_SPAN
-        ambient = current_trace_context()
+        ambient = _TRACE_CONTEXT.get()
+        if ambient.__class__ is Span and ambient.end is not None:
+            ambient = current_trace_context()  # finished on another thread
         if ambient.__class__ is Span and ambient._tracer is self:
             span = Span(name, attrs, parent=ambient, tracer=self)
         else:

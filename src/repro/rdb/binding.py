@@ -157,20 +157,33 @@ class BoundNode:
         self.args = args
 
     def iter_batches(self, db, outer, stats, batch_size):
-        """Open the node's batch stream under the prefix row ``outer``,
-        profiled when ``stats`` carries a profiler.  Parents iterate
-        children through this so per-node counts are collected."""
+        """Open the node's batch stream under the prefix row ``outer``.
+        Parents iterate children through this; on a profiled run it
+        counts the open, and the parent's loop counts the rows and
+        batches it pulls (the stream is timed only by a timed
+        profiler)."""
         batches = self.node.batches(db, outer, stats, batch_size, *self.args)
-        profiler = getattr(stats, "profiler", None)
+        profiler = stats.profiler
         if profiler is None:
+            return batches
+        profiler.opens[self.slot] += 1
+        if profiler.total_seconds is None:
             return batches
         return profiler.wrap_batches(self.slot, batches)
 
     def iter_rows(self, db, outer, stats, batch_size):
         """:meth:`iter_batches` flattened, for operators that consume
-        their child one row at a time (sorts, builds, merges)."""
-        return chain.from_iterable(
-            self.iter_batches(db, outer, stats, batch_size))
+        their child one row at a time (sorts, nested loops, merges)."""
+        return self.flatten(self.iter_batches(db, outer, stats, batch_size),
+                            stats)
+
+    def flatten(self, batches, stats):
+        """The rows of this node's ``batches``, counted as they are
+        flattened on a profiled run."""
+        profiler = stats.profiler
+        if profiler is None:
+            return chain.from_iterable(batches)
+        return profiler.flattened(self.slot, batches)
 
 
 class Observation:
@@ -217,17 +230,19 @@ class Observation:
 class Binding:
     """A query bound to one catalog: ``source(db, outer_row, stats,
     batch_size)`` yields batches of the rows ``output(row, stats)`` turns
-    into the tuple of the query's output values, and ``observation`` is the
-    :class:`Observation` of the pass.  It remembers what its slots were
-    resolved against — the database, the very ``TableSchema`` objects,
-    the shape of the caller's ``env`` — and :meth:`fits` is checked once
-    per execution, never per row."""
+    into the tuple of the query's output values, a profiled run counts
+    them into ``slot`` (None: the source folded the plan, and counted
+    it), and ``observation`` is the :class:`Observation` of the pass.
+    It remembers what its slots were resolved against — the database,
+    the very ``TableSchema`` objects, the shape of the caller's ``env``
+    — and :meth:`fits` is checked once per execution, never per row."""
 
-    __slots__ = ("db", "schemas", "shape", "source", "output", "observation")
+    __slots__ = ("db", "schemas", "shape", "source", "output", "slot",
+                 "observation")
 
     def __init__(self, query, db, outer):
         binder = Binder(db)
-        self.source, self.output = query.bind(binder, outer)
+        self.source, self.output, self.slot = query.bind(binder, outer)
         self.observation = Observation(binder)
         self.db = db
         self.schemas = list(binder.schemas.items())

@@ -6,9 +6,10 @@ Rows are flat tuples and every name is resolved to a tuple slot by one
 ``node.bind(binder, outer)`` returns a :class:`BoundNode`;
 ``batches(db, outer, stats, batch_size, *bound)`` is the one way an
 operator produces rows (lists of up to ``batch_size`` tuples) and
-:meth:`BoundNode.iter_batches` (the same stream, profiled) the one way a
-parent consumes them.  A :class:`Query` couples a plan with output
-expressions and caches its binding: :meth:`Query.execute_batches` is its
+:meth:`BoundNode.iter_batches` (the same stream; the parent's loop
+counts what it pulls on a profiled run) the one way a parent consumes
+them.  A :class:`Query` couples a plan with output expressions and
+caches its binding: :meth:`Query.execute_batches` is its
 one drive loop (``execute`` collects it), and :meth:`Query.stream_pieces`
 yields the same rows' SQL/XML values (markup, :mod:`repro.rdb.sqlxml`)
 in pieces, so no result document is ever materialized.  Execution
@@ -27,7 +28,6 @@ from itertools import chain, islice
 
 from repro.errors import DatabaseError, DeadlineExceededError, PlanError
 from repro.obs.metrics import global_metrics
-from repro.obs.trace import current_trace_id
 from repro.rdb.binding import BindingCache, Codegen, sort_pairs
 from repro.rdb.expressions import SqlExpr, _text, bind_order, bind_tuple
 from repro.rdb.sqlxml import bind_aggregates, render_item, row_items
@@ -45,8 +45,8 @@ class ExecutionStats:
     B-tree node descents per probe; ``docs_materialized`` counts full
     DOMs rebuilt by the functional (no-rewrite) path — the paper's §2
     materialisation cost.  ``profiler`` optionally carries a
-    :class:`PlanProfiler` collecting per-plan-node row counts and
-    timings for EXPLAIN ANALYZE.
+    :class:`PlanProfiler` collecting per-plan-node row counts (and, when
+    timed, timings) for EXPLAIN ANALYZE.
 
     ``deadline`` is not a counter: it is the ``time.perf_counter()``
     instant after which the drive loop raises
@@ -114,36 +114,39 @@ def _fmt_stat(value):
 
 
 #: one plan node's counters, as read out of a profiled execution
+#: (``total_seconds`` None unless the profiler was timed)
 NodeProfile = namedtuple("NodeProfile",
                          "rows_out opens batches total_seconds")
 
 
 class PlanProfiler:
-    """Collects per-node row counts and wall time during execution.
+    """Per-node actuals of a profiled execution.
 
-    Attached via ``stats.profiler``; every plan node routes child
-    iteration through :meth:`BoundNode.iter_batches`, which wraps the
-    batch generator when a profiler is present.  The counters are four
-    flat arrays indexed by observation slot, sized when the drive loop
-    hands over (:meth:`attach`) the binding's shared
-    :class:`~repro.rdb.binding.Observation` (``table``).  Time spent
-    inside a node's ``next()`` includes its children (total time); self
-    time is derived at rendering time as total minus the children's.
+    Attached via ``stats.profiler``.  Its counters are flat arrays
+    indexed by observation slot, sized when the drive loop hands over
+    (:meth:`attach`) the binding's shared
+    :class:`~repro.rdb.binding.Observation` (``table``).  Nothing is
+    wrapped around an operator to fill them: :meth:`BoundNode.iter_batches
+    <repro.rdb.binding.BoundNode.iter_batches>` counts an ``opens``, and
+    the loop that pulls a node's batches counts its ``rows_out`` and
+    ``batches`` — the drive loop, the subquery source, ``_folded``,
+    ``Filter``, ``Limit``, the hash joins' build and probe loops, and
+    :meth:`~repro.rdb.binding.BoundNode.flatten` for operators that take
+    their child row by row.
 
-    The profiler captures the ambient trace id at construction, so an
-    EXPLAIN ANALYZE retained by the flight recorder links back to the
-    request whose execution produced it.
+    ``timed=True`` (the EXPLAIN ANALYZE doors) also keeps
+    ``total_seconds``: :meth:`wrap_batches` times each node's batch
+    stream, its children included; self time is derived at rendering
+    time as total minus the children's.  Untimed, ``total_seconds`` is
+    None.
     """
 
-    __slots__ = ("trace_id", "table", "rows_out", "opens", "batches",
-                 "total_seconds")
+    __slots__ = ("table", "rows_out", "opens", "batches", "total_seconds")
 
-    def __init__(self):
-        #: trace id of the request this execution profiled under (None
-        #: outside any trace)
-        self.trace_id = current_trace_id()
+    def __init__(self, timed=False):
         self.table = None
-        self.rows_out = self.opens = self.batches = self.total_seconds = ()
+        self.rows_out = self.opens = self.batches = ()
+        self.total_seconds = () if timed else None
 
     def attach(self, table):
         """Count into ``table``'s slots from here on; a further
@@ -154,33 +157,42 @@ class PlanProfiler:
             self.rows_out = [0] * width
             self.opens = [0] * width
             self.batches = [0] * width
-            self.total_seconds = [0.0] * width
+            if self.total_seconds is not None:
+                self.total_seconds = [0.0] * width
 
     def get(self, node):
         """The node's :class:`NodeProfile`; None when it never opened."""
         slot = None if self.table is None else self.table.slots.get(id(node))
         if slot is None or not self.opens[slot]:
             return None
-        return NodeProfile(self.rows_out[slot], self.opens[slot],
-                           self.batches[slot], self.total_seconds[slot])
+        return NodeProfile(
+            self.rows_out[slot], self.opens[slot], self.batches[slot],
+            None if self.total_seconds is None else self.total_seconds[slot])
 
-    def wrap_batches(self, slot, iterator):
-        """Pass a node's batch stream through, counting opens, batches,
-        the rows inside them and the time spent producing them."""
-        rows_out, batches = self.rows_out, self.batches
-        total_seconds, clock = self.total_seconds, time.perf_counter
-        self.opens[slot] += 1
-        start = clock()
-        for batch in iterator:
-            total_seconds[slot] += clock() - start
-            batches[slot] += 1
+    def flattened(self, slot, batches):
+        """The rows of a node's ``batches``, counting each batch."""
+        rows_out, counted = self.rows_out, self.batches
+        for batch in batches:
             rows_out[slot] += len(batch)
+            counted[slot] += 1
+            yield from batch
+
+    def wrap_batches(self, slot, batches):
+        """Pass a node's batch stream through, timing what producing it
+        took (a timed profiler's; the counts are its consumer's)."""
+        total_seconds, clock = self.total_seconds, time.perf_counter
+        start = clock()
+        for batch in batches:
+            total_seconds[slot] += clock() - start
             yield batch
             start = clock()
         total_seconds[slot] += clock() - start
 
     def self_seconds(self, node):
-        """Total time minus the direct children's total time."""
+        """Total time minus the direct children's total time (None
+        when untimed)."""
+        if self.total_seconds is None:
+            return None
         profile = self.get(node)
         if profile is None:
             return 0.0
@@ -426,7 +438,11 @@ class Filter(PlanNode):
                             self.predicate.bind(binder, child.layout))
 
     def batches(self, db, outer, stats, batch_size, child, predicate):
+        profiler = stats.profiler
         for child_batch in child.iter_batches(db, outer, stats, batch_size):
+            if profiler is not None:
+                profiler.rows_out[child.slot] += len(child_batch)
+                profiler.batches[child.slot] += 1
             batch = [row for row in child_batch if predicate(row, stats)]
             if batch:
                 yield batch
@@ -580,7 +596,7 @@ class StructuralJoin(PlanNode):
         anc_doc, anc_start, anc_end = anc_slots
         cut = len(outer)
         anc_batches = anc.iter_batches(db, outer, stats, batch_size)
-        anc_iter = chain.from_iterable(anc_batches)
+        anc_iter = anc.flatten(anc_batches, stats)
         next_anc = next(anc_iter, None)
         # stack entries: (doc, start, end, ancestor's own columns),
         # innermost last
@@ -664,22 +680,21 @@ class HashJoin(PlanNode):
     def _joined(self, db, outer, stats, batch_size, left, right, left_key,
                 right_key, condition):
         # {canonical key: [the right side's own columns, in build order]}
-        cut = len(outer)
-        table = {}
-        for row in right.iter_rows(db, outer, stats, batch_size):
-            key = right_key(row, stats)
-            stats.hash_build_rows += 1
-            if None not in key:  # NULL never equi-joins
-                table.setdefault(key, []).append(row[cut:])
-        for left_row in left.iter_rows(db, outer, stats, batch_size):
-            stats.hash_probes += 1
-            key = left_key(left_row, stats)
-            if None in key:
-                continue
-            for columns in table.get(key, ()):
-                joined = left_row + columns
-                if condition is None or condition(joined, stats):
-                    yield joined
+        table = _built(right, db, outer, stats, batch_size, right_key)
+        profiler = stats.profiler
+        for left_batch in left.iter_batches(db, outer, stats, batch_size):
+            if profiler is not None:
+                profiler.rows_out[left.slot] += len(left_batch)
+                profiler.batches[left.slot] += 1
+            for left_row in left_batch:
+                stats.hash_probes += 1
+                key = left_key(left_row, stats)
+                if None in key:
+                    continue
+                for columns in table.get(key, ()):
+                    joined = left_row + columns
+                    if condition is None or condition(joined, stats):
+                        yield joined
 
 
 class HashLeftJoin(PlanNode):
@@ -727,18 +742,16 @@ class HashLeftJoin(PlanNode):
 
     def batches(self, db, outer, stats, batch_size, left, right, left_keys,
                 right_keys):
-        cut = len(outer)
-        table = {}
-        for row in right.iter_rows(db, outer, stats, batch_size):
-            stats.hash_build_rows += 1
-            key = right_keys(row, stats)
-            if None not in key:  # a NULL key component never equi-joins
-                table.setdefault(key, []).append(row[cut:])
+        table = _built(right, db, outer, stats, batch_size, right_keys)
         # what stands in for a left row with no matching group; computed
         # once per execution, on the first miss
         miss = None
+        profiler = stats.profiler
         # one output row per left row, so a left batch maps to one batch
         for left_batch in left.iter_batches(db, outer, stats, batch_size):
+            if profiler is not None:
+                profiler.rows_out[left.slot] += len(left_batch)
+                profiler.batches[left.slot] += 1
             batch = []
             for left_row in left_batch:
                 stats.hash_probes += 1
@@ -752,6 +765,25 @@ class HashLeftJoin(PlanNode):
                 for columns in matches:
                     batch.append(left_row + columns)
             yield batch
+
+
+def _built(right, db, outer, stats, batch_size, right_key):
+    """A hash join's build table over ``right``'s rows: ``{key: [the
+    right side's own columns, in build order]}`` (a NULL key component
+    never equi-joins)."""
+    cut = len(outer)
+    profiler = stats.profiler
+    table = {}
+    for batch in right.iter_batches(db, outer, stats, batch_size):
+        if profiler is not None:
+            profiler.rows_out[right.slot] += len(batch)
+            profiler.batches[right.slot] += 1
+        stats.hash_build_rows += len(batch)
+        for row in batch:
+            key = right_key(row, stats)
+            if None not in key:
+                table.setdefault(key, []).append(row[cut:])
+    return table
 
 
 def _bind_keys(binder, left_keys, right_keys, left, right):
@@ -908,7 +940,11 @@ def _folded(child, db, outer, stats, batch_size, fold, fresh, grouped):
     """``{group key: states}`` once ``fold`` (``bind_aggregates``) took
     in every batch of ``child``; ungrouped, the one group ``()``."""
     groups = {} if grouped else {(): fresh()}
+    profiler = stats.profiler
     for batch in child.iter_batches(db, outer, stats, batch_size):
+        if profiler is not None:
+            profiler.rows_out[child.slot] += len(batch)
+            profiler.batches[child.slot] += 1
         fold(batch, groups, stats)
     return groups
 
@@ -989,10 +1025,14 @@ class Limit(PlanNode):
         remaining = self.count
         if remaining <= 0:
             return
+        profiler = stats.profiler
         # never ask the child for more rows at once than are still wanted:
         # a scan under a limit then reads exactly ``count`` rows
         for batch in child.iter_batches(db, outer, stats,
                                         min(batch_size, remaining)):
+            if profiler is not None:
+                profiler.rows_out[child.slot] += len(batch)
+                profiler.batches[child.slot] += 1
             if len(batch) >= remaining:
                 yield batch[:remaining]
                 return
@@ -1025,24 +1065,25 @@ class Query:
 
     def bind(self, binder, outer):
         """Bind plan and outputs under the prefix layout ``outer``.
-        Returns ``(source, output)``: ``source(db, outer_row, stats,
-        batch_size)`` yields batches of the rows ``output(row, stats)``
-        turns into the tuple of output values — the plan's rows, or for
-        an aggregate query the single row carrying the accumulated
-        state."""
+        Returns ``(source, output, slot)``: ``source(db, outer_row,
+        stats, batch_size)`` yields batches of the rows ``output(row,
+        stats)`` turns into the tuple of output values — the plan's
+        rows, which a profiled run counts into the plan's ``slot``, or
+        for an aggregate query the single row carrying the accumulated
+        state (``slot`` None: the fold counted the plan's rows)."""
         binder.plans.append(self.plan)
         plan = self.plan.bind(binder, outer)
         fold, fresh, final = bind_aggregates(
             binder, self.outputs, plan.layout, outer)
+        output = bind_tuple(binder, [expr for _, expr in self.outputs], final)
         if fold is None:
-            source = plan.iter_batches
-        else:
-            def source(db, outer_row, stats, batch_size):
-                groups = _folded(plan, db, outer_row, stats, batch_size,
-                                 fold, fresh, False)
-                return [[outer_row + tuple(groups[()])]]
-        return source, bind_tuple(
-            binder, [expr for _, expr in self.outputs], final)
+            return plan.iter_batches, output, plan.slot
+
+        def source(db, outer_row, stats, batch_size):
+            groups = _folded(plan, db, outer_row, stats, batch_size,
+                             fold, fresh, False)
+            return [[outer_row + tuple(groups[()])]]
+        return source, output, None
 
     def bind_scalar(self, binder, outer):
         """This query as a correlated scalar subquery of rows of
@@ -1050,18 +1091,21 @@ class Query:
         as the prefix and returns its single value (or NULL)."""
         if len(self.outputs) != 1:
             raise PlanError("scalar subquery must have one output column")
-        source, output = self.bind(binder, outer)
+        source, output, slot = self.bind(binder, outer)
         db = binder.db
 
         def scalar(row, stats):
             stats.subquery_executions += 1
             # not the drive loop: the outer execution's output_rows /
             # batches / elapsed_seconds are not charged for these rows
-            values = [
-                output(inner, stats)[0]
-                for batch in source(db, row, stats, DEFAULT_BATCH_SIZE)
-                for inner in batch
-            ]
+            profiler = stats.profiler if slot is not None else None
+            values = []
+            for batch in source(db, row, stats, DEFAULT_BATCH_SIZE):
+                if profiler is not None:
+                    profiler.rows_out[slot] += len(batch)
+                    profiler.batches[slot] += 1
+                for inner in batch:
+                    values.append(output(inner, stats)[0])
             if not values:
                 return None
             if len(values) > 1:
@@ -1095,11 +1139,17 @@ class Query:
         stats = stats or ExecutionStats()
         start = time.perf_counter()
         binding, outer_row = self.runtime.get(self, db, env)
-        if stats.profiler is not None:
-            stats.profiler.attach(binding.observation)
-        output = binding.output
+        profiler = stats.profiler
+        if profiler is not None:
+            profiler.attach(binding.observation)
+            if binding.slot is None:
+                profiler = None  # the fold counted the plan's batches
+        output, slot = binding.output, binding.slot
         for batch in binding.source(db, outer_row, stats,
                                     batch_size or DEFAULT_BATCH_SIZE):
+            if profiler is not None:
+                profiler.rows_out[slot] += len(batch)
+                profiler.batches[slot] += 1
             _check_deadline(stats)
             out = [output(row, stats) for row in batch]
             stats.batches += 1
@@ -1274,6 +1324,11 @@ def _profile_note(plan, profile):
     batches = ""
     if node_profile.batches:
         batches = " batches=%d" % node_profile.batches
+    timing = ""
+    if node_profile.total_seconds is not None:
+        timing = " total=%.3fms self=%.3fms" % (
+            node_profile.total_seconds * 1000.0,
+            profile.self_seconds(plan) * 1000.0)
     qnote = ""
     if getattr(plan, "estimated_rows", None) is not None:
         from repro.obs.feedback import format_qerror, q_error
@@ -1284,11 +1339,5 @@ def _profile_note(plan, profile):
         qnote = " q=%s" % format_qerror(
             q_error(plan.estimated_rows, node_profile.rows_out / opens)
         )
-    return "  (actual rows=%d%s opens=%d total=%.3fms self=%.3fms%s)" % (
-        node_profile.rows_out,
-        batches,
-        node_profile.opens,
-        node_profile.total_seconds * 1000.0,
-        profile.self_seconds(plan) * 1000.0,
-        qnote,
-    )
+    return "  (actual rows=%d%s opens=%d%s%s)" % (
+        node_profile.rows_out, batches, node_profile.opens, timing, qnote)

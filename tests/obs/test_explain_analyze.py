@@ -50,7 +50,7 @@ class TestExplainAnalyze:
         db = make_db()
         query = filtered_query()
         stats = ExecutionStats()
-        stats.profiler = PlanProfiler()
+        stats.profiler = PlanProfiler(timed=True)
         query.execute(db, stats=stats)
         filter_node = query.plan
         scan_node = filter_node.child

@@ -1,6 +1,6 @@
-"""The Q-error record: the math, and the one post-run fold
-(``observe_profile``) that pairs estimates with actuals and exports
-them."""
+"""The Q-error record: the math, the verdict a run's counts make
+(``plan_feedback``), and the metrics a registry folds them into
+(``MetricsRegistry.plan_run``)."""
 
 import math
 
@@ -10,10 +10,9 @@ from repro.obs import (
     MetricsRegistry,
     NodeFeedback,
     format_qerror,
-    observe_profile,
     q_error,
 )
-from repro.obs.feedback import QERROR_CAP
+from repro.obs.feedback import QERROR_CAP, plan_feedback
 from repro.rdb import Database, ExecutionStats, INT, PlanProfiler, TEXT
 from repro.rdb.expressions import Const, col, gt
 from repro.rdb.plan import Filter, Query, Scan
@@ -41,6 +40,20 @@ def profiled_run(db, level=None):
     stats.profiler = PlanProfiler()
     query.execute(db, stats=stats)
     return query, stats.profiler
+
+
+def feedback_of(profiler):
+    """The verdict on ``profiler``'s counts, as ``result.feedback``
+    builds it."""
+    return plan_feedback(profiler.table, profiler.rows_out, profiler.opens)
+
+
+def report_run(profiler, registry):
+    """``profiler``'s counts reported the way a plan run reports them:
+    in one ``plan_run`` call, folded when ``registry`` is read."""
+    registry.plan_run(profiler.table, tuple(profiler.rows_out),
+                      tuple(profiler.opens), 0.0)
+    return feedback_of(profiler)
 
 
 class TestQError:
@@ -91,11 +104,11 @@ class TestNodeFeedback:
         assert node.describe() == "#1 Scan(t) est=- actual=10 q=-"
 
 
-class TestObserveProfile:
+class TestPlanFeedback:
     def test_pairs_estimates_with_actuals(self):
         db = make_db()
         _, profiler = profiled_run(db)
-        feedback = observe_profile(profiler)
+        feedback = feedback_of(profiler)
         by_op = {node.op: node for node in feedback.nodes}
         assert by_op["Scan"].actual_rows == 10
         assert by_op["Scan"].q_error == pytest.approx(1.0)
@@ -107,13 +120,13 @@ class TestObserveProfile:
     def test_optimizer_off_counts_missing(self):
         db = make_db()
         _, profiler = profiled_run(db, level="off")
-        feedback = observe_profile(profiler)
+        feedback = feedback_of(profiler)
         assert feedback.max_q_error is None
         assert feedback.worst is None
         assert feedback.missing_estimates == len(feedback.nodes) > 0
 
     def test_nothing_ran(self):
-        feedback = observe_profile(PlanProfiler(), MetricsRegistry())
+        feedback = feedback_of(PlanProfiler())
         assert len(feedback) == 0
         assert feedback.max_q_error is None
         assert feedback.missing_estimates == 0
@@ -121,7 +134,7 @@ class TestObserveProfile:
     def test_verdict_round_trip(self):
         db = make_db()
         _, profiler = profiled_run(db)
-        feedback = observe_profile(profiler)
+        feedback = feedback_of(profiler)
         lean = type(feedback).from_verdict(feedback.verdict())
         assert feedback.verdict() == (0, pytest.approx(1.5))
         assert lean.verdict() == feedback.verdict()
@@ -131,7 +144,7 @@ class TestObserveProfile:
     def test_render_mentions_worst_node(self):
         db = make_db()
         _, profiler = profiled_run(db)
-        feedback = observe_profile(profiler)
+        feedback = feedback_of(profiler)
         lines = feedback.render()
         assert lines[0].startswith("q-error max=1.50 at")
         assert any("Scan(t)" in line for line in lines)
@@ -142,7 +155,7 @@ class TestQErrorMetrics:
         db = make_db()
         _, profiler = profiled_run(db)
         registry = MetricsRegistry()
-        observe_profile(profiler, registry)
+        report_run(profiler, registry)
         assert registry.histogram("planner.qerror", op="Filter").count == 1
         assert registry.histogram("planner.qerror", op="Scan").count == 1
         maxes = registry.histogram("planner.qerror.max")
@@ -152,7 +165,7 @@ class TestQErrorMetrics:
     def test_infinite_qerror_is_capped(self):
         _FakePlan([_FakeNode("Scan", "t", estimated_rows=5.0)])
         registry = MetricsRegistry()
-        feedback = observe_profile(_FakeProfiler({"Scan": 0}), registry)
+        feedback = report_run(_FakeProfiler({"Scan": 0}), registry)
         assert math.isinf(feedback.max_q_error)
         histogram = registry.histogram("planner.qerror.max")
         assert histogram.max == QERROR_CAP
@@ -162,7 +175,7 @@ class TestQErrorMetrics:
         db = make_db()
         _, profiler = profiled_run(db, level="off")
         registry = MetricsRegistry()
-        feedback = observe_profile(profiler, registry)
+        feedback = report_run(profiler, registry)
         assert registry.histograms("planner.qerror") == []
         assert registry.counter("planner.qerror.missing_estimates").value \
             == feedback.missing_estimates
@@ -213,5 +226,5 @@ class TestFakeNodeTypeName:
         # tests that need distinct op names must use real plans.  This
         # guards the assumption.
         _FakePlan([_FakeNode("Filter", "t", estimated_rows=1.0)])
-        feedback = observe_profile(_FakeProfiler({"Filter": 1}))
+        feedback = feedback_of(_FakeProfiler({"Filter": 1}))
         assert feedback.nodes[0].op == "Scan"

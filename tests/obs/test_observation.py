@@ -14,7 +14,7 @@ from repro.obs import MetricsRegistry, Tracer, format_qerror
 from repro.rdb import Database, ExecutionStats, INT, PlanProfiler, TEXT, explain
 from repro.rdb.expressions import Const, col, eq, gt
 from repro.rdb.plan import Filter, NestedLoopJoin, PlanNode, Query, Scan
-from repro.obs.feedback import QERROR_CAP, observe_profile
+from repro.obs.feedback import QERROR_CAP, plan_feedback
 from repro.xsltmark import get_case
 from repro.xsltmark.runner import prepare_case
 
@@ -126,7 +126,7 @@ def qerror_counts(registry):
 class TestOneRecordEverySurface:
     """EXPLAIN ANALYZE's ``q=`` column, ``report()`` and the
     ``planner.qerror*`` instruments all show the one record
-    ``observe_profile`` folds from a profiled run.  The cases span the
+    ``plan_feedback`` makes of a profiled run's counts.  The cases span the
     plan shapes: a one-sided zero (``inf``), a filtered join, two
     grouped joins and an all-exact plan."""
 
@@ -236,7 +236,8 @@ class TestNeverOpenedBranch:
 
     def test_feedback_skips_it(self):
         query, profiler = self.make()
-        feedback = observe_profile(profiler)
+        feedback = plan_feedback(profiler.table, profiler.rows_out,
+                                 profiler.opens)
         assert [(node.op, node.table) for node in feedback.nodes] == [
             ("NestedLoopJoin", None), ("Filter", None), ("Scan", "t")]
         assert profiler.get(query.plan.right) is None

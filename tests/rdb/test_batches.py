@@ -410,20 +410,22 @@ class TestExecutionAccounting:
 class TestBatchFeedbackParity:
     """The Q-error record does not depend on the pull granularity.
 
-    ``observe_profile`` pairs ``estimated_rows`` with the profiler's
+    ``plan_feedback`` pairs ``estimated_rows`` with the profiler's
     ``rows_out`` / ``opens``; if those moved with the batch size the same
     plan would earn a different Q-error at every size.
     """
 
     @staticmethod
     def _feedback(db, query, batch_size):
-        from repro.obs.feedback import observe_profile
+        from repro.obs.feedback import plan_feedback
 
         optimized = db.optimize(query)
         stats = ExecutionStats()
         stats.profiler = PlanProfiler()
         optimized.execute(db, stats=stats, batch_size=batch_size)
-        return observe_profile(stats.profiler)
+        profiler = stats.profiler
+        return plan_feedback(profiler.table, profiler.rows_out,
+                             profiler.opens)
 
     @pytest.mark.parametrize("name,query", _audit_cases(), ids=AUDIT_IDS)
     @pytest.mark.parametrize("batch_size", AUDIT_BATCH_SIZES)

@@ -75,8 +75,11 @@ class TestConnectedTraces:
             # the compile ran under this trace: compile spans present
             assert result.trace.find("compile.stylesheet") is not None
             assert result.trace.find("serve.execute") is not None
-            # the plan profiler captured the same trace id
-            assert result.plan_profile.trace_id == result.trace_id
+            # the run is keyed by the request's trace: the root the front
+            # door opened and the span its plan executed under
+            assert result.trace_id == result.trace.trace_id
+            assert result.trace.find("plan.execute").trace_id \
+                == result.trace_id
 
     def test_cached_hit_yields_its_own_connected_trace(self):
         db, storage = make_storage()
