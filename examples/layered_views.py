@@ -20,7 +20,6 @@ from repro.core import (
     rewrite_xslt_over_xquery,
 )
 from repro.rdb import Database
-from repro.rdb.infer import infer_view_structure
 from repro.rdb.sqlxml import content_markup as markup
 from repro.xmlmodel import parse_fragment, serialize_children
 from repro.xquery import parse_xquery
@@ -53,11 +52,12 @@ def main():
                     FROM player WHERE player.tid = team.tid))) AS content
         FROM team
     """)
-    view_query = db.view("team_xml").query
+    # the view keeps its inferred structure: every rewrite over it shares it
+    view = db.view("team_xml")
 
     print("=== XMLExists pushdown (teams with a 10+ goal scorer) ===")
     exists_query = rewrite_xml_exists(
-        view_query, "/team/squad/player[goals >= 10]"
+        view, "/team/squad/player[goals >= 10]"
     )
     rows, stats = db.execute(exists_query)
     for row in rows:
@@ -66,7 +66,7 @@ def main():
 
     print()
     print("=== extract pushdown (all player names per team) ===")
-    extract_query = rewrite_extract(view_query, "/team/squad/player/pname")
+    extract_query = rewrite_extract(view, "/team/squad/player/pname")
     rows, _ = db.execute(extract_query)
     for row in rows:
         print(" ", markup(row[0]))
@@ -90,7 +90,7 @@ def main():
         '<xsl:template match="s"><li><xsl:value-of select="."/></li>'
         "</xsl:template></xsl:stylesheet>"
     )
-    structure = infer_view_structure(view_query)
+    structure = view.compile_context.structure
     composed, outcome = rewrite_xslt_over_xquery(
         stylesheet, reshape, structure.schema
     )
@@ -99,7 +99,7 @@ def main():
           % ("inline" if outcome.inline_mode else "non-inline"))
     # the view's rows are markup text: parse each into the tree the
     # composed query is evaluated over
-    view_rows, _ = db.execute(view_query)
+    view_rows, _ = db.execute(view.query)
     for row in view_rows:
         result = evaluate_module(composed, parse_fragment(markup(row[0])))
         print(" ", serialize_children(sequence_to_document(result)))

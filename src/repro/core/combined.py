@@ -15,23 +15,24 @@ FLWOR runs over its result (Table 10).  The combined rewrite:
 from __future__ import annotations
 
 from repro.errors import RewriteError
-from repro.rdb.infer import infer_view_structure
 from repro.xquery.ast import Module
 from repro.xquery.parser import parse_xquery
-from repro.core.pipeline import XsltRewriter
+from repro.core.pipeline import XsltRewriter, compile_context
 from repro.core.sql_rewrite import SqlRewriter
 
 
-def rewrite_xquery_over_view(user_query, view_query, fragment_ok=True):
+def rewrite_xquery_over_view(user_query, view, fragment_ok=True):
     """Merge a user XQuery (text or parsed Module) into an XMLType view.
 
     This is the generic ``XMLQuery(... PASSING view_column)`` rewrite; the
-    view may itself be the output of an XSLT rewrite.
+    view may itself be the output of an XSLT rewrite.  ``view`` is its
+    query, a :class:`~repro.rdb.database.View` or an object-relational
+    storage (whose structure every compile against it shares).
     """
     if not isinstance(user_query, Module):
         user_query = parse_xquery(user_query)
-    structure = infer_view_structure(view_query, fragment_ok=fragment_ok)
-    rewriter = SqlRewriter(view_query, structure)
+    context = compile_context(view)
+    rewriter = SqlRewriter(context.view_query, context.rooted(fragment_ok))
     return rewriter.rewrite_module(user_query)
 
 

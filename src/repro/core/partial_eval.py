@@ -6,7 +6,8 @@ Phases, exactly as the paper lays them out:
    the site-stamped instruction tree, the paper's "byte-code along with the
    special trace-instructions");
 2. generate the annotated sample document from the structural schema
-   (§4.2, :mod:`repro.schema.sample`);
+   (§4.2, :mod:`repro.schema.sample`) — once per source, through its
+   :class:`~repro.rdb.infer.CompileContext`;
 3. run the XSLT VM over the sample with tracing, *predicates assumed true*
    (selects and patterns are evaluated through their own
    ``without_predicates()`` form) and every conditional branch / candidate
@@ -18,7 +19,7 @@ Phases, exactly as the paper lays them out:
 from __future__ import annotations
 
 from repro.errors import ReproError, RewriteError
-from repro.schema.sample import generate_sample
+from repro.rdb.infer import CompileContext
 from repro.xslt.trace import TraceRecorder
 from repro.xslt.vm import XsltVM
 from repro.core.graph import build_execution_graph
@@ -70,8 +71,15 @@ def partially_evaluate(stylesheet, schema, ledger=None):
     evaluation, as the paper's implementation does).  When a
     :class:`~repro.obs.decisions.DecisionLedger` is passed, the §4.3
     instantiated/§3.7 pruned classification of every template is recorded
-    with its sample-document evidence."""
-    sample = generate_sample(schema)  # SchemaError for recursive schemas
+    with its sample-document evidence.
+
+    ``schema`` is a structural schema, whose sample is generated here, or
+    a source's :class:`~repro.rdb.infer.CompileContext`, whose sample
+    every partial evaluation against that source shares: the traced run
+    only reads it."""
+    context = (schema if isinstance(schema, CompileContext)
+               else CompileContext(schema=schema))
+    sample = context.sample  # SchemaError for recursive schemas
     trace = TraceRecorder()
     vm = XsltVM(stylesheet, trace=trace, explore=True)
     try:
@@ -81,7 +89,8 @@ def partially_evaluate(stylesheet, schema, ledger=None):
             "partial evaluation failed on the sample document: %s" % exc
         ) from exc
     graph = build_execution_graph(trace, sample)
-    result = PartialEvaluation(stylesheet, schema, sample, trace, graph, vm)
+    result = PartialEvaluation(stylesheet, context.schema, sample, trace,
+                               graph, vm)
     if ledger is not None:
         _record_template_decisions(result, ledger)
     return result

@@ -20,7 +20,10 @@ from __future__ import annotations
 from repro.errors import ReproError, RewriteError
 from repro.obs import get_tracer, global_metrics
 from repro.obs.decisions import DecisionLedger
-from repro.rdb.infer import infer_view_structure
+from repro.rdb.database import View
+from repro.rdb.infer import CompileContext
+from repro.rdb.plan import Query
+from repro.rdb.storage import ObjectRelationalStorage
 from repro.xslt.stylesheet import Stylesheet, compile_stylesheet
 from repro.core.partial_eval import partially_evaluate
 from repro.core.sql_rewrite import SqlRewriter
@@ -34,6 +37,31 @@ def _tag(exc, stage):
     if getattr(exc, "stage", None) is None:
         exc.stage = stage
     return exc
+
+
+def compile_context(source):
+    """The :class:`~repro.rdb.infer.CompileContext` a compile against
+    ``source`` reads: an object-relational storage's or a
+    :class:`~repro.rdb.database.View`'s own, derived once for every
+    compile; a bare view :class:`~repro.rdb.plan.Query` gets a fresh one
+    (nothing outlives the call to keep it on).  Any other source raises
+    :class:`RewriteError`: a document store carries no structure."""
+    if isinstance(source, Query):
+        return CompileContext(source)
+    if isinstance(source, (ObjectRelationalStorage, View)):
+        return source.compile_context
+    if _is_document_store(source):
+        message = ("%s carries no structural information for the rewrite"
+                   % type(source).__name__)
+    else:
+        message = "unsupported source %r" % type(source).__name__
+    raise _tag(RewriteError(message), "source")
+
+
+def _is_document_store(source):
+    """Any storage exposing document_ids()/materialize() — CLOB, indexed
+    CLOB, tree storage — can feed the functional path."""
+    return hasattr(source, "document_ids") and hasattr(source, "materialize")
 
 
 class RewriteOutcome:
@@ -100,7 +128,9 @@ class XsltRewriter:
         self.partial_evaluation = None
 
     def rewrite_to_xquery(self, stylesheet, schema):
-        """Stylesheet + structural schema → XQuery module.
+        """Stylesheet + structural schema (or a source's
+        :class:`~repro.rdb.infer.CompileContext`, whose sample document
+        is then shared) → XQuery module.
 
         Raises :class:`RewriteError` for unsupported constructs.
         """
@@ -111,17 +141,21 @@ class XsltRewriter:
         return RewriteOutcome(stylesheet, partial, module,
                               ledger=self.ledger)
 
-    def rewrite_view(self, stylesheet, view_query):
-        """Stylesheet + XMLType view → XQuery and merged SQL/XML query."""
+    def rewrite_view(self, stylesheet, view):
+        """Stylesheet + XMLType view → XQuery and merged SQL/XML query.
+        ``view`` is the view query or any source :func:`compile_context`
+        takes; a storage's or a view's structure and sample are the ones
+        every compile against it shares."""
+        context = compile_context(view)
         with self.tracer.span("compile") as span:
             with self.tracer.span("compile.infer-structure"):
                 try:
-                    structure = infer_view_structure(view_query)
+                    structure = context.rooted()
                 except RewriteError as exc:
                     raise _tag(exc, "infer-structure")
-            outcome = self.rewrite_to_xquery(stylesheet, structure.schema)
-            outcome.sql_query = self._sql_merge_stage(outcome, view_query,
-                                                      structure)
+            outcome = self.rewrite_to_xquery(stylesheet, context)
+            outcome.sql_query = self._sql_merge_stage(
+                outcome, context.view_query, structure)
             outcome.structure = structure
             # the merge succeeded: number the plan nodes and stamp each
             # decision with the node its XQuery fragment landed in
@@ -132,11 +166,11 @@ class XsltRewriter:
 
     # -- the three stages, each a span --------------------------------------------
 
-    def _partial_eval_stage(self, compiled, schema):
+    def _partial_eval_stage(self, compiled, structure):
         with self.tracer.span("compile.partial-eval") as span, \
                 self.metrics.histogram("compile.partial_eval_seconds").time():
             try:
-                partial = partially_evaluate(compiled, schema,
+                partial = partially_evaluate(compiled, structure,
                                              ledger=self.ledger)
             except RewriteError as exc:
                 raise _tag(exc, "partial-eval")

@@ -95,13 +95,14 @@ def functional_projection(source, stylesheet, ledger, tracer, reused,
     decision in ``ledger`` that names the kept and dropped paths or why
     there is no mask — one is that the artifact is not ``reused`` (a
     one-shot compile).  ``partial`` is the failed rewrite's
-    :class:`~repro.core.partial_eval.PartialEvaluation`, made over the
-    structure inferred from the storage's view; it is reused when that
-    names the paths the storage stores (the view can leave some out, e.g.
-    a wrapper's attributes — a mask must not drop what the analysis never
-    saw).  Otherwise, unless the rewrite failed before partial evaluation
-    (``error``), partial evaluation runs here over the storage's schema,
-    under ``tracer`` (a reused forced functional compile always does)."""
+    :class:`~repro.core.partial_eval.PartialEvaluation`; without one,
+    unless the rewrite failed before partial evaluation (``error``),
+    partial evaluation runs here, under ``tracer`` (a reused forced
+    functional compile always does).  Both are made against the
+    storage's :class:`~repro.rdb.infer.CompileContext`: the structure
+    inferred from its view and the sample every compile shares.  That
+    view constructs every element and attribute the storage stores, so
+    the analysis sees every path a mask could drop."""
     stored = isinstance(source, ObjectRelationalStorage)
     subject = source.schema.root.name if stored else type(source).__name__
     mask = None
@@ -111,13 +112,11 @@ def functional_projection(source, stylesheet, ledger, tracer, reused,
     elif not reused:
         reason = "a one-shot compile builds each document once"
     else:
-        if partial is not None and _paths(partial.schema.root) != _paths(
-                source.schema.root):
-            partial = error = None
         if partial is None and error is None:
             try:
                 with tracer.span("compile.partial-eval"):
-                    partial = partially_evaluate(stylesheet, source.schema)
+                    partial = partially_evaluate(stylesheet,
+                                                 source.compile_context)
             except ReproError as exc:
                 error = exc
         if partial is None:
@@ -130,20 +129,6 @@ def functional_projection(source, stylesheet, ledger, tracer, reused,
                   "project" if mask is not None else "full",
                   reason=reason, detail=detail)
     return mask
-
-
-def _paths(root):
-    """The element and attribute paths below the declaration ``root``."""
-    paths = set()
-    pending = [(root, "")]
-    while pending:
-        decl, prefix = pending.pop()
-        paths.update(prefix + "@" + name for name in decl.attributes)
-        for particle in decl.particles:
-            path = prefix + particle.decl.name
-            paths.add(path)
-            pending.append((particle.decl, path + "/"))
-    return paths
 
 
 def projection_summary(decision):

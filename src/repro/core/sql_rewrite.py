@@ -12,6 +12,11 @@ generation functions over base-table columns (the paper's Table 7 shape).
 
 Unsupported shapes raise :class:`RewriteError`; callers fall back to
 evaluating the XQuery over materialised documents.
+
+The view is read, never written: a storage's view and structure are
+shared by every compile against it, so each view node the merged query
+could have numbered, costed or rewritten in place is placed as this
+compile's own copy (:meth:`SqlRewriter._own`).
 """
 
 from __future__ import annotations
@@ -65,6 +70,53 @@ class SqlRewriter:
         #: DecisionLedger — FLWOR variables are bound to the subquery plan
         #: they become, completing the XSLT → XQuery → SQL provenance chain
         self.ledger = ledger
+        self._copy_on_place = view_structure.copy_on_place
+        self._owned = {}  # id(view node) -> this rewrite's copy (_own)
+
+    def _own(self, node):
+        """``node`` of the view as this rewrite places it: the view's own
+        object when no compile writes into it, else one copy per view
+        node — placed twice, it is one node, as when every compile built
+        its own view.  What the merged query then undergoes (plan node
+        numbering, cost stamps, the optimizer's in-place rewrites) touches
+        only nodes this compile owns (``ViewStructure.copy_on_place``)."""
+        key = id(node)
+        if key not in self._copy_on_place:
+            return node
+        owned = self._owned.get(key)
+        if owned is None:
+            owned = self._owned[key] = self._copy(node)
+        return owned
+
+    def _copy(self, node):
+        """A copy of the view node ``node`` whose parts are this rewrite's
+        (:meth:`_own`): a :class:`ScalarSubquery` over a new query,
+        anything else a shallow copy with each attribute — and each item
+        of a list or pair in one — owned."""
+        own = self._own
+        if isinstance(node, sqle.ScalarSubquery):
+            query = node.query
+            return sqle.ScalarSubquery(Query(
+                own(query.plan),
+                [(name, own(expr)) for name, expr in query.outputs]))
+        marked = self._copy_on_place
+        clone = object.__new__(type(node))
+        state = clone.__dict__
+        for name, value in vars(node).items():
+            if isinstance(value, (list, tuple)):
+                value = _owned_items(value, own)
+            elif id(value) in marked:
+                value = own(value)
+            state[name] = value
+        return clone
+
+    def view_rows(self, outputs, condition=None):
+        """A query producing ``outputs`` per view row (those ``condition``
+        keeps), over this rewrite's copy of the view's plan."""
+        plan = self._own(self.view_query.plan)
+        if condition is not None:
+            plan = Filter(plan, condition)
+        return Query(plan, outputs)
 
     def context_env(self):
         """A fresh environment with '.' bound to the view's XML value."""
@@ -95,8 +147,7 @@ class SqlRewriter:
             env[declaration.name] = _ScalarBinding(
                 self._scalar(declaration.expr, env)
             )
-        output = self._xml(body, env)
-        return Query(self.view_query.plan, [(None, output)])
+        return self.view_rows([(None, self._xml(body, env))])
 
     # -- XML-content context ------------------------------------------------------
 
@@ -195,8 +246,8 @@ class SqlRewriter:
             body = self._flwor(rest, inner_env, body_translator)
             if target.occurs == "?" and target.source.text_expr is not None:
                 return sqle.CaseWhen(
-                    [(sqle.IsNull(target.source.text_expr, negated=True),
-                      body)],
+                    [(sqle.IsNull(self._own(target.source.text_expr),
+                                  negated=True), body)],
                     sqle.Const(None),
                 )
             if target.occurs == "?":
@@ -257,9 +308,10 @@ class SqlRewriter:
 
     def _reconstruct(self, target):
         if target.source.constructor is not None:
-            return target.source.constructor
+            return self._own(target.source.constructor)
         # XMLForest-backed leaf: rebuild the element from its text expr.
-        return sqlxml.XMLElement(target.decl.name, target.source.text_expr)
+        return sqlxml.XMLElement(target.decl.name,
+                                 self._own(target.source.text_expr))
 
     # -- scalar context ---------------------------------------------------------
 
@@ -385,7 +437,7 @@ class SqlRewriter:
             return target.expr
         if isinstance(target, _ElementTarget):
             if target.source.text_expr is not None and target.decl.is_leaf:
-                return target.source.text_expr
+                return self._own(target.source.text_expr)
             return self._string_of_subtree(target)
         if isinstance(target, _DocTarget):
             root_decl = self.structure.schema.root
@@ -398,13 +450,14 @@ class SqlRewriter:
     def _string_of_subtree(self, target):
         """Concatenated text of a whole constructed subtree."""
         decl = target.decl
+        text = self._own(target.source.text_expr)
         parts = []
         if decl.is_leaf:
-            if target.source.text_expr is None:
+            if text is None:
                 raise RewriteError("no text source for <%s>" % decl.name)
-            return target.source.text_expr
-        if decl.has_text and target.source.text_expr is not None:
-            parts.append(target.source.text_expr)
+            return text
+        if decl.has_text and text is not None:
+            parts.append(text)
         for particle in decl.particles:
             child_source = self.structure.source_of(particle.decl)
             if particle.at_most_one:
@@ -423,11 +476,11 @@ class SqlRewriter:
                 inner = self._string_of_subtree(
                     _ElementTarget(child_source, particle.decl, "1")
                 )
-                order_by = _agg_order(subquery)
+                order_by = self._agg_order(subquery)
                 parts.append(
                     sqle.ScalarSubquery(
                         Query(
-                            subquery.query.plan,
+                            self._own(subquery.query.plan),
                             [(None, sqlxml.ListAgg(inner, "",
                                                    order_by=order_by))],
                         )
@@ -503,7 +556,8 @@ class SqlRewriter:
             if target.occurs in ("1", "+"):
                 base = sqle.Const(True)
             elif target.source.text_expr is not None:
-                base = sqle.IsNull(target.source.text_expr, negated=True)
+                base = sqle.IsNull(self._own(target.source.text_expr),
+                                   negated=True)
             else:
                 raise RewriteError(
                     "existence of optional <%s> cannot be tested"
@@ -620,9 +674,9 @@ class SqlRewriter:
             many = _ManyTarget(
                 source,
                 particle.decl,
-                source.subquery.query.plan,
+                self._own(source.subquery.query.plan),
                 [],
-                _agg_order(source.subquery),
+                self._agg_order(source.subquery),
                 parent=target,
             )
             return self._apply_step_predicates(many, step, env)
@@ -645,7 +699,7 @@ class SqlRewriter:
                 return _ManyTarget(
                     target.source, target.decl, target.plan,
                     list(target.conditions), list(target.order_by),
-                    leaf_expr=source.text_expr,
+                    leaf_expr=self._own(source.text_expr),
                     leaf_decl=particle.decl,
                     parent=target.parent,
                 )
@@ -739,7 +793,8 @@ class SqlRewriter:
         if not isinstance(step.test, xp.NameTest) or step.test.local == "*":
             raise RewriteError("attribute wildcards are unsupported")
         if isinstance(target, _ElementTarget):
-            expr = target.source.attribute_exprs.get(step.test.local)
+            expr = self._own(
+                target.source.attribute_exprs.get(step.test.local))
             if expr is None:
                 raise RewriteError(
                     "<%s> has no attribute %s"
@@ -756,8 +811,16 @@ class SqlRewriter:
                 raise RewriteError(
                     "<%s> has no text source" % target.decl.name
                 )
-            return _TextTarget(target.source.text_expr)
+            return _TextTarget(self._own(target.source.text_expr))
         raise RewriteError("text() step on a non-element target")
+
+    def _agg_order(self, subquery):
+        """Order specs of the view subquery's XMLAgg (document order)."""
+        _, inner = subquery.query.outputs[0]
+        if isinstance(inner, sqlxml.XMLAgg):
+            return [(self._own(expr), descending)
+                    for expr, descending in inner.order_by]
+        return []
 
     def _value_target(self, expr, env):
         """LET binding: a path target when resolvable, else a scalar."""
@@ -833,12 +896,11 @@ class _ScalarBinding:
 # -- helpers -----------------------------------------------------------------
 
 
-def _agg_order(subquery):
-    """Order specs of the view subquery's XMLAgg (document order)."""
-    _, inner = subquery.query.outputs[0]
-    if isinstance(inner, sqlxml.XMLAgg):
-        return list(inner.order_by)
-    return []
+def _owned_items(items, own):
+    """A list or tuple (of pairs, say) of view parts, each ``own``'s."""
+    return type(items)(
+        _owned_items(item, own) if isinstance(item, (list, tuple))
+        else own(item) for item in items)
 
 
 def _schema_paths_to(decl, name):

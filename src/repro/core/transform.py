@@ -47,13 +47,13 @@ from repro.obs.decisions import PROJECTION, DecisionLedger
 from repro.obs.feedback import PlanFeedback, plan_feedback
 from repro.obs.trace import current_trace_id
 from repro.rdb.database import View
-from repro.rdb.plan import ExecutionStats, PlanProfiler, Query
+from repro.rdb.plan import ExecutionStats, PlanProfiler
 from repro.rdb.sqlxml import Markup, content_markup, render_item, row_items
-from repro.rdb.storage import ClobStorage, ObjectRelationalStorage
+from repro.rdb.storage import ObjectRelationalStorage
 from repro.xmlmodel.parser import parse_fragment
 from repro.xslt.stylesheet import Stylesheet, compile_stylesheet
 from repro.xslt.vm import XsltVM
-from repro.core.pipeline import XsltRewriter
+from repro.core.pipeline import XsltRewriter, _is_document_store
 from repro.core.projection import functional_projection, projection_summary
 
 STRATEGY_SQL = "sql-rewrite"
@@ -427,7 +427,7 @@ def _compile_impl(db, source, stylesheet, options, tracer, metrics,
     rewriter = XsltRewriter(rewrite_options, tracer=tracer, metrics=metrics,
                             ledger=ledger)
     try:
-        outcome = rewriter.rewrite_view(stylesheet, _view_query(source))
+        outcome = rewriter.rewrite_view(stylesheet, source)
         with tracer.span("compile.optimize"):
             query = db.optimize(outcome.sql_query,
                                 level=options.optimizer_level, ledger=ledger,
@@ -495,31 +495,6 @@ def source_fingerprint(source):
     if callable(fingerprint):
         return fingerprint()
     return "anon:%x" % id(source)
-
-
-def _view_query(source):
-    if isinstance(source, Query):
-        return source
-    if isinstance(source, View):
-        return source.query
-    if isinstance(source, ObjectRelationalStorage):
-        return source.make_view_query()
-    if _is_document_store(source):
-        raise RewriteError(
-            "%s carries no structural information for the rewrite"
-            % type(source).__name__,
-            phase=FALLBACK_PHASE_COMPILE, stage="source",
-        )
-    raise RewriteError(
-        "unsupported source %r" % type(source).__name__,
-        phase=FALLBACK_PHASE_COMPILE, stage="source",
-    )
-
-
-def _is_document_store(source):
-    """Any storage exposing document_ids()/materialize() — CLOB, indexed
-    CLOB, tree storage — can feed the functional path."""
-    return hasattr(source, "document_ids") and hasattr(source, "materialize")
 
 
 # -- the run ----------------------------------------------------------------------

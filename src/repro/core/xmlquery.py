@@ -18,9 +18,8 @@ the pipeline.
 from __future__ import annotations
 
 from repro.errors import RewriteError
-from repro.rdb.infer import infer_view_structure
-from repro.rdb.plan import Filter, Query
 from repro.xquery.parser import parse_xquery
+from repro.core.pipeline import compile_context
 from repro.core.sql_rewrite import SqlRewriter
 
 
@@ -31,27 +30,35 @@ def _module_body(path_text):
     return module.body
 
 
-def rewrite_xml_exists(view_query, path_text, fragment_ok=True):
+def _rewriter(view, fragment_ok):
+    """A :class:`SqlRewriter` over ``view`` — a view query, a
+    :class:`~repro.rdb.database.View` or an object-relational storage,
+    whose structure is then the one derived for every compile."""
+    context = compile_context(view)
+    return SqlRewriter(context.view_query, context.rooted(fragment_ok))
+
+
+def rewrite_xml_exists(view, path_text, fragment_ok=True):
     """``XMLExists(view_column, path)`` as a relational query.
 
     Returns a :class:`Query` producing the view's rows (all original output
     columns) restricted to those whose XML value contains the path.
     """
-    structure = infer_view_structure(view_query, fragment_ok=fragment_ok)
-    rewriter = SqlRewriter(view_query, structure)
+    rewriter = _rewriter(view, fragment_ok)
     env = rewriter.context_env()
     condition = rewriter._condition(_module_body(path_text), env)
-    return Query(Filter(view_query.plan, condition), view_query.outputs)
+    return rewriter.view_rows(
+        [(name, rewriter._own(expr))
+         for name, expr in rewriter.view_query.outputs], condition)
 
 
-def rewrite_extract(view_query, path_text, fragment_ok=True):
+def rewrite_extract(view, path_text, fragment_ok=True):
     """``extract(view_column, path)`` as a relational query.
 
     Returns a :class:`Query` with one XML output per view row: the
     selected elements, reconstructed directly from the base tables.
     """
-    structure = infer_view_structure(view_query, fragment_ok=fragment_ok)
-    rewriter = SqlRewriter(view_query, structure)
+    rewriter = _rewriter(view, fragment_ok)
     env = rewriter.context_env()
     output = rewriter._copy_of(_module_body(path_text), env)
-    return Query(view_query.plan, [(None, output)])
+    return rewriter.view_rows([(None, output)])

@@ -6,6 +6,7 @@ import itertools
 
 from repro.errors import CatalogError
 from repro.rdb.btree import BTreeIndex
+from repro.rdb.infer import CompileContext
 from repro.rdb.plan import ExecutionStats, Query
 from repro.rdb.planner import optimize_query
 from repro.rdb.stats import StatisticsCatalog
@@ -15,14 +16,14 @@ from repro.rdb.types import Column, TableSchema
 
 class View:
     """A named query.  XMLType views (paper Table 3) are plain views whose
-    single output column is an XML construction expression; ``metadata``
-    carries whatever the rewrite needs (e.g. the inferred structural
-    schema)."""
+    single output column is an XML construction expression;
+    ``compile_context`` derives what the rewrite needs — the inferred
+    structure and its sample document — on the first compile, once."""
 
-    def __init__(self, name, query, metadata=None):
+    def __init__(self, name, query):
         self.name = name
         self.query = query
-        self.metadata = metadata or {}
+        self.compile_context = CompileContext(query)
 
     @property
     def xml_output(self):
@@ -116,10 +117,10 @@ class Database:
         """The table's structural path index, or None."""
         return self._structural.get(table_name)
 
-    def create_view(self, name, query, metadata=None):
+    def create_view(self, name, query):
         if name in self._views:
             raise CatalogError("view %r already exists" % name)
-        view = View(name, query, metadata)
+        view = View(name, query)
         self._views[name] = view
         return view
 

@@ -47,6 +47,11 @@ class SqlExpr:
         ``int``, ``float``, ``str`` — or None where the bind cannot tell."""
         return None
 
+    def emit_typed(self, binder, layout, cg):
+        """``(source, value_type)``: :meth:`emit` through ``cg`` and
+        :meth:`value_type` in one call, for a caller that needs both."""
+        return cg.emit(self, binder, layout), self.value_type(layout)
+
     def evaluate(self, env, db=None, stats=None):
         """Convenience for one-off evaluation against an ``{alias:
         {column: value}}`` environment: binds against its shape, then
@@ -115,6 +120,10 @@ class ColumnRef(SqlExpr):
     def value_type(self, layout):
         return layout.types[layout.slot(self.column, self.table)]
 
+    def emit_typed(self, binder, layout, cg):
+        slot = layout.slot(self.column, self.table)  # searched once
+        return "row[%d]" % slot, layout.types[slot]
+
     def to_sql(self):
         if self.table:
             return '"%s"."%s"' % (self.table.upper(), self.column.upper())
@@ -144,8 +153,7 @@ def _concat(terms, binder, layout, cg):
         if text:
             pieces.append(cg.ref(text))
             text = ""
-        source = cg.emit(expr, binder, layout)
-        kind = expr.value_type(layout)
+        source, kind = expr.emit_typed(binder, layout, cg)
         if kind is str:
             pieces.append("(%s or '')" % source)
         elif kind is int and type(expr) is ColumnRef:
@@ -155,6 +163,15 @@ def _concat(terms, binder, layout, cg):
     if text or not pieces:
         pieces.append(cg.ref(text))
     return "(%s)" % " + ".join(pieces)
+
+
+def _native(left_kind, right_kind):
+    """Whether Python compares non-CASE operands of these static types as
+    ``_binary`` does: two numbers or two texts (a typed constant or
+    ``||`` is never NULL; a column's NULL test repeats only a tuple
+    index)."""
+    kinds = {left_kind, right_kind}
+    return None not in kinds and (str not in kinds or len(kinds) == 1)
 
 
 def _divide(left, right):
@@ -190,18 +207,23 @@ class BinOp(SqlExpr):
             apply = self._COMPARISONS.get(op) or self._ARITHMETIC.get(op)
             if apply is None:
                 raise DatabaseError("unknown operator %r" % op)
-            if op in self._COMPARISONS and self._native(layout):
+            if op in self._COMPARISONS and CaseWhen not in (
+                    type(self.left), type(self.right)):
+                (left, left_kind), (right, right_kind) = (
+                    expr.emit_typed(binder, layout, cg)
+                    for expr in (self.left, self.right))
+                if _native(left_kind, right_kind):
+                    return "(%s%s %s %s)" % ("".join(
+                        "%s is not None and " % source for expr, source in
+                        ((self.left, left), (self.right, right))
+                        if type(expr) is ColumnRef), left,
+                        {"=": "==", "<>": "!="}.get(op, op), right)
+            else:
                 left, right = (cg.emit(expr, binder, layout)
                                for expr in (self.left, self.right))
-                return "(%s%s %s %s)" % ("".join(
-                    "%s is not None and " % source for expr, source in
-                    ((self.left, left), (self.right, right))
-                    if type(expr) is ColumnRef), left,
-                    {"=": "==", "<>": "!="}.get(op, op), right)
             return "%s(%s, %s, %s, %s)" % (
                 cg.helper("_binary", _binary), cg.ref(apply),
-                op in self._COMPARISONS, cg.emit(self.left, binder, layout),
-                cg.emit(self.right, binder, layout))
+                op in self._COMPARISONS, left, right)
         # a chain of one operator is emitted flat, however long
         terms, stack = [], [self.right, self.left]
         while stack:
@@ -217,15 +239,6 @@ class BinOp(SqlExpr):
 
     def value_type(self, layout):
         return str if self.op == "||" else None
-
-    def _native(self, layout):
-        """Whether Python compares the operands as ``_binary`` does: two
-        numbers or two texts, no CASE (a typed constant or ``||`` is never
-        NULL; a column's NULL test repeats only a tuple index)."""
-        if CaseWhen in (type(self.left), type(self.right)):
-            return False
-        kinds = {self.left.value_type(layout), self.right.value_type(layout)}
-        return None not in kinds and (str not in kinds or len(kinds) == 1)
 
     def to_sql(self):
         return "%s %s %s" % (self.left.to_sql(), self.op, self.right.to_sql())

@@ -200,9 +200,9 @@ def _template(element, binder, layout):
     elements = 0
 
     def leaf(expr, attribute):
-        source = cg.emit(expr, binder, layout)
+        source, kind = expr.emit_typed(binder, layout, cg)
         body.append("_v%d = %s\n  " % (len(body), source))
-        kinds.append((attribute, expr.value_type(layout)))
+        kinds.append((attribute, kind))
         runs.append("")
         return len(body) - 1
 

@@ -31,6 +31,7 @@ from repro.rdb.expressions import (
     col,
     eq,
 )
+from repro.rdb.infer import CompileContext, derive_once
 from repro.rdb.plan import Filter, Query, Scan
 from repro.rdb.sqlxml import XMLAgg, XMLElement
 from repro.rdb.types import FLOAT, INT, TEXT
@@ -154,6 +155,7 @@ class ObjectRelationalStorage:
         self._projections = {}
         self._shred_program = self._compile_shred_row(self.schema.root,
                                                       self.tables[0])
+        self._compile_context = None  # built on the first compile
 
     # -- layout -----------------------------------------------------------------
 
@@ -261,6 +263,19 @@ class ObjectRelationalStorage:
                 self.db.create_index(table.table_name, PARENT_ID)
 
     # -- metadata for the rewrite ---------------------------------------------------
+
+    @property
+    def compile_context(self):
+        """The :class:`~repro.rdb.infer.CompileContext` every compile
+        against this storage reads: the view query, built on the first
+        compile, its structure and its sample document, each derived
+        once and then shared (the structural schema does not change after
+        ``__init__``).  Racing first compiles publish one context."""
+        context = self._compile_context
+        if context is None:
+            context = derive_once(self, "_compile_context", lambda: (
+                CompileContext(self.make_view_query())))
+        return context
 
     def fingerprint(self):
         """Stable hash of everything that shapes a compiled transform
@@ -757,7 +772,8 @@ class ObjectRelationalStorage:
 
     def make_view_query(self):
         """The SQL/XML view reconstructing documents from the shredded
-        tables — the paper's Table 3 shape; the rewrite merges into it."""
+        tables — the paper's Table 3 shape; the rewrite merges into it
+        (the one :attr:`compile_context` builds)."""
         root_table = self.tables[0]
         alias = root_table.table_name
         construction = self._construct_expr(

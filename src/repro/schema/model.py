@@ -114,8 +114,8 @@ class StructuralSchema:
 
     def is_recursive(self):
         """True if any element type can (indirectly) contain itself.  An
-        iterative depth-first search (every compile's sample generation
-        asks): a recursive closure would be a reference cycle per call."""
+        iterative depth-first search (every sample generation asks): a
+        recursive closure would be a reference cycle per call."""
         visiting = {id(self.root)}
         finished = set()
         walks = [(self.root, iter(self.root.particles))]

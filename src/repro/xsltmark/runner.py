@@ -22,7 +22,6 @@ import time
 from repro.api import TransformOptions
 from repro.errors import ReproError, RewriteError, SchemaError
 from repro.rdb.database import Database
-from repro.rdb.infer import infer_view_structure
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.schema import schema_from_dtd
 from repro.xslt.stylesheet import compile_stylesheet
@@ -118,16 +117,16 @@ def classify_case(case):
         )
     except SchemaError:
         return CLASS_FALLBACK, False
-    view_query = storage.make_view_query()
+    context = storage.compile_context
     try:
-        structure = infer_view_structure(view_query)
-        partial = partially_evaluate(stylesheet, structure.schema)
+        structure = context.rooted()
+        partial = partially_evaluate(stylesheet, context)
         module = generate_xquery(partial)
     except ReproError:
         return CLASS_FALLBACK, False
     classification = CLASS_INLINE if not module.functions else CLASS_NON_INLINE
     try:
-        SqlRewriter(view_query, structure).rewrite_module(module)
+        SqlRewriter(context.view_query, structure).rewrite_module(module)
         sql_merged = True
     except RewriteError:
         sql_merged = False

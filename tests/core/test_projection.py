@@ -319,8 +319,8 @@ def test_hand_cases_keep_what_they_read(body, expected):
 def test_hand_cases_through_a_failed_rewrite(body):
     """The same stylesheets with a construct the rewrite refuses: the
     mask then comes from the failed rewrite's partial evaluation — over
-    the structure inferred from the view, or the storage's own schema
-    where that leaves a stored path out — and equals the forced one."""
+    the structure inferred from the view, shared with the forced
+    compile — and equals the forced one."""
     storage = shop_storage(FULL, BARE, SPARSE)
     text = sheet(body.replace(
         'match="shop">', 'match="shop"><xsl:value-of select="position()"/>',
