@@ -23,6 +23,7 @@ an artifact carries the tree, not the binding.
 from __future__ import annotations
 
 import threading
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 
@@ -144,26 +145,31 @@ _NO_OUTER = (Layout(), ())
 
 class BoundNode:
     """A plan node bound to one row layout: the node, its observation
-    slot, the layout of the rows it yields, and the bound arguments its
-    ``batches`` takes.  Immutable once built, so any number of
-    executions share it."""
+    slot, the layout of the rows it yields, the bound arguments its
+    ``batches`` (or emitted source) takes and, pipelined, the
+    :class:`Pipeline` of its own chain (``stream``, made on first pull).
+    Otherwise immutable once built, so any number of executions share it."""
 
-    __slots__ = ("node", "slot", "layout", "args")
+    __slots__ = ("node", "slot", "layout", "args", "stream")
 
     def __init__(self, node, slot, layout, *args):
         self.node = node
         self.slot = slot
         self.layout = layout
         self.args = args
+        self.stream = None
 
     def iter_batches(self, db, outer, stats, batch_size):
         """Open the node's batch stream under the prefix row ``outer``.
         Parents iterate children through this; on a profiled run it
-        counts the open, and the parent's loop counts the rows and
-        batches it pulls (the stream is timed only by a timed
-        profiler)."""
-        batches = self.node.batches(db, outer, stats, batch_size, *self.args)
+        counts a breaker's open (a chain counts its members'), and the
+        parent's loop counts the rows and batches it pulls."""
         profiler = stats.profiler
+        if self.node.pipelined:
+            if self.stream is None:
+                self.stream = Pipeline(partial(self.node.stream, self))
+            return self.stream.get(profiler)(db, outer, stats, batch_size)
+        batches = self.node.batches(db, outer, stats, batch_size, *self.args)
         if profiler is None:
             return batches
         profiler.opens[self.slot] += 1
@@ -184,6 +190,25 @@ class BoundNode:
         if profiler is None:
             return chain.from_iterable(batches)
         return profiler.flattened(self.slot, batches)
+
+
+class Pipeline:
+    """One fused chain's generated function, built by ``emit(timed)`` on
+    first use of each variant: plain, or timed for a timed profiler.
+    Threads racing to emit build the same function; either is kept."""
+
+    __slots__ = ("emit", "_made")
+
+    def __init__(self, emit):
+        self.emit = emit
+        self._made = [None, None]
+
+    def get(self, profiler):
+        timed = profiler is not None and profiler.total_seconds is not None
+        made = self._made[timed]
+        if made is None:
+            made = self._made[timed] = self.emit(timed)
+        return made
 
 
 class Observation:
@@ -228,21 +253,19 @@ class Observation:
 
 
 class Binding:
-    """A query bound to one catalog: ``source(db, outer_row, stats,
-    batch_size)`` yields batches of the rows ``output(row, stats)`` turns
-    into the tuple of the query's output values, a profiled run counts
-    them into ``slot`` (None: the source folded the plan, and counted
-    it), and ``observation`` is the :class:`Observation` of the pass.
+    """A query bound to one catalog: ``drive``, the :class:`Pipeline` of
+    its drive loop — ``f(db, outer_row, stats, batch_size, start)``
+    yields batches of the query's output-value tuples — and
+    ``observation``, the :class:`Observation` of the pass.
     It remembers what its slots were resolved against — the database,
     the very ``TableSchema`` objects, the shape of the caller's ``env``
     — and :meth:`fits` is checked once per execution, never per row."""
 
-    __slots__ = ("db", "schemas", "shape", "source", "output", "slot",
-                 "observation")
+    __slots__ = ("db", "schemas", "shape", "drive", "observation")
 
     def __init__(self, query, db, outer):
         binder = Binder(db)
-        self.source, self.output, self.slot = query.bind(binder, outer)
+        self.drive = query.bind(binder, outer)
         self.observation = Observation(binder)
         self.db = db
         self.schemas = list(binder.schemas.items())

@@ -11,16 +11,20 @@ from __future__ import annotations
 
 import bisect
 from itertools import islice
+from math import inf
 from operator import itemgetter, le, ne
 
 from repro.errors import DatabaseError
+
+_INFINITIES = (inf, -inf)
 
 
 def _indexable(key):
     """NULLs are not indexed, and neither is NaN: it has no place in a
     total order (one NaN key breaks ``bisect`` for its neighbours), and no
-    comparison a probe serves is true of it — exactly what a scan finds."""
-    return key is not None and key == key
+    comparison a probe serves is true of it — exactly what a scan finds.
+    Nor is ±inf, which compares as the NaN XPath reads from its text."""
+    return key is not None and key == key and key not in _INFINITIES
 
 
 class BTreeIndex:
@@ -49,8 +53,9 @@ class BTreeIndex:
         as one :meth:`insert` per pair, in order, would.  A batch in key
         order that starts at or after the last key — what ingest hands
         over — is appended whole; any other is merged in one pass."""
-        if None in keys or (keys and type(keys[-1]) is float
-                            and any(map(ne, keys, keys))):
+        if None in keys or (keys and type(keys[-1]) is float and (
+                any(map(ne, keys, keys)) or max(keys) == inf
+                or min(keys) == -inf)):
             row_ids = [row_id for key, row_id in zip(keys, row_ids)
                        if _indexable(key)]
             keys = [key for key in keys if _indexable(key)]

@@ -131,9 +131,12 @@ class ColumnRef(SqlExpr):
 
 
 def _binary(apply, comparing, a, b):
-    """``apply`` under SQL's NULL rule and the text-vs-number rule."""
+    """``apply`` under SQL's NULL rule and the text-vs-number rule; a
+    ±inf compares as the NaN XPath reads from its text, ``Infinity``."""
     if a is None or b is None:
         return False if comparing else None
+    if comparing and (a in _INFINITIES or b in _INFINITIES):
+        return apply(math.nan, math.nan)
     if isinstance(a, str) or isinstance(b, str):
         if comparing and type(a) not in (int, float) \
                 and type(b) not in (int, float):  # bools: as text
@@ -163,6 +166,9 @@ def _concat(terms, binder, layout, cg):
     if text or not pieces:
         pieces.append(cg.ref(text))
     return "(%s)" % " + ".join(pieces)
+
+
+_INFINITIES = (math.inf, -math.inf)
 
 
 def _native(left_kind, right_kind):
@@ -213,11 +219,24 @@ class BinOp(SqlExpr):
                     expr.emit_typed(binder, layout, cg)
                     for expr in (self.left, self.right))
                 if _native(left_kind, right_kind):
-                    return "(%s%s %s %s)" % ("".join(
-                        "%s is not None and " % source for expr, source in
-                        ((self.left, left), (self.right, right))
-                        if type(expr) is ColumnRef), left,
-                        {"=": "==", "<>": "!="}.get(op, op), right)
+                    operands = ((self.left, left, left_kind),
+                                (self.right, right, right_kind))
+                    test = "%s %s %s" % (
+                        left, {"=": "==", "<>": "!="}.get(op, op), right)
+                    # a ±inf compares as NaN, as in ``_binary``
+                    finite = " and ".join(
+                        "-%s < %s < _inf" % (cg.helper("_inf", math.inf),
+                                             source)
+                        for expr, source, kind in operands if kind is float
+                        and not (type(expr) is Const
+                                 and math.isfinite(expr.value)))
+                    if finite:
+                        test = ("(%s or not (%s))" if op == "<>"
+                                else "%s and %s") % (test, finite)
+                    return "(%s%s)" % ("".join(
+                        "%s is not None and " % source
+                        for expr, source, _ in operands
+                        if type(expr) is ColumnRef), test)
             else:
                 left, right = (cg.emit(expr, binder, layout)
                                for expr in (self.left, self.right))

@@ -24,12 +24,14 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import namedtuple
+from functools import partial
 from itertools import chain, islice
 
 from repro.errors import DatabaseError, DeadlineExceededError, PlanError
 from repro.obs.metrics import global_metrics
-from repro.rdb.binding import BindingCache, Codegen, sort_pairs
-from repro.rdb.expressions import SqlExpr, _text, bind_order, bind_tuple
+from repro.rdb.binding import BindingCache, Codegen, Pipeline, sort_pairs
+from repro.rdb.expressions import (
+    _INFINITIES, SqlExpr, _text, bind_order, bind_tuple)
 from repro.rdb.sqlxml import bind_aggregates, render_item, row_items
 from repro.xpath.datamodel import to_number
 
@@ -126,19 +128,18 @@ class PlanProfiler:
     indexed by observation slot, sized when the drive loop hands over
     (:meth:`attach`) the binding's shared
     :class:`~repro.rdb.binding.Observation` (``table``).  Nothing is
-    wrapped around an operator to fill them: :meth:`BoundNode.iter_batches
-    <repro.rdb.binding.BoundNode.iter_batches>` counts an ``opens``, and
-    the loop that pulls a node's batches counts its ``rows_out`` and
-    ``batches`` — the drive loop, the subquery source, ``_folded``,
-    ``Filter``, ``Limit``, the hash joins' build and probe loops, and
-    :meth:`~repro.rdb.binding.BoundNode.flatten` for operators that take
-    their child row by row.
+    wrapped around an operator to fill them: a fused chain (DESIGN
+    §9.1) counts its members in its generated loop, ``iter_batches``
+    counts a pipeline breaker's ``opens``, and the loop that pulls a
+    node's batches counts its ``rows_out`` and ``batches`` — a chain,
+    the subquery source, ``Limit``, the hash join's build and probe
+    loops, :meth:`~repro.rdb.binding.BoundNode.flatten`.
 
     ``timed=True`` (the EXPLAIN ANALYZE doors) also keeps
-    ``total_seconds``: :meth:`wrap_batches` times each node's batch
-    stream, its children included; self time is derived at rendering
-    time as total minus the children's.  Untimed, ``total_seconds`` is
-    None.
+    ``total_seconds``: a chain's timed variant, and :meth:`wrap_batches`
+    around a breaker, time each node's batch stream, its children
+    included; self time is derived at rendering time as total minus the
+    children's.  Untimed, ``total_seconds`` is None.
     """
 
     __slots__ = ("table", "rows_out", "opens", "batches", "total_seconds")
@@ -207,7 +208,8 @@ class PlanNode:
     layout of its outer prefix row and returns a :class:`BoundNode`;
     ``batches(db, outer, stats, batch_size, *bound)`` — ``outer`` the
     prefix row, ``bound`` what ``bind`` resolved — yields lists of up to
-    ``batch_size`` flat tuple rows.
+    ``batch_size`` flat tuple rows, or a ``pipelined`` operator emits
+    its source into its fused chain instead (``produce``, DESIGN §9.1).
 
     An operator also *describes itself*, once — :meth:`detail`,
     :meth:`expressions`, :meth:`render_sql`, ``alias``, ``regroupable`` —
@@ -221,12 +223,22 @@ class PlanNode:
     #: needs of an aggregate's body (Sort/TopN/Limit see the per-parent
     #: stream, so they are not)
     regroupable = False
+    #: True when the operator is emitted into a fused chain (``produce``)
+    pipelined = False
 
     def bind(self, binder, outer):
         raise NotImplementedError
 
     def batches(self, db, outer, stats, batch_size):
         raise NotImplementedError
+
+    def produce(self, em, bound):
+        """Emit into ``em`` the loop leaving ``bound``'s batches in ``batch``."""
+        raise NotImplementedError
+
+    def stream(self, bound, timed):
+        """A pipelined operator's own chain, for a parent pulling batches."""
+        return _stream(bound, timed)
 
     def children(self):
         return ()
@@ -305,24 +317,11 @@ def _sliced(rows, batch_size):
 
 
 def _bind_scan(node, binder, outer, *args):
-    """A leaf over ``node.table_name``: its columns, and their declared
-    types, follow the prefix."""
-    schema = binder.table(node.table_name).schema
-    layout = outer.extend(node.alias, schema.names, schema.types)
-    return binder.bound(node, layout, *args)
-
-
-def _fetched(rows, row_ids, outer, stats, batch_size):
-    """Batches of ``outer + rows[row_id]``, each fetch a scanned row."""
-    batch = []
-    for row_id in row_ids:
-        stats.rows_scanned += 1
-        batch.append(outer + rows[row_id])
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    """A leaf over ``node.table_name`` (bound to it and to whether rows
+    carry a prefix): its columns, and their declared types, follow it."""
+    table = binder.table(node.table_name)
+    layout = outer.extend(node.alias, table.schema.names, table.schema.types)
+    return binder.bound(node, layout, table, outer.width > 0, *args)
 
 
 def _source(table_name, alias):
@@ -345,6 +344,7 @@ class Scan(PlanNode):
     """Full table scan."""
 
     regroupable = True
+    pipelined = True
 
     def __init__(self, table_name, alias=None):
         self.table_name = table_name
@@ -359,19 +359,22 @@ class Scan(PlanNode):
     def bind(self, binder, outer):
         return _bind_scan(self, binder, outer)
 
-    def batches(self, db, outer, stats, batch_size):
-        rows = db.table(self.table_name).rows
-        for start in range(0, len(rows), batch_size):
-            batch = rows[start:start + batch_size]
-            stats.rows_scanned += len(batch)
-            # no outer row: the slice of the table's own tuples is the batch
-            yield [outer + row for row in batch] if outer else batch
+    def produce(self, em, bound):
+        table, prefixed = bound.args
+        em.line("_r = %s.rows" % em.ref(table))
+        # no outer row: the slice of the table's own tuples is the batch
+        em.loop("_i in range(0, len(_r), batch_size)")
+        em.line("batch = %s; stats.rows_scanned += len(batch)" % (
+            "[outer + row for row in _r[_i:_i + batch_size]]"
+            if prefixed else "_r[_i:_i + batch_size]"))
+        em.clock(bound.slot)
 
 
 class IndexScan(PlanNode):
     """B-tree probe: ``column op key`` where ``key`` may be correlated."""
 
     regroupable = True
+    pipelined = True
 
     def __init__(self, table_name, index_name, op, key_expr, alias=None,
                  column_name=None):
@@ -398,25 +401,32 @@ class IndexScan(PlanNode):
         column = binder.db.index(self.index_name).column_name
         kind = binder.table(self.table_name).schema.column(column).exact
         return _bind_scan(self, binder, outer,
-                          self.key_expr.bind(binder, outer),
-                          kind in (int, float))
+                          self.key_expr.bind(binder, outer), kind)
 
-    def batches(self, db, outer, stats, batch_size, key, numeric):
-        # a generator itself, so the probe runs (and is timed) on first pull
-        value = key(outer, stats)  # compared as ``column op key`` compares
-        value = _numeric_key(value) if numeric else value
-        if value is None:
-            return  # NULL (or NaN) satisfies no comparison
-        matches = db.index(self.index_name).lookup_op(
-            self.op, value, stats=stats)
-        yield from _fetched(db.table(self.table_name).rows, matches, outer,
-                            stats, batch_size)
+    def produce(self, em, bound):
+        table, prefixed, key, kind = bound.args
+        # the probe, as ``column op key`` compares: a number against a
+        # numeric column, where NULL, NaN and ±inf satisfy no comparison
+        em.timer(bound.slot)
+        em.line("_v = %s(outer, stats)" % em.ref(key))
+        if kind in (int, float):
+            em.line("_v = %s(_v)" % em.helper("_numeric_key", _numeric_key))
+        em.line("_d = () if _v is None else db.index(%s).lookup_op(%s, _v, "
+                "stats=stats)" % (em.ref(self.index_name), em.ref(self.op)))
+        em.charge(bound.slot)
+        em.line("_r = %s.rows" % em.ref(table))
+        em.loop("_i in range(0, len(_d), batch_size)")
+        em.line("batch = [%s_r[_j] for _j in _d[_i:_i + batch_size]]; "
+                "stats.rows_scanned += len(batch)"
+                % ("outer + " if prefixed else ""))
+        em.clock(bound.slot)
 
 
 class Filter(PlanNode):
     """Row filter over a child plan."""
 
     regroupable = True
+    pipelined = True
 
     def __init__(self, child, predicate):
         self.child = child
@@ -434,18 +444,18 @@ class Filter(PlanNode):
 
     def bind(self, binder, outer):
         child = self.child.bind(binder, outer)
-        return binder.bound(self, child.layout, child,
-                            self.predicate.bind(binder, child.layout))
+        cg = Codegen()  # the predicate inline: one call per batch
+        return binder.bound(self, child.layout, child, cg.function(
+            "return [row for row in batch if %s]" % cg.emit(
+                self.predicate, binder, child.layout), "batch, stats"))
 
-    def batches(self, db, outer, stats, batch_size, child, predicate):
-        profiler = stats.profiler
-        for child_batch in child.iter_batches(db, outer, stats, batch_size):
-            if profiler is not None:
-                profiler.rows_out[child.slot] += len(child_batch)
-                profiler.batches[child.slot] += 1
-            batch = [row for row in child_batch if predicate(row, stats)]
-            if batch:
-                yield batch
+    def produce(self, em, bound):
+        child, kept = bound.args
+        em.pull(bound, child)
+        em.line("batch = %s(batch, stats)" % em.ref(kept))
+        em.clock(bound.slot)
+        em.line("if not batch: %scontinue"
+                % ("_c = _clock(); " if em.timed else ""))
 
 
 def _bind_condition(condition, binder, layout):
@@ -528,12 +538,13 @@ class StructuralScan(PlanNode):
     def bind(self, binder, outer):
         return _bind_scan(self, binder, outer)
 
-    def batches(self, db, outer, stats, batch_size):
+    def batches(self, db, outer, stats, batch_size, table, prefixed):
         labelled = db.structural_index(self.table_name).scan_name(
             self.name, doc_id=self.doc_id, stats=stats)
-        return _fetched(db.table(self.table_name).rows,
-                        (row_id for _, row_id in labelled), outer, stats,
-                        batch_size)
+        rows = table.rows
+        for batch in _chunked(labelled, batch_size):
+            stats.rows_scanned += len(batch)
+            yield [outer + rows[row_id] for _, row_id in batch]
 
 
 class StructuralJoin(PlanNode):
@@ -667,10 +678,14 @@ class HashJoin(PlanNode):
         left = self.left.bind(binder, outer)
         right = self.right.bind(binder, outer)
         layout = left.layout.join(right.layout, outer)
+        left_cg, (left_key,) = _typed_keys(binder, [self.left_key],
+                                           left.layout)
+        right_cg, (right_key,) = _typed_keys(binder, [self.right_key],
+                                             right.layout)
         return binder.bound(
             self, layout, left, right,
-            *_bind_keys(binder, [self.left_key], [self.right_key],
-                        left.layout, right.layout),
+            _key_function(left_cg, [left_key], [right_key[1]]),
+            _key_function(right_cg, [right_key], [left_key[1]]),
             _bind_condition(self.condition, binder, layout))
 
     def batches(self, db, outer, stats, batch_size, *bound):
@@ -679,9 +694,19 @@ class HashJoin(PlanNode):
 
     def _joined(self, db, outer, stats, batch_size, left, right, left_key,
                 right_key, condition):
-        # {canonical key: [the right side's own columns, in build order]}
-        table = _built(right, db, outer, stats, batch_size, right_key)
+        # {canonical key: [the right side's own columns, in build order]};
+        # a NULL key never equi-joins
+        cut, table = len(outer), {}
         profiler = stats.profiler
+        for batch in right.iter_batches(db, outer, stats, batch_size):
+            if profiler is not None:
+                profiler.rows_out[right.slot] += len(batch)
+                profiler.batches[right.slot] += 1
+            stats.hash_build_rows += len(batch)
+            for row in batch:
+                key = right_key(row, stats)
+                if None not in key:
+                    table.setdefault(key, []).append(row[cut:])
         for left_batch in left.iter_batches(db, outer, stats, batch_size):
             if profiler is not None:
                 profiler.rows_out[left.slot] += len(left_batch)
@@ -709,9 +734,13 @@ class HashLeftJoin(PlanNode):
     ``ScalarSubquery`` returned for a parent row with no children.
     Group keys are unique, so cardinality and left order are preserved
     — the invariant that keeps decorrelated output byte-identical.
+    It runs as a groupjoin: ``right_keys`` name the group columns, the
+    aggregate folds under the join keys (normalised as ``=`` compares),
+    and its finalised groups are the probe table.
     """
 
     regroupable = True
+    pipelined = True
 
     def __init__(self, left, right, left_keys, right_keys):
         self.left = left
@@ -732,81 +761,71 @@ class HashLeftJoin(PlanNode):
             for pair in _key_pairs(self.left_keys, self.right_keys)])
 
     def bind(self, binder, outer):
+        if not isinstance(self.right, Aggregate) or [
+                (getattr(key, "table", None), getattr(key, "column", None))
+                for key in self.right_keys] != [
+                (self.right.alias, name) for name, _ in self.right.group_by]:
+            raise PlanError("HashLeftJoin's right keys must be its "
+                            "Aggregate's group columns")
         left = self.left.bind(binder, outer)
-        right = self.right.bind(binder, outer)
-        return binder.bound(
-            self, left.layout.join(right.layout, outer),
-            left, right,
-            *_bind_keys(binder, self.left_keys, self.right_keys,
-                        left.layout, right.layout))
+        cg, lefts = _typed_keys(binder, self.left_keys, left.layout)
+        rights = []
 
-    def batches(self, db, outer, stats, batch_size, left, right, left_keys,
-                right_keys):
-        table = _built(right, db, outer, stats, batch_size, right_keys)
-        # what stands in for a left row with no matching group; computed
-        # once per execution, on the first miss
-        miss = None
-        profiler = stats.profiler
-        # one output row per left row, so a left batch maps to one batch
-        for left_batch in left.iter_batches(db, outer, stats, batch_size):
-            if profiler is not None:
-                profiler.rows_out[left.slot] += len(left_batch)
-                profiler.batches[left.slot] += 1
-            batch = []
-            for left_row in left_batch:
-                stats.hash_probes += 1
-                key = left_keys(left_row, stats)
-                matches = table.get(key) if None not in key else None
-                if not matches:
-                    if miss is None:
-                        miss = (right.node.empty_row(outer, stats,
-                                                     *right.args),)
-                    matches = miss
-                for columns in matches:
-                    batch.append(left_row + columns)
-            yield batch
+        def normal(position, kind):
+            rights.append(kind)
+            return _NORMALS.get((kind, lefts[position][1]), _hash_key)
 
+        # the aggregate folds under the keys normalised as ``=`` compares
+        # them with the left's, so its groups are the probe table
+        right = self.right.bind(binder, outer, normal)
+        return binder.bound(self, left.layout.join(right.layout, outer),
+                            left, right, _key_function(cg, lefts, rights))
 
-def _built(right, db, outer, stats, batch_size, right_key):
-    """A hash join's build table over ``right``'s rows: ``{key: [the
-    right side's own columns, in build order]}`` (a NULL key component
-    never equi-joins)."""
-    cut = len(outer)
-    profiler = stats.profiler
-    table = {}
-    for batch in right.iter_batches(db, outer, stats, batch_size):
-        if profiler is not None:
-            profiler.rows_out[right.slot] += len(batch)
-            profiler.batches[right.slot] += 1
-        stats.hash_build_rows += len(batch)
-        for row in batch:
-            key = right_key(row, stats)
-            if None not in key:
-                table.setdefault(key, []).append(row[cut:])
-    return table
+    def produce(self, em, bound):
+        left, right, left_keys = bound.args
+        child, fold, _, finish, _ = right.args
+        em.members.append(right.slot)
+        names = {"g": "_g%d" % right.slot, "m": "_m%d" % bound.slot,
+                 "f": em.ref(finish), "k": em.ref(left_keys),
+                 "e": em.ref(right.node.empty_row), "a": em.ref(right.args)}
+        em.timer(bound.slot)
+        em.line("%(g)s = {}" % names)
+        em.fold(child, fold, names["g"])
+        em.line("for _key, _s in %(g)s.items(): %(g)s[_key] = _key + %(f)s("
+                "outer + tuple(_s), stats)" % names)
+        em.line("stats.hash_build_rows += len(%(g)s); %(m)s = None" % names)
+        em.count(right.slot, "len(%(g)s)" % names,
+                 "-(-len(%(g)s) // batch_size)" % names)
+        # a NULL key component never equi-joins: a probe for it misses
+        em.line(("%(g)s.pop((None,), None)" if len(self.left_keys) == 1 else
+                 "for _key in [_key for _key in %(g)s if None in _key]: "
+                 "del %(g)s[_key]") % names)
+        em.charge(bound.slot, [right.slot])
+        em.pull(bound, left)
+        # one output row per left row; a miss (computed once, on the
+        # first) gets the aggregate's empty group
+        em.line("batch = [row + (%(g)s.get(%(k)s(row, stats)) or %(m)s or "
+                "(%(m)s := %(e)s(outer, stats, *%(a)s))) for row in batch]; "
+                "stats.hash_probes += len(batch)" % names)
+        em.clock(bound.slot)
 
 
-def _bind_keys(binder, left_keys, right_keys, left, right):
-    """``(left key, right key)`` of an equi-join of rows of the layouts
-    ``left`` and ``right``: per side, ``f(row, stats)``, the tuple of its
-    keys normalised as ``=`` compares each pair (DESIGN §10)."""
-    kinds = [(left_key.value_type(left), right_key.value_type(right))
-             for left_key, right_key in zip(left_keys, right_keys)]
-    return (_bind_key(binder, left_keys, [
-                _NORMALS.get(pair, _hash_key) for pair in kinds], left),
-            _bind_key(binder, right_keys, [
-                _NORMALS.get(pair[::-1], _hash_key) for pair in kinds], right))
-
-
-def _bind_key(binder, exprs, normals, layout):
-    if not any(normals):
-        return bind_tuple(binder, exprs, layout)
+def _typed_keys(binder, exprs, layout):
+    """``(codegen, [(source, value type)])`` of the key ``exprs`` over
+    rows of ``layout``: one slot search per column."""
     cg = Codegen()
+    return cg, [expr.emit_typed(binder, layout, cg) for expr in exprs]
+
+
+def _key_function(cg, keys, others):
+    """``f(row, stats)``: the tuple of ``keys`` (``(source, type)``, in
+    ``cg``), each normalised as ``=`` compares it with a key of the type
+    ``others`` holds at its position (DESIGN §10)."""
     return cg.function("return (%s)" % "".join([
         (source if normal is None else "%s(%s)" % (
             cg.helper(normal.__name__, normal), source)) + ", "
-        for normal, source in zip(normals, [
-            cg.emit(expr, binder, layout) for expr in exprs])]))
+        for (source, kind), other in zip(keys, others)
+        for normal in [_NORMALS.get((kind, other), _hash_key)]]))
 
 
 def _hash_key(value):
@@ -816,10 +835,11 @@ def _hash_key(value):
 
 def _numeric_key(value):
     """A key compared as a number (text through ``to_number``); None for
-    NULL and NaN, which equal nothing."""
+    NULL, NaN and ±inf (read back from its text as NaN), which equal
+    nothing."""
     if isinstance(value, str):
         value = to_number(value)
-    return None if value != value else value
+    return None if value != value or value in _INFINITIES else value
 
 
 #: what a key of the first type compared with one of the second goes
@@ -905,28 +925,31 @@ class Aggregate(PlanNode):
                 expr.to_sql() for _, expr in self.group_by)
         sources.append("(%s) %s" % (body, self.alias))
 
-    def bind(self, binder, outer):
+    def bind(self, binder, outer, normal=None):
+        """``normal(position, type)``: what each group key goes through
+        (a :class:`HashLeftJoin` folding under its join keys)."""
         child = self.child.bind(binder, outer)
-        fold, fresh, final = bind_aggregates(
+        fold, fresh, final, types = bind_aggregates(
             binder, self.outputs, child.layout, outer,
-            [expr for _, expr in self.group_by])
+            [expr for _, expr in self.group_by], normal)
         names = [name for name, _ in (*self.group_by, *self.outputs)]
-        types = tuple(expr.value_type(child.layout) for _, expr
-                      in self.group_by) + (None,) * len(self.outputs)
         return binder.bound(
-            self, outer.extend(self.alias, names, types), child, fold, fresh,
-            bind_tuple(binder, [expr for _, expr in self.outputs], final))
+            self, outer.extend(self.alias, names,
+                               types + (None,) * len(self.outputs)),
+            child, fold, fresh,
+            bind_tuple(binder, [expr for _, expr in self.outputs], final),
+            Pipeline(partial(_folding, child, fold, fresh,
+                             bool(self.group_by))))
 
     def batches(self, db, outer, stats, batch_size, child, fold, fresh,
-                finish):
-        groups = _folded(child, db, outer, stats, batch_size, fold, fresh,
-                         self.group_by)
+                finish, build):
+        groups = build.get(stats.profiler)(db, outer, stats, batch_size)
         yield from _sliced(
             [outer + key + finish(outer + tuple(states), stats)
              for key, states in groups.items()],
             batch_size)
 
-    def empty_row(self, outer, stats, child, fold, fresh, finish):
+    def empty_row(self, outer, stats, child, fold, fresh, finish, build):
         """The columns of a group no child row fell into: group keys
         NULL, aggregates finalized over fresh state (COUNT()=0,
         XMLAgg=[], SUM/MIN/MAX=NULL) — exactly what a correlated
@@ -934,19 +957,6 @@ class Aggregate(PlanNode):
         :class:`HashLeftJoin` appends this on probe misses."""
         return (None,) * len(self.group_by) + finish(
             outer + tuple(fresh()), stats)
-
-
-def _folded(child, db, outer, stats, batch_size, fold, fresh, grouped):
-    """``{group key: states}`` once ``fold`` (``bind_aggregates``) took
-    in every batch of ``child``; ungrouped, the one group ``()``."""
-    groups = {} if grouped else {(): fresh()}
-    profiler = stats.profiler
-    for batch in child.iter_batches(db, outer, stats, batch_size):
-        if profiler is not None:
-            profiler.rows_out[child.slot] += len(batch)
-            profiler.batches[child.slot] += 1
-        fold(batch, groups, stats)
-    return groups
 
 
 class TopN(PlanNode):
@@ -1040,11 +1050,153 @@ class Limit(PlanNode):
             yield batch
 
 
-def _check_deadline(stats):
-    if stats.deadline is not None and time.perf_counter() >= stats.deadline:
-        raise DeadlineExceededError(
-            "deadline passed during plan execution (after %d batches)"
-            % stats.batches)
+def _expired(stats):
+    raise DeadlineExceededError(
+        "deadline passed during plan execution (after %d batches)"
+        % stats.batches)
+
+
+# -- fused pipelines ---------------------------------------------------------------
+
+
+class _Emitter(Codegen):
+    """One fused chain being emitted (DESIGN §9.1): the body of a
+    generated ``f(db, outer, stats, batch_size)``.  The leaf opens the
+    batch loop (``batch`` is each batch), each pipelined member over it
+    turns ``batch`` into its own, and the consumer — a fold, the drive
+    loop or ``yield`` to a pipeline breaker — takes the top's; work done
+    once per open (an index probe, a groupjoin's build) comes before the
+    loop.  Every member's ``opens`` is counted when the chain opens, its
+    ``rows_out`` and ``batches`` where its parent takes its batch.
+    ``timed`` emits the same loop with a clock read at each operator
+    boundary, once per batch: a member's total is the time since its
+    consumer last asked (``_c``); once-per-open work is charged to the
+    member doing it and to every member ``above``."""
+
+    __slots__ = ("timed", "lines", "pad", "members", "above")
+
+    def __init__(self, timed):
+        super().__init__(("_clock",), (time.perf_counter,))
+        self.timed = timed
+        self.lines, self.pad, self.members, self.above = [], "", [], []
+
+    def line(self, text):
+        self.lines.append(self.pad + text)
+
+    def asks(self):
+        """Timed: the consumer asks for the next batch from here."""
+        if self.timed:
+            self.line("_c = _clock()")
+
+    def chain(self, bound):
+        """Leave ``bound``'s batches in ``batch``, inside the loop."""
+        if bound.node.pipelined:
+            self.members.append(bound.slot)
+            bound.node.produce(self, bound)
+            return
+        # a pipeline breaker as the leaf counts its open and times itself
+        self.loop("batch in %s.iter_batches(db, outer, stats, batch_size)"
+                  % self.ref(bound))
+
+    def loop(self, iteration):
+        """Open the chain's batch loop."""
+        self.asks()
+        self.line("for %s:" % iteration)
+        self.pad += " "
+
+    def pull(self, parent, child):
+        """``child``'s batches, taken (and counted) by ``parent``."""
+        self.above.append(parent.slot)
+        self.chain(child)
+        self.above.pop()
+        self.count(child.slot)
+
+    def fold(self, child, fold, groups):
+        """A loop of its own taking every batch of ``child`` into
+        ``groups``, run before whatever it is emitted in."""
+        above, pad, self.above = self.above, self.pad, []
+        self.chain(child)
+        self.count(child.slot)
+        self.line("%s(batch, %s, stats)" % (self.ref(fold), groups))
+        self.asks()
+        self.pad, self.above = pad, above
+
+    def count(self, slot, rows="len(batch)", batches="1"):
+        text = "_ro[%d] += %s; _bt[%d] += %s" % (slot, rows, slot, batches)
+        self.line(text if self.timed else "if _p is not None: " + text)
+
+    def clock(self, slot):
+        """Timed: ``slot``'s batch is complete."""
+        if self.timed:
+            self.line("_ts[%d] += _clock() - _c" % slot)
+
+    def timer(self, slot):
+        """Timed: once-per-open work of ``slot`` starts."""
+        if self.timed:
+            self.line("_b%d = _clock()" % slot)
+
+    def charge(self, slot, also=()):
+        """Timed: the work since :meth:`timer` goes to ``slot``, ``also``
+        and every member above."""
+        if self.timed:
+            self.line("_e = _clock() - _b%d; " % slot + "; ".join(
+                "_ts[%d] += _e" % charged
+                for charged in (slot, *also, *self.above)))
+
+    def function(self, signature="db, outer, stats, batch_size"):
+        counters = "_ro = _p.rows_out; _bt = _p.batches" + "".join(
+            "; _p.opens[%d] += 1" % slot for slot in self.members)
+        if self.timed:
+            counters += "; _ts = _p.total_seconds"
+        prelude = ["_p = stats.profiler",
+                   counters if self.timed else "if _p is not None: " + counters]
+        return super().function("\n  ".join(prelude + self.lines), signature)
+
+
+def _stream(top, timed):
+    """``f(db, outer, stats, batch_size)``: a generator of ``top``'s
+    batches, whose consumer (a pipeline breaker) counts them."""
+    em = _Emitter(timed)
+    em.chain(top)
+    em.line("yield batch")
+    em.asks()
+    return em.function()
+
+
+def _folding(child, fold, fresh, grouped, timed):
+    """``f(db, outer, stats, batch_size)``: the ``{group key: states}``
+    of ``fold`` over every batch of ``child`` (ungrouped, the one group
+    ``()``)."""
+    em = _Emitter(timed)
+    em.line("_g = {}" if grouped else "_g = {(): %s()}" % em.ref(fresh))
+    em.fold(child, fold, "_g")
+    em.line("return _g")
+    return em.function()
+
+
+def _driving(plan, fold, fresh, output, timed):
+    """``f(db, outer, stats, batch_size, start)``: the drive loop — a
+    generator of the batches of output-value tuples ``output`` makes of
+    the plan's rows (of an aggregate query's one folded row), charging
+    ``stats`` per batch and checking the deadline between them."""
+    em = _Emitter(timed)
+    if fold is None:
+        em.chain(plan)
+        em.count(plan.slot)
+    else:
+        em.line("_g = {(): %s()}" % em.ref(fresh))
+        em.fold(plan, fold, "_g")
+        em.line("batch = [outer + tuple(_g[()])]")
+    em.line("if stats.deadline is not None and _clock() >= stats.deadline:"
+            " %s(stats)" % em.helper("_expired", _expired))
+    em.line("out = [%s(row, stats) for row in batch]; stats.batches += 1; "
+            "stats.output_rows += len(out)" % em.ref(output))
+    em.line("stats.elapsed_seconds += _clock() - start; yield out; "
+            "start = _clock()")
+    em.asks()
+    em.pad = ""
+    em.line("stats.elapsed_seconds += _clock() - start")
+    return em.function("db, outer, stats, batch_size, start")
 
 
 class Query:
@@ -1064,26 +1216,22 @@ class Query:
         self.__init__(state["plan"], state["outputs"])
 
     def bind(self, binder, outer):
-        """Bind plan and outputs under the prefix layout ``outer``.
-        Returns ``(source, output, slot)``: ``source(db, outer_row,
-        stats, batch_size)`` yields batches of the rows ``output(row,
-        stats)`` turns into the tuple of output values — the plan's
-        rows, which a profiled run counts into the plan's ``slot``, or
-        for an aggregate query the single row carrying the accumulated
-        state (``slot`` None: the fold counted the plan's rows)."""
+        """Bind plan and outputs under the prefix layout ``outer``;
+        returns the :class:`~repro.rdb.binding.Pipeline` of the drive
+        loop :meth:`execute_batches` runs."""
+        return Pipeline(partial(_driving, *self._bind(binder, outer)))
+
+    def _bind(self, binder, outer):
+        """``(plan, fold, fresh, output)``: the bound plan, the fold of
+        an aggregate query's single group (None when there is none) and
+        ``output(row, stats)``, the tuple of output values of a plan row
+        (of the folded row)."""
         binder.plans.append(self.plan)
         plan = self.plan.bind(binder, outer)
-        fold, fresh, final = bind_aggregates(
+        fold, fresh, final, _ = bind_aggregates(
             binder, self.outputs, plan.layout, outer)
-        output = bind_tuple(binder, [expr for _, expr in self.outputs], final)
-        if fold is None:
-            return plan.iter_batches, output, plan.slot
-
-        def source(db, outer_row, stats, batch_size):
-            groups = _folded(plan, db, outer_row, stats, batch_size,
-                             fold, fresh, False)
-            return [[outer_row + tuple(groups[()])]]
-        return source, output, None
+        return plan, fold, fresh, bind_tuple(
+            binder, [expr for _, expr in self.outputs], final)
 
     def bind_scalar(self, binder, outer):
         """This query as a correlated scalar subquery of rows of
@@ -1091,19 +1239,25 @@ class Query:
         as the prefix and returns its single value (or NULL)."""
         if len(self.outputs) != 1:
             raise PlanError("scalar subquery must have one output column")
-        source, output, slot = self.bind(binder, outer)
+        plan, fold, fresh, output = self._bind(binder, outer)
+        folded = fold and Pipeline(partial(_folding, plan, fold, fresh, False))
         db = binder.db
 
         def scalar(row, stats):
             stats.subquery_executions += 1
+            profiler = stats.profiler
+            if folded:
+                groups = folded.get(profiler)(db, row, stats,
+                                              DEFAULT_BATCH_SIZE)
+                return output(row + tuple(groups[()]), stats)[0]
             # not the drive loop: the outer execution's output_rows /
             # batches / elapsed_seconds are not charged for these rows
-            profiler = stats.profiler if slot is not None else None
             values = []
-            for batch in source(db, row, stats, DEFAULT_BATCH_SIZE):
+            for batch in plan.iter_batches(db, row, stats,
+                                           DEFAULT_BATCH_SIZE):
                 if profiler is not None:
-                    profiler.rows_out[slot] += len(batch)
-                    profiler.batches[slot] += 1
+                    profiler.rows_out[plan.slot] += len(batch)
+                    profiler.batches[plan.slot] += 1
                 for inner in batch:
                     values.append(output(inner, stats)[0])
             if not values:
@@ -1128,7 +1282,8 @@ class Query:
 
     def execute_batches(self, db, env=None, stats=None, batch_size=None):
         """Yield lists of output-row tuples, at most ``batch_size`` each
-        — the one loop that drives a plan to output rows.
+        — the one loop that drives a plan to output rows, generated with
+        the plan's top chain (DESIGN §9.1).
 
         ``stats.batches`` / ``output_rows`` count what was handed to the
         consumer, and ``elapsed_seconds`` the time spent producing it:
@@ -1142,22 +1297,8 @@ class Query:
         profiler = stats.profiler
         if profiler is not None:
             profiler.attach(binding.observation)
-            if binding.slot is None:
-                profiler = None  # the fold counted the plan's batches
-        output, slot = binding.output, binding.slot
-        for batch in binding.source(db, outer_row, stats,
-                                    batch_size or DEFAULT_BATCH_SIZE):
-            if profiler is not None:
-                profiler.rows_out[slot] += len(batch)
-                profiler.batches[slot] += 1
-            _check_deadline(stats)
-            out = [output(row, stats) for row in batch]
-            stats.batches += 1
-            stats.output_rows += len(out)
-            stats.elapsed_seconds += time.perf_counter() - start
-            yield out
-            start = time.perf_counter()
-        stats.elapsed_seconds += time.perf_counter() - start
+        yield from binding.drive.get(profiler)(
+            db, outer_row, stats, batch_size or DEFAULT_BATCH_SIZE, start)
 
     # -- explain --------------------------------------------------------------
 

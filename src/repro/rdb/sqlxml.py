@@ -182,7 +182,7 @@ def _render(nest, values, stats):
     ], stats)
 
 
-def _template(element, binder, layout):
+def _template(element, binder, layout, order=None):
     """Bind ``element`` and every ``XMLElement`` nested in its
     content as one generated function over a format string holding each
     tag, ``name="`` prefix, end tag and constant, escaped once here with
@@ -192,7 +192,9 @@ def _template(element, binder, layout):
     renders the row from the same values through :func:`_render`.
     ``xml_elements`` counts every element of the nest either way.
     Returns it, and whether every leaf is typed (then it always renders
-    one :class:`Markup`)."""
+    one :class:`Markup`).  Given the ``order`` directions of an
+    ``XMLAgg``, the function is instead its ``final(state, stats)``: one
+    loop rendering each row of the sorted ``(keys, row)`` pairs."""
     cg = Codegen(*_TEMPLATE_PARAMETERS)
     body = []    # the leaves' assignments, in evaluation order
     kinds = []   # each one's (whether an attribute value, static type)
@@ -244,8 +246,17 @@ def _template(element, binder, layout):
 
     root = nest(element)
     cg.values[:2] = root, "%s".join([run.replace("%", "%%") for run in runs])
-    return (cg.function("".join(body) + _tail(tuple(kinds), elements)),
-            all(kind is not None for _, kind in kinds))
+    body = "".join(body) + _tail(tuple(kinds), elements, order is not None)
+    typed = all(kind is not None for _, kind in kinds)
+    if order is None:
+        return cg.function(body), typed
+    return cg.function("_out = %s\n  for _, row in %s(state, %s):\n   %s"
+                       "\n  return %s" % (
+                           "_MarkupList()" if typed else "[]",
+                           cg.helper("_sort_pairs", sort_pairs),
+                           cg.ref(order), body.replace("\n", "\n "),
+                           "_out" if typed else "_flat(_out)"),
+                       "state, stats"), typed
 
 
 #: a template's factory takes its nest (``_k0``), its format (``_k1``)
@@ -253,9 +264,9 @@ def _template(element, binder, layout):
 _TEMPLATE_PARAMETERS = (
     ("_k0", "_k1", "_render", "_Markup", "_escape_text",
      "_escape_attribute", "_number_to_string", "_text_special",
-     "_attribute_special"),
+     "_attribute_special", "_MarkupList", "_flat"),
     (None, None, _render, Markup, escape_text, escape_attribute,
-     number_to_string, TEXT_SPECIAL, ATTRIBUTE_SPECIAL))
+     number_to_string, TEXT_SPECIAL, ATTRIBUTE_SPECIAL, MarkupList, _flat))
 
 
 #: a leaf value ``_vN``'s path to its format argument ``_aN``: of unknown
@@ -275,21 +286,24 @@ _PATHS = {
 
 
 @functools.lru_cache(maxsize=256)
-def _tail(kinds, elements):
+def _tail(kinds, elements, loop):
     """What a template runs after its leaves' assignments: each leaf's
     path (``kinds``: per leaf, whether it is an attribute value and its
     static type), or the row leaves the format; then the count and the
-    format."""
-    leave = "return _render(_k0, (%s), stats)" % "".join(
-        "_v%d, " % n for n in range(len(kinds)))
+    format — returned, or in a ``loop`` appended to ``_out``."""
+    give = "_out.append(%s)" if loop else "return %s"
+    leave = give % ("_render(_k0, (%s), stats)" % "".join(
+        "_v%d, " % n for n in range(len(kinds)))) + ("; continue" if loop
+                                                     else "")
     return "".join(_PATHS[kind].format(
         n=n, leave=leave, nonempty="" if attribute else " and _v%d" % n,
         null="_v%d is None" % n if attribute else "not _v%d" % n,
         escape="_escape_attribute" if attribute else "_escape_text",
         special="_attribute_special" if attribute else "_text_special")
         for n, (attribute, kind) in enumerate(kinds)
-    ) + "stats.xml_elements += %d\n  return _Markup(_k1 %% (%s))" % (
-        elements, "".join("_a%d, " % n for n in range(len(kinds))))
+    ) + "stats.xml_elements += %d\n  " % elements + give % (
+        "_Markup(_k1 %% (%s))" % "".join("_a%d, " % n
+                                         for n in range(len(kinds))))
 
 
 class XMLElement(SqlExpr):
@@ -433,22 +447,34 @@ class AggregateExpr(SqlExpr):
         return "%s(row[%d], stats)" % (cg.ref(final), slot)
 
 
-def bind_aggregates(binder, outputs, layout, outer, group_by=None):
+def bind_aggregates(binder, outputs, layout, outer, group_by=None,
+                    normal=None):
     """Bind the distinct aggregates under ``(name, expr)`` outputs over
     rows of ``layout`` into one generated ``fold(batch, groups, stats)``:
     per row, the ``group_by`` key and every aggregate's statement on that
     group's states in ``groups`` (``{key: states}``, new ones as
-    ``fresh()`` makes them).  Returns ``(fold, fresh, final_layout)``,
-    the outputs' layout: ``outer row + (state per aggregate)``.  No
-    aggregate and no ``group_by`` is ``(None, None, layout)``."""
+    ``fresh()`` makes them), each key through ``normal(position, type)``
+    where that gives a function.  Returns ``(fold, fresh, final_layout,
+    key_types)``: the outputs' layout is ``outer row + (state per
+    aggregate)``; a normalised key's type is None.  No aggregate and no
+    ``group_by`` is ``(None, None, layout, ())``."""
     distinct = {}
     for _, expr in outputs:
         for agg in find_aggregates(expr):
             distinct[id(agg)] = agg
     if group_by is None and not distinct:
-        return None, None, layout
+        return None, None, layout, ()
     cg = Codegen()
-    key = tuple_source(group_by or (), binder, layout, cg)
+    key, kinds = "", []
+    for position, expr in enumerate(group_by or ()):
+        source, kind = expr.emit_typed(binder, layout, cg)  # one search
+        through = normal(position, kind) if normal is not None else None
+        if through is not None:
+            source, kind = "%s(%s)" % (
+                cg.helper(through.__name__, through), source), None
+        key += source + ", "
+        kinds.append(kind)
+    key = "(%s)" % key
     initials, statements, slots = [], [], {}
     for agg in distinct.values():
         initial, statement, final = agg.fold(
@@ -463,7 +489,7 @@ def bind_aggregates(binder, outputs, layout, outer, group_by=None):
         % (key, fresh, "\n   ".join(statements)), "batch, groups, stats")
     final = outer.extend(None, range(len(statements)))  # the states
     final.aggregates = slots
-    return fold, _fresh(fresh), final
+    return fold, _fresh(fresh), final, tuple(kinds)
 
 
 @functools.lru_cache(maxsize=256)
@@ -504,16 +530,16 @@ class XMLAgg(_Ordered):
     """
 
     def fold(self, binder, layout, cg, state):
-        # an element of typed leaves renders one Markup per row
-        value, typed = (_template(self.expr, binder, layout)
-                        if type(self.expr) is XMLElement
-                        else (self.expr.bind(binder, layout), False))
-        collect = MarkupList if typed else _flat
         directions, keys = self._order(binder, layout, cg)
+        if type(self.expr) is XMLElement:
+            # its template in one loop; typed leaves make a MarkupList
+            final = _template(self.expr, binder, layout, directions)[0]
+        else:
+            value = self.expr.bind(binder, layout)
 
-        def final(state, stats):
-            return collect([value(row, stats)
-                            for _, row in sort_pairs(state, directions)])
+            def final(state, stats):
+                return _flat([value(row, stats)
+                              for _, row in sort_pairs(state, directions)])
 
         return "[]", "%s.append((%s, row))" % (state, keys), final
 

@@ -272,7 +272,9 @@ ROW_PATH_FEEDBACK = {
 
 
 class TestSingleProtocol:
-    """``batches()`` is the only way an operator produces rows."""
+    """An operator produces rows one way: a pipeline breaker through
+    ``batches()``, a pipelined operator through the source it emits into
+    its fused chain (``produce``)."""
 
     @staticmethod
     def _operators():
@@ -283,11 +285,16 @@ class TestSingleProtocol:
                 todo.append(cls)
         return found
 
-    def test_every_operator_defines_batches_and_none_defines_rows(self):
+    def test_every_operator_has_one_execution_form_and_none_defines_rows(
+            self):
         operators = self._operators()
         assert len(operators) >= 12
+        assert {cls.__name__ for cls in operators if cls.pipelined} == {
+            "Scan", "IndexScan", "Filter", "HashLeftJoin"}
         for cls in operators:
-            assert "batches" in cls.__dict__, cls.__name__
+            forms = {"batches", "produce"} & set(cls.__dict__)
+            assert forms == {"produce" if cls.pipelined else "batches"}, \
+                cls.__name__
             assert "iter_rows" not in cls.__dict__, cls.__name__
             assert not hasattr(cls, "rows"), cls.__name__
 

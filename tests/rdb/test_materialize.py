@@ -19,6 +19,7 @@ from repro import Engine
 from repro.api import TransformOptions
 from repro.errors import DatabaseError
 from repro.rdb import Database, FLOAT, INT
+from repro.rdb.sql_parser import parse_select
 from repro.rdb.plan import ExecutionStats
 from repro.rdb.storage import (
     PARENT_ID,
@@ -404,6 +405,69 @@ def price_storage(*prices):
         "<product><name>n</name><quantity>1</quantity><price>%s</price>"
         "<region>r</region></product>" % price for price in prices))
     return storage
+
+
+class TestInfinityComparesAsNaN:
+    """XPath reads a stored FLOAT ±inf back from its text, ``Infinity``,
+    as NaN: every lowered comparison of it — the typed one, the untyped
+    one, an index probe — is as false as NaN's (``!=`` as true)."""
+
+    SHEET = (
+        '<xsl:stylesheet version="1.0" '
+        'xmlns:xsl="http://www.w3.org/1999/XSL/Transform">'
+        '<xsl:template match="sales"><o><xsl:for-each select="product[%s]">'
+        '<p><xsl:value-of select="price"/></p></xsl:for-each></o>'
+        "</xsl:template></xsl:stylesheet>")
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    @pytest.mark.parametrize("op", ["&lt;", "&lt;=", "&gt;", "&gt;=", "=",
+                                    "!="])
+    @pytest.mark.parametrize("level", ["cost", "off"])
+    def test_rewrite_agrees_with_the_functional_path(self, op, indexed,
+                                                     level):
+        storage = price_storage("INF", "-INF", "3", "-2", "0")
+        if indexed:
+            storage.db.create_index("p_product", "price")
+        for predicate in ["price %s 0" % op, "price %s 3" % op,
+                          "0 %s price" % op, "price %s '0'" % op,
+                          "number(price) %s 0" % op]:
+            sheet = self.SHEET % predicate
+            engine = Engine(storage.db)
+            rewritten = engine.transform(
+                storage, sheet, options=TransformOptions(optimizer_level=level))
+            functional = engine.transform(
+                storage, sheet, options=TransformOptions(strategy="functional"))
+            assert rewritten.strategy == "sql-rewrite", predicate
+            assert rewritten.serialized_rows() \
+                == functional.serialized_rows(), predicate
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_typed_comparisons_of_a_float_column(self, indexed):
+        """NULL satisfies nothing; ±inf and NaN only ``<>``."""
+        db = Database()
+        db.create_table("t", [("x", FLOAT), ("i", INT)])
+        db.insert("t", (None, 1), (float("inf"), 2), (float("-inf"), 3),
+                  (1.0, 4), (0.0, 5), (float("nan"), 6))
+        if indexed:
+            db.create_index("t", "x")
+        expected = {"=": [5], "<>": [2, 3, 4, 6], "<": [], "<=": [5],
+                    ">": [4], ">=": [4, 5]}
+        for op, ids in expected.items():
+            for level in ("off", "cost"):
+                rows, _ = db.execute(parse_select(
+                    "SELECT t.i FROM t WHERE t.x %s 0" % op), level=level)
+                assert sorted(row[0] for row in rows) == ids, (op, level)
+        if indexed:
+            assert "IndexScan" in str(db.explain(
+                "SELECT t.i FROM t WHERE t.x > 0", level="cost"))
+
+    def test_the_repro(self):
+        for text, op in [("INF", "&gt;"), ("-INF", "&lt;")]:
+            storage = price_storage(text)
+            engine = Engine(storage.db)
+            sheet = self.SHEET % ("price %s 0" % op)
+            assert engine.transform(storage, sheet).serialized_rows() \
+                == ["<o/>"]
 
 
 class TestFloatText:

@@ -136,7 +136,10 @@ def test_text_facts_are_in_the_json_record(cls):
 
 @pytest.mark.parametrize("cls", OPERATORS, ids=lambda cls: cls.__name__)
 def test_operator_implements_the_protocol(cls):
-    for method in ("bind", "batches", "detail", "render_sql"):
+    # a pipelined operator's one execution form is the source it emits
+    # into its fused chain; a pipeline breaker's is batches()
+    execution = "produce" if cls.pipelined else "batches"
+    for method in ("bind", execution, "detail", "render_sql"):
         assert getattr(cls, method) is not getattr(PlanNode, method), \
             "%s does not define %s()" % (cls.__name__, method)
     node = sample(cls)

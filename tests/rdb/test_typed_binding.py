@@ -145,7 +145,7 @@ class TestTypedEqualsUntyped:
 
     @staticmethod
     def aggregate(agg, layout, rows, stats):
-        fold, fresh, final = bind_aggregates(
+        fold, fresh, final, _ = bind_aggregates(
             Binder(None), [(None, agg)], layout, Layout())
         groups = {(): fresh()}
         fold(rows, groups, stats)
