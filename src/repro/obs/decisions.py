@@ -43,7 +43,6 @@ ACCESS_PATH = "access-path"        # Scan vs IndexScan per filtered table
 JOIN_STRATEGY = "join-strategy"    # nested loop vs hash join
 TOPN_FUSION = "topn-fusion"        # Limit(Sort) fused into bounded-heap TopN
 DECORRELATE = "decorrelate"        # correlated subquery -> join + group-agg
-STRUCTURAL_PATH = "structural-path"  # tree-walk join vs label-range StructuralJoin
 
 KINDS = (
     TEMPLATE_INSTANTIATED,
@@ -58,7 +57,6 @@ KINDS = (
     JOIN_STRATEGY,
     TOPN_FUSION,
     DECORRELATE,
-    STRUCTURAL_PATH,
 )
 
 _SECTIONS = {

@@ -106,23 +106,11 @@ class BTreeIndex:
     def lookup_range(self, low=None, high=None, low_inclusive=True,
                      high_inclusive=True, stats=None):
         """Row ids with keys in [low, high] (open ends with None)."""
-        start, stop = self._range_bounds(
-            low, high, low_inclusive, high_inclusive, stats)
-        return self._row_ids[start:stop]
-
-    def lookup_range_items(self, low=None, high=None, low_inclusive=True,
-                           high_inclusive=True, stats=None):
-        """(key, row_id) pairs in key order for keys in [low, high]."""
-        start, stop = self._range_bounds(
-            low, high, low_inclusive, high_inclusive, stats)
-        return list(zip(self._keys[start:stop], self._row_ids[start:stop]))
-
-    def _range_bounds(self, low, high, low_inclusive, high_inclusive, stats):
         if stats is not None:
             stats.index_probes += 1
             stats.btree_node_visits += self.node_visits_per_probe()
         if low != low or high != high:
-            return 0, 0  # a NaN bound admits no key
+            return []  # a NaN bound admits no key
         if low is None:
             start = 0
         elif low_inclusive:
@@ -139,7 +127,7 @@ class BTreeIndex:
             stop = start
         if stats is not None:
             stats.index_entries += stop - start
-        return start, stop
+        return self._row_ids[start:stop]
 
     def lookup_op(self, op, value, stats=None):
         """Probe by comparison operator ('=', '<', '<=', '>', '>=')."""

@@ -53,7 +53,6 @@ class Database:
         self._tables = {}
         self._indexes = {}
         self._views = {}
-        self._structural = {}  # table name -> StructuralPathIndex
         self._index_names = itertools.count(1)
         self.stats = StatisticsCatalog()
 
@@ -80,7 +79,6 @@ class Database:
             if index.table_name == name
         ]:
             del self._indexes[index_name]
-        self._structural.pop(name, None)
         self.stats.note_ddl(name)
 
     def create_index(self, table_name, column_name, index_name=None):
@@ -99,23 +97,6 @@ class Database:
         table.indexes.append((position, index))
         self.stats.note_ddl(table_name)
         return index
-
-    def register_structural_index(self, index):
-        """Attach a :class:`~repro.rdb.structindex.StructuralPathIndex` to
-        its table.  DDL for fingerprint/stats purposes: plan caches keyed
-        on the catalog fingerprint see a different physical design."""
-        table_name = index.table_name
-        self.table(table_name)  # raises if missing
-        if table_name in self._structural:
-            raise CatalogError(
-                "table %r already has a structural index" % table_name)
-        self._structural[table_name] = index
-        self.stats.note_ddl(table_name)
-        return index
-
-    def structural_index(self, table_name):
-        """The table's structural path index, or None."""
-        return self._structural.get(table_name)
 
     def create_view(self, name, query):
         if name in self._views:
@@ -209,8 +190,6 @@ class Database:
             index = self._indexes[name]
             parts.append("index:%s(%s.%s)" % (name, index.table_name,
                                               index.column_name))
-        for name in sorted(self._structural):
-            parts.append(self._structural[name].fingerprint_token())
         for name in sorted(self._views):
             parts.append("view:%s" % self._views[name].fingerprint())
         return hashlib.sha256(";".join(parts).encode("utf-8")).hexdigest()

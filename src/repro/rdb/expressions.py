@@ -429,10 +429,9 @@ class TreeContains(SqlExpr):
 
     Evaluation is the *naive* semantics the paper's tree-walk baseline pays
     for: walk the descendant's ``parent_id`` chain with one ``node_id``
-    index probe per hop until the ancestor (or the root) is reached.  The
-    cost planner recognises a join on this predicate and, when a structural
-    path index exists, replaces the walk with a
-    :class:`~repro.rdb.plan.StructuralJoin` over containment labels.
+    index probe per hop until the ancestor (or the root) is reached.  It
+    is the one way a descendant join is answered, at every optimizer
+    level.
     """
 
     def __init__(self, table_name, anc_alias, desc_alias):

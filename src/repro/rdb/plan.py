@@ -28,7 +28,6 @@ from functools import partial
 from itertools import chain, islice
 
 from repro.errors import DatabaseError, DeadlineExceededError, PlanError
-from repro.obs.metrics import global_metrics
 from repro.rdb.binding import BindingCache, Codegen, Pipeline, sort_pairs
 from repro.rdb.expressions import (
     _INFINITIES, SqlExpr, _text, bind_order, bind_tuple)
@@ -61,7 +60,6 @@ class ExecutionStats:
         "xml_elements", "subquery_executions", "btree_node_visits",
         "docs_materialized", "batches", "peak_buffered_bytes",
         "hash_build_rows", "hash_probes", "topn_heap_rows",
-        "struct_range_scans", "struct_join_rows",
         "peak_ingest_buffered_bytes",
         "elapsed_seconds",
     )
@@ -88,10 +86,6 @@ class ExecutionStats:
         self.hash_probes = 0
         #: rows pushed through TopN bounded heaps
         self.topn_heap_rows = 0
-        #: structural path-index range scans opened (per indexed path)
-        self.struct_range_scans = 0
-        #: (ancestor, descendant) pairs emitted by StructuralJoin
-        self.struct_join_rows = 0
         #: high-water mark of parse buffer + in-flight row scopes during
         #: streaming ingest (0 when ingest went through a full DOM)
         self.peak_ingest_buffered_bytes = 0
@@ -508,135 +502,6 @@ class NestedLoopJoin(PlanNode):
             for joined in right.iter_rows(db, left_row, stats, batch_size):
                 if condition is None or condition(joined, stats):
                     yield joined
-
-
-class StructuralScan(PlanNode):
-    """Structural path-index range scan: every element named ``name``, in
-    document order (``(doc_id, start)``), via merged per-path B-tree
-    ranges — no tree walk, no sort."""
-
-    def __init__(self, table_name, name, alias=None, doc_id=None):
-        self.table_name = table_name
-        self.name = name
-        self.alias = alias or table_name
-        self.doc_id = doc_id
-
-    def detail(self):
-        facts = (("table", self.table_name), ("name", self.name),
-                 ("alias", self.alias))
-        return facts if self.doc_id is None else (*facts, ("doc", self.doc_id))
-
-    def render_sql(self, sources, predicates):
-        sources.append(_source(self.table_name, self.alias))
-        predicate = '"%s"."NAME" = \'%s\' /*+ STRUCT_PATH(%s) */' % (
-            self.alias.upper(), self.name, self.table_name)
-        if self.doc_id is not None:
-            predicate += ' AND "%s"."DOC_ID" = %s' % (
-                self.alias.upper(), self.doc_id)
-        predicates.append(predicate)
-
-    def bind(self, binder, outer):
-        return _bind_scan(self, binder, outer)
-
-    def batches(self, db, outer, stats, batch_size, table, prefixed):
-        labelled = db.structural_index(self.table_name).scan_name(
-            self.name, doc_id=self.doc_id, stats=stats)
-        rows = table.rows
-        for batch in _chunked(labelled, batch_size):
-            stats.rows_scanned += len(batch)
-            yield [outer + rows[row_id] for _, row_id in batch]
-
-
-class StructuralJoin(PlanNode):
-    """Stack-based ancestor/descendant merge join (Stack-Tree-Desc).
-
-    Both inputs must arrive in ``(doc, start)`` containment-label order
-    (StructuralScan and preorder-loaded table scans both do).  A stack of
-    open ancestors replaces the per-pair containment test: each arriving
-    descendant matches exactly the stack entries below it, bottom-to-top —
-    O(n + m + output) instead of O(n * m * depth) parent-chain walking.
-
-    Output order is descendant-major with ancestors ascending by start,
-    which is byte-identical to ``NestedLoopJoin(descendant, ancestor,
-    TreeContains)`` over start-ordered inputs.
-    """
-
-    def __init__(self, descendant, ancestor, desc_alias, anc_alias,
-                 doc_column="doc_id", start_column="start",
-                 end_column="end"):
-        self.descendant = descendant
-        self.ancestor = ancestor
-        self.desc_alias = desc_alias
-        self.anc_alias = anc_alias
-        self.doc_column = doc_column
-        self.start_column = start_column
-        self.end_column = end_column
-
-    def children(self):
-        return (self.descendant, self.ancestor)
-
-    def detail(self):
-        return (("desc", self.desc_alias), ("anc", self.anc_alias),
-                ("labels", [self.start_column, self.end_column],
-                 "labels=(%s,%s)" % (self.start_column, self.end_column)))
-
-    def render_sql(self, sources, predicates):
-        _render_join(
-            self, sources, predicates,
-            'STRUCT_CONTAINS("%s", "%s") /*+ STRUCT_JOIN */'
-            % (self.anc_alias.upper(), self.desc_alias.upper()))
-
-    def bind(self, binder, outer):
-        desc = self.descendant.bind(binder, outer)
-        anc = self.ancestor.bind(binder, outer)
-        labels = (self.doc_column, self.start_column, self.end_column)
-        return binder.bound(
-            self, desc.layout.join(anc.layout, outer),
-            desc, anc,
-            [desc.layout.slot(column, self.desc_alias)
-             for column in labels[:2]],
-            [anc.layout.slot(column, self.anc_alias) for column in labels])
-
-    def batches(self, db, outer, stats, batch_size, *bound):
-        return _chunked(self._pairs(db, outer, stats, batch_size, *bound),
-                        batch_size)
-
-    def _pairs(self, db, outer, stats, batch_size, desc, anc, desc_slots,
-               anc_slots):
-        desc_doc, desc_start = desc_slots
-        anc_doc, anc_start, anc_end = anc_slots
-        cut = len(outer)
-        anc_batches = anc.iter_batches(db, outer, stats, batch_size)
-        anc_iter = anc.flatten(anc_batches, stats)
-        next_anc = next(anc_iter, None)
-        # stack entries: (doc, start, end, ancestor's own columns),
-        # innermost last
-        stack = []
-        emitted = 0
-        try:
-            for desc_row in desc.iter_rows(db, outer, stats, batch_size):
-                desc_key = (desc_row[desc_doc], desc_row[desc_start])
-                while next_anc is not None:
-                    anc_key = (next_anc[anc_doc], next_anc[anc_start])
-                    if anc_key > desc_key:
-                        break
-                    while stack and (stack[-1][0], stack[-1][2]) < anc_key:
-                        stack.pop()
-                    stack.append((anc_key[0], anc_key[1], next_anc[anc_end],
-                                  next_anc[cut:]))
-                    next_anc = next(anc_iter, None)
-                while stack and (stack[-1][0], stack[-1][2]) < desc_key:
-                    stack.pop()
-                for doc, start, end, anc_columns in stack:
-                    # strict: a node never pairs with itself
-                    if doc == desc_key[0] and start < desc_key[1]:
-                        emitted += 1
-                        stats.struct_join_rows += 1
-                        yield desc_row + anc_columns
-        finally:
-            anc_batches.close()
-            global_metrics().counter("structural.index.join_rows").inc(
-                emitted)
 
 
 class HashJoin(PlanNode):

@@ -40,7 +40,6 @@ from repro.rdb.expressions import (
     ColumnRef,
     Const,
     ScalarSubquery,
-    TreeContains,
 )
 from repro.rdb.types import TEXT
 from repro.rdb.plan import (
@@ -54,8 +53,6 @@ from repro.rdb.plan import (
     Query,
     Scan,
     Sort,
-    StructuralJoin,
-    StructuralScan,
     TopN,
 )
 
@@ -79,7 +76,6 @@ FILTER_EVAL = 0.25    #: evaluate one predicate conjunct against one row
 HASH_BUILD_ROW = 1.5  #: insert one row into a hash-join build table
 HASH_PROBE = 0.5      #: probe the build table with one left row
 SORT_ROW = 0.5        #: per row × log2(n) comparison work in Sort/TopN
-STRUCT_ENTRY = 0.15   #: visit one structural path-index entry in a range scan
 
 #: selectivity defaults when a table has no ANALYZE statistics
 DEFAULT_EQ_SELECTIVITY = 0.1
@@ -169,35 +165,6 @@ def _references_alias(expr, alias):
 
 # -- cost-based optimisation ---------------------------------------------------
 
-#: columns a structural candidate may absorb into its index scans
-_STRUCT_COLUMNS = frozenset(["kind", "name", "doc_id"])
-
-
-def _alias_const_equality(conjunct, alias):
-    """``(column, value)`` when the conjunct is ``alias.column = const``
-    (either orientation); None otherwise."""
-    if not isinstance(conjunct, BinOp) or conjunct.op != "=":
-        return None
-    for own, other in ((conjunct.left, conjunct.right),
-                       (conjunct.right, conjunct.left)):
-        if isinstance(own, ColumnRef) and own.table == alias \
-                and isinstance(other, Const):
-            return own.column, other.value
-    return None
-
-
-def _alias_const_equalities(conjuncts, alias):
-    """Split conjuncts into absorbable ``{column: const}`` equalities over
-    *alias* (kind/name/doc_id, first occurrence each) and the rest."""
-    values, rest = {}, []
-    for conjunct in conjuncts:
-        pair = _alias_const_equality(conjunct, alias)
-        if pair is not None and pair[0] in _STRUCT_COLUMNS \
-                and pair[0] not in values:
-            values[pair[0]] = pair[1]
-        else:
-            rest.append(conjunct)
-    return values, rest
 
 
 def _stamp(node, rows, cost):
@@ -477,7 +444,6 @@ class _CostOptimizer:
             else:
                 residual.append(conjunct)
 
-        left_mark = len(self._pending)
         left_plan = self.push_into(join.left, left_only)
         left_rows, left_cost = self.estimate(left_plan)
 
@@ -500,21 +466,6 @@ class _CostOptimizer:
                 right_only, equi, residual, left_aliases, right_aliases,
             )
 
-        struct_mark = len(self._pending)
-        struct_candidate = self._structural_candidate(
-            join, left_only, right_only, residual)
-
-        if struct_candidate is not None and \
-                struct_candidate.estimated_cost < nlj_cost and (
-                    hash_candidate is None
-                    or struct_candidate.estimated_cost
-                    < hash_candidate.estimated_cost):
-            # the tree-walk join disappears entirely: index range scans
-            # feeding a stack merge replace both sides and the predicate
-            del self._pending[left_mark:struct_mark]
-            self._record_structural(join, "structural-join", nlj_cost,
-                                    struct_candidate, struct_candidate)
-            return struct_candidate
         if hash_candidate is not None and \
                 hash_candidate.estimated_cost < nlj_cost:
             chosen, action = hash_candidate, "hash-join"
@@ -524,134 +475,9 @@ class _CostOptimizer:
         else:
             chosen, action = nlj, "nested-loop"
             del self._pending[hash_mark:]
-        if struct_candidate is not None:
-            self._record_structural(join, "tree-walk", nlj_cost,
-                                    struct_candidate, chosen)
         self._record_join(join, left_aliases, right_aliases, action,
                           nlj_cost, hash_candidate, chosen, len(equi))
         return chosen
-
-    def _structural_candidate(self, join, left_only, right_only, residual):
-        """A StructuralJoin replacement for the naive descendant pattern:
-        ``Scan(nodes d) x Scan(nodes a)`` filtered on element names plus a
-        ``TreeContains(a, d)`` walk.  Returns a stamped plan, or None when
-        the shape does not match or no structural index is registered.
-
-        Only the descendant-on-the-left orientation is handled: that is
-        the order ``StructuralJoin`` emits (descendant-major, ancestors
-        ascending), so the replacement is byte-identical to the walk."""
-        walks = [conjunct for conjunct in residual
-                 if isinstance(conjunct, TreeContains)]
-        if len(walks) != 1:
-            return None
-        tc = walks[0]
-        if not isinstance(join.left, Scan) or not isinstance(join.right,
-                                                             Scan):
-            return None
-        if join.left.table_name != tc.table_name \
-                or join.right.table_name != tc.table_name:
-            return None
-        if join.left.alias != tc.desc_alias \
-                or join.right.alias != tc.anc_alias:
-            return None
-        sindex = self.db.structural_index(tc.table_name)
-        if sindex is None:
-            return None
-
-        desc_eq, desc_rest = _alias_const_equalities(left_only,
-                                                     tc.desc_alias)
-        anc_eq, anc_rest = _alias_const_equalities(right_only, tc.anc_alias)
-        if desc_eq.get("kind") != "element" or "name" not in desc_eq:
-            return None
-        if anc_eq.get("kind") != "element" or "name" not in anc_eq:
-            return None
-        desc_name = desc_eq["name"]
-        anc_name = anc_eq["name"]
-
-        doc_id = None
-        if "doc_id" in desc_eq and desc_eq["doc_id"] == anc_eq.get(
-                "doc_id"):
-            doc_id = desc_eq["doc_id"]
-        else:
-            # unconsumed doc predicates stay as residual filters
-            desc_rest.extend(c for c in left_only
-                             if _alias_const_equality(c, tc.desc_alias)
-                             == ("doc_id", desc_eq.get("doc_id")))
-            anc_rest.extend(c for c in right_only
-                            if _alias_const_equality(c, tc.anc_alias)
-                            == ("doc_id", anc_eq.get("doc_id")))
-
-        table_rows = float(len(self.db.table(tc.table_name)))
-        descent = INDEX_NODE * max(1, int(table_rows).bit_length())
-        n_desc = float(sindex.count_name(desc_name))
-        n_anc = float(sindex.count_name(anc_name))
-        desc_scan = _stamp(
-            StructuralScan(tc.table_name, desc_name, alias=tc.desc_alias,
-                           doc_id=doc_id),
-            n_desc, descent + n_desc * (STRUCT_ENTRY + INDEX_ROW))
-        anc_scan = _stamp(
-            StructuralScan(tc.table_name, anc_name, alias=tc.anc_alias,
-                           doc_id=doc_id),
-            n_anc, descent + n_anc * (STRUCT_ENTRY + INDEX_ROW))
-        out_rows = max(1.0, n_desc)  # ~one matching ancestor per descendant
-        joined = _stamp(
-            StructuralJoin(desc_scan, anc_scan, tc.desc_alias,
-                           tc.anc_alias),
-            out_rows,
-            desc_scan.estimated_cost + anc_scan.estimated_cost
-            + (n_desc + n_anc) * STRUCT_ENTRY + out_rows * FILTER_EVAL)
-
-        extras = desc_rest + anc_rest + [
-            conjunct for conjunct in residual if conjunct is not tc]
-        if not extras:
-            return joined
-        rows = joined.estimated_rows
-        for conjunct in extras:
-            rows *= self.conjunct_selectivity(conjunct, None)
-        return _stamp(
-            Filter(joined, _and_tree(extras)),
-            rows,
-            joined.estimated_cost
-            + joined.estimated_rows * len(extras) * FILTER_EVAL)
-
-    def _record_structural(self, join, action, nlj_cost, candidate,
-                           chosen):
-        if self.ledger is None:
-            return
-        from repro.obs.decisions import STRUCTURAL_PATH
-
-        inner = candidate
-        while isinstance(inner, Filter):
-            inner = inner.child
-        detail = {
-            "tree_walk_cost": round(nlj_cost, 1),
-            "structural_cost": round(candidate.estimated_cost, 1),
-            "est_rows": round(candidate.estimated_rows, 1),
-            "descendant": inner.descendant.name,
-            "ancestor": inner.ancestor.name,
-        }
-        if action == "structural-join":
-            reason = ("label-range scans + stack merge, estimated cost "
-                      "%.1f beats the %.1f parent-chain walk"
-                      % (candidate.estimated_cost, nlj_cost))
-        else:
-            reason = ("parent-chain walk estimated cheaper (%.1f vs %.1f)"
-                      % (nlj_cost, candidate.estimated_cost))
-
-        def record():
-            decision = self.ledger.record(
-                STRUCTURAL_PATH,
-                self.STAGE,
-                "%s //%s//%s" % (inner.descendant.table_name,
-                                 inner.ancestor.name,
-                                 inner.descendant.name),
-                action,
-                reason=reason,
-                detail=detail,
-            )
-            decision.provenance.sql_node = chosen
-
-        self._defer(record)
 
     def _hash_candidate(self, join, left_plan, left_rows, left_cost,
                         right_only, equi, residual, left_aliases,
@@ -859,19 +685,6 @@ class _CostOptimizer:
         if isinstance(plan, Aggregate):
             rows, cost = self.estimate(plan.child)
             return self._group_rows(plan, rows), cost + rows * FILTER_EVAL
-        if isinstance(plan, StructuralScan):
-            sindex = self.db.structural_index(plan.table_name)
-            rows = float(sindex.count_name(plan.name)) if sindex else 0.0
-            table_rows = float(len(self.db.table(plan.table_name)))
-            descent = INDEX_NODE * max(1, int(table_rows).bit_length())
-            return rows, descent + rows * (STRUCT_ENTRY + INDEX_ROW)
-        if isinstance(plan, StructuralJoin):
-            desc_rows, desc_cost = self.estimate(plan.descendant)
-            anc_rows, anc_cost = self.estimate(plan.ancestor)
-            out_rows = max(1.0, desc_rows)
-            return out_rows, (desc_cost + anc_cost
-                              + (desc_rows + anc_rows) * STRUCT_ENTRY
-                              + out_rows * FILTER_EVAL)
         return 1.0, 1.0  # unknown operator: neutral
 
     def _derive_hash_left(self, plan):

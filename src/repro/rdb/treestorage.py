@@ -15,17 +15,15 @@ Unlike object-relational shredding, tree storage needs no schema and
 handles *any* document — mixed content, comments, processing
 instructions.  The cost is that navigation is self-joins over the node
 table; the paper's §7.4 proposes tree storage *with path/value indexes*.
-:class:`TreeStorage` maintains two of them: a :class:`PathValueIndex` for
-document-level value filtering, and a
-:class:`~repro.rdb.structindex.StructuralPathIndex` that turns
-descendant-axis (``//``) steps into index range scans feeding a
-:class:`~repro.rdb.plan.StructuralJoin`.
+:class:`TreeStorage` keeps a :class:`PathValueIndex` for document-level
+value filtering.  Descendant-axis (``//``) pairs are answered by the
+parent-chain walk of :class:`TreeContains` (:meth:`descendant_query`).
 
 Documents load either from a DOM (:meth:`load`) or straight from text in
 bounded memory (:meth:`load_stream`); both feed one event-driven shredder
 (a replayed DOM or the scanner's stream — see
 :mod:`repro.xmlmodel.stream_ingest`), so labels, rows, row order and
-indexes cannot differ between the two doors.
+the path/value index cannot differ between the two doors.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from repro.errors import DatabaseError
 from repro.rdb.expressions import TreeContains, and_, col, const, eq
 from repro.rdb.pathindex import PathValueIndex
 from repro.rdb.plan import Filter, NestedLoopJoin, Query, Scan
-from repro.rdb.structindex import StructuralPathIndex
 from repro.rdb.types import INT, TEXT
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.stream_ingest import (
@@ -52,10 +49,9 @@ _END = 8  # position of the "end" column
 
 
 class TreeStorage:
-    """Schema-less node-table storage with path/value + structural
-    indexes."""
+    """Schema-less node-table storage with a path/value index."""
 
-    def __init__(self, db, name, path_index=True, structural_index=True):
+    def __init__(self, db, name):
         self.db = db
         self.name = name
         self.table_name = "%s_nodes" % name
@@ -76,11 +72,7 @@ class TreeStorage:
         )
         db.create_index(self.table_name, "doc_id")
         db.create_index(self.table_name, "node_id")
-        self.index = PathValueIndex() if path_index else None
-        self.structural = None
-        if structural_index:
-            self.structural = db.register_structural_index(
-                StructuralPathIndex(self.table_name))
+        self.index = PathValueIndex()
         self._doc_counter = 0
         self._node_counter = 0
 
@@ -114,13 +106,12 @@ class TreeStorage:
         return doc_id
 
     def _shred(self, events):
-        """Node rows, containment labels and both indexes from one
+        """Node rows, containment labels and path/value entries from one
         document's event stream (see :mod:`repro.xmlmodel.stream_ingest`).
         Returns the doc id and the high-water mark of buffered text."""
         self._doc_counter += 1
         doc_id = self._doc_counter
         stored = self.db.table(self.table_name).rows
-        structural = self.structural
         # Only the first top-level element is path/value-indexed
         # (PathValueIndex.add_document indexes the document element).
         index = self.index
@@ -128,7 +119,6 @@ class TreeStorage:
         counter = 1  # label counter; 1 is the (virtual) document node
         rows = []      # rows not yet appended; rows[0] gets row id `first`
         first = len(stored)
-        elements = []  # their (path, name, start, row id) entries
         leaves = []    # (path, value) leaves not yet path/value-indexed
         # frame: [path, node_id, row, row_id, next_seq, text_parts,
         #         has_element_children]
@@ -141,9 +131,6 @@ class TreeStorage:
             self.db.insert(self.table_name, *rows)
             first += len(rows)
             del rows[:]
-            if structural is not None:
-                structural.add_elements(doc_id, elements)
-                del elements[:]
             if leaves:
                 self.index.add_leaves(doc_id, leaves)
                 del leaves[:]
@@ -179,9 +166,6 @@ class TreeStorage:
                 name = event[1]
                 parent[6] = True
                 path = "%s/%s" % (parent[0], name)
-                row_id = first + len(rows)
-                if structural is not None:
-                    elements.append((path, name, counter, row_id))
                 if kind == "leaf":
                     # a start, text and end in one step: the element row
                     # with its final end label, then its text row if any
@@ -208,8 +192,8 @@ class TreeStorage:
                     continue
                 row = [node_id, doc_id, parent[1], parent[4], "element",
                        name, None, counter, None, level]
-                frames.append([path, node_id, row, row_id, len(event[2]),
-                               [], False])
+                frames.append([path, node_id, row, first + len(rows),
+                               len(event[2]), [], False])
                 rows.append(row)
                 element_id = node_id
                 for position, (attr_name, value) in enumerate(event[2]):
@@ -242,11 +226,10 @@ class TreeStorage:
         ``//ancestor_name//descendant_name``: one output row per
         (ancestor, descendant) element pair.
 
-        Built in its *naive* shape — a nested-loop join whose condition
-        walks parent chains (:class:`TreeContains`).  ``level="off"``
-        executes it as written; the cost-based planner replaces it with
-        a StructuralJoin over label ranges when this storage's
-        structural index is registered.
+        A nested-loop join whose condition walks parent chains
+        (:class:`TreeContains`); the cost planner pushes the name tests
+        into the two scans and keeps the walk, so every optimizer level
+        returns the same rows in the same order.
         """
         conjuncts = [
             eq(col("kind", "d"), const("element")),
@@ -275,8 +258,8 @@ class TreeStorage:
         return Query(plan, outputs)
 
     def fingerprint(self):
-        """Stable hash of the physical design: table layout, value/
-        structural indexes, ANALYZE epoch — the serve-tier cache-key
+        """Stable hash of the physical design: table layout, B-tree and
+        path/value indexes, ANALYZE epoch — the serve-tier cache-key
         component, mirroring ``ObjectRelationalStorage.fingerprint``."""
         import hashlib
 
@@ -289,10 +272,7 @@ class TreeStorage:
         for index in self.db.indexes_on(self.table_name):
             parts.append("index:%s:%s:%s" % (
                 index.table_name, index.column_name, index.name))
-        if self.structural is not None:
-            parts.append(self.structural.fingerprint_token())
-        if self.index is not None:
-            parts.append("pathvalue:%s" % ",".join(self.index.paths()))
+        parts.append("pathvalue:%s" % ",".join(self.index.paths()))
         table_stats = self.db.stats.table_stats(self.table_name)
         if table_stats is not None:
             parts.append("stats:%s:%d" % (self.table_name,
@@ -302,11 +282,9 @@ class TreeStorage:
     # -- materialisation ---------------------------------------------------------
 
     def document_ids(self):
-        seen = []
-        for _, row in self.db.table(self.table_name).scan():
-            if row[1] not in seen:
-                seen.append(row[1])
-        return seen
+        """The stored documents' ids, in load order."""
+        return list(dict.fromkeys(
+            row[1] for _, row in self.db.table(self.table_name).scan()))
 
     def materialize(self, doc_id, stats=None):
         """Rebuild one document: one indexed fetch of its rows, then an
@@ -355,6 +333,4 @@ class TreeStorage:
     # -- path/value filtering -------------------------------------------------------
 
     def find_documents(self, path, op, value, stats=None):
-        if self.index is None:
-            raise DatabaseError("tree storage built without a path index")
         return self.index.lookup(path, op, value, stats=stats)

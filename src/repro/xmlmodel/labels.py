@@ -11,9 +11,12 @@ attributes, then its children.  That makes ``start`` a document-order key, so
     ``anc`` is a proper ancestor of ``desc``
         iff  ``anc.start < desc.start <= anc.end``
 
-with the strict lower bound excluding self-pairs.  The containment test is
-the basis of the structural join (`repro.rdb.plan.StructuralJoin`) and of the
-structural path index (`repro.rdb.structindex`).
+with the strict lower bound excluding self-pairs.  Both shredders stamp the
+same numbers in their own single pass (the tree node table's
+``start``/``end``/``level`` columns, the object-relational
+``$start``/``$end``/``$level`` columns); no module of the library imports
+this one.  It is the reference the tests check those columns against, and the
+interval form axis steps are to use as range predicates.
 """
 
 from __future__ import annotations

@@ -149,31 +149,6 @@ def test_descendant_lowering_is_byte_identical(case):
         "".join(functional.serialized_rows()), case.name
 
 
-def test_structural_index_is_byte_identical():
-    """Structural-index on vs. off over tree storage: every descendant
-    pairing returns identical rows at every optimizer level."""
-    from repro.rdb import Database
-    from repro.rdb.treestorage import TreeStorage
-    from repro.xsltmark.generator import make_tree_document
-
-    def build(structural_index):
-        db = Database()
-        storage = TreeStorage(db, "eq", structural_index=structural_index)
-        for depth in (3, 4):
-            storage.load(make_tree_document(depth, fanout=2))
-        return db, storage
-
-    indexed_db, indexed = build(True)
-    plain_db, plain = build(False)
-    for pair in (("node", "label"), ("tree", "node"), ("node", "node")):
-        for level in LEVELS:
-            want, _ = plain_db.execute(
-                plain.descendant_query(*pair), level=level)
-            got, _ = indexed_db.execute(
-                indexed.descendant_query(*pair), level=level)
-            assert got == want, (pair, level)
-
-
 def test_xsltmark_probes_are_unnested_with_ledger_evidence():
     """The corpus-wide acceptance check: across the xsltmark cases that
     compile to the SQL strategy, correlated ScalarSubquery probes are

@@ -288,7 +288,7 @@ class TestSingleProtocol:
     def test_every_operator_has_one_execution_form_and_none_defines_rows(
             self):
         operators = self._operators()
-        assert len(operators) >= 12
+        assert len(operators) >= 10
         assert {cls.__name__ for cls in operators if cls.pipelined} == {
             "Scan", "IndexScan", "Filter", "HashLeftJoin"}
         for cls in operators:

@@ -36,7 +36,7 @@ from repro.rdb.expressions import (
     eq,
     gt,
 )
-from repro.rdb.plan import ExecutionStats, HashLeftJoin, StructuralJoin
+from repro.rdb.plan import ExecutionStats, HashLeftJoin
 from repro.rdb.sqlxml import AggCall, XMLAgg, XMLElement
 from repro.rdb.treestorage import TreeStorage
 from repro.serve import decode_artifact, encode_artifact
@@ -345,13 +345,14 @@ class TestOperatorsOverTupleRows:
         storage = TreeStorage(db, "t")
         storage.load(parse_document("<a><b><c/><b><c/></b></b><c/></a>"))
         query = storage.descendant_query("b", "c")
-        assert any(isinstance(node, StructuralJoin)
+        # the cost plan keeps the parent-chain walk
+        assert any(isinstance(node, NestedLoopJoin)
                    for node in db.optimize(query).plan.iter_plan())
         walk, _ = db.execute(query, level="off")
         rows, stats = db.optimize(query).execute(db, batch_size=batch_size)
         # outer <b> contains both nested <c>; inner <b> only its own
         assert len(rows) == 3 and rows == walk
-        assert stats.struct_join_rows == 3
+        assert stats.output_rows == 3
 
 
 class TestSharedBinding:

@@ -38,6 +38,11 @@ from repro.rdb.plan import HashLeftJoin, explain
 from repro.rdb.sqlxml import AggCall
 
 
+def entries(index):
+    """An index's ``(key, row_id)`` pairs in key order."""
+    return list(zip(index._keys, index._row_ids))
+
+
 def run(db, query, **kwargs):
     rows, stats = db.execute(query, **kwargs)
     return rows, stats
@@ -108,7 +113,7 @@ class TestInsertMaintenance:
         # parent commit walked the whole catalog and called position_of
         # for every row)
         assert touched == [index.name]
-        assert index.lookup_range_items() == [(1, 0), (2, 1)]
+        assert entries(index) == [(1, 0), (2, 1)]
         assert all(len(other) == 0 for other in others)
 
     def test_index_created_after_rows_exist_sees_old_and_new_rows(self):
@@ -153,7 +158,7 @@ class TestInsertMaintenance:
         with pytest.raises(ValueError):
             database.insert("a", *rows)
         assert database.table("a").rows == [(7, "kept")]
-        assert database.find_index("a", "k").lookup_range_items() == [(7, 0)]
+        assert entries(database.find_index("a", "k")) == [(7, 0)]
 
     def test_recreated_table_starts_without_the_dropped_indexes(self):
         database = self.make()
@@ -195,7 +200,7 @@ class TestBTree:
         index = BTreeIndex("i", "t", "c")
         for row_id, key in enumerate([1, 3, 3, 2, 3, 9, 9, 0]):
             index.insert(key, row_id)
-        assert index.lookup_range_items() == [
+        assert entries(index) == [
             (0, 7), (1, 0), (2, 3), (3, 1), (3, 2), (3, 4), (9, 5), (9, 6)]
 
     def test_nulls_not_indexed(self):
@@ -217,7 +222,7 @@ class TestBTree:
             want = sorted((key, row_id) for row_id, key in enumerate(keys)
                           if key is not None and key == key)
             for index in (extended, inserted, built):
-                assert index.lookup_range_items() == want
+                assert entries(index) == want
 
     NAN_ROWS = [(1, 1.0), (2, "nan"), (3, 3.0), (4, 2.0), (5, 0.5)]
 
@@ -280,7 +285,7 @@ class TestBTree:
         index.extend([1, 2], [6, 7])                       # wholly before
         index.extend([2, 20, 25, 50], [8, 9, 10, 11])      # interleaved
         index.extend([45, 5], [12, 13])                    # not a run
-        assert index.lookup_range_items() == [
+        assert entries(index) == [
             (1, 6), (2, 7), (2, 8), (5, 13), (10, 0), (20, 1), (20, 2),
             (20, 9), (25, 10), (30, 3), (30, 4), (40, 5), (45, 12),
             (50, 11)]

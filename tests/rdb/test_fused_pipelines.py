@@ -11,7 +11,9 @@ output digest, every ``ExecutionStats`` counter and the per-operator
 actuals, as :func:`record_case` and :func:`record_edge` below read
 them.  It was captured from commit dbe2e6f — the last tree that ran
 each operator as its own generator — and rechecked there; a later tree
-cannot recapture it, only be compared to it.
+cannot recapture it, only be compared to it.  The structural-join
+counters it held (0 in every entry) left each ``stats`` list with the
+counters themselves.
 """
 
 import hashlib

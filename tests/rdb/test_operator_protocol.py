@@ -27,8 +27,6 @@ from repro.rdb.plan import (
     Query,
     Scan,
     Sort,
-    StructuralJoin,
-    StructuralScan,
     TopN,
     explain,
 )
@@ -51,12 +49,6 @@ SAMPLES = {
     Filter: lambda: Filter(_scan("l"), gt(col("qty", "l"), const(1))),
     NestedLoopJoin: lambda: NestedLoopJoin(
         _scan("l"), _scan("r"), eq(col("doc", "l"), col("doc", "r"))),
-    StructuralScan: lambda: StructuralScan("t_nodes", "label", alias="d",
-                                           doc_id=2),
-    StructuralJoin: lambda: StructuralJoin(
-        StructuralScan("t_nodes", "label", alias="d"),
-        StructuralScan("t_nodes", "node", alias="a"), "d", "a",
-        start_column="lo", end_column="hi"),
     HashJoin: lambda: HashJoin(
         _scan("l"), _scan("r"), col("doc", "l"), col("doc", "r"),
         condition=gt(col("qty", "l"), col("qty", "r"))),
@@ -108,7 +100,7 @@ def held_expressions(value):
 
 
 def test_every_operator_has_a_sample():
-    assert len(OPERATORS) >= 12
+    assert len(OPERATORS) >= 10
     assert set(SAMPLES) == set(OPERATORS)
 
 
@@ -192,16 +184,6 @@ def test_the_drift_this_replaced():
     # EXPLAIN JSON said {"op": "="} for an index probe ...
     record = json_record(sample(IndexScan))
     assert (record["op"], record["compare"]) == ("IndexScan", ">=")
-    # ... and nothing about the structural operators
-    assert json_record(sample(StructuralScan)) == {
-        "op": "StructuralScan", "table": "t_nodes", "name": "label",
-        "alias": "d", "doc": 2}
-    record = json_record(sample(StructuralJoin))
-    assert (record["desc"], record["anc"], record["labels"]) == (
-        "d", "a", ["lo", "hi"])
-    # the planner and the decorrelator disagreed on whether a
-    # StructuralScan binds its alias; there is one answer now
-    assert sample(StructuralJoin).bound_aliases() == {"d", "a"}
     # an Aggregate re-binds its input: bound below, not visible above
     join = sample(HashLeftJoin)
     assert join.bound_aliases() == {"l", "r", "g"}

@@ -9,7 +9,7 @@ leave it alone; a PR that changes a plan on purpose regenerates it and
 the diff names the cases it moved, the way ``bench/expected.json`` does
 for strategies.  The 40 stylesheets only reach five operators, so an
 ``operators`` section pins a hand-built query per remaining one
-(joins, sorts, limits, the structural pair) the same
+(joins, sorts, limits, the tree-storage descendant walk) the same
 way, and an ``xquery`` section the stage before the merge: per case (all
 40) the sha256 of the generated XQuery text over the case's DTD schema —
 or of ``"<stage>: <message>"`` where generation refuses — plus one

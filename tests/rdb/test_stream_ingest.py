@@ -347,10 +347,6 @@ def tree_state(storage):
              for path, index in storage.index._text.items()},
             {path: btree_entries(index)
              for path, index in storage.index._number.items()}),
-        "structural": (
-            len(storage.structural), dict(storage.structural._by_name),
-            {path: btree_entries(index)
-             for path, index in storage.structural._by_path.items()}),
     }
 
 
@@ -619,20 +615,16 @@ def reference_tree_load(storage, document):
     doc_id = storage._doc_counter
     assign_labels(document)
 
-    def _insert_node(node, parent_id, seq, path):
+    def _insert_node(node, parent_id, seq):
         storage._node_counter += 1
         node_id = storage._node_counter
         kind = node.kind
         label = node.label.as_tuple()
         if kind == NodeKind.ELEMENT:
-            node_path = "%s/%s" % (path, node.name.local)
-            row_ids = db.insert(
+            db.insert(
                 storage.table_name,
                 (node_id, doc_id, parent_id, seq, "element",
                  node.name.local, None) + label)
-            if storage.structural is not None:
-                storage.structural.add_elements(doc_id, [
-                    (node_path, node.name.local, label[0], row_ids[0])])
             position = 0
             for attribute in node.attributes:
                 storage._node_counter += 1
@@ -643,7 +635,7 @@ def reference_tree_load(storage, document):
                     + attribute.label.as_tuple())
                 position += 1
             for child in node.children:
-                _insert_node(child, node_id, position, node_path)
+                _insert_node(child, node_id, position)
                 position += 1
         else:
             name = node.target if kind == NodeKind.PI else None
@@ -654,9 +646,8 @@ def reference_tree_load(storage, document):
                        node.value) + label)
 
     for seq, child in enumerate(document.children):
-        _insert_node(child, 0, seq, "")
-    if storage.index is not None:
-        storage.index.add_document(doc_id, document)
+        _insert_node(child, 0, seq)
+    storage.index.add_document(doc_id, document)
     return doc_id
 
 
@@ -922,11 +913,9 @@ class TestOneMaintenancePath:
 
     def test_ingest_modules_hand_indexes_whole_runs(self):
         sources = self.sources()
-        for name in ("rdb/table.py", "rdb/structindex.py",
-                     "rdb/pathindex.py"):
+        for name in ("rdb/table.py", "rdb/pathindex.py"):
             assert ".extend(" in sources[name], name
         assert "add_leaves(" in sources["rdb/treestorage.py"]
-        assert "add_elements(" in sources["rdb/treestorage.py"]
 
     def test_row_at_a_time_coercion_is_gone(self):
         for name, source in self.sources().items():

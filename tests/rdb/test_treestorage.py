@@ -7,9 +7,11 @@ from repro.rdb import Database
 from repro.rdb.treestorage import TreeStorage
 from repro.xmlmodel import parse_document, serialize
 
+from tests.rdb.tree_corpus import tree_xml
 
-def make_storage(path_index=True):
-    return TreeStorage(Database(), "t", path_index=path_index)
+
+def make_storage():
+    return TreeStorage(Database(), "t")
 
 
 DOCS = [
@@ -83,16 +85,10 @@ class TestPathFiltering:
         storage.load_many([parse_document(doc) for doc in DOCS])
         assert storage.find_documents("/memo/@pri", "=", "2") == [1]
 
-    def test_no_index_errors(self):
-        storage = make_storage(path_index=False)
-        storage.load(parse_document(DOCS[0]))
-        with pytest.raises(DatabaseError):
-            storage.find_documents("/memo/to", "=", "Bob")
-
 
 # Several documents in ONE storage: the second document's path/value run
-# interleaves with the first's keys (values sort between them), its
-# structural and heap runs append after them.
+# interleaves with the first's keys (values sort between them), its heap
+# runs append after them.
 SHELVES = [
     "<lib owner='ann'><shelf n='2'><book>Emma</book><book>Ulysses</book>"
     "<price>12.5</price></shelf><shelf n='9'><book>Dune</book>"
@@ -146,19 +142,6 @@ class TestSeveralDocumentsInOneStorage:
             assert entries(storage.db.find_index(
                 storage.table_name, column)) == inserted_one_by_one(
                 (row[position], row_id) for row_id, row in rows)
-        # structural index: one (doc_id, start) entry per element, under
-        # the path its parent chain spells
-        paths, by_path = {}, {}
-        for row_id, row in rows:
-            if row[4] == "element":
-                path = paths[row[0]] = "%s/%s" % (paths.get(row[2], ""),
-                                                  row[5])
-                by_path.setdefault(path, []).append(((row[1], row[7]),
-                                                     row_id))
-        assert {path: entries(index) for path, index
-                in storage.structural._by_path.items()} == {
-            path: inserted_one_by_one(pairs)
-            for path, pairs in by_path.items()}
         # path/value index: one entry per leaf, document after document
         text, number = {}, {}
         for doc_id, source in enumerate(SHELVES[:count], 1):
@@ -230,3 +213,64 @@ class TestTransformOverTreeStorage:
         doc_id = storage.load(parse_document(DOCS[1]))
         result = transform(sheet, storage.materialize(doc_id))
         assert serialize_children(result) == "<out>Bob</out>"
+
+
+# -- descendant joins ----------------------------------------------------------
+
+#: same-name ancestors nested in each other, a name under itself, and
+#: descendants under no matching ancestor
+NESTED = ("<r><a><a><b><d/><a><d/></a></b></a><d><a/></d></a>"
+          "<x><d/></x><a><d><d/></d></a></r>")
+
+
+def walked_pairs(storage, ancestor_name, descendant_name, doc_id=None):
+    """The oracle: ``descendant_query``'s rows from the node rows alone,
+    by walking each descendant's parent chain in Python — descendant
+    rows in table order, their proper ancestors in table order."""
+    rows = [row for _, row in storage.db.table(storage.table_name).scan()]
+    parent_of = {row[0]: row[2] for row in rows}
+    pairs = []
+    for d in rows:
+        if d[4] != "element" or d[5] != descendant_name \
+                or doc_id not in (None, d[1]):
+            continue
+        chain, parent = set(), parent_of[d[0]]
+        while parent:  # the walk starts above d: no self-pair
+            chain.add(parent)
+            parent = parent_of[parent]
+        pairs.extend((d[1], a[0], d[0], d[7]) for a in rows
+                     if a[4] == "element" and a[5] == ancestor_name
+                     and a[0] in chain)
+    return pairs
+
+
+class TestDescendantWalk:
+    @pytest.fixture(scope="class")
+    def storage(self):
+        storage = make_storage()
+        for text in (tree_xml(1), NESTED, tree_xml(2, depth=3, fanout=2)):
+            storage.load(parse_document(text))
+        storage.db.analyze()
+        return storage
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 256])
+    @pytest.mark.parametrize("level", ["off", "cost"])
+    @pytest.mark.parametrize("doc_id", [None, 1, 2, 3])
+    @pytest.mark.parametrize("names", [
+        ("node", "label"), ("node", "node"), ("tree", "label"),
+        ("a", "d"), ("a", "a"), ("d", "d"), ("r", "a"), ("b", "a")])
+    def test_rows_equal_the_parent_chain_oracle(self, storage, names,
+                                                doc_id, level, batch_size):
+        query = storage.db.optimize(
+            storage.descendant_query(*names, doc_id=doc_id), level=level)
+        rows, _ = query.execute(storage.db, batch_size=batch_size)
+        assert rows == walked_pairs(storage, *names, doc_id=doc_id)
+
+    def test_the_oracle_sees_nesting(self, storage):
+        # <a> under <a> under <a>: the inner <d> pairs with all three
+        # enclosing <a>s, and no node pairs with itself
+        assert len(walked_pairs(storage, "a", "d", doc_id=2)) == 8
+        assert len(walked_pairs(storage, "a", "a", doc_id=2)) == 4
+        # a node at depth k has k - 1 <node> ancestors: 0 + 3 + 2 * 9 +
+        # 3 * 27 in the first document, 2 * (0 + 2 + 2 * 4) in the third
+        assert len(walked_pairs(storage, "node", "node")) == 122
