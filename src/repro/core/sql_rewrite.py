@@ -48,6 +48,27 @@ def _is_number(expr):
         isinstance(expr, sqle.Const) and type(expr.value) in (int, float))
 
 
+#: the translated XPath functions whose value is a number
+_NUMBER_FUNCTIONS = frozenset([
+    "number", "count", "sum", "avg", "min", "max", "string-length"])
+
+
+def _is_xpath_number(expr):
+    """An XPath expression whose value is statically a number."""
+    return isinstance(expr, (xp.NumberLiteral, xp.UnaryMinus)) or (
+        isinstance(expr, xp.BinaryOp)
+        and expr.op in ("+", "-", "*", "div", "mod")) or (
+        isinstance(expr, xp.FunctionCall) and expr.name in _NUMBER_FUNCTIONS)
+
+
+def _as_text(expr):
+    """``expr`` where XPath compares text: a declared-numeric column by
+    the text it serializes to (NULL stays NULL)."""
+    if getattr(expr, "numeric", False):
+        return sqle.FuncCall("TO_CHAR", [expr])
+    return expr
+
+
 def _number(expr):
     """``expr`` where XPath wants a number: cast unless statically one."""
     return expr if _is_number(expr) else sqle.FuncCall("NUMBER", [expr])
@@ -505,6 +526,12 @@ class SqlRewriter:
                         _is_number(left) or _is_number(right)):
                     # XPath orders numbers only (against one, BinOp converts)
                     left, right = _number(left), _number(right)
+                elif op in ("=", "<>") and not (
+                        _is_xpath_number(expr.left)
+                        or _is_xpath_number(expr.right)):
+                    # nodes and strings are equal as text, whatever the
+                    # column's type (NaN = NaN, 7 != '07')
+                    left, right = _as_text(left), _as_text(right)
                 return sqle.BinOp(op, left, right)
             if expr.op in ("and", "or"):
                 return sqle.BinOp(

@@ -9,22 +9,12 @@ shape, not just wall-clock time.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from itertools import islice
-from math import inf
-from operator import itemgetter, le, ne
+from operator import itemgetter, le
 
 from repro.errors import DatabaseError
-
-_INFINITIES = (inf, -inf)
-
-
-def _indexable(key):
-    """NULLs are not indexed, and neither is NaN: it has no place in a
-    total order (one NaN key breaks ``bisect`` for its neighbours), and no
-    comparison a probe serves is true of it — exactly what a scan finds.
-    Nor is ±inf, which compares as the NaN XPath reads from its text."""
-    return key is not None and key == key and key not in _INFINITIES
+from repro.rdb.values import all_orderable, orderable
 
 
 class BTreeIndex:
@@ -42,9 +32,9 @@ class BTreeIndex:
 
     def insert(self, key, row_id):
         """Enter one pair, after every equal key already present."""
-        if not _indexable(key):
+        if not orderable(key):
             return
-        position = bisect.bisect_right(self._keys, key)
+        position = bisect_right(self._keys, key)
         self._keys.insert(position, key)
         self._row_ids.insert(position, row_id)
 
@@ -53,12 +43,10 @@ class BTreeIndex:
         as one :meth:`insert` per pair, in order, would.  A batch in key
         order that starts at or after the last key — what ingest hands
         over — is appended whole; any other is merged in one pass."""
-        if None in keys or (keys and type(keys[-1]) is float and (
-                any(map(ne, keys, keys)) or max(keys) == inf
-                or min(keys) == -inf)):
+        if not all_orderable(keys):
             row_ids = [row_id for key, row_id in zip(keys, row_ids)
-                       if _indexable(key)]
-            keys = [key for key in keys if _indexable(key)]
+                       if orderable(key)]
+            keys = [key for key in keys if orderable(key)]
         mine, my_row_ids = self._keys, self._row_ids
         if all(map(le, keys, islice(keys, 1, None))) and (
                 not mine or not keys or keys[0] >= mine[-1]):
@@ -67,8 +55,8 @@ class BTreeIndex:
             return
         # the stretch the batch overlaps, re-sorted with the batch behind
         # it: stable, so equal keys land after those present, in batch order
-        start = bisect.bisect_right(mine, min(keys))
-        stop = bisect.bisect_right(mine, max(keys), start)
+        start = bisect_right(mine, min(keys))
+        stop = bisect_right(mine, max(keys), start)
         entries = sorted(zip(mine[start:stop] + list(keys),
                              my_row_ids[start:stop] + list(row_ids)),
                          key=itemgetter(0))
@@ -77,7 +65,7 @@ class BTreeIndex:
     def build(self, pairs):
         """Bulk-load (key, row_id) pairs."""
         entries = sorted(
-            (key, row_id) for key, row_id in pairs if _indexable(key)
+            (key, row_id) for key, row_id in pairs if orderable(key)
         )
         self._keys = [key for key, _ in entries]
         self._row_ids = [row_id for _, row_id in entries]
@@ -92,55 +80,38 @@ class BTreeIndex:
 
     def lookup_eq(self, key, stats=None):
         """Row ids with exactly this key, in insertion order of the range."""
+        low = bisect_left(self._keys, key)
+        high = bisect_right(self._keys, key)
         if stats is not None:
             stats.index_probes += 1
             stats.btree_node_visits += self.node_visits_per_probe()
-        if key != key:
-            return []  # a NaN probe equals nothing
-        low = bisect.bisect_left(self._keys, key)
-        high = bisect.bisect_right(self._keys, key)
-        if stats is not None:
             stats.index_entries += high - low
         return self._row_ids[low:high]
 
     def lookup_range(self, low=None, high=None, low_inclusive=True,
                      high_inclusive=True, stats=None):
         """Row ids with keys in [low, high] (open ends with None)."""
+        keys = self._keys
+        start = 0 if low is None else (
+            bisect_left if low_inclusive else bisect_right)(keys, low)
+        stop = len(keys) if high is None else (
+            bisect_right if high_inclusive else bisect_left)(keys, high)
+        stop = max(start, stop)
         if stats is not None:
             stats.index_probes += 1
             stats.btree_node_visits += self.node_visits_per_probe()
-        if low != low or high != high:
-            return []  # a NaN bound admits no key
-        if low is None:
-            start = 0
-        elif low_inclusive:
-            start = bisect.bisect_left(self._keys, low)
-        else:
-            start = bisect.bisect_right(self._keys, low)
-        if high is None:
-            stop = len(self._keys)
-        elif high_inclusive:
-            stop = bisect.bisect_right(self._keys, high)
-        else:
-            stop = bisect.bisect_left(self._keys, high)
-        if stop < start:
-            stop = start
-        if stats is not None:
             stats.index_entries += stop - start
         return self._row_ids[start:stop]
 
-    def lookup_op(self, op, value, stats=None):
-        """Probe by comparison operator ('=', '<', '<=', '>', '>=')."""
+    def lookup_op(self, op, key, stats=None):
+        """Row ids of the keys ``op key`` holds of ('=', '<', '<=', '>',
+        '>='), in key order; ``key`` is :func:`orderable`."""
         if op == "=":
-            return self.lookup_eq(value, stats=stats)
-        if op == "<":
-            return self.lookup_range(high=value, high_inclusive=False,
+            return self.lookup_eq(key, stats=stats)
+        if op not in ("<", "<=", ">", ">="):
+            raise DatabaseError("index cannot serve operator %r" % op)
+        if op[0] == "<":
+            return self.lookup_range(high=key, high_inclusive=op == "<=",
                                      stats=stats)
-        if op == "<=":
-            return self.lookup_range(high=value, stats=stats)
-        if op == ">":
-            return self.lookup_range(low=value, low_inclusive=False,
-                                     stats=stats)
-        if op == ">=":
-            return self.lookup_range(low=value, stats=stats)
-        raise DatabaseError("index cannot serve operator %r" % op)
+        return self.lookup_range(low=key, low_inclusive=op == ">=",
+                                 stats=stats)

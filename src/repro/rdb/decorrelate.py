@@ -38,7 +38,8 @@ Safety is checked per site and any doubt keeps the probe correlated
   *local* (references only subquery aliases → stays as one AND-tree
   residual Filter, the PR-5 convention) or a *correlation equi-join*
   (``child_side = parent_side`` with the parent side referencing only
-  aliases visible in the parent plan);
+  aliases visible in the parent plan) whose ``=`` is a hash equality
+  (:func:`~repro.rdb.values.hashable`: both sides of known type);
 * nothing else — body expressions, the aggregate output, its ORDER BY
   keys, nested subqueries at any depth — references the outer row.
 
@@ -60,9 +61,11 @@ from repro.rdb.plan import (
     HashLeftJoin,
     Query,
     _render_plan,
+    static_type,
 )
 from repro.rdb.planner import _and_tree, _split_conjuncts
 from repro.rdb.sqlxml import find_aggregates
+from repro.rdb.values import hashable
 
 STAGE = "plan-optimize"
 
@@ -382,6 +385,12 @@ class _Decorrelator:
             pairs.append(pair)
         if not pairs:
             raise _Blocked("not correlated with the parent plan")
+        for child_key, parent_key in pairs:
+            if not hashable(static_type(child_key, base, self.db),
+                            static_type(parent_key, plan, self.db)):
+                raise _Blocked("%s = %s is decided per row (a key of "
+                               "unknown type): no hash equality" % (
+                                   child_key.to_sql(), parent_key.to_sql()))
 
         for expr in [out_expr, *base.iter_expressions()]:
             free, opaque = _free_info(expr, own)

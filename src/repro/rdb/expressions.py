@@ -24,8 +24,9 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 
 from repro.errors import DatabaseError
 from repro.rdb.binding import Binder, Codegen, Layout
+from repro.rdb.values import binary, native, text as _text
 from repro.xpath.ast import _divide as xpath_divide, _modulo as xpath_mod
-from repro.xpath.datamodel import number_to_string, to_number
+from repro.xpath.datamodel import to_number
 from repro.xpath.functions import fn_normalize_space
 
 
@@ -130,21 +131,6 @@ class ColumnRef(SqlExpr):
         return '"%s"' % self.column.upper()
 
 
-def _binary(apply, comparing, a, b):
-    """``apply`` under SQL's NULL rule and the text-vs-number rule; a
-    ±inf compares as the NaN XPath reads from its text, ``Infinity``."""
-    if a is None or b is None:
-        return False if comparing else None
-    if comparing and (a in _INFINITIES or b in _INFINITIES):
-        return apply(math.nan, math.nan)
-    if isinstance(a, str) or isinstance(b, str):
-        if comparing and type(a) not in (int, float) \
-                and type(b) not in (int, float):  # bools: as text
-            return apply(_text(a), _text(b))
-        return apply(to_number(a), to_number(b))
-    return apply(a, b)
-
-
 def _concat(terms, binder, layout, cg):
     """Source of ``||`` over ``terms``: constants folded into one text at
     bind, a typed term converted inline, any other through ``_text``."""
@@ -168,18 +154,6 @@ def _concat(terms, binder, layout, cg):
     return "(%s)" % " + ".join(pieces)
 
 
-_INFINITIES = (math.inf, -math.inf)
-
-
-def _native(left_kind, right_kind):
-    """Whether Python compares non-CASE operands of these static types as
-    ``_binary`` does: two numbers or two texts (a typed constant or
-    ``||`` is never NULL; a column's NULL test repeats only a tuple
-    index)."""
-    kinds = {left_kind, right_kind}
-    return None not in kinds and (str not in kinds or len(kinds) == 1)
-
-
 def _divide(left, right):
     if right == 0:
         raise DatabaseError("division by zero")
@@ -189,10 +163,12 @@ def _divide(left, right):
 class BinOp(SqlExpr):
     """Binary operators: comparisons, arithmetic, AND/OR, || concat.
 
-    Typed operands compare and compute natively, text against text as
-    text.  A text operand in a numeric context — arithmetic, comparison
-    against a number — is character data: both sides go through XPath's
-    ``to_number`` (a non-number is NaN: only ``<>`` holds against it)."""
+    Operands compare as :mod:`repro.rdb.values` says: natively where
+    both types are known, text against text as text; otherwise through
+    ``binary`` per row.  A text operand in a numeric context —
+    arithmetic, comparison against a number — is character data: it goes
+    through XPath's ``to_number`` (a non-number is NaN: only ``<>`` holds
+    against it)."""
 
     _COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
                     "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -215,24 +191,14 @@ class BinOp(SqlExpr):
                 raise DatabaseError("unknown operator %r" % op)
             if op in self._COMPARISONS and CaseWhen not in (
                     type(self.left), type(self.right)):
-                (left, left_kind), (right, right_kind) = (
-                    expr.emit_typed(binder, layout, cg)
-                    for expr in (self.left, self.right))
-                if _native(left_kind, right_kind):
-                    operands = ((self.left, left, left_kind),
-                                (self.right, right, right_kind))
-                    test = "%s %s %s" % (
-                        left, {"=": "==", "<>": "!="}.get(op, op), right)
-                    # a ±inf compares as NaN, as in ``_binary``
-                    finite = " and ".join(
-                        "-%s < %s < _inf" % (cg.helper("_inf", math.inf),
-                                             source)
-                        for expr, source, kind in operands if kind is float
-                        and not (type(expr) is Const
-                                 and math.isfinite(expr.value)))
-                    if finite:
-                        test = ("(%s or not (%s))" if op == "<>"
-                                else "%s and %s") % (test, finite)
+                operands = [(expr, *expr.emit_typed(binder, layout, cg))
+                            for expr in (self.left, self.right)]
+                (_, left, _), (_, right, _) = operands
+                test = native(op, *[
+                    (source, kind,
+                     expr.value if type(expr) is Const else None)
+                    for expr, source, kind in operands], cg)
+                if test is not None:  # a NULL column satisfies nothing
                     return "(%s%s)" % ("".join(
                         "%s is not None and " % source
                         for expr, source, _ in operands
@@ -241,7 +207,7 @@ class BinOp(SqlExpr):
                 left, right = (cg.emit(expr, binder, layout)
                                for expr in (self.left, self.right))
             return "%s(%s, %s, %s, %s)" % (
-                cg.helper("_binary", _binary), cg.ref(apply),
+                cg.helper("_binary", binary), cg.ref(apply),
                 op in self._COMPARISONS, left, right)
         # a chain of one operator is emitted flat, however long
         terms, stack = [], [self.right, self.left]
@@ -394,7 +360,8 @@ class FuncCall(SqlExpr):
         "SUBSTR": _substr,
         "CONCAT": lambda values: "".join(_text(value) for value in values),
         "COALESCE": _coalesce,
-        "TO_CHAR": lambda values: _text(values[0]),
+        "TO_CHAR": lambda values: (None if values[0] is None
+                                   else _text(values[0])),
         # the XPath library's own arithmetic and conversions
         "MOD": lambda values: xpath_mod(*map(to_number, values)),
         "DIV": _xpath_div,
@@ -503,18 +470,6 @@ class ScalarSubquery(SqlExpr):
 
     def to_sql(self):
         return "(%s)" % self.query.to_sql()
-
-
-def _text(value):
-    if type(value) is str:
-        return value
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return number_to_string(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 def bind_tuple(binder, exprs, layout):

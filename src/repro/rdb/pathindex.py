@@ -14,9 +14,9 @@ string equality and numeric range probes work.
 from __future__ import annotations
 
 from collections import defaultdict
-from math import isfinite
 
 from repro.rdb.btree import BTreeIndex
+from repro.rdb.values import number_key, orderable
 from repro.xmlmodel.nodes import NodeKind
 
 
@@ -93,19 +93,19 @@ class PathValueIndex:
         """
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             index = self._number.get(path)
-            key = float(value)
+            key = number_key(value)
         else:
             index = self._text.get(path)
             key = str(value)
-        if index is None:
+        if index is None or key is None:
             return []
         doc_ids = index.lookup_op(op, key, stats=stats)
         return sorted(set(doc_ids))
 
 
 def _as_number(text):
-    """The finite number *text* spells, else None: ``nan`` has no place
-    in a sorted index and ``inf`` is no document's value."""
+    """The number *text* spells if an ordered index holds it
+    (:func:`~repro.rdb.values.orderable`), else None."""
     if text.isalpha():
         # same answer as below, without a raised ValueError (~0.5 µs
         # against ~0.02): 57 % of the `ingest` document's leaves are one
@@ -115,7 +115,7 @@ def _as_number(text):
         number = float(text)
     except ValueError:
         return None
-    return number if isfinite(number) else None
+    return number if orderable(number) else None
 
 
 class IndexedClobStorage:

@@ -28,11 +28,11 @@ from functools import partial
 from itertools import chain, islice
 
 from repro.errors import DatabaseError, DeadlineExceededError, PlanError
-from repro.rdb.binding import BindingCache, Codegen, Pipeline, sort_pairs
-from repro.rdb.expressions import (
-    _INFINITIES, SqlExpr, _text, bind_order, bind_tuple)
+from repro.rdb.binding import (
+    BindingCache, Codegen, Layout, Pipeline, sort_pairs)
+from repro.rdb.expressions import SqlExpr, bind_order, bind_tuple
 from repro.rdb.sqlxml import bind_aggregates, render_item, row_items
-from repro.xpath.datamodel import to_number
+from repro.rdb.values import key_normal, probe_normal
 
 #: Row count per batch wherever ``batch_size`` is not given (or None).
 DEFAULT_BATCH_SIZE = 256
@@ -394,17 +394,17 @@ class IndexScan(PlanNode):
     def bind(self, binder, outer):
         column = binder.db.index(self.index_name).column_name
         kind = binder.table(self.table_name).schema.column(column).exact
-        return _bind_scan(self, binder, outer,
-                          self.key_expr.bind(binder, outer), kind)
+        # the probe key as ``column op key`` compares it: None where no
+        # comparison holds
+        cg, (key,) = _typed_keys(binder, [self.key_expr], outer)
+        return _bind_scan(self, binder, outer, cg.function(
+            "return " + _normalised(cg, key[0],
+                                    probe_normal(key[1], kind))))
 
     def produce(self, em, bound):
-        table, prefixed, key, kind = bound.args
-        # the probe, as ``column op key`` compares: a number against a
-        # numeric column, where NULL, NaN and ±inf satisfy no comparison
+        table, prefixed, key = bound.args
         em.timer(bound.slot)
         em.line("_v = %s(outer, stats)" % em.ref(key))
-        if kind in (int, float):
-            em.line("_v = %s(_v)" % em.helper("_numeric_key", _numeric_key))
         em.line("_d = () if _v is None else db.index(%s).lookup_op(%s, _v, "
                 "stats=stats)" % (em.ref(self.index_name), em.ref(self.op)))
         em.charge(bound.slot)
@@ -638,7 +638,7 @@ class HashLeftJoin(PlanNode):
 
         def normal(position, kind):
             rights.append(kind)
-            return _NORMALS.get((kind, lefts[position][1]), _hash_key)
+            return key_normal(kind, lefts[position][1])
 
         # the aggregate folds under the keys normalised as ``=`` compares
         # them with the left's, so its groups are the probe table
@@ -675,6 +675,21 @@ class HashLeftJoin(PlanNode):
         em.clock(bound.slot)
 
 
+def static_type(expr, plan, db):
+    """``expr``'s static type over the columns of ``plan``'s scans, before
+    any bind; None where they cannot tell."""
+    layout = Layout()
+    for node in plan.iter_plan():
+        if isinstance(node, (Scan, IndexScan)) and db.has_table(
+                node.table_name):
+            schema = db.table(node.table_name).schema
+            layout = layout.extend(node.alias, schema.names, schema.types)
+    try:
+        return expr.value_type(layout)
+    except DatabaseError:  # not a scanned column
+        return None
+
+
 def _typed_keys(binder, exprs, layout):
     """``(codegen, [(source, value type)])`` of the key ``exprs`` over
     rows of ``layout``: one slot search per column."""
@@ -685,35 +700,17 @@ def _typed_keys(binder, exprs, layout):
 def _key_function(cg, keys, others):
     """``f(row, stats)``: the tuple of ``keys`` (``(source, type)``, in
     ``cg``), each normalised as ``=`` compares it with a key of the type
-    ``others`` holds at its position (DESIGN §10)."""
+    ``others`` holds at its position (:mod:`repro.rdb.values`)."""
     return cg.function("return (%s)" % "".join([
-        (source if normal is None else "%s(%s)" % (
-            cg.helper(normal.__name__, normal), source)) + ", "
-        for (source, kind), other in zip(keys, others)
-        for normal in [_NORMALS.get((kind, other), _hash_key)]]))
+        _normalised(cg, source, key_normal(kind, other)) + ", "
+        for (source, kind), other in zip(keys, others)]))
 
 
-def _hash_key(value):
-    """An untyped equi-join key: its text; NULL joins nothing."""
-    return None if value is None else _text(value)
-
-
-def _numeric_key(value):
-    """A key compared as a number (text through ``to_number``); None for
-    NULL, NaN and ±inf (read back from its text as NaN), which equal
-    nothing."""
-    if isinstance(value, str):
-        value = to_number(value)
-    return None if value != value or value in _INFINITIES else value
-
-
-#: what a key of the first type compared with one of the second goes
-#: through (None: nothing, ``hash(1) == hash(1.0)``); a pair with an
-#: unknown type compares by text (``_hash_key``)
-_NORMALS = {(int, int): None, (int, float): None, (int, str): None,
-            (str, str): None, (str, int): _numeric_key,
-            (str, float): _numeric_key, (float, int): _numeric_key,
-            (float, float): _numeric_key, (float, str): _numeric_key}
+def _normalised(cg, source, normal):
+    """``source`` through ``normal``, a function or None for itself."""
+    if normal is None:
+        return source
+    return "%s(%s)" % (cg.helper(normal.__name__, normal), source)
 
 
 class Sort(PlanNode):

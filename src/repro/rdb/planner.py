@@ -41,7 +41,6 @@ from repro.rdb.expressions import (
     Const,
     ScalarSubquery,
 )
-from repro.rdb.types import TEXT
 from repro.rdb.plan import (
     Aggregate,
     Filter,
@@ -54,7 +53,9 @@ from repro.rdb.plan import (
     Scan,
     Sort,
     TopN,
+    static_type,
 )
+from repro.rdb.values import hashable, servable
 
 _FLIP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _INDEXABLE_OPS = frozenset(["=", "<", "<=", ">", ">="])
@@ -128,24 +129,26 @@ def _and_tree(conjuncts):
     return predicate
 
 
+def _scan_comparisons(conjunct, scan):
+    """``(column, op, key)`` per side of an indexable comparison that is a
+    column of ``scan`` against a key that does not reference it."""
+    if not isinstance(conjunct, BinOp) or conjunct.op not in _INDEXABLE_OPS:
+        return []
+    left, right = conjunct.left, conjunct.right
+    return [(column.column, op, key) for column, op, key in (
+        (left, conjunct.op, right), (right, _FLIP[conjunct.op], left))
+        if _is_scan_column(column, scan)
+        and not _references_alias(key, scan.alias)]
+
+
 def _match_index(conjunct, scan, db):
     """``column op key`` (either orientation) with an available index."""
-    if not isinstance(conjunct, BinOp) or conjunct.op not in _INDEXABLE_OPS:
-        return None
-    left, right = conjunct.left, conjunct.right
-    candidates = []
-    if _is_scan_column(left, scan) and not _references_alias(right, scan.alias):
-        candidates.append((left.column, conjunct.op, right))
-    if _is_scan_column(right, scan) and not _references_alias(left, scan.alias):
-        candidates.append((right.column, _FLIP[conjunct.op], left))
-    for column, op, key_expr in candidates:
+    for column, op, key_expr in _scan_comparisons(conjunct, scan):
         index = db.find_index(scan.table_name, column)
-        # an index over character data is in text order: it answers a
-        # text key only (a number key makes the comparison numeric)
-        if index is not None and (
-                db.table(scan.table_name).schema.column(column).type != TEXT
-                or isinstance(key_expr, Const)
-                and isinstance(key_expr.value, str)):
+        if index is not None and servable(
+                key_expr.value_type(None) if isinstance(key_expr, Const)
+                else None,
+                db.table(scan.table_name).schema.column(column).exact):
             return index, op, key_expr, column
     return None
 
@@ -460,11 +463,24 @@ class _CostOptimizer:
 
         hash_candidate = None
         hash_mark = len(self._pending)
-        if equi and _is_uncorrelated(join.right, right_aliases):
-            hash_candidate = self._hash_candidate(
-                join, left_plan, left_rows, left_cost,
-                right_only, equi, residual, left_aliases, right_aliases,
-            )
+        if not equi:
+            reason = "no equi-join conjunct; nested loop is the only path"
+        elif not _is_uncorrelated(join.right, right_aliases):
+            reason = "right side is correlated; hash build not applicable"
+        else:
+            reason = ("= between its keys is decided per row (a key of "
+                      "unknown type); no hash equality")
+            # the first equi conjunct whose ``=`` is a hash equality keys
+            # the build; the others stay residual
+            for conjunct in equi:
+                keys = self._equi_split(conjunct, left_aliases, right_aliases)
+                if hashable(static_type(keys[0], left_plan, self.db),
+                            static_type(keys[1], join.right, self.db)):
+                    hash_candidate = self._hash_candidate(
+                        join, left_plan, left_rows, left_cost, right_only,
+                        keys, [other for other in equi
+                               if other is not conjunct] + residual)
+                    break
 
         if hash_candidate is not None and \
                 hash_candidate.estimated_cost < nlj_cost:
@@ -476,18 +492,15 @@ class _CostOptimizer:
             chosen, action = nlj, "nested-loop"
             del self._pending[hash_mark:]
         self._record_join(join, left_aliases, right_aliases, action,
-                          nlj_cost, hash_candidate, chosen, len(equi))
+                          nlj_cost, hash_candidate, chosen, len(equi),
+                          reason)
         return chosen
 
     def _hash_candidate(self, join, left_plan, left_rows, left_cost,
-                        right_only, equi, residual, left_aliases,
-                        right_aliases):
+                        right_only, keys, extra):
         right_plan = self.push_into(join.right, right_only)
         right_rows, right_cost = self.estimate(right_plan)
-        left_key, right_key = self._equi_split(
-            equi[0], left_aliases, right_aliases
-        )
-        extra = equi[1:] + residual
+        left_key, right_key = keys
         selectivity = self._join_selectivity(left_key, right_key)
         out_rows = left_rows * right_rows * selectivity
         for conjunct in extra:
@@ -544,7 +557,7 @@ class _CostOptimizer:
         return None
 
     def _record_join(self, join, left_aliases, right_aliases, action,
-                     nlj_cost, hash_candidate, chosen, equi_count):
+                     nlj_cost, hash_candidate, chosen, equi_count, reason):
         if self.ledger is None:
             return
         from repro.obs.decisions import JOIN_STRATEGY
@@ -561,10 +574,6 @@ class _CostOptimizer:
                 if action == "hash-join"
                 else (nlj_cost, detail["hash_cost"])
             )
-        elif equi_count:
-            reason = "right side is correlated; hash build not applicable"
-        else:
-            reason = "no equi-join conjunct; nested loop is the only path"
         def record():
             decision = self.ledger.record(
                 JOIN_STRATEGY,
@@ -720,19 +729,11 @@ class _CostOptimizer:
         if not isinstance(conjunct, BinOp) \
                 or conjunct.op not in _INDEXABLE_OPS:
             return DEFAULT_SELECTIVITY
-        if scan is not None:
-            table_name = scan.table_name
-            left, right = conjunct.left, conjunct.right
-            if _is_scan_column(left, scan) \
-                    and not _references_alias(right, scan.alias):
-                return self._column_selectivity(
-                    table_name, left.column, conjunct.op, right
-                )
-            if _is_scan_column(right, scan) \
-                    and not _references_alias(left, scan.alias):
-                return self._column_selectivity(
-                    table_name, right.column, _FLIP[conjunct.op], left
-                )
+        comparisons = [] if scan is None \
+            else _scan_comparisons(conjunct, scan)
+        if comparisons:
+            column, op, key = comparisons[0]
+            return self._column_selectivity(scan.table_name, column, op, key)
         return (DEFAULT_EQ_SELECTIVITY if conjunct.op == "="
                 else DEFAULT_RANGE_SELECTIVITY)
 

@@ -27,6 +27,8 @@ else); keywords are recognised case-insensitively.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import DatabaseError, PlanError
 from repro.rdb import expressions as e
 from repro.rdb import sqlxml
@@ -50,8 +52,19 @@ class SqlSyntaxError(PlanError):
 
 # -- lexer -------------------------------------------------------------------
 
-_SYMBOLS = ["||", "<>", "!=", "<=", ">=", "(", ")", ",", ".", "*", "=",
-            "<", ">", "+", "-", "/", ";"]
+#: one token a match, from where the last one ended: a blank or comment
+#: (no group), or the kind its group names
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+ | --[^\n]*\n? | /\*.*?\*/
+  | '(?P<string>(?:[^']|'')*)'
+  | "(?P<quoted>[^"]*)"
+  | (?P<number>\d[\d.]*|\.\d[\d.]*)
+  | (?P<ident>[^\W\d][\w$]*)
+  | (?P<symbol>\|\||<>|!=|<=|>=|/(?!\*)|[(),.*=<>+\-;])
+""", re.VERBOSE | re.DOTALL)
+_UNTERMINATED = {"/*": "unterminated /* comment",
+                 "'": "unterminated string literal",
+                 '"': "unterminated quoted identifier"}
 
 
 class _Token:
@@ -68,71 +81,27 @@ class _Token:
 def _lex(source):
     tokens = []
     pos = 0
-    length = len(source)
-    while pos < length:
-        char = source[pos]
-        if char in " \t\r\n":
-            pos += 1
+    while pos < len(source):
+        match = _TOKEN.match(source, pos)
+        if match is None:
+            raise SqlSyntaxError(
+                _UNTERMINATED.get(source[pos:pos + 2])
+                or _UNTERMINATED.get(source[pos])
+                or "unexpected character %r" % source[pos])
+        pos = match.end()
+        kind = match.lastgroup
+        if kind is None:
             continue
-        if source.startswith("--", pos):
-            end = source.find("\n", pos)
-            pos = length if end < 0 else end + 1
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end < 0:
-                raise SqlSyntaxError("unterminated /* comment")
-            pos = end + 2
-            continue
-        if char == "'":
-            out = []
-            pos += 1
-            while True:
-                if pos >= length:
-                    raise SqlSyntaxError("unterminated string literal")
-                if source[pos] == "'":
-                    if source.startswith("''", pos):
-                        out.append("'")
-                        pos += 2
-                        continue
-                    pos += 1
-                    break
-                out.append(source[pos])
-                pos += 1
-            tokens.append(_Token("string", "".join(out)))
-            continue
-        if char == '"':
-            end = source.find('"', pos + 1)
-            if end < 0:
-                raise SqlSyntaxError("unterminated quoted identifier")
-            tokens.append(_Token("quoted", source[pos + 1:end].lower()))
-            pos = end + 1
-            continue
-        if char.isdigit() or (
-            char == "." and pos + 1 < length and source[pos + 1].isdigit()
-        ):
-            end = pos + 1
-            while end < length and (source[end].isdigit() or source[end] == "."):
-                end += 1
-            text = source[pos:end]
-            value = float(text) if "." in text else int(text)
-            tokens.append(_Token("number", value))
-            pos = end
-            continue
-        if char.isalpha() or char == "_":
-            end = pos + 1
-            while end < length and (source[end].isalnum() or source[end] in "_$"):
-                end += 1
-            tokens.append(_Token("ident", source[pos:end].lower()))
-            pos = end
-            continue
-        for symbol in _SYMBOLS:
-            if source.startswith(symbol, pos):
-                tokens.append(_Token("symbol", symbol))
-                pos += len(symbol)
-                break
-        else:
-            raise SqlSyntaxError("unexpected character %r" % char)
+        value = match.group(kind)
+        if kind == "number":
+            if value.count(".") > 1:
+                raise SqlSyntaxError("malformed number %r" % value)
+            value = float(value) if "." in value else int(value)
+        elif kind == "string":
+            value = value.replace("''", "'")
+        elif kind != "symbol":
+            value = value.lower()
+        tokens.append(_Token(kind, value))
     tokens.append(_Token("eof", None))
     return tokens
 
@@ -159,6 +128,19 @@ class _Parser:
         token = self.peek()
         return token.kind == "ident" and token.value in words
 
+    def at_symbol(self, symbol):
+        token = self.peek()
+        return token.kind == "symbol" and token.value == symbol
+
+    def accept(self, word):
+        """Consume the keyword or symbol ``word`` if it comes next;
+        whether it did."""
+        token = self.peek()
+        if token.kind in ("ident", "symbol") and token.value == word:
+            self.pos += 1
+            return True
+        return False
+
     def expect_keyword(self, word):
         token = self.advance()
         if token.kind != "ident" or token.value != word:
@@ -170,15 +152,18 @@ class _Parser:
         if token.kind != "symbol" or token.value != symbol:
             raise SqlSyntaxError("expected %r, got %r" % (symbol, token.value))
 
-    def at_symbol(self, symbol):
-        token = self.peek()
-        return token.kind == "symbol" and token.value == symbol
-
     def expect_name(self):
         token = self.advance()
         if token.kind not in ("ident", "quoted"):
             raise SqlSyntaxError("expected an identifier, got %r" % token.value)
         return token.value
+
+    def comma_list(self, item):
+        """``item()`` once, then again after each comma."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
 
     # -- statements --------------------------------------------------------------
 
@@ -189,22 +174,17 @@ class _Parser:
             statement = self._parse_create()
         elif self.at_keyword("insert"):
             statement = self._parse_insert()
-        elif self.at_keyword("drop"):
-            self.advance()
+        elif self.accept("drop"):
             self.expect_keyword("table")
             statement = ("drop_table", self.expect_name())
-        elif self.at_keyword("analyze"):
-            self.advance()
-            table = None
-            if self.peek().kind in ("ident", "quoted"):
-                table = self.expect_name()
-            statement = ("analyze", table)
+        elif self.accept("analyze"):
+            statement = ("analyze", self.expect_name() if self.peek().kind
+                         in ("ident", "quoted") else None)
         else:
             raise SqlSyntaxError(
                 "unsupported statement starting with %r" % self.peek().value
             )
-        if self.at_symbol(";"):
-            self.advance()
+        self.accept(";")
         if self.peek().kind != "eof":
             raise SqlSyntaxError(
                 "trailing input after statement: %r" % self.peek().value
@@ -213,34 +193,14 @@ class _Parser:
 
     def _parse_create(self):
         self.expect_keyword("create")
-        if self.at_keyword("table"):
-            self.advance()
+        if self.accept("table"):
             name = self.expect_name()
             self.expect_symbol("(")
-            columns = []
-            while True:
-                column_name = self.expect_name()
-                type_token = self.advance()
-                if type_token.kind != "ident" or type_token.value not in _TYPE_NAMES:
-                    raise SqlSyntaxError(
-                        "unknown column type %r" % type_token.value
-                    )
-                # swallow (n) length specs
-                if self.at_symbol("("):
-                    self.advance()
-                    self.advance()
-                    self.expect_symbol(")")
-                columns.append((column_name, _TYPE_NAMES[type_token.value]))
-                if self.at_symbol(","):
-                    self.advance()
-                    continue
-                break
+            columns = self.comma_list(self._parse_column)
             self.expect_symbol(")")
             return ("create_table", name, columns)
-        if self.at_keyword("unique"):
-            self.advance()
-        if self.at_keyword("index"):
-            self.advance()
+        self.accept("unique")
+        if self.accept("index"):
             index_name = None
             if not self.at_keyword("on"):
                 index_name = self.expect_name()
@@ -250,32 +210,34 @@ class _Parser:
             column = self.expect_name()
             self.expect_symbol(")")
             return ("create_index", table, column, index_name)
-        if self.at_keyword("view"):
-            self.advance()
+        if self.accept("view"):
             name = self.expect_name()
             self.expect_keyword("as")
             return ("create_view", name, self.parse_select())
         raise SqlSyntaxError("unsupported CREATE %r" % self.peek().value)
+
+    def _parse_column(self):
+        column_name = self.expect_name()
+        type_token = self.advance()
+        if type_token.kind != "ident" or type_token.value not in _TYPE_NAMES:
+            raise SqlSyntaxError("unknown column type %r" % type_token.value)
+        if self.accept("("):  # swallow (n) length specs
+            self.advance()
+            self.expect_symbol(")")
+        return (column_name, _TYPE_NAMES[type_token.value])
 
     def _parse_insert(self):
         self.expect_keyword("insert")
         self.expect_keyword("into")
         table = self.expect_name()
         self.expect_keyword("values")
-        rows = []
-        while True:
-            self.expect_symbol("(")
-            values = [self._parse_literal()]
-            while self.at_symbol(","):
-                self.advance()
-                values.append(self._parse_literal())
-            self.expect_symbol(")")
-            rows.append(tuple(values))
-            if self.at_symbol(","):
-                self.advance()
-                continue
-            break
-        return ("insert", table, rows)
+        return ("insert", table, self.comma_list(self._parse_row))
+
+    def _parse_row(self):
+        self.expect_symbol("(")
+        values = self.comma_list(self._parse_literal)
+        self.expect_symbol(")")
+        return tuple(values)
 
     def _parse_literal(self):
         token = self.advance()
@@ -294,24 +256,14 @@ class _Parser:
 
     def parse_select(self):
         self.expect_keyword("select")
-        outputs = [self._parse_select_item()]
-        while self.at_symbol(","):
-            self.advance()
-            outputs.append(self._parse_select_item())
+        outputs = self.comma_list(self._parse_select_item)
         plan = self._parse_from()
-        if self.at_keyword("where"):
-            self.advance()
+        if self.accept("where"):
             plan = Filter(plan, self.parse_expr())
-        if self.at_keyword("order"):
-            self.advance()
+        if self.accept("order"):
             self.expect_keyword("by")
-            keys = [self._parse_order_key()]
-            while self.at_symbol(","):
-                self.advance()
-                keys.append(self._parse_order_key())
-            plan = Sort(plan, keys)
-        if self.at_keyword("limit"):
-            self.advance()
+            plan = Sort(plan, self.comma_list(self._parse_order_key))
+        if self.accept("limit"):
             count = self.advance()
             if count.kind != "number" or not isinstance(count.value, int) \
                     or count.value < 0:
@@ -322,8 +274,7 @@ class _Parser:
     def _parse_select_item(self):
         expr = self.parse_expr()
         name = None
-        if self.at_keyword("as"):
-            self.advance()
+        if self.accept("as"):
             name = self.expect_name()
         elif self.peek().kind in ("ident", "quoted") and not self.at_keyword(
             "from", "where", "order", "limit"
@@ -334,8 +285,7 @@ class _Parser:
     def _parse_from(self):
         self.expect_keyword("from")
         plan = self._parse_table_ref()
-        while self.at_symbol(","):
-            self.advance()
+        while self.accept(","):
             plan = NestedLoopJoin(plan, self._parse_table_ref())
         return plan
 
@@ -350,13 +300,10 @@ class _Parser:
 
     def _parse_order_key(self):
         expr = self.parse_expr()
-        descending = False
-        if self.at_keyword("desc"):
-            self.advance()
-            descending = True
-        elif self.at_keyword("asc"):
-            self.advance()
-        return (expr, descending)
+        if self.accept("desc"):
+            return (expr, True)
+        self.accept("asc")
+        return (expr, False)
 
     # -- expressions ------------------------------------------------------------------
 
@@ -365,21 +312,18 @@ class _Parser:
 
     def _parse_or(self):
         left = self._parse_and()
-        while self.at_keyword("or"):
-            self.advance()
+        while self.accept("or"):
             left = e.BinOp("OR", left, self._parse_and())
         return left
 
     def _parse_and(self):
         left = self._parse_not()
-        while self.at_keyword("and"):
-            self.advance()
+        while self.accept("and"):
             left = e.BinOp("AND", left, self._parse_not())
         return left
 
     def _parse_not(self):
-        if self.at_keyword("not"):
-            self.advance()
+        if self.accept("not"):
             return e.Not(self._parse_not())
         return self._parse_comparison()
 
@@ -393,52 +337,38 @@ class _Parser:
             if op == "!=":
                 op = "<>"
             return e.BinOp(op, left, self._parse_additive())
-        if self.at_keyword("is"):
-            self.advance()
-            negated = False
-            if self.at_keyword("not"):
-                self.advance()
-                negated = True
+        if self.accept("is"):
+            negated = self.accept("not")
             self.expect_keyword("null")
             return e.IsNull(left, negated=negated)
         return left
 
     def _parse_additive(self):
         left = self._parse_multiplicative()
-        while True:
-            token = self.peek()
-            if token.kind == "symbol" and token.value in ("+", "-", "||"):
-                op = self.advance().value
-                left = e.BinOp(op, left, self._parse_multiplicative())
-            else:
-                return left
+        while self.peek().kind == "symbol" \
+                and self.peek().value in ("+", "-", "||"):
+            op = self.advance().value
+            left = e.BinOp(op, left, self._parse_multiplicative())
+        return left
 
     def _parse_multiplicative(self):
         left = self._parse_unary()
-        while True:
-            token = self.peek()
-            if token.kind == "symbol" and token.value in ("*", "/"):
-                op = self.advance().value
-                left = e.BinOp(op, left, self._parse_unary())
-            else:
-                return left
+        while self.peek().kind == "symbol" and self.peek().value in ("*", "/"):
+            op = self.advance().value
+            left = e.BinOp(op, left, self._parse_unary())
+        return left
 
     def _parse_unary(self):
-        if self.at_symbol("-"):
-            self.advance()
+        if self.accept("-"):
             return e.BinOp("-", e.Const(0), self._parse_unary())
         return self._parse_primary()
 
     def _parse_primary(self):
         token = self.peek()
-        if token.kind == "string":
+        if token.kind in ("string", "number"):
             self.advance()
             return e.Const(token.value)
-        if token.kind == "number":
-            self.advance()
-            return e.Const(token.value)
-        if token.kind == "symbol" and token.value == "(":
-            self.advance()
+        if self.accept("("):
             if self.at_keyword("select"):
                 subquery = self.parse_select()
                 self.expect_symbol(")")
@@ -462,25 +392,19 @@ class _Parser:
             ):
                 return self._parse_function()
             name = self.expect_name()
-            if self.at_symbol("."):
-                self.advance()
-                column = self.expect_name()
-                return e.ColumnRef(column, name)
+            if self.accept("."):
+                return e.ColumnRef(self.expect_name(), name)
             return e.ColumnRef(name)
         raise SqlSyntaxError("unexpected token %r" % token.value)
 
     def _parse_case(self):
         self.expect_keyword("case")
         whens = []
-        otherwise = None
-        while self.at_keyword("when"):
-            self.advance()
+        while self.accept("when"):
             condition = self.parse_expr()
             self.expect_keyword("then")
             whens.append((condition, self.parse_expr()))
-        if self.at_keyword("else"):
-            self.advance()
-            otherwise = self.parse_expr()
+        otherwise = self.parse_expr() if self.accept("else") else None
         self.expect_keyword("end")
         return e.CaseWhen(whens, otherwise)
 
@@ -490,35 +414,34 @@ class _Parser:
         if name == "xmlelement":
             return self._parse_xmlelement()
         if name == "xmlforest":
-            return self._parse_xmlforest()
+            items = self.comma_list(self._parse_forest_item)
+            self.expect_symbol(")")
+            return sqlxml.XMLForest(items)
         if name == "xmlconcat":
-            args = self._parse_argument_list()
-            return sqlxml.XMLConcat(args)
+            return sqlxml.XMLConcat(self._parse_argument_list())
         if name == "xmlcomment":
-            args = self._parse_argument_list()
-            return sqlxml.XMLComment(args[0])
+            return sqlxml.XMLComment(self._parse_argument_list()[0])
         if name == "xmlagg":
-            return self._parse_xmlagg()
+            inner = self.parse_expr()
+            order_by = []
+            if self.accept("order"):
+                self.expect_keyword("by")
+                order_by = self.comma_list(self._parse_order_key)
+            self.expect_symbol(")")
+            return sqlxml.XMLAgg(inner, order_by=order_by)
         if name == "listagg":
             return self._parse_listagg()
         if name in _AGG_NAMES:
-            if name == "count" and self.at_symbol("*"):
-                self.advance()
+            if name == "count" and self.accept("*"):
                 self.expect_symbol(")")
                 return sqlxml.AggCall("COUNT")
             args = self._parse_argument_list()
             return sqlxml.AggCall(name.upper(),
                                   args[0] if args else None)
-        args = self._parse_argument_list()
-        return e.FuncCall(name.upper(), args)
+        return e.FuncCall(name.upper(), self._parse_argument_list())
 
     def _parse_argument_list(self):
-        args = []
-        if not self.at_symbol(")"):
-            args.append(self.parse_expr())
-            while self.at_symbol(","):
-                self.advance()
-                args.append(self.parse_expr())
+        args = [] if self.at_symbol(")") else self.comma_list(self.parse_expr)
         self.expect_symbol(")")
         return args
 
@@ -527,102 +450,48 @@ class _Parser:
         name_token = self.advance()
         if name_token.kind not in ("quoted", "ident", "string"):
             raise SqlSyntaxError("XMLElement needs an element name")
-        element_name = name_token.value
-        if name_token.kind == "quoted":
-            # quoted identifiers keep their case in generated XML
-            element_name = name_token.value
         attributes = []
         content = []
-        while self.at_symbol(","):
-            self.advance()
-            if self.at_keyword("xmlattributes"):
-                self.advance()
+        while self.accept(","):
+            if self.accept("xmlattributes"):
                 self.expect_symbol("(")
-                while True:
-                    value = self.parse_expr()
-                    self.expect_keyword("as")
-                    attr_name = self.expect_name()
-                    attributes.append((attr_name, value))
-                    if self.at_symbol(","):
-                        self.advance()
-                        continue
-                    break
+                attributes += self.comma_list(self._parse_attribute)
                 self.expect_symbol(")")
             else:
                 content.append(self.parse_expr())
         self.expect_symbol(")")
-        return sqlxml.XMLElement(element_name, *content,
+        return sqlxml.XMLElement(name_token.value, *content,
                                  attributes=attributes)
 
-    def _parse_xmlforest(self):
-        items = []
-        while True:
-            value = self.parse_expr()
-            if self.at_keyword("as"):
-                self.advance()
-                item_name = self.expect_name()
-            elif isinstance(value, e.ColumnRef):
-                item_name = value.column
-            else:
-                raise SqlSyntaxError("XMLForest items need AS names")
-            items.append((item_name, value))
-            if self.at_symbol(","):
-                self.advance()
-                continue
-            break
-        self.expect_symbol(")")
-        return sqlxml.XMLForest(items)
+    def _parse_attribute(self):
+        value = self.parse_expr()
+        self.expect_keyword("as")
+        return (self.expect_name(), value)
 
-    def _parse_xmlagg(self):
-        inner = self.parse_expr()
-        order_by = []
-        if self.at_keyword("order"):
-            self.advance()
-            self.expect_keyword("by")
-            while True:
-                key = self.parse_expr()
-                descending = False
-                if self.at_keyword("desc"):
-                    self.advance()
-                    descending = True
-                elif self.at_keyword("asc"):
-                    self.advance()
-                order_by.append((key, descending))
-                if self.at_symbol(","):
-                    self.advance()
-                    continue
-                break
-        self.expect_symbol(")")
-        return sqlxml.XMLAgg(inner, order_by=order_by)
+    def _parse_forest_item(self):
+        value = self.parse_expr()
+        if self.accept("as"):
+            return (self.expect_name(), value)
+        if isinstance(value, e.ColumnRef):
+            return (value.column, value)
+        raise SqlSyntaxError("XMLForest items need AS names")
 
     def _parse_listagg(self):
         inner = self.parse_expr()
         separator = ""
-        if self.at_symbol(","):
-            self.advance()
+        if self.accept(","):
             token = self.advance()
             if token.kind != "string":
                 raise SqlSyntaxError("LISTAGG separator must be a string")
             separator = token.value
         self.expect_symbol(")")
         order_by = []
-        if self.at_keyword("within"):
-            self.advance()
+        if self.accept("within"):
             self.expect_keyword("group")
             self.expect_symbol("(")
             self.expect_keyword("order")
             self.expect_keyword("by")
-            while True:
-                key = self.parse_expr()
-                descending = False
-                if self.at_keyword("desc"):
-                    self.advance()
-                    descending = True
-                order_by.append((key, descending))
-                if self.at_symbol(","):
-                    self.advance()
-                    continue
-                break
+            order_by = self.comma_list(self._parse_order_key)
             self.expect_symbol(")")
         return sqlxml.ListAgg(inner, separator, order_by=order_by)
 

@@ -26,6 +26,8 @@ Estimation itself (selectivity formulas, cost constants) lives in
 
 from __future__ import annotations
 
+from repro.rdb.values import orderable
+
 #: bucket count for equi-width histograms over indexed numeric columns
 HISTOGRAM_BUCKETS = 16
 
@@ -199,9 +201,12 @@ class StatisticsCatalog:
                 for value in values
             )
             if numeric:
-                min_value, max_value = min(values), max(values)
-                if name in indexed:
-                    histogram = Histogram(values)
+                # over the values an index orders (a NaN or ±inf is none)
+                ordered = [value for value in values if orderable(value)]
+                min_value, max_value = (min(ordered), max(ordered)) \
+                    if ordered else (None, None)
+                if name in indexed and ordered:
+                    histogram = Histogram(ordered)
             else:
                 text = [str(value) for value in values]
                 min_value, max_value = min(text), max(text)

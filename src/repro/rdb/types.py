@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.errors import CatalogError, DatabaseError
+from repro.rdb.values import check_ints
 from repro.xmlmodel.nodes import Node
 
 INT = "int"
@@ -63,7 +64,8 @@ class TableSchema:
         self.names = tuple(column.name for column in self.columns)
         self.types = tuple(column.exact for column in self.columns)
         self._coercions = [
-            (frozenset((column.exact, type(None))), column.coerce)
+            (frozenset((column.exact, type(None))), column.coerce,
+             check_ints if column.type == INT else None)
             for column in self.columns]
         self._index = {}
         for position, column in enumerate(self.columns):
@@ -90,16 +92,22 @@ class TableSchema:
         """A non-empty batch of rows, transposed into one tuple per column
         with every value coerced to the column's type.  A column is
         checked whole — the set of its value types against the exact type
-        and NULL — and only one that needs it is converted cell by cell."""
+        and NULL — and only one that needs it is converted cell by cell.
+        An INT column so converted (from text, say: an XML leaf) is
+        refused where XPath would read its text as another number
+        (:func:`~repro.rdb.values.check_ints`)."""
         width = len(self.columns)
         lengths = set(map(len, value_rows))
         if lengths != {width}:
             raise DatabaseError(
                 "table %r expects %d values, got %d"
                 % (self.name, width, (lengths - {width}).pop()))
-        return [
-            values if accepted.issuperset(map(type, values))
-            else tuple(map(coerce, values))
-            for values, (accepted, coerce)
-            in zip(zip(*value_rows), self._coercions)
-        ]
+        columns = []
+        for values, (accepted, coerce, check) in zip(zip(*value_rows),
+                                                      self._coercions):
+            if not accepted.issuperset(map(type, values)):
+                values = tuple(map(coerce, values))
+                if check is not None:
+                    check(values)
+            columns.append(values)
+        return columns

@@ -65,12 +65,11 @@ class Node:
 
     kind = None  # overridden per subclass
 
-    __slots__ = ("parent", "order", "label")
+    __slots__ = ("parent", "order")
 
     def __init__(self):
         self.parent = None
         self.order = -1
-        self.label = None
 
     # -- tree navigation ---------------------------------------------------
 
@@ -237,7 +236,6 @@ class Element(_ParentNode):
         # build path creates by the thousand: one frame per node, not three.
         self.parent = None
         self.order = -1
-        self.label = None
         self._children = []
         if isinstance(name, str):
             name = QName(name)
@@ -330,7 +328,6 @@ class Attribute(Node):
     def __init__(self, name, value):
         self.parent = None
         self.order = -1
-        self.label = None
         if isinstance(name, str):
             name = QName(name)
         self._name = name
@@ -357,7 +354,6 @@ class Text(Node):
     def __init__(self, value):
         self.parent = None
         self.order = -1
-        self.label = None
         self.value = value
 
     def string_value(self):

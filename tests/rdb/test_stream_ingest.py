@@ -29,12 +29,12 @@ from repro.rdb.storage import (
 from repro.rdb.treestorage import TreeStorage
 from repro.schema import schema_from_dtd
 from repro.xmlmodel import NodeKind, parse_document, serialize
-from repro.xmlmodel.labels import assign_labels
 from repro.xmlmodel.stream_ingest import MAX_ELEMENT_DEPTH, stream_events
 from repro.xsltmark import ALL_CASES
 
 from tests.property.test_random_schemas import schema_and_document
 from tests.rdb.tree_corpus import iter_tree_xml, tree_xml
+from tests.xmlmodel.labels import assign_labels
 from tests.xmlmodel.test_parser import MALFORMED, verdict
 from tests.xmlmodel.test_scanner_differential import documents, expand_leaves
 
@@ -526,7 +526,7 @@ def reference_or_load(storage, document):
             "document does not conform to schema: %s" % violations[0])
     storage._doc_counter += 1
     doc_id = storage._doc_counter
-    assign_labels(document)
+    labels = assign_labels(document)
 
     def _next_row_id(table_binding):
         return len(db.table(table_binding.table_name)) + 1
@@ -573,7 +573,7 @@ def reference_or_load(storage, document):
         assert not isinstance(table, InlineBinding)
         values = [row_id]
         values.extend(_column_values(element, decl, table))
-        values.extend(element.label.as_tuple())
+        values.extend(labels[element].as_tuple())
         db.insert(table.table_name, tuple(values))
         _insert_repeating(element, decl, row_id)
 
@@ -599,7 +599,7 @@ def reference_or_load(storage, document):
                 else:
                     values.extend(
                         _column_values(child_element, child, child_table))
-                values.extend(child_element.label.as_tuple())
+                values.extend(labels[child_element].as_tuple())
                 db.insert(child_table.table_name, tuple(values))
                 _insert_repeating(child_element, child, row_id)
 
@@ -613,13 +613,13 @@ def reference_tree_load(storage, document):
     db = storage.db
     storage._doc_counter += 1
     doc_id = storage._doc_counter
-    assign_labels(document)
+    labels = assign_labels(document)
 
     def _insert_node(node, parent_id, seq):
         storage._node_counter += 1
         node_id = storage._node_counter
         kind = node.kind
-        label = node.label.as_tuple()
+        label = labels[node].as_tuple()
         if kind == NodeKind.ELEMENT:
             db.insert(
                 storage.table_name,
@@ -632,7 +632,7 @@ def reference_tree_load(storage, document):
                     storage.table_name,
                     (storage._node_counter, doc_id, node_id, position,
                      "attribute", attribute.name.local, attribute.value)
-                    + attribute.label.as_tuple())
+                    + labels[attribute].as_tuple())
                 position += 1
             for child in node.children:
                 _insert_node(child, node_id, position)

@@ -14,9 +14,8 @@ attributes, then its children.  That makes ``start`` a document-order key, so
 with the strict lower bound excluding self-pairs.  Both shredders stamp the
 same numbers in their own single pass (the tree node table's
 ``start``/``end``/``level`` columns, the object-relational
-``$start``/``$end``/``$level`` columns); no module of the library imports
-this one.  It is the reference the tests check those columns against, and the
-interval form axis steps are to use as range predicates.
+``$start``/``$end``/``$level`` columns); this is the reference the tests
+check those columns against.
 """
 
 from __future__ import annotations
@@ -53,13 +52,13 @@ class Label:
 
 
 def assign_labels(document):
-    """Stamp containment labels over *document*'s whole tree.
+    """Containment labels over *document*'s whole tree: ``{node: Label}``.
 
-    Returns the highest ``start`` assigned.  Safe to call repeatedly; labels
-    are recomputed from scratch.  The counter visits node, attributes, then
-    children — the same order as :meth:`Document.stamp` — so ``start`` sorts
-    nodes in document order.  Iterative: depth costs heap, not stack.
+    The counter visits node, attributes, then children — the same order
+    as :meth:`Document.stamp` — so ``start`` sorts nodes in document
+    order.  Iterative: depth costs heap, not stack.
     """
+    labels = {}
     counter = 1
     # One (node, start, remaining children) entry per open ancestor, so an
     # entry's position in the stack is its node's level.
@@ -72,12 +71,12 @@ def assign_labels(document):
             child_start = counter
             for attribute in getattr(child, "attributes", ()):
                 counter += 1
-                attribute.label = Label(counter, counter, level + 1)
+                labels[attribute] = Label(counter, counter, level + 1)
             if child.children:
                 open_nodes.append((child, child_start, iter(child.children)))
                 break
-            child.label = Label(child_start, counter, level)
+            labels[child] = Label(child_start, counter, level)
         else:
             open_nodes.pop()
-            node.label = Label(start, counter, level - 1)
-    return counter
+            labels[node] = Label(start, counter, level - 1)
+    return labels
