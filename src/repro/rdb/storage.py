@@ -50,12 +50,6 @@ ROW_ID = "$id"
 PARENT_ID = "$parent"
 SEQ = "$seq"
 VALUE = "value"
-# Containment-label columns (paper §7.4 / structural joins): stamped on
-# every shredded row so descendant-axis predicates can compare intervals
-# instead of walking the reconstruction view.
-START = "$start"
-END = "$end"
-LEVEL = "$level"
 
 # Emit-program step kinds (see ObjectRelationalStorage._compile_element;
 # _SKIP only occurs in a projected program); the shred program
@@ -253,9 +247,6 @@ class ObjectRelationalStorage:
                     columns.append((binding.column_name, INT))
                     continue
                 columns.append((binding.column_name, self._type_of(binding)))
-            columns.append((START, INT))
-            columns.append((END, INT))
-            columns.append((LEVEL, INT))
             self.db.create_table(table.table_name, columns)
             if table.parent is not None:
                 # Foreign-key index: the reconstruction view correlates
@@ -341,25 +332,23 @@ class ObjectRelationalStorage:
     def load_many(self, documents):
         return [self.load(document) for document in documents]
 
-    def load_stream(self, source, strip_whitespace=True, stats=None,
-                    chunk_size=DEFAULT_CHUNK_SIZE):
+    def load_stream(self, source, stats=None, chunk_size=DEFAULT_CHUNK_SIZE):
         """Shred XML text into the tables without materializing a DOM.
 
         *source* is a string, a file-like object, or an iterable of text
-        chunks.  Rows, row ids and containment labels come out identical
-        to :meth:`load` of the parsed document, so fingerprints and query
-        results match exactly.  Memory stays bounded by the parser's
-        token buffer plus the open *row scopes* — the rows of repeating
-        elements still being assembled — never the whole document.  Pass
-        an :class:`~repro.rdb.plan.ExecutionStats` to record the buffering
+        chunks.  Rows and row ids come out identical to :meth:`load` of the
+        parsed document, so fingerprints and query results match exactly.
+        Memory stays bounded by the parser's token buffer plus the open
+        *row scopes* — the rows of repeating elements still being
+        assembled — never the whole document.  Pass an
+        :class:`~repro.rdb.plan.ExecutionStats` to record the buffering
         high-water mark in ``peak_ingest_buffered_bytes``.
 
         A document that does not conform raises the same
         :class:`DatabaseError` as :meth:`load`, at the close of the
         offending element; batches of rows already appended by then stay.
         """
-        parser = StreamParser(source, strip_whitespace=strip_whitespace,
-                              chunk_size=chunk_size)
+        parser = StreamParser(source, chunk_size=chunk_size)
         doc_id, peak_chars = self._shred(parser.events(), _BATCH_ROWS)
         if stats is not None:
             stats.peak_ingest_buffered_bytes = max(
@@ -380,7 +369,6 @@ class ObjectRelationalStorage:
         table_names = [table.table_name for table in self.tables]
         batches = [[] for _ in table_names]
         next_ids = [len(self.db.table(name)) + 1 for name in table_names]
-        counter = 1  # label counter; 1 is the (virtual) document node
         # One frame per open element: (children, row, slots, parts, scope,
         # name, seen, model).  children maps a child element name to its
         # step; slots and parts are where a leaf's text goes; scope is set
@@ -415,12 +403,7 @@ class ObjectRelationalStorage:
                 step_kind = step[0]
                 if step_kind == _LEAF and kind == "leaf":
                     # a column leaf in one step: its text into the open row
-                    value = event[2]
-                    if value is None:
-                        counter += 1
-                        value = ""
-                    else:
-                        counter += 2
+                    value = "" if event[2] is None else event[2]
                     for slot in step[1]:
                         # the first instance wins: a declaration shared by
                         # two wrappers of one row has several slots
@@ -428,7 +411,6 @@ class ObjectRelationalStorage:
                             row[slot] = value
                             open_chars += len(value)
                     continue
-                counter += 1
                 if step_kind == _LEAF:
                     attr_slots = step[2]
                     frames.append((_NO_CHILDREN, row, step[1], [], None, name,
@@ -452,42 +434,32 @@ class ObjectRelationalStorage:
                         outer[2][table] = seq + 1
                     else:
                         row[0] = doc_id
-                    row[-3] = counter
-                    row[-1] = len(frames)
                     scope = [row, table, {}, open_chars]
                     scopes.append(scope)
                     frames.append((children, row, slots,
                                    None if slots is None else [], scope, name,
                                    [], model))
                 if kind == "start":
-                    attributes = event[2]
-                    if attributes:
-                        counter += len(attributes)  # attribute labels
-                        if attr_slots is not None:
-                            for attr_name, value in attributes:
-                                for slot in attr_slots.get(attr_name, ()):
-                                    if row[slot] is None:
-                                        row[slot] = value
-                                        open_chars += len(value)
+                    if attr_slots is not None:
+                        for attr_name, value in event[2]:
+                            for slot in attr_slots.get(attr_name, ()):
+                                if row[slot] is None:
+                                    row[slot] = value
+                                    open_chars += len(value)
                     continue
                 # a leaf that opens a row or a wrapper: its text, then its
                 # end, below
                 if event[2] is not None:
-                    counter += 1
                     parts = frames[-1][3]
                     if parts is not None:
                         parts.append(event[2])
             elif kind == "text":
-                counter += 1
                 parts = frames[-1][3]
                 if parts is not None:
                     parts.append(event[1])
                 continue
             elif kind != "end":
-                # Comments and processing instructions are not shredded
-                # but they do occupy a label slot (see
-                # :func:`repro.xmlmodel.labels.assign_labels`).
-                counter += 1
+                # comments and processing instructions are not shredded
                 continue
             # the end of an element
             _, row, slots, parts, scope, _, seen, model = frames[-1]
@@ -504,7 +476,6 @@ class ObjectRelationalStorage:
                         open_chars += len(value)
             if scope is not None:
                 scopes.pop()
-                row[-2] = counter
                 if open_chars > peak_chars:
                     peak_chars = open_chars
                 open_chars = scope[3]

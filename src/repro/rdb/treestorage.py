@@ -3,27 +3,22 @@ Figure 1: "Tree Storage", alongside object-relational and CLOB/BLOB).
 
 Every node of every document becomes one row of a generic node table::
 
-    <name>_nodes(node_id, doc_id, parent_id, seq, kind, name, value,
-                 start, end, level)
+    <name>_nodes(node_id, doc_id, parent_id, seq, kind, name, value)
 
-``(start, end, level)`` are containment labels (see
-:mod:`repro.xmlmodel.labels`): rows are inserted in preorder, so a table
-scan already streams nodes in ``(doc_id, start)`` order and descendant
-tests are pure interval arithmetic instead of parent-chain walks.
+Rows are inserted in preorder; ``parent_id`` and ``seq`` are all the
+materialiser needs to rebuild document order.
 
 Unlike object-relational shredding, tree storage needs no schema and
 handles *any* document — mixed content, comments, processing
 instructions.  The cost is that navigation is self-joins over the node
-table; the paper's §7.4 proposes tree storage *with path/value indexes*.
-:class:`TreeStorage` keeps a :class:`PathValueIndex` for document-level
-value filtering.  Descendant-axis (``//``) pairs are answered by the
-parent-chain walk of :class:`TreeContains` (:meth:`descendant_query`).
+table: descendant-axis (``//``) pairs are answered by the parent-chain
+walk of :class:`TreeContains` (:meth:`descendant_query`).
 
 Documents load either from a DOM (:meth:`load`) or straight from text in
 bounded memory (:meth:`load_stream`); both feed one event-driven shredder
 (a replayed DOM or the scanner's stream — see
-:mod:`repro.xmlmodel.stream_ingest`), so labels, rows, row order and
-the path/value index cannot differ between the two doors.
+:mod:`repro.xmlmodel.stream_ingest`), so rows and row order cannot
+differ between the two doors.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from functools import reduce
 
 from repro.errors import DatabaseError
 from repro.rdb.expressions import TreeContains, and_, col, const, eq
-from repro.rdb.pathindex import PathValueIndex
 from repro.rdb.plan import Filter, NestedLoopJoin, Query, Scan
 from repro.rdb.types import INT, TEXT
 from repro.xmlmodel.builder import TreeBuilder
@@ -45,11 +39,10 @@ from repro.xmlmodel.stream_ingest import (
 # Node rows wait in a batch of this many before they are appended, so a
 # streamed load never holds more than this beside the node table.
 _BATCH_ROWS = 1024
-_END = 8  # position of the "end" column
 
 
 class TreeStorage:
-    """Schema-less node-table storage with a path/value index."""
+    """Schema-less node-table storage."""
 
     def __init__(self, db, name):
         self.db = db
@@ -65,159 +58,91 @@ class TreeStorage:
                 ("kind", TEXT),
                 ("name", TEXT),
                 ("value", TEXT),
-                ("start", INT),
-                ("end", INT),
-                ("level", INT),
             ],
         )
         db.create_index(self.table_name, "doc_id")
         db.create_index(self.table_name, "node_id")
-        self.index = PathValueIndex()
         self._doc_counter = 0
         self._node_counter = 0
 
     # -- loading -----------------------------------------------------------
 
     def load(self, document):
-        return self._shred(document_events(document))[0]
+        return self._shred(document_events(document))
 
     def load_many(self, documents):
         return [self.load(document) for document in documents]
 
-    def load_stream(self, source, strip_whitespace=False, stats=None,
-                    chunk_size=DEFAULT_CHUNK_SIZE):
+    def load_stream(self, source, stats=None, chunk_size=DEFAULT_CHUNK_SIZE):
         """Shred XML text into the node table without building a DOM.
 
         *source* is a string, a file-like object, or an iterable of text
-        chunks.  Labels, node ids, row order and every index end up
+        chunks.  Node ids, rows, row order and every index end up
         identical to :meth:`load` over the parsed document; memory stays
-        bounded by the parser's token buffer plus one frame per open
-        element (``end`` labels are filled in at element close).
-        Pass an :class:`~repro.rdb.plan.ExecutionStats` to record the
-        buffering high-water mark in ``peak_ingest_buffered_bytes``.
+        bounded by the parser's token buffer plus one batch of rows and
+        one frame per open element.  Pass an
+        :class:`~repro.rdb.plan.ExecutionStats` to record the buffering
+        high-water mark in ``peak_ingest_buffered_bytes``.
         """
-        parser = StreamParser(source, strip_whitespace=strip_whitespace,
-                              chunk_size=chunk_size)
-        doc_id, peak_text = self._shred(parser.events())
+        parser = StreamParser(source, chunk_size=chunk_size)
+        doc_id = self._shred(parser.events())
         if stats is not None:
             stats.peak_ingest_buffered_bytes = max(
-                stats.peak_ingest_buffered_bytes,
-                parser.peak_buffered_bytes + peak_text)
+                stats.peak_ingest_buffered_bytes, parser.peak_buffered_bytes)
         return doc_id
 
     def _shred(self, events):
-        """Node rows, containment labels and path/value entries from one
-        document's event stream (see :mod:`repro.xmlmodel.stream_ingest`).
-        Returns the doc id and the high-water mark of buffered text."""
+        """Node rows from one document's event stream (see
+        :mod:`repro.xmlmodel.stream_ingest`), each a finished tuple when it
+        is made, appended in batches.  Returns the doc id."""
         self._doc_counter += 1
         doc_id = self._doc_counter
-        stored = self.db.table(self.table_name).rows
-        # Only the first top-level element is path/value-indexed
-        # (PathValueIndex.add_document indexes the document element).
-        index = self.index
         node_id = self._node_counter
-        counter = 1  # label counter; 1 is the (virtual) document node
-        rows = []      # rows not yet appended; rows[0] gets row id `first`
-        first = len(stored)
-        leaves = []    # (path, value) leaves not yet path/value-indexed
-        # frame: [path, node_id, row, row_id, next_seq, text_parts,
-        #         has_element_children]
-        frames = [["", 0, None, None, 0, [], False]]
-        buffered_text = 0
-        peak_text = 0
+        rows = []  # rows not yet appended
+        frames = [[0, 0]]  # per open element: [node_id, next child seq]
 
         def flush():
-            nonlocal first
             self.db.insert(self.table_name, *rows)
-            first += len(rows)
             del rows[:]
-            if leaves:
-                self.index.add_leaves(doc_id, leaves)
-                del leaves[:]
             self._node_counter = node_id
 
         for event in events:
             kind = event[0]
             if kind == "end":
-                frame = frames.pop()
-                frame[2][_END] = counter
-                if frame[3] < first:
-                    # appended while still open: fill in the stored tuple
-                    row = stored[frame[3]]
-                    stored[frame[3]] = (
-                        row[:_END] + (counter,) + row[_END + 1:])
-                if index is not None:
-                    direct_text = "".join(frame[5])
-                    if direct_text and (not frame[6]
-                                        or direct_text.strip()):
-                        leaves.append((frame[0], direct_text))
-                    buffered_text -= len(direct_text)
-                    if len(frames) == 1:
-                        index = None
+                del frames[-1]
                 if len(rows) >= _BATCH_ROWS:
                     flush()
                 continue
             # every other event is one node under the innermost open element
             parent = frames[-1]
-            level = len(frames)
             node_id += 1
-            counter += 1
-            if kind == "start" or kind == "leaf":
-                name = event[1]
-                parent[6] = True
-                path = "%s/%s" % (parent[0], name)
-                if kind == "leaf":
-                    # a start, text and end in one step: the element row
-                    # with its final end label, then its text row if any
-                    value = event[2]
-                    rows.append((node_id, doc_id, parent[1], parent[4],
-                                 "element", name, None, counter,
-                                 counter if value is None else counter + 1,
-                                 level))
-                    if value is not None:
-                        node_id += 1
-                        counter += 1
-                        rows.append((node_id, doc_id, node_id - 1, 0, "text",
-                                     None, value, counter, counter,
-                                     level + 1))
-                        if value and index is not None:
-                            leaves.append((path, value))
-                            if buffered_text + len(value) > peak_text:
-                                peak_text = buffered_text + len(value)
-                    if level == 1:
-                        index = None  # the first top-level element is done
-                    parent[4] += 1
-                    if len(rows) >= _BATCH_ROWS:
-                        flush()
-                    continue
-                row = [node_id, doc_id, parent[1], parent[4], "element",
-                       name, None, counter, None, level]
-                frames.append([path, node_id, row, first + len(rows),
-                               len(event[2]), [], False])
-                rows.append(row)
+            if kind == "start":
                 element_id = node_id
-                for position, (attr_name, value) in enumerate(event[2]):
+                rows.append((element_id, doc_id, parent[0], parent[1],
+                             "element", event[1], None))
+                frames.append([element_id, len(event[2])])
+                for position, (name, value) in enumerate(event[2]):
                     node_id += 1
-                    counter += 1
                     rows.append((node_id, doc_id, element_id, position,
-                                 "attribute", attr_name, value,
-                                 counter, counter, level + 1))
-                    if index is not None:
-                        leaves.append(("%s/@%s" % (path, attr_name), value))
+                                 "attribute", name, value))
+            elif kind == "leaf":
+                # a start, text and end in one step: the element row, then
+                # its text row if any
+                rows.append((node_id, doc_id, parent[0], parent[1],
+                             "element", event[1], None))
+                if event[2] is not None:
+                    node_id += 1
+                    rows.append((node_id, doc_id, node_id - 1, 0, "text",
+                                 None, event[2]))
+                if len(rows) >= _BATCH_ROWS:
+                    flush()
             else:
                 # "text", "comment" and "pi" are stored under those names
-                value = event[-1]
-                rows.append((node_id, doc_id, parent[1], parent[4], kind,
-                             event[1] if kind == "pi" else None, value,
-                             counter, counter, level))
-                if kind == "text" and index is not None:
-                    parent[5].append(value)
-                    buffered_text += len(value)
-                    if buffered_text > peak_text:
-                        peak_text = buffered_text
-            parent[4] += 1
+                rows.append((node_id, doc_id, parent[0], parent[1], kind,
+                             event[1] if kind == "pi" else None, event[-1]))
+            parent[1] += 1
         flush()
-        return doc_id, peak_text
+        return doc_id
 
     # -- structural queries ----------------------------------------------------
 
@@ -253,13 +178,12 @@ class TreeStorage:
             ("doc_id", col("doc_id", "d")),
             ("ancestor", col("node_id", "a")),
             ("descendant", col("node_id", "d")),
-            ("start", col("start", "d")),
         ]
         return Query(plan, outputs)
 
     def fingerprint(self):
-        """Stable hash of the physical design: table layout, B-tree and
-        path/value indexes, ANALYZE epoch — the serve-tier cache-key
+        """Stable hash of the physical design: table layout, B-tree
+        indexes, ANALYZE epoch — the serve-tier cache-key
         component, mirroring ``ObjectRelationalStorage.fingerprint``."""
         import hashlib
 
@@ -272,7 +196,6 @@ class TreeStorage:
         for index in self.db.indexes_on(self.table_name):
             parts.append("index:%s:%s:%s" % (
                 index.table_name, index.column_name, index.name))
-        parts.append("pathvalue:%s" % ",".join(self.index.paths()))
         table_stats = self.db.stats.table_stats(self.table_name)
         if table_stats is not None:
             parts.append("stats:%s:%d" % (self.table_name,
@@ -329,8 +252,3 @@ class TreeStorage:
         for row in children.get(0, ()):
             emit(row)
         return builder.finish()
-
-    # -- path/value filtering -------------------------------------------------------
-
-    def find_documents(self, path, op, value, stats=None):
-        return self.index.lookup(path, op, value, stats=stats)

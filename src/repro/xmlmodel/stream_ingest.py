@@ -152,7 +152,7 @@ def document_events(document):
     scanner merges adjacent ones).  Every attribute-less element with no
     children or one text child is a leaf, whatever its text: ``text`` is
     None only when there is no text child, so an empty text node a built
-    DOM may hold keeps its label slot."""
+    DOM may hold keeps its row."""
     element_kind, text_kind = NodeKind.ELEMENT, NodeKind.TEXT
     comment_kind = NodeKind.COMMENT
     no_attributes = []  # shared: consumers only read it

@@ -366,9 +366,9 @@ class TestEscapingIsDecidedPerValue:
 
         hostile = '<&"\n\t'
         # $id, $parent, $seq, id, firstname, lastname, street, city,
-        # state, zip, $start, $end, $level
+        # state, zip
         prepared.db.insert("bm_row", (4, 1, 3, 4, "Di", hostile, "1 St",
-                                      hostile, "NY", 10111, 48, 62, 2))
+                                      hostile, "NY", 10111))
         after = engine.execute(prepared.storage, compiled)
         assert compiled.query.runtime.binds == 1
         output = after.serialized_rows()[0]

@@ -55,14 +55,11 @@ class TestShredding:
 
     def test_root_columns(self, storage):
         names = storage.db.table("xd_dept").schema.column_names()
-        assert names == ["$id", "dname", "loc", "$start", "$end", "$level"]
+        assert names == ["$id", "dname", "loc"]
 
     def test_child_columns(self, storage):
         names = storage.db.table("xd_emp").schema.column_names()
-        assert names == [
-            "$id", "$parent", "$seq", "empno", "ename", "sal",
-            "$start", "$end", "$level",
-        ]
+        assert names == ["$id", "$parent", "$seq", "empno", "ename", "sal"]
 
     def test_column_typed(self, storage):
         sal = storage.db.table("xd_emp").schema.column("sal")

@@ -1,10 +1,9 @@
 """Streaming-vs-DOM ingest equivalence for both shredders.
 
 ``load_stream`` must be indistinguishable from ``load`` of the parsed
-document — identical rows (including containment labels), identical row
-ids, identical index contents and identical fingerprints — while its
-memory high-water mark stays bounded by the parser buffer plus the open
-scopes, not the document size.
+document — identical rows, identical row ids, identical index contents
+and identical fingerprints — while its memory high-water mark stays
+bounded by the parser buffer plus the open scopes, not the document size.
 
 Each storage has one event-driven shredder behind both doors.  The
 algorithms they replaced — the object-relational ``_find_value`` walk over
@@ -34,7 +33,6 @@ from repro.xsltmark import ALL_CASES
 
 from tests.property.test_random_schemas import schema_and_document
 from tests.rdb.tree_corpus import iter_tree_xml, tree_xml
-from tests.xmlmodel.labels import assign_labels
 from tests.xmlmodel.test_parser import MALFORMED, verdict
 from tests.xmlmodel.test_scanner_differential import documents, expand_leaves
 
@@ -81,7 +79,7 @@ class TestTreeStorageStreaming:
                 storage.load(parse_document(text))
         return db, storage, stats
 
-    def test_rows_and_labels_identical(self):
+    def test_rows_identical(self):
         dom_db, dom_storage, _ = self.build([GNARLY], stream=False)
         str_db, str_storage, _ = self.build([GNARLY], stream=True)
         assert rows_of(dom_db, "t_nodes") == rows_of(str_db, "t_nodes")
@@ -92,16 +90,6 @@ class TestTreeStorageStreaming:
         _, str_storage, _ = self.build([GNARLY, "<x><y/></x>"],
                                        stream=True)
         assert dom_storage.fingerprint() == str_storage.fingerprint()
-
-    def test_path_value_index_identical(self):
-        _, dom_storage, _ = self.build([GNARLY], stream=False)
-        _, str_storage, _ = self.build([GNARLY], stream=True)
-        assert dom_storage.index.paths() == str_storage.index.paths()
-        assert dom_storage.index.entries == str_storage.index.entries
-        for path in dom_storage.index.paths():
-            for value in ("1", "two", "yes", "bold"):
-                assert dom_storage.index.lookup(path, "=", value) == \
-                    str_storage.index.lookup(path, "=", value)
 
     def test_structural_queries_identical(self):
         corpus = tree_xml(2)
@@ -156,7 +144,7 @@ class TestObjectRelationalStreaming:
             if stream:
                 storage.load_stream(text, stats=stats, chunk_size=5)
             else:
-                storage.load(parse_document(text, strip_whitespace=True))
+                storage.load(parse_document(text))
         return db, storage, stats
 
     def test_rows_identical_across_tables(self):
@@ -166,21 +154,23 @@ class TestObjectRelationalStreaming:
             assert rows_of(dom_db, binding.table_name) == \
                 rows_of(str_db, binding.table_name), binding.table_name
 
-    def test_label_columns_populated(self):
-        _, _, _ = self.build(stream=False)
-        db, storage, _ = self.build(stream=True)
-        dept = rows_of(db, "xd_dept")[0]
-        schema = db.table("xd_dept").schema
-        start = dept[schema.position_of("$start")]
-        end = dept[schema.position_of("$end")]
-        level = dept[schema.position_of("$level")]
-        assert start == 2 and level == 1 and end > start
-        for emp in rows_of(db, "xd_emp"):
-            emp_schema = db.table("xd_emp").schema
-            emp_start = emp[emp_schema.position_of("$start")]
-            emp_end = emp[emp_schema.position_of("$end")]
-            assert start < emp_start <= end  # contained in the dept row
-            assert emp_start < emp_end
+    def test_whitespace_only_leaf_is_kept_by_both_doors(self):
+        # the stream door stripped whitespace-only text: it stored '' where
+        # load stored ' ', and read back <v/>
+        schema = schema_from_dtd(
+            "<!ELEMENT t (r*)><!ELEMENT r (v, w)>"
+            "<!ELEMENT v (#PCDATA)><!ELEMENT w (#PCDATA)>")
+        text = "<t><r><v> </v><w>x</w></r></t>"
+        indented = "<t>\n  <r>\n    <v>\t</v>\n    <w>x</w>\n  </r>\n</t>"
+        for source, value in ((text, " "), (indented, "\t")):
+            loaded = ObjectRelationalStorage(Database(), schema, "s")
+            streamed = ObjectRelationalStorage(Database(), schema, "s")
+            loaded.load(parse_document(source))
+            streamed.load_stream(source)
+            assert rows_of(streamed.db, "s_r") == rows_of(loaded.db, "s_r")
+            assert rows_of(streamed.db, "s_r")[0][3] == value
+            assert serialize(streamed.materialize(1)) == \
+                "<t><r><v>%s</v><w>x</w></r></t>" % value
 
     def test_fingerprints_identical(self):
         _, dom_storage, _ = self.build(stream=False)
@@ -341,12 +331,6 @@ def tree_state(storage):
         "counters": (storage._doc_counter, storage._node_counter),
         "value indexes": [(index.name, btree_entries(index))
                           for index in db.indexes_on(storage.table_name)],
-        "path/value": (
-            storage.index.entries,
-            {path: btree_entries(index)
-             for path, index in storage.index._text.items()},
-            {path: btree_entries(index)
-             for path, index in storage.index._number.items()}),
     }
 
 
@@ -443,7 +427,7 @@ NONCONFORMING = [
 # `(b, (c | d)*)` into the sequence b, c*, d*): per-type child tables cannot
 # keep siblings of different types interleaved — the parent commit's stream
 # door stored these and gave them back as b b c / b c d.  Until the layout can
-# hold them (ROADMAP item 6) every door says no rather than reorder.
+# hold them (ROADMAP item 7) every door says no rather than reorder.
 INTERLEAVED = [
     (lambda: schema_from_dtd("<!ELEMENT a (b | c)*><!ELEMENT b (#PCDATA)>"
                              "<!ELEMENT c (#PCDATA)>"),
@@ -517,8 +501,8 @@ class TestConformanceAtBothDoors:
 
 
 def reference_or_load(storage, document):
-    """``ObjectRelationalStorage.load`` as it was: validate, stamp labels,
-    then read every column value out of the element tree."""
+    """``ObjectRelationalStorage.load`` as it was: validate, then read
+    every column value out of the element tree."""
     db = storage.db
     violations = storage.schema.validate(document)
     if violations:
@@ -526,7 +510,6 @@ def reference_or_load(storage, document):
             "document does not conform to schema: %s" % violations[0])
     storage._doc_counter += 1
     doc_id = storage._doc_counter
-    labels = assign_labels(document)
 
     def _next_row_id(table_binding):
         return len(db.table(table_binding.table_name)) + 1
@@ -573,7 +556,6 @@ def reference_or_load(storage, document):
         assert not isinstance(table, InlineBinding)
         values = [row_id]
         values.extend(_column_values(element, decl, table))
-        values.extend(labels[element].as_tuple())
         db.insert(table.table_name, tuple(values))
         _insert_repeating(element, decl, row_id)
 
@@ -599,7 +581,6 @@ def reference_or_load(storage, document):
                 else:
                     values.extend(
                         _column_values(child_element, child, child_table))
-                values.extend(labels[child_element].as_tuple())
                 db.insert(child_table.table_name, tuple(values))
                 _insert_repeating(child_element, child, row_id)
 
@@ -608,31 +589,28 @@ def reference_or_load(storage, document):
 
 
 def reference_tree_load(storage, document):
-    """``TreeStorage.load`` as it was: stamp labels, then one recursive
-    ``_insert_node`` per node and a second walk for the path/value index."""
+    """``TreeStorage.load`` as it was: one recursive ``_insert_node`` per
+    node."""
     db = storage.db
     storage._doc_counter += 1
     doc_id = storage._doc_counter
-    labels = assign_labels(document)
 
     def _insert_node(node, parent_id, seq):
         storage._node_counter += 1
         node_id = storage._node_counter
         kind = node.kind
-        label = labels[node].as_tuple()
         if kind == NodeKind.ELEMENT:
             db.insert(
                 storage.table_name,
                 (node_id, doc_id, parent_id, seq, "element",
-                 node.name.local, None) + label)
+                 node.name.local, None))
             position = 0
             for attribute in node.attributes:
                 storage._node_counter += 1
                 db.insert(
                     storage.table_name,
                     (storage._node_counter, doc_id, node_id, position,
-                     "attribute", attribute.name.local, attribute.value)
-                    + labels[attribute].as_tuple())
+                     "attribute", attribute.name.local, attribute.value))
                 position += 1
             for child in node.children:
                 _insert_node(child, node_id, position)
@@ -643,11 +621,10 @@ def reference_tree_load(storage, document):
                            NodeKind.PI: "pi"}[kind]
             db.insert(storage.table_name,
                       (node_id, doc_id, parent_id, seq, stored_kind, name,
-                       node.value) + label)
+                       node.value))
 
     for seq, child in enumerate(document.children):
         _insert_node(child, 0, seq)
-    storage.index.add_document(doc_id, document)
     return doc_id
 
 
@@ -760,7 +737,7 @@ class TestAgainstTheReplacedShredders:
         for text in LIBRARY_DOCS:
             reference_or_load(reference, parse_document(text))
             loaded.load(parse_document(text))
-            streamed.load_stream(text, strip_whitespace=False, chunk_size=9)
+            streamed.load_stream(text, chunk_size=9)
         assert or_state(loaded) == or_state(reference)
         assert or_state(streamed) == or_state(reference)
         assert [serialize(streamed.materialize(doc_id))
@@ -785,8 +762,8 @@ class TestAgainstTheReplacedShredders:
         assert states[1] == states[0] and states[2] == states[0]
 
     def test_batches_flush_mid_document(self, monkeypatch):
-        # rows leave for the table while elements are still open: their
-        # end labels are filled in afterwards, ids stay consecutive
+        # rows leave for the table while elements are still open: ids
+        # stay consecutive
         from repro.rdb import storage as or_module, treestorage
         monkeypatch.setattr(treestorage, "_BATCH_ROWS", 7)
         monkeypatch.setattr(or_module, "_BATCH_ROWS", 3)
@@ -812,12 +789,12 @@ class TestAgainstTheReplacedShredders:
 def expanded_or_load(storage, text):
     """``load_stream`` with every leaf spelled out as three events."""
     return storage._shred(
-        expand_leaves(stream_events(text, strip_whitespace=True)),
+        expand_leaves(stream_events(text)),
         float("inf"))[0]
 
 
 def expanded_tree_load(storage, text):
-    return storage._shred(expand_leaves(stream_events(text)))[0]
+    return storage._shred(expand_leaves(stream_events(text)))
 
 
 class TestLeafEventsAgainstTheirExpansion:
@@ -912,10 +889,18 @@ class TestOneMaintenancePath:
             assert "._insert(" not in source, name
 
     def test_ingest_modules_hand_indexes_whole_runs(self):
-        sources = self.sources()
-        for name in ("rdb/table.py", "rdb/pathindex.py"):
-            assert ".extend(" in sources[name], name
-        assert "add_leaves(" in sources["rdb/treestorage.py"]
+        assert ".extend(" in self.sources()["rdb/table.py"]
+
+    def test_a_stored_tuple_is_never_rewritten(self):
+        # HeapTable.extend is the one row writer: no module assigns into a
+        # table's row list, directly or through a name bound to it
+        import re
+
+        for name, source in self.sources().items():
+            assert not re.search(r"\.rows\[.*\]\s*=(?!=)", source), name
+            for alias in re.findall(r"(\w+)\s*=\s*.*\.rows\b", source):
+                assert not re.search(
+                    r"\b%s\[.*\]\s*=(?!=)" % alias, source), (name, alias)
 
     def test_row_at_a_time_coercion_is_gone(self):
         for name, source in self.sources().items():

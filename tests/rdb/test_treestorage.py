@@ -74,21 +74,8 @@ class TestNodeTable:
         assert stats.rows_scanned < total_rows
 
 
-class TestPathFiltering:
-    def test_find_by_leaf_value(self):
-        storage = make_storage()
-        storage.load_many([parse_document(doc) for doc in DOCS])
-        assert storage.find_documents("/memo/to", "=", "Bob") == [2]
-
-    def test_find_by_attribute(self):
-        storage = make_storage()
-        storage.load_many([parse_document(doc) for doc in DOCS])
-        assert storage.find_documents("/memo/@pri", "=", "2") == [1]
-
-
-# Several documents in ONE storage: the second document's path/value run
-# interleaves with the first's keys (values sort between them), its heap
-# runs append after them.
+# Several documents in ONE storage: the second document's heap runs append
+# after the first's.
 SHELVES = [
     "<lib owner='ann'><shelf n='2'><book>Emma</book><book>Ulysses</book>"
     "<price>12.5</price></shelf><shelf n='9'><book>Dune</book>"
@@ -128,9 +115,7 @@ class TestSeveralDocumentsInOneStorage:
     @pytest.mark.parametrize("door", ["load", "load_stream"])
     def test_indexes_equal_per_entry_insertion(self, monkeypatch, door,
                                                count, batch_rows):
-        import math
         from repro.rdb import treestorage
-        from repro.rdb.pathindex import PathValueIndex
 
         monkeypatch.setattr(treestorage, "_BATCH_ROWS", batch_rows)
         storage = self.load(count, door)
@@ -142,27 +127,6 @@ class TestSeveralDocumentsInOneStorage:
             assert entries(storage.db.find_index(
                 storage.table_name, column)) == inserted_one_by_one(
                 (row[position], row_id) for row_id, row in rows)
-        # path/value index: one entry per leaf, document after document
-        text, number = {}, {}
-        for doc_id, source in enumerate(SHELVES[:count], 1):
-            leaves = []
-            PathValueIndex()._walk(
-                parse_document(source).document_element, "", leaves)
-            for path, value in leaves:
-                text.setdefault(path, []).append((value, doc_id))
-                try:
-                    as_float = float(value)
-                except ValueError:
-                    continue
-                if math.isfinite(as_float):
-                    number.setdefault(path, []).append((as_float, doc_id))
-        assert storage.index.entries == sum(map(len, text.values()))
-        for built, expected in ((storage.index._text, text),
-                                (storage.index._number, number)):
-            assert {path: entries(index)
-                    for path, index in built.items()} == {
-                path: inserted_one_by_one(pairs)
-                for path, pairs in expected.items()}
 
     @pytest.mark.parametrize("batch_rows", [3, 7])
     @pytest.mark.parametrize("door", ["load", "load_stream"])
@@ -172,13 +136,6 @@ class TestSeveralDocumentsInOneStorage:
         expected = self.load(3, door)
         monkeypatch.setattr(treestorage, "_BATCH_ROWS", batch_rows)
         storage = self.load(3, door)
-        assert storage.find_documents("/lib/shelf/book", "=", "Dune") == [1, 2]
-        assert storage.find_documents("/lib/shelf/price", "=", 12.5) == [1, 3]
-        assert storage.find_documents("/lib/shelf/price", "<", 10) == [2, 3]
-        assert storage.find_documents("/lib/shelf/price", "=", "nan") == [1]
-        assert storage.find_documents("/lib/shelf/@n", ">=", 3) == [1, 2, 3]
-        assert storage.find_documents("/lib/shelf/note", "=", "see  too") == [2]
-        assert storage.find_documents("/lib/@owner", "<", "b") == [1, 3]
         for names in (("lib", "book"), ("shelf", "b"), ("shelf", "price")):
             query = storage.descendant_query(*names)
             walked, _ = storage.db.execute(query, level="off")
@@ -238,7 +195,7 @@ def walked_pairs(storage, ancestor_name, descendant_name, doc_id=None):
         while parent:  # the walk starts above d: no self-pair
             chain.add(parent)
             parent = parent_of[parent]
-        pairs.extend((d[1], a[0], d[0], d[7]) for a in rows
+        pairs.extend((d[1], a[0], d[0]) for a in rows
                      if a[4] == "element" and a[5] == ancestor_name
                      and a[0] in chain)
     return pairs

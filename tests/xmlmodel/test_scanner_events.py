@@ -1,57 +1,10 @@
-"""Containment labels and the streaming tokenizer they pair with."""
+"""The scanner's events as the shredders see them: one ``start``,
+``leaf``, ``text``, ``comment``, ``pi`` or ``end`` event per token."""
 
 import pytest
 
 from repro.errors import XmlSyntaxError
-from repro.xmlmodel import parse_document
-from tests.xmlmodel.labels import Label, assign_labels
 from repro.xmlmodel.stream_ingest import StreamParser, stream_events
-
-
-class TestLabels:
-    def test_document_is_level_zero(self):
-        doc = parse_document("<a><b/></a>")
-        assert assign_labels(doc)[doc] == Label(1, 3, 0)
-
-    def test_preorder_numbering(self):
-        doc = parse_document("<a><b>t</b><c/></a>")
-        labels = assign_labels(doc)
-        a = doc.document_element
-        b, c = a.findall("b")[0], a.findall("c")[0]
-        assert labels[a].as_tuple() == (2, 5, 1)
-        assert labels[b].as_tuple() == (3, 4, 2)
-        assert labels[b.children[0]].as_tuple() == (4, 4, 3)
-        assert labels[c].as_tuple() == (5, 5, 2)
-        assert len(labels) == 5  # the document and its four nodes
-
-    def test_attributes_take_slots(self):
-        doc = parse_document('<a x="1" y="2"><b/></a>')
-        labels = assign_labels(doc)
-        a = doc.document_element
-        assert labels[a].as_tuple() == (2, 5, 1)
-        assert [labels[attr].as_tuple() for attr in a.attributes] == [
-            (3, 3, 2), (4, 4, 2)]
-        assert labels[a.find("b")].as_tuple() == (5, 5, 2)
-
-    def test_containment_is_strict(self):
-        doc = parse_document("<a><b><c/></b></a>")
-        labels = assign_labels(doc)
-        a = doc.document_element
-        b = a.find("b")
-        c = b.find("c")
-        assert labels[a].contains(labels[b])
-        assert labels[a].contains(labels[c])
-        assert labels[b].contains(labels[c])
-        assert not labels[b].contains(labels[a])
-        assert not labels[a].contains(labels[a])  # proper ancestry only
-
-    def test_relabelling_is_idempotent(self):
-        doc = parse_document("<a><b/><b/></a>")
-        first, second = assign_labels(doc), assign_labels(doc)
-        assert first == second
-        assert [first[b].as_tuple()
-                for b in doc.document_element.findall("b")] == [(3, 3, 2),
-                                                               (4, 4, 2)]
 
 
 def events(text, **kwargs):
