@@ -12,7 +12,8 @@ describes (unsupported constructs keep working, they just don't get the
 speedup).
 
 **Execute** is one run behind two doors.  The run is a generator of rows
-— one item list per XMLType instance — pulled from the optimized plan
+— one list of :class:`~repro.rdb.sqlxml.Markup` pieces per XMLType
+instance, whichever strategy answers — pulled from the optimized plan
 (``_plan_rows``, under a ``plan.execute`` span) or from the XSLT VM over
 materialised documents (``_vm_rows``, ``functional.execute``), with one
 loud functional retry (``_fallback_rows``: failure phase, stage and
@@ -36,7 +37,6 @@ Sources may be an XMLType view :class:`~repro.rdb.plan.Query` /
 
 from __future__ import annotations
 
-import itertools
 import logging
 import operator
 import time
@@ -48,9 +48,10 @@ from repro.obs.feedback import PlanFeedback, plan_feedback
 from repro.obs.trace import current_trace_id
 from repro.rdb.database import View
 from repro.rdb.plan import ExecutionStats, PlanProfiler
-from repro.rdb.sqlxml import Markup, content_markup, render_item, row_items
+from repro.rdb.sqlxml import Markup, content_markup, row_items
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.xmlmodel.parser import parse_fragment
+from repro.xmlmodel.serializer import serialize
 from repro.xslt.stylesheet import Stylesheet, compile_stylesheet
 from repro.xslt.vm import XsltVM
 from repro.core.pipeline import XsltRewriter, _is_document_store
@@ -238,19 +239,21 @@ class TransformResult(_ExecutionView):
     __slots__ = ("rows", "run")
 
     def __init__(self, rows, strategy=None, stats=None, run=None):
-        #: list of rows; each row is a list of items — result nodes and
-        #: atomics on the functional strategy, serialized markup strings
-        #: (plus any top-level atomics) on the SQL strategy, which never
-        #: builds a result DOM
+        #: list of rows; each row is a list of
+        #: :class:`~repro.rdb.sqlxml.Markup` pieces on either strategy
+        #: and at every door: the plan's constructors render them, the
+        #: XSLT VM's result is serialized once per document
         self.rows = rows
         self.run = run if run is not None else Execution(strategy, stats)
 
     def serialized_rows(self, method="xml"):
-        """Each row rendered as markup text."""
-        rows = self.rows if method == "xml" else map(_reparsed, self.rows)
-        return ["".join([item if type(item) is Markup
-                         else render_item(item, method) for item in row])
-                for row in rows]
+        """Each row as one string: its markup for the xml output method;
+        html and text need the tree, so the markup is parsed back and
+        serialized with ``method``."""
+        rows = [content_markup(row) for row in self.rows]
+        if method == "xml":
+            return rows
+        return [serialize(parse_fragment(text), method) for text in rows]
 
 
 class TransformStream(_ExecutionView):
@@ -280,18 +283,6 @@ class TransformStream(_ExecutionView):
     def text(self):
         """Drain the stream; the full serialized output."""
         return "".join(self)
-
-
-def _reparsed(row):
-    """``row`` with each run of markup items parsed back into nodes:
-    markup is xml text, the html and text output methods need the tree."""
-    out = []
-    for is_markup, run in itertools.groupby(
-            row, key=lambda item: type(item) is Markup):
-        if is_markup:
-            run = parse_fragment("".join(run)).children
-        out.extend(run)
-    return out
 
 
 def categorize_fallback(exc):
@@ -505,7 +496,7 @@ def _start(db, source, compiled, options, params, tracer, metrics, root,
     """Open one run over ``compiled``: ``(run, rows, retry)``.
 
     ``run`` is the :class:`Execution` record, ``rows`` the generator of
-    item lists — nothing executes until a door pulls it — and
+    markup piece lists — nothing executes until a door pulls it — and
     ``retry(exc)`` the functional row generator a door switches to when
     the plan raised :class:`RewriteError` before the door let any output
     go.  The optimized plan runs only without ``params`` (a plan cannot
@@ -538,10 +529,10 @@ def _start(db, source, compiled, options, params, tracer, metrics, root,
 
 def _plan_rows(db, compiled, run, tracer, metrics, options, deadline,
                profiler=None):
-    """One item list per output row of the artifact's optimized plan,
-    run the way ``options`` says (``batch_size``) and no later than the
-    absolute ``deadline``, profiled under ``profiler`` or, when none is
-    handed over, exactly when ``tracer`` is enabled.
+    """One list of markup pieces per output row of the artifact's
+    optimized plan, run the way ``options`` says (``batch_size``) and no
+    later than the absolute ``deadline``, profiled under ``profiler`` or,
+    when none is handed over, exactly when ``tracer`` is enabled.
 
     A profile costs no wrapper: the loops that already pull the batches
     count each operator's rows, batches and opens into the profiler's
@@ -608,10 +599,11 @@ def _plan_rows(db, compiled, run, tracer, metrics, options, deadline,
 
 
 def _vm_rows(db, source, compiled, params, run, tracer):
-    """One item list per document from functional evaluation: each
-    document is materialised as a DOM — only what the artifact's
-    projection mask reaches — and transformed by the XSLT VM (that cost
-    is inherent to the strategy)."""
+    """One row per document from functional evaluation: each document
+    is materialised as a DOM — only what the artifact's projection mask
+    reaches — and transformed by the XSLT VM (that cost is inherent to
+    the strategy); the result is serialized once, at the row boundary,
+    into the row's one :class:`~repro.rdb.sqlxml.Markup` piece."""
     with tracer.span("functional.execute") as span:
         run.strategy = STRATEGY_FUNCTIONAL
         stats = run.stats = ExecutionStats()
@@ -619,10 +611,10 @@ def _vm_rows(db, source, compiled, params, run, tracer):
         start = time.perf_counter()
         documents = _materialize_documents(db, source, stats, compiled.mask)
         for count, document in enumerate(documents, 1):
-            result = vm.transform_document(document, params=params)
+            text = serialize(vm.transform_document(document, params=params))
             # assigned, not added: a view source's own query counted too
             stats.output_rows = count
-            yield list(result.children)
+            yield [Markup(text)] if text else []
         # total functional wall time (materialisation + VM); view-path
         # query time is a subset of this window, so assign, don't add
         stats.elapsed_seconds = time.perf_counter() - start
@@ -760,17 +752,16 @@ def execute_compiled_stream(db, source, compiled, options=None, params=None,
 
 
 def _coalesce(rows, run, chunk_chars):
-    """Render ``rows`` item by item — a row holding an aggregated group
-    streams piece by piece — and coalesce the pieces into ~chunk_chars
-    chunks, tracking the buffering high-water mark in the run's
+    """Coalesce the markup pieces of ``rows`` — a row holding an
+    aggregated group streams piece by piece — into ~chunk_chars chunks,
+    tracking the buffering high-water mark in the run's
     ``stats.peak_buffered_bytes`` (``run.stats`` exists once the first
     row has been pulled)."""
     buffer = []
     buffered = 0
     for row in rows:
         stats = run.stats
-        for item in row:
-            piece = render_item(item)
+        for piece in row:
             if not piece:
                 continue
             buffer.append(piece)

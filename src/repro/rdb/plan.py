@@ -31,7 +31,7 @@ from repro.errors import DatabaseError, DeadlineExceededError, PlanError
 from repro.rdb.binding import (
     BindingCache, Codegen, Layout, Pipeline, sort_pairs)
 from repro.rdb.expressions import SqlExpr, bind_order, bind_tuple
-from repro.rdb.sqlxml import bind_aggregates, render_item, row_items
+from repro.rdb.sqlxml import bind_aggregates, row_items
 from repro.rdb.values import key_normal, probe_normal
 
 #: Row count per batch wherever ``batch_size`` is not given (or None).
@@ -1178,21 +1178,22 @@ class Query:
     # -- streaming ------------------------------------------------------------
 
     def stream_pieces(self, db, env=None, stats=None, batch_size=None):
-        """Yield serialized text pieces of the first output column of
-        every row, in row order.
+        """Yield the :class:`~repro.rdb.sqlxml.Markup` pieces of the
+        first output column of every row, in row order.
 
-        The pieces are ``row[0]``'s markup as :meth:`execute` returns
-        it, no piece spanning more than one aggregated row.  This is a
-        rendering loop over :meth:`execute_batches`, which owns the drive
-        loop, its deadline check and the ``batches`` / ``output_rows`` /
+        The pieces are ``row[0]``'s markup as
+        :func:`~repro.rdb.sqlxml.row_items` renders it — a top-level
+        scalar escaped, as the XSLT VM escapes text — no piece spanning
+        more than one aggregated row.  This is a loop over
+        :meth:`execute_batches`, which owns the drive loop, its deadline
+        check and the ``batches`` / ``output_rows`` /
         ``elapsed_seconds`` accounting.
         """
         if not self.outputs:
             raise PlanError("cannot stream a query with no outputs")
         for batch in self.execute_batches(db, env, stats, batch_size):
             for row in batch:
-                for item in row_items(row[0]):
-                    yield render_item(item)
+                yield from row_items(row[0])
 
     # -- SQL rendering --------------------------------------------------------
 

@@ -15,6 +15,10 @@ the paper's point (Figure 3): the rewritten plan answers
 ``XMLTransform`` without materialising a document.  ``XMLAgg`` keeps
 its group lazily as ``(order keys, row)`` pairs and renders each row at
 finalization.
+
+One rule, :func:`_append_markup`, turns any value into output markup (a
+scalar escaped as the XSLT VM escapes text), for element content and,
+through :func:`row_items` and :func:`content_markup`, for result rows.
 """
 
 from __future__ import annotations
@@ -50,20 +54,33 @@ class MarkupList(list):
 def _append_markup(parts, value):
     """Append an evaluated SQL value to element content being rendered,
     as :class:`Markup` pieces: markup verbatim, a stored node
-    serialized, anything else as escaped character data."""
-    if value is None:
-        return
+    serialized, anything else as escaped character data (a sequence's run
+    of adjacent scalars as one piece: one text node, as the VM writes it)."""
     kind = type(value)
     if kind is Markup:
         parts.append(value)
     elif kind is MarkupList:
         parts += value
     elif kind is list:
+        text = ""
         for item in value:
-            if type(item) is Markup:
-                parts.append(item)
+            kind = type(item)
+            if kind is str:
+                text += item
+            elif item is None:
+                continue
+            elif kind is Markup or isinstance(item, (list, Node)):
+                if text:
+                    parts.append(Markup(escape_text(text)))
+                    text = ""
+                if kind is Markup:
+                    parts.append(item)
+                else:
+                    _append_markup(parts, item)
             else:
-                _append_markup(parts, item)
+                text += _text(item)
+        if text:
+            parts.append(Markup(escape_text(text)))
     elif isinstance(value, Node):
         if value.kind == NodeKind.ATTRIBUTE:
             # the start tag is closed already; no rewritten plan does
@@ -73,7 +90,7 @@ def _append_markup(parts, value):
                 phase="execute",
             )
         parts.append(Markup(serialize(value)))
-    else:
+    elif value is not None:
         text = _text(value)
         if text:
             parts.append(Markup(escape_text(text)))
@@ -82,42 +99,22 @@ def _append_markup(parts, value):
 def content_markup(value):
     """An evaluated SQL value rendered as element content, one string:
     what a reader that needs a tree hands ``parse_fragment``."""
-    parts = []
-    _append_markup(parts, value)
-    return "".join(parts)
+    return "".join(row_items(value))
 
 
 def row_items(value):
-    """The items of one result row: its XML value as a flat list."""
-    if value is None:
-        return []
-    return value if isinstance(value, list) else [value]
-
-
-def _flat(values):
-    """Non-NULL values as one flat list (sequences spliced in)."""
-    out = []
-    for value in values:
-        if value is None:
-            continue
-        if isinstance(value, list):
-            out.extend(value)
-        else:
-            out.append(value)
-    return out
-
-
-def render_item(item, method="xml"):
-    """One row item as output text — the single renderer behind
-    ``TransformResult.serialized_rows``, the functional stream and
-    :meth:`repro.rdb.plan.Query.stream_pieces`: markup passes through,
-    nodes serialize, scalars print unescaped, converted like element
-    content (XPath's number-to-string)."""
-    if type(item) is Markup:
-        return item
-    if isinstance(item, Node):
-        return serialize(item, method=method)
-    return _text(item)
+    """An evaluated XML value as a flat list of :class:`Markup` pieces —
+    the items of a result row, the sequence an ``XMLConcat``, ``XMLForest``
+    or ``XMLAgg`` makes — rendered as element content is: a scalar is
+    escaped character data, exactly as the XSLT VM writes a text node."""
+    kind = type(value)
+    if kind is Markup:
+        return [value]
+    if kind is MarkupList:
+        return value
+    parts = MarkupList()
+    _append_markup(parts, value)
+    return parts
 
 
 def _lexical(name):
@@ -255,7 +252,7 @@ def _template(element, binder, layout, order=None):
                            "_MarkupList()" if typed else "[]",
                            cg.helper("_sort_pairs", sort_pairs),
                            cg.ref(order), body.replace("\n", "\n "),
-                           "_out" if typed else "_flat(_out)"),
+                           "_out" if typed else "_items(_out)"),
                        "state, stats"), typed
 
 
@@ -264,9 +261,10 @@ def _template(element, binder, layout, order=None):
 _TEMPLATE_PARAMETERS = (
     ("_k0", "_k1", "_render", "_Markup", "_escape_text",
      "_escape_attribute", "_number_to_string", "_text_special",
-     "_attribute_special", "_MarkupList", "_flat"),
+     "_attribute_special", "_MarkupList", "_items"),
     (None, None, _render, Markup, escape_text, escape_attribute,
-     number_to_string, TEXT_SPECIAL, ATTRIBUTE_SPECIAL, MarkupList, _flat))
+     number_to_string, TEXT_SPECIAL, ATTRIBUTE_SPECIAL, MarkupList,
+     row_items))
 
 
 #: a leaf value ``_vN``'s path to its format argument ``_aN``: of unknown
@@ -352,7 +350,7 @@ class XMLForest(SqlExpr):
                 if value is not None:
                     elements.append(
                         _element_markup(head, close, (value,), stats))
-            return _flat(elements)
+            return row_items(elements)
 
         return forest
 
@@ -372,7 +370,7 @@ class XMLConcat(SqlExpr):
         return tuple(self.items)
 
     def emit(self, binder, layout, cg):
-        return "%s([%s])" % (cg.helper("_flat", _flat), ", ".join(
+        return "%s([%s])" % (cg.helper("_items", row_items), ", ".join(
             cg.emit(expr, binder, layout) for expr in self.items))
 
     def to_sql(self):
@@ -538,8 +536,11 @@ class XMLAgg(_Ordered):
             value = self.expr.bind(binder, layout)
 
             def final(state, stats):
-                return _flat([value(row, stats)
-                              for _, row in sort_pairs(state, directions)])
+                # one row's value at a time: no piece spans two rows
+                parts = MarkupList()
+                for _, row in sort_pairs(state, directions):
+                    _append_markup(parts, value(row, stats))
+                return parts
 
         return "[]", "%s.append((%s, row))" % (state, keys), final
 

@@ -70,9 +70,10 @@ class ServeResult(TransformResult):
 
     Where the plan ran the record is whole (ledger, plan, profile, span
     tree).  Pickling *is* the wire form of a process worker's reply:
-    each row rendered to one markup item (markup text is the transport
-    format) over the record's own wire form, so ``explain()`` /
-    ``report()`` on the far side render what crossed."""
+    each row's markup pieces joined into one (rows are markup on every
+    strategy, so the pieces cross as text) over the record's own wire
+    form, so ``explain()`` / ``report()`` on the far side render what
+    crossed."""
 
     __slots__ = ()
 

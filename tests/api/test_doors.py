@@ -22,6 +22,7 @@ import pytest
 from repro.api import Engine, TransformOptions
 from repro.obs import FlightRecorder, InMemorySink, MetricsRegistry, Tracer
 from repro.obs.decisions import PROJECTION
+from repro.rdb.sqlxml import Markup
 from repro.serve import ServeResult, TransformService
 from repro.xsltmark import get_case
 from repro.xsltmark.runner import prepare_case
@@ -231,6 +232,20 @@ def test_rooted_doors_trace_and_record(door, scenario):
     assert {span["name"] for span in record.spans} \
         == {span.name for span in view.trace.iter_spans()}
     assert record.stages["xml_transform"] > 0
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("door", tuple(door for door in DOORS
+                                       if not door.endswith("stream")))
+def test_door_rows_are_markup(door, scenario):
+    """Every door returns one row type on either strategy — markup
+    pieces, never result nodes — and each row is the row
+    ``Engine.transform`` returns, not only the same text overall."""
+    rows = observe(door, scenario)["view"].rows
+    expected = observe("transform", scenario)["view"].rows
+    assert rows and all(type(item) is Markup for row in rows for item in row)
+    assert ["".join(row) for row in rows] \
+        == ["".join(row) for row in expected]
 
 
 class TestOptionsReachEveryDoor:

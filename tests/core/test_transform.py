@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.api import TransformOptions
+from repro.api import Engine, TransformOptions
 from repro.core import (
     STRATEGY_FUNCTIONAL,
     STRATEGY_SQL,
     xml_transform,
 )
 from repro.rdb import Database, INT
+from repro.rdb.sqlxml import Markup
 from repro.rdb.storage import ClobStorage, ObjectRelationalStorage
 from repro.schema import schema_from_dtd
 from repro.xmlmodel import parse_document
@@ -59,7 +60,8 @@ class TestViewTransform:
 
     def test_rewrite_rows_are_markup_not_nodes(self):
         """The rewrite path builds no result DOM: its row items are
-        serialized markup strings; functional rows stay nodes."""
+        serialized markup strings; functional rows are markup too, the
+        VM's result serialized once per document."""
         db = make_database()
         rewritten = xml_transform(db, dept_emp_view_query(),
                                   EXAMPLE1_STYLESHEET)
@@ -70,7 +72,8 @@ class TestViewTransform:
             == [EXPECTED_ROW1, EXPECTED_ROW2]
         functional = xml_transform(db, dept_emp_view_query(),
                                    EXAMPLE1_STYLESHEET, options=FUNCTIONAL)
-        assert all(hasattr(item, "kind")
+        assert functional.rows == [[EXPECTED_ROW1], [EXPECTED_ROW2]]
+        assert all(type(item) is Markup
                    for row in functional.rows for item in row)
 
     @pytest.mark.parametrize("method", ["html", "text"])
@@ -91,6 +94,38 @@ class TestViewTransform:
         expected = {"html": "<p><br>ACCOUNTING &amp; co</p>",
                     "text": "ACCOUNTING & co"}[method]
         assert rewritten.serialized_rows(method=method)[0] == expected
+
+    @pytest.mark.parametrize("level", ["cost", "off"])
+    @pytest.mark.parametrize("body", [
+        "",
+        '<xsl:template match="/"><xsl:value-of select="a"/></xsl:template>',
+    ], ids=["built-in-only", "root-value-of"])
+    def test_top_level_text_is_escaped_at_every_door(self, body, level):
+        """Text the rewritten plan returns at the top level of a row is
+        character data, escaped as the VM escapes it — at the front
+        door, through a compiled plan, streamed, and piece by piece."""
+        db = Database()
+        storage = ObjectRelationalStorage(
+            db, schema_from_dtd("<!ELEMENT a (b*)><!ELEMENT b (#PCDATA)>",
+                                "a"), "esc")
+        for document in ("<a><b>x &amp; y</b><b>1 &lt; 2</b></a>",
+                         "<a><b>p &gt; q</b></a>"):
+            storage.load_stream(document)
+        engine = Engine(db)
+        options = TransformOptions(optimizer_level=level)
+        expected = engine.transform(storage, sheet(body),
+                                    options=FUNCTIONAL).serialized_rows()
+        assert expected == ["x &amp; y1 &lt; 2", "p &gt; q"]
+        front = engine.transform(storage, sheet(body), options=options)
+        assert front.strategy == STRATEGY_SQL
+        assert front.serialized_rows() == expected
+        compiled = engine.compile(storage, sheet(body), options=options)
+        assert engine.execute(storage, compiled).serialized_rows() \
+            == expected
+        assert engine.transform_stream(storage, sheet(body),
+                                       options=options).text() \
+            == "".join(expected)
+        assert "".join(compiled.query.stream_pieces(db)) == "".join(expected)
 
     def test_outcome_attached_on_rewrite(self):
         db = make_database()

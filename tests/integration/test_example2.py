@@ -66,7 +66,7 @@ class TestExample2Combined:
         db = make_database()
         from repro.core import xml_transform
         from repro.xquery import evaluate_xquery
-        from repro.xmlmodel.builder import TreeBuilder
+        from repro.xmlmodel import parse_fragment
 
         combined, _ = rewrite_combined(
             EXAMPLE1_STYLESHEET, dept_emp_view_query(), USER_XQUERY
@@ -77,12 +77,8 @@ class TestExample2Combined:
             db, dept_emp_view_query(), EXAMPLE1_STYLESHEET, options=FUNCTIONAL
         )
         expected = []
-        for row in functional.rows:
-            builder = TreeBuilder()
-            for item in row:
-                builder.copy_node(item)
-            fragment = builder.finish()
-            sequence = evaluate_xquery(USER_XQUERY, fragment)
+        for text in functional.serialized_rows():
+            sequence = evaluate_xquery(USER_XQUERY, parse_fragment(text))
             expected.append("".join(serialize(node) for node in sequence))
         assert [row_markup(r[0]) for r in combined_rows] == expected
 

@@ -55,7 +55,7 @@ def test_execute_stream_and_front_door_agree_with_the_vm(case):
     bytes row by row, and the same work counted: no door may skip or
     repeat an element, a scan or a row."""
     from repro.rdb.plan import ExecutionStats
-    from repro.rdb.sqlxml import render_item, row_items
+    from repro.rdb.sqlxml import content_markup
     from repro.xmlmodel.nodes import Node
 
     prepared = prepare_case(case, SIZE)
@@ -80,8 +80,7 @@ def test_execute_stream_and_front_door_agree_with_the_vm(case):
 
         execute_stats = ExecutionStats()
         rows, _ = compiled.query.execute(prepared.db, stats=execute_stats)
-        assert ["".join(map(render_item, row_items(row[0])))
-                for row in rows] == vm, where
+        assert [content_markup(row[0]) for row in rows] == vm, where
 
         stream_stats = ExecutionStats()
         streamed = "".join(compiled.query.stream_pieces(

@@ -37,7 +37,6 @@ from repro.rdb.sqlxml import (
     XMLText,
     Markup,
     MarkupList,
-    render_item,
     row_items,
 )
 from repro.xmlmodel import NodeKind, parse_document, serialize
@@ -494,32 +493,36 @@ class TestStreamPieces:
 
 
 def rendered(value):
-    return "".join(render_item(item) for item in row_items(value))
+    items = row_items(value)
+    assert all(type(item) is Markup for item in items)
+    return "".join(items)
 
 
 class TestRowItemRendering:
-    def test_scalars_print_unescaped(self):
-        assert render_item("a<b") == "a<b"
-        assert render_item(7.0) == "7"
-        assert render_item(None) == ""
+    def test_scalars_are_escaped_character_data(self):
+        """A top-level scalar is text, escaped as the VM escapes a text
+        node."""
+        assert rendered("a<b") == "a&lt;b"
+        assert rendered("x & y>") == "x &amp; y&gt;"
+        assert rendered(7.0) == "7"
+        assert row_items(None) == []
 
     def test_scalars_print_like_xpath_numbers(self):
         """Top-level scalars convert like element content: what the VM
         prints for the same number."""
-        assert render_item(2.1e20) == "210000000000000000000"
-        assert render_item(float("nan")) == "NaN"
-        assert render_item(float("inf")) == "Infinity"
-        assert render_item(float("-inf")) == "-Infinity"
-        assert render_item(-0.0) == "0"
-        assert render_item(True) == "true"
+        assert rendered(2.1e20) == "210000000000000000000"
+        assert rendered(float("nan")) == "NaN"
+        assert rendered(float("inf")) == "Infinity"
+        assert rendered(float("-inf")) == "-Infinity"
+        assert rendered(-0.0) == "0"
+        assert rendered(True) == "true"
 
     def test_markup_passes_through(self):
-        assert render_item(Markup("<e>a&lt;b</e>")) == "<e>a&lt;b</e>"
+        assert row_items(Markup("<e>a&lt;b</e>")) == ["<e>a&lt;b</e>"]
 
     def test_list_flattens(self):
         assert rendered(["a", None, "b"]) == "ab"
-        assert row_items(None) == []
-        assert row_items("x") == ["x"]
+        assert rendered(["x"]) == "x"
 
 
 class TestConstructorStreaming:
@@ -536,7 +539,7 @@ class TestConstructorStreaming:
         value = expr.evaluate(env or {}, db, stats)
         assert all(not isinstance(item, Node)
                    for item in row_items(value)), "no node may be built"
-        assert rendered(value) == "".join(map(render_item, expected))
+        assert rendered(value) == rendered(expected)
         if elements is None:
             elements = sum(node.kind == NodeKind.ELEMENT
                            for tree in expected if isinstance(tree, Node)
@@ -655,10 +658,13 @@ class TestConstructorStreaming:
         assert self.roundtrip(db, XMLElement("e", const([])),
                               [elem("e")]) == "<e/>"
 
-    def test_top_level_scalar_unescaped(self, db):
-        assert self.roundtrip(db, XMLText(const("a<b")), ["a<b"]) == "a<b"
+    def test_top_level_scalar_escaped(self, db):
+        """A top-level scalar is character data, escaped as the VM
+        escapes the text node it writes."""
+        assert self.roundtrip(db, XMLText(const("a<b")),
+                              ["a<b"]) == "a&lt;b"
         assert self.roundtrip(db, XMLConcat([const("a&"), const(3.0)]),
-                              ["a&", 3.0]) == "a&3"
+                              ["a&", 3.0]) == "a&amp;3"
 
     def test_attribute_node_in_content_is_an_execute_fallback(self, db):
         """Rendered text has closed the start tag an attribute node would

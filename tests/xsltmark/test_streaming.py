@@ -5,6 +5,10 @@ concatenation is byte-identical to the materialized transform, and on
 the SQL strategy no result document is ever built.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.api import Engine, TransformOptions
@@ -128,3 +132,40 @@ class TestFallbackStreaming:
         materialized = engine.transform(prepared.storage,
                                         prepared.stylesheet)
         assert text == "".join(materialized.serialized_rows())
+
+
+#: sha256 prefixes of every case's output per strategy, row count and
+#: output method ("stream" is the streamed text), taken before the
+#: functional path returned markup; a change to how rows are rendered
+#: must pass them unedited
+OUTPUT_GOLDENS = Path(__file__).with_name("output_method_goldens.json")
+GOLDEN_SIZES = (0, 1, 12)
+GOLDEN_STRATEGIES = {"rewrite": None,
+                     "functional": TransformOptions(strategy="functional")}
+
+
+def output_digests(case):
+    """``{"strategy/size/method": sha256 prefix}`` of one case."""
+    digests = {}
+    for size in GOLDEN_SIZES:
+        prepared = prepare_case(case, size)
+        engine = Engine(prepared.db)
+        for strategy, options in GOLDEN_STRATEGIES.items():
+            result = engine.transform(prepared.storage, case.stylesheet,
+                                      options=options)
+            outputs = {method: "\x00".join(result.serialized_rows(method))
+                       for method in ("xml", "html", "text")}
+            outputs["stream"] = engine.transform_stream(
+                prepared.storage, case.stylesheet, options=options).text()
+            for method, text in outputs.items():
+                digests["%s/%d/%s" % (strategy, size, method)] = \
+                    hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return digests
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.name)
+def test_output_methods_match_goldens(case):
+    """xml, html and text output and the stream, on both strategies at
+    0, 1 and 12 rows, are the bytes the goldens hold."""
+    expected = json.loads(OUTPUT_GOLDENS.read_text())[case.name]
+    assert output_digests(case) == expected
