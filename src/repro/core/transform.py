@@ -50,6 +50,7 @@ from repro.rdb.database import View
 from repro.rdb.plan import ExecutionStats, PlanProfiler
 from repro.rdb.sqlxml import Markup, content_markup, row_items
 from repro.rdb.storage import ObjectRelationalStorage
+from repro.xmlmodel.builder import MarkupWriter
 from repro.xmlmodel.parser import parse_fragment
 from repro.xmlmodel.serializer import serialize
 from repro.xslt.stylesheet import Stylesheet, compile_stylesheet
@@ -242,7 +243,7 @@ class TransformResult(_ExecutionView):
         #: list of rows; each row is a list of
         #: :class:`~repro.rdb.sqlxml.Markup` pieces on either strategy
         #: and at every door: the plan's constructors render them, the
-        #: XSLT VM's result is serialized once per document
+        #: XSLT VM writes each document's result as markup
         self.rows = rows
         self.run = run if run is not None else Execution(strategy, stats)
 
@@ -602,8 +603,8 @@ def _vm_rows(db, source, compiled, params, run, tracer):
     """One row per document from functional evaluation: each document
     is materialised as a DOM — only what the artifact's projection mask
     reaches — and transformed by the XSLT VM (that cost is inherent to
-    the strategy); the result is serialized once, at the row boundary,
-    into the row's one :class:`~repro.rdb.sqlxml.Markup` piece."""
+    the strategy), which writes the result through a ``MarkupWriter``:
+    no result tree, and its text is the row's one ``Markup`` piece."""
     with tracer.span("functional.execute") as span:
         run.strategy = STRATEGY_FUNCTIONAL
         stats = run.stats = ExecutionStats()
@@ -611,7 +612,8 @@ def _vm_rows(db, source, compiled, params, run, tracer):
         start = time.perf_counter()
         documents = _materialize_documents(db, source, stats, compiled.mask)
         for count, document in enumerate(documents, 1):
-            text = serialize(vm.transform_document(document, params=params))
+            text = vm.transform_document(document, params=params,
+                                         output=MarkupWriter())
             # assigned, not added: a view source's own query counted too
             stats.output_rows = count
             yield [Markup(text)] if text else []

@@ -164,34 +164,34 @@ def _render(nest, values, stats):
     attributes, content)`` as :func:`_template` records it — an
     attribute is ``(prefix, leaf index)``, or ``(text, None)`` when
     constant; a content item is a leaf index, a nested element's nest or
-    constant markup."""
+    constant text.  An ``XMLConcat``'s nest has no tags (``head`` is
+    None) and renders as :func:`row_items` of its content."""
     head, close, attributes, content = nest
+    content = [values[item] if type(item) is int
+               else _render(item, values, stats) if type(item) is tuple
+               else item for item in content]
+    if head is None:
+        return row_items(content)
     for text, index in attributes:
         if index is None:
             head += text
         elif values[index] is not None:
             head += text + escape_attribute(_text(values[index])) + '"'
-    return _element_markup(head, close, [
-        values[item] if type(item) is int
-        else _render(item, values, stats) if type(item) is tuple
-        else item
-        for item in content
-    ], stats)
+    return _element_markup(head, close, content, stats)
 
 
 def _template(element, binder, layout, order=None):
-    """Bind ``element`` and every ``XMLElement`` nested in its
-    content as one generated function over a format string holding each
-    tag, ``name="`` prefix, end tag and constant, escaped once here with
-    ``%`` doubled.  Its leaves are evaluated once each, in order; a str
-    (non-empty in content), float or int goes into one ``fmt % args``,
-    any other value (NULL, "", a bool, a sequence, markup, a node)
-    renders the row from the same values through :func:`_render`.
-    ``xml_elements`` counts every element of the nest either way.
-    Returns it, and whether every leaf is typed (then it always renders
-    one :class:`Markup`).  Given the ``order`` directions of an
-    ``XMLAgg``, the function is instead its ``final(state, stats)``: one
-    loop rendering each row of the sorted ``(keys, row)`` pairs."""
+    """Bind ``element`` (an ``XMLElement`` or an ``XMLConcat``) and
+    every ``XMLElement`` nested in its content as one generated function
+    over a format string holding each tag, ``name="`` prefix, end tag and
+    constant, escaped once here with ``%`` doubled.  Its leaves are
+    evaluated once each, in order; a str (non-empty in content), float
+    or int goes into one ``fmt % args``, any other value (NULL, "", a
+    bool, a sequence, markup, a node) renders the row from the same
+    values through :func:`_render`.  ``xml_elements`` counts every
+    element of the nest either way.  Given the ``order`` directions of
+    an ``XMLAgg``, the function is instead its ``final(state, stats)``:
+    one loop rendering each row of the sorted ``(keys, row)`` pairs."""
     cg = Codegen(*_TEMPLATE_PARAMETERS)
     body = []    # the leaves' assignments, in evaluation order
     kinds = []   # each one's (whether an attribute value, static type)
@@ -205,10 +205,25 @@ def _template(element, binder, layout, order=None):
         runs.append("")
         return len(body) - 1
 
+    def items(exprs):
+        """Append content ``exprs`` to the format; their nest items."""
+        content = []
+        for expr in exprs:
+            if type(expr) is XMLElement:
+                content.append(nest(expr))
+            elif not _is_static(expr):
+                content.append(leaf(expr, False))
+            elif text := _text(expr.value):
+                runs[-1] += escape_text(text)
+                content.append(text)
+        return content
+
     def nest(element):
         """Append ``element`` to the format; returns its nest for
         :func:`_render`."""
         nonlocal elements
+        if type(element) is XMLConcat:  # no tags
+            return None, None, (), items(element.items)
         elements += 1
         opening, close = _tags(element.name)
         runs[-1] += opening
@@ -225,16 +240,7 @@ def _template(element, binder, layout, order=None):
                 attributes.append((text, None))
         runs[-1] += ">"
         empty = len(runs), len(runs[-1])
-        content = []
-        for expr in element.content:
-            if type(expr) is XMLElement:
-                content.append(nest(expr))
-            elif not _is_static(expr):
-                content.append(leaf(expr, False))
-            elif _text(expr.value):
-                text = Markup(escape_text(_text(expr.value)))
-                runs[-1] += text
-                content.append(text)
+        content = items(element.content)
         if (len(runs), len(runs[-1])) == empty:  # no content: self-closing
             runs[-1] = runs[-1][:-1] + "/>"
         else:
@@ -244,16 +250,20 @@ def _template(element, binder, layout, order=None):
     root = nest(element)
     cg.values[:2] = root, "%s".join([run.replace("%", "%%") for run in runs])
     body = "".join(body) + _tail(tuple(kinds), elements, order is not None)
-    typed = all(kind is not None for _, kind in kinds)
+    if not kinds and not runs[0]:  # a concat of empty constants: no piece
+        body = "return _MarkupList()"
+    # every leaf typed: an element always renders one Markup
+    typed = type(element) is XMLElement and all(
+        kind is not None for _, kind in kinds)
     if order is None:
-        return cg.function(body), typed
+        return cg.function(body)
     return cg.function("_out = %s\n  for _, row in %s(state, %s):\n   %s"
                        "\n  return %s" % (
                            "_MarkupList()" if typed else "[]",
                            cg.helper("_sort_pairs", sort_pairs),
                            cg.ref(order), body.replace("\n", "\n "),
                            "_out" if typed else "_items(_out)"),
-                       "state, stats"), typed
+                       "state, stats")
 
 
 #: a template's factory takes its nest (``_k0``), its format (``_k1``)
@@ -316,7 +326,7 @@ class XMLElement(SqlExpr):
         return (*[expr for _, expr in self.attributes], *self.content)
 
     def bind(self, binder, layout):
-        return _template(self, binder, layout)[0]
+        return _template(self, binder, layout)
 
     def to_sql(self):
         parts = ['"%s"' % self.name]
@@ -369,7 +379,11 @@ class XMLConcat(SqlExpr):
     def child_exprs(self):
         return tuple(self.items)
 
+    def bind(self, binder, layout):
+        return _template(self, binder, layout)
+
     def emit(self, binder, layout, cg):
+        # in content: its items' pieces, kept apart
         return "%s([%s])" % (cg.helper("_items", row_items), ", ".join(
             cg.emit(expr, binder, layout) for expr in self.items))
 
@@ -529,9 +543,9 @@ class XMLAgg(_Ordered):
 
     def fold(self, binder, layout, cg, state):
         directions, keys = self._order(binder, layout, cg)
-        if type(self.expr) is XMLElement:
+        if type(self.expr) in (XMLElement, XMLConcat):
             # its template in one loop; typed leaves make a MarkupList
-            final = _template(self.expr, binder, layout, directions)[0]
+            final = _template(self.expr, binder, layout, directions)
         else:
             value = self.expr.bind(binder, layout)
 

@@ -7,9 +7,10 @@ It provides:
 * a DOM with parent pointers and total document order (:mod:`.nodes`),
 * a from-scratch, namespace-aware XML parser (:mod:`.parser`),
 * a serializer for XML, HTML and text output methods (:mod:`.serializer`),
-* a :class:`~repro.xmlmodel.builder.TreeBuilder` used by the XSLT VM, the
-  XQuery evaluator and the SQL/XML publishing functions to construct result
-  trees, plus terse element/text constructors for tests.
+* two output handlers with one write interface: a
+  :class:`~repro.xmlmodel.builder.TreeBuilder` that builds a tree and a
+  :class:`~repro.xmlmodel.builder.MarkupWriter` that writes its markup,
+  plus terse element/text constructors for tests.
 """
 
 from repro.xmlmodel.nodes import (

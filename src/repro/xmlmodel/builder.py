@@ -1,9 +1,10 @@
-"""Result-tree construction helpers.
+"""The two output handlers the producers of XML write through.
 
-:class:`TreeBuilder` is the single write path used by every producer of XML
-in the library — the XSLT VM, the XQuery evaluator and the SQL/XML
-publishing functions — guaranteeing document-order stamps stay correct and
-adjacent text is merged, as the XPath data model requires.
+:class:`TreeBuilder` builds a tree in document order, stamping order and
+merging adjacent text as the XPath data model requires, wherever the
+result is read as a tree.  :class:`MarkupWriter` takes the same calls
+and appends xml-method markup, byte for byte what :func:`serialize`
+makes of that tree: the XSLT VM writes functional rows through it.
 
 The module also exposes terse constructors (:func:`doc`, :func:`elem`,
 :func:`text`, ...) used heavily in tests.
@@ -22,9 +23,45 @@ from repro.xmlmodel.nodes import (
     QName,
     Text,
 )
+from repro.xmlmodel.serializer import (
+    comment_markup, escape_text, pi_markup, start_tag)
 
 
-class TreeBuilder:
+class _Output:
+    """What both handlers share: node copies, the misplaced attribute."""
+
+    def copy_node(self, node):
+        """Deep-copy an existing node (any kind) into the result."""
+        kind = node.kind
+        if kind == NodeKind.DOCUMENT:
+            for child in node.children:
+                self.copy_node(child)
+        elif kind == NodeKind.ELEMENT:
+            self.start_element(node.name, node.namespaces)
+            for attribute in node.attributes:
+                self.attribute(attribute.name, attribute.value)
+            for child in node.children:
+                self.copy_node(child)
+            self.end_element()
+        elif kind == NodeKind.TEXT:
+            self.text(node.value)
+        elif kind == NodeKind.COMMENT:
+            self.comment(node.value)
+        elif kind == NodeKind.PI:
+            self.processing_instruction(node.target, node.value)
+        elif kind == NodeKind.ATTRIBUTE:
+            self.attribute(node.name, node.value)
+        else:  # pragma: no cover - exhaustive over node kinds
+            raise TypeError("cannot copy node kind %r" % kind)
+
+    @staticmethod
+    def _misplaced(name, in_element):  # XSLT: no attribute after content
+        return ReproError("attribute %r written after child content"
+                          % str(name) if in_element
+                          else "attribute written outside an element")
+
+
+class TreeBuilder(_Output):
     """Incrementally build a result tree in document order.
 
     Usage::
@@ -40,12 +77,6 @@ class TreeBuilder:
     def __init__(self):
         self._document = Document()
         self._stack = [self._document]
-        self._finished = False
-
-    @property
-    def current(self):
-        """The node new content is appended to."""
-        return self._stack[-1]
 
     def _attach(self, node):
         """Append a freshly made, childless node to the open element and
@@ -70,18 +101,10 @@ class TreeBuilder:
         self._stack.pop()
 
     def attribute(self, name, value):
-        """Add an attribute to the currently open element.
-
-        Per XSLT semantics, adding an attribute after child content has been
-        written is an error.
-        """
-        target = self.current
-        if target.kind != NodeKind.ELEMENT:
-            raise ReproError("attribute written outside an element")
-        if target.children:
-            raise ReproError(
-                "attribute %r written after child content" % str(name)
-            )
+        """Add an attribute to the currently open element."""
+        target = self._stack[-1]
+        if target.kind != NodeKind.ELEMENT or target.children:
+            raise self._misplaced(name, target.kind == NodeKind.ELEMENT)
         target.set_attribute(name, value)
 
     def text(self, value):
@@ -100,51 +123,70 @@ class TreeBuilder:
     def processing_instruction(self, target, value):
         self._attach(ProcessingInstruction(target, value))
 
-    def copy_node(self, node):
-        """Deep-copy an existing node (any kind) into the result tree."""
-        kind = node.kind
-        if kind == NodeKind.DOCUMENT:
-            for child in node.children:
-                self.copy_node(child)
-        elif kind == NodeKind.ELEMENT:
-            self.start_element(
-                QName(node.name.local, node.name.uri, node.name.prefix),
-                namespaces=dict(node.namespaces),
-            )
-            for attribute in node.attributes:
-                self.attribute(
-                    QName(
-                        attribute.name.local,
-                        attribute.name.uri,
-                        attribute.name.prefix,
-                    ),
-                    attribute.value,
-                )
-            for child in node.children:
-                self.copy_node(child)
-            self.end_element()
-        elif kind == NodeKind.TEXT:
-            self.text(node.value)
-        elif kind == NodeKind.COMMENT:
-            self.comment(node.value)
-        elif kind == NodeKind.PI:
-            self.processing_instruction(node.target, node.value)
-        elif kind == NodeKind.ATTRIBUTE:
-            self.attribute(
-                QName(node.name.local, node.name.uri, node.name.prefix),
-                node.value,
-            )
-        else:  # pragma: no cover - exhaustive over node kinds
-            raise TypeError("cannot copy node kind %r" % kind)
-
     def finish(self):
         """Return the completed :class:`Document`."""
         if len(self._stack) != 1:
             raise ReproError(
-                "%d element(s) left open" % (len(self._stack) - 1)
-            )
-        self._finished = True
+                "%d element(s) left open" % (len(self._stack) - 1))
         return self._document
+
+
+class MarkupWriter(_Output):
+    """Write a result as xml-method markup; :meth:`finish` returns it.
+    A start tag stays open until the element's first content, so an
+    element with none self-closes, and until then an attribute written
+    again (an equal QName) replaces the first one's value in place."""
+
+    def __init__(self):
+        self._out = []
+        self._names = []         # the open elements' tags
+        self._namespaces = None  # of the start tag still open
+        self._attributes = None  # QName -> value of that start tag, if open
+
+    def _content(self, markup, end=">"):  # the open start tag ends first
+        attributes = self._attributes
+        if attributes is not None:
+            self._attributes = None
+            markup = start_tag(self._names[-1], self._namespaces,
+                               attributes.items()) + end + markup
+        self._out.append(markup)
+
+    def start_element(self, name, namespaces=None):
+        if self._attributes is not None:
+            self._content("")
+        self._names.append(name if name.__class__ is str else name.lexical)
+        self._namespaces = namespaces
+        self._attributes = {}
+
+    def end_element(self):
+        if not self._names:
+            raise ReproError("end_element with no open element")
+        if self._attributes is None:
+            self._out.append("</%s>" % self._names.pop())
+        else:
+            self._content("", "/>")
+            self._names.pop()
+
+    def attribute(self, name, value):
+        if self._attributes is None:
+            raise self._misplaced(name, bool(self._names))
+        self._attributes[QName(name) if type(name) is str else name] = value
+
+    def text(self, value):
+        if value:
+            self._content(escape_text(value))
+
+    def comment(self, value):
+        self._content(comment_markup(value))
+
+    def processing_instruction(self, target, value):
+        self._content(pi_markup(target, value))
+
+    def finish(self):
+        """Return the markup written."""
+        if self._names:
+            raise ReproError("%d element(s) left open" % len(self._names))
+        return "".join(self._out)
 
 
 # -- terse constructors for tests and examples -------------------------------

@@ -73,6 +73,19 @@ def pi_markup(target, value):
     return "<?%s %s?>" % (target, value.replace("?>", "? >"))
 
 
+def start_tag(tag, namespaces, attributes):
+    """A start tag up to (not including) its ``>``: the namespace
+    declarations sorted, then each ``(QName, value)`` of ``attributes``."""
+    if not namespaces and not attributes:
+        return "<" + tag
+    return "".join(["<" + tag] + [
+        ' xmlns%s="%s"' % (":" + prefix if prefix else "",
+                           escape_attribute(uri))
+        for prefix, uri in sorted((namespaces or {}).items())] + [
+        ' %s="%s"' % (name.lexical, escape_attribute(value))
+        for name, value in attributes])
+
+
 def _write(node, out, method, indent, depth):
     kind = node.kind
     if kind == NodeKind.DOCUMENT:
@@ -118,17 +131,8 @@ def _write_element(element, out, method, indent, depth):
     pad = ""
     if indent and out and out[-1].endswith(">"):
         pad = "\n" + "  " * depth
-    out.append("%s<%s" % (pad, tag))
-    for prefix, uri in sorted(element.namespaces.items()):
-        if prefix:
-            out.append(' xmlns:%s="%s"' % (prefix, escape_attribute(uri)))
-        else:
-            out.append(' xmlns="%s"' % escape_attribute(uri))
-    for attribute in element.attributes:
-        out.append(
-            ' %s="%s"'
-            % (attribute.name.lexical, escape_attribute(attribute.value))
-        )
+    out.append(pad + start_tag(tag, element.namespaces, [
+        (attribute.name, attribute.value) for attribute in element.attributes]))
 
     is_html = method == "html"
     if not element.children:

@@ -5,8 +5,8 @@ pickle it.  Each instruction's semantics live in one ``bind(program)`` that
 returns a closure ``run(vm, context, output)`` over its pre-resolved names,
 its expressions' closures and its nested bodies' closures — ``vm`` is the
 :class:`~repro.xslt.vm.XsltVM` holding the run's state, ``context`` an
-:class:`~repro.xpath.context.XPathContext`, ``output`` a
-:class:`~repro.xmlmodel.builder.TreeBuilder`.  ``program`` is the
+:class:`~repro.xpath.context.XPathContext`, ``output`` an output handler
+(:mod:`repro.xmlmodel.builder`: a tree or markup).  ``program`` is the
 :class:`~repro.xslt.program.Program` doing the binding; what differs under
 partial evaluation (every branch explored, predicates dropped) is asked of
 it at bind time, never tested per node.
@@ -293,9 +293,7 @@ class CopyInstr(Instruction):
             node = context.node
             kind = node.kind
             if kind == NodeKind.ELEMENT:
-                name = node.name
-                output.start_element(QName(name.local, name.uri, name.prefix),
-                                     dict(node.namespaces))
+                output.start_element(node.name, node.namespaces)
                 body(vm, context, output)
                 output.end_element()
             elif kind == NodeKind.DOCUMENT:
@@ -303,9 +301,7 @@ class CopyInstr(Instruction):
             elif kind == NodeKind.TEXT:
                 output.text(node.value)
             elif kind == NodeKind.ATTRIBUTE:
-                name = node.name
-                output.attribute(QName(name.local, name.uri, name.prefix),
-                                 node.value)
+                output.attribute(node.name, node.value)
             elif kind == NodeKind.COMMENT:
                 output.comment(node.value)
             elif kind == NodeKind.PI:

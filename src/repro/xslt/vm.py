@@ -61,13 +61,14 @@ class XsltVM:
             self._template_stack = []
             self._explore_stack = []
 
-    def transform_document(self, document, params=None):
-        """Run the stylesheet; returns the result tree :class:`Document`."""
+    def transform_document(self, document, params=None, output=None):
+        """Run the stylesheet into ``output``, a ``TreeBuilder`` unless
+        given (a ``MarkupWriter`` writes markup); returns its finish()."""
         stylesheet = self.stylesheet
         if stylesheet.strip_space_names:
             document = strip_space(document, stylesheet.strip_space_names,
                                    stylesheet.preserve_space_names)
-        output = TreeBuilder()
+        output = TreeBuilder() if output is None else output
         context = XPathContext(
             document,
             variables={},
