@@ -29,7 +29,6 @@ __version__ = "1.0.0"
 
 # Convenience re-exports of the paper's front door.
 from repro.core import (  # noqa: E402
-    RewriteOptions,
     TransformResult,
     XsltRewriter,
     rewrite_combined,
@@ -54,7 +53,6 @@ __all__ = [
     "Engine",
     "ExplainReport",
     "OptimizerLevel",
-    "RewriteOptions",
     "Strategy",
     "TransformOptions",
     "TransformResult",

@@ -37,7 +37,6 @@ from repro.core.transform import (
     execute_compiled_stream,
     source_fingerprint,
 )
-from repro.core.xquery_gen import RewriteOptions
 from repro.obs import get_tracer, global_metrics
 from repro.obs.recorder import transform_fields
 
@@ -101,10 +100,6 @@ class TransformOptions:
         is a tuning value only — the result and the work counters are
         the same at every size.
     :param chunk_chars: coalescing target for streamed output chunks.
-    :param rewrite_options: a full
-        :class:`~repro.core.xquery_gen.RewriteOptions` for per-technique
-        ablation (``inline_templates`` forces the §4.4 inline mode on or
-        off); None lets the pipeline decide.
     :param optimizer_level: plan-optimizer level — ``"off"`` (execute
         the merged plan as emitted) or ``"cost"`` (statistics-driven
         access-path and join-strategy selection).  None uses the planner
@@ -125,7 +120,6 @@ class TransformOptions:
     deadline: float = None
     batch_size: int = None
     chunk_chars: int = DEFAULT_CHUNK_CHARS
-    rewrite_options: RewriteOptions = None
     optimizer_level: str = None
     strategy: str = None
     decorrelate: bool = True
@@ -182,17 +176,12 @@ class TransformOptions:
         they never fragment the cache."""
         from repro.rdb.planner import normalize_level
 
-        token = ""
-        if self.rewrite_options is not None:
-            token = ",".join(
-                "%s=%r" % (name, getattr(self.rewrite_options, name))
-                for name in RewriteOptions.__slots__
-            )
         # normalized so None and the explicit default level share a key;
-        # "auto" is the token the decorrelate default has always had
-        return "rw=%d;opt=%s;dcr=%s;%s" % (
+        # "auto" and the trailing ";" keep the key every earlier build
+        # wrote, so their disk artifacts still hit
+        return "rw=%d;opt=%s;dcr=%s;" % (
             self.effective_rewrite(), normalize_level(self.optimizer_level),
-            "auto" if self.decorrelate else "off", token,
+            "auto" if self.decorrelate else "off",
         )
 
 

@@ -6,7 +6,7 @@ Pipeline (paper Figure 1)::
         └─ partial evaluation  (repro.core.partial_eval)
              sample document × traced VM → template execution graph
         └─ XQuery generation   (repro.core.xquery_gen)
-             inline / non-inline modes, §3.3–§3.7 optimisations
+             inline except on cycles, §3.3–§3.7 optimisations
         └─ SQL/XML rewrite     (repro.core.sql_rewrite)
              XQuery merged into the view's construction → relational plan
         └─ front door          (repro.core.transform)
@@ -17,7 +17,7 @@ XSLT view rewritten end-to-end).
 """
 
 from repro.core.partial_eval import PartialEvaluation, partially_evaluate
-from repro.core.xquery_gen import RewriteOptions, generate_xquery
+from repro.core.xquery_gen import generate_xquery
 from repro.core.pipeline import RewriteOutcome, XsltRewriter
 from repro.core.transform import (
     STRATEGY_FUNCTIONAL,
@@ -42,7 +42,6 @@ from repro.core.xmlquery import rewrite_extract, rewrite_xml_exists
 __all__ = [
     "CompiledTransform",
     "PartialEvaluation",
-    "RewriteOptions",
     "RewriteOutcome",
     "STRATEGY_FUNCTIONAL",
     "STRATEGY_SQL",

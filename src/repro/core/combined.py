@@ -66,8 +66,7 @@ def compose_modules(inner, outer, prefix="i_"):
     )
 
 
-def rewrite_xslt_over_xquery(stylesheet, inner_module, input_schema,
-                             options=None):
+def rewrite_xslt_over_xquery(stylesheet, inner_module, input_schema):
     """XSLT over an XQuery-defined XMLType (§3.2, third bullet).
 
     The inner query's *result* structure is derived by static typing
@@ -80,14 +79,12 @@ def rewrite_xslt_over_xquery(stylesheet, inner_module, input_schema,
     from repro.core.pipeline import XsltRewriter
 
     result_schema = infer_result_schema(inner_module, input_schema)
-    outcome = XsltRewriter(options).rewrite_to_xquery(
-        stylesheet, result_schema
-    )
+    outcome = XsltRewriter().rewrite_to_xquery(stylesheet, result_schema)
     composed = compose_modules(inner_module, outcome.xquery_module)
     return composed, outcome
 
 
-def rewrite_combined(stylesheet, base_view_query, user_query, options=None):
+def rewrite_combined(stylesheet, base_view_query, user_query):
     """The full example-2 pipeline.
 
     :param stylesheet: the XSLT applied by the XSLT view (Table 9);
@@ -96,8 +93,7 @@ def rewrite_combined(stylesheet, base_view_query, user_query, options=None):
     :returns: ``(combined_sql_query, xslt_outcome)`` — the optimal
         relational query (Table 11) and the intermediate XSLT rewrite.
     """
-    xslt_rewriter = XsltRewriter(options)
-    outcome = xslt_rewriter.rewrite_view(stylesheet, base_view_query)
+    outcome = XsltRewriter().rewrite_view(stylesheet, base_view_query)
     if outcome.sql_query is None:
         raise RewriteError("the XSLT view itself could not be rewritten")
     combined = rewrite_xquery_over_view(user_query, outcome.sql_query)

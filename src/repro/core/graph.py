@@ -5,8 +5,9 @@ edge records that executing one state's template body reached another state
 through an ``apply-templates``/``call-template`` site.  "Each template
 instantiation creates a new graph state (unless there is a recursion)".
 
-The graph drives the inline/non-inline decision (§4.4): a recursive graph
-forces non-inline mode.
+The graph drives the inline/non-inline decision (§4.4, narrowed as §7.2
+proposes): the states on a cycle become functions, every other state
+inlines.
 """
 
 from __future__ import annotations

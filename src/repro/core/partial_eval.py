@@ -38,11 +38,6 @@ class PartialEvaluation:
         self.instantiated_templates = trace.instantiated_templates()
         self.recursive = graph.is_recursive()
 
-    @property
-    def inline_mode(self):
-        """§4.4: inline unless the execution graph contains a recursion."""
-        return not self.recursive
-
     def pruned_templates(self):
         """Templates never instantiated on any conforming document (§3.7)."""
         return [

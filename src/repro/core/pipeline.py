@@ -27,7 +27,7 @@ from repro.rdb.storage import ObjectRelationalStorage
 from repro.xslt.stylesheet import Stylesheet, compile_stylesheet
 from repro.core.partial_eval import partially_evaluate
 from repro.core.sql_rewrite import SqlRewriter
-from repro.core.xquery_gen import RewriteOptions, XQueryGenerator
+from repro.core.xquery_gen import XQueryGenerator
 
 
 def _tag(exc, stage):
@@ -92,31 +92,10 @@ class RewriteOutcome:
         return self.sql_query.to_sql()
 
 
-def _resolve_rewrite_options(options):
-    """Normalize the rewriter's options: None → defaults, RewriteOptions
-    → as-is, and the unified :class:`repro.api.TransformOptions` →
-    its ``rewrite_options``."""
-    if options is None:
-        return RewriteOptions()
-    if isinstance(options, RewriteOptions):
-        return options
-    # imported lazily: repro.api imports repro.core.transform, which
-    # imports this module
-    from repro.api import TransformOptions
-
-    if isinstance(options, TransformOptions):
-        return options.rewrite_options or RewriteOptions()
-    raise TypeError(
-        "options must be a RewriteOptions, TransformOptions or None, "
-        "not %r" % type(options).__name__
-    )
-
-
 class XsltRewriter:
     """Compile-time XSLT rewrite driver."""
 
-    def __init__(self, options=None, tracer=None, metrics=None, ledger=None):
-        self.options = _resolve_rewrite_options(options)
+    def __init__(self, *, tracer=None, metrics=None, ledger=None):
         self.tracer = tracer or get_tracer()
         self.metrics = metrics or global_metrics()
         #: DecisionLedger every stage records into.  Callers (the front
@@ -184,7 +163,6 @@ class XsltRewriter:
                 templates_instantiated=len(partial.instantiated_templates),
                 templates_pruned=len(partial.pruned_templates()),
                 recursive=partial.recursive,
-                inline_mode=partial.inline_mode,
             )
         return partial
 
@@ -192,8 +170,7 @@ class XsltRewriter:
         with self.tracer.span("compile.xquery-gen") as span, \
                 self.metrics.histogram("compile.xquery_gen_seconds").time():
             try:
-                generator = XQueryGenerator(partial, self.options,
-                                            ledger=self.ledger)
+                generator = XQueryGenerator(partial, ledger=self.ledger)
                 module = generator.generate()
             except RewriteError as exc:
                 raise _tag(exc, "xquery-gen")

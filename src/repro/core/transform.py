@@ -330,17 +330,16 @@ class CompiledTransform:
     """
 
     __slots__ = ("stylesheet", "strategy", "outcome", "query", "ledger",
-                 "error", "options", "mask")
+                 "error", "mask")
 
     def __init__(self, stylesheet, strategy, outcome=None, query=None,
-                 ledger=None, error=None, options=None, mask=None):
+                 ledger=None, error=None, mask=None):
         self.stylesheet = stylesheet
         self.strategy = strategy
         self.outcome = outcome
         self.query = query
         self.ledger = ledger
         self.error = error
-        self.options = options
         self.mask = mask
 
     @property
@@ -415,9 +414,7 @@ def _compile_impl(db, source, stylesheet, options, tracer, metrics,
             stylesheet, STRATEGY_FUNCTIONAL, ledger=ledger,
             mask=functional_projection(source, stylesheet, ledger, tracer,
                                        reused))
-    rewrite_options = options.rewrite_options
-    rewriter = XsltRewriter(rewrite_options, tracer=tracer, metrics=metrics,
-                            ledger=ledger)
+    rewriter = XsltRewriter(tracer=tracer, metrics=metrics, ledger=ledger)
     try:
         outcome = rewriter.rewrite_view(stylesheet, source)
         with tracer.span("compile.optimize"):
@@ -433,11 +430,9 @@ def _compile_impl(db, source, stylesheet, options, tracer, metrics,
                                      partial=rewriter.partial_evaluation,
                                      error=exc)
         return CompiledTransform(stylesheet, STRATEGY_FUNCTIONAL,
-                                 ledger=ledger, error=exc,
-                                 options=rewrite_options, mask=mask)
+                                 ledger=ledger, error=exc, mask=mask)
     return CompiledTransform(stylesheet, STRATEGY_SQL, outcome=outcome,
-                             query=query, ledger=ledger,
-                             options=rewrite_options)
+                             query=query, ledger=ledger)
 
 
 def xml_transform(db, source, stylesheet, options=None, params=None,

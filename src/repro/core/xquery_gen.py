@@ -1,21 +1,22 @@
 """XQuery generation from the partial evaluation result (§3.3–3.7, §4.4).
 
-Two modes, decided by the template execution graph:
+One configuration: every technique below is a fixed compile rule.
 
-* **inline mode** (acyclic graph): template bodies are inlined at their
-  dispatch sites (§3.3); children are bound per the model group —
-  sequence → straight LET/FOR bindings (Table 14/15), choice → an
-  existence-test chain (Table 13), all/mixed → ``for $v in node()`` with
-  ``instance of`` tests (Table 12); backward parent-axis tests vanish
+* **inline** (every state off a cycle of the template execution graph):
+  template bodies are inlined at their dispatch sites (§3.3); children
+  are bound per the model group — sequence → straight LET/FOR bindings
+  (Table 14/15), choice → an existence-test chain (Table 13), all/mixed
+  → ``for $v in node()`` with ``instance of`` tests (Table 12); backward parent-axis tests vanish
   unless a pattern step carries a value predicate (§3.5, Tables 16–19);
   never-instantiated templates produce no code (§3.7); a subtree that only
   ever uses built-in templates compiles to the compact
   ``fn:string-join(//text())`` form (§3.6, Tables 20/21).
 
-* **non-inline mode** (recursive graph): one XQuery function per execution
-  graph state ``(template, context declaration)``, with conditional
-  function calls at each ``apply-templates`` site — the paper's §4.4
-  function mode.
+* **functions** (the states on a cycle): one XQuery function per such
+  execution graph state ``(template, context declaration)``, called at
+  each dispatch site — the paper's §4.4 function mode, narrowed to the
+  cycles as its §7.2 "partial inline mode" proposes.  An acyclic graph
+  therefore compiles fully inline, exactly the paper's inline mode.
 
 Unsupported constructs raise :class:`RewriteError`; the front door falls
 back to functional evaluation, as Oracle's implementation does.
@@ -31,34 +32,6 @@ from repro.xpath import ast as xp
 from repro.xpath.context import XPathContext
 from repro.xquery import ast as xq
 from repro.xslt import instructions as xi
-
-
-class RewriteOptions:
-    """Feature toggles — the ablation tests disable techniques
-    individually and hold the output equal."""
-
-    __slots__ = (
-        "inline_templates",
-        "use_model_groups",
-        "remove_backward_tests",
-        "prune_templates",
-        "builtin_compaction",
-        "partial_inline",
-    )
-
-    def __init__(self, inline_templates=True, use_model_groups=True,
-                 remove_backward_tests=True, prune_templates=True,
-                 builtin_compaction=True, partial_inline=True):
-        self.inline_templates = inline_templates
-        self.use_model_groups = use_model_groups
-        self.remove_backward_tests = remove_backward_tests
-        self.prune_templates = prune_templates
-        self.builtin_compaction = builtin_compaction
-        # §7.2 "partial inline mode": with a recursive execution graph,
-        # only the states on cycles become functions; acyclic states still
-        # inline.  False reproduces the paper's shipping behaviour (any
-        # recursion forces everything into function mode).
-        self.partial_inline = partial_inline
 
 
 ROOT_VAR = "var000"
@@ -80,9 +53,8 @@ class _Cursor:
 class XQueryGenerator:
     """Generates one XQuery module from a partial evaluation."""
 
-    def __init__(self, partial_evaluation, options=None, ledger=None):
+    def __init__(self, partial_evaluation, *, ledger=None):
         self.pe = partial_evaluation
-        self.options = options or RewriteOptions()
         self.vm = partial_evaluation.vm
         self.sample = partial_evaluation.sample
         self.schema = partial_evaluation.schema
@@ -104,24 +76,18 @@ class XQueryGenerator:
             self.sample.document,
             namespaces=self.pe.stylesheet.namespaces,
         )
-        self.inline_mode = (
-            partial_evaluation.inline_mode and self.options.inline_templates
+        #: the states that stay functions (§7.2); empty on an acyclic graph
+        self._cyclic_states = (
+            partial_evaluation.graph.cyclic_state_keys()
+            if partial_evaluation.recursive else frozenset()
         )
-        if (
-            partial_evaluation.recursive
-            and self.options.inline_templates
-            and self.options.partial_inline
-        ):
-            self._cyclic_states = partial_evaluation.graph.cyclic_state_keys()
-        else:
-            self._cyclic_states = None  # all-or-nothing modes
 
     # -- entry point ----------------------------------------------------------
 
     def generate(self):
         """Produce the :class:`repro.xquery.ast.Module`."""
         root_cursor = _Cursor(ROOT_VAR, self.sample.document)
-        if self.options.builtin_compaction and not self.pe.instantiated_templates:
+        if not self.pe.instantiated_templates:
             body = self._builtin_compact(root_cursor)
             body.xq_comment = "builtin template only (Table 21)"
         else:
@@ -138,15 +104,19 @@ class XQueryGenerator:
     def _dispatch_node(self, cursor, mode, params):
         """Dispatch one bound node (cursor) to its candidate templates —
         the translated form of "find the matching template rule"."""
-        node = cursor.node
-        candidates = self.vm.find_candidate_rules(node, mode, self._match_context)
-        if self.options.prune_templates:
-            candidates = [
-                rule
-                for rule in candidates
-                if rule.template in self.pe.instantiated_templates
-            ]
-        return self._candidate_chain(candidates, cursor, mode, params)
+        return self._candidate_chain(self._live_rules(cursor.node, mode),
+                                     cursor, mode, params)
+
+    def _live_rules(self, node, mode):
+        """The candidate rules for ``node`` whose template is ever
+        instantiated — never-instantiated templates produce no code
+        (§3.7)."""
+        return [
+            rule
+            for rule in self.vm.find_candidate_rules(
+                node, mode, self._match_context)
+            if rule.template in self.pe.instantiated_templates
+        ]
 
     def _candidate_chain(self, candidates, cursor, mode, params):
         if not candidates:
@@ -191,37 +161,28 @@ class XQueryGenerator:
                         [xp.PathExpr(list(climb), start=cursor.ref())],
                     )
                 )
-        if self.options.remove_backward_tests:
-            # structurally guaranteed backward steps vanish; only the
-            # predicate-bearing ones survive as exists() terms (§3.5)
-            removed = len(climb) - len(ancestor_terms)
-            self.backward_steps_removed += removed
-            if removed and self.ledger is not None:
-                self.ledger.record(
-                    "backward-step", "xquery-gen", pattern.source, "removed",
-                    reason="the ancestor chain is guaranteed by the"
-                           " structural schema, so the parent-axis tests"
-                           " are redundant at runtime (§3.5)",
-                    detail={
-                        "steps_removed": removed,
-                        "removed_tests": [
-                            step.to_text()
-                            for step in climb if not step.predicates
-                        ],
-                        "surviving_tests": len(ancestor_terms),
-                        "variable": cursor.var,
-                    },
-                    template=template or self._current_template(),
-                )
-            terms.extend(ancestor_terms)
-        elif climb:
-            # ablation: keep the full backward chain even when structurally
-            # guaranteed — the straightforward [9] translation (Table 17).
-            terms.append(
-                xp.FunctionCall(
-                    "exists", [xp.PathExpr(list(climb), start=cursor.ref())]
-                )
+        # structurally guaranteed backward steps vanish; only the
+        # predicate-bearing ones survive as exists() terms (§3.5)
+        removed = len(climb) - len(ancestor_terms)
+        self.backward_steps_removed += removed
+        if removed and self.ledger is not None:
+            self.ledger.record(
+                "backward-step", "xquery-gen", pattern.source, "removed",
+                reason="the ancestor chain is guaranteed by the"
+                       " structural schema, so the parent-axis tests"
+                       " are redundant at runtime (§3.5)",
+                detail={
+                    "steps_removed": removed,
+                    "removed_tests": [
+                        step.to_text()
+                        for step in climb if not step.predicates
+                    ],
+                    "surviving_tests": len(ancestor_terms),
+                    "variable": cursor.var,
+                },
+                template=template or self._current_template(),
             )
+        terms.extend(ancestor_terms)
         if not terms:
             return None
         condition = terms[0]
@@ -268,13 +229,11 @@ class XQueryGenerator:
     # -- template instantiation ---------------------------------------------------
 
     def _instantiate_template(self, template, cursor, mode, params):
-        if self.inline_mode:
-            return self._inline_template(template, cursor, mode, params)
-        if self._cyclic_states is not None:
-            # partial inline (§7.2): only cyclic states stay functions
-            if self._state_key(template, cursor) not in self._cyclic_states:
-                return self._inline_template(template, cursor, mode, params)
-        return self._call_state_function(template, cursor, mode, params)
+        # partial inline (§7.2): only the states on a cycle are functions
+        if (self._cyclic_states
+                and self._state_key(template, cursor) in self._cyclic_states):
+            return self._call_state_function(template, cursor, mode, params)
+        return self._inline_template(template, cursor, mode, params)
 
     def _state_key(self, template, cursor):
         decl = self.sample.decl_for(cursor.node)
@@ -361,7 +320,10 @@ class XQueryGenerator:
             if self.ledger is not None:
                 self.ledger.record(
                     "template-dispatched", "xquery-gen", template.label(),
-                    "function", reason=self._dispatch_reason(template, cursor),
+                    "function",
+                    reason="state lies on a cycle of the template execution"
+                           " graph; only cyclic states stay functions under"
+                           " partial inline (§7.2)",
                     detail={"function": name,
                             "context": _node_label(cursor.node)},
                     template=template,
@@ -376,17 +338,6 @@ class XQueryGenerator:
                 args.append(self._binding_value(param, cursor))
         return xq.UserFunctionCall(declaration.name, args)
 
-    def _dispatch_reason(self, template, cursor):
-        """Why inlining was refused for this state (§4.4 / §7.2)."""
-        if not self.options.inline_templates:
-            return "template inlining disabled by RewriteOptions"
-        if self._cyclic_states is not None:
-            return ("state lies on a cycle of the template execution graph;"
-                    " only cyclic states stay functions under partial"
-                    " inline (§7.2)")
-        return ("the template execution graph is recursive, forcing"
-                " all-function mode (§4.4)")
-
     # -- built-in templates ----------------------------------------------------------
 
     def _builtin(self, cursor, mode):
@@ -396,9 +347,7 @@ class XQueryGenerator:
                 xp.FunctionCall("string", [cursor.ref()])
             )
         if node.kind in (NodeKind.ELEMENT, NodeKind.DOCUMENT):
-            if self.options.builtin_compaction and self._subtree_all_builtin(
-                node, mode
-            ):
+            if self._subtree_all_builtin(node, mode):
                 return self._builtin_compact(cursor)
             return self._children_dispatch(cursor, mode)
         return xq.EmptySequence()  # comments / PIs produce nothing
@@ -410,15 +359,7 @@ class XQueryGenerator:
             if candidate.kind == NodeKind.ELEMENT:
                 nodes.extend(candidate.attributes)
             for each in nodes:
-                rules = self.vm.find_candidate_rules(
-                    each, mode, self._match_context
-                )
-                if self.options.prune_templates:
-                    rules = [
-                        rule for rule in rules
-                        if rule.template in self.pe.instantiated_templates
-                    ]
-                if rules:
+                if self._live_rules(each, mode):
                     return False
         return True
 
@@ -479,9 +420,8 @@ class XQueryGenerator:
         if decl.is_leaf:
             return self._text_dispatch(cursor, mode)
 
-        group = decl.group if self.options.use_model_groups else "all"
-        if decl.has_text:
-            group = "all"  # mixed content: dispatch dynamically
+        # mixed content: dispatch dynamically
+        group = "all" if decl.has_text else decl.group
 
         if group == "sequence":
             items = []
@@ -551,14 +491,7 @@ class XQueryGenerator:
         text_node = _text_child(cursor.node)
         if text_node is None:
             return xq.EmptySequence()
-        candidates = self.vm.find_candidate_rules(
-            text_node, mode, self._match_context
-        )
-        if self.options.prune_templates:
-            candidates = [
-                rule for rule in candidates
-                if rule.template in self.pe.instantiated_templates
-            ]
+        candidates = self._live_rules(text_node, mode)
         if not candidates:
             return xq.ComputedTextConstructor(
                 xp.FunctionCall("string", [cursor.ref()])
@@ -584,7 +517,7 @@ class XQueryGenerator:
         new_var = self._fresh()
         child_cursor = _Cursor(new_var, sample_child)
         body = self._dispatch_node(child_cursor, mode, params)
-        single = occurs in ("1",) and self.options.use_model_groups and not sorts
+        single = occurs == "1" and not sorts
         if single:
             binding = xq.FlworExpr([xq.LetClause(new_var, path)], body)
         else:
@@ -597,8 +530,8 @@ class XQueryGenerator:
                 reason = ("the model group says the element occurs exactly"
                           " once, so a LET binding replaces iteration (§3.4)")
             elif occurs == "1":
-                reason = ("sorting (or disabled model groups) forces a FOR"
-                          " even though occurrence is 1")
+                reason = ("sorting forces a FOR even though occurrence"
+                          " is 1")
             else:
                 reason = ("schema occurrence %r permits repetition, so the"
                           " binding iterates with FOR (§3.4)" % occurs)
@@ -1128,6 +1061,6 @@ _GENERATORS = {
 }
 
 
-def generate_xquery(partial_evaluation, options=None, ledger=None):
+def generate_xquery(partial_evaluation, *, ledger=None):
     """Generate the XQuery module for a partially evaluated stylesheet."""
-    return XQueryGenerator(partial_evaluation, options, ledger=ledger).generate()
+    return XQueryGenerator(partial_evaluation, ledger=ledger).generate()

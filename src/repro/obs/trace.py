@@ -1,7 +1,7 @@
 """Lightweight nested tracing spans with real trace context.
 
 The paper's argument is *measured* (Figures 2–3, §5): rewrite vs
-functional evaluation, per-technique ablations, per-plan costs.  This
+functional evaluation, per-stage compile costs, per-plan costs.  This
 module provides the span machinery those measurements hang off of:
 
 * :class:`Span` — a named, timed (``time.perf_counter``) unit of work

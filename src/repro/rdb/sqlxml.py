@@ -380,12 +380,9 @@ class XMLConcat(SqlExpr):
         return tuple(self.items)
 
     def bind(self, binder, layout):
+        # in content and as an output column too: the base ``emit``
+        # calls this template
         return _template(self, binder, layout)
-
-    def emit(self, binder, layout, cg):
-        # in content: its items' pieces, kept apart
-        return "%s([%s])" % (cg.helper("_items", row_items), ", ".join(
-            cg.emit(expr, binder, layout) for expr in self.items))
 
     def to_sql(self):
         return "XMLConcat(%s)" % ", ".join(expr.to_sql() for expr in self.items)

@@ -192,6 +192,16 @@ def fn_generate_id(context, value=None):
         node = value[0]
     # Stable across repeated materialisations of the same stored
     # document: document order is deterministic, object ids are not.
+    # An attribute may share its element's order slot, so it is named
+    # by its element and its expanded name: unique on the element and,
+    # unlike its position among the attributes, the same in a projected
+    # materialisation that leaves sibling attributes out.  Hex keeps the
+    # id ASCII alphanumeric (XSLT 1.0 §12.4).
+    if node.kind == NodeKind.ATTRIBUTE and node.parent is not None:
+        name = node.name
+        key = name.local if name.uri is None else "{%s}%s" % (
+            name.uri, name.local)
+        return "id%da%s" % (node.parent.order, key.encode("utf-8").hex())
     return "id%d" % node.order
 
 

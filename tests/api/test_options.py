@@ -1,9 +1,11 @@
 """Tests for TransformOptions normalization."""
 
+import inspect
+
 import pytest
 
 from repro.api import Engine, OptimizerLevel, Strategy, TransformOptions
-from repro.core import RewriteOptions, xml_transform
+from repro.core import xml_transform
 from repro.errors import PlanError
 from repro.rdb import Database, INT
 from repro.rdb.storage import ObjectRelationalStorage
@@ -60,25 +62,43 @@ class TestCoerce:
         assert opts.strategy is None
 
 
-class TestRewriteOptionResolution:
-    def test_defaults_resolve_to_none(self):
-        db, storage = make_storage()
-        assert TransformOptions().rewrite_options is None
-        compiled = Engine(db).compile(storage, EXAMPLE1_STYLESHEET)
-        assert compiled.options is None
-        assert compiled.outcome.inline_mode is True
+class TestOneRewriteConfiguration:
+    """The rewrite has one configuration: no option reaches the §3.3–3.7
+    techniques or the inline rule."""
 
-    def test_explicit_rewrite_options_win(self):
-        # a RewriteOptions is the one spelling of the inline mode (and of
-        # every other ablation) and reaches the pipeline as given
+    def test_rewrite_options_field_is_gone(self):
+        with pytest.raises(TypeError):
+            TransformOptions(rewrite_options=None)
+        with pytest.raises(TypeError):
+            TransformOptions.coerce({"rewrite_options": None})
+        with pytest.raises(TypeError):
+            TransformOptions().replace(rewrite_options=None)
+
+    def test_the_compile_inlines_and_keeps_no_options(self):
         db, storage = make_storage()
-        explicit = RewriteOptions(inline_templates=False)
-        compiled = Engine(db).compile(
-            storage, EXAMPLE1_STYLESHEET,
-            options=TransformOptions(rewrite_options=explicit))
-        assert compiled.options is explicit
-        # non-inline XQuery cannot merge into the view: a compile fallback
-        assert "non-inline" in str(compiled.error)
+        compiled = Engine(db).compile(storage, EXAMPLE1_STYLESHEET)
+        assert compiled.is_rewritten
+        assert compiled.outcome.inline_mode is True
+        assert "options" not in compiled.__slots__
+
+    def test_the_rewriter_takes_no_options(self):
+        from repro.core.pipeline import XsltRewriter
+        from repro.core.xquery_gen import XQueryGenerator, generate_xquery
+
+        with pytest.raises(TypeError):
+            XsltRewriter(TransformOptions())
+        with pytest.raises(TypeError):
+            XsltRewriter(options=None)
+        for function in (generate_xquery, XQueryGenerator, XsltRewriter):
+            assert "options" not in inspect.signature(function).parameters
+
+    def test_no_module_exports_rewrite_options(self):
+        import repro
+        import repro.core
+        import repro.core.xquery_gen
+
+        for module in (repro, repro.core, repro.core.xquery_gen):
+            assert not hasattr(module, "RewriteOptions"), module.__name__
 
 
 class TestCacheKey:
@@ -92,24 +112,24 @@ class TestCacheKey:
         assert base.cache_key() != TransformOptions(
             strategy="functional").cache_key()
         assert base.cache_key() != TransformOptions(
-            rewrite_options=RewriteOptions(inline_templates=False)
-        ).cache_key()
-        assert base.cache_key() != TransformOptions(
             decorrelate=False).cache_key()
         assert base.cache_key() != TransformOptions(
             optimizer_level="off").cache_key()
 
     def test_stable_across_instances(self):
-        a = TransformOptions(rewrite_options=RewriteOptions())
-        b = TransformOptions(rewrite_options=RewriteOptions())
+        a = TransformOptions(optimizer_level="off")
+        b = TransformOptions(optimizer_level="off")
         assert a.cache_key() == b.cache_key()
+
+    def test_default_key_is_the_one_earlier_builds_wrote(self):
+        # disk artifacts are keyed by it: an unchanged key keeps them hits
+        assert TransformOptions().cache_key() == "rw=1;opt=cost;dcr=auto;"
 
 
 class TestOneSpelling:
     def test_removed_spellings_raise_type_error(self):
-        """Options travel in ``options=`` only: the loose kwargs, the
-        ``explain`` field and a bare RewriteOptions are gone, not
-        deprecated."""
+        """Options travel in ``options=`` only: the loose kwargs and the
+        ``explain`` field are gone, not deprecated."""
         db, storage = make_storage()
         with pytest.raises(TypeError):
             xml_transform(db, storage, EXAMPLE1_STYLESHEET, rewrite=False)
@@ -118,12 +138,9 @@ class TestOneSpelling:
                           profile_plan=True)
         with pytest.raises(TypeError):
             TransformOptions(explain=True)
-        with pytest.raises(TypeError):
-            TransformOptions.coerce(RewriteOptions())
 
     def test_second_spellings_raise_at_construction(self):
-        """``strategy`` is the one way to pick the strategy, a
-        ``RewriteOptions`` the one way to force the inline mode; there
+        """``strategy`` is the one way to pick the strategy; there
         are two optimizer levels, a two-valued ``decorrelate``, and
         ``level="off"`` is the one way to run a plan as written."""
         for removed in ({"rewrite": False}, {"rewrite": True},
@@ -143,21 +160,6 @@ class TestOneSpelling:
         with pytest.raises(ValueError, match="invalid decorrelate None"):
             TransformOptions(decorrelate=None)
         assert not hasattr(TransformOptions, "resolved_rewrite_options")
-
-    def test_the_rewriter_reads_the_field_that_replaced_it(self):
-        """``XsltRewriter(TransformOptions(...))`` called the removed
-        ``resolved_rewrite_options()`` and raised AttributeError."""
-        from repro.core.pipeline import XsltRewriter
-        from repro.core.xquery_gen import RewriteOptions
-
-        defaults = XsltRewriter(TransformOptions()).options
-        assert isinstance(defaults, RewriteOptions)
-        assert [getattr(defaults, name) for name in RewriteOptions.__slots__] \
-            == [getattr(RewriteOptions(), name)
-                for name in RewriteOptions.__slots__]
-        chosen = RewriteOptions(inline_templates=False)
-        assert XsltRewriter(
-            TransformOptions(rewrite_options=chosen)).options is chosen
 
     def test_second_spellings_below_the_options_raise_too(self):
         from repro.serve.cache import PlanCache

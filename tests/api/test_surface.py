@@ -20,7 +20,6 @@ class TestPackageSurface:
             "Engine",
             "ExplainReport",
             "OptimizerLevel",
-            "RewriteOptions",
             "Strategy",
             "TransformOptions",
             "TransformResult",
@@ -91,7 +90,6 @@ class TestOptionsSurface:
         assert opts.deadline is None
         assert opts.batch_size is None
         assert opts.chunk_chars == 8192
-        assert opts.rewrite_options is None
         assert opts.optimizer_level is None
         assert opts.strategy is None
         assert opts.decorrelate is True
@@ -99,8 +97,7 @@ class TestOptionsSurface:
     def test_field_order_is_stable(self):
         # positional construction is allowed; the order is part of the API
         names = [f for f in TransformOptions.__dataclass_fields__]
-        assert names == ["deadline", "batch_size",
-                         "chunk_chars", "rewrite_options",
+        assert names == ["deadline", "batch_size", "chunk_chars",
                          "optimizer_level", "strategy", "decorrelate"]
 
     def test_choice_fields_validate_at_construction(self):

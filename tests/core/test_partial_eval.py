@@ -168,7 +168,7 @@ class TestExecutionGraph:
     def test_acyclic_for_example1(self):
         result = pe(EXAMPLE1_STYLESHEET)
         assert not result.graph.is_recursive()
-        assert result.inline_mode
+        assert not result.recursive
 
     def test_graph_states_cover_templates(self):
         result = pe(EXAMPLE1_STYLESHEET)
@@ -184,7 +184,6 @@ class TestExecutionGraph:
             "</xsl:template>"
         )
         assert result.recursive
-        assert not result.inline_mode
 
     def test_recursive_schema_rejected(self):
         recursive_dtd = "<!ELEMENT t (leaf, t?)><!ELEMENT leaf (#PCDATA)>"
@@ -194,4 +193,4 @@ class TestExecutionGraph:
     def test_builtin_only_stylesheet(self):
         result = pe("")
         assert result.instantiated_templates == set()
-        assert result.inline_mode
+        assert not result.recursive

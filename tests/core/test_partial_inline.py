@@ -1,8 +1,8 @@
 """Tests for partial inline mode (paper §7.2 future work, implemented).
 
 With a recursive execution graph the paper's shipping system dropped to
-all-function mode; partial inline keeps every acyclic state inlined and
-emits functions only for the states on cycles.
+all-function mode; here partial inline is the one inline rule: every
+acyclic state is inlined and only the states on cycles become functions.
 """
 
 from repro.schema import schema_from_dtd
@@ -11,7 +11,8 @@ from repro.xquery import xquery_to_text
 from repro.xquery.evaluator import evaluate_module, sequence_to_document
 from repro.xslt import compile_stylesheet, transform
 from repro.core.partial_eval import partially_evaluate
-from repro.core.xquery_gen import RewriteOptions, generate_xquery
+from repro.core.xquery_gen import generate_xquery
+from repro.obs import DecisionLedger
 
 from .paper_example import DEPT_DTD, DEPT_DOC_1
 
@@ -34,10 +35,11 @@ def sheet(body):
     return '<xsl:stylesheet version="1.0" %s>%s</xsl:stylesheet>' % (XSL, body)
 
 
-def build(body, options=None):
+def build(body, ledger=None):
     compiled = compile_stylesheet(sheet(body))
-    partial = partially_evaluate(compiled, schema_from_dtd(DEPT_DTD))
-    return compiled, partial, generate_xquery(partial, options)
+    partial = partially_evaluate(compiled, schema_from_dtd(DEPT_DTD),
+                                 ledger=ledger)
+    return compiled, partial, generate_xquery(partial, ledger=ledger)
 
 
 class TestPartialInline:
@@ -55,22 +57,24 @@ class TestPartialInline:
         assert '(: <xsl:template match="dept"> :)' in text
         assert '(: <xsl:template match="dname"> :)' in text
 
-    def test_paper_mode_puts_everything_in_functions(self):
-        _, _, module = build(MIXED, RewriteOptions(partial_inline=False))
-        assert len(module.functions) == 3
+    def test_only_cyclic_state_is_dispatched_in_the_ledger(self):
+        ledger = DecisionLedger()
+        build(MIXED, ledger)
+        dispatched = ledger.decisions_of(kind="template-dispatched")
+        assert [d.subject for d in dispatched] == ['name="stars"']
+        assert "cycle" in dispatched[0].reason
+        inlined = {d.subject for d in
+                   ledger.decisions_of(kind="template-inlined")}
+        assert inlined == {'match="dept"', 'match="dname"'}
 
-    def test_both_modes_equivalent_to_vm(self):
-        compiled, _, partial_module = build(MIXED)
-        _, _, full_module = build(MIXED, RewriteOptions(partial_inline=False))
-        document = parse_document(DEPT_DOC_1)
+    def test_equivalent_to_vm(self):
+        compiled, _, module = build(MIXED)
         reference = serialize_children(
             transform(compiled, parse_document(DEPT_DOC_1))
         )
-        for module in (partial_module, full_module):
-            got = serialize_children(
-                sequence_to_document(evaluate_module(module, document))
-            )
-            assert got == reference
+        got = serialize_children(sequence_to_document(
+            evaluate_module(module, parse_document(DEPT_DOC_1))))
+        assert got == reference
         assert reference.endswith("***</d>")
 
     def test_acyclic_stylesheet_unaffected(self):

@@ -280,6 +280,12 @@ HAND_CASES = [
      '<e g="{generate-id()}" i="{@id}" s="{generate-id(skill[2])}"/>'
      "</xsl:for-each></xsl:template>",
      {"dept/emp": NODE, "dept/emp/@id": CONTENT, "dept/emp/skill": NODE}),
+    # @region, before @code on the element, is never read: the projected
+    # shop element carries @code alone and must still name it alike
+    ("generate-id-of-an-attribute",
+     '<xsl:template match="shop"><xsl:value-of select="generate-id(@code)"/>'
+     "</xsl:template>",
+     {"@code": CONTENT}),
 ]
 
 

@@ -10,7 +10,8 @@ from repro.xquery import xquery_to_text, parse_xquery
 from repro.xquery.evaluator import evaluate_module, sequence_to_document
 from repro.xslt import compile_stylesheet, transform
 from repro.core.partial_eval import partially_evaluate
-from repro.core.xquery_gen import RewriteOptions, generate_xquery
+from repro.core.xquery_gen import generate_xquery
+from repro.obs import DecisionLedger
 
 from .paper_example import DEPT_DTD, EXAMPLE1_STYLESHEET, DEPT_DOC_1
 
@@ -21,18 +22,18 @@ def sheet(body):
     return '<xsl:stylesheet version="1.0" %s>%s</xsl:stylesheet>' % (XSL, body)
 
 
-def generate(body_or_sheet, dtd=DEPT_DTD, options=None):
+def generate(body_or_sheet, dtd=DEPT_DTD, ledger=None):
     text = body_or_sheet
     if "<xsl:stylesheet" not in text:
         text = sheet(text)
     compiled = compile_stylesheet(text)
-    pe = partially_evaluate(compiled, schema_from_dtd(dtd))
-    return generate_xquery(pe, options), compiled
+    pe = partially_evaluate(compiled, schema_from_dtd(dtd), ledger=ledger)
+    return generate_xquery(pe, ledger=ledger), compiled
 
 
-def equivalent(body_or_sheet, source, dtd=DEPT_DTD, options=None):
+def equivalent(body_or_sheet, source, dtd=DEPT_DTD):
     """Assert generated-XQuery output == functional XSLT output; return it."""
-    module, compiled = generate(body_or_sheet, dtd, options)
+    module, compiled = generate(body_or_sheet, dtd)
     document = parse_document(source)
     xq_out = serialize_children(
         sequence_to_document(evaluate_module(module, document))
@@ -114,20 +115,6 @@ class TestModelGroups:
                              dtd=self.CHOICE_DTD)
             assert out == expected
 
-    def test_model_groups_disabled_falls_back_to_all(self):
-        # Ablation: without model-group info we get the Table 12 shape.
-        options = RewriteOptions(use_model_groups=False)
-        module, _ = generate(
-            '<xsl:template match="dname"><N/></xsl:template>',
-            options=options,
-        )
-        text = xquery_to_text(module)
-        assert "instance of element(dname)" in text
-
-    def test_all_fallback_still_equivalent(self):
-        options = RewriteOptions(use_model_groups=False)
-        equivalent(EXAMPLE1_STYLESHEET, DEPT_DOC_1, options=options)
-
 
 class TestBackwardAxisRemoval:
     """Paper §3.5, Tables 16–19."""
@@ -167,20 +154,6 @@ class TestBackwardAxisRemoval:
         assert "<special/>" not in out
         assert "<plain/>" in out
 
-    def test_ablation_keeps_backward_chain(self):
-        options = RewriteOptions(remove_backward_tests=False)
-        body = (
-            '<xsl:template match="*"><xsl:apply-templates/></xsl:template>'
-            '<xsl:template match="emp/empno"><hit/></xsl:template>'
-        )
-        module, _ = generate(body, options=options)
-        text = xquery_to_text(module)
-        assert "exists($" in text and "parent::emp" in text
-        # the straightforward translation is still correct, just noisier
-        out = equivalent(body, DEPT_DOC_1, options=options)
-        default = equivalent(body, DEPT_DOC_1)
-        assert out == default
-
     def test_ancestor_predicate_preserved(self):
         body = (
             '<xsl:template match="empno"><plain/></xsl:template>'
@@ -212,16 +185,6 @@ class TestBuiltinOnly:
         text = xquery_to_text(module)
         assert "string-join" in text
 
-    def test_compaction_disabled(self):
-        options = RewriteOptions(builtin_compaction=False)
-        module, _ = generate("", options=options)
-        text = xquery_to_text(module)
-        assert "string-join" not in text
-
-    def test_compaction_disabled_still_equivalent(self):
-        equivalent("", DEPT_DOC_1,
-                   options=RewriteOptions(builtin_compaction=False))
-
 
 class TestTemplatePruning:
     def test_unreachable_template_generates_no_code(self):
@@ -232,32 +195,44 @@ class TestTemplatePruning:
         assert "unreachable" not in xquery_to_text(module)
 
 
-class TestAblationOverPatternsCase:
-    """Each §3.3–3.7 technique switched off alone on xsltmark's
-    ``patterns`` stylesheet, which exercises model groups, backward
-    removal and pruning: the output never changes, and the
-    straightforward translation is the longer query."""
+class TestTechniquesOnXsltmarkCases:
+    """The §3.3–3.7 techniques are fixed compile rules; the decision
+    ledger of the one compile shows each one fired, and the generated
+    query still answers as the VM does."""
 
-    @pytest.mark.parametrize("technique", [
-        "use_model_groups", "remove_backward_tests", "prune_templates",
-        "builtin_compaction",
-    ])
-    def test_one_technique_off_is_equivalent_and_no_shorter(self, technique):
+    @staticmethod
+    def compile_case(name):
+        """The case's ledger and generated module; the module must answer
+        as the VM does."""
         from repro.xmlmodel import serialize
         from repro.xsltmark import get_case
 
-        case = get_case("patterns")
-        source = serialize(case.make_document(8))
-        options = RewriteOptions(**{technique: False})
-        assert equivalent(case.stylesheet, source, dtd=case.dtd,
-                          options=options) \
-            == equivalent(case.stylesheet, source, dtd=case.dtd)
-        full = len(xquery_to_text(generate(case.stylesheet, case.dtd)[0]))
-        ablated = len(xquery_to_text(
-            generate(case.stylesheet, case.dtd, options)[0]))
-        assert ablated >= full
-        if technique == "use_model_groups":
-            assert ablated > full
+        case = get_case(name)
+        ledger = DecisionLedger()
+        module, _ = generate(case.stylesheet, case.dtd, ledger=ledger)
+        equivalent(case.stylesheet, serialize(case.make_document(8)),
+                   dtd=case.dtd)
+        return ledger, module
+
+    def test_patterns_removes_backward_steps_and_binds_with_let(self):
+        ledger, module = self.compile_case("patterns")
+        removals = ledger.decisions_of(kind="backward-step")
+        assert sum(d.detail["steps_removed"] for d in removals) > 0
+        assert any(d.action == "LET"
+                   for d in ledger.decisions_of(kind="cardinality"))
+        assert not module.functions
+
+    def test_decoy_prunes_its_never_instantiated_templates(self):
+        # every one of patterns' templates fires; decoy's decoys never do
+        ledger, module = self.compile_case("decoy")
+        assert len(ledger.decisions_of(kind="template-pruned")) == 12
+        assert xquery_to_text(module).count("(: <xsl:template") == 2
+
+    def test_empty_stylesheet_compacts_builtins(self):
+        ledger = DecisionLedger()
+        generate("", ledger=ledger)
+        compactions = ledger.decisions_of(kind="builtin-compaction")
+        assert [d.action for d in compactions] == ["string-join"]
 
 
 class TestInstructionCoverage:

@@ -10,7 +10,6 @@ import json
 
 from repro.core import xml_transform
 from repro.core.pipeline import XsltRewriter
-from repro.core.xquery_gen import RewriteOptions
 from repro.obs import DecisionLedger
 from repro.obs.decisions import (
     BACKWARD_STEP,
@@ -43,6 +42,20 @@ BACKWARD_SHEET = """<?xml version="1.0"?>
 </xsl:template>
 </xsl:stylesheet>""" % XSL
 
+# The named template calls itself: its state lies on a cycle of the
+# execution graph and becomes a function; the dept template still inlines.
+RECURSIVE_SHEET = """<?xml version="1.0"?>
+<xsl:stylesheet version="1.0" %s>
+<xsl:template match="dept">
+  <out><xsl:call-template name="count">
+    <xsl:with-param name="n" select="2"/></xsl:call-template></out>
+</xsl:template>
+<xsl:template name="count"><xsl:param name="n"/>
+  <xsl:if test="$n &gt; 0"><i/><xsl:call-template name="count">
+    <xsl:with-param name="n" select="$n - 1"/></xsl:call-template></xsl:if>
+</xsl:template>
+</xsl:stylesheet>""" % XSL
+
 EMPTY_SHEET = ('<xsl:stylesheet version="1.0" %s></xsl:stylesheet>' % XSL)
 
 
@@ -53,8 +66,8 @@ def transform_ledger(stylesheet=EXAMPLE1_STYLESHEET):
     return result
 
 
-def compile_ledger(stylesheet=EXAMPLE1_STYLESHEET, options=None):
-    rewriter = XsltRewriter(options=options)
+def compile_ledger(stylesheet=EXAMPLE1_STYLESHEET):
+    rewriter = XsltRewriter()
     return rewriter.rewrite_view(stylesheet, dept_emp_view_query()).ledger
 
 
@@ -96,17 +109,17 @@ class TestDecisionKinds:
         for decision in pruned:
             assert decision.provenance.sql_node_id is None
 
-    def test_dispatched_when_inlining_disabled(self):
+    def test_dispatched_only_on_a_cycle(self):
         from repro.rdb.infer import infer_view_structure
 
-        rewriter = XsltRewriter(
-            options=RewriteOptions(inline_templates=False))
         structure = infer_view_structure(dept_emp_view_query())
-        outcome = rewriter.rewrite_to_xquery(
-            EXAMPLE1_STYLESHEET, structure.schema)
+        outcome = XsltRewriter().rewrite_to_xquery(
+            RECURSIVE_SHEET, structure.schema)
         dispatched = outcome.ledger.decisions_of(kind=TEMPLATE_DISPATCHED)
-        assert dispatched
-        assert any("disabled" in (d.reason or "") for d in dispatched)
+        assert [d.subject for d in dispatched] == ['name="count"']
+        assert "cycle" in dispatched[0].reason
+        assert [d.subject for d in outcome.ledger.decisions_of(
+            kind=TEMPLATE_INLINED)] == ['match="dept"']
 
     def test_builtin_compaction_on_builtin_only_stylesheet(self):
         ledger = compile_ledger(EMPTY_SHEET)

@@ -1,11 +1,11 @@
 """``XMLConcat`` binds to the one template, as ``XMLElement`` does.
 
-``XMLAgg(XMLConcat(...))`` renders each row through the concat's
-template (one format per row, ``row_items`` of the row's values when a
-leaf leaves it) instead of one piece per item.  Each answer must equal,
-byte for byte, the concatenation of the same concat rendered row by row
-in content (its ``emit`` path), and stay a flat list of non-empty
-:class:`Markup` pieces.
+Every concat — aggregated by ``XMLAgg``, in element content, or a
+query's output column — renders each row through the concat's template
+(one format per row, ``row_items`` of the row's values when a leaf
+leaves it) instead of one piece per item.  An aggregated answer must
+equal, byte for byte, the concatenation of the same concat rendered row
+by row, and stay a flat list of non-empty :class:`Markup` pieces.
 """
 
 import pytest
@@ -65,3 +65,25 @@ def test_a_bound_concat_renders_as_its_content(db):
     concat = XMLConcat([const("x&"), XMLElement("e", const(3.0)),
                         const(None), const("<")])
     assert content_markup(concat.evaluate({})) == "x&amp;<e>3</e>&lt;"
+
+
+def test_an_output_column_concat_is_one_piece_per_row(db):
+    # the bytes the per-item rendering wrote; a row whose leaves all take
+    # the format is now one piece (a NULL or "" leaf renders the row
+    # through ``row_items``, as the aggregated concat does)
+    rows, _ = db.sql(
+        "SELECT XMLConcat(XMLElement(\"e\", s), s, n, 'c&') FROM t")
+    assert [content_markup(row[0]) for row in rows] == [
+        "<e>a&amp;</e>a&amp;1.5c&amp;", "<e/>c&amp;", "<e/>2c&amp;",
+        '<e>&lt;b&gt;"</e>&lt;b&gt;"3c&amp;', "<e>%s</e>%s0c&amp;"]
+    for (k, s, n), (value,) in zip(ROWS, rows):
+        if s and n is not None:
+            assert type(value) is Markup, k
+
+
+def test_a_concat_in_content_renders_as_the_output_column_does(db):
+    rows, _ = db.sql(
+        "SELECT XMLElement(\"w\", XMLConcat(XMLElement(\"e\", s), s, n,"
+        " 'c&')), XMLConcat(XMLElement(\"e\", s), s, n, 'c&') FROM t")
+    for wrapped, bare in rows:
+        assert content_markup(wrapped) == "<w>%s</w>" % content_markup(bare)

@@ -277,6 +277,26 @@ def shop_storage(*sources, indexed=True):
     return storage
 
 
+class TestGenerateIdPerNode:
+    """XSLT 1.0 §12.4: generate-id() names every node apart.  The emit
+    program lends an element's order slot to its attributes, so the id
+    cannot be the slot alone."""
+
+    def test_every_node_and_attribute_of_a_materialised_document(self):
+        from tests.xslt.test_vm_functions import ALL_IDS, sheet
+
+        storage = shop_storage(FULL)
+        document = storage.materialize(1)
+        expected = sum(1 + len(getattr(node, "attributes", ()))
+                       for node in document.iter_subtree()
+                       if node.kind != NodeKind.DOCUMENT)
+        result = Engine(storage.db).transform(
+            storage, sheet(ALL_IDS), options={"strategy": "functional"})
+        ids = result.serialized_rows()[0].split()
+        assert len(ids) == expected
+        assert len(set(ids)) == len(ids)
+
+
 class TestDifferential:
     @pytest.mark.parametrize("indexed", [True, False])
     @pytest.mark.parametrize("sources", [

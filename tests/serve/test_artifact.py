@@ -127,10 +127,33 @@ class TestEncodeDecode:
     def test_payload_carries_every_slot_and_format_stays(self):
         """No slot of a compiled plan is a runtime handle dropped on the
         way to disk: the payload is every slot — the fields format 5
-        always wrote, so the format version stays."""
+        always wrote, less the write-only ``options`` slot, which a load
+        ignores — so the format version stays."""
         _, _, compiled = compile_one()
         assert set(compiled.__getstate__()) == set(CompiledTransform.__slots__)
         assert ARTIFACT_FORMAT_VERSION == 5
+
+    def test_a_payload_with_the_old_options_slot_loads_and_runs(self):
+        import pickle
+
+        from repro.api import Engine
+
+        db, storage, compiled = compile_one()
+
+        class EarlierBuild:
+            """Pickles as a format-5 payload of a build whose plans still
+            carried ``options`` (always None: nothing set it)."""
+
+            def __reduce__(self):
+                return (object.__new__, (CompiledTransform,),
+                        dict(compiled.__getstate__(), options=None))
+
+        loaded = pickle.loads(pickle.dumps(EarlierBuild()))
+        assert type(loaded) is CompiledTransform
+        assert not hasattr(loaded, "options")
+        engine = Engine(db, metrics=MetricsRegistry())
+        assert engine.execute(storage, loaded).serialized_rows() \
+            == engine.execute(storage, compiled).serialized_rows()
 
     def test_artifact_key_is_stable_and_injective_on_parts(self):
         assert artifact_key("a", "b") == artifact_key("a", "b")

@@ -54,6 +54,14 @@ class TestSystemProperties:
         assert run("unparsed-entity-uri('pic')") == ""
 
 
+#: one generate-id() per node and attribute of the source, space-separated
+ALL_IDS = (
+    '<xsl:template match="/"><xsl:for-each select="//node() | //@*">'
+    '<xsl:value-of select="generate-id()"/><xsl:text> </xsl:text>'
+    "</xsl:for-each></xsl:template>"
+)
+
+
 class TestGenerateId:
     def test_empty_node_set_empty_string(self):
         assert run("generate-id(//nothing)") == ""
@@ -72,6 +80,29 @@ class TestGenerateId:
             "</xsl:template>"
         )
         assert transform_to_string(sheet(body), "<r><a/><b/></r>") == "true"
+
+    def test_every_node_and_attribute_of_a_built_document_has_its_own_id(self):
+        # TreeBuilder lends an element's order slot to its attributes
+        from repro.xmlmodel import TreeBuilder, serialize_children
+        from repro.xslt import compile_stylesheet, transform
+
+        builder = TreeBuilder()
+        builder.start_element("r")
+        builder.attribute("x", "1")
+        builder.attribute("y", "2")
+        builder.start_element("a")
+        builder.attribute("z", "3")
+        builder.text("t")
+        builder.end_element()
+        builder.start_element("b")
+        builder.end_element()
+        builder.end_element()
+        ids = serialize_children(transform(
+            compile_stylesheet(sheet(ALL_IDS)), builder.finish())).split()
+        assert len(ids) == 7  # r, @x, @y, a, @z, t, b
+        assert len(set(ids)) == len(ids)
+        # elements and text keep the ids they always had
+        assert [ids[0], ids[3], ids[5], ids[6]] == ["id1", "id2", "id3", "id4"]
 
 
 class TestKeyFunction:
