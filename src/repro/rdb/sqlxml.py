@@ -165,13 +165,18 @@ def _render(nest, values, stats):
     attribute is ``(prefix, leaf index)``, or ``(text, None)`` when
     constant; a content item is a leaf index, a nested element's nest or
     constant text.  An ``XMLConcat``'s nest has no tags (``head`` is
-    None) and renders as :func:`row_items` of its content."""
+    None): its content renders as :func:`row_items` does, joined into
+    one piece as the format joins it (no piece when it is all empty, and
+    left a list, like an element's, when it holds a sequence)."""
     head, close, attributes, content = nest
     content = [values[item] if type(item) is int
                else _render(item, values, stats) if type(item) is tuple
                else item for item in content]
     if head is None:
-        return row_items(content)
+        pieces = row_items(content)
+        if not pieces or any(isinstance(value, list) for value in content):
+            return pieces
+        return Markup("".join(pieces))
     for text, index in attributes:
         if index is None:
             head += text

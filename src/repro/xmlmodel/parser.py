@@ -49,7 +49,7 @@ def _build(source, strip_whitespace, fragment):
                            chunk_size=max(1, len(source)))
     document = Document()
     parent = document
-    siblings = document.children
+    siblings = document._children
     # Nodes are numbered as Document.stamp would: an element, then its
     # attributes, then its content.
     order = 1
@@ -69,7 +69,7 @@ def _build(source, strip_whitespace, fragment):
                 text = Text(value)
                 text.parent = node
                 text.order = order + 1
-                node.children.append(text)
+                node._children.append(text)
                 order += 2
             continue
         if kind == "start":
@@ -90,11 +90,11 @@ def _build(source, strip_whitespace, fragment):
             node.parent = parent
             siblings.append(node)
             parent = node
-            siblings = node.children
+            siblings = node._children
             continue
         if kind == "end":
             parent = parent.parent
-            siblings = parent.children
+            siblings = parent._children
             continue
         if kind == "text":
             node = Text(event[1])

@@ -39,10 +39,12 @@ into a single ``text`` event, with a ``<![CDATA[`` open acting as a node
 boundary: text before the section is its own event, the section's content
 (never entity-expanded, never whitespace-stripped) merges with what follows.
 
-Tokens are matched by one compiled regular expression, and only once their
-closing delimiter is buffered, so chunk boundaries never change the events:
-an attribute-less element that the end of the buffer cuts short of a leaf
-waits for more input before it becomes a ``start`` event.
+The scanner sweeps: one compiled alternation is driven contiguously over
+the buffer, each match a run of character data and the token that ends it
+(no separate search for ``<``).  A match is taken only once its closing
+delimiter is buffered, so chunk boundaries never change the events: a run
+of text to the end of the buffer, or an element it cuts short of a leaf,
+waits for more input (that element is a ``start`` only at end of input).
 Memory is bounded by the input chunk size plus the largest single token
 (one tag, one run of character data): the consumed prefix of the buffer is
 dropped as chunks arrive, and the buffer's high-water mark is exposed as
@@ -86,37 +88,42 @@ _QNAME = r"%s(?::%s)?" % (_NAME, _NAME)
 _VALUE = r"""(?:"[^"]*"|'[^']*')"""
 _S = r"[ \t\r\n]*"
 
-# One alternative per token kind.  The first is an element, its whole name
-# (the lookahead keeps a name from giving back characters, so <abc="1"> is
-# no tag "ab" with an attribute "c"; Python 3.9's re has no atomic group to
-# say it), then one of
-#   a start tag with attributes;
+# A sweep match: a run of character data (maybe empty), then a token, a "<"
+# that starts none (see StreamParser._unmatched) or the end of the buffer.
+# The first token is an element, its whole name (the lookahead keeps a name
+# from giving back characters, so <abc="1"> is no tag "ab" with an
+# attribute "c"; Python 3.9's re has no atomic group to say it), then, the
+# common case first (a tag with attributes fails it at its first name):
 #   a leaf: no attributes, and empty or plain character data (no reference,
 #     no markup) closed by its own end tag -- the back-reference checks it,
 #     so a mismatched one is left to the start tag and its error;
 #   a leaf cut short: the same up to the end of the buffer, in its text or
 #     in what may become its end tag (see StreamParser._scan);
-#   an attribute-less start tag.
-# Groups: 1 the element name, 2 the attributes and 3 the "/" of a start tag
-# with attributes, 4 a leaf's text, 5 the tail of a cut leaf, 6 (empty) an
-# attribute-less start tag, 7 an end tag's name, 8 a comment, 9 a CDATA
-# section, 10 and 11 a processing instruction's target and data.
-# Match.lastindex, the last group closed, gives the kind through _KINDS.
-_TOKEN = re.compile(
-    r"<(%(qname)s)(?=[ \t\r\n/>])"
-    r"(?:((?:%(s)s%(qname)s%(s)s=%(s)s%(value)s)+)%(s)s(/?)>"
-    r"|%(s)s(?:/>|>(?:([^<&]*)</\1%(s)s>"
-    r"|[^<&]*(<|</[%(chars)s:]*%(s)s|)\Z|())))"
-    r"|</(%(qname)s)%(s)s>"
-    r"|<!--(.*?)-->"
-    r"|<!\[CDATA\[(.*?)\]\]>"
-    r"|<\?(%(name)s)%(s)s(.*?)\?>"
+#   an attribute-less start tag;
+#   a start tag with attributes.
+# Groups: 1 the run, 2 the element name, 3 a leaf's text, 4 the tail of a
+# cut leaf, 5 (empty) an attribute-less start tag, 6 the attributes and 7
+# the "/" of a start tag with attributes, 8 an end tag's name, 9 a comment,
+# 10 a CDATA section, 11 and 12 a processing instruction's target and data,
+# 13 (empty) the end of the buffer.  Match.lastindex, the last group
+# closed, gives the kind through _KINDS (1 alone: an unmatched "<").
+_SWEEP = re.compile(
+    r"([^<]*)(?:<(?:(%(qname)s)(?=[ \t\r\n/>])"
+    r"(?:%(s)s(?:/>|>(?:([^<&]*)</\2%(s)s>"
+    r"|[^<&]*(<|</[%(chars)s:]*%(s)s|)\Z|()))"
+    r"|((?:%(s)s%(qname)s%(s)s=%(s)s%(value)s)+)%(s)s(/?)>)"
+    r"|/(%(qname)s)%(s)s>"
+    r"|!--(.*?)-->"
+    r"|!\[CDATA\[(.*?)\]\]>"
+    r"|\?(%(name)s)%(s)s(.*?)\?>)"
+    r"|(?=<)|()\Z)"
     % {"name": _NAME, "qname": _QNAME, "value": _VALUE, "s": _S,
        "chars": _NAME_CHARS},
     re.DOTALL)
-_LEAF, _CUT, _START, _END, _COMMENT, _CDATA, _PI = range(1, 8)
-_KINDS = (None, _LEAF, None, _START, _LEAF, _CUT, _START, _END, _COMMENT,
-          _CDATA, None, _PI)
+(_LEAF, _START, _END, _CDATA, _COMMENT, _PI, _UNMATCHED, _CUT,
+ _MORE) = range(1, 10)
+_KINDS = (None, _UNMATCHED, _LEAF, _LEAF, _CUT, _START, None, _START, _END,
+          _COMMENT, _CDATA, None, _PI, _MORE)
 # The XML 1.0 Char production: what a character reference may name.
 _XML_CHAR = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
@@ -157,14 +164,14 @@ def document_events(document):
     comment_kind = NodeKind.COMMENT
     no_attributes = []  # shared: consumers only read it
     open_names = []
-    walks = [iter(document.children)]
+    walks = [iter(document._children)]
     while walks:
         for node in walks[-1]:
             kind = node.kind
             if kind == element_kind:
-                local = node.name.local
+                local = node._name.local
                 attributes = node.attributes
-                children = node.children
+                children = node._children
                 if not attributes:
                     if not children:
                         yield ("leaf", local, None)
@@ -382,12 +389,13 @@ class StreamParser:
         return self._scan(fragment=False)
 
     def _scan(self, fragment):
-        """The one tokenising loop.  With ``fragment``, character data and
-        any number of elements may sit at the top level."""
+        """The one tokenising loop: sweeps of ``_SWEEP``, each from where
+        the last one stopped.  With ``fragment``, character data and any
+        number of elements may sit at the top level."""
         strip = self.strip_whitespace
-        match = _TOKEN.match
         kinds = _KINDS
-        open_tags = []    # lexical names of the open elements
+        depth = 0
+        open_tags = [None] * (MAX_ELEMENT_DEPTH + 1)  # lexical, at 1..depth
         text = None       # merged character data not yet emitted
         # Until the first element (or top-level text of a fragment): where
         # a DOCTYPE may appear and white space is not content.
@@ -395,147 +403,131 @@ class StreamParser:
         names = self._element_names
         scopes = self._outer_scopes
         pos = self._skip_declaration()
-        buf = self._buf
-        # Ahead of self._line/_counted, which _fill and _fail catch up.
-        line, counted = self._line, self._counted
         while True:
-            lt = buf.find("<", pos)
-            if lt < 0:
-                more = self._fill(pos)
-                if more >= 0:
-                    pos = more
-                    buf = self._buf
-                    line, counted = self._line, self._counted
-                    continue
-                lt = len(buf)  # end of input: the rest is character data
-            if lt > pos:
-                raw = buf[pos:lt]
-                if open_tags or (fragment
-                                 and not (in_prolog and raw.isspace())):
-                    in_prolog = False
-                    if "]]>" in raw:
-                        self._fail(_CDATA_END_IN_TEXT, pos + raw.index("]]>"))
-                    if "&" in raw:
-                        raw = self._expand(raw, pos)
-                    if not (strip and raw.isspace()):
-                        text = raw if text is None else text + raw
-                elif not raw.isspace():
-                    self._fail("text content outside the document element",
-                               pos + len(raw) - len(raw.lstrip()))
-                pos = lt
-            if lt == len(buf):
-                break
-            token = match(buf, pos)
-            if token is None:
-                pos = self._unmatched(pos, in_prolog)
-                buf = self._buf
-                line, counted = self._line, self._counted
-                continue
-            kind = kinds[token.lastindex]
-            if kind <= _START:
-                # an element: a leaf, a start tag, or a cut leaf
-                if kind == _CUT:
-                    # chunk boundaries must not change the events: an
-                    # element that may yet be a leaf waits for more input,
-                    # and is a start tag only if the input ends
-                    more = self._fill(pos)
-                    if more >= 0:
-                        pos = more
-                        buf = self._buf
-                        line, counted = self._line, self._counted
+            buf = self._buf
+            # Ahead of self._line/_counted, which _fill and _fail catch up;
+            # counted on only past the next newline (-1: none buffered).
+            line, counted = self._line, self._counted
+            newline = buf.find("\n", counted)
+            for token in iter(_SWEEP.scanner(buf, pos).match, None):
+                kind = kinds[token.lastindex]
+                run = token[1]
+                if kind >= _CUT:
+                    # chunk boundaries must not change the events: a cut
+                    # leaf or a run to the end of the buffer is matched
+                    # again with more input, if there is any
+                    pos = self._fill(token.start())
+                    if pos >= 0:
+                        break
+                if run:
+                    if depth or (fragment
+                                 and not (in_prolog and run.isspace())):
+                        in_prolog = False
+                        if "]]>" in run:
+                            self._fail(_CDATA_END_IN_TEXT,
+                                       token.start() + run.index("]]>"))
+                        if "&" in run:
+                            run = self._expand(run, token.start())
+                        if not (strip and run.isspace()):
+                            text = run if text is None else text + run
+                    elif not run.isspace():
+                        self._fail("text content outside the document "
+                                   "element", token.start() + len(run)
+                                   - len(run.lstrip()))
+                if text and (kind < _UNMATCHED or kind == _CUT):
+                    yield ("text", text)  # a token ends the text
+                    text = None
+                if kind <= _START or kind == _CUT:
+                    # a leaf, a start tag, or a cut leaf at the end of input
+                    if not depth:
+                        if not (in_prolog or fragment):
+                            self._fail("multiple top-level elements",
+                                       token.end(1))
+                        in_prolog = False
+                    elif depth == MAX_ELEMENT_DEPTH:
+                        self._fail("elements nested deeper than %d"
+                                   % MAX_ELEMENT_DEPTH, token.end(1))
+                    if newline >= 0 and token.end(1) > newline:
+                        line += buf.count("\n", counted, token.end(1))
+                        counted = token.end(1)
+                        newline = buf.find("\n", counted)
+                    lexical = token[2]
+                    if kind == _LEAF:
+                        try:
+                            entry = names[lexical]
+                        except KeyError:
+                            entry = self._resolve(lexical, token.start(2),
+                                                  names)
+                        value = token[3]
+                        if value and "]]>" in value:
+                            self._fail(_CDATA_END_IN_TEXT,
+                                       token.start(3) + value.index("]]>"))
+                        if not value or (strip and value.isspace()):
+                            value = None
+                        yield ("leaf", entry[0], value, entry[1], line)
                         continue
-                lexical = token.group(1)
-                if text:
-                    yield ("text", text)
-                text = None
-                if not open_tags:
-                    if not (in_prolog or fragment):
-                        self._fail("multiple top-level elements", pos)
-                    in_prolog = False
-                elif len(open_tags) == MAX_ELEMENT_DEPTH:
-                    self._fail("elements nested deeper than %d"
-                               % MAX_ELEMENT_DEPTH, pos)
-                line += buf.count("\n", counted, pos)
-                counted = pos
-                if kind == _LEAF:
-                    value = token.group(4)
-                    entry = names.get(lexical)
-                    if entry is None:
-                        entry = self._resolve(lexical, pos + 1, names)
-                    if value and "]]>" in value:
-                        self._fail(_CDATA_END_IN_TEXT,
-                                   token.start(4) + value.index("]]>"))
-                    if not value or (strip and value.isspace()):
-                        value = None
-                    yield ("leaf", entry[0], value, entry[1], line)
-                    pos = token.end()
-                    continue
-                raw, empty = token.group(2, 3)  # None without attributes
-                if raw:
-                    attributes, attribute_names, declared = self._attributes(
-                        raw, token.start(2), len(open_tags) + 1)
-                    if declared:
-                        names = self._element_names
-                else:
-                    attributes, attribute_names, declared = [], [], None
-                entry = names.get(lexical)
-                if entry is None:
-                    entry = self._resolve(lexical, pos + 1, names)
-                local = entry[0]
-                yield ("start", local, attributes, entry[1], attribute_names,
-                       declared, line)
-                if empty:
-                    yield ("end", local)
-                    if declared:
+                    if token[6]:
+                        attributes, attribute_names, declared = (
+                            self._attributes(token[6], token.start(6),
+                                             depth + 1))
+                        if declared:
+                            names = self._element_names
+                    else:
+                        attributes, attribute_names, declared = [], [], None
+                    try:
+                        entry = names[lexical]
+                    except KeyError:
+                        entry = self._resolve(lexical, token.start(2), names)
+                    yield ("start", entry[0], attributes, entry[1],
+                           attribute_names, declared, line)
+                    if token[7]:
+                        yield ("end", entry[0])
+                        if declared:
+                            names = self._leave_scope()
+                    else:
+                        depth += 1
+                        open_tags[depth] = lexical
+                    if kind == _CUT:  # go on past the start tag only
+                        pos = buf.index(">", token.start(2)) + 1
+                        break
+                elif kind == _END:
+                    if not depth:
+                        self._fail("unexpected end tag", token.end(1))
+                    if token[8] != open_tags[depth]:
+                        self._fail("mismatched end tag </%s>, expected </%s>"
+                                   % (token[8], open_tags[depth]),
+                                   token.end(1))
+                    yield ("end", names[token[8]][0])
+                    if scopes and scopes[-1][0] == depth:
                         names = self._leave_scope()
-                else:
-                    open_tags.append(lexical)
-                if kind == _CUT:
-                    # the input ended: go on past the start tag only
-                    pos = buf.index(">", pos) + 1
-                    continue
-            elif kind == _END:
-                if text:
-                    yield ("text", text)
-                text = None
-                lexical = token.group(7)
-                if not open_tags:
-                    self._fail("unexpected end tag", pos)
-                if lexical != open_tags[-1]:
-                    self._fail("mismatched end tag </%s>, expected </%s>"
-                               % (lexical, open_tags[-1]), pos)
-                yield ("end", names[lexical][0])
-                if scopes and scopes[-1][0] == len(open_tags):
-                    names = self._leave_scope()
-                open_tags.pop()
-            elif kind == _CDATA:
-                if not (open_tags or fragment):
-                    self._fail("CDATA section outside the document element",
-                               pos)
-                in_prolog = False
-                if text:
-                    yield ("text", text)
-                text = token.group(9)
-            else:
-                if text:
-                    yield ("text", text)
-                text = None
-                if kind == _COMMENT:
-                    body = token.group(8)
-                    if "--" in body or body[-1:] == "-":
-                        at = body.find("--")  # else the "-" before "-->"
-                        self._fail("'--' in comment", pos + 4 + (
-                            at if at >= 0 else len(body) - 1))
-                    yield ("comment", body)
-                else:
-                    yield ("pi", token.group(10), token.group(11))
-            pos = token.end()
-        if open_tags:
-            self._fail("unterminated element <%s>" % open_tags[-1], pos)
-        if text:
-            yield ("text", text)
-        if in_prolog and not fragment:
-            self._fail("no document element", pos)
+                    depth -= 1
+                elif kind == _CDATA:
+                    if not (depth or fragment):
+                        self._fail("CDATA section outside the document "
+                                   "element", token.end(1))
+                    in_prolog = False
+                    text = token[10]
+                elif kind == _COMMENT:
+                    comment = token[9]
+                    if "--" in comment or comment[-1:] == "-":
+                        at = comment.find("--")  # else the "-" before "-->"
+                        self._fail("'--' in comment", token.start(9) + (
+                            at if at >= 0 else len(comment) - 1))
+                    yield ("comment", comment)
+                elif kind == _PI:
+                    yield ("pi", token[11], token[12])
+                elif kind == _UNMATCHED:
+                    pos = self._unmatched(token.end(), in_prolog)
+                    break
+                else:  # the end of the input
+                    if depth:
+                        self._fail("unterminated element <%s>"
+                                   % open_tags[depth], token.end())
+                    if text:
+                        yield ("text", text)
+                    if in_prolog and not fragment:
+                        self._fail("no document element", token.end())
+                    return
 
     def _skip_declaration(self):
         """Buffer the start of the input; returns the offset past leading

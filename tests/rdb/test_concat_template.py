@@ -68,17 +68,16 @@ def test_a_bound_concat_renders_as_its_content(db):
 
 
 def test_an_output_column_concat_is_one_piece_per_row(db):
-    # the bytes the per-item rendering wrote; a row whose leaves all take
-    # the format is now one piece (a NULL or "" leaf renders the row
-    # through ``row_items``, as the aggregated concat does)
+    # the bytes the per-item rendering wrote; every row is one piece,
+    # whether its leaves all take the format or a NULL or "" leaf renders
+    # it through ``_render``
     rows, _ = db.sql(
         "SELECT XMLConcat(XMLElement(\"e\", s), s, n, 'c&') FROM t")
     assert [content_markup(row[0]) for row in rows] == [
         "<e>a&amp;</e>a&amp;1.5c&amp;", "<e/>c&amp;", "<e/>2c&amp;",
         '<e>&lt;b&gt;"</e>&lt;b&gt;"3c&amp;', "<e>%s</e>%s0c&amp;"]
-    for (k, s, n), (value,) in zip(ROWS, rows):
-        if s and n is not None:
-            assert type(value) is Markup, k
+    for (k, _, _), (value,) in zip(ROWS, rows):
+        assert type(value) is Markup, k
 
 
 def test_a_concat_in_content_renders_as_the_output_column_does(db):

@@ -4,7 +4,9 @@
 import pytest
 
 from repro.errors import XmlSyntaxError
+from repro.xmlmodel import serialize
 from repro.xmlmodel.stream_ingest import StreamParser, stream_events
+from repro.xsltmark import generator
 
 
 def events(text, **kwargs):
@@ -111,6 +113,31 @@ class TestStreamParser:
             ("x", "u", "p"), ("y", None, None)]
         assert namespaces == {"p": "u"}
         assert line == 2
+
+    def test_a_cut_anywhere_leaves_every_event_and_line(self):
+        # the sweep stops where the buffer ends, inside a leaf, a run of
+        # text or an end tag alike, and takes up the same token once the
+        # next chunk is in: two chunks, cut at every offset, give the
+        # whole text's events, each start and leaf with its line
+        rows = serialize(generator.make_db_document(3)).replace(
+            "</row><row>", "</row>\n<row>")
+        sheet = (
+            '<xsl:stylesheet version="1.0"\n'
+            '    xmlns:xsl="http://www.w3.org/1999/XSL/Transform">\n'
+            '  <!-- rows -->\n'
+            '  <xsl:template match="row[id &gt; 1]">\n'
+            '    <hit n="a &amp; b">x &amp; y<![CDATA[<raw>]]>  '
+            '<xsl:value-of select="id"/></hit>\n'
+            '  </xsl:template>\n'
+            '</xsl:stylesheet>')
+        for text in (rows, sheet):
+            whole = list(stream_events(text))
+            lines = [event[-1] for event in whole
+                     if event[0] in ("start", "leaf")]
+            assert lines[-1] > 1 and sorted(lines) == lines
+            for cut in range(1, len(text)):
+                parts = iter([text[:cut], text[cut:]])
+                assert list(stream_events(parts)) == whole, cut
 
     def test_chunk_boundaries_do_not_matter(self):
         text = '<r a="v&#65;l"><x>one<!--c-->two</x><y/>tail text</r>'
