@@ -609,6 +609,7 @@ def _vm_rows(db, source, compiled, params, run, tracer):
         for count, document in enumerate(documents, 1):
             text = vm.transform_document(document, params=params,
                                          output=MarkupWriter())
+            document.release()  # built for this row only: freed at once
             # assigned, not added: a view source's own query counted too
             stats.output_rows = count
             yield [Markup(text)] if text else []

@@ -311,7 +311,7 @@ class BindingCache:
 
 # -- generated row functions ------------------------------------------------------
 
-#: factories kept, by source text (the oldest goes first)
+#: factories kept, by source text (the least recently used goes first)
 _FACTORY_CACHE_SIZE = 512
 #: nesting past which a subexpression is a function of its own: a level
 #: opens at most two brackets, and CPython's parser stops at 200
@@ -364,17 +364,18 @@ class Codegen:
         (statements apart by a newline and two spaces)."""
         source = "def make(%s):\n def f(%s):\n  %s\n return f\n" % (
             ", ".join(self.names), signature, body)
-        make = _factories.get(source)
+        with _factories_lock:
+            make = _factories.pop(source, None)  # put back last, below
         if make is None:
             namespace = {}
             exec(compile(source, "<bound expression>", "exec"), namespace)
             make = namespace["make"]
             if not self.values:  # nothing bound in: one shared function
                 make = lambda shared=make(): shared  # noqa: E731
-            with _factories_lock:
-                if len(_factories) >= _FACTORY_CACHE_SIZE:
-                    del _factories[next(iter(_factories))]
-                _factories[source] = make
+        with _factories_lock:
+            if len(_factories) >= _FACTORY_CACHE_SIZE:
+                del _factories[next(iter(_factories))]
+            _factories[source] = make
         return make(*self.values)
 
 

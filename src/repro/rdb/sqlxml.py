@@ -289,7 +289,7 @@ _PATHS = {
     None: "_t = type(_v{n})\n  if _t is str{nonempty}:\n   _a{n} = "
           "{escape}(_v{n})\n  elif _t is float:\n   _a{n} = "
           "_number_to_string(_v{n})\n  elif _t is int:\n   _a{n} = _v{n}\n"
-          "  else:\n   {leave}\n  ",
+          "  {markup}else:\n   {leave}\n  ",
     str: "if {null}:\n   {leave}\n  _a{n} = _v{n} if {special}(_v{n}) is None "
          "else {escape}(_v{n})\n  ",
     float: "if _v{n} is None:\n   {leave}\n  _a{n} = _number_to_string(_v{n})"
@@ -310,6 +310,9 @@ def _tail(kinds, elements, loop):
                                                      else "")
     return "".join(_PATHS[kind].format(
         n=n, leave=leave, nonempty="" if attribute else " and _v%d" % n,
+        # non-empty markup content is verbatim; empty leaves, to self-close
+        markup="" if attribute else "elif _t is _Markup and _v%d:\n   "
+        "_a%d = _v%d\n  " % (n, n, n),
         null="_v%d is None" % n if attribute else "not _v%d" % n,
         escape="_escape_attribute" if attribute else "_escape_text",
         special="_attribute_special" if attribute else "_text_special")

@@ -21,6 +21,7 @@ import hashlib
 from operator import itemgetter
 
 from repro.errors import DatabaseError, SchemaError
+from repro.rdb.binding import _MAX_DEPTH, Codegen
 from repro.rdb.expressions import (
     CaseWhen,
     ColumnRef,
@@ -35,7 +36,8 @@ from repro.rdb.infer import CompileContext, derive_once
 from repro.rdb.plan import Filter, Query, Scan
 from repro.rdb.sqlxml import XMLAgg, XMLElement
 from repro.rdb.types import FLOAT, INT, TEXT
-from repro.xmlmodel.nodes import Attribute, Document, Element, QName, Text
+from repro.xmlmodel.nodes import (
+    Attribute, Document, Element, QName, Text, new_node)
 from repro.xmlmodel.parser import parse_document
 from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.stream_ingest import (
@@ -60,7 +62,7 @@ _BY_SEQ = itemgetter(2)  # child-table rows are ($id, $parent, $seq, ...)
 # appended, so a streamed load never holds more than this beside the tables.
 _BATCH_ROWS = 1024
 _NO_CHILDREN = {}
-# Projected emit programs a storage keeps, one per distinct mask: a
+# Generated emitters a storage keeps, one per distinct mask: a
 # long-lived storage serving ad-hoc stylesheets must not grow without bound.
 _PROJECTIONS_KEPT = 64
 
@@ -145,7 +147,7 @@ class ObjectRelationalStorage:
         # Compiled once, never mutated: concurrent materialisations share it.
         self._emit_program = self._compile_element(self.schema.root,
                                                    self.tables[0])
-        #: projection mask -> the emit program it filters to (_projected)
+        #: projection mask (None: the full program) -> its emitter (_projected)
         self._projections = {}
         self._shred_program = self._compile_shred_row(self.schema.root,
                                                       self.tables[0])
@@ -582,7 +584,7 @@ class ObjectRelationalStorage:
         if row is None:
             raise DatabaseError("no document %d" % doc_id)
         return self._build_document(row, self._child_fetchers(stats), stats,
-                                    self._emit_program)
+                                    self._projected(None))
 
     def materialize_all(self, stats=None, mask=None):
         """Yield every stored document's DOM, in document-id order.
@@ -596,15 +598,14 @@ class ObjectRelationalStorage:
         nodes it reaches are built, each with the ``order`` it has in the
         full DOM, and the rows touched are the same.  None builds all.
         """
-        program = (self._emit_program if mask is None
-                   else self._projected(mask))
+        emit = self._projected(mask)
         rows = [row for _, row in
                 self.db.table(self.tables[0].table_name).scan()]
         fetchers = self._child_fetchers(stats)
         for row in rows:
             if stats is not None:
                 stats.rows_scanned += 1
-            yield self._build_document(row, fetchers, stats, program)
+            yield self._build_document(row, fetchers, stats, emit)
 
     def _child_fetchers(self, stats):
         """Per call, one ``parent_id -> child rows in $seq order`` callable
@@ -630,41 +631,43 @@ class ObjectRelationalStorage:
             fetchers.append(_group_fetcher(grouped))
         return fetchers
 
-    def _build_document(self, row, fetchers, stats, program):
+    def _build_document(self, row, fetchers, stats, emit):
         if stats is not None:
             stats.docs_materialized += 1
         document = Document()
         # Nodes are numbered exactly as TreeBuilder would: elements and
         # text take the next slot, attributes share their element's.
-        document.resume_order(_emit_element(
-            program, row, document, document.children, 1, fetchers))
+        document.resume_order(emit(row, document, document._children, 1,
+                                   fetchers))
         return document
 
     def _projected(self, mask):
-        """The emit program filtered by a projection ``mask`` — a
-        frozenset of ``(path, content)`` pairs, ``path`` naming an element
-        (``row/state``) or attribute (``row/@id``) below the document
-        element, ``content`` whether its value (an element's: its whole
-        subtree) is read or only the node (see
-        :mod:`repro.core.projection`).  What no path reaches becomes a
-        ``_SKIP`` step that advances ``order`` by the nodes it would have
-        built.  The mask holds names, so any storage of the same schema
-        resolves it.  Memoised per mask, at most ``_PROJECTIONS_KEPT``
-        programs (the memo starts over when full); two threads racing a
-        fill build equal programs."""
-        program = self._projections.get(mask)
-        if program is None:
-            paths = dict(mask)
+        """The generated emitter (:func:`_emitter`) of the emit program
+        filtered by a projection ``mask`` — a frozenset of ``(path,
+        content)`` pairs, ``path`` naming an element (``row/state``) or
+        attribute (``row/@id``) below the document element, ``content``
+        whether its value (an element's: its whole subtree) is read or
+        only the node (see :mod:`repro.core.projection`); None reads the
+        whole document.  What no path reaches becomes a ``_SKIP`` step
+        that advances ``order`` by the nodes it would have built.  The
+        mask holds names, so any storage of the same schema resolves it.
+        Made on a mask's first materialise and memoised per mask, at most
+        ``_PROJECTIONS_KEPT`` emitters (the memo starts over when full);
+        two threads racing a fill make equal ones."""
+        emit = self._projections.get(mask)
+        if emit is None:
+            # None: the document element's content is read, all of it
+            paths = {"": True} if mask is None else dict(mask)
             reached = {""}  # every path of the mask and each prefix of one
             for path in paths:
                 parts = path.split("/")
                 reached.update("/".join(parts[:end])
                                for end in range(1, len(parts) + 1))
-            program = _project(self._emit_program, "", paths, reached)
+            emit = _emitter(_project(self._emit_program, "", paths, reached))
             if len(self._projections) >= _PROJECTIONS_KEPT:
                 self._projections.clear()
-            self._projections[mask] = program
-        return program
+            self._projections[mask] = emit
+        return emit
 
     # -- the emit program ---------------------------------------------------------
 
@@ -852,102 +855,95 @@ def _group_fetcher(grouped):
     return lambda parent_id: get(parent_id, ())
 
 
-def _emit_element(program, row, parent, siblings, order, fetchers):
-    """Run one element program over a raw row, attaching the new subtree
-    to ``parent`` (whose child list is ``siblings``); ``order`` is the next
-    free document-order slot and the slot after the subtree is returned."""
+def _emitter(program, build=True):
+    """An element program as one generated function ``f(row, parent,
+    siblings, o, fetchers)`` that builds the element over ``row`` under
+    ``parent`` (child list ``siblings``) from document-order slot ``o``
+    and returns the slot after it: straight-line per declaration, every
+    slot stored directly (no ``__init__``), a wrapper inlined and a child
+    table's element program called per child row.  Names and child
+    programs are ``_kN``: one schema and mask, one factory.  Without
+    ``build`` (a ``_SKIP``'s child rows) it only counts the slots."""
+    gen = Codegen(("_new", "_Element", "_Text", "_Attribute", "_text"),
+                  (new_node, Element, Text, Attribute, _text))
+    lines = []
+    _element_source(gen, lines, program, "parent", "siblings", 0, "", build)
+    return gen.function("\n  ".join(lines + ["return o"]),
+                        "row, parent, siblings, o, fetchers")
+
+
+def _element_source(gen, lines, program, parent, siblings, level, pad,
+                    build):
+    """Append the lines (indented by ``pad``) that build (or count)
+    ``program``'s element over ``row``, inlined ``level`` wrappers deep."""
     name, attrs, steps = program
-    element = Element(name)
-    element.parent = parent
-    element.order = order
-    siblings.append(element)
-    if attrs:
-        _emit_attributes(element, attrs, row)
-    order += 1
-    children = element.children
+    e, c = ("e%d" % level, "c%d" % level) if build else ("None", "None")
+    if build:
+        _node_source(gen, lines, pad, e, name, attrs, parent, siblings, "row")
+    lines.append(pad + ("%s._children = %s = []; " % (e, c) if build else "")
+                 + "o += 1")
+    _steps_source(gen, lines, steps, e, c, level, pad, build)
+
+
+def _steps_source(gen, lines, steps, e, c, level, pad, build):
+    """The lines of ``steps`` under element ``e`` (child list ``c``); a
+    ``_SKIP`` step's are counted: the slots its nodes would take."""
     for step in steps:
         kind = step[0]
         if kind == _LEAF:
-            value = row[step[3]]
-            if value is not None:
-                order = _emit_leaf(element, children, step[1], step[2], row,
-                                   value, order)
-        elif kind == _INLINE:
-            # an optional wrapper is present only when its flag is set
-            if step[1] is None or row[step[1]]:
-                order = _emit_element(step[2], row, element, children, order,
-                                      fetchers)
+            lines += [pad + "x = row[%d]" % step[3],
+                      pad + "if x is not None:"]
+            _leaf_source(gen, lines, pad + " ", step[1:3], e, c, "row", build)
         elif kind == _ROWS_LEAF:
-            _, table, child_name, child_attrs, slot = step
-            for child_row in fetchers[table](row[0]):
-                order = _emit_leaf(element, children, child_name, child_attrs,
-                                   child_row, child_row[slot], order)
+            lines += [pad + "for r in fetchers[%d](row[0]):" % step[1],
+                      pad + " x = r[%d]" % step[4]]
+            _leaf_source(gen, lines, pad + " ", step[2:4], e, c, "r", build)
+        elif kind == _INLINE and len(pad) < _MAX_DEPTH:
+            if step[1] is not None:  # optional: present when its flag is
+                lines.append(pad + "if row[%d]:" % step[1])
+            _element_source(gen, lines, step[2], e, c, level + 1,
+                            pad + " " * (step[1] is not None), build)
         elif kind == _SKIP:
-            order += _skipped(step[1], row, fetchers)
-        else:
-            child_program = step[2]
-            for child_row in fetchers[step[1]](row[0]):
-                order = _emit_element(child_program, child_row, element,
-                                      children, order, fetchers)
-    return order
+            _steps_source(gen, lines, step[1], e, c, level, pad, False)
+        else:  # child rows, or a wrapper nested too deep: its own function
+            call = "o = %s(%%s, %s, %s, o, fetchers)" % (
+                gen.ref(_emitter(step[2], build)), e, c)
+            lines.append(pad + (
+                "for r in fetchers[%d](row[0]): " % step[1] + call % "r"
+                if kind == _ROWS_TREE else
+                ("" if step[1] is None else "if row[%d]: " % step[1])
+                + call % "row"))
 
 
-def _emit_leaf(parent, siblings, name, attrs, row, value, order):
-    leaf = Element(name)
-    leaf.parent = parent
-    leaf.order = order
-    siblings.append(leaf)
+def _leaf_source(gen, lines, pad, leaf, parent, siblings, row, build):
+    """Lines building (or counting) a leaf element of value ``x`` (NULL:
+    no text)."""
+    if build:
+        _node_source(gen, lines, pad, "l", leaf[0], leaf[1], parent,
+                     siblings, row)
+    lines += [pad + "if type(x) is not str: x = _text(x)"] + ([
+        pad + "if x: t = _new(_Text); t.parent = l; t.order = o + 1; "
+        "t.value = x; l._children = [t]; o += 2",
+        pad + "else: l._children = []; o += 1"] if build  # "": no text node
+        else [pad + "o += 2 if x else 1"])
+
+
+def _node_source(gen, lines, pad, e, name, attrs, parent, siblings, row):
+    """Lines making element ``e``, attached after ``siblings``, with its
+    attributes (NULL: absent), each in its element's order slot."""
+    lines.append(pad + (
+        "{e} = _new(_Element); {e}.parent = {p}; {e}.order = o; {e}._name = "
+        "{k}; {e}.namespaces = {{}}; {e}.source_line = None; {s}.append({e})"
+    ).format(e=e, p=parent, k=gen.ref(name), s=siblings))
     if attrs:
-        _emit_attributes(leaf, attrs, row)
-    if type(value) is not str:
-        value = _text(value)
-    if value == "":
-        return order + 1  # like TreeBuilder.text(""): no node
-    text = Text(value)
-    text.parent = leaf
-    text.order = order + 1
-    leaf.children.append(text)
-    return order + 2
-
-
-def _emit_attributes(element, attrs, row):
-    attributes = []
+        lines.append(pad + "at = []")
     for name, slot in attrs:
-        value = row[slot]
-        if value is not None:
-            attribute = Attribute(name, _text(value))
-            attribute.parent = element
-            attribute.order = element.order
-            attributes.append(attribute)
-    if attributes:
-        element.attributes = attributes
-
-
-def _skipped(steps, row, fetchers):
-    """How many order slots ``steps`` of an element program take over
-    ``row``, counted without building a node: a NULL column leaf 0, a
-    leaf with empty (or, in a child table, NULL) text 1, any other leaf
-    2, a wrapper or child row 1 plus its own steps."""
-    count = 0
-    for step in steps:
-        kind = step[0]
-        if kind == _LEAF:
-            value = row[step[3]]
-            if value is not None:
-                count += 1 if value == "" else 2
-        elif kind == _INLINE:
-            if step[1] is None or row[step[1]]:
-                count += 1 + _skipped(step[2][2], row, fetchers)
-        elif kind == _ROWS_LEAF:
-            slot = step[4]
-            for child_row in fetchers[step[1]](row[0]):
-                value = child_row[slot]
-                count += 1 if value is None or value == "" else 2
-        else:
-            child_steps = step[2][2]
-            for child_row in fetchers[step[1]](row[0]):
-                count += 1 + _skipped(child_steps, child_row, fetchers)
-    return count
+        lines.append(pad + "if %s[%d] is not None: a = _new(_Attribute); "
+                     "a.parent = %s; a.order = o; a._name = %s; a.value = "
+                     "_text(%s[%d]); at.append(a)"
+                     % (row, slot, e, gen.ref(name), row, slot))
+    lines.append(pad + "%s.attributes = %s" % (e, "at or ()" if attrs
+                                               else "()"))
 
 
 def _project(program, path, paths, reached):

@@ -230,25 +230,27 @@ class TreeStorage:
             group.sort(key=lambda row: row[3])
 
         builder = TreeBuilder()
-
-        def emit(row):
-            kind = row[4]
-            if kind == "element":
-                builder.start_element(row[5])
-                for child in children.get(row[0], ()):
-                    if child[4] == "attribute":
-                        builder.attribute(child[5], child[6])
-                for child in children.get(row[0], ()):
-                    if child[4] != "attribute":
-                        emit(child)
-                builder.end_element()
-            elif kind == "text":
-                builder.text(row[6])
-            elif kind == "comment":
-                builder.comment(row[6])
-            elif kind == "pi":
-                builder.processing_instruction(row[5], row[6])
-
         for row in children.get(0, ()):
-            emit(row)
+            _assemble(builder, children, row)
         return builder.finish()
+
+
+def _assemble(builder, children, row):
+    """Feed ``row`` and its subtree to ``builder`` (a recursive closure's
+    cycle would keep each document alive until the collector ran)."""
+    kind = row[4]
+    if kind == "element":
+        builder.start_element(row[5])
+        for child in children.get(row[0], ()):
+            if child[4] == "attribute":
+                builder.attribute(child[5], child[6])
+        for child in children.get(row[0], ()):
+            if child[4] != "attribute":
+                _assemble(builder, children, child)
+        builder.end_element()
+    elif kind == "text":
+        builder.text(row[6])
+    elif kind == "comment":
+        builder.comment(row[6])
+    elif kind == "pi":
+        builder.processing_instruction(row[5], row[6])

@@ -60,6 +60,10 @@ class QName:
         return self.local
 
 
+#: ``new_node(Element)``: no slot set, for builders that store every one
+new_node = object.__new__
+
+
 class Node:
     """Base class for all tree nodes."""
 
@@ -214,6 +218,18 @@ class Document(_ParentNode):
         self.order = 0
         for child in self._children:
             self.stamp(child)
+
+    def release(self):
+        """Cut every parent link below the document, so its one owner,
+        done with it, frees it by reference counting, not the collector."""
+        owners = [self]
+        for owner in owners:
+            for node in owner._children:
+                node.parent = None
+                if type(node) is Element:
+                    owners.append(node)
+                    for attribute in node.attributes:
+                        attribute.parent = None
 
     @property
     def document_element(self):

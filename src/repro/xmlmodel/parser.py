@@ -21,6 +21,7 @@ from repro.xmlmodel.nodes import (
     Element,
     ProcessingInstruction,
     Text,
+    new_node,
 )
 from repro.xmlmodel.stream_ingest import StreamParser
 
@@ -55,28 +56,30 @@ def _build(source, strip_whitespace, fragment):
     order = 1
     for event in scanner._scan(fragment):
         kind = event[0]
-        if kind == "leaf":
-            # the element and its text child, if any, in one step
-            _, _, value, name, line = event
-            node = Element(name)
-            node.source_line = line
-            node.order = order
+        if kind == "leaf" or kind == "start":
+            node = new_node(Element)
             node.parent = parent
-            siblings.append(node)
-            if value is None:
-                order += 1
-            else:
-                text = Text(value)
-                text.parent = node
-                text.order = order + 1
-                node._children.append(text)
-                order += 2
-            continue
-        if kind == "start":
-            _, _, attributes, name, attribute_names, namespaces, line = event
-            node = Element(name, namespaces)
-            node.source_line = line
             node.order = order
+            node._name = event[3]
+            node.attributes = ()
+            node.source_line = event[-1]
+            siblings.append(node)
+            if kind == "leaf":  # the element and its text child, if any
+                node.namespaces = {}
+                value = event[2]
+                if value is None:
+                    node._children = []
+                    order += 1
+                else:
+                    text = new_node(Text)
+                    text.parent = node
+                    text.order = order + 1
+                    text.value = value
+                    node._children = [text]
+                    order += 2
+                continue
+            _, _, attributes, _, attribute_names, namespaces, _ = event
+            node.namespaces = dict(namespaces) if namespaces else {}
             order += 1
             if attributes:
                 node.attributes = owned = []
@@ -87,10 +90,8 @@ def _build(source, strip_whitespace, fragment):
                     attribute.order = order
                     order += 1
                     owned.append(attribute)
-            node.parent = parent
-            siblings.append(node)
             parent = node
-            siblings = node._children
+            siblings = node._children = []
             continue
         if kind == "end":
             parent = parent.parent

@@ -8,6 +8,8 @@ be compared on kind, name, value, attribute list, parent pointer and
 ``order`` of every node, and on the work counters.
 """
 
+import hashlib
+import json
 import re
 import sys
 import threading
@@ -713,6 +715,149 @@ class TestOnePath:
 
         source = Path(module.__file__).read_text()
         for gone in ("row_dict", "_child_cache", "threading.local", "_tls",
-                     "_fetch_row", "_child_rows"):
+                     "_fetch_row", "_child_rows", "_emit_element",
+                     "_emit_leaf", "_emit_attributes", "_skipped"):
             assert gone not in source, gone
         assert not re.search(r"def _emit(_content)?\(self", source)
+
+
+# -- the built DOM, pinned ------------------------------------------------------------
+
+GOLDENS = Path(__file__).with_name("materialize_goldens.json")
+#: the ``functional_vm`` classes: the cases answered functionally, and the
+#: figure cases forced functional
+FIGURE_CASES = ("dbonerow", "avts", "metric", "chart", "total")
+
+
+def dom_digest(document):
+    """sha256 over the preorder ``(kind, name, value, order, parent
+    order)`` of every node of ``document``, attributes after their
+    element and before its children."""
+    out = []
+
+    def visit(node):
+        name = node.name
+        out.append((node.kind,
+                    None if name is None else [name.uri, name.local],
+                    getattr(node, "value", None), node.order,
+                    None if node.parent is None else node.parent.order))
+        for attribute in getattr(node, "attributes", ()):
+            visit(attribute)
+        for child in node.children:
+            visit(child)
+
+    visit(document)
+    return hashlib.sha256(json.dumps(out).encode("utf-8")).hexdigest()
+
+
+def functional_masks():
+    """``{class: (case, mask)}`` of each object-relational
+    ``functional_vm`` class, its mask from a kept compile."""
+    masks = {}
+    for case in ALL_CASES:
+        forced = case.name in FIGURE_CASES
+        prepared = prepare_case(case, 1)
+        if not isinstance(prepared.storage, ObjectRelationalStorage):
+            continue
+        compiled = Engine(prepared.db).compile(
+            prepared.storage, case.stylesheet,
+            TransformOptions(strategy="functional") if forced else None)
+        if forced or not compiled.is_rewritten:
+            masks[("fig." if forced else "") + case.name] = (case, compiled.mask)
+    return masks
+
+
+def materialize_digests():
+    """Per corpus at 0, 1 and 12 rows on object-relational storage: the
+    full program's documents, and those of the mask of each
+    ``functional_vm`` class over the same DTD."""
+    masks = functional_masks()
+    digests = {}
+    for case in ALL_CASES:
+        for size in (0, 1, 12):
+            storage = prepare_case(case, size).storage
+            if not isinstance(storage, ObjectRelationalStorage):
+                continue
+            key = "%s/%d" % (case.name, size)
+            digests[key + "/full"] = [
+                dom_digest(document) for document in storage.materialize_all()]
+            for cls, (owner, mask) in sorted(masks.items()):
+                if (owner.dtd, owner.column_types) == (case.dtd,
+                                                       case.column_types):
+                    digests["%s/%s" % (key, cls)] = [
+                        dom_digest(document)
+                        for document in storage.materialize_all(mask=mask)]
+    return digests
+
+
+class TestMaterializeGoldens:
+    def test_every_corpus_and_mask_builds_the_pinned_dom(self):
+        with GOLDENS.open() as handle:
+            expected = json.load(handle)
+        got = materialize_digests()
+        assert sorted(got) == sorted(expected)
+        assert [key for key in sorted(got) if got[key] != expected[key]] == []
+
+
+class TestGeneratedEmitter:
+    # a schema no other test stores, so its emitters are first made here
+    DTD = """
+    <!ELEMENT factory (label, part*)>
+    <!ELEMENT label (#PCDATA)>
+    <!ELEMENT part (pname, weight?)>
+    <!ATTLIST part pid CDATA #IMPLIED>
+    <!ELEMENT pname (#PCDATA)>
+    <!ELEMENT weight (#PCDATA)>
+    """
+    SOURCE = ('<factory><label>F</label><part pid="1"><pname>a</pname>'
+              '<weight>2</weight></part><part><pname>b</pname></part>'
+              '</factory>')
+    MASK = frozenset({("part/pname", True)})
+
+    def storage(self):
+        storage = ObjectRelationalStorage(
+            Database(), schema_from_dtd(self.DTD), "f")
+        storage.load(parse_document(self.SOURCE))
+        return storage
+
+    def build(self, storage):
+        return ([storage.materialize(1)]
+                + list(storage.materialize_all(mask=self.MASK)))
+
+    def test_storages_of_one_schema_and_mask_share_one_factory(self):
+        from repro.rdb import binding
+
+        before = set(binding._factories)
+        first = self.build(self.storage())
+        assert set(binding._factories) - before  # the emitters are made
+        before = set(binding._factories)
+        second = self.build(self.storage())
+        assert not set(binding._factories) - before
+        assert [signature(d) for d in second] == [signature(d) for d in first]
+        assert serialize(first[0]) == self.SOURCE
+
+    def test_wrappers_nested_past_the_indent_limit(self):
+        """45 optional wrappers in one row: past ``_MAX_DEPTH`` of
+        indentation a wrapper is an emitter of its own, called in place."""
+        depth = 45
+        dtd = "<!ELEMENT r (w0?)>" + "".join(
+            "<!ELEMENT w%d (v%d, w%d?)><!ELEMENT v%d (#PCDATA)>"
+            % (i, i, i + 1, i) for i in range(depth)
+        ) + "<!ELEMENT w%d (#PCDATA)>" % depth
+
+        def nested(levels, last):
+            return "<r>%s%s%s</r>" % (
+                "".join("<w%d><v%d>%d</v%d>" % (i, i, i, i)
+                        for i in range(levels)), last,
+                "".join("</w%d>" % i for i in reversed(range(levels))))
+
+        storage = ObjectRelationalStorage(Database(), schema_from_dtd(dtd),
+                                          "d")
+        assert len(storage.tables) == 1  # every wrapper inlined in one row
+        sources = [nested(depth, "<w%d>end</w%d>" % (depth, depth)),
+                   nested(40, ""), nested(3, "")]
+        for source in sources:
+            storage.load(parse_document(source))
+        assert [serialize(d) for d in storage.materialize_all()] == sources
+        assert_matches_reference(storage)
+

@@ -1,13 +1,16 @@
 """Tests for SQL/XML publishing functions and XMLType views —
 reproducing the paper's Tables 3, 4 and 7 as executable checks."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import DatabaseError
-from repro.rdb import ExecutionStats, Filter, Query, Scan
+from repro.rdb import INT, TEXT, Database, ExecutionStats, Filter, Query, Scan
 from repro.rdb.binding import Binder, Layout
 from repro.rdb.expressions import (
+    CaseWhen,
     ScalarSubquery,
     col,
     concat,
@@ -378,3 +381,44 @@ class TestEscapingIsDecidedPerValue:
             prepared.storage, case.stylesheet,
             options=TransformOptions(strategy="functional"))
         assert after.serialized_rows() == functional.serialized_rows()
+
+
+class TestMarkupLeafStaysInTheFormat:
+    """A content leaf holding non-empty markup (a ``CaseWhen`` choosing
+    between two elements) is passed through by the template's format; an
+    empty one still leaves it, so its element self-closes."""
+
+    def test_markup_branches_render_nothing_apart(self):
+        db = Database()
+        db.create_table("t", [("id", INT), ("v", INT), ("s", TEXT)])
+        for row in [(1, 0, None), (2, 5, ""), (3, 9, "x"), (4, 1, "y"),
+                    (5, 0, "z")]:
+            db.insert("t", row)
+        element = XMLElement(
+            "r",
+            CaseWhen([(gt(col("v", "t"), const(1)),
+                       XMLElement("vip", col("id", "t"))),
+                      (eq(col("v", "t"), const(0)),
+                       XMLConcat([col("s", "t")]))],
+                     XMLElement("l")),
+            attributes=[("id", col("id", "t"))])
+        query = Query(Scan("t"), [("x", element)])
+        query.execute(db)
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is _render.__code__:
+                calls[0] += 1
+
+        sys.setprofile(count)
+        try:
+            rows, _ = query.execute(db)
+        finally:
+            sys.setprofile(None)
+        assert [row[0] for row in rows] == [
+            '<r id="1"/>', '<r id="2"><vip>2</vip></r>',
+            '<r id="3"><vip>3</vip></r>', '<r id="4"><l/></r>',
+            '<r id="5">z</r>']
+        # row 1 only: its concat of NULL, and the element holding the empty
+        # result (at the parent: one per row besides, 6)
+        assert calls[0] == 2
