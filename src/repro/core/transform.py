@@ -425,6 +425,8 @@ def _compile_impl(db, source, stylesheet, options, tracer, metrics,
             # (the one explain() renders and execution profiles)
             ledger.attach_plan(query)
     except RewriteError as exc:
+        # the artifact keeps the error, not the frames of the failed stage
+        exc.__traceback__ = None
         mask = functional_projection(source, stylesheet, ledger, tracer,
                                      reused,
                                      partial=rewriter.partial_evaluation,

@@ -5,15 +5,16 @@ A row is a **flat tuple**.  Its static shape is a :class:`Layout` —
 ``(alias, column names)`` segments in slot order — and a correlated
 inner plan sees its outer row as the *prefix* of its own rows, so an
 outer layout is a prefix of the inner one and outer references resolve
-like any other.  One *bind* pass per (plan, catalog) walks the operator
-tree and every expression under it with a :class:`Binder`, resolves
-every name to a slot (name errors are raised here, once, not per row)
-and leaves functions ``f(row, stats)`` behind — each predicate, key
-tuple, output tuple, SQL/XML template and aggregate fold one generated
-function (:class:`Codegen`, the one place source text becomes code);
-the pass's result is a :class:`BoundNode` per operator and, for a
-whole query, the :class:`Binding` the :class:`~repro.rdb.plan.Query`
-caches in its :class:`BindingCache`.  The same pass gives every
+like any other.  One *bind* pass per (plan form, database) walks the
+operator tree and every expression under it with a :class:`Binder`,
+resolves every name to a slot (name errors are raised here, once, not
+per row) and leaves functions ``f(row, stats)`` behind — each predicate,
+key tuple, output tuple, SQL/XML template and aggregate fold one
+generated function (:class:`Codegen`, the one place source text becomes
+code); the pass's result is a :class:`BoundNode` per operator and, for
+a whole query, the :class:`Binding` the database keeps in its
+:class:`BindingTable` and the :class:`~repro.rdb.plan.Query` caches in
+its :class:`BindingCache`.  The same pass gives every
 operator an *observation slot* and leaves an :class:`Observation`
 behind: what a profiled execution counts into and what EXPLAIN ANALYZE,
 the metrics and the Q-error record read back.  Nothing here is pickled:
@@ -22,6 +23,7 @@ an artifact carries the tree, not the binding.
 
 from __future__ import annotations
 
+import pickle
 import threading
 from functools import partial
 from itertools import chain
@@ -110,9 +112,10 @@ class Binder:
     ``{table name: TableSchema}`` it resolved — slots are column
     positions, so a bound program is only valid for those very schemas.
     It also hands every operator it binds its observation slot
-    (``slots``: ``{id(plan node): slot}``, ``nodes``: by slot) and keeps
-    the plan roots bound (``plans``: the main tree, then each subquery
-    reached through an expression) for the :class:`Observation`."""
+    (``slots``: ``{id(plan node): slot}``, read only while it binds;
+    ``nodes``: by slot) and keeps the plan roots bound (``plans``: the
+    main tree, then each subquery reached through an expression) for the
+    :class:`Observation`."""
 
     __slots__ = ("db", "schemas", "slots", "nodes", "plans")
 
@@ -213,43 +216,50 @@ class Pipeline:
 
 class Observation:
     """What one bind pass fixed about observing the plan.  Every bound
-    operator has a slot (``slots``: ``{id(node): slot}``; ``nodes``, by
-    slot, keeps the ids valid), so a profiled execution owns only its
-    per-slot counters.  ``rows`` is what is read back after a run:
-    ``(slot, plan_node_id, operator name, table_name, estimated_rows)``
-    — plain data — per node EXPLAIN shows: the
-    main tree, then the subquery plans it numbers (those the rewrite's
+    operator has a slot (``nodes``, by slot), so a profiled execution
+    owns only its per-slot counters; ``slots`` finds a numbered node's
+    slot by its ``plan_node_id`` — never by object identity, so every
+    query sharing the binding (equal plans, :class:`BindingTable`)
+    reads its own nodes' counts.  ``rows`` is what is read back after a
+    run: ``(slot, plan_node_id, operator name, table_name,
+    estimated_rows)`` — plain data — per node EXPLAIN shows: the main
+    tree, then the subquery plans it numbers (those the rewrite's
     ledger bound), in pre-order and, where numbered, ``#n`` order.  A
-    plan is numbered and costed at compile, before it is first bound."""
+    plan is numbered and costed at compile, before it is first bound;
+    a hand-built one is numbered at its own bind."""
 
     __slots__ = ("rows", "slots", "nodes", "instruments")
 
     def __init__(self, binder):
-        self.slots = binder.slots
+        self.slots = {}
         self.nodes = binder.nodes
         #: whatever the reader of ``rows`` keeps per row between runs
         #: (``repro.obs.feedback``: its metric instruments)
         self.instruments = None
         rows, seen = [], set()
-        self._observe(binder.plans[0], rows, seen)
+        self._observe(binder.plans[0], binder.slots, rows, seen)
         for plan in binder.plans[1:]:
             if getattr(plan, "plan_node_id", None) is not None:
-                self._observe(plan, rows, seen)
+                self._observe(plan, binder.slots, rows, seen)
         rows.sort(key=lambda row: row[1] or 0)
         self.rows = tuple(rows)
 
-    def _observe(self, node, rows, seen):
-        """Append ``node``'s subtree to ``rows``, once (two subqueries
-        may share one; ``seen``: the slots appended)."""
-        slot = self.slots[id(node)]
+    def _observe(self, node, by_node, rows, seen):
+        """Append ``node``'s subtree to ``rows`` and its numbered nodes to
+        ``slots``, once (two subqueries may share one; ``by_node``: the
+        binder's ``{id(node): slot}``, ``seen``: the slots appended)."""
+        slot = by_node[id(node)]
         if slot in seen:
             return
         seen.add(slot)
-        rows.append((slot, getattr(node, "plan_node_id", None),
-                     type(node).__name__, getattr(node, "table_name", None),
+        node_id = getattr(node, "plan_node_id", None)
+        if node_id is not None:
+            self.slots.setdefault(node_id, slot)  # the main tree's first
+        rows.append((slot, node_id, type(node).__name__,
+                     getattr(node, "table_name", None),
                      getattr(node, "estimated_rows", None)))
         for child in node.children():
-            self._observe(child, rows, seen)
+            self._observe(child, by_node, rows, seen)
 
 
 class Binding:
@@ -282,10 +292,11 @@ class Binding:
 
 class BindingCache:
     """A query's runtime handle: its current :class:`Binding`, and how
-    often it was (re)bound.  Never
-    pickled — a loaded query starts with an empty one and binds on its
-    first execution.  Executions only read a binding, so threads share
-    it; the lock makes concurrent first executions bind once."""
+    often it took one (bound, or found in the database's
+    :class:`BindingTable`).  Never pickled — a loaded query starts with
+    an empty one and takes a binding on its first execution.  Executions
+    only read a binding, so threads share it; the lock makes concurrent
+    first executions take one once."""
 
     __slots__ = ("binds", "_binding", "_lock")
 
@@ -296,17 +307,59 @@ class BindingCache:
 
     def get(self, query, db, env):
         """``(binding, outer row)`` for one execution: the cached binding
-        when it still fits ``db`` and the shape of ``env``, else a fresh
-        one (which replaces it)."""
+        when it still fits ``db`` and the shape of ``env``, else the
+        database's for this query form (which replaces it)."""
         outer, outer_row = Layout.of_env(env) if env else _NO_OUTER
         binding = self._binding
         if binding is None or not binding.fits(db, outer.segments):
             with self._lock:
                 binding = self._binding
                 if binding is None or not binding.fits(db, outer.segments):
-                    binding = self._binding = Binding(query, db, outer)
+                    binding = self._binding = db.bindings.get(query, db,
+                                                              outer)
                     self.binds += 1
         return binding, outer_row
+
+
+#: bindings a database keeps, by query form (the least recently used goes
+#: first)
+_BINDING_TABLE_SIZE = 64
+
+
+class BindingTable:
+    """One database's :class:`Binding` per query form — the bytes of the
+    pickled query (:meth:`~repro.rdb.plan.Query.form`: every operator,
+    expression, constant, count, index path, estimate and plan node id)
+    and the shape of the caller's ``env``.  Equal plans compiled apart
+    therefore share one binding: its generated chains, its slots and its
+    :class:`Observation`, once :meth:`Binding.fits` holds.  A binding
+    that no longer fits is bound afresh in its place; a query that does
+    not pickle is bound alone.  It keeps the ``_BINDING_TABLE_SIZE``
+    most recently used."""
+
+    __slots__ = ("_bindings", "_lock")
+
+    def __init__(self):
+        self._bindings = {}
+        self._lock = threading.Lock()
+
+    def get(self, query, db, outer):
+        try:
+            key = query.form(), outer.segments
+        except (pickle.PicklingError, TypeError, AttributeError):
+            return Binding(query, db, outer)  # no form (a closure in it)
+        with self._lock:
+            binding = self._bindings.pop(key, None)  # put back last, below
+        if binding is None or not binding.fits(db, outer.segments):
+            binding = Binding(query, db, outer)
+        with self._lock:
+            if len(self._bindings) >= _BINDING_TABLE_SIZE:
+                del self._bindings[next(iter(self._bindings))]
+            self._bindings[key] = binding
+        return binding
+
+    def __len__(self):
+        return len(self._bindings)
 
 
 # -- generated row functions ------------------------------------------------------

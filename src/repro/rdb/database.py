@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 from repro.errors import CatalogError
+from repro.rdb.binding import BindingTable
 from repro.rdb.btree import BTreeIndex
 from repro.rdb.infer import CompileContext
 from repro.rdb.plan import ExecutionStats, Query
@@ -55,6 +56,8 @@ class Database:
         self._views = {}
         self._index_names = itertools.count(1)
         self.stats = StatisticsCatalog()
+        #: the bindings of the plans executed here, by query form
+        self.bindings = BindingTable()
 
     # -- DDL ----------------------------------------------------------------
 

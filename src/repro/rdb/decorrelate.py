@@ -118,6 +118,17 @@ def _query_free_info(query, bound):
     return free, opaque
 
 
+def _walk_sites(sites, path, expr):
+    """Append ``(path, site)`` for every outermost ``ScalarSubquery``
+    under ``expr`` — ``_unnest`` recurses inside one."""
+    if isinstance(expr, ScalarSubquery):
+        sites.append((path, expr))
+        return
+    path = path + (expr,)
+    for child in expr.child_exprs():
+        _walk_sites(sites, path, child)
+
+
 def _swap_child(parent, old, new):
     """Replace the direct child expression ``old`` of ``parent`` (an
     expression node or an :class:`_ExprHolder`) with ``new``, in place.
@@ -232,17 +243,8 @@ class _Decorrelator:
 
     def _collect_sites(self, holder):
         sites = []
-
-        def walk(path, expr):
-            if isinstance(expr, ScalarSubquery):
-                sites.append((path, expr))
-                return  # outermost sites only; _unnest recurses inside
-            path = path + (expr,)
-            for child in expr.child_exprs():
-                walk(path, child)
-
         for expr in holder.exprs:
-            walk((holder,), expr)
+            _walk_sites(sites, (holder,), expr)
         return sites
 
     def _swap_path(self, path, site, new_expr, clones):

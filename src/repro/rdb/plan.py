@@ -22,6 +22,7 @@ the B-tree instead of scanning.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import time
 from collections import namedtuple
 from functools import partial
@@ -157,7 +158,8 @@ class PlanProfiler:
 
     def get(self, node):
         """The node's :class:`NodeProfile`; None when it never opened."""
-        slot = None if self.table is None else self.table.slots.get(id(node))
+        slot = None if self.table is None else self.table.slots.get(
+            getattr(node, "plan_node_id", None))
         if slot is None or not self.opens[slot]:
             return None
         return NodeProfile(
@@ -1076,6 +1078,15 @@ class Query:
 
     def __setstate__(self, state):
         self.__init__(state["plan"], state["outputs"])
+
+    def form(self):
+        """The pickled query — what the disk tier stores — and the key
+        under which a database's equal plans share one binding.  A plan
+        not yet numbered is numbered first: profile slots are found by
+        ``plan_node_id``."""
+        if getattr(self.plan, "plan_node_id", None) is None:
+            assign_plan_node_ids(self)
+        return pickle.dumps(self, pickle.HIGHEST_PROTOCOL)
 
     def bind(self, binder, outer):
         """Bind plan and outputs under the prefix layout ``outer``;

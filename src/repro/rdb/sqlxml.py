@@ -185,6 +185,74 @@ def _render(nest, values, stats):
     return _element_markup(head, close, content, stats)
 
 
+class _Format:
+    """One template's format being built by :func:`_template`: the
+    leaves' assignments (``body``) in evaluation order, each one's
+    ``(whether an attribute value, static type)`` (``kinds``), the
+    format's static text before, between and after them (``runs``) and
+    the elements counted.  Methods, not closures calling each other, so
+    a bind leaves no cycle behind."""
+
+    __slots__ = ("cg", "binder", "layout", "body", "kinds", "runs",
+                 "elements")
+
+    def __init__(self, binder, layout):
+        self.cg = Codegen(*_TEMPLATE_PARAMETERS)
+        self.binder, self.layout = binder, layout
+        self.body, self.kinds, self.runs = [], [], [""]
+        self.elements = 0
+
+    def leaf(self, expr, attribute):
+        source, kind = expr.emit_typed(self.binder, self.layout, self.cg)
+        self.body.append("_v%d = %s\n  " % (len(self.body), source))
+        self.kinds.append((attribute, kind))
+        self.runs.append("")
+        return len(self.body) - 1
+
+    def items(self, exprs):
+        """Append content ``exprs`` to the format; their nest items."""
+        runs = self.runs
+        content = []
+        for expr in exprs:
+            if type(expr) is XMLElement:
+                content.append(self.nest(expr))
+            elif not _is_static(expr):
+                content.append(self.leaf(expr, False))
+            elif text := _text(expr.value):
+                runs[-1] += escape_text(text)
+                content.append(text)
+        return content
+
+    def nest(self, element):
+        """Append ``element`` to the format; returns its nest for
+        :func:`_render`."""
+        if type(element) is XMLConcat:  # no tags
+            return None, None, (), self.items(element.items)
+        runs = self.runs
+        self.elements += 1
+        opening, close = _tags(element.name)
+        runs[-1] += opening
+        attributes = []
+        for attr_name, expr in element.attributes:
+            prefix = ' %s="' % _lexical(attr_name)
+            if not _is_static(expr):
+                runs[-1] += prefix
+                attributes.append((prefix, self.leaf(expr, True)))
+                runs[-1] += '"'
+            elif expr.value is not None:
+                text = prefix + escape_attribute(_text(expr.value)) + '"'
+                runs[-1] += text
+                attributes.append((text, None))
+        runs[-1] += ">"
+        empty = len(runs), len(runs[-1])
+        content = self.items(element.content)
+        if (len(runs), len(runs[-1])) == empty:  # no content: self-closing
+            runs[-1] = runs[-1][:-1] + "/>"
+        else:
+            runs[-1] += close
+        return opening, close, attributes, content
+
+
 def _template(element, binder, layout, order=None):
     """Bind ``element`` (an ``XMLElement`` or an ``XMLConcat``) and
     every ``XMLElement`` nested in its content as one generated function
@@ -197,64 +265,12 @@ def _template(element, binder, layout, order=None):
     element of the nest either way.  Given the ``order`` directions of
     an ``XMLAgg``, the function is instead its ``final(state, stats)``:
     one loop rendering each row of the sorted ``(keys, row)`` pairs."""
-    cg = Codegen(*_TEMPLATE_PARAMETERS)
-    body = []    # the leaves' assignments, in evaluation order
-    kinds = []   # each one's (whether an attribute value, static type)
-    runs = [""]  # the format's static text before, between, after leaves
-    elements = 0
-
-    def leaf(expr, attribute):
-        source, kind = expr.emit_typed(binder, layout, cg)
-        body.append("_v%d = %s\n  " % (len(body), source))
-        kinds.append((attribute, kind))
-        runs.append("")
-        return len(body) - 1
-
-    def items(exprs):
-        """Append content ``exprs`` to the format; their nest items."""
-        content = []
-        for expr in exprs:
-            if type(expr) is XMLElement:
-                content.append(nest(expr))
-            elif not _is_static(expr):
-                content.append(leaf(expr, False))
-            elif text := _text(expr.value):
-                runs[-1] += escape_text(text)
-                content.append(text)
-        return content
-
-    def nest(element):
-        """Append ``element`` to the format; returns its nest for
-        :func:`_render`."""
-        nonlocal elements
-        if type(element) is XMLConcat:  # no tags
-            return None, None, (), items(element.items)
-        elements += 1
-        opening, close = _tags(element.name)
-        runs[-1] += opening
-        attributes = []
-        for attr_name, expr in element.attributes:
-            prefix = ' %s="' % _lexical(attr_name)
-            if not _is_static(expr):
-                runs[-1] += prefix
-                attributes.append((prefix, leaf(expr, True)))
-                runs[-1] += '"'
-            elif expr.value is not None:
-                text = prefix + escape_attribute(_text(expr.value)) + '"'
-                runs[-1] += text
-                attributes.append((text, None))
-        runs[-1] += ">"
-        empty = len(runs), len(runs[-1])
-        content = items(element.content)
-        if (len(runs), len(runs[-1])) == empty:  # no content: self-closing
-            runs[-1] = runs[-1][:-1] + "/>"
-        else:
-            runs[-1] += close
-        return opening, close, attributes, content
-
-    root = nest(element)
+    fmt = _Format(binder, layout)
+    root = fmt.nest(element)
+    cg, kinds, runs = fmt.cg, fmt.kinds, fmt.runs
     cg.values[:2] = root, "%s".join([run.replace("%", "%%") for run in runs])
-    body = "".join(body) + _tail(tuple(kinds), elements, order is not None)
+    body = "".join(fmt.body) + _tail(tuple(kinds), fmt.elements,
+                                     order is not None)
     if not kinds and not runs[0]:  # a concat of empty constants: no piece
         body = "return _MarkupList()"
     # every leaf typed: an element always renders one Markup

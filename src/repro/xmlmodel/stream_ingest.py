@@ -296,14 +296,21 @@ class StreamParser:
 
     # -- names and namespaces ---------------------------------------------------
 
-    def _resolve(self, lexical, pos, cache):
+    def _resolve(self, lexical, pos, cache, raw=None):
         """``(local, QName)`` of a lexical name under the current bindings,
         remembered in ``cache`` (one of the two name caches).  Only an
-        element takes the default namespace when it has no prefix."""
+        element takes the default namespace when it has no prefix.
+        ``pos`` is where the name is buffered or, given the attribute
+        part ``raw`` of a tag, where that is: the attribute's own place
+        is looked for only to report its prefix undeclared."""
         prefix, _, local = lexical.rpartition(":")
         if prefix:
             uri = self._namespaces.get(prefix)
             if uri is None:
+                if raw is not None:
+                    pos += next(match.start()
+                                for match in _ATTRIBUTE.finditer(raw)
+                                if match.group(1) == lexical)
                 self._fail("undeclared namespace prefix %r" % prefix, pos)
         elif cache is self._element_names:
             uri = self._namespaces.get("")
@@ -365,9 +372,7 @@ class StreamParser:
         for lexical, double, single in found:
             entry = cache.get(lexical)
             if entry is None:
-                entry = self._resolve(lexical, pos + next(
-                    match.start() for match in _ATTRIBUTE.finditer(raw)
-                    if match.group(1) == lexical), cache)
+                entry = self._resolve(lexical, pos, cache, raw)
             attributes.append((entry[0], double or single))
             names.append(entry[1])
         if len(names) > 1 and ":" in raw and len(set(names)) < len(names):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import partial
 
 from repro.errors import XPathEvaluationError
 from repro.xmlmodel.nodes import Node, NodeKind
@@ -83,6 +84,15 @@ def _map_part(value, each):
 _without_predicates = operator.methodcaller("without_predicates")
 
 
+def _each(fn, part):
+    """``fn`` applied to a direct sub-expression: ``part`` itself, or
+    those of a record — a partial, not a closure calling itself, so no
+    call leaves a function-cell cycle behind."""
+    if isinstance(part, Expr):
+        return fn(part)
+    return part._mapped(partial(_each, fn))
+
+
 class Structure:
     """What expression nodes and the records inside them (steps, pattern
     steps, FLWOR clauses, attribute constructors) share: ``_parts`` names
@@ -101,10 +111,7 @@ class Structure:
     def rebuilt(self, fn):
         """A copy with ``fn`` applied to each direct sub-expression — this
         node itself when ``fn`` changed none of them."""
-        def each(part):  # a record's own sub-expressions are direct ones
-            return fn(part) if isinstance(part, Expr) else part._mapped(each)
-
-        return self._mapped(each)
+        return self._mapped(partial(_each, fn))
 
     def without_predicates(self):
         """The paper's §4.3 "predicates assumed true" form: every step and

@@ -151,10 +151,16 @@ def compile_stylesheet(source, resolver=None):
         time (same precedence, per XSLT 1.0 §2.6.1); without a resolver,
         ``xsl:include`` is rejected.
     """
-    if isinstance(source, str):
-        document = parse_document(source)
-    else:
-        document = source
+    if not isinstance(source, str):
+        return _compile_document(source, resolver)
+    document = parse_document(source)
+    try:
+        return _compile_document(document, resolver)
+    finally:
+        document.release()  # parsed here, dropped here: refcounting frees it
+
+
+def _compile_document(document, resolver):
     root = document.document_element
     if root is None:
         raise XsltCompileError("stylesheet has no document element")

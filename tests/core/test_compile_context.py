@@ -15,7 +15,10 @@ Pinned here:
   ``CompiledTransform.query.explain()`` and of the ledger JSON, captured
   at e92370b (the last tree that derived per compile); it cannot be
   recaptured from a later tree;
-* the structure and the sample each have one derivation site in ``src/``.
+* the structure and the sample each have one derivation site in ``src/``;
+* repeated transforms derive neither again, and a second compile of a
+  merged case binds and emits nothing: its plan takes the binding the
+  database keeps for that plan form.
 """
 
 import hashlib
@@ -30,7 +33,7 @@ import pytest
 import repro
 from repro.api import Engine, TransformOptions
 from repro.errors import SchemaError
-from repro.rdb import infer
+from repro.rdb import binding, infer, plan
 from repro.rdb.expressions import ScalarSubquery
 from repro.rdb.storage import ObjectRelationalStorage
 from repro.xmlmodel.serializer import serialize
@@ -180,6 +183,58 @@ def test_compiles_share_one_structure_and_sample():
         is context.structure
     assert first.outcome.partial_evaluation.sample \
         is second.outcome.partial_evaluation.sample is context.sample
+
+
+def test_transforms_derive_no_structure_or_sample(monkeypatch):
+    """A storage derives its view query, structure and sample document
+    once; every compile reads them (deriving per compile: 100 of each)."""
+    prepared = prepare_case(get_case("dbonerow"), SIZE)
+    engine = Engine(prepared.db)
+    engine.compile(prepared.storage, prepared.case.stylesheet)
+    derived = {"structure": 0, "sample": 0}
+
+    def counting(name, derive):
+        def wrapper(*args, **kwargs):
+            derived[name] += 1
+            return derive(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(infer, "infer_view_structure", counting(
+        "structure", infer.infer_view_structure))
+    monkeypatch.setattr(infer, "generate_sample",
+                        counting("sample", infer.generate_sample))
+    for _ in range(100):
+        engine.transform(prepared.storage, prepared.case.stylesheet)
+    assert derived == {"structure": 0, "sample": 0}, derived
+
+
+def test_a_second_compile_binds_and_emits_nothing(monkeypatch):
+    """Equal plans share the binding their database keeps (DESIGN §9.1):
+    no :class:`~repro.rdb.binding.Binding`, no generated function and
+    no fused chain is made again (once per compile before)."""
+    prepared = prepare_case(get_case("dbonerow"), SIZE)
+    engine = Engine(prepared.db)
+    first = engine.compile(prepared.storage, prepared.case.stylesheet)
+    rows = engine.execute(prepared.storage, first).serialized_rows()
+    made = {"bindings": 0, "functions": 0, "chains": 0}
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            made[key] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(binding.Binding, "__init__", "bindings")
+    counting(binding.Codegen, "function", "functions")
+    counting(plan._Emitter, "__init__", "chains")
+    second = engine.compile(prepared.storage, prepared.case.stylesheet)
+    assert second.query is not first.query
+    assert engine.execute(prepared.storage,
+                          second).serialized_rows() == rows
+    assert made == {"bindings": 0, "functions": 0, "chains": 0}, made
 
 
 def test_a_storage_that_never_compiles_derives_nothing(monkeypatch):

@@ -6,17 +6,22 @@ distinguishable on the result, in the fallback counter labels and in the
 warning the obs layer emits.
 """
 
+import gc
 import logging
+import types
 
 import pytest
 
 from repro.core import STRATEGY_FUNCTIONAL, xml_transform
+from repro.api import Engine
 from repro.core.transform import categorize_fallback
 from repro.errors import RewriteError
 from repro.obs import MetricsRegistry, Tracer
 from repro.rdb import Database
 from repro.rdb.storage import ClobStorage
 from repro.xmlmodel import parse_document
+from repro.xsltmark import ALL_CASES
+from repro.xsltmark.runner import prepare_case
 
 from tests.core.paper_example import (
     DEPT_DOC_1,
@@ -228,3 +233,90 @@ class TestCategorize:
     ])
     def test_categories(self, exc, expected):
         assert categorize_fallback(exc) == expected
+
+
+#: each XSLTMark case that falls back at compile: its error text, fallback
+#: category and failed stage
+FALLBACKS = {
+    "current": ("parent axis cannot be resolved here",
+                "unsupported-construct", "sql-merge"),
+    "games": ("generate-id() is not supported by the rewrite",
+              "unsupported-construct", "xquery-gen"),
+    "functions": ("format-number() is not supported by the rewrite",
+                  "unsupported-construct", "xquery-gen"),
+    "encrypt": ("function translate() is not translated", "sql-merge",
+                "sql-merge"),
+    "alphabetize": ("function substring() is not translated", "sql-merge",
+                    "sql-merge"),
+    "identity": ("attribute-axis apply-templates is not supported",
+                 "unsupported-construct", "xquery-gen"),
+    "axis": ("axis 'ancestor' cannot be merged", "unsupported-construct",
+             "sql-merge"),
+    "backwards": ("axis 'preceding-sibling' cannot be merged",
+                  "unsupported-construct", "sql-merge"),
+    "trend": ("axis 'preceding-sibling' cannot be merged",
+              "unsupported-construct", "sql-merge"),
+    "position": ("position() outside predicates cannot be rewritten",
+                 "unsupported-construct", "xquery-gen"),
+    "number": ("NumberInstr cannot be rewritten", "unsupported-construct",
+               "xquery-gen"),
+    "keys": ("key() is not supported by the rewrite",
+             "unsupported-construct", "xquery-gen"),
+    "depth": ("ClobStorage carries no structural information for the "
+              "rewrite", "no-structure", "source"),
+}
+FALLBACKS.update(dict.fromkeys(
+    ("reverser", "bottles", "tower", "queens"),
+    ("non-inline (function) XQuery cannot be merged into the view",
+     "unsupported-construct", "sql-merge")))
+
+
+def fallback_artifacts():
+    """``{case name: (engine, storage, artifact)}`` of every case that
+    falls back at compile."""
+    found = {}
+    for case in ALL_CASES:
+        prepared = prepare_case(case, 3)
+        engine = Engine(prepared.db, tracer=Tracer(enabled=False))
+        compiled = engine.compile(prepared.storage, case.stylesheet)
+        if compiled.error is not None:
+            found[case.name] = engine, prepared.storage, compiled
+    return found
+
+
+class TestFallbackArtifactsPinNoFrames:
+    """A negative-cached artifact keeps its categorized error, not the
+    traceback of the stage that failed: the rewriter's, the partial
+    evaluation's and the generator's frames go with the compile, and no
+    exception-traceback-frame cycle is left for the collector."""
+
+    def test_error_text_category_and_stage_are_kept(self):
+        artifacts = fallback_artifacts()
+        assert {
+            name: (str(compiled.error), categorize_fallback(compiled.error),
+                   compiled.error.stage)
+            for name, (_, _, compiled) in artifacts.items()} == FALLBACKS
+        for engine, storage, compiled in artifacts.values():
+            error = compiled.error
+            assert error.__traceback__ is None
+            assert error.__context__ is None and error.__cause__ is None
+            result = engine.execute(storage, compiled)
+            assert result.fallback_reason.endswith(str(error))
+            assert result.fallback_category == categorize_fallback(error)
+
+    def test_a_dropped_fallback_artifact_leaves_no_frame(self):
+        fallback_artifacts()  # first-ever costs (memos, factories) aside
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert len(fallback_artifacts()) == len(FALLBACKS)
+            gc.collect()
+            kept = [type(found) for found in gc.garbage
+                    if isinstance(found, (types.FrameType,
+                                          types.TracebackType))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert kept == []

@@ -1,14 +1,16 @@
-"""The bind step: flat tuple rows, slot resolution once per (plan,
-catalog), and the runtime handle a :class:`Query` caches it in."""
+"""The bind step: flat tuple rows, slot resolution once per (plan form,
+database), the database's table of bindings equal plans share, and the
+runtime handle a :class:`Query` caches it in."""
 
 import pickle
+import re
 import sys
 import threading
 import time
 
 import pytest
 
-from repro.api import Engine
+from repro.api import Engine, TransformOptions
 from repro.errors import DatabaseError, DeadlineExceededError
 from repro.obs import MetricsRegistry
 from repro.rdb import (
@@ -17,6 +19,7 @@ from repro.rdb import (
     Filter,
     HashJoin,
     IndexScan,
+    Limit,
     NestedLoopJoin,
     Query,
     Scan,
@@ -24,7 +27,8 @@ from repro.rdb import (
     INT,
     TEXT,
 )
-from repro.rdb.binding import Binder, Layout, sort_pairs
+from repro.rdb import binding as binding_module
+from repro.rdb.binding import Binder, Binding, Codegen, Layout, sort_pairs
 from repro.rdb.expressions import (
     BinOp,
     ColumnRef,
@@ -36,12 +40,13 @@ from repro.rdb.expressions import (
     eq,
     gt,
 )
-from repro.rdb.plan import ExecutionStats, HashLeftJoin
+from repro.rdb.plan import (
+    ExecutionStats, HashLeftJoin, PlanProfiler, _Emitter)
 from repro.rdb.sqlxml import AggCall, XMLAgg, XMLElement
 from repro.rdb.treestorage import TreeStorage
 from repro.serve import decode_artifact, encode_artifact
 from repro.xmlmodel import parse_document
-from repro.xsltmark.cases import get_case
+from repro.xsltmark.cases import ALL_CASES, get_case
 from repro.xsltmark.runner import prepare_case
 
 BATCH_SIZES = [1, 2, 7, 256]
@@ -414,3 +419,289 @@ class TestArtifactCarriesTheTreeNotTheBinding:
             assert again.serialized_rows() == first.serialized_rows()
         assert loaded.query.runtime.binds == 1  # once, then zero re-binds
         assert compiled.query.runtime.binds == 1
+
+
+# -- equal plans share one binding ------------------------------------------------
+
+#: the optimizer levels and decorrelation toggles a merged case compiles at
+CONFIGURATIONS = {
+    "%s-%s" % (level, "decorrelate" if decorrelate else "correlated"):
+        TransformOptions(optimizer_level=level, decorrelate=decorrelate)
+    for level in ("off", "cost") for decorrelate in (True, False)}
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """How many :class:`Binding`\\ s, generated functions (each a new
+    factory or a cached one called) and fused chains (each an
+    ``_Emitter``) the test makes from here on."""
+    counts = {"bindings": 0, "functions": 0, "chains": 0}
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def counting(self, *args, **kwargs):
+            counts[key] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    counted(Binding, "__init__", "bindings")
+    counted(Codegen, "function", "functions")
+    counted(_Emitter, "__init__", "chains")
+    return counts
+
+
+def paper_db():
+    """The dept/emp database of the ``db`` fixture, with two indexes on
+    ``emp.deptno``."""
+    db = Database()
+    db.create_table("dept", [("deptno", INT), ("dname", TEXT),
+                             ("loc", TEXT)])
+    db.create_table("emp", [("empno", INT), ("ename", TEXT), ("job", TEXT),
+                            ("sal", INT), ("deptno", INT)])
+    db.insert("dept", (10, "ACCOUNTING", "NEW YORK"),
+              (40, "OPERATIONS", "BOSTON"))
+    db.insert("emp", (7782, "CLARK", "MANAGER", 2450, 10),
+              (7934, "MILLER", "CLERK", 1300, 10),
+              (7954, "SMITH", "VP", 4900, 40))
+    db.create_index("emp", "deptno", "idx_a")
+    db.create_index("emp", "deptno", "idx_b")
+    return db
+
+
+def _estimated(plan, rows):
+    plan.estimated_rows = rows
+    return plan
+
+
+def _joined(left, right):
+    return HashJoin(Scan(*left), Scan(*right), col("deptno", left[1]),
+                    col("deptno", right[1]))
+
+
+#: pairs of plans that differ in one thing only: ``(plan, plan)`` makers
+DIFFERING = {
+    "constant": lambda value: Filter(Scan("emp", "e"),
+                                     gt(col("sal", "e"), const(value))),
+    "limit count": lambda count: Limit(Scan("emp", "e"), count),
+    "build side": lambda dept_builds: _joined(
+        *((("emp", "e"), ("dept", "d")) if dept_builds
+          else (("dept", "d"), ("emp", "e")))),
+    "index path": lambda index: IndexScan("emp", index, "=", const(10),
+                                          alias="e"),
+    "estimate": lambda rows: _estimated(Scan("emp", "e"), rows),
+}
+VARIANTS = {"constant": (1300, 2450), "limit count": (1, 2),
+            "build side": (True, False), "index path": ("idx_a", "idx_b"),
+            "estimate": (1.0, 3.0)}
+
+
+def _query(plan):
+    return Query(plan, [(None, col("ename", "e"))])
+
+
+def untimed(text):
+    text = re.sub(r"(total|self)=[0-9.]+ms", r"\1=-", text)
+    return re.sub(r"elapsed_seconds=[0-9.]+", "elapsed_seconds=-", text)
+
+
+class TestEqualPlansShareOneBinding:
+    """A database binds each plan form once (DESIGN §9.1): a query
+    missing its own binding first looks in the database's table, keyed
+    by its pickled form and its ``env`` shape, and takes a binding that
+    still fits as it is — generated chains, slots and observation."""
+
+    @pytest.mark.parametrize("options", list(CONFIGURATIONS.values()),
+                             ids=list(CONFIGURATIONS))
+    def test_a_second_compile_binds_and_emits_nothing(self, options, made):
+        merged = 0
+        for case in ALL_CASES:
+            prepared = prepare_case(case, 5)
+            engine = Engine(prepared.db)
+            first = engine.compile(prepared.storage, case.stylesheet,
+                                   options=options)
+            if first.query is None:
+                continue
+            merged += 1
+            rows = engine.execute(prepared.storage, first).serialized_rows()
+            before = dict(made)
+            second = engine.compile(prepared.storage, case.stylesheet,
+                                    options=options)
+            again = engine.execute(prepared.storage, second)
+            assert made == before, case.name
+            assert again.serialized_rows() == rows, case.name
+            assert second.query.runtime._binding \
+                is first.query.runtime._binding
+        assert merged == 23
+
+    @pytest.mark.parametrize("differs", sorted(DIFFERING))
+    def test_plans_differing_in_one_thing_never_share(self, differs):
+        make, (one, other) = DIFFERING[differs], VARIANTS[differs]
+        db = paper_db()
+        first, second = _query(make(one)), _query(make(other))
+        rows = run(db, first), run(db, second)
+        assert second.runtime._binding is not first.runtime._binding
+        assert len(db.bindings) == 2
+        # each answers what it answers bound alone, on a database of its own
+        assert rows == (run(paper_db(), _query(make(one))),
+                        run(paper_db(), _query(make(other))))
+        if differs == "estimate":
+            assert [binding.observation.rows[0][4] for binding in (
+                first.runtime._binding, second.runtime._binding)] == [1.0,
+                                                                      3.0]
+
+    def test_equal_hand_built_plans_share_and_are_numbered_at_bind(self):
+        db = paper_db()
+        make = DIFFERING["constant"]
+        first, second = _query(make(1300)), _query(make(1300))
+        assert run(db, first) == run(db, second) == [("CLARK",),
+                                                     ("SMITH",)]
+        assert second.runtime._binding is first.runtime._binding
+        assert [node.plan_node_id for node in second.plan.iter_plan()] \
+            == [1, 2]
+        assert first.runtime.binds == second.runtime.binds == 1
+        assert len(db.bindings) == 1
+
+    def test_the_sharing_query_profiles_its_own_nodes(self):
+        prepared = prepare_case(get_case("avts"), 10)
+        engine = Engine(prepared.db)
+        compiled = [engine.compile(prepared.storage, prepared.stylesheet)
+                    for _ in range(2)]
+        profilers = []
+        for each in compiled:
+            stats = ExecutionStats()
+            stats.profiler = PlanProfiler()
+            each.query.execute(prepared.db, stats=stats)
+            profilers.append(stats.profiler)
+        first, second = (each.query for each in compiled)
+        assert second.runtime._binding is first.runtime._binding
+        pairs = list(zip(first.plan.iter_plan(), second.plan.iter_plan()))
+        assert len(pairs) == 4
+        for mine, theirs in pairs:
+            profile = profilers[1].get(theirs)
+            assert profile is not None
+            assert profile == profilers[0].get(mine)
+        reports = [untimed(str(query.explain(prepared.db, analyze=True)))
+                   for query in (first, second)]
+        assert reports[1] == reports[0]
+        assert "never executed" not in reports[1]
+        assert reports[1].count("actual rows=") == 4
+
+    def test_a_hand_built_sharing_query_profiles_its_own_nodes(self):
+        db = paper_db()
+        make = DIFFERING["build side"]
+        first, second = _query(make(True)), _query(make(True))
+        run(db, first)
+        stats = ExecutionStats()
+        profiler = stats.profiler = PlanProfiler()
+        second.execute(db, stats=stats)
+        assert second.runtime._binding is first.runtime._binding
+        assert [profiler.get(node).rows_out
+                for node in second.plan.iter_plan()] == [3, 3, 2]
+        assert profiler.get(first.plan.left) == profiler.get(
+            second.plan.left)  # equal nodes, equal plan node ids
+
+    def test_threads_first_executing_equal_plans_all_bind_validly(
+            self, monkeypatch):
+        """4 threads (more than cores), each first-executing its own
+        compile of two stylesheets against one database whose table holds
+        one binding: every answer is the functional one, every binding
+        fits, and the table never overruns its bound."""
+        monkeypatch.setattr(binding_module, "_BINDING_TABLE_SIZE", 1)
+        prepared = prepare_case(get_case("chart"), 10)
+        engine = Engine(prepared.db)
+        stylesheets = (prepared.stylesheet, get_case("avts").stylesheet)
+        expected = [engine.transform(
+            prepared.storage, stylesheet,
+            options={"strategy": "functional"}).serialized_rows()
+            for stylesheet in stylesheets]
+        errors, sizes = [], []
+
+        def first_executions(offset):
+            try:
+                barrier.wait(10.0)
+                for round_ in range(20):
+                    which = (offset + round_) % 2
+                    compiled = engine.compile(prepared.storage,
+                                              stylesheets[which])
+                    rows = engine.execute(prepared.storage,
+                                          compiled).serialized_rows()
+                    if rows != expected[which]:
+                        errors.append((which, rows))
+                    if not compiled.query.runtime._binding.fits(
+                            prepared.db, ()):
+                        errors.append((which, "binding does not fit"))
+                    sizes.append(len(prepared.db.bindings))
+            except BaseException as exc:  # re-raised below
+                errors.append(exc)
+
+        barrier = threading.Barrier(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=first_executions,
+                                        args=(offset,))
+                       for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(sizes) == 4 * 20 and max(sizes) <= 1
+
+    def test_analyze_rebinds_a_plan_whose_estimates_it_changes(self, made):
+        prepared = prepare_case(get_case("chart"), 10)
+        engine = Engine(prepared.db)
+        options = TransformOptions(optimizer_level="cost")
+
+        def compile_and_run():
+            compiled = engine.compile(prepared.storage, prepared.stylesheet,
+                                      options=options)
+            rows = engine.execute(prepared.storage, compiled)
+            return compiled.query.runtime._binding, rows.serialized_rows()
+
+        binding, rows = compile_and_run()
+        assert compile_and_run() == (binding, rows)
+        bindings = made["bindings"]
+        prepared.db.analyze()
+        rebound, again = compile_and_run()
+        assert rebound is not binding and again == rows
+        assert made["bindings"] == bindings + 1
+
+    def test_index_ddl_rebinds_the_replanned_query(self, made):
+        db = Database()
+        db.create_table("emp", [("empno", INT), ("ename", TEXT),
+                                ("deptno", INT)])
+        db.insert("emp", (1, "A", 10), (2, "B", 20), (3, "C", 10))
+        select = "SELECT e.ename FROM emp e WHERE e.deptno = 10"
+        assert db.sql(select)[0] == [("A",), ("C",)]
+        assert db.sql(select)[0] == [("A",), ("C",)]
+        assert made["bindings"] == 1
+        db.create_index("emp", "deptno")
+        rows, stats = db.sql(select)
+        assert rows == [("A",), ("C",)] and stats.index_probes == 1
+        assert made["bindings"] == 2 and len(db.bindings) == 2
+
+    def test_a_query_that_does_not_pickle_is_bound_alone(self, made):
+        db = paper_db()
+        marker = lambda: None  # noqa: E731 -- no pickled form
+        for _ in range(2):
+            query = _query(Scan("emp", "e"))
+            query.outputs.append((None, const(marker)))
+            assert [value for _, value in run(db, query)] == [marker] * 3
+        assert made["bindings"] == 2 and len(db.bindings) == 0
+
+    def test_the_table_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(binding_module, "_BINDING_TABLE_SIZE", 4)
+        db = paper_db()
+        make = DIFFERING["constant"]
+        for value in range(12):
+            assert len(run(db, _query(make(value)))) == 3
+            assert len(db.bindings) <= 4
+        query = _query(make(0))  # evicted long ago: bound afresh
+        assert run(db, query) == [("CLARK",), ("MILLER",), ("SMITH",)]
+        assert len(db.bindings) == 4

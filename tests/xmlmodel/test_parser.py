@@ -215,6 +215,16 @@ MALFORMED = [
      "duplicate attribute (two prefixes, one namespace)", 1, 3),
     ("<p:a/>", "undeclared namespace prefix 'p'", 1, 2),
     ("<a p:x='1'/>", "undeclared namespace prefix 'p'", 1, 4),
+    # an attribute's place is found only once its prefix fails: after
+    # a line break, a resolved name, a reference, a declaration, or the
+    # same text inside a value
+    ("<a b='1'\n   p:x='2'/>", "undeclared namespace prefix 'p'", 2, 4),
+    ("<a xmlns:q='u' q:y='1'  p:x='2'/>",
+     "undeclared namespace prefix 'p'", 1, 25),
+    ("<a   p:x='&amp;'/>", "undeclared namespace prefix 'p'", 1, 6),
+    ("<a xmlns:p='u' p:x='1'\n r:y='2'/>",
+     "undeclared namespace prefix 'r'", 2, 2),
+    ("<a x='p:x' p:x='1'/>", "undeclared namespace prefix 'p'", 1, 12),
     ("<a>" * (MAX_ELEMENT_DEPTH + 1) + "</a>" * (MAX_ELEMENT_DEPTH + 1),
      "elements nested deeper than %d" % MAX_ELEMENT_DEPTH,
      1, 3 * MAX_ELEMENT_DEPTH + 1),
